@@ -63,6 +63,21 @@ impl ProjectItem {
         self.qualifier = Some(qualifier.into());
         self
     }
+
+    /// The output schema of a projection list: one attribute per item,
+    /// under its alias and qualifier.
+    pub fn schema_of(items: &[ProjectItem]) -> Schema {
+        Schema::new(
+            items
+                .iter()
+                .map(|item| Attribute {
+                    name: item.alias.clone(),
+                    qualifier: item.qualifier.clone(),
+                    dtype: DataType::Any,
+                })
+                .collect(),
+        )
+    }
 }
 
 /// Join kinds supported by the engine. `LeftOuter` is required by the Left
@@ -209,16 +224,7 @@ impl Plan {
     pub fn schema(&self) -> Schema {
         match self {
             Plan::Scan { schema, .. } | Plan::Values { schema, .. } => schema.clone(),
-            Plan::Project { items, .. } => Schema::new(
-                items
-                    .iter()
-                    .map(|item| Attribute {
-                        name: item.alias.clone(),
-                        qualifier: item.qualifier.clone(),
-                        dtype: DataType::Any,
-                    })
-                    .collect(),
-            ),
+            Plan::Project { items, .. } => ProjectItem::schema_of(items),
             Plan::Select { input, .. } => input.schema(),
             Plan::CrossProduct { left, right } => left.schema().concat(&right.schema()),
             Plan::Join {
@@ -345,6 +351,67 @@ impl Plan {
             }
             Plan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
             _ => vec![],
+        }
+    }
+
+    /// Rebuilds this operator over children mapped through `f` (left to
+    /// right); its own expressions — and the sublink plans inside them — are
+    /// kept as they are. Nothing is cloned: children move through `f`.
+    pub fn map_children(mut self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+        for child in self.children_mut() {
+            let hole = Plan::Values {
+                schema: Schema::empty(),
+                rows: Vec::new(),
+            };
+            **child = f(std::mem::replace(&mut **child, hole));
+        }
+        self
+    }
+
+    /// Rebuilds this operator with every expression directly attached to it
+    /// (the ones [`Plan::expressions`] lists) mapped through `f`; children
+    /// are kept as they are.
+    pub fn map_expressions(mut self, mut f: impl FnMut(Expr) -> Expr) -> Plan {
+        let mut apply = |e: &mut Expr| {
+            let taken = std::mem::replace(e, Expr::Literal(perm_storage::Value::Null));
+            *e = f(taken);
+        };
+        match &mut self {
+            Plan::Project { items, .. } => items.iter_mut().for_each(|i| apply(&mut i.expr)),
+            Plan::Select { predicate, .. } => apply(predicate),
+            Plan::Join { condition, .. } => apply(condition),
+            Plan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                group_by.iter_mut().for_each(|g| apply(&mut g.expr));
+                aggregates
+                    .iter_mut()
+                    .filter_map(|a| a.arg.as_mut())
+                    .for_each(apply);
+            }
+            Plan::Sort { keys, .. } => keys.iter_mut().for_each(|k| apply(&mut k.expr)),
+            Plan::Scan { .. }
+            | Plan::Values { .. }
+            | Plan::CrossProduct { .. }
+            | Plan::SetOp { .. }
+            | Plan::Limit { .. } => {}
+        }
+        self
+    }
+
+    fn children_mut(&mut self) -> Vec<&mut Box<Plan>> {
+        match self {
+            Plan::Scan { .. } | Plan::Values { .. } => vec![],
+            Plan::Project { input, .. }
+            | Plan::Select { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Aggregate { input, .. } => vec![input],
+            Plan::CrossProduct { left, right }
+            | Plan::Join { left, right, .. }
+            | Plan::SetOp { left, right, .. } => vec![left, right],
         }
     }
 

@@ -417,8 +417,7 @@ pub fn measure_sublink_memo(
 pub struct OptComparison {
     /// Workload label.
     pub label: String,
-    /// Outer relation size (|R1| for the synthetic points; the `orders`
-    /// table for TPC-H Q4).
+    /// Outer relation size (|R1|).
     pub outer_rows: usize,
     /// Whether the `--check` gate demands a *strict* operator-count win at
     /// this point: outer rows exceed the correlation-group count, so the
@@ -435,6 +434,8 @@ pub struct OptComparison {
     pub ms_baseline: f64,
     /// Sublinks the optimizer decorrelated in this plan.
     pub sublinks_decorrelated: u64,
+    /// Sublinks the optimized plan still runs through the memo.
+    pub sublinks_remaining: u64,
     /// Plan-shape fingerprint of the bound plan.
     pub fingerprint_bound: u64,
     /// Plan-shape fingerprint of the optimized plan.
@@ -499,6 +500,7 @@ fn measure_opt_plan(
             ms_optimized,
             ms_baseline,
             sublinks_decorrelated: report.sublinks_decorrelated,
+            sublinks_remaining: report.sublinks_remaining,
             fingerprint_bound: perm_exec::plan_fingerprint(&plan),
             fingerprint_optimized: perm_exec::plan_fingerprint(&optimized_plan),
             result_rows: optimized.len(),
@@ -516,16 +518,16 @@ fn measure_opt_plan(
     }
 }
 
-/// Measures the optimizer's sublink decorrelation against the memo-only
-/// baseline (`harness opt`): the correlated `q3` query along a Fig. 7-style
-/// sweep, plus the correlated TPC-H Q4 (`EXISTS` over `lineitem` keyed on
-/// `o_orderkey`) at the given scale. Results are asserted bag-equal per
-/// point; points that exceed the time budget end the synthetic sweep early
-/// (larger points would only time out too).
+/// Measures the optimizer on *provenance* plans against the memo-only
+/// baseline (`harness opt`): the Gen rewrite of the correlated `q3` query
+/// (`EXISTS`) along a Fig. 7-style sweep — the paper's expensive case, a
+/// selection with per-pair sublinks over `T⁺ × CrossBase(Tsub)` that the
+/// optimizer must turn into joins. Results are asserted bag-equal per
+/// point; points that exceed the time budget end the sweep early (larger
+/// points would only time out too — the baseline grows with |R1|·|R2|).
 pub fn measure_opt(
     sweep: SyntheticSweep,
     max_rows: usize,
-    scale: TpchScale,
     config: &BenchConfig,
 ) -> Vec<OptComparison> {
     let mut out = Vec::new();
@@ -534,28 +536,15 @@ pub fn measure_opt(
         let db = build_database(r1_rows, r2_rows, config.seed);
         let params = random_range(r1_rows, r2_rows, config.seed);
         let plan = build_query(&db, params, QueryKind::Q3CorrelatedExists);
-        let label = format!("q3 |R1|={r1_rows} |R2|={r2_rows}");
-        match measure_opt_plan(&db, &plan, &label, r1_rows, r1_rows > groups, config) {
+        let rewritten = ProvenanceQuery::new(&db, &plan)
+            .strategy(Strategy::Gen)
+            .rewrite()
+            .expect("Gen applies to every sublink");
+        let label = format!("q3 gen |R1|={r1_rows} |R2|={r2_rows}");
+        let strict = r1_rows > groups;
+        match measure_opt_plan(&db, rewritten.plan(), &label, r1_rows, strict, config) {
             Some(point) => out.push(point),
             None => break,
-        }
-    }
-    let tpch = generate(scale, config.seed);
-    let outer_rows = tpch.table("orders").map(|t| t.len()).unwrap_or(0);
-    if let Some(template) = sublink_queries().into_iter().find(|t| t.id == 4) {
-        let sql = template.instantiate(config.seed);
-        if let Ok((plan, _)) = perm_sql::compile(&tpch, &sql) {
-            let label = "tpch Q4".to_string();
-            if let Some(point) = measure_opt_plan(
-                &tpch,
-                &plan,
-                &label,
-                outer_rows,
-                outer_rows > groups,
-                config,
-            ) {
-                out.push(point);
-            }
         }
     }
     out
@@ -2207,7 +2196,8 @@ pub fn opt_to_json(figure: &str, rows: &[OptComparison]) -> String {
             "{{\"label\":\"{}\",\"outer_rows\":{},\"must_be_strict\":{},\
              \"ops_optimized\":{},\"ops_baseline\":{},\"ops_ratio\":{:.2},\
              \"ms_optimized\":{:.3},\"ms_baseline\":{:.3},\
-             \"sublinks_decorrelated\":{},\"fingerprint_bound\":\"{:016x}\",\
+             \"sublinks_decorrelated\":{},\"sublinks_remaining\":{},\
+             \"fingerprint_bound\":\"{:016x}\",\
              \"fingerprint_optimized\":\"{:016x}\",\"result_rows\":{}}}",
             json_escape(&row.label),
             row.outer_rows,
@@ -2218,6 +2208,7 @@ pub fn opt_to_json(figure: &str, rows: &[OptComparison]) -> String {
             row.ms_optimized,
             row.ms_baseline,
             row.sublinks_decorrelated,
+            row.sublinks_remaining,
             row.fingerprint_bound,
             row.fingerprint_optimized,
             row.result_rows

@@ -5,7 +5,7 @@ use super::{ProvenanceRewriter, RewriteResult};
 use crate::provschema::{ProvEntry, ProvenanceDescriptor};
 use crate::{ProvenanceError, Result};
 use perm_algebra::builder::{col, conjunction, null, null_safe_eq, PlanBuilder};
-use perm_algebra::{JoinKind, Plan, ProjectItem, SetOpKind};
+use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind};
 use perm_storage::Schema;
 
 /// Rewrites an operator that carries no sublinks in its own expressions
@@ -180,12 +180,14 @@ fn rewrite_aggregate(
         .build();
 
     // Join the *original* aggregation with the provenance of its input.
-    let condition = conjunction(
-        group_by
-            .iter()
-            .zip(hat_names.iter())
-            .map(|(g, hat)| null_safe_eq(col(&g.alias), col(hat))),
-    );
+    let condition = conjunction(group_by.iter().zip(hat_names.iter()).map(|(g, hat)| {
+        // By its qualifier too: `GROUP BY x.a, y.a` names two `a`s.
+        let group_ref = Expr::Column {
+            qualifier: g.qualifier.clone(),
+            name: g.alias.clone(),
+        };
+        null_safe_eq(group_ref, col(hat))
+    }));
     let joined = Plan::Join {
         left: Box::new(original.clone()),
         right: Box::new(right),
@@ -195,11 +197,12 @@ fn rewrite_aggregate(
 
     // Final projection: the original aggregate schema plus the provenance
     // attributes (dropping the Ĝ helper attributes).
+    // Qualified grouping attributes stay qualified for the operators above.
     let mut out_items: Vec<ProjectItem> = original
         .schema()
-        .names()
+        .attributes()
         .iter()
-        .map(|n| ProjectItem::column(n))
+        .map(ProjectItem::passthrough)
         .collect();
     for prov in input_rw.descriptor.attr_names() {
         out_items.push(ProjectItem::column(&prov));

@@ -78,13 +78,21 @@
 //! *decorrelated* into hash semi/anti joins (the static counterpart of the
 //! runtime memo above — shapes the rules cannot prove safe simply keep the
 //! memo path), selections push toward the scans, projection columns nobody
-//! reads are pruned, and constant subexpressions fold. Every rule preserves
-//! result bags, the error set *and* the `operators_evaluated` bound; the
-//! module documentation spells out the three observables. The `Session`
-//! facade runs the phase between the provenance rewrite and [`compile`]
-//! (so witness columns are ordinary columns by then); executor-direct
-//! callers opt in with [`Executor::with_optimizer`], and `harness opt
-//! --check` gates the decorrelated plans against the memo-only baseline.
+//! reads are pruned, and constant subexpressions fold. The same generic
+//! rules make the Gen strategy's `σ[C ∧ Csub⁺](T⁺ × CrossBase)` — a
+//! per-pair sublink over a materialised cross product — join-shaped:
+//! a sublink conjunct implies its copies inside `Csub⁺` away, what remains
+//! of the disjunction splits into a `UNION ALL`, the membership sublink's
+//! correlation is hoisted through `Tsub⁺`, and the semi join goes through
+//! the product as two hash joins. Every rule preserves result bags, the
+//! error set *and* the `operators_evaluated` bound; the module
+//! documentation spells out the three observables and each rule's
+//! argument, and [`OptimizerReport`] says which rules fired and how many
+//! sublinks are left to the memo. The `Session` facade runs the phase
+//! between the provenance rewrite and [`compile`] (so witness columns are
+//! ordinary columns by then); executor-direct callers opt in with
+//! [`Executor::with_optimizer`], and `harness opt --check` gates the
+//! Gen-rewritten plans against the memo-only baseline.
 //!
 //! An [`Executor`] is deliberately `!Sync` (its counters and private memos
 //! use `Cell`/`RefCell`) — concurrency happens *above* it, one executor per

@@ -9,14 +9,19 @@
 //! memo: where the memo re-executes the sublink once per distinct outer
 //! binding, the decorrelated plan executes the body exactly once and lets
 //! the (hash) join machinery distribute it over the outer rows. Shapes the
-//! rule cannot prove safe — scalar sublinks, `ALL`, negated `ANY`,
-//! non-comparison correlation, correlation that crosses more than one scope
-//! — are left untouched and keep the memo path.
+//! rules cannot prove safe keep the memo path, untouched: a scalar
+//! comparison, `ALL` or a negated / non-equality `ANY` as the conjunct
+//! itself (three-valued verdicts no semi join reproduces); correlation in a
+//! conjunct that is not one `outer ⟨op⟩ inner` comparison; correlation that
+//! crosses more than one scope; a correlated grouped (`GROUP BY`)
+//! aggregate, set operation, sort or limit in the body; correlation on the
+//! right of a left outer join whose left side does not pin the binding
+//! down; any non-total expression the rewrite would move.
 //!
 //! Supporting rules in the same fixpoint driver: constant folding over
 //! predicates, predicate pushdown through projections / `INTERSECT` /
-//! `EXCEPT` / semi- and anti-join probe sides, and projection pruning off
-//! column liveness.
+//! `EXCEPT` / semi- and anti-join probe sides / cross products, and
+//! projection pruning off column liveness.
 //!
 //! # Equivalence discipline
 //!
@@ -34,68 +39,190 @@
 //!    error — unless the move provably keeps the evaluation set intact
 //!    (e.g. an `EXISTS` verdict is never `UNKNOWN`, so a leading `EXISTS`
 //!    conjunct gates its successors exactly like the semi join it becomes).
-//! 3. **Operator invocations**: no rule may increase
-//!    `operators_evaluated` on a plan it fires on; decorrelation lowers it
-//!    on every correlated point with more than a handful of bindings.
+//! 3. **Operator invocations**: a rewritten plan evaluates every operator
+//!    once, so its `operators_evaluated` is its size — a constant, where the
+//!    reference pays one sublink execution per distinct binding. A rule may
+//!    add a fixed handful of operators (the join and key projection of a
+//!    decorrelated sublink, the second copy of a split selection's input)
+//!    and never one that grows with the data; on every correlated point
+//!    with more than a handful of bindings the count drops.
 //!
 //! The differential suites enforce all three over the full random corpus
 //! (optimizer-on vs optimizer-off, result and witness bags bag-identical).
+//!
+//! # The rules that make the Gen rewrite join-shaped
+//!
+//! Gen (rules G1/G2) emits `σ[C ∧ Csub⁺](T⁺ × CrossBase(Tsub))` with
+//! `Csub⁺ = EXISTS(σ_{Jsub ∧ P =ₙ chk}(Tsub⁺)) ∨ (¬EXISTS(Tsub) ∧ P =ₙ NULL)`.
+//! The rules below are generic — none matches on that shape — but together
+//! they turn it into hash joins. The selection-level ones (implication,
+//! split, and the decorrelation of what they produce) are **all or nothing
+//! per selection**: when a sublink they exposed cannot become a join, the
+//! selection is left exactly as the single-conjunct rule above leaves it.
+//!
+//! **Conjunct implication.** A row on which a conjunct is not TRUE is
+//! dropped whatever the later conjuncts say, so inside the conjuncts
+//! *after* a sublink conjunct a structural copy of that sublink reads as
+//! the constant it must be (`EXISTS(T)` TRUE; under `NOT EXISTS(T)` FALSE;
+//! `x = ANY(T)` TRUE and with it `EXISTS(T)`; a negated `ANY`/`ALL` FALSE),
+//! also inside nested sublink plans wherever no operator shadows a column
+//! the copy reads. *Bags:* `C ∧ φ ≡ C ∧ φ[C := TRUE]` in three-valued
+//! logic. *Errors:* after a two-valued (`EXISTS`) conjunct, `φ` runs on
+//! exactly the rows where the copy has that value, and the copy cannot
+//! fail where the original just succeeded; a three-valued conjunct lets
+//! `UNKNOWN` rows through, where the simplified `φ` may skip operands the
+//! original evaluated — then `φ` must be total. This collapses `Jsub` to
+//! one comparison and `Csub⁺` to the membership test (`EXISTS`, `IN`) or to
+//! `EXISTS(…) ∨ P =ₙ NULL` (`NOT EXISTS`).
+//!
+//! **One-row `EXISTS`.** `EXISTS` over a global aggregate (under
+//! projections) is TRUE when the body is total — an aggregated sublink's
+//! "empty sublink" disjunct folds away.
+//!
+//! **Disjunction split.** `σ_{pre ∧ (A∨B) ∧ post}(X)` with `A` an
+//! `EXISTS` / `NOT EXISTS` verdict becomes `σ_{pre ∧ A ∧ post}(X) ∪ALL
+//! σ_{pre ∧ ¬A ∧ B ∧ post}(X)`. *Bags:* `A` is two-valued, so every row
+//! satisfies exactly one of `A`, `¬A`; a row passes the disjunction iff it
+//! passes `A`, or fails `A` and passes `B` — no knowledge that the
+//! disjuncts exclude each other is needed, and no row is emitted twice.
+//! *Errors:* `pre` and `A` run on the rows they ran on; `B` ran where `A`
+//! was FALSE and still does; `post` ran where `pre ∧ (A∨B)` was not FALSE,
+//! which is the union of where the two branches run it. *Operators:* `X`
+//! is read twice.
+//!
+//! **Hoisting through the body.** The correlated conjuncts of a sublink
+//! body are lifted out of it by a walk through selections, projections
+//! (composed by substitution, never executed per binding), cross products,
+//! inner and left outer joins: `σ_{e ⟨op⟩ k ∧ p}(T)` contributes the join
+//! conjunct `e ⟨op⟩ k` and leaves `σ_p(T)`. *Bags:* for every binding the
+//! body's rows are the rows of the lifted plan on which the hoisted
+//! conjuncts hold, which is what the semi/anti join tests. *Errors:* the
+//! lifted body runs once over all bindings' rows, so every expression that
+//! is evaluated on more rows than before (conjuncts after a hoisted one,
+//! composed projection items, hoisted sides) must be total. A left outer
+//! join pads *per binding*: correlation on its right side is lifted only
+//! when the left side pins the binding (`e =ₙ l`), as the join conjunct
+//! `l ⟨op⟩ r`.
+//!
+//! **Grouping an aggregated body.** A global aggregate over an
+//! equality-correlated input — the body of a scalar sublink, and the left
+//! side of the `⟕` the aggregation rewrite rule R5 builds — becomes
+//! `γ_{d; aggs}(δ(Π_{e→d}(driver)) ⟕_{d = k} T)` with the pair `e =ₙ d`.
+//! *Bags:* the driver holds every binding the outer rows have, and the
+//! left outer join keeps a binding without rows as one padded row, so its
+//! group yields what the aggregate yields over an empty input (`count` 0,
+//! by counting a marker the padding leaves NULL; the COUNT bug). *Errors:*
+//! the driver is read off the outer input's cross-product factor that
+//! resolves `e`, which may hold bindings no row reaching the sublink has;
+//! the grouped plan must be total so that their groups are unobservable.
+//!
+//! **Pushdown through `×` / `⋈`.** A total, sublink-free conjunct that
+//! references one side of a cross product or inner join moves to that side
+//! (`P =ₙ NULL` shrinks `CrossBase` to its NULL row), also out of a
+//! selection whose other conjuncts carry sublinks when the whole predicate
+//! is total. A semi/anti join whose condition reads one factor of the
+//! cross product below it moves onto that factor: `(L × R) ⋉_{θ(L)} S =
+//! (L ⋉_θ S) × R`. *Bags:* every `(l, r)` pair survives iff `l` does.
+//! *Errors:* `S` and `θ` now run whenever `L` has rows, before only when
+//! `L × R` had: either both are total or `R` is provably non-empty (`… ∪ALL
+//! Values(1 row)`).
+//!
+//! **Semi join through a cross product.** `(L × R) ⋉_{θL ∧ θR} S` whose
+//! conjuncts are all column equalities (`=` or `=ₙ`) against `S` becomes
+//! `Π_{L,R}(L ⋈_{θL} (R ⋈_{θR} δ(Π_keys(S))))`. *Bags:* a pair `(l, r)`
+//! survives iff some key tuple matches both; equality under `=`/`=ₙ` is
+//! the engine's one key equivalence, which `δ` also uses, so at most one
+//! distinct key tuple matches a given pair and `L`'s and `R`'s own
+//! duplicates multiply as before. *Errors:* `S` now always runs — it must
+//! be total. *Operators:* two more, and no `|L| · |R|` product.
 
-use perm_algebra::builder::{cmp, conjunction};
+mod decorrelate;
+
+use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
-use perm_algebra::visit::{free_columns, free_expr_columns};
-use perm_algebra::{AggFunc, Expr, JoinKind, Plan, ProjectItem, SublinkKind};
+use perm_algebra::optimize::split_conjuncts;
+use perm_algebra::visit::free_expr_columns;
+use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind};
 use perm_storage::{Schema, Value};
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
 const MAX_PASSES: usize = 4;
 
-/// What the optimizer did to one plan: per-rule fire counts, reported
-/// through `SessionStats` and rendered by `EXPLAIN`.
+/// What the optimizer did to one plan — per-rule fire counts — and what it
+/// left: reported through `SessionStats` and rendered by `EXPLAIN`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizerReport {
     /// Sublinks unnested into semi/anti joins.
     pub sublinks_decorrelated: u64,
+    /// Copies of an earlier sublink conjunct replaced by the constant that
+    /// conjunct implies.
+    pub sublinks_implied: u64,
+    /// Selections over `A ∨ B` split into a `UNION ALL` of two.
+    pub disjunctions_split: u64,
+    /// Correlated global aggregates grouped by their correlation key.
+    pub aggregates_grouped: u64,
+    /// Semi/anti joins moved onto one factor of a cross product.
+    pub joins_pushed: u64,
+    /// Semi joins over a cross product turned into two inner joins against
+    /// the distinct keys.
+    pub semi_joins_expanded: u64,
     /// Constant subexpressions folded (including selections proven
     /// always-true or always-false).
     pub constants_folded: u64,
-    /// Selections pushed through a projection, set operation, or semi/anti
-    /// join probe side.
+    /// Selections (or single conjuncts) pushed through a projection, set
+    /// operation, semi/anti join probe side, cross product or inner join.
     pub predicates_pushed: u64,
     /// Projections narrowed by the liveness pass.
     pub projections_pruned: u64,
+    /// Sublinks the optimized plan still holds, nested ones included —
+    /// each runs through the binding memo. Not a rule: excluded from
+    /// [`OptimizerReport::rules_fired`].
+    pub sublinks_remaining: u64,
     /// Fixpoint passes run (diagnostic).
     pub passes: u64,
 }
 
 impl OptimizerReport {
-    /// Total rule applications across all rules.
-    pub fn rules_fired(&self) -> u64 {
-        self.sublinks_decorrelated
-            + self.constants_folded
-            + self.predicates_pushed
-            + self.projections_pruned
-    }
-
-    /// One-line human-readable summary (`decorrelate×2 pushdown×1`), or
-    /// `"no rules fired"`.
-    pub fn summary(&self) -> String {
-        let mut parts = Vec::new();
-        for (name, n) in [
+    fn fire_counts(&self) -> [(&'static str, u64); 9] {
+        [
             ("decorrelate", self.sublinks_decorrelated),
+            ("imply", self.sublinks_implied),
+            ("split", self.disjunctions_split),
+            ("group", self.aggregates_grouped),
+            ("join-pushdown", self.joins_pushed),
+            ("semi-expand", self.semi_joins_expanded),
             ("fold", self.constants_folded),
             ("pushdown", self.predicates_pushed),
             ("prune", self.projections_pruned),
-        ] {
-            if n > 0 {
-                parts.push(format!("{name}×{n}"));
-            }
-        }
-        if parts.is_empty() {
+        ]
+    }
+
+    /// Total rule applications across all rules.
+    pub fn rules_fired(&self) -> u64 {
+        self.fire_counts().iter().map(|(_, n)| n).sum()
+    }
+
+    /// One-line human-readable summary (`decorrelate×2 pushdown×1`, or
+    /// `no rules fired`), followed by `; N sublinks remain` when the plan
+    /// keeps any.
+    pub fn summary(&self) -> String {
+        let parts: Vec<String> = self
+            .fire_counts()
+            .iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(name, n)| format!("{name}×{n}"))
+            .collect();
+        let mut out = if parts.is_empty() {
             "no rules fired".to_string()
         } else {
             parts.join(" ")
+        };
+        match self.sublinks_remaining {
+            0 => {}
+            1 => out.push_str("; 1 sublink remains"),
+            n => out.push_str(&format!("; {n} sublinks remain")),
         }
+        out
     }
 }
 
@@ -106,17 +233,39 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
     let mut fresh = 0usize;
     let mut current = plan.clone();
     for _ in 0..MAX_PASSES {
-        let before = current.clone();
-        current = fold_pass(&current, &mut rep);
-        current = decorrelate_pass(&current, &[], &mut rep, &mut fresh);
-        current = pushdown_pass(&current, &mut rep);
-        current = prune_pass(&current, None, &mut rep);
+        // Every change to the plan is a counted rule application, so a
+        // pass that fires nothing has reached the fixpoint.
+        let fired_before = rep.rules_fired();
+        current = fold_pass(current, &mut rep);
+        current = decorrelate::decorrelate_pass(current, &mut rep, &mut fresh);
+        current = pushdown_pass(current, &mut rep);
+        current = prune_pass(current, None, &mut rep);
         rep.passes += 1;
-        if current == before {
+        if rep.rules_fired() == fired_before {
             break;
         }
     }
+    rep.sublinks_remaining = count_sublinks(&current);
     (current, rep)
+}
+
+/// Sublinks of a plan, the ones nested in sublink plans and test
+/// expressions included.
+fn count_sublinks(plan: &Plan) -> u64 {
+    fn in_expr(expr: &Expr) -> u64 {
+        let mut n = 0;
+        expr.walk(&mut |e| {
+            if let Expr::Sublink {
+                test_expr, plan, ..
+            } = e
+            {
+                n += 1 + test_expr.as_deref().map_or(0, in_expr) + count_sublinks(plan);
+            }
+        });
+        n
+    }
+    plan.expressions().into_iter().map(in_expr).sum::<u64>()
+        + plan.children().into_iter().map(count_sublinks).sum::<u64>()
 }
 
 /// A stable structural fingerprint of the operator tree (FNV-1a over the
@@ -220,8 +369,9 @@ fn resolves(scopes: &[Schema], qualifier: Option<&str>, name: &str) -> bool {
 /// first) can never raise an error, for any row. This is the contract that
 /// lets a rule move the expression to a place where it is evaluated on a
 /// different set of rows. Deliberately conservative: arithmetic (division,
-/// overflow-checked ops), function calls, parameters (which may be unbound)
-/// and scalar sublinks (cardinality errors) are never total.
+/// overflow-checked ops), function calls and parameters (which may be
+/// unbound) are never total; a scalar sublink only when its plan cannot
+/// violate the one-row, one-column contract.
 pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
     match expr {
         Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
@@ -240,10 +390,15 @@ pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
             );
             ops_total && expr_is_total(left, scopes) && expr_is_total(right, scopes)
         }
-        Expr::Unary { op, expr } => {
-            matches!(op, UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull)
-                && expr_is_total(expr, scopes)
-        }
+        Expr::Unary { op, expr } => match op {
+            UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull => expr_is_total(expr, scopes),
+            // Negation fails on non-numbers; a negative numeric literal
+            // (`BETWEEN -5 AND 5`) is the one operand known to be one.
+            UnaryOp::Neg => matches!(
+                expr.as_ref(),
+                Expr::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
+            ),
+        },
         Expr::Func { .. } => false,
         Expr::Case {
             branches,
@@ -263,7 +418,9 @@ pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
             plan,
             ..
         } => match kind {
-            SublinkKind::Scalar => false,
+            SublinkKind::Scalar => {
+                yields_one_row(plan) && plan.schema().arity() == 1 && plan_is_total(plan, scopes)
+            }
             SublinkKind::Exists => plan_is_total(plan, scopes),
             SublinkKind::Any | SublinkKind::All => {
                 test_expr
@@ -276,10 +433,38 @@ pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
     }
 }
 
+/// `true` when `plan` yields exactly one row whatever its input holds: a
+/// global aggregate, possibly under projections and sorts.
+fn yields_one_row(plan: &Plan) -> bool {
+    match plan {
+        Plan::Aggregate { group_by, .. } => group_by.is_empty(),
+        Plan::Project { input, .. } | Plan::Sort { input, .. } => yields_one_row(input),
+        Plan::Values { rows, .. } => rows.len() == 1,
+        _ => false,
+    }
+}
+
+/// `true` when `plan` yields at least one row whatever the database holds.
+fn provably_nonempty(plan: &Plan) -> bool {
+    match plan {
+        Plan::Values { rows, .. } => !rows.is_empty(),
+        Plan::Project { input, .. } | Plan::Sort { input, .. } => provably_nonempty(input),
+        Plan::SetOp {
+            op: SetOpKind::Union,
+            left,
+            right,
+            ..
+        } => provably_nonempty(left) || provably_nonempty(right),
+        Plan::CrossProduct { left, right } => provably_nonempty(left) && provably_nonempty(right),
+        Plan::Aggregate { group_by, .. } => group_by.is_empty(),
+        _ => false,
+    }
+}
+
 /// `true` when executing `plan` (with enclosing scopes `outers`, innermost
-/// first) can never raise an evaluation error. `Sum`/`Avg` aggregates are
-/// excluded (arithmetic over non-numeric values errors); comparisons, hash
-/// encodings and sorting are error-free in this engine.
+/// first) can never raise an evaluation error. Comparisons, hash encodings,
+/// sorting and every aggregate accumulator (`sum`/`avg` skip what they
+/// cannot add) are error-free in this engine.
 pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
     let with_local = |local: Schema| -> Vec<Schema> {
         let mut chain = vec![local];
@@ -319,16 +504,10 @@ pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
             let chain = with_local(input.schema());
             plan_is_total(input, outers)
                 && group_by.iter().all(|g| expr_is_total(&g.expr, &chain))
-                && aggregates.iter().all(|a| {
-                    matches!(
-                        a.func,
-                        AggFunc::Count | AggFunc::CountStar | AggFunc::Min | AggFunc::Max
-                    ) && a
-                        .arg
-                        .as_ref()
-                        .map(|e| expr_is_total(e, &chain))
-                        .unwrap_or(true)
-                })
+                && aggregates
+                    .iter()
+                    .filter_map(|a| a.arg.as_ref())
+                    .all(|e| expr_is_total(e, &chain))
         }
         Plan::SetOp { left, right, .. } => {
             plan_is_total(left, outers) && plan_is_total(right, outers)
@@ -345,15 +524,10 @@ pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
 // Scoped traversal
 // ---------------------------------------------------------------------------
 
-/// Rebuilds every sublink plan inside `expr` with `f`, handing each the
-/// scope chain `scopes` (the chain its plan executes under). Descends into
+/// Rebuilds every sublink plan inside `expr` with `f`. Descends into
 /// `ANY`/`ALL` test expressions, which [`Expr::transform`] treats as opaque.
-fn map_sublink_plans(
-    expr: &Expr,
-    scopes: &[Schema],
-    f: &mut impl FnMut(&Plan, &[Schema]) -> Plan,
-) -> Expr {
-    expr.clone().transform(&mut |e| match e {
+fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
+    expr.transform(&mut |e| match e {
         Expr::Sublink {
             kind,
             test_expr,
@@ -361,613 +535,32 @@ fn map_sublink_plans(
             plan,
         } => Expr::Sublink {
             kind,
-            test_expr: test_expr.map(|t| Box::new(map_sublink_plans(&t, scopes, f))),
+            test_expr: test_expr.map(|t| Box::new(map_sublink_plans(*t, f))),
             op,
-            plan: Box::new(f(&plan, scopes)),
+            plan: Box::new(f(*plan)),
         },
         other => other,
     })
-}
-
-/// The scope chain a sublink embedded in this operator's expressions
-/// executes under: the operator's own expression scope pushed onto the
-/// enclosing chain.
-fn child_chain(local: Schema, outers: &[Schema]) -> Vec<Schema> {
-    let mut chain = vec![local];
-    chain.extend_from_slice(outers);
-    chain
-}
-
-// ---------------------------------------------------------------------------
-// Rule: sublink decorrelation
-// ---------------------------------------------------------------------------
-
-/// Bottom-up decorrelation sweep. `outers` is the enclosing sublink scope
-/// chain (innermost first) — empty at the top level.
-fn decorrelate_pass(
-    plan: &Plan,
-    outers: &[Schema],
-    rep: &mut OptimizerReport,
-    fresh: &mut usize,
-) -> Plan {
-    let rebuilt = match plan {
-        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
-        Plan::Project {
-            input,
-            items,
-            distinct,
-        } => {
-            let chain = child_chain(input.schema(), outers);
-            let input = decorrelate_pass(input, outers, rep, fresh);
-            Plan::Project {
-                items: items
-                    .iter()
-                    .map(|i| ProjectItem {
-                        expr: map_sublink_plans(&i.expr, &chain, &mut |p, s| {
-                            decorrelate_pass(p, s, rep, fresh)
-                        }),
-                        alias: i.alias.clone(),
-                        qualifier: i.qualifier.clone(),
-                    })
-                    .collect(),
-                distinct: *distinct,
-                input: Box::new(input),
-            }
-        }
-        Plan::Select { input, predicate } => {
-            let chain = child_chain(input.schema(), outers);
-            Plan::Select {
-                predicate: map_sublink_plans(predicate, &chain, &mut |p, s| {
-                    decorrelate_pass(p, s, rep, fresh)
-                }),
-                input: Box::new(decorrelate_pass(input, outers, rep, fresh)),
-            }
-        }
-        Plan::CrossProduct { left, right } => Plan::CrossProduct {
-            left: Box::new(decorrelate_pass(left, outers, rep, fresh)),
-            right: Box::new(decorrelate_pass(right, outers, rep, fresh)),
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            condition,
-        } => {
-            let chain = child_chain(left.schema().concat(&right.schema()), outers);
-            Plan::Join {
-                condition: map_sublink_plans(condition, &chain, &mut |p, s| {
-                    decorrelate_pass(p, s, rep, fresh)
-                }),
-                left: Box::new(decorrelate_pass(left, outers, rep, fresh)),
-                right: Box::new(decorrelate_pass(right, outers, rep, fresh)),
-                kind: *kind,
-            }
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(decorrelate_pass(input, outers, rep, fresh)),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => Plan::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(decorrelate_pass(left, outers, rep, fresh)),
-            right: Box::new(decorrelate_pass(right, outers, rep, fresh)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(decorrelate_pass(input, outers, rep, fresh)),
-            keys: keys.clone(),
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(decorrelate_pass(input, outers, rep, fresh)),
-            limit: *limit,
-        },
-    };
-    // Only top-scope selections decorrelate. A sublink nested inside
-    // another sublink's plan re-executes with every enclosing binding, and
-    // there the memo amortizes its body across bindings while a join would
-    // rebuild per run — decorrelation can *cost* operators in that
-    // position.
-    if !outers.is_empty() {
-        return rebuilt;
-    }
-    if let Plan::Select { input, predicate } = rebuilt {
-        match try_decorrelate(*input, predicate, outers, rep, fresh) {
-            Ok(plan) => plan,
-            Err(untouched) => {
-                let (input, predicate) = *untouched;
-                Plan::Select {
-                    input: Box::new(input),
-                    predicate,
-                }
-            }
-        }
-    } else {
-        rebuilt
-    }
-}
-
-/// The join kind and pieces of one decorrelatable sublink conjunct.
-struct Candidate<'a> {
-    kind: JoinKind,
-    /// `ANY` test expression (`None` for `EXISTS` variants).
-    test: Option<&'a Expr>,
-    sub: &'a Plan,
-    /// `true` for the `EXISTS` variants, whose verdict is never `UNKNOWN`.
-    exists_like: bool,
-}
-
-fn classify_sublink(conjunct: &Expr) -> Option<Candidate<'_>> {
-    match conjunct {
-        Expr::Sublink {
-            kind: SublinkKind::Exists,
-            plan,
-            ..
-        } => Some(Candidate {
-            kind: JoinKind::Semi,
-            test: None,
-            sub: plan,
-            exists_like: true,
-        }),
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => match expr.as_ref() {
-            Expr::Sublink {
-                kind: SublinkKind::Exists,
-                plan,
-                ..
-            } => Some(Candidate {
-                kind: JoinKind::Anti,
-                test: None,
-                sub: plan,
-                exists_like: true,
-            }),
-            _ => None,
-        },
-        // `IN` lowers to `= ANY` in the binder, so this covers both. The
-        // negated forms (`NOT IN`, `<> ALL`) are NOT safe: a NULL element
-        // makes the reference verdict UNKNOWN (row dropped) while an anti
-        // join would keep the row.
-        Expr::Sublink {
-            kind: SublinkKind::Any,
-            test_expr: Some(test),
-            op: Some(CompareOp::Eq),
-            plan,
-        } => Some(Candidate {
-            kind: JoinKind::Semi,
-            test: Some(test),
-            sub: plan,
-            exists_like: false,
-        }),
-        _ => None,
-    }
-}
-
-/// One correlated conjunct hoisted out of the sublink body.
-enum Hoisted {
-    /// `outer_expr ⟨op⟩ inner_expr`, normalised with the outer side left.
-    Pair {
-        outer: Expr,
-        op: BinaryOp,
-        inner: Expr,
-    },
-    /// A conjunct referencing the outer scope only — moves verbatim into
-    /// the join condition (NOT into a selection above the join: for an anti
-    /// join, a false outer-only conjunct must *keep* the outer row).
-    OuterOnly(Expr),
-}
-
-/// Which single scope an expression's references live in.
-enum Side {
-    Outer,
-    Inner,
-    Mixed,
-}
-
-fn side_of(expr: &Expr, outer: &Schema, local: &Schema) -> Side {
-    if expr.has_sublink() {
-        return Side::Mixed;
-    }
-    let refs = expr.column_refs();
-    let mut any_outer = false;
-    let mut any_inner = false;
-    for (q, n) in &refs {
-        let in_local = local.try_resolve(q.as_deref(), n);
-        let in_outer = outer.try_resolve(q.as_deref(), n);
-        match (in_local, in_outer) {
-            // Innermost scope wins at runtime, so a locally resolvable
-            // reference is an inner reference.
-            (Ok(Some(_)), _) => any_inner = true,
-            (Ok(None), Ok(Some(_))) => any_outer = true,
-            _ => return Side::Mixed,
-        }
-    }
-    match (any_outer, any_inner) {
-        (true, false) => Side::Outer,
-        (false, _) => Side::Inner,
-        (true, true) => Side::Mixed,
-    }
-}
-
-/// Tries to decorrelate one sublink conjunct of `Select(input, predicate)`.
-/// Returns the transformed plan, or the untouched pieces when no conjunct
-/// qualifies (the memo fallback).
-fn try_decorrelate(
-    input: Plan,
-    predicate: Expr,
-    outers: &[Schema],
-    rep: &mut OptimizerReport,
-    fresh: &mut usize,
-) -> Result<Plan, Box<(Plan, Expr)>> {
-    let conjuncts = perm_algebra::optimize::split_conjuncts(&predicate);
-    let outer_schema = input.schema();
-    let pred_chain = child_chain(outer_schema.clone(), outers);
-
-    for (i, conjunct) in conjuncts.iter().enumerate() {
-        let Some(cand) = classify_sublink(conjunct) else {
-            continue;
-        };
-        // Error-parity gate 1: the conjuncts that move to the selection
-        // above the join are evaluated on (at most) the join's survivors
-        // instead of their original rows, so they must be total — except
-        // when a leading EXISTS gate makes the survivor set exactly the
-        // reference evaluation set (an EXISTS verdict is never UNKNOWN, so
-        // `AND` gates its successors precisely like the semi/anti join).
-        let exists_first = cand.exists_like && i == 0;
-        if !exists_first {
-            let others_total = conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .all(|(_, c)| expr_is_total(c, &pred_chain));
-            if !others_total {
-                continue;
-            }
-        }
-        // ANY test expressions are re-evaluated as a join input; they must
-        // be total and resolve entirely in the immediate outer scope.
-        if let Some(test) = cand.test {
-            if !expr_is_total(test, std::slice::from_ref(&outer_schema)) {
-                continue;
-            }
-        }
-        if let Some(built) = build_decorrelated(&cand, &outer_schema, outers, i == 0, fresh) {
-            let others: Vec<Expr> = conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, c)| c.clone())
-                .collect();
-            let join = Plan::Join {
-                left: Box::new(input),
-                right: Box::new(built.right),
-                kind: cand.kind,
-                condition: built.condition,
-            };
-            rep.sublinks_decorrelated += 1;
-            return Ok(if others.is_empty() {
-                join
-            } else {
-                Plan::Select {
-                    input: Box::new(join),
-                    predicate: conjunction(others),
-                }
-            });
-        }
-    }
-    Err(Box::new((input, predicate)))
-}
-
-struct Decorrelated {
-    right: Plan,
-    condition: Expr,
-}
-
-/// Builds the join's right side and condition for one eligible sublink, or
-/// `None` when a safety precondition fails (the caller falls back to the
-/// memo path).
-fn build_decorrelated(
-    cand: &Candidate<'_>,
-    outer_schema: &Schema,
-    outers: &[Schema],
-    is_first_conjunct: bool,
-    fresh: &mut usize,
-) -> Option<Decorrelated> {
-    let corr = perm_algebra::visit::free_correlated_columns(cand.sub);
-    // Correlation must target the immediate outer scope, and nothing
-    // deeper: every escaping reference resolves (unambiguously) in the
-    // outer schema.
-    for (q, n) in &corr {
-        if !matches!(outer_schema.try_resolve(q.as_deref(), n), Ok(Some(_))) {
-            return None;
-        }
-    }
-
-    if corr.is_empty() {
-        // An uncorrelated sublink already runs exactly once per query —
-        // the InitPlan memo, which retention even shares across executions
-        // of a prepared statement. Decorrelating it gains nothing and
-        // rebuilds the join's hash table every execution.
-        return None;
-    }
-
-    let qual = format!("__dcl{}", *fresh);
-    let mut cond_conjuncts: Vec<Expr> = Vec::new();
-    let right;
-
-    {
-        // Peel the body down to its selection chain, hoist the correlated
-        // comparison conjuncts, and re-project the inner sides as join
-        // keys under a fresh qualifier.
-        let (proj_items, sel_conjuncts, base) = peel_body(cand)?;
-        let base_schema = base.schema();
-        // Scope chain the body's expressions originally evaluated under.
-        let mut body_chain = vec![base_schema.clone(), outer_schema.clone()];
-        body_chain.extend_from_slice(outers);
-
-        let mut hoisted: Vec<(usize, Hoisted)> = Vec::new();
-        let mut residual: Vec<(usize, Expr)> = Vec::new();
-        for (j, c) in sel_conjuncts.iter().enumerate() {
-            if free_expr_columns(c, &base_schema).is_empty() {
-                residual.push((j, c.clone()));
-                continue;
-            }
-            hoisted.push((j, hoist_conjunct(c, outer_schema, &base_schema)?));
-        }
-        if hoisted.is_empty() {
-            // The correlation lives somewhere the rule cannot reach
-            // (projection items, nested sublinks, the base plan).
-            return None;
-        }
-        // Error-parity gate 2: removing a conjunct changes which *later*
-        // conjuncts are evaluated on which rows (AND only short-circuits
-        // on FALSE), so every residual conjunct after the first hoisted
-        // one must be total.
-        let first_hoist = hoisted.first().map(|(j, _)| *j).unwrap_or(0);
-        if !residual
-            .iter()
-            .filter(|(j, _)| *j > first_hoist)
-            .all(|(_, c)| expr_is_total(c, &body_chain))
-        {
-            return None;
-        }
-        // Every hoisted side must be total: outer sides are re-evaluated
-        // per probe row, inner sides per build row, both outside their
-        // original AND chain.
-        let outer_chain = std::slice::from_ref(outer_schema);
-        let inner_chain = std::slice::from_ref(&base_schema);
-        // Every peeled projection item's evaluation disappears (EXISTS) or
-        // moves to residual survivors (the ANY value, item 0) — all of
-        // them must be total.
-        if !proj_items
-            .iter()
-            .all(|item| expr_is_total(&item.expr, inner_chain))
-        {
-            return None;
-        }
-        let mut items: Vec<ProjectItem> = Vec::new();
-        if let (Some(item), Some(_)) = (proj_items.first(), cand.test) {
-            // The reference fold compares the ANY test against column 0 of
-            // the sublink output — the first projection item.
-            items.push(ProjectItem::new(item.expr.clone(), "v").with_qualifier(qual.clone()));
-            cond_conjuncts.push(cmp(
-                CompareOp::Eq,
-                cand.test?.clone(),
-                Expr::Column {
-                    qualifier: Some(qual.clone()),
-                    name: "v".to_string(),
-                },
-            ));
-        } else if cand.test.is_some() {
-            // Correlated ANY without a projection wrapper: the value
-            // column is the base's first attribute.
-            let first = base_schema.attributes().first()?;
-            if !matches!(
-                base_schema.try_resolve(first.qualifier.as_deref(), &first.name),
-                Ok(Some(0))
-            ) {
-                return None;
-            }
-            let value_ref = Expr::Column {
-                qualifier: first.qualifier.clone(),
-                name: first.name.clone(),
-            };
-            items.push(ProjectItem::new(value_ref, "v").with_qualifier(qual.clone()));
-            cond_conjuncts.push(cmp(
-                CompareOp::Eq,
-                cand.test?.clone(),
-                Expr::Column {
-                    qualifier: Some(qual.clone()),
-                    name: "v".to_string(),
-                },
-            ));
-        }
-        for (idx, (_, h)) in hoisted.iter().enumerate() {
-            match h {
-                Hoisted::Pair { outer, op, inner } => {
-                    if !expr_is_total(outer, outer_chain) || !expr_is_total(inner, inner_chain) {
-                        return None;
-                    }
-                    let key = format!("k{idx}");
-                    items.push(
-                        ProjectItem::new(inner.clone(), key.clone()).with_qualifier(qual.clone()),
-                    );
-                    cond_conjuncts.push(Expr::Binary {
-                        op: *op,
-                        left: Box::new(outer.clone()),
-                        right: Box::new(Expr::Column {
-                            qualifier: Some(qual.clone()),
-                            name: key,
-                        }),
-                    });
-                }
-                Hoisted::OuterOnly(c) => {
-                    if !expr_is_total(c, outer_chain) {
-                        return None;
-                    }
-                    cond_conjuncts.push(c.clone());
-                }
-            }
-        }
-        if items.is_empty() {
-            // EXISTS with only outer-only correlation: keep the body's
-            // rows flowing but project a constant key so the join's right
-            // side has a well-defined, collision-free schema.
-            items.push(
-                ProjectItem::new(Expr::Literal(Value::Int(1)), "k0").with_qualifier(qual.clone()),
-            );
-        }
-        let inner_input = if residual.is_empty() {
-            base
-        } else {
-            Plan::Select {
-                input: Box::new(base),
-                predicate: conjunction(residual.into_iter().map(|(_, c)| c)),
-            }
-        };
-        right = Plan::Project {
-            input: Box::new(inner_input),
-            items,
-            distinct: false,
-        };
-    }
-
-    // Error-parity gate 3: the reference evaluates the sublink body only
-    // for rows that reach the sublink conjunct. A leading conjunct is
-    // reached by every input row (and the executor skips the build side on
-    // an empty probe side), so any body is safe there; otherwise the body
-    // must be total.
-    if !is_first_conjunct && !plan_is_total(&right, outers) {
-        return None;
-    }
-    // Resolution safety: the transformed right side must be fully
-    // self-contained, and no outer-side reference of the join condition may
-    // (also) resolve against the right schema — that would make it
-    // ambiguous in the join's concatenated condition scope.
-    if !free_columns(&right).is_empty() {
-        return None;
-    }
-    let right_schema = right.schema();
-    for c in &cond_conjuncts {
-        for (q, n) in c.column_refs() {
-            let in_outer = matches!(outer_schema.try_resolve(q.as_deref(), &n), Ok(Some(_)));
-            let in_right = matches!(right_schema.try_resolve(q.as_deref(), &n), Ok(Some(_)));
-            if in_outer && in_right {
-                return None;
-            }
-            if !in_outer && !in_right {
-                return None;
-            }
-        }
-    }
-    *fresh += 1;
-    Some(Decorrelated {
-        right,
-        condition: conjunction(cond_conjuncts),
-    })
-}
-
-/// Peels a sublink body down to `(ANY value item, selection conjuncts,
-/// base plan)`. Accepts an optional projection wrapper over a chain of
-/// selections; anything else is out of reach for the hoisting rule.
-///
-/// Peeling a selection *chain* into one conjunct list preserves the
-/// left-to-right evaluation order (outer selections run last), and the
-/// caller's totality gates ensure merging cannot change the error set.
-fn peel_body(cand: &Candidate<'_>) -> Option<(Vec<ProjectItem>, Vec<Expr>, Plan)> {
-    let mut proj_items = Vec::new();
-    let mut body = cand.sub;
-    if let Plan::Project {
-        input,
-        items,
-        distinct: _,
-    } = body
-    {
-        // The projection wrapper can be dropped: EXISTS ignores the output
-        // entirely, ANY reads column 0 (which the caller re-projects as the
-        // join value), and `distinct` changes neither emptiness nor the
-        // existence of an equal element. The caller checks that every
-        // dropped item expression is total — their evaluation disappears.
-        proj_items = items.clone();
-        body = input;
-    }
-    let mut conjuncts = Vec::new();
-    // Outer selections evaluate after inner ones; collect inner-first so
-    // the flattened list reads in evaluation order.
-    let mut stack = Vec::new();
-    while let Plan::Select { input, predicate } = body {
-        stack.push(predicate);
-        body = input;
-    }
-    for predicate in stack.into_iter().rev() {
-        conjuncts.extend(perm_algebra::optimize::split_conjuncts(predicate));
-    }
-    if conjuncts.is_empty() {
-        return None;
-    }
-    Some((proj_items, conjuncts, body.clone()))
-}
-
-/// Classifies one correlated conjunct for hoisting: a comparison with one
-/// side entirely in the outer scope and the other entirely in the sublink's
-/// local scope (normalised outer-left), or a conjunct referencing the outer
-/// scope only.
-fn hoist_conjunct(c: &Expr, outer: &Schema, local: &Schema) -> Option<Hoisted> {
-    if let Side::Outer = side_of(c, outer, local) {
-        return Some(Hoisted::OuterOnly(c.clone()));
-    }
-    let Expr::Binary { op, left, right } = c else {
-        return None;
-    };
-    let op_ok = matches!(op, BinaryOp::Cmp(_) | BinaryOp::NullSafeEq);
-    if !op_ok {
-        return None;
-    }
-    match (side_of(left, outer, local), side_of(right, outer, local)) {
-        (Side::Outer, Side::Inner) => Some(Hoisted::Pair {
-            outer: (**left).clone(),
-            op: *op,
-            inner: (**right).clone(),
-        }),
-        (Side::Inner, Side::Outer) => {
-            let flipped = match op {
-                BinaryOp::Cmp(c) => BinaryOp::Cmp(c.flip()),
-                BinaryOp::NullSafeEq => BinaryOp::NullSafeEq,
-                _ => return None,
-            };
-            Some(Hoisted::Pair {
-                outer: (**right).clone(),
-                op: flipped,
-                inner: (**left).clone(),
-            })
-        }
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Rule: constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_pass(plan: &Plan, rep: &mut OptimizerReport) -> Plan {
-    match plan {
+fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
+    match plan.map_children(|c| fold_pass(c, rep)) {
         Plan::Select { input, predicate } => {
-            let folded = fold_expr(predicate, rep);
-            let input = fold_pass(input, rep);
+            // Only a sublink's totality is judged against the scope.
+            let scope = if predicate.has_sublink() {
+                vec![input.schema()]
+            } else {
+                Vec::new()
+            };
+            let folded = fold_expr(predicate, &scope, rep);
             match &folded {
                 Expr::Literal(Value::Bool(true)) => {
                     rep.constants_folded += 1;
-                    return input;
+                    return *input;
                 }
                 Expr::Literal(v)
                     if (v.is_null() || *v == Value::Bool(false))
@@ -984,7 +577,7 @@ fn fold_pass(plan: &Plan, rep: &mut OptimizerReport) -> Plan {
                 _ => {}
             }
             Plan::Select {
-                input: Box::new(input),
+                input,
                 predicate: folded,
             }
         }
@@ -994,61 +587,21 @@ fn fold_pass(plan: &Plan, rep: &mut OptimizerReport) -> Plan {
             kind,
             condition,
         } => Plan::Join {
-            left: Box::new(fold_pass(left, rep)),
-            right: Box::new(fold_pass(right, rep)),
-            kind: *kind,
-            condition: fold_expr(condition, rep),
-        },
-        Plan::Project {
-            input,
-            items,
-            distinct,
-        } => Plan::Project {
-            input: Box::new(fold_pass(input, rep)),
-            items: items.clone(),
-            distinct: *distinct,
-        },
-        Plan::CrossProduct { left, right } => Plan::CrossProduct {
-            left: Box::new(fold_pass(left, rep)),
-            right: Box::new(fold_pass(right, rep)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(fold_pass(input, rep)),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::SetOp {
-            op,
-            all,
+            condition: fold_expr(condition, &[], rep),
             left,
             right,
-        } => Plan::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(fold_pass(left, rep)),
-            right: Box::new(fold_pass(right, rep)),
+            kind,
         },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(fold_pass(input, rep)),
-            keys: keys.clone(),
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(fold_pass(input, rep)),
-            limit: *limit,
-        },
-        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
+        other => other,
     }
 }
 
-/// Shielding-exact constant folds over a predicate. Only folds that cannot
-/// change which subexpressions are evaluated fire unconditionally; folds
-/// that would *skip* evaluating an operand require it to be total.
-fn fold_expr(expr: &Expr, rep: &mut OptimizerReport) -> Expr {
-    expr.clone().transform(&mut |e| match &e {
+/// Shielding-exact constant folds over a predicate evaluated under
+/// `scopes`. Only folds that cannot change which subexpressions are
+/// evaluated fire unconditionally; folds that would *skip* evaluating an
+/// operand require it to be total.
+fn fold_expr(expr: Expr, scopes: &[Schema], rep: &mut OptimizerReport) -> Expr {
+    expr.transform(&mut |e| match &e {
         Expr::Binary {
             op: BinaryOp::And,
             left,
@@ -1132,6 +685,16 @@ fn fold_expr(expr: &Expr, rep: &mut OptimizerReport) -> Expr {
             }
             _ => e,
         },
+        // A global aggregate yields its one row over any input, so
+        // `EXISTS` over it is TRUE; skipping the body needs it total.
+        Expr::Sublink {
+            kind: SublinkKind::Exists,
+            plan,
+            ..
+        } if yields_one_row(plan) && plan_is_total(plan, scopes) => {
+            rep.constants_folded += 1;
+            Expr::Literal(Value::Bool(true))
+        }
         _ => e,
     })
 }
@@ -1151,93 +714,57 @@ impl TruthExpr for perm_storage::Truth {
 // Rule: predicate pushdown extensions
 // ---------------------------------------------------------------------------
 
-/// Pushes whole selections through operators the name-level pass in
+/// Pushes selections through operators the name-level pass in
 /// `perm_algebra::optimize` does not handle: projections (by substituting
 /// item expressions for output names), `INTERSECT`/`EXCEPT` left branches,
-/// and semi/anti-join probe sides. A selection only moves when *all* its
-/// conjuncts are total and the move keeps the operator count flat — so
-/// neither the error set nor `operators_evaluated` can regress.
-fn pushdown_pass(plan: &Plan, rep: &mut OptimizerReport) -> Plan {
-    let rebuilt = match plan {
-        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
-        Plan::Project {
-            input,
-            items,
-            distinct,
-        } => Plan::Project {
-            input: Box::new(pushdown_pass(input, rep)),
-            items: items.clone(),
-            distinct: *distinct,
-        },
-        Plan::Select { input, predicate } => Plan::Select {
-            input: Box::new(pushdown_pass(input, rep)),
-            predicate: predicate.clone(),
-        },
-        Plan::CrossProduct { left, right } => Plan::CrossProduct {
-            left: Box::new(pushdown_pass(left, rep)),
-            right: Box::new(pushdown_pass(right, rep)),
-        },
+/// semi/anti-join probe sides, and — conjunct by conjunct — the sides of
+/// cross products and inner joins inside an already rewritten plan. A
+/// conjunct only moves when the *whole* predicate is total, so the error
+/// set cannot change. Semi/anti joins over a cross product move onto the
+/// factor they read, or — reading both — become two inner joins.
+fn pushdown_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
+    match plan.map_children(|c| pushdown_pass(c, rep)) {
+        Plan::Select { input, predicate } => push_select(*input, predicate, rep),
         Plan::Join {
             left,
             right,
-            kind,
+            kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => Plan::Join {
-            left: Box::new(pushdown_pass(left, rep)),
-            right: Box::new(pushdown_pass(right, rep)),
-            kind: *kind,
-            condition: condition.clone(),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(pushdown_pass(input, rep)),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => Plan::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(pushdown_pass(left, rep)),
-            right: Box::new(pushdown_pass(right, rep)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(pushdown_pass(input, rep)),
-            keys: keys.clone(),
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(pushdown_pass(input, rep)),
-            limit: *limit,
-        },
-    };
-    if let Plan::Select { input, predicate } = rebuilt {
-        push_select(*input, predicate, rep)
-    } else {
-        rebuilt
+        } => push_semi_join(*left, *right, kind, condition, rep),
+        other => other,
     }
 }
 
-fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
-    let keep = |input: Plan, predicate: Expr| Plan::Select {
+fn select(input: Plan, predicate: Expr) -> Plan {
+    Plan::Select {
         input: Box::new(input),
         predicate,
-    };
+    }
+}
+
+/// `true` when every one of `refs` resolves (unambiguously) in `schema`.
+fn resolves_all(schema: &Schema, refs: &[(Option<String>, String)]) -> bool {
+    refs.iter()
+        .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(Some(_))))
+}
+
+/// `true` when none of `refs` is known to `schema`.
+fn resolves_none(schema: &Schema, refs: &[(Option<String>, String)]) -> bool {
+    refs.iter()
+        .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(None)))
+}
+
+fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
     if predicate.has_sublink() {
-        // Sublink-bearing selections stay put: moving one changes how
-        // often the (expensive, operator-counted) sublink body runs, and
-        // decorrelation wants to see them where they are.
-        return keep(input, predicate);
+        // Sublink-bearing conjuncts stay put: moving one changes how often
+        // the (expensive, operator-counted) sublink body runs, and
+        // decorrelation wants to see them where they are. The sublink-free
+        // ones beside them may still sink into a product below.
+        return sink_conjuncts(input, predicate, rep);
     }
     let out_schema = input.schema();
     if !expr_is_total(&predicate, std::slice::from_ref(&out_schema)) {
-        return keep(input, predicate);
+        return select(input, predicate);
     }
     match input {
         // σ_p(Π_items(T)) → Π_items(σ_p'(T)) with output names substituted
@@ -1267,7 +794,7 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
                         distinct,
                     }
                 }
-                None => keep(
+                None => select(
                     Plan::Project {
                         input: inner,
                         items,
@@ -1284,17 +811,15 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
         // predicate on both branches — one extra operator — and is
         // deliberately skipped).
         Plan::SetOp {
-            op: op @ (perm_algebra::SetOpKind::Intersect | perm_algebra::SetOpKind::Except),
+            op: op @ (SetOpKind::Intersect | SetOpKind::Except),
             all,
             left,
             right,
         } => {
             let left_schema = left.schema();
-            let refs_ok = predicate
-                .column_refs()
-                .iter()
-                .all(|(q, n)| matches!(left_schema.try_resolve(q.as_deref(), n), Ok(Some(_))));
-            if refs_ok && expr_is_total(&predicate, std::slice::from_ref(&left_schema)) {
+            if resolves_all(&left_schema, &predicate.column_refs())
+                && expr_is_total(&predicate, std::slice::from_ref(&left_schema))
+            {
                 rep.predicates_pushed += 1;
                 Plan::SetOp {
                     op,
@@ -1303,7 +828,7 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
                     right,
                 }
             } else {
-                keep(
+                select(
                     Plan::SetOp {
                         op,
                         all,
@@ -1324,11 +849,9 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
             condition,
         } => {
             let left_schema = left.schema();
-            let refs_ok = predicate
-                .column_refs()
-                .iter()
-                .all(|(q, n)| matches!(left_schema.try_resolve(q.as_deref(), n), Ok(Some(_))));
-            if refs_ok && expr_is_total(&predicate, std::slice::from_ref(&left_schema)) {
+            if resolves_all(&left_schema, &predicate.column_refs())
+                && expr_is_total(&predicate, std::slice::from_ref(&left_schema))
+            {
                 rep.predicates_pushed += 1;
                 Plan::Join {
                     left: Box::new(push_select(*left, predicate, rep)),
@@ -1337,7 +860,7 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
                     condition,
                 }
             } else {
-                keep(
+                select(
                     Plan::Join {
                         left,
                         right,
@@ -1348,7 +871,354 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
                 )
             }
         }
-        other => keep(other, predicate),
+        // σ_p(σ_q(T)) → σ_{q ∧ p}(T) for total, sublink-free `q`: conjuncts
+        // that sink onto the same product factor one by one end up as one
+        // selection (and keep sinking together).
+        Plan::Select {
+            input: inner,
+            predicate: below,
+        } if !below.has_sublink() && expr_is_total(&below, std::slice::from_ref(&out_schema)) => {
+            rep.predicates_pushed += 1;
+            push_select(*inner, and(below, predicate), rep)
+        }
+        product @ (Plan::CrossProduct { .. }
+        | Plan::Join {
+            kind: JoinKind::Inner,
+            ..
+        }) => sink_conjuncts(product, predicate, rep),
+        other => select(other, predicate),
+    }
+}
+
+/// Moves the sublink-free conjuncts of a total predicate onto the side of
+/// the cross product / inner join (reached through semi/anti probe sides)
+/// that resolves them; whatever cannot move stays in a selection on top.
+fn sink_conjuncts(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
+    let mut probe = &input;
+    while let Plan::Join {
+        left,
+        kind: JoinKind::Semi | JoinKind::Anti,
+        ..
+    } = probe
+    {
+        probe = left;
+    }
+    let reaches_product = matches!(
+        probe,
+        Plan::CrossProduct { .. }
+            | Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+    );
+    if !reaches_product || !expr_is_total(&predicate, std::slice::from_ref(&input.schema())) {
+        return select(input, predicate);
+    }
+    let mut input = input;
+    let mut kept = Vec::new();
+    let mut moved = 0;
+    for c in split_conjuncts(&predicate) {
+        let refs = c.column_refs();
+        if c.has_sublink() || refs.is_empty() {
+            kept.push(c);
+            continue;
+        }
+        match sink_filter(input, &c, &refs, rep) {
+            Ok(sunk) => {
+                input = sunk;
+                moved += 1;
+            }
+            Err(unchanged) => {
+                input = unchanged;
+                kept.push(c);
+            }
+        }
+    }
+    if moved == 0 {
+        // Untouched: keep the predicate's own association.
+        return select(input, predicate);
+    }
+    rep.predicates_pushed += moved;
+    if kept.is_empty() {
+        input
+    } else {
+        select(input, conjunction(kept))
+    }
+}
+
+/// Places `σ_c` on the one side of a product below `plan` that resolves
+/// `refs`, or hands `plan` back.
+fn sink_filter(
+    plan: Plan,
+    c: &Expr,
+    refs: &[(Option<String>, String)],
+    rep: &mut OptimizerReport,
+) -> Result<Plan, Plan> {
+    match plan {
+        Plan::Join {
+            left,
+            right,
+            kind: kind @ (JoinKind::Semi | JoinKind::Anti),
+            condition,
+        } => {
+            let rebuild = |left: Plan| Plan::Join {
+                left: Box::new(left),
+                right,
+                kind,
+                condition,
+            };
+            match sink_filter(*left, c, refs, rep) {
+                Ok(left) => Ok(rebuild(left)),
+                Err(left) => Err(rebuild(left)),
+            }
+        }
+        product @ (Plan::CrossProduct { .. }
+        | Plan::Join {
+            kind: JoinKind::Inner,
+            ..
+        }) => {
+            let [left, right] = product.children()[..] else {
+                unreachable!("products have two children");
+            };
+            let (ls, rs) = (left.schema(), right.schema());
+            // A join condition then runs on fewer pairs: it must be total.
+            let condition_total = match &product {
+                Plan::Join { condition, .. } => {
+                    !condition.has_sublink()
+                        && expr_is_total(condition, std::slice::from_ref(&ls.concat(&rs)))
+                }
+                _ => true,
+            };
+            let Some(onto_left) = one_side(&ls, &rs, refs).filter(|_| condition_total) else {
+                return Err(product);
+            };
+            let mut is_left = true;
+            Ok(product.map_children(|side| {
+                let target = is_left == onto_left;
+                is_left = false;
+                if target {
+                    push_select(side, c.clone(), rep)
+                } else {
+                    side
+                }
+            }))
+        }
+        other => Err(other),
+    }
+}
+
+/// `Some(true)` when `left` alone resolves `refs`, `Some(false)` when
+/// `right` alone does.
+fn one_side(left: &Schema, right: &Schema, refs: &[(Option<String>, String)]) -> Option<bool> {
+    if resolves_all(left, refs) && resolves_none(right, refs) {
+        Some(true)
+    } else if resolves_all(right, refs) && resolves_none(left, refs) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// A semi/anti join over a cross product: onto the factor its condition
+/// reads, or — a semi join reading both — through the product.
+fn push_semi_join(
+    left: Plan,
+    right: Plan,
+    kind: JoinKind,
+    condition: Expr,
+    rep: &mut OptimizerReport,
+) -> Plan {
+    let right_schema = right.schema();
+    let probe_refs = free_expr_columns(&condition, &right_schema);
+    let movable = matches!(left, Plan::CrossProduct { .. })
+        && !condition.has_sublink()
+        && !probe_refs.is_empty();
+    // On a factor the build side runs whenever the factor has rows, and the
+    // condition on the factor's rows: unobservable when both are total, or
+    // when the factors left behind cannot be empty.
+    let total = movable
+        && expr_is_total(
+            &condition,
+            std::slice::from_ref(&left.schema().concat(&right_schema)),
+        )
+        && plan_is_total(&right, &[]);
+    let join = SemiJoin {
+        build: right,
+        kind,
+        condition,
+        probe_refs,
+        total,
+    };
+    if !movable {
+        return join.over(left);
+    }
+    let pushed = join.sink(left, rep);
+    // Still a product on top: the join went onto one of its factors.
+    rep.joins_pushed += u64::from(matches!(pushed, Plan::CrossProduct { .. }));
+    pushed
+}
+
+/// A semi/anti join looking for the lowest cross-product factor to run on.
+struct SemiJoin {
+    build: Plan,
+    kind: JoinKind,
+    condition: Expr,
+    /// The condition's references to the probe side.
+    probe_refs: Vec<(Option<String>, String)>,
+    /// Neither the condition nor the build side can fail.
+    total: bool,
+}
+
+impl SemiJoin {
+    fn over(self, probe: Plan) -> Plan {
+        Plan::Join {
+            left: Box::new(probe),
+            right: Box::new(self.build),
+            kind: self.kind,
+            condition: self.condition,
+        }
+    }
+
+    /// Descends through cross products towards the factor that resolves
+    /// the probe references and joins there.
+    fn sink(self, probe: Plan, rep: &mut OptimizerReport) -> Plan {
+        let Plan::CrossProduct { left, right } = probe else {
+            return self.over(probe);
+        };
+        match one_side(&left.schema(), &right.schema(), &self.probe_refs) {
+            Some(true) if self.total || provably_nonempty(&right) => Plan::CrossProduct {
+                left: Box::new(self.sink(*left, rep)),
+                right,
+            },
+            Some(false) if self.total || provably_nonempty(&left) => Plan::CrossProduct {
+                left,
+                right: Box::new(self.sink(*right, rep)),
+            },
+            None if self.kind == JoinKind::Semi && self.total => {
+                let expansion = SemiExpansion::plan(
+                    &left.schema(),
+                    &right.schema(),
+                    &self.build.schema(),
+                    &self.condition,
+                );
+                match expansion {
+                    Some(expansion) => {
+                        rep.semi_joins_expanded += 1;
+                        expansion.build(*left, *right, self.build)
+                    }
+                    None => self.over(Plan::CrossProduct { left, right }),
+                }
+            }
+            _ => self.over(Plan::CrossProduct { left, right }),
+        }
+    }
+}
+
+/// How `(L × R) ⋉_{θL ∧ θR} S` splits into
+/// `Π_{L,R}(L ⋈_{θL} (R ⋈_{θR} δ(Π_keys(S))))`.
+struct SemiExpansion {
+    on_l: Vec<Expr>,
+    on_r: Vec<Expr>,
+    /// The columns of `S` the conjuncts compare against, each once.
+    keys: Vec<(Option<String>, String)>,
+    /// Pass-through items restoring the `L × R` schema on top.
+    restored: Vec<ProjectItem>,
+}
+
+impl SemiExpansion {
+    /// `Some` when every conjunct of `condition` is a column equality
+    /// (`=` or `=ₙ`) between one of the factors and `S`, both factors are
+    /// compared, and every column keeps naming one column in the wider
+    /// scope of the two joins.
+    fn plan(ls: &Schema, rs: &Schema, ss: &Schema, condition: &Expr) -> Option<SemiExpansion> {
+        let scope = ls.concat(rs).concat(ss);
+        let mut expansion = SemiExpansion {
+            on_l: Vec::new(),
+            on_r: Vec::new(),
+            keys: Vec::new(),
+            restored: decorrelate::passthrough_items(&ls.concat(rs))?,
+        };
+        decorrelate::passthrough_items(&scope)?;
+        for c in split_conjuncts(condition) {
+            let Expr::Binary {
+                op: BinaryOp::Cmp(CompareOp::Eq) | BinaryOp::NullSafeEq,
+                left: a,
+                right: b,
+            } = &c
+            else {
+                return None;
+            };
+            let (Expr::Column { .. }, Expr::Column { .. }) = (a.as_ref(), b.as_ref()) else {
+                return None;
+            };
+            let (a, b) = (a.column_refs(), b.column_refs());
+            let (factor, key) = if resolves_all(ss, &b) {
+                (a, b)
+            } else if resolves_all(ss, &a) {
+                (b, a)
+            } else {
+                return None;
+            };
+            if resolves_all(ls, &factor) {
+                expansion.on_l.push(c);
+            } else if resolves_all(rs, &factor) {
+                expansion.on_r.push(c);
+            } else {
+                return None;
+            }
+            if !expansion.keys.contains(&key[0]) {
+                expansion.keys.extend(key);
+            }
+        }
+        (!expansion.on_l.is_empty() && !expansion.on_r.is_empty()).then_some(expansion)
+    }
+
+    /// Builds the two inner joins. The caller has checked that `s` is
+    /// total: it now runs whether or not `L × R` has rows.
+    fn build(self, l: Plan, r: Plan, s: Plan) -> Plan {
+        let distinct_keys = match s {
+            // A build side that projects exactly the keys dedups in place.
+            Plan::Project {
+                input,
+                items,
+                distinct: false,
+            } if items.len() == self.keys.len() => Plan::Project {
+                input,
+                items,
+                distinct: true,
+            },
+            other => Plan::Project {
+                input: Box::new(other),
+                items: self
+                    .keys
+                    .into_iter()
+                    .map(|(qualifier, name)| ProjectItem {
+                        expr: Expr::Column {
+                            qualifier: qualifier.clone(),
+                            name: name.clone(),
+                        },
+                        alias: name,
+                        qualifier,
+                    })
+                    .collect(),
+                distinct: true,
+            },
+        };
+        Plan::Project {
+            input: Box::new(Plan::Join {
+                left: Box::new(l),
+                right: Box::new(Plan::Join {
+                    left: Box::new(r),
+                    right: Box::new(distinct_keys),
+                    kind: JoinKind::Inner,
+                    condition: conjunction(self.on_r),
+                }),
+                kind: JoinKind::Inner,
+                condition: conjunction(self.on_l),
+            }),
+            items: self.restored,
+            distinct: false,
+        }
     }
 }
 
@@ -1387,161 +1257,96 @@ fn substitute_through(
 /// depends on), set-operation branches (positional arity contract) and
 /// sublink bodies keep their full width.
 fn prune_pass(
-    plan: &Plan,
+    plan: Plan,
     required: Option<&[(Option<String>, String)]>,
     rep: &mut OptimizerReport,
 ) -> Plan {
-    // Collects every column reference an expression needs from below,
-    // including references escaping embedded sublink plans.
-    let refs_of = |exprs: &[&Expr]| -> Vec<(Option<String>, String)> {
-        let empty = Schema::empty();
-        let mut out = Vec::new();
-        for e in exprs {
-            out.extend(free_expr_columns(e, &empty));
-        }
-        out
-    };
-    let prune_exprs = |e: &Expr, rep: &mut OptimizerReport| -> Expr {
-        map_sublink_plans(e, &[], &mut |p, _| prune_pass(p, None, rep))
-    };
-    match plan {
-        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
-        Plan::Project {
-            input,
-            items,
-            distinct,
-        } => {
-            let input_schema = input.schema();
-            let kept: Vec<ProjectItem> = match (required, *distinct) {
-                (Some(req), false) => {
-                    let mut kept: Vec<ProjectItem> = items
-                        .iter()
-                        .filter(|item| {
-                            item_required(req, item)
-                                // A non-total item's evaluation errors are
-                                // observable even if nothing reads it.
-                                || !expr_is_total(
-                                    &item.expr,
-                                    std::slice::from_ref(&input_schema),
-                                )
-                        })
-                        .cloned()
-                        .collect();
-                    if kept.is_empty() {
-                        kept.push(items[0].clone());
-                    }
-                    if kept.len() < items.len() {
-                        rep.projections_pruned += 1;
-                    }
-                    kept
-                }
-                _ => items.clone(),
-            };
-            let child_req = refs_of(&kept.iter().map(|i| &i.expr).collect::<Vec<_>>());
+    type Refs = Vec<(Option<String>, String)>;
+    let plan = match (plan, required) {
+        (
             Plan::Project {
-                input: Box::new(prune_pass(input, Some(&child_req), rep)),
-                items: kept
-                    .into_iter()
-                    .map(|i| ProjectItem {
-                        expr: prune_exprs(&i.expr, rep),
-                        alias: i.alias,
-                        qualifier: i.qualifier,
-                    })
-                    .collect(),
-                distinct: *distinct,
-            }
-        }
-        Plan::Select { input, predicate } => {
-            let child_req = required.map(|req| {
-                let mut r = req.to_vec();
-                r.extend(refs_of(&[predicate]));
-                r
-            });
-            Plan::Select {
-                input: Box::new(prune_pass(input, child_req.as_deref(), rep)),
-                predicate: prune_exprs(predicate, rep),
-            }
-        }
-        Plan::CrossProduct { left, right } => {
-            // Both sides contribute to the output positionally via concat;
-            // pass the requirement through to both (loose name matching
-            // keeps anything either side might satisfy).
-            Plan::CrossProduct {
-                left: Box::new(prune_pass(left, required, rep)),
-                right: Box::new(prune_pass(right, required, rep)),
-            }
-        }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            condition,
-        } => {
-            let with_cond = |base: Option<&[(Option<String>, String)]>| {
-                base.map(|req| {
-                    let mut r = req.to_vec();
-                    r.extend(refs_of(&[condition]));
-                    r
+                input,
+                items,
+                distinct: false,
+            },
+            Some(req),
+        ) => {
+            let input_schema = std::cell::OnceCell::new();
+            let total = items.len();
+            let first = items[0].clone();
+            let mut kept: Vec<ProjectItem> = items
+                .into_iter()
+                .filter(|item| {
+                    item_required(req, item)
+                        // A non-total item's evaluation errors are
+                        // observable even if nothing reads it.
+                        || !expr_is_total(
+                            &item.expr,
+                            std::slice::from_ref(input_schema.get_or_init(|| input.schema())),
+                        )
                 })
-            };
-            let left_req = with_cond(required);
-            // Semi/anti joins emit left rows only: the right side exists
-            // purely for the condition.
-            let right_req = if kind.left_only_output() {
-                Some(refs_of(&[condition]))
-            } else {
-                with_cond(required)
-            };
-            Plan::Join {
-                left: Box::new(prune_pass(left, left_req.as_deref(), rep)),
-                right: Box::new(prune_pass(right, right_req.as_deref(), rep)),
-                kind: *kind,
-                condition: prune_exprs(condition, rep),
+                .collect();
+            if kept.is_empty() {
+                kept.push(first);
+            }
+            if kept.len() < total {
+                rep.projections_pruned += 1;
+            }
+            Plan::Project {
+                input,
+                items: kept,
+                distinct: false,
             }
         }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let mut exprs: Vec<&Expr> = group_by.iter().map(|g| &g.expr).collect();
-            exprs.extend(aggregates.iter().filter_map(|a| a.arg.as_ref()));
-            let child_req = refs_of(&exprs);
-            Plan::Aggregate {
-                input: Box::new(prune_pass(input, Some(&child_req), rep)),
-                group_by: group_by.clone(),
-                aggregates: aggregates.clone(),
-            }
+        (other, _) => other,
+    };
+    // Every column reference this operator's expressions need from below,
+    // including references escaping embedded sublink plans.
+    let own_refs = |plan: &Plan| -> Refs {
+        let empty = Schema::empty();
+        plan.expressions()
+            .into_iter()
+            .flat_map(|e| free_expr_columns(e, &empty))
+            .collect()
+    };
+    let with_own = |plan: &Plan| -> Option<Refs> {
+        required.map(|req| {
+            let mut r = req.to_vec();
+            r.extend(own_refs(plan));
+            r
+        })
+    };
+    // What the (left, right) children must keep.
+    let (left_req, right_req): (Option<Refs>, Option<Refs>) = match &plan {
+        Plan::Scan { .. } | Plan::Values { .. } => (None, None),
+        Plan::Project { .. } | Plan::Aggregate { .. } => (Some(own_refs(&plan)), None),
+        Plan::Select { .. } | Plan::Sort { .. } => (with_own(&plan), None),
+        // Both sides contribute to the output positionally via concat;
+        // pass the requirement through to both (loose name matching keeps
+        // anything either side might satisfy).
+        Plan::CrossProduct { .. } => (required.map(<[_]>::to_vec), required.map(<[_]>::to_vec)),
+        Plan::Limit { .. } => (required.map(<[_]>::to_vec), None),
+        // Semi/anti joins emit left rows only: the right side exists
+        // purely for the condition.
+        Plan::Join { kind, .. } if kind.left_only_output() => {
+            (with_own(&plan), Some(own_refs(&plan)))
         }
-        Plan::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => Plan::SetOp {
-            op: *op,
-            all: *all,
-            // Branch outputs correspond positionally; pruning either would
-            // break the arity contract.
-            left: Box::new(prune_pass(left, None, rep)),
-            right: Box::new(prune_pass(right, None, rep)),
-        },
-        Plan::Sort { input, keys } => {
-            let child_req = required.map(|req| {
-                let mut r = req.to_vec();
-                r.extend(refs_of(&keys.iter().map(|k| &k.expr).collect::<Vec<_>>()));
-                r
-            });
-            Plan::Sort {
-                input: Box::new(prune_pass(input, child_req.as_deref(), rep)),
-                keys: keys.clone(),
-            }
-        }
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(prune_pass(input, required, rep)),
-            limit: *limit,
-        },
+        Plan::Join { .. } => (with_own(&plan), with_own(&plan)),
+        // Branch outputs correspond positionally; pruning either would
+        // break the arity contract.
+        Plan::SetOp { .. } => (None, None),
+    };
+    let mut child_reqs = [left_req, right_req].into_iter();
+    let plan = plan.map_children(|child| {
+        let req = child_reqs
+            .next()
+            .expect("an operator has at most two children");
+        prune_pass(child, req.as_deref(), rep)
+    });
+    if !plan.has_direct_sublink() {
+        return plan;
     }
+    plan.map_expressions(|e| map_sublink_plans(e, &mut |p| prune_pass(p, None, rep)))
 }
 
 /// Loose, ambiguity-preserving match: a projection item is required when
@@ -1767,6 +1572,234 @@ mod tests {
         let reference = exec.execute_unoptimized(&plan).unwrap();
         let got = exec.execute(&optimized).unwrap();
         assert!(bags_equal(rows(&reference), rows(&got)));
+    }
+
+    /// The shape the Gen strategy gives `σ_{[NOT] EXISTS(T)}(r1)` with
+    /// `T = σ_{b BETWEEN 2 AND 15 ∧ r2.g = r1.g}(r2)`:
+    /// `σ[C ∧ (EXISTS(σ_{P =ₙ chk}(Π_{→chk}(T))) ∨ (¬EXISTS(T) ∧ P =ₙ NULL))]`
+    /// over `r1 × Π_{→P}(r2 ∪ALL {NULL})`. `correlation` is the body's
+    /// correlated conjunct.
+    fn gen_shaped(db: &Database, negated: bool, correlation: Expr) -> Plan {
+        use perm_algebra::builder::{null, null_safe_eq, or};
+        let body = || {
+            PlanBuilder::scan(db, "r2")
+                .unwrap()
+                .select(and(
+                    between(qcol("r2", "b"), lit(2), lit(15)),
+                    correlation.clone(),
+                ))
+                .build()
+        };
+        let renamed = |suffix: &str| {
+            vec![
+                ProjectItem::new(col("b"), format!("b_{suffix}")),
+                ProjectItem::new(col("g"), format!("g_{suffix}")),
+            ]
+        };
+        let membership = PlanBuilder::from_plan(body())
+            .project(renamed("chk"))
+            .select(and(
+                null_safe_eq(col("b_p"), col("b_chk")),
+                null_safe_eq(col("g_p"), col("g_chk")),
+            ))
+            .build();
+        let cross_base = PlanBuilder::scan(db, "r2")
+            .unwrap()
+            .set_op(
+                SetOpKind::Union,
+                true,
+                Plan::Values {
+                    schema: Schema::from_names(&["b", "g"]),
+                    rows: vec![Tuple::new(vec![Value::Null, Value::Null])],
+                },
+            )
+            .project(renamed("p"))
+            .build();
+        let csub = if negated {
+            not(exists_sublink(body()))
+        } else {
+            exists_sublink(body())
+        };
+        let empty_case = and(
+            not(exists_sublink(body())),
+            and(
+                null_safe_eq(col("b_p"), null()),
+                null_safe_eq(col("g_p"), null()),
+            ),
+        );
+        PlanBuilder::scan(db, "r1")
+            .unwrap()
+            .cross(cross_base)
+            .select(and(csub, or(exists_sublink(membership), empty_case)))
+            .build()
+    }
+
+    fn contains(plan: &Plan, pred: &dyn Fn(&Plan) -> bool) -> bool {
+        pred(plan) || plan.children().iter().any(|c| contains(c, pred))
+    }
+
+    fn assert_same_bag(db: &Database, reference: &Plan, optimized: &Plan) {
+        let exec = Executor::new(db);
+        let want = exec.execute_unoptimized(reference).unwrap();
+        let got = exec.execute(optimized).unwrap();
+        assert!(
+            bags_equal(rows(&want), rows(&got)),
+            "{} rows vs {} reference rows\n{}",
+            got.len(),
+            want.len(),
+            perm_algebra::display::explain(optimized)
+        );
+    }
+
+    #[test]
+    fn gen_shaped_exists_becomes_hash_joins_without_a_cross_product() {
+        let db = db();
+        let plan = gen_shaped(&db, false, eq(qcol("r2", "g"), qcol("r1", "g")));
+        let (optimized, rep) = optimize(&plan);
+        // `C` implies the empty-sublink disjunct away, both sublinks become
+        // semi joins, `C`'s moves onto `r1`, the membership one goes
+        // through the product.
+        assert_eq!(rep.sublinks_remaining, 0, "{}", rep.summary());
+        assert_eq!(rep.sublinks_decorrelated, 2);
+        assert_eq!(rep.disjunctions_split, 0);
+        assert_eq!((rep.joins_pushed, rep.semi_joins_expanded), (1, 1));
+        assert!(rep.sublinks_implied >= 1);
+        assert!(!contains(&optimized, &|p| matches!(
+            p,
+            Plan::CrossProduct { .. }
+        )));
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn gen_shaped_not_exists_splits_into_a_union_of_join_plans() {
+        let db = db();
+        let plan = gen_shaped(&db, true, eq(qcol("r2", "g"), qcol("r1", "g")));
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.disjunctions_split, 1, "{}", rep.summary());
+        assert_eq!(rep.sublinks_remaining, 0);
+        assert!(contains(&optimized, &|p| matches!(
+            p,
+            Plan::SetOp {
+                op: SetOpKind::Union,
+                all: true,
+                ..
+            }
+        )));
+        // `P =ₙ NULL` reaches the CrossBase side of the second branch.
+        assert!(rep.predicates_pushed >= 1);
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn a_selection_the_new_rules_cannot_finish_keeps_its_old_shape() {
+        // The membership body correlates through arithmetic, which no rule
+        // hoists: the split must not fire, the implication must not stick,
+        // and only `C` decorrelates — the disjunction stays as written.
+        let db = db();
+        let unhoistable = eq(
+            qcol("r2", "g"),
+            perm_algebra::builder::binary(BinaryOp::Add, qcol("r1", "g"), lit(0)),
+        );
+        let plan = gen_shaped(&db, true, unhoistable);
+        let Plan::Select { predicate, .. } = &plan else {
+            panic!("gen_shaped builds a selection");
+        };
+        let disjunction = split_conjuncts(predicate)[1].clone();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.disjunctions_split, 0);
+        assert_eq!(rep.sublinks_implied, 0);
+        assert_eq!(rep.sublinks_decorrelated, 0);
+        assert!(
+            contains(&optimized, &|p| matches!(
+                p,
+                Plan::Select { predicate, .. } if split_conjuncts(predicate).contains(&disjunction)
+            )),
+            "{}",
+            perm_algebra::display::explain(&optimized)
+        );
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn grouped_aggregate_body_keeps_the_empty_group() {
+        // `EXISTS (SELECT 1 FROM (SELECT count(*) n FROM r2 WHERE r2.g =
+        // r1.g) WHERE n = 0)`: the COUNT bug — r1.g = 3 has no partner in
+        // r2 and must still see its `count = 0` row.
+        let db = db();
+        let counted = PlanBuilder::scan(&db, "r2")
+            .unwrap()
+            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
+            .aggregate(vec![], vec![perm_algebra::builder::count_star("n")])
+            .select(eq(col("n"), lit(0)))
+            .build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .select(exists_sublink(counted))
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.aggregates_grouped, 1, "{}", rep.summary());
+        assert_eq!(rep.sublinks_remaining, 0);
+        let exec = Executor::new(&db);
+        let got = exec.execute(&optimized).unwrap();
+        assert_eq!(got.len(), 5, "the five r1 rows with g = 3");
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn total_conjuncts_sink_onto_cross_product_factors() {
+        let db = db();
+        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .cross(r2)
+            .select(and(
+                eq(qcol("r1", "g"), lit(1)),
+                and(
+                    eq(qcol("r2", "g"), lit(2)),
+                    eq(qcol("r1", "a"), qcol("r2", "b")),
+                ),
+            ))
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.predicates_pushed, 2, "{}", rep.summary());
+        let Plan::Select { input, predicate } = &optimized else {
+            panic!("the two-sided conjunct stays on top:\n{optimized:?}");
+        };
+        assert_eq!(split_conjuncts(predicate).len(), 1);
+        let Plan::CrossProduct { left, right } = input.as_ref() else {
+            panic!("expected the product below");
+        };
+        assert!(matches!(**left, Plan::Select { .. }) && matches!(**right, Plan::Select { .. }));
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn summary_names_the_rules_and_what_is_left() {
+        let db = db();
+        let (_, rep) = optimize(&gen_shaped(&db, true, eq(qcol("r2", "g"), qcol("r1", "g"))));
+        let summary = rep.summary();
+        for rule in ["decorrelate×", "imply×", "split×1", "pushdown×"] {
+            assert!(summary.contains(rule), "{summary}");
+        }
+        assert!(!summary.contains("remain"), "{summary}");
+        // A scalar comparison is out of the rules' reach: it is counted.
+        let scalar = PlanBuilder::scan(&db, "r2")
+            .unwrap()
+            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
+            .aggregate(vec![], vec![perm_algebra::builder::count_star("n")])
+            .build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .select(eq(perm_algebra::builder::scalar_sublink(scalar), lit(0)))
+            .build();
+        let (_, rep) = optimize(&plan);
+        assert_eq!(rep.sublinks_remaining, 1);
+        assert!(
+            rep.summary().ends_with("; 1 sublink remains"),
+            "{}",
+            rep.summary()
+        );
     }
 
     #[test]

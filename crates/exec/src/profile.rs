@@ -550,8 +550,9 @@ pub struct QueryProfile {
     /// Rendering of the optimized logical plan that was compiled
     /// (`None` when the optimizer did not run).
     pub optimized_plan: Option<String>,
-    /// One-line optimizer rule summary (e.g. `decorrelate×1 pushdown×2`;
-    /// `None` when the optimizer did not run).
+    /// One-line optimizer rule summary with the sublinks the plan keeps
+    /// (e.g. `decorrelate×1 pushdown×2; 1 sublink remains`; `None` when the
+    /// optimizer did not run).
     pub optimizer: Option<String>,
 }
 

@@ -382,6 +382,248 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
     );
 }
 
+/// Optimizer-on vs the reference interpreter on one (Gen-rewritten) plan:
+/// identical witness bags, or an error on both sides. Returns the
+/// optimizer's report and both operator counts when both succeeded.
+fn assert_optimizer_matches_reference(
+    db: &Database,
+    plan: &Plan,
+    label: &str,
+) -> Option<(perm_exec::OptimizerReport, u64, u64)> {
+    let ref_ex = Executor::new(db);
+    let reference = ref_ex.execute_unoptimized(plan);
+    let opt_ex = Executor::new(db).with_optimizer(true);
+    let optimized = opt_ex.execute(plan);
+    match (&reference, &optimized) {
+        (Ok(a), Ok(b)) => {
+            assert!(
+                a.bag_eq(b),
+                "{label}: optimizer-on witness bag differs from the reference\n{}",
+                perm_algebra::display::explain(plan)
+            );
+            Some((
+                opt_ex.optimizer_report(),
+                ref_ex.operators_evaluated(),
+                opt_ex.operators_evaluated(),
+            ))
+        }
+        (Err(_), Err(_)) => None,
+        other => panic!(
+            "{label}: optimizer changed the error outcome: reference={:?} optimized={:?}\n{}",
+            other.0.as_ref().map(|_| "ok"),
+            other.1.as_ref().map(|_| "ok"),
+            perm_algebra::display::explain(plan),
+        ),
+    }
+}
+
+/// The Gen rewrite of `plan`, or `None` where Gen does not apply (sublinks
+/// in join conditions).
+fn gen_rewrite(db: &Database, plan: &Plan) -> Option<Plan> {
+    perm_core::ProvenanceQuery::new(db, plan)
+        .strategy(perm_core::Strategy::Gen)
+        .rewrite()
+        .ok()
+        .map(|r| r.plan().clone())
+}
+
+/// The rules that make Gen join-shaped (conjunct implication, disjunction
+/// split, hoisting through `Tsub⁺`, grouped aggregates, pushdown into and
+/// semi joins through cross products) over the Gen rewrite of the random
+/// corpus: every sublink kind, correlated or not, nested, under every
+/// top-level shape. The plans the rules turn into joins entirely must also
+/// evaluate fewer operators than the per-pair reference, nearly always.
+#[test]
+fn gen_rewritten_corpus_agrees_with_the_reference_under_the_optimizer() {
+    let db = build_database(12, 9, 0xD1FF);
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let (mut rewritten, mut join_shaped, mut wins) = (0usize, 0usize, 0usize);
+    for i in 0..PLANS / 2 {
+        let plan = random_plan(&db, &mut rng);
+        let Some(gen) = gen_rewrite(&db, &plan) else {
+            continue;
+        };
+        rewritten += 1;
+        let label = format!("plan {i}");
+        let Some((report, ops_ref, ops_opt)) =
+            assert_optimizer_matches_reference(&db, &gen, &label)
+        else {
+            continue;
+        };
+        if report.sublinks_decorrelated > 0 && report.sublinks_remaining == 0 {
+            join_shaped += 1;
+            wins += usize::from(ops_opt < ops_ref);
+        }
+    }
+    assert!(
+        rewritten >= PLANS / 4,
+        "Gen applied to only {rewritten} plans"
+    );
+    assert!(
+        join_shaped >= rewritten / 8,
+        "only {join_shaped}/{rewritten} Gen plans became join-shaped"
+    );
+    // A join-shaped plan costs its size in operators whatever the data; it
+    // only loses where the reference never reaches a sublink (a leading
+    // range conjunct that filters every row).
+    assert!(
+        wins * 10 >= join_shaped * 8,
+        "join-shaped plans won operators on only {wins}/{join_shaped} plans"
+    );
+}
+
+/// Tables built to break a decorrelation: NULLs in the correlation column
+/// `g` on both sides, duplicate base rows, groups of `r1` without a partner
+/// in `r2` (an empty sublink), and `b = 0` rows that make `1 / b` fail.
+fn hostile_database(with_zero: bool) -> Database {
+    let schema = |q: &str| {
+        Schema::new(vec![
+            Attribute::qualified(q, "a", DataType::Int),
+            Attribute::qualified(q, "b", DataType::Int),
+            Attribute::qualified(q, "g", DataType::Int),
+        ])
+    };
+    let int = Value::Int;
+    let zero = if with_zero { 0 } else { 9 };
+    let mut db = Database::new();
+    db.create_table(
+        "r1",
+        Relation::from_rows(
+            schema("r1"),
+            vec![
+                vec![int(1), int(4), int(1)],
+                vec![int(1), int(4), int(1)],
+                vec![int(2), int(5), int(2)],
+                vec![int(3), int(6), Value::Null],
+                vec![int(4), int(zero), int(7)],
+                vec![Value::Null, int(2), int(2)],
+                vec![int(5), int(1), int(3)],
+            ],
+        ),
+    )
+    .unwrap();
+    db.create_table(
+        "r2",
+        Relation::from_rows(
+            schema("r2"),
+            vec![
+                vec![int(1), int(3), int(1)],
+                vec![int(1), int(3), int(1)],
+                vec![int(2), int(5), int(1)],
+                vec![int(3), Value::Null, int(2)],
+                vec![int(4), int(6), Value::Null],
+                vec![Value::Null, int(8), int(2)],
+                vec![int(5), int(zero), int(3)],
+            ],
+        ),
+    )
+    .unwrap();
+    db
+}
+
+/// Gen-rewritten correlated `EXISTS`, `NOT EXISTS`, `IN`, `<> ALL`, scalar
+/// `avg` and the COUNT-bug query over the hostile tables, bare and with a
+/// non-total conjunct (`1 / b > 0`) before or after the sublink — with and
+/// without a `b = 0` row that makes it fail.
+#[test]
+fn gen_decorrelation_keeps_witness_bags_and_error_sets_on_hostile_tables() {
+    let mut fully_decorrelated = 0usize;
+    for with_zero in [false, true] {
+        let db = hostile_database(with_zero);
+        let corr = || {
+            PlanBuilder::scan(&db, "r2")
+                .unwrap()
+                .select(eq(qcol("r2", "g"), qcol("r1", "g")))
+        };
+        let sublinks = [
+            ("EXISTS", exists_sublink(corr().build())),
+            ("NOT EXISTS", not(exists_sublink(corr().build()))),
+            (
+                "IN",
+                any_sublink(
+                    qcol("r1", "a"),
+                    CompareOp::Eq,
+                    corr().project_columns(&["a"]).build(),
+                ),
+            ),
+            (
+                "<> ALL",
+                all_sublink(
+                    qcol("r1", "a"),
+                    CompareOp::Neq,
+                    corr().project_columns(&["a"]).build(),
+                ),
+            ),
+            (
+                "scalar avg",
+                cmp(
+                    CompareOp::Lt,
+                    qcol("r1", "b"),
+                    scalar_sublink(
+                        corr()
+                            .aggregate(
+                                vec![],
+                                vec![perm_algebra::builder::avg(qcol("r2", "b"), "v")],
+                            )
+                            .build(),
+                    ),
+                ),
+            ),
+            (
+                "count = 0",
+                eq(
+                    lit(0),
+                    scalar_sublink(corr().aggregate(vec![], vec![count_star("n")]).build()),
+                ),
+            ),
+        ];
+        let non_total = || {
+            cmp(
+                CompareOp::Gt,
+                perm_algebra::builder::binary(perm_algebra::BinaryOp::Div, lit(1), qcol("r1", "b")),
+                lit(0),
+            )
+        };
+        for (kind, sublink) in sublinks {
+            let shapes = [
+                ("bare", sublink.clone()),
+                ("1/b before", and(non_total(), sublink.clone())),
+                ("1/b after", and(sublink, non_total())),
+            ];
+            for (shape, predicate) in shapes {
+                let plan = PlanBuilder::scan(&db, "r1")
+                    .unwrap()
+                    .select(predicate)
+                    .build();
+                let gen = gen_rewrite(&db, &plan).expect("Gen applies to selections");
+                let label = format!("{kind}, {shape}, zero row: {with_zero}");
+                let outcome = assert_optimizer_matches_reference(&db, &gen, &label);
+                // A leading `1 / b` meets the zero row whatever the
+                // sublink says; behind the sublink it may be shielded.
+                // Nothing else can fail.
+                if shape == "1/b before" && with_zero {
+                    assert!(outcome.is_none(), "{label}: `1 / 0` must fail");
+                }
+                if shape == "bare" || !with_zero {
+                    assert!(outcome.is_some(), "{label}: nothing here can fail");
+                }
+                if let Some((report, ops_ref, ops_opt)) = outcome {
+                    if shape == "bare" {
+                        assert!(
+                            report.sublinks_remaining <= 2 && ops_opt < ops_ref,
+                            "{label}: {ops_opt} vs {ops_ref} operators; {}",
+                            report.summary()
+                        );
+                        fully_decorrelated += usize::from(report.sublinks_remaining == 0);
+                    }
+                }
+            }
+        }
+    }
+    // EXISTS, NOT EXISTS and IN leave no sublink behind, on both tables.
+    assert_eq!(fully_decorrelated, 6);
+}
+
 // ---------------------------------------------------------------------------
 // Batch-seam differential cases: table sizes straddling the batch size
 // (0, 1, BATCH−1, BATCH, BATCH+1 rows) with NaN keys and >2⁵³ integer keys

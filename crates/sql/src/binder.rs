@@ -105,11 +105,18 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
         let mut group_items = Vec::new();
         for (i, group_expr) in query.group_by.iter().enumerate() {
             let bound = bind_expr(db, group_expr)?;
-            let alias = match group_expr {
-                SqlExpr::Column { name, .. } => name.clone(),
-                _ => format!("group_{i}"),
+            let item = match group_expr {
+                // A qualified grouping column keeps its qualifier, so that
+                // `SELECT r1.g, count(*) … GROUP BY r1.g` resolves `r1.g`
+                // above the aggregation (an unqualified `g` still does).
+                SqlExpr::Column { qualifier, name } => ProjectItem {
+                    expr: bound,
+                    alias: name.clone(),
+                    qualifier: qualifier.clone(),
+                },
+                _ => ProjectItem::new(bound, format!("group_{i}")),
             };
-            group_items.push(ProjectItem::new(bound, alias));
+            group_items.push(item);
         }
         let mut aggregates = Vec::new();
         for spec in &collector.aggregates {
@@ -181,10 +188,20 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     // underlying input that were not projected. In the first case the sort is
     // placed above the projection; in the second case below it (projection
     // preserves row order in this engine).
-    let sort_above = !order_by.is_empty()
-        && order_by
+    let output_schema = Schema::from_names(
+        &output_exprs
             .iter()
-            .all(|(key, _)| map_order_key(key, &output_exprs).is_some());
+            .map(|(_, alias)| alias.as_str())
+            .collect::<Vec<_>>(),
+    );
+    let sort_above = !order_by.is_empty()
+        && order_by.iter().all(|(key, _)| {
+            // An output name two select items share (`x.b, y.b`) cannot
+            // name the sort key: such a key sorts below the projection,
+            // where its qualifier still resolves.
+            map_order_key(key, &output_exprs)
+                .is_some_and(|alias| output_schema.try_resolve(None, &alias).is_ok())
+        });
     let mut below_keys = Vec::new();
     if !order_by.is_empty() && !sort_above {
         for (expr, ascending) in &order_by {

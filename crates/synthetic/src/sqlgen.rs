@@ -8,8 +8,9 @@
 //! results and witnesses to single-threaded execution", which only means
 //! something if both sides draw from one generator. This module is that
 //! generator: nested-subquery SQL (`IN` / `NOT IN` / correlated `EXISTS` /
-//! scalar aggregates, one extra nesting level, `ORDER BY` / `LIMIT` tails)
-//! with `$1`-style parameters, over the fixed [`corpus_database`].
+//! scalar aggregates, one extra nesting level, `ORDER BY` / `LIMIT` tails,
+//! and joins grouped or ordered by a qualified column) with `$1`-style
+//! parameters, over the fixed [`corpus_database`].
 
 use perm_storage::{Database, Relation, Schema, Value};
 use rand::rngs::StdRng;
@@ -120,6 +121,24 @@ fn subquery(rng: &mut StdRng, depth: usize) -> String {
 
 /// One random top-level query in the supported subset.
 fn random_sql(rng: &mut StdRng) -> String {
+    // One query in eight is a join whose `GROUP BY` / `ORDER BY` names a
+    // qualified column — the binder resolves those against the FROM
+    // clause's attributes, not against output names.
+    match rng.gen_range(0..16) {
+        0 => {
+            return format!(
+                "SELECT r.g, count(*) AS n FROM r, s WHERE r.g = s.g AND {} GROUP BY r.g",
+                comparison(rng, "s.c")
+            )
+        }
+        1 => {
+            return format!(
+                "SELECT x.a, x.b, y.b FROM r x, r y WHERE x.a = y.a AND {} ORDER BY x.b",
+                comparison(rng, "y.a")
+            )
+        }
+        _ => {}
+    }
     let mut preds: Vec<String> = Vec::new();
     if rng.gen_bool(0.6) {
         preds.push(comparison(rng, "a"));

@@ -18,9 +18,12 @@
 //! hash semi/anti joins, predicates push toward scans, dead projection
 //! columns drop, constants fold — and because the provenance rewrite runs
 //! *before* it, witness columns are ordinary columns the optimizer
-//! preserves like any other. [`SessionConfig::optimize`] turns the phase
-//! off (the memo-only baseline); [`Session::explain`] shows the bound plan,
-//! the optimized plan and which rules fired, side by side. Executions
+//! preserves like any other, and the Gen strategy's per-pair membership
+//! sublinks over `T⁺ × CrossBase` are decorrelated into hash joins by the
+//! same rules. [`SessionConfig::optimize`] turns the phase off (the
+//! memo-only baseline); [`Session::explain`] shows the bound plan, the
+//! optimized plan, which rules fired and how many sublinks remain, side
+//! by side. Executions
 //! bind `$1`-style parameters, stream through a [`Rows`] cursor, or return
 //! witnesses structured per base relation via [`ProvenanceRows`]:
 //!

@@ -194,3 +194,70 @@ fn errors_are_reported_not_panicked() {
     assert!(run(&db, "THIS IS NOT SQL").is_err());
     assert!(provenance_of_sql(&db, "SELECT * FROM items LIMIT abc", Strategy::Gen).is_err());
 }
+
+/// `r1(a, b, g)` / `r2(a, b, g)` in the layout of the synthetic workloads.
+fn grouped_pair_db() -> Database {
+    let mut db = Database::new();
+    for (name, rows) in [
+        ("r1", vec![(1, 30, 0), (2, 10, 1), (3, 20, 1), (4, 40, 2)]),
+        ("r2", vec![(1, 5, 0), (2, 6, 1), (5, 7, 1), (6, 8, 3)]),
+    ] {
+        db.create_table(
+            name,
+            Relation::from_rows(
+                Schema::from_names(&["a", "b", "g"]).with_qualifier(name),
+                rows.into_iter()
+                    .map(|(a, b, g)| vec![Value::Int(a), Value::Int(b), Value::Int(g)])
+                    .collect(),
+            ),
+        )
+        .unwrap();
+    }
+    db
+}
+
+#[test]
+fn group_by_resolves_a_qualified_column_of_a_join() {
+    // Used to fail with `unknown attribute g`: the grouping output dropped
+    // the qualifier the select list refers to.
+    let db = grouped_pair_db();
+    let sql = "SELECT r1.g, count(*) AS n FROM r1, r2 WHERE r1.g = r2.g GROUP BY r1.g";
+    let result = run(&db, sql).unwrap();
+    let mut rows: Vec<(i64, i64)> = result
+        .tuples()
+        .iter()
+        .map(|t| (t.get(0).as_i64().unwrap(), t.get(1).as_i64().unwrap()))
+        .collect();
+    rows.sort_unstable();
+    assert_eq!(rows, vec![(0, 1), (1, 4)]);
+    // Unqualified and mixed spellings name the same grouping column.
+    for variant in [
+        "SELECT g, count(*) AS n FROM r1 GROUP BY r1.g",
+        "SELECT r1.g, count(*) AS n FROM r1 GROUP BY r1.g HAVING count(*) > 1",
+    ] {
+        run(&db, variant).unwrap_or_else(|e| panic!("`{variant}`: {e}"));
+    }
+    // The provenance rewrite joins the groups back by the qualified name.
+    let witnesses = provenance_of_sql(&db, sql, Strategy::Auto).unwrap();
+    assert_eq!(witnesses.len(), 5, "one row per contributing (r1, r2) pair");
+    assert_eq!(witnesses.schema().arity(), 2 + 3 + 3);
+}
+
+#[test]
+fn order_by_resolves_a_qualified_column_of_a_self_join() {
+    // Used to fail with `ambiguous attribute b`: the sort key was looked up
+    // among the output names, where `x.b` and `y.b` are both `b`.
+    let db = grouped_pair_db();
+    let sql = "SELECT x.a, x.b, y.b FROM r1 x, r1 y WHERE x.a = y.a ORDER BY x.b";
+    let result = run(&db, sql).unwrap();
+    let order: Vec<i64> = result
+        .tuples()
+        .iter()
+        .map(|t| t.get(1).as_i64().unwrap())
+        .collect();
+    assert_eq!(order, vec![10, 20, 30, 40]);
+    let descending = run(&db, &sql.replace("ORDER BY x.b", "ORDER BY y.b DESC")).unwrap();
+    assert_eq!(descending.tuples()[0].get(2).as_i64(), Some(40));
+    let witnesses = provenance_of_sql(&db, sql, Strategy::Auto).unwrap();
+    assert_eq!(witnesses.len(), 4);
+}
