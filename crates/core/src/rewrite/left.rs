@@ -6,9 +6,14 @@
 //! `Jsub`, which restricts the joined tuples to the actual provenance of the
 //! sublink (and NULL-pads the provenance when the sublink query is empty).
 //!
-//! The sublink `Csub` is duplicated inside `Jsub`; if the engine does not
-//! recognise the duplication the sublink is re-evaluated per joined tuple
-//! pair, which is the inefficiency the Move strategy addresses.
+//! The sublink `Csub` is duplicated inside `Jsub`. The rewrite emits the
+//! paper's form as is; the optimizer (`perm_exec::optimize`, pushdown onto
+//! the preserved side) moves the selection's `Csub` below the join, where
+//! it establishes the copy in `Jsub` as TRUE: `Jsub` collapses to `C'sub`
+//! (`ANY`, a hash key when the comparison is an equality) or to TRUE
+//! (`ALL`), and the sublink is evaluated once per `T⁺` row instead of once
+//! per joined pair. A sublink under a disjunction of `C`, and rule L2,
+//! establish nothing and run as written.
 
 use super::common::{
     collect_sublinks, jsub_condition, keep_columns, output_columns, require_uncorrelated,

@@ -457,6 +457,41 @@ fn gen_decorrelation_survives_nulls_duplicates_and_empty_sublinks() {
     }
 }
 
+/// Left and Move over the hostile tables: their `⟕_{Jsub}` is filtered
+/// below the join and `Jsub` collapsed by the optimizer, which must not
+/// show — `NOT IN` over a sublink result with a NULL (no row qualifies),
+/// over one without (NULL test values drop out), and `ALL` over an empty
+/// sublink (every row qualifies, with an all-NULL witness).
+#[test]
+fn uncorrelated_not_in_with_nulls_and_all_over_an_empty_sublink() {
+    let db = hostile_db();
+    let s = |predicate: Option<perm_algebra::Expr>| {
+        let scan = PlanBuilder::scan(&db, "s").unwrap();
+        match predicate {
+            Some(p) => scan.select(p),
+            None => scan,
+        }
+        .project_columns(&["d"])
+        .build()
+    };
+    let not_null = perm_algebra::builder::is_not_null(col("d"));
+    let predicates = [
+        all_sublink(col("a"), CompareOp::Neq, s(None)),
+        not(any_sublink(col("a"), CompareOp::Eq, s(None))),
+        all_sublink(col("a"), CompareOp::Neq, s(Some(not_null.clone()))),
+        not(any_sublink(col("a"), CompareOp::Eq, s(Some(not_null)))),
+        all_sublink(col("a"), CompareOp::Lt, s(Some(eq(col("c"), lit(999))))),
+        any_sublink(col("a"), CompareOp::Lt, s(Some(eq(col("c"), lit(999))))),
+    ];
+    for predicate in predicates {
+        let q = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .select(predicate)
+            .build();
+        assert_strategies_match_tracer(&db, &q, &[Strategy::Gen, Strategy::Left, Strategy::Move]);
+    }
+}
+
 #[test]
 fn sublink_in_projection() {
     let db = figure3_db();

@@ -20,8 +20,9 @@
 //!
 //! Supporting rules in the same fixpoint driver: constant folding over
 //! predicates, predicate pushdown through projections / `INTERSECT` /
-//! `EXCEPT` / semi- and anti-join probe sides / cross products, and
-//! projection pruning off column liveness.
+//! `EXCEPT` / semi- and anti-join probe sides / cross products / onto the
+//! preserved side of a left outer join (assuming the pushed conjuncts
+//! inside its condition), and projection pruning off column liveness.
 //!
 //! # Equivalence discipline
 //!
@@ -135,6 +136,43 @@
 //! distinct key tuple matches a given pair and `L`'s and `R`'s own
 //! duplicates multiply as before. *Errors:* `S` now always runs — it must
 //! be total. *Operators:* two more, and no `|L| · |R|` product.
+//!
+//! # The rule that makes the Left and Move rewrites join-shaped
+//!
+//! Left and Move (rules L1/T1) emit `σ_C(T⁺ ⟕_{Jsub} Tsub⁺)` with `Jsub =
+//! C'sub ∨ ¬Csub` (`ANY`) or `Csub ∨ ¬C'sub` (`ALL`), where `Csub` is the
+//! sublink itself (Left) or the column Move projected it to. The
+//! disjunction has no hash key, and the selection on top throws away every
+//! pair on which `Csub` is not TRUE. One generic rule — it matches on
+//! neither shape — runs the join as what is left of it on the others.
+//!
+//! **Pushdown onto the preserved side.** `σ_{c ∧ rest}(L ⟕_θ R)` becomes
+//! `σ_rest(σ_c(L) ⟕_{θ[c := TRUE]} R)` for the conjuncts `c` that read `L`
+//! alone, in their original order; conjuncts that read `R` or both sides
+//! stay on top. Every pair the join then sees has `c` TRUE — not merely
+//! "not FALSE": `σ_c` dropped the UNKNOWN rows too — so a structural copy
+//! of `c` inside `θ` is the literal TRUE (`NOT x` establishes `x` FALSE, `x
+//! = ANY(T)` also `EXISTS(T)`; copies inside nested sublink plans count
+//! wherever no operator shadows a column `c` reads), and the folds finish:
+//! `C' ∨ ¬TRUE → C'`, an equi-join; `TRUE ∨ ¬C' → TRUE`, pad-or-cross.
+//! *Bags:* `⟕` emits at least one row per `L` row, each carrying `L`'s
+//! values verbatim, and `c` reads only those — a row of `L` failing `c`
+//! contributes nothing to the result either way, one passing it is joined
+//! with the `R` rows on which `θ` holds, where `θ` and `θ[c := TRUE]`
+//! agree. *Errors:* `c` runs once per `L` row instead of once per joined
+//! row — the same `L` rows, and the whole predicate must be total, so no
+//! evaluation order inside it is observable; `θ` runs on fewer pairs and
+//! `R` not at all when `σ_c(L)` is empty, so `θ` (under `L ∘ R`) and `R`
+//! must be total — a `$n` parameter, which may be unbound, declines.
+//! *Operators:* one selection more, never one that grows with the data. A
+//! conjunct that holds a sublink may move (here only; everywhere else a
+//! sublink-bearing selection stays put): an uncorrelated sublink still
+//! executes once, a correlated one once per distinct binding of the `L`
+//! rows it still sees. It moves only when `θ` comes out free of sublinks,
+//! though — a sublink under a disjunction of `C` establishes nothing, `Jsub`
+//! keeps its copy and the join its probe per pair, so the selection keeps
+//! its shape too. Rules L2/T2 (a sublink in a projection) have no
+//! selection that establishes `Csub`; they are untouched.
 
 mod decorrelate;
 
@@ -154,8 +192,9 @@ const MAX_PASSES: usize = 4;
 pub struct OptimizerReport {
     /// Sublinks unnested into semi/anti joins.
     pub sublinks_decorrelated: u64,
-    /// Copies of an earlier sublink conjunct replaced by the constant that
-    /// conjunct implies.
+    /// Copies of an established conjunct — an earlier conjunct of the same
+    /// selection, or one pushed below the join whose condition holds the
+    /// copy — replaced by the constant that conjunct implies.
     pub sublinks_implied: u64,
     /// Selections over `A ∨ B` split into a `UNION ALL` of two.
     pub disjunctions_split: u64,
@@ -166,11 +205,15 @@ pub struct OptimizerReport {
     /// Semi joins over a cross product turned into two inner joins against
     /// the distinct keys.
     pub semi_joins_expanded: u64,
+    /// Conjuncts of a selection over a left outer join moved onto the
+    /// join's preserved (left) side.
+    pub preserved_side_pushed: u64,
     /// Constant subexpressions folded (including selections proven
     /// always-true or always-false).
     pub constants_folded: u64,
     /// Selections (or single conjuncts) pushed through a projection, set
-    /// operation, semi/anti join probe side, cross product or inner join.
+    /// operation, semi/anti join probe side, cross product or inner join
+    /// (the outer-join case counts under `preserved_side_pushed`).
     pub predicates_pushed: u64,
     /// Projections narrowed by the liveness pass.
     pub projections_pruned: u64,
@@ -183,7 +226,7 @@ pub struct OptimizerReport {
 }
 
 impl OptimizerReport {
-    fn fire_counts(&self) -> [(&'static str, u64); 9] {
+    fn fire_counts(&self) -> [(&'static str, u64); 10] {
         [
             ("decorrelate", self.sublinks_decorrelated),
             ("imply", self.sublinks_implied),
@@ -191,6 +234,7 @@ impl OptimizerReport {
             ("group", self.aggregates_grouped),
             ("join-pushdown", self.joins_pushed),
             ("semi-expand", self.semi_joins_expanded),
+            ("outer-pushdown", self.preserved_side_pushed),
             ("fold", self.constants_folded),
             ("pushdown", self.predicates_pushed),
             ("prune", self.projections_pruned),
@@ -718,10 +762,11 @@ impl TruthExpr for perm_storage::Truth {
 /// `perm_algebra::optimize` does not handle: projections (by substituting
 /// item expressions for output names), `INTERSECT`/`EXCEPT` left branches,
 /// semi/anti-join probe sides, and — conjunct by conjunct — the sides of
-/// cross products and inner joins inside an already rewritten plan. A
-/// conjunct only moves when the *whole* predicate is total, so the error
-/// set cannot change. Semi/anti joins over a cross product move onto the
-/// factor they read, or — reading both — become two inner joins.
+/// cross products and inner joins inside an already rewritten plan, and the
+/// preserved side of a left outer join. A conjunct only moves when the
+/// *whole* predicate is total, so the error set cannot change. Semi/anti
+/// joins over a cross product move onto the factor they read, or — reading
+/// both — become two inner joins.
 fn pushdown_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
     match plan.map_children(|c| pushdown_pass(c, rep)) {
         Plan::Select { input, predicate } => push_select(*input, predicate, rep),
@@ -755,6 +800,15 @@ fn resolves_none(schema: &Schema, refs: &[(Option<String>, String)]) -> bool {
 }
 
 fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
+    let input = match input {
+        Plan::Join {
+            left,
+            right,
+            kind: JoinKind::LeftOuter,
+            condition,
+        } => return push_onto_preserved_side(*left, *right, condition, predicate, rep),
+        other => other,
+    };
     if predicate.has_sublink() {
         // Sublink-bearing conjuncts stay put: moving one changes how often
         // the (expensive, operator-counted) sublink body runs, and
@@ -888,6 +942,108 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
         }) => sink_conjuncts(product, predicate, rep),
         other => select(other, predicate),
     }
+}
+
+/// `σ_{c ∧ rest}(L ⟕_θ R)` → `σ_rest(σ_c(L) ⟕_{θ[c := TRUE]} R)` for the
+/// conjuncts `c` that read `L` alone: every pair the join then sees has `c`
+/// TRUE, so the copies of `c` in `θ` are constants.
+fn push_onto_preserved_side(
+    left: Plan,
+    right: Plan,
+    condition: Expr,
+    predicate: Expr,
+    rep: &mut OptimizerReport,
+) -> Plan {
+    let left_outer = |left: Plan, right: Plan, condition: Expr| Plan::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        kind: JoinKind::LeftOuter,
+        condition,
+    };
+    let conjuncts = split_conjuncts(&predicate);
+    let Some((moves, assumed)) = preserved_side_moves(&left, &right, &condition, &conjuncts, rep)
+    else {
+        // Untouched: keep the predicate's own association.
+        return select(left_outer(left, right, condition), predicate);
+    };
+    // Sublink-free conjuncts go first: they keep sinking through
+    // projections, where a predicate that holds a sublink stops.
+    let (mut kept, mut free, mut bearing) = (Vec::new(), Vec::new(), Vec::new());
+    for (c, moves) in conjuncts.into_iter().zip(moves) {
+        match (moves, c.has_sublink()) {
+            (false, _) => kept.push(c),
+            (true, false) => free.push(c),
+            (true, true) => bearing.push(c),
+        }
+    }
+    rep.preserved_side_pushed += (free.len() + bearing.len()) as u64;
+    let mut left = left;
+    for moved in [free, bearing] {
+        if !moved.is_empty() {
+            left = push_select(left, conjunction(moved), rep);
+        }
+    }
+    let join = left_outer(left, right, assumed);
+    if kept.is_empty() {
+        join
+    } else {
+        select(join, conjunction(kept))
+    }
+}
+
+/// Which `conjuncts` of a selection over `left ⟕_condition right` move onto
+/// `left`, and the condition with them assumed; `None` when none does. The
+/// conjuncts, the condition and `right` must be total. Sublink-bearing
+/// conjuncts move only when that leaves the condition free of sublinks —
+/// otherwise the join keeps its probe per pair, and the selection its
+/// shape.
+fn preserved_side_moves(
+    left: &Plan,
+    right: &Plan,
+    condition: &Expr,
+    conjuncts: &[Expr],
+    rep: &mut OptimizerReport,
+) -> Option<(Vec<bool>, Expr)> {
+    let (ls, rs) = (left.schema(), right.schema());
+    let mut moves: Vec<bool> = conjuncts
+        .iter()
+        .map(|c| {
+            let refs = free_expr_columns(c, &Schema::empty());
+            !refs.is_empty() && one_side(&ls, &rs, &refs) == Some(true)
+        })
+        .collect();
+    let scope = [ls.concat(&rs)];
+    let total = moves.contains(&true)
+        && conjuncts.iter().all(|c| expr_is_total(c, &scope))
+        && expr_is_total(condition, &scope)
+        && plan_is_total(right, &[]);
+    if !total {
+        return None;
+    }
+    let assume = |moves: &[bool], rep: &mut OptimizerReport| {
+        conjuncts
+            .iter()
+            .zip(moves)
+            .filter(|(_, moves)| **moves)
+            .flat_map(|(c, _)| decorrelate::facts_of(c))
+            .fold(condition.clone(), |on, fact| {
+                decorrelate::assume_in_expr(on, &fact, rep)
+            })
+    };
+    let snapshot = *rep;
+    let assumed = assume(&moves, rep);
+    if !assumed.has_sublink() {
+        return Some((moves, assumed));
+    }
+    *rep = snapshot;
+    for (c, moves) in conjuncts.iter().zip(&mut moves) {
+        *moves &= !c.has_sublink();
+    }
+    if !moves.contains(&true) {
+        return None;
+    }
+    let assumed = assume(&moves, rep);
+    Some((moves, assumed))
 }
 
 /// Moves the sublink-free conjuncts of a total predicate onto the side of
@@ -1368,7 +1524,7 @@ mod tests {
     use super::*;
     use crate::Executor;
     use perm_algebra::builder::{
-        and, between, col, eq, exists_sublink, lit, not, qcol, PlanBuilder,
+        and, between, cmp, col, eq, exists_sublink, lit, not, qcol, PlanBuilder,
     };
     use perm_storage::{Database, Relation, Schema, Tuple};
 
@@ -1772,6 +1928,181 @@ mod tests {
         };
         assert!(matches!(**left, Plan::Select { .. }) && matches!(**right, Plan::Select { .. }));
         assert_same_bag(&db, &plan, &optimized);
+    }
+
+    /// `a = ANY (SELECT b FROM r2 WHERE b BETWEEN 2 AND 15)` over `r1`.
+    fn uncorrelated_any(db: &Database) -> Expr {
+        let sub = PlanBuilder::scan(db, "r2")
+            .unwrap()
+            .select(between(qcol("r2", "b"), lit(2), lit(15)))
+            .project_columns(&["b"])
+            .build();
+        perm_algebra::builder::any_sublink(qcol("r1", "a"), CompareOp::Eq, sub)
+    }
+
+    /// The shape rule L1 gives `σ_C(r1)` with `Csub = a = ANY(…)`:
+    /// `σ_C(r1 ⟕_{θ} Π_{b→sb}(…))`, `θ` defaulting to `Jsub = a = sb ∨
+    /// ¬Csub`.
+    fn left_shaped(db: &Database, c: Expr, theta: Option<Expr>) -> Plan {
+        use perm_algebra::builder::or;
+        let jsub = or(eq(qcol("r1", "a"), col("sb")), not(uncorrelated_any(db)));
+        let tsub = PlanBuilder::scan(db, "r2")
+            .unwrap()
+            .select(between(qcol("r2", "b"), lit(2), lit(15)))
+            .project(vec![ProjectItem::new(qcol("r2", "b"), "sb")])
+            .build();
+        PlanBuilder::scan(db, "r1")
+            .unwrap()
+            .left_join(tsub, theta.unwrap_or(jsub))
+            .select(c)
+            .build()
+    }
+
+    fn left_outer_condition(plan: &Plan) -> Option<&Expr> {
+        match plan {
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
+                condition,
+                ..
+            } => Some(condition),
+            other => other.children().into_iter().find_map(left_outer_condition),
+        }
+    }
+
+    #[test]
+    fn an_established_conjunct_moves_below_the_outer_join_and_collapses_its_condition() {
+        let db = db();
+        let plan = left_shaped(&db, uncorrelated_any(&db), None);
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(
+            (rep.preserved_side_pushed, rep.sublinks_implied),
+            (1, 1),
+            "{}",
+            rep.summary()
+        );
+        assert!(
+            rep.summary().contains("outer-pushdown×1"),
+            "{}",
+            rep.summary()
+        );
+        assert_eq!(
+            left_outer_condition(&optimized),
+            Some(&eq(qcol("r1", "a"), col("sb")))
+        );
+        assert!(
+            matches!(optimized, Plan::Join { .. }),
+            "no selection is left on top"
+        );
+        assert_same_bag(&db, &plan, &optimized);
+
+        // Rule T1's form: the sublink projected once, `θ` and `C` read the
+        // column. `ALL` flips `Jsub`, which folds to TRUE; the then-unused
+        // item is pruned under the projection a rewrite puts on top.
+        use perm_algebra::builder::{all_sublink, or};
+        let sub = PlanBuilder::scan(&db, "r2")
+            .unwrap()
+            .project_columns(&["b"])
+            .build();
+        let tsub = PlanBuilder::scan(&db, "r2")
+            .unwrap()
+            .project(vec![ProjectItem::new(qcol("r2", "b"), "sb")])
+            .build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .project(vec![
+                ProjectItem::new(qcol("r1", "a"), "a"),
+                ProjectItem::new(all_sublink(qcol("r1", "a"), CompareOp::Le, sub), "v"),
+            ])
+            .left_join(
+                tsub,
+                or(col("v"), not(cmp(CompareOp::Le, col("a"), col("sb")))),
+            )
+            .select(col("v"))
+            .project_columns(&["a", "sb"])
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
+        assert_eq!(left_outer_condition(&optimized), Some(&lit(true)));
+        assert!(
+            !contains(&optimized, &|p| matches!(
+                p,
+                Plan::Project { items, .. } if items.iter().any(|i| i.alias == "v")
+            )),
+            "{}",
+            perm_algebra::display::explain(&optimized)
+        );
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn only_conjuncts_reading_the_preserved_side_move() {
+        let db = db();
+        let reads_right = eq(col("sb"), lit(3));
+        let both = cmp(CompareOp::Le, qcol("r1", "g"), col("sb"));
+        let plan = left_shaped(
+            &db,
+            and(
+                reads_right.clone(),
+                and(uncorrelated_any(&db), both.clone()),
+            ),
+            None,
+        );
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
+        let Plan::Select { predicate, .. } = &optimized else {
+            panic!("the other conjuncts stay on top:\n{optimized:?}");
+        };
+        assert_eq!(split_conjuncts(predicate), vec![reads_right.clone(), both]);
+        assert_same_bag(&db, &plan, &optimized);
+
+        let plan = left_shaped(&db, reads_right, None);
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.preserved_side_pushed, 0, "{}", rep.summary());
+        assert_eq!(optimized, plan);
+    }
+
+    #[test]
+    fn the_outer_join_pushdown_declines_what_it_cannot_prove() {
+        use perm_algebra::builder::or;
+        let db = db();
+        let declined = |plan: &Plan| {
+            let (optimized, rep) = optimize(plan);
+            assert_eq!(
+                (rep.preserved_side_pushed, rep.sublinks_implied),
+                (0, 0),
+                "{}",
+                rep.summary()
+            );
+            assert_eq!(plan_fingerprint(&optimized), plan_fingerprint(plan));
+            assert_same_bag(&db, plan, &optimized);
+        };
+        // `$1` may be unbound: `θ` then fails on every pair it sees.
+        let jsub = or(eq(qcol("r1", "a"), col("sb")), not(uncorrelated_any(&db)));
+        let with_param = and(jsub, cmp(CompareOp::Le, col("sb"), Expr::Param(0)));
+        let (optimized, rep) = optimize(&left_shaped(
+            &db,
+            uncorrelated_any(&db),
+            Some(with_param.clone()),
+        ));
+        assert_eq!(rep.preserved_side_pushed, 0, "{}", rep.summary());
+        assert_eq!(left_outer_condition(&optimized), Some(&with_param));
+        // A sublink under `OR` establishes nothing: `Jsub` would keep its
+        // copy, and the per-pair probe with it.
+        declined(&left_shaped(
+            &db,
+            or(eq(qcol("r1", "g"), lit(1)), uncorrelated_any(&db)),
+            None,
+        ));
+        // A non-total conjunct anywhere in the predicate.
+        let division = cmp(
+            CompareOp::Gt,
+            perm_algebra::builder::binary(BinaryOp::Div, lit(100), qcol("r1", "a")),
+            lit(0),
+        );
+        let plan = left_shaped(&db, and(uncorrelated_any(&db), division), None);
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.preserved_side_pushed, 0, "{}", rep.summary());
+        assert_eq!(plan_fingerprint(&optimized), plan_fingerprint(&plan));
     }
 
     #[test]

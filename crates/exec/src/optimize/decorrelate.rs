@@ -238,9 +238,9 @@ fn has_correlated_sublink(expr: &Expr) -> bool {
 // Rule: conjunct implication
 // ---------------------------------------------------------------------------
 
-/// What a conjunct being TRUE says about a sublink expression elsewhere.
-struct Fact {
-    /// The sublink expression whose value is known …
+/// What a conjunct being TRUE says about a copy of an expression elsewhere.
+pub(super) struct Fact {
+    /// The expression whose value is known …
     pattern: Expr,
     /// … and that value.
     value: bool,
@@ -252,38 +252,48 @@ struct Fact {
     refs: Vec<(Option<String>, String)>,
 }
 
-fn facts_of(conjunct: &Expr) -> Vec<Fact> {
+/// The expression a conjunct establishes, and as what: `NOT x` holds where
+/// `x` is FALSE, anything else where it is TRUE itself.
+fn established(conjunct: &Expr) -> (&Expr, bool) {
+    match conjunct {
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => (expr.as_ref(), false),
+        other => (other, true),
+    }
+}
+
+/// The facts `conjunct` establishes on the rows where it is TRUE: the
+/// conjunct itself (`NOT x`: `x` is FALSE), and with `x = ANY(T)` also
+/// `EXISTS(T)`.
+pub(super) fn facts_of(conjunct: &Expr) -> Vec<Fact> {
     let fact = |pattern: &Expr, value: bool, two_valued: bool| Fact {
         refs: free_expr_columns(pattern, &Schema::empty()),
         pattern: pattern.clone(),
         value,
         two_valued,
     };
-    let (atom, value) = match conjunct {
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => (expr.as_ref(), false),
-        other => (other, true),
-    };
-    let Expr::Sublink { kind, plan, .. } = atom else {
-        return Vec::new();
-    };
-    match kind {
-        SublinkKind::Exists => vec![fact(atom, value, true)],
-        SublinkKind::Any | SublinkKind::All => {
-            let mut facts = vec![fact(atom, value, false)];
-            if *kind == SublinkKind::Any && value {
-                // `x op ANY (T)` is FALSE over an empty `T`.
-                facts.push(fact(
-                    &perm_algebra::builder::exists_sublink((**plan).clone()),
-                    true,
-                    false,
-                ));
-            }
-            facts
-        }
-        SublinkKind::Scalar => Vec::new(),
+    let (atom, value) = established(conjunct);
+    match atom {
+        Expr::Sublink {
+            kind: SublinkKind::Exists,
+            ..
+        } => vec![fact(atom, value, true)],
+        // `x op ANY (T)` is FALSE over an empty `T`.
+        Expr::Sublink {
+            kind: SublinkKind::Any,
+            plan,
+            ..
+        } if value => vec![
+            fact(atom, true, false),
+            fact(
+                &perm_algebra::builder::exists_sublink((**plan).clone()),
+                true,
+                false,
+            ),
+        ],
+        _ => vec![fact(atom, value, false)],
     }
 }
 
@@ -301,6 +311,10 @@ fn assume_earlier_conjuncts(
     let scope = std::cell::OnceCell::new();
     let mut out = conjuncts.to_vec();
     for i in 0..out.len() {
+        // Within one selection only a sublink's verdict is assumed.
+        if !matches!(established(&conjuncts[i]).0, Expr::Sublink { .. }) {
+            continue;
+        }
         for fact in facts_of(&conjuncts[i]) {
             for later in &mut out[i + 1..] {
                 if !later.has_sublink() {
@@ -328,9 +342,9 @@ fn assume_earlier_conjuncts(
     out
 }
 
-/// Replaces the copies of `fact`'s sublink in `expr` — and in the sublink
+/// Replaces the copies of `fact`'s pattern in `expr` — and in the sublink
 /// plans nested in it — by the fact's value, and folds what that decides.
-fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport) -> Expr {
+pub(super) fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport) -> Expr {
     let implied_before = rep.sublinks_implied;
     let assumed = expr.transform(&mut |e| {
         if e == fact.pattern {

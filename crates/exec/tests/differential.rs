@@ -27,7 +27,8 @@ use perm_algebra::builder::{
     all_sublink, and, any_sublink, between, cmp, count_star, eq, exists_sublink, lit, not, or,
     qcol, scalar_sublink, sum, PlanBuilder,
 };
-use perm_algebra::{CompareOp, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_algebra::{CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_core::Strategy;
 use perm_exec::{ExecError, Executor, FaultKind, FaultPlan, FaultSite, BATCH_ROWS};
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
 use perm_synthetic::build_database;
@@ -417,11 +418,12 @@ fn assert_optimizer_matches_reference(
     }
 }
 
-/// The Gen rewrite of `plan`, or `None` where Gen does not apply (sublinks
-/// in join conditions).
-fn gen_rewrite(db: &Database, plan: &Plan) -> Option<Plan> {
+/// The rewrite of `plan` under `strategy`, or `None` where the strategy
+/// does not apply (sublinks in join conditions; a correlated sublink under
+/// anything but Gen).
+fn rewrite_with(db: &Database, plan: &Plan, strategy: Strategy) -> Option<Plan> {
     perm_core::ProvenanceQuery::new(db, plan)
-        .strategy(perm_core::Strategy::Gen)
+        .strategy(strategy)
         .rewrite()
         .ok()
         .map(|r| r.plan().clone())
@@ -440,7 +442,7 @@ fn gen_rewritten_corpus_agrees_with_the_reference_under_the_optimizer() {
     let (mut rewritten, mut join_shaped, mut wins) = (0usize, 0usize, 0usize);
     for i in 0..PLANS / 2 {
         let plan = random_plan(&db, &mut rng);
-        let Some(gen) = gen_rewrite(&db, &plan) else {
+        let Some(gen) = rewrite_with(&db, &plan, Strategy::Gen) else {
             continue;
         };
         rewritten += 1;
@@ -595,7 +597,8 @@ fn gen_decorrelation_keeps_witness_bags_and_error_sets_on_hostile_tables() {
                     .unwrap()
                     .select(predicate)
                     .build();
-                let gen = gen_rewrite(&db, &plan).expect("Gen applies to selections");
+                let gen =
+                    rewrite_with(&db, &plan, Strategy::Gen).expect("Gen applies to selections");
                 let label = format!("{kind}, {shape}, zero row: {with_zero}");
                 let outcome = assert_optimizer_matches_reference(&db, &gen, &label);
                 // A leading `1 / b` meets the zero row whatever the
@@ -622,6 +625,158 @@ fn gen_decorrelation_keeps_witness_bags_and_error_sets_on_hostile_tables() {
     }
     // EXISTS, NOT EXISTS and IN leave no sublink behind, on both tables.
     assert_eq!(fully_decorrelated, 6);
+}
+
+/// The conditions of the left outer joins of `plan`, in walk order.
+fn left_outer_conditions(plan: &Plan) -> Vec<Expr> {
+    let mut own = match plan {
+        Plan::Join {
+            kind: JoinKind::LeftOuter,
+            condition,
+            ..
+        } => vec![condition.clone()],
+        _ => Vec::new(),
+    };
+    for child in plan.children() {
+        own.extend(left_outer_conditions(child));
+    }
+    own
+}
+
+/// The preserved-side pushdown (`σ_{c ∧ rest}(L ⟕_θ R)` →
+/// `σ_rest(σ_c(L) ⟕_{θ[c := TRUE]} R)`) over the Left and Move rewrites of
+/// the random corpus: every uncorrelated sublink kind, nested, under
+/// disjunctions (which the rule must leave alone) and every top-level
+/// shape.
+#[test]
+fn left_and_move_rewritten_corpus_agrees_with_the_reference_under_the_optimizer() {
+    let db = build_database(12, 9, 0xD1FF);
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let (mut checked, mut fired) = (0usize, 0usize);
+    for i in 0..PLANS / 2 {
+        let plan = random_plan(&db, &mut rng);
+        for strategy in [Strategy::Left, Strategy::Move] {
+            let Some(rewrite) = rewrite_with(&db, &plan, strategy) else {
+                continue;
+            };
+            checked += 1;
+            let label = format!("plan {i} under {strategy}");
+            if let Some((report, _, _)) = assert_optimizer_matches_reference(&db, &rewrite, &label)
+            {
+                fired += usize::from(report.preserved_side_pushed > 0);
+            }
+        }
+    }
+    assert!(
+        checked >= PLANS / 4,
+        "Left/Move applied to only {checked} plans"
+    );
+    assert!(
+        fired >= checked / 4,
+        "the rule fired on only {fired}/{checked} plans"
+    );
+}
+
+/// `x ⟨op⟩ ANY` / `x ⟨op⟩ ALL`, all six operators, under Left and Move
+/// over the hostile tables: NULL test values, a sublink result with NULLs
+/// and duplicates, one without NULLs, an empty one; bare, beside a second
+/// total conjunct, and beside a non-total `1 / b` — which must keep the
+/// rule out: the `⟕` keeps the condition the rewrite gave it.
+#[test]
+fn preserved_side_pushdown_keeps_witness_bags_and_error_sets_on_hostile_tables() {
+    let ops = [
+        CompareOp::Eq,
+        CompareOp::Neq,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+    ];
+    for with_zero in [false, true] {
+        let db = hostile_database(with_zero);
+        let r2 = || PlanBuilder::scan(&db, "r2").unwrap();
+        let bodies = [
+            ("NULLs and duplicates", r2().project_columns(&["a"]).build()),
+            (
+                "no NULLs",
+                r2().select(cmp(CompareOp::Le, qcol("r2", "b"), lit(6)))
+                    .project_columns(&["a"])
+                    .build(),
+            ),
+            (
+                "empty",
+                r2().select(cmp(CompareOp::Gt, qcol("r2", "b"), lit(100)))
+                    .project_columns(&["a"])
+                    .build(),
+            ),
+        ];
+        let total = || cmp(CompareOp::Ge, qcol("r1", "b"), lit(2));
+        let non_total = || {
+            cmp(
+                CompareOp::Gt,
+                perm_algebra::builder::binary(perm_algebra::BinaryOp::Div, lit(1), qcol("r1", "b")),
+                lit(0),
+            )
+        };
+        for (body_kind, body) in &bodies {
+            for op in ops {
+                for (quantifier, sublink) in [
+                    ("ANY", any_sublink(qcol("r1", "a"), op, body.clone())),
+                    ("ALL", all_sublink(qcol("r1", "a"), op, body.clone())),
+                ] {
+                    let shapes = [
+                        ("bare", sublink.clone(), true),
+                        ("total before", and(total(), sublink.clone()), true),
+                        ("total after", and(sublink.clone(), total()), true),
+                        ("1/b before", and(non_total(), sublink.clone()), false),
+                        ("1/b after", and(sublink, non_total()), false),
+                    ];
+                    for (shape, predicate, fires) in shapes {
+                        let plan = PlanBuilder::scan(&db, "r1")
+                            .unwrap()
+                            .select(predicate)
+                            .build();
+                        for strategy in [Strategy::Left, Strategy::Move] {
+                            let rewrite = rewrite_with(&db, &plan, strategy)
+                                .expect("Left and Move apply to uncorrelated sublinks");
+                            let label = format!(
+                                "a {op} {quantifier} ({body_kind}), {shape}, {strategy}, \
+                                 zero row: {with_zero}"
+                            );
+                            let outcome = assert_optimizer_matches_reference(&db, &rewrite, &label);
+                            // Every `r1` row survives the `⟕`, so a `1 / b`
+                            // ahead of the sublink meets the zero row.
+                            if shape == "1/b before" && with_zero {
+                                assert!(outcome.is_none(), "{label}: `1 / 0` must fail");
+                            }
+                            if fires || !with_zero {
+                                assert!(outcome.is_some(), "{label}: nothing here can fail");
+                            }
+                            let (optimized, report) = perm_exec::optimize::optimize(&rewrite);
+                            let conditions = left_outer_conditions(&optimized);
+                            if fires {
+                                assert!(report.preserved_side_pushed >= 1, "{label}");
+                                assert!(
+                                    conditions.iter().all(|c| !c.has_sublink()
+                                        && c.column_refs()
+                                            .iter()
+                                            .all(|(_, n)| !n.starts_with("sublink_val"))),
+                                    "{label}: {conditions:?}"
+                                );
+                            } else {
+                                assert_eq!(
+                                    (report.preserved_side_pushed, report.sublinks_implied),
+                                    (0, 0),
+                                    "{label}"
+                                );
+                                assert_eq!(conditions, left_outer_conditions(&rewrite), "{label}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

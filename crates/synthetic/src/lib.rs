@@ -20,6 +20,7 @@ pub mod sqlgen;
 
 pub use generator::{generate_table, SyntheticConfig, CORRELATION_GROUPS};
 pub use queries::{
-    build_database, build_query, query_q1, query_q2, random_range, QueryKind, RangeParams,
+    build_database, build_matching_database, build_query, query_q1, query_q2, random_range,
+    QueryKind, RangeParams,
 };
 pub use sqlgen::{corpus_case, corpus_database, CorpusCase};

@@ -5,7 +5,7 @@ use perm_algebra::builder::{
     all_sublink, and, any_sublink, between, col, eq, exists_sublink, lit, qcol, PlanBuilder,
 };
 use perm_algebra::{CompareOp, Plan};
-use perm_storage::Database;
+use perm_storage::{Database, Relation, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,6 +70,31 @@ pub fn build_database(r1_rows: usize, r2_rows: usize, seed: u64) -> Database {
         "r2",
         generate_table("r2", SyntheticConfig::new(r2_rows, seed.wrapping_add(1))),
     );
+    db
+}
+
+/// [`build_database`] with `a ← a mod 4·|R2|` on both tables. The generator
+/// draws `a` from a Gaussian with σ = 100 × rows, so on the raw column
+/// `r1.a = r2.a` practically never holds and `q1` is empty under every
+/// strategy; the remap gives about a fifth of `r1` a partner.
+pub fn build_matching_database(r1_rows: usize, r2_rows: usize, seed: u64) -> Database {
+    let mut db = build_database(r1_rows, r2_rows, seed);
+    let modulus = 4 * r2_rows as i64;
+    for table in ["r1", "r2"] {
+        let rel = db.table(table).expect("build_database creates r1 and r2");
+        let rows = rel
+            .tuples()
+            .iter()
+            .map(|t| {
+                let mut values = t.values().to_vec();
+                let a = values[0].as_i64().expect("a is an integer column");
+                values[0] = Value::Int(a.rem_euclid(modulus));
+                values
+            })
+            .collect();
+        let remapped = Relation::from_rows(rel.schema().clone(), rows);
+        db.create_or_replace_table(table, remapped);
+    }
     db
 }
 

@@ -1,29 +1,25 @@
 //! Strategy comparison on the synthetic workload of Section 4.2.2 — a small
-//! interactive version of Figures 7–9.
+//! interactive version of Figures 7–9: `q1` (`a = ANY`) and `q2`
+//! (`a < ALL`) under every rewrite strategy, each through a `Session`, with
+//! the optimizer's rule summary beside the time. Left and Move emit a
+//! `⟕_{Jsub}` whose condition repeats the sublink; the optimizer filters
+//! below the join and the condition collapses to a hash key
+//! (`imply×1 outer-pushdown×1`), which is why they land next to Unn.
 //!
-//! This example deliberately stays on the *deprecated* pre-`Session` helper
-//! `perm::provenance_of_plan`: existing callers must keep compiling and
-//! producing the same results as before the `Engine`/`Session` redesign.
-//! (The other examples show the session API.)
+//! The tables come from `build_matching_database`: on the generator's raw
+//! Gaussian `a` column `r1.a = r2.a` practically never holds and `q1` would
+//! print 0 rows for every strategy.
 //!
 //! Run with `cargo run --release --example strategy_comparison`.
-#![allow(deprecated)]
 
-use perm::Strategy;
+use perm::prelude::*;
 use perm_algebra::display::explain;
-use perm_bench_shim::*;
-
-/// The example uses the same building blocks as the benchmark harness but
-/// keeps them local so the example stays a plain `perm` API consumer.
-mod perm_bench_shim {
-    pub use perm_core::ProvenanceQuery;
-    pub use perm_synthetic::queries::{build_database, build_query, random_range, QueryKind};
-}
+use perm_synthetic::queries::{build_matching_database, build_query, random_range, QueryKind};
 
 fn main() {
-    let sizes = [(200usize, 100usize), (400, 200), (800, 400)];
+    let sizes = [(1000usize, 250usize), (4000, 1000)];
     for (r1_rows, r2_rows) in sizes {
-        let db = build_database(r1_rows, r2_rows, 42);
+        let db = build_matching_database(r1_rows, r2_rows, 42);
         let params = random_range(r1_rows, r2_rows, 42);
         println!("== |R1| = {r1_rows}, |R2| = {r2_rows} ==");
         for (kind, name) in [
@@ -31,39 +27,56 @@ fn main() {
             (QueryKind::Q2InequalityAll, "q2 (a < ALL)"),
         ] {
             let plan = build_query(&db, params, kind);
-            print!("  {name:<14}");
+            println!("  {name}");
             for strategy in Strategy::ALL {
+                let session = Session::with_config(
+                    &db,
+                    SessionConfig {
+                        strategy,
+                        ..SessionConfig::default()
+                    },
+                );
                 let start = std::time::Instant::now();
-                // The legacy one-shot helper: rewrite + execute per call.
-                match perm::provenance_of_plan(&db, &plan, strategy) {
-                    Ok(result) => print!(
-                        "  {:>5}: {:>7.1}ms ({} rows)",
+                let outcome = session
+                    .prepare_provenance_plan(&plan)
+                    .and_then(|prepared| Ok((session.execute(&prepared, &[])?, prepared)));
+                match outcome {
+                    Ok((witnesses, prepared)) => println!(
+                        "    {:>5}: {:>7.1} ms  {:>5} rows  {}",
                         strategy.name(),
                         start.elapsed().as_secs_f64() * 1000.0,
-                        result.len()
+                        witnesses.len(),
+                        prepared.optimizer_report().summary()
                     ),
-                    Err(_) => print!("  {:>5}: {:>9}", strategy.name(), "n/a"),
+                    Err(_) => println!("    {:>5}:      n/a", strategy.name()),
                 }
             }
-            println!();
         }
         println!();
     }
 
-    // Show what the rewrites actually look like for the smallest instance.
-    let db = build_database(20, 10, 1);
-    let params = random_range(20, 10, 1);
-    let plan = build_query(&db, params, QueryKind::Q1EqualityAny);
+    // What Move writes for the smallest instance, and what the optimizer
+    // makes of it.
+    let db = build_matching_database(20, 10, 1);
+    let plan = build_query(&db, random_range(20, 10, 1), QueryKind::Q1EqualityAny);
     println!("original q1 plan:\n{}", explain(&plan));
-    for strategy in [Strategy::Unn, Strategy::Move, Strategy::Gen] {
-        if let Ok(rewritten) = ProvenanceQuery::new(&db, &plan)
-            .strategy(strategy)
-            .rewrite()
-        {
-            println!(
-                "q1 rewritten with {strategy}:\n{}",
-                explain(rewritten.plan())
-            );
-        }
-    }
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            strategy: Strategy::Move,
+            ..SessionConfig::default()
+        },
+    );
+    let prepared = session
+        .prepare_provenance_plan(&plan)
+        .expect("Move applies to q1");
+    println!(
+        "q1 rewritten with Move:\n{}",
+        explain(prepared.bound_plan())
+    );
+    println!(
+        "… optimized ({}):\n{}",
+        prepared.optimizer_report().summary(),
+        explain(prepared.plan())
+    );
 }

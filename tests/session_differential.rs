@@ -108,23 +108,31 @@ fn optimizer_preserves_results_and_witnesses_on_the_sql_corpus() {
 }
 
 #[test]
-fn session_provenance_agrees_with_the_deprecated_helper() {
-    // The compatibility bar for the deprecated wrappers: same strategy, same
-    // result, old path vs new path, on a seeded subset.
+fn engine_session_provenance_agrees_with_a_transient_session() {
+    // An engine session (shared plan cache, the engine's configuration)
+    // against a one-shot `Session` over the bare database with the strategy
+    // spelled out: same result, on a seeded parameter-free subset.
     let db = corpus_database();
     let engine = Engine::new(db);
     let mut checked = 0usize;
-    // Parameter-free subset (the old helpers cannot bind parameters).
     for seed in (0..200u64).filter(|&s| !corpus_case(s).sql.contains('$')) {
         let sql = corpus_case(seed).sql;
         let session = engine.session();
         let prepared = session.prepare_provenance(&sql).unwrap();
-        let new_path = session.execute(&prepared, &[]).unwrap();
-        #[allow(deprecated)]
-        let old_path = perm::provenance_of_sql(engine.database(), &sql, Strategy::Auto).unwrap();
+        let cached = session.execute(&prepared, &[]).unwrap();
+        let transient = Session::with_config(
+            engine.database(),
+            SessionConfig {
+                strategy: Strategy::Auto,
+                ..SessionConfig::default()
+            },
+        );
+        let one_shot = transient
+            .execute(&transient.prepare_provenance(&sql).unwrap(), &[])
+            .unwrap();
         assert!(
-            new_path.bag_eq(&old_path),
-            "seed {seed}: session and deprecated helper disagree on `{sql}`"
+            cached.bag_eq(&one_shot),
+            "seed {seed}: engine session and transient session disagree on `{sql}`"
         );
         checked += 1;
         if checked == 10 {
