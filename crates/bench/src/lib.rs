@@ -1491,7 +1491,7 @@ fn measure_obs_plan(
                 (relation, Some(profile))
             } else {
                 let relation = executor
-                    .execute_compiled(&compiled, None)
+                    .execute_compiled(&compiled)
                     .expect("obs workload must run");
                 (relation, None)
             };

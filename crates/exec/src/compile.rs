@@ -115,7 +115,7 @@ pub struct CompiledSublink {
     /// Comparison operator of `ANY`/`ALL` sublinks.
     pub op: Option<CompareOp>,
     /// The compiled sublink query.
-    pub plan: CompiledPlan,
+    pub plan: CompiledNode,
     /// The correlation signature: outer-scope slots (relative to the
     /// sublink's use site) whose values parameterise the result. `Some` when
     /// every free column of the sublink plan resolved statically — the memo
@@ -161,38 +161,68 @@ pub struct CompiledSortKey {
     pub ascending: bool,
 }
 
+/// A plan compiled for execution: the operator tree, and how many query
+/// parameters an execution of it must find bound. Produced by
+/// [`Executor::prepare`]; the count is what makes "every `$n` is bound" a
+/// precondition the execution entries check once, before the first
+/// operator, instead of something evaluation finds out row by row.
+#[derive(Debug, Clone)]
+pub struct CompiledPlan {
+    root: CompiledNode,
+    param_count: usize,
+}
+
+impl CompiledPlan {
+    /// The operator tree.
+    pub fn root(&self) -> &CompiledNode {
+        &self.root
+    }
+
+    /// The output schema of the plan.
+    pub fn schema(&self) -> &Schema {
+        self.root.schema()
+    }
+
+    /// Number of parameter slots an execution needs bound: one past the
+    /// highest `$n` of the plan handed to [`Executor::prepare`]
+    /// ([`perm_algebra::visit::param_count`]), 0 when it is parameter-free.
+    pub fn param_count(&self) -> usize {
+        self.param_count
+    }
+}
+
 /// A compiled plan operator. Every node carries its output schema, computed
 /// once at compile time.
 #[derive(Debug, Clone)]
-pub enum CompiledPlan {
+pub enum CompiledNode {
     /// Base relation access.
     Scan { table: String, schema: Schema },
     /// Constant relation.
     Values { schema: Schema, rows: Vec<Tuple> },
     /// Projection.
     Project {
-        input: Box<CompiledPlan>,
+        input: Box<CompiledNode>,
         items: Vec<CompiledExpr>,
         distinct: bool,
         schema: Schema,
     },
     /// Selection.
     Select {
-        input: Box<CompiledPlan>,
+        input: Box<CompiledNode>,
         predicate: CompiledExpr,
         schema: Schema,
     },
     /// Cross product.
     CrossProduct {
-        left: Box<CompiledPlan>,
-        right: Box<CompiledPlan>,
+        left: Box<CompiledNode>,
+        right: Box<CompiledNode>,
         schema: Schema,
     },
     /// Inner or left-outer join. `equi_keys` is non-empty when the condition
     /// admits hash execution; the full condition is always rechecked.
     Join {
-        left: Box<CompiledPlan>,
-        right: Box<CompiledPlan>,
+        left: Box<CompiledNode>,
+        right: Box<CompiledNode>,
         kind: JoinKind,
         condition: CompiledExpr,
         equi_keys: Vec<CompiledEquiKey>,
@@ -200,7 +230,7 @@ pub enum CompiledPlan {
     },
     /// Grouping and aggregation.
     Aggregate {
-        input: Box<CompiledPlan>,
+        input: Box<CompiledNode>,
         group_by: Vec<CompiledExpr>,
         aggregates: Vec<CompiledAggregate>,
         schema: Schema,
@@ -209,38 +239,38 @@ pub enum CompiledPlan {
     SetOp {
         op: SetOpKind,
         all: bool,
-        left: Box<CompiledPlan>,
-        right: Box<CompiledPlan>,
+        left: Box<CompiledNode>,
+        right: Box<CompiledNode>,
         schema: Schema,
     },
     /// Sorting.
     Sort {
-        input: Box<CompiledPlan>,
+        input: Box<CompiledNode>,
         keys: Vec<CompiledSortKey>,
         schema: Schema,
     },
     /// First-`n` truncation.
     Limit {
-        input: Box<CompiledPlan>,
+        input: Box<CompiledNode>,
         limit: usize,
         schema: Schema,
     },
 }
 
-impl CompiledPlan {
+impl CompiledNode {
     /// The output schema of this operator.
     pub fn schema(&self) -> &Schema {
         match self {
-            CompiledPlan::Scan { schema, .. }
-            | CompiledPlan::Values { schema, .. }
-            | CompiledPlan::Project { schema, .. }
-            | CompiledPlan::Select { schema, .. }
-            | CompiledPlan::CrossProduct { schema, .. }
-            | CompiledPlan::Join { schema, .. }
-            | CompiledPlan::Aggregate { schema, .. }
-            | CompiledPlan::SetOp { schema, .. }
-            | CompiledPlan::Sort { schema, .. }
-            | CompiledPlan::Limit { schema, .. } => schema,
+            CompiledNode::Scan { schema, .. }
+            | CompiledNode::Values { schema, .. }
+            | CompiledNode::Project { schema, .. }
+            | CompiledNode::Select { schema, .. }
+            | CompiledNode::CrossProduct { schema, .. }
+            | CompiledNode::Join { schema, .. }
+            | CompiledNode::Aggregate { schema, .. }
+            | CompiledNode::SetOp { schema, .. }
+            | CompiledNode::Sort { schema, .. }
+            | CompiledNode::Limit { schema, .. } => schema,
         }
     }
 }
@@ -409,22 +439,27 @@ fn truths_to_bool_lane(truths: impl Iterator<Item = Truth>, n: usize) -> ColumnV
     ColumnVec::Bool { data, validity }
 }
 
-/// Compiles a plan with an empty outer scope chain.
-pub(crate) fn compile_plan(plan: &Plan) -> Result<CompiledPlan> {
+/// Compiles a plan with an empty outer scope chain. `param_count` is what
+/// an execution must find bound — the caller's, because the plan it was
+/// counted on may precede rewrites that dropped a `$n`.
+pub(crate) fn compile_plan(plan: &Plan, param_count: usize) -> Result<CompiledPlan> {
     let mut compiler = Compiler;
-    compiler.plan(plan, None)
+    Ok(CompiledPlan {
+        root: compiler.plan(plan, None)?,
+        param_count,
+    })
 }
 
 struct Compiler;
 
 impl Compiler {
-    fn plan(&mut self, plan: &Plan, outer: Option<&Scopes<'_>>) -> Result<CompiledPlan> {
+    fn plan(&mut self, plan: &Plan, outer: Option<&Scopes<'_>>) -> Result<CompiledNode> {
         match plan {
-            Plan::Scan { table, schema, .. } => Ok(CompiledPlan::Scan {
+            Plan::Scan { table, schema, .. } => Ok(CompiledNode::Scan {
                 table: table.clone(),
                 schema: schema.clone(),
             }),
-            Plan::Values { schema, rows } => Ok(CompiledPlan::Values {
+            Plan::Values { schema, rows } => Ok(CompiledNode::Values {
                 schema: schema.clone(),
                 rows: rows.clone(),
             }),
@@ -439,7 +474,7 @@ impl Compiler {
                     .iter()
                     .map(|item| self.expr(&item.expr, Some(&scope)))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(CompiledPlan::Project {
+                Ok(CompiledNode::Project {
                     input: Box::new(self.plan(input, outer)?),
                     items,
                     distinct: *distinct,
@@ -450,13 +485,13 @@ impl Compiler {
                 let child_schema = input.schema();
                 let scope = Scopes::nest(outer, &child_schema);
                 let predicate = self.expr(predicate, Some(&scope))?;
-                Ok(CompiledPlan::Select {
+                Ok(CompiledNode::Select {
                     input: Box::new(self.plan(input, outer)?),
                     predicate,
                     schema: child_schema,
                 })
             }
-            Plan::CrossProduct { left, right } => Ok(CompiledPlan::CrossProduct {
+            Plan::CrossProduct { left, right } => Ok(CompiledNode::CrossProduct {
                 schema: plan.schema(),
                 left: Box::new(self.plan(left, outer)?),
                 right: Box::new(self.plan(right, outer)?),
@@ -495,7 +530,7 @@ impl Compiler {
                 }
                 let scope = Scopes::nest(outer, &cond_schema);
                 let condition = self.expr(condition, Some(&scope))?;
-                Ok(CompiledPlan::Join {
+                Ok(CompiledNode::Join {
                     left: Box::new(self.plan(left, outer)?),
                     right: Box::new(self.plan(right, outer)?),
                     kind: *kind,
@@ -529,7 +564,7 @@ impl Compiler {
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Ok(CompiledPlan::Aggregate {
+                Ok(CompiledNode::Aggregate {
                     input: Box::new(self.plan(input, outer)?),
                     group_by,
                     aggregates,
@@ -541,7 +576,7 @@ impl Compiler {
                 all,
                 left,
                 right,
-            } => Ok(CompiledPlan::SetOp {
+            } => Ok(CompiledNode::SetOp {
                 op: *op,
                 all: *all,
                 schema: left.schema(),
@@ -560,13 +595,13 @@ impl Compiler {
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Ok(CompiledPlan::Sort {
+                Ok(CompiledNode::Sort {
                     input: Box::new(self.plan(input, outer)?),
                     keys,
                     schema: child_schema,
                 })
             }
-            Plan::Limit { input, limit } => Ok(CompiledPlan::Limit {
+            Plan::Limit { input, limit } => Ok(CompiledNode::Limit {
                 schema: input.schema(),
                 input: Box::new(self.plan(input, outer)?),
                 limit: *limit,
@@ -667,7 +702,7 @@ impl Compiler {
     /// Compiles a sublink plan. Its outer chain is the scope chain at the
     /// sublink's use site — operators inside the sublink do *not* see each
     /// other's scopes, matching the interpreter's environment threading.
-    fn sublink_plan(&mut self, plan: &Plan, scopes: Option<&Scopes<'_>>) -> Result<CompiledPlan> {
+    fn sublink_plan(&mut self, plan: &Plan, scopes: Option<&Scopes<'_>>) -> Result<CompiledNode> {
         self.plan(plan, scopes)
     }
 }
@@ -675,36 +710,40 @@ impl Compiler {
 use crate::cursor::streams_lazily;
 
 impl Executor<'_> {
-    /// Recursive compiled-path plan evaluation: executes children, wraps
-    /// the vectorized batch evaluator (`Executor::ceval_batch`, or the
-    /// per-tuple [`Executor::ceval`] when batching is disabled) into
-    /// batch-evaluator closures over a [`Frame`] slot chain, and delegates
-    /// every operator body to `crate::physical` — the same bodies the
-    /// interpreter drives. `frame` is the runtime scope chain for
-    /// correlated slot references (present when this plan is a sublink
-    /// query of an outer operator).
+    /// Executes a compiled top-level plan, materialising the result. Fails
+    /// with [`ExecError::Param`] before any operator runs when fewer
+    /// parameters are bound than the plan needs (see
+    /// [`Executor::bind_params`]).
     ///
-    /// A **top-level** `LIMIT` (this entry point, no enclosing frame) over
-    /// a lazily streamable spine is routed through the `crate::cursor`
-    /// pull machinery, so the materialising path shares the cursor's
-    /// guarantee of never evaluating input beyond what the limit consumes.
-    /// The routing happens only here, never in the recursion: a limit
-    /// nested under an operator (or inside a sublink plan) executes
-    /// eagerly, exactly like the reference interpreter — only the
-    /// documented top-level case may diverge from it on an erroring tail.
-    pub fn execute_compiled(
-        &self,
-        plan: &CompiledPlan,
-        frame: Option<&Frame<'_>>,
-    ) -> Result<Relation> {
-        if frame.is_none() {
-            if let CompiledPlan::Limit { input, .. } = plan {
-                if streams_lazily(input) {
-                    return self.open(plan)?.into_relation();
-                }
+    /// A `LIMIT` at the root over a lazily streamable spine is routed
+    /// through the `crate::cursor` pull machinery, so the materialising
+    /// path shares the cursor's guarantee of never evaluating input beyond
+    /// what the limit consumes. The routing happens only here, never in
+    /// the recursion: a limit nested under an operator (or inside a sublink
+    /// plan) executes eagerly, exactly like the reference interpreter —
+    /// only the documented top-level case may diverge from it on an
+    /// erroring tail.
+    pub fn execute_compiled(&self, plan: &CompiledPlan) -> Result<Relation> {
+        self.check_params_bound(plan.param_count())?;
+        if let CompiledNode::Limit { input, .. } = plan.root() {
+            if streams_lazily(input) {
+                return self.open(plan)?.into_relation();
             }
         }
-        self.execute_compiled_node(plan, frame, None)
+        self.execute_node(plan.root(), None)
+    }
+
+    /// Recursive compiled-path evaluation of one operator subtree: executes
+    /// children, wraps the vectorized batch evaluator
+    /// (`Executor::ceval_batch`, or the per-tuple [`Executor::ceval`] when
+    /// batching is disabled) into batch-evaluator closures over a [`Frame`]
+    /// slot chain, and delegates every operator body to `crate::physical` —
+    /// the same bodies the interpreter drives. `frame` is the runtime scope
+    /// chain for correlated slot references (present when the subtree is a
+    /// sublink query of an outer operator). This is the recursion, not an
+    /// entry: it re-checks no parameter binding and routes no `LIMIT`.
+    pub fn execute_node(&self, node: &CompiledNode, frame: Option<&Frame<'_>>) -> Result<Relation> {
+        self.execute_compiled_node(node, frame, None)
     }
 
     /// [`Executor::execute_compiled`] with a [`ProfileTree`] armed for the
@@ -717,15 +756,16 @@ impl Executor<'_> {
     /// the same profile tree, so the routing decision is identical to the
     /// unprofiled path.
     pub fn execute_profiled(&self, plan: &CompiledPlan) -> Result<(Relation, QueryProfile)> {
+        self.check_params_bound(plan.param_count())?;
         let tree = ProfileTree::for_plan(plan);
         self.set_profile(Some(&tree));
         let result = (|| {
-            if let CompiledPlan::Limit { input, .. } = plan {
+            if let CompiledNode::Limit { input, .. } = plan.root() {
                 if streams_lazily(input) {
                     return self.open_with_tree(plan, Rc::clone(&tree))?.into_relation();
                 }
             }
-            self.execute_compiled_node(plan, None, Some(&tree.root))
+            self.execute_compiled_node(plan.root(), None, Some(&tree.root))
         })();
         self.set_profile(None);
         result.map(|rel| (rel, tree.snapshot()))
@@ -770,20 +810,20 @@ impl Executor<'_> {
     /// tree stays aligned with the plan by construction.
     pub(crate) fn execute_compiled_node(
         &self,
-        plan: &CompiledPlan,
+        plan: &CompiledNode,
         frame: Option<&Frame<'_>>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
         let gov = &self.governor;
         let probe = OpProbe::new(&self.ops_evaluated, prof.map(|p| &p.stats));
         match plan {
-            CompiledPlan::Scan { table, schema } => self.profiled(prof, 0, || {
+            CompiledNode::Scan { table, schema } => self.profiled(prof, 0, || {
                 physical::scan(probe, gov, self.database(), table, schema)
             }),
-            CompiledPlan::Values { schema, rows } => {
+            CompiledNode::Values { schema, rows } => {
                 self.profiled(prof, 0, || physical::values(probe, gov, schema, rows))
             }
-            CompiledPlan::Project {
+            CompiledNode::Project {
                 input,
                 items,
                 distinct,
@@ -801,7 +841,7 @@ impl Executor<'_> {
                     )
                 })
             }
-            CompiledPlan::Select {
+            CompiledNode::Select {
                 input, predicate, ..
             } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
@@ -811,7 +851,7 @@ impl Executor<'_> {
                     })
                 })
             }
-            CompiledPlan::CrossProduct {
+            CompiledNode::CrossProduct {
                 left,
                 right,
                 schema,
@@ -822,7 +862,7 @@ impl Executor<'_> {
                     physical::cross_product(probe, gov, &l, &r, schema.clone())
                 })
             }
-            CompiledPlan::Join {
+            CompiledNode::Join {
                 left,
                 right,
                 kind,
@@ -855,7 +895,7 @@ impl Executor<'_> {
                     )
                 })
             }
-            CompiledPlan::Aggregate {
+            CompiledNode::Aggregate {
                 input,
                 group_by,
                 aggregates,
@@ -892,7 +932,7 @@ impl Executor<'_> {
                     )
                 })
             }
-            CompiledPlan::SetOp {
+            CompiledNode::SetOp {
                 op,
                 all,
                 left,
@@ -905,7 +945,7 @@ impl Executor<'_> {
                     physical::set_op(probe, gov, *op, *all, &l, &r)
                 })
             }
-            CompiledPlan::Sort { input, keys, .. } => {
+            CompiledNode::Sort { input, keys, .. } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 let ascending: Vec<bool> = keys.iter().map(|k| k.ascending).collect();
                 let rows_in = child.len() as u64;
@@ -918,7 +958,7 @@ impl Executor<'_> {
                     })
                 })
             }
-            CompiledPlan::Limit { input, limit, .. } => {
+            CompiledNode::Limit { input, limit, .. } => {
                 // Eager truncation: the cursor routing for a *top-level*
                 // LIMIT lives in `execute_compiled` alone, so a limit
                 // nested under an operator or inside a sublink plan
@@ -1802,11 +1842,11 @@ impl Executor<'_> {
     /// byte-identical binding — coarser keying would be wrong for
     /// type-sensitive expressions such as string concatenation or date
     /// arithmetic over the binding. `None` when the sublink has no resolved
-    /// signature, a referenced parameter is unbound (the reference might
-    /// still sit behind a short circuit), or the memo is disabled and the
-    /// sublink is correlated — an *uncorrelated* sublink (empty signature)
-    /// keeps its per-query InitPlan caching even in the memo-off baseline,
-    /// exactly like the interpreter path
+    /// signature, a referenced parameter is unbound (only on an evaluation
+    /// that did not start at an execution entry), or the memo is disabled
+    /// and the sublink is correlated — an *uncorrelated* sublink (empty
+    /// signature) keeps its per-query InitPlan caching even in the memo-off
+    /// baseline, exactly like the interpreter path
     /// ([`Executor::interp_sublink_key`]) and the PostgreSQL engine
     /// underneath the original Perm system.
     fn compiled_sublink_key(
@@ -2238,9 +2278,9 @@ mod tests {
     }
 
     /// Digs the single sublink out of a compiled `σ_{…sublink…}(scan)` plan.
-    fn select_sublink(plan: &CompiledPlan) -> &CompiledSublink {
+    fn select_sublink(plan: &CompiledNode) -> &CompiledSublink {
         match plan {
-            CompiledPlan::Select { predicate, .. } => match predicate {
+            CompiledNode::Select { predicate, .. } => match predicate {
                 CompiledExpr::Sublink(s) => s,
                 other => panic!("expected sublink, got {other:?}"),
             },
@@ -2258,7 +2298,7 @@ mod tests {
         let q = correlated_exists_query(&db);
         let ex = Executor::new(&db);
         let compiled = ex.prepare(&q).unwrap();
-        let sublink = select_sublink(&compiled);
+        let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
         let first = ex.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
@@ -2277,7 +2317,7 @@ mod tests {
         // With the memo off every execution materialises afresh.
         let off = Executor::new(&db).with_sublink_memo(false);
         let compiled = off.prepare(&q).unwrap();
-        let sublink = select_sublink(&compiled);
+        let sublink = select_sublink(compiled.root());
         let a = off.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
         let b = off.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
@@ -2377,17 +2417,17 @@ mod tests {
         let ex = Executor::new(&db);
         let compiled = ex.prepare(&q).unwrap();
         ex.bind_params(vec![Value::Int(108)]);
-        let strict = ex.execute_compiled(&compiled, None).unwrap();
+        let strict = ex.execute_compiled(&compiled).unwrap();
         let after_first = ex.operators_evaluated();
         // Same binding again: every (g, $1) pair is a memo hit.
-        let strict_again = ex.execute_compiled(&compiled, None).unwrap();
+        let strict_again = ex.execute_compiled(&compiled).unwrap();
         let after_second = ex.operators_evaluated();
         assert_eq!(after_second - after_first, 2, "outer scan + select only");
         assert!(strict.bag_eq(&strict_again));
         // New binding: the sublink must re-run per distinct g, and the
         // result must change (more s rows qualify).
         ex.bind_params(vec![Value::Int(-1)]);
-        let loose = ex.execute_compiled(&compiled, None).unwrap();
+        let loose = ex.execute_compiled(&compiled).unwrap();
         assert!(ex.operators_evaluated() - after_second > 2);
         assert!(loose.len() > strict.len());
 
@@ -2437,7 +2477,7 @@ mod tests {
             .select(exists_sublink(sub))
             .build();
 
-        fn collect_ids(plan: &CompiledPlan, out: &mut Vec<usize>) {
+        fn collect_ids(plan: &CompiledNode, out: &mut Vec<usize>) {
             fn expr_ids(expr: &CompiledExpr, out: &mut Vec<usize>) {
                 match expr {
                     CompiledExpr::Sublink(s) => {
@@ -2456,19 +2496,19 @@ mod tests {
                 }
             }
             match plan {
-                CompiledPlan::Select {
+                CompiledNode::Select {
                     input, predicate, ..
                 } => {
                     expr_ids(predicate, out);
                     collect_ids(input, out);
                 }
-                CompiledPlan::Project { input, items, .. } => {
+                CompiledNode::Project { input, items, .. } => {
                     for item in items {
                         expr_ids(item, out);
                     }
                     collect_ids(input, out);
                 }
-                CompiledPlan::Scan { .. } | CompiledPlan::Values { .. } => {}
+                CompiledNode::Scan { .. } | CompiledNode::Values { .. } => {}
                 other => panic!("unexpected operator in test plan: {other:?}"),
             }
         }
@@ -2481,7 +2521,7 @@ mod tests {
                     let mut ids = Vec::new();
                     for _ in 0..16 {
                         let compiled = ex.prepare(&q).unwrap();
-                        collect_ids(&compiled, &mut ids);
+                        collect_ids(compiled.root(), &mut ids);
                     }
                     all_ids.lock().unwrap().extend(ids);
                 });
@@ -2511,7 +2551,7 @@ mod tests {
 
         let warmer = Executor::new(&db).with_shared_memo(Arc::clone(&shared));
         let compiled = warmer.prepare(&q).unwrap();
-        let sublink = select_sublink(&compiled);
+        let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
         let first = warmer
@@ -2538,7 +2578,7 @@ mod tests {
         );
         // Full-query check: an executor serving the same prepared plan over
         // the warm memo produces the same result as a cold private one.
-        let warm_result = server.execute_compiled(&compiled, None).unwrap();
+        let warm_result = server.execute_compiled(&compiled).unwrap();
         let cold_result = Executor::new(&db).execute(&q).unwrap();
         assert!(warm_result.bag_eq(&cold_result));
     }
@@ -2550,15 +2590,15 @@ mod tests {
         let ex = Executor::new(&db);
         let first = ex.prepare(&q).unwrap();
         let second = ex.prepare(&q).unwrap();
-        let id_of = |plan: &CompiledPlan| -> usize {
+        let id_of = |plan: &CompiledNode| -> usize {
             match plan {
-                CompiledPlan::Select { predicate, .. } => match predicate {
+                CompiledNode::Select { predicate, .. } => match predicate {
                     CompiledExpr::Sublink(s) => s.id,
                     other => panic!("expected sublink, got {other:?}"),
                 },
                 other => panic!("expected select, got {other:?}"),
             }
         };
-        assert_ne!(id_of(&first), id_of(&second));
+        assert_ne!(id_of(first.root()), id_of(second.root()));
     }
 }

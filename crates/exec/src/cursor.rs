@@ -39,7 +39,7 @@
 //! corrupt an open stream.
 
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
-use crate::compile::{CompiledExpr, CompiledPlan, Frame};
+use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, Frame};
 use crate::executor::Executor;
 use crate::profile::{self, OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::Result;
@@ -131,12 +131,12 @@ impl Node<'_> {
 /// streaming node instead of materialising it (pinned by
 /// `streams_lazily_agrees_with_open_node`). Keep them in lockstep when
 /// adding spine shapes.
-pub(crate) fn streams_lazily(plan: &CompiledPlan) -> bool {
+pub(crate) fn streams_lazily(plan: &CompiledNode) -> bool {
     match plan {
-        CompiledPlan::Scan { .. } | CompiledPlan::Select { .. } | CompiledPlan::Limit { .. } => {
+        CompiledNode::Scan { .. } | CompiledNode::Select { .. } | CompiledNode::Limit { .. } => {
             true
         }
-        CompiledPlan::Project { distinct, .. } => !*distinct,
+        CompiledNode::Project { distinct, .. } => !*distinct,
         _ => false,
     }
 }
@@ -146,9 +146,12 @@ impl<'a> Executor<'a> {
     /// spine operators are counted on [`Executor::operators_evaluated`] once
     /// at open time (one evaluation per operator invocation, exactly like
     /// the materialising path); pipeline breakers below the spine execute
-    /// eagerly here.
+    /// eagerly here. Fails with [`crate::ExecError::Param`] before anything
+    /// is counted or executed when fewer parameters are bound than the plan
+    /// needs; pulls re-check nothing (the cursor keeps its own binding).
     pub fn open<'e>(&'e self, plan: &'e CompiledPlan) -> Result<Rows<'e, 'a>> {
-        let node = self.open_node(plan, None)?;
+        self.check_params_bound(plan.param_count())?;
+        let node = self.open_node(plan.root(), None)?;
         Ok(Rows {
             executor: self,
             params: self.params_rc(),
@@ -178,8 +181,9 @@ impl<'a> Executor<'a> {
         plan: &'e CompiledPlan,
         tree: Rc<ProfileTree>,
     ) -> Result<Rows<'e, 'a>> {
+        self.check_params_bound(plan.param_count())?;
         self.set_profile(Some(&tree));
-        let node = match self.open_node(plan, Some(&tree.root)) {
+        let node = match self.open_node(plan.root(), Some(&tree.root)) {
             Ok(node) => node,
             Err(e) => {
                 self.set_profile(None);
@@ -201,7 +205,7 @@ impl<'a> Executor<'a> {
 
     fn open_node<'e>(
         &'e self,
-        plan: &'e CompiledPlan,
+        plan: &'e CompiledNode,
         prof: Option<&Rc<ProfNode>>,
     ) -> Result<Node<'e>> {
         // One evaluation per spine operator, counted at open time on the
@@ -215,7 +219,7 @@ impl<'a> Executor<'a> {
             drop(profile::begin(&probe));
         };
         Ok(match plan {
-            CompiledPlan::Limit { input, limit, .. } => {
+            CompiledNode::Limit { input, limit, .. } => {
                 count(prof);
                 Node::Limit {
                     input: Box::new(self.open_node(input, prof.map(|p| &p.children[0]))?),
@@ -223,7 +227,7 @@ impl<'a> Executor<'a> {
                     prof: prof.cloned(),
                 }
             }
-            CompiledPlan::Project {
+            CompiledNode::Project {
                 input,
                 items,
                 distinct: false,
@@ -236,7 +240,7 @@ impl<'a> Executor<'a> {
                     prof: prof.cloned(),
                 }
             }
-            CompiledPlan::Select {
+            CompiledNode::Select {
                 input, predicate, ..
             } => {
                 count(prof);
@@ -246,7 +250,7 @@ impl<'a> Executor<'a> {
                     prof: prof.cloned(),
                 }
             }
-            CompiledPlan::Scan { table, .. } => {
+            CompiledNode::Scan { table, .. } => {
                 count(prof);
                 Node::Scan {
                     tuples: self.database().table(table)?.tuples(),
@@ -694,10 +698,10 @@ mod tests {
         let ex = Executor::new(&db);
         for plan in &shapes {
             let compiled = ex.prepare(plan).unwrap();
-            let node = ex.open_node(&compiled, None).unwrap();
+            let node = ex.open_node(compiled.root(), None).unwrap();
             let streams = !matches!(node, Node::Materialized(_));
             assert_eq!(
-                streams_lazily(&compiled),
+                streams_lazily(compiled.root()),
                 streams,
                 "routing predicate and open_node disagree on {compiled:?}"
             );

@@ -52,7 +52,7 @@ use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
 use crate::{ExecError, Result};
-use perm_algebra::visit::{free_correlated_columns, free_params};
+use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
 use perm_algebra::{Expr, Plan, SortKey};
 use perm_storage::{encode_key_typed, Database, Relation, Schema, Truth, Tuple, Value};
 use std::cell::{Cell, RefCell};
@@ -497,8 +497,29 @@ impl<'a> Executor<'a> {
     /// Binds the query-parameter vector (`$1` is `params[0]`) used by
     /// subsequent executions. Parameters stay bound until rebound; plans
     /// that reference no parameters ignore the vector entirely.
+    ///
+    /// The contract is *bind before executing*: every execution entry
+    /// ([`Executor::execute`], [`Executor::execute_compiled`],
+    /// [`Executor::execute_profiled`], [`Executor::open`] /
+    /// [`Executor::open_profiled`], [`Executor::execute_unoptimized`])
+    /// returns [`ExecError::Param`] before its first operator runs when the
+    /// vector is shorter than the highest `$n` the plan references; a longer
+    /// vector is fine. A `$n` is therefore a constant lookup during
+    /// evaluation, and the optimizer may treat it as one. (Executor-direct
+    /// callers whose unbound `$n` sat behind an empty input or a
+    /// short-circuit used to get a result and now get the error; sessions,
+    /// which demand the exact count up front, see no change.)
     pub fn bind_params(&self, params: Vec<Value>) {
         *self.params.borrow_mut() = Rc::from(params);
+    }
+
+    /// The precondition every execution entry checks once, before any
+    /// operator runs: at least `needed` parameters are bound.
+    pub(crate) fn check_params_bound(&self, needed: usize) -> Result<()> {
+        match needed.checked_sub(1) {
+            Some(highest) => self.param_value(highest).map(drop),
+            None => Ok(()),
+        }
     }
 
     /// The currently bound parameter vector, shared.
@@ -513,8 +534,9 @@ impl<'a> Executor<'a> {
         *self.params.borrow_mut() = Rc::clone(params);
     }
 
-    /// Reads the value bound to parameter index `index` (0-based), erring
-    /// like an unresolvable column when the binding is absent.
+    /// Reads the value bound to parameter index `index` (0-based). The
+    /// binding is present by [`Executor::check_params_bound`]; the error is
+    /// kept for evaluations that did not start at an execution entry.
     pub(crate) fn param_value(&self, index: usize) -> Result<Value> {
         let params = self.params.borrow();
         params.get(index).cloned().ok_or_else(|| {
@@ -559,9 +581,12 @@ impl<'a> Executor<'a> {
     /// and attaches correlation signatures (plus referenced parameter
     /// indices) to sublinks (see [`crate::compile`]). Sublink ids are drawn
     /// from a process-wide counter, so compiled plans from different
-    /// executors can never collide in a shared memo.
+    /// executors can never collide in a shared memo. The compiled plan
+    /// records how many parameters `plan` — as given, before the optimizer
+    /// may fold a `$n` away — needs bound; the execution entries check it.
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {
         self.compile_count.set(self.compile_count.get() + 1);
+        let needed = param_count(plan);
         let optimized;
         let plan = if self.optimizer_enabled.get() {
             let (p, report) = crate::optimize::optimize(plan);
@@ -572,7 +597,7 @@ impl<'a> Executor<'a> {
             plan
         };
         let fused = perm_algebra::optimize::fuse_select_over_cross(plan.clone());
-        crate::compile::compile_plan(&fused)
+        crate::compile::compile_plan(&fused, needed)
     }
 
     /// Enables or disables the algebraic optimizer pass in
@@ -621,7 +646,7 @@ impl<'a> Executor<'a> {
             self.clear_compiled_memos();
         }
         let compiled = self.prepare(plan)?;
-        self.execute_compiled(&compiled, None)
+        self.execute_compiled(&compiled)
     }
 
     /// Executes a plan exactly as given with the name-resolving interpreter:
@@ -631,6 +656,7 @@ impl<'a> Executor<'a> {
     /// — same results, same errors — not a memoization-free baseline; for
     /// that, combine it with [`Executor::with_sublink_memo`]`(false)`.
     pub fn execute_unoptimized(&self, plan: &Plan) -> Result<Relation> {
+        self.check_params_bound(param_count(plan))?;
         self.reset_interpreter_caches();
         self.execute_with_env(plan, None)
     }
@@ -659,10 +685,11 @@ impl<'a> Executor<'a> {
     /// correlation signature. Parameter and binding counts are fixed per
     /// plan node, so the two groups concatenate unambiguously. Returns
     /// `None` when the sublink is not memoizable here: a binding does not
-    /// resolve in the current scope chain or a referenced parameter is
-    /// unbound (either reference might still sit safely behind a short
-    /// circuit), or the memo is disabled and the sublink is correlated
-    /// (uncorrelated sublinks keep their InitPlan caching either way).
+    /// resolve in the current scope chain (the reference might still sit
+    /// safely behind a short circuit), a referenced parameter is unbound
+    /// (only on an evaluation that did not start at an execution entry), or
+    /// the memo is disabled and the sublink is correlated (uncorrelated
+    /// sublinks keep their InitPlan caching either way).
     pub(crate) fn interp_sublink_key(&self, plan: &Plan, env: Option<&Env<'_>>) -> Option<Vec<u8>> {
         let addr = plan as *const Plan as usize;
         let free = {

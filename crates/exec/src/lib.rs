@@ -135,7 +135,7 @@ pub mod resilience;
 pub(crate) mod spill;
 
 pub use batch::{Batch, ColumnBlock, BATCH_ROWS};
-pub use compile::{CompiledExpr, CompiledPlan, CompiledSublink, Frame, Slot};
+pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink, Frame, Slot};
 pub use cursor::Rows;
 pub use eval::Env;
 pub use executor::Executor;

@@ -16,10 +16,13 @@
 //! crosses more than one scope; a correlated grouped (`GROUP BY`)
 //! aggregate, set operation, sort or limit in the body; correlation on the
 //! right of a left outer join whose left side does not pin the binding
-//! down; any non-total expression the rewrite would move.
+//! down; any non-total expression the rewrite would move (arithmetic, a
+//! function call — not a `$n` parameter, which is bound before the first
+//! operator runs).
 //!
 //! Supporting rules in the same fixpoint driver: constant folding over
-//! predicates, predicate pushdown through projections / `INTERSECT` /
+//! predicates (a literal that absorbs a total sibling included: `l ∨ TRUE`,
+//! `l ∧ FALSE`), predicate pushdown through projections / `INTERSECT` /
 //! `EXCEPT` / semi- and anti-join probe sides / cross products / onto the
 //! preserved side of a left outer join (assuming the pushed conjuncts
 //! inside its condition), and projection pruning off column liveness.
@@ -40,6 +43,16 @@
 //!    error — unless the move provably keeps the evaluation set intact
 //!    (e.g. an `EXISTS` verdict is never `UNKNOWN`, so a leading `EXISTS`
 //!    conjunct gates its successors exactly like the semi join it becomes).
+//!    A query parameter `$n` is total. It is the degenerate correlation:
+//!    substituted once, for the whole query, before evaluation starts. Every
+//!    entry that starts an execution — the reference interpreter's included
+//!    — checks that the bound vector covers the highest `$n` of the plan *as
+//!    given* and returns [`crate::ExecError::Param`] before its first
+//!    operator otherwise ([`crate::Executor::bind_params`]). So for a vector
+//!    that is too short, the plan as written and every rewriting of it have
+//!    the one same outcome, whatever rows the `$n` would have been evaluated
+//!    on and even when a rule dropped it; for any other vector, evaluating
+//!    `$n` is a constant lookup that cannot fail, anywhere it is moved to.
 //! 3. **Operator invocations**: a rewritten plan evaluates every operator
 //!    once, so its `operators_evaluated` is its size — a constant, where the
 //!    reference pays one sublink execution per distinct binding. A rule may
@@ -163,16 +176,17 @@
 //! row — the same `L` rows, and the whole predicate must be total, so no
 //! evaluation order inside it is observable; `θ` runs on fewer pairs and
 //! `R` not at all when `σ_c(L)` is empty, so `θ` (under `L ∘ R`) and `R`
-//! must be total — a `$n` parameter, which may be unbound, declines.
-//! *Operators:* one selection more, never one that grows with the data. A
-//! conjunct that holds a sublink may move (here only; everywhere else a
-//! sublink-bearing selection stays put): an uncorrelated sublink still
-//! executes once, a correlated one once per distinct binding of the `L`
-//! rows it still sees. It moves only when `θ` comes out free of sublinks,
-//! though — a sublink under a disjunction of `C` establishes nothing, `Jsub`
-//! keeps its copy and the join its probe per pair, so the selection keeps
-//! its shape too. Rules L2/T2 (a sublink in a projection) have no
-//! selection that establishes `Csub`; they are untouched.
+//! must be total. *Operators:* one selection more, never one that grows
+//! with the data. A conjunct that holds a sublink may move (here only;
+//! everywhere else a sublink-bearing selection stays put): an uncorrelated
+//! sublink still executes once, a correlated one once per distinct binding
+//! of the `L` rows it still sees. It moves only when `θ` comes out free of
+//! sublinks, though — a sublink under a disjunction of `C` establishes
+//! nothing, `Jsub` keeps its copy and the join its probe per pair, so the
+//! selection keeps its shape too. Rules L2/T2 (a sublink in a projection)
+//! have no selection that establishes `Csub`; they are untouched. Where
+//! assuming `c` leaves `C' ∨ TRUE` (`NOT IN`), the literal absorbs `C'` —
+//! total, like all of `θ` — on the spot: `⟕_TRUE`.
 
 mod decorrelate;
 
@@ -413,14 +427,15 @@ fn resolves(scopes: &[Schema], qualifier: Option<&str>, name: &str) -> bool {
 /// first) can never raise an error, for any row. This is the contract that
 /// lets a rule move the expression to a place where it is evaluated on a
 /// different set of rows. Deliberately conservative: arithmetic (division,
-/// overflow-checked ops), function calls and parameters (which may be
-/// unbound) are never total; a scalar sublink only when its plan cannot
-/// violate the one-row, one-column contract.
+/// overflow-checked ops) and function calls are never total; a scalar
+/// sublink only when its plan cannot violate the one-row, one-column
+/// contract. A `$n` parameter is total: every execution entry refuses a
+/// vector that leaves it unbound before the first operator runs (see the
+/// module docs), so during evaluation it is a constant lookup.
 pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
     match expr {
         Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
-        Expr::Literal(_) => true,
-        Expr::Param(_) => false,
+        Expr::Literal(_) | Expr::Param(_) => true,
         Expr::Binary { op, left, right } => {
             let ops_total = matches!(
                 op,
@@ -508,7 +523,8 @@ fn provably_nonempty(plan: &Plan) -> bool {
 /// `true` when executing `plan` (with enclosing scopes `outers`, innermost
 /// first) can never raise an evaluation error. Comparisons, hash encodings,
 /// sorting and every aggregate accumulator (`sum`/`avg` skip what they
-/// cannot add) are error-free in this engine.
+/// cannot add) are error-free in this engine; a `$n` anywhere in the plan
+/// is bound by the time it runs (see `expr_is_total`).
 pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
     let with_local = |local: Schema| -> Vec<Schema> {
         let mut chain = vec![local];
@@ -594,13 +610,7 @@ fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
 fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
     match plan.map_children(|c| fold_pass(c, rep)) {
         Plan::Select { input, predicate } => {
-            // Only a sublink's totality is judged against the scope.
-            let scope = if predicate.has_sublink() {
-                vec![input.schema()]
-            } else {
-                Vec::new()
-            };
-            let folded = fold_expr(predicate, &scope, rep);
+            let folded = fold_expr(predicate, || vec![input.schema()], rep);
             match &folded {
                 Expr::Literal(Value::Bool(true)) => {
                     rep.constants_folded += 1;
@@ -631,7 +641,11 @@ fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
             kind,
             condition,
         } => Plan::Join {
-            condition: fold_expr(condition, &[], rep),
+            condition: fold_expr(
+                condition,
+                || vec![left.schema().concat(&right.schema())],
+                rep,
+            ),
             left,
             right,
             kind,
@@ -640,11 +654,15 @@ fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
     }
 }
 
-/// Shielding-exact constant folds over a predicate evaluated under
-/// `scopes`. Only folds that cannot change which subexpressions are
+/// Shielding-exact constant folds over a predicate evaluated under the
+/// scope chain `scopes` yields (innermost first; asked for only when a fold
+/// has a totality to judge — an empty chain declines those that read a
+/// column). Only folds that cannot change which subexpressions are
 /// evaluated fire unconditionally; folds that would *skip* evaluating an
 /// operand require it to be total.
-fn fold_expr(expr: Expr, scopes: &[Schema], rep: &mut OptimizerReport) -> Expr {
+fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerReport) -> Expr {
+    let chain = std::cell::OnceCell::new();
+    let scopes = || chain.get_or_init(&scopes).as_slice();
     expr.transform(&mut |e| match &e {
         Expr::Binary {
             op: BinaryOp::And,
@@ -654,6 +672,11 @@ fn fold_expr(expr: Expr, scopes: &[Schema], rep: &mut OptimizerReport) -> Expr {
             // AND short-circuits on a FALSE left operand, so these mirror
             // evaluation exactly.
             (Expr::Literal(Value::Bool(false)), _) => {
+                rep.constants_folded += 1;
+                Expr::Literal(Value::Bool(false))
+            }
+            // `l ∧ FALSE` is FALSE whatever `l` is; `l` no longer runs.
+            (l, Expr::Literal(Value::Bool(false))) if expr_is_total(l, scopes()) => {
                 rep.constants_folded += 1;
                 Expr::Literal(Value::Bool(false))
             }
@@ -673,6 +696,11 @@ fn fold_expr(expr: Expr, scopes: &[Schema], rep: &mut OptimizerReport) -> Expr {
             right,
         } => match (left.as_ref(), right.as_ref()) {
             (Expr::Literal(Value::Bool(true)), _) => {
+                rep.constants_folded += 1;
+                Expr::Literal(Value::Bool(true))
+            }
+            // `l ∨ TRUE` is TRUE whatever `l` is; `l` no longer runs.
+            (l, Expr::Literal(Value::Bool(true))) if expr_is_total(l, scopes()) => {
                 rep.constants_folded += 1;
                 Expr::Literal(Value::Bool(true))
             }
@@ -735,7 +763,7 @@ fn fold_expr(expr: Expr, scopes: &[Schema], rep: &mut OptimizerReport) -> Expr {
             kind: SublinkKind::Exists,
             plan,
             ..
-        } if yields_one_row(plan) && plan_is_total(plan, scopes) => {
+        } if yields_one_row(plan) && plan_is_total(plan, scopes()) => {
             rep.constants_folded += 1;
             Expr::Literal(Value::Bool(true))
         }
@@ -1021,14 +1049,17 @@ fn preserved_side_moves(
         return None;
     }
     let assume = |moves: &[bool], rep: &mut OptimizerReport| {
-        conjuncts
+        let assumed = conjuncts
             .iter()
             .zip(moves)
             .filter(|(_, moves)| **moves)
             .flat_map(|(c, _)| decorrelate::facts_of(c))
             .fold(condition.clone(), |on, fact| {
                 decorrelate::assume_in_expr(on, &fact, rep)
-            })
+            });
+        // With the join's scope at hand `C' ∨ TRUE` folds here, not a pass
+        // later.
+        fold_expr(assumed, || scope.to_vec(), rep)
     };
     let snapshot = *rep;
     let assumed = assume(&moves, rep);
@@ -2076,16 +2107,28 @@ mod tests {
             assert_eq!(plan_fingerprint(&optimized), plan_fingerprint(plan));
             assert_same_bag(&db, plan, &optimized);
         };
-        // `$1` may be unbound: `θ` then fails on every pair it sees.
+        // A `$1` in `θ` does not decline: it is bound before the first
+        // operator runs, so `θ` is total, the conjunct moves and `Jsub`
+        // collapses beside the parameter comparison.
         let jsub = or(eq(qcol("r1", "a"), col("sb")), not(uncorrelated_any(&db)));
-        let with_param = and(jsub, cmp(CompareOp::Le, col("sb"), Expr::Param(0)));
-        let (optimized, rep) = optimize(&left_shaped(
+        let below_param = cmp(CompareOp::Le, col("sb"), Expr::Param(0));
+        let plan = left_shaped(
             &db,
             uncorrelated_any(&db),
-            Some(with_param.clone()),
-        ));
-        assert_eq!(rep.preserved_side_pushed, 0, "{}", rep.summary());
-        assert_eq!(left_outer_condition(&optimized), Some(&with_param));
+            Some(and(jsub, below_param.clone())),
+        );
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
+        assert_eq!(
+            left_outer_condition(&optimized),
+            Some(&and(eq(qcol("r1", "a"), col("sb")), below_param))
+        );
+        let exec = Executor::new(&db);
+        for bound in [Value::Int(7), Value::Null] {
+            exec.bind_params(vec![bound]);
+            let want = exec.execute_unoptimized(&plan).unwrap();
+            assert!(exec.execute(&optimized).unwrap().bag_eq(&want));
+        }
         // A sublink under `OR` establishes nothing: `Jsub` would keep its
         // copy, and the per-pair probe with it.
         declined(&left_shaped(
@@ -2143,5 +2186,45 @@ mod tests {
         let (optimized, rep) = optimize(&plan);
         assert!(rep.constants_folded >= 1);
         assert!(matches!(optimized, Plan::Values { .. }));
+    }
+
+    #[test]
+    fn an_absorbing_literal_on_the_right_folds_only_a_total_left_operand() {
+        use perm_algebra::builder::{binary, or};
+        let db = db();
+        let scope = || vec![db.table("r1").unwrap().schema().clone()];
+        let fold = |e: Expr| fold_expr(e, scope, &mut OptimizerReport::default());
+        let total = cmp(CompareOp::Le, qcol("r1", "a"), Expr::Param(0));
+        assert_eq!(fold(or(total.clone(), lit(true))), lit(true));
+        assert_eq!(fold(and(total.clone(), lit(false))), lit(false));
+        // Skipping a division would skip its error.
+        let division = cmp(
+            CompareOp::Gt,
+            binary(BinaryOp::Div, lit(100), qcol("r1", "a")),
+            lit(0),
+        );
+        for kept in [
+            or(division.clone(), lit(true)),
+            and(division.clone(), lit(false)),
+        ] {
+            assert_eq!(fold(kept.clone()), kept);
+        }
+        // Without a scope a column does not resolve: declined.
+        let unscoped = or(total, lit(true));
+        assert_eq!(
+            fold_expr(unscoped.clone(), Vec::new, &mut OptimizerReport::default()),
+            unscoped
+        );
+
+        // `NOT IN`'s shape after the outer pushdown: `⟕_{C'sub ∨ TRUE}`
+        // becomes `⟕_TRUE`.
+        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .left_join(r2, or(eq(qcol("r1", "a"), qcol("r2", "b")), lit(true)))
+            .build();
+        let (optimized, _) = optimize(&plan);
+        assert_eq!(left_outer_condition(&optimized), Some(&lit(true)));
+        assert_same_bag(&db, &plan, &optimized);
     }
 }

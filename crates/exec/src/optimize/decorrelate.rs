@@ -367,7 +367,7 @@ pub(super) fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport)
         }
     });
     if rep.sublinks_implied > implied_before {
-        fold_expr(assumed, &[], rep)
+        fold_expr(assumed, Vec::new, rep)
     } else {
         assumed
     }

@@ -33,7 +33,7 @@
 //! operator invocation: the hot path's cost profile is unchanged, which
 //! `harness obs --check` gates at ≤1.05 pairwise.
 
-use crate::compile::{CompiledExpr, CompiledPlan, CompiledSublink};
+use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink};
 use crate::physical::OpCounter;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -99,7 +99,7 @@ impl ProfileTree {
     /// Builds the (zeroed) profile skeleton for a compiled plan.
     pub fn for_plan(plan: &CompiledPlan) -> Rc<ProfileTree> {
         let mut sublinks = HashMap::new();
-        let root = build_node(plan, &mut sublinks);
+        let root = build_node(plan.root(), &mut sublinks);
         Rc::new(ProfileTree { root, sublinks })
     }
 
@@ -122,18 +122,18 @@ impl ProfileTree {
     }
 }
 
-fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) -> Rc<ProfNode> {
+fn build_node(plan: &CompiledNode, sublinks: &mut HashMap<usize, Rc<ProfNode>>) -> Rc<ProfNode> {
     let (op, detail, children, exprs): (
         &'static str,
         String,
-        Vec<&CompiledPlan>,
+        Vec<&CompiledNode>,
         Vec<&CompiledExpr>,
     ) = match plan {
-        CompiledPlan::Scan { table, .. } => ("scan", table.clone(), vec![], vec![]),
-        CompiledPlan::Values { rows, .. } => {
+        CompiledNode::Scan { table, .. } => ("scan", table.clone(), vec![], vec![]),
+        CompiledNode::Values { rows, .. } => {
             ("values", format!("{} rows", rows.len()), vec![], vec![])
         }
-        CompiledPlan::Project {
+        CompiledNode::Project {
             input,
             items,
             distinct,
@@ -149,13 +149,13 @@ fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
             vec![input],
             items.iter().collect(),
         ),
-        CompiledPlan::Select {
+        CompiledNode::Select {
             input, predicate, ..
         } => ("select", String::new(), vec![input], vec![predicate]),
-        CompiledPlan::CrossProduct { left, right, .. } => {
+        CompiledNode::CrossProduct { left, right, .. } => {
             ("cross_product", String::new(), vec![left, right], vec![])
         }
-        CompiledPlan::Join {
+        CompiledNode::Join {
             left,
             right,
             kind,
@@ -178,7 +178,7 @@ fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
             // residual condition is where sublinks can live.
             vec![condition],
         ),
-        CompiledPlan::Aggregate {
+        CompiledNode::Aggregate {
             input,
             group_by,
             aggregates,
@@ -192,7 +192,7 @@ fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
                 .chain(aggregates.iter().filter_map(|a| a.arg.as_ref()))
                 .collect(),
         ),
-        CompiledPlan::SetOp {
+        CompiledNode::SetOp {
             op,
             all,
             left,
@@ -204,7 +204,7 @@ fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
             vec![left, right],
             vec![],
         ),
-        CompiledPlan::Sort { input, keys, .. } => (
+        CompiledNode::Sort { input, keys, .. } => (
             "sort",
             format!(
                 "{} key{}",
@@ -214,7 +214,7 @@ fn build_node(plan: &CompiledPlan, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
             vec![input],
             keys.iter().map(|k| &k.expr).collect(),
         ),
-        CompiledPlan::Limit { input, limit, .. } => {
+        CompiledNode::Limit { input, limit, .. } => {
             ("limit", format!("{limit}"), vec![input], vec![])
         }
     };

@@ -63,7 +63,7 @@ use perm::{
     Database, Engine, ExecError, PermError, Prepared, Relation, Session, SessionConfig,
     SharedSublinkMemo, Value,
 };
-use perm_exec::{CompiledExpr, CompiledPlan, CompiledSublink, Executor, Frame};
+use perm_exec::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink, Executor, Frame};
 use perm_storage::{encode_key_typed, Tuple};
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
@@ -689,7 +689,10 @@ impl ConcurrentEngine {
         params: &[Value],
     ) -> Result<Relation, PermError> {
         let session = self.session();
-        if self.workers > 1 && session.config().sublink_memo {
+        // A wrong-arity vector is refused by `session.execute` below before
+        // any operator runs; warming must not run one for it either.
+        let bound = params.len() == prepared.param_count();
+        if bound && self.workers > 1 && session.config().sublink_memo {
             if let Some(compiled) = prepared.compiled_plan() {
                 // Innermost sites first (`parallel_sites` returns pre-order,
                 // outer before inner): warming a nested site before its
@@ -721,7 +724,7 @@ impl ConcurrentEngine {
         let db = self.engine.database();
         let input_executor = self.worker_executor(db);
         input_executor.bind_params(params.to_vec());
-        let Ok(input) = input_executor.execute_compiled(site.input, None) else {
+        let Ok(input) = input_executor.execute_node(site.input, None) else {
             return;
         };
         let slots: Vec<usize> = site.slots.clone();
@@ -789,7 +792,7 @@ impl ConcurrentEngine {
 /// the relation whose distinct values at `slots` form the binding domain.
 struct Site<'p> {
     sublink: &'p CompiledSublink,
-    input: &'p CompiledPlan,
+    input: &'p CompiledNode,
     slots: Vec<usize>,
 }
 
@@ -801,24 +804,24 @@ struct Site<'p> {
 /// left to the serial pass.
 fn parallel_sites(plan: &CompiledPlan) -> Vec<Site<'_>> {
     let mut sites = Vec::new();
-    collect_sites(plan, &mut sites);
+    collect_sites(plan.root(), &mut sites);
     sites
 }
 
-fn collect_sites<'p>(plan: &'p CompiledPlan, sites: &mut Vec<Site<'p>>) {
+fn collect_sites<'p>(plan: &'p CompiledNode, sites: &mut Vec<Site<'p>>) {
     let mut exprs: Vec<&'p CompiledExpr> = Vec::new();
-    let input: Option<&'p CompiledPlan> = match plan {
-        CompiledPlan::Select {
+    let input: Option<&'p CompiledNode> = match plan {
+        CompiledNode::Select {
             input, predicate, ..
         } => {
             exprs.push(predicate);
             Some(input)
         }
-        CompiledPlan::Project { input, items, .. } => {
+        CompiledNode::Project { input, items, .. } => {
             exprs.extend(items.iter());
             Some(input)
         }
-        CompiledPlan::Aggregate {
+        CompiledNode::Aggregate {
             input,
             group_by,
             aggregates,
@@ -828,7 +831,7 @@ fn collect_sites<'p>(plan: &'p CompiledPlan, sites: &mut Vec<Site<'p>>) {
             exprs.extend(aggregates.iter().filter_map(|a| a.arg.as_ref()));
             Some(input)
         }
-        CompiledPlan::Sort { input, keys, .. } => {
+        CompiledNode::Sort { input, keys, .. } => {
             exprs.extend(keys.iter().map(|k| &k.expr));
             Some(input)
         }
@@ -857,17 +860,17 @@ fn collect_sites<'p>(plan: &'p CompiledPlan, sites: &mut Vec<Site<'p>>) {
 }
 
 /// The direct children of a compiled operator (not sublink plans).
-fn plan_children(plan: &CompiledPlan) -> Vec<&CompiledPlan> {
+fn plan_children(plan: &CompiledNode) -> Vec<&CompiledNode> {
     match plan {
-        CompiledPlan::Scan { .. } | CompiledPlan::Values { .. } => Vec::new(),
-        CompiledPlan::Project { input, .. }
-        | CompiledPlan::Select { input, .. }
-        | CompiledPlan::Aggregate { input, .. }
-        | CompiledPlan::Sort { input, .. }
-        | CompiledPlan::Limit { input, .. } => vec![input],
-        CompiledPlan::CrossProduct { left, right, .. }
-        | CompiledPlan::Join { left, right, .. }
-        | CompiledPlan::SetOp { left, right, .. } => vec![left, right],
+        CompiledNode::Scan { .. } | CompiledNode::Values { .. } => Vec::new(),
+        CompiledNode::Project { input, .. }
+        | CompiledNode::Select { input, .. }
+        | CompiledNode::Aggregate { input, .. }
+        | CompiledNode::Sort { input, .. }
+        | CompiledNode::Limit { input, .. } => vec![input],
+        CompiledNode::CrossProduct { left, right, .. }
+        | CompiledNode::Join { left, right, .. }
+        | CompiledNode::SetOp { left, right, .. } => vec![left, right],
     }
 }
 
@@ -941,8 +944,13 @@ mod tests {
         db
     }
 
+    /// A correlated scalar comparison: the one sublink shape the optimizer
+    /// leaves to the binding memo (a correlated `EXISTS` / `IN`, `$1` or
+    /// not, becomes a hash join and owns no memo site). `a < avg(c)` holds
+    /// for every group with a `c` left, so it selects what the `EXISTS`
+    /// over the same body would.
     const CORRELATED_SQL: &str =
-        "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g AND s.c > $1)";
+        "SELECT a FROM r WHERE a < (SELECT avg(c) FROM s WHERE s.g = r.g AND s.c > $1)";
 
     #[test]
     fn serve_preserves_request_order_and_per_request_errors() {
@@ -1095,21 +1103,21 @@ mod tests {
         let engine = ConcurrentEngine::new(Engine::new(serving_db())).with_workers(2);
         let statement = engine.prepare(CORRELATED_SQL).unwrap();
         let sites = parallel_sites(statement.compiled_plan().unwrap());
-        assert_eq!(sites.len(), 1, "the correlated EXISTS is one site");
+        assert_eq!(sites.len(), 1, "the correlated scalar sublink is one site");
         assert_eq!(sites[0].slots.len(), 1, "correlated on r.g alone");
 
         engine
             .execute_parallel(&statement, &[Value::Int(100)])
             .unwrap();
-        // 5 distinct g bindings, each sublink = select + scan: the shared
-        // memo now holds every result the serial pass needs. A fresh
-        // serial executor over the warm memo does only the outer work
+        // 5 distinct g bindings, each sublink = aggregate + select + scan:
+        // the shared memo now holds every result the serial pass needs. A
+        // fresh serial executor over the warm memo does only the outer work
         // (project a + select + scan r = 3 operators, zero sublink work).
         let db = engine.database();
         let warm = engine.worker_executor(db);
         warm.bind_params(vec![Value::Int(100)]);
         let compiled = statement.compiled_plan().unwrap();
-        warm.execute_compiled(compiled, None).unwrap();
+        warm.execute_compiled(compiled).unwrap();
         assert_eq!(
             warm.operators_evaluated(),
             3,

@@ -8,9 +8,10 @@
 //! results and witnesses to single-threaded execution", which only means
 //! something if both sides draw from one generator. This module is that
 //! generator: nested-subquery SQL (`IN` / `NOT IN` / correlated `EXISTS` /
-//! scalar aggregates, one extra nesting level, `ORDER BY` / `LIMIT` tails,
-//! and joins grouped or ordered by a qualified column) with `$1`-style
-//! parameters, over the fixed [`corpus_database`].
+//! `NOT EXISTS` / scalar aggregates, correlated or not, one extra nesting
+//! level, `ORDER BY` / `LIMIT` tails, and joins grouped or ordered by a
+//! qualified column) with `$1`-style parameters — bound to integers, and now
+//! and then to `NULL` or a string — over the fixed [`corpus_database`].
 
 use perm_storage::{Database, Relation, Schema, Value};
 use rand::rngs::StdRng;
@@ -76,7 +77,15 @@ impl CorpusCase {
 pub fn corpus_case(seed: u64) -> CorpusCase {
     let mut rng = StdRng::seed_from_u64(seed);
     let sql = random_sql(&mut rng);
-    let param_pool = (0..4).map(|_| Value::Int(rng.gen_range(-5..25))).collect();
+    // Comparisons are total across types: a `NULL` or mistyped binding must
+    // come out the same through every path, so the pool holds some.
+    let param_pool = (0..4)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => Value::Null,
+            1 => Value::str("seven"),
+            _ => Value::Int(rng.gen_range(-5..25)),
+        })
+        .collect();
     CorpusCase { sql, param_pool }
 }
 
@@ -93,6 +102,13 @@ fn operand(rng: &mut StdRng) -> String {
 fn comparison(rng: &mut StdRng, column: &str) -> String {
     let op = ["<", "<=", ">", ">=", "=", "<>"][rng.gen_range(0..6usize)];
     format!("{column} {op} {}", operand(rng))
+}
+
+/// `s.g = r.g AND s.c ⟨op⟩ $1`: the body of a correlated sublink whose
+/// selectivity is the parameter's.
+fn correlated_on_param(rng: &mut StdRng) -> String {
+    let op = ["<", "<=", ">", ">="][rng.gen_range(0..4usize)];
+    format!("s.g = r.g AND s.c {op} $1")
 }
 
 /// A random subquery over `s`, possibly correlated on `r.g` and possibly
@@ -143,17 +159,25 @@ fn random_sql(rng: &mut StdRng) -> String {
     if rng.gen_bool(0.6) {
         preds.push(comparison(rng, "a"));
     }
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..6) {
         0 => preds.push(format!("a IN ({})", subquery(rng, 1))),
         1 => preds.push(format!("a NOT IN ({})", subquery(rng, 1))),
         2 => preds.push(format!(
             "EXISTS (SELECT * FROM s WHERE s.g = r.g AND {})",
             comparison(rng, "s.c")
         )),
-        _ => preds.push(format!(
+        3 => preds.push(format!(
             "b {} (SELECT min(d) FROM s WHERE {})",
             [">", "<"][rng.gen_range(0..2usize)],
             comparison(rng, "s.c")
+        )),
+        4 => preds.push(format!(
+            "b < (SELECT avg(d) FROM s WHERE {})",
+            correlated_on_param(rng)
+        )),
+        _ => preds.push(format!(
+            "NOT EXISTS (SELECT * FROM s WHERE {})",
+            correlated_on_param(rng)
         )),
     }
     let where_clause = format!(" WHERE {}", preds.join(" AND "));
@@ -181,6 +205,30 @@ mod tests {
         let distinct: std::collections::HashSet<String> =
             (0..20u64).map(|s| corpus_case(s).sql).collect();
         assert!(distinct.len() > 5);
+    }
+
+    #[test]
+    fn the_differential_seeds_cover_every_shape_and_binding_type() {
+        // The suites run seeds 0..80 and bind `params(1)` where `$1` occurs.
+        let cases: Vec<CorpusCase> = (0..80).map(corpus_case).collect();
+        for shape in [
+            "a IN (",
+            "a NOT IN (",
+            "AND EXISTS (",
+            "NOT EXISTS (",
+            "(SELECT min(d)",
+            "(SELECT avg(d)",
+        ] {
+            assert!(cases.iter().any(|c| c.sql.contains(shape)), "{shape}");
+        }
+        let bound: Vec<Value> = cases
+            .iter()
+            .filter(|c| c.sql.contains("$1"))
+            .map(|c| c.params(1).remove(0))
+            .collect();
+        assert!(bound.contains(&Value::Null));
+        assert!(bound.contains(&Value::str("seven")));
+        assert!(bound.iter().any(|v| matches!(v, Value::Int(_))));
     }
 
     #[test]

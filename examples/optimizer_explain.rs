@@ -4,7 +4,8 @@
 //! alongside the operator-count difference against the memo-only baseline.
 //! Then the same for its *provenance*: the Gen rewrite's selection over
 //! `customers⁺ × CrossBase(orders)` becomes two hash joins, and the rule
-//! summary says what fired and how many sublinks are left (none).
+//! summary says what fired and how many sublinks are left (none) — also
+//! when the threshold is a `$1` parameter of a prepared statement.
 //!
 //! Run with `cargo run --example optimizer_explain`.
 
@@ -91,5 +92,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.executor().operators_evaluated() - before,
         optimized.optimizer_report().sublinks_remaining,
     );
+
+    // How provenance is *served*: the same statement prepared once, with
+    // `$1` for the threshold. A parameter is bound before the first
+    // operator runs, so the optimizer reads it as the constant it will be:
+    // the summary names the same rules as above (it used to say `no rules
+    // fired; 3 sublinks remain`), and the one plan serves every threshold.
+    let served_sql = provenance_sql.replace("300", "$1");
+    let profile = session.explain(&served_sql)?;
+    let served = session.prepare(&served_sql)?;
+    assert_eq!(served.optimizer_report(), optimized.optimizer_report());
+    println!(
+        "\nprepared with $1: {}",
+        profile.optimizer.as_deref().unwrap_or("optimizer off")
+    );
+    for threshold in [300, 380] {
+        let witnesses = session.execute(&served, &[Value::Int(threshold)])?;
+        println!("  $1 = {threshold}: {} witness rows", witnesses.len());
+    }
     Ok(())
 }

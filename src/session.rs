@@ -1071,7 +1071,7 @@ impl<'a> Session<'a> {
         let start = Instant::now();
         let result = match (&prepared.kind, &prepared.compiled) {
             (PreparedKind::Traced { .. }, _) => Tracer::new(self.db).trace(&prepared.plan)?,
-            (_, Some(compiled)) => self.executor.execute_compiled(compiled, None)?,
+            (_, Some(compiled)) => self.executor.execute_compiled(compiled)?,
             (_, None) => unreachable!("non-traced statements always carry a compiled plan"),
         };
         self.trace_phase("execute", start);

@@ -92,16 +92,15 @@ fn optimizer_preserves_results_and_witnesses_on_the_sql_corpus() {
         // Witness bags: the full provenance relation (result columns plus
         // witness columns) must also be bag-identical. The provenance rewrite
         // runs before the optimizer, so witnesses are ordinary columns here.
-        if !sql.contains('$') {
-            let pv_on = on.prepare_provenance(sql).unwrap();
-            let pv_off = off.prepare_provenance(sql).unwrap();
-            let w_on = on.execute(&pv_on, &[]).unwrap();
-            let w_off = off.execute(&pv_off, &[]).unwrap();
-            assert!(
-                w_on.bag_eq(&w_off),
-                "seed {seed}: optimizer changed the witness bag of `{sql}`:\n{w_on}\nvs\n{w_off}"
-            );
-        }
+        let pv_on = on.prepare_provenance(sql).unwrap();
+        let pv_off = off.prepare_provenance(sql).unwrap();
+        let w_on = on.execute(&pv_on, &params).unwrap();
+        let w_off = off.execute(&pv_off, &params).unwrap();
+        assert!(
+            w_on.bag_eq(&w_off),
+            "seed {seed}: optimizer changed the witness bag of `{sql}` \
+             with {params:?}:\n{w_on}\nvs\n{w_off}"
+        );
         checked += 1;
     }
     assert_eq!(checked, 80);
