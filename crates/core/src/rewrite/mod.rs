@@ -294,8 +294,7 @@ impl<'a> ProvenanceQuery<'a> {
     }
 
     /// Lists which concrete strategies are applicable to this query (i.e.
-    /// rewrite without error). Used by the benchmark harness to reproduce the
-    /// per-strategy series of Figures 6–9.
+    /// rewrite without error) — the per-strategy series of Figures 6–9.
     pub fn applicable_strategies(&self) -> Vec<Strategy> {
         Strategy::ALL
             .iter()

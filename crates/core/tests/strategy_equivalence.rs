@@ -126,8 +126,7 @@ fn assert_strategies_match_tracer(db: &Database, plan: &Plan, expect_applicable:
         // The optimizer (decorrelation into joins above all) must be
         // invisible: same witness bag as the plan exactly as rewritten.
         let optimized = Executor::new(db)
-            .with_optimizer(true)
-            .execute(rewritten.plan())
+            .execute(&perm_exec::optimize(rewritten.plan()).0)
             .unwrap_or_else(|e| panic!("optimizing the {strategy} rewrite broke it: {e}"));
         assert!(
             optimized.bag_eq(&interpreted),

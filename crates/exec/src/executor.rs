@@ -47,7 +47,6 @@
 use crate::compile::CompiledPlan;
 use crate::eval::Env;
 use crate::memo::{MemoMap, SharedSublinkMemo};
-use crate::optimize::OptimizerReport;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
@@ -120,14 +119,6 @@ pub struct Executor<'a> {
     /// Number of plan compilations performed by [`Executor::prepare`]
     /// (diagnostic counter for prepared-statement tests).
     compile_count: Cell<u64>,
-    /// Whether [`Executor::prepare`] runs the algebraic optimizer
-    /// ([`crate::optimize`]) before compiling (off by default — sessions
-    /// run the optimizer themselves so they can diff the plans; this switch
-    /// serves executor-direct callers such as the differential harness).
-    optimizer_enabled: Cell<bool>,
-    /// What the optimizer did during the most recent [`Executor::prepare`]
-    /// with the optimizer enabled.
-    optimizer_report: Cell<OptimizerReport>,
     /// Number of operator evaluations performed (for tests/diagnostics);
     /// counted inside `crate::physical`, once per operator invocation.
     pub(crate) ops_evaluated: Cell<u64>,
@@ -136,9 +127,9 @@ pub struct Executor<'a> {
     /// fold entirely).
     pub(crate) cmp_evaluated: Cell<u64>,
     /// Whether the compiled driver evaluates expressions *vectorized* over
-    /// whole batches (the default) or per tuple within each batch (the
-    /// measurement baseline of `harness batch`). Results are identical
-    /// either way; only the dispatch granularity differs.
+    /// whole batches (the default) or per tuple within each batch (a mode
+    /// of the differential tests). Results are identical either way; only
+    /// the dispatch granularity differs.
     pub(crate) batch_enabled: Cell<bool>,
     /// Number of expression-over-batch evaluations performed by the
     /// vectorized compiled evaluator (diagnostic; one per expression per
@@ -149,9 +140,9 @@ pub struct Executor<'a> {
     /// fallback that keeps the parameterized sublink memo seam untouched).
     pub(crate) batch_fallback_rows: Cell<u64>,
     /// Whether the vectorized compiled evaluator runs over typed columnar
-    /// lanes (the default) or row-major `Value` columns (the measurement
-    /// baseline of `harness batch`). Results are identical either way;
-    /// only the data layout under each kernel differs.
+    /// lanes (the default) or row-major `Value` columns (a mode of the
+    /// differential tests). Results are identical either way; only the
+    /// data layout under each kernel differs.
     pub(crate) columnar_enabled: Cell<bool>,
     /// Number of [`crate::batch::ColumnBlock`]s that served at least one
     /// columnar lane access (diagnostic; one per block touched, not per
@@ -211,8 +202,6 @@ impl<'a> Executor<'a> {
             memo_enabled: Cell::new(true),
             retain_memo: Cell::new(false),
             compile_count: Cell::new(0),
-            optimizer_enabled: Cell::new(false),
-            optimizer_report: Cell::new(OptimizerReport::default()),
             ops_evaluated: Cell::new(0),
             cmp_evaluated: Cell::new(0),
             batch_enabled: Cell::new(true),
@@ -237,8 +226,9 @@ impl<'a> Executor<'a> {
     /// Enables or disables vectorized batch evaluation on the compiled path
     /// (enabled by default). Disabled, the compiled driver dispatches every
     /// expression once per tuple within each batch — the pre-batching cost
-    /// profile, kept as the `harness batch` measurement baseline. Results,
-    /// errors and `operators_evaluated` are identical in both modes.
+    /// profile, kept as a mode of `tests/differential.rs` and
+    /// `tests/profile_differential.rs`. Results, errors and
+    /// `operators_evaluated` are identical in both modes.
     pub fn with_batching(self, enabled: bool) -> Executor<'a> {
         self.batch_enabled.set(enabled);
         self
@@ -267,10 +257,10 @@ impl<'a> Executor<'a> {
 
     /// Enables or disables columnar execution on the vectorized compiled
     /// path (enabled by default). Disabled, vectorized evaluation runs the
-    /// row-major `Value`-column kernels — the data-layout measurement
-    /// baseline of `harness batch`; it has no effect when batching itself
-    /// is off. Results, errors and `operators_evaluated` are identical in
-    /// both modes.
+    /// row-major `Value`-column kernels — kept as a mode of the same
+    /// differential tests; it has no effect when batching itself is off.
+    /// Results, errors and `operators_evaluated` are identical in both
+    /// modes.
     pub fn with_columnar(self, enabled: bool) -> Executor<'a> {
         self.columnar_enabled.set(enabled);
         self
@@ -301,8 +291,9 @@ impl<'a> Executor<'a> {
 
     /// Enables or disables the parameterized sublink memos (enabled by
     /// default) on both execution paths. Disabling them makes every
-    /// correlated sublink execute once per outer tuple again, which is what
-    /// the benchmark harness measures as the "memo off" baseline; the
+    /// correlated sublink execute once per outer tuple again — the "memo
+    /// off" baseline of `tests/compiled_equivalence.rs` (the benchmark
+    /// reports the memo's effect as `execute.memo_hit_rate`); the
     /// per-query InitPlan caching of *uncorrelated* sublinks stays on
     /// either way, mirroring what the PostgreSQL engine underneath the
     /// original Perm system always does.
@@ -364,17 +355,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Installs a cooperative [`CancelToken`], polled at batch boundaries,
+    /// Installs a fresh cooperative [`CancelToken`] that trips once
+    /// `deadline` has passed. The token is polled at batch boundaries,
     /// cursor refills and memoized-sublink entry; once it trips, the
     /// current (and any later) execution fails with
-    /// [`ExecError::Cancelled`] within one batch worth of work.
-    pub fn with_cancel_token(self, token: CancelToken) -> Executor<'a> {
-        self.governor.set_cancel_token(Some(token));
-        self
-    }
-
-    /// Installs a fresh cancel token that trips once `deadline` has passed
-    /// (a convenience over [`Executor::with_cancel_token`]).
+    /// [`ExecError::Cancelled`] within one batch worth of work. To install
+    /// a token of the caller's own, see [`Executor::set_cancel_token`].
     pub fn with_deadline(self, deadline: Duration) -> Executor<'a> {
         self.governor
             .set_cancel_token(Some(CancelToken::with_deadline(deadline)));
@@ -582,42 +568,16 @@ impl<'a> Executor<'a> {
     /// indices) to sublinks (see [`crate::compile`]). Sublink ids are drawn
     /// from a process-wide counter, so compiled plans from different
     /// executors can never collide in a shared memo. The compiled plan
-    /// records how many parameters `plan` — as given, before the optimizer
-    /// may fold a `$n` away — needs bound; the execution entries check it.
+    /// records how many parameters `plan` as given needs bound; the
+    /// execution entries check it. `prepare` never optimizes: callers run
+    /// [`crate::optimize::optimize`] first (`Session` does, and checks the
+    /// parameter count of the statement as written, since the optimizer
+    /// may fold a `$n` away).
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {
         self.compile_count.set(self.compile_count.get() + 1);
         let needed = param_count(plan);
-        let optimized;
-        let plan = if self.optimizer_enabled.get() {
-            let (p, report) = crate::optimize::optimize(plan);
-            self.optimizer_report.set(report);
-            optimized = p;
-            &optimized
-        } else {
-            plan
-        };
         let fused = perm_algebra::optimize::fuse_select_over_cross(plan.clone());
         crate::compile::compile_plan(&fused, needed)
-    }
-
-    /// Enables or disables the algebraic optimizer pass in
-    /// [`Executor::prepare`] (disabled by default; see the field docs for
-    /// why sessions keep it off and run [`crate::optimize::optimize`]
-    /// themselves).
-    pub fn with_optimizer(self, enabled: bool) -> Executor<'a> {
-        self.optimizer_enabled.set(enabled);
-        self
-    }
-
-    /// Whether [`Executor::prepare`] runs the algebraic optimizer.
-    pub fn optimizer_enabled(&self) -> bool {
-        self.optimizer_enabled.get()
-    }
-
-    /// The rule-application report of the most recent optimizer run in
-    /// [`Executor::prepare`] (all-zero when the optimizer never ran).
-    pub fn optimizer_report(&self) -> OptimizerReport {
-        self.optimizer_report.get()
     }
 
     /// Clears the compiled-path memos (sublink results and verdicts) *of

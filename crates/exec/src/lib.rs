@@ -46,8 +46,8 @@
 //!   breakers, the memo seam and the [`Rows`] boundary. The layer is
 //!   observable ([`Executor::columnar_blocks`],
 //!   [`Executor::columnar_fallback_rows`]) and can be switched off
-//!   ([`Executor::with_columnar`]) — the measurement baseline of
-//!   `harness batch`, which gates columnar against row-major batches;
+//!   ([`Executor::with_columnar`]) — the row-major mode the differential
+//!   tests compare it against;
 //! * the name-resolving interpreter ([`Executor::execute_unoptimized`]),
 //!   the reference semantics of the equivalence tests and the substrate of
 //!   the tracer in `perm-core`; its closures loop over each batch **row by
@@ -90,9 +90,10 @@
 //! argument, and [`OptimizerReport`] says which rules fired and how many
 //! sublinks are left to the memo. The `Session` facade runs the phase
 //! between the provenance rewrite and [`compile`] (so witness columns are
-//! ordinary columns by then); executor-direct callers opt in with
-//! [`Executor::with_optimizer`], and `harness opt --check` gates the
-//! Gen-rewritten plans against the memo-only baseline.
+//! ordinary columns by then); executor-direct callers call [`optimize()`]
+//! and execute the plan it returns, as `tests/differential.rs` does to
+//! check the Gen-rewritten corpus against the reference interpreter (the
+//! benchmark reports what is left as `optimize.sublinks_remaining`).
 //!
 //! An [`Executor`] is deliberately `!Sync` (its counters and private memos
 //! use `Cell`/`RefCell`) — concurrency happens *above* it, one executor per

@@ -29,9 +29,10 @@
 //!   spill/columnar counters; the physical bodies do not).
 //!
 //! Unarmed (no profile attached — every path except `explain_analyze`,
-//! `Rows::profile` and the obs harness), the probe is a `None` check per
-//! operator invocation: the hot path's cost profile is unchanged, which
-//! `harness obs --check` gates at ≤1.05 pairwise.
+//! `Rows::profile` and `execute_profiled`), the probe is a `None` check
+//! per operator invocation: the hot path's cost profile is unchanged. What
+//! arming costs is the benchmark's `proc.trace_overhead_pct` (traced run
+//! against untraced run, per workload).
 
 use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink};
 use crate::physical::OpCounter;

@@ -10,8 +10,10 @@ use perm_algebra::builder::{
     scalar_sublink, sum, PlanBuilder,
 };
 use perm_algebra::{CompareOp, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_core::{ProvenanceQuery, Strategy};
 use perm_exec::Executor;
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
+use perm_synthetic::{build_database, build_query, random_range, QueryKind};
 
 /// R(a, b, g), S(c, d, g) and a tiny U(e): `g` is a low-cardinality
 /// correlation attribute with NULLs mixed in, so memo entries are shared
@@ -399,4 +401,46 @@ fn memo_shares_entries_across_equal_bindings_only() {
     // R has bindings {0, 1, 2, NULL} for g → the 2-operator sublink runs 4
     // times; scan + select on top.
     assert_eq!(ex.operators_evaluated(), 2 + 4 * 2);
+}
+
+/// The memo's acceptance bar on the paper's expensive case, as operator
+/// counts: on the Gen rewrite of the correlated `EXISTS` query q3, run as
+/// rewritten, the parameterized memo cuts `operators_evaluated` at least
+/// five-fold at |R1| = 1000, and the cut grows with the outer side — outer
+/// tuples outnumber the distinct correlation bindings ever further. (|R2|
+/// is 40 because the memo-off run costs |R1|·|R2|² row visits.)
+#[test]
+fn memo_cuts_gen_rewritten_q3_operators_five_fold_and_more_as_the_outer_side_grows() {
+    let operators_on_and_off = |r1_rows: usize| {
+        let (r2_rows, seed) = (40, 7);
+        let db = build_database(r1_rows, r2_rows, seed);
+        let params = random_range(r1_rows, r2_rows, seed);
+        let q3 = build_query(&db, params, QueryKind::Q3CorrelatedExists);
+        let rewritten = ProvenanceQuery::new(&db, &q3)
+            .strategy(Strategy::Gen)
+            .rewrite()
+            .expect("Gen applies to every sublink");
+        let memoized = Executor::new(&db);
+        let unmemoized = Executor::new(&db).with_sublink_memo(false);
+        let with_memo = memoized.execute(rewritten.plan()).unwrap();
+        let without_memo = unmemoized.execute(rewritten.plan()).unwrap();
+        assert!(
+            with_memo.bag_eq(&without_memo),
+            "|R1|={r1_rows}: the memo changed the witness bag"
+        );
+        (
+            memoized.operators_evaluated(),
+            unmemoized.operators_evaluated(),
+        )
+    };
+    let (on, off) = operators_on_and_off(1000);
+    assert!(
+        off >= 5 * on,
+        "expected ≥5× fewer operators_evaluated with the memo at |R1|=1000: {on} on vs {off} off"
+    );
+    let (small_on, small_off) = operators_on_and_off(20);
+    assert!(
+        off as f64 / on as f64 > small_off as f64 / small_on as f64,
+        "the memo's cut must grow with |R1|: {small_off}/{small_on} at 20, {off}/{on} at 1000"
+    );
 }

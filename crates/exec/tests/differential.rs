@@ -31,9 +31,10 @@ use perm_algebra::{CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, Sort
 use perm_core::Strategy;
 use perm_exec::{ExecError, Executor, FaultKind, FaultPlan, FaultSite, BATCH_ROWS};
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
-use perm_synthetic::build_database;
+use perm_synthetic::{build_database, build_query, random_range, QueryKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 const PLANS: usize = 220;
 
@@ -334,8 +335,9 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
         let ref_ex = Executor::new(&db);
         let reference = ref_ex.execute(&plan);
 
-        let opt_ex = Executor::new(&db).with_optimizer(true);
-        let optimized = opt_ex.execute(&plan);
+        let (optimized_plan, report) = perm_exec::optimize(&plan);
+        let opt_ex = Executor::new(&db);
+        let optimized = opt_ex.execute(&optimized_plan);
 
         match (&reference, &optimized) {
             (Ok(a), Ok(b)) => {
@@ -344,7 +346,6 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
                     "plan {i}: optimizer-on disagrees with memo-only reference\n{}",
                     perm_algebra::display::explain(&plan)
                 );
-                let report = opt_ex.optimizer_report();
                 let slack = 2 * report.sublinks_decorrelated;
                 let (ops_ref, ops_opt) =
                     (ref_ex.operators_evaluated(), opt_ex.operators_evaluated());
@@ -393,8 +394,9 @@ fn assert_optimizer_matches_reference(
 ) -> Option<(perm_exec::OptimizerReport, u64, u64)> {
     let ref_ex = Executor::new(db);
     let reference = ref_ex.execute_unoptimized(plan);
-    let opt_ex = Executor::new(db).with_optimizer(true);
-    let optimized = opt_ex.execute(plan);
+    let (optimized_plan, report) = perm_exec::optimize(plan);
+    let opt_ex = Executor::new(db);
+    let optimized = opt_ex.execute(&optimized_plan);
     match (&reference, &optimized) {
         (Ok(a), Ok(b)) => {
             assert!(
@@ -403,7 +405,7 @@ fn assert_optimizer_matches_reference(
                 perm_algebra::display::explain(plan)
             );
             Some((
-                opt_ex.optimizer_report(),
+                report,
                 ref_ex.operators_evaluated(),
                 opt_ex.operators_evaluated(),
             ))
@@ -1174,6 +1176,67 @@ fn cancellation_sweep_yields_exact_bags_or_a_clean_cancelled_error() {
     );
 }
 
+/// The cancellation and idle-governor contracts on the paper's own plans:
+/// the Gen rewrites of the Fig. 7 queries q1 / q2 / q3 (300 × 60 rows), run
+/// exactly as rewritten. A cancellation injected at the middle checkpoint
+/// must unwind without reaching another one — "returns within one batch" as
+/// a count, no clock involved — and a governor that is armed but never
+/// binds (far deadline, 1 TiB budget) must change nothing but its counters.
+#[test]
+fn gen_rewritten_fig7_plans_cancel_within_one_batch_and_ignore_an_idle_governor() {
+    let (r1_rows, r2_rows, seed) = (300, 60, 7);
+    let db = build_database(r1_rows, r2_rows, seed);
+    let params = random_range(r1_rows, r2_rows, seed);
+    let mut accounted_bytes = false;
+    for kind in [
+        QueryKind::Q1EqualityAny,
+        QueryKind::Q2InequalityAll,
+        QueryKind::Q3CorrelatedExists,
+    ] {
+        let plan = rewrite_with(&db, &build_query(&db, params, kind), Strategy::Gen)
+            .expect("Gen applies to every sublink");
+        let plain_ex = Executor::new(&db);
+        let plain = plain_ex.execute(&plan).unwrap();
+        let checks = plain_ex.cancel_checks();
+        assert!(checks > 0, "{kind:?}: the run passed no checkpoint");
+
+        // The fault keeps counting checkpoints after it fired, so
+        // `events_seen == cancel_at` says the query started no further batch.
+        let cancel_at = (checks / 2).max(1);
+        let fault = FaultPlan::new(FaultKind::Cancel, FaultSite::Checkpoint, cancel_at);
+        let cancelled = Executor::new(&db)
+            .with_fault_plan(fault.clone())
+            .execute(&plan);
+        assert!(
+            matches!(cancelled, Err(ExecError::Cancelled { .. })),
+            "{kind:?}: cancelling at checkpoint {cancel_at} of {checks} gave {cancelled:?}"
+        );
+        assert!(
+            fault.fired(),
+            "{kind:?}: the injected cancellation must fire"
+        );
+        assert_eq!(
+            fault.events_seen(),
+            cancel_at,
+            "{kind:?}: the query kept running past the injected cancellation"
+        );
+
+        let armed_ex = Executor::new(&db)
+            .with_deadline(Duration::from_secs(3600))
+            .with_memory_budget(Some(1 << 40));
+        let armed = armed_ex.execute(&plan).unwrap();
+        assert!(
+            armed.bag_eq(&plain),
+            "{kind:?}: an idle cancel token and budget changed the bag"
+        );
+        accounted_bytes |= armed_ex.peak_bytes() > 0;
+    }
+    assert!(
+        accounted_bytes,
+        "the armed accountant must observe bytes on at least one plan"
+    );
+}
+
 #[test]
 fn memory_budget_sweep_degrades_gracefully_or_fails_with_a_named_operator() {
     let db = build_database(24, 18, 0xD1FF);
@@ -1224,7 +1287,9 @@ fn memory_budget_sweep_degrades_gracefully_or_fails_with_a_named_operator() {
 /// join, grace left-outer join (NULL padding through the ordinal walk),
 /// external merge sort over a multi-batch input, and partitioned
 /// aggregation — and demands **row-for-row identical** output, not just
-/// bag equality: out-of-core execution must be order-transparent.
+/// bag equality: out-of-core execution must be order-transparent. Each plan
+/// first exhausts the same budget with spilling off, so what completes here
+/// is exactly what the spill paths rescue.
 #[test]
 fn out_of_core_operators_reproduce_exact_row_order() {
     let db = build_database(600, 400, 0xACE5);
@@ -1270,8 +1335,14 @@ fn out_of_core_operators_reproduce_exact_row_order() {
         ("partitioned aggregation", grouped),
     ] {
         let reference = Executor::new(&db).execute(&plan).unwrap();
+        let budget = Some(4 << 10);
+        let starved = Executor::new(&db).with_memory_budget(budget).execute(&plan);
+        assert!(
+            matches!(starved, Err(ExecError::ResourceExhausted { .. })),
+            "{label}: the budget must exhaust the spill-less executor, got {starved:?}"
+        );
         let ex = Executor::new(&db)
-            .with_memory_budget(Some(4 << 10))
+            .with_memory_budget(budget)
             .with_spill(true);
         let got = ex.execute(&plan).unwrap();
         assert_eq!(

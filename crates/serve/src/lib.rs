@@ -1281,9 +1281,9 @@ mod tests {
         }
     }
 
-    /// Minimal Prometheus text-format line check, mirroring the harness
-    /// smoke test: every non-comment, non-empty line is `name[{labels}]
-    /// value` with a parseable numeric value.
+    /// Minimal Prometheus text-format line check: every non-comment,
+    /// non-empty line is `name[{labels}] value` with a parseable numeric
+    /// value.
     fn assert_prometheus_parses(text: &str) {
         assert!(!text.is_empty());
         for line in text.lines() {

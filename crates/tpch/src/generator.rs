@@ -25,8 +25,9 @@ impl TpchScale {
         TpchScale { factor }
     }
 
-    /// The four named scales used by the figure-6 harness, standing in for
-    /// the paper's 1 MB / 10 MB / 100 MB / 1 GB databases.
+    /// The four named scales of Figure 6 (`examples/tpch_provenance.rs` runs
+    /// `xs`), standing in for the paper's 1 MB / 10 MB / 100 MB / 1 GB
+    /// databases.
     pub fn named(name: &str) -> Option<TpchScale> {
         match name {
             "xs" => Some(TpchScale::new(0.0004)),

@@ -344,17 +344,15 @@ pub struct SessionConfig {
     /// batches (default `true`): one dispatch per expression per batch of
     /// up to [`perm_exec::BATCH_ROWS`] rows instead of one per tuple.
     /// Results and errors are identical either way; `false` restores the
-    /// per-tuple dispatch profile (the `harness batch` measurement
-    /// baseline).
+    /// per-tuple dispatch profile (a mode of the differential tests).
     pub batching: bool,
     /// Whether vectorized expressions run over **typed column lanes**
     /// (default `true`): each batch lazily transposes into a column block
     /// of typed vectors with validity bitmaps, and comparison/arithmetic
     /// dispatch to contiguous-slice kernels. Only meaningful while
     /// [`SessionConfig::batching`] is on; `false` keeps the row-major
-    /// `Value`-at-a-time vectorized dispatch (the columnar measurement
-    /// baseline of `harness batch`). Results and errors are identical
-    /// either way.
+    /// `Value`-at-a-time vectorized dispatch (a mode of the differential
+    /// tests). Results and errors are identical either way.
     pub columnar: bool,
     /// Whether prepared plans run through the algebraic optimizer
     /// ([`perm_exec::optimize()`]) between the (provenance) rewrite and
@@ -363,9 +361,9 @@ pub struct SessionConfig {
     /// semi/anti joins; predicate pushdown, projection pruning and constant
     /// folding ride in the same fixpoint. Results, errors and provenance
     /// witnesses are identical either way (differentially tested); `false`
-    /// keeps the memo-only plan shape — the measurement baseline of
-    /// `harness opt`. Part of the plan-cache key: the prepared form
-    /// differs.
+    /// keeps the memo-only plan shape (what the optimizer leaves is the
+    /// benchmark's `optimize.sublinks_remaining`). Part of the plan-cache
+    /// key: the prepared form differs.
     pub optimize: bool,
     /// Compute provenance with the reference tracer instead of the rewrite
     /// strategies (default `false`). The tracer is the paper's closed-form
@@ -1167,7 +1165,8 @@ impl<'a> Session<'a> {
     /// identical to [`Session::execute`] — same rows, same errors, same
     /// memo/deadline behaviour — plus per-operator actuals. Profiling cost
     /// is a strided clock probe per operator invocation (see the
-    /// `perm_exec::profile` docs); the `harness obs --check` gate pins it.
+    /// `perm_exec::profile` docs); the benchmark reports it as
+    /// `proc.trace_overhead_pct`.
     pub fn execute_profiled(
         &self,
         prepared: &Prepared,

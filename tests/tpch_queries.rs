@@ -42,9 +42,12 @@ fn every_template_preserves_the_original_result_under_rewriting() {
         };
         if matches!(template.id, 2 | 17 | 20 | 21) {
             // The most expensive correlated Gen rewrites (sublinks over
-            // partsupp/lineitem, evaluated per CrossBase tuple) are exercised
-            // by the benchmark harness in release mode; in this (debug-mode
-            // friendly) test their rewrites are checked structurally by
+            // partsupp/lineitem, evaluated per CrossBase tuple) are too slow
+            // for this debug-mode test. Q17 runs end to end as `q17_reduced`
+            // in the benchmark's `tpch_fig6` workload; Q2, Q20 and Q21 are
+            // executed by nothing until the optimizer joins a multi-table
+            // CrossBase (ROADMAP items 1b and 3a). Here their rewrites are
+            // checked structurally by
             // `expensive_correlated_rewrites_are_well_formed`, and Q4/Q22
             // below cover Gen execution end to end.
             continue;
@@ -132,8 +135,9 @@ fn uncorrelated_templates_agree_across_strategies() {
         let names = reference.schema().names();
         // Move is compared on every uncorrelated template; the Gen comparison
         // is limited to Q16 (whose CrossBase is just the supplier relation)
-        // to keep the debug-mode test suite fast — the harness compares Gen
-        // on the remaining templates in release mode.
+        // to keep the debug-mode test suite fast. Nothing compares Gen on
+        // Q11, Q15 and Q18: the benchmark's `tpch_fig6` runs them under
+        // `Strategy::Auto`, which never picks Gen for an uncorrelated sublink.
         let mut strategies = vec![Strategy::Move];
         if template.id == 16 {
             strategies.push(Strategy::Gen);
