@@ -169,8 +169,11 @@ pub(crate) const MEMO_TAG_INTERPRETED: u8 = b'I';
 
 impl<'a> Executor<'a> {
     /// Creates an executor over a database. Sublink memoization is enabled;
-    /// use [`Executor::with_sublink_memo`] to switch it off.
+    /// use [`Executor::with_sublink_memo`] to switch it off. The first
+    /// executor of a process also tells glibc to keep freed heap for the
+    /// next query instead of returning it to the kernel (the `heap` module).
     pub fn new(db: &'a Database) -> Executor<'a> {
+        crate::heap::retain_freed_heap();
         let sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let interp_sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let verdict_memo = Rc::new(RefCell::new(MemoMap::new()));

@@ -119,6 +119,11 @@
 //! compiled-memo entries are persisted and reloaded on later misses — all
 //! through the slotted-page heap files and pinning buffer pool of
 //! `perm-storage`.
+//!
+//! One process-wide side effect: the first [`Executor::new`] tells glibc
+//! to keep freed heap rather than return it to the kernel after every
+//! query (`M_TRIM_THRESHOLD`; the private `heap` module says why). Peak
+//! memory is unchanged; nothing happens with another C library.
 
 pub mod aggregate;
 pub mod batch;
@@ -127,6 +132,7 @@ pub mod cursor;
 pub mod eval;
 pub mod executor;
 pub mod functions;
+mod heap;
 pub mod kernels;
 pub(crate) mod memo;
 pub mod optimize;

@@ -25,11 +25,13 @@
 //! `l ∧ FALSE`), predicate pushdown through projections / `INTERSECT` /
 //! `EXCEPT` / semi- and anti-join probe sides / cross products / onto the
 //! preserved side of a left outer join (assuming the pushed conjuncts
-//! inside its condition), and projection pruning off column liveness.
+//! inside its condition), and projection pruning off column liveness. Once
+//! the fixpoint is quiet, stacked projections are composed and every `Sort`
+//! moves below the order-preserving operators under it (last section).
 //!
 //! # Equivalence discipline
 //!
-//! Every rule preserves three observables of the reference interpreter
+//! Every rule preserves four observables of the reference interpreter
 //! ([`crate::Executor::execute_unoptimized`]):
 //!
 //! 1. **Result bags** (and therefore provenance witness bags — the
@@ -60,9 +62,18 @@
 //!    decorrelated sublink, the second copy of a split selection's input)
 //!    and never one that grows with the data; on every correlated point
 //!    with more than a handful of bindings the count drops.
+//! 4. **The row order below a `Sort` / `Limit`.** What reaches a `Sort` is
+//!    a list, not a bag: the sort is stable, so the order of its input
+//!    decides its ties, and a `Limit` above cuts through them. Every
+//!    physical operator emits a fixed order (`physical.rs`: a join emits
+//!    its left rows in input order, each with its matches in right-input
+//!    order, resident or spilled), so a rule either leaves the list that
+//!    reaches each `Sort` / `Limit` as it was or proves the list it makes
+//!    equal.
 //!
-//! The differential suites enforce all three over the full random corpus
-//! (optimizer-on vs optimizer-off, result and witness bags bag-identical).
+//! The differential suites enforce all four over the full random corpus
+//! (optimizer-on vs optimizer-off, result and witness bags bag-identical,
+//! and identical as sequences wherever the query orders them).
 //!
 //! # The rules that make the Gen rewrite join-shaped
 //!
@@ -187,6 +198,54 @@
 //! have no selection that establishes `Csub`; they are untouched. Where
 //! assuming `c` leaves `C' ∨ TRUE` (`NOT IN`), the literal absorbs `C'` —
 //! total, like all of `θ` — on the spot: `⟕_TRUE`.
+//!
+//! # The rules that keep `ORDER BY` off the witness fan-out
+//!
+//! Every rewrite rule wraps its input in one more rename-only `Π`, and the
+//! rewrite re-applies `ORDER BY` on top of `q⁺`: `Sort(Π(Π(T⁺ ⋈ Tsub⁺)))`
+//! drags every witness row through the sort and two projections. Two
+//! generic rules, run **once, after the fixpoint** — so that no rule above
+//! meets a shape it did not meet before — and bottom-up, sublink plans
+//! included.
+//!
+//! **Projection composition.** `Π_a(Π_b(X))`, both non-distinct, becomes
+//! `Π_{a∘b}(X)`: every reference of `a` to an output of `b` is replaced by
+//! the item that defines it; aliases and qualifiers are `a`'s, so nothing
+//! above — a correlated reference included — resolves differently.
+//! *Bags:* projection is per row; substitution is what evaluating `b`
+//! first computes. *Errors:* `a`'s items run on the rows they ran on. An
+//! item of `b` used to run on every row; composed, it runs where `a`
+//! evaluates it — so an item that can fail must be passed through by `a`
+//! as an item of its own, not dropped and not only read inside an
+//! expression that may shield it (`CASE`, `AND`). Sublink items stay (rules
+//! L2/T2 and the memo own those). *Order:* per row, unchanged.
+//! *Operators:* one fewer; a computed item of `b` that `a` reads twice
+//! would run twice, so only columns, literals and `$n` may be duplicated.
+//!
+//! **Sort pushdown.** `Sort_k(Π(X))` becomes `Π(Sort_{k∘Π}(X))` for a
+//! non-distinct `Π`, and `Sort_k(L ⋈ R)` becomes `Sort_k(L) ⋈ R` — for
+//! `⋈`, `⟕`, `⋉`, `▷` and `×` alike — when every key reads columns of `L`
+//! alone. Never through `σ` (the sort would see the rows it drops), `γ`,
+//! `Π_S`, set operations, `Limit` or another `Sort`. *Bags:* a sort
+//! permutes. *Order:* `Π` is per row. A join emits its left rows in input
+//! order, each with its matches in an order that depends on `R` alone
+//! (bucket order on the hash path, input order in the nested loop, ordinal
+//! re-sort after a grace probe), and a key that reads `L` is the same on a
+//! left row and on all of its matches: stable-sorting the output moves
+//! whole per-row groups, ties in input order — which is the list the join
+//! emits over the stable-sorted `L`. Sequence-exact, so a `Limit` above is
+//! safe. *Errors:* the keys run before `Π` and on the left rows a join
+//! drops, so the (substituted) keys must be total — each column resolving,
+//! unambiguously, at the position it had in the join's output; `L` being a
+//! prefix of `L ∘ R`, that is its position in `L`. `Π`'s items run on the
+//! same rows as before, but a `Limit` above may now stream them over a
+//! prefix of the sorted rows only (`cursor.rs`), so they must be total as
+//! well. The join, its condition and `R` run exactly as before.
+//! *Operators:* unchanged. Without statistics the downside is bounded — a
+//! join that filters `L` now sorts rows its probe reads anyway, one `log
+//! |L|` factor on a pass the join already makes; a `Π` that narrows makes
+//! the sort buffer wider rows — and the upside is the fan-out factor: the
+//! rows `q` returns are sorted, not their witnesses.
 
 mod decorrelate;
 
@@ -194,7 +253,7 @@ use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::free_expr_columns;
-use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind};
+use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey, SublinkKind};
 use perm_storage::{Schema, Value};
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
@@ -231,6 +290,11 @@ pub struct OptimizerReport {
     pub predicates_pushed: u64,
     /// Projections narrowed by the liveness pass.
     pub projections_pruned: u64,
+    /// Stacked non-distinct projections composed into one.
+    pub projections_composed: u64,
+    /// Order-preserving operators (a projection, the left side of a join
+    /// or cross product) a `Sort` was moved below.
+    pub sorts_pushed: u64,
     /// Sublinks the optimized plan still holds, nested ones included —
     /// each runs through the binding memo. Not a rule: excluded from
     /// [`OptimizerReport::rules_fired`].
@@ -240,7 +304,7 @@ pub struct OptimizerReport {
 }
 
 impl OptimizerReport {
-    fn fire_counts(&self) -> [(&'static str, u64); 10] {
+    fn fire_counts(&self) -> [(&'static str, u64); 12] {
         [
             ("decorrelate", self.sublinks_decorrelated),
             ("imply", self.sublinks_implied),
@@ -252,6 +316,8 @@ impl OptimizerReport {
             ("fold", self.constants_folded),
             ("pushdown", self.predicates_pushed),
             ("prune", self.projections_pruned),
+            ("compose", self.projections_composed),
+            ("sort-pushdown", self.sorts_pushed),
         ]
     }
 
@@ -303,6 +369,9 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
             break;
         }
     }
+    // Once, after the fixpoint has gone quiet: what these two leave behind
+    // is a shape no rule above needs to see again.
+    current = order_pass(current, &mut rep);
     rep.sublinks_remaining = count_sublinks(&current);
     (current, rep)
 }
@@ -1550,6 +1619,188 @@ fn item_required(required: &[(Option<String>, String)], item: &ProjectItem) -> b
     })
 }
 
+// ---------------------------------------------------------------------------
+// Rules: projection composition and sort pushdown
+// ---------------------------------------------------------------------------
+
+/// Bottom-up, once: composes stacked non-distinct projections and moves
+/// every `Sort` below the order-preserving operators under it (sublink
+/// plans included).
+fn order_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
+    let mut plan = plan.map_children(|c| order_pass(c, rep));
+    if plan.has_direct_sublink() {
+        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut |p| order_pass(p, rep)));
+    }
+    match plan {
+        Plan::Project {
+            input,
+            items,
+            distinct: false,
+        } => {
+            let composed = match input.as_ref() {
+                Plan::Project {
+                    input: inner,
+                    items: below,
+                    distinct: false,
+                } => compose_items(&items, below, &inner.schema()),
+                _ => None,
+            };
+            match (composed, *input) {
+                (Some(items), Plan::Project { input, .. }) => {
+                    rep.projections_composed += 1;
+                    Plan::Project {
+                        input,
+                        items,
+                        distinct: false,
+                    }
+                }
+                (_, input) => Plan::Project {
+                    input: Box::new(input),
+                    items,
+                    distinct: false,
+                },
+            }
+        }
+        Plan::Sort { input, keys } => sink_sort(*input, keys, rep),
+        other => other,
+    }
+}
+
+/// The items of `Π_above(Π_below(X))` as one projection over `X` (schema
+/// `input`), under `above`'s aliases and qualifiers. `None` when an item
+/// carries a sublink, `above` reads something `below` does not define, a
+/// computed item of `below` would run twice, or an item of `below` that can
+/// fail would stop running on every row — `above` drops it, or reads it
+/// inside an expression that may shield it (`CASE`, `AND`).
+fn compose_items(
+    above: &[ProjectItem],
+    below: &[ProjectItem],
+    input: &Schema,
+) -> Option<Vec<ProjectItem>> {
+    if above.iter().chain(below).any(|i| i.expr.has_sublink()) {
+        return None;
+    }
+    let mid = ProjectItem::schema_of(below);
+    // How `above` reads each item of `below`: how often, and whether as an
+    // item of its own (which runs on every row).
+    let mut reads = vec![0usize; below.len()];
+    let mut passed_through = vec![false; below.len()];
+    for item in above {
+        for (q, n) in item.expr.column_refs() {
+            let idx = mid.try_resolve(q.as_deref(), &n).ok()??;
+            reads[idx] += 1;
+            passed_through[idx] |= matches!(item.expr, Expr::Column { .. });
+        }
+    }
+    for (j, item) in below.iter().enumerate() {
+        let trivial = matches!(
+            item.expr,
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_)
+        );
+        if (reads[j] > 1 && !trivial)
+            || (!passed_through[j] && !expr_is_total(&item.expr, std::slice::from_ref(input)))
+        {
+            return None;
+        }
+    }
+    above
+        .iter()
+        .map(|item| {
+            Some(ProjectItem {
+                expr: substitute_through(&item.expr, &mid, below)?,
+                alias: item.alias.clone(),
+                qualifier: item.qualifier.clone(),
+            })
+        })
+        .collect()
+}
+
+/// `Sort_keys(input)` with the sort moved below every projection and onto
+/// the left side of every join and cross product it may cross — the
+/// operators that emit their (left) input's rows in input order, each with
+/// its matches in an order that does not depend on it, so that the stable
+/// sort commutes with them as a *list*. Never through `σ` (it would sort
+/// the rows the selection drops), `γ`, `Π_S`, set operations or `Limit`.
+fn sink_sort(input: Plan, keys: Vec<SortKey>, rep: &mut OptimizerReport) -> Plan {
+    let pushed = match &input {
+        _ if keys.iter().any(|k| k.expr.has_sublink()) => None,
+        Plan::Project {
+            input: inner,
+            items,
+            distinct: false,
+        } => keys_below_projection(&keys, items, &inner.schema()),
+        Plan::CrossProduct { left, right } => {
+            keys_read_left(&keys, &left.schema(), Some(&right.schema())).then_some(keys.clone())
+        }
+        Plan::Join {
+            left, right, kind, ..
+        } => {
+            let right = (!kind.left_only_output()).then(|| right.schema());
+            keys_read_left(&keys, &left.schema(), right.as_ref()).then_some(keys.clone())
+        }
+        _ => None,
+    };
+    let Some(pushed) = pushed else {
+        return Plan::Sort {
+            input: Box::new(input),
+            keys,
+        };
+    };
+    rep.sorts_pushed += 1;
+    // The first child is the projection's input, the join's left side.
+    let mut below = Some(pushed);
+    input.map_children(|child| match below.take() {
+        Some(keys) => sink_sort(child, keys, rep),
+        None => child,
+    })
+}
+
+/// The keys of a sort over `Π_items(X)` as keys over `X` (schema `input`):
+/// output names replaced by their defining expressions. The keys then run
+/// before the items do, and a `Limit` above may stream the items over a
+/// prefix of the sorted rows only, so both must be total; a sublink item
+/// stays where the rewrite put it.
+fn keys_below_projection(
+    keys: &[SortKey],
+    items: &[ProjectItem],
+    input: &Schema,
+) -> Option<Vec<SortKey>> {
+    let scope = std::slice::from_ref(input);
+    if !items
+        .iter()
+        .all(|i| !i.expr.has_sublink() && expr_is_total(&i.expr, scope))
+    {
+        return None;
+    }
+    let out = ProjectItem::schema_of(items);
+    keys.iter()
+        .map(|k| {
+            let expr = substitute_through(&k.expr, &out, items)?;
+            expr_is_total(&expr, scope).then_some(SortKey {
+                expr,
+                ascending: k.ascending,
+            })
+        })
+        .collect()
+}
+
+/// `true` when every key is total over the output of a join of `left` with
+/// `right` (`None`: a semi/anti join, which emits `left` alone) and reads
+/// columns of `left` only. `left` is a prefix of the output, so a column
+/// that names one attribute of the output and is known to `left` sits at
+/// the same position in both. The keys then run on the left rows the join
+/// drops as well.
+fn keys_read_left(keys: &[SortKey], left: &Schema, right: Option<&Schema>) -> bool {
+    let out = match right {
+        Some(right) => left.concat(right),
+        None => left.clone(),
+    };
+    keys.iter().all(|k| {
+        expr_is_total(&k.expr, std::slice::from_ref(&out))
+            && resolves_all(left, &k.expr.column_refs())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2174,6 +2425,142 @@ mod tests {
             "{}",
             rep.summary()
         );
+    }
+
+    #[test]
+    fn stacked_projections_compose_under_the_outer_names() {
+        let db = db();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .project(vec![
+                ProjectItem::new(qcol("r1", "a"), "a2").with_qualifier("inner"),
+                ProjectItem::new(cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r1", "g")), "lt"),
+            ])
+            .project(vec![
+                ProjectItem::new(qcol("inner", "a2"), "x").with_qualifier("outer"),
+                ProjectItem::new(col("lt"), "y"),
+                ProjectItem::new(col("a2"), "x2"),
+            ])
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.projections_composed, 1, "{}", rep.summary());
+        assert!(rep.summary().contains("compose×1"), "{}", rep.summary());
+        assert!(
+            matches!(&optimized, Plan::Project { input, .. } if matches!(**input, Plan::Scan { .. })),
+            "one projection over the scan:\n{optimized:?}"
+        );
+        assert_eq!(optimized.schema(), plan.schema());
+        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    #[test]
+    fn composition_declines_what_it_cannot_prove() {
+        use perm_algebra::builder::binary;
+        let db = db();
+        let over_r1 = |below: Vec<ProjectItem>, above: Vec<ProjectItem>| {
+            PlanBuilder::scan(&db, "r1")
+                .unwrap()
+                .project(below)
+                .project(above)
+                .build()
+        };
+        let a = || ProjectItem::new(qcol("r1", "a"), "a");
+        let quotient = || ProjectItem::new(binary(BinaryOp::Div, lit(100), qcol("r1", "a")), "q");
+        let composed = |plan: &Plan| optimize(plan).1.projections_composed;
+
+        // `100 / a` fails on `a = 0`. Dropped, or read only where a `CASE`
+        // may shield it, it would stop failing; passed through as an item
+        // of its own it still runs on every row.
+        let dropped = over_r1(vec![a(), quotient()], vec![a()]);
+        assert_eq!(composed(&dropped), 0);
+        let shielded = over_r1(
+            vec![a(), quotient()],
+            vec![ProjectItem::new(
+                Expr::Case {
+                    branches: vec![(cmp(CompareOp::Gt, col("a"), lit(0)), col("q"))],
+                    else_expr: None,
+                },
+                "safe",
+            )],
+        );
+        assert_eq!(composed(&shielded), 0);
+        let exec = Executor::new(&db);
+        assert!(exec.execute_unoptimized(&shielded).is_err());
+        assert!(exec.execute(&optimize(&shielded).0).is_err());
+        let passed = over_r1(vec![a(), quotient()], vec![ProjectItem::new(col("q"), "q")]);
+        assert_eq!(composed(&passed), 1);
+        assert!(exec.execute(&optimize(&passed).0).is_err());
+
+        // A computed item read twice would run twice.
+        let less = ProjectItem::new(cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r1", "g")), "lt");
+        let twice = over_r1(
+            vec![less],
+            vec![
+                ProjectItem::new(col("lt"), "l1"),
+                ProjectItem::new(col("lt"), "l2"),
+            ],
+        );
+        assert_eq!(composed(&twice), 0);
+        assert_same_bag(&db, &twice, &optimize(&twice).0);
+
+        // A sublink item, and `Π_S` on either level.
+        let sublink = over_r1(
+            vec![a(), ProjectItem::new(uncorrelated_any(&db), "hit")],
+            vec![ProjectItem::new(col("hit"), "hit")],
+        );
+        assert_eq!(composed(&sublink), 0);
+        let scan = || PlanBuilder::scan(&db, "r1").unwrap();
+        let g = || vec![ProjectItem::new(col("g"), "g")];
+        for distinct in [
+            scan().project_distinct(g()).project(g()).build(),
+            scan().project(g()).project_distinct(g()).build(),
+        ] {
+            assert_eq!(composed(&distinct), 0);
+            assert_same_bag(&db, &distinct, &optimize(&distinct).0);
+        }
+    }
+
+    #[test]
+    fn a_sort_moves_below_the_fan_out_and_keeps_the_row_sequence() {
+        let db = db();
+        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .join(r2, eq(qcol("r1", "g"), qcol("r2", "g")))
+            .project(vec![
+                ProjectItem::new(qcol("r1", "g"), "g1"),
+                ProjectItem::new(qcol("r2", "b"), "b"),
+            ])
+            .sort(vec![SortKey::desc(col("g1"))])
+            .limit(9)
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        // Through the projection, then onto the join's left side.
+        assert_eq!(rep.sorts_pushed, 2, "{}", rep.summary());
+        assert!(
+            rep.summary().contains("sort-pushdown×2"),
+            "{}",
+            rep.summary()
+        );
+        let Plan::Limit { input, .. } = &optimized else {
+            panic!("the limit stays on top:\n{optimized:?}");
+        };
+        let Plan::Project { input, .. } = input.as_ref() else {
+            panic!("the projection is next:\n{optimized:?}");
+        };
+        let Plan::Join { left, .. } = input.as_ref() else {
+            panic!("the sort left the join's output:\n{optimized:?}");
+        };
+        assert_eq!(
+            **left,
+            PlanBuilder::scan(&db, "r1")
+                .unwrap()
+                .sort(vec![SortKey::desc(qcol("r1", "g"))])
+                .build()
+        );
+        let exec = Executor::new(&db);
+        let want = exec.execute_unoptimized(&plan).unwrap();
+        assert_eq!(exec.execute(&optimized).unwrap().tuples(), want.tuples());
     }
 
     #[test]

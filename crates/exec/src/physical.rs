@@ -81,8 +81,9 @@ use perm_storage::{
     Tuple, Value,
 };
 use std::cell::Cell;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 /// The diagnostic operator-evaluation counter both drivers share.
@@ -1118,33 +1119,84 @@ fn cmp_key_rows(ka: &[Value], kb: &[Value], ascending: &[bool]) -> std::cmp::Ord
     std::cmp::Ordering::Equal
 }
 
-/// Sorts the resident buffer and writes it out as one sorted run file.
-/// Because a run is always a *consecutive* segment of the input, merging
-/// runs with a lowest-run-index tie-break later reproduces the stable
-/// in-memory sort order exactly.
-fn spill_sort_run(
-    gov: &Governor,
-    keyed: &mut Vec<(Vec<Value>, Tuple)>,
-    ascending: &[bool],
-    runs: &mut Vec<Rc<HeapFile>>,
-) -> Result<()> {
-    let mgr = gov
-        .spill()
-        .expect("a refused try_grow guarantees a live spill manager");
-    keyed.sort_by(|(ka, _), (kb, _)| cmp_key_rows(ka, kb, ascending));
-    let file = mgr.create_file(&format!("sort-run-{}", runs.len()))?;
-    let mut buf = Vec::new();
-    for (key_values, tuple) in keyed.iter() {
-        spill::encode_run_row(key_values, tuple, &mut buf);
-        file.append_record(&buf)?;
-        mgr.note_spilled(buf.len() as u64);
-    }
-    file.seal()?;
-    mgr.note_partitions(1);
-    runs.push(file);
-    keyed.clear();
-    Ok(())
+/// The sort's resident buffer: the rows it was given (moved in, not
+/// cloned) and their extracted key values in one row-major vector — one
+/// per `ascending` entry per row, no allocation per row. Sorting it yields
+/// a permutation; neither vector is reordered.
+struct SortBuffer<'a> {
+    ascending: &'a [bool],
+    rows: Vec<Tuple>,
+    keys: Vec<Value>,
 }
+
+impl SortBuffer<'_> {
+    fn key(&self, row: usize) -> &[Value] {
+        let n = self.ascending.len();
+        &self.keys[row * n..(row + 1) * n]
+    }
+
+    /// The buffered rows' indices in sorted order. The sort is stable, so
+    /// ties keep the input order.
+    fn sorted_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        order.sort_by(|&a, &b| cmp_key_rows(self.key(a), self.key(b), self.ascending));
+        order
+    }
+
+    /// Sorts the buffer and writes it out as one sorted run file, leaving
+    /// it empty. Because a run is always a *consecutive* segment of the
+    /// input, merging runs with a lowest-run-index tie-break later
+    /// reproduces the stable in-memory sort order exactly.
+    fn spill_run(&mut self, gov: &Governor, runs: &mut Vec<Rc<HeapFile>>) -> Result<()> {
+        let mgr = gov
+            .spill()
+            .expect("a refused try_grow guarantees a live spill manager");
+        let file = mgr.create_file(&format!("sort-run-{}", runs.len()))?;
+        let mut buf = Vec::new();
+        for row in self.sorted_order() {
+            spill::encode_run_row(self.key(row), &self.rows[row], &mut buf);
+            file.append_record(&buf)?;
+            mgr.note_spilled(buf.len() as u64);
+        }
+        file.seal()?;
+        mgr.note_partitions(1);
+        runs.push(file);
+        self.rows.clear();
+        self.keys.clear();
+        Ok(())
+    }
+}
+
+/// The next row of one sorted run inside the k-way merge. Ordered so that
+/// [`BinaryHeap`] — a max-heap — pops the smallest `(key, run index)`
+/// first: among equal keys the lowest run index wins, which is the stable
+/// order.
+struct RunHead<'a> {
+    key: Vec<Value>,
+    run: usize,
+    tuple: Tuple,
+    ascending: &'a [bool],
+}
+
+impl Ord for RunHead<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        cmp_key_rows(&other.key, &self.key, self.ascending).then(other.run.cmp(&self.run))
+    }
+}
+
+impl PartialOrd for RunHead<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RunHead<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RunHead<'_> {}
 
 /// Sorting — a pipeline breaker consuming its input batch by batch. `keys`
 /// evaluates, for one batch, every sort-key expression into `key_cols[i]`;
@@ -1152,9 +1204,10 @@ fn spill_sort_run(
 /// stable, so ties keep the input order — which both drivers produce
 /// identically. Under budget pressure with spilling enabled the operator
 /// becomes an *external merge sort*: the buffer is flushed as sorted runs
-/// ([`spill_sort_run`]) and the runs are k-way merged at the end, with ties
-/// broken toward the lowest run index — runs are consecutive input
-/// segments, so that tie-break *is* the stable order.
+/// ([`SortBuffer::spill_run`]) and the runs are k-way merged at the end
+/// through a heap of run heads, with ties broken toward the lowest run
+/// index — runs are consecutive input segments, so that tie-break *is* the
+/// stable order.
 pub(crate) fn sort(
     probe: OpProbe<'_>,
     gov: &Governor,
@@ -1165,12 +1218,17 @@ pub(crate) fn sort(
     let _timer = profile::begin(&probe);
     gov.operator_event("sort")?;
     let mut charge = gov.transient("sort");
-    let arity = child.schema().arity();
     let schema = child.schema().clone();
-    let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(child.len());
+    let arity = schema.arity();
+    let mut input = child.into_tuples();
+    let mut buffer = SortBuffer {
+        ascending,
+        rows: Vec::with_capacity(input.len()),
+        keys: Vec::with_capacity(input.len() * ascending.len()),
+    };
     let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); ascending.len()];
     let mut runs: Vec<Rc<HeapFile>> = Vec::new();
-    for chunk in child.tuples().chunks(BATCH_ROWS) {
+    for chunk in input.chunks_mut(BATCH_ROWS) {
         gov.checkpoint("sort")?;
         probe.batch();
         for col in key_cols.iter_mut() {
@@ -1179,87 +1237,94 @@ pub(crate) fn sort(
         let block = ColumnBlock::new(arity);
         keys(&Batch::dense_with_block(chunk, &block), &mut key_cols)?;
         let mut chunk_bytes = 0u64;
-        for (j, tuple) in chunk.iter().enumerate() {
-            let mut key_values = Vec::with_capacity(ascending.len());
+        for (j, tuple) in chunk.iter_mut().enumerate() {
+            let first_key = buffer.keys.len();
             for col in key_cols.iter_mut() {
-                key_values.push(std::mem::replace(&mut col[j], Value::Null));
+                buffer
+                    .keys
+                    .push(std::mem::replace(&mut col[j], Value::Null));
             }
             if charge.is_some() {
-                // Sort-buffer growth: the extracted keys plus the cloned
-                // input row.
-                chunk_bytes += key_values.iter().map(value_bytes).sum::<u64>() + tuple_bytes(tuple);
+                // Sort-buffer growth: the extracted keys plus the row.
+                chunk_bytes += buffer.keys[first_key..]
+                    .iter()
+                    .map(value_bytes)
+                    .sum::<u64>()
+                    + tuple_bytes(tuple);
             }
-            keyed.push((key_values, tuple.clone()));
+            buffer.rows.push(std::mem::take(tuple));
         }
         if let Some(c) = charge.as_mut() {
             if !c.try_grow(chunk_bytes)? {
-                spill_sort_run(gov, &mut keyed, ascending, &mut runs)?;
+                buffer.spill_run(gov, &mut runs)?;
                 c.release();
             }
         }
     }
     // The in-memory remainder is sorted either way; with runs on disk it
     // plays the role of the final (highest-index) run in the merge.
-    keyed.sort_by(|(ka, _), (kb, _)| cmp_key_rows(ka, kb, ascending));
+    let order = buffer.sorted_order();
+    let SortBuffer {
+        mut rows,
+        keys: mut key_values,
+        ..
+    } = buffer;
     if runs.is_empty() {
-        return Ok(Relation::new(
-            schema,
-            keyed.into_iter().map(|(_, t)| t).collect(),
-        )?);
+        let sorted = order
+            .into_iter()
+            .map(|i| std::mem::take(&mut rows[i]))
+            .collect();
+        return Ok(Relation::new(schema, sorted)?);
     }
     let mgr = gov
         .spill()
         .expect("runs exist only when a spill manager is live");
     let mut streams: Vec<_> = runs.iter().map(|f| mgr.pool().stream(f)).collect();
-    let mut heads: Vec<Option<(Vec<Value>, Tuple)>> = Vec::with_capacity(streams.len() + 1);
-    for stream in streams.iter_mut() {
-        heads.push(match stream.next_record()? {
-            Some(record) => Some(spill::decode_run_row(&record)?),
-            None => None,
-        });
+    let nkeys = ascending.len();
+    let mut resident = order.into_iter();
+    // The next row of run `run`: a record of its file, or — past the last
+    // file — of the resident remainder.
+    let mut next_of = |run: usize| -> Result<Option<RunHead<'_>>> {
+        let row = match streams.get_mut(run) {
+            Some(stream) => match stream.next_record()? {
+                Some(record) => Some(spill::decode_run_row(&record)?),
+                None => None,
+            },
+            None => resident.next().map(|i| {
+                let key = key_values[i * nkeys..(i + 1) * nkeys]
+                    .iter_mut()
+                    .map(|v| std::mem::replace(v, Value::Null))
+                    .collect();
+                (key, std::mem::take(&mut rows[i]))
+            }),
+        };
+        Ok(row.map(|(key, tuple)| RunHead {
+            key,
+            run,
+            tuple,
+            ascending,
+        }))
+    };
+    let mut heads = BinaryHeap::with_capacity(runs.len() + 1);
+    for run in 0..=runs.len() {
+        heads.extend(next_of(run)?);
     }
-    let mut mem = std::mem::take(&mut keyed).into_iter();
-    heads.push(mem.next());
     let mut out = Relation::empty(schema);
     let mut emitted = 0usize;
-    loop {
-        // Linear min-scan over the run heads (the run count is small —
-        // every run paid for itself in budget pressure); strict `<` keeps
-        // the lowest run index on ties, which is the stable order.
-        let mut best: Option<usize> = None;
-        for i in 0..heads.len() {
-            if heads[i].is_none() {
-                continue;
-            }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let ki = &heads[i].as_ref().unwrap().0;
-                    let kb = &heads[b].as_ref().unwrap().0;
-                    if cmp_key_rows(ki, kb, ascending).is_lt() {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        let (_, tuple) = heads[b].take().expect("best head is non-empty");
-        out.push_unchecked(tuple);
+    while let Some(mut head) = heads.peek_mut() {
+        out.push_unchecked(std::mem::take(&mut head.tuple));
         emitted += 1;
         if emitted.is_multiple_of(BATCH_ROWS) {
             gov.checkpoint("sort")?;
             probe.batch();
         }
-        heads[b] = if b < streams.len() {
-            match streams[b].next_record()? {
-                Some(record) => Some(spill::decode_run_row(&record)?),
-                None => None,
+        // Replacing the top in place sifts once where pop + push sift twice.
+        match next_of(head.run)? {
+            Some(next) => *head = next,
+            None => {
+                PeekMut::pop(head);
             }
-        } else {
-            mem.next()
-        };
+        }
     }
     Ok(out)
 }

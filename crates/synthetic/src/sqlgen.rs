@@ -9,9 +9,10 @@
 //! something if both sides draw from one generator. This module is that
 //! generator: nested-subquery SQL (`IN` / `NOT IN` / correlated `EXISTS` /
 //! `NOT EXISTS` / scalar aggregates, correlated or not, one extra nesting
-//! level, `ORDER BY` / `LIMIT` tails, and joins grouped or ordered by a
-//! qualified column) with `$1`-style parameters — bound to integers, and now
-//! and then to `NULL` or a string — over the fixed [`corpus_database`].
+//! level, `ORDER BY` / `LIMIT` tails, and joins grouped or ordered by
+//! qualified columns of either input) with `$1`-style parameters — bound to
+//! integers, and now and then to `NULL` or a string — over the fixed
+//! [`corpus_database`].
 
 use perm_storage::{Database, Relation, Schema, Value};
 use rand::rngs::StdRng;
@@ -137,8 +138,8 @@ fn subquery(rng: &mut StdRng, depth: usize) -> String {
 
 /// One random top-level query in the supported subset.
 fn random_sql(rng: &mut StdRng) -> String {
-    // One query in eight is a join whose `GROUP BY` / `ORDER BY` names a
-    // qualified column — the binder resolves those against the FROM
+    // Three queries in sixteen are joins whose `GROUP BY` / `ORDER BY` names
+    // qualified columns — the binder resolves those against the FROM
     // clause's attributes, not against output names.
     match rng.gen_range(0..16) {
         0 => {
@@ -147,11 +148,26 @@ fn random_sql(rng: &mut StdRng) -> String {
                 comparison(rng, "s.c")
             )
         }
-        1 => {
+        // A self-join on `g` fans every `x` row out over its group, so an
+        // `ORDER BY` over it is all ties: the tails name a column of the
+        // left input, of the right (descending), of both, two keys of the
+        // left — now and then under a `LIMIT` that cuts through a tie.
+        1 | 2 => {
+            let order_by =
+                ["x.b", "y.b DESC", "x.b, y.b", "x.g DESC, x.a"][rng.gen_range(0..4usize)];
+            // `x.b, y.b` share the output name `b` — except under a `LIMIT`,
+            // whose provenance rewrite joins back on output names and so
+            // needs them distinct.
+            let (y_b, limit) = if rng.gen_bool(0.3) {
+                ("y.b AS yb", " LIMIT 7")
+            } else {
+                ("y.b", "")
+            };
             return format!(
-                "SELECT x.a, x.b, y.b FROM r x, r y WHERE x.a = y.a AND {} ORDER BY x.b",
+                "SELECT x.a, x.b, {y_b} FROM r x, r y WHERE x.g = y.g AND {} \
+                 ORDER BY {order_by}{limit}",
                 comparison(rng, "y.a")
-            )
+            );
         }
         _ => {}
     }
@@ -220,6 +236,20 @@ mod tests {
             "(SELECT avg(d)",
         ] {
             assert!(cases.iter().any(|c| c.sql.contains(shape)), "{shape}");
+        }
+        for tail in [
+            "ORDER BY x.b",
+            "ORDER BY y.b DESC",
+            "ORDER BY x.b, y.b",
+            "ORDER BY x.g DESC, x.a",
+            "LIMIT 7",
+        ] {
+            assert!(
+                cases
+                    .iter()
+                    .any(|c| c.sql.contains(" y WHERE ") && c.sql.contains(tail)),
+                "{tail}"
+            );
         }
         let bound: Vec<Value> = cases
             .iter()

@@ -5,7 +5,9 @@
 //! Then the same for its *provenance*: the Gen rewrite's selection over
 //! `customers⁺ × CrossBase(orders)` becomes two hash joins, and the rule
 //! summary says what fired and how many sublinks are left (none) — also
-//! when the threshold is a `$1` parameter of a prepared statement.
+//! when the threshold is a `$1` parameter of a prepared statement. Last, an
+//! `ORDER BY`: the rewrite sorts the witness rows, the optimizer sorts the
+//! customers and lets the join fan them out in that order.
 //!
 //! Run with `cargo run --example optimizer_explain`.
 
@@ -91,6 +93,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         witnesses.len(),
         session.executor().operators_evaluated() - before,
         optimized.optimizer_report().sublinks_remaining,
+    );
+
+    // An `ORDER BY` on a provenance query. The rewrite joins the witnesses
+    // on and re-applies the sort on top — `Sort` over two rename-only `Π`s
+    // over the join, so every witness row goes through the sort. A stable
+    // sort commutes with everything that keeps its left input's order, so
+    // the optimized plan reads `Π(⋈(Sort(customers), …))` (`compose×…
+    // sort-pushdown×…`): the 200 customers are sorted, not the 309 witness
+    // rows — which come out the same, in the same order, ties included.
+    let sorted_sql = "SELECT PROVENANCE name FROM customers \
+                      WHERE id IN (SELECT customer_id FROM orders WHERE total > 100) \
+                      ORDER BY name";
+    let profile = session.explain(sorted_sql)?;
+    println!("{}", profile.render());
+    let sorted = session.prepare(sorted_sql)?;
+    let report = sorted.optimizer_report();
+    assert!(report.projections_composed >= 1 && report.sorts_pushed >= 1);
+    let as_written = Executor::new(engine.database()).execute_unoptimized(sorted.bound_plan())?;
+    let witnesses = session.execute(&sorted, &[])?;
+    assert_eq!(
+        witnesses.tuples(),
+        as_written.tuples(),
+        "the optimizer must not change the row order under an ORDER BY"
+    );
+    println!(
+        "ordered provenance: {} witness rows, in the order of the plan as written\n",
+        witnesses.len()
     );
 
     // How provenance is *served*: the same statement prepared once, with
