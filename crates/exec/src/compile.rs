@@ -32,7 +32,7 @@
 
 use crate::batch::Batch;
 use crate::eval::{arithmetic, compare};
-use crate::executor::{extract_equi_keys, Executor};
+use crate::executor::{extract_equi_keys, flatten_conjuncts, Executor};
 use crate::functions;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
@@ -161,6 +161,83 @@ pub struct CompiledSortKey {
     pub ascending: bool,
 }
 
+/// A pass-through projection as data: output column `k` is input column
+/// `cols()[k]`. Recorded on every non-`DISTINCT` [`CompiledNode::Project`]
+/// whose items are all depth-0 slots — the rename-only `Π` every rule of the
+/// provenance rewrite ends in — so the compiled driver moves values by
+/// position instead of evaluating items: a `Π` over a join is emitted *by*
+/// the join (`crate::physical`'s one row-building routine writes each output
+/// row through the map, and the join's full-width relation is never built),
+/// a `Π` over anything else gathers from the rows its child hands over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnMap {
+    cols: Vec<usize>,
+    /// `last_use[k]`: no later output column reads `cols[k]` again, so an
+    /// owned input row gives the value up instead of cloning it.
+    last_use: Vec<bool>,
+    /// `cols` is `0, 1, 2, …`: over a row of that arity, the identity.
+    in_order: bool,
+}
+
+impl ColumnMap {
+    pub(crate) fn new(cols: Vec<usize>) -> ColumnMap {
+        let last_use = (0..cols.len())
+            .map(|k| !cols[k + 1..].contains(&cols[k]))
+            .collect();
+        let in_order = cols.iter().enumerate().all(|(k, &i)| k == i);
+        ColumnMap {
+            cols,
+            last_use,
+            in_order,
+        }
+    }
+
+    /// The map of an operator with no pass-through `Π` above it.
+    pub(crate) fn identity(arity: usize) -> ColumnMap {
+        ColumnMap::new((0..arity).collect())
+    }
+
+    /// The input position each output column reads.
+    pub fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// The output row of an owned input row: each value moves at its last
+    /// use and is cloned before that; the identity hands the row through.
+    pub(crate) fn gather(&self, row: Tuple) -> Tuple {
+        if self.in_order && self.cols.len() == row.arity() {
+            return row;
+        }
+        let mut values = row.into_values();
+        let mut out = Vec::with_capacity(self.cols.len());
+        for (&i, &last) in self.cols.iter().zip(&self.last_use) {
+            out.push(if last {
+                std::mem::replace(&mut values[i], Value::Null)
+            } else {
+                values[i].clone()
+            });
+        }
+        Tuple::new(out)
+    }
+
+    /// The output row of the join candidate `lt ⧺ rt`, built once, straight
+    /// from the two inputs. `rt = None` reads every right column as NULL:
+    /// left-outer padding, and the left-only rows of semi / anti joins
+    /// (whose maps name left columns alone).
+    pub(crate) fn pair(&self, lt: &Tuple, rt: Option<&Tuple>) -> Tuple {
+        let left_arity = lt.arity();
+        let mut out = Vec::with_capacity(self.cols.len());
+        for &i in &self.cols {
+            out.push(match (i.checked_sub(left_arity), rt) {
+                (None, _) => lt.get(i).clone(),
+                (Some(j), Some(rt)) => rt.get(j).clone(),
+                (Some(_), None) => Value::Null,
+            });
+        }
+        Tuple::new(out)
+    }
+}
+
 /// A plan compiled for execution: the operator tree, and how many query
 /// parameters an execution of it must find bound. Produced by
 /// [`Executor::prepare`]; the count is what makes "every `$n` is bound" a
@@ -199,11 +276,13 @@ pub enum CompiledNode {
     Scan { table: String, schema: Schema },
     /// Constant relation.
     Values { schema: Schema, rows: Vec<Tuple> },
-    /// Projection.
+    /// Projection. `column_map` is `Some` when it only moves columns (see
+    /// [`ColumnMap`]).
     Project {
         input: Box<CompiledNode>,
         items: Vec<CompiledExpr>,
         distinct: bool,
+        column_map: Option<ColumnMap>,
         schema: Schema,
     },
     /// Selection.
@@ -218,14 +297,22 @@ pub enum CompiledNode {
         right: Box<CompiledNode>,
         schema: Schema,
     },
-    /// Inner or left-outer join. `equi_keys` is non-empty when the condition
-    /// admits hash execution; the full condition is always rechecked.
+    /// Inner, left-outer, semi or anti join. `equi_keys` is non-empty when
+    /// the condition admits hash execution. Bucket-mates are rechecked
+    /// against the full condition unless `keys_cover_condition`: every
+    /// conjunct was extracted as an equi key (`Column = Column` / `=ₙ`, both
+    /// total), and key-encoding equality *is* those comparisons (the
+    /// invariant of `perm_storage`'s `keys.rs`), so bucket-mates are the
+    /// matches and no candidate row is built to find that out. The rows the
+    /// join outputs are written through a [`ColumnMap`] — the identity, or
+    /// that of the pass-through `Π` directly above — by the compiled driver.
     Join {
         left: Box<CompiledNode>,
         right: Box<CompiledNode>,
         kind: JoinKind,
         condition: CompiledExpr,
         equi_keys: Vec<CompiledEquiKey>,
+        keys_cover_condition: bool,
         schema: Schema,
     },
     /// Grouping and aggregation.
@@ -474,10 +561,20 @@ impl Compiler {
                     .iter()
                     .map(|item| self.expr(&item.expr, Some(&scope)))
                     .collect::<Result<Vec<_>>>()?;
+                let slots = items.iter().map(|item| match item {
+                    CompiledExpr::Slot(Slot { depth: 0, index }) => Some(*index),
+                    _ => None,
+                });
+                let column_map = if *distinct {
+                    None
+                } else {
+                    slots.collect::<Option<Vec<_>>>().map(ColumnMap::new)
+                };
                 Ok(CompiledNode::Project {
                     input: Box::new(self.plan(input, outer)?),
                     items,
                     distinct: *distinct,
+                    column_map,
                     schema: plan.schema(),
                 })
             }
@@ -528,6 +625,10 @@ impl Compiler {
                         });
                     }
                 }
+                let mut conjuncts = Vec::new();
+                flatten_conjuncts(condition, &mut conjuncts);
+                let keys_cover_condition =
+                    !equi_keys.is_empty() && equi_keys.len() == conjuncts.len();
                 let scope = Scopes::nest(outer, &cond_schema);
                 let condition = self.expr(condition, Some(&scope))?;
                 Ok(CompiledNode::Join {
@@ -536,6 +637,7 @@ impl Compiler {
                     kind: *kind,
                     condition,
                     equi_keys,
+                    keys_cover_condition,
                     schema: out_schema,
                 })
             }
@@ -825,9 +927,33 @@ impl Executor<'_> {
             }
             CompiledNode::Project {
                 input,
+                column_map: Some(map),
+                schema,
+                ..
+            } => {
+                let child_prof = prof.map(|p| p.child(0));
+                // Π∘⋈ in one pass: the join writes its rows through the Π's
+                // map, and the Π is left none to gather.
+                let (child, map) = match **input {
+                    CompiledNode::Join { .. } => {
+                        let rows = self.execute_join(input, frame, child_prof, map, schema)?;
+                        (rows, None)
+                    }
+                    _ => (
+                        self.execute_compiled_node(input, frame, child_prof)?,
+                        Some(map),
+                    ),
+                };
+                self.profiled(prof, child.len() as u64, || {
+                    physical::project_columns(probe, gov, child, schema.clone(), map)
+                })
+            }
+            CompiledNode::Project {
+                input,
                 items,
                 distinct,
                 schema,
+                ..
             } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
@@ -846,7 +972,7 @@ impl Executor<'_> {
             } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
-                    physical::select(probe, gov, &child, |batch, out| {
+                    physical::select(probe, gov, child, |batch, out| {
                         self.predicate_batch(predicate, batch, frame, out)
                     })
                 })
@@ -862,38 +988,9 @@ impl Executor<'_> {
                     physical::cross_product(probe, gov, &l, &r, schema.clone())
                 })
             }
-            CompiledNode::Join {
-                left,
-                right,
-                kind,
-                condition,
-                equi_keys,
-                schema,
-            } => {
-                let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
-                if l.is_empty() && kind.left_only_output() {
-                    // A decorrelated sublink's inner plan never ran when the
-                    // outer input was empty; skipping the build side keeps
-                    // the operator count and error surface of the reference
-                    // per-binding evaluation.
-                    return Ok(Relation::empty(schema.clone()));
-                }
-                let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
-                let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-                self.profiled(prof, (l.len() + r.len()) as u64, || {
-                    physical::join(
-                        probe,
-                        gov,
-                        &l,
-                        &r,
-                        schema,
-                        *kind,
-                        &null_safe,
-                        |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
-                        |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                        |batch, out| self.predicate_batch(condition, batch, frame, out),
-                    )
-                })
+            CompiledNode::Join { schema, .. } => {
+                let map = ColumnMap::identity(schema.arity());
+                self.execute_join(plan, frame, prof, &map, schema)
             }
             CompiledNode::Aggregate {
                 input,
@@ -968,6 +1065,59 @@ impl Executor<'_> {
                 self.profiled(prof, rows_in, || physical::limit(probe, gov, child, *limit))
             }
         }
+    }
+
+    /// Executes a join's inputs and the join itself, its rows written
+    /// through `map` under `out_schema`: the identity and the join's own
+    /// schema, or those of the pass-through Π directly above it. `prof`
+    /// mirrors the join.
+    fn execute_join(
+        &self,
+        join: &CompiledNode,
+        frame: Option<&Frame<'_>>,
+        prof: Option<&ProfNode>,
+        map: &ColumnMap,
+        out_schema: &Schema,
+    ) -> Result<Relation> {
+        let CompiledNode::Join {
+            left,
+            right,
+            kind,
+            condition,
+            equi_keys,
+            keys_cover_condition,
+            ..
+        } = join
+        else {
+            unreachable!("the caller matched a join");
+        };
+        let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
+        if l.is_empty() && kind.left_only_output() {
+            // A decorrelated sublink's inner plan never ran when the
+            // outer input was empty; skipping the build side keeps
+            // the operator count and error surface of the reference
+            // per-binding evaluation.
+            return Ok(Relation::empty(out_schema.clone()));
+        }
+        let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
+        let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
+        let probe = OpProbe::new(&self.ops_evaluated, prof.map(|p| &p.stats));
+        self.profiled(prof, (l.len() + r.len()) as u64, || {
+            physical::join(
+                probe,
+                &self.governor,
+                &l,
+                &r,
+                out_schema,
+                *kind,
+                &null_safe,
+                map,
+                !keys_cover_condition,
+                |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
+                |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
+                |batch, out| self.predicate_batch(condition, batch, frame, out),
+            )
+        })
     }
 
     /// The vectorized projection core, shared by the materialising driver

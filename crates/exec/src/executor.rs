@@ -44,7 +44,7 @@
 //! the current [`Env`]), which lets the same parameterized sublink memo —
 //! and the verdict memo — serve the interpreter and the tracer as well.
 
-use crate::compile::CompiledPlan;
+use crate::compile::{ColumnMap, CompiledPlan};
 use crate::eval::Env;
 use crate::memo::{MemoMap, SharedSublinkMemo};
 use crate::physical::{self, AggSpec};
@@ -770,7 +770,7 @@ impl<'a> Executor<'a> {
             Plan::Select { input, predicate } => {
                 let child = self.execute_with_env(input, env)?;
                 let child_schema = child.schema().clone();
-                physical::select(probe, gov, &child, |batch, out| {
+                physical::select(probe, gov, child, |batch, out| {
                     for tuple in batch.iter() {
                         let scope = Env::new(env, &child_schema, tuple);
                         out.push(self.eval_predicate(predicate, Some(&scope))?.is_true());
@@ -817,6 +817,9 @@ impl<'a> Executor<'a> {
                     extract_equi_keys(condition, &l_schema, &r_schema)
                 };
                 let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
+                // The reference stays independent of the compiled driver's
+                // emission shortcuts: rows as the join defines them (the
+                // identity map), every bucket-mate rechecked.
                 physical::join(
                     probe,
                     gov,
@@ -825,6 +828,8 @@ impl<'a> Executor<'a> {
                     &out_schema,
                     *kind,
                     &null_safe,
+                    &ColumnMap::identity(out_schema.arity()),
+                    true,
                     |batch, i, col| {
                         for lt in batch.iter() {
                             let scope = Env::new(env, &l_schema, lt);
@@ -986,7 +991,7 @@ fn side_of(expr: &Expr, left: &Schema, right: &Schema) -> Option<Side> {
     }
 }
 
-fn flatten_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+pub(crate) fn flatten_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     if let Expr::Binary {
         op: perm_algebra::BinaryOp::And,
         left,

@@ -21,6 +21,11 @@
 //! — the peak is the peak either way — and a burst above the limit is still
 //! returned. With any other platform or C library this is a no-op. It is
 //! the workspace's only `unsafe` block: one foreign call, two integers.
+//!
+//! Re-measured once joins built each witness row once and a fan-out query
+//! freed ~24 MB instead of ~60 MB (ten 15 s `spill_budget` runs each way):
+//! 19 450 minor faults, 0.24 s system time and 146 queries/s with this
+//! policy; 2.1 M, 3.2 s and 108 without. It stays.
 
 use std::sync::Once;
 

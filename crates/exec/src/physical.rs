@@ -34,6 +34,19 @@
 //! candidate batches are filtered with a truth vector and drained in order,
 //! never reordered.
 //!
+//! A join **builds each output row once**, through an emission map (a
+//! [`ColumnMap`]): the identity, or — when the compiled driver finds a
+//! pass-through `Π` directly above the join, as every rule of the provenance
+//! rewrite leaves one — that `Π`'s columns, so the join's full-width
+//! relation never exists and the `Π` finds its rows made
+//! ([`project_columns`]). Every emission site — resident probe, grace
+//! emission, nested loop, NULL padding, the left rows of semi / anti joins —
+//! goes through the one `JoinSink`. When the equi keys are the join's whole
+//! condition there is nothing to recheck: key-encoding equality is exactly
+//! `=` / `=ₙ` (the invariant of `perm_storage`'s `keys.rs`), bucket-mates
+//! are the matches, and no candidate row is built to ask. The interpreter
+//! passes the identity map and always rechecks; it stays the reference.
+//!
 //! The `operators_evaluated` accounting also lives here, in one place:
 //! every physical operator counts exactly one evaluation **per logical
 //! operator invocation** through its [`OpProbe`] (the shared [`OpCounter`]
@@ -71,6 +84,7 @@
 
 use crate::aggregate::Accumulator;
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
+use crate::compile::ColumnMap;
 use crate::profile::{self, OpProbe};
 use crate::resilience::{relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge};
 use crate::spill::{self, fnv1a, SpillManager};
@@ -162,31 +176,65 @@ pub(crate) fn project(
     Ok(if distinct { out.distinct() } else { out })
 }
 
+/// Pass-through projection over a child the driver owns: every output
+/// column is an input column, so each row is gathered by position, in place
+/// ([`ColumnMap::gather`] — moved at a column's last use, cloned before it),
+/// with no expression evaluated. `map = None`: the join below already wrote
+/// the rows through this Π's map (see [`join`]), and the profile says so.
+/// Either way the same checkpoints and batches as [`project`] over the same
+/// input.
+pub(crate) fn project_columns(
+    probe: OpProbe<'_>,
+    gov: &Governor,
+    child: Relation,
+    out_schema: Schema,
+    map: Option<&ColumnMap>,
+) -> Result<Relation> {
+    let _timer = profile::begin(&probe);
+    gov.operator_event("project")?;
+    if map.is_none() {
+        probe.emitted_by_join();
+    }
+    let mut rows = child.into_tuples();
+    for chunk in rows.chunks_mut(BATCH_ROWS) {
+        gov.checkpoint("project")?;
+        probe.batch();
+        if let Some(map) = map {
+            for row in chunk {
+                *row = map.gather(std::mem::take(row));
+            }
+        }
+    }
+    Ok(Relation::new(out_schema, rows)?)
+}
+
 /// Selection: `keep` evaluates the predicate over one batch (three-valued
-/// TRUE only), appending one verdict per live row. Survivors are marked in
-/// a truth vector and copied once into the output — dropped rows are never
-/// materialised.
+/// TRUE only), appending one verdict per live row. The child is consumed:
+/// survivors are marked in a truth vector and moved into the output, dropped
+/// rows are never copied.
 pub(crate) fn select(
     probe: OpProbe<'_>,
     gov: &Governor,
-    child: &Relation,
+    child: Relation,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = profile::begin(&probe);
     gov.operator_event("select")?;
-    let arity = child.schema().arity();
-    let mut out = Relation::empty(child.schema().clone());
-    let mut truths: Vec<bool> = Vec::with_capacity(BATCH_ROWS.min(child.len()));
-    for chunk in child.tuples().chunks(BATCH_ROWS) {
+    let schema = child.schema().clone();
+    let arity = schema.arity();
+    let mut input = child.into_tuples();
+    let mut out = Relation::empty(schema);
+    let mut truths: Vec<bool> = Vec::with_capacity(BATCH_ROWS.min(input.len()));
+    for chunk in input.chunks_mut(BATCH_ROWS) {
         gov.checkpoint("select")?;
         probe.batch();
         truths.clear();
         let block = ColumnBlock::new(arity);
         keep(&Batch::dense_with_block(chunk, &block), &mut truths)?;
         debug_assert_eq!(truths.len(), chunk.len(), "one verdict per live row");
-        for (tuple, keep) in chunk.iter().zip(&truths) {
+        for (tuple, keep) in chunk.iter_mut().zip(&truths) {
             if *keep {
-                out.push_unchecked(tuple.clone());
+                out.push_unchecked(std::mem::take(tuple));
             }
         }
     }
@@ -233,6 +281,38 @@ fn reset_key_buffers(n: usize, keys_buf: &mut Vec<Vec<u8>>, live: &mut Vec<bool>
     live.resize(n, true);
 }
 
+/// Where every row a join outputs goes — resident probe, grace emission,
+/// nested loop, padding, semi / anti alike — through the one [`ColumnMap`]:
+/// output column `k` is column `map.cols()[k]` of the candidate row
+/// `left ⧺ right` (of the left row, for semi / anti joins).
+struct JoinSink<'a> {
+    map: &'a ColumnMap,
+    kind: JoinKind,
+    out: Relation,
+}
+
+impl JoinSink<'_> {
+    /// A survivor of the recheck, gathered out of its candidate row.
+    fn survivor(&mut self, candidate: &mut Tuple) {
+        let row = self.map.gather(std::mem::take(candidate));
+        self.out.push_unchecked(row);
+    }
+
+    /// Ends a left row: NULL padding for a left-outer join nothing matched,
+    /// the left row itself — at most once — for a semi join something
+    /// matched and an anti join nothing did.
+    fn close_left(&mut self, lt: &Tuple, matched: bool) {
+        let emits = match self.kind {
+            JoinKind::Inner => false,
+            JoinKind::Semi => matched,
+            JoinKind::LeftOuter | JoinKind::Anti => !matched,
+        };
+        if emits {
+            self.out.push_unchecked(self.map.pair(lt, None));
+        }
+    }
+}
+
 /// One left row's candidate range inside a pending joined-row buffer:
 /// the left tuple (for padding) and the half-open candidate range.
 struct JoinSegment<'l> {
@@ -241,22 +321,15 @@ struct JoinSegment<'l> {
     end: usize,
 }
 
-/// Filters a pending buffer of joined candidate rows with `condition`
-/// (evaluated batch-at-a-time) and emits, **in order**, each segment's
-/// surviving rows followed by its left-outer NULL padding when nothing
-/// survived. Drains both buffers.
-#[allow(clippy::too_many_arguments)]
-fn flush_join_segments(
+/// Evaluates `condition` batch-at-a-time over a buffer of candidate rows:
+/// one verdict per candidate, one checkpoint per batch.
+fn recheck_candidates(
     probe: OpProbe<'_>,
     gov: &Governor,
     condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-    pending: &mut Vec<Tuple>,
-    segments: &mut Vec<JoinSegment<'_>>,
-    truths: &mut Vec<bool>,
-    kind: JoinKind,
+    pending: &[Tuple],
     join_arity: usize,
-    right_arity: usize,
-    out: &mut Relation,
+    truths: &mut Vec<bool>,
 ) -> Result<()> {
     truths.clear();
     for chunk in pending.chunks(BATCH_ROWS) {
@@ -266,29 +339,37 @@ fn flush_join_segments(
         condition(&Batch::dense_with_block(chunk, &block), truths)?;
     }
     debug_assert_eq!(truths.len(), pending.len(), "one verdict per candidate");
+    Ok(())
+}
+
+/// Filters a pending buffer of joined candidate rows with `condition` and
+/// emits, **in order**, each segment's surviving rows (gathered out of
+/// their candidates) followed by whatever ends its left row. Drains both
+/// buffers.
+#[allow(clippy::too_many_arguments)]
+fn flush_join_segments(
+    probe: OpProbe<'_>,
+    gov: &Governor,
+    sink: &mut JoinSink<'_>,
+    condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
+    pending: &mut Vec<Tuple>,
+    segments: &mut Vec<JoinSegment<'_>>,
+    truths: &mut Vec<bool>,
+    join_arity: usize,
+) -> Result<()> {
+    recheck_candidates(probe, gov, condition, pending, join_arity, truths)?;
     for segment in segments.drain(..) {
         let mut matched = false;
         for idx in segment.start..segment.end {
             if truths[idx] {
                 matched = true;
-                if kind.left_only_output() {
+                if sink.kind.left_only_output() {
                     break;
                 }
-                out.push_unchecked(std::mem::take(&mut pending[idx]));
+                sink.survivor(&mut pending[idx]);
             }
         }
-        match kind {
-            JoinKind::LeftOuter if !matched => out.push_unchecked(
-                segment
-                    .left
-                    .concat(&Tuple::new(vec![Value::Null; right_arity])),
-            ),
-            // Semi/anti joins emit the left tuple alone — at most once —
-            // depending on whether any candidate satisfied the condition.
-            JoinKind::Semi if matched => out.push_unchecked(segment.left.clone()),
-            JoinKind::Anti if !matched => out.push_unchecked(segment.left.clone()),
-            _ => {}
-        }
+        sink.close_left(segment.left, matched);
     }
     pending.clear();
     Ok(())
@@ -351,14 +432,16 @@ fn spill_join_build(
 }
 
 /// Filters a pending buffer of joined candidate rows with `condition` and
-/// collects each segment's survivors as `(left ordinal, tuple)` pairs —
-/// the grace-probe counterpart of [`flush_join_segments`], which cannot
-/// emit directly because partitions scramble the probe order. Padding is
-/// deferred to the ordinal-ordered emission walk.
+/// collects each segment's survivors as `(left ordinal, output row)` pairs
+/// — the grace-probe counterpart of [`flush_join_segments`], which cannot
+/// emit directly because partitions scramble the probe order. A semi / anti
+/// join needs one (empty) survivor per matched ordinal. What ends a left
+/// row is deferred to the ordinal-ordered emission walk.
 #[allow(clippy::too_many_arguments)]
 fn flush_spill_candidates(
     probe: OpProbe<'_>,
     gov: &Governor,
+    sink: &JoinSink<'_>,
     condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     pending: &mut Vec<Tuple>,
     segments: &mut Vec<(u64, usize, usize)>,
@@ -366,18 +449,16 @@ fn flush_spill_candidates(
     join_arity: usize,
     survivors: &mut Vec<(u64, Tuple)>,
 ) -> Result<()> {
-    truths.clear();
-    for chunk in pending.chunks(BATCH_ROWS) {
-        gov.checkpoint("join")?;
-        probe.batch();
-        let block = ColumnBlock::new(join_arity);
-        condition(&Batch::dense_with_block(chunk, &block), truths)?;
-    }
-    debug_assert_eq!(truths.len(), pending.len(), "one verdict per candidate");
+    recheck_candidates(probe, gov, condition, pending, join_arity, truths)?;
     for (ordinal, start, end) in segments.drain(..) {
         for idx in start..end {
             if truths[idx] {
-                survivors.push((ordinal, std::mem::take(&mut pending[idx])));
+                if sink.kind.left_only_output() {
+                    survivors.push((ordinal, Tuple::empty()));
+                    break;
+                }
+                let survivor = std::mem::take(&mut pending[idx]);
+                survivors.push((ordinal, sink.map.gather(survivor)));
             }
         }
     }
@@ -389,16 +470,16 @@ fn flush_spill_candidates(
 /// has been partitioned to disk. The left input stays resident; only its
 /// `(ordinal, key)` pairs are routed through the probe partition files, so
 /// each partition joins against exactly the build rows that can match it.
-/// Survivors are re-emitted in exact left-row order (stable sort by
-/// ordinal), with left-outer padding for ordinals nothing survived for.
+/// Survivors — already output rows — are re-emitted in exact left-row order
+/// (stable sort by ordinal), each ordinal closed by [`JoinSink::close_left`].
 #[allow(clippy::too_many_arguments)]
 fn grace_probe(
     probe: OpProbe<'_>,
     gov: &Governor,
+    mut sink: JoinSink<'_>,
+    recheck: bool,
     js: &JoinSpill,
     l: &Relation,
-    out_schema: &Schema,
-    kind: JoinKind,
     right_arity: usize,
     key_null_safe: &[bool],
     charge: &mut Option<TransientCharge<'_>>,
@@ -406,6 +487,7 @@ fn grace_probe(
     mut left_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
+    let left_only = sink.kind.left_only_output();
     let left_arity = l.schema().arity();
     let join_arity = left_arity + right_arity;
     let nkeys = key_null_safe.len();
@@ -472,11 +554,32 @@ fn grace_probe(
         while let Some(record) = stream.next_record()? {
             let (ord, key) = spill::decode_probe(&record)?;
             let lt = &l_tuples[ord as usize];
-            let start = pending.len();
-            if let Some(mates) = buckets.get(&key) {
-                for rt in mates {
-                    pending.push(lt.concat(rt));
+            let mates = buckets.get(&key).map_or(&[][..], Vec::as_slice);
+            if !recheck {
+                // Bucket-mates are the matches: their output rows are built
+                // here, once (a semi / anti join keeps only the fact), a
+                // checkpoint per batch of them.
+                let matches = if left_only {
+                    mates.len().min(1)
+                } else {
+                    mates.len()
+                };
+                for rt in &mates[..matches] {
+                    let row = match left_only {
+                        true => Tuple::empty(),
+                        false => sink.map.pair(lt, Some(rt)),
+                    };
+                    survivors.push((ord, row));
+                    if survivors.len().is_multiple_of(BATCH_ROWS) {
+                        gov.checkpoint("join")?;
+                        probe.batch();
+                    }
                 }
+                continue;
+            }
+            let start = pending.len();
+            for rt in mates {
+                pending.push(lt.concat(rt));
             }
             let mut flush_now = false;
             if let Some(c) = cand_charge.as_mut() {
@@ -490,6 +593,7 @@ fn grace_probe(
                 flush_spill_candidates(
                     probe,
                     gov,
+                    &sink,
                     &mut condition,
                     &mut pending,
                     &mut segments,
@@ -505,6 +609,7 @@ fn grace_probe(
         flush_spill_candidates(
             probe,
             gov,
+            &sink,
             &mut condition,
             &mut pending,
             &mut segments,
@@ -524,36 +629,21 @@ fn grace_probe(
     // Emission in exact left-row order: a stable sort groups survivors by
     // ordinal while keeping each ordinal's build-input candidate order.
     survivors.sort_by_key(|(ord, _)| *ord);
-    let mut out = Relation::empty(out_schema.clone());
-    let mut cursor = 0usize;
+    let mut survivors = survivors.into_iter().peekable();
     for (ord, lt) in l_tuples.iter().enumerate() {
-        let ord = ord as u64;
         let mut matched = false;
-        while cursor < survivors.len() && survivors[cursor].0 == ord {
+        while let Some((_, row)) = survivors.next_if(|(o, _)| *o == ord as u64) {
             matched = true;
-            if kind.left_only_output() {
-                // Survivors only signal a match here; the emitted tuple is
-                // the bare left row.
-                survivors[cursor].1 = Tuple::new(Vec::new());
-                cursor += 1;
-                continue;
+            if !left_only {
+                sink.out.push_unchecked(row);
             }
-            out.push_unchecked(std::mem::take(&mut survivors[cursor].1));
-            cursor += 1;
         }
-        match kind {
-            JoinKind::LeftOuter if !matched => {
-                out.push_unchecked(lt.concat(&Tuple::new(vec![Value::Null; right_arity])));
-            }
-            JoinKind::Semi if matched => out.push_unchecked(lt.clone()),
-            JoinKind::Anti if !matched => out.push_unchecked(lt.clone()),
-            _ => {}
-        }
+        sink.close_left(lt, matched);
     }
-    Ok(out)
+    Ok(sink.out)
 }
 
-/// Inner or left-outer join over already-executed inputs.
+/// Inner, left-outer, semi or anti join over already-executed inputs.
 ///
 /// `key_null_safe` carries one flag per extracted equi-key conjunct; when
 /// non-empty the join runs hashed — the right side (the **build** side, a
@@ -561,17 +651,24 @@ fn grace_probe(
 /// bucketed under the column-wise key encoding
 /// ([`encode_key_column_filtered`]) of its key values: each key column is
 /// encoded in one contiguous pass, appending its bytes to every row's key
-/// buffer, and only bucket-mates are rechecked against the full
-/// `condition`. Rows whose key is NULL under a plain (non-null-safe)
-/// equality can never match and are dropped from the hash table / probe
-/// (the encoder marks them dead in the `live` mask). When empty (no usable
-/// equality, or the condition carries sublinks, e.g. the Jsub conditions
-/// of the Left strategy) the join falls back to a nested loop. Either way
-/// the **probe** operates batch-at-a-time: key expressions are evaluated
-/// once per batch into typed [`ColumnVec`] lanes, candidate joined rows
-/// are filtered through a batched `condition` pass, and an unmatched left
-/// row of a left-outer join is padded with NULLs on the right — in exactly
-/// the per-left-row output order of a tuple-at-a-time loop.
+/// buffer. Rows whose key is NULL under a plain (non-null-safe) equality
+/// can never match and are dropped from the hash table / probe (the encoder
+/// marks them dead in the `live` mask). When empty (no usable equality, or
+/// the condition carries sublinks, e.g. the Jsub conditions of the Left
+/// strategy) the join falls back to a nested loop. Either way the **probe**
+/// operates batch-at-a-time: key expressions are evaluated once per batch
+/// into typed [`ColumnVec`] lanes, and output keeps exactly the per-left-row
+/// order of a tuple-at-a-time loop — a left row's matches in right-input
+/// order, then what ends the row (NULL padding; the left row of a semi /
+/// anti join).
+///
+/// Every output row is written through `map` by [`JoinSink`] (see the
+/// module docs). With `recheck`, bucket-mates — in the nested loop, all
+/// right rows — become candidate rows, filtered by a batched `condition`
+/// pass, the survivors gathered out of their candidates; without it each
+/// output row is built straight from its `(left, right)` pair: no candidate,
+/// no `condition` call, a checkpoint per [`BATCH_ROWS`] rows emitted in
+/// place of the one per candidate batch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join(
     probe: OpProbe<'_>,
@@ -581,6 +678,8 @@ pub(crate) fn join(
     out_schema: &Schema,
     kind: JoinKind,
     key_null_safe: &[bool],
+    map: &ColumnMap,
+    recheck: bool,
     mut left_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut right_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
@@ -595,7 +694,11 @@ pub(crate) fn join(
     // *output* schema is the left input alone.
     let join_arity = left_arity + right_arity;
     let nkeys = key_null_safe.len();
-    let mut out = Relation::empty(out_schema.clone());
+    let mut sink = JoinSink {
+        map,
+        kind,
+        out: Relation::empty(out_schema.clone()),
+    };
     let mut pending: Vec<Tuple> = Vec::new();
     let mut segments: Vec<JoinSegment<'_>> = Vec::new();
     let mut truths: Vec<bool> = Vec::new();
@@ -679,10 +782,10 @@ pub(crate) fn join(
             return grace_probe(
                 probe,
                 gov,
+                sink,
+                recheck,
                 &js,
                 l,
-                out_schema,
-                kind,
                 right_arity,
                 key_null_safe,
                 &mut charge,
@@ -693,11 +796,13 @@ pub(crate) fn join(
         }
 
         // Probe side, batch-at-a-time: evaluate the key columns once per
-        // probe batch, gather each row's bucket-mates into the pending
-        // buffer, and flush (condition + ordered emission) at left-row
-        // boundaries once a batch worth of candidates has accumulated.
-        let empty: Vec<&Tuple> = Vec::new();
+        // probe batch and look each row's bucket up. Under `recheck` the
+        // bucket-mates are gathered into the pending buffer and flushed
+        // (condition + ordered emission) at left-row boundaries once a
+        // batch worth of candidates has accumulated; otherwise they are the
+        // matches and go out as they are found.
         let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
+        let mut since_checkpoint = 0usize;
         for chunk in l.tuples().chunks(BATCH_ROWS) {
             gov.checkpoint("join")?;
             probe.batch();
@@ -717,13 +822,36 @@ pub(crate) fn join(
                 );
             }
             for (j, lt) in chunk.iter().enumerate() {
-                let candidates = if !live[j] {
-                    &empty
-                } else {
-                    buckets.get(&keys_buf[j]).unwrap_or(&empty)
+                let mates: &[&Tuple] = match buckets.get(&keys_buf[j]) {
+                    Some(mates) if live[j] => mates,
+                    _ => &[],
                 };
+                if !recheck {
+                    let before = sink.out.len();
+                    if !kind.left_only_output() {
+                        for rt in mates {
+                            sink.out.push_unchecked(map.pair(lt, Some(rt)));
+                            since_checkpoint += 1;
+                            if since_checkpoint == BATCH_ROWS {
+                                since_checkpoint = 0;
+                                gov.checkpoint("join")?;
+                                probe.batch();
+                            }
+                        }
+                    }
+                    sink.close_left(lt, !mates.is_empty());
+                    if let Some(c) = cand_charge.as_mut() {
+                        // Output growth. A refusal has no buffer to flush:
+                        // the rows are the result.
+                        let grown = sink.out.tuples()[before..].iter().map(tuple_bytes).sum();
+                        if !c.try_grow(grown)? {
+                            c.release();
+                        }
+                    }
+                    continue;
+                }
                 let start = pending.len();
-                for rt in candidates {
+                for rt in mates {
                     pending.push(lt.concat(rt));
                 }
                 let mut flush_now = false;
@@ -744,14 +872,12 @@ pub(crate) fn join(
                     flush_join_segments(
                         probe,
                         gov,
+                        &mut sink,
                         &mut condition,
                         &mut pending,
                         &mut segments,
                         &mut truths,
-                        kind,
                         join_arity,
-                        right_arity,
-                        &mut out,
                     )?;
                     if flush_now {
                         // Only a refused charge frees the candidate budget:
@@ -767,41 +893,41 @@ pub(crate) fn join(
         flush_join_segments(
             probe,
             gov,
+            &mut sink,
             &mut condition,
             &mut pending,
             &mut segments,
             &mut truths,
-            kind,
             join_arity,
-            right_arity,
-            &mut out,
         )?;
-        return Ok(out);
+        return Ok(sink.out);
     }
 
     // Nested-loop join: each left row's candidates are the whole right
     // input, processed one right batch at a time (bounded memory, batched
-    // condition dispatch), with padding emitted at the row boundary.
+    // condition dispatch), with the row closed at its boundary.
     for lt in l.tuples() {
         let mut matched = false;
         for r_chunk in r.tuples().chunks(BATCH_ROWS) {
-            gov.checkpoint("join")?;
-            probe.batch();
             pending.clear();
             for rt in r_chunk {
                 pending.push(lt.concat(rt));
             }
-            truths.clear();
-            let block = ColumnBlock::new(join_arity);
-            condition(&Batch::dense_with_block(&pending, &block), &mut truths)?;
-            debug_assert_eq!(truths.len(), pending.len(), "one verdict per candidate");
+            recheck_candidates(
+                probe,
+                gov,
+                &mut condition,
+                &pending,
+                join_arity,
+                &mut truths,
+            )?;
             for (idx, keep) in truths.iter().enumerate() {
                 if *keep {
                     matched = true;
                     if kind.left_only_output() {
                         break;
                     }
-                    out.push_unchecked(std::mem::take(&mut pending[idx]));
+                    sink.survivor(&mut pending[idx]);
                 }
             }
             // One match decides a semi/anti join's verdict for this left
@@ -812,16 +938,9 @@ pub(crate) fn join(
                 break;
             }
         }
-        match kind {
-            JoinKind::LeftOuter if !matched => {
-                out.push_unchecked(lt.concat(&Tuple::new(vec![Value::Null; right_arity])));
-            }
-            JoinKind::Semi if matched => out.push_unchecked(lt.clone()),
-            JoinKind::Anti if !matched => out.push_unchecked(lt.clone()),
-            _ => {}
-        }
+        sink.close_left(lt, matched);
     }
-    Ok(out)
+    Ok(sink.out)
 }
 
 /// How many hash partitions the out-of-core aggregation flushes partial

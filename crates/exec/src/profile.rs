@@ -59,6 +59,8 @@ pub(crate) struct NodeStats {
     pub(crate) spilled_bytes: Cell<u64>,
     pub(crate) spill_partitions: Cell<u64>,
     pub(crate) columnar_fallback_rows: Cell<u64>,
+    /// A pass-through projection whose rows the join below it wrote.
+    pub(crate) emitted_by_join: Cell<bool>,
 }
 
 fn add(cell: &Cell<u64>, delta: u64) {
@@ -287,7 +289,10 @@ fn snapshot_node(node: &ProfNode) -> ProfileNode {
     let s = &node.stats;
     ProfileNode {
         operator: node.op.to_string(),
-        detail: node.detail.clone(),
+        detail: match s.emitted_by_join.get() {
+            true => format!("{} (emitted by join)", node.detail),
+            false => node.detail.clone(),
+        },
         invocations: s.invocations.get(),
         rows_in: s.rows_in.get(),
         rows_out: s.rows_out.get(),
@@ -328,6 +333,13 @@ impl<'p> OpProbe<'p> {
     pub(crate) fn batch(&self) {
         if let Some(stats) = self.node {
             add(&stats.batches, 1);
+        }
+    }
+
+    /// Marks a projection as emitted by the join below it.
+    pub(crate) fn emitted_by_join(&self) {
+        if let Some(stats) = self.node {
+            stats.emitted_by_join.set(true);
         }
     }
 }

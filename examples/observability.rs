@@ -60,6 +60,18 @@ fn main() {
     // executor's `operators_evaluated` counter.
     let profile = session.explain_analyze(sql).expect("the query runs");
     println!("== EXPLAIN ANALYZE ==\n{profile}");
+    // The root Π only renames columns, so the semi join below it wrote the
+    // result rows through the Π's column map — each witness row is built
+    // once — and the profile says so: `project 7 items (emitted by join)`,
+    // rows in = rows out = what the join emitted, a self time without the
+    // join's.
+    let root = &profile.root;
+    assert!(
+        root.detail.ends_with("(emitted by join)"),
+        "{}",
+        root.detail
+    );
+    assert_eq!(root.rows_in, root.children[0].rows_out);
     println!(
         "total operator invocations: {}\n",
         profile.total_invocations()
