@@ -832,20 +832,7 @@ impl Executor<'_> {
                 return self.open(plan)?.into_relation();
             }
         }
-        self.execute_node(plan.root(), None)
-    }
-
-    /// Recursive compiled-path evaluation of one operator subtree: executes
-    /// children, wraps the vectorized batch evaluator
-    /// (`Executor::ceval_batch`, or the per-tuple [`Executor::ceval`] when
-    /// batching is disabled) into batch-evaluator closures over a [`Frame`]
-    /// slot chain, and delegates every operator body to `crate::physical` —
-    /// the same bodies the interpreter drives. `frame` is the runtime scope
-    /// chain for correlated slot references (present when the subtree is a
-    /// sublink query of an outer operator). This is the recursion, not an
-    /// entry: it re-checks no parameter binding and routes no `LIMIT`.
-    pub fn execute_node(&self, node: &CompiledNode, frame: Option<&Frame<'_>>) -> Result<Relation> {
-        self.execute_compiled_node(node, frame, None)
+        self.execute_compiled_node(plan.root(), None, None)
     }
 
     /// [`Executor::execute_compiled`] with a [`ProfileTree`] armed for the
@@ -906,10 +893,17 @@ impl Executor<'_> {
     }
 
     /// The recursive operator evaluation behind [`Executor::execute_compiled`]
-    /// (which see): no cursor routing happens at this level. `prof` is the
-    /// armed profile node mirroring `plan` (`None` on every unprofiled
-    /// path); children recurse positionally into its child nodes, so the
-    /// tree stays aligned with the plan by construction.
+    /// (which see): executes children, wraps the vectorized batch evaluator
+    /// (`Executor::ceval_batch`, or the per-tuple [`Executor::ceval`] when
+    /// batching is disabled) into batch-evaluator closures over a [`Frame`]
+    /// slot chain, and delegates every operator body to `crate::physical` —
+    /// the same bodies the interpreter drives. `frame` is the runtime scope
+    /// chain for correlated slot references (present when the subtree is a
+    /// sublink query of an outer operator). This is the recursion, not an
+    /// entry: it re-checks no parameter binding and routes no `LIMIT`.
+    /// `prof` is the armed profile node mirroring `plan` (`None` on every
+    /// unprofiled path); children recurse positionally into its child
+    /// nodes, so the tree stays aligned with the plan by construction.
     pub(crate) fn execute_compiled_node(
         &self,
         plan: &CompiledNode,
@@ -1329,7 +1323,7 @@ impl Executor<'_> {
     /// * sublink-bearing subtrees fall back to the per-tuple evaluator row
     ///   by row (see the `Sublink` arm of `ceval_cols`), leaving the
     ///   parameterized sublink memo and the
-    ///   [`Executor::execute_memoized_sublink`] seam untouched.
+    ///   `Executor::execute_memoized_sublink` seam untouched.
     ///
     /// The only observable difference is *which* of several pending errors
     /// surfaces first (per-tuple evaluation is row-major, vectorized
@@ -2034,39 +2028,12 @@ impl Executor<'_> {
         }
     }
 
-    /// `true` when the sublink's result for the binding carried by `frame`
-    /// is already memoized (in the shared memo when one is attached,
-    /// otherwise in this executor's private memo). A cheap key-compute +
-    /// lookup with no execution — the serving layer's warm-probe, so a
-    /// parallel warming pass can skip bindings (and whole thread scopes)
-    /// that earlier executions already paid for.
-    pub fn sublink_is_memoized(
-        &self,
-        sublink: &CompiledSublink,
-        frame: Option<&Frame<'_>>,
-    ) -> bool {
-        match self.compiled_sublink_key(sublink, frame) {
-            Ok(Some(key)) => match &self.shared_memo {
-                Some(shared) => shared.get_result(&key).is_some(),
-                None => self.sublink_memo.borrow_mut().get(&key).is_some(),
-            },
-            _ => false,
-        }
-    }
-
     /// Executes a compiled sublink plan, consulting the parameterized memo
     /// when the sublink has a resolved correlation signature (the memo-key
     /// contract is documented on the private `compiled_sublink_key`).
     /// Results are shared as `Arc<Relation>`s: a hit clones the pointer,
     /// never the tuples. Errors are never cached.
-    ///
-    /// Public because it is the *parallel-evaluation seam*: the serving
-    /// subsystem partitions the distinct correlated bindings of a sublink
-    /// across worker threads, and each worker drives exactly this method —
-    /// with a synthetic outer [`Frame`] carrying one binding — against an
-    /// executor that shares a [`crate::memo::SharedSublinkMemo`], so the
-    /// warmed entries are the very entries the final (serial) pass will hit.
-    pub fn execute_memoized_sublink(
+    fn execute_memoized_sublink(
         &self,
         sublink: &CompiledSublink,
         frame: Option<&Frame<'_>>,
@@ -2075,7 +2042,7 @@ impl Executor<'_> {
         self.execute_compiled_sublink_keyed(sublink, frame, key)
     }
 
-    /// [`Executor::execute_memoized_sublink`] with a precomputed memo key
+    /// `Executor::execute_memoized_sublink` with a precomputed memo key
     /// (so the `ANY`/`ALL` verdict path computes the key once for both
     /// memos).
     fn execute_compiled_sublink_keyed(

@@ -93,7 +93,7 @@ pub struct Executor<'a> {
     pub(crate) governor: Governor,
     /// Optional cross-thread memo ([`Executor::with_shared_memo`]). When
     /// attached, compiled-path sublink results and verdicts go to (and come
-    /// from) the shared sharded maps instead of the private memos above, so
+    /// from) the shared maps instead of the private memos above, so
     /// worker threads and sibling sessions serving the same prepared
     /// statements reuse each other's work. Interpreter-path entries stay
     /// private either way — their keys are plan *node addresses*, which mean
@@ -319,7 +319,7 @@ impl<'a> Executor<'a> {
 
     /// Attaches a cross-thread [`SharedSublinkMemo`]: compiled-path sublink
     /// results and `ANY`/`ALL` verdicts are then cached in (and served
-    /// from) the shared sharded maps instead of this executor's private
+    /// from) the shared maps instead of this executor's private
     /// memos, so several worker executors — each still single-threaded —
     /// jointly warm one memo. Safe because compiled memo keys embed a
     /// process-unique sublink id plus the typed parameter and binding

@@ -99,10 +99,10 @@
 //! use `Cell`/`RefCell`) — concurrency happens *above* it, one executor per
 //! worker thread. What crosses threads is the read-only data: the database,
 //! compiled plans, and optionally a [`SharedSublinkMemo`]
-//! ([`Executor::with_shared_memo`]) — a sharded, lock-per-shard memo through
-//! which worker executors share compiled-path sublink results and verdicts,
-//! the substrate of the `perm-serve` crate's parallel correlated-sublink
-//! evaluation.
+//! ([`Executor::with_shared_memo`]) — a mutex-guarded memo through which
+//! worker executors share compiled-path sublink results and verdicts, so a
+//! binding one worker of the `perm-serve` pool has evaluated is a hit for
+//! every other worker serving the same prepared statement.
 //!
 //! The [`resilience`] module threads serving-grade governance through the
 //! same physical layer: cooperative cancellation and deadlines (polled at
@@ -142,7 +142,7 @@ pub mod resilience;
 pub(crate) mod spill;
 
 pub use batch::{Batch, ColumnBlock, BATCH_ROWS};
-pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink, Frame, Slot};
+pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, Slot};
 pub use cursor::Rows;
 pub use eval::Env;
 pub use executor::Executor;

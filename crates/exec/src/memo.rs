@@ -16,12 +16,10 @@
 use crate::resilience::{MemoBytes, MemoCost};
 use perm_storage::{Relation, Truth};
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hasher;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fixed per-entry bookkeeping estimate (hash-map slot, recency stamp,
 /// queue representative) added to each entry's key + value bytes.
@@ -139,7 +137,6 @@ impl<V: Clone + MemoCost> MemoMap<V> {
         self.map.drain().map(|(k, e)| (k, e.value)).collect()
     }
 
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
@@ -200,85 +197,9 @@ impl<V: Clone + MemoCost> MemoMap<V> {
     }
 }
 
-/// An N-shard, lock-per-shard variant of [`MemoMap`]: the key's hash picks a
-/// shard, and only that shard's mutex is taken for the operation — so
-/// concurrent executors contend per shard, not on one global lock. The byte
-/// keys are the executor's typed memo keys, whose leading namespace tag and
-/// sublink identity already make them collision-proof across statements (see
-/// `crate::compile::NEXT_SUBLINK_ID`).
-pub(crate) struct ShardedMemo<V> {
-    shards: Vec<Mutex<MemoMap<V>>>,
-}
-
-impl<V: Clone + MemoCost> ShardedMemo<V> {
-    fn new(shards: usize, capacity: Option<usize>) -> ShardedMemo<V> {
-        let shards = shards.max(1);
-        // A per-shard capacity so the total bound is ~`capacity`; rounding up
-        // keeps a tiny bound usable rather than zero.
-        let per_shard = capacity.map(|c| c.div_ceil(shards).max(1));
-        ShardedMemo {
-            shards: (0..shards)
-                .map(|_| {
-                    let mut m = MemoMap::new();
-                    m.set_capacity(per_shard);
-                    Mutex::new(m)
-                })
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &[u8]) -> &Mutex<MemoMap<V>> {
-        let mut hasher = DefaultHasher::new();
-        hasher.write(key);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    // Shard locks recover from poisoning (`PoisonError::into_inner`): a
-    // panic while a shard is held cannot leave the map internally
-    // inconsistent, because every critical section is a single complete
-    // `MemoMap` operation — there is no multi-step write a panic could
-    // interrupt halfway. Propagating the poison instead would turn one
-    // panicked worker into a permanent failure for every later query whose
-    // key hashes to the same shard.
-    fn get(&self, key: &[u8]) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-    }
-
-    fn insert(&self, key: Vec<u8>, value: V) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, value);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
-    }
-
-    fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).bytes())
-            .sum()
-    }
-}
-
-/// The cross-thread sublink memo of the serving subsystem: sharded,
-/// lock-per-shard maps for compiled-path sublink *results*
-/// (`Arc<Relation>`, shared so hits never deep-copy — across threads too)
-/// and `ANY`/`ALL` *verdicts*.
+/// The cross-thread sublink memo of the serving subsystem: one mutex-guarded
+/// map for compiled-path sublink *results* (`Arc<Relation>`, shared so hits
+/// never deep-copy — across threads too) and one for `ANY`/`ALL` *verdicts*.
 ///
 /// Attached to an executor via [`crate::Executor::with_shared_memo`], it
 /// replaces the executor's private compiled-path memos, so distinct
@@ -295,8 +216,8 @@ impl<V: Clone + MemoCost> ShardedMemo<V> {
 /// function of the database, the binding and the parameter values), so the
 /// last write is indistinguishable from the first. Errors are never cached.
 pub struct SharedSublinkMemo {
-    results: ShardedMemo<Arc<Relation>>,
-    verdicts: ShardedMemo<Truth>,
+    results: Mutex<MemoMap<Arc<Relation>>>,
+    verdicts: Mutex<MemoMap<Truth>>,
     /// Result-map lookups that found an entry / came up empty, across all
     /// workers — the serving metrics registry's shared-memo hit rate.
     /// Relaxed atomics: these are monotone diagnostics, not
@@ -305,49 +226,56 @@ pub struct SharedSublinkMemo {
     result_misses: AtomicU64,
 }
 
-/// Default shard count of [`SharedSublinkMemo`]: enough to keep a handful of
-/// workers from serialising on one lock, small enough to stay cache-friendly.
-const DEFAULT_SHARDS: usize = 16;
+/// Locks one of the shared memo's maps, recovering from poisoning
+/// (`PoisonError::into_inner`): a panic while the lock is held cannot leave
+/// the map internally inconsistent, because every critical section is a
+/// single complete `MemoMap` operation — there is no multi-step write a
+/// panic could interrupt halfway. Propagating the poison instead would turn
+/// one panicked worker into a permanent failure for every later query.
+fn lock<V>(map: &Mutex<MemoMap<V>>) -> MutexGuard<'_, MemoMap<V>> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl SharedSublinkMemo {
-    /// An unbounded shared memo with the default shard count.
+    /// An unbounded shared memo.
     pub fn new() -> Arc<SharedSublinkMemo> {
-        SharedSublinkMemo::with_config(DEFAULT_SHARDS, None)
+        SharedSublinkMemo::with_capacity(None)
     }
 
-    /// A shared memo with an explicit shard count and an optional LRU
-    /// capacity bound *per map* — the result map and the (much lighter,
-    /// `Truth`-valued) verdict map are each bounded to `capacity` entries,
-    /// split evenly across their shards, so [`Self::entry_count`] can
-    /// reach `2 × capacity`. `None` = unbounded. This mirrors the per-map
-    /// semantics of `Executor::with_memo_capacity`.
-    pub fn with_config(shards: usize, capacity: Option<usize>) -> Arc<SharedSublinkMemo> {
-        Arc::new(SharedSublinkMemo {
-            results: ShardedMemo::new(shards, capacity),
-            verdicts: ShardedMemo::new(shards, capacity),
+    /// A shared memo with an optional LRU capacity bound *per map* — the
+    /// result map and the (much lighter, `Truth`-valued) verdict map are
+    /// each bounded to exactly `capacity` entries, so [`Self::entry_count`]
+    /// can reach `2 × capacity`. `None` = unbounded. This mirrors the
+    /// per-map semantics of `Executor::with_memo_capacity`.
+    pub fn with_capacity(capacity: Option<usize>) -> Arc<SharedSublinkMemo> {
+        let memo = SharedSublinkMemo {
+            results: Mutex::new(MemoMap::new()),
+            verdicts: Mutex::new(MemoMap::new()),
             result_hits: AtomicU64::new(0),
             result_misses: AtomicU64::new(0),
-        })
+        };
+        lock(&memo.results).set_capacity(capacity);
+        lock(&memo.verdicts).set_capacity(capacity);
+        Arc::new(memo)
     }
 
     /// Drops every cached result and verdict. The owner calls this when the
     /// underlying database changes; executors never clear a shared memo on
     /// their own.
     pub fn clear(&self) {
-        self.results.clear();
-        self.verdicts.clear();
+        lock(&self.results).clear();
+        lock(&self.verdicts).clear();
     }
 
-    /// Number of live entries across both maps and all shards (diagnostic).
+    /// Number of live entries across both maps (diagnostic).
     pub fn entry_count(&self) -> usize {
-        self.results.len() + self.verdicts.len()
+        lock(&self.results).len() + lock(&self.verdicts).len()
     }
 
-    /// Approximate bytes held across both maps and all shards — the memo is
-    /// byte-aware, not just entry-aware, so a memory budget can account and
-    /// reclaim it.
+    /// Approximate bytes held across both maps — the memo is byte-aware,
+    /// not just entry-aware, so a memory budget can account and reclaim it.
     pub fn byte_size(&self) -> u64 {
-        self.results.bytes() + self.verdicts.bytes()
+        lock(&self.results).bytes() + lock(&self.verdicts).bytes()
     }
 
     /// Result-map hits observed so far (across all sharing executors).
@@ -361,7 +289,7 @@ impl SharedSublinkMemo {
     }
 
     pub(crate) fn get_result(&self, key: &[u8]) -> Option<Arc<Relation>> {
-        let hit = self.results.get(key);
+        let hit = lock(&self.results).get(key);
         match &hit {
             Some(_) => self.result_hits.fetch_add(1, Ordering::Relaxed),
             None => self.result_misses.fetch_add(1, Ordering::Relaxed),
@@ -370,15 +298,15 @@ impl SharedSublinkMemo {
     }
 
     pub(crate) fn insert_result(&self, key: Vec<u8>, value: Arc<Relation>) {
-        self.results.insert(key, value);
+        lock(&self.results).insert(key, value);
     }
 
     pub(crate) fn get_verdict(&self, key: &[u8]) -> Option<Truth> {
-        self.verdicts.get(key)
+        lock(&self.verdicts).get(key)
     }
 
     pub(crate) fn insert_verdict(&self, key: Vec<u8>, value: Truth) {
-        self.verdicts.insert(key, value);
+        lock(&self.verdicts).insert(key, value);
     }
 }
 
@@ -449,7 +377,6 @@ impl MemoBytes for SpillableResultMemo {
 impl std::fmt::Debug for SharedSublinkMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSublinkMemo")
-            .field("shards", &self.results.shards.len())
             .field("entries", &self.entry_count())
             .finish()
     }
@@ -542,14 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_memo_capacity_bounds_every_shard() {
-        let memo = SharedSublinkMemo::with_config(4, Some(8));
+    fn shared_memo_capacity_is_an_exact_lru_bound() {
+        let memo = SharedSublinkMemo::with_capacity(Some(8));
         for i in 0..100u8 {
             memo.insert_result(vec![i], Arc::new(Relation::default()));
+            // Keep key 0 hot: a `get` refreshes its recency.
+            assert!(memo.get_result(&[0]).is_some());
         }
-        // Total bound is the per-shard bound × shards: ceil(8 / 4) = 2 each.
-        assert!(memo.results.len() <= 8, "got {}", memo.results.len());
-        assert!(memo.results.len() >= 4, "every shard keeps its recent keys");
+        // Exactly the 8 most recently used keys remain: the refreshed key 0
+        // and the last 7 inserted.
+        let results = lock(&memo.results);
+        assert_eq!(results.len(), 8);
+        for key in [0u8, 93, 94, 95, 96, 97, 98, 99] {
+            assert!(results.contains(&[key]), "key {key} must survive");
+        }
     }
 
     #[test]
@@ -581,20 +514,20 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_recovers_for_the_next_query() {
+    fn poisoned_lock_recovers_for_the_next_query() {
         let memo = SharedSublinkMemo::new();
         memo.insert_verdict(vec![1], Truth::True);
-        // A worker panics while holding the shard lock of key [1],
-        // poisoning the mutex.
+        // A worker panics while holding the verdict map's lock, poisoning
+        // the mutex.
         let worker = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = memo.verdicts.shard(&[1]).lock().unwrap();
+                let _guard = memo.verdicts.lock().unwrap();
                 panic!("worker dies inside the critical section");
             })
             .join()
         });
         assert!(worker.is_err(), "the worker must actually panic");
-        // Every operation on that shard still succeeds: the entries are
+        // Every operation on that map still succeeds: the entries are
         // internally consistent (each write is one complete insert), so the
         // poison is recovered rather than propagated.
         assert_eq!(memo.get_verdict(&[1]), Some(Truth::True));

@@ -15,28 +15,22 @@
 //!   session prepares a statement first, every other worker's `prepare` is
 //!   a shared-`Arc` hit with zero parse/bind/rewrite/compile work
 //!   ([`perm::PlanCacheStats`]).
-//! * **A shared sublink memo.** [`SharedSublinkMemo`] is the N-shard,
-//!   lock-per-shard variant of the executor's correlated-sublink memo.
-//!   Compiled memo keys embed a process-unique sublink id plus the typed
-//!   parameter and binding values, so entries computed by *any* worker are
-//!   valid for *every* worker serving the same prepared statements.
+//! * **A shared sublink memo.** [`SharedSublinkMemo`] is the mutex-guarded
+//!   variant of the executor's correlated-sublink memo. Compiled memo keys
+//!   embed a process-unique sublink id plus the typed parameter and binding
+//!   values, so entries computed by *any* worker are valid for *every*
+//!   worker serving the same prepared statements.
 //!
-//! [`ConcurrentEngine`] assembles them into a serving front end:
-//!
-//! * [`ConcurrentEngine::serve`] drains a queue of requests with a fixed
-//!   pool of `std::thread::scope` workers, **session-per-worker** — each
-//!   worker owns its `!Sync` session/executor core; only the engine, the
-//!   plan cache and the shared memo cross threads.
-//! * [`ConcurrentEngine::execute_parallel`] makes a *single hot query*
-//!   scale across cores: the distinct outer-binding domain of each
-//!   parallelizable correlated sublink is partitioned across the workers,
-//!   every worker evaluates its share of bindings into the shared memo
-//!   (the PR 2 memo made distinct bindings independent work units — this
-//!   is that seam, exploited), and a final serial pass over the warm memo
-//!   assembles the result. Warming is *speculative*: worker errors are
-//!   dropped, never cached, so the final pass alone defines semantics —
-//!   including short-circuits that would have shielded a binding, and the
-//!   error the query would have raised.
+//! [`ConcurrentEngine`] assembles them behind one entry point:
+//! [`ConcurrentEngine::serve`] (and its policy-taking form,
+//! [`ConcurrentEngine::serve_with_options`]) drains a queue of requests
+//! with a fixed pool of `std::thread::scope` workers,
+//! **session-per-worker** — each worker owns its `!Sync` session/executor
+//! core; only the engine, the plan cache and the shared memo cross threads.
+//! A statement runs the same way on the pool as on a plain [`Session`]:
+//! the optimizer has already turned the correlated sublinks it can into
+//! hash joins, and what it leaves to the memo is evaluated once per
+//! distinct binding by whichever worker meets it first.
 //!
 //! ```
 //! use perm::{Database, Engine, Relation, Schema, Value};
@@ -63,20 +57,13 @@ use perm::{
     Database, Engine, ExecError, PermError, Prepared, Relation, Session, SessionConfig,
     SharedSublinkMemo, Value,
 };
-use perm_exec::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink, Executor, Frame};
-use perm_storage::{encode_key_typed, Tuple};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Upper bound on how many outer bindings a warming worker claims with one
-/// atomic increment in [`ConcurrentEngine::execute_parallel`]. The actual
-/// chunk adapts downward for small binding domains (see `warm_site`).
-const BINDING_CLAIM_CHUNK: usize = 64;
 
 // The thread-safety contract this subsystem rests on, checked at compile
 // time: everything that crosses a worker boundary is `Send + Sync`.
@@ -86,7 +73,6 @@ const _: () = {
     assert_send_sync::<Relation>();
     assert_send_sync::<Engine>();
     assert_send_sync::<Prepared>();
-    assert_send_sync::<CompiledPlan>();
     assert_send_sync::<SharedSublinkMemo>();
     assert_send_sync::<ConcurrentEngine>();
     assert_send_sync::<Request>();
@@ -439,7 +425,7 @@ impl ConcurrentEngine {
     /// set of sublink ids; bound both for such traffic:
     /// `Engine::with_plan_cache_capacity` on the engine, and
     /// [`ConcurrentEngine::with_memo`] +
-    /// [`SharedSublinkMemo::with_config`] for the sublink memo.
+    /// [`SharedSublinkMemo::with_capacity`] for the sublink memo.
     pub fn new(engine: Engine) -> ConcurrentEngine {
         let workers = thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -454,7 +440,7 @@ impl ConcurrentEngine {
     }
 
     /// Wraps an engine with an explicit worker count and shared memo (e.g.
-    /// one bounded via [`SharedSublinkMemo::with_config`]).
+    /// one bounded via [`SharedSublinkMemo::with_capacity`]).
     pub fn with_memo(
         engine: Engine,
         workers: usize,
@@ -537,7 +523,7 @@ impl ConcurrentEngine {
     }
 
     /// Prepares a statement through the engine's plan cache, for
-    /// [`Request::prepared`] traffic or [`ConcurrentEngine::execute_parallel`].
+    /// [`Request::prepared`] traffic.
     pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>, PermError> {
         self.session().prepare(sql)
     }
@@ -592,7 +578,8 @@ impl ConcurrentEngine {
             config.deadline = options.deadline;
         }
         thread::scope(|scope| {
-            for _ in 0..self.workers.min(admitted.max(1)) {
+            // An empty batch, or one that admits nothing, spawns no worker.
+            for _ in 0..self.workers.min(admitted) {
                 scope.spawn(|| {
                     let mut session = self.engine.session_with(config.clone());
                     // Worker-local statement reuse: a text this worker has
@@ -670,247 +657,6 @@ impl ConcurrentEngine {
             },
             RequestKind::Prepared(p) => session.execute(p, &request.params),
         }
-    }
-
-    /// Executes one prepared statement with **parallel correlated-sublink
-    /// evaluation**: the distinct outer bindings of every parallelizable
-    /// sublink are split across the pool, each worker evaluates its share
-    /// into the shared memo, and a final serial pass assembles the result
-    /// entirely from memo hits. Results — including errors — are identical
-    /// to [`Session::execute`] on the same statement: warming is
-    /// speculative and never caches errors, so the final pass alone defines
-    /// semantics.
-    ///
-    /// With one worker (or a tracer/memo-off configuration, or a statement
-    /// with no parallelizable sublink) this is exactly a serial execution.
-    pub fn execute_parallel(
-        &self,
-        prepared: &Prepared,
-        params: &[Value],
-    ) -> Result<Relation, PermError> {
-        let session = self.session();
-        // A wrong-arity vector is refused by `session.execute` below before
-        // any operator runs; warming must not run one for it either.
-        let bound = params.len() == prepared.param_count();
-        if bound && self.workers > 1 && session.config().sublink_memo {
-            if let Some(compiled) = prepared.compiled_plan() {
-                // Innermost sites first (`parallel_sites` returns pre-order,
-                // outer before inner): warming a nested site before its
-                // parent means the parent's input execution — which runs the
-                // nested sublink per distinct binding — finds the memo
-                // already warm instead of computing it all on one thread.
-                for site in parallel_sites(compiled).iter().rev() {
-                    self.warm_site(site, params);
-                }
-            }
-        }
-        session.execute(prepared, params)
-    }
-
-    /// A fresh per-thread executor core attached to the pool's shared memo.
-    fn worker_executor<'d>(&self, db: &'d Database) -> Executor<'d> {
-        Executor::new(db)
-            .with_memo_retention(true)
-            .with_shared_memo(Arc::clone(&self.shared_memo))
-    }
-
-    /// Warms one parallelizable sublink site: computes the distinct binding
-    /// domain from the site's input relation, partitions it across the
-    /// pool, and lets each worker evaluate its bindings into the shared
-    /// memo. Purely speculative — any error (in the input, or for a
-    /// binding) is dropped; the final pass will either not reach it or
-    /// re-raise it.
-    fn warm_site(&self, site: &Site<'_>, params: &[Value]) {
-        let db = self.engine.database();
-        let input_executor = self.worker_executor(db);
-        input_executor.bind_params(params.to_vec());
-        let Ok(input) = input_executor.execute_node(site.input, None) else {
-            return;
-        };
-        let slots: Vec<usize> = site.slots.clone();
-        let arity = site.input.schema().arity();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut bindings: Vec<Tuple> = Vec::new();
-        for tuple in input.tuples() {
-            let values: Vec<Value> = slots.iter().map(|&i| tuple.get(i).clone()).collect();
-            if seen.insert(encode_key_typed(&values)) {
-                // A synthetic outer tuple carrying only the binding: the
-                // sublink's free outer references are exactly its signature
-                // slots, so the NULL padding is never read.
-                let mut row = vec![Value::Null; arity];
-                for (&slot, value) in slots.iter().zip(values) {
-                    row[slot] = value;
-                }
-                bindings.push(Tuple::new(row));
-            }
-        }
-        // Warm-probe: bindings earlier executions already paid for are
-        // dropped here, so re-running a hot statement skips the thread
-        // scope entirely instead of spawning workers to take memo hits.
-        bindings.retain(|binding| {
-            !input_executor.sublink_is_memoized(site.sublink, Some(&Frame::new(None, binding)))
-        });
-        if bindings.len() < 2 {
-            // The final pass computes a lone cold binding just as fast.
-            return;
-        }
-        // Workers claim bindings in *chunks*, not one atomic increment per
-        // binding (the ROADMAP work-stealing follow-on): one RMW per chunk
-        // cuts contention on the claim counter for large binding domains.
-        // The chunk adapts downward so small domains still spread across
-        // the pool — every worker should see ~4 claims — and is capped at
-        // BINDING_CLAIM_CHUNK so the tail imbalance stays bounded.
-        let workers = self.workers.min(bindings.len());
-        let chunk = (bindings.len() / (workers * 4)).clamp(1, BINDING_CLAIM_CHUNK);
-        let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let executor = self.worker_executor(db);
-                    executor.bind_params(params.to_vec());
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= bindings.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(bindings.len());
-                        for binding in &bindings[start..end] {
-                            let frame = Frame::new(None, binding);
-                            // Speculative: ignore errors (never cached).
-                            let _ = executor.execute_memoized_sublink(site.sublink, Some(&frame));
-                        }
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// One parallelizable sublink site of a compiled plan: a correlated sublink
-/// whose correlation signature resolves entirely into the hosting
-/// operator's input tuple (every slot at depth 0), plus that input plan —
-/// the relation whose distinct values at `slots` form the binding domain.
-struct Site<'p> {
-    sublink: &'p CompiledSublink,
-    input: &'p CompiledNode,
-    slots: Vec<usize>,
-}
-
-/// Walks the top-level operators of a compiled plan (never descending into
-/// sublink plans — their scopes are relative to *their* hosts) and collects
-/// every parallelizable sublink site. Sites are found on operators whose
-/// expressions are evaluated against a single input scope — Select,
-/// Project, Aggregate, Sort; join conditions see a composite scope and are
-/// left to the serial pass.
-fn parallel_sites(plan: &CompiledPlan) -> Vec<Site<'_>> {
-    let mut sites = Vec::new();
-    collect_sites(plan.root(), &mut sites);
-    sites
-}
-
-fn collect_sites<'p>(plan: &'p CompiledNode, sites: &mut Vec<Site<'p>>) {
-    let mut exprs: Vec<&'p CompiledExpr> = Vec::new();
-    let input: Option<&'p CompiledNode> = match plan {
-        CompiledNode::Select {
-            input, predicate, ..
-        } => {
-            exprs.push(predicate);
-            Some(input)
-        }
-        CompiledNode::Project { input, items, .. } => {
-            exprs.extend(items.iter());
-            Some(input)
-        }
-        CompiledNode::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            ..
-        } => {
-            exprs.extend(group_by.iter());
-            exprs.extend(aggregates.iter().filter_map(|a| a.arg.as_ref()));
-            Some(input)
-        }
-        CompiledNode::Sort { input, keys, .. } => {
-            exprs.extend(keys.iter().map(|k| &k.expr));
-            Some(input)
-        }
-        _ => None,
-    };
-    if let Some(input) = input {
-        let mut sublinks = Vec::new();
-        for expr in exprs {
-            collect_sublinks(expr, &mut sublinks);
-        }
-        for sublink in sublinks {
-            if let Some(slots) = &sublink.params {
-                if !slots.is_empty() && slots.iter().all(|s| s.depth == 0) {
-                    sites.push(Site {
-                        sublink,
-                        input,
-                        slots: slots.iter().map(|s| s.index).collect(),
-                    });
-                }
-            }
-        }
-    }
-    for child in plan_children(plan) {
-        collect_sites(child, sites);
-    }
-}
-
-/// The direct children of a compiled operator (not sublink plans).
-fn plan_children(plan: &CompiledNode) -> Vec<&CompiledNode> {
-    match plan {
-        CompiledNode::Scan { .. } | CompiledNode::Values { .. } => Vec::new(),
-        CompiledNode::Project { input, .. }
-        | CompiledNode::Select { input, .. }
-        | CompiledNode::Aggregate { input, .. }
-        | CompiledNode::Sort { input, .. }
-        | CompiledNode::Limit { input, .. } => vec![input],
-        CompiledNode::CrossProduct { left, right, .. }
-        | CompiledNode::Join { left, right, .. }
-        | CompiledNode::SetOp { left, right, .. } => vec![left, right],
-    }
-}
-
-/// Collects the sublinks of an expression, descending into test
-/// expressions (same scope as the host) but not into sublink plans (their
-/// own scopes).
-fn collect_sublinks<'p>(expr: &'p CompiledExpr, out: &mut Vec<&'p CompiledSublink>) {
-    match expr {
-        CompiledExpr::Sublink(sublink) => {
-            out.push(sublink);
-            if let Some(test) = &sublink.test_expr {
-                collect_sublinks(test, out);
-            }
-        }
-        CompiledExpr::Binary { left, right, .. } => {
-            collect_sublinks(left, out);
-            collect_sublinks(right, out);
-        }
-        CompiledExpr::Unary { expr, .. } => collect_sublinks(expr, out),
-        CompiledExpr::Func { args, .. } => {
-            for arg in args {
-                collect_sublinks(arg, out);
-            }
-        }
-        CompiledExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (condition, value) in branches {
-                collect_sublinks(condition, out);
-                collect_sublinks(value, out);
-            }
-            if let Some(else_expr) = else_expr {
-                collect_sublinks(else_expr, out);
-            }
-        }
-        CompiledExpr::Slot(_)
-        | CompiledExpr::Unresolved { .. }
-        | CompiledExpr::Literal(_)
-        | CompiledExpr::Param(_) => {}
     }
 }
 
@@ -1021,127 +767,65 @@ mod tests {
     }
 
     #[test]
-    fn execute_parallel_matches_serial_execution() {
-        let engine = ConcurrentEngine::new(Engine::new(serving_db())).with_workers(4);
-        let statement = engine.prepare(CORRELATED_SQL).unwrap();
-        let parallel = engine
-            .execute_parallel(&statement, &[Value::Int(105)])
-            .unwrap();
+    fn the_shared_memo_carries_bindings_across_serve_calls_and_workers() {
+        // serve_mix's scalar-`avg` statement: the one sublink shape the
+        // optimizer leaves to the memo, so the one reason the pool's
+        // sessions share a memo at all.
+        const SQL: &str = "SELECT PROVENANCE a, b FROM r1 WHERE b < \
+             (SELECT avg(b) FROM r2 WHERE r2.g = r1.g AND r2.b > $1)";
+        // Eight `$1` values across r2.b's spread (σ = 5 000 around 0), each
+        // requested twice per batch so both workers meet every one of them.
+        let requests: Vec<Request> = (0..16)
+            .map(|i| Request::sql(SQL, vec![Value::Int(1_500 * (i % 8 - 4))]))
+            .collect();
+        let db = perm_synthetic::build_database(100, 50, 42);
+        let mut engine = ConcurrentEngine::new(Engine::new(db)).with_workers(2);
+
+        let cold = engine.serve(&requests);
+        let after_cold = engine.metrics();
+        assert!(after_cold.shared_memo_misses > 0, "the first call computes");
+
+        // Every (binding, `$1`) pair is in the memo now, whichever worker
+        // computed it: the second call evaluates no sublink.
+        let warm = engine.serve(&requests);
+        let after_warm = engine.metrics();
+        assert_eq!(after_warm.shared_memo_misses, after_cold.shared_memo_misses);
+        assert!(after_warm.shared_memo_hits > after_cold.shared_memo_hits);
 
         let reference = Session::new(engine.database());
-        let reference_stmt = reference.prepare(CORRELATED_SQL).unwrap();
-        let serial = reference
-            .execute(&reference_stmt, &[Value::Int(105)])
-            .unwrap();
-        assert!(parallel.bag_eq(&serial));
-        assert!(
-            engine.shared_memo().entry_count() > 0,
-            "warming populated the shared memo"
-        );
+        let statement = reference.prepare(SQL).unwrap();
+        for (request, (cold, warm)) in requests.iter().zip(cold.iter().zip(&warm)) {
+            let expected = reference.execute(&statement, request.params()).unwrap();
+            assert!(cold.as_ref().unwrap().bag_eq(&expected));
+            assert!(warm.as_ref().unwrap().bag_eq(&expected));
+        }
 
-        // Re-executing warm is idempotent: the warm-probe finds every
-        // binding cached, no new entries appear, and the result is stable.
-        let warm_entries = engine.shared_memo().entry_count();
-        let again = engine
-            .execute_parallel(&statement, &[Value::Int(105)])
-            .unwrap();
-        assert!(again.bag_eq(&serial));
-        assert_eq!(engine.shared_memo().entry_count(), warm_entries);
+        // A data change empties the memo: the next call misses again.
+        engine.database_mut();
+        assert_eq!(engine.shared_memo().entry_count(), 0);
+        engine.serve(&requests);
+        assert!(engine.metrics().shared_memo_misses > after_warm.shared_memo_misses);
     }
 
     #[test]
-    fn execute_parallel_chunked_claims_cover_a_large_binding_domain() {
-        // 300 distinct correlation groups: with 3 workers the adaptive
-        // chunk exceeds 1, so this exercises the chunked claim path — every
-        // binding must still be warmed exactly once and the result must
-        // match serial execution.
-        let mut db = Database::new();
-        db.create_table(
-            "r",
-            Relation::from_rows(
-                Schema::from_names(&["a", "g"]).with_qualifier("r"),
-                (0..600)
-                    .map(|i| vec![Value::Int(i), Value::Int(i % 300)])
-                    .collect(),
-            ),
-        )
-        .unwrap();
-        db.create_table(
-            "s",
-            Relation::from_rows(
-                Schema::from_names(&["c", "g"]).with_qualifier("s"),
-                (0..300)
-                    .map(|i| vec![Value::Int(100 + i), Value::Int(i % 300)])
-                    .collect(),
-            ),
-        )
-        .unwrap();
-        let engine = ConcurrentEngine::new(Engine::new(db)).with_workers(3);
-        let statement = engine.prepare(CORRELATED_SQL).unwrap();
-        let parallel = engine
-            .execute_parallel(&statement, &[Value::Int(150)])
-            .unwrap();
-        let reference = Session::new(engine.database());
-        let reference_stmt = reference.prepare(CORRELATED_SQL).unwrap();
-        let serial = reference
-            .execute(&reference_stmt, &[Value::Int(150)])
-            .unwrap();
-        assert!(parallel.bag_eq(&serial));
-        // One memoized result + one warmed... entry per distinct binding:
-        // re-running warm must not add entries (idempotent warm-probe).
-        let warm_entries = engine.shared_memo().entry_count();
-        assert!(warm_entries >= 300, "every distinct binding warmed");
-        let again = engine
-            .execute_parallel(&statement, &[Value::Int(150)])
-            .unwrap();
-        assert!(again.bag_eq(&serial));
-        assert_eq!(engine.shared_memo().entry_count(), warm_entries);
-    }
-
-    #[test]
-    fn execute_parallel_finds_sites_and_serves_the_final_pass_from_the_memo() {
+    fn a_batch_that_admits_nothing_answers_without_a_worker() {
         let engine = ConcurrentEngine::new(Engine::new(serving_db())).with_workers(2);
-        let statement = engine.prepare(CORRELATED_SQL).unwrap();
-        let sites = parallel_sites(statement.compiled_plan().unwrap());
-        assert_eq!(sites.len(), 1, "the correlated scalar sublink is one site");
-        assert_eq!(sites[0].slots.len(), 1, "correlated on r.g alone");
+        assert!(engine.serve(&[]).is_empty());
 
-        engine
-            .execute_parallel(&statement, &[Value::Int(100)])
-            .unwrap();
-        // 5 distinct g bindings, each sublink = aggregate + select + scan:
-        // the shared memo now holds every result the serial pass needs. A
-        // fresh serial executor over the warm memo does only the outer work
-        // (project a + select + scan r = 3 operators, zero sublink work).
-        let db = engine.database();
-        let warm = engine.worker_executor(db);
-        warm.bind_params(vec![Value::Int(100)]);
-        let compiled = statement.compiled_plan().unwrap();
-        warm.execute_compiled(compiled).unwrap();
-        assert_eq!(
-            warm.operators_evaluated(),
-            3,
-            "final pass must be pure memo hits"
-        );
-    }
-
-    #[test]
-    fn speculative_warming_never_leaks_errors_past_a_short_circuit() {
-        // The predicate shields a cardinality-violating scalar sublink
-        // behind `a < 0 AND …` (no r.a is negative): serial execution never
-        // evaluates the sublink; parallel warming evaluates it for every
-        // binding, fails, and must drop those errors silently.
-        let sql = "SELECT a FROM r \
-                   WHERE a < 0 AND a = (SELECT c FROM s WHERE s.g = r.g)";
-        let engine = ConcurrentEngine::new(Engine::new(serving_db())).with_workers(3);
-        let statement = engine.prepare(sql).unwrap();
-        let parallel = engine.execute_parallel(&statement, &[]).unwrap();
-        assert!(parallel.is_empty());
-
-        // And conversely: an error the serial pass *does* raise survives.
-        let failing = "SELECT a FROM r WHERE a = (SELECT c FROM s WHERE s.g = r.g)";
-        let statement = engine.prepare(failing).unwrap();
-        assert!(engine.execute_parallel(&statement, &[]).is_err());
+        let requests = vec![Request::sql(CORRELATED_SQL, vec![Value::Int(100)]); 3];
+        let options = ServeOptions {
+            admission_limit: Some(0),
+            ..ServeOptions::default()
+        };
+        let results = engine.serve_with_options(&requests, &options);
+        assert_eq!(results.len(), 3, "rejected requests still get a slot");
+        for rejected in &results {
+            assert!(matches!(rejected, Err(PermError::Rejected { limit: 0 })));
+        }
+        let metrics = engine.metrics();
+        assert_eq!(metrics.requests_rejected, 3);
+        assert_eq!(metrics.queue_wait.count, 0, "nothing was claimed");
+        assert_eq!(metrics.execution.count, 0, "nothing was executed");
     }
 
     #[test]

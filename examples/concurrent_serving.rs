@@ -1,5 +1,5 @@
-//! Concurrent serving: one engine, a pool of worker sessions, and a hot
-//! correlated provenance query scaled across cores.
+//! Concurrent serving: one engine, a pool of worker sessions, and a
+//! correlated provenance audit whose sublink work the pool computes once.
 //!
 //! A reporting service keeps one [`perm::Engine`] for its data and answers
 //! many clients at once. `perm_serve::ConcurrentEngine` adds the
@@ -10,8 +10,9 @@
 //!
 //! Run with `cargo run --example concurrent_serving`.
 
-use perm::{Database, Engine, Relation, Schema, Value};
+use perm::{Database, Engine, Relation, Schema, Session, Value};
 use perm_serve::{ConcurrentEngine, Request};
+use std::sync::Arc;
 
 fn build_database() -> Database {
     let mut db = Database::new();
@@ -69,42 +70,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = engine.engine().plan_cache_stats();
     println!("served {answered}/{} requests", requests.len());
     println!(
-        "plan cache: {} hits / {} misses / {} cached statements",
+        "plan cache: {} hits / {} misses / {} cached statements\n",
         cache.hits, cache.misses, cache.entries
     );
-    println!(
-        "shared sublink memo: {} warm entries\n",
-        engine.shared_memo().entry_count()
-    );
 
-    // --- One hot provenance query, parallel sublink evaluation ---------
-    // The correlated EXISTS has 6 distinct region bindings; the pool
-    // partitions them across workers, then assembles the result — with
-    // witnesses — from the warm memo.
+    // --- One provenance audit, served twice ----------------------------
+    // A correlated scalar comparison is the sublink shape the optimizer
+    // leaves to the memo (the EXISTS above became a hash join). The first
+    // call evaluates it once per distinct region; the second call — fresh
+    // worker sessions, any thread of the pool — finds every region in the
+    // shared memo and evaluates nothing.
     let audit = engine.prepare(
         "SELECT PROVENANCE id, total FROM orders \
-         WHERE EXISTS (SELECT * FROM alerts \
-                       WHERE alerts.region = orders.region \
-                       AND alerts.threshold < orders.total)",
+         WHERE total > (SELECT avg(threshold) FROM alerts \
+                        WHERE alerts.region = orders.region)",
     )?;
-    let provenance = engine.execute_parallel(&audit, &[])?;
-    println!(
-        "parallel provenance audit: {} witness rows, schema `{}`",
-        provenance.len(),
-        audit
-            .schema()
-            .attributes()
-            .iter()
-            .map(|a| a.name.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-
-    // The same statement through a plain worker session gives the same
-    // relation — parallel evaluation is a speed knob, not a semantics one.
-    let session = engine.session();
-    let serial = session.execute(&audit, &[])?;
-    assert!(provenance.bag_eq(&serial));
-    println!("parallel == serial: verified");
+    // The same statement on a plain session — no pool, no shared memo —
+    // must give the same relation: the memo is a speed knob, not a
+    // semantics one.
+    let plain = Session::new(engine.database()).execute(&audit, &[])?;
+    let request = [Request::prepared(Arc::clone(&audit), vec![])];
+    let mut before = engine.metrics();
+    for call in ["first", "second"] {
+        let provenance = engine.serve(&request).remove(0)?;
+        let after = engine.metrics();
+        println!(
+            "{call} audit: {} witness rows, shared memo {} hits / {} misses",
+            provenance.len(),
+            after.shared_memo_hits - before.shared_memo_hits,
+            after.shared_memo_misses - before.shared_memo_misses
+        );
+        assert!(provenance.bag_eq(&plain));
+        before = after;
+    }
+    println!("pool == plain session: verified");
     Ok(())
 }

@@ -386,7 +386,7 @@ pub struct SessionConfig {
     /// sublink ids that later preparations never reuse and sit there as
     /// dead weight. Serve plan-cached SQL statements through it (their ids
     /// are stable, so entries keep hitting), and bound it with
-    /// [`SharedSublinkMemo::with_config`] when the workload also carries
+    /// [`SharedSublinkMemo::with_capacity`] when the workload also carries
     /// ad-hoc traffic.
     pub shared_sublink_memo: Option<Arc<SharedSublinkMemo>>,
     /// Optional per-execution deadline (default `None`). When set, every
@@ -720,13 +720,6 @@ impl Prepared {
     /// [`SessionConfig::optimize`] was off or no rule fired).
     pub fn optimizer_report(&self) -> perm_exec::OptimizerReport {
         self.optimizer
-    }
-
-    /// The compiled physical form; `None` only for tracer statements. The
-    /// concurrent serving subsystem walks this to find correlated sublinks
-    /// whose binding domains it can partition across worker threads.
-    pub fn compiled_plan(&self) -> Option<&perm_exec::CompiledPlan> {
-        self.compiled.as_ref()
     }
 }
 

@@ -110,10 +110,6 @@ fn sessions_and_the_serving_pool_refuse_then_keep_serving() {
             session.rows(&prepared, bound).err(),
             Some(PermError::Param(_))
         ));
-        assert!(matches!(
-            engine.execute_parallel(&prepared, bound),
-            Err(PermError::Param(_))
-        ));
     }
     assert_eq!(session.executor().operators_evaluated(), 0);
     let expected = session.execute(&prepared, &full).unwrap();
