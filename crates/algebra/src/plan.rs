@@ -1,6 +1,6 @@
 //! The plan operators of the extended relational algebra (Figure 1).
 
-use crate::expr::{AggregateExpr, Expr};
+use crate::expr::{AggregateExpr, Expr, SublinkKind};
 use crate::{AlgebraError, Result};
 use perm_storage::{Attribute, DataType, Schema, Tuple};
 use std::fmt;
@@ -263,8 +263,20 @@ impl Plan {
 
     /// Validates structural invariants that the executor relies on: set
     /// operations over equal arity, `Values` rows matching their schema,
-    /// non-empty projection lists.
+    /// non-empty projection lists, `ANY`/`ALL` sublinks over one column —
+    /// in sublink plans too.
     pub fn validate(&self) -> Result<()> {
+        for sublink in self.expressions().into_iter().flat_map(Expr::sublinks) {
+            if let Expr::Sublink { kind, plan, .. } = sublink {
+                let arity = plan.schema().arity();
+                if matches!(kind, SublinkKind::Any | SublinkKind::All) && arity != 1 {
+                    return Err(AlgebraError::Invalid(format!(
+                        "ANY/ALL sublink must produce one column, got {arity}"
+                    )));
+                }
+                plan.validate()?;
+            }
+        }
         match self {
             Plan::Values { schema, rows } => {
                 for row in rows {

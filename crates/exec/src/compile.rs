@@ -36,6 +36,7 @@ use crate::executor::{extract_equi_keys, flatten_conjuncts, Executor};
 use crate::functions;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
+use crate::quant::QuantProbe;
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params};
 use perm_algebra::{
@@ -127,6 +128,26 @@ pub struct CompiledSublink {
     /// bindings, so memoization stays correct across executions of one
     /// prepared plan with different parameter vectors.
     pub param_refs: Vec<usize>,
+}
+
+impl CompiledSublink {
+    /// An empty correlation signature: the result depends on no outer row
+    /// (`$n` values may still vary it between executions), so a batch
+    /// shares one evaluation.
+    fn is_uncorrelated(&self) -> bool {
+        matches!(&self.params, Some(slots) if slots.is_empty())
+    }
+
+    /// The test expression and operator of an `ANY`/`ALL` sublink.
+    fn quantified(&self) -> Result<(&CompiledExpr, CompareOp)> {
+        let test = self.test_expr.as_ref().ok_or_else(|| {
+            ExecError::Unsupported("ANY/ALL sublink without test expression".into())
+        })?;
+        let op = self.op.ok_or_else(|| {
+            ExecError::Unsupported("ANY/ALL sublink without comparison operator".into())
+        })?;
+        Ok((test, op))
+    }
 }
 
 /// One compiled hash-join key pair (see
@@ -1320,8 +1341,11 @@ impl Executor<'_> {
     ///   an earlier branch never evaluates a later condition;
     /// * an empty selection evaluates nothing, so deferred errors behind it
     ///   are never raised;
-    /// * sublink-bearing subtrees fall back to the per-tuple evaluator row
-    ///   by row (see the `Sublink` arm of `ceval_cols`), leaving the
+    /// * an uncorrelated sublink (empty correlation signature) is fetched
+    ///   once for the batch and broadcast; `ANY`/`ALL` reads one verdict
+    ///   per live row from the result's [`QuantProbe`];
+    /// * a correlated sublink falls back to the per-tuple evaluator row by
+    ///   row (see the `Sublink` arm of `ceval_cols`), leaving the
     ///   parameterized sublink memo and the
     ///   `Executor::execute_memoized_sublink` seam untouched.
     ///
@@ -1454,9 +1478,13 @@ impl Executor<'_> {
                 branches,
                 else_expr,
             } => self.ceval_case_typed(branches, else_expr.as_deref(), batch, outer),
+            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => self
+                .uncorrelated_sublink_batch(sublink, batch, outer, |test| {
+                    self.ceval_typed(test, batch, outer)
+                }),
             CompiledExpr::Sublink(sublink) => {
-                // Per-tuple fallback: sublink evaluation goes through the
-                // parameterized memo (and, for ANY/ALL, the verdict memo)
+                // Per-tuple fallback: a correlated sublink goes through the
+                // parameterized memo (and, for ANY/ALL, the probe memo)
                 // exactly as in tuple-at-a-time execution.
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
@@ -1796,9 +1824,16 @@ impl Executor<'_> {
                     out.push(v.expect("every live row took a branch or the else"));
                 }
             }
+            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => self
+                .uncorrelated_sublink_batch(sublink, batch, outer, |test| {
+                    let mut tests = Vec::with_capacity(n);
+                    self.ceval_cols(test, batch, outer, &mut tests)?;
+                    Ok(ColumnVec::Values(tests))
+                })?
+                .append_to_values(out),
             CompiledExpr::Sublink(sublink) => {
-                // Per-tuple fallback: sublink evaluation goes through the
-                // parameterized memo (and, for ANY/ALL, the verdict memo)
+                // Per-tuple fallback: a correlated sublink goes through the
+                // parameterized memo (and, for ANY/ALL, the probe memo)
                 // exactly as in tuple-at-a-time execution.
                 for i in 0..n {
                     let scope = Frame::new(outer, batch.row(i));
@@ -1960,20 +1995,89 @@ impl Executor<'_> {
                 crate::eval::scalar_sublink_value(&result)
             }
             SublinkKind::Any | SublinkKind::All => {
-                let test = sublink.test_expr.as_ref().ok_or_else(|| {
-                    ExecError::Unsupported("ANY/ALL sublink without test expression".into())
-                })?;
-                let op = sublink.op.ok_or_else(|| {
-                    ExecError::Unsupported("ANY/ALL sublink without comparison operator".into())
-                })?;
+                let (test, op) = sublink.quantified()?;
                 let test_value = self.ceval(test, frame)?;
-                let key = self.compiled_sublink_key(sublink, frame)?;
-                let truth = self.quantified_truth(key, sublink.kind, op, &test_value, |key| {
-                    self.execute_compiled_sublink_keyed(sublink, frame, key)
-                })?;
-                Ok(truth.to_value())
+                let probe = self.quant_probe(sublink, frame)?;
+                Ok(probe.verdict(sublink.kind, op, &test_value).to_value())
             }
         }
+    }
+
+    /// An uncorrelated sublink over every live row of a (non-empty) batch:
+    /// its value is the same for all of them, so it is fetched once and
+    /// broadcast — for `ANY`/`ALL`, one probe and one verdict per value of
+    /// the test column, which `test_column` evaluates over the batch.
+    /// Callers only get here with a live row, so a sublink behind an empty
+    /// selection still evaluates nothing.
+    fn uncorrelated_sublink_batch(
+        &self,
+        sublink: &CompiledSublink,
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+        test_column: impl FnOnce(&CompiledExpr) -> Result<ColumnVec>,
+    ) -> Result<ColumnVec> {
+        let n = batch.len();
+        // Any row's scope will do: the sublink reads no slot of it.
+        let scope = Frame::new(outer, batch.row(0));
+        match sublink.kind {
+            SublinkKind::Exists | SublinkKind::Scalar => Ok(ColumnVec::broadcast(
+                &self.ceval_sublink(sublink, Some(&scope))?,
+                n,
+            )),
+            SublinkKind::Any | SublinkKind::All => {
+                let (test, op) = sublink.quantified()?;
+                let mut tests = test_column(test)?;
+                let probe = self.quant_probe(sublink, Some(&scope))?;
+                Ok(truths_to_bool_lane(
+                    (0..n).map(|i| probe.verdict(sublink.kind, op, &tests.take_value(i))),
+                    n,
+                ))
+            }
+        }
+    }
+
+    /// The [`QuantProbe`] of an `ANY`/`ALL` sublink's result for the
+    /// binding in `frame`, from the probe memo (the shared one when
+    /// attached) under the result's memo key. On a miss the result is
+    /// fetched through `execute_compiled_sublink_keyed` — so a probe lookup
+    /// counts once on the sublink's profile node, as a hit here or as
+    /// whatever the result lookup counts — summarised, and memoized when
+    /// the sublink has a key. Every row a probe is built from counts on
+    /// [`Executor::quantifier_comparisons`].
+    fn quant_probe(
+        &self,
+        sublink: &CompiledSublink,
+        frame: Option<&Frame<'_>>,
+    ) -> Result<Arc<QuantProbe>> {
+        let key = self.compiled_sublink_key(sublink, frame)?;
+        if let Some(k) = &key {
+            let hit = match &self.shared_memo {
+                Some(shared) => shared.get_probe(k),
+                None => self.probe_memo.borrow_mut().get(k),
+            };
+            if let Some(probe) = hit {
+                let tree = self.profile.borrow().upgrade();
+                if let Some(p) = tree.as_ref().and_then(|t| t.sublink(sublink.id)) {
+                    p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
+                }
+                self.governor.trace_memo_hit("probe-memo");
+                return Ok(probe);
+            }
+        }
+        let result = self.execute_compiled_sublink_keyed(sublink, frame, key.clone())?;
+        let probe = Arc::new(QuantProbe::build(&result)?);
+        self.cmp_evaluated
+            .set(self.cmp_evaluated.get() + result.len() as u64);
+        if let Some(k) = key {
+            let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&probe);
+            if self.governor.memo_insert_event("probe-memo", cost)? {
+                match &self.shared_memo {
+                    Some(shared) => shared.insert_probe(k, Arc::clone(&probe)),
+                    None => self.probe_memo.borrow_mut().insert(k, Arc::clone(&probe)),
+                }
+            }
+        }
+        Ok(probe)
     }
 
     /// The parameterized memo key of a compiled sublink: its id followed by
@@ -2043,7 +2147,7 @@ impl Executor<'_> {
     }
 
     /// `Executor::execute_memoized_sublink` with a precomputed memo key
-    /// (so the `ANY`/`ALL` verdict path computes the key once for both
+    /// (so the `ANY`/`ALL` probe path computes the key once for both
     /// memos).
     fn execute_compiled_sublink_keyed(
         &self,
@@ -2441,13 +2545,13 @@ mod tests {
     }
 
     #[test]
-    fn verdict_memo_cuts_quantifier_comparisons_on_a_correlated_any_sweep() {
+    fn probes_cut_quantifier_comparisons_on_a_correlated_any_sweep() {
         // R(a, g) with heavily repeated (a, g) pairs: the correlated ANY
-        // sublink σ_{s.g = r.g}(S) has 3 distinct bindings and each binding
-        // sees only 4 distinct test values, so of the 60 outer rows only 12
-        // (binding, test value) pairs are distinct. The verdict memo must
-        // fold each distinct pair once; without it every outer row rescans
-        // its (memoized) sublink result.
+        // sublink σ_{s.g = r.g}(S) has 3 distinct bindings of 4 rows each.
+        // The compiled path builds one probe per binding (12 rows compared
+        // however many outer rows probe them); with the memo off, one per
+        // outer row; the interpreter folds per outer row, stopping at the
+        // first match.
         let mut db = Database::new();
         let r_rows: Vec<Vec<Value>> = (0..60)
             .map(|i| vec![Value::Int(i % 4), Value::Int(i % 3)])
@@ -2462,7 +2566,7 @@ mod tests {
                     Attribute::qualified("r", "a", DataType::Int),
                     Attribute::qualified("r", "g", DataType::Int),
                 ]),
-                r_rows,
+                r_rows.clone(),
             ),
         )
         .unwrap();
@@ -2473,7 +2577,7 @@ mod tests {
                     Attribute::qualified("s", "c", DataType::Int),
                     Attribute::qualified("s", "g", DataType::Int),
                 ]),
-                s_rows,
+                s_rows.clone(),
             ),
         )
         .unwrap();
@@ -2489,27 +2593,37 @@ mod tests {
 
         let memoized = Executor::new(&db);
         let with_memo = memoized.execute(&q).unwrap();
-        let cmp_on = memoized.quantifier_comparisons();
+        assert_eq!(
+            memoized.quantifier_comparisons(),
+            3 * 4,
+            "one probe per binding"
+        );
 
         let unmemoized = Executor::new(&db).with_sublink_memo(false);
         let without_memo = unmemoized.execute(&q).unwrap();
-        let cmp_off = unmemoized.quantifier_comparisons();
-
         assert!(with_memo.bag_eq(&without_memo));
-        assert!(
-            cmp_on * 4 <= cmp_off,
-            "verdict memo must cut fold comparisons ≥4×: {cmp_on} on vs {cmp_off} off"
+        assert_eq!(
+            unmemoized.quantifier_comparisons(),
+            60 * 4,
+            "one probe per row"
         );
 
-        // The interpreter path shares the verdict memo.
+        // The interpreter folds: the rows of the binding up to the first
+        // match, or all of them.
+        let folded: u64 = r_rows
+            .iter()
+            .map(|r| {
+                let group = s_rows.iter().filter(|s| s[1] == r[1]);
+                match group.clone().position(|s| s[0] == r[0]) {
+                    Some(at) => at as u64 + 1,
+                    None => group.count() as u64,
+                }
+            })
+            .sum();
         let interp = Executor::new(&db);
         let interp_result = interp.execute_unoptimized(&q).unwrap();
         assert!(interp_result.bag_eq(&with_memo));
-        assert!(
-            interp.quantifier_comparisons() * 4 <= cmp_off,
-            "interpreter verdicts must be memoized too: {} on vs {cmp_off} off",
-            interp.quantifier_comparisons()
-        );
+        assert_eq!(interp.quantifier_comparisons(), folded);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::functions;
 use crate::{ExecError, Result};
 use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
 use perm_storage::{Relation, Schema, Truth, Tuple, Value};
-use std::sync::Arc;
 
 /// An evaluation environment: the current operator's input tuple plus a
 /// chain of enclosing scopes. Column references resolve innermost-first,
@@ -207,107 +206,48 @@ impl Executor<'_> {
                     ExecError::Unsupported("ANY/ALL sublink without comparison operator".into())
                 })?;
                 let test_value = self.eval_expr(test, env)?;
-                let key = self.interp_sublink_key(plan, env);
-                let truth = self.quantified_truth(key, kind, op, &test_value, |key| {
-                    self.execute_sublink_keyed(plan, env, key)
-                })?;
-                Ok(truth.to_value())
+                let result = self.execute_sublink(plan, env)?;
+                check_quantified_arity(&result)?;
+                // The reference folds; every row it compares is counted.
+                let rows = result.tuples().iter().map(|row| {
+                    self.cmp_evaluated.set(self.cmp_evaluated.get() + 1);
+                    row.get(0)
+                });
+                Ok(fold_quantified(kind, op, &test_value, rows).to_value())
             }
         }
     }
+}
 
-    /// Folds an `ANY`/`ALL` sublink under three-valued logic, consulting
-    /// the verdict memo first. The verdict is a pure function of the
-    /// sublink's result (itself determined by the sublink identity and its
-    /// binding values, i.e. `result_key`) and the *typed* test value, so a
-    /// hit skips both the result lookup and the per-row comparison scan;
-    /// `result` is only invoked — executing or fetching the memoized
-    /// sublink relation — on a verdict miss, and receives the result-memo
-    /// key back. Shared by the interpreter and the compiled evaluator so
-    /// the folding (and its memoization) cannot drift apart. Verdict
-    /// memoization is skipped when the memo is disabled or `result_key` is
-    /// `None`.
-    ///
-    /// The verdict key is the result key extended in place with the test
-    /// value (the prefix is recovered on a miss), so the hot hit path does
-    /// not clone any key.
-    pub(crate) fn quantified_truth(
-        &self,
-        result_key: Option<Vec<u8>>,
-        kind: SublinkKind,
-        op: CompareOp,
-        test_value: &Value,
-        result: impl FnOnce(Option<Vec<u8>>) -> Result<Arc<Relation>>,
-    ) -> Result<Truth> {
-        let mut verdict_key = match result_key {
-            Some(key) if self.memo_enabled.get() => key,
-            other => {
-                // No verdict memoization; hand the untouched result key on.
-                let relation = result(other)?;
-                return Ok(self.fold_quantified(kind, op, test_value, &relation));
-            }
-        };
-        let prefix_len = verdict_key.len();
-        verdict_key.extend_from_slice(&perm_storage::encode_key_typed(std::slice::from_ref(
-            test_value,
-        )));
-        // Compiled-path verdicts go to the shared cross-thread memo when one
-        // is attached (their keys embed a process-unique sublink id);
-        // interpreter-path verdicts are keyed by plan node address and must
-        // stay executor-private even then.
-        let shared = self
-            .shared_memo
-            .as_ref()
-            .filter(|_| verdict_key.first() == Some(&crate::executor::MEMO_TAG_COMPILED));
-        let hit = match shared {
-            Some(shared) => shared.get_verdict(&verdict_key),
-            None => self.verdict_memo.borrow_mut().get(&verdict_key),
-        };
-        if let Some(truth) = hit {
-            return Ok(truth);
+/// Folds `test op ANY/ALL (rows)` under three-valued logic, stopping once
+/// the quantifier is decided — the interpreter's (reference) evaluation of
+/// an `ANY`/`ALL` sublink, which the compiled path answers from a
+/// [`crate::QuantProbe`] instead.
+pub fn fold_quantified<'v>(
+    kind: SublinkKind,
+    op: CompareOp,
+    test: &Value,
+    rows: impl IntoIterator<Item = &'v Value>,
+) -> Truth {
+    let any = kind == SublinkKind::Any;
+    let mut acc = Truth::from_bool(!any);
+    for row in rows {
+        let t = compare(op, test, row);
+        acc = if any { acc.or(t) } else { acc.and(t) };
+        if acc == Truth::from_bool(any) {
+            break;
         }
-        let relation = result(Some(verdict_key[..prefix_len].to_vec()))?;
-        let truth = self.fold_quantified(kind, op, test_value, &relation);
-        let cost = verdict_key.len() as u64 + crate::resilience::MemoCost::cost_bytes(&truth);
-        if self.governor.memo_insert_event("verdict-memo", cost)? {
-            match shared {
-                Some(shared) => shared.insert_verdict(verdict_key, truth),
-                None => self.verdict_memo.borrow_mut().insert(verdict_key, truth),
-            }
-        }
-        Ok(truth)
     }
+    acc
+}
 
-    /// Folds an `ANY`/`ALL` sublink result under three-valued logic, with
-    /// early exit once the quantifier is decided. Every row comparison is
-    /// counted on [`Executor::quantifier_comparisons`].
-    fn fold_quantified(
-        &self,
-        kind: SublinkKind,
-        op: CompareOp,
-        test_value: &Value,
-        result: &Relation,
-    ) -> Truth {
-        let mut acc = if kind == SublinkKind::Any {
-            Truth::False
-        } else {
-            Truth::True
-        };
-        for row in result.tuples() {
-            self.cmp_evaluated.set(self.cmp_evaluated.get() + 1);
-            let t = compare(op, test_value, row.get(0));
-            acc = if kind == SublinkKind::Any {
-                acc.or(t)
-            } else {
-                acc.and(t)
-            };
-            if (kind == SublinkKind::Any && acc == Truth::True)
-                || (kind == SublinkKind::All && acc == Truth::False)
-            {
-                break;
-            }
-        }
-        acc
+/// An `ANY`/`ALL` sublink compares against exactly one column; checked on
+/// its result by both drivers before any row is compared (the binder
+/// refuses other SQL, a hand-built plan gets this error).
+pub(crate) fn check_quantified_arity(result: &Relation) -> Result<()> {
+    match result.schema().arity() {
+        1 => Ok(()),
+        n => Err(ExecError::QuantifiedSublinkArity(n)),
     }
 }
 

@@ -23,10 +23,11 @@
 //!    over an outer relation with *k* distinct binding values therefore
 //!    executes *k* times instead of once per outer tuple; an uncorrelated
 //!    sublink (empty signature) degenerates to the classic PostgreSQL
-//!    "InitPlan" behaviour of one execution per query. On top of the result
-//!    memo, `ANY`/`ALL` *verdicts* are memoized per `(sublink identity,
-//!    bindings, test value)`, so repeated quantifier folds over the same
-//!    cached result are skipped too. The memos can be switched off with
+//!    "InitPlan" behaviour of one execution per query, and is fetched once
+//!    per batch rather than once per row. An `ANY`/`ALL` result is
+//!    summarised once per binding into a [`crate::QuantProbe`], memoized
+//!    under the same key, so each outer row costs one hash probe instead of
+//!    a fold over the result. The memos can be switched off with
 //!    [`Executor::with_sublink_memo`] for measurements.
 //!
 //! The uncompiled interpreter ([`Executor::execute_unoptimized`] /
@@ -41,14 +42,18 @@
 //! [`Env`] chain vs. slot indexing through a [`crate::compile::Frame`]
 //! chain). The interpreter path resolves correlation signatures *at
 //! runtime* ([`perm_algebra::visit::free_correlated_columns`] looked up in
-//! the current [`Env`]), which lets the same parameterized sublink memo —
-//! and the verdict memo — serve the interpreter and the tracer as well.
+//! the current [`Env`]), which lets the same parameterized sublink memo
+//! serve the interpreter and the tracer as well. The interpreter folds each
+//! `ANY`/`ALL` comparison over the result rows
+//! ([`crate::eval::fold_quantified`]): it is the reference the probe is
+//! tested against.
 
 use crate::compile::{ColumnMap, CompiledPlan};
 use crate::eval::Env;
 use crate::memo::{MemoMap, SharedSublinkMemo};
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
+use crate::quant::QuantProbe;
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
@@ -81,18 +86,17 @@ pub struct Executor<'a> {
     /// the typed encoding of its referenced parameter values and free
     /// correlated column bindings.
     pub(crate) interp_sublink_memo: Rc<RefCell<MemoMap<Arc<Relation>>>>,
-    /// `ANY`/`ALL` verdict memo, shared by both paths: `Truth` keyed by the
-    /// sublink's result-memo key extended with the typed test value. The
-    /// namespace tag leading each result key keeps compiled ids and
-    /// interpreter addresses from colliding.
-    pub(crate) verdict_memo: Rc<RefCell<MemoMap<Truth>>>,
+    /// `ANY`/`ALL` probe memo of the compiled path: the [`QuantProbe`] of
+    /// a sublink result, under that result's memo key — one entry per
+    /// binding, whatever the test values.
+    pub(crate) probe_memo: Rc<RefCell<MemoMap<Arc<QuantProbe>>>>,
     /// The resilience governor: installed cancel token / fault plan /
     /// memory budget plus the `cancel_checks` and `peak_bytes` counters.
     /// Polled at batch boundaries by `crate::physical`, at cursor refills
     /// and at memoized-sublink entry.
     pub(crate) governor: Governor,
     /// Optional cross-thread memo ([`Executor::with_shared_memo`]). When
-    /// attached, compiled-path sublink results and verdicts go to (and come
+    /// attached, compiled-path sublink results and probes go to (and come
     /// from) the shared maps instead of the private memos above, so
     /// worker threads and sibling sessions serving the same prepared
     /// statements reuse each other's work. Interpreter-path entries stay
@@ -122,9 +126,9 @@ pub struct Executor<'a> {
     /// Number of operator evaluations performed (for tests/diagnostics);
     /// counted inside `crate::physical`, once per operator invocation.
     pub(crate) ops_evaluated: Cell<u64>,
-    /// Number of per-row comparisons performed while folding `ANY`/`ALL`
-    /// sublink results (for tests/diagnostics; verdict-memo hits skip the
-    /// fold entirely).
+    /// `ANY`/`ALL` result rows compared: folded by the interpreter, or
+    /// summarised into a probe on the compiled path (for tests and
+    /// diagnostics).
     pub(crate) cmp_evaluated: Cell<u64>,
     /// Whether the compiled driver evaluates expressions *vectorized* over
     /// whole batches (the default) or per tuple within each batch (a mode
@@ -136,8 +140,9 @@ pub struct Executor<'a> {
     /// batch).
     pub(crate) batches_vectorized: Cell<u64>,
     /// Rows a vectorized batch evaluation handed back to the per-tuple
-    /// evaluator because their expression subtree carries a sublink (the
-    /// fallback that keeps the parameterized sublink memo seam untouched).
+    /// evaluator because their expression subtree carries a *correlated*
+    /// sublink (the fallback that keeps the parameterized sublink memo seam
+    /// untouched; an uncorrelated one is evaluated once per batch).
     pub(crate) batch_fallback_rows: Cell<u64>,
     /// Whether the vectorized compiled evaluator runs over typed columnar
     /// lanes (the default) or row-major `Value` columns (a mode of the
@@ -150,7 +155,7 @@ pub struct Executor<'a> {
     pub(crate) columnar_blocks: Cell<u64>,
     /// Rows whose columnar evaluation fell back to the row-major scalar
     /// path: mixed-type (`Values`) lanes, lane pairings without a typed
-    /// kernel, integer-overflow retries, and sublink-bearing subtrees.
+    /// kernel, integer-overflow retries, and correlated-sublink subtrees.
     pub(crate) columnar_fallback_rows: Cell<u64>,
     /// The armed `EXPLAIN ANALYZE` profile tree, held weakly: only the
     /// memoized-sublink seam reads it (to attribute memo hits/misses and
@@ -176,7 +181,7 @@ impl<'a> Executor<'a> {
         crate::heap::retain_freed_heap();
         let sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let interp_sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
-        let verdict_memo = Rc::new(RefCell::new(MemoMap::new()));
+        let probe_memo = Rc::new(RefCell::new(MemoMap::new()));
         let governor = Governor::new();
         // Register every private memo for byte accounting and
         // budget-pressure reclaim (evict first, fail only if that is not
@@ -185,18 +190,18 @@ impl<'a> Executor<'a> {
         // wrapper: under pressure with spilling enabled its entries are
         // persisted instead of dropped (compiled keys are process-stable).
         // The interpreter memo (keyed by plan-node *addresses*, unsafe to
-        // persist) and the verdict memo (cheap to refold) reclaim by
-        // dropping.
+        // persist) and the probe memo (rebuilt in one pass from a reloaded
+        // result) reclaim by dropping.
         governor.register_memo(Box::new(crate::memo::SpillableResultMemo(Rc::clone(
             &sublink_memo,
         ))));
         governor.register_memo(Box::new(Rc::clone(&interp_sublink_memo)));
-        governor.register_memo(Box::new(Rc::clone(&verdict_memo)));
+        governor.register_memo(Box::new(Rc::clone(&probe_memo)));
         Executor {
             db,
             sublink_memo,
             interp_sublink_memo,
-            verdict_memo,
+            probe_memo,
             governor,
             shared_memo: None,
             free_columns_cache: RefCell::new(HashMap::new()),
@@ -252,8 +257,10 @@ impl<'a> Executor<'a> {
 
     /// Number of rows vectorized batch evaluation handed back to the
     /// per-tuple evaluator because their expression subtree carries a
-    /// sublink (diagnostic counter; those rows drive the parameterized
-    /// sublink memo exactly like tuple-at-a-time execution).
+    /// correlated sublink (diagnostic counter; those rows drive the
+    /// parameterized sublink memo exactly like tuple-at-a-time execution).
+    /// An uncorrelated sublink is evaluated once per batch and counts
+    /// nothing here.
     pub fn batch_fallback_rows(&self) -> u64 {
         self.batch_fallback_rows.get()
     }
@@ -286,7 +293,7 @@ impl<'a> Executor<'a> {
     /// Number of rows whose columnar evaluation fell back to the row-major
     /// scalar path (diagnostic counter): mixed-type lanes, lane pairings
     /// without a typed kernel, integer-overflow retries, and
-    /// sublink-bearing subtrees (which are also counted in
+    /// correlated-sublink subtrees (which are also counted in
     /// [`Executor::batch_fallback_rows`]).
     pub fn columnar_fallback_rows(&self) -> u64 {
         self.columnar_fallback_rows.get()
@@ -306,19 +313,19 @@ impl<'a> Executor<'a> {
     }
 
     /// Bounds every memo (sublink results on both paths and `ANY`/`ALL`
-    /// verdicts) to at most `capacity` entries each, evicting
+    /// probes) to at most `capacity` entries each, evicting
     /// least-recently-used entries — the ROADMAP follow-on for
     /// high-cardinality correlations. `None` (the default) keeps the memos
     /// unbounded, preserving the established behaviour.
     pub fn with_memo_capacity(self, capacity: Option<usize>) -> Executor<'a> {
         self.sublink_memo.borrow_mut().set_capacity(capacity);
         self.interp_sublink_memo.borrow_mut().set_capacity(capacity);
-        self.verdict_memo.borrow_mut().set_capacity(capacity);
+        self.probe_memo.borrow_mut().set_capacity(capacity);
         self
     }
 
     /// Attaches a cross-thread [`SharedSublinkMemo`]: compiled-path sublink
-    /// results and `ANY`/`ALL` verdicts are then cached in (and served
+    /// results and `ANY`/`ALL` probes are then cached in (and served
     /// from) the shared maps instead of this executor's private
     /// memos, so several worker executors — each still single-threaded —
     /// jointly warm one memo. Safe because compiled memo keys embed a
@@ -551,8 +558,9 @@ impl<'a> Executor<'a> {
         self.ops_evaluated.get()
     }
 
-    /// Number of per-row `ANY`/`ALL` fold comparisons so far (diagnostic
-    /// counter). A verdict-memo hit skips the fold and counts nothing.
+    /// `ANY`/`ALL` result rows compared so far (diagnostic counter): on the
+    /// interpreter, the rows each fold visits; on the compiled path, the
+    /// rows each probe is built from — a probe-memo hit counts nothing.
     pub fn quantifier_comparisons(&self) -> u64 {
         self.cmp_evaluated.get()
     }
@@ -583,7 +591,7 @@ impl<'a> Executor<'a> {
         crate::compile::compile_plan(&fused, needed)
     }
 
-    /// Clears the compiled-path memos (sublink results and verdicts) *of
+    /// Clears the compiled-path memos (sublink results and probes) *of
     /// this executor*. An attached [`SharedSublinkMemo`] is deliberately
     /// left alone — it is shared state whose lifecycle belongs to its owner
     /// (clearing it here would drop entries other sessions are warm on).
@@ -591,7 +599,7 @@ impl<'a> Executor<'a> {
     /// ([`Executor::reset_interpreter_caches`]).
     pub fn clear_compiled_memos(&self) {
         self.sublink_memo.borrow_mut().clear();
-        self.verdict_memo.borrow_mut().clear();
+        self.probe_memo.borrow_mut().clear();
     }
 
     /// Executes a top-level plan through the compile/memoize pipeline.
@@ -635,10 +643,6 @@ impl<'a> Executor<'a> {
         self.interp_sublink_memo.borrow_mut().clear();
         self.free_columns_cache.borrow_mut().clear();
         self.free_params_cache.borrow_mut().clear();
-        // The verdict memo namespaces interpreter entries under the plan
-        // address too; clearing it wholesale is conservative but safe (the
-        // compiled entries it drops were only a shortcut).
-        self.verdict_memo.borrow_mut().clear();
     }
 
     /// The parameterized memo key of an interpreter-path sublink: the plan
@@ -695,17 +699,6 @@ impl<'a> Executor<'a> {
         env: Option<&Env<'_>>,
     ) -> Result<Arc<Relation>> {
         let key = self.interp_sublink_key(plan, env);
-        self.execute_sublink_keyed(plan, env, key)
-    }
-
-    /// [`Executor::execute_sublink`] with a precomputed memo key (so the
-    /// `ANY`/`ALL` verdict path computes the key once for both memos).
-    pub(crate) fn execute_sublink_keyed(
-        &self,
-        plan: &Plan,
-        env: Option<&Env<'_>>,
-        key: Option<Vec<u8>>,
-    ) -> Result<Arc<Relation>> {
         if let Some(k) = &key {
             if let Some(hit) = self.interp_sublink_memo.borrow_mut().get(k) {
                 self.governor.trace_memo_hit("interp-sublink-memo");

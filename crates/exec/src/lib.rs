@@ -28,8 +28,10 @@
 //!   evaluate each compiled expression **vectorized** over the whole batch
 //!   (one recursive descent per expression per batch, with `AND`/`OR` and
 //!   `CASE` narrowing the selection so per-row short-circuit semantics are
-//!   preserved exactly), falling back to per-tuple evaluation for
-//!   sublink-bearing subtrees so the memo seam is untouched;
+//!   preserved exactly). An *uncorrelated* sublink is fetched once per
+//!   batch and broadcast (`ANY`/`ALL`: one [`QuantProbe`] verdict per live
+//!   row over the vectorized test column); a correlated one falls back to
+//!   per-tuple evaluation through the memo seam;
 //!
 //!   On top of the batches the compiled path runs **column-major**: every
 //!   batch is backed by a [`ColumnBlock`] whose typed lanes (i64, f64,
@@ -65,8 +67,11 @@
 //! sublink runs once per *distinct* binding instead of once per outer
 //! tuple, and an uncorrelated sublink runs once per query (PostgreSQL's
 //! InitPlan behaviour). Memoized results are shared as `Arc<Relation>`s
-//! (hits never deep-copy), and `ANY`/`ALL` *verdicts* are memoized per
-//! `(sublink, binding, test value)` on top. Since the operator bodies are
+//! (hits never deep-copy). For `ANY`/`ALL` the interpreter folds the
+//! comparison over the result rows — the reference — while the compiled
+//! path summarises each result once into a [`QuantProbe`] (key set, NULL
+//! flag, per-class bounds), memoized per `(sublink, binding)`, and answers
+//! every test value with one hash probe. Since the operator bodies are
 //! shared, a semantics fix lands in one place, and the
 //! `operators_evaluated` accounting lives in the physical layer alone —
 //! counted once per logical operator invocation, never per batch, so the
@@ -100,7 +105,7 @@
 //! worker thread. What crosses threads is the read-only data: the database,
 //! compiled plans, and optionally a [`SharedSublinkMemo`]
 //! ([`Executor::with_shared_memo`]) — a mutex-guarded memo through which
-//! worker executors share compiled-path sublink results and verdicts, so a
+//! worker executors share compiled-path sublink results and probes, so a
 //! binding one worker of the `perm-serve` pool has evaluated is a hit for
 //! every other worker serving the same prepared statement.
 //!
@@ -138,6 +143,7 @@ pub(crate) mod memo;
 pub mod optimize;
 pub(crate) mod physical;
 pub mod profile;
+mod quant;
 pub mod resilience;
 pub(crate) mod spill;
 
@@ -149,6 +155,7 @@ pub use executor::Executor;
 pub use memo::SharedSublinkMemo;
 pub use optimize::{optimize, plan_fingerprint, OptimizerReport};
 pub use profile::{ProfileNode, QueryProfile};
+pub use quant::QuantProbe;
 pub use resilience::{CancelToken, Degradation, FaultKind, FaultPlan, FaultSite, TraceSignal};
 
 use perm_storage::StorageError;
@@ -163,6 +170,10 @@ pub enum ExecError {
     /// A scalar sublink produced more than one tuple or more than one
     /// attribute.
     ScalarSublinkCardinality(String),
+    /// An `ANY`/`ALL` sublink's query produced this many attributes instead
+    /// of one (the binder refuses such SQL; a hand-built plan meets it
+    /// here, before any row is compared).
+    QuantifiedSublinkArity(usize),
     /// Division by zero.
     DivisionByZero,
     /// A `$n` query parameter was referenced but not bound.
@@ -191,6 +202,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Type(msg) => write!(f, "type error: {msg}"),
             ExecError::ScalarSublinkCardinality(msg) => {
                 write!(f, "scalar sublink cardinality violation: {msg}")
+            }
+            ExecError::QuantifiedSublinkArity(n) => {
+                write!(f, "ANY/ALL sublink must produce one attribute, got {n}")
             }
             ExecError::DivisionByZero => write!(f, "division by zero"),
             ExecError::Param(msg) => write!(f, "parameter error: {msg}"),

@@ -1,4 +1,5 @@
-//! Capacity-bounded memo maps for the executor's sublink/verdict caches.
+//! Capacity-bounded memo maps for the executor's sublink result and
+//! `ANY`/`ALL` probe caches.
 //!
 //! [`MemoMap`] behaves like a plain `HashMap<Vec<u8>, V>` by default. When a
 //! capacity is configured ([`MemoMap::set_capacity`]) it becomes an LRU
@@ -13,8 +14,9 @@
 //! same key are skipped at eviction time and compacted away when the queue
 //! outgrows the map by a constant factor.
 
+use crate::quant::QuantProbe;
 use crate::resilience::{MemoBytes, MemoCost};
-use perm_storage::{Relation, Truth};
+use perm_storage::Relation;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -199,7 +201,8 @@ impl<V: Clone + MemoCost> MemoMap<V> {
 
 /// The cross-thread sublink memo of the serving subsystem: one mutex-guarded
 /// map for compiled-path sublink *results* (`Arc<Relation>`, shared so hits
-/// never deep-copy — across threads too) and one for `ANY`/`ALL` *verdicts*.
+/// never deep-copy — across threads too) and one for the
+/// [`QuantProbe`]s summarising `ANY`/`ALL` results, under the same keys.
 ///
 /// Attached to an executor via [`crate::Executor::with_shared_memo`], it
 /// replaces the executor's private compiled-path memos, so distinct
@@ -217,9 +220,11 @@ impl<V: Clone + MemoCost> MemoMap<V> {
 /// last write is indistinguishable from the first. Errors are never cached.
 pub struct SharedSublinkMemo {
     results: Mutex<MemoMap<Arc<Relation>>>,
-    verdicts: Mutex<MemoMap<Truth>>,
-    /// Result-map lookups that found an entry / came up empty, across all
-    /// workers — the serving metrics registry's shared-memo hit rate.
+    probes: Mutex<MemoMap<Arc<QuantProbe>>>,
+    /// Sublink lookups served from the memo (a result or a probe) / that
+    /// executed the sublink, across all workers — the serving metrics
+    /// registry's shared-memo hit rate. A probe miss falls through to the
+    /// result map, so each lookup counts once.
     /// Relaxed atomics: these are monotone diagnostics, not
     /// synchronisation.
     result_hits: AtomicU64,
@@ -243,47 +248,48 @@ impl SharedSublinkMemo {
     }
 
     /// A shared memo with an optional LRU capacity bound *per map* — the
-    /// result map and the (much lighter, `Truth`-valued) verdict map are
-    /// each bounded to exactly `capacity` entries, so [`Self::entry_count`]
+    /// result map and the probe map are each bounded to exactly `capacity`
+    /// entries, so [`Self::entry_count`]
     /// can reach `2 × capacity`. `None` = unbounded. This mirrors the
     /// per-map semantics of `Executor::with_memo_capacity`.
     pub fn with_capacity(capacity: Option<usize>) -> Arc<SharedSublinkMemo> {
         let memo = SharedSublinkMemo {
             results: Mutex::new(MemoMap::new()),
-            verdicts: Mutex::new(MemoMap::new()),
+            probes: Mutex::new(MemoMap::new()),
             result_hits: AtomicU64::new(0),
             result_misses: AtomicU64::new(0),
         };
         lock(&memo.results).set_capacity(capacity);
-        lock(&memo.verdicts).set_capacity(capacity);
+        lock(&memo.probes).set_capacity(capacity);
         Arc::new(memo)
     }
 
-    /// Drops every cached result and verdict. The owner calls this when the
+    /// Drops every cached result and probe. The owner calls this when the
     /// underlying database changes; executors never clear a shared memo on
     /// their own.
     pub fn clear(&self) {
         lock(&self.results).clear();
-        lock(&self.verdicts).clear();
+        lock(&self.probes).clear();
     }
 
     /// Number of live entries across both maps (diagnostic).
     pub fn entry_count(&self) -> usize {
-        lock(&self.results).len() + lock(&self.verdicts).len()
+        lock(&self.results).len() + lock(&self.probes).len()
     }
 
     /// Approximate bytes held across both maps — the memo is byte-aware,
     /// not just entry-aware, so a memory budget can account and reclaim it.
     pub fn byte_size(&self) -> u64 {
-        lock(&self.results).bytes() + lock(&self.verdicts).bytes()
+        lock(&self.results).bytes() + lock(&self.probes).bytes()
     }
 
-    /// Result-map hits observed so far (across all sharing executors).
+    /// Lookups served from the memo so far (across all sharing executors).
     pub fn result_hits(&self) -> u64 {
         self.result_hits.load(Ordering::Relaxed)
     }
 
-    /// Result-map misses observed so far (across all sharing executors).
+    /// Lookups that executed the sublink so far (across all sharing
+    /// executors).
     pub fn result_misses(&self) -> u64 {
         self.result_misses.load(Ordering::Relaxed)
     }
@@ -301,12 +307,18 @@ impl SharedSublinkMemo {
         lock(&self.results).insert(key, value);
     }
 
-    pub(crate) fn get_verdict(&self, key: &[u8]) -> Option<Truth> {
-        lock(&self.verdicts).get(key)
+    /// A probe hit counts as a hit; a miss counts nothing, because the
+    /// result lookup that follows it does.
+    pub(crate) fn get_probe(&self, key: &[u8]) -> Option<Arc<QuantProbe>> {
+        let hit = lock(&self.probes).get(key);
+        if hit.is_some() {
+            self.result_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
-    pub(crate) fn insert_verdict(&self, key: Vec<u8>, value: Truth) {
-        lock(&self.verdicts).insert(key, value);
+    pub(crate) fn insert_probe(&self, key: Vec<u8>, value: Arc<QuantProbe>) {
+        lock(&self.probes).insert(key, value);
     }
 }
 
@@ -348,8 +360,8 @@ impl MemoBytes for Arc<SharedSublinkMemo> {
 /// Only the compiled result memo gets this treatment. Interpreter-path keys
 /// embed plan *node addresses*, which a later execution may reuse for a
 /// different plan — persisting them could alias, so they stay drop-only
-/// (the blanket impl above). Verdicts are a `Truth` each and cost nothing to
-/// refold from a reloaded result relation.
+/// (the blanket impl above). Probes are rebuilt in one pass from a reloaded
+/// result relation, so they drop too.
 pub(crate) struct SpillableResultMemo(pub(crate) Rc<RefCell<MemoMap<Arc<Relation>>>>);
 
 impl MemoBytes for SpillableResultMemo {
@@ -385,6 +397,8 @@ impl std::fmt::Debug for SharedSublinkMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perm_algebra::{CompareOp, SublinkKind};
+    use perm_storage::{Schema, Truth, Value};
 
     impl MemoCost for u32 {
         fn cost_bytes(&self) -> u64 {
@@ -443,6 +457,17 @@ mod tests {
         assert_eq!(m.len(), 4);
     }
 
+    /// The probe of the one-row result `{v}`.
+    fn probe_of(v: i64) -> Arc<QuantProbe> {
+        let result = Relation::from_rows(Schema::from_names(&["c"]), vec![vec![Value::Int(v)]]);
+        Arc::new(QuantProbe::build(&result).unwrap())
+    }
+
+    /// `v = ANY (probe's result)`.
+    fn any_eq(probe: &QuantProbe, v: i64) -> Truth {
+        probe.verdict(SublinkKind::Any, CompareOp::Eq, &Value::Int(v))
+    }
+
     #[test]
     fn sharded_memo_round_trips_across_threads() {
         let memo = SharedSublinkMemo::new();
@@ -454,7 +479,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..50u8 {
                         memo.insert_result(vec![t, i], Arc::clone(rel));
-                        memo.insert_verdict(vec![t, i], Truth::True);
+                        memo.insert_probe(vec![t, i], probe_of(i.into()));
                     }
                 });
             }
@@ -462,7 +487,8 @@ mod tests {
         assert_eq!(memo.entry_count(), 2 * 4 * 50);
         let hit = memo.get_result(&[2, 7]).expect("entry written by thread 2");
         assert!(Arc::ptr_eq(&hit, &rel), "hits share the allocation");
-        assert_eq!(memo.get_verdict(&[3, 49]), Some(Truth::True));
+        let probe = memo.get_probe(&[3, 49]).expect("probe written by thread 3");
+        assert_eq!(any_eq(&probe, 49), Truth::True);
         assert_eq!(memo.get_result(&[9, 9]), None);
         memo.clear();
         assert_eq!(memo.entry_count(), 0);
@@ -506,7 +532,7 @@ mod tests {
 
         let shared = SharedSublinkMemo::new();
         assert_eq!(shared.byte_size(), 0);
-        shared.insert_verdict(vec![1], Truth::True);
+        shared.insert_probe(vec![1], probe_of(1));
         shared.insert_result(vec![2], Arc::new(Relation::default()));
         assert!(shared.byte_size() > 0);
         shared.clear();
@@ -516,12 +542,12 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_for_the_next_query() {
         let memo = SharedSublinkMemo::new();
-        memo.insert_verdict(vec![1], Truth::True);
-        // A worker panics while holding the verdict map's lock, poisoning
-        // the mutex.
+        memo.insert_probe(vec![1], probe_of(1));
+        // A worker panics while holding the probe map's lock, poisoning the
+        // mutex.
         let worker = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = memo.verdicts.lock().unwrap();
+                let _guard = memo.probes.lock().unwrap();
                 panic!("worker dies inside the critical section");
             })
             .join()
@@ -530,9 +556,9 @@ mod tests {
         // Every operation on that map still succeeds: the entries are
         // internally consistent (each write is one complete insert), so the
         // poison is recovered rather than propagated.
-        assert_eq!(memo.get_verdict(&[1]), Some(Truth::True));
-        memo.insert_verdict(vec![1, 1], Truth::False);
-        assert_eq!(memo.get_verdict(&[1, 1]), Some(Truth::False));
+        assert_eq!(any_eq(&memo.get_probe(&[1]).unwrap(), 1), Truth::True);
+        memo.insert_probe(vec![1, 1], probe_of(2));
+        assert_eq!(any_eq(&memo.get_probe(&[1, 1]).unwrap(), 1), Truth::False);
         assert!(memo.byte_size() > 0);
         memo.clear();
         assert_eq!(memo.entry_count(), 0);

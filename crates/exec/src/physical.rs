@@ -18,7 +18,7 @@
 //!   each expression *vectorized* over the whole batch
 //!   (`Executor::ceval_batch`): one dispatch per expression node per batch
 //!   instead of per tuple, falling back to per-tuple evaluation for
-//!   sublink-bearing expressions so the parameterized sublink memo is
+//!   correlated-sublink expressions so the parameterized sublink memo is
 //!   untouched.
 //!
 //! Both are thin drivers that execute their children, wrap their expression

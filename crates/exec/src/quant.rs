@@ -1,0 +1,152 @@
+//! [`QuantProbe`]: an `ANY` / `ALL` sublink result summarised in one pass,
+//! so that each test value costs one hash probe or one bound comparison
+//! instead of a fold over the whole result.
+//!
+//! The fold ([`crate::eval::fold_quantified`], which the interpreter runs)
+//! combines one three-valued comparison per result row with `OR` (`ANY`)
+//! or `AND` (`ALL`). `compare` cannot fail and Kleene `OR` / `AND` are
+//! commutative and idempotent, so its verdict depends only on *whether*
+//! some row compares TRUE, some FALSE and some UNKNOWN — not on their order
+//! or number. The probe keeps exactly what answers those three questions
+//! for every operator:
+//!
+//! * `=` / `<>`: the [`encode_key`] set of the non-NULL values. Key
+//!   equality is `strict_eq` (the invariant documented in `perm_storage`'s
+//!   `keys.rs`), so `t = r` holds for some row iff `t`'s key is in the set,
+//!   and fails for some row iff the set holds another key — a value of the
+//!   other comparison class compares FALSE under `=`, never UNKNOWN.
+//! * `<`, `<=`, `>`, `>=`: per comparison class — numeric (`Int`, `Float`,
+//!   `Date`, `Bool`) or `Str` — the minimum and maximum under `sql_cmp`,
+//!   which is a total preorder within a class (exact across the numeric
+//!   variants, NaN above everything). `t < r` holds for some row of `t`'s
+//!   class iff `t < max` and fails for some iff `t >= min`; the other three
+//!   operators are the mirror images. A row of the other class compares
+//!   UNKNOWN.
+//! * whether the result holds a NULL, which compares UNKNOWN with anything.
+//!
+//! The compiled path memoizes one probe per sublink binding (the
+//! executor's probe memo, or the shared memo's probe map) and reads one
+//! verdict from it per outer row; `tests/quant_probe.rs` checks every
+//! (quantifier, operator) pair against the fold.
+
+use crate::eval::check_quantified_arity;
+use crate::resilience::MemoCost;
+use crate::Result;
+use perm_algebra::{CompareOp, SublinkKind};
+use perm_storage::{encode_key, Relation, Truth, Value};
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+/// The comparison class of a non-NULL value: values of different classes
+/// are never ordered (`sql_cmp` is `None`) and never equal.
+fn class_of(v: &Value) -> Option<usize> {
+    match v {
+        Value::Null => None,
+        Value::Str(_) => Some(1),
+        Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Date(_) => Some(0),
+    }
+}
+
+/// One `ANY` / `ALL` sublink result, summarised (see the module docs).
+#[derive(Debug)]
+pub struct QuantProbe {
+    /// `encode_key` of every non-NULL value.
+    keys: HashSet<Vec<u8>>,
+    has_null: bool,
+    /// `(min, max)` under `sql_cmp` per comparison class (numeric, `Str`);
+    /// `None` when the result holds no value of that class.
+    bounds: [Option<(Value, Value)>; 2],
+    /// Approximate heap footprint, for the memos' byte accounting.
+    bytes: u64,
+}
+
+impl QuantProbe {
+    /// Summarises a sublink result in one pass. Fails, before anything is
+    /// compared, when the result does not have exactly one attribute.
+    pub fn build(result: &Relation) -> Result<QuantProbe> {
+        check_quantified_arity(result)?;
+        let mut probe = QuantProbe {
+            keys: HashSet::new(),
+            has_null: false,
+            bounds: [None, None],
+            bytes: std::mem::size_of::<QuantProbe>() as u64,
+        };
+        for row in result.tuples() {
+            let v = row.get(0);
+            let Some(class) = class_of(v) else {
+                probe.has_null = true;
+                continue;
+            };
+            let key = encode_key(std::slice::from_ref(v));
+            if probe.keys.contains(&key) {
+                // An equal value is already in the bounds, too.
+                continue;
+            }
+            probe.bytes += key.len() as u64 + 32;
+            probe.keys.insert(key);
+            match &mut probe.bounds[class] {
+                None => probe.bounds[class] = Some((v.clone(), v.clone())),
+                Some((min, max)) => {
+                    if v.sql_cmp(min) == Some(Ordering::Less) {
+                        *min = v.clone();
+                    } else if v.sql_cmp(max) == Some(Ordering::Greater) {
+                        *max = v.clone();
+                    }
+                }
+            }
+        }
+        Ok(probe)
+    }
+
+    /// The verdict of `test op ANY/ALL (result)` — exactly what
+    /// [`crate::eval::fold_quantified`] computes over the result's rows.
+    pub fn verdict(&self, kind: SublinkKind, op: CompareOp, test: &Value) -> Truth {
+        let any = kind == SublinkKind::Any;
+        if self.keys.is_empty() && !self.has_null {
+            // Nothing to compare: `ANY` is FALSE, `ALL` is TRUE.
+            return Truth::from_bool(!any);
+        }
+        let Some(class) = class_of(test) else {
+            return Truth::Unknown;
+        };
+        // Whether some row compares TRUE, and whether some compares FALSE.
+        let (some_true, some_false) = match op {
+            CompareOp::Eq | CompareOp::Neq => {
+                let member = self.keys.contains(&encode_key(std::slice::from_ref(test)));
+                let other = self.keys.len() > usize::from(member);
+                if op == CompareOp::Eq {
+                    (member, other)
+                } else {
+                    (other, member)
+                }
+            }
+            _ => match &self.bounds[class] {
+                None => (false, false),
+                Some((min, max)) => {
+                    let holds = |r: &Value| crate::eval::compare(op, test, r).is_true();
+                    match op {
+                        CompareOp::Lt | CompareOp::Le => (holds(max), !holds(min)),
+                        _ => (holds(min), !holds(max)),
+                    }
+                }
+            },
+        };
+        let some_unknown = self.has_null
+            || (!matches!(op, CompareOp::Eq | CompareOp::Neq) && self.bounds[1 - class].is_some());
+        let decided = if any { some_true } else { some_false };
+        if decided {
+            Truth::from_bool(any)
+        } else if some_unknown {
+            Truth::Unknown
+        } else {
+            Truth::from_bool(!any)
+        }
+    }
+}
+
+impl MemoCost for Arc<QuantProbe> {
+    fn cost_bytes(&self) -> u64 {
+        self.bytes
+    }
+}

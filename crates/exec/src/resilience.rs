@@ -30,9 +30,11 @@
 //!      (grace hash join, external merge sort, partitioned aggregation in
 //!      `crate::physical`). Costs only I/O, never recomputation.
 //!   2. *Reclaim memos*: the memos that cannot be spilled (interpreter-path
-//!      entries are keyed by plan node addresses, verdicts are cheap to
-//!      refold) are cleared — losing only speed, never correctness, since a
-//!      memo miss simply re-executes the sublink.
+//!      entries are keyed by plan node addresses; `ANY`/`ALL` probes are
+//!      rebuilt in one pass from their result) are cleared — losing only
+//!      speed, never correctness, since a memo miss simply re-executes the
+//!      sublink. A probe insert the budget refuses is not kept: the next
+//!      lookup rebuilds it.
 //!   3. *Fail*: only when neither spilling nor reclaiming frees enough does
 //!      the query fail with `ExecError::ResourceExhausted`, naming the
 //!      operator.

@@ -8,12 +8,14 @@
 //! projections, aggregations, sorts with limits, joins and set operations.
 //! Every plan is executed through
 //!
-//! 1. `Executor::execute` — compile + parameterized sublink/verdict memos,
-//!    with the default columnar batch layout,
+//! 1. `Executor::execute` — compile + parameterized sublink memo, `ANY`/`ALL`
+//!    answered from memoized probes, uncorrelated sublinks a batch at a
+//!    time, with the default columnar batch layout,
 //! 2. `Executor::execute` with columnar off — the row-major vectorized
 //!    layout over the same batches,
 //! 3. `Executor::execute_unoptimized` — the name-resolving interpreter
-//!    (which shares the parameterized memo, resolved at runtime), and
+//!    (which shares the parameterized memo, resolved at runtime, and folds
+//!    every `ANY`/`ALL` over its result rows), and
 //! 4. `Executor::execute` with the memos disabled,
 //!
 //! and all results must agree bag-for-bag (or all modes must fail). The

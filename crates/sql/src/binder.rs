@@ -601,7 +601,7 @@ pub fn bind_expr(db: &Database, expr: &SqlExpr) -> Result<Expr> {
             query,
             negated,
         } => {
-            let sub = bind_query(db, query)?;
+            let sub = bind_quantified_query(db, query)?;
             let link = any_sublink(bind_expr(db, expr)?, CompareOp::Eq, sub);
             if *negated {
                 not(link)
@@ -624,7 +624,7 @@ pub fn bind_expr(db: &Database, expr: &SqlExpr) -> Result<Expr> {
             quantifier,
             query,
         } => {
-            let sub = bind_query(db, query)?;
+            let sub = bind_quantified_query(db, query)?;
             let cmp = compare_op(*op).ok_or_else(|| {
                 SqlError::Bind("quantified comparison requires a comparison operator".into())
             })?;
@@ -636,6 +636,18 @@ pub fn bind_expr(db: &Database, expr: &SqlExpr) -> Result<Expr> {
         }
         SqlExpr::ScalarSubquery(query) => scalar_sublink(bind_query(db, query)?),
     })
+}
+
+/// Binds the subquery of `IN` / `ANY` / `ALL`, which compares against
+/// exactly one column.
+fn bind_quantified_query(db: &Database, query: &Query) -> Result<Plan> {
+    let sub = bind_query(db, query)?;
+    match sub.schema().arity() {
+        1 => Ok(sub),
+        n => Err(SqlError::Bind(format!(
+            "subquery of IN / ANY / ALL must return one column, not {n}"
+        ))),
+    }
 }
 
 #[cfg(test)]

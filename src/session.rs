@@ -329,10 +329,10 @@ pub struct SessionConfig {
     /// (default `true`; the uncorrelated InitPlan caching stays on either
     /// way).
     pub sublink_memo: bool,
-    /// Optional LRU bound on each sublink/verdict memo (default `None`,
-    /// i.e. unbounded — the established behaviour). Bounding the memos
-    /// trades repeated sublink work for bounded memory on
-    /// high-cardinality correlations.
+    /// Optional LRU bound on each memo — sublink results and the `ANY`/`ALL`
+    /// probes summarising them — (default `None`, i.e. unbounded — the
+    /// established behaviour). Bounding the memos trades repeated sublink
+    /// work for bounded memory on high-cardinality correlations.
     pub memo_capacity: Option<usize>,
     /// Whether memo entries are retained across executions of the same
     /// [`Prepared`] statement (default `true` — parameter values are part
@@ -373,7 +373,7 @@ pub struct SessionConfig {
     /// Optional cross-thread sublink memo (default `None`). When set, every
     /// session opened with this configuration attaches the memo to its
     /// executor ([`perm_exec::Executor::with_shared_memo`]), so compiled
-    /// correlated-sublink results and `ANY`/`ALL` verdicts are shared
+    /// correlated-sublink results and `ANY`/`ALL` probes are shared
     /// between sessions — across worker threads. The concurrent serving
     /// subsystem (`perm-serve`) sets this for its worker sessions; combine
     /// with `retain_memo` (the default) so the warmed entries survive
@@ -562,8 +562,9 @@ pub struct SessionStats {
     /// [`SessionConfig::batching`] is off).
     pub vectorized_batches: u64,
     /// Rows a vectorized batch handed back to the per-tuple evaluator
-    /// because their expression subtree carries a sublink — the fallback
-    /// that keeps the parameterized sublink memo seam untouched.
+    /// because their expression subtree carries a correlated sublink — the
+    /// fallback that keeps the parameterized sublink memo seam untouched
+    /// (an uncorrelated sublink is evaluated once per batch).
     pub sublink_fallback_rows: u64,
     /// Column blocks whose typed lanes were actually materialised by the
     /// columnar evaluator (a block is counted on first lane access, not
@@ -571,8 +572,8 @@ pub struct SessionStats {
     pub columnar_blocks: u64,
     /// Rows the columnar evaluator handed back to the row-major `Value`
     /// path — mixed-type or otherwise untyped lanes, string/date kernels
-    /// without a typed fast path, and sublink-bearing subtrees (which also
-    /// count into [`SessionStats::sublink_fallback_rows`]).
+    /// without a typed fast path, and correlated-sublink subtrees (which
+    /// also count into [`SessionStats::sublink_fallback_rows`]).
     pub columnar_fallback_rows: u64,
     /// Cancellation checkpoints polled by the executor (batch boundaries,
     /// cursor refills, sublink entries). Monotone over the session's life;

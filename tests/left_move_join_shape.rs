@@ -2,9 +2,11 @@
 //! (`a = ANY`) and `q2` (`a < ALL`) at 4000×1000 under `Strategy::Left`,
 //! `Strategy::Move` and `Strategy::Auto` must run the `⟕_{Jsub}` the
 //! rewrites emit as what it is once `Csub` holds — an equi-join for `ANY`,
-//! a pad-or-cross for `ALL` — with the sublink evaluated once per outer
-//! row, never per joined pair. Asserted on counts (join output rows,
-//! sublink-fallback rows, plan shape), never on wall time.
+//! a pad-or-cross for `ALL` — with the sublink, which is uncorrelated,
+//! fetched once per batch and answered per outer row by one probe, never
+//! per joined pair and never through the per-tuple fallback. Asserted on
+//! counts (join output rows, sublink-fallback rows, plan shape), never on
+//! wall time.
 
 use perm::prelude::*;
 use perm::{ProfileNode, SessionConfig};
@@ -141,9 +143,10 @@ fn assert_join_shaped(db: &Database, plan: &Plan, strategy: Strategy, hash: bool
         assert_eq!(join.detail, "LeftOuter hash", "{label}");
     }
 
-    // The sublink runs per outer row of the window at most.
-    assert!(
-        fallback <= outer_rows + 8,
+    // The uncorrelated sublink is evaluated a batch at a time: no outer
+    // row falls back to the per-tuple evaluator.
+    assert_eq!(
+        fallback, 0,
         "{label}: {fallback} sublink-fallback rows for {outer_rows} outer rows"
     );
 

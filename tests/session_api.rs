@@ -579,17 +579,28 @@ fn columnar_stats_count_blocks_and_fallbacks() {
     );
     assert!(stats.vectorized_batches > 0);
 
-    // A sublink-bearing predicate keeps the memo seam: its rows fall back
-    // to the per-tuple evaluator and are counted on *both* fallback
-    // counters (the columnar one also covers mixed-type lanes).
+    // An uncorrelated sublink is fetched once per batch and its `IN`
+    // answered per row from one probe: no row falls back.
     let prepared = session
         .prepare("SELECT a FROM r WHERE a IN (SELECT c FROM s)")
         .unwrap();
     session.execute(&prepared, &[]).unwrap();
+    let uncorrelated = session.stats();
+    assert_eq!(uncorrelated.sublink_fallback_rows, 0);
+
+    // A correlated one (an `ALL`, which the optimizer keeps) keeps the memo
+    // seam: each of r's 12 rows falls back to the per-tuple evaluator and is
+    // counted on *both* fallback counters (the columnar one also covers
+    // mixed-type lanes).
+    let prepared = session
+        .prepare("SELECT a FROM r WHERE a < ALL (SELECT c FROM s WHERE s.g = r.g)")
+        .unwrap();
+    session.execute(&prepared, &[]).unwrap();
     let stats = session.stats();
-    assert!(stats.sublink_fallback_rows > 0);
+    assert_eq!(stats.sublink_fallback_rows, 12);
     assert!(
-        stats.columnar_fallback_rows >= stats.sublink_fallback_rows,
+        stats.columnar_fallback_rows - uncorrelated.columnar_fallback_rows
+            >= stats.sublink_fallback_rows,
         "sublink rows are a subset of the columnar fallback rows"
     );
 
