@@ -24,12 +24,6 @@ use crate::expr::{BinaryOp, Expr};
 use crate::plan::{JoinKind, Plan};
 use perm_storage::Schema;
 
-/// Applies [`push_down_selections`] followed by [`fuse_select_over_cross`];
-/// the combination a DBMS planner would always apply before execution.
-pub fn optimize_for_execution(plan: &Plan) -> Plan {
-    fuse_select_over_cross(push_down_selections(plan))
-}
-
 /// Splits a predicate into its top-level conjuncts.
 pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
     let mut out = Vec::new();
@@ -451,7 +445,9 @@ mod tests {
             .select(eq(col("a"), col("c")))
             .project_columns(&["a", "d"])
             .build();
-        let optimized = optimize_for_execution(&q);
-        assert_eq!(optimized.schema().names(), q.schema().names());
+        let pushed = push_down_selections(&q);
+        assert_eq!(pushed.schema().names(), q.schema().names());
+        let fused = fuse_select_over_cross(pushed);
+        assert_eq!(fused.schema().names(), q.schema().names());
     }
 }

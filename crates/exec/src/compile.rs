@@ -529,6 +529,17 @@ fn classify_rows(batch: &Batch<'_>, index: usize) -> ColumnVec {
     col
 }
 
+/// One attribute of a batch's live rows, gathered into a `Values` lane as
+/// is (no classification).
+fn gather_values(batch: &Batch<'_>, index: usize) -> ColumnVec {
+    let n = batch.len();
+    let mut col = Vec::with_capacity(n);
+    for i in 0..n {
+        col.push(batch.row(i).get(index).clone());
+    }
+    ColumnVec::Values(col)
+}
+
 /// Whether the left operand's truth alone decides a logical connective
 /// for a row (FALSE decides `AND`, TRUE decides `OR`).
 fn logic_decided(op: BinaryOp, t: Truth) -> bool {
@@ -1169,26 +1180,21 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// The bare-column bypass: a depth-0 `Slot` item under columnar
-    /// execution gathers its values straight from the rows instead of
-    /// round-tripping through the block's lane cache, which would cost one
-    /// extra full-column copy (gather-from-lane after classify-into-lane)
-    /// for a value that is consumed exactly once. Counts as one vectorized
-    /// batch, exactly like the dispatch it replaces.
+    /// The bare-column bypass: a depth-0 `Slot` item gathers its values
+    /// straight from the rows instead of round-tripping through the block's
+    /// lane cache, which would cost one extra full-column copy
+    /// (gather-from-lane after classify-into-lane) for a value that is
+    /// consumed exactly once. Counts as one vectorized batch, exactly like
+    /// the dispatch it replaces.
     fn bare_slot_column(&self, item: &CompiledExpr, batch: &Batch<'_>) -> Option<ColumnVec> {
-        if !self.columnar_enabled.get() || batch.is_empty() {
+        if batch.is_empty() {
             return None;
         }
         match item {
             CompiledExpr::Slot(slot) if slot.depth == 0 => {
                 self.batches_vectorized
                     .set(self.batches_vectorized.get() + 1);
-                let n = batch.len();
-                let mut col = Vec::with_capacity(n);
-                for i in 0..n {
-                    col.push(batch.row(i).get(slot.index).clone());
-                }
-                Some(ColumnVec::Values(col))
+                Some(gather_values(batch, slot.index))
             }
             _ => None,
         }
@@ -1345,8 +1351,8 @@ impl Executor<'_> {
     ///   once for the batch and broadcast; `ANY`/`ALL` reads one verdict
     ///   per live row from the result's [`QuantProbe`];
     /// * a correlated sublink falls back to the per-tuple evaluator row by
-    ///   row (see the `Sublink` arm of `ceval_cols`), leaving the
-    ///   parameterized sublink memo and the
+    ///   row (see the `Sublink` arm of [`Executor::ceval_typed`]), leaving
+    ///   the parameterized sublink memo and the
     ///   `Executor::execute_memoized_sublink` seam untouched.
     ///
     /// The only observable difference is *which* of several pending errors
@@ -1355,11 +1361,9 @@ impl Executor<'_> {
     /// subexpression) pairs — and hence whether an error occurs at all — is
     /// identical.
     ///
-    /// With columnar execution enabled (the default), evaluation runs
-    /// through [`Executor::ceval_typed`] over typed [`ColumnVec`] lanes;
-    /// with it disabled, through the row-major [`Executor::ceval_cols`]
-    /// whose result is wrapped in a `Values` lane. Both produce one value
-    /// per live row in selection order.
+    /// Evaluation always runs through [`Executor::ceval_typed`]; with
+    /// columnar execution disabled only its leaves change (see
+    /// [`Executor::with_columnar`]).
     pub(crate) fn ceval_batch(
         &self,
         expr: &CompiledExpr,
@@ -1371,20 +1375,14 @@ impl Executor<'_> {
         }
         self.batches_vectorized
             .set(self.batches_vectorized.get() + 1);
-        if self.columnar_enabled.get() {
-            self.ceval_typed(expr, batch, outer)
-        } else {
-            let mut out = Vec::with_capacity(batch.len());
-            self.ceval_cols(expr, batch, outer, &mut out)?;
-            Ok(ColumnVec::Values(out))
-        }
+        self.ceval_typed(expr, batch, outer)
     }
 
-    /// The columnar recursive body of [`Executor::ceval_batch`]: returns a
-    /// column of exactly `batch.len()` values aligned with the live
-    /// selection, evaluated by the typed kernels of [`crate::kernels`]
-    /// wherever the lane pairing has a proven scalar equivalence and by
-    /// the shared scalar appliers row by row otherwise (counted in
+    /// The recursive body of [`Executor::ceval_batch`]: returns a column of
+    /// exactly `batch.len()` values aligned with the live selection,
+    /// evaluated by the typed kernels of [`crate::kernels`] wherever the
+    /// lane pairing has a proven scalar equivalence and by the shared
+    /// scalar appliers row by row otherwise (counted in
     /// `columnar_fallback_rows`). Sub-selections narrow through
     /// [`Batch::narrow`], keeping the block's lane cache reachable.
     fn ceval_typed(
@@ -1455,9 +1453,9 @@ impl Executor<'_> {
                 Ok(col)
             }
             CompiledExpr::Func { name, args } => {
-                // Function application is row-major by nature in both
-                // modes (arguments gathered into a scratch row), so this
-                // is not counted as a columnar fallback.
+                // Function application is row-major by nature (arguments
+                // gathered into a scratch row), so this is not counted as a
+                // columnar fallback.
                 let mut cols: Vec<ColumnVec> = Vec::with_capacity(args.len());
                 for a in args {
                     cols.push(self.ceval_typed(a, batch, outer)?);
@@ -1478,10 +1476,9 @@ impl Executor<'_> {
                 branches,
                 else_expr,
             } => self.ceval_case_typed(branches, else_expr.as_deref(), batch, outer),
-            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => self
-                .uncorrelated_sublink_batch(sublink, batch, outer, |test| {
-                    self.ceval_typed(test, batch, outer)
-                }),
+            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => {
+                self.uncorrelated_sublink_batch(sublink, batch, outer)
+            }
             CompiledExpr::Sublink(sublink) => {
                 // Per-tuple fallback: a correlated sublink goes through the
                 // parameterized memo (and, for ANY/ALL, the probe memo)
@@ -1504,7 +1501,12 @@ impl Executor<'_> {
     /// [`crate::batch::ColumnBlock`] lane cache when one is attached
     /// (cloning the cached lane, or gathering the live rows from it under
     /// a selection), classified directly from the live rows otherwise.
+    /// With columnar execution disabled, a `Values` gather of the live rows
+    /// that never touches the block.
     fn slot_column(&self, index: usize, batch: &Batch<'_>) -> ColumnVec {
+        if !self.columnar_enabled.get() {
+            return gather_values(batch, index);
+        }
         if let Some(block) = batch.columns() {
             if block.note_first_use() {
                 self.columnar_blocks.set(self.columnar_blocks.get() + 1);
@@ -1528,8 +1530,10 @@ impl Executor<'_> {
     /// batch — no selection vector is allocated, so a dense block stays
     /// dense and allocation-free; when it decides every row, the right
     /// operand never runs; only the mixed case pays for a sub-selection
-    /// (narrowed through [`Batch::narrow`], keeping the lane cache). The
-    /// per-row short-circuit semantics are those of `ceval_logic_cols`.
+    /// (narrowed through [`Batch::narrow`], keeping the lane cache). Per
+    /// row, the right operand runs exactly when the left one leaves the
+    /// connective undecided, as in [`Executor::ceval`]: a FALSE left
+    /// conjunct shields a failing right conjunct for its rows and no others.
     fn ceval_logic_typed(
         &self,
         op: BinaryOp,
@@ -1590,11 +1594,11 @@ impl Executor<'_> {
         ))
     }
 
-    /// Columnar `CASE`: identical branch-narrowing discipline to the
-    /// row-major `Case` arm of `ceval_cols` (a row that took an earlier
-    /// branch never evaluates a later condition; an exhausted selection
-    /// stops evaluating branches entirely), with sub-batches narrowed
-    /// through [`Batch::narrow`] so the lane cache stays reachable.
+    /// Columnar `CASE`, narrowing the selection branch by branch: a row that
+    /// took an earlier branch never evaluates a later condition, and an
+    /// exhausted selection stops evaluating branches entirely — the
+    /// per-row semantics of [`Executor::ceval`]. Sub-batches narrow through
+    /// [`Batch::narrow`] so the lane cache stays reachable.
     fn ceval_case_typed(
         &self,
         branches: &[(CompiledExpr, CompiledExpr)],
@@ -1651,257 +1655,6 @@ impl Executor<'_> {
             out.push(v.expect("every live row took a branch or the else"));
         }
         Ok(ColumnVec::Values(out))
-    }
-
-    /// The recursive body of [`Executor::ceval_batch`]: exactly
-    /// `batch.len()` values are appended to `out`, aligned with the live
-    /// selection. Sub-selections (undecided `AND`/`OR` rows, `CASE` branch
-    /// takers) recurse through [`Batch::with_selection`] over the same row
-    /// block.
-    fn ceval_cols(
-        &self,
-        expr: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let n = batch.len();
-        if n == 0 {
-            return Ok(());
-        }
-        match expr {
-            CompiledExpr::Slot(slot) => {
-                if slot.depth == 0 {
-                    for i in 0..n {
-                        out.push(batch.row(i).get(slot.index).clone());
-                    }
-                } else {
-                    // An outer-scope slot is constant across the batch: the
-                    // evaluation scope of row `t` is `Frame::new(outer, t)`,
-                    // so depth `d > 0` resolves in the outer chain at
-                    // `d - 1` regardless of `t`.
-                    match outer {
-                        Some(frame) => {
-                            let v = frame.get(Slot {
-                                depth: slot.depth - 1,
-                                index: slot.index,
-                            });
-                            for _ in 0..n {
-                                out.push(v.clone());
-                            }
-                        }
-                        None => {
-                            return Err(ExecError::Storage(StorageError::UnknownAttribute(
-                                "<compiled slot without scope>".into(),
-                            )))
-                        }
-                    }
-                }
-            }
-            CompiledExpr::Unresolved { name, ambiguous } => {
-                return Err(ExecError::Storage(if *ambiguous {
-                    StorageError::AmbiguousAttribute(name.clone())
-                } else {
-                    StorageError::UnknownAttribute(name.clone())
-                }))
-            }
-            CompiledExpr::Literal(v) => {
-                for _ in 0..n {
-                    out.push(v.clone());
-                }
-            }
-            CompiledExpr::Param(index) => {
-                let v = self.param_value(*index)?;
-                for _ in 0..n {
-                    out.push(v.clone());
-                }
-            }
-            CompiledExpr::Binary { op, left, right }
-                if matches!(op, BinaryOp::And | BinaryOp::Or) =>
-            {
-                self.ceval_logic_cols(*op, left, right, batch, outer, out)?;
-            }
-            CompiledExpr::Binary { op, left, right } => {
-                let mut lvals = Vec::with_capacity(n);
-                self.ceval_cols(left, batch, outer, &mut lvals)?;
-                let mut rvals = Vec::with_capacity(n);
-                self.ceval_cols(right, batch, outer, &mut rvals)?;
-                for (l, r) in lvals.iter().zip(&rvals) {
-                    out.push(apply_binary_scalar(*op, l, r)?);
-                }
-            }
-            CompiledExpr::Unary { op, expr } => {
-                let mut vals = Vec::with_capacity(n);
-                self.ceval_cols(expr, batch, outer, &mut vals)?;
-                for v in vals {
-                    out.push(apply_unary(*op, v)?);
-                }
-            }
-            CompiledExpr::Func { name, args } => {
-                let mut cols: Vec<Vec<Value>> = Vec::with_capacity(args.len());
-                for a in args {
-                    let mut col = Vec::with_capacity(n);
-                    self.ceval_cols(a, batch, outer, &mut col)?;
-                    cols.push(col);
-                }
-                let mut scratch: Vec<Value> = Vec::with_capacity(args.len());
-                for i in 0..n {
-                    scratch.clear();
-                    for col in cols.iter_mut() {
-                        // Move, don't clone: each column cell is consumed
-                        // exactly once.
-                        scratch.push(std::mem::replace(&mut col[i], Value::Null));
-                    }
-                    out.push(crate::eval::apply_func(*name, &scratch)?);
-                }
-            }
-            CompiledExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                let mut result: Vec<Option<Value>> = vec![None; n];
-                let mut remaining_rows: Vec<usize> = (0..n).map(|i| batch.row_index(i)).collect();
-                let mut remaining_pos: Vec<usize> = (0..n).collect();
-                for (cond, branch_value) in branches {
-                    if remaining_rows.is_empty() {
-                        break;
-                    }
-                    let mut cvals = Vec::with_capacity(remaining_rows.len());
-                    self.ceval_cols(
-                        cond,
-                        &Batch::with_selection(batch.rows(), &remaining_rows),
-                        outer,
-                        &mut cvals,
-                    )?;
-                    let mut take_rows = Vec::new();
-                    let mut take_pos = Vec::new();
-                    let mut keep_rows = Vec::new();
-                    let mut keep_pos = Vec::new();
-                    for (k, c) in cvals.iter().enumerate() {
-                        if c.as_truth().is_true() {
-                            take_rows.push(remaining_rows[k]);
-                            take_pos.push(remaining_pos[k]);
-                        } else {
-                            keep_rows.push(remaining_rows[k]);
-                            keep_pos.push(remaining_pos[k]);
-                        }
-                    }
-                    let mut tvals = Vec::with_capacity(take_rows.len());
-                    self.ceval_cols(
-                        branch_value,
-                        &Batch::with_selection(batch.rows(), &take_rows),
-                        outer,
-                        &mut tvals,
-                    )?;
-                    for (p, v) in take_pos.into_iter().zip(tvals) {
-                        result[p] = Some(v);
-                    }
-                    remaining_rows = keep_rows;
-                    remaining_pos = keep_pos;
-                }
-                if !remaining_rows.is_empty() {
-                    match else_expr {
-                        Some(e) => {
-                            let mut evals = Vec::with_capacity(remaining_rows.len());
-                            self.ceval_cols(
-                                e,
-                                &Batch::with_selection(batch.rows(), &remaining_rows),
-                                outer,
-                                &mut evals,
-                            )?;
-                            for (p, v) in remaining_pos.into_iter().zip(evals) {
-                                result[p] = Some(v);
-                            }
-                        }
-                        None => {
-                            for p in remaining_pos {
-                                result[p] = Some(Value::Null);
-                            }
-                        }
-                    }
-                }
-                for v in result {
-                    out.push(v.expect("every live row took a branch or the else"));
-                }
-            }
-            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => self
-                .uncorrelated_sublink_batch(sublink, batch, outer, |test| {
-                    let mut tests = Vec::with_capacity(n);
-                    self.ceval_cols(test, batch, outer, &mut tests)?;
-                    Ok(ColumnVec::Values(tests))
-                })?
-                .append_to_values(out),
-            CompiledExpr::Sublink(sublink) => {
-                // Per-tuple fallback: a correlated sublink goes through the
-                // parameterized memo (and, for ANY/ALL, the probe memo)
-                // exactly as in tuple-at-a-time execution.
-                for i in 0..n {
-                    let scope = Frame::new(outer, batch.row(i));
-                    out.push(self.ceval_sublink(sublink, Some(&scope))?);
-                }
-                self.batch_fallback_rows
-                    .set(self.batch_fallback_rows.get() + n as u64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Vectorized `AND`/`OR`: the right operand is evaluated only over the
-    /// sub-selection of rows the left operand left undecided, preserving
-    /// per-row short-circuit semantics (a FALSE left conjunct shields a
-    /// failing right conjunct for its rows and no others).
-    fn ceval_logic_cols(
-        &self,
-        op: BinaryOp,
-        left: &CompiledExpr,
-        right: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let n = batch.len();
-        let mut lvals = Vec::with_capacity(n);
-        self.ceval_cols(left, batch, outer, &mut lvals)?;
-        let mut ltruths: Vec<Truth> = Vec::with_capacity(n);
-        let mut need_rows: Vec<usize> = Vec::new();
-        let mut need_pos: Vec<usize> = Vec::new();
-        for (i, l) in lvals.iter().enumerate() {
-            let t = l.as_truth();
-            let decided = (op == BinaryOp::And && t == Truth::False)
-                || (op == BinaryOp::Or && t == Truth::True);
-            if !decided {
-                need_rows.push(batch.row_index(i));
-                need_pos.push(i);
-            }
-            ltruths.push(t);
-        }
-        let mut rvals = Vec::with_capacity(need_rows.len());
-        self.ceval_cols(
-            right,
-            &Batch::with_selection(batch.rows(), &need_rows),
-            outer,
-            &mut rvals,
-        )?;
-        let mut right_iter = rvals.into_iter();
-        let mut pos_iter = need_pos.into_iter().peekable();
-        for (i, l) in ltruths.into_iter().enumerate() {
-            let truth = if pos_iter.peek() == Some(&i) {
-                pos_iter.next();
-                let r = right_iter
-                    .next()
-                    .expect("one right value per undecided row")
-                    .as_truth();
-                if op == BinaryOp::And {
-                    l.and(r)
-                } else {
-                    l.or(r)
-                }
-            } else {
-                l
-            };
-            out.push(truth.to_value());
-        }
-        Ok(())
     }
 
     /// Evaluates a compiled expression.
@@ -2006,15 +1759,14 @@ impl Executor<'_> {
     /// An uncorrelated sublink over every live row of a (non-empty) batch:
     /// its value is the same for all of them, so it is fetched once and
     /// broadcast — for `ANY`/`ALL`, one probe and one verdict per value of
-    /// the test column, which `test_column` evaluates over the batch.
-    /// Callers only get here with a live row, so a sublink behind an empty
-    /// selection still evaluates nothing.
+    /// the test column, evaluated over the batch. Callers only get here
+    /// with a live row, so a sublink behind an empty selection still
+    /// evaluates nothing.
     fn uncorrelated_sublink_batch(
         &self,
         sublink: &CompiledSublink,
         batch: &Batch<'_>,
         outer: Option<&Frame<'_>>,
-        test_column: impl FnOnce(&CompiledExpr) -> Result<ColumnVec>,
     ) -> Result<ColumnVec> {
         let n = batch.len();
         // Any row's scope will do: the sublink reads no slot of it.
@@ -2026,7 +1778,7 @@ impl Executor<'_> {
             )),
             SublinkKind::Any | SublinkKind::All => {
                 let (test, op) = sublink.quantified()?;
-                let mut tests = test_column(test)?;
+                let mut tests = self.ceval_typed(test, batch, outer)?;
                 let probe = self.quant_probe(sublink, Some(&scope))?;
                 Ok(truths_to_bool_lane(
                     (0..n).map(|i| probe.verdict(sublink.kind, op, &tests.take_value(i))),

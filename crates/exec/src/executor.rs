@@ -58,7 +58,7 @@ use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost,
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
 use perm_algebra::{Expr, Plan, SortKey};
-use perm_storage::{encode_key_typed, Database, Relation, Schema, Truth, Tuple, Value};
+use perm_storage::{encode_key_typed, Database, Relation, Schema, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
@@ -144,10 +144,10 @@ pub struct Executor<'a> {
     /// sublink (the fallback that keeps the parameterized sublink memo seam
     /// untouched; an uncorrelated one is evaluated once per batch).
     pub(crate) batch_fallback_rows: Cell<u64>,
-    /// Whether the vectorized compiled evaluator runs over typed columnar
-    /// lanes (the default) or row-major `Value` columns (a mode of the
-    /// differential tests). Results are identical either way; only the
-    /// data layout under each kernel differs.
+    /// Whether depth-0 slots of the vectorized compiled evaluator load
+    /// typed columnar lanes (the default) or `Value` lanes (a mode of the
+    /// differential tests, in which every kernel takes its scalar
+    /// fallback). Results are identical either way.
     pub(crate) columnar_enabled: Cell<bool>,
     /// Number of [`crate::batch::ColumnBlock`]s that served at least one
     /// columnar lane access (diagnostic; one per block touched, not per
@@ -265,19 +265,22 @@ impl<'a> Executor<'a> {
         self.batch_fallback_rows.get()
     }
 
-    /// Enables or disables columnar execution on the vectorized compiled
-    /// path (enabled by default). Disabled, vectorized evaluation runs the
-    /// row-major `Value`-column kernels — kept as a mode of the same
-    /// differential tests; it has no effect when batching itself is off.
-    /// Results, errors and `operators_evaluated` are identical in both
-    /// modes.
+    /// Enables or disables typed lanes on the vectorized compiled path
+    /// (enabled by default). Disabled, only the leaves change: a depth-0
+    /// slot loads a `ColumnVec::Values` lane instead of a typed one (and
+    /// never touches the batch's column block), so every kernel takes its
+    /// scalar fallback inside the same `AND`/`OR`/`CASE` narrowing the
+    /// default runs — kept as a mode of the differential tests, which then
+    /// compare the typed kernels against the scalar appliers. It has no
+    /// effect when batching itself is off. Results, errors and
+    /// `operators_evaluated` are identical in both modes.
     pub fn with_columnar(self, enabled: bool) -> Executor<'a> {
         self.columnar_enabled.set(enabled);
         self
     }
 
-    /// Whether columnar execution is enabled on the vectorized compiled
-    /// path (see [`Executor::with_columnar`]).
+    /// Whether typed lanes are enabled on the vectorized compiled path
+    /// (see [`Executor::with_columnar`]).
     pub fn columnar_enabled(&self) -> bool {
         self.columnar_enabled.get()
     }
@@ -294,7 +297,9 @@ impl<'a> Executor<'a> {
     /// scalar path (diagnostic counter): mixed-type lanes, lane pairings
     /// without a typed kernel, integer-overflow retries, and
     /// correlated-sublink subtrees (which are also counted in
-    /// [`Executor::batch_fallback_rows`]).
+    /// [`Executor::batch_fallback_rows`]). With typed lanes disabled
+    /// ([`Executor::with_columnar`]) slots load `Values` lanes, so every
+    /// operator over a slot counts its rows here.
     pub fn columnar_fallback_rows(&self) -> u64 {
         self.columnar_fallback_rows.get()
     }
@@ -345,11 +350,6 @@ impl<'a> Executor<'a> {
         self.governor.register_memo(Box::new(Arc::clone(&memo)));
         self.shared_memo = Some(memo);
         self
-    }
-
-    /// The attached cross-thread memo, if any.
-    pub fn shared_memo(&self) -> Option<&Arc<SharedSublinkMemo>> {
-        self.shared_memo.as_ref()
     }
 
     /// Chooses the memo policy of [`Executor::execute`]: with `retain` set,
@@ -996,11 +996,6 @@ pub(crate) fn flatten_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     } else {
         out.push(expr);
     }
-}
-
-/// Three-valued truth helper re-exported for predicates in tests.
-pub fn truth_of(value: &Value) -> Truth {
-    value.as_truth()
 }
 
 #[cfg(test)]

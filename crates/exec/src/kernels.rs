@@ -307,8 +307,8 @@ fn float_view(col: &ColumnVec) -> Option<(FloatView<'_>, &Validity)> {
 }
 
 /// Row-major fallback: both columns rendered to `Value`s, then the shared
-/// scalar applier row by row — left column first, then right, then apply
-/// in row order, matching the row-major evaluator's error order.
+/// scalar applier row by row in row order, so the first failing row's
+/// error is the one that surfaces.
 fn scalar_binary(op: BinaryOp, l: ColumnVec, r: ColumnVec) -> Result<ColumnVec> {
     let n = l.len();
     let lvals = l.to_values();
@@ -463,7 +463,10 @@ mod tests {
     }
 
     /// Every kernel output must equal applying the shared scalar operator
-    /// row by row — on typed lanes and on `Values` lanes alike.
+    /// row by row — on typed lanes, on `Values` lanes, and on the mixed
+    /// pairings a `Values` slot (columnar off) meets against a typed
+    /// literal broadcast. `Result`s are compared, so the row of the first
+    /// error is pinned too.
     #[test]
     fn binary_kernels_match_scalar_semantics() {
         const TWO_53: i64 = 1 << 53;
@@ -521,6 +524,10 @@ mod tests {
             BinaryOp::Add,
             BinaryOp::Sub,
             BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Mod,
+            BinaryOp::Like,
+            BinaryOp::NotLike,
             BinaryOp::Concat,
         ];
         for lrows in columns {
@@ -531,13 +538,20 @@ mod tests {
                         .zip(rrows.iter())
                         .map(|(l, r)| apply_binary_scalar(op, l, r))
                         .collect();
-                    let got = binary_column(op, col(lrows), col(rrows)).map(|(c, _)| c.to_values());
-                    assert_eq!(got, expected, "{op:?} over {lrows:?} vs {rrows:?}");
-                    // And identically when the operands arrive in the
-                    // mixed-type fallback lane.
-                    let got_values = binary_column(op, values_col(lrows), values_col(rrows))
-                        .map(|(c, _)| c.to_values());
-                    assert_eq!(got_values, expected, "{op:?} (values lane)");
+                    // Typed × typed, then every pairing with the `Values`
+                    // fallback lane on one side or both.
+                    for (label, l, r) in [
+                        ("typed x typed", col(lrows), col(rrows)),
+                        ("values x values", values_col(lrows), values_col(rrows)),
+                        ("values x typed", values_col(lrows), col(rrows)),
+                        ("typed x values", col(lrows), values_col(rrows)),
+                    ] {
+                        let got = binary_column(op, l, r).map(|(c, _)| c.to_values());
+                        assert_eq!(
+                            got, expected,
+                            "{op:?} ({label}) over {lrows:?} vs {rrows:?}"
+                        );
+                    }
                 }
             }
         }

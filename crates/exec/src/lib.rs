@@ -47,9 +47,12 @@
 //!   row-major encoding). Tuples are only re-materialised at pipeline
 //!   breakers, the memo seam and the [`Rows`] boundary. The layer is
 //!   observable ([`Executor::columnar_blocks`],
-//!   [`Executor::columnar_fallback_rows`]) and can be switched off
-//!   ([`Executor::with_columnar`]) — the row-major mode the differential
-//!   tests compare it against;
+//!   [`Executor::columnar_fallback_rows`]). There is one vectorized
+//!   evaluator; [`Executor::with_columnar`]`(false)` changes only its
+//!   leaves — slots load `Value` lanes, so every kernel takes its scalar
+//!   fallback inside the same `AND`/`OR`/`CASE` narrowing — which is how
+//!   the differential tests check the typed kernels against the scalar
+//!   appliers;
 //! * the name-resolving interpreter ([`Executor::execute_unoptimized`]),
 //!   the reference semantics of the equivalence tests and the substrate of
 //!   the tracer in `perm-core`; its closures loop over each batch **row by

@@ -72,8 +72,9 @@
 //!    equal.
 //!
 //! The differential suites enforce all four over the full random corpus
-//! (optimizer-on vs optimizer-off, result and witness bags bag-identical,
-//! and identical as sequences wherever the query orders them).
+//! (the optimized plan against the reference interpreter on the bound
+//! plan, result and witness bags bag-identical, and identical as
+//! sequences wherever the query orders them).
 //!
 //! # The rules that make the Gen rewrite join-shaped
 //!

@@ -51,7 +51,7 @@
 
 use crate::spill::SpillManager;
 use crate::{ExecError, Result};
-use perm_storage::{Relation, Truth, Tuple, Value};
+use perm_storage::{Relation, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -321,12 +321,6 @@ pub(crate) trait MemoCost {
 impl MemoCost for Arc<Relation> {
     fn cost_bytes(&self) -> u64 {
         relation_bytes(self)
-    }
-}
-
-impl MemoCost for Truth {
-    fn cost_bytes(&self) -> u64 {
-        std::mem::size_of::<Truth>() as u64
     }
 }
 

@@ -11,8 +11,9 @@
 //! 1. `Executor::execute` — compile + parameterized sublink memo, `ANY`/`ALL`
 //!    answered from memoized probes, uncorrelated sublinks a batch at a
 //!    time, with the default columnar batch layout,
-//! 2. `Executor::execute` with columnar off — the row-major vectorized
-//!    layout over the same batches,
+//! 2. `Executor::execute` with columnar off — the same vectorized
+//!    evaluator with every slot loading a `Values` lane, so each kernel
+//!    takes its scalar fallback (typed kernels vs the scalar appliers),
 //! 3. `Executor::execute_unoptimized` — the name-resolving interpreter
 //!    (which shares the parameterized memo, resolved at runtime, and folds
 //!    every `ANY`/`ALL` over its result rows), and
@@ -261,8 +262,8 @@ fn random_plans_agree_across_all_execution_modes() {
         let compiled_ex = Executor::new(&db);
         let compiled = compiled_ex.execute(&plan);
 
-        let row_major_ex = Executor::new(&db).with_columnar(false);
-        let row_major = row_major_ex.execute(&plan);
+        let values_ex = Executor::new(&db).with_columnar(false);
+        let values_lane = values_ex.execute(&plan);
 
         let interp_ex = Executor::new(&db);
         let interpreted = interp_ex.execute_unoptimized(&plan);
@@ -270,11 +271,11 @@ fn random_plans_agree_across_all_execution_modes() {
         let memo_off_ex = Executor::new(&db).with_sublink_memo(false);
         let memo_off = memo_off_ex.execute(&plan);
 
-        match (&compiled, &row_major, &interpreted, &memo_off) {
+        match (&compiled, &values_lane, &interpreted, &memo_off) {
             (Ok(a), Ok(r), Ok(b), Ok(c)) => {
                 assert!(
                     a.bag_eq(r),
-                    "plan {i}: columnar disagrees with row-major vectorized\n{}",
+                    "plan {i}: columnar disagrees with Values-lane vectorized\n{}",
                     perm_algebra::display::explain(&plan)
                 );
                 assert!(
@@ -289,7 +290,7 @@ fn random_plans_agree_across_all_execution_modes() {
                 );
                 assert_eq!(
                     compiled_ex.operators_evaluated(),
-                    row_major_ex.operators_evaluated(),
+                    values_ex.operators_evaluated(),
                     "plan {i}: operators_evaluated must not depend on the column layout"
                 );
                 if compiled_ex.operators_evaluated() < memo_off_ex.operators_evaluated() {
@@ -299,7 +300,7 @@ fn random_plans_agree_across_all_execution_modes() {
             (Err(_), Err(_), Err(_), Err(_)) => {}
             other => panic!(
                 "plan {i}: execution modes disagree on success/failure: \
-                 compiled={:?} row_major={:?} interpreted={:?} memo_off={:?}\n{}",
+                 compiled={:?} values_lane={:?} interpreted={:?} memo_off={:?}\n{}",
                 other.0.as_ref().map(|_| "ok"),
                 other.1.as_ref().map(|_| "ok"),
                 other.2.as_ref().map(|_| "ok"),
@@ -812,7 +813,7 @@ fn preserved_side_pushdown_keeps_witness_bags_and_error_sets_on_hostile_tables()
 // Batch-seam differential cases: table sizes straddling the batch size
 // (0, 1, BATCH−1, BATCH, BATCH+1 rows) with NaN keys and >2⁵³ integer keys
 // placed so they cross the first batch boundary. Five execution modes
-// (columnar, row-major vectorized, per-tuple compiled, interpreted,
+// (columnar, `Values`-lane vectorized, per-tuple compiled, interpreted,
 // memo-off) must agree bag-for-bag on every plan shape that exercises a
 // batched seam
 // (vectorized logic/CASE/function evaluation, hashed and batched join
@@ -872,15 +873,15 @@ fn seam_database(rows: usize) -> Database {
     db
 }
 
-/// Runs one plan through columnar-compiled (the default), row-major
+/// Runs one plan through columnar-compiled (the default), `Values`-lane
 /// vectorized (columnar off), per-tuple-compiled (batching off),
 /// interpreted and memo-off execution and asserts bag equality plus
 /// operator-count parity among the three compiled modes.
 fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
     let batched_ex = Executor::new(db);
     let batched = batched_ex.execute(plan).unwrap();
-    let row_major_ex = Executor::new(db).with_columnar(false);
-    let row_major = row_major_ex.execute(plan).unwrap();
+    let values_ex = Executor::new(db).with_columnar(false);
+    let values_lane = values_ex.execute(plan).unwrap();
     let per_tuple_ex = Executor::new(db).with_batching(false);
     let per_tuple = per_tuple_ex.execute(plan).unwrap();
     let interpreted = Executor::new(db).execute_unoptimized(plan).unwrap();
@@ -888,7 +889,10 @@ fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
         .with_sublink_memo(false)
         .execute(plan)
         .unwrap();
-    assert!(batched.bag_eq(&row_major), "{label}: columnar vs row-major");
+    assert!(
+        batched.bag_eq(&values_lane),
+        "{label}: columnar vs Values lanes"
+    );
     assert!(batched.bag_eq(&per_tuple), "{label}: batched vs per-tuple");
     assert!(
         batched.bag_eq(&interpreted),
@@ -902,7 +906,7 @@ fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
     );
     assert_eq!(
         batched_ex.operators_evaluated(),
-        row_major_ex.operators_evaluated(),
+        values_ex.operators_evaluated(),
         "{label}: operators_evaluated must not depend on the column layout"
     );
 }

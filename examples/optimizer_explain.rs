@@ -60,19 +60,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the operator count tells the perf story: the decorrelated plan
     // evaluates a fixed handful of operators, the memo-only baseline one
     // sublink execution per distinct correlation binding.
-    let baseline = engine.session_with(SessionConfig {
-        optimize: false,
-        ..SessionConfig::default()
-    });
+    // The baseline executes the plan as bound, compiled without the
+    // optimizer.
     let optimized = session.prepare(sql)?;
-    let memo_only = baseline.prepare(sql)?;
     let fast = session.execute(&optimized, &[])?;
-    let slow = baseline.execute(&memo_only, &[])?;
+    let baseline = Executor::new(engine.database());
+    let slow = baseline.execute(optimized.bound_plan())?;
     assert!(fast.bag_eq(&slow), "the optimizer must not change results");
     println!(
         "operators evaluated: {} optimized vs {} memo-only ({} rows either way)\n",
         session.executor().operators_evaluated(),
-        baseline.executor().operators_evaluated(),
+        baseline.operators_evaluated(),
         fast.len()
     );
 
@@ -133,7 +131,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(served.optimizer_report(), optimized.optimizer_report());
     println!(
         "\nprepared with $1: {}",
-        profile.optimizer.as_deref().unwrap_or("optimizer off")
+        profile
+            .optimizer
+            .as_deref()
+            .expect("explain annotates the rules")
     );
     for threshold in [300, 380] {
         let witnesses = session.execute(&served, &[Value::Int(threshold)])?;

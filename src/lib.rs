@@ -20,12 +20,13 @@
 //! *before* it, witness columns are ordinary columns the optimizer
 //! preserves like any other, and the Gen strategy's per-pair membership
 //! sublinks over `T⁺ × CrossBase` are decorrelated into hash joins by the
-//! same rules. [`SessionConfig::optimize`] turns the phase off (the
-//! memo-only baseline); [`Session::explain`] shows the bound plan, the
-//! optimized plan, which rules fired and how many sublinks remain, side
-//! by side. Executions
-//! bind `$1`-style parameters, stream through a [`Rows`] cursor, or return
-//! witnesses structured per base relation via [`ProvenanceRows`]:
+//! same rules. The phase always runs; [`Session::explain`] shows the bound
+//! plan, the optimized plan, which rules fired and how many sublinks
+//! remain, side by side, and [`Prepared::bound_plan`] is the pre-optimizer
+//! shape to run through the reference interpreter
+//! ([`Executor::execute_unoptimized`]). Executions bind `$1`-style
+//! parameters, stream through a [`Rows`] cursor, or return witnesses
+//! structured per base relation via [`ProvenanceRows`]:
 //!
 //! ```
 //! use perm::{Engine, Value, Database, Relation, Schema};
@@ -81,9 +82,9 @@
 //! * **Structured traces** — attach any [`TraceSink`] (the bundled
 //!   [`RingTraceSink`] is a bounded ring buffer) via
 //!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline
-//!   phase spans (parse, bind, rewrite, compile, execute with wall times),
-//!   sublink-memo inserts and hits, spill writes, degradation-rung
-//!   transitions, and cancellation checkpoints that fired.
+//!   phase spans (parse, bind, rewrite, optimize, compile, execute with
+//!   wall times), sublink-memo inserts and hits, spill writes,
+//!   degradation-rung transitions, and cancellation checkpoints that fired.
 //! * **Session counters** — [`Session::stats`] snapshots the monotone
 //!   [`SessionStats`] counters (see its *Counter semantics* section).
 //! * **Serving metrics** — the `perm-serve` crate aggregates per-worker

@@ -1,7 +1,7 @@
 //! The serving-grade API: an [`Engine`] owning the data, [`Session`]s that
 //! prepare and execute statements, [`Prepared`] statements that carry the
-//! whole parse → bind → rewrite → compile pipeline exactly once, and
-//! structured results ([`Rows`] cursors and [`ProvenanceRows`] witness
+//! whole parse → bind → rewrite → optimize → compile pipeline exactly once,
+//! and structured results ([`Rows`] cursors and [`ProvenanceRows`] witness
 //! views).
 //!
 //! The Perm approach computes provenance *inside* the relational model
@@ -31,7 +31,6 @@
 
 use crate::PermError;
 use perm_algebra::Plan;
-use perm_core::tracer::Tracer;
 use perm_core::{ProvenanceDescriptor, ProvenanceQuery, Strategy};
 use perm_core::{TraceEvent, TraceKind, TraceSink};
 use perm_exec::{
@@ -171,20 +170,19 @@ impl Engine {
     }
 }
 
-/// The cache key of one prepared statement: the SQL text plus the parts of
-/// the [`SessionConfig`] that shape the *prepared form* — the rewrite
-/// strategy and the tracer toggle, and whether provenance was forced by
+/// The cache key of one prepared statement: the SQL text plus the one part
+/// of the [`SessionConfig`] that shapes the *prepared form* — the rewrite
+/// strategy — and whether provenance was forced by
 /// [`Session::prepare_provenance`] rather than the `SELECT PROVENANCE`
 /// marker (which lives in the text itself). Execution-only knobs (memo
-/// toggles, capacities, retention) are deliberately *not* part of the key:
-/// sessions differing only in those share one compiled plan.
+/// toggles, capacities, retention, batching and columnar layout) are
+/// deliberately *not* part of the key: sessions differing only in those
+/// share one compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     sql: String,
     forced_provenance: bool,
     strategy: Strategy,
-    tracer: bool,
-    optimize: bool,
 }
 
 /// The engine's cross-session plan cache: SQL text (+ config fingerprint)
@@ -350,26 +348,12 @@ pub struct SessionConfig {
     /// (default `true`): each batch lazily transposes into a column block
     /// of typed vectors with validity bitmaps, and comparison/arithmetic
     /// dispatch to contiguous-slice kernels. Only meaningful while
-    /// [`SessionConfig::batching`] is on; `false` keeps the row-major
-    /// `Value`-at-a-time vectorized dispatch (a mode of the differential
-    /// tests). Results and errors are identical either way.
+    /// [`SessionConfig::batching`] is on; `false` changes only the leaves —
+    /// slots load `Value` lanes, so every kernel takes its scalar fallback
+    /// (a mode of the differential tests; see
+    /// [`perm_exec::Executor::with_columnar`]). Results and errors are
+    /// identical either way.
     pub columnar: bool,
-    /// Whether prepared plans run through the algebraic optimizer
-    /// ([`perm_exec::optimize()`]) between the (provenance) rewrite and
-    /// compilation (default `true`). The headline rule decorrelates
-    /// `EXISTS` / `NOT EXISTS` / `IN` / `= ANY` sublinks into hash
-    /// semi/anti joins; predicate pushdown, projection pruning and constant
-    /// folding ride in the same fixpoint. Results, errors and provenance
-    /// witnesses are identical either way (differentially tested); `false`
-    /// keeps the memo-only plan shape (what the optimizer leaves is the
-    /// benchmark's `optimize.sublinks_remaining`). Part of the plan-cache
-    /// key: the prepared form differs.
-    pub optimize: bool,
-    /// Compute provenance with the reference tracer instead of the rewrite
-    /// strategies (default `false`). The tracer is the paper's closed-form
-    /// characterisation evaluated tuple by tuple — the test oracle — and
-    /// does not support query parameters or streaming.
-    pub tracer: bool,
     /// Optional cross-thread sublink memo (default `None`). When set, every
     /// session opened with this configuration attaches the memo to its
     /// executor ([`perm_exec::Executor::with_shared_memo`]), so compiled
@@ -430,12 +414,13 @@ pub struct SessionConfig {
     /// Optional structured-trace sink (default `None`). When set, every
     /// session opened with this configuration records
     /// [`perm_core::TraceEvent`]s into it: one [`TraceKind::Phase`] span
-    /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `compile`,
-    /// `execute`, each carrying its wall time in nanoseconds), plus the
-    /// executor's resilience events — sublink-memo inserts and hits, spill
-    /// writes, degradation-rung transitions, and cancellation checkpoints
-    /// that actually fired. With no sink attached the executor's emission
-    /// seam is a single `Option` check; nothing is allocated or recorded.
+    /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `optimize`,
+    /// `compile`, `execute`, each carrying its wall time in nanoseconds),
+    /// plus the executor's resilience events — sublink-memo inserts and
+    /// hits, spill writes, degradation-rung transitions, and cancellation
+    /// checkpoints that actually fired. With no sink attached the
+    /// executor's emission seam is a single `Option` check; nothing is
+    /// allocated or recorded.
     /// The bundled [`perm_core::RingTraceSink`] keeps the most recent
     /// events in a bounded ring; the trait is `Send + Sync`, so one sink
     /// may observe many sessions (the serving worker pool does exactly
@@ -452,8 +437,6 @@ impl Default for SessionConfig {
             retain_memo: true,
             batching: true,
             columnar: true,
-            optimize: true,
-            tracer: false,
             shared_sublink_memo: None,
             deadline: None,
             memory_budget: None,
@@ -476,8 +459,6 @@ impl std::fmt::Debug for SessionConfig {
             .field("retain_memo", &self.retain_memo)
             .field("batching", &self.batching)
             .field("columnar", &self.columnar)
-            .field("optimize", &self.optimize)
-            .field("tracer", &self.tracer)
             .field("shared_sublink_memo", &self.shared_sublink_memo)
             .field("deadline", &self.deadline)
             .field("memory_budget", &self.memory_budget)
@@ -546,7 +527,7 @@ pub struct SessionStats {
     pub sublinks_decorrelated: u64,
     /// Plans compiled to slot-resolved form.
     pub compiles: u64,
-    /// Statement executions (materialised or streaming or traced).
+    /// Statement executions (materialised or streaming).
     pub executions: u64,
     /// Preparations this session served from the engine's cross-session
     /// plan cache (each such prepare did zero parse/bind/rewrite/compile
@@ -635,41 +616,28 @@ pub struct Session<'a> {
     deadline_token: Cell<bool>,
 }
 
-/// How a prepared statement produces its result.
-#[derive(Debug)]
-enum PreparedKind {
-    /// An ordinary query.
-    Plain,
-    /// A provenance query rewritten by a strategy; the descriptor maps the
-    /// appended provenance attributes back to base-relation accesses.
-    Provenance { descriptor: ProvenanceDescriptor },
-    /// A provenance query computed by the reference tracer at execution
-    /// time (no rewrite; the logical plan is traced directly).
-    Traced { descriptor: ProvenanceDescriptor },
-}
-
 /// A prepared statement: the result of running parse → bind → (optional)
-/// provenance rewrite → compile exactly once. Executing it again costs only
-/// execution. A `Prepared` owns its compiled form and can outlive the
-/// session that prepared it (sublink identities are process-unique), but it
-/// is only valid against the database it was prepared on.
+/// provenance rewrite → optimize → compile exactly once. Executing it again
+/// costs only execution. A `Prepared` owns its compiled form and can
+/// outlive the session that prepared it (sublink identities are
+/// process-unique), but it is only valid against the database it was
+/// prepared on.
 #[derive(Debug)]
 pub struct Prepared {
     sql: Option<String>,
     /// The bound (and, for provenance statements, rewritten) logical plan
     /// as it entered the optimizer — the reference shape.
     bound_plan: Plan,
-    /// What the optimizer did to [`Prepared::bound_plan`]; all-zero when
-    /// [`SessionConfig::optimize`] was off (then `plan == bound_plan`).
+    /// What the optimizer did to [`Prepared::bound_plan`].
     optimizer: perm_exec::OptimizerReport,
     /// The logical plan that was compiled: the optimized form of
-    /// [`Prepared::bound_plan`] (identical when the optimizer was off or
-    /// fired no rule).
+    /// [`Prepared::bound_plan`] (identical when no rule fired).
     plan: Plan,
-    /// The slot-resolved physical form; `None` only for tracer statements,
-    /// which interpret the logical plan directly.
-    compiled: Option<perm_exec::CompiledPlan>,
-    kind: PreparedKind,
+    /// The slot-resolved physical form of [`Prepared::plan`].
+    compiled: perm_exec::CompiledPlan,
+    /// For a provenance statement, maps the appended provenance attributes
+    /// back to base-relation accesses; `None` for an ordinary query.
+    descriptor: Option<ProvenanceDescriptor>,
     schema: Schema,
     param_count: usize,
 }
@@ -694,31 +662,27 @@ impl Prepared {
 
     /// The provenance descriptor, when this is a provenance statement.
     pub fn descriptor(&self) -> Option<&ProvenanceDescriptor> {
-        match &self.kind {
-            PreparedKind::Plain => None,
-            PreparedKind::Provenance { descriptor } | PreparedKind::Traced { descriptor } => {
-                Some(descriptor)
-            }
-        }
+        self.descriptor.as_ref()
     }
 
-    /// The logical plan that was compiled: for sessions with
-    /// [`SessionConfig::optimize`] on (the default), the *optimized* form
-    /// of the bound plan. The pre-optimization shape is
-    /// [`Prepared::bound_plan`].
+    /// The logical plan that was compiled: the *optimized* form of the
+    /// bound plan. The pre-optimization shape is [`Prepared::bound_plan`].
     pub fn plan(&self) -> &Plan {
         &self.plan
     }
 
     /// The bound (and, for provenance statements, rewritten) logical plan
     /// *before* the optimizer ran — the reference shape
-    /// [`Session::explain`] diffs against.
+    /// [`Session::explain`] diffs against, and the plan to run through
+    /// [`Executor::execute_unoptimized`] (the reference interpreter) or
+    /// [`Executor::execute`] (the memo-only baseline) when checking what
+    /// the optimizer did.
     pub fn bound_plan(&self) -> &Plan {
         &self.bound_plan
     }
 
-    /// What the optimizer did to this statement (all-zero when
-    /// [`SessionConfig::optimize`] was off or no rule fired).
+    /// What the optimizer did to this statement (all-zero when no rule
+    /// fired).
     pub fn optimizer_report(&self) -> perm_exec::OptimizerReport {
         self.optimizer
     }
@@ -832,13 +796,14 @@ impl<'a> Session<'a> {
     }
 
     /// Prepares a SQL statement: parse → bind → provenance rewrite (if the
-    /// query carries the `SELECT PROVENANCE` marker) → compile, once. The
-    /// returned [`Prepared`] executes many times via [`Session::execute`],
-    /// [`Session::rows`] or [`Session::provenance_rows`].
+    /// query carries the `SELECT PROVENANCE` marker) → optimize → compile,
+    /// once. The returned [`Prepared`] executes many times via
+    /// [`Session::execute`], [`Session::rows`] or
+    /// [`Session::provenance_rows`].
     ///
     /// Sessions opened from an [`Engine`] first consult the engine's
     /// cross-session plan cache: a statement any session of this engine
-    /// already prepared (under the same strategy/tracer configuration) is
+    /// already prepared (under the same strategy) is
     /// returned as a shared handle with zero pipeline work — see
     /// [`SessionStats::plan_cache_hits`] and [`Engine::plan_cache_stats`].
     pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>, PermError> {
@@ -862,8 +827,6 @@ impl<'a> Session<'a> {
             sql: sql.to_owned(),
             forced_provenance,
             strategy: self.config.strategy,
-            tracer: self.config.tracer,
-            optimize: self.config.optimize,
         };
         if let Some(hit) = cache.get(&key) {
             self.cache_hits.set(self.cache_hits.get() + 1);
@@ -917,69 +880,35 @@ impl<'a> Session<'a> {
         provenance: bool,
     ) -> Result<Prepared, PermError> {
         let param_count = perm_algebra::visit::param_count(&plan);
-        if provenance && self.config.tracer {
-            if param_count > 0 {
-                return Err(PermError::Param(
-                    "tracer sessions do not support query parameters; \
-                     disable `SessionConfig::tracer` to use `$n` bindings"
-                        .into(),
-                ));
-            }
-            // The tracer interprets the logical plan directly at execution
-            // time: nothing to rewrite or compile here.
-            let descriptor = Tracer::new(self.db).descriptor(&plan)?;
-            let schema = plan.schema().concat(&descriptor.schema());
-            // The tracer interprets the bound plan as-is; the optimizer
-            // never runs for traced statements (it may introduce semi/anti
-            // joins the tracer's closed-form characterisation does not
-            // cover).
-            return Ok(Prepared {
-                sql: sql.map(str::to_owned),
-                bound_plan: plan.clone(),
-                optimizer: perm_exec::OptimizerReport::default(),
-                plan,
-                compiled: None,
-                kind: PreparedKind::Traced { descriptor },
-                schema,
-                param_count,
-            });
-        }
-        let (plan, kind) = if provenance {
+        let (plan, descriptor) = if provenance {
             let start = Instant::now();
             let rewritten = ProvenanceQuery::new(self.db, &plan)
                 .strategy(self.config.strategy)
                 .rewrite()?;
             self.rewrites.set(self.rewrites.get() + 1);
             self.trace_phase("rewrite", start);
-            let descriptor = rewritten.descriptor;
-            (rewritten.plan, PreparedKind::Provenance { descriptor })
+            (rewritten.plan, Some(rewritten.descriptor))
         } else {
-            (plan, PreparedKind::Plain)
-        };
-        let bound_plan = plan.clone();
-        let (plan, report) = if self.config.optimize {
-            let start = Instant::now();
-            let (optimized, report) = perm_exec::optimize::optimize(&plan);
-            self.optimizer_rules_fired
-                .set(self.optimizer_rules_fired.get() + report.rules_fired());
-            self.sublinks_decorrelated
-                .set(self.sublinks_decorrelated.get() + report.sublinks_decorrelated);
-            self.trace_phase("optimize", start);
-            (optimized, report)
-        } else {
-            (plan, perm_exec::OptimizerReport::default())
+            (plan, None)
         };
         let start = Instant::now();
-        let compiled = self.executor.prepare(&plan)?;
+        let (optimized, report) = perm_exec::optimize::optimize(&plan);
+        self.optimizer_rules_fired
+            .set(self.optimizer_rules_fired.get() + report.rules_fired());
+        self.sublinks_decorrelated
+            .set(self.sublinks_decorrelated.get() + report.sublinks_decorrelated);
+        self.trace_phase("optimize", start);
+        let start = Instant::now();
+        let compiled = self.executor.prepare(&optimized)?;
         self.trace_phase("compile", start);
         let schema = compiled.schema().clone();
         Ok(Prepared {
             sql: sql.map(str::to_owned),
-            bound_plan,
+            bound_plan: plan,
             optimizer: report,
-            plan,
-            compiled: Some(compiled),
-            kind,
+            plan: optimized,
+            compiled,
+            descriptor,
             schema,
             param_count,
         })
@@ -1061,11 +990,7 @@ impl<'a> Session<'a> {
     ) -> Result<Relation, PermError> {
         self.bind_checked(prepared, params, deadline)?;
         let start = Instant::now();
-        let result = match (&prepared.kind, &prepared.compiled) {
-            (PreparedKind::Traced { .. }, _) => Tracer::new(self.db).trace(&prepared.plan)?,
-            (_, Some(compiled)) => self.executor.execute_compiled(compiled)?,
-            (_, None) => unreachable!("non-traced statements always carry a compiled plan"),
-        };
+        let result = self.executor.execute_compiled(&prepared.compiled)?;
         self.trace_phase("execute", start);
         self.count_execution();
         Ok(result)
@@ -1091,15 +1016,8 @@ impl<'a> Session<'a> {
         prepared: &'s Prepared,
         params: &[Value],
     ) -> Result<Rows<'s, 'a>, PermError> {
-        let Some(compiled) = &prepared.compiled else {
-            return Err(PermError::Param(
-                "tracer sessions cannot stream; use `Session::execute` or \
-                 `Session::provenance_rows`"
-                    .into(),
-            ));
-        };
         self.bind_checked(prepared, params, None)?;
-        let rows = self.executor.open(compiled)?;
+        let rows = self.executor.open(&prepared.compiled)?;
         self.count_execution();
         Ok(rows)
     }
@@ -1113,19 +1031,14 @@ impl<'a> Session<'a> {
     /// [`QueryProfile::to_json`].
     pub fn explain(&self, sql: &str) -> Result<QueryProfile, PermError> {
         let prepared = self.prepare(sql)?;
-        let compiled = Self::profilable(&prepared)?;
-        let mut profile = perm_exec::profile::ProfileTree::for_plan(compiled).snapshot();
-        self.annotate_optimizer(&mut profile, &prepared);
+        let mut profile = perm_exec::profile::ProfileTree::for_plan(&prepared.compiled).snapshot();
+        Self::annotate_optimizer(&mut profile, &prepared);
         Ok(profile)
     }
 
     /// Attaches the bound-vs-optimized logical plan diff and the rule
-    /// summary to an `EXPLAIN` profile (sessions with
-    /// [`SessionConfig::optimize`] off keep the bare physical tree).
-    fn annotate_optimizer(&self, profile: &mut QueryProfile, prepared: &Prepared) {
-        if !self.config.optimize {
-            return;
-        }
+    /// summary to an `EXPLAIN` profile.
+    fn annotate_optimizer(profile: &mut QueryProfile, prepared: &Prepared) {
         profile.bound_plan = Some(perm_algebra::display::explain(prepared.bound_plan()));
         profile.optimized_plan = Some(perm_algebra::display::explain(prepared.plan()));
         profile.optimizer = Some(prepared.optimizer_report().summary());
@@ -1149,7 +1062,7 @@ impl<'a> Session<'a> {
             self.executor.clear_compiled_memos();
         }
         result.map(|(_, mut profile)| {
-            self.annotate_optimizer(&mut profile, &prepared);
+            Self::annotate_optimizer(&mut profile, &prepared);
             profile
         })
     }
@@ -1166,10 +1079,9 @@ impl<'a> Session<'a> {
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<(Relation, QueryProfile), PermError> {
-        let compiled = Self::profilable(prepared)?;
         self.bind_checked(prepared, params, None)?;
         let start = Instant::now();
-        let (relation, profile) = self.executor.execute_profiled(compiled)?;
+        let (relation, profile) = self.executor.execute_profiled(&prepared.compiled)?;
         self.trace_phase("execute", start);
         self.count_execution();
         Ok((relation, profile))
@@ -1185,24 +1097,10 @@ impl<'a> Session<'a> {
         prepared: &'s Prepared,
         params: &[Value],
     ) -> Result<Rows<'s, 'a>, PermError> {
-        let compiled = Self::profilable(prepared)?;
         self.bind_checked(prepared, params, None)?;
-        let rows = self.executor.open_profiled(compiled)?;
+        let rows = self.executor.open_profiled(&prepared.compiled)?;
         self.count_execution();
         Ok(rows)
-    }
-
-    /// The compiled form of a statement, or the uniform error for tracer
-    /// statements (which interpret the logical plan and have no physical
-    /// operators to profile).
-    fn profilable(prepared: &Prepared) -> Result<&perm_exec::CompiledPlan, PermError> {
-        prepared.compiled.as_ref().ok_or_else(|| {
-            PermError::Param(
-                "tracer statements have no physical plan to profile; \
-                 disable `SessionConfig::tracer` to use EXPLAIN/EXPLAIN ANALYZE"
-                    .into(),
-            )
-        })
     }
 
     /// Executes a provenance statement and returns the structured witness
@@ -1214,20 +1112,15 @@ impl<'a> Session<'a> {
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<ProvenanceRows, PermError> {
-        let descriptor = match &prepared.kind {
-            PreparedKind::Provenance { descriptor } | PreparedKind::Traced { descriptor } => {
-                descriptor.clone()
-            }
-            PreparedKind::Plain => {
-                return Err(PermError::Param(
-                    "statement was not prepared for provenance; use \
-                     `Session::prepare_provenance` (or the `SELECT PROVENANCE` marker)"
-                        .into(),
-                ))
-            }
+        let Some(descriptor) = &prepared.descriptor else {
+            return Err(PermError::Param(
+                "statement was not prepared for provenance; use \
+                 `Session::prepare_provenance` (or the `SELECT PROVENANCE` marker)"
+                    .into(),
+            ));
         };
         let relation = self.execute(prepared, params)?;
-        Ok(ProvenanceRows::new(relation, &descriptor))
+        Ok(ProvenanceRows::new(relation, descriptor))
     }
 
     /// Ad-hoc convenience: prepares and executes a parameter-free SQL

@@ -5,7 +5,7 @@
 //! (a) reconcile exactly with the executor's `operators_evaluated`
 //! counter, (b) leave the result bag unchanged against the unprofiled
 //! session path, and (c) report layout-independent semantic counters
-//! across the columnar, row-major-batched and per-tuple execution
+//! across the columnar, Values-lane-batched and per-tuple execution
 //! layouts — timing, batch counts and fallback tallies may differ by
 //! layout, but what ran and what it produced may not.
 
@@ -94,12 +94,12 @@ fn profiles_are_layout_independent_across_execution_modes() {
         let prepared = session.prepare(sql).unwrap();
         let params = case.params(prepared.param_count());
 
-        // Columnar (the default), row-major batches, per-tuple dispatch.
+        // Columnar (the default), Values-lane batches, per-tuple dispatch.
         let mut flattened: Vec<(&str, Vec<_>)> = Vec::new();
         let mut relations = Vec::new();
         for (label, batching, columnar) in [
             ("columnar", true, true),
-            ("row-major", true, false),
+            ("values-lane", true, false),
             ("per-tuple", false, false),
         ] {
             let ex = Executor::new(engine.database())

@@ -224,7 +224,7 @@ fn cmp(op: CompareOp, l: Expr, r: Expr) -> Expr {
 fn modes(db: &Database) -> [(&'static str, Executor<'_>); 3] {
     [
         ("per-tuple", Executor::new(db).with_batching(false)),
-        ("row-major", Executor::new(db).with_columnar(false)),
+        ("values-lane", Executor::new(db).with_columnar(false)),
         ("columnar", Executor::new(db)),
     ]
 }

@@ -298,21 +298,20 @@ fn memo_capacity_bounds_are_configurable_and_correct() {
     // correct; unbounded agrees with it.
     let db = grouped_db();
     let engine = Engine::new(db);
-    let sql = "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)";
+    // Memo-path test: a correlated `ALL` is a shape the optimizer keeps as
+    // a sublink, so it goes through the memo.
+    let sql = "SELECT a FROM r WHERE a < ALL (SELECT c FROM s WHERE s.g = r.g)";
 
-    // Memo-path test: keep the sublink a sublink (the optimizer would
-    // decorrelate this shape into a semi join and never touch the memo).
     let bounded = engine.session_with(SessionConfig {
         memo_capacity: Some(1),
-        optimize: false,
         ..SessionConfig::default()
     });
-    let unbounded = engine.session_with(SessionConfig {
-        optimize: false,
-        ..SessionConfig::default()
-    });
+    let unbounded = engine.session();
     let p_bounded = bounded.prepare(sql).unwrap();
     let p_unbounded = unbounded.prepare(sql).unwrap();
+    // A rule that decorrelates this shape must fail here rather than
+    // silently bypass the memo under test.
+    assert!(p_bounded.optimizer_report().sublinks_remaining >= 1);
     let a = bounded.execute(&p_bounded, &[]).unwrap();
     let b = unbounded.execute(&p_unbounded, &[]).unwrap();
     assert!(a.bag_eq(&b));
@@ -325,32 +324,30 @@ fn memo_capacity_bounds_are_configurable_and_correct() {
 
 #[test]
 fn tracer_config_subsumes_the_reference_path() {
+    // The closed-form tracer is the oracle the rewrites are checked
+    // against: traced over the plan as bound, it must produce the bag the
+    // session's rewrite → optimize → compile pipeline returns, on a
+    // correlated `EXISTS` (which the optimizer turns into a semi join).
+    use perm::core::tracer::Tracer;
     let db = grouped_db();
     let engine = Engine::new(db);
-    let traced_session = engine.session_with(SessionConfig {
-        tracer: true,
-        ..SessionConfig::default()
-    });
-    let rewritten_session = engine.session();
+    let session = engine.session();
     let sql = "SELECT PROVENANCE a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)";
-    let traced = traced_session.prepare(sql).unwrap();
-    let rewritten = rewritten_session.prepare(sql).unwrap();
-    let t = traced_session.execute(&traced, &[]).unwrap();
-    // The prepared schema must describe what execute() actually returns —
-    // original attributes followed by the provenance attributes.
-    assert_eq!(traced.schema().names(), t.schema().names());
-    // The tracer interprets the plan directly: nothing was compiled.
-    assert_eq!(traced_session.stats().compiles, 0);
-    let r = rewritten_session.execute(&rewritten, &[]).unwrap();
-    assert!(t.bag_eq(&r), "tracer and rewrite must agree:\n{t}\nvs\n{r}");
-    // The structured view works on traced results too.
-    let rows = traced_session.provenance_rows(&traced, &[]).unwrap();
-    assert_eq!(rows.len(), t.len());
-    // Tracer sessions reject parameters up front.
-    assert!(matches!(
-        traced_session.prepare("SELECT PROVENANCE a FROM r WHERE a < $1"),
-        Err(PermError::Param(_))
-    ));
+    let (bound, provenance) = perm::sql::compile(engine.database(), sql).unwrap();
+    assert!(provenance);
+    let traced = Tracer::new(engine.database()).trace(&bound).unwrap();
+    let prepared = session.prepare(sql).unwrap();
+    // The prepared schema describes what the oracle returns — original
+    // attributes followed by the provenance attributes.
+    assert_eq!(prepared.schema().names(), traced.schema().names());
+    let rewritten = session.execute(&prepared, &[]).unwrap();
+    assert!(
+        traced.bag_eq(&rewritten),
+        "tracer and rewrite must agree:\n{traced}\nvs\n{rewritten}"
+    );
+    // The structured view splits exactly those rows.
+    let rows = session.provenance_rows(&prepared, &[]).unwrap();
+    assert_eq!(rows.len(), traced.len());
 }
 
 #[test]
@@ -484,28 +481,29 @@ fn database_mut_invalidates_plan_cache_and_session_attached_shared_memos() {
 
     let mut engine = Engine::new(grouped_db());
     let memo = SharedSublinkMemo::new();
-    // Memo-path test: disable the optimizer so the correlated EXISTS stays
-    // a sublink and actually warms the shared memo.
     let config = SessionConfig {
         shared_sublink_memo: Some(Arc::clone(&memo)),
-        optimize: false,
         ..SessionConfig::default()
     };
     // The memo is attached via `session_with` only — the engine's own
     // default config knows nothing about it. `database_mut` must still
     // invalidate it (the engine registers attached memos weakly).
-    let sql = "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)";
+    // Memo-path test: a correlated scalar sublink the optimizer keeps, so
+    // it actually warms the shared memo. Every `a` is at most its group's
+    // `max(c)`; against an empty `s` the max is NULL and no row survives.
+    let sql = "SELECT a FROM r WHERE a <= (SELECT max(c) FROM s WHERE s.g = r.g)";
     let prepared = {
         let session = engine.session_with(config.clone());
         let prepared = session.prepare(sql).unwrap();
+        assert!(prepared.optimizer_report().sublinks_remaining >= 1);
         let before = session.execute(&prepared, &[]).unwrap();
-        assert_eq!(before.len(), 12, "every r row has a matching s group");
+        assert_eq!(before.len(), 12, "every r row is within its s group");
         prepared
     };
     assert!(memo.entry_count() > 0, "execution warmed the shared memo");
     assert_eq!(engine.plan_cache_stats().entries, 1);
 
-    // Empty `s`: now *no* row of `r` has a witness.
+    // Empty `s`: now *no* row of `r` qualifies.
     engine.database_mut().create_or_replace_table(
         "s",
         Relation::from_rows(Schema::from_names(&["c", "g"]).with_qualifier("s"), vec![]),
@@ -604,18 +602,22 @@ fn columnar_stats_count_blocks_and_fallbacks() {
         "sublink rows are a subset of the columnar fallback rows"
     );
 
-    // Columnar off: the row-major vectorized path — same results, no
-    // blocks, no columnar fallbacks.
-    let row_major = engine.session_with(SessionConfig {
+    // Columnar off: the same evaluator over `Values` lanes — same results,
+    // no blocks, and every comparison row takes the scalar fallback.
+    let values_lanes = engine.session_with(SessionConfig {
         columnar: false,
         ..SessionConfig::default()
     });
-    let prepared = row_major.prepare("SELECT a FROM r WHERE a < 6").unwrap();
-    let row_major_rows = row_major.execute(&prepared, &[]).unwrap();
-    assert!(row_major_rows.bag_eq(&typed_rows));
-    let stats = row_major.stats();
+    let prepared = values_lanes.prepare("SELECT a FROM r WHERE a < 6").unwrap();
+    let values_rows = values_lanes.execute(&prepared, &[]).unwrap();
+    assert!(values_rows.bag_eq(&typed_rows));
+    let stats = values_lanes.stats();
     assert_eq!(stats.columnar_blocks, 0);
-    assert_eq!(stats.columnar_fallback_rows, 0);
+    assert!(
+        stats.columnar_fallback_rows >= 12,
+        "each of r's 12 rows compares through the scalar path: {}",
+        stats.columnar_fallback_rows
+    );
     assert!(stats.vectorized_batches > 0, "batching itself stays on");
 }
 
@@ -715,18 +717,13 @@ fn optimizer_counters_advance_on_prepare_and_freeze_like_compiles() {
     );
     assert!(after.plan_cache_hits > 0);
 
-    // With the optimizer off, both counters stay at zero — and the results
-    // still agree with the optimized session.
-    let off = engine.session_with(SessionConfig {
-        optimize: false,
-        ..SessionConfig::default()
-    });
-    let p_off = off.prepare(correlated).unwrap();
-    let r_off = off.execute(&p_off, &[]).unwrap();
-    assert_eq!(off.stats().optimizer_rules_fired, 0);
-    assert_eq!(off.stats().sublinks_decorrelated, 0);
+    // The optimized result agrees with the reference interpreter on the
+    // plan as bound.
+    let reference = Executor::new(engine.database())
+        .execute_unoptimized(prepared.bound_plan())
+        .unwrap();
     let r_on = session.execute(&prepared, &[]).unwrap();
-    assert!(r_on.bag_eq(&r_off));
+    assert!(r_on.bag_eq(&reference));
 }
 
 #[test]
@@ -775,15 +772,14 @@ fn explain_surfaces_the_bound_to_optimized_plan_diff() {
         .unwrap();
     assert!(analyzed.bound_plan.is_some() && analyzed.optimizer.is_some());
 
-    // With the optimizer off there is no diff to show.
-    let off = engine.session_with(SessionConfig {
-        optimize: false,
-        ..SessionConfig::default()
-    });
-    let bare = off
-        .explain("SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)")
+    // The two plans the diff shows compute the same bag.
+    let prepared = session
+        .prepare("SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)")
         .unwrap();
-    assert!(bare.bound_plan.is_none() && bare.optimized_plan.is_none() && bare.optimizer.is_none());
+    let reference = Executor::new(engine.database())
+        .execute_unoptimized(prepared.bound_plan())
+        .unwrap();
+    assert!(session.execute(&prepared, &[]).unwrap().bag_eq(&reference));
 }
 
 #[test]

@@ -58,12 +58,20 @@ fn session_agrees_with_both_executor_paths_on_random_queries() {
 
 /// What the optimizer may not change: the bag of rows, and under an
 /// `ORDER BY` their sequence — ties included, a `LIMIT` cuts through them.
-fn same_rows(sql: &str, on: &Relation, off: &Relation) -> bool {
+fn same_rows(sql: &str, optimized: &Relation, reference: &Relation) -> bool {
     if sql.contains("ORDER BY") {
-        on.tuples() == off.tuples()
+        optimized.tuples() == reference.tuples()
     } else {
-        on.bag_eq(off)
+        optimized.bag_eq(reference)
     }
+}
+
+/// The reference interpreter over a statement's plan as bound (before the
+/// optimizer), with the same `$n` binding.
+fn interpreted(db: &Database, prepared: &Prepared, params: &[Value]) -> Relation {
+    let ex = Executor::new(db);
+    ex.bind_params(params.to_vec());
+    ex.execute_unoptimized(prepared.bound_plan()).unwrap()
 }
 
 #[test]
@@ -71,46 +79,39 @@ fn optimizer_preserves_results_and_witnesses_on_the_sql_corpus() {
     // Seventh differential mode, SQL half: the optimizer must be invisible in
     // both observables — plain results and provenance witnesses, as bags and
     // where the query orders them as sequences — on the full 80-seed corpus.
+    // Every optimized session result is checked against the interpreter on
+    // the statement's bound plan, the reference every other suite uses.
     let db = corpus_database();
     let engine = Engine::new(db);
-    let on = engine.session();
-    let off = engine.session_with(SessionConfig {
-        optimize: false,
-        ..SessionConfig::default()
-    });
-    assert!(on.config().optimize, "optimizer should default on");
+    let session = engine.session();
     let mut checked = 0usize;
     for seed in 0..80u64 {
         let case = corpus_case(seed);
         let sql = &case.sql;
 
-        let p_on = on.prepare(sql).unwrap();
-        let p_off = off.prepare(sql).unwrap();
-        let params = case.params(p_on.param_count());
-        let r_on = on
-            .execute(&p_on, &params)
+        let prepared = session.prepare(sql).unwrap();
+        let params = case.params(prepared.param_count());
+        let optimized = session
+            .execute(&prepared, &params)
             .unwrap_or_else(|e| panic!("seed {seed}: optimized `{sql}` failed: {e}"));
-        let r_off = off
-            .execute(&p_off, &params)
-            .unwrap_or_else(|e| panic!("seed {seed}: memo-only `{sql}` failed: {e}"));
+        let reference = interpreted(engine.database(), &prepared, &params);
         assert!(
-            same_rows(sql, &r_on, &r_off),
+            same_rows(sql, &optimized, &reference),
             "seed {seed}: optimizer changed the result of `{sql}` \
-             with {params:?}:\n{r_on}\nvs\n{r_off}"
+             with {params:?}:\n{optimized}\nvs\n{reference}"
         );
 
         // Witnesses: the full provenance relation (result columns plus
         // witness columns) must be identical in the same sense. The
         // provenance rewrite runs before the optimizer, so witnesses are
         // ordinary columns here.
-        let pv_on = on.prepare_provenance(sql).unwrap();
-        let pv_off = off.prepare_provenance(sql).unwrap();
-        let w_on = on.execute(&pv_on, &params).unwrap();
-        let w_off = off.execute(&pv_off, &params).unwrap();
+        let provenance = session.prepare_provenance(sql).unwrap();
+        let witnesses = session.execute(&provenance, &params).unwrap();
+        let reference = interpreted(engine.database(), &provenance, &params);
         assert!(
-            same_rows(sql, &w_on, &w_off),
+            same_rows(sql, &witnesses, &reference),
             "seed {seed}: optimizer changed the witnesses of `{sql}` \
-             with {params:?}:\n{w_on}\nvs\n{w_off}"
+             with {params:?}:\n{witnesses}\nvs\n{reference}"
         );
         checked += 1;
     }
