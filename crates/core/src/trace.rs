@@ -31,8 +31,6 @@ pub enum TraceKind {
     MemoInsert,
     /// A sublink-memo hit (result served without executing the sublink).
     MemoHit,
-    /// Payload bytes written to spill files; `value` is the byte delta.
-    Spill,
     /// A degradation-rung transition; `label` names the rung entered.
     Rung,
     /// A cancellation checkpoint that fired; `label` is the operator site.
@@ -49,7 +47,7 @@ pub struct TraceEvent {
     /// Where (phase name, memo name, operator site, rung name).
     pub label: String,
     /// Kind-dependent payload: nanoseconds for [`TraceKind::Phase`], bytes
-    /// for [`TraceKind::MemoInsert`] / [`TraceKind::Spill`], zero otherwise.
+    /// for [`TraceKind::MemoInsert`], zero otherwise.
     pub value: u64,
 }
 

@@ -36,7 +36,7 @@ use crate::executor::{extract_equi_keys, flatten_conjuncts, Executor};
 use crate::functions;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
-use crate::quant::QuantProbe;
+use crate::quant::SublinkSummary;
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params};
 use perm_algebra::{
@@ -1349,11 +1349,10 @@ impl Executor<'_> {
     ///   are never raised;
     /// * an uncorrelated sublink (empty correlation signature) is fetched
     ///   once for the batch and broadcast; `ANY`/`ALL` reads one verdict
-    ///   per live row from the result's [`QuantProbe`];
+    ///   per live row from the result's [`crate::QuantProbe`];
     /// * a correlated sublink falls back to the per-tuple evaluator row by
     ///   row (see the `Sublink` arm of [`Executor::ceval_typed`]), leaving
-    ///   the parameterized sublink memo and the
-    ///   `Executor::execute_memoized_sublink` seam untouched.
+    ///   the parameterized sublink memo untouched.
     ///
     /// The only observable difference is *which* of several pending errors
     /// surfaces first (per-tuple evaluation is row-major, vectorized
@@ -1481,8 +1480,8 @@ impl Executor<'_> {
             }
             CompiledExpr::Sublink(sublink) => {
                 // Per-tuple fallback: a correlated sublink goes through the
-                // parameterized memo (and, for ANY/ALL, the probe memo)
-                // exactly as in tuple-at-a-time execution.
+                // parameterized memo exactly as in tuple-at-a-time
+                // execution.
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     let scope = Frame::new(outer, batch.row(i));
@@ -1739,19 +1738,17 @@ impl Executor<'_> {
 
     fn ceval_sublink(&self, sublink: &CompiledSublink, frame: Option<&Frame<'_>>) -> Result<Value> {
         match sublink.kind {
-            SublinkKind::Exists => {
-                let result = self.execute_memoized_sublink(sublink, frame)?;
-                Ok(Value::Bool(!result.is_empty()))
-            }
-            SublinkKind::Scalar => {
-                let result = self.execute_memoized_sublink(sublink, frame)?;
-                crate::eval::scalar_sublink_value(&result)
+            SublinkKind::Exists | SublinkKind::Scalar => {
+                Ok(self.sublink_summary(sublink, frame)?.value())
             }
             SublinkKind::Any | SublinkKind::All => {
                 let (test, op) = sublink.quantified()?;
                 let test_value = self.ceval(test, frame)?;
-                let probe = self.quant_probe(sublink, frame)?;
-                Ok(probe.verdict(sublink.kind, op, &test_value).to_value())
+                let summary = self.sublink_summary(sublink, frame)?;
+                Ok(summary
+                    .probe()
+                    .verdict(sublink.kind, op, &test_value)
+                    .to_value())
             }
         }
     }
@@ -1779,57 +1776,14 @@ impl Executor<'_> {
             SublinkKind::Any | SublinkKind::All => {
                 let (test, op) = sublink.quantified()?;
                 let mut tests = self.ceval_typed(test, batch, outer)?;
-                let probe = self.quant_probe(sublink, Some(&scope))?;
+                let summary = self.sublink_summary(sublink, Some(&scope))?;
+                let probe = summary.probe();
                 Ok(truths_to_bool_lane(
                     (0..n).map(|i| probe.verdict(sublink.kind, op, &tests.take_value(i))),
                     n,
                 ))
             }
         }
-    }
-
-    /// The [`QuantProbe`] of an `ANY`/`ALL` sublink's result for the
-    /// binding in `frame`, from the probe memo (the shared one when
-    /// attached) under the result's memo key. On a miss the result is
-    /// fetched through `execute_compiled_sublink_keyed` — so a probe lookup
-    /// counts once on the sublink's profile node, as a hit here or as
-    /// whatever the result lookup counts — summarised, and memoized when
-    /// the sublink has a key. Every row a probe is built from counts on
-    /// [`Executor::quantifier_comparisons`].
-    fn quant_probe(
-        &self,
-        sublink: &CompiledSublink,
-        frame: Option<&Frame<'_>>,
-    ) -> Result<Arc<QuantProbe>> {
-        let key = self.compiled_sublink_key(sublink, frame)?;
-        if let Some(k) = &key {
-            let hit = match &self.shared_memo {
-                Some(shared) => shared.get_probe(k),
-                None => self.probe_memo.borrow_mut().get(k),
-            };
-            if let Some(probe) = hit {
-                let tree = self.profile.borrow().upgrade();
-                if let Some(p) = tree.as_ref().and_then(|t| t.sublink(sublink.id)) {
-                    p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
-                }
-                self.governor.trace_memo_hit("probe-memo");
-                return Ok(probe);
-            }
-        }
-        let result = self.execute_compiled_sublink_keyed(sublink, frame, key.clone())?;
-        let probe = Arc::new(QuantProbe::build(&result)?);
-        self.cmp_evaluated
-            .set(self.cmp_evaluated.get() + result.len() as u64);
-        if let Some(k) = key {
-            let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&probe);
-            if self.governor.memo_insert_event("probe-memo", cost)? {
-                match &self.shared_memo {
-                    Some(shared) => shared.insert_probe(k, Arc::clone(&probe)),
-                    None => self.probe_memo.borrow_mut().insert(k, Arc::clone(&probe)),
-                }
-            }
-        }
-        Ok(probe)
     }
 
     /// The parameterized memo key of a compiled sublink: its id followed by
@@ -1884,30 +1838,25 @@ impl Executor<'_> {
         }
     }
 
-    /// Executes a compiled sublink plan, consulting the parameterized memo
-    /// when the sublink has a resolved correlation signature (the memo-key
-    /// contract is documented on the private `compiled_sublink_key`).
-    /// Results are shared as `Arc<Relation>`s: a hit clones the pointer,
-    /// never the tuples. Errors are never cached.
-    fn execute_memoized_sublink(
+    /// The [`SublinkSummary`] of a compiled sublink for the binding in
+    /// `frame`: from the parameterized memo (the shared one when attached)
+    /// when the sublink has a key — the key contract is documented on the
+    /// private `compiled_sublink_key` — and otherwise built from one
+    /// execution of the sublink plan and memoized. Summaries are shared as
+    /// `Arc`s, and errors are never cached. An `EXISTS` or scalar lookup
+    /// polls a cancellation checkpoint first; an `ANY`/`ALL` one polls it
+    /// only before executing on a miss. Every row an `ANY`/`ALL` probe is
+    /// built from counts on [`Executor::quantifier_comparisons`].
+    fn sublink_summary(
         &self,
         sublink: &CompiledSublink,
         frame: Option<&Frame<'_>>,
-    ) -> Result<Arc<Relation>> {
+    ) -> Result<Arc<SublinkSummary>> {
+        let quantified = matches!(sublink.kind, SublinkKind::Any | SublinkKind::All);
+        if !quantified {
+            self.governor.checkpoint("sublink")?;
+        }
         let key = self.compiled_sublink_key(sublink, frame)?;
-        self.execute_compiled_sublink_keyed(sublink, frame, key)
-    }
-
-    /// `Executor::execute_memoized_sublink` with a precomputed memo key
-    /// (so the `ANY`/`ALL` probe path computes the key once for both
-    /// memos).
-    fn execute_compiled_sublink_keyed(
-        &self,
-        sublink: &CompiledSublink,
-        frame: Option<&Frame<'_>>,
-        key: Option<Vec<u8>>,
-    ) -> Result<Arc<Relation>> {
-        self.governor.checkpoint("sublink")?;
         // The armed profile tree, if any, holds this sublink's subtree by
         // id — ids are process-unique, so when a *foreign* plan executes
         // while a tree is armed, the lookup simply misses and nothing is
@@ -1920,7 +1869,7 @@ impl Executor<'_> {
         // are the point. Without one, the executor-private memo serves.
         if let Some(k) = &key {
             let hit = match &self.shared_memo {
-                Some(shared) => shared.get_result(k),
+                Some(shared) => shared.get(k),
                 None => self.sublink_memo.borrow_mut().get(k),
             };
             if let Some(hit) = hit {
@@ -1930,42 +1879,33 @@ impl Executor<'_> {
                 self.governor.trace_memo_hit("sublink-memo");
                 return Ok(hit);
             }
-            // Resident miss: the entry may have been reclaimed to the spill
-            // file under budget pressure — reload it instead of
-            // re-executing the sublink (pure I/O, no recomputation).
-            if let Some(spilled) = self.governor.spill_fetch_result(k) {
-                if let Some(p) = sub_prof {
-                    p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
-                }
-                self.governor.trace_memo_hit("sublink-memo-spilled");
-                return Ok(spilled);
-            }
+        }
+        if quantified {
+            self.governor.checkpoint("sublink")?;
         }
         if let Some(p) = sub_prof {
             p.stats.memo_misses.set(p.stats.memo_misses.get() + 1);
         }
-        let result = Arc::new(self.execute_compiled_node(
-            &sublink.plan,
-            frame,
-            sub_prof.map(|p| p.as_ref()),
-        )?);
+        let result =
+            self.execute_compiled_node(&sublink.plan, frame, sub_prof.map(|p| p.as_ref()))?;
+        let summary = Arc::new(SublinkSummary::build(sublink.kind, &result)?);
+        if quantified {
+            self.cmp_evaluated
+                .set(self.cmp_evaluated.get() + result.len() as u64);
+        }
         if let Some(k) = key {
-            let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&result);
+            let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
             if self.governor.memo_insert_event("sublink-memo", cost)? {
                 match &self.shared_memo {
-                    Some(shared) => shared.insert_result(k, Arc::clone(&result)),
+                    Some(shared) => shared.insert(k, Arc::clone(&summary)),
                     None => self
                         .sublink_memo
                         .borrow_mut()
-                        .insert(k, Arc::clone(&result)),
+                        .insert(k, Arc::clone(&summary)),
                 }
-            } else {
-                // The entry cannot stay resident; persist it so the next
-                // miss on this key reloads instead of re-executing.
-                self.governor.spill_store_result(&k, &result);
             }
         }
-        Ok(result)
+        Ok(summary)
     }
 }
 
@@ -2262,11 +2202,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_share_the_relation_allocation() {
-        // A memo hit must return the cached `Arc<Relation>` itself — the
-        // same allocation, not a deep copy of the tuples. Drive the memoized
-        // sublink executor directly with the same binding twice and compare
-        // pointers.
+    fn memo_hits_share_the_summary_allocation() {
+        // A memo hit must return the cached `Arc<SublinkSummary>` itself —
+        // the same allocation, and no operator work. Drive the summary
+        // lookup directly with the same binding twice and compare pointers.
         let db = db_with_groups();
         let q = correlated_exists_query(&db);
         let ex = Executor::new(&db);
@@ -2274,25 +2213,25 @@ mod tests {
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
-        let first = ex.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
-        let second = ex.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
+        let first = ex.sublink_summary(sublink, Some(&frame)).unwrap();
+        let before = ex.operators_evaluated();
+        let second = ex.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "memo hit must share the cached allocation"
         );
+        assert_eq!(ex.operators_evaluated(), before, "a hit does no work");
         // A different binding gets its own entry.
         let other_outer = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
         let other_frame = Frame::new(None, &other_outer);
-        let third = ex
-            .execute_memoized_sublink(sublink, Some(&other_frame))
-            .unwrap();
+        let third = ex.sublink_summary(sublink, Some(&other_frame)).unwrap();
         assert!(!Arc::ptr_eq(&first, &third));
-        // With the memo off every execution materialises afresh.
+        // With the memo off every lookup executes afresh.
         let off = Executor::new(&db).with_sublink_memo(false);
         let compiled = off.prepare(&q).unwrap();
         let sublink = select_sublink(compiled.root());
-        let a = off.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
-        let b = off.execute_memoized_sublink(sublink, Some(&frame)).unwrap();
+        let a = off.sublink_summary(sublink, Some(&frame)).unwrap();
+        let b = off.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
     }
 
@@ -2537,9 +2476,7 @@ mod tests {
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
-        let first = warmer
-            .execute_memoized_sublink(sublink, Some(&frame))
-            .unwrap();
+        let first = warmer.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
             shared.entry_count() > 0,
             "warming populated the shared memo"
@@ -2547,9 +2484,7 @@ mod tests {
 
         let server = Executor::new(&db).with_shared_memo(Arc::clone(&shared));
         let before = server.operators_evaluated();
-        let second = server
-            .execute_memoized_sublink(sublink, Some(&frame))
-            .unwrap();
+        let second = server.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "cross-executor hit must share the cached allocation"

@@ -16,19 +16,20 @@
 //!    and computes each sublink's *correlation signature* (its free column
 //!    references, [`perm_algebra::visit::free_correlated_columns`]) resolved
 //!    to outer-scope slots.
-//! 3. **Compiled evaluation** with a **parameterized sublink memo**: a
-//!    sublink result is cached under `(sublink identity, encoded values of
-//!    its correlated bindings)` as an `Arc<Relation>`, so a hit shares the
-//!    materialised result instead of deep-copying it. A correlated sublink
-//!    over an outer relation with *k* distinct binding values therefore
-//!    executes *k* times instead of once per outer tuple; an uncorrelated
-//!    sublink (empty signature) degenerates to the classic PostgreSQL
-//!    "InitPlan" behaviour of one execution per query, and is fetched once
-//!    per batch rather than once per row. An `ANY`/`ALL` result is
-//!    summarised once per binding into a [`crate::QuantProbe`], memoized
-//!    under the same key, so each outer row costs one hash probe instead of
-//!    a fold over the result. The memos can be switched off with
-//!    [`Executor::with_sublink_memo`] for measurements.
+//! 3. **Compiled evaluation** with a **parameterized sublink memo**: what
+//!    a sublink's verdict needs from its result — whether an `EXISTS` found
+//!    a row, a scalar's value, or an `ANY`/`ALL` result summarised into a
+//!    [`crate::QuantProbe`] — is cached under `(sublink identity, encoded
+//!    values of its correlated bindings)` as one shared `Arc`, so an
+//!    `EXISTS` or scalar entry does not grow with the sublink's result and
+//!    each outer row of an `ANY`/`ALL` costs one hash probe instead of a
+//!    fold. A correlated
+//!    sublink over an outer relation with *k* distinct binding values
+//!    therefore executes *k* times instead of once per outer tuple; an
+//!    uncorrelated sublink (empty signature) degenerates to the classic
+//!    PostgreSQL "InitPlan" behaviour of one execution per query, and is
+//!    fetched once per batch rather than once per row. The memos can be
+//!    switched off with [`Executor::with_sublink_memo`] for measurements.
 //!
 //! The uncompiled interpreter ([`Executor::execute_unoptimized`] /
 //! [`Executor::execute_with_env`]) remains available as the reference
@@ -53,7 +54,7 @@ use crate::eval::Env;
 use crate::memo::{MemoMap, SharedSublinkMemo};
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
-use crate::quant::QuantProbe;
+use crate::quant::SublinkSummary;
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
@@ -72,32 +73,28 @@ type FreeColumn = (Option<String>, String);
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
-    /// Parameterized sublink memo of the compiled path: sublink results
+    /// Parameterized sublink memo of the compiled path: sublink summaries
     /// keyed by `(compiled sublink id, typed encoding of the referenced
     /// query-parameter values followed by the correlated binding values)`,
-    /// shared as `Arc`s so hits never deep-copy. Wrapped in an `Rc` so the
+    /// shared as `Arc`s so hits never copy. Wrapped in an `Rc` so the
     /// resilience governor can hold a reclaim handle: under memory-budget
     /// pressure the memo is cleared (a pure speed loss) before the query is
     /// failed.
-    pub(crate) sublink_memo: Rc<RefCell<MemoMap<Arc<Relation>>>>,
+    pub(crate) sublink_memo: Rc<RefCell<MemoMap<Arc<SublinkSummary>>>>,
     /// Parameterized sublink memo of the interpreter path: same contract,
     /// keyed by the sublink plan's *node address* (stable for the lifetime
     /// of one query execution because plans are borrowed immutably) plus
     /// the typed encoding of its referenced parameter values and free
     /// correlated column bindings.
     pub(crate) interp_sublink_memo: Rc<RefCell<MemoMap<Arc<Relation>>>>,
-    /// `ANY`/`ALL` probe memo of the compiled path: the [`QuantProbe`] of
-    /// a sublink result, under that result's memo key — one entry per
-    /// binding, whatever the test values.
-    pub(crate) probe_memo: Rc<RefCell<MemoMap<Arc<QuantProbe>>>>,
     /// The resilience governor: installed cancel token / fault plan /
     /// memory budget plus the `cancel_checks` and `peak_bytes` counters.
     /// Polled at batch boundaries by `crate::physical`, at cursor refills
     /// and at memoized-sublink entry.
     pub(crate) governor: Governor,
     /// Optional cross-thread memo ([`Executor::with_shared_memo`]). When
-    /// attached, compiled-path sublink results and probes go to (and come
-    /// from) the shared maps instead of the private memos above, so
+    /// attached, compiled-path sublink summaries go to (and come from) the
+    /// shared map instead of the private compiled memo above, so
     /// worker threads and sibling sessions serving the same prepared
     /// statements reuse each other's work. Interpreter-path entries stay
     /// private either way — their keys are plan *node addresses*, which mean
@@ -116,8 +113,8 @@ pub struct Executor<'a> {
     /// Whether the parameterized memos may be consulted for correlated
     /// sublinks.
     pub(crate) memo_enabled: Cell<bool>,
-    /// Whether [`Executor::execute`] retains the compiled-path memos across
-    /// calls instead of clearing them up front (the prepared-statement
+    /// Whether [`Executor::execute`] retains the compiled-path memo across
+    /// calls instead of clearing it up front (the prepared-statement
     /// serving policy; see [`Executor::with_memo_retention`]).
     retain_memo: Cell<bool>,
     /// Number of plan compilations performed by [`Executor::prepare`]
@@ -181,27 +178,16 @@ impl<'a> Executor<'a> {
         crate::heap::retain_freed_heap();
         let sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let interp_sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
-        let probe_memo = Rc::new(RefCell::new(MemoMap::new()));
         let governor = Governor::new();
-        // Register every private memo for byte accounting and
-        // budget-pressure reclaim (evict first, fail only if that is not
-        // enough).
-        // The compiled result memo is registered through the spill-aware
-        // wrapper: under pressure with spilling enabled its entries are
-        // persisted instead of dropped (compiled keys are process-stable).
-        // The interpreter memo (keyed by plan-node *addresses*, unsafe to
-        // persist) and the probe memo (rebuilt in one pass from a reloaded
-        // result) reclaim by dropping.
-        governor.register_memo(Box::new(crate::memo::SpillableResultMemo(Rc::clone(
-            &sublink_memo,
-        ))));
+        // Register both private memos for byte accounting and
+        // budget-pressure reclaim: their entries are dropped first, and a
+        // query fails only if that is not enough.
+        governor.register_memo(Box::new(Rc::clone(&sublink_memo)));
         governor.register_memo(Box::new(Rc::clone(&interp_sublink_memo)));
-        governor.register_memo(Box::new(Rc::clone(&probe_memo)));
         Executor {
             db,
             sublink_memo,
             interp_sublink_memo,
-            probe_memo,
             governor,
             shared_memo: None,
             free_columns_cache: RefCell::new(HashMap::new()),
@@ -317,22 +303,21 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Bounds every memo (sublink results on both paths and `ANY`/`ALL`
-    /// probes) to at most `capacity` entries each, evicting
-    /// least-recently-used entries — the ROADMAP follow-on for
+    /// Bounds each private memo (the compiled path's sublink summaries and
+    /// the interpreter's sublink results) to at most `capacity` entries,
+    /// evicting least-recently-used entries — the ROADMAP follow-on for
     /// high-cardinality correlations. `None` (the default) keeps the memos
     /// unbounded, preserving the established behaviour.
     pub fn with_memo_capacity(self, capacity: Option<usize>) -> Executor<'a> {
         self.sublink_memo.borrow_mut().set_capacity(capacity);
         self.interp_sublink_memo.borrow_mut().set_capacity(capacity);
-        self.probe_memo.borrow_mut().set_capacity(capacity);
         self
     }
 
     /// Attaches a cross-thread [`SharedSublinkMemo`]: compiled-path sublink
-    /// results and `ANY`/`ALL` probes are then cached in (and served
-    /// from) the shared maps instead of this executor's private
-    /// memos, so several worker executors — each still single-threaded —
+    /// summaries are then cached in (and served from) the shared map
+    /// instead of this executor's private compiled memo, so several worker
+    /// executors — each still single-threaded —
     /// jointly warm one memo. Safe because compiled memo keys embed a
     /// process-unique sublink id plus the typed parameter and binding
     /// values; see [`SharedSublinkMemo`] for the full contract.
@@ -353,7 +338,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Chooses the memo policy of [`Executor::execute`]: with `retain` set,
-    /// the compiled-path memos survive across `execute` calls instead of
+    /// the compiled-path memo survives across `execute` calls instead of
     /// being cleared up front. Retention is what a prepared statement wants
     /// — re-executing the same [`CompiledPlan`] (same sublink ids, with the
     /// bound parameter values folded into every memo key) can then reuse
@@ -389,12 +374,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Enables spill-to-disk degradation (disabled by default): under
-    /// budget pressure the growing operators go out of core (grace hash
-    /// join, external merge sort, partitioned aggregation) and reclaimed
-    /// compiled-memo entries are persisted for reload instead of dropped,
-    /// demoting [`ExecError::ResourceExhausted`] to a last resort. Results
-    /// are bag- and order-identical to in-memory execution; only the spill
-    /// counters ([`Executor::spilled_bytes`] &c.) can tell the difference.
+    /// budget pressure that dropping the memos does not relieve, the
+    /// growing operators go out of core (grace hash join, external merge
+    /// sort, partitioned aggregation) instead of failing, demoting
+    /// [`ExecError::ResourceExhausted`] to a last resort. Results are bag-
+    /// and order-identical to in-memory execution; only the spill counters
+    /// ([`Executor::spilled_bytes`] &c.) can tell the difference.
     pub fn with_spill(self, enabled: bool) -> Executor<'a> {
         self.governor.set_spill_enabled(enabled);
         self
@@ -440,8 +425,8 @@ impl<'a> Executor<'a> {
 
     /// Installs (or clears, with `None`) a structured-trace hook: the
     /// governor and the memoized-sublink seams call it with a
-    /// [`TraceSignal`] on memo inserts and hits, spill writes, degradation
-    /// rung transitions, and cancellation checkpoints that fired. The
+    /// [`TraceSignal`] on memo inserts and hits, degradation rung
+    /// transitions, and cancellation checkpoints that fired. The
     /// session facade bridges these into its `TraceSink`; with no hook
     /// installed the emission sites cost one `Option` check.
     pub fn set_trace_hook(&self, hook: Option<Rc<dyn Fn(TraceSignal)>>) {
@@ -560,7 +545,7 @@ impl<'a> Executor<'a> {
 
     /// `ANY`/`ALL` result rows compared so far (diagnostic counter): on the
     /// interpreter, the rows each fold visits; on the compiled path, the
-    /// rows each probe is built from — a probe-memo hit counts nothing.
+    /// rows each probe is built from — a memo hit counts nothing.
     pub fn quantifier_comparisons(&self) -> u64 {
         self.cmp_evaluated.get()
     }
@@ -591,20 +576,19 @@ impl<'a> Executor<'a> {
         crate::compile::compile_plan(&fused, needed)
     }
 
-    /// Clears the compiled-path memos (sublink results and probes) *of
-    /// this executor*. An attached [`SharedSublinkMemo`] is deliberately
+    /// Clears the compiled-path memo (sublink summaries) *of this
+    /// executor*. An attached [`SharedSublinkMemo`] is deliberately
     /// left alone — it is shared state whose lifecycle belongs to its owner
     /// (clearing it here would drop entries other sessions are warm on).
     /// The interpreter-path caches have their own lifecycle
     /// ([`Executor::reset_interpreter_caches`]).
     pub fn clear_compiled_memos(&self) {
         self.sublink_memo.borrow_mut().clear();
-        self.probe_memo.borrow_mut().clear();
     }
 
     /// Executes a top-level plan through the compile/memoize pipeline.
     ///
-    /// Under the default policy the compiled-path memos are cleared first:
+    /// Under the default policy the compiled-path memo is cleared first:
     /// `execute` mints fresh sublink ids via [`Executor::prepare`], so
     /// entries from earlier `execute` calls could never hit again and would
     /// only accumulate. Callers that re-execute the *same* prepared

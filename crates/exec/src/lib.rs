@@ -108,25 +108,25 @@
 //! worker thread. What crosses threads is the read-only data: the database,
 //! compiled plans, and optionally a [`SharedSublinkMemo`]
 //! ([`Executor::with_shared_memo`]) — a mutex-guarded memo through which
-//! worker executors share compiled-path sublink results and probes, so a
-//! binding one worker of the `perm-serve` pool has evaluated is a hit for
+//! worker executors share compiled-path sublink summaries (an `EXISTS`
+//! flag, a scalar value or an `ANY`/`ALL` [`QuantProbe`] per binding), so
+//! a binding one worker of the `perm-serve` pool has evaluated is a hit for
 //! every other worker serving the same prepared statement.
 //!
 //! The [`resilience`] module threads serving-grade governance through the
 //! same physical layer: cooperative cancellation and deadlines (polled at
 //! batch boundaries via a [`CancelToken`], surfacing as
 //! [`ExecError::Cancelled`]), a per-executor memory budget with byte-aware
-//! memo accounting and a spill-before-reclaim-before-fail degradation
+//! memo accounting and a drop-memos, then spill, then fail degradation
 //! ladder (surfaced as [`Degradation`]; only its last rung is
 //! [`ExecError::ResourceExhausted`]), and a deterministic [`FaultPlan`]
 //! injector for crash-consistency testing. With spilling enabled
 //! (`Executor::with_spill`) the growing operators go **out of core**
 //! instead of failing: the hash join partitions its build side to disk
 //! (grace hash join), the sort writes sorted runs and k-way-merges them,
-//! the aggregate partitions partial group states, and reclaimed
-//! compiled-memo entries are persisted and reloaded on later misses — all
-//! through the slotted-page heap files and pinning buffer pool of
-//! `perm-storage`.
+//! and the aggregate partitions partial group states — all through the
+//! slotted-page heap files and pinning buffer pool of `perm-storage`.
+//! Memo entries are dropped under pressure, never spilled.
 //!
 //! One process-wide side effect: the first [`Executor::new`] tells glibc
 //! to keep freed heap rather than return it to the kernel after every

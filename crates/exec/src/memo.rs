@@ -1,5 +1,5 @@
-//! Capacity-bounded memo maps for the executor's sublink result and
-//! `ANY`/`ALL` probe caches.
+//! Capacity-bounded memo maps for the executor's sublink caches: the
+//! compiled path's summaries and the interpreter's result relations.
 //!
 //! [`MemoMap`] behaves like a plain `HashMap<Vec<u8>, V>` by default. When a
 //! capacity is configured ([`MemoMap::set_capacity`]) it becomes an LRU
@@ -14,9 +14,8 @@
 //! same key are skipped at eviction time and compacted away when the queue
 //! outgrows the map by a constant factor.
 
-use crate::quant::QuantProbe;
+use crate::quant::SublinkSummary;
 use crate::resilience::{MemoBytes, MemoCost};
-use perm_storage::Relation;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -131,14 +130,6 @@ impl<V: Clone + MemoCost> MemoMap<V> {
         self.bytes = 0;
     }
 
-    /// Empties the map, handing every `(key, value)` pair to the caller —
-    /// the spill-reclaim path, which persists the entries it drains.
-    pub(crate) fn drain_entries(&mut self) -> Vec<(Vec<u8>, V)> {
-        self.queue.clear();
-        self.bytes = 0;
-        self.map.drain().map(|(k, e)| (k, e.value)).collect()
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
@@ -199,13 +190,14 @@ impl<V: Clone + MemoCost> MemoMap<V> {
     }
 }
 
-/// The cross-thread sublink memo of the serving subsystem: one mutex-guarded
-/// map for compiled-path sublink *results* (`Arc<Relation>`, shared so hits
-/// never deep-copy — across threads too) and one for the
-/// [`QuantProbe`]s summarising `ANY`/`ALL` results, under the same keys.
+/// The cross-thread sublink memo of the serving subsystem: one
+/// mutex-guarded map of compiled-path sublink *summaries* (whether an
+/// `EXISTS` found a row, a scalar's value, an `ANY`/`ALL`
+/// [`crate::QuantProbe`]), shared as `Arc`s so hits never copy — across
+/// threads too.
 ///
 /// Attached to an executor via [`crate::Executor::with_shared_memo`], it
-/// replaces the executor's private compiled-path memos, so distinct
+/// replaces the executor's private compiled-path memo, so distinct
 /// correlated bindings evaluated by *different* worker threads (or by
 /// different sessions serving the same prepared statement) populate and hit
 /// one memo. Only compiled-path entries participate: their keys embed a
@@ -219,19 +211,16 @@ impl<V: Clone + MemoCost> MemoMap<V> {
 /// function of the database, the binding and the parameter values), so the
 /// last write is indistinguishable from the first. Errors are never cached.
 pub struct SharedSublinkMemo {
-    results: Mutex<MemoMap<Arc<Relation>>>,
-    probes: Mutex<MemoMap<Arc<QuantProbe>>>,
-    /// Sublink lookups served from the memo (a result or a probe) / that
-    /// executed the sublink, across all workers — the serving metrics
-    /// registry's shared-memo hit rate. A probe miss falls through to the
-    /// result map, so each lookup counts once.
-    /// Relaxed atomics: these are monotone diagnostics, not
+    entries: Mutex<MemoMap<Arc<SublinkSummary>>>,
+    /// Sublink lookups served from the memo / that executed the sublink,
+    /// across all workers — the serving metrics registry's shared-memo hit
+    /// rate. Relaxed atomics: these are monotone diagnostics, not
     /// synchronisation.
     result_hits: AtomicU64,
     result_misses: AtomicU64,
 }
 
-/// Locks one of the shared memo's maps, recovering from poisoning
+/// Locks the shared memo's map, recovering from poisoning
 /// (`PoisonError::into_inner`): a panic while the lock is held cannot leave
 /// the map internally inconsistent, because every critical section is a
 /// single complete `MemoMap` operation — there is no multi-step write a
@@ -247,40 +236,35 @@ impl SharedSublinkMemo {
         SharedSublinkMemo::with_capacity(None)
     }
 
-    /// A shared memo with an optional LRU capacity bound *per map* — the
-    /// result map and the probe map are each bounded to exactly `capacity`
-    /// entries, so [`Self::entry_count`]
-    /// can reach `2 × capacity`. `None` = unbounded. This mirrors the
-    /// per-map semantics of `Executor::with_memo_capacity`.
+    /// A shared memo with an optional LRU capacity bound: at most
+    /// `capacity` entries, exactly as `Executor::with_memo_capacity` bounds
+    /// a private memo. `None` = unbounded.
     pub fn with_capacity(capacity: Option<usize>) -> Arc<SharedSublinkMemo> {
         let memo = SharedSublinkMemo {
-            results: Mutex::new(MemoMap::new()),
-            probes: Mutex::new(MemoMap::new()),
+            entries: Mutex::new(MemoMap::new()),
             result_hits: AtomicU64::new(0),
             result_misses: AtomicU64::new(0),
         };
-        lock(&memo.results).set_capacity(capacity);
-        lock(&memo.probes).set_capacity(capacity);
+        lock(&memo.entries).set_capacity(capacity);
         Arc::new(memo)
     }
 
-    /// Drops every cached result and probe. The owner calls this when the
+    /// Drops every cached summary. The owner calls this when the
     /// underlying database changes; executors never clear a shared memo on
     /// their own.
     pub fn clear(&self) {
-        lock(&self.results).clear();
-        lock(&self.probes).clear();
+        lock(&self.entries).clear();
     }
 
-    /// Number of live entries across both maps (diagnostic).
+    /// Number of live entries (diagnostic).
     pub fn entry_count(&self) -> usize {
-        lock(&self.results).len() + lock(&self.probes).len()
+        lock(&self.entries).len()
     }
 
-    /// Approximate bytes held across both maps — the memo is byte-aware,
-    /// not just entry-aware, so a memory budget can account and reclaim it.
+    /// Approximate bytes held — the memo is byte-aware, not just
+    /// entry-aware, so a memory budget can account and reclaim it.
     pub fn byte_size(&self) -> u64 {
-        lock(&self.results).bytes() + lock(&self.probes).bytes()
+        lock(&self.entries).bytes()
     }
 
     /// Lookups served from the memo so far (across all sharing executors).
@@ -294,8 +278,8 @@ impl SharedSublinkMemo {
         self.result_misses.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn get_result(&self, key: &[u8]) -> Option<Arc<Relation>> {
-        let hit = lock(&self.results).get(key);
+    pub(crate) fn get(&self, key: &[u8]) -> Option<Arc<SublinkSummary>> {
+        let hit = lock(&self.entries).get(key);
         match &hit {
             Some(_) => self.result_hits.fetch_add(1, Ordering::Relaxed),
             None => self.result_misses.fetch_add(1, Ordering::Relaxed),
@@ -303,22 +287,8 @@ impl SharedSublinkMemo {
         hit
     }
 
-    pub(crate) fn insert_result(&self, key: Vec<u8>, value: Arc<Relation>) {
-        lock(&self.results).insert(key, value);
-    }
-
-    /// A probe hit counts as a hit; a miss counts nothing, because the
-    /// result lookup that follows it does.
-    pub(crate) fn get_probe(&self, key: &[u8]) -> Option<Arc<QuantProbe>> {
-        let hit = lock(&self.probes).get(key);
-        if hit.is_some() {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    pub(crate) fn insert_probe(&self, key: Vec<u8>, value: Arc<QuantProbe>) {
-        lock(&self.probes).insert(key, value);
+    pub(crate) fn insert(&self, key: Vec<u8>, value: Arc<SublinkSummary>) {
+        lock(&self.entries).insert(key, value);
     }
 }
 
@@ -351,41 +321,6 @@ impl MemoBytes for Arc<SharedSublinkMemo> {
     }
 }
 
-/// The compiled-path result memo wrapped for **spill-aware** reclaim: under
-/// budget pressure its entries are written to the executor's spill file
-/// (keyed by the same collision-proof compiled memo keys) instead of
-/// dropped, so a later miss reloads the relation through the buffer pool
-/// instead of re-executing the sublink.
-///
-/// Only the compiled result memo gets this treatment. Interpreter-path keys
-/// embed plan *node addresses*, which a later execution may reuse for a
-/// different plan — persisting them could alias, so they stay drop-only
-/// (the blanket impl above). Probes are rebuilt in one pass from a reloaded
-/// result relation, so they drop too.
-pub(crate) struct SpillableResultMemo(pub(crate) Rc<RefCell<MemoMap<Arc<Relation>>>>);
-
-impl MemoBytes for SpillableResultMemo {
-    fn current_bytes(&self) -> u64 {
-        self.0.borrow().bytes()
-    }
-
-    fn reclaim(&self) -> u64 {
-        let mut memo = self.0.borrow_mut();
-        let freed = memo.bytes();
-        memo.clear();
-        freed
-    }
-
-    fn reclaim_to_spill(&self, spill: &crate::spill::SpillManager) -> u64 {
-        let mut memo = self.0.borrow_mut();
-        let freed = memo.bytes();
-        for (key, value) in memo.drain_entries() {
-            spill.memo_store(&key, &value);
-        }
-        freed
-    }
-}
-
 impl std::fmt::Debug for SharedSublinkMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSublinkMemo")
@@ -398,7 +333,7 @@ impl std::fmt::Debug for SharedSublinkMemo {
 mod tests {
     use super::*;
     use perm_algebra::{CompareOp, SublinkKind};
-    use perm_storage::{Schema, Truth, Value};
+    use perm_storage::{Relation, Schema, Truth, Value};
 
     impl MemoCost for u32 {
         fn cost_bytes(&self) -> u64 {
@@ -457,39 +392,45 @@ mod tests {
         assert_eq!(m.len(), 4);
     }
 
-    /// The probe of the one-row result `{v}`.
-    fn probe_of(v: i64) -> Arc<QuantProbe> {
+    /// The `ANY` summary of the one-row result `{v}`.
+    fn probe_of(v: i64) -> Arc<SublinkSummary> {
         let result = Relation::from_rows(Schema::from_names(&["c"]), vec![vec![Value::Int(v)]]);
-        Arc::new(QuantProbe::build(&result).unwrap())
+        Arc::new(SublinkSummary::build(SublinkKind::Any, &result).unwrap())
     }
 
-    /// `v = ANY (probe's result)`.
-    fn any_eq(probe: &QuantProbe, v: i64) -> Truth {
-        probe.verdict(SublinkKind::Any, CompareOp::Eq, &Value::Int(v))
+    /// `v = ANY (summarised result)`.
+    fn any_eq(summary: &SublinkSummary, v: i64) -> Truth {
+        summary
+            .probe()
+            .verdict(SublinkKind::Any, CompareOp::Eq, &Value::Int(v))
+    }
+
+    fn found() -> Arc<SublinkSummary> {
+        Arc::new(SublinkSummary::Exists(true))
     }
 
     #[test]
     fn sharded_memo_round_trips_across_threads() {
         let memo = SharedSublinkMemo::new();
-        let rel = Arc::new(Relation::default());
+        let flag = found();
         std::thread::scope(|s| {
             for t in 0..4u8 {
                 let memo = &memo;
-                let rel = &rel;
+                let flag = &flag;
                 s.spawn(move || {
                     for i in 0..50u8 {
-                        memo.insert_result(vec![t, i], Arc::clone(rel));
-                        memo.insert_probe(vec![t, i], probe_of(i.into()));
+                        memo.insert(vec![t, i], Arc::clone(flag));
+                        memo.insert(vec![t, 100 + i], probe_of(i.into()));
                     }
                 });
             }
         });
         assert_eq!(memo.entry_count(), 2 * 4 * 50);
-        let hit = memo.get_result(&[2, 7]).expect("entry written by thread 2");
-        assert!(Arc::ptr_eq(&hit, &rel), "hits share the allocation");
-        let probe = memo.get_probe(&[3, 49]).expect("probe written by thread 3");
+        let hit = memo.get(&[2, 7]).expect("entry written by thread 2");
+        assert!(Arc::ptr_eq(&hit, &flag), "hits share the allocation");
+        let probe = memo.get(&[3, 149]).expect("probe written by thread 3");
         assert_eq!(any_eq(&probe, 49), Truth::True);
-        assert_eq!(memo.get_result(&[9, 9]), None);
+        assert!(memo.get(&[9, 9]).is_none());
         memo.clear();
         assert_eq!(memo.entry_count(), 0);
     }
@@ -498,16 +439,16 @@ mod tests {
     fn shared_memo_capacity_is_an_exact_lru_bound() {
         let memo = SharedSublinkMemo::with_capacity(Some(8));
         for i in 0..100u8 {
-            memo.insert_result(vec![i], Arc::new(Relation::default()));
+            memo.insert(vec![i], found());
             // Keep key 0 hot: a `get` refreshes its recency.
-            assert!(memo.get_result(&[0]).is_some());
+            assert!(memo.get(&[0]).is_some());
         }
         // Exactly the 8 most recently used keys remain: the refreshed key 0
         // and the last 7 inserted.
-        let results = lock(&memo.results);
-        assert_eq!(results.len(), 8);
+        let entries = lock(&memo.entries);
+        assert_eq!(entries.len(), 8);
         for key in [0u8, 93, 94, 95, 96, 97, 98, 99] {
-            assert!(results.contains(&[key]), "key {key} must survive");
+            assert!(entries.contains(&[key]), "key {key} must survive");
         }
     }
 
@@ -532,8 +473,8 @@ mod tests {
 
         let shared = SharedSublinkMemo::new();
         assert_eq!(shared.byte_size(), 0);
-        shared.insert_probe(vec![1], probe_of(1));
-        shared.insert_result(vec![2], Arc::new(Relation::default()));
+        shared.insert(vec![1], probe_of(1));
+        shared.insert(vec![2], found());
         assert!(shared.byte_size() > 0);
         shared.clear();
         assert_eq!(shared.byte_size(), 0);
@@ -542,12 +483,12 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_for_the_next_query() {
         let memo = SharedSublinkMemo::new();
-        memo.insert_probe(vec![1], probe_of(1));
-        // A worker panics while holding the probe map's lock, poisoning the
+        memo.insert(vec![1], probe_of(1));
+        // A worker panics while holding the map's lock, poisoning the
         // mutex.
         let worker = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = memo.probes.lock().unwrap();
+                let _guard = memo.entries.lock().unwrap();
                 panic!("worker dies inside the critical section");
             })
             .join()
@@ -556,9 +497,9 @@ mod tests {
         // Every operation on that map still succeeds: the entries are
         // internally consistent (each write is one complete insert), so the
         // poison is recovered rather than propagated.
-        assert_eq!(any_eq(&memo.get_probe(&[1]).unwrap(), 1), Truth::True);
-        memo.insert_probe(vec![1, 1], probe_of(2));
-        assert_eq!(any_eq(&memo.get_probe(&[1, 1]).unwrap(), 1), Truth::False);
+        assert_eq!(any_eq(&memo.get(&[1]).unwrap(), 1), Truth::True);
+        memo.insert(vec![1, 1], probe_of(2));
+        assert_eq!(any_eq(&memo.get(&[1, 1]).unwrap(), 1), Truth::False);
         assert!(memo.byte_size() > 0);
         memo.clear();
         assert_eq!(memo.entry_count(), 0);

@@ -24,9 +24,12 @@
 //!   UNKNOWN.
 //! * whether the result holds a NULL, which compares UNKNOWN with anything.
 //!
-//! The compiled path memoizes one probe per sublink binding (the
-//! executor's probe memo, or the shared memo's probe map) and reads one
-//! verdict from it per outer row; `tests/quant_probe.rs` checks every
+//! A probe is one of the three forms of [`SublinkSummary`], what the
+//! compiled path memoizes per sublink binding in place of the result
+//! relation: a sublink in a condition only ever yields a verdict, so
+//! `EXISTS` keeps whether a row was found, a scalar sublink its one value,
+//! and `ANY` / `ALL` the probe. The path reads one verdict per outer row
+//! from the memoized summary; `tests/quant_probe.rs` checks every
 //! (quantifier, operator) pair against the fold.
 
 use crate::eval::check_quantified_arity;
@@ -57,8 +60,9 @@ pub struct QuantProbe {
     /// `(min, max)` under `sql_cmp` per comparison class (numeric, `Str`);
     /// `None` when the result holds no value of that class.
     bounds: [Option<(Value, Value)>; 2],
-    /// Approximate heap footprint, for the memos' byte accounting.
-    bytes: u64,
+    /// Approximate heap bytes of the key set, for the memo's byte
+    /// accounting.
+    heap_bytes: u64,
 }
 
 impl QuantProbe {
@@ -70,7 +74,7 @@ impl QuantProbe {
             keys: HashSet::new(),
             has_null: false,
             bounds: [None, None],
-            bytes: std::mem::size_of::<QuantProbe>() as u64,
+            heap_bytes: 0,
         };
         for row in result.tuples() {
             let v = row.get(0);
@@ -83,7 +87,7 @@ impl QuantProbe {
                 // An equal value is already in the bounds, too.
                 continue;
             }
-            probe.bytes += key.len() as u64 + 32;
+            probe.heap_bytes += key.len() as u64 + 32;
             probe.keys.insert(key);
             match &mut probe.bounds[class] {
                 None => probe.bounds[class] = Some((v.clone(), v.clone())),
@@ -145,8 +149,62 @@ impl QuantProbe {
     }
 }
 
-impl MemoCost for Arc<QuantProbe> {
+/// What a compiled sublink's verdict needs from one execution of its plan
+/// (see the module docs). Its size does not depend on how many rows the
+/// sublink returned, except through the distinct values an `ANY` / `ALL`
+/// probe keeps.
+#[derive(Debug)]
+pub(crate) enum SublinkSummary {
+    /// `EXISTS`: whether the result holds a row.
+    Exists(bool),
+    /// A scalar sublink: the result's one value, NULL when it is empty.
+    Scalar(Value),
+    /// `ANY` / `ALL`: the result's probe.
+    Quant(QuantProbe),
+}
+
+impl SublinkSummary {
+    /// Summarises a sublink result for its kind. Fails exactly where a
+    /// verdict read from the result would: a scalar result of more than
+    /// one row or column, an `ANY` / `ALL` result of other than one column.
+    pub(crate) fn build(kind: SublinkKind, result: &Relation) -> Result<SublinkSummary> {
+        Ok(match kind {
+            SublinkKind::Exists => SublinkSummary::Exists(!result.is_empty()),
+            SublinkKind::Scalar => {
+                SublinkSummary::Scalar(crate::eval::scalar_sublink_value(result)?)
+            }
+            SublinkKind::Any | SublinkKind::All => {
+                SublinkSummary::Quant(QuantProbe::build(result)?)
+            }
+        })
+    }
+
+    /// The value of an `EXISTS` or scalar sublink.
+    pub(crate) fn value(&self) -> Value {
+        match self {
+            SublinkSummary::Exists(found) => Value::Bool(*found),
+            SublinkSummary::Scalar(v) => v.clone(),
+            SublinkSummary::Quant(_) => unreachable!("an ANY / ALL summary has no value"),
+        }
+    }
+
+    /// The probe of an `ANY` / `ALL` sublink.
+    pub(crate) fn probe(&self) -> &QuantProbe {
+        match self {
+            SublinkSummary::Quant(probe) => probe,
+            _ => unreachable!("only an ANY / ALL summary holds a probe"),
+        }
+    }
+}
+
+impl MemoCost for Arc<SublinkSummary> {
     fn cost_bytes(&self) -> u64 {
-        self.bytes
+        let heap = match &**self {
+            SublinkSummary::Exists(_) => 0,
+            SublinkSummary::Scalar(Value::Str(s)) => s.capacity() as u64,
+            SublinkSummary::Scalar(_) => 0,
+            SublinkSummary::Quant(probe) => probe.heap_bytes,
+        };
+        std::mem::size_of::<SublinkSummary>() as u64 + heap
     }
 }

@@ -20,24 +20,22 @@
 //!   memo insertion (both the executor-private memos and a shared
 //!   [`crate::SharedSublinkMemo`] have byte-aware accounting, not just entry
 //!   counts). On pressure the executor walks a **degradation ladder**, each
-//!   rung recorded on [`Degradation`] so the session can surface how far it
-//!   had to go:
+//!   rung it pays for recorded on [`Degradation`] so the session can
+//!   surface how far it had to go:
 //!
-//!   1. *Spill to disk* (when enabled via `Executor::with_spill`): reclaimed
-//!      compiled sublink-memo entries are written to a spill file instead of
-//!      dropped — a later miss reloads the relation instead of re-executing
-//!      the sublink — and the growing operators move their state out of core
-//!      (grace hash join, external merge sort, partitioned aggregation in
-//!      `crate::physical`). Costs only I/O, never recomputation.
-//!   2. *Reclaim memos*: the memos that cannot be spilled (interpreter-path
-//!      entries are keyed by plan node addresses; `ANY`/`ALL` probes are
-//!      rebuilt in one pass from their result) are cleared — losing only
+//!   1. *Drop memos*: every registered memo is cleared — losing only
 //!      speed, never correctness, since a memo miss simply re-executes the
-//!      sublink. A probe insert the budget refuses is not kept: the next
-//!      lookup rebuilds it.
-//!   3. *Fail*: only when neither spilling nor reclaiming frees enough does
-//!      the query fail with `ExecError::ResourceExhausted`, naming the
-//!      operator.
+//!      sublink. An entry whose insert the budget refuses is not kept
+//!      either: the next lookup rebuilds it. Nothing is persisted: a
+//!      compiled-path entry is a small summary of the sublink's result,
+//!      not the result.
+//!   2. *Spill to disk* (when enabled via `Executor::with_spill`): when
+//!      dropping the memos did not free enough, the growing operators move
+//!      their state out of core (grace hash join, external merge sort,
+//!      partitioned aggregation in `crate::physical`). Costs only I/O,
+//!      never recomputation.
+//!   3. *Fail*: only when neither frees enough does the query fail with
+//!      `ExecError::ResourceExhausted`, naming the operator.
 //! * [`FaultPlan`] — a deterministic fault injector for crash-consistency
 //!   testing: it fires a cancellation, a budget exhaustion, or an injected
 //!   panic at the *N*-th checkpoint / memo-insert / operator event.
@@ -349,13 +347,6 @@ pub enum TraceSignal {
         /// The memo site label.
         label: String,
     },
-    /// Spill-file write of `bytes` payload.
-    Spill {
-        /// What was spilled (e.g. `"memo-entry"`).
-        label: String,
-        /// Payload bytes written.
-        bytes: u64,
-    },
     /// The degradation ladder moved to a worse rung.
     Rung {
         /// The rung just reached.
@@ -378,19 +369,22 @@ pub enum TraceSignal {
 /// session surfaces it (`SessionStats::degradation`) so callers can tell a
 /// query that merely ran slower from one that shed cached work or died.
 ///
-/// The ordering encodes the ladder's cost model: spilling to disk preserves
-/// every computed result (pure I/O cost), reclaiming memos forfeits cached
-/// sublink results (recomputation cost), and exhaustion fails the query.
+/// The ordering encodes what each rung costs, not the order the governor
+/// tries them in: spilling operator state preserves every computed result
+/// (pure I/O cost), dropping memos forfeits cached sublink summaries
+/// (recomputation cost), and exhaustion fails the query. On pressure the
+/// governor drops the memos first and spills only if that did not free
+/// enough, so a query that did both reports `ReclaimedMemos`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Degradation {
     /// The budget (if any) was never exceeded.
     #[default]
     None,
-    /// Operator state or reclaimed memo entries moved to spill files; every
-    /// result stayed available, only I/O was paid.
+    /// Operator state moved to spill files; every result stayed available,
+    /// only I/O was paid.
     SpilledToDisk,
-    /// Registered memos were cleared (dropped, not spilled) under pressure —
-    /// later sublink misses re-execute.
+    /// Registered memos were cleared under pressure — later sublink misses
+    /// re-execute.
     ReclaimedMemos,
     /// Spilling and reclaiming did not free enough; a query failed with
     /// `ExecError::ResourceExhausted`.
@@ -402,14 +396,6 @@ pub enum Degradation {
 pub(crate) trait MemoBytes {
     fn current_bytes(&self) -> u64;
     fn reclaim(&self) -> u64;
-
-    /// Reclaim with a live spill manager available: implementations that can
-    /// persist their entries (the compiled result memo, whose keys are
-    /// process-unique) write them out before dropping; the default just
-    /// drops, like [`MemoBytes::reclaim`].
-    fn reclaim_to_spill(&self, _spill: &SpillManager) -> u64 {
-        self.reclaim()
-    }
 }
 
 /// The executor's resilience state: the installed cancel token, fault plan
@@ -613,26 +599,6 @@ impl Governor {
         });
     }
 
-    /// Looks up a previously spilled compiled-memo entry.
-    pub(crate) fn spill_fetch_result(&self, key: &[u8]) -> Option<Arc<Relation>> {
-        self.spill.borrow().as_ref()?.memo_fetch(key)
-    }
-
-    /// Writes a memo entry that could not stay resident to the spill file,
-    /// so future misses reload it instead of re-executing the sublink.
-    /// A no-op when spilling is off; I/O failures silently fall back to the
-    /// recompute-on-miss behaviour.
-    pub(crate) fn spill_store_result(&self, key: &[u8], value: &Relation) {
-        if let Some(mgr) = self.spill() {
-            mgr.memo_store(key, value);
-            self.note_rung(Degradation::SpilledToDisk);
-            self.emit(|| TraceSignal::Spill {
-                label: "memo-entry".to_string(),
-                bytes: relation_bytes(value),
-            });
-        }
-    }
-
     /// Registers a memo for byte accounting and budget-pressure reclaim.
     pub(crate) fn register_memo(&self, memo: Box<dyn MemoBytes>) {
         self.memos.borrow_mut().push(memo);
@@ -706,18 +672,10 @@ impl Governor {
         Ok(())
     }
 
-    /// Reclaims every registered memo — writing entries to the spill file
-    /// when a spill manager is live (or can be created), dropping them
-    /// otherwise — and records the matching degradation rung.
+    /// Drops the entries of every registered memo and records the matching
+    /// degradation rung.
     fn reclaim_memos(&self) {
-        let spill = self.spill();
-        let mut freed = 0;
-        for memo in self.memos.borrow().iter() {
-            freed += match &spill {
-                Some(mgr) => memo.reclaim_to_spill(mgr),
-                None => memo.reclaim(),
-            };
-        }
+        let freed: u64 = self.memos.borrow().iter().map(|m| m.reclaim()).sum();
         if freed > 0 {
             self.note_rung(Degradation::ReclaimedMemos);
         }

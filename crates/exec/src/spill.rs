@@ -1,21 +1,20 @@
 //! The executor's spill-to-disk substrate: one per-executor [`SpillManager`]
-//! owning the spill directory, the heap files the out-of-core operators
-//! write, and the spilled-memo index.
+//! owning the spill directory and the heap files the out-of-core operators
+//! write.
 //!
 //! Everything here is *execution state*, never durable data: the manager
 //! wraps a [`perm_storage::StorageManager`], whose directory is removed when
-//! the executor drops. Three consumers share it:
+//! the executor drops. Its consumers are the operators of
+//! `crate::physical`:
 //!
-//! * the **grace hash join** and **partitioned aggregation** in
-//!   `crate::physical`, which hash-partition their state across heap files
-//!   ([`fnv1a`] over the encoded key, so partition assignment is
-//!   deterministic across runs and processes);
-//! * the **external merge sort**, which writes sorted runs;
-//! * the **governor's memo spill** (`crate::resilience`): compiled
-//!   sublink-memo entries reclaimed under budget pressure are appended to a
-//!   dedicated heap file and indexed by their (process-unique) memo key, so
-//!   a later miss reloads the relation through the buffer pool instead of
-//!   re-executing the sublink.
+//! * the **grace hash join** and **partitioned aggregation**, which
+//!   hash-partition their state across heap files ([`fnv1a`] over the
+//!   encoded key, so partition assignment is deterministic across runs and
+//!   processes);
+//! * the **external merge sort**, which writes sorted runs.
+//!
+//! Sublink memo entries are never spilled: under budget pressure the
+//! governor drops them (`crate::resilience`).
 //!
 //! The record codecs bundled here frame the operator payloads — `(key,
 //! tuple)` build rows, `(ordinal, key)` probe rows, `(keys, tuple)` sort
@@ -26,14 +25,11 @@
 use crate::aggregate::Accumulator;
 use crate::Result;
 use perm_storage::{
-    decode_relation, decode_row, encode_relation, encode_row, BufferPool, HeapFile, RecordId,
-    Relation, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES,
+    decode_row, encode_row, BufferPool, HeapFile, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES,
 };
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::path::Path;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// FNV-1a over a byte string: the deterministic partitioning hash of the
 /// spill paths. Deliberately *not* `DefaultHasher` — partition assignment is
@@ -50,12 +46,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// Owner of the executor's spill directory, files and counters.
 pub(crate) struct SpillManager {
     store: StorageManager,
-    /// Heap file holding reclaimed memo entries, created on first store.
-    memo_file: RefCell<Option<Rc<HeapFile>>>,
-    /// Memo key → record address inside `memo_file`. A key stored twice
-    /// keeps the newest record (identical content — sublink results are
-    /// pure functions of the database, binding and parameters).
-    memo_index: RefCell<HashMap<Vec<u8>, RecordId>>,
     /// Total payload bytes written across all spill files.
     spilled_bytes: Cell<u64>,
     /// Partition files and sort runs created.
@@ -68,8 +58,6 @@ impl SpillManager {
     pub(crate) fn create(base: Option<&Path>) -> perm_storage::Result<SpillManager> {
         Ok(SpillManager {
             store: StorageManager::create(base, DEFAULT_POOL_PAGES)?,
-            memo_file: RefCell::new(None),
-            memo_index: RefCell::new(HashMap::new()),
             spilled_bytes: Cell::new(0),
             partitions: Cell::new(0),
         })
@@ -115,54 +103,6 @@ impl SpillManager {
 
     pub(crate) fn partitions(&self) -> u64 {
         self.partitions.get()
-    }
-
-    /// Writes one reclaimed memo entry and indexes it by key. I/O failures
-    /// are swallowed: the entry is simply not spilled, and a later miss
-    /// falls back to re-executing the sublink — the pre-spill behaviour.
-    pub(crate) fn memo_store(&self, key: &[u8], value: &Relation) {
-        let file = {
-            let mut slot = self.memo_file.borrow_mut();
-            match &*slot {
-                Some(f) => Rc::clone(f),
-                None => match self.create_file("memo") {
-                    Ok(f) => {
-                        *slot = Some(Rc::clone(&f));
-                        f
-                    }
-                    Err(_) => return,
-                },
-            }
-        };
-        let mut buf = Vec::new();
-        encode_relation(value, &mut buf);
-        let Ok(rid) = file.append_record(&buf) else {
-            return;
-        };
-        // Seal per store: the entry must be readable before the next fetch,
-        // and the memo file has no batching writer to defer to.
-        if file.seal().is_err() {
-            return;
-        }
-        self.note_spilled(buf.len() as u64);
-        self.memo_index.borrow_mut().insert(key.to_vec(), rid);
-    }
-
-    /// Reloads a spilled memo entry through the buffer pool. `None` on any
-    /// failure — a reload problem degrades to recomputation, never to an
-    /// error.
-    pub(crate) fn memo_fetch(&self, key: &[u8]) -> Option<Arc<Relation>> {
-        let rid = *self.memo_index.borrow().get(key)?;
-        let file = Rc::clone(self.memo_file.borrow().as_ref()?);
-        let record = self.pool().read_record(&file, rid).ok()?;
-        let mut pos = 0;
-        decode_relation(&record, &mut pos).ok().map(Arc::new)
-    }
-
-    /// Number of live spilled-memo entries (diagnostic).
-    #[cfg(test)]
-    pub(crate) fn memo_entries(&self) -> usize {
-        self.memo_index.borrow().len()
     }
 }
 
@@ -295,7 +235,6 @@ pub(crate) fn decode_agg_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perm_storage::Schema;
 
     #[test]
     fn fnv1a_is_stable_and_spreads() {
@@ -352,27 +291,5 @@ mod tests {
         assert_eq!(accs[0].finish(), Value::Float(4.0));
         assert_eq!(accs[1].finish(), Value::Int(0));
         assert!(decode_agg_group(&buf[..9]).is_err());
-    }
-
-    #[test]
-    fn memo_store_and_fetch_round_trip_through_the_pool() {
-        let mgr = SpillManager::create(None).unwrap();
-        let rel = Relation::from_rows(
-            Schema::from_names(&["a"]),
-            (0..50).map(|i| vec![Value::Int(i)]).collect(),
-        );
-        assert!(mgr.memo_fetch(b"k1").is_none());
-        mgr.memo_store(b"k1", &rel);
-        mgr.memo_store(b"k2", &Relation::empty(Schema::from_names(&["x"])));
-        assert_eq!(mgr.memo_entries(), 2);
-        assert!(mgr.spilled_bytes() > 0);
-        let back = mgr.memo_fetch(b"k1").expect("stored entry is fetchable");
-        assert_eq!(*back, rel);
-        assert!(mgr.memo_fetch(b"k2").unwrap().is_empty());
-        assert!(mgr.memo_fetch(b"k3").is_none());
-        // Re-storing a key keeps exactly one index entry.
-        mgr.memo_store(b"k1", &rel);
-        assert_eq!(mgr.memo_entries(), 2);
-        assert_eq!(*mgr.memo_fetch(b"k1").unwrap(), rel);
     }
 }

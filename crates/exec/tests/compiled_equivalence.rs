@@ -6,10 +6,10 @@
 //! on and off.
 
 use perm_algebra::builder::{
-    self, all_sublink, any_sublink, col, count_star, eq, exists_sublink, lit, not, qcol,
+    self, all_sublink, any_sublink, col, count_star, eq, exists_sublink, lit, max, not, qcol,
     scalar_sublink, sum, PlanBuilder,
 };
-use perm_algebra::{CompareOp, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_algebra::{CompareOp, Expr, Plan, ProjectItem, SetOpKind, SortKey};
 use perm_core::{ProvenanceQuery, Strategy};
 use perm_exec::Executor;
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
@@ -443,4 +443,60 @@ fn memo_cuts_gen_rewritten_q3_operators_five_fold_and_more_as_the_outer_side_gro
         off as f64 / on as f64 > small_off as f64 / small_on as f64,
         "the memo's cut must grow with |R1|: {small_off}/{small_on} at 20, {off}/{on} at 1000"
     );
+}
+
+/// `σ_{r2.g = r1.g}(r2)`: one binding per `r1.g` value (32 groups), each
+/// matching about `|r2| / 32` rows.
+fn r2_group(db: &Database) -> PlanBuilder {
+    PlanBuilder::scan(db, "r2")
+        .unwrap()
+        .select(eq(qcol("r2", "g"), qcol("r1", "g")))
+}
+
+/// A sublink-bearing predicate over `r1`, built against a database.
+type Predicate = fn(&Database) -> Expr;
+
+/// The memo's memory contract: an entry holds what a verdict needs — an
+/// `EXISTS` flag, a scalar value, an `ANY` probe of the group's one
+/// distinct `g` — never the sublink's result, so the bytes a correlated
+/// sublink memoizes over 200 outer rows are the same whether each binding
+/// matches ~12 inner rows or ~125.
+#[test]
+fn a_memo_entry_does_not_grow_with_the_sublink_result() {
+    let cases: [(&str, Predicate); 3] = [
+        ("EXISTS", |db| exists_sublink(r2_group(db).build())),
+        ("scalar", |db| {
+            builder::cmp(
+                CompareOp::Lt,
+                qcol("r1", "b"),
+                scalar_sublink(
+                    r2_group(db)
+                        .aggregate(vec![], vec![max(qcol("r2", "b"), "m")])
+                        .build(),
+                ),
+            )
+        }),
+        ("ANY", |db| {
+            any_sublink(
+                qcol("r1", "g"),
+                CompareOp::Eq,
+                r2_group(db).project_columns(&["g"]).build(),
+            )
+        }),
+    ];
+    for (label, sublink) in cases {
+        let peak_bytes = |r2_rows: usize| {
+            let db = build_database(200, r2_rows, 7);
+            let q = PlanBuilder::scan(&db, "r1")
+                .unwrap()
+                .select(sublink(&db))
+                .build();
+            let ex = Executor::new(&db);
+            ex.execute(&q).unwrap();
+            ex.peak_bytes()
+        };
+        let small = peak_bytes(400);
+        assert!(small > 0, "{label}: the memo holds entries");
+        assert_eq!(small, peak_bytes(4000), "{label}");
+    }
 }

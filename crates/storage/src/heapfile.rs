@@ -2,13 +2,13 @@
 //!
 //! A [`HeapFile`] is the unit of spill storage: records of arbitrary length
 //! are appended ([`HeapFile::append_record`]) and come back either by
-//! [`RecordId`] (random access, used by the memo spill index) or through a
-//! sequential scan in append order (used by grace-join partitions, sort
-//! runs and aggregate partitions). A record longer than one page's payload
-//! capacity is **fragmented**: its bytes — a `u32` length prefix followed by
-//! the payload — are streamed across consecutive slots and pages, and the
-//! [`RecordAssembler`] reassembles them on the way back, so callers never
-//! see page boundaries.
+//! [`RecordId`] (random access through [`crate::BufferPool::read_record`])
+//! or through a sequential scan in append order (used by grace-join
+//! partitions, sort runs and aggregate partitions). A record longer than
+//! one page's payload capacity is **fragmented**: its bytes — a `u32`
+//! length prefix followed by the payload — are streamed across consecutive
+//! slots and pages, and the [`RecordAssembler`] reassembles them on the way
+//! back, so callers never see page boundaries.
 //!
 //! Writes go through an in-memory *tail page* that is written out when full
 //! or when the writer calls [`HeapFile::seal`]. Sealing is a visibility

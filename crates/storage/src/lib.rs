@@ -31,10 +31,7 @@ pub use keys::{
     encode_key_typed_column, encode_tuple_key,
 };
 pub use manager::{PagedRelation, StorageManager, DEFAULT_POOL_PAGES};
-pub use page::{
-    decode_relation, decode_row, decode_value, encode_relation, encode_row, encode_value, Page,
-    PAGE_SIZE,
-};
+pub use page::{decode_row, decode_value, encode_row, encode_value, Page, PAGE_SIZE};
 pub use relation::Relation;
 pub use schema::{Attribute, DataType, Schema};
 pub use tuple::Tuple;

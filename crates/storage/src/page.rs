@@ -15,13 +15,9 @@
 //! beyond 2⁵³ survive a disk round trip bit-for-bit — the differential
 //! corpus compares spilled runs against resident runs for byte-identical
 //! bags, so "close enough" decoding would show up as a semantics bug.
-//! On top of single values the module layers row, schema and whole-relation
-//! codecs (the latter backs the governor's memo spill, which persists
-//! `Arc<Relation>` sublink results).
+//! On top of single values the module layers a count-prefixed row codec,
+//! which every spill record and paged relation is built from.
 
-use crate::relation::Relation;
-use crate::schema::{Attribute, DataType, Schema};
-use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::{Result, StorageError};
 
@@ -177,7 +173,7 @@ impl std::fmt::Debug for Page {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec: values, rows, schemas, relations
+// Binary codec: values and rows
 // ---------------------------------------------------------------------------
 
 const TAG_NULL: u8 = 0;
@@ -287,90 +283,6 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
     Ok(values)
 }
 
-fn dtype_tag(dtype: DataType) -> u8 {
-    match dtype {
-        DataType::Bool => 0,
-        DataType::Int => 1,
-        DataType::Float => 2,
-        DataType::Str => 3,
-        DataType::Date => 4,
-        DataType::Any => 5,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Bool,
-        1 => DataType::Int,
-        2 => DataType::Float,
-        3 => DataType::Str,
-        4 => DataType::Date,
-        5 => DataType::Any,
-        other => {
-            return Err(StorageError::Corrupt(format!(
-                "unknown data-type tag {other} in schema record"
-            )))
-        }
-    })
-}
-
-/// Appends the binary encoding of a schema (names, qualifiers, types).
-pub fn encode_schema(schema: &Schema, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(schema.arity() as u32).to_le_bytes());
-    for attr in schema.attributes() {
-        write_str(&attr.name, out);
-        match &attr.qualifier {
-            None => out.push(0),
-            Some(q) => {
-                out.push(1);
-                write_str(q, out);
-            }
-        }
-        out.push(dtype_tag(attr.dtype));
-    }
-}
-
-/// Decodes a schema at `pos`, advancing it.
-pub fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
-    let n = read_u32(buf, pos)? as usize;
-    let mut attrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = read_string(buf, pos)?;
-        let qualifier = match take(buf, pos, 1)?[0] {
-            0 => None,
-            _ => Some(read_string(buf, pos)?),
-        };
-        let dtype = dtype_from_tag(take(buf, pos, 1)?[0])?;
-        attrs.push(Attribute {
-            name,
-            qualifier,
-            dtype,
-        });
-    }
-    Ok(Schema::new(attrs))
-}
-
-/// Appends the binary encoding of a whole relation (schema + tuples) —
-/// the memo-spill record format.
-pub fn encode_relation(rel: &Relation, out: &mut Vec<u8>) {
-    encode_schema(rel.schema(), out);
-    out.extend_from_slice(&(rel.len() as u32).to_le_bytes());
-    for t in rel.tuples() {
-        encode_row(t.values(), out);
-    }
-}
-
-/// Decodes a relation at `pos`, advancing it.
-pub fn decode_relation(buf: &[u8], pos: &mut usize) -> Result<Relation> {
-    let schema = decode_schema(buf, pos)?;
-    let n = read_u32(buf, pos)? as usize;
-    let mut tuples = Vec::with_capacity(n);
-    for _ in 0..n {
-        tuples.push(Tuple::new(decode_row(buf, pos)?));
-    }
-    Relation::new(schema, tuples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,27 +383,5 @@ mod tests {
         assert!(decode_value(&buf[..5], &mut pos).is_err());
         let mut pos = 0;
         assert!(decode_value(&[99u8], &mut pos).is_err(), "unknown tag");
-    }
-
-    #[test]
-    fn relation_codec_round_trips_schema_and_rows() {
-        let schema = Schema::new(vec![
-            Attribute::qualified("r", "a", DataType::Int),
-            Attribute::new("b", DataType::Str),
-        ]);
-        let rel = Relation::from_rows(
-            schema,
-            vec![
-                vec![Value::Int(1), Value::str("x")],
-                vec![Value::Null, Value::Str(String::new())],
-            ],
-        );
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        let mut pos = 0;
-        let back = decode_relation(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
-        assert_eq!(back, rel);
-        assert_eq!(back.schema().attr(0).qualifier.as_deref(), Some("r"));
     }
 }

@@ -7,10 +7,9 @@
 //! working state cannot fit. Setting [`perm::SessionConfig::spill`] adds
 //! the out-of-core rungs before that last resort: the hash join goes
 //! grace (build and probe sides partitioned to slotted-page heap files),
-//! the sort switches to external merge runs, and reclaimed sublink-memo
-//! entries are persisted instead of dropped. Spilled state is read back
-//! through a pinning buffer pool, and the result is row-for-row identical
-//! to the unbudgeted run.
+//! and the sort switches to external merge runs. Spilled state is read
+//! back through a pinning buffer pool, and the result is row-for-row
+//! identical to the unbudgeted run.
 //!
 //! Run with `cargo run --example out_of_core`.
 

@@ -83,8 +83,8 @@
 //!   [`RingTraceSink`] is a bounded ring buffer) via
 //!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline
 //!   phase spans (parse, bind, rewrite, optimize, compile, execute with
-//!   wall times), sublink-memo inserts and hits, spill writes,
-//!   degradation-rung transitions, and cancellation checkpoints that fired.
+//!   wall times), sublink-memo inserts and hits, degradation-rung
+//!   transitions, and cancellation checkpoints that fired.
 //! * **Session counters** — [`Session::stats`] snapshots the monotone
 //!   [`SessionStats`] counters (see its *Counter semantics* section).
 //! * **Serving metrics** — the `perm-serve` crate aggregates per-worker

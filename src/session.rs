@@ -327,10 +327,12 @@ pub struct SessionConfig {
     /// (default `true`; the uncorrelated InitPlan caching stays on either
     /// way).
     pub sublink_memo: bool,
-    /// Optional LRU bound on each memo — sublink results and the `ANY`/`ALL`
-    /// probes summarising them — (default `None`, i.e. unbounded — the
-    /// established behaviour). Bounding the memos trades repeated sublink
-    /// work for bounded memory on high-cardinality correlations.
+    /// Optional LRU bound, in entries, on each of the executor's private
+    /// sublink memos (default `None`, i.e. unbounded — the established
+    /// behaviour). A compiled-path entry holds what one binding's verdict
+    /// needs — an `EXISTS` flag, a scalar value or an `ANY`/`ALL` probe —
+    /// never the sublink's result. Bounding the memos trades repeated
+    /// sublink work for bounded memory on high-cardinality correlations.
     pub memo_capacity: Option<usize>,
     /// Whether memo entries are retained across executions of the same
     /// [`Prepared`] statement (default `true` — parameter values are part
@@ -356,9 +358,11 @@ pub struct SessionConfig {
     pub columnar: bool,
     /// Optional cross-thread sublink memo (default `None`). When set, every
     /// session opened with this configuration attaches the memo to its
-    /// executor ([`perm_exec::Executor::with_shared_memo`]), so compiled
-    /// correlated-sublink results and `ANY`/`ALL` probes are shared
-    /// between sessions — across worker threads. The concurrent serving
+    /// executor ([`perm_exec::Executor::with_shared_memo`]), so the
+    /// compiled path's sublink summaries (one map of them, bounded by
+    /// [`SharedSublinkMemo::with_capacity`] rather than by
+    /// [`SessionConfig::memo_capacity`]) are shared between sessions —
+    /// across worker threads. The concurrent serving
     /// subsystem (`perm-serve`) sets this for its worker sessions; combine
     /// with `retain_memo` (the default) so the warmed entries survive
     /// between executions.
@@ -384,18 +388,20 @@ pub struct SessionConfig {
     /// Optional memory budget in bytes for the session's executor (default
     /// `None` = unbounded). Execution state (join build tables, aggregation
     /// groups, sort keys) and memo entries are accounted against it; under
-    /// pressure the memos are reclaimed first (a speed loss, not an error),
-    /// and only when an operator still cannot grow does execution fail with
-    /// [`perm_exec::ExecError::ResourceExhausted`] naming the operator.
+    /// pressure the memo entries are dropped first (a speed loss, not an
+    /// error), then operator state spills if [`SessionConfig::spill`] is
+    /// on, and only when an operator still cannot grow does execution fail
+    /// with [`perm_exec::ExecError::ResourceExhausted`] naming the
+    /// operator.
     /// Execution-only, like the memo knobs: not part of the plan-cache key.
     pub memory_budget: Option<u64>,
     /// Whether execution may **spill to disk** under memory pressure
     /// (default `false`). With a [`SessionConfig::memory_budget`] set and
     /// spilling on, the growing operators go out of core instead of
     /// failing — grace hash join, external merge sort, partitioned
-    /// aggregation — and reclaimed sublink-memo entries are persisted for
-    /// reload instead of dropped, demoting
-    /// [`perm_exec::ExecError::ResourceExhausted`] to a last resort.
+    /// aggregation — once dropping the memo entries has not freed enough,
+    /// demoting [`perm_exec::ExecError::ResourceExhausted`] to a last
+    /// resort. Memo entries themselves are never spilled.
     /// Results are bag- and order-identical to in-memory execution; the
     /// spill counters on [`SessionStats`] and
     /// [`SessionStats::degradation`] record what happened. Execution-only:
@@ -417,8 +423,8 @@ pub struct SessionConfig {
     /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `optimize`,
     /// `compile`, `execute`, each carrying its wall time in nanoseconds),
     /// plus the executor's resilience events — sublink-memo inserts and
-    /// hits, spill writes, degradation-rung transitions, and cancellation
-    /// checkpoints that actually fired. With no sink attached the
+    /// hits, degradation-rung transitions, and cancellation checkpoints
+    /// that actually fired. With no sink attached the
     /// executor's emission seam is a single `Option` check; nothing is
     /// allocated or recorded.
     /// The bundled [`perm_core::RingTraceSink`] keeps the most recent
@@ -479,7 +485,6 @@ fn bridge_signal(signal: TraceSignal) -> TraceEvent {
             TraceEvent::new(TraceKind::MemoInsert, label, bytes)
         }
         TraceSignal::MemoHit { label } => TraceEvent::new(TraceKind::MemoHit, label, 0),
-        TraceSignal::Spill { label, bytes } => TraceEvent::new(TraceKind::Spill, label, bytes),
         TraceSignal::Rung { rung } => TraceEvent::new(TraceKind::Rung, format!("{rung:?}"), 0),
         TraceSignal::CancelFired { operator } => {
             TraceEvent::new(TraceKind::CancelFired, operator, 0)
@@ -567,7 +572,7 @@ pub struct SessionStats {
     /// transient operator state is only accounted under a budget.
     pub peak_bytes: u64,
     /// Total payload bytes written to spill files (grace-join partitions,
-    /// sort runs, aggregate partitions, persisted memo entries). Zero
+    /// sort runs, aggregate partitions). Zero
     /// unless [`SessionConfig::spill`] is on and pressure occurred.
     pub spilled_bytes: u64,
     /// Spill partition files and sort runs created.
@@ -585,7 +590,7 @@ pub struct SessionStats {
     pub buffer_pool_capacity: u64,
     /// Worst [`Degradation`] rung the executor reached under memory
     /// pressure: `None` (never over budget), `SpilledToDisk` (state moved
-    /// to disk, no work lost), `ReclaimedMemos` (cached sublink results
+    /// to disk, no work lost), `ReclaimedMemos` (cached sublink summaries
     /// dropped) or `Exhausted` (a query failed).
     pub degradation: Degradation,
 }

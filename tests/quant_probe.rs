@@ -9,8 +9,9 @@
 //!   1024 and 1025 outer rows give the reference's rows *as a list* in
 //!   every execution mode, and a failing one raises exactly where the
 //!   reference does;
-//! * probes are memoized per parameter vector, survive a budget that
-//!   refuses them, and are shared through a `SharedSublinkMemo`;
+//! * probes are memoized, as the sublink's summary, per parameter vector,
+//!   survive a budget that refuses them, and are shared through a
+//!   `SharedSublinkMemo`;
 //! * an `IN` / `ANY` / `ALL` subquery of more than one column is refused —
 //!   at bind time in SQL, with a typed error for a hand-built plan.
 
@@ -431,8 +432,9 @@ fn a_budget_that_refuses_the_probe_still_answers_correctly() {
             unbudgeted.execute(&plan).unwrap().tuples(),
             reference.tuples()
         );
-        // One byte: every memo insert is refused, so probes are rebuilt —
-        // per batch, or per row — and nothing else changes.
+        // One byte: every memo insert is refused and nothing is kept, so
+        // the summary is rebuilt — per batch, or per row — and nothing else
+        // changes.
         let starved = Executor::new(&db).with_memory_budget(Some(1));
         assert_eq!(
             starved.execute(&plan).unwrap().tuples(),
