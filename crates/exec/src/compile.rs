@@ -18,10 +18,15 @@
 //!    columns of its plan ([`free_correlated_columns`]) are resolved against
 //!    the outer chain. When they all resolve, the sublink is *memoizable*:
 //!    its result is a pure function of the database and those binding
-//!    values, so the executor caches it per `(sublink id, encoded binding)`
-//!    — *k* distinct bindings mean *k* executions, however large the outer
-//!    relation is. An uncorrelated sublink has an empty signature and runs
-//!    once per query.
+//!    values, so it is cached per `(sublink id, database version, encoded
+//!    binding)` — *k* distinct bindings mean *k* executions, however large
+//!    the outer relation is. An uncorrelated sublink has an empty signature
+//!    and runs once per query.
+//!
+//! The cache is the statement's own: compilation gives the [`CompiledPlan`]
+//! one memo and hands every [`CompiledSublink`] of the plan a handle to it,
+//! so whoever executes the plan — any executor, on any thread — reads and
+//! fills the same entries, and they go away with the plan.
 //!
 //! Compilation never changes semantics: results (including errors) are
 //! identical to [`crate::Executor::execute_unoptimized`]. In particular the
@@ -34,6 +39,7 @@ use crate::batch::Batch;
 use crate::eval::{arithmetic, compare};
 use crate::executor::{extract_equi_keys, flatten_conjuncts, Executor};
 use crate::functions;
+use crate::memo::StatementMemo;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
@@ -106,7 +112,8 @@ pub enum CompiledExpr {
 /// A compiled sublink expression.
 #[derive(Debug, Clone)]
 pub struct CompiledSublink {
-    /// Unique id (per [`Executor`]) used in memo keys.
+    /// Process-unique id: the sublink's part of its memo keys, and how a
+    /// profile finds the sublink's subtree.
     pub id: usize,
     /// The sublink kind (`ANY`, `ALL`, `EXISTS`, scalar).
     pub kind: SublinkKind,
@@ -128,6 +135,8 @@ pub struct CompiledSublink {
     /// bindings, so memoization stays correct across executions of one
     /// prepared plan with different parameter vectors.
     pub param_refs: Vec<usize>,
+    /// The memo of the plan this sublink was compiled into.
+    pub(crate) memo: Arc<StatementMemo>,
 }
 
 impl CompiledSublink {
@@ -259,15 +268,17 @@ impl ColumnMap {
     }
 }
 
-/// A plan compiled for execution: the operator tree, and how many query
-/// parameters an execution of it must find bound. Produced by
-/// [`Executor::prepare`]; the count is what makes "every `$n` is bound" a
-/// precondition the execution entries check once, before the first
-/// operator, instead of something evaluation finds out row by row.
+/// A plan compiled for execution: the operator tree, how many query
+/// parameters an execution of it must find bound, and the plan's sublink
+/// memo. Produced by [`Executor::prepare`]; the count is what makes "every
+/// `$n` is bound" a precondition the execution entries check once, before
+/// the first operator, instead of something evaluation finds out row by
+/// row. A clone shares the memo, as it shares the sublink ids.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     root: CompiledNode,
     param_count: usize,
+    memo: Arc<StatementMemo>,
 }
 
 impl CompiledPlan {
@@ -286,6 +297,11 @@ impl CompiledPlan {
     /// ([`perm_algebra::visit::param_count`]), 0 when it is parameter-free.
     pub fn param_count(&self) -> usize {
         self.param_count
+    }
+
+    /// The memo every sublink of the plan caches its summaries in.
+    pub(crate) fn memo(&self) -> &Arc<StatementMemo> {
+        &self.memo
     }
 }
 
@@ -448,11 +464,12 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Source of compiled-sublink ids: process-wide, so the memo keys of plans
-/// prepared by *different* executors (e.g. two sessions sharing one engine,
-/// or a prepared statement outliving the session that compiled it) can never
-/// collide either — including when those preparations *race* on different
-/// threads.
+/// Source of compiled-sublink ids: process-wide, so two sublinks never
+/// share an id — not within a plan, whose memo keys lead with it, and not
+/// across plans prepared by *different* executors (e.g. two sessions sharing
+/// one engine, or preparations that *race* on different threads), so an
+/// armed profile tree, which finds a sublink's subtree by id, never
+/// attributes a foreign plan's sublink to itself.
 ///
 /// Memory-ordering contract: `fetch_add(1, Ordering::Relaxed)` is a single
 /// atomic read-modify-write, so every call observes a distinct value of the
@@ -463,14 +480,6 @@ impl<'a> Frame<'a> {
 /// join, a channel), and that handoff provides the happens-before edge that
 /// publishes the plan's memory. `Relaxed` is therefore sufficient and the
 /// cheapest correct choice; `SeqCst` would buy nothing.
-///
-/// The memo key spaces stay collision-proof on top of unique ids because
-/// every key leads with a namespace tag: compiled keys
-/// (`MEMO_TAG_COMPILED`) embed this id; interpreter keys
-/// (`MEMO_TAG_INTERPRETED`) embed a plan node *address* and are only ever
-/// stored in executor-private maps (addresses are not stable or meaningful
-/// across executors, so they are excluded from the shared memo by
-/// construction — see `crate::memo::SharedSublinkMemo`).
 static NEXT_SUBLINK_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// Applies a unary operator to an already-evaluated value. Shared by the
@@ -558,18 +567,29 @@ fn truths_to_bool_lane(truths: impl Iterator<Item = Truth>, n: usize) -> ColumnV
     ColumnVec::Bool { data, validity }
 }
 
-/// Compiles a plan with an empty outer scope chain. `param_count` is what
+/// Compiles a plan with an empty outer scope chain and a fresh memo of at
+/// most `memo_capacity` entries (`None`: unbounded). `param_count` is what
 /// an execution must find bound — the caller's, because the plan it was
 /// counted on may precede rewrites that dropped a `$n`.
-pub(crate) fn compile_plan(plan: &Plan, param_count: usize) -> Result<CompiledPlan> {
-    let mut compiler = Compiler;
+pub(crate) fn compile_plan(
+    plan: &Plan,
+    param_count: usize,
+    memo_capacity: Option<usize>,
+) -> Result<CompiledPlan> {
+    let mut compiler = Compiler {
+        memo: StatementMemo::new(memo_capacity),
+    };
     Ok(CompiledPlan {
         root: compiler.plan(plan, None)?,
         param_count,
+        memo: compiler.memo,
     })
 }
 
-struct Compiler;
+/// The compilation of one plan: every sublink it meets gets the plan's memo.
+struct Compiler {
+    memo: Arc<StatementMemo>,
+}
 
 impl Compiler {
     fn plan(&mut self, plan: &Plan, outer: Option<&Scopes<'_>>) -> Result<CompiledNode> {
@@ -828,6 +848,7 @@ impl Compiler {
                     plan: self.sublink_plan(plan, scopes)?,
                     params,
                     param_refs: free_params(plan),
+                    memo: Arc::clone(&self.memo),
                 }))
             }
         })
@@ -858,7 +879,7 @@ impl Executor<'_> {
     /// only the documented top-level case may diverge from it on an
     /// erroring tail.
     pub fn execute_compiled(&self, plan: &CompiledPlan) -> Result<Relation> {
-        self.check_params_bound(plan.param_count())?;
+        self.begin_execution(plan)?;
         if let CompiledNode::Limit { input, .. } = plan.root() {
             if streams_lazily(input) {
                 return self.open(plan)?.into_relation();
@@ -877,7 +898,7 @@ impl Executor<'_> {
     /// the same profile tree, so the routing decision is identical to the
     /// unprofiled path.
     pub fn execute_profiled(&self, plan: &CompiledPlan) -> Result<(Relation, QueryProfile)> {
-        self.check_params_bound(plan.param_count())?;
+        self.begin_execution(plan)?;
         let tree = ProfileTree::for_plan(plan);
         self.set_profile(Some(&tree));
         let result = (|| {
@@ -1786,8 +1807,9 @@ impl Executor<'_> {
         }
     }
 
-    /// The parameterized memo key of a compiled sublink: its id followed by
-    /// [`encode_key_typed`] over the query-parameter values of its
+    /// The parameterized memo key of a compiled sublink: its id, then the
+    /// version of the executor's database, then [`encode_key_typed`] over
+    /// the query-parameter values of its
     /// `param_refs` and the binding values read from `frame` at the slots of
     /// its correlation signature (both counts are fixed per sublink, so the
     /// two groups concatenate unambiguously). Unlike the join/grouping key,
@@ -1829,8 +1851,8 @@ impl Executor<'_> {
                         }
                     }
                 }
-                let mut key = vec![crate::executor::MEMO_TAG_COMPILED];
-                key.extend_from_slice(&sublink.id.to_le_bytes());
+                let mut key = sublink.id.to_le_bytes().to_vec();
+                key.extend_from_slice(&self.database().version().to_le_bytes());
                 key.extend_from_slice(&encode_key_typed(&values));
                 Ok(Some(key))
             }
@@ -1839,11 +1861,12 @@ impl Executor<'_> {
     }
 
     /// The [`SublinkSummary`] of a compiled sublink for the binding in
-    /// `frame`: from the parameterized memo (the shared one when attached)
-    /// when the sublink has a key — the key contract is documented on the
-    /// private `compiled_sublink_key` — and otherwise built from one
-    /// execution of the sublink plan and memoized. Summaries are shared as
-    /// `Arc`s, and errors are never cached. An `EXISTS` or scalar lookup
+    /// `frame`: from its statement's memo when the sublink has a key — the
+    /// key contract is documented on the private `compiled_sublink_key` —
+    /// and otherwise built from one execution of the sublink plan and
+    /// memoized. Summaries are shared as `Arc`s, and errors are never
+    /// cached. Every lookup counts once on [`Executor::memo_hits`] or
+    /// [`Executor::memo_misses`]. An `EXISTS` or scalar lookup
     /// polls a cancellation checkpoint first; an `ANY`/`ALL` one polls it
     /// only before executing on a miss. Every row an `ANY`/`ALL` probe is
     /// built from counts on [`Executor::quantifier_comparisons`].
@@ -1864,25 +1887,18 @@ impl Executor<'_> {
         // owning `execute_profiled`/`Rows` has dropped the tree.
         let tree = self.profile.borrow().upgrade();
         let sub_prof = tree.as_ref().and_then(|t| t.sublink(sublink.id));
-        // With a shared memo attached, compiled-path entries live there —
-        // the keys are process-unique, so cross-executor hits are safe and
-        // are the point. Without one, the executor-private memo serves.
-        if let Some(k) = &key {
-            let hit = match &self.shared_memo {
-                Some(shared) => shared.get(k),
-                None => self.sublink_memo.borrow_mut().get(k),
-            };
-            if let Some(hit) = hit {
-                if let Some(p) = sub_prof {
-                    p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
-                }
-                self.governor.trace_memo_hit("sublink-memo");
-                return Ok(hit);
+        if let Some(hit) = key.as_ref().and_then(|k| sublink.memo.get(k)) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            if let Some(p) = sub_prof {
+                p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
             }
+            self.governor.trace_memo_hit("sublink-memo");
+            return Ok(hit);
         }
         if quantified {
             self.governor.checkpoint("sublink")?;
         }
+        self.memo_misses.set(self.memo_misses.get() + 1);
         if let Some(p) = sub_prof {
             p.stats.memo_misses.set(p.stats.memo_misses.get() + 1);
         }
@@ -1896,13 +1912,7 @@ impl Executor<'_> {
         if let Some(k) = key {
             let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
             if self.governor.memo_insert_event("sublink-memo", cost)? {
-                match &self.shared_memo {
-                    Some(shared) => shared.insert(k, Arc::clone(&summary)),
-                    None => self
-                        .sublink_memo
-                        .borrow_mut()
-                        .insert(k, Arc::clone(&summary)),
-                }
+                sublink.memo.insert(k, Arc::clone(&summary));
             }
         }
         Ok(summary)
@@ -2463,26 +2473,25 @@ mod tests {
 
     #[test]
     fn shared_memo_serves_hits_across_executors() {
-        // Two executors (think: two worker threads) attached to one shared
-        // memo: a binding warmed by the first is a hit — the same
-        // allocation — for the second, and the second's operator counter
-        // shows it did no sublink work of its own.
+        // Two executors (think: two worker threads) running one compiled
+        // plan share its memo: a binding warmed by the first is a hit — the
+        // same allocation — for the second, and the second's operator
+        // counter shows it did no sublink work of its own.
         let db = db_with_groups();
         let q = correlated_exists_query(&db);
-        let shared = crate::memo::SharedSublinkMemo::new();
 
-        let warmer = Executor::new(&db).with_shared_memo(Arc::clone(&shared));
+        let warmer = Executor::new(&db);
         let compiled = warmer.prepare(&q).unwrap();
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
         let first = warmer.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
-            shared.entry_count() > 0,
-            "warming populated the shared memo"
+            compiled.memo().len() > 0,
+            "warming populated the plan's memo"
         );
 
-        let server = Executor::new(&db).with_shared_memo(Arc::clone(&shared));
+        let server = Executor::new(&db);
         let before = server.operators_evaluated();
         let second = server.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
@@ -2492,10 +2501,10 @@ mod tests {
         assert_eq!(
             server.operators_evaluated(),
             before,
-            "a shared-memo hit does no operator work"
+            "a hit in the plan's memo does no operator work"
         );
         // Full-query check: an executor serving the same prepared plan over
-        // the warm memo produces the same result as a cold private one.
+        // the warm memo produces the same result as a cold statement.
         let warm_result = server.execute_compiled(&compiled).unwrap();
         let cold_result = Executor::new(&db).execute(&q).unwrap();
         assert!(warm_result.bag_eq(&cold_result));

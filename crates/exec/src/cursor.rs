@@ -24,8 +24,8 @@
 //! — so a consumer that abandons the stream early has paid for at most
 //! about twice the rows it consumed, while a full drain amortises to
 //! batch-sized pulls. Sublinks inside streamed predicates go through the
-//! same parameterized sublink memo as materialised execution, so
-//! correlated work is still shared across the tuples that *are* pulled.
+//! same statement memo as materialised execution, so correlated work is
+//! still shared across the tuples that *are* pulled.
 //!
 //! Error positions are preserved too: when a vectorized batch evaluation
 //! fails, the failing operator replays the batch per tuple, emits the rows
@@ -150,7 +150,7 @@ impl<'a> Executor<'a> {
     /// is counted or executed when fewer parameters are bound than the plan
     /// needs; pulls re-check nothing (the cursor keeps its own binding).
     pub fn open<'e>(&'e self, plan: &'e CompiledPlan) -> Result<Rows<'e, 'a>> {
-        self.check_params_bound(plan.param_count())?;
+        self.begin_execution(plan)?;
         let node = self.open_node(plan.root(), None)?;
         Ok(Rows {
             executor: self,
@@ -181,7 +181,7 @@ impl<'a> Executor<'a> {
         plan: &'e CompiledPlan,
         tree: Rc<ProfileTree>,
     ) -> Result<Rows<'e, 'a>> {
-        self.check_params_bound(plan.param_count())?;
+        self.begin_execution(plan)?;
         self.set_profile(Some(&tree));
         let node = match self.open_node(plan.root(), Some(&tree.root)) {
             Ok(node) => node,

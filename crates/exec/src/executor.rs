@@ -19,11 +19,11 @@
 //! 3. **Compiled evaluation** with a **parameterized sublink memo**: what
 //!    a sublink's verdict needs from its result — whether an `EXISTS` found
 //!    a row, a scalar's value, or an `ANY`/`ALL` result summarised into a
-//!    [`crate::QuantProbe`] — is cached under `(sublink identity, encoded
-//!    values of its correlated bindings)` as one shared `Arc`, so an
-//!    `EXISTS` or scalar entry does not grow with the sublink's result and
-//!    each outer row of an `ANY`/`ALL` costs one hash probe instead of a
-//!    fold. A correlated
+//!    [`crate::QuantProbe`] — is cached in the compiled statement's own memo
+//!    under `(sublink identity, database version, encoded values of its
+//!    correlated bindings)` as one shared `Arc`, so an `EXISTS` or scalar
+//!    entry does not grow with the sublink's result and each outer row of an
+//!    `ANY`/`ALL` costs one hash probe instead of a fold. A correlated
 //!    sublink over an outer relation with *k* distinct binding values
 //!    therefore executes *k* times instead of once per outer tuple; an
 //!    uncorrelated sublink (empty signature) degenerates to the classic
@@ -43,18 +43,18 @@
 //! [`Env`] chain vs. slot indexing through a [`crate::compile::Frame`]
 //! chain). The interpreter path resolves correlation signatures *at
 //! runtime* ([`perm_algebra::visit::free_correlated_columns`] looked up in
-//! the current [`Env`]), which lets the same parameterized sublink memo
-//! serve the interpreter and the tracer as well. The interpreter folds each
+//! the current [`Env`]), which lets the interpreter and the tracer memoize
+//! per binding too, in a map of the executor's own keyed by plan node
+//! address. The interpreter folds each
 //! `ANY`/`ALL` comparison over the result rows
 //! ([`crate::eval::fold_quantified`]): it is the reference the probe is
 //! tested against.
 
 use crate::compile::{ColumnMap, CompiledPlan};
 use crate::eval::Env;
-use crate::memo::{MemoMap, SharedSublinkMemo};
+use crate::memo::MemoMap;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
-use crate::quant::SublinkSummary;
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
@@ -73,33 +73,20 @@ type FreeColumn = (Option<String>, String);
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
-    /// Parameterized sublink memo of the compiled path: sublink summaries
-    /// keyed by `(compiled sublink id, typed encoding of the referenced
-    /// query-parameter values followed by the correlated binding values)`,
-    /// shared as `Arc`s so hits never copy. Wrapped in an `Rc` so the
-    /// resilience governor can hold a reclaim handle: under memory-budget
-    /// pressure the memo is cleared (a pure speed loss) before the query is
-    /// failed.
-    pub(crate) sublink_memo: Rc<RefCell<MemoMap<Arc<SublinkSummary>>>>,
-    /// Parameterized sublink memo of the interpreter path: same contract,
-    /// keyed by the sublink plan's *node address* (stable for the lifetime
-    /// of one query execution because plans are borrowed immutably) plus
-    /// the typed encoding of its referenced parameter values and free
-    /// correlated column bindings.
+    /// Parameterized sublink memo of the interpreter path (the compiled
+    /// path's lives in each compiled statement): sublink results keyed by
+    /// the sublink plan's *node address* (stable for the lifetime of one
+    /// query execution because plans are borrowed immutably) plus the typed
+    /// encoding of its referenced parameter values and free correlated
+    /// column bindings. Wrapped in an `Rc` so the resilience governor can
+    /// hold a reclaim handle: under memory-budget pressure the memo is
+    /// cleared (a pure speed loss) before the query is failed.
     pub(crate) interp_sublink_memo: Rc<RefCell<MemoMap<Arc<Relation>>>>,
     /// The resilience governor: installed cancel token / fault plan /
     /// memory budget plus the `cancel_checks` and `peak_bytes` counters.
     /// Polled at batch boundaries by `crate::physical`, at cursor refills
     /// and at memoized-sublink entry.
     pub(crate) governor: Governor,
-    /// Optional cross-thread memo ([`Executor::with_shared_memo`]). When
-    /// attached, compiled-path sublink summaries go to (and come from) the
-    /// shared map instead of the private compiled memo above, so
-    /// worker threads and sibling sessions serving the same prepared
-    /// statements reuse each other's work. Interpreter-path entries stay
-    /// private either way — their keys are plan *node addresses*, which mean
-    /// nothing outside this executor.
-    pub(crate) shared_memo: Option<Arc<SharedSublinkMemo>>,
     /// Cache of free-correlated-column analyses per interpreter sublink
     /// plan address.
     free_columns_cache: RefCell<HashMap<usize, Rc<[FreeColumn]>>>,
@@ -113,10 +100,16 @@ pub struct Executor<'a> {
     /// Whether the parameterized memos may be consulted for correlated
     /// sublinks.
     pub(crate) memo_enabled: Cell<bool>,
-    /// Whether [`Executor::execute`] retains the compiled-path memo across
-    /// calls instead of clearing it up front (the prepared-statement
-    /// serving policy; see [`Executor::with_memo_retention`]).
+    /// Whether a statement's memo survives from one execution to the next
+    /// (see [`Executor::with_memo_retention`]).
     retain_memo: Cell<bool>,
+    /// The entry bound of the memo of each statement [`Executor::prepare`]
+    /// compiles (see [`Executor::with_memo_capacity`]).
+    memo_capacity: Cell<Option<usize>>,
+    /// Compiled-path sublink lookups a statement memo served, and lookups
+    /// that executed the sublink (diagnostic counters).
+    pub(crate) memo_hits: Cell<u64>,
+    pub(crate) memo_misses: Cell<u64>,
     /// Number of plan compilations performed by [`Executor::prepare`]
     /// (diagnostic counter for prepared-statement tests).
     compile_count: Cell<u64>,
@@ -164,11 +157,6 @@ pub struct Executor<'a> {
     pub(crate) profile: RefCell<Weak<ProfileTree>>,
 }
 
-/// Namespace tag of compiled-path memo keys.
-pub(crate) const MEMO_TAG_COMPILED: u8 = b'C';
-/// Namespace tag of interpreter-path memo keys.
-pub(crate) const MEMO_TAG_INTERPRETED: u8 = b'I';
-
 impl<'a> Executor<'a> {
     /// Creates an executor over a database. Sublink memoization is enabled;
     /// use [`Executor::with_sublink_memo`] to switch it off. The first
@@ -176,25 +164,25 @@ impl<'a> Executor<'a> {
     /// next query instead of returning it to the kernel (the `heap` module).
     pub fn new(db: &'a Database) -> Executor<'a> {
         crate::heap::retain_freed_heap();
-        let sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let interp_sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
         let governor = Governor::new();
-        // Register both private memos for byte accounting and
-        // budget-pressure reclaim: their entries are dropped first, and a
-        // query fails only if that is not enough.
-        governor.register_memo(Box::new(Rc::clone(&sublink_memo)));
+        // Register the interpreter's memo for byte accounting and
+        // budget-pressure reclaim (the governor meets each statement's memo
+        // when the statement runs): entries are dropped first, and a query
+        // fails only if that is not enough.
         governor.register_memo(Box::new(Rc::clone(&interp_sublink_memo)));
         Executor {
             db,
-            sublink_memo,
             interp_sublink_memo,
             governor,
-            shared_memo: None,
             free_columns_cache: RefCell::new(HashMap::new()),
             free_params_cache: RefCell::new(HashMap::new()),
             params: RefCell::new(Rc::from(Vec::new())),
             memo_enabled: Cell::new(true),
-            retain_memo: Cell::new(false),
+            retain_memo: Cell::new(true),
+            memo_capacity: Cell::new(None),
+            memo_hits: Cell::new(0),
+            memo_misses: Cell::new(0),
             compile_count: Cell::new(0),
             ops_evaluated: Cell::new(0),
             cmp_evaluated: Cell::new(0),
@@ -303,48 +291,28 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Bounds each private memo (the compiled path's sublink summaries and
-    /// the interpreter's sublink results) to at most `capacity` entries,
-    /// evicting least-recently-used entries — the ROADMAP follow-on for
+    /// Bounds the memo of each statement this executor prepares (the
+    /// compiled path's sublink summaries) and the interpreter's memo (its
+    /// sublink results) to at most `capacity` entries, evicting
+    /// least-recently-used entries — the ROADMAP follow-on for
     /// high-cardinality correlations. `None` (the default) keeps the memos
-    /// unbounded, preserving the established behaviour.
+    /// unbounded, preserving the established behaviour. A statement keeps
+    /// the bound it was prepared with, whichever executor runs it.
     pub fn with_memo_capacity(self, capacity: Option<usize>) -> Executor<'a> {
-        self.sublink_memo.borrow_mut().set_capacity(capacity);
+        self.memo_capacity.set(capacity);
         self.interp_sublink_memo.borrow_mut().set_capacity(capacity);
         self
     }
 
-    /// Attaches a cross-thread [`SharedSublinkMemo`]: compiled-path sublink
-    /// summaries are then cached in (and served from) the shared map
-    /// instead of this executor's private compiled memo, so several worker
-    /// executors — each still single-threaded —
-    /// jointly warm one memo. Safe because compiled memo keys embed a
-    /// process-unique sublink id plus the typed parameter and binding
-    /// values; see [`SharedSublinkMemo`] for the full contract.
-    ///
-    /// The shared memo's lifecycle belongs to its owner:
-    /// [`Executor::clear_compiled_memos`] never touches it, and ad-hoc
-    /// [`Executor::execute`] (which mints fresh sublink ids per call) would
-    /// fill it with entries that can never hit again — attach it to
-    /// executors serving *prepared* plans under memo retention, which is
-    /// what the serving subsystem does.
-    pub fn with_shared_memo(mut self, memo: Arc<SharedSublinkMemo>) -> Executor<'a> {
-        // The shared memo participates in byte accounting and is reclaimed
-        // under budget pressure like the private memos — other sessions
-        // lose warm entries (speed), never correctness.
-        self.governor.register_memo(Box::new(Arc::clone(&memo)));
-        self.shared_memo = Some(memo);
-        self
-    }
-
-    /// Chooses the memo policy of [`Executor::execute`]: with `retain` set,
-    /// the compiled-path memo survives across `execute` calls instead of
-    /// being cleared up front. Retention is what a prepared statement wants
-    /// — re-executing the same [`CompiledPlan`] (same sublink ids, with the
-    /// bound parameter values folded into every memo key) can then reuse
-    /// entries from earlier executions. The default (`false`) keeps the
-    /// ad-hoc clearing semantics: each `execute` mints fresh sublink ids,
-    /// so old entries could never hit again and would only accumulate.
+    /// Chooses whether a statement's memo survives from one execution to
+    /// the next. Retention (the default) is what a prepared statement
+    /// wants: re-executing the same [`CompiledPlan`] — same sublink ids, the
+    /// bound parameter values and the database version folded into every
+    /// memo key — reuses entries from earlier executions, on this executor
+    /// or any other. With `retain` off, every execution entry
+    /// ([`Executor::execute_compiled`], [`Executor::execute_profiled`],
+    /// [`Executor::open`], [`Executor::open_profiled`]) clears the
+    /// statement's memo first — for every holder of the statement.
     pub fn with_memo_retention(self, retain: bool) -> Executor<'a> {
         self.retain_memo.set(retain);
         self
@@ -494,6 +462,19 @@ impl<'a> Executor<'a> {
         *self.params.borrow_mut() = Rc::from(params);
     }
 
+    /// What every compiled-plan execution entry does once, before any
+    /// operator runs: checks the parameter binding, clears the statement's
+    /// memo unless memos are retained, and lets the governor account the
+    /// memo.
+    pub(crate) fn begin_execution(&self, plan: &CompiledPlan) -> Result<()> {
+        self.check_params_bound(plan.param_count())?;
+        if !self.retain_memo.get() {
+            plan.memo().clear();
+        }
+        self.governor.track_statement_memo(plan.memo());
+        Ok(())
+    }
+
     /// The precondition every execution entry checks once, before any
     /// operator runs: at least `needed` parameters are bound.
     pub(crate) fn check_params_bound(&self, needed: usize) -> Result<()> {
@@ -550,6 +531,19 @@ impl<'a> Executor<'a> {
         self.cmp_evaluated.get()
     }
 
+    /// Compiled-path sublink lookups served from a statement's memo so far
+    /// (diagnostic counter; a hit runs no operator).
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits.get()
+    }
+
+    /// Compiled-path sublink lookups that executed the sublink so far: memo
+    /// misses, and every evaluation of a sublink that has no key (memo off
+    /// and correlated, or an unresolved correlation signature).
+    pub fn memo_misses(&self) -> u64 {
+        self.memo_misses.get()
+    }
+
     /// Number of plan compilations performed so far (diagnostic counter).
     /// The prepared-statement contract is that re-executing a prepared plan
     /// performs *zero* additional compilations; this counter makes that
@@ -561,11 +555,12 @@ impl<'a> Executor<'a> {
     /// Compiles a plan for repeated execution: fuses residual selections
     /// over cross products, then resolves all column references to slots
     /// and attaches correlation signatures (plus referenced parameter
-    /// indices) to sublinks (see [`crate::compile`]). Sublink ids are drawn
-    /// from a process-wide counter, so compiled plans from different
-    /// executors can never collide in a shared memo. The compiled plan
-    /// records how many parameters `plan` as given needs bound; the
-    /// execution entries check it. `prepare` never optimizes: callers run
+    /// indices) to sublinks (see [`crate::compile`]). The compiled plan
+    /// carries its own sublink memo, bounded by
+    /// [`Executor::with_memo_capacity`], which every executor running the
+    /// plan shares. It records how many parameters `plan` as given needs
+    /// bound; the execution entries check it. `prepare` never optimizes:
+    /// callers run
     /// [`crate::optimize::optimize`] first (`Session` does, and checks the
     /// parameter count of the statement as written, since the optimizer
     /// may fold a `$n` away).
@@ -573,33 +568,15 @@ impl<'a> Executor<'a> {
         self.compile_count.set(self.compile_count.get() + 1);
         let needed = param_count(plan);
         let fused = perm_algebra::optimize::fuse_select_over_cross(plan.clone());
-        crate::compile::compile_plan(&fused, needed)
+        crate::compile::compile_plan(&fused, needed, self.memo_capacity.get())
     }
 
-    /// Clears the compiled-path memo (sublink summaries) *of this
-    /// executor*. An attached [`SharedSublinkMemo`] is deliberately
-    /// left alone — it is shared state whose lifecycle belongs to its owner
-    /// (clearing it here would drop entries other sessions are warm on).
-    /// The interpreter-path caches have their own lifecycle
-    /// ([`Executor::reset_interpreter_caches`]).
-    pub fn clear_compiled_memos(&self) {
-        self.sublink_memo.borrow_mut().clear();
-    }
-
-    /// Executes a top-level plan through the compile/memoize pipeline.
-    ///
-    /// Under the default policy the compiled-path memo is cleared first:
-    /// `execute` mints fresh sublink ids via [`Executor::prepare`], so
-    /// entries from earlier `execute` calls could never hit again and would
-    /// only accumulate. Callers that re-execute the *same* prepared
-    /// [`CompiledPlan`] — where reuse is both safe (stable sublink ids,
-    /// parameter values folded into every key) and the entire point —
-    /// should either call [`Executor::execute_compiled`] directly or switch
-    /// the policy with [`Executor::with_memo_retention`].
+    /// Executes a top-level plan through the compile/memoize pipeline: a
+    /// fresh statement from [`Executor::prepare`], executed once, so its
+    /// memo starts empty and is dropped with it. Callers that re-execute
+    /// one statement, where memo reuse is the point, keep the
+    /// [`CompiledPlan`] and call [`Executor::execute_compiled`].
     pub fn execute(&self, plan: &Plan) -> Result<Relation> {
-        if !self.retain_memo.get() {
-            self.clear_compiled_memos();
-        }
         let compiled = self.prepare(plan)?;
         self.execute_compiled(&compiled)
     }
@@ -668,8 +645,7 @@ impl<'a> Executor<'a> {
         for (qualifier, name) in free.iter() {
             values.push(env?.lookup(qualifier.as_deref(), name).ok()?);
         }
-        let mut key = vec![MEMO_TAG_INTERPRETED];
-        key.extend_from_slice(&addr.to_le_bytes());
+        let mut key = addr.to_le_bytes().to_vec();
         key.extend_from_slice(&encode_key_typed(&values));
         Some(key)
     }

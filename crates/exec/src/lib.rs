@@ -66,15 +66,16 @@
 //! through the [`cursor`] pull path, which a top-level `LIMIT` also uses on
 //! the materialising path so the tail beyond the limit is never evaluated.
 //!
-//! Both drivers feed the same **parameterized sublink memo** — a correlated
-//! sublink runs once per *distinct* binding instead of once per outer
-//! tuple, and an uncorrelated sublink runs once per query (PostgreSQL's
-//! InitPlan behaviour). Memoized results are shared as `Arc<Relation>`s
-//! (hits never deep-copy). For `ANY`/`ALL` the interpreter folds the
-//! comparison over the result rows — the reference — while the compiled
-//! path summarises each result once into a [`QuantProbe`] (key set, NULL
-//! flag, per-class bounds), memoized per `(sublink, binding)`, and answers
-//! every test value with one hash probe. Since the operator bodies are
+//! Both drivers memoize sublinks per binding — a correlated sublink runs
+//! once per *distinct* binding instead of once per outer tuple, and an
+//! uncorrelated sublink runs once per query (PostgreSQL's InitPlan
+//! behaviour). The interpreter keeps result relations, shared as
+//! `Arc<Relation>`s (hits never deep-copy), in a map of the executor's own.
+//! For `ANY`/`ALL` it folds the comparison over the result rows — the
+//! reference — while the compiled path summarises each result once into a
+//! [`QuantProbe`] (key set, NULL flag, per-class bounds), memoized per
+//! `(sublink, database version, binding)` in the compiled statement's
+//! memo, and answers every test value with one hash probe. Since the operator bodies are
 //! shared, a semantics fix lands in one place, and the
 //! `operators_evaluated` accounting lives in the physical layer alone —
 //! counted once per logical operator invocation, never per batch, so the
@@ -103,15 +104,16 @@
 //! check the Gen-rewritten corpus against the reference interpreter (the
 //! benchmark reports what is left as `optimize.sublinks_remaining`).
 //!
-//! An [`Executor`] is deliberately `!Sync` (its counters and private memos
-//! use `Cell`/`RefCell`) — concurrency happens *above* it, one executor per
-//! worker thread. What crosses threads is the read-only data: the database,
-//! compiled plans, and optionally a [`SharedSublinkMemo`]
-//! ([`Executor::with_shared_memo`]) — a mutex-guarded memo through which
-//! worker executors share compiled-path sublink summaries (an `EXISTS`
-//! flag, a scalar value or an `ANY`/`ALL` [`QuantProbe`] per binding), so
-//! a binding one worker of the `perm-serve` pool has evaluated is a hit for
-//! every other worker serving the same prepared statement.
+//! An [`Executor`] is deliberately `!Sync` (its counters and the
+//! interpreter's memo use `Cell`/`RefCell`) — concurrency happens *above*
+//! it, one executor per worker thread. What crosses threads is the data:
+//! the database and compiled plans. A [`CompiledPlan`] carries its own
+//! mutex-guarded sublink memo (an `EXISTS` flag, a scalar value or an
+//! `ANY`/`ALL` [`QuantProbe`] per binding), so a binding one worker of the
+//! `perm-serve` pool has evaluated is a hit for every other worker serving
+//! the same statement, and the entries go away with the statement. Each key
+//! carries the database version, so a statement run over changed data
+//! misses rather than serve a stale summary.
 //!
 //! The [`resilience`] module threads serving-grade governance through the
 //! same physical layer: cooperative cancellation and deadlines (polled at
@@ -155,7 +157,6 @@ pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, Slot};
 pub use cursor::Rows;
 pub use eval::Env;
 pub use executor::Executor;
-pub use memo::SharedSublinkMemo;
 pub use optimize::{optimize, plan_fingerprint, OptimizerReport};
 pub use profile::{ProfileNode, QueryProfile};
 pub use quant::QuantProbe;

@@ -1,5 +1,6 @@
-//! Capacity-bounded memo maps for the executor's sublink caches: the
-//! compiled path's summaries and the interpreter's result relations.
+//! Capacity-bounded memo maps for the two sublink caches: the summaries a
+//! compiled statement keeps in its own [`StatementMemo`], and the result
+//! relations the interpreter keeps per executor.
 //!
 //! [`MemoMap`] behaves like a plain `HashMap<Vec<u8>, V>` by default. When a
 //! capacity is configured ([`MemoMap::set_capacity`]) it becomes an LRU
@@ -19,7 +20,6 @@ use crate::resilience::{MemoBytes, MemoCost};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fixed per-entry bookkeeping estimate (hash-map slot, recency stamp,
@@ -190,37 +190,30 @@ impl<V: Clone + MemoCost> MemoMap<V> {
     }
 }
 
-/// The cross-thread sublink memo of the serving subsystem: one
-/// mutex-guarded map of compiled-path sublink *summaries* (whether an
-/// `EXISTS` found a row, a scalar's value, an `ANY`/`ALL`
-/// [`crate::QuantProbe`]), shared as `Arc`s so hits never copy — across
-/// threads too.
+/// The sublink memo of one compiled statement: a mutex-guarded map of
+/// compiled-path sublink *summaries* (whether an `EXISTS` found a row, a
+/// scalar's value, an `ANY`/`ALL` [`crate::QuantProbe`]), shared as `Arc`s
+/// so hits never copy — across threads too.
 ///
-/// Attached to an executor via [`crate::Executor::with_shared_memo`], it
-/// replaces the executor's private compiled-path memo, so distinct
-/// correlated bindings evaluated by *different* worker threads (or by
-/// different sessions serving the same prepared statement) populate and hit
-/// one memo. Only compiled-path entries participate: their keys embed a
-/// process-unique sublink id, so entries from different statements can never
-/// collide. Interpreter-path entries are keyed by plan *node address* —
-/// meaningless in another executor, whose plans live at other addresses —
-/// and therefore always stay executor-private.
+/// `Executor::prepare` gives each [`crate::CompiledPlan`] one memo, and
+/// every sublink of the plan holds a handle to it, so an entry lives exactly
+/// as long as its statement: whoever shares the statement (sessions through
+/// the engine's plan cache, the workers of a serving pool, holders of one
+/// `Arc<Prepared>`) shares its entries, and dropping the statement frees
+/// them. A key is `sublink id ‖ database version ‖ typed parameter and
+/// binding values`, so an entry computed over one state of the data is
+/// never served for another. Interpreter-path entries are keyed by plan
+/// *node address* and live in the executor's own map instead.
 ///
 /// Two threads that race to compute the same key both execute the sublink
 /// and both insert; the results are identical (a sublink result is a pure
 /// function of the database, the binding and the parameter values), so the
 /// last write is indistinguishable from the first. Errors are never cached.
-pub struct SharedSublinkMemo {
+pub(crate) struct StatementMemo {
     entries: Mutex<MemoMap<Arc<SublinkSummary>>>,
-    /// Sublink lookups served from the memo / that executed the sublink,
-    /// across all workers — the serving metrics registry's shared-memo hit
-    /// rate. Relaxed atomics: these are monotone diagnostics, not
-    /// synchronisation.
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
 }
 
-/// Locks the shared memo's map, recovering from poisoning
+/// Locks the memo's map, recovering from poisoning
 /// (`PoisonError::into_inner`): a panic while the lock is held cannot leave
 /// the map internally inconsistent, because every critical section is a
 /// single complete `MemoMap` operation — there is no multi-step write a
@@ -230,61 +223,43 @@ fn lock<V>(map: &Mutex<MemoMap<V>>) -> MutexGuard<'_, MemoMap<V>> {
     map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl SharedSublinkMemo {
-    /// An unbounded shared memo.
-    pub fn new() -> Arc<SharedSublinkMemo> {
-        SharedSublinkMemo::with_capacity(None)
-    }
-
-    /// A shared memo with an optional LRU capacity bound: at most
-    /// `capacity` entries, exactly as `Executor::with_memo_capacity` bounds
-    /// a private memo. `None` = unbounded.
-    pub fn with_capacity(capacity: Option<usize>) -> Arc<SharedSublinkMemo> {
-        let memo = SharedSublinkMemo {
+impl StatementMemo {
+    /// A memo bounded to at most `capacity` entries with LRU eviction, or
+    /// unbounded with `None`.
+    pub(crate) fn new(capacity: Option<usize>) -> Arc<StatementMemo> {
+        let memo = StatementMemo {
             entries: Mutex::new(MemoMap::new()),
-            result_hits: AtomicU64::new(0),
-            result_misses: AtomicU64::new(0),
         };
         lock(&memo.entries).set_capacity(capacity);
         Arc::new(memo)
     }
 
-    /// Drops every cached summary. The owner calls this when the
-    /// underlying database changes; executors never clear a shared memo on
-    /// their own.
-    pub fn clear(&self) {
+    /// Drops every cached summary.
+    pub(crate) fn clear(&self) {
         lock(&self.entries).clear();
     }
 
-    /// Number of live entries (diagnostic).
-    pub fn entry_count(&self) -> usize {
+    /// Drops every cached summary and returns the bytes that freed.
+    pub(crate) fn reclaim(&self) -> u64 {
+        let mut entries = lock(&self.entries);
+        let freed = entries.bytes();
+        entries.clear();
+        freed
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
         lock(&self.entries).len()
     }
 
     /// Approximate bytes held — the memo is byte-aware, not just
     /// entry-aware, so a memory budget can account and reclaim it.
-    pub fn byte_size(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         lock(&self.entries).bytes()
     }
 
-    /// Lookups served from the memo so far (across all sharing executors).
-    pub fn result_hits(&self) -> u64 {
-        self.result_hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that executed the sublink so far (across all sharing
-    /// executors).
-    pub fn result_misses(&self) -> u64 {
-        self.result_misses.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn get(&self, key: &[u8]) -> Option<Arc<SublinkSummary>> {
-        let hit = lock(&self.entries).get(key);
-        match &hit {
-            Some(_) => self.result_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.result_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        lock(&self.entries).get(key)
     }
 
     pub(crate) fn insert(&self, key: Vec<u8>, value: Arc<SublinkSummary>) {
@@ -292,7 +267,7 @@ impl SharedSublinkMemo {
     }
 }
 
-// The governor's view of an executor-private memo: byte footprint and
+// The governor's view of the interpreter's memo: byte footprint and
 // clear-everything reclaim. The `Rc<RefCell<..>>` handle is what the
 // executor itself holds, so reclaiming here is indistinguishable from the
 // executor clearing its own memo — a pure speed loss.
@@ -309,22 +284,10 @@ impl<V: Clone + MemoCost> MemoBytes for Rc<RefCell<MemoMap<V>>> {
     }
 }
 
-impl MemoBytes for Arc<SharedSublinkMemo> {
-    fn current_bytes(&self) -> u64 {
-        self.byte_size()
-    }
-
-    fn reclaim(&self) -> u64 {
-        let freed = self.byte_size();
-        self.clear();
-        freed
-    }
-}
-
-impl std::fmt::Debug for SharedSublinkMemo {
+impl std::fmt::Debug for StatementMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedSublinkMemo")
-            .field("entries", &self.entry_count())
+        f.debug_struct("StatementMemo")
+            .field("entries", &self.len())
             .finish()
     }
 }
@@ -411,7 +374,7 @@ mod tests {
 
     #[test]
     fn sharded_memo_round_trips_across_threads() {
-        let memo = SharedSublinkMemo::new();
+        let memo = StatementMemo::new(None);
         let flag = found();
         std::thread::scope(|s| {
             for t in 0..4u8 {
@@ -425,19 +388,19 @@ mod tests {
                 });
             }
         });
-        assert_eq!(memo.entry_count(), 2 * 4 * 50);
+        assert_eq!(memo.len(), 2 * 4 * 50);
         let hit = memo.get(&[2, 7]).expect("entry written by thread 2");
         assert!(Arc::ptr_eq(&hit, &flag), "hits share the allocation");
         let probe = memo.get(&[3, 149]).expect("probe written by thread 3");
         assert_eq!(any_eq(&probe, 49), Truth::True);
         assert!(memo.get(&[9, 9]).is_none());
         memo.clear();
-        assert_eq!(memo.entry_count(), 0);
+        assert_eq!(memo.len(), 0);
     }
 
     #[test]
     fn shared_memo_capacity_is_an_exact_lru_bound() {
-        let memo = SharedSublinkMemo::with_capacity(Some(8));
+        let memo = StatementMemo::new(Some(8));
         for i in 0..100u8 {
             memo.insert(vec![i], found());
             // Keep key 0 hot: a `get` refreshes its recency.
@@ -471,18 +434,18 @@ mod tests {
         m.clear();
         assert_eq!(m.bytes(), 0);
 
-        let shared = SharedSublinkMemo::new();
-        assert_eq!(shared.byte_size(), 0);
-        shared.insert(vec![1], probe_of(1));
-        shared.insert(vec![2], found());
-        assert!(shared.byte_size() > 0);
-        shared.clear();
-        assert_eq!(shared.byte_size(), 0);
+        let statement = StatementMemo::new(None);
+        assert_eq!(statement.bytes(), 0);
+        statement.insert(vec![1], probe_of(1));
+        statement.insert(vec![2], found());
+        assert!(statement.bytes() > 0);
+        statement.clear();
+        assert_eq!(statement.bytes(), 0);
     }
 
     #[test]
     fn poisoned_lock_recovers_for_the_next_query() {
-        let memo = SharedSublinkMemo::new();
+        let memo = StatementMemo::new(None);
         memo.insert(vec![1], probe_of(1));
         // A worker panics while holding the map's lock, poisoning the
         // mutex.
@@ -500,9 +463,9 @@ mod tests {
         assert_eq!(any_eq(&memo.get(&[1]).unwrap(), 1), Truth::True);
         memo.insert(vec![1, 1], probe_of(2));
         assert_eq!(any_eq(&memo.get(&[1, 1]).unwrap(), 1), Truth::False);
-        assert!(memo.byte_size() > 0);
+        assert!(memo.bytes() > 0);
         memo.clear();
-        assert_eq!(memo.entry_count(), 0);
+        assert_eq!(memo.len(), 0);
     }
 
     #[test]

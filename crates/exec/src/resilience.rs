@@ -17,13 +17,13 @@
 //!   a per-executor byte accountant charged by the operator state that can
 //!   actually grow without bound — hash-join build tables and candidate
 //!   buffers, aggregation group state, sort buffers — and by every sublink
-//!   memo insertion (both the executor-private memos and a shared
-//!   [`crate::SharedSublinkMemo`] have byte-aware accounting, not just entry
-//!   counts). On pressure the executor walks a **degradation ladder**, each
+//!   memo insertion (the interpreter's memo and the memo of every statement
+//!   the executor runs have byte-aware accounting, not just entry counts).
+//!   On pressure the executor walks a **degradation ladder**, each
 //!   rung it pays for recorded on [`Degradation`] so the session can
 //!   surface how far it had to go:
 //!
-//!   1. *Drop memos*: every registered memo is cleared — losing only
+//!   1. *Drop memos*: every accounted memo is cleared — losing only
 //!      speed, never correctness, since a memo miss simply re-executes the
 //!      sublink. An entry whose insert the budget refuses is not kept
 //!      either: the next lookup rebuilds it. Nothing is persisted: a
@@ -43,10 +43,12 @@
 //!   sweep over the differential corpus is exactly reproducible.
 //!
 //! All polling is **cooperative**: nothing is interrupted mid-batch, so an
-//! aborted query never leaves a shared memo or a worker in a partial state —
-//! the fault-injection sweep in `tests/differential.rs` pins this down by
-//! demanding either the exact reference bag or a single clean typed error.
+//! aborted query never leaves a statement's memo or a worker in a partial
+//! state — the fault-injection sweep in `tests/differential.rs` pins this
+//! down by demanding either the exact reference bag or a single clean typed
+//! error.
 
+use crate::memo::StatementMemo;
 use crate::spill::SpillManager;
 use crate::{ExecError, Result};
 use perm_storage::{Relation, Tuple, Value};
@@ -54,7 +56,7 @@ use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ pub(crate) fn relation_bytes(r: &Relation) -> u64 {
 }
 
 /// Per-entry byte cost of a memoized value — implemented by the value types
-/// the sublink memos store, so `MemoMap` / `SharedSublinkMemo` can account
+/// the sublink memos store, so `MemoMap` / `StatementMemo` can account
 /// bytes rather than just entries.
 pub(crate) trait MemoCost {
     /// Approximate heap footprint of this memoized value.
@@ -383,7 +385,7 @@ pub enum Degradation {
     /// Operator state moved to spill files; every result stayed available,
     /// only I/O was paid.
     SpilledToDisk,
-    /// Registered memos were cleared under pressure — later sublink misses
+    /// Accounted memos were cleared under pressure — later sublink misses
     /// re-execute.
     ReclaimedMemos,
     /// Spilling and reclaiming did not free enough; a query failed with
@@ -411,7 +413,7 @@ pub(crate) struct Governor {
     fault: RefCell<Option<FaultPlan>>,
     budget: Cell<Option<u64>>,
     /// Transient operator bytes currently charged (join/aggregate/sort
-    /// state); memo bytes are queried from the registered memos instead of
+    /// state); memo bytes are queried from the accounted memos instead of
     /// charged, so memo-internal eviction is always reflected exactly.
     transient: Cell<u64>,
     peak: Cell<u64>,
@@ -420,7 +422,11 @@ pub(crate) struct Governor {
     /// token is installed, so every execution probes at its first
     /// checkpoint (an already-expired deadline cancels before any work).
     until_probe: Cell<u64>,
+    /// Memos registered once for the executor's life: the interpreter's.
     memos: RefCell<Vec<Box<dyn MemoBytes>>>,
+    /// The memo of every statement this executor has run, held weakly (a
+    /// dropped statement frees its memo) and once each.
+    statement_memos: RefCell<Vec<Weak<StatementMemo>>>,
     /// Whether spill-to-disk degradation is enabled (`Executor::with_spill`).
     spill_enabled: Cell<bool>,
     /// Base directory for spill files (`None` = system temp dir).
@@ -457,6 +463,7 @@ impl Governor {
             checks: Cell::new(0),
             until_probe: Cell::new(0),
             memos: RefCell::new(Vec::new()),
+            statement_memos: RefCell::new(Vec::new()),
             spill_enabled: Cell::new(false),
             spill_dir: RefCell::new(None),
             spill: RefCell::new(None),
@@ -604,6 +611,19 @@ impl Governor {
         self.memos.borrow_mut().push(memo);
     }
 
+    /// Accounts a statement's memo from its first execution on: held
+    /// weakly, once, and forgotten after the statement is dropped. (A
+    /// `Weak` keeps its allocation, so a live memo never reuses the address
+    /// of a dropped one.)
+    pub(crate) fn track_statement_memo(&self, memo: &Arc<StatementMemo>) {
+        let mut memos = self.statement_memos.borrow_mut();
+        if memos.iter().any(|m| m.as_ptr() == Arc::as_ptr(memo)) {
+            return;
+        }
+        memos.retain(|m| m.strong_count() > 0);
+        memos.push(Arc::downgrade(memo));
+    }
+
     pub(crate) fn cancel_checks(&self) -> u64 {
         self.checks.get()
     }
@@ -613,7 +633,15 @@ impl Governor {
     }
 
     fn memo_bytes(&self) -> u64 {
-        self.memos.borrow().iter().map(|m| m.current_bytes()).sum()
+        let registered: u64 = self.memos.borrow().iter().map(|m| m.current_bytes()).sum();
+        let statements: u64 = self
+            .statement_memos
+            .borrow()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|m| m.bytes())
+            .sum();
+        registered + statements
     }
 
     fn note_peak(&self) -> u64 {
@@ -672,17 +700,24 @@ impl Governor {
         Ok(())
     }
 
-    /// Drops the entries of every registered memo and records the matching
+    /// Drops the entries of every accounted memo and records the matching
     /// degradation rung.
     fn reclaim_memos(&self) {
-        let freed: u64 = self.memos.borrow().iter().map(|m| m.reclaim()).sum();
-        if freed > 0 {
+        let registered: u64 = self.memos.borrow().iter().map(|m| m.reclaim()).sum();
+        let statements: u64 = self
+            .statement_memos
+            .borrow()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|m| m.reclaim())
+            .sum();
+        if registered + statements > 0 {
             self.note_rung(Degradation::ReclaimedMemos);
         }
     }
 
     /// Charges `bytes` of transient operator state against the budget.
-    /// On pressure, reclaims the registered memos first (losing speed, not
+    /// On pressure, reclaims the accounted memos first (losing speed, not
     /// correctness) and fails with `ExecError::ResourceExhausted` only if
     /// that does not free enough.
     pub(crate) fn charge(&self, operator: &str, bytes: u64) -> Result<()> {

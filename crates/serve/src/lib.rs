@@ -1,7 +1,7 @@
 //! # perm-serve — the concurrent serving subsystem
 //!
 //! Everything below the facade is deliberately single-threaded: an
-//! [`perm::Executor`] is `!Sync` (private memos and counters in
+//! [`perm::Executor`] is `!Sync` (counters and the interpreter's memo in
 //! `Cell`/`RefCell`), and a [`Session`] wraps exactly one of them. This
 //! crate is where concurrency lives, built from three pieces that the lower
 //! layers expose for exactly this purpose:
@@ -15,18 +15,19 @@
 //!   session prepares a statement first, every other worker's `prepare` is
 //!   a shared-`Arc` hit with zero parse/bind/rewrite/compile work
 //!   ([`perm::PlanCacheStats`]).
-//! * **A shared sublink memo.** [`SharedSublinkMemo`] is the mutex-guarded
-//!   variant of the executor's correlated-sublink memo. Compiled memo keys
-//!   embed a process-unique sublink id plus the typed parameter and binding
-//!   values, so entries computed by *any* worker are valid for *every*
-//!   worker serving the same prepared statements.
+//! * **Statements that carry their sublink memo.** A [`Prepared`]
+//!   statement owns a mutex-guarded memo of its correlated-sublink
+//!   summaries, keyed by sublink id, database version and the typed
+//!   parameter and binding values. Workers that share a statement — through
+//!   the plan cache or a [`Request::prepared`] handle — share its entries,
+//!   so a binding *any* worker has evaluated is a hit for *every* worker.
 //!
 //! [`ConcurrentEngine`] assembles them behind one entry point:
 //! [`ConcurrentEngine::serve`] (and its policy-taking form,
 //! [`ConcurrentEngine::serve_with_options`]) drains a queue of requests
 //! with a fixed pool of `std::thread::scope` workers,
 //! **session-per-worker** — each worker owns its `!Sync` session/executor
-//! core; only the engine, the plan cache and the shared memo cross threads.
+//! core; only the engine, the plan cache and the statements cross threads.
 //! A statement runs the same way on the pool as on a plain [`Session`]:
 //! the optimizer has already turned the correlated sublinks it can into
 //! hash joins, and what it leaves to the memo is evaluated once per
@@ -54,8 +55,7 @@
 //! ```
 
 use perm::{
-    Database, Engine, ExecError, PermError, Prepared, Relation, Session, SessionConfig,
-    SharedSublinkMemo, Value,
+    Database, Engine, ExecError, PermError, Prepared, Relation, Session, SessionConfig, Value,
 };
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -73,7 +73,6 @@ const _: () = {
     assert_send_sync::<Relation>();
     assert_send_sync::<Engine>();
     assert_send_sync::<Prepared>();
-    assert_send_sync::<SharedSublinkMemo>();
     assert_send_sync::<ConcurrentEngine>();
     assert_send_sync::<Request>();
     assert_send_sync::<ServeOptions>();
@@ -180,8 +179,9 @@ impl HistogramSnapshot {
 }
 
 /// The pool-wide counters [`ConcurrentEngine::serve_with_options`] maintains:
-/// request outcomes, retry/panic/restart counts, and the two latency
-/// histograms. All relaxed atomics — serving never blocks on metrics.
+/// request outcomes, retry/panic/restart counts, the statement-memo traffic
+/// of every attempt, and the two latency histograms. All relaxed atomics —
+/// serving never blocks on metrics.
 #[derive(Debug, Default)]
 struct MetricsRegistry {
     requests_served: AtomicU64,
@@ -190,13 +190,16 @@ struct MetricsRegistry {
     requests_retried: AtomicU64,
     worker_panics: AtomicU64,
     worker_restarts: AtomicU64,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
     queue_wait: LatencyHistogram,
     execution: LatencyHistogram,
 }
 
 /// A point-in-time view of the serving metrics
 /// ([`ConcurrentEngine::metrics`]): request outcomes, latency histograms,
-/// and the hit/miss traffic of the two cross-worker caches. Exportable as
+/// and the hit/miss traffic of the plan cache and the statement memos the
+/// workers share. Exportable as
 /// Prometheus text via [`MetricsSnapshot::prometheus_text`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -220,9 +223,12 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// Engine-wide plan-cache misses.
     pub plan_cache_misses: u64,
-    /// Result lookups served by the pool's shared sublink memo.
+    /// Sublink lookups the pool's requests served from their statement's
+    /// memo (the sum of every request attempt's
+    /// [`perm::SessionStats::memo_hits`]).
     pub shared_memo_hits: u64,
-    /// Result lookups the shared sublink memo could not serve.
+    /// Sublink lookups that executed the sublink
+    /// ([`perm::SessionStats::memo_misses`], summed the same way).
     pub shared_memo_misses: u64,
 }
 
@@ -232,7 +238,7 @@ impl MetricsSnapshot {
         hit_rate(self.plan_cache_hits, self.plan_cache_misses)
     }
 
-    /// Shared-memo result hit rate in `[0, 1]`; zero before any traffic.
+    /// Statement-memo hit rate in `[0, 1]`; zero before any traffic.
     pub fn shared_memo_hit_rate(&self) -> f64 {
         hit_rate(self.shared_memo_hits, self.shared_memo_misses)
     }
@@ -287,12 +293,12 @@ impl MetricsSnapshot {
             ),
             (
                 "perm_shared_memo_hits_total",
-                "Shared sublink-memo result hits.",
+                "Sublink lookups served by a statement memo.",
                 self.shared_memo_hits,
             ),
             (
                 "perm_shared_memo_misses_total",
-                "Shared sublink-memo result misses.",
+                "Sublink lookups that executed the sublink.",
                 self.shared_memo_misses,
             ),
         ];
@@ -320,7 +326,7 @@ impl MetricsSnapshot {
             ),
             (
                 "perm_shared_memo_hit_rate",
-                "Shared sublink-memo result hit rate in [0, 1].",
+                "Statement-memo hit rate in [0, 1].",
                 self.shared_memo_hit_rate(),
             ),
         ];
@@ -339,6 +345,12 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
         return 0.0;
     }
     hits as f64 / total as f64
+}
+
+/// A session's statement-memo hits and misses so far.
+fn memo_traffic(session: &Session<'_>) -> (u64, u64) {
+    let executor = session.executor();
+    (executor.memo_hits(), executor.memo_misses())
 }
 
 /// `true` for failures worth re-executing: a panic the pool isolated or a
@@ -404,13 +416,12 @@ impl Request {
 
 /// A shared-engine worker pool: the concurrency layer over an [`Engine`].
 ///
-/// Owns the engine, a fixed worker count, and the [`SharedSublinkMemo`] its
-/// worker sessions attach. See the crate docs for the architecture.
+/// Owns the engine and a fixed worker count. See the crate docs for the
+/// architecture.
 #[derive(Debug)]
 pub struct ConcurrentEngine {
     engine: Engine,
     workers: usize,
-    shared_memo: Arc<SharedSublinkMemo>,
     metrics: MetricsRegistry,
 }
 
@@ -418,19 +429,24 @@ impl ConcurrentEngine {
     /// Wraps an engine with as many workers as the machine offers
     /// ([`std::thread::available_parallelism`]).
     ///
-    /// Both caches default to **unbounded** — right for parameterized
-    /// statement traffic (a fixed set of texts, `$n` bindings), where every
-    /// entry keeps earning its keep. A workload of ad-hoc texts with
-    /// inlined literals makes every request a new plan-cache key and a new
-    /// set of sublink ids; bound both for such traffic:
-    /// `Engine::with_plan_cache_capacity` on the engine, and
-    /// [`ConcurrentEngine::with_memo`] +
-    /// [`SharedSublinkMemo::with_capacity`] for the sublink memo.
+    /// The plan cache and each statement's memo default to **unbounded** —
+    /// right for parameterized statement traffic (a fixed set of texts, `$n`
+    /// bindings), where every entry keeps earning its keep. A workload of
+    /// ad-hoc texts with inlined literals makes every request a new
+    /// plan-cache key, and with it a new statement and memo; bound the
+    /// cache with `Engine::with_plan_cache_capacity` for such traffic (an
+    /// evicted statement takes its memo with it). A statement whose
+    /// correlations have many distinct bindings is bounded by
+    /// [`SessionConfig::memo_capacity`] in the engine's configuration.
     pub fn new(engine: Engine) -> ConcurrentEngine {
         let workers = thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        ConcurrentEngine::with_memo(engine, workers, SharedSublinkMemo::new())
+        ConcurrentEngine {
+            engine,
+            workers,
+            metrics: MetricsRegistry::default(),
+        }
     }
 
     /// Sets the worker count (minimum 1).
@@ -439,24 +455,9 @@ impl ConcurrentEngine {
         self
     }
 
-    /// Wraps an engine with an explicit worker count and shared memo (e.g.
-    /// one bounded via [`SharedSublinkMemo::with_capacity`]).
-    pub fn with_memo(
-        engine: Engine,
-        workers: usize,
-        shared_memo: Arc<SharedSublinkMemo>,
-    ) -> ConcurrentEngine {
-        ConcurrentEngine {
-            engine,
-            workers: workers.max(1),
-            shared_memo,
-            metrics: MetricsRegistry::default(),
-        }
-    }
-
     /// A point-in-time snapshot of the pool's serving metrics: request
     /// outcomes, queue-wait and execution-latency histograms, and the hit
-    /// traffic of the plan cache and the shared sublink memo. Cheap (a few
+    /// traffic of the plan cache and the statement memos. Cheap (a few
     /// relaxed loads); export with [`MetricsSnapshot::prometheus_text`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let plan_cache = self.engine.plan_cache_stats();
@@ -471,8 +472,8 @@ impl ConcurrentEngine {
             execution: self.metrics.execution.snapshot(),
             plan_cache_hits: plan_cache.hits,
             plan_cache_misses: plan_cache.misses,
-            shared_memo_hits: self.shared_memo.result_hits(),
-            shared_memo_misses: self.shared_memo.result_misses(),
+            shared_memo_hits: self.metrics.memo_hits.load(Ordering::Relaxed),
+            shared_memo_misses: self.metrics.memo_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -486,12 +487,11 @@ impl ConcurrentEngine {
         self.engine.database()
     }
 
-    /// Mutable access to the database. Clears the shared sublink memo and
-    /// (via [`Engine::database_mut`]) the plan cache: both cache functions
-    /// of the data. Exclusive access is enforced by the borrow checker —
-    /// no worker can be serving while the data changes.
+    /// Mutable access to the database, through [`Engine::database_mut`]:
+    /// the plan cache is emptied, and a statement held elsewhere misses its
+    /// memo over the changed data. Exclusive access is enforced by the
+    /// borrow checker — no worker can be serving while the data changes.
     pub fn database_mut(&mut self) -> &mut Database {
-        self.shared_memo.clear();
         self.engine.database_mut()
     }
 
@@ -500,24 +500,18 @@ impl ConcurrentEngine {
         self.workers
     }
 
-    /// The cross-thread sublink memo the worker sessions share.
-    pub fn shared_memo(&self) -> &Arc<SharedSublinkMemo> {
-        &self.shared_memo
-    }
-
     /// The configuration worker sessions run under: the engine's default
-    /// configuration with the shared memo attached and memo retention on
-    /// (warm entries are the point of a serving pool).
+    /// configuration with memo retention on (warm entries are the point of
+    /// a serving pool).
     fn worker_config(&self) -> SessionConfig {
         let mut config = self.engine.config().clone();
-        config.shared_sublink_memo = Some(Arc::clone(&self.shared_memo));
         config.retain_memo = true;
         config
     }
 
     /// Opens a worker-flavoured session: plan-cache-attached (it comes from
-    /// the engine) and sharing the pool's sublink memo. The session is
-    /// `!Sync` — it belongs to the calling thread.
+    /// the engine), with memo retention on. The session is `!Sync` — it
+    /// belongs to the calling thread.
     pub fn session(&self) -> Session<'_> {
         self.engine.session_with(self.worker_config())
     }
@@ -599,6 +593,7 @@ impl ConcurrentEngine {
                         let mut attempts = 0;
                         let result = loop {
                             let attempt_start = Instant::now();
+                            let memo_before = memo_traffic(&session);
                             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
                                 Self::run_request(&session, &mut local, request)
                             }))
@@ -606,6 +601,13 @@ impl ConcurrentEngine {
                                 Err(PermError::Internal(panic_message(payload)))
                             });
                             self.metrics.execution.record(attempt_start.elapsed());
+                            let memo_after = memo_traffic(&session);
+                            self.metrics
+                                .memo_hits
+                                .fetch_add(memo_after.0 - memo_before.0, Ordering::Relaxed);
+                            self.metrics
+                                .memo_misses
+                                .fetch_add(memo_after.1 - memo_before.1, Ordering::Relaxed);
                             if matches!(attempt, Err(PermError::Internal(_))) {
                                 self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                                 session = self.engine.session_with(config.clone());
@@ -770,7 +772,7 @@ mod tests {
     fn the_shared_memo_carries_bindings_across_serve_calls_and_workers() {
         // serve_mix's scalar-`avg` statement: the one sublink shape the
         // optimizer leaves to the memo, so the one reason the pool's
-        // sessions share a memo at all.
+        // sessions share a statement's memo at all.
         const SQL: &str = "SELECT PROVENANCE a, b FROM r1 WHERE b < \
              (SELECT avg(b) FROM r2 WHERE r2.g = r1.g AND r2.b > $1)";
         // Eight `$1` values across r2.b's spread (σ = 5 000 around 0), each
@@ -785,8 +787,9 @@ mod tests {
         let after_cold = engine.metrics();
         assert!(after_cold.shared_memo_misses > 0, "the first call computes");
 
-        // Every (binding, `$1`) pair is in the memo now, whichever worker
-        // computed it: the second call evaluates no sublink.
+        // Every (binding, `$1`) pair is in the statement's memo now,
+        // whichever worker computed it: the second call evaluates no
+        // sublink.
         let warm = engine.serve(&requests);
         let after_warm = engine.metrics();
         assert_eq!(after_warm.shared_memo_misses, after_cold.shared_memo_misses);
@@ -800,9 +803,10 @@ mod tests {
             assert!(warm.as_ref().unwrap().bag_eq(&expected));
         }
 
-        // A data change empties the memo: the next call misses again.
+        // A data change retires the cached statement, and its memo with it:
+        // the next call misses again.
         engine.database_mut();
-        assert_eq!(engine.shared_memo().entry_count(), 0);
+        assert_eq!(engine.engine().plan_cache_stats().entries, 0);
         engine.serve(&requests);
         assert!(engine.metrics().shared_memo_misses > after_warm.shared_memo_misses);
     }
@@ -1030,8 +1034,7 @@ mod tests {
         assert_eq!(metrics.queue_wait.count, 8);
         assert_eq!(metrics.execution.count, 8);
         assert_eq!(metrics.queue_wait.buckets.iter().sum::<u64>(), 8);
-        // The correlated statement drove shared-memo traffic, and repeated
-        // bindings hit.
+        // The correlated statement drove statement-memo traffic.
         assert!(metrics.shared_memo_hits + metrics.shared_memo_misses > 0);
         assert!(metrics.plan_cache_hits + metrics.plan_cache_misses > 0);
         assert!(metrics.plan_cache_hit_rate() <= 1.0);

@@ -13,13 +13,20 @@
 //!
 //! Mutation stays copy-on-write at the granularity of whole tables:
 //! [`Database::create_table`] and friends replace the `Arc`, they never
-//! mutate a relation other readers might hold.
+//! mutate a relation other readers might hold. Each of them also gives the
+//! database a fresh [`Database::version`], which is how a cached result
+//! computed over one state of the data is told apart from another.
 
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of database versions: one process-wide counter, so no two
+/// mutations anywhere in the process produce the same version.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// An in-memory database: a mapping from (case-insensitive) relation names to
 /// base relations. This plays the role of the PostgreSQL catalog + heap in
@@ -27,12 +34,24 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     relations: BTreeMap<String, Arc<Relation>>,
+    version: u64,
 }
 
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Database {
         Database::default()
+    }
+
+    /// The version of the contents: 0 for a new database, and a fresh
+    /// process-unique value after every mutation. A clone keeps its
+    /// version, so two databases with equal versions hold equal contents.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn bump_version(&mut self) {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Registers a base relation. Fails if the name is already taken.
@@ -42,6 +61,7 @@ impl Database {
             return Err(StorageError::DuplicateRelation(key));
         }
         self.relations.insert(key, Arc::new(relation));
+        self.bump_version();
         Ok(())
     }
 
@@ -49,12 +69,14 @@ impl Database {
     pub fn create_or_replace_table(&mut self, name: impl Into<String>, relation: Relation) {
         self.relations
             .insert(name.into().to_ascii_lowercase(), Arc::new(relation));
+        self.bump_version();
     }
 
     /// Removes a base relation, returning it if present. When the relation
     /// is still shared (e.g. by a snapshot), the returned value is a clone;
     /// otherwise the allocation is recovered without copying.
     pub fn drop_table(&mut self, name: &str) -> Option<Relation> {
+        self.bump_version();
         self.relations
             .remove(&name.to_ascii_lowercase())
             .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
@@ -175,6 +197,33 @@ mod tests {
         );
         assert_eq!(db.table("r").unwrap().len(), 0);
         assert_eq!(snapshot.table("r").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn every_mutation_takes_a_fresh_version_and_a_clone_keeps_it() {
+        let mut db = Database::new();
+        assert_eq!(db.version(), 0);
+        db.create_table("R", small_rel()).unwrap();
+        let created = db.version();
+        assert_ne!(created, 0);
+        // A refused create changes nothing.
+        assert!(db.create_table("r", small_rel()).is_err());
+        assert_eq!(db.version(), created);
+
+        let mut copy = db.clone();
+        assert_eq!(copy.version(), created, "a clone keeps its version");
+        db.create_or_replace_table("r", small_rel());
+        let replaced = db.version();
+        assert_ne!(replaced, created);
+        db.drop_table("r");
+        assert_ne!(db.version(), replaced);
+        assert_ne!(db.version(), created);
+
+        // Two clones mutated the same way, independently, still differ.
+        copy.create_or_replace_table("r", small_rel());
+        assert_ne!(copy.version(), created);
+        assert_ne!(copy.version(), replaced);
+        assert_ne!(copy.version(), db.version());
     }
 
     #[test]

@@ -220,73 +220,6 @@ pub fn encode_key_column(col: &ColumnVec, keys: &mut [Vec<u8>]) {
     }
 }
 
-/// Column-wise [`encode_key_typed`]: the type-exact (memo-key) encoding of
-/// one whole column appended per row, byte-identical to the row-major
-/// form. Typed lanes need no per-entry branching beyond validity because
-/// the lane *is* the type tag.
-pub fn encode_key_typed_column(col: &ColumnVec, keys: &mut [Vec<u8>]) {
-    debug_assert_eq!(col.len(), keys.len());
-    match col {
-        ColumnVec::Int { data, validity } => {
-            for (i, key) in keys.iter_mut().enumerate() {
-                if validity.get(i) {
-                    key.push(4);
-                    key.extend_from_slice(&data[i].to_le_bytes());
-                } else {
-                    key.push(0);
-                }
-            }
-        }
-        ColumnVec::Date { data, validity } => {
-            for (i, key) in keys.iter_mut().enumerate() {
-                if validity.get(i) {
-                    key.push(6);
-                    key.extend_from_slice(&data[i].to_le_bytes());
-                } else {
-                    key.push(0);
-                }
-            }
-        }
-        ColumnVec::Bool { data, validity } => {
-            for (i, key) in keys.iter_mut().enumerate() {
-                if validity.get(i) {
-                    key.push(1);
-                    key.push(data[i] as u8);
-                } else {
-                    key.push(0);
-                }
-            }
-        }
-        ColumnVec::Float { data, validity } => {
-            for (i, key) in keys.iter_mut().enumerate() {
-                if validity.get(i) {
-                    key.push(5);
-                    key.extend_from_slice(&canonical_f64_bits(data[i]).to_le_bytes());
-                } else {
-                    key.push(0);
-                }
-            }
-        }
-        ColumnVec::Str { data, validity } => {
-            for (i, key) in keys.iter_mut().enumerate() {
-                if validity.get(i) {
-                    let s = &data[i];
-                    key.push(3);
-                    key.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    key.extend_from_slice(s.as_bytes());
-                } else {
-                    key.push(0);
-                }
-            }
-        }
-        ColumnVec::Values(vals) => {
-            for (v, key) in vals.iter().zip(keys.iter_mut()) {
-                encode_value(v, true, key);
-            }
-        }
-    }
-}
-
 /// [`encode_key_column`] with a liveness mask, for hash-join keys where a
 /// NULL in a non-null-safe key column disqualifies the whole row: rows
 /// whose `live[i]` is already `false` are skipped, and a NULL entry under
@@ -472,7 +405,7 @@ mod tests {
     }
 
     /// The column-wise encoders must be byte-identical to encoding each row
-    /// with the row-major `encode_key`/`encode_key_typed` — on typed lanes
+    /// with the row-major `encode_key` — on typed lanes
     /// (one variant + NULLs) and on the mixed-type `Values` fallback lane
     /// alike.
     #[test]
@@ -509,15 +442,12 @@ mod tests {
             for col in [&typed_col, &values_col] {
                 let mut untyped = vec![Vec::new(); rows.len()];
                 encode_key_column(col, &mut untyped);
-                let mut typed = vec![Vec::new(); rows.len()];
-                encode_key_typed_column(col, &mut typed);
                 let mut live = vec![true; rows.len()];
                 let mut filtered = vec![Vec::new(); rows.len()];
                 encode_key_column_filtered(col, true, &mut live, &mut filtered);
                 for (i, v) in rows.iter().enumerate() {
                     let row = std::slice::from_ref(v);
                     assert_eq!(untyped[i], encode_key(row), "{v:?} untyped");
-                    assert_eq!(typed[i], encode_key_typed(row), "{v:?} typed");
                     assert!(live[i], "{v:?} must stay live under null_safe");
                     assert_eq!(filtered[i], encode_key(row), "{v:?} filtered");
                 }

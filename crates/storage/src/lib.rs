@@ -27,8 +27,7 @@ pub use catalog::Database;
 pub use column::{ColumnVec, Validity};
 pub use heapfile::{HeapFile, RecordAssembler, RecordId};
 pub use keys::{
-    encode_key, encode_key_column, encode_key_column_filtered, encode_key_typed,
-    encode_key_typed_column, encode_tuple_key,
+    encode_key, encode_key_column, encode_key_column_filtered, encode_key_typed, encode_tuple_key,
 };
 pub use manager::{PagedRelation, StorageManager, DEFAULT_POOL_PAGES};
 pub use page::{decode_row, decode_value, encode_row, encode_value, Page, PAGE_SIZE};

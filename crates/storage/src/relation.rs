@@ -60,11 +60,6 @@ impl Relation {
         &self.schema
     }
 
-    /// Mutable access to the schema (used by rename operations).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
-    }
-
     /// The tuples (with duplicates).
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples

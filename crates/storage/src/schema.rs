@@ -214,23 +214,6 @@ impl Schema {
                 .collect(),
         }
     }
-
-    /// Appends a suffix to every attribute name; used by the Gen strategy to
-    /// build the fresh names `Tsub'` it compares provenance attributes
-    /// against.
-    pub fn with_suffix(&self, suffix: &str) -> Schema {
-        Schema {
-            attrs: self
-                .attrs
-                .iter()
-                .map(|a| Attribute {
-                    name: format!("{}{}", a.name, suffix),
-                    qualifier: None,
-                    dtype: a.dtype,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Builds the provenance attribute name for `relation.attribute` at the given

@@ -2,7 +2,7 @@
 
 use crate::generator::{generate_table, SyntheticConfig};
 use perm_algebra::builder::{
-    all_sublink, and, any_sublink, between, col, eq, exists_sublink, lit, qcol, PlanBuilder,
+    all_sublink, and, any_sublink, between, eq, exists_sublink, lit, qcol, PlanBuilder,
 };
 use perm_algebra::{CompareOp, Plan};
 use perm_storage::{Database, Relation, Value};
@@ -161,11 +161,6 @@ pub fn build_query(db: &Database, params: RangeParams, kind: QueryKind) -> Plan 
         .select(range)
         .select(sublink)
         .build()
-}
-
-/// Convenience re-export used by examples: an unqualified column of `r1`.
-pub fn r1_col(name: &str) -> perm_algebra::Expr {
-    col(name)
 }
 
 #[cfg(test)]

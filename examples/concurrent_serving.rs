@@ -5,8 +5,9 @@
 //! many clients at once. `perm_serve::ConcurrentEngine` adds the
 //! concurrency: a fixed worker pool drains a request queue
 //! (session-per-worker), repeated SQL texts meet in the engine's
-//! cross-session plan cache, and correlated-sublink work lands in a shared
-//! memo so no two workers ever recompute the same binding.
+//! cross-session plan cache, and correlated-sublink work lands in the memo
+//! of the statement the workers share, so no two workers recompute the same
+//! binding.
 //!
 //! Run with `cargo run --example concurrent_serving`.
 
@@ -78,24 +79,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A correlated scalar comparison is the sublink shape the optimizer
     // leaves to the memo (the EXISTS above became a hash join). The first
     // call evaluates it once per distinct region; the second call — fresh
-    // worker sessions, any thread of the pool — finds every region in the
-    // shared memo and evaluates nothing.
+    // worker sessions, any thread of the pool — runs the same statement,
+    // finds every region in its memo and evaluates nothing.
     let audit = engine.prepare(
         "SELECT PROVENANCE id, total FROM orders \
          WHERE total > (SELECT avg(threshold) FROM alerts \
                         WHERE alerts.region = orders.region)",
     )?;
-    // The same statement on a plain session — no pool, no shared memo —
-    // must give the same relation: the memo is a speed knob, not a
-    // semantics one.
-    let plain = Session::new(engine.database()).execute(&audit, &[])?;
+    // A twin of the statement on a plain session — no pool, its own cold
+    // memo — must give the same relation: the memo is a speed knob, not a
+    // semantics one. (Executing `audit` itself here would warm its memo
+    // before the pool sees it.)
+    let plain_session = Session::new(engine.database());
+    let twin = plain_session.prepare(audit.sql().expect("prepared from SQL"))?;
+    let plain = plain_session.execute(&twin, &[])?;
     let request = [Request::prepared(Arc::clone(&audit), vec![])];
     let mut before = engine.metrics();
     for call in ["first", "second"] {
         let provenance = engine.serve(&request).remove(0)?;
         let after = engine.metrics();
         println!(
-            "{call} audit: {} witness rows, shared memo {} hits / {} misses",
+            "{call} audit: {} witness rows, statement memo {} hits / {} misses",
             provenance.len(),
             after.shared_memo_hits - before.shared_memo_hits,
             after.shared_memo_misses - before.shared_memo_misses

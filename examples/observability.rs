@@ -115,8 +115,14 @@ fn main() {
     let stats = traced.stats();
     println!(
         "\n== session counters ==\n\
-         parses={} compiles={} executions={} cancel_checks={} peak_bytes={}",
-        stats.parses, stats.binds, stats.executions, stats.cancel_checks, stats.peak_bytes
+         parses={} compiles={} executions={} memo={}/{} cancel_checks={} peak_bytes={}",
+        stats.parses,
+        stats.compiles,
+        stats.executions,
+        stats.memo_hits,
+        stats.memo_misses,
+        stats.cancel_checks,
+        stats.peak_bytes
     );
 
     // Tier 4 — serving metrics: the concurrent engine aggregates request

@@ -98,7 +98,7 @@
 //! * [`perm_storage`] — values, tuples, schemas, relations, catalog;
 //! * [`perm_algebra`] — the relational algebra with sublinks (Figure 1);
 //! * [`perm_exec`] — a bag-semantics executor with correlated-sublink
-//!   support, compiled expressions, a parameterized sublink memo, an
+//!   support, compiled expressions, a per-statement sublink memo, an
 //!   optimizer layer (sublink decorrelation, predicate pushdown, projection
 //!   pruning, constant folding) and a streaming cursor;
 //! * [`perm_sql`] — a SQL front end with the `SELECT PROVENANCE` extension
@@ -126,7 +126,6 @@ pub use perm_core::{
 };
 pub use perm_core::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 pub use perm_exec::Executor;
-pub use perm_exec::SharedSublinkMemo;
 pub use perm_exec::{CancelToken, Degradation, ExecError, FaultKind, FaultPlan, FaultSite};
 pub use perm_exec::{ProfileNode, QueryProfile};
 pub use perm_storage::{Database, Relation, Schema, Tuple, Value};

@@ -33,15 +33,13 @@ use crate::PermError;
 use perm_algebra::Plan;
 use perm_core::{ProvenanceDescriptor, ProvenanceQuery, Strategy};
 use perm_core::{TraceEvent, TraceKind, TraceSink};
-use perm_exec::{
-    CancelToken, Degradation, Executor, FaultPlan, QueryProfile, SharedSublinkMemo, TraceSignal,
-};
+use perm_exec::{CancelToken, Degradation, Executor, FaultPlan, QueryProfile, TraceSignal};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Re-export of the executor's streaming cursor: `Iterator<Item =
@@ -57,11 +55,6 @@ pub struct Engine {
     db: Database,
     config: SessionConfig,
     plan_cache: PlanCache,
-    /// Every shared sublink memo a session of this engine has attached
-    /// (weakly, so the registry never keeps a memo alive): the set
-    /// [`Engine::database_mut`] must invalidate, since cached sublink
-    /// results are functions of the data. Deduplicated by pointer.
-    attached_memos: Mutex<Vec<Weak<SharedSublinkMemo>>>,
 }
 
 impl Engine {
@@ -72,7 +65,6 @@ impl Engine {
             db,
             config: SessionConfig::default(),
             plan_cache: PlanCache::default(),
-            attached_memos: Mutex::new(Vec::new()),
         }
     }
 
@@ -108,25 +100,13 @@ impl Engine {
     /// sessions, not under them — exactly the exclusivity the borrow
     /// checker enforces.
     ///
-    /// Taking this invalidates everything derived from the data: the
-    /// cross-session plan cache (prepared statements bind against catalog
-    /// schemas), the configured shared sublink memo, and every shared
-    /// sublink memo any session of this engine has attached (cached
-    /// sublink results are functions of the data; the engine remembers
-    /// attached memos weakly for exactly this moment).
+    /// Taking this empties the cross-session plan cache: prepared
+    /// statements bind against catalog schemas. A statement held elsewhere
+    /// stays usable and sees the new data — its memo keys carry the
+    /// [`Database::version`], which every mutation changes, so the entries
+    /// of the old data can never hit again.
     pub fn database_mut(&mut self) -> &mut Database {
         self.plan_cache.clear();
-        if let Some(memo) = &self.config.shared_sublink_memo {
-            memo.clear();
-        }
-        let mut attached = self.attached_memos.lock().expect("memo registry poisoned");
-        attached.retain(|weak| match weak.upgrade() {
-            Some(memo) => {
-                memo.clear();
-                true
-            }
-            None => false,
-        });
         &mut self.db
     }
 
@@ -137,52 +117,31 @@ impl Engine {
 
     /// Opens a session with an explicit configuration.
     pub fn session_with(&self, config: SessionConfig) -> Session<'_> {
-        if let Some(memo) = &config.shared_sublink_memo {
-            self.register_memo(memo);
-        }
         let mut session = Session::with_config(&self.db, config);
         session.plan_cache = Some(&self.plan_cache);
         session
-    }
-
-    /// Remembers a session-attached shared memo (weakly, deduplicated) so
-    /// [`Engine::database_mut`] can invalidate it.
-    fn register_memo(&self, memo: &Arc<SharedSublinkMemo>) {
-        let mut attached = self.attached_memos.lock().expect("memo registry poisoned");
-        attached.retain(|weak| weak.strong_count() > 0);
-        if !attached
-            .iter()
-            .any(|weak| weak.as_ptr() == Arc::as_ptr(memo))
-        {
-            attached.push(Arc::downgrade(memo));
-        }
     }
 
     /// Hit/miss/entry counters of the cross-session plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }
-
-    /// Drops every cached prepared statement (counters keep running).
-    /// Statements already handed out stay valid — the cache holds `Arc`s.
-    pub fn clear_plan_cache(&self) {
-        self.plan_cache.clear();
-    }
 }
 
-/// The cache key of one prepared statement: the SQL text plus the one part
-/// of the [`SessionConfig`] that shapes the *prepared form* — the rewrite
-/// strategy — and whether provenance was forced by
-/// [`Session::prepare_provenance`] rather than the `SELECT PROVENANCE`
-/// marker (which lives in the text itself). Execution-only knobs (memo
-/// toggles, capacities, retention, batching and columnar layout) are
-/// deliberately *not* part of the key: sessions differing only in those
-/// share one compiled plan.
+/// The cache key of one prepared statement: the SQL text plus the two
+/// parts of the [`SessionConfig`] that shape the *prepared form* — the
+/// rewrite strategy and the bound of the statement's memo — and whether
+/// provenance was forced by [`Session::prepare_provenance`] rather than the
+/// `SELECT PROVENANCE` marker (which lives in the text itself).
+/// Execution-only knobs (the memo toggle, retention, batching and columnar
+/// layout) are deliberately *not* part of the key: sessions differing only
+/// in those share one compiled plan, and with it one memo.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     sql: String,
     forced_provenance: bool,
     strategy: Strategy,
+    memo_capacity: Option<usize>,
 }
 
 /// The engine's cross-session plan cache: SQL text (+ config fingerprint)
@@ -259,8 +218,8 @@ impl PlanCache {
     /// one: two sessions racing to prepare the same statement both get
     /// here, the incumbent wins, and the loser's compilation is discarded
     /// — including by its own preparer, which adopts the returned
-    /// incumbent so every holder shares one set of sublink ids (and hence
-    /// one set of shared-memo keys).
+    /// incumbent so every holder shares one statement, and with it one
+    /// memo.
     fn insert(&self, key: PlanKey, prepared: Arc<Prepared>) -> Arc<Prepared> {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         if let Some(incumbent) = inner.map.get(&key) {
@@ -327,18 +286,22 @@ pub struct SessionConfig {
     /// (default `true`; the uncorrelated InitPlan caching stays on either
     /// way).
     pub sublink_memo: bool,
-    /// Optional LRU bound, in entries, on each of the executor's private
-    /// sublink memos (default `None`, i.e. unbounded — the established
-    /// behaviour). A compiled-path entry holds what one binding's verdict
-    /// needs — an `EXISTS` flag, a scalar value or an `ANY`/`ALL` probe —
-    /// never the sublink's result. Bounding the memos trades repeated
-    /// sublink work for bounded memory on high-cardinality correlations.
+    /// Optional LRU bound, in entries, on the sublink memo of each statement
+    /// the session prepares (default `None`, i.e. unbounded — the
+    /// established behaviour). The memo belongs to the [`Prepared`]
+    /// statement, so the bound travels with it to every session that runs
+    /// it, and it is part of the plan-cache key. An entry holds what one
+    /// binding's verdict needs — an `EXISTS` flag, a scalar value or an
+    /// `ANY`/`ALL` probe — never the sublink's result. Bounding the memo
+    /// trades repeated sublink work for bounded memory on high-cardinality
+    /// correlations, or on a statement kept across many changes of the
+    /// data.
     pub memo_capacity: Option<usize>,
-    /// Whether memo entries are retained across executions of the same
-    /// [`Prepared`] statement (default `true` — parameter values are part
-    /// of every memo key, so reuse is safe and is the point of preparing).
-    /// Ad-hoc [`Session::run`] under `false` keeps the classic
-    /// clear-per-execution semantics.
+    /// Whether a statement's memo entries survive from one execution to the
+    /// next (default `true` — parameter values and the database version are
+    /// part of every memo key, so reuse is safe and is the point of
+    /// preparing). Under `false` every execution on this session starts the
+    /// statement's memo empty, for every session sharing the statement.
     pub retain_memo: bool,
     /// Whether compiled expressions are evaluated **vectorized** over tuple
     /// batches (default `true`): one dispatch per expression per batch of
@@ -356,27 +319,6 @@ pub struct SessionConfig {
     /// [`perm_exec::Executor::with_columnar`]). Results and errors are
     /// identical either way.
     pub columnar: bool,
-    /// Optional cross-thread sublink memo (default `None`). When set, every
-    /// session opened with this configuration attaches the memo to its
-    /// executor ([`perm_exec::Executor::with_shared_memo`]), so the
-    /// compiled path's sublink summaries (one map of them, bounded by
-    /// [`SharedSublinkMemo::with_capacity`] rather than by
-    /// [`SessionConfig::memo_capacity`]) are shared between sessions —
-    /// across worker threads. The concurrent serving
-    /// subsystem (`perm-serve`) sets this for its worker sessions; combine
-    /// with `retain_memo` (the default) so the warmed entries survive
-    /// between executions.
-    ///
-    /// A shared memo is engine-lifecycle state: sessions never clear it
-    /// (only [`Engine::database_mut`] or the owner does), so entries from
-    /// statements that bypass the plan cache — [`Session::prepare_plan`],
-    /// or any preparation repeated after a cache clear — are keyed by
-    /// sublink ids that later preparations never reuse and sit there as
-    /// dead weight. Serve plan-cached SQL statements through it (their ids
-    /// are stable, so entries keep hitting), and bound it with
-    /// [`SharedSublinkMemo::with_capacity`] when the workload also carries
-    /// ad-hoc traffic.
-    pub shared_sublink_memo: Option<Arc<SharedSublinkMemo>>,
     /// Optional per-execution deadline (default `None`). When set, every
     /// [`Session::execute`]/[`Session::rows`] call mints a fresh
     /// [`CancelToken`] with this time budget; an execution that overruns it
@@ -443,7 +385,6 @@ impl Default for SessionConfig {
             retain_memo: true,
             batching: true,
             columnar: true,
-            shared_sublink_memo: None,
             deadline: None,
             memory_budget: None,
             spill: false,
@@ -465,7 +406,6 @@ impl std::fmt::Debug for SessionConfig {
             .field("retain_memo", &self.retain_memo)
             .field("batching", &self.batching)
             .field("columnar", &self.columnar)
-            .field("shared_sublink_memo", &self.shared_sublink_memo)
             .field("deadline", &self.deadline)
             .field("memory_budget", &self.memory_budget)
             .field("spill", &self.spill)
@@ -500,8 +440,7 @@ fn bridge_signal(signal: TraceSignal) -> TraceEvent {
 ///
 /// Every counter **accumulates monotonically over the session's lifetime**.
 /// Nothing resets between executions — not between two executions of one
-/// [`Prepared`] statement, not across statements, not when
-/// [`Session::run`] clears ad-hoc memo entries. Differencing two snapshots
+/// [`Prepared`] statement, not across statements. Differencing two snapshots
 /// therefore attributes work to exactly the executions in between, which
 /// is how the prepared-statement contract is asserted: after a prepare,
 /// re-executing must advance `executions` (and execution-side counters
@@ -566,6 +505,13 @@ pub struct SessionStats {
     /// the gap between two snapshots bounds how often a cancel or deadline
     /// could have been observed in between.
     pub cancel_checks: u64,
+    /// Sublink lookups the memo of the executed statement served (no
+    /// operator ran).
+    pub memo_hits: u64,
+    /// Sublink lookups that executed the sublink: memo misses, plus every
+    /// evaluation of a correlated sublink under
+    /// [`SessionConfig::sublink_memo`]`: false`.
+    pub memo_misses: u64,
     /// High-water mark of accounted bytes (operator state + memo entries)
     /// seen by the executor's budget accountant. Tracked whether or not a
     /// [`SessionConfig::memory_budget`] is set whenever memo entries exist;
@@ -596,8 +542,8 @@ pub struct SessionStats {
 }
 
 /// A session: the unit of statement preparation and execution. Holds one
-/// [`Executor`] so sublink memos persist across executions according to the
-/// configured policy. Cheap to create; not `Sync` — one session per worker.
+/// [`Executor`], whose counters accumulate over the session's life. Cheap
+/// to create; not `Sync` — one session per worker.
 pub struct Session<'a> {
     db: &'a Database,
     config: SessionConfig,
@@ -623,10 +569,14 @@ pub struct Session<'a> {
 
 /// A prepared statement: the result of running parse → bind → (optional)
 /// provenance rewrite → optimize → compile exactly once. Executing it again
-/// costs only execution. A `Prepared` owns its compiled form and can
-/// outlive the session that prepared it (sublink identities are
-/// process-unique), but it is only valid against the database it was
-/// prepared on.
+/// costs only execution. A `Prepared` owns its compiled form and its sublink
+/// memo, and can outlive the session that prepared it: every session that
+/// executes it — through the engine's plan cache or a shared
+/// `Arc<Prepared>`, on any thread — reads and fills the same memo, and the
+/// memo is freed with the statement. Memo keys carry the
+/// [`Database::version`], so the statement runs correctly over any database
+/// with the catalog schemas it was bound against, and never serves an entry
+/// computed over other data.
 #[derive(Debug)]
 pub struct Prepared {
     sql: Option<String>,
@@ -712,9 +662,6 @@ impl<'a> Session<'a> {
             .with_memory_budget(config.memory_budget)
             .with_spill(config.spill)
             .with_spill_dir(config.spill_dir.clone());
-        if let Some(memo) = &config.shared_sublink_memo {
-            executor = executor.with_shared_memo(Arc::clone(memo));
-        }
         if let Some(plan) = &config.fault_plan {
             executor = executor.with_fault_plan(plan.clone());
         }
@@ -789,6 +736,8 @@ impl<'a> Session<'a> {
             columnar_blocks: self.executor.columnar_blocks(),
             columnar_fallback_rows: self.executor.columnar_fallback_rows(),
             cancel_checks: self.executor.cancel_checks(),
+            memo_hits: self.executor.memo_hits(),
+            memo_misses: self.executor.memo_misses(),
             peak_bytes: self.executor.peak_bytes(),
             spilled_bytes: self.executor.spilled_bytes(),
             spill_partitions: self.executor.spill_partitions(),
@@ -832,6 +781,7 @@ impl<'a> Session<'a> {
             sql: sql.to_owned(),
             forced_provenance,
             strategy: self.config.strategy,
+            memo_capacity: self.config.memo_capacity,
         };
         if let Some(hit) = cache.get(&key) {
             self.cache_hits.set(self.cache_hits.get() + 1);
@@ -851,11 +801,9 @@ impl<'a> Session<'a> {
 
     /// Prepares an algebra plan directly (no SQL front end). Plan
     /// preparations bypass the plan cache — there is no text to key on —
-    /// so each call mints fresh sublink identities: keep the returned
-    /// statement and re-execute it rather than re-preparing in a loop,
-    /// especially on sessions with a shared sublink memo (repeated
-    /// preparation would fill it with entries no later statement can hit;
-    /// see [`SessionConfig::shared_sublink_memo`]).
+    /// so each call compiles a new statement with an empty memo: keep the
+    /// returned statement and re-execute it rather than re-preparing in a
+    /// loop.
     pub fn prepare_plan(&self, plan: &Plan) -> Result<Arc<Prepared>, PermError> {
         Ok(Arc::new(self.prepare_inner(None, plan.clone(), false)?))
     }
@@ -956,9 +904,6 @@ impl<'a> Session<'a> {
             }
         }
         self.executor.bind_params(params.to_vec());
-        if !self.config.retain_memo {
-            self.executor.clear_compiled_memos();
-        }
         Ok(())
     }
 
@@ -1056,20 +1001,11 @@ impl<'a> Session<'a> {
     /// columnar-fallback rows). The result rows are discarded, as in SQL
     /// `EXPLAIN ANALYZE`; use [`Session::execute_profiled`] to keep them,
     /// or [`Session::rows_profiled`] to profile a streaming cursor.
-    ///
-    /// Like [`Session::run`], this is the ad-hoc path: the session's own
-    /// memo entries are cleared afterwards under the retention policy so
-    /// one-off analysis does not accumulate entries.
     pub fn explain_analyze(&self, sql: &str) -> Result<QueryProfile, PermError> {
         let prepared = self.prepare(sql)?;
-        let result = self.execute_profiled(&prepared, &[]);
-        if self.config.retain_memo {
-            self.executor.clear_compiled_memos();
-        }
-        result.map(|(_, mut profile)| {
-            Self::annotate_optimizer(&mut profile, &prepared);
-            profile
-        })
+        let (_, mut profile) = self.execute_profiled(&prepared, &[])?;
+        Self::annotate_optimizer(&mut profile, &prepared);
+        Ok(profile)
     }
 
     /// Executes a prepared statement with profiling armed, returning both
@@ -1133,22 +1069,13 @@ impl<'a> Session<'a> {
     /// repeated or parameterized execution, [`Session::prepare`] and keep
     /// the [`Prepared`] around. (On engine-attached sessions the transient
     /// statement still lands in the cross-session plan cache, so repeated
-    /// ad-hoc texts at least stop paying for compilation.)
-    ///
-    /// The session's own memo entries are cleared afterwards even under the
-    /// retention policy — ad-hoc traffic should not accumulate entries. As
-    /// the clearing is whole-memo, a session interleaving `run` with
-    /// prepared statements loses those statements' warm memo entries too;
-    /// keep ad-hoc traffic on its own session when that matters. An
-    /// attached shared sublink memo is *not* cleared (its lifecycle belongs
-    /// to the engine/serving layer).
+    /// ad-hoc texts at least stop paying for compilation.) The statement's
+    /// memo lives as long as the statement: on a session without an engine
+    /// it is dropped on return; a cached statement keeps it warm for the
+    /// next `run` of the same text. No other statement's memo is touched.
     pub fn run(&self, sql: &str) -> Result<Relation, PermError> {
         let prepared = self.prepare(sql)?;
-        let result = self.execute(&prepared, &[]);
-        if self.config.retain_memo {
-            self.executor.clear_compiled_memos();
-        }
-        result
+        self.execute(&prepared, &[])
     }
 }
 

@@ -10,8 +10,8 @@
 //!   every execution mode, and a failing one raises exactly where the
 //!   reference does;
 //! * probes are memoized, as the sublink's summary, per parameter vector,
-//!   survive a budget that refuses them, and are shared through a
-//!   `SharedSublinkMemo`;
+//!   survive a budget that refuses them, and are shared by every executor
+//!   that runs the compiled plan;
 //! * an `IN` / `ANY` / `ALL` subquery of more than one column is refused —
 //!   at bind time in SQL, with a typed error for a hand-built plan.
 
@@ -23,7 +23,7 @@ use perm_algebra::builder::{
 use perm_algebra::{BinaryOp, CompareOp, Expr, Plan, ProjectItem, SublinkKind};
 use perm_core::ProvenanceError;
 use perm_exec::eval::fold_quantified;
-use perm_exec::{ExecError, QuantProbe, SharedSublinkMemo, BATCH_ROWS};
+use perm_exec::{ExecError, QuantProbe, BATCH_ROWS};
 use perm_sql::SqlError;
 use perm_storage::Truth;
 use rand::rngs::StdRng;
@@ -458,20 +458,20 @@ fn executors_sharing_a_memo_hit_each_others_probes() {
         ("uncorrelated", uncorrelated),
         ("correlated", correlated(&db)),
     ] {
-        let shared = SharedSublinkMemo::new();
-        let warm = Executor::new(&db).with_shared_memo(std::sync::Arc::clone(&shared));
+        // The memo is the compiled plan's: a second executor running the
+        // same plan reads the probes the first one built.
+        let warm = Executor::new(&db);
         let compiled = warm.prepare(&plan).unwrap();
         let first = warm.execute_compiled(&compiled).unwrap();
         assert!(warm.quantifier_comparisons() > 0);
+        assert!(warm.memo_misses() > 0, "{label}");
 
-        let misses = shared.result_misses();
-        let hits = shared.result_hits();
-        let other = Executor::new(&db).with_shared_memo(std::sync::Arc::clone(&shared));
+        let other = Executor::new(&db);
         let second = other.execute_compiled(&compiled).unwrap();
         assert_eq!(second.tuples(), first.tuples());
         assert_eq!(other.quantifier_comparisons(), 0, "{label}: no probe built");
-        assert_eq!(shared.result_misses(), misses, "{label}");
-        assert!(shared.result_hits() > hits, "{label}");
+        assert_eq!(other.memo_misses(), 0, "{label}");
+        assert!(other.memo_hits() > 0, "{label}");
         assert_eq!(
             first.tuples(),
             Executor::new(&db)

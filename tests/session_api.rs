@@ -240,30 +240,90 @@ fn prepared_memo_retention_is_policy_driven() {
     assert_eq!(second, 5, "clearing policy must re-run the sublink");
 }
 
+/// A correlated scalar comparison the optimizer keeps as a sublink: one
+/// memo entry per `g` group (3). Every `a` is at most its group's `max(c)`;
+/// against an empty `s` the max is NULL and no row survives.
+const MAX_PER_GROUP_SQL: &str = "SELECT a FROM r WHERE a <= (SELECT max(c) FROM s WHERE s.g = r.g)";
+
 #[test]
-fn ad_hoc_run_clears_transient_memo_entries_even_under_retention() {
-    // `Session::run` serves a transient statement whose sublink identities
-    // are never reused; under the retention policy its memo entries would
-    // leak forever, so run() clears the compiled memos afterwards. The
-    // observable consequence asserted here: a previously warmed prepared
-    // statement re-runs its sublink after an interleaved run().
-    let db = grouped_db();
-    let engine = Engine::new(db);
+fn ad_hoc_run_leaves_a_prepared_statements_memo_warm() {
+    // A statement's memo belongs to the statement: `Session::run` of an
+    // unrelated text (itself a memo user) executes another statement and
+    // touches no other memo, so a warmed prepared statement re-executes
+    // without evaluating its sublink.
+    let engine = Engine::new(grouped_db());
     let session = engine.session();
-    let prepared = session
-        .prepare("SELECT a FROM r WHERE a IN (SELECT c FROM s)")
-        .unwrap();
-    session.execute(&prepared, &[]).unwrap(); // warm: 5 ops
+    let prepared = session.prepare(MAX_PER_GROUP_SQL).unwrap();
+    assert!(prepared.optimizer_report().sublinks_remaining >= 1);
+    session.execute(&prepared, &[]).unwrap();
+    assert_eq!(session.stats().memo_misses, 3, "one miss per group");
+    session.execute(&prepared, &[]).unwrap();
     session
         .run("SELECT a FROM r WHERE a IN (SELECT c FROM s)")
         .unwrap();
-    let before = session.executor().operators_evaluated();
-    session.execute(&prepared, &[]).unwrap();
+    let before = session.stats();
+    let rows = session.execute(&prepared, &[]).unwrap();
+    let after = session.stats();
+    assert_eq!(rows.len(), 12);
     assert_eq!(
-        session.executor().operators_evaluated() - before,
-        5,
-        "run() must have cleared the memos, forcing a full re-run"
+        after.memo_misses - before.memo_misses,
+        0,
+        "run() must leave the prepared statement's memo warm"
     );
+    assert!(after.memo_hits > before.memo_hits);
+}
+
+#[test]
+fn sessions_of_one_engine_share_a_cached_statements_memo() {
+    let engine = Engine::new(grouped_db());
+    let first = engine.session();
+    let prepared = first.prepare(MAX_PER_GROUP_SQL).unwrap();
+    let expected = first.execute(&prepared, &[]).unwrap();
+    assert!(first.stats().memo_misses > 0, "the first session computes");
+
+    // The second session prepares the same text: a plan-cache hit, the same
+    // statement, and every binding already in its memo.
+    let second = engine.session();
+    let cached = second.prepare(MAX_PER_GROUP_SQL).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&prepared, &cached));
+    let rows = second.execute(&cached, &[]).unwrap();
+    assert!(rows.bag_eq(&expected));
+    let stats = second.stats();
+    assert_eq!(
+        stats.memo_misses, 0,
+        "the second session evaluates no sublink"
+    );
+    assert!(stats.memo_hits > 0);
+}
+
+#[test]
+fn a_statement_run_over_two_databases_never_serves_the_other_ones_entries() {
+    // Warm a statement over the full data, then execute the same
+    // `Arc<Prepared>` over a copy whose `s` is empty: the memo keys carry the
+    // database version, so the copy misses and computes its own answer.
+    let engine = Engine::new(grouped_db());
+    let session = engine.session();
+    let prepared = session.prepare(MAX_PER_GROUP_SQL).unwrap();
+    assert!(prepared.optimizer_report().sublinks_remaining >= 1);
+    assert_eq!(session.execute(&prepared, &[]).unwrap().len(), 12);
+
+    let mut emptied = engine.database().clone();
+    emptied.create_or_replace_table(
+        "s",
+        Relation::from_rows(Schema::from_names(&["c", "g"]).with_qualifier("s"), vec![]),
+    );
+    let other = Session::new(&emptied);
+    let rows = other.execute(&prepared, &[]).unwrap();
+    assert!(
+        rows.is_empty(),
+        "the full database's entries were served: {rows}"
+    );
+    assert_eq!(other.stats().memo_misses, 3, "every group is computed anew");
+
+    // The full database's entries still serve it.
+    let before = session.stats();
+    assert_eq!(session.execute(&prepared, &[]).unwrap().len(), 12);
+    assert_eq!(session.stats().memo_misses, before.memo_misses);
 }
 
 #[test]
@@ -476,31 +536,24 @@ fn plan_cache_capacity_evicts_in_insertion_order() {
 
 #[test]
 fn database_mut_invalidates_plan_cache_and_session_attached_shared_memos() {
-    use perm::SharedSublinkMemo;
-    use std::sync::Arc;
-
     let mut engine = Engine::new(grouped_db());
-    let memo = SharedSublinkMemo::new();
-    let config = SessionConfig {
-        shared_sublink_memo: Some(Arc::clone(&memo)),
-        ..SessionConfig::default()
-    };
-    // The memo is attached via `session_with` only — the engine's own
-    // default config knows nothing about it. `database_mut` must still
-    // invalidate it (the engine registers attached memos weakly).
     // Memo-path test: a correlated scalar sublink the optimizer keeps, so
-    // it actually warms the shared memo. Every `a` is at most its group's
-    // `max(c)`; against an empty `s` the max is NULL and no row survives.
-    let sql = "SELECT a FROM r WHERE a <= (SELECT max(c) FROM s WHERE s.g = r.g)";
+    // it actually warms the statement's memo.
     let prepared = {
-        let session = engine.session_with(config.clone());
-        let prepared = session.prepare(sql).unwrap();
+        let session = engine.session();
+        let prepared = session.prepare(MAX_PER_GROUP_SQL).unwrap();
         assert!(prepared.optimizer_report().sublinks_remaining >= 1);
         let before = session.execute(&prepared, &[]).unwrap();
         assert_eq!(before.len(), 12, "every r row is within its s group");
+        let warm = session.stats();
+        assert!(
+            warm.memo_misses > 0,
+            "execution warmed the statement's memo"
+        );
+        session.execute(&prepared, &[]).unwrap();
+        assert_eq!(session.stats().memo_misses, warm.memo_misses);
         prepared
     };
-    assert!(memo.entry_count() > 0, "execution warmed the shared memo");
     assert_eq!(engine.plan_cache_stats().entries, 1);
 
     // Empty `s`: now *no* row of `r` qualifies.
@@ -508,16 +561,18 @@ fn database_mut_invalidates_plan_cache_and_session_attached_shared_memos() {
         "s",
         Relation::from_rows(Schema::from_names(&["c", "g"]).with_qualifier("s"), vec![]),
     );
-    assert_eq!(memo.entry_count(), 0, "attached memo was invalidated");
     assert_eq!(engine.plan_cache_stats().entries, 0);
 
-    // Re-executing the *held* statement on a fresh memo-attached session
-    // must see the new data, not stale cached sublink results.
-    let session = engine.session_with(config);
+    // Re-executing the *held* statement — its memo still holds the old
+    // data's entries — on a fresh session must see the new data, not stale
+    // cached sublink results.
+    let session = engine.session();
     let after = session.execute(&prepared, &[]).unwrap();
-    assert!(
-        after.is_empty(),
-        "stale shared-memo entries served: {after}"
+    assert!(after.is_empty(), "stale memo entries served: {after}");
+    assert_eq!(
+        session.stats().memo_misses,
+        3,
+        "every group is computed anew"
     );
 }
 
@@ -648,6 +703,8 @@ fn stats_counters_accumulate_monotonically_over_the_session_life() {
         ("columnar_blocks", |s| s.columnar_blocks),
         ("columnar_fallback_rows", |s| s.columnar_fallback_rows),
         ("cancel_checks", |s| s.cancel_checks),
+        ("memo_hits", |s| s.memo_hits),
+        ("memo_misses", |s| s.memo_misses),
         ("peak_bytes", |s| s.peak_bytes),
         ("spilled_bytes", |s| s.spilled_bytes),
         ("spill_partitions", |s| s.spill_partitions),
