@@ -19,8 +19,9 @@
 //! plus a packed validity bitmap) instead of matching a `Value` enum per
 //! row; columns that mix representations fall back to a `Value`-vector
 //! lane with unchanged row-at-a-time semantics. Rows are only
-//! re-materialised at pipeline breakers, the sublink memo seam (which
-//! still exchanges `Arc<Relation>`), and the `Rows` output boundary.
+//! re-materialised at pipeline breakers, at a sublink's result (which the
+//! memo seam exchanges only as a summary: an `EXISTS` flag, a scalar value
+//! or an `ANY` / `ALL` probe), and at the `Rows` output boundary.
 //!
 //! ## Selection-vector invariants
 //!
@@ -37,9 +38,10 @@
 //! 4. **Empty means untouched** — no live rows ⇒ no expression is
 //!    evaluated, so a deferred error (unresolved column, unbound
 //!    parameter) behind an empty selection is never raised, exactly like
-//!    the per-tuple evaluator that never reached those rows. The typed
-//!    kernels inherit this: an empty batch short-circuits before any lane
-//!    is touched.
+//!    the interpreter, which never reaches those rows. The typed kernels
+//!    inherit this: an empty batch short-circuits before any lane is
+//!    touched. A row evaluated alone (batching off, or the cursor's replay
+//!    of a failing batch) is a dense batch of one, with no column block.
 //!
 //! ## Column-block invariants
 //!

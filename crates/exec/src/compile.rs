@@ -1,5 +1,5 @@
 //! Plan compilation: the one-time pass that turns a [`Plan`] into a
-//! [`CompiledPlan`] whose per-tuple work is integer indexing instead of
+//! [`CompiledPlan`] whose per-row work is integer indexing instead of
 //! name lookup.
 //!
 //! Two things happen per operator:
@@ -482,9 +482,9 @@ impl<'a> Frame<'a> {
 /// cheapest correct choice; `SeqCst` would buy nothing.
 static NEXT_SUBLINK_ID: AtomicUsize = AtomicUsize::new(0);
 
-/// Applies a unary operator to an already-evaluated value. Shared by the
-/// per-tuple evaluator and the vectorized batch evaluator so their
-/// semantics cannot drift apart.
+/// Applies a unary operator to one value: the scalar semantics every
+/// unary kernel equals, run by the fallback of
+/// [`crate::kernels::unary_column`] alone.
 pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value> {
     Ok(match op {
         UnaryOp::Not => v.as_truth().not().to_value(),
@@ -499,10 +499,10 @@ pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value> {
     })
 }
 
-/// Applies a non-logical binary operator to already-evaluated operand
-/// values (`AND`/`OR` short-circuit over unevaluated operands and are
-/// handled by the callers). Shared by the per-tuple and the vectorized
-/// evaluator.
+/// Applies a non-logical binary operator to two values (`AND`/`OR`
+/// short-circuit over sub-selections and never reach here): the scalar
+/// semantics every binary kernel equals, run by the fallback of
+/// [`crate::kernels::binary_column`] alone.
 pub(crate) fn apply_binary_scalar(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
@@ -946,17 +946,17 @@ impl Executor<'_> {
     }
 
     /// The recursive operator evaluation behind [`Executor::execute_compiled`]
-    /// (which see): executes children, wraps the vectorized batch evaluator
-    /// (`Executor::ceval_batch`, or the per-tuple [`Executor::ceval`] when
-    /// batching is disabled) into batch-evaluator closures over a [`Frame`]
-    /// slot chain, and delegates every operator body to `crate::physical` —
-    /// the same bodies the interpreter drives. `frame` is the runtime scope
-    /// chain for correlated slot references (present when the subtree is a
-    /// sublink query of an outer operator). This is the recursion, not an
-    /// entry: it re-checks no parameter binding and routes no `LIMIT`.
-    /// `prof` is the armed profile node mirroring `plan` (`None` on every
-    /// unprofiled path); children recurse positionally into its child
-    /// nodes, so the tree stays aligned with the plan by construction.
+    /// (which see): executes children, wraps the batch evaluator
+    /// (`Executor::ceval_batch`) into batch-evaluator closures over a
+    /// [`Frame`] slot chain, and delegates every operator body to
+    /// `crate::physical` — the same bodies the interpreter drives. `frame`
+    /// is the runtime scope chain for correlated slot references (present
+    /// when the subtree is a sublink query of an outer operator). This is
+    /// the recursion, not an entry: it re-checks no parameter binding and
+    /// routes no `LIMIT`. `prof` is the armed profile node mirroring `plan`
+    /// (`None` on every unprofiled path); children recurse positionally
+    /// into its child nodes, so the tree stays aligned with the plan by
+    /// construction.
     pub(crate) fn execute_compiled_node(
         &self,
         plan: &CompiledNode,
@@ -1010,7 +1010,7 @@ impl Executor<'_> {
                         &child,
                         schema.clone(),
                         *distinct,
-                        |batch, out| self.project_batch(items, batch, frame, out),
+                        |batch, out| self.project_rows_vectorized(items, batch, frame, out),
                     )
                 })
             }
@@ -1020,7 +1020,7 @@ impl Executor<'_> {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
                     physical::select(probe, gov, child, |batch, out| {
-                        self.predicate_batch(predicate, batch, frame, out)
+                        self.predicate_truths_vectorized(predicate, batch, frame, out)
                     })
                 })
             }
@@ -1162,18 +1162,18 @@ impl Executor<'_> {
                 !keys_cover_condition,
                 |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
                 |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                |batch, out| self.predicate_batch(condition, batch, frame, out),
+                |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
             )
         })
     }
 
-    /// The vectorized projection core, shared by the materialising driver
-    /// and the streaming cursor: every item is evaluated vectorized into a
-    /// column, and the columns are transposed into output rows
-    /// (`with_capacity` + push — fallible `collect` grows by realloc).
-    /// Appends nothing on error: all columns are fully evaluated before
-    /// the first row is emitted, which is what lets the cursor replay a
-    /// failing batch per tuple without deduplicating output.
+    /// The projection core, shared by the materialising driver and the
+    /// streaming cursor: every item is evaluated into a column, and the
+    /// columns are transposed into output rows (`with_capacity` + push —
+    /// fallible `collect` grows by realloc). Appends nothing on error: all
+    /// columns are fully evaluated before the first row is emitted, which
+    /// is what lets the cursor replay a failing batch row by row without
+    /// deduplicating output.
     pub(crate) fn project_rows_vectorized(
         &self,
         items: &[CompiledExpr],
@@ -1201,14 +1201,14 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// The bare-column bypass: a depth-0 `Slot` item gathers its values
-    /// straight from the rows instead of round-tripping through the block's
-    /// lane cache, which would cost one extra full-column copy
-    /// (gather-from-lane after classify-into-lane) for a value that is
-    /// consumed exactly once. Counts as one vectorized batch, exactly like
-    /// the dispatch it replaces.
+    /// The bare-column bypass of a batching executor: a depth-0 `Slot`
+    /// item gathers its values straight from the rows instead of
+    /// round-tripping through the block's lane cache, which would cost one
+    /// extra full-column copy (gather-from-lane after classify-into-lane)
+    /// for a value that is consumed exactly once. Counts as one vectorized
+    /// batch, exactly like the dispatch it replaces.
     fn bare_slot_column(&self, item: &CompiledExpr, batch: &Batch<'_>) -> Option<ColumnVec> {
-        if batch.is_empty() {
+        if batch.is_empty() || !self.batch_enabled.get() {
             return None;
         }
         match item {
@@ -1221,9 +1221,9 @@ impl Executor<'_> {
         }
     }
 
-    /// The vectorized predicate core, shared by the materialising driver
-    /// and the streaming cursor: one three-valued-TRUE verdict per live
-    /// row. Appends nothing on error.
+    /// The predicate core, shared by the materialising driver and the
+    /// streaming cursor: one three-valued-TRUE verdict per live row.
+    /// Appends nothing on error.
     pub(crate) fn predicate_truths_vectorized(
         &self,
         predicate: &CompiledExpr,
@@ -1253,54 +1253,13 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// Projection over one batch for the compiled driver: vectorized, or
-    /// the classic per-tuple loop when batching is disabled.
-    fn project_batch(
-        &self,
-        items: &[CompiledExpr],
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                let mut row = Vec::with_capacity(items.len());
-                for item in items {
-                    row.push(self.ceval(item, Some(&scope))?);
-                }
-                out.push(Tuple::new(row));
-            }
-            return Ok(());
-        }
-        self.project_rows_vectorized(items, batch, outer, out)
-    }
-
-    /// Predicate over one batch for the compiled driver: one three-valued
-    /// TRUE verdict per live row.
-    fn predicate_batch(
-        &self,
-        predicate: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<bool>,
-    ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push(self.ceval(predicate, Some(&scope))?.as_truth().is_true());
-            }
-            return Ok(());
-        }
-        self.predicate_truths_vectorized(predicate, batch, outer, out)
-    }
-
     /// A single expression over one batch for the compiled driver (join
-    /// keys): one value per live row, in a column. A bare depth-0 slot
-    /// classifies straight into a typed lane — the common equi-key shape,
-    /// which the column-wise key encoders then consume without a `Value`
-    /// match per row — skipping the block's lane cache (keys are read
-    /// once; the cache round-trip would cost an extra copy).
+    /// keys): one value per live row, in a column. On a batching executor
+    /// with typed lanes, a bare depth-0 slot classifies straight into a
+    /// typed lane — the common equi-key shape, which the column-wise key
+    /// encoders then consume without a `Value` match per row — skipping the
+    /// block's lane cache (keys are read once; the cache round-trip would
+    /// cost an extra copy).
     fn expr_batch(
         &self,
         expr: &CompiledExpr,
@@ -1308,14 +1267,7 @@ impl Executor<'_> {
         outer: Option<&Frame<'_>>,
         out: &mut ColumnVec,
     ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push_value(self.ceval(expr, Some(&scope))?);
-            }
-            return Ok(());
-        }
-        if self.columnar_enabled.get() && !batch.is_empty() {
+        if self.batch_enabled.get() && self.columnar_enabled.get() && !batch.is_empty() {
             if let CompiledExpr::Slot(slot) = expr {
                 if slot.depth == 0 {
                     self.batches_vectorized
@@ -1338,51 +1290,43 @@ impl Executor<'_> {
         outer: Option<&Frame<'_>>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push(self.ceval(expr, Some(&scope))?);
-            }
-            return Ok(());
+        match self.bare_slot_column(expr, batch) {
+            Some(col) => col.append_to_values(out),
+            None => self.ceval_batch(expr, batch, outer)?.append_to_values(out),
         }
-        if let Some(col) = self.bare_slot_column(expr, batch) {
-            col.append_to_values(out);
-            return Ok(());
-        }
-        self.ceval_batch(expr, batch, outer)?.append_to_values(out);
         Ok(())
     }
 
-    /// Evaluates a compiled expression **vectorized** over every live row
-    /// of a batch, appending one value per live row in selection order —
-    /// one dispatch per expression node per batch instead of per tuple.
+    /// Evaluates a compiled expression over every live row of a batch,
+    /// returning one value per live row in selection order: the one entry
+    /// to the compiled evaluator, [`Executor::ceval_typed`].
     ///
-    /// Semantics are identical to evaluating [`Executor::ceval`] row by
-    /// row, because evaluation follows the selection:
+    /// Batching on (the default), the whole batch is evaluated at once —
+    /// one dispatch per expression node per batch instead of per row — and
+    /// counts one on [`Executor::batches_vectorized`]. Batching off, each
+    /// live row is evaluated as a batch of one (no column block, nothing
+    /// counted there), on which expression-major order *is* row-major
+    /// order. Either way the same (row, subexpression) pairs are evaluated,
+    /// because evaluation follows the selection:
     ///
     /// * `AND`/`OR` evaluate their right operand only over the sub-selection
     ///   of rows the left operand did not decide, so a FALSE left conjunct
     ///   still shields an unresolvable (or otherwise failing) right conjunct
-    ///   for exactly the rows it shields per tuple;
+    ///   for exactly the rows it shields one row at a time;
     /// * `CASE` branches narrow the selection the same way — a row that took
     ///   an earlier branch never evaluates a later condition;
     /// * an empty selection evaluates nothing, so deferred errors behind it
     ///   are never raised;
-    /// * an uncorrelated sublink (empty correlation signature) is fetched
-    ///   once for the batch and broadcast; `ANY`/`ALL` reads one verdict
-    ///   per live row from the result's [`crate::QuantProbe`];
-    /// * a correlated sublink falls back to the per-tuple evaluator row by
-    ///   row (see the `Sublink` arm of [`Executor::ceval_typed`]), leaving
-    ///   the parameterized sublink memo untouched.
+    /// * a sublink is looked up once per batch when it is uncorrelated and
+    ///   once per live row otherwise (see `Executor::sublink_column`).
     ///
     /// The only observable difference is *which* of several pending errors
-    /// surfaces first (per-tuple evaluation is row-major, vectorized
-    /// evaluation is expression-major): the set of evaluated (row,
-    /// subexpression) pairs — and hence whether an error occurs at all — is
-    /// identical.
+    /// surfaces first in a batch of many rows (evaluation is
+    /// expression-major); whether an error occurs at all is the same. The
+    /// cursor replays a failing batch one row at a time to raise the
+    /// row-major one.
     ///
-    /// Evaluation always runs through [`Executor::ceval_typed`]; with
-    /// columnar execution disabled only its leaves change (see
+    /// With columnar execution disabled only the leaves change (see
     /// [`Executor::with_columnar`]).
     pub(crate) fn ceval_batch(
         &self,
@@ -1393,6 +1337,14 @@ impl Executor<'_> {
         if batch.is_empty() {
             return Ok(ColumnVec::default());
         }
+        if !self.batch_enabled.get() {
+            let mut values = Vec::with_capacity(batch.len());
+            for row in batch.iter() {
+                let one = Batch::dense(std::slice::from_ref(row));
+                values.push(self.ceval_typed(expr, &one, outer)?.take_value(0));
+            }
+            return Ok(ColumnVec::Values(values));
+        }
         self.batches_vectorized
             .set(self.batches_vectorized.get() + 1);
         self.ceval_typed(expr, batch, outer)
@@ -1401,8 +1353,8 @@ impl Executor<'_> {
     /// The recursive body of [`Executor::ceval_batch`]: returns a column of
     /// exactly `batch.len()` values aligned with the live selection,
     /// evaluated by the typed kernels of [`crate::kernels`] wherever the
-    /// lane pairing has a proven scalar equivalence and by the shared
-    /// scalar appliers row by row otherwise (counted in
+    /// lane pairing has a proven scalar equivalence and by their scalar
+    /// appliers row by row otherwise (counted in
     /// `columnar_fallback_rows`). Sub-selections narrow through
     /// [`Batch::narrow`], keeping the block's lane cache reachable.
     fn ceval_typed(
@@ -1496,24 +1448,7 @@ impl Executor<'_> {
                 branches,
                 else_expr,
             } => self.ceval_case_typed(branches, else_expr.as_deref(), batch, outer),
-            CompiledExpr::Sublink(sublink) if sublink.is_uncorrelated() => {
-                self.uncorrelated_sublink_batch(sublink, batch, outer)
-            }
-            CompiledExpr::Sublink(sublink) => {
-                // Per-tuple fallback: a correlated sublink goes through the
-                // parameterized memo exactly as in tuple-at-a-time
-                // execution.
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    let scope = Frame::new(outer, batch.row(i));
-                    out.push(self.ceval_sublink(sublink, Some(&scope))?);
-                }
-                self.batch_fallback_rows
-                    .set(self.batch_fallback_rows.get() + n as u64);
-                self.columnar_fallback_rows
-                    .set(self.columnar_fallback_rows.get() + n as u64);
-                Ok(ColumnVec::Values(out))
-            }
+            CompiledExpr::Sublink(sublink) => self.sublink_column(sublink, batch, outer),
         }
     }
 
@@ -1552,8 +1487,8 @@ impl Executor<'_> {
     /// operand never runs; only the mixed case pays for a sub-selection
     /// (narrowed through [`Batch::narrow`], keeping the lane cache). Per
     /// row, the right operand runs exactly when the left one leaves the
-    /// connective undecided, as in [`Executor::ceval`]: a FALSE left
-    /// conjunct shields a failing right conjunct for its rows and no others.
+    /// connective undecided, as in the interpreter: a FALSE left conjunct
+    /// shields a failing right conjunct for its rows and no others.
     fn ceval_logic_typed(
         &self,
         op: BinaryOp,
@@ -1617,7 +1552,7 @@ impl Executor<'_> {
     /// Columnar `CASE`, narrowing the selection branch by branch: a row that
     /// took an earlier branch never evaluates a later condition, and an
     /// exhausted selection stops evaluating branches entirely — the
-    /// per-row semantics of [`Executor::ceval`]. Sub-batches narrow through
+    /// interpreter's per-row semantics. Sub-batches narrow through
     /// [`Batch::narrow`] so the lane cache stays reachable.
     fn ceval_case_typed(
         &self,
@@ -1677,134 +1612,66 @@ impl Executor<'_> {
         Ok(ColumnVec::Values(out))
     }
 
-    /// Evaluates a compiled expression.
-    pub fn ceval(&self, expr: &CompiledExpr, frame: Option<&Frame<'_>>) -> Result<Value> {
-        match expr {
-            CompiledExpr::Slot(slot) => match frame {
-                Some(f) => Ok(f.get(*slot).clone()),
-                None => Err(ExecError::Storage(StorageError::UnknownAttribute(
-                    "<compiled slot without scope>".into(),
-                ))),
-            },
-            CompiledExpr::Unresolved { name, ambiguous } => {
-                Err(ExecError::Storage(if *ambiguous {
-                    StorageError::AmbiguousAttribute(name.clone())
-                } else {
-                    StorageError::UnknownAttribute(name.clone())
-                }))
-            }
-            CompiledExpr::Literal(v) => Ok(v.clone()),
-            CompiledExpr::Param(index) => self.param_value(*index),
-            CompiledExpr::Binary { op, left, right } => self.ceval_binary(*op, left, right, frame),
-            CompiledExpr::Unary { op, expr } => {
-                let v = self.ceval(expr, frame)?;
-                apply_unary(*op, v)
-            }
-            CompiledExpr::Func { name, args } => {
-                let values: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.ceval(a, frame))
-                    .collect::<Result<_>>()?;
-                crate::eval::apply_func(*name, &values)
-            }
-            CompiledExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (cond, result) in branches {
-                    if self.ceval(cond, frame)?.as_truth().is_true() {
-                        return self.ceval(result, frame);
-                    }
-                }
-                match else_expr {
-                    Some(e) => self.ceval(e, frame),
-                    None => Ok(Value::Null),
-                }
-            }
-            CompiledExpr::Sublink(sublink) => self.ceval_sublink(sublink, frame),
-        }
-    }
-
-    fn ceval_binary(
-        &self,
-        op: BinaryOp,
-        left: &CompiledExpr,
-        right: &CompiledExpr,
-        frame: Option<&Frame<'_>>,
-    ) -> Result<Value> {
-        // Boolean connectives get non-strict NULL handling with the same
-        // short-circuiting as the interpreter (a FALSE left conjunct must
-        // shield an unresolvable right conjunct).
-        if matches!(op, BinaryOp::And | BinaryOp::Or) {
-            let l = self.ceval(left, frame)?.as_truth();
-            if op == BinaryOp::And && l == Truth::False {
-                return Ok(Truth::False.to_value());
-            }
-            if op == BinaryOp::Or && l == Truth::True {
-                return Ok(Truth::True.to_value());
-            }
-            let r = self.ceval(right, frame)?.as_truth();
-            return Ok(match op {
-                BinaryOp::And => l.and(r),
-                BinaryOp::Or => l.or(r),
-                _ => unreachable!(),
-            }
-            .to_value());
-        }
-
-        let l = self.ceval(left, frame)?;
-        let r = self.ceval(right, frame)?;
-        apply_binary_scalar(op, &l, &r)
-    }
-
-    fn ceval_sublink(&self, sublink: &CompiledSublink, frame: Option<&Frame<'_>>) -> Result<Value> {
-        match sublink.kind {
-            SublinkKind::Exists | SublinkKind::Scalar => {
-                Ok(self.sublink_summary(sublink, frame)?.value())
-            }
-            SublinkKind::Any | SublinkKind::All => {
-                let (test, op) = sublink.quantified()?;
-                let test_value = self.ceval(test, frame)?;
-                let summary = self.sublink_summary(sublink, frame)?;
-                Ok(summary
-                    .probe()
-                    .verdict(sublink.kind, op, &test_value)
-                    .to_value())
-            }
-        }
-    }
-
-    /// An uncorrelated sublink over every live row of a (non-empty) batch:
-    /// its value is the same for all of them, so it is fetched once and
-    /// broadcast — for `ANY`/`ALL`, one probe and one verdict per value of
-    /// the test column, evaluated over the batch. Callers only get here
-    /// with a live row, so a sublink behind an empty selection still
-    /// evaluates nothing.
-    fn uncorrelated_sublink_batch(
+    /// A sublink over every live row of a (non-empty) batch. An `ANY` /
+    /// `ALL` test column is evaluated first, over the whole batch. Then the
+    /// sublink's [`SublinkSummary`] is looked up once for the batch when its
+    /// correlation signature is empty — any row's scope will do, the
+    /// sublink reads no slot of it — and once per live row otherwise, with
+    /// the row's bindings in its frame; those rows count on
+    /// [`Executor::batch_fallback_rows`] and `columnar_fallback_rows`. An
+    /// uncorrelated `EXISTS` or scalar value is broadcast (a scalar keeps
+    /// its typed lane); `ANY` / `ALL` verdicts come out as a `Bool` lane.
+    /// Callers only get here with a live row, so a sublink behind an empty
+    /// selection still evaluates nothing.
+    fn sublink_column(
         &self,
         sublink: &CompiledSublink,
         batch: &Batch<'_>,
         outer: Option<&Frame<'_>>,
     ) -> Result<ColumnVec> {
         let n = batch.len();
-        // Any row's scope will do: the sublink reads no slot of it.
-        let scope = Frame::new(outer, batch.row(0));
-        match sublink.kind {
-            SublinkKind::Exists | SublinkKind::Scalar => Ok(ColumnVec::broadcast(
-                &self.ceval_sublink(sublink, Some(&scope))?,
-                n,
-            )),
+        let quantified = match sublink.kind {
             SublinkKind::Any | SublinkKind::All => {
                 let (test, op) = sublink.quantified()?;
-                let mut tests = self.ceval_typed(test, batch, outer)?;
-                let summary = self.sublink_summary(sublink, Some(&scope))?;
-                let probe = summary.probe();
-                Ok(truths_to_bool_lane(
-                    (0..n).map(|i| probe.verdict(sublink.kind, op, &tests.take_value(i))),
-                    n,
-                ))
+                Some((op, self.ceval_typed(test, batch, outer)?))
             }
+            SublinkKind::Exists | SublinkKind::Scalar => None,
+        };
+        let summary_of =
+            |i: usize| self.sublink_summary(sublink, Some(&Frame::new(outer, batch.row(i))));
+        let shared = if sublink.is_uncorrelated() {
+            Some(summary_of(0)?)
+        } else {
+            None
+        };
+        let col = match (quantified, &shared) {
+            (None, Some(summary)) => ColumnVec::broadcast(&summary.value(), n),
+            (None, None) => {
+                let mut values = Vec::with_capacity(n);
+                for i in 0..n {
+                    values.push(summary_of(i)?.value());
+                }
+                ColumnVec::Values(values)
+            }
+            (Some((op, mut tests)), shared) => {
+                let mut verdicts = Vec::with_capacity(n);
+                for i in 0..n {
+                    let test = tests.take_value(i);
+                    verdicts.push(match shared {
+                        Some(summary) => summary.probe().verdict(sublink.kind, op, &test),
+                        None => summary_of(i)?.probe().verdict(sublink.kind, op, &test),
+                    });
+                }
+                truths_to_bool_lane(verdicts.into_iter(), n)
+            }
+        };
+        if shared.is_none() {
+            self.batch_fallback_rows
+                .set(self.batch_fallback_rows.get() + n as u64);
+            self.columnar_fallback_rows
+                .set(self.columnar_fallback_rows.get() + n as u64);
         }
+        Ok(col)
     }
 
     /// The parameterized memo key of a compiled sublink: its id, then the
@@ -2179,7 +2046,7 @@ mod tests {
 
         // Same shape, but some rows pass the typed left conjunct: those
         // rows *do* reach the right side and the deferred error surfaces,
-        // exactly as in the per-tuple modes.
+        // in every mode.
         let surfaced = PlanBuilder::scan(&db, "r")
             .unwrap()
             .select(perm_algebra::builder::and(

@@ -27,9 +27,10 @@
 //! same statement memo as materialised execution, so correlated work is
 //! still shared across the tuples that *are* pulled.
 //!
-//! Error positions are preserved too: when a vectorized batch evaluation
-//! fails, the failing operator replays the batch per tuple, emits the rows
-//! a tuple-at-a-time cursor would have yielded before the error, and
+//! Error positions are preserved too: when a batch evaluation fails, the
+//! failing operator replays the batch one row at a time — each row a batch
+//! of one, on which expression-major order is row-major order — emits the
+//! rows a row-at-a-time cursor would have yielded before the error, and
 //! surfaces the same error after them ([`Rows`] buffers the prefix and is
 //! fused once the error is returned).
 //!
@@ -39,7 +40,7 @@
 //! corrupt an open stream.
 
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
-use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, Frame};
+use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan};
 use crate::executor::Executor;
 use crate::profile::{self, OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::Result;
@@ -476,61 +477,52 @@ fn fill_node(
     }
 }
 
-/// Filters `in_rows` through `predicate` (vectorized), moving survivors to
-/// `out` in order; returns the survivor count. On a vectorized error the
-/// batch is replayed per tuple so the survivors preceding the error are
-/// emitted and the error per-tuple evaluation raises first is returned.
-/// With batching disabled on the executor, the per-tuple path runs
-/// directly — the streamed path honours `Executor::with_batching` exactly
-/// like the materialising one.
+/// Filters `in_rows` through `predicate`, moving survivors to `out` in
+/// order; returns the survivor count. When the batch fails, it is replayed
+/// one row at a time, as batches of one, so the survivors preceding the
+/// failing row are emitted and the error a row-by-row evaluation raises
+/// first is returned.
 fn select_into(
     ex: &Executor<'_>,
     predicate: &CompiledExpr,
     in_rows: &mut [Tuple],
     out: &mut Vec<Tuple>,
 ) -> Result<usize> {
-    if ex.batching_enabled() {
-        let mut truths = Vec::with_capacity(in_rows.len());
-        let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
-        let block = ColumnBlock::new(arity);
-        if ex
-            .predicate_truths_vectorized(
-                predicate,
-                &Batch::dense_with_block(in_rows, &block),
-                None,
-                &mut truths,
-            )
-            .is_ok()
-        {
-            let mut survivors = 0;
-            for (idx, keep) in truths.iter().enumerate() {
-                if *keep {
-                    out.push(std::mem::take(&mut in_rows[idx]));
-                    survivors += 1;
-                }
-            }
-            return Ok(survivors);
-        }
-        // Fall through: replay per tuple for exact row/error ordering (the
-        // error set is identical; only precedence can differ — see
-        // `Executor::ceval_batch`).
+    let mut truths = Vec::with_capacity(in_rows.len());
+    let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
+    let block = ColumnBlock::new(arity);
+    let batch = Batch::dense_with_block(in_rows, &block);
+    let mut failed = ex
+        .predicate_truths_vectorized(predicate, &batch, None, &mut truths)
+        .err();
+    if failed.is_some() {
+        // The core appended nothing; the replay's verdicts stop at the
+        // failing row (the error set is identical, only precedence can
+        // differ — see `Executor::ceval_batch`).
+        failed = in_rows
+            .chunks(1)
+            .try_for_each(|row| {
+                ex.predicate_truths_vectorized(predicate, &Batch::dense(row), None, &mut truths)
+            })
+            .err();
     }
     let mut survivors = 0;
-    for row in in_rows.iter_mut() {
-        let frame = Frame::new(None, row);
-        if ex.ceval(predicate, Some(&frame))?.as_truth().is_true() {
+    for (row, keep) in in_rows.iter_mut().zip(truths) {
+        if keep {
             out.push(std::mem::take(row));
             survivors += 1;
         }
     }
-    Ok(survivors)
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(survivors),
+    }
 }
 
-/// Projects `in_rows` through `items` (vectorized, transposing the value
-/// columns into rows), appending one tuple per input row. On a vectorized
-/// error the batch is replayed per tuple, appending the rows that precede
-/// the error before returning it; with batching disabled the per-tuple
-/// path runs directly.
+/// Projects `in_rows` through `items`, appending one tuple per input row.
+/// When the batch fails, it is replayed one row at a time, as batches of
+/// one, appending the rows that precede the failing row before returning
+/// its error.
 fn project_into(
     ex: &Executor<'_>,
     items: &[CompiledExpr],
@@ -542,22 +534,14 @@ fn project_into(
     }
     let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
     let block = ColumnBlock::new(arity);
-    if ex.batching_enabled()
-        && ex
-            .project_rows_vectorized(items, &Batch::dense_with_block(in_rows, &block), None, out)
-            .is_ok()
-    {
-        // The shared core appends nothing on error, so falling through to
-        // the per-tuple replay below never duplicates output rows.
+    let batch = Batch::dense_with_block(in_rows, &block);
+    if ex.project_rows_vectorized(items, &batch, None, out).is_ok() {
         return Ok(());
     }
-    for tuple in in_rows {
-        let frame = Frame::new(None, tuple);
-        let mut row = Vec::with_capacity(items.len());
-        for item in items {
-            row.push(ex.ceval(item, Some(&frame))?);
-        }
-        out.push(Tuple::new(row));
+    // The core appends nothing on error, so the replay never duplicates
+    // output rows.
+    for row in in_rows.chunks(1) {
+        ex.project_rows_vectorized(items, &Batch::dense(row), None, out)?;
     }
     Ok(())
 }
@@ -783,13 +767,93 @@ mod tests {
         assert_eq!(
             ex.batches_vectorized(),
             0,
-            "with batching disabled the streamed path must dispatch per tuple"
+            "with batching disabled the streamed path evaluates row by row"
         );
         // And `execute`, which routes this LIMIT through the cursor,
         // respects the toggle the same way.
         let eager = Executor::new(&db).with_batching(false);
         assert_eq!(eager.execute(&plan).unwrap().len(), 2);
         assert_eq!(eager.batches_vectorized(), 0);
+    }
+
+    #[test]
+    fn a_failing_batch_replays_row_by_row_through_a_correlated_sublink() {
+        // σ_{10 / x = ANY (Π_c σ_{s.g = t.g}(s))}(t), compiled without the
+        // optimizer (which would decorrelate the `= ANY`). Row 5 divides by
+        // zero inside the cursor's four-row refill (rows 4–7); replayed as
+        // batches of one, the cursor yields exactly the passing rows before
+        // it, then the error — whether batching is on or off.
+        let mut db = Database::new();
+        let table = |name: &str, cols: &[&str], rows: &[(i64, i64)]| {
+            Relation::from_rows(
+                Schema::from_names(cols).with_qualifier(name),
+                rows.iter()
+                    .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+                    .collect(),
+            )
+        };
+        let t_rows = [
+            (1, 0),
+            (2, 0),
+            (2, 1),
+            (10, 1),
+            (5, 0),
+            (0, 0),
+            (1, 1),
+            (5, 1),
+        ];
+        db.create_table("t", table("t", &["x", "g"], &t_rows))
+            .unwrap();
+        db.create_table(
+            "s",
+            table("s", &["c", "g"], &[(10, 0), (5, 1), (2, 0), (1, 1), (7, 0)]),
+        )
+        .unwrap();
+        let sub = PlanBuilder::scan(&db, "s")
+            .unwrap()
+            .select(eq(qcol("s", "g"), qcol("t", "g")))
+            .project_columns(&["c"])
+            .build();
+        let test = Expr::Binary {
+            op: perm_algebra::BinaryOp::Div,
+            left: Box::new(lit(10)),
+            right: Box::new(col("x")),
+        };
+        let plan = PlanBuilder::scan(&db, "t")
+            .unwrap()
+            .select(perm_algebra::builder::any_sublink(test, CompareOp::Eq, sub))
+            .build();
+        let passing: Vec<Tuple> = [0, 2, 3, 4]
+            .map(|i| Tuple::new(vec![Value::Int(t_rows[i].0), Value::Int(t_rows[i].1)]))
+            .to_vec();
+        for (mode, ex) in [
+            ("batched", Executor::new(&db)),
+            ("per-row", Executor::new(&db).with_batching(false)),
+        ] {
+            let compiled = ex.prepare(&plan).unwrap();
+            let mut rows = ex.open(&compiled).unwrap();
+            let mut got = Vec::new();
+            let err = loop {
+                match rows.next() {
+                    Some(Ok(row)) => got.push(row),
+                    Some(Err(e)) => break e,
+                    None => panic!("{mode}: the stream must fail at row 5"),
+                }
+            };
+            assert_eq!(got, passing, "{mode}");
+            assert_eq!(err, ExecError::DivisionByZero, "{mode}");
+            assert!(rows.next().is_none(), "{mode}");
+            drop(rows);
+            assert!(
+                ex.batch_fallback_rows() > 0,
+                "{mode}: the sublink is correlated"
+            );
+            assert_eq!(ex.execute(&plan).unwrap_err(), err, "{mode}");
+        }
+        assert_eq!(
+            Executor::new(&db).execute_unoptimized(&plan).unwrap_err(),
+            ExecError::DivisionByZero
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 2. **Compilation** ([`crate::compile`]) — a one-time pass per operator
 //!    that resolves every column reference to a positional *slot*
 //!    (scope depth + attribute index) against the concrete schema chain, so
-//!    the per-tuple evaluator does integer indexing instead of name lookup,
+//!    the evaluator does integer indexing instead of name lookup,
 //!    and computes each sublink's *correlation signature* (its free column
 //!    references, [`perm_algebra::visit::free_correlated_columns`]) resolved
 //!    to outer-scope slots.
@@ -39,9 +39,10 @@
 //! nested-loop, with left-outer padding), aggregation, sorting, set
 //! operations, projection/selection — to the shared `crate::physical`
 //! module, so no operator body is implemented twice; the drivers differ
-//! only in the tuple-evaluator closures they pass (name lookup through an
-//! [`Env`] chain vs. slot indexing through a [`crate::compile::Frame`]
-//! chain). The interpreter path resolves correlation signatures *at
+//! only in the batch-evaluator closures they pass (name lookup through an
+//! [`Env`] chain per row vs. the compiled evaluator over the whole batch,
+//! with outer scopes as a [`crate::compile::Frame`] chain). The
+//! interpreter path resolves correlation signatures *at
 //! runtime* ([`perm_algebra::visit::free_correlated_columns`] looked up in
 //! the current [`Env`]), which lets the interpreter and the tracer memoize
 //! per binding too, in a map of the executor's own keyed by plan node
@@ -120,19 +121,17 @@ pub struct Executor<'a> {
     /// summarised into a probe on the compiled path (for tests and
     /// diagnostics).
     pub(crate) cmp_evaluated: Cell<u64>,
-    /// Whether the compiled driver evaluates expressions *vectorized* over
-    /// whole batches (the default) or per tuple within each batch (a mode
-    /// of the differential tests). Results are identical either way; only
-    /// the dispatch granularity differs.
+    /// Whether the compiled evaluator takes whole batches at once (the
+    /// default) or each live row as a batch of one (a mode of the
+    /// differential tests). Read by `ceval_batch` and the bare-slot
+    /// bypasses alone; results are identical either way.
     pub(crate) batch_enabled: Cell<bool>,
     /// Number of expression-over-batch evaluations performed by the
     /// vectorized compiled evaluator (diagnostic; one per expression per
     /// batch).
     pub(crate) batches_vectorized: Cell<u64>,
-    /// Rows a vectorized batch evaluation handed back to the per-tuple
-    /// evaluator because their expression subtree carries a *correlated*
-    /// sublink (the fallback that keeps the parameterized sublink memo seam
-    /// untouched; an uncorrelated one is evaluated once per batch).
+    /// Rows a correlated sublink was looked up for one at a time, with the
+    /// row's bindings (an uncorrelated one is looked up once per batch).
     pub(crate) batch_fallback_rows: Cell<u64>,
     /// Whether depth-0 slots of the vectorized compiled evaluator load
     /// typed columnar lanes (the default) or `Value` lanes (a mode of the
@@ -206,9 +205,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Enables or disables vectorized batch evaluation on the compiled path
-    /// (enabled by default). Disabled, the compiled driver dispatches every
-    /// expression once per tuple within each batch — the pre-batching cost
-    /// profile, kept as a mode of `tests/differential.rs` and
+    /// (enabled by default). Disabled, the one compiled evaluator runs every
+    /// live row as a batch of one — no column block, nothing counted on
+    /// [`Executor::batches_vectorized`] — the pre-batching cost profile,
+    /// kept as a mode of `tests/differential.rs` and
     /// `tests/profile_differential.rs`. Results, errors and
     /// `operators_evaluated` are identical in both modes.
     pub fn with_batching(self, enabled: bool) -> Executor<'a> {
@@ -216,25 +216,19 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Whether vectorized batch evaluation is enabled on the compiled path
-    /// (see [`Executor::with_batching`]).
-    pub fn batching_enabled(&self) -> bool {
-        self.batch_enabled.get()
-    }
-
     /// Number of expression-over-batch evaluations performed so far by the
     /// vectorized compiled evaluator (diagnostic counter; one per
-    /// expression per batch of up to [`crate::BATCH_ROWS`] rows).
+    /// expression per batch of up to [`crate::BATCH_ROWS`] rows; zero with
+    /// batching off, see [`Executor::with_batching`]).
     pub fn batches_vectorized(&self) -> u64 {
         self.batches_vectorized.get()
     }
 
-    /// Number of rows vectorized batch evaluation handed back to the
-    /// per-tuple evaluator because their expression subtree carries a
-    /// correlated sublink (diagnostic counter; those rows drive the
-    /// parameterized sublink memo exactly like tuple-at-a-time execution).
-    /// An uncorrelated sublink is evaluated once per batch and counts
-    /// nothing here.
+    /// Number of rows a correlated sublink was looked up for one at a time
+    /// (diagnostic counter): its summary is read from, or built into, the
+    /// statement's memo under each live row's bindings. An uncorrelated
+    /// sublink is looked up once per batch and counts nothing here. Counted
+    /// alike with batching on and off.
     pub fn batch_fallback_rows(&self) -> u64 {
         self.batch_fallback_rows.get()
     }
@@ -245,9 +239,10 @@ impl<'a> Executor<'a> {
     /// never touches the batch's column block), so every kernel takes its
     /// scalar fallback inside the same `AND`/`OR`/`CASE` narrowing the
     /// default runs — kept as a mode of the differential tests, which then
-    /// compare the typed kernels against the scalar appliers. It has no
-    /// effect when batching itself is off. Results, errors and
-    /// `operators_evaluated` are identical in both modes.
+    /// compare the typed kernels against the scalar appliers. With
+    /// batching off it changes the leaves of each one-row batch the same
+    /// way. Results, errors and `operators_evaluated` are identical in both
+    /// modes.
     pub fn with_columnar(self, enabled: bool) -> Executor<'a> {
         self.columnar_enabled.set(enabled);
         self
@@ -269,8 +264,8 @@ impl<'a> Executor<'a> {
 
     /// Number of rows whose columnar evaluation fell back to the row-major
     /// scalar path (diagnostic counter): mixed-type lanes, lane pairings
-    /// without a typed kernel, integer-overflow retries, and
-    /// correlated-sublink subtrees (which are also counted in
+    /// without a typed kernel, integer-overflow retries, and rows a
+    /// correlated sublink was looked up for (which are also counted in
     /// [`Executor::batch_fallback_rows`]). With typed lanes disabled
     /// ([`Executor::with_columnar`]) slots load `Values` lanes, so every
     /// operator over a slot counts its rows here.

@@ -3,12 +3,16 @@
 //!
 //! Each kernel runs a tight loop over primitive slices when both operands
 //! sit in lanes whose pairing the engine's `Value` semantics handles
-//! type-exactly, and otherwise falls back to the shared scalar appliers of
+//! type-exactly, and otherwise falls back to the scalar appliers of
 //! `crate::compile` (`apply_binary_scalar` / `apply_unary`) row by row —
-//! so a kernel can *never* drift from the per-tuple evaluator: the typed
+//! so a kernel can *never* drift from the scalar semantics: the typed
 //! paths are proven equivalences, everything else *is* the scalar path.
-//! The `bool` in each return value reports whether that fallback ran (the
-//! executor's `columnar_fallback_rows` counter).
+//! The kernels are the compiled evaluator's only operators
+//! (`Executor::ceval_typed`, which runs a row as a batch of one when
+//! batching is off), the fallback is the appliers' only caller, and this
+//! module's tests check each typed path against them. The `bool` in each
+//! return value reports whether that fallback ran (the executor's
+//! `columnar_fallback_rows` counter).
 //!
 //! The load-bearing equivalences (see `perm_storage::value`):
 //!
@@ -306,9 +310,9 @@ fn float_view(col: &ColumnVec) -> Option<(FloatView<'_>, &Validity)> {
     }
 }
 
-/// Row-major fallback: both columns rendered to `Value`s, then the shared
-/// scalar applier row by row in row order, so the first failing row's
-/// error is the one that surfaces.
+/// Row-major fallback: both columns rendered to `Value`s, then the scalar
+/// applier row by row in row order, so the first failing row's error is
+/// the one that surfaces.
 fn scalar_binary(op: BinaryOp, l: ColumnVec, r: ColumnVec) -> Result<ColumnVec> {
     let n = l.len();
     let lvals = l.to_values();

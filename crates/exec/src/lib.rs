@@ -30,8 +30,11 @@
 //!   `CASE` narrowing the selection so per-row short-circuit semantics are
 //!   preserved exactly). An *uncorrelated* sublink is fetched once per
 //!   batch and broadcast (`ANY`/`ALL`: one [`QuantProbe`] verdict per live
-//!   row over the vectorized test column); a correlated one falls back to
-//!   per-tuple evaluation through the memo seam;
+//!   row over the vectorized test column); a correlated one is looked up in
+//!   the memo once per live row, under that row's bindings. This is the
+//!   one evaluator of compiled expressions: with
+//!   [`Executor::with_batching`]`(false)` it runs each live row as a batch
+//!   of one, and the cursor replays a failing batch the same way;
 //!
 //!   On top of the batches the compiled path runs **column-major**: every
 //!   batch is backed by a [`ColumnBlock`] whose typed lanes (i64, f64,

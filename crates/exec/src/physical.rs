@@ -17,9 +17,8 @@
 //! * the compiled path ([`crate::Executor::execute_compiled`]) evaluates
 //!   each expression *vectorized* over the whole batch
 //!   (`Executor::ceval_batch`): one dispatch per expression node per batch
-//!   instead of per tuple, falling back to per-tuple evaluation for
-//!   correlated-sublink expressions so the parameterized sublink memo is
-//!   untouched.
+//!   instead of per tuple, with a correlated sublink looked up in the
+//!   statement's memo once per live row.
 //!
 //! Both are thin drivers that execute their children, wrap their expression
 //! evaluator into closures, and delegate the loop body to this module — so

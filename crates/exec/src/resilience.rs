@@ -200,7 +200,8 @@ pub enum FaultKind {
 pub enum FaultSite {
     /// Batch-boundary cancellation checkpoints (including cursor refills).
     Checkpoint,
-    /// Sublink-memo insertions (private or shared).
+    /// Sublink-memo insertions (into a compiled statement's memo or the
+    /// interpreter's).
     MemoInsert,
     /// Physical-operator invocations (one event per logical operator).
     Operator,

@@ -874,9 +874,11 @@ fn seam_database(rows: usize) -> Database {
 }
 
 /// Runs one plan through columnar-compiled (the default), `Values`-lane
-/// vectorized (columnar off), per-tuple-compiled (batching off),
-/// interpreted and memo-off execution and asserts bag equality plus
-/// operator-count parity among the three compiled modes.
+/// vectorized (columnar off), per-tuple-compiled (batching off: every row a
+/// batch of one), interpreted and memo-off execution and asserts bag
+/// equality plus parity of the work counters — operators, memo hits and
+/// misses, probe rows — among the three compiled modes, none of which the
+/// per-tuple mode counts as a vectorized batch.
 fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
     let batched_ex = Executor::new(db);
     let batched = batched_ex.execute(plan).unwrap();
@@ -909,6 +911,20 @@ fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
         values_ex.operators_evaluated(),
         "{label}: operators_evaluated must not depend on the column layout"
     );
+    let work = |ex: &Executor<'_>| {
+        [
+            ex.memo_hits(),
+            ex.memo_misses(),
+            ex.quantifier_comparisons(),
+        ]
+    };
+    assert_eq!(work(&batched_ex), work(&per_tuple_ex), "{label}: batching");
+    assert_eq!(
+        work(&batched_ex),
+        work(&values_ex),
+        "{label}: column layout"
+    );
+    assert_eq!(per_tuple_ex.batches_vectorized(), 0, "{label}");
 }
 
 #[test]
@@ -1029,7 +1045,7 @@ fn batch_boundary_seams_agree_across_all_modes() {
             .build();
         assert_seam_modes_agree(&db, &outer_join, &label("left-outer nested-loop join"));
 
-        // Correlated EXISTS: the sublink subtree falls back per tuple and
+        // Correlated EXISTS: the sublink is looked up once per row and
         // must keep driving the parameterized memo (7 distinct bindings).
         let correlated = PlanBuilder::scan(&db, "t")
             .unwrap()
@@ -1047,6 +1063,22 @@ fn batch_boundary_seams_agree_across_all_modes() {
             ))
             .build();
         assert_seam_modes_agree(&db, &correlated, &label("correlated exists"));
+
+        // Correlated ALL with a computed test: the test column is evaluated
+        // over the batch, the sublink looked up per row under its `g`.
+        let quantified = PlanBuilder::scan(&db, "t")
+            .unwrap()
+            .select(all_sublink(
+                perm_algebra::builder::binary(perm_algebra::BinaryOp::Add, qcol("t", "a"), lit(1)),
+                CompareOp::Lt,
+                PlanBuilder::scan(&db, "u")
+                    .unwrap()
+                    .select(eq(qcol("u", "g"), qcol("t", "g")))
+                    .project_columns(&["c"])
+                    .build(),
+            ))
+            .build();
+        assert_seam_modes_agree(&db, &quantified, &label("correlated computed all"));
     }
 }
 
@@ -1519,10 +1551,10 @@ fn streaming_cursor_honours_a_cancel_handle_mid_stream() {
 
 #[test]
 fn vectorized_fallback_rows_are_counted_and_memo_behaviour_is_unchanged() {
-    // The sublink fallback seam: on a batched execution every outer row of
-    // a sublink-bearing predicate is handed to the per-tuple evaluator
-    // (visible on `batch_fallback_rows`), while the memo still collapses
-    // the sublink to one execution per distinct binding.
+    // The sublink seam: on a batched execution a correlated sublink is
+    // looked up once per outer row, under that row's binding (visible on
+    // `batch_fallback_rows`), while the memo still collapses the sublink to
+    // one execution per distinct binding.
     let rows = BATCH_ROWS + 1;
     let db = seam_database(rows);
     let plan = PlanBuilder::scan(&db, "t")
@@ -1539,7 +1571,7 @@ fn vectorized_fallback_rows_are_counted_and_memo_behaviour_is_unchanged() {
     assert_eq!(
         ex.batch_fallback_rows(),
         rows as u64,
-        "every outer row goes through the per-tuple sublink fallback"
+        "every outer row is looked up on its own"
     );
     assert!(ex.batches_vectorized() > 0, "the spine still vectorizes");
     // scan t + select + 7 distinct g bindings × (select + scan u).
@@ -1550,4 +1582,5 @@ fn vectorized_fallback_rows_are_counted_and_memo_behaviour_is_unchanged() {
     per_tuple.execute(&plan).unwrap();
     assert_eq!(per_tuple.batches_vectorized(), 0);
     assert_eq!(per_tuple.operators_evaluated(), 2 + 7 * 2);
+    assert_eq!(per_tuple.batch_fallback_rows(), rows as u64);
 }

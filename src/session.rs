@@ -76,7 +76,9 @@ impl Engine {
 
     /// Bounds the cross-session plan cache to at most `capacity` cached
     /// statements (insertion-order eviction; an evicted statement that is
-    /// still hot simply re-enters on its next preparation). `None` — the
+    /// still hot simply re-enters on its next preparation). `Some(0)`
+    /// caches nothing: every prepare compiles, and the statement it returns
+    /// works as usual. `None` — the
     /// default — keeps it unbounded, which is right when clients use `$n`
     /// parameters; bound it when serving ad-hoc texts with inlined
     /// literals, where every request is a new cache key.
@@ -170,7 +172,7 @@ impl PlanCacheInner {
         let Some(capacity) = self.capacity else {
             return;
         };
-        while self.map.len() > capacity.max(1) {
+        while self.map.len() > capacity {
             match self.order.pop_front() {
                 Some(oldest) => {
                     self.map.remove(&oldest);
@@ -276,8 +278,10 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-/// Session configuration: every execution toggle that used to be scattered
-/// across free functions and executor builder methods, in one place.
+/// Session configuration: the rewrite strategy and the execution knobs of a
+/// session's [`Executor`] (memo, evaluation layout, deadline, budget,
+/// spill, fault injection, tracing), in one place. [`Engine::session`]
+/// hands out the engine's default; [`Engine::session_with`] takes one.
 #[derive(Clone)]
 pub struct SessionConfig {
     /// The provenance rewrite strategy (default [`Strategy::Auto`]).
@@ -305,15 +309,16 @@ pub struct SessionConfig {
     pub retain_memo: bool,
     /// Whether compiled expressions are evaluated **vectorized** over tuple
     /// batches (default `true`): one dispatch per expression per batch of
-    /// up to [`perm_exec::BATCH_ROWS`] rows instead of one per tuple.
-    /// Results and errors are identical either way; `false` restores the
-    /// per-tuple dispatch profile (a mode of the differential tests).
+    /// up to [`perm_exec::BATCH_ROWS`] rows instead of one per row. Results
+    /// and errors are identical either way; `false` runs the same evaluator
+    /// over every live row as a batch of one — the per-row dispatch
+    /// profile, a mode of the differential tests (see
+    /// [`perm_exec::Executor::with_batching`]).
     pub batching: bool,
     /// Whether vectorized expressions run over **typed column lanes**
     /// (default `true`): each batch lazily transposes into a column block
     /// of typed vectors with validity bitmaps, and comparison/arithmetic
-    /// dispatch to contiguous-slice kernels. Only meaningful while
-    /// [`SessionConfig::batching`] is on; `false` changes only the leaves —
+    /// dispatch to contiguous-slice kernels. `false` changes only the leaves —
     /// slots load `Value` lanes, so every kernel takes its scalar fallback
     /// (a mode of the differential tests; see
     /// [`perm_exec::Executor::with_columnar`]). Results and errors are
@@ -484,12 +489,13 @@ pub struct SessionStats {
     /// Expression-over-batch evaluations performed by the vectorized
     /// compiled evaluator (one per expression per batch of up to
     /// [`perm_exec::BATCH_ROWS`] rows; zero when
-    /// [`SessionConfig::batching`] is off).
+    /// [`SessionConfig::batching`] is off, where every row is evaluated as
+    /// a batch of one).
     pub vectorized_batches: u64,
-    /// Rows a vectorized batch handed back to the per-tuple evaluator
-    /// because their expression subtree carries a correlated sublink — the
-    /// fallback that keeps the parameterized sublink memo seam untouched
-    /// (an uncorrelated sublink is evaluated once per batch).
+    /// Rows a correlated sublink was looked up for one at a time, each under
+    /// its own bindings in the statement's memo (an uncorrelated sublink is
+    /// looked up once per batch and counts nothing here). Counted alike
+    /// whether [`SessionConfig::batching`] is on or off.
     pub sublink_fallback_rows: u64,
     /// Column blocks whose typed lanes were actually materialised by the
     /// columnar evaluator (a block is counted on first lane access, not
@@ -497,8 +503,8 @@ pub struct SessionStats {
     pub columnar_blocks: u64,
     /// Rows the columnar evaluator handed back to the row-major `Value`
     /// path — mixed-type or otherwise untyped lanes, string/date kernels
-    /// without a typed fast path, and correlated-sublink subtrees (which
-    /// also count into [`SessionStats::sublink_fallback_rows`]).
+    /// without a typed fast path, and rows a correlated sublink was looked
+    /// up for (which also count into [`SessionStats::sublink_fallback_rows`]).
     pub columnar_fallback_rows: u64,
     /// Cancellation checkpoints polled by the executor (batch boundaries,
     /// cursor refills, sublink entries). Monotone over the session's life;
@@ -645,8 +651,8 @@ impl Prepared {
 
 impl<'a> Session<'a> {
     /// Opens a session with the default configuration directly over a
-    /// database — the escape hatch for callers that manage the database
-    /// themselves (the deprecated free functions use this).
+    /// database — for callers that manage the database themselves. Such a
+    /// session has no plan cache: every prepare runs the whole pipeline.
     pub fn new(db: &'a Database) -> Session<'a> {
         Session::with_config(db, SessionConfig::default())
     }

@@ -143,8 +143,8 @@ fn assert_join_shaped(db: &Database, plan: &Plan, strategy: Strategy, hash: bool
         assert_eq!(join.detail, "LeftOuter hash", "{label}");
     }
 
-    // The uncorrelated sublink is evaluated a batch at a time: no outer
-    // row falls back to the per-tuple evaluator.
+    // The uncorrelated sublink is looked up once per batch: no outer row
+    // is looked up on its own.
     assert_eq!(
         fallback, 0,
         "{label}: {fallback} sublink-fallback rows for {outer_rows} outer rows"

@@ -535,6 +535,24 @@ fn plan_cache_capacity_evicts_in_insertion_order() {
 }
 
 #[test]
+fn plan_cache_capacity_zero_caches_nothing() {
+    let engine = Engine::new(grouped_db()).with_plan_cache_capacity(Some(0));
+    let session = engine.session();
+    let sql = "SELECT a FROM r WHERE a < 3";
+    let first = session.prepare(sql).unwrap();
+    let second = session.prepare(sql).unwrap();
+    assert!(!std::sync::Arc::ptr_eq(&first, &second));
+    let cache = engine.plan_cache_stats();
+    assert_eq!(cache.entries, 0, "{cache:?}");
+    assert_eq!((cache.hits, cache.misses), (0, 2), "{cache:?}");
+    let stats = session.stats();
+    assert_eq!((stats.plan_cache_hits, stats.plan_cache_misses), (0, 2));
+    assert_eq!(stats.compiles, 2);
+    // An uncached statement still works.
+    assert_eq!(session.execute(&second, &[]).unwrap().len(), 3);
+}
+
+#[test]
 fn database_mut_invalidates_plan_cache_and_session_attached_shared_memos() {
     let mut engine = Engine::new(grouped_db());
     // Memo-path test: a correlated scalar sublink the optimizer keeps, so
@@ -641,10 +659,10 @@ fn columnar_stats_count_blocks_and_fallbacks() {
     let uncorrelated = session.stats();
     assert_eq!(uncorrelated.sublink_fallback_rows, 0);
 
-    // A correlated one (an `ALL`, which the optimizer keeps) keeps the memo
-    // seam: each of r's 12 rows falls back to the per-tuple evaluator and is
-    // counted on *both* fallback counters (the columnar one also covers
-    // mixed-type lanes).
+    // A correlated one (an `ALL`, which the optimizer keeps) is looked up
+    // in the statement's memo once per row, under that row's binding: each
+    // of r's 12 rows is counted on *both* fallback counters (the columnar
+    // one also covers mixed-type lanes).
     let prepared = session
         .prepare("SELECT a FROM r WHERE a < ALL (SELECT c FROM s WHERE s.g = r.g)")
         .unwrap();
