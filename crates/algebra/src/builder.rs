@@ -24,21 +24,21 @@ use crate::expr::{
 };
 use crate::plan::{JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
 use crate::Result;
-use perm_storage::{Database, Schema, Value};
+use perm_storage::{Database, Name, Schema, Value};
 
 /// Unqualified column reference.
-pub fn col(name: &str) -> Expr {
+pub fn col(name: impl Into<Name>) -> Expr {
     Expr::Column {
         qualifier: None,
-        name: name.to_string(),
+        name: name.into(),
     }
 }
 
 /// Qualified column reference `q.name`.
-pub fn qcol(qualifier: &str, name: &str) -> Expr {
+pub fn qcol(qualifier: impl Into<Name>, name: impl Into<Name>) -> Expr {
     Expr::Column {
-        qualifier: Some(qualifier.to_string()),
-        name: name.to_string(),
+        qualifier: Some(qualifier.into()),
+        name: name.into(),
     }
 }
 
@@ -460,7 +460,7 @@ mod tests {
             .select(any_sublink(col("a"), CompareOp::Eq, sub))
             .project_columns(&["a"])
             .build();
-        assert_eq!(q.schema().names(), vec!["a"]);
+        assert_eq!(q.schema().names(), ["a"].map(Name::from));
         match q {
             Plan::Project { input, .. } => assert!(input.has_direct_sublink()),
             _ => panic!("expected project on top"),

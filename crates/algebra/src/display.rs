@@ -76,7 +76,7 @@ fn render(plan: &Plan, level: usize, out: &mut String) {
             group_by,
             aggregates,
         } => {
-            let groups: Vec<String> = group_by.iter().map(|g| g.alias.clone()).collect();
+            let groups: Vec<&str> = group_by.iter().map(|g| &*g.alias).collect();
             let aggs: Vec<String> = aggregates
                 .iter()
                 .map(|a| format!("{} AS {}", a.func, a.alias))

@@ -12,10 +12,11 @@
 //! Column references are resolved *by name* at execution time against a
 //! stack of binding scopes: the current operator input first, then the
 //! inputs of enclosing operators (this is how correlated attribute references
-//! are parameterised by the outer tuple, Section 2.2).
+//! are parameterised by the outer tuple, Section 2.2). The names are shared
+//! [`Name`]s, so cloning an expression tree allocates no identifier.
 
 use crate::plan::Plan;
-use perm_storage::Value;
+use perm_storage::{Name, Value};
 use std::fmt;
 
 /// SQL comparison operators usable in sublink tests (`A op ANY Tsub`).
@@ -235,12 +236,12 @@ pub struct AggregateExpr {
     /// Whether duplicates are eliminated before aggregating (`sum(DISTINCT x)`).
     pub distinct: bool,
     /// Output attribute name.
-    pub alias: String,
+    pub alias: Name,
 }
 
 impl AggregateExpr {
     /// Creates an aggregate over an argument expression.
-    pub fn new(func: AggFunc, arg: Expr, alias: impl Into<String>) -> AggregateExpr {
+    pub fn new(func: AggFunc, arg: Expr, alias: impl Into<Name>) -> AggregateExpr {
         AggregateExpr {
             func,
             arg: Some(arg),
@@ -250,7 +251,7 @@ impl AggregateExpr {
     }
 
     /// Creates a `count(*)` aggregate.
-    pub fn count_star(alias: impl Into<String>) -> AggregateExpr {
+    pub fn count_star(alias: impl Into<Name>) -> AggregateExpr {
         AggregateExpr {
             func: AggFunc::CountStar,
             arg: None,
@@ -272,10 +273,7 @@ pub enum Expr {
     /// A column reference, optionally qualified (`r.a`). Resolved by name at
     /// execution time, searching the current scope first and then enclosing
     /// scopes (correlation).
-    Column {
-        qualifier: Option<String>,
-        name: String,
-    },
+    Column { qualifier: Option<Name>, name: Name },
     /// A constant.
     Literal(Value),
     /// A query parameter (`$1`, `$2`, … in SQL), stored as a 0-based index
@@ -317,11 +315,11 @@ impl Expr {
     /// The output name a projection would give this expression when no alias
     /// is provided: column names propagate, everything else becomes a
     /// generated name.
-    pub fn default_name(&self, position: usize) -> String {
+    pub fn default_name(&self, position: usize) -> Name {
         match self {
             Expr::Column { name, .. } => name.clone(),
-            Expr::Func { name, .. } => name.to_string(),
-            _ => format!("col{position}"),
+            Expr::Func { name, .. } => name.to_string().into(),
+            _ => format!("col{position}").into(),
         }
     }
 
@@ -413,7 +411,7 @@ impl Expr {
 
     /// Collects all column references (qualifier, name) in the expression,
     /// not descending into sublink plans.
-    pub fn column_refs(&self) -> Vec<(Option<String>, String)> {
+    pub fn column_refs(&self) -> Vec<(Option<Name>, Name)> {
         let mut out = Vec::new();
         self.walk(&mut |e| {
             if let Expr::Column { qualifier, name } = e {
@@ -511,8 +509,8 @@ mod tests {
 
     #[test]
     fn default_names() {
-        assert_eq!(col("a").default_name(0), "a");
-        assert_eq!(lit(1).default_name(3), "col3");
+        assert_eq!(&*col("a").default_name(0), "a");
+        assert_eq!(&*lit(1).default_name(3), "col3");
     }
 
     #[test]
@@ -531,8 +529,8 @@ mod tests {
         };
         let refs = e.column_refs();
         assert_eq!(refs.len(), 2);
-        assert_eq!(refs[0].1, "a");
-        assert_eq!(refs[1], (Some("r".to_string()), "b".to_string()));
+        assert_eq!(&*refs[0].1, "a");
+        assert_eq!(refs[1], (Some("r".into()), "b".into()));
         assert!(!e.has_sublink());
     }
 
@@ -551,10 +549,10 @@ mod tests {
             right: Box::new(lit(1)),
         };
         let out = e.transform(&mut |node| match node {
-            Expr::Column { name, .. } if name == "x" => col("y"),
+            Expr::Column { name, .. } if &*name == "x" => col("y"),
             other => other,
         });
-        assert_eq!(out.column_refs()[0].1, "y");
+        assert_eq!(&*out.column_refs()[0].1, "y");
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! The provenance rewrite rules of `perm-core` are plan-to-plan
 //! transformations over this IR; `perm-exec` evaluates it; `perm-sql`
 //! produces it from SQL text.
+//!
+//! Every identifier in the IR — column references, projection and aggregate
+//! aliases, output qualifiers, the free-column lists of [`visit`] — is a
+//! shared [`perm_storage::Name`]: cloning a plan, an expression or a schema
+//! copies reference counts, not strings.
 
 pub mod builder;
 pub mod display;

@@ -2,7 +2,7 @@
 
 use crate::expr::{AggregateExpr, Expr, SublinkKind};
 use crate::{AlgebraError, Result};
-use perm_storage::{Attribute, DataType, Schema, Tuple};
+use perm_storage::{Attribute, DataType, Name, Schema, Tuple};
 use std::fmt;
 
 /// One entry of a projection list: an expression and its output name
@@ -13,18 +13,18 @@ pub struct ProjectItem {
     /// Expression to evaluate.
     pub expr: Expr,
     /// Output attribute name.
-    pub alias: String,
+    pub alias: Name,
     /// Optional relation qualifier of the output attribute. Pass-through
     /// projections (as produced by the provenance rewrite rules) preserve the
     /// qualifier of the source attribute so that qualified references from
     /// enclosing scopes — in particular correlated sublink references — keep
     /// resolving after the rewrite.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Name>,
 }
 
 impl ProjectItem {
     /// Creates a projection item.
-    pub fn new(expr: Expr, alias: impl Into<String>) -> ProjectItem {
+    pub fn new(expr: Expr, alias: impl Into<Name>) -> ProjectItem {
         ProjectItem {
             expr,
             alias: alias.into(),
@@ -33,13 +33,14 @@ impl ProjectItem {
     }
 
     /// Creates a projection item that keeps a column under its own name.
-    pub fn column(name: &str) -> ProjectItem {
+    pub fn column(name: impl Into<Name>) -> ProjectItem {
+        let name = name.into();
         ProjectItem {
             expr: Expr::Column {
                 qualifier: None,
-                name: name.to_string(),
+                name: name.clone(),
             },
-            alias: name.to_string(),
+            alias: name,
             qualifier: None,
         }
     }
@@ -59,7 +60,7 @@ impl ProjectItem {
     }
 
     /// Sets the output qualifier.
-    pub fn with_qualifier(mut self, qualifier: impl Into<String>) -> ProjectItem {
+    pub fn with_qualifier(mut self, qualifier: impl Into<Name>) -> ProjectItem {
         self.qualifier = Some(qualifier.into());
         self
     }
@@ -465,7 +466,7 @@ mod tests {
                 ProjectItem::new(lit(1), "one"),
             ])
             .build();
-        assert_eq!(p.schema().names(), vec!["x", "one"]);
+        assert_eq!(p.schema().names(), ["x", "one"].map(Name::from));
     }
 
     #[test]
@@ -485,7 +486,7 @@ mod tests {
                 right: Box::new(col("c")),
             },
         };
-        assert_eq!(j.schema().names(), vec!["a", "b", "c"]);
+        assert_eq!(j.schema().names(), ["a", "b", "c"].map(Name::from));
     }
 
     #[test]
@@ -499,7 +500,7 @@ mod tests {
                 "sum_b",
             )],
         };
-        assert_eq!(p.schema().names(), vec!["a", "sum_b"]);
+        assert_eq!(p.schema().names(), ["a", "sum_b"].map(Name::from));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::expr::Expr;
 use crate::plan::Plan;
-use perm_storage::Schema;
+use perm_storage::{Name, Schema};
 
 /// A reference to a base relation access inside a plan, in occurrence order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,13 +54,13 @@ fn collect_base_relations_into(
 /// an enclosing query (Section 2.2: "correlation attribute references have to
 /// reference an attribute from the input of the operator or, in the case of
 /// nested sublinks, an attribute from a containing sublink").
-pub fn free_columns(plan: &Plan) -> Vec<(Option<String>, String)> {
+pub fn free_columns(plan: &Plan) -> Vec<(Option<Name>, Name)> {
     let mut out = Vec::new();
     free_columns_into(plan, &mut out);
     out
 }
 
-fn free_columns_into(plan: &Plan, out: &mut Vec<(Option<String>, String)>) {
+fn free_columns_into(plan: &Plan, out: &mut Vec<(Option<Name>, Name)>) {
     // The scope available to this operator's expressions is the concatenation
     // of its children's output schemas.
     let scope: Schema = match plan.children().as_slice() {
@@ -82,7 +82,7 @@ fn free_columns_into(plan: &Plan, out: &mut Vec<(Option<String>, String)>) {
 /// the expression-level counterpart of [`free_columns`]. The optimizer uses
 /// this to decide which conjuncts of a correlated sublink's predicate refer
 /// to the enclosing scope.
-pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<String>, String)> {
+pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<Name>, Name)> {
     let mut out = Vec::new();
     free_expr_columns_into(expr, scope, &mut out);
     out
@@ -97,18 +97,17 @@ pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<String>, St
 /// operator containing the sublink, not to the sublink plan's scope.
 /// [`Expr::walk`] treats sublinks as leaves, so the test expression (which
 /// may itself contain sublinks) is descended into explicitly.
-fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<String>, String)>) {
-    let check =
-        |qualifier: &Option<String>, name: &str, out: &mut Vec<(Option<String>, String)>| {
-            let resolvable = scope
-                .try_resolve(qualifier.as_deref(), name)
-                // Ambiguity means the name *is* present in the scope.
-                .map(|r| r.is_some())
-                .unwrap_or(true);
-            if !resolvable {
-                out.push((qualifier.clone(), name.to_string()));
-            }
-        };
+fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<Name>, Name)>) {
+    let check = |qualifier: &Option<Name>, name: &Name, out: &mut Vec<(Option<Name>, Name)>| {
+        let resolvable = scope
+            .try_resolve(qualifier.as_deref(), name)
+            // Ambiguity means the name *is* present in the scope.
+            .map(|r| r.is_some())
+            .unwrap_or(true);
+        if !resolvable {
+            out.push((qualifier.clone(), name.clone()));
+        }
+    };
 
     expr.walk(&mut |e| match e {
         Expr::Column { qualifier, name } => check(qualifier, name, out),
@@ -138,8 +137,8 @@ fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<Str
 /// sublink result. Two spellings of the same attribute (`b` and `r.b`) are
 /// reported separately here; the compiler deduplicates them again after slot
 /// resolution.
-pub fn free_correlated_columns(plan: &Plan) -> Vec<(Option<String>, String)> {
-    let mut out: Vec<(Option<String>, String)> = Vec::new();
+pub fn free_correlated_columns(plan: &Plan) -> Vec<(Option<Name>, Name)> {
+    let mut out: Vec<(Option<Name>, Name)> = Vec::new();
     for c in free_columns(plan) {
         if !out.contains(&c) {
             out.push(c);
@@ -327,7 +326,7 @@ mod tests {
             .build();
         assert!(is_correlated(&sub));
         let free = free_columns(&sub);
-        assert_eq!(free, vec![(None, "b".to_string())]);
+        assert_eq!(free, vec![(None, "b".into())]);
     }
 
     #[test]
@@ -342,7 +341,7 @@ mod tests {
             ))
             .build();
         assert_eq!(free_columns(&sub).len(), 2);
-        assert_eq!(free_correlated_columns(&sub), vec![(None, "b".to_string())]);
+        assert_eq!(free_correlated_columns(&sub), vec![(None, "b".into())]);
     }
 
     #[test]
@@ -360,7 +359,7 @@ mod tests {
             .build();
         assert_eq!(
             free_correlated_columns(&middle),
-            vec![(Some("r".to_string()), "a".to_string())]
+            vec![(Some("r".into()), "a".into())]
         );
     }
 
@@ -380,7 +379,7 @@ mod tests {
         assert!(is_correlated(&middle));
         assert_eq!(
             free_correlated_columns(&middle),
-            vec![(Some("r".to_string()), "a".to_string())]
+            vec![(Some("r".into()), "a".into())]
         );
 
         // The same reference resolves once the plan is embedded under a
@@ -465,7 +464,7 @@ mod tests {
         let replaced = replace_sublinks(cond, &[col("c1"), col("c2")]);
         assert_eq!(count_sublinks(&replaced), 0);
         let refs = replaced.column_refs();
-        assert!(refs.contains(&(None, "c1".to_string())));
-        assert!(refs.contains(&(None, "c2".to_string())));
+        assert!(refs.contains(&(None, "c1".into())));
+        assert!(refs.contains(&(None, "c2".into())));
     }
 }

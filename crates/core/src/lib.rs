@@ -35,7 +35,7 @@
 //! use perm_algebra::{col, lit, PlanBuilder, CompareOp};
 //! use perm_algebra::builder::any_sublink;
 //! use perm_exec::Executor;
-//! use perm_storage::{Database, Relation, Schema, Value};
+//! use perm_storage::{Database, Name, Relation, Schema, Value};
 //!
 //! // R(a, b) and S(c): which S tuples made an R tuple survive `a = ANY S`?
 //! let mut db = Database::new();
@@ -55,7 +55,8 @@
 //!
 //! let rewritten = ProvenanceQuery::new(&db, &q).strategy(Strategy::Gen).rewrite().unwrap();
 //! let result = Executor::new(&db).execute(rewritten.plan()).unwrap();
-//! assert_eq!(result.schema().names(), vec!["a", "b", "prov_r_a", "prov_r_b", "prov_s_c"]);
+//! let names = ["a", "b", "prov_r_a", "prov_r_b", "prov_s_c"].map(Name::from);
+//! assert_eq!(result.schema().names(), names);
 //! assert_eq!(result.len(), 1);
 //! ```
 

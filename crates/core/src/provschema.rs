@@ -6,7 +6,7 @@
 //! plan carries, in order, and which base-relation access each group of
 //! attributes came from.
 
-use perm_storage::Schema;
+use perm_storage::{Name, Schema};
 
 /// The provenance attributes contributed by one base-relation access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct ProvEntry {
 
 impl ProvEntry {
     /// Names of the provenance attributes of this entry.
-    pub fn attr_names(&self) -> Vec<String> {
+    pub fn attr_names(&self) -> Vec<Name> {
         self.prov_schema.names()
     }
 }
@@ -76,7 +76,7 @@ impl ProvenanceDescriptor {
     }
 
     /// All provenance attribute names, flattened, in order.
-    pub fn attr_names(&self) -> Vec<String> {
+    pub fn attr_names(&self) -> Vec<Name> {
         self.entries
             .iter()
             .flat_map(|e| e.prov_schema.names())
@@ -116,7 +116,10 @@ mod tests {
     fn attr_names_flatten_in_order() {
         let desc =
             ProvenanceDescriptor::new(vec![entry("r", 0, &["a", "b"]), entry("s", 0, &["c"])]);
-        assert_eq!(desc.attr_names(), vec!["prov_r_a", "prov_r_b", "prov_s_c"]);
+        assert_eq!(
+            desc.attr_names(),
+            ["prov_r_a", "prov_r_b", "prov_s_c"].map(Name::from)
+        );
         assert_eq!(desc.attr_count(), 3);
         assert_eq!(desc.schema().arity(), 3);
     }
@@ -124,7 +127,10 @@ mod tests {
     #[test]
     fn occurrences_produce_distinct_names() {
         let desc = ProvenanceDescriptor::new(vec![entry("r", 0, &["a"]), entry("r", 1, &["a"])]);
-        assert_eq!(desc.attr_names(), vec!["prov_r_a", "prov_1_r_a"]);
+        assert_eq!(
+            desc.attr_names(),
+            ["prov_r_a", "prov_1_r_a"].map(Name::from)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::{ProvenanceError, Result};
 use perm_algebra::builder::{col, conjunction, lit, not, null, null_safe_eq, or, PlanBuilder};
 use perm_algebra::visit::is_correlated;
 use perm_algebra::{CompareOp, Expr, Plan, ProjectItem, SetOpKind, SublinkKind};
-use perm_storage::{Schema, Tuple, Value};
+use perm_storage::{Name, Schema, Tuple, Value};
 
 /// Everything the strategies need to know about one sublink of an operator.
 #[derive(Debug, Clone)]
@@ -30,7 +30,7 @@ pub(crate) struct SublinkInfo {
     /// Whether `Tsub` references attributes of the enclosing query.
     pub correlated: bool,
     /// Names of the ordinary (non-provenance) result attributes of `Tsub`.
-    pub result_attrs: Vec<String>,
+    pub result_attrs: Vec<Name>,
 }
 
 impl SublinkInfo {
@@ -106,7 +106,7 @@ pub(crate) fn cross_base(
     let mut factors: Vec<Plan> = Vec::with_capacity(descriptor.len());
     for entry in descriptor.entries() {
         let base_schema = rw.database().table_schema(&entry.table)?.clone();
-        let qualified = base_schema.with_qualifier(&entry.table);
+        let qualified = base_schema.with_qualifier(entry.table.as_str());
         let scan = Plan::Scan {
             table: entry.table.clone(),
             alias: None,
@@ -121,10 +121,10 @@ pub(crate) fn cross_base(
             .build();
         // Rename every attribute to its provenance name for this occurrence.
         let items: Vec<ProjectItem> = qualified
-            .names()
+            .attributes()
             .iter()
-            .zip(entry.prov_schema.names())
-            .map(|(orig, prov)| ProjectItem::new(col(orig), prov))
+            .zip(entry.prov_schema.attributes())
+            .map(|(orig, prov)| ProjectItem::new(col(orig.name.clone()), prov.name.clone()))
             .collect();
         factors.push(PlanBuilder::from_plan(extended).project(items).build());
     }
@@ -146,18 +146,18 @@ pub(crate) fn cross_base(
 pub(crate) fn wrap_sublink_plus(
     rw: &mut ProvenanceRewriter<'_>,
     info: &SublinkInfo,
-) -> (Plan, String) {
+) -> (Plan, Name) {
     let mut items: Vec<ProjectItem> = Vec::new();
-    let mut first_result_alias = String::new();
+    let mut first_result_alias = Name::default();
     for (i, name) in info.result_attrs.iter().enumerate() {
-        let alias = rw.fresh(&format!("sub_res_{name}"));
+        let alias = rw.fresh(format_args!("sub_res_{name}"));
         if i == 0 {
             first_result_alias = alias.clone();
         }
-        items.push(ProjectItem::new(col(name), alias));
+        items.push(ProjectItem::new(col(name.clone()), alias));
     }
     for prov in info.descriptor().attr_names() {
-        items.push(ProjectItem::column(&prov));
+        items.push(ProjectItem::column(prov));
     }
     let plan = PlanBuilder::from_plan(info.rewritten.plan.clone())
         .project(items)
@@ -215,32 +215,32 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
     // fresh "check" names (so the comparison against the CrossBase attributes
     // of the enclosing scope is unambiguous).
     let mut items: Vec<ProjectItem> = Vec::new();
-    let mut first_result_alias = String::new();
+    let mut first_result_alias = Name::default();
     for (i, name) in info.result_attrs.iter().enumerate() {
-        let alias = rw.fresh(&format!("gen_res_{name}"));
+        let alias = rw.fresh(format_args!("gen_res_{name}"));
         if i == 0 {
             first_result_alias = alias.clone();
         }
-        items.push(ProjectItem::new(col(name), alias));
+        items.push(ProjectItem::new(col(name.clone()), alias));
     }
     let prov_names = info.descriptor().attr_names();
-    let check_names: Vec<String> = prov_names
+    let check_names: Vec<Name> = prov_names
         .iter()
-        .map(|p| rw.fresh(&format!("{p}_chk")))
+        .map(|p| rw.fresh(format_args!("{p}_chk")))
         .collect();
     for (prov, check) in prov_names.iter().zip(check_names.iter()) {
-        items.push(ProjectItem::new(col(prov), check.clone()));
+        items.push(ProjectItem::new(col(prov.clone()), check.clone()));
     }
     let projected = PlanBuilder::from_plan(info.rewritten.plan.clone())
         .project(items)
         .build();
 
-    let jsub = jsub_condition(info, info.original.clone(), col(&first_result_alias));
+    let jsub = jsub_condition(info, info.original.clone(), col(first_result_alias));
     let prov_match = conjunction(
         prov_names
             .iter()
             .zip(check_names.iter())
-            .map(|(prov, check)| null_safe_eq(col(prov), col(check))),
+            .map(|(prov, check)| null_safe_eq(col(prov.clone()), col(check.clone()))),
     );
     let membership = PlanBuilder::from_plan(projected)
         .select(perm_algebra::builder::and(jsub, prov_match))
@@ -249,7 +249,11 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
 
     let empty_case = perm_algebra::builder::and(
         not(perm_algebra::builder::exists_sublink(info.plan.clone())),
-        conjunction(prov_names.iter().map(|p| null_safe_eq(col(p), null()))),
+        conjunction(
+            prov_names
+                .iter()
+                .map(|p| null_safe_eq(col(p.clone()), null())),
+        ),
     );
 
     or(exists_member, empty_case)

@@ -90,7 +90,7 @@ pub(crate) fn rewrite_project(
     // attributes.
     let mut out_items = items.to_vec();
     for prov in descriptor.attr_names() {
-        out_items.push(ProjectItem::column(&prov));
+        out_items.push(ProjectItem::column(prov));
     }
     plan = Plan::Project {
         input: Box::new(plan),

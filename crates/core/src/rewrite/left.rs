@@ -41,7 +41,7 @@ pub(crate) fn rewrite_select(
     let mut descriptor = input_rw.descriptor;
     for info in &infos {
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
-        let jsub = jsub_condition(info, info.original.clone(), col(&result_alias));
+        let jsub = jsub_condition(info, info.original.clone(), col(result_alias));
         plan = Plan::Join {
             left: Box::new(plan),
             right: Box::new(wrapped),
@@ -79,7 +79,7 @@ pub(crate) fn rewrite_project(
     let mut descriptor = input_rw.descriptor;
     for info in &infos {
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
-        let jsub = jsub_condition(info, info.original.clone(), col(&result_alias));
+        let jsub = jsub_condition(info, info.original.clone(), col(result_alias));
         plan = Plan::Join {
             left: Box::new(plan),
             right: Box::new(wrapped),
@@ -93,7 +93,7 @@ pub(crate) fn rewrite_project(
     // output values) plus all provenance attributes.
     let mut out_items = items.to_vec();
     for prov in descriptor.attr_names() {
-        out_items.push(ProjectItem::column(&prov));
+        out_items.push(ProjectItem::column(prov));
     }
     plan = Plan::Project {
         input: Box::new(plan),

@@ -20,7 +20,7 @@ use crate::provschema::ProvenanceDescriptor;
 use crate::{ProvenanceError, Result};
 use perm_algebra::visit::is_correlated;
 use perm_algebra::{Expr, Plan};
-use perm_storage::{Database, Schema};
+use perm_storage::{Database, Name, Schema};
 use std::collections::HashMap;
 
 /// The rewrite strategy used for operators that contain sublinks.
@@ -231,10 +231,10 @@ impl<'a> ProvenanceRewriter<'a> {
     }
 
     /// Generates a fresh, unique attribute name with the given prefix.
-    pub(crate) fn fresh(&mut self, prefix: &str) -> String {
+    pub(crate) fn fresh(&mut self, prefix: impl std::fmt::Display) -> Name {
         let name = format!("{prefix}_{}", self.fresh_counter);
         self.fresh_counter += 1;
-        name
+        name.into()
     }
 }
 

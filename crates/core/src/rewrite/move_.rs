@@ -22,6 +22,7 @@ use crate::Result;
 use perm_algebra::builder::col;
 use perm_algebra::visit::replace_sublinks;
 use perm_algebra::{Expr, JoinKind, Plan, ProjectItem};
+use perm_storage::Name;
 
 /// Builds the inner projection `Π_{T, P(T+), Csub1→C1, …, Csubm→Cm}(T+)`:
 /// the rewritten input with one extra boolean/scalar attribute per sublink
@@ -30,7 +31,7 @@ fn project_sublink_values(
     rw: &mut ProvenanceRewriter<'_>,
     input_plus: Plan,
     infos: &[super::SublinkInfo],
-) -> (Plan, Vec<String>) {
+) -> (Plan, Vec<Name>) {
     let mut items: Vec<ProjectItem> = input_plus
         .schema()
         .attributes()
@@ -57,12 +58,12 @@ fn join_sublinks(
     rw: &mut ProvenanceRewriter<'_>,
     mut plan: Plan,
     infos: &[super::SublinkInfo],
-    value_names: &[String],
+    value_names: &[Name],
     descriptor: &mut crate::provschema::ProvenanceDescriptor,
 ) -> Plan {
     for (info, value_name) in infos.iter().zip(value_names.iter()) {
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
-        let jsub = jsub_condition(info, col(value_name), col(&result_alias));
+        let jsub = jsub_condition(info, col(value_name.clone()), col(result_alias));
         plan = Plan::Join {
             left: Box::new(plan),
             right: Box::new(wrapped),
@@ -95,7 +96,7 @@ pub(crate) fn rewrite_select(
 
     // Ctar: the original condition with sublinks replaced by the projected
     // attributes (each sublink is therefore evaluated exactly once).
-    let replacements: Vec<Expr> = value_names.iter().map(|n| col(n)).collect();
+    let replacements: Vec<Expr> = value_names.iter().cloned().map(col).collect();
     let ctar = replace_sublinks(predicate.clone(), &replacements);
     let plan = Plan::Select {
         input: Box::new(plan),
@@ -135,7 +136,8 @@ pub(crate) fn rewrite_project(
         let count = item.expr.sublinks().len();
         let slice: Vec<Expr> = value_names[cursor..cursor + count]
             .iter()
-            .map(|n| col(n))
+            .cloned()
+            .map(col)
             .collect();
         cursor += count;
         let expr = if count == 0 {
@@ -146,7 +148,7 @@ pub(crate) fn rewrite_project(
         out_items.push(ProjectItem::new(expr, item.alias.clone()));
     }
     for prov in descriptor.attr_names() {
-        out_items.push(ProjectItem::column(&prov));
+        out_items.push(ProjectItem::column(prov));
     }
     let plan = Plan::Project {
         input: Box::new(plan),

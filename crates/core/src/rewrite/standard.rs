@@ -6,7 +6,7 @@ use crate::provschema::{ProvEntry, ProvenanceDescriptor};
 use crate::{ProvenanceError, Result};
 use perm_algebra::builder::{col, conjunction, null, null_safe_eq, PlanBuilder};
 use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind};
-use perm_storage::Schema;
+use perm_storage::{Name, Schema};
 
 /// Rewrites an operator that carries no sublinks in its own expressions
 /// (children are rewritten recursively and may well contain sublinks).
@@ -29,7 +29,7 @@ pub(crate) fn rewrite_standard(
             let input_rw = rw.rewrite(input)?;
             let mut new_items = items.clone();
             for prov in input_rw.descriptor.attr_names() {
-                new_items.push(ProjectItem::column(&prov));
+                new_items.push(ProjectItem::column(prov));
             }
             let plan = Plan::Project {
                 input: Box::new(input_rw.plan),
@@ -127,8 +127,8 @@ fn rewrite_scan(
         .iter()
         .map(ProjectItem::passthrough)
         .collect();
-    for (orig, prov) in schema.names().iter().zip(prov_schema.names()) {
-        items.push(ProjectItem::new(col(orig), prov));
+    for (orig, prov) in schema.attributes().iter().zip(prov_schema.attributes()) {
+        items.push(ProjectItem::new(col(orig.name.clone()), prov.name.clone()));
     }
     let scan = Plan::Scan {
         table: table.to_string(),
@@ -163,9 +163,9 @@ fn rewrite_aggregate(
     let input_rw = rw.rewrite(input)?;
 
     // Right side: Π_{G→Ĝ, P(T+)}(T+).
-    let hat_names: Vec<String> = group_by
+    let hat_names: Vec<Name> = group_by
         .iter()
-        .map(|g| rw.fresh(&format!("grp_{}", g.alias)))
+        .map(|g| rw.fresh(format_args!("grp_{}", g.alias)))
         .collect();
     let mut right_items: Vec<ProjectItem> = group_by
         .iter()
@@ -173,7 +173,7 @@ fn rewrite_aggregate(
         .map(|(g, hat)| ProjectItem::new(g.expr.clone(), hat.clone()))
         .collect();
     for prov in input_rw.descriptor.attr_names() {
-        right_items.push(ProjectItem::column(&prov));
+        right_items.push(ProjectItem::column(prov));
     }
     let right = PlanBuilder::from_plan(input_rw.plan)
         .project(right_items)
@@ -186,7 +186,7 @@ fn rewrite_aggregate(
             qualifier: g.qualifier.clone(),
             name: g.alias.clone(),
         };
-        null_safe_eq(group_ref, col(hat))
+        null_safe_eq(group_ref, col(hat.clone()))
     }));
     let joined = Plan::Join {
         left: Box::new(original.clone()),
@@ -205,7 +205,7 @@ fn rewrite_aggregate(
         .map(ProjectItem::passthrough)
         .collect();
     for prov in input_rw.descriptor.attr_names() {
-        out_items.push(ProjectItem::column(&prov));
+        out_items.push(ProjectItem::column(prov));
     }
     let plan = PlanBuilder::from_plan(joined).project(out_items).build();
     Ok(RewriteResult {
@@ -239,10 +239,13 @@ fn rewrite_setop(
 
             // Left branch keeps its original attribute names, appends its own
             // provenance and NULL columns for the right branch's provenance.
-            let mut left_items: Vec<ProjectItem> =
-                left_names.iter().map(|n| ProjectItem::column(n)).collect();
+            let mut left_items: Vec<ProjectItem> = left_names
+                .iter()
+                .cloned()
+                .map(ProjectItem::column)
+                .collect();
             for prov in left_rw.descriptor.attr_names() {
-                left_items.push(ProjectItem::column(&prov));
+                left_items.push(ProjectItem::column(prov));
             }
             for prov in right_rw.descriptor.attr_names() {
                 left_items.push(ProjectItem::new(null(), prov));
@@ -256,13 +259,13 @@ fn rewrite_setop(
             let mut right_items: Vec<ProjectItem> = right_names
                 .iter()
                 .zip(left_names.iter())
-                .map(|(r, l)| ProjectItem::new(col(r), l.clone()))
+                .map(|(r, l)| ProjectItem::new(col(r.clone()), l.clone()))
                 .collect();
             for prov in left_rw.descriptor.attr_names() {
                 right_items.push(ProjectItem::new(null(), prov));
             }
             for prov in right_rw.descriptor.attr_names() {
-                right_items.push(ProjectItem::column(&prov));
+                right_items.push(ProjectItem::column(prov));
             }
             let right_branch = PlanBuilder::from_plan(right_rw.plan)
                 .project(right_items)
@@ -315,14 +318,14 @@ fn join_back(
         )));
     }
 
-    let fresh_names: Vec<String> = original_names
+    let fresh_names: Vec<Name> = original_names
         .iter()
-        .map(|n| rw.fresh(&format!("orig_{n}")))
+        .map(|n| rw.fresh(format_args!("orig_{n}")))
         .collect();
     let renamed_items: Vec<ProjectItem> = original_names
         .iter()
         .zip(fresh_names.iter())
-        .map(|(orig, fresh)| ProjectItem::new(col(orig), fresh.clone()))
+        .map(|(orig, fresh)| ProjectItem::new(col(orig.clone()), fresh.clone()))
         .collect();
     let renamed_original = PlanBuilder::from_plan(original.clone())
         .project(renamed_items)
@@ -332,7 +335,7 @@ fn join_back(
         fresh_names
             .iter()
             .zip(source_names.iter())
-            .map(|(fresh, src)| null_safe_eq(col(fresh), col(src))),
+            .map(|(fresh, src)| null_safe_eq(col(fresh.clone()), col(src.clone()))),
     );
     let joined = Plan::Join {
         left: Box::new(renamed_original),
@@ -344,10 +347,10 @@ fn join_back(
     let mut out_items: Vec<ProjectItem> = fresh_names
         .iter()
         .zip(original_names.iter())
-        .map(|(fresh, orig)| ProjectItem::new(col(fresh), orig.clone()))
+        .map(|(fresh, orig)| ProjectItem::new(col(fresh.clone()), orig.clone()))
         .collect();
     for prov in source_rw.descriptor.attr_names() {
-        out_items.push(ProjectItem::column(&prov));
+        out_items.push(ProjectItem::column(prov));
     }
     let plan = PlanBuilder::from_plan(joined).project(out_items).build();
     Ok(RewriteResult {

@@ -81,7 +81,7 @@ pub(crate) fn rewrite_select(
                 left: Box::new(input_rw.plan),
                 right: Box::new(wrapped),
                 kind: JoinKind::Inner,
-                condition: eq(test, col(&result_alias)),
+                condition: eq(test, col(result_alias)),
             }
         }
         _ => unreachable!("is_applicable_select only admits EXISTS and ANY"),

@@ -665,7 +665,7 @@ mod tests {
     use perm_algebra::builder::{
         all_sublink, any_sublink, col, eq, lit, not, or, qcol, PlanBuilder,
     };
-    use perm_storage::{Attribute, DataType};
+    use perm_storage::{Attribute, DataType, Name};
 
     /// The relations of Figure 3.
     fn figure3_db() -> Database {
@@ -728,7 +728,7 @@ mod tests {
         let result = tracer.trace(&q).unwrap();
         assert_eq!(
             result.schema().names(),
-            vec!["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"]
+            ["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"].map(Name::from)
         );
         assert_eq!(
             rows_of(&result),

@@ -11,7 +11,7 @@ use perm_algebra::{CompareOp, Plan, ProjectItem};
 use perm_core::tracer::Tracer;
 use perm_core::{ProvenanceQuery, Strategy};
 use perm_exec::Executor;
-use perm_storage::{Attribute, DataType, Database, Relation, Schema, Tuple, Value};
+use perm_storage::{Attribute, DataType, Database, Name, Relation, Schema, Tuple, Value};
 
 /// The example relations of Figure 3 plus a third relation for multi-sublink
 /// queries.
@@ -61,7 +61,7 @@ fn figure3_db() -> Database {
 /// Projects a relation onto the given attribute names (used to reorder the
 /// rewrite output so it can be compared with the tracer output, whose column
 /// order may differ when strategies attach provenance in different orders).
-fn project_named(rel: &Relation, names: &[String]) -> Vec<Vec<Value>> {
+fn project_named(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
         .map(|n| {
@@ -663,10 +663,13 @@ fn provenance_schema_names_follow_the_perm_convention() {
         .unwrap();
     assert_eq!(
         rewritten.plan().schema().names(),
-        vec!["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"]
+        ["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"].map(Name::from)
     );
     assert_eq!(rewritten.descriptor().entries().len(), 2);
-    assert_eq!(rewritten.original_schema().names(), vec!["a", "b"]);
+    assert_eq!(
+        rewritten.original_schema().names(),
+        ["a", "b"].map(Name::from)
+    );
 }
 
 #[test]
@@ -687,7 +690,7 @@ fn repeated_base_relation_gets_distinct_occurrences() {
         .rewrite()
         .unwrap();
     let names = rewritten.plan().schema().names();
-    assert!(names.contains(&"prov_r_a".to_string()));
-    assert!(names.contains(&"prov_1_r_a".to_string()));
+    assert!(names.contains(&"prov_r_a".into()));
+    assert!(names.contains(&"prov_1_r_a".into()));
     assert_strategies_match_tracer(&db, &q, &[Strategy::Gen, Strategy::Left, Strategy::Move]);
 }

@@ -49,7 +49,8 @@ use perm_algebra::{
     AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, SetOpKind, SublinkKind, UnaryOp,
 };
 use perm_storage::{
-    encode_key_typed, ColumnVec, Relation, Schema, StorageError, Truth, Tuple, Validity, Value,
+    encode_key_typed, ColumnVec, Name, Relation, Schema, StorageError, Truth, Tuple, Validity,
+    Value,
 };
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,7 +76,7 @@ pub enum CompiledExpr {
     /// the stored error — exactly when the interpreter would have raised it.
     Unresolved {
         /// Name as written, for the error message.
-        name: String,
+        name: Name,
         /// `true` when the name was ambiguous rather than unknown.
         ambiguous: bool,
     },
@@ -413,7 +414,7 @@ impl<'a> Scopes<'a> {
 
     /// Resolves a name along the chain, innermost first — the compile-time
     /// mirror of [`crate::eval::Env::lookup`].
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> CompiledExpr {
+    fn resolve(&self, qualifier: Option<&str>, name: &Name) -> CompiledExpr {
         match self.schema.try_resolve(qualifier, name) {
             Ok(Some(index)) => CompiledExpr::Slot(Slot { depth: 0, index }),
             Ok(None) => match self.parent {
@@ -425,14 +426,14 @@ impl<'a> Scopes<'a> {
                     unresolved => unresolved,
                 },
                 None => CompiledExpr::Unresolved {
-                    name: name.to_string(),
+                    name: name.clone(),
                     ambiguous: false,
                 },
             },
             // Ambiguity in the innermost scope that knows the name stops the
             // search, exactly like the interpreter.
             Err(_) => CompiledExpr::Unresolved {
-                name: name.to_string(),
+                name: name.clone(),
                 ambiguous: true,
             },
         }
@@ -1390,9 +1391,9 @@ impl Executor<'_> {
             }
             CompiledExpr::Unresolved { name, ambiguous } => {
                 Err(ExecError::Storage(if *ambiguous {
-                    StorageError::AmbiguousAttribute(name.clone())
+                    StorageError::AmbiguousAttribute(name.to_string())
                 } else {
-                    StorageError::UnknownAttribute(name.clone())
+                    StorageError::UnknownAttribute(name.to_string())
                 }))
             }
             CompiledExpr::Literal(v) => Ok(ColumnVec::broadcast(v, n)),

@@ -77,7 +77,7 @@ impl Executor<'_> {
             Expr::Column { qualifier, name } => match env {
                 Some(e) => e.lookup(qualifier.as_deref(), name),
                 None => Err(ExecError::Storage(
-                    perm_storage::StorageError::UnknownAttribute(name.clone()),
+                    perm_storage::StorageError::UnknownAttribute(name.to_string()),
                 )),
             },
             Expr::Literal(v) => Ok(v.clone()),

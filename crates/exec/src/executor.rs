@@ -60,7 +60,7 @@ use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost,
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
 use perm_algebra::{Expr, Plan, SortKey};
-use perm_storage::{encode_key_typed, Database, Relation, Schema, Tuple, Value};
+use perm_storage::{encode_key_typed, Database, Name, Relation, Schema, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
@@ -69,7 +69,7 @@ use std::time::Duration;
 
 /// One free correlated column reference as reported by
 /// [`free_correlated_columns`]: optional qualifier plus name.
-type FreeColumn = (Option<String>, String);
+type FreeColumn = (Option<Name>, Name);
 
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {

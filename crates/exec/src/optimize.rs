@@ -255,7 +255,7 @@ use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::free_expr_columns;
 use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey, SublinkKind};
-use perm_storage::{Schema, Value};
+use perm_storage::{Name, Schema, Value};
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
 const MAX_PASSES: usize = 4;
@@ -886,13 +886,13 @@ fn select(input: Plan, predicate: Expr) -> Plan {
 }
 
 /// `true` when every one of `refs` resolves (unambiguously) in `schema`.
-fn resolves_all(schema: &Schema, refs: &[(Option<String>, String)]) -> bool {
+fn resolves_all(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
     refs.iter()
         .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(Some(_))))
 }
 
 /// `true` when none of `refs` is known to `schema`.
-fn resolves_none(schema: &Schema, refs: &[(Option<String>, String)]) -> bool {
+fn resolves_none(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
     refs.iter()
         .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(None)))
 }
@@ -1208,7 +1208,7 @@ fn sink_conjuncts(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Pl
 fn sink_filter(
     plan: Plan,
     c: &Expr,
-    refs: &[(Option<String>, String)],
+    refs: &[(Option<Name>, Name)],
     rep: &mut OptimizerReport,
 ) -> Result<Plan, Plan> {
     match plan {
@@ -1266,7 +1266,7 @@ fn sink_filter(
 
 /// `Some(true)` when `left` alone resolves `refs`, `Some(false)` when
 /// `right` alone does.
-fn one_side(left: &Schema, right: &Schema, refs: &[(Option<String>, String)]) -> Option<bool> {
+fn one_side(left: &Schema, right: &Schema, refs: &[(Option<Name>, Name)]) -> Option<bool> {
     if resolves_all(left, refs) && resolves_none(right, refs) {
         Some(true)
     } else if resolves_all(right, refs) && resolves_none(left, refs) {
@@ -1321,7 +1321,7 @@ struct SemiJoin {
     kind: JoinKind,
     condition: Expr,
     /// The condition's references to the probe side.
-    probe_refs: Vec<(Option<String>, String)>,
+    probe_refs: Vec<(Option<Name>, Name)>,
     /// Neither the condition nor the build side can fail.
     total: bool,
 }
@@ -1377,7 +1377,7 @@ struct SemiExpansion {
     on_l: Vec<Expr>,
     on_r: Vec<Expr>,
     /// The columns of `S` the conjuncts compare against, each once.
-    keys: Vec<(Option<String>, String)>,
+    keys: Vec<(Option<Name>, Name)>,
     /// Pass-through items restoring the `L × R` schema on top.
     restored: Vec<ProjectItem>,
 }
@@ -1515,10 +1515,10 @@ fn substitute_through(
 /// sublink bodies keep their full width.
 fn prune_pass(
     plan: Plan,
-    required: Option<&[(Option<String>, String)]>,
+    required: Option<&[(Option<Name>, Name)]>,
     rep: &mut OptimizerReport,
 ) -> Plan {
-    type Refs = Vec<(Option<String>, String)>;
+    type Refs = Vec<(Option<Name>, Name)>;
     let plan = match (plan, required) {
         (
             Plan::Project {
@@ -1610,7 +1610,7 @@ fn prune_pass(
 /// any needed reference could resolve to it. Two same-named items are both
 /// kept, so a reference that was ambiguous (a runtime error) stays
 /// ambiguous.
-fn item_required(required: &[(Option<String>, String)], item: &ProjectItem) -> bool {
+fn item_required(required: &[(Option<Name>, Name)], item: &ProjectItem) -> bool {
     required.iter().any(|(q, n)| {
         n == &item.alias
             && match (q, &item.qualifier) {
@@ -2309,7 +2309,7 @@ mod tests {
         assert!(
             !contains(&optimized, &|p| matches!(
                 p,
-                Plan::Project { items, .. } if items.iter().any(|i| i.alias == "v")
+                Plan::Project { items, .. } if items.iter().any(|i| &*i.alias == "v")
             )),
             "{}",
             perm_algebra::display::explain(&optimized)

@@ -15,7 +15,7 @@ use perm_algebra::visit::{free_columns, free_expr_columns};
 use perm_algebra::{
     AggFunc, AggregateExpr, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind,
 };
-use perm_storage::{Schema, Value};
+use perm_storage::{Name, Schema, Value};
 
 /// Most disjunction splits nested inside one selection (each doubles the
 /// branches, and every branch re-reads the selection's input).
@@ -249,7 +249,7 @@ pub(super) struct Fact {
     two_valued: bool,
     /// Every column the pattern reads from enclosing scopes: a copy of the
     /// pattern means the same thing only where none of them is shadowed.
-    refs: Vec<(Option<String>, String)>,
+    refs: Vec<(Option<Name>, Name)>,
 }
 
 /// The expression a conjunct establishes, and as what: `NOT x` holds where
@@ -637,7 +637,7 @@ impl Lifted {
         };
         for h in &mut self.hoisted {
             if let Hoisted::Pair { inner, .. } = h {
-                let name = format!("__h{}", *fresh);
+                let name: Name = format!("__h{}", *fresh).into();
                 *fresh += 1;
                 items.push(ProjectItem::new(inner.clone(), name.clone()));
                 *inner = Expr::Column {
@@ -936,9 +936,9 @@ fn lift_global_aggregate(
     let local = body.schema();
     let n = *cx.fresh;
     *cx.fresh += 1;
-    let (drv, grp) = (format!("__drv{n}"), format!("__grp{n}"));
-    let column = |qualifier: &str, name: String| Expr::Column {
-        qualifier: Some(qualifier.to_string()),
+    let (drv, grp): (Name, Name) = (format!("__drv{n}").into(), format!("__grp{n}").into());
+    let column = |qualifier: &Name, name: Name| Expr::Column {
+        qualifier: Some(qualifier.clone()),
         name,
     };
 
@@ -956,17 +956,18 @@ fn lift_global_aggregate(
         else {
             return None;
         };
-        driver_items.push(ProjectItem::new(outer.clone(), format!("d{i}")).with_qualifier(&drv));
-        grouped_items.push(ProjectItem::new(inner.clone(), format!("k{i}")).with_qualifier(&grp));
+        let (d, k): (Name, Name) = (format!("d{i}").into(), format!("k{i}").into());
+        driver_items.push(ProjectItem::new(outer.clone(), d.clone()).with_qualifier(drv.clone()));
+        grouped_items.push(ProjectItem::new(inner.clone(), k.clone()).with_qualifier(grp.clone()));
         on.push(Expr::Binary {
             op: *op,
-            left: Box::new(column(&drv, format!("d{i}"))),
-            right: Box::new(column(&grp, format!("k{i}"))),
+            left: Box::new(column(&drv, d.clone())),
+            right: Box::new(column(&grp, k)),
         });
         hoisted.push(Hoisted::Pair {
             outer: outer.clone(),
             op: BinaryOp::NullSafeEq,
-            inner: column(&drv, format!("d{i}")),
+            inner: column(&drv, d),
         });
     }
     if hoisted.is_empty() {
@@ -979,14 +980,15 @@ fn lift_global_aggregate(
                 if arg.has_sublink() || !free_expr_columns(arg, &local).is_empty() {
                     return None;
                 }
+                let a: Name = format!("a{j}").into();
                 grouped_items.push(
-                    ProjectItem::new(body.to_plan_columns(arg)?, format!("a{j}"))
-                        .with_qualifier(&grp),
+                    ProjectItem::new(body.to_plan_columns(arg)?, a.clone())
+                        .with_qualifier(grp.clone()),
                 );
-                (agg.func, column(&grp, format!("a{j}")))
+                (agg.func, column(&grp, a))
             }
             // `count(*)` would count the padding row of an empty group.
-            _ => (AggFunc::Count, column(&grp, "m".to_string())),
+            _ => (AggFunc::Count, column(&grp, "m".into())),
         };
         grouped_aggs.push(AggregateExpr {
             func,
@@ -995,7 +997,7 @@ fn lift_global_aggregate(
             alias: agg.alias.clone(),
         });
     }
-    grouped_items.push(ProjectItem::new(Expr::Literal(Value::Int(1)), "m").with_qualifier(&grp));
+    grouped_items.push(ProjectItem::new(Expr::Literal(Value::Int(1)), "m").with_qualifier(grp));
 
     let outer_refs: Vec<_> = driver_items
         .iter()
@@ -1036,7 +1038,7 @@ fn lift_global_aggregate(
         outputs: Some(
             aggregates
                 .iter()
-                .map(|a| ProjectItem::column(&a.alias))
+                .map(|a| ProjectItem::column(a.alias.clone()))
                 .collect(),
         ),
         hoisted,
@@ -1046,7 +1048,7 @@ fn lift_global_aggregate(
 /// The smallest factor of the cross products / inner joins at the top of
 /// `plan` that resolves every one of `refs`: a superset of the bindings
 /// `plan` itself would give, without reading the other factors.
-fn driver_source<'p>(plan: &'p Plan, refs: &[(Option<String>, String)]) -> &'p Plan {
+fn driver_source<'p>(plan: &'p Plan, refs: &[(Option<Name>, Name)]) -> &'p Plan {
     let resolves = |p: &Plan| {
         let schema = p.schema();
         refs.iter()
@@ -1103,10 +1105,10 @@ fn build_decorrelated(
         // The correlation lives somewhere the rule cannot reach.
         return None;
     }
-    let qual = format!("__dcl{}", *cx.fresh);
-    let key_ref = |name: &str| Expr::Column {
+    let qual: Name = format!("__dcl{}", *cx.fresh).into();
+    let key_ref = |name: Name| Expr::Column {
         qualifier: Some(qual.clone()),
-        name: name.to_string(),
+        name,
     };
     let plan_schema = body.plan.schema();
     let mut cond_conjuncts: Vec<Expr> = Vec::new();
@@ -1131,7 +1133,7 @@ fn build_decorrelated(
             }
         };
         items.push(ProjectItem::new(value, "v").with_qualifier(qual.clone()));
-        cond_conjuncts.push(cmp(CompareOp::Eq, test.clone(), key_ref("v")));
+        cond_conjuncts.push(cmp(CompareOp::Eq, test.clone(), key_ref("v".into())));
     }
     // Every hoisted side must be total: outer sides are re-evaluated per
     // probe row, inner sides per build row, both outside their original
@@ -1144,12 +1146,14 @@ fn build_decorrelated(
                 if !expr_is_total(outer, outer_chain) || !expr_is_total(inner, inner_chain) {
                     return None;
                 }
-                let key = format!("k{idx}");
-                items.push(ProjectItem::new(inner.clone(), key.clone()).with_qualifier(&qual));
+                let key: Name = format!("k{idx}").into();
+                items.push(
+                    ProjectItem::new(inner.clone(), key.clone()).with_qualifier(qual.clone()),
+                );
                 cond_conjuncts.push(Expr::Binary {
                     op: *op,
                     left: Box::new(outer.clone()),
-                    right: Box::new(key_ref(&key)),
+                    right: Box::new(key_ref(key)),
                 });
             }
             Hoisted::OuterOnly(c) => {
@@ -1164,7 +1168,9 @@ fn build_decorrelated(
         // EXISTS with only outer-only correlation: keep the body's rows
         // flowing but project a constant key so the join's right side has
         // a well-defined, collision-free schema.
-        items.push(ProjectItem::new(Expr::Literal(Value::Int(1)), "k0").with_qualifier(&qual));
+        items.push(
+            ProjectItem::new(Expr::Literal(Value::Int(1)), "k0").with_qualifier(qual.clone()),
+        );
     }
     let right = Plan::Project {
         input: Box::new(body.plan),

@@ -16,7 +16,7 @@ use perm_algebra::{
     AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, ProjectItem,
     SortKey,
 };
-use perm_storage::{Database, Schema, Tuple, Value};
+use perm_storage::{Attribute, DataType, Database, Name, Schema, Tuple, Value};
 
 /// A bound query: the algebra plan ready for execution or provenance
 /// rewriting.
@@ -111,8 +111,8 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
                 // above the aggregation (an unqualified `g` still does).
                 SqlExpr::Column { qualifier, name } => ProjectItem {
                     expr: bound,
-                    alias: name.clone(),
-                    qualifier: qualifier.clone(),
+                    alias: name.as_str().into(),
+                    qualifier: qualifier.as_deref().map(Name::from),
                 },
                 _ => ProjectItem::new(bound, format!("group_{i}")),
             };
@@ -128,7 +128,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
                 func: spec.func,
                 arg,
                 distinct: spec.distinct,
-                alias: spec.alias.clone(),
+                alias: spec.alias.as_str().into(),
             });
         }
         if group_items.is_empty() && aggregates.is_empty() {
@@ -154,29 +154,23 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     // SELECT list.
     let schema_before_projection = plan.schema();
     let mut items: Vec<ProjectItem> = Vec::new();
-    // Pairs of (source SQL expression, output alias) used to map ORDER BY
-    // keys onto output columns.
-    let mut output_exprs: Vec<(SqlExpr, String)> = Vec::new();
+    // Pairs of (source, output alias) used to map ORDER BY keys onto output
+    // columns.
+    let mut output_exprs: Vec<(OutputSource, Name)> = Vec::new();
     for (i, (expr, alias)) in select_exprs.iter().enumerate() {
         if matches!(expr, SqlExpr::Wildcard) {
             for attr in schema_before_projection.attributes() {
                 items.push(ProjectItem::passthrough(attr));
-                output_exprs.push((
-                    SqlExpr::Column {
-                        qualifier: attr.qualifier.clone(),
-                        name: attr.name.clone(),
-                    },
-                    attr.name.clone(),
-                ));
+                output_exprs.push((OutputSource::Star(attr), attr.name.clone()));
             }
             continue;
         }
         let bound = bind_expr(db, expr)?;
         let alias = match alias {
-            Some(a) => a.clone(),
+            Some(a) => Name::from(a.as_str()),
             None => bound.default_name(i),
         };
-        output_exprs.push((expr.clone(), alias.clone()));
+        output_exprs.push((OutputSource::Expr(expr), alias.clone()));
         items.push(ProjectItem::new(bound, alias));
     }
     if items.is_empty() {
@@ -188,11 +182,11 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     // underlying input that were not projected. In the first case the sort is
     // placed above the projection; in the second case below it (projection
     // preserves row order in this engine).
-    let output_schema = Schema::from_names(
-        &output_exprs
+    let output_schema = Schema::new(
+        output_exprs
             .iter()
-            .map(|(_, alias)| alias.as_str())
-            .collect::<Vec<_>>(),
+            .map(|(_, alias)| Attribute::new(alias.clone(), DataType::Any))
+            .collect(),
     );
     let sort_above = !order_by.is_empty()
         && order_by.iter().all(|(key, _)| {
@@ -227,7 +221,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
         for (expr, ascending) in &order_by {
             let alias = map_order_key(expr, &output_exprs).expect("checked above");
             keys.push(SortKey {
-                expr: col(&alias),
+                expr: col(alias),
                 ascending: *ascending,
             });
         }
@@ -246,11 +240,36 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     Ok(plan)
 }
 
+/// Where an output column of the select list comes from: a select
+/// expression, or an input attribute that `*` expands to.
+enum OutputSource<'q> {
+    Expr(&'q SqlExpr),
+    Star(&'q Attribute),
+}
+
+impl OutputSource<'_> {
+    /// `true` when `key` repeats this source verbatim (a `*` attribute is
+    /// repeated by the column reference spelled with its qualifier and name).
+    fn is_repeated_by(&self, key: &SqlExpr) -> bool {
+        match self {
+            OutputSource::Expr(expr) => *expr == key,
+            OutputSource::Star(attr) => matches!(
+                key,
+                SqlExpr::Column { qualifier, name }
+                    if qualifier.as_deref() == attr.qualifier.as_deref() && **name == *attr.name
+            ),
+        }
+    }
+}
+
 /// Maps an ORDER BY key onto an output column of the select list: either the
 /// key repeats a select expression verbatim, or it names an output alias
 /// (optionally qualified).
-fn map_order_key(key: &SqlExpr, output_exprs: &[(SqlExpr, String)]) -> Option<String> {
-    if let Some((_, alias)) = output_exprs.iter().find(|(expr, _)| expr == key) {
+fn map_order_key(key: &SqlExpr, output_exprs: &[(OutputSource, Name)]) -> Option<Name> {
+    if let Some((_, alias)) = output_exprs
+        .iter()
+        .find(|(source, _)| source.is_repeated_by(key))
+    {
         return Some(alias.clone());
     }
     if let SqlExpr::Column { name, .. } = key {
@@ -272,13 +291,14 @@ fn bind_table_ref(db: &Database, table_ref: &TableRef) -> Result<Plan> {
         TableRef::Subquery { query, alias } => {
             let inner = bind_query(db, query)?;
             // Re-qualify the derived table's columns with its alias.
+            let qualifier = Name::from(alias.as_str());
             let items: Vec<ProjectItem> = inner
                 .schema()
                 .attributes()
                 .iter()
                 .map(|attr| {
-                    ProjectItem::new(col(&attr.name), attr.name.clone())
-                        .with_qualifier(alias.clone())
+                    ProjectItem::new(col(attr.name.clone()), attr.name.clone())
+                        .with_qualifier(qualifier.clone())
                 })
                 .collect();
             Ok(Plan::Project {
@@ -456,8 +476,8 @@ fn compare_op(op: SqlBinaryOp) -> Option<CompareOp> {
 pub fn bind_expr(db: &Database, expr: &SqlExpr) -> Result<Expr> {
     Ok(match expr {
         SqlExpr::Column { qualifier, name } => match qualifier {
-            Some(q) => qcol(q, name),
-            None => col(name),
+            Some(q) => qcol(q.as_str(), name.as_str()),
+            None => col(name.as_str()),
         },
         SqlExpr::Number(text) => {
             if text.contains('.') {
@@ -654,7 +674,7 @@ fn bind_quantified_query(db: &Database, query: &Query) -> Result<Plan> {
 mod tests {
     use super::*;
     use perm_exec::Executor;
-    use perm_storage::{Attribute, DataType, Relation};
+    use perm_storage::Relation;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -707,7 +727,7 @@ mod tests {
     #[test]
     fn select_star_expands() {
         let result = run("SELECT * FROM r");
-        assert_eq!(result.schema().names(), vec!["a", "b"]);
+        assert_eq!(result.schema().names(), ["a", "b"].map(Name::from));
         assert_eq!(result.len(), 3);
     }
 
@@ -738,7 +758,7 @@ mod tests {
     #[test]
     fn group_by_having_aggregates() {
         let result = run("SELECT b, sum(a) AS total, count(*) AS n FROM r GROUP BY b HAVING sum(a) > 2 ORDER BY total DESC");
-        assert_eq!(result.schema().names(), vec!["b", "total", "n"]);
+        assert_eq!(result.schema().names(), ["b", "total", "n"].map(Name::from));
         assert_eq!(result.len(), 2);
         assert_eq!(result.tuples()[0].get(1), &Value::Int(3));
     }

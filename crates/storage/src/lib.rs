@@ -3,7 +3,8 @@
 //! The storage substrate of the `permrs` provenance engine: SQL values with
 //! three-valued logic, tuples, schemas (including the provenance renaming
 //! `P(R)` used by the Perm rewrite rules), bag-semantics relations and an
-//! in-memory catalog.
+//! in-memory catalog. Attribute names and qualifiers are [`Name`]s, shared
+//! by every schema, plan and compiled plan that mentions them.
 //!
 //! The paper ("Provenance for Nested Subqueries", Glavic & Alonso, EDBT 2009)
 //! implements its rewrites inside PostgreSQL. This crate provides the
@@ -32,7 +33,7 @@ pub use keys::{
 pub use manager::{PagedRelation, StorageManager, DEFAULT_POOL_PAGES};
 pub use page::{decode_row, decode_value, encode_row, encode_value, Page, PAGE_SIZE};
 pub use relation::Relation;
-pub use schema::{Attribute, DataType, Schema};
+pub use schema::{Attribute, DataType, Name, Schema};
 pub use tuple::Tuple;
 pub use value::{civil_from_days, days_from_civil, f64_cmp_sql, int_cmp_float, Truth, Value};
 

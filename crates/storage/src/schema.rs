@@ -11,6 +11,21 @@
 use crate::value::Value;
 use crate::{Result, StorageError};
 use std::fmt;
+use std::sync::Arc;
+
+/// An identifier: an attribute name, a relation qualifier or an output
+/// alias, from the catalog's schemas through bound, rewritten and optimized
+/// plans to the compiled plan.
+///
+/// A `Name` is shared, not copied: cloning an [`Attribute`], a [`Schema`],
+/// a plan or a column reference copies no identifier text, only reference
+/// counts, so a scan's attributes point at the very names the catalog
+/// holds and [`Schema::with_qualifier`] gives all its attributes one
+/// qualifier. Sharing is an optimisation only: name resolution
+/// ([`Attribute::matches`]) compares text ignoring ASCII case, whether or
+/// not two names share an allocation. Build one from a `&str` or a
+/// `String` with `Name::from` / `.into()`.
+pub type Name = Arc<str>;
 
 /// Logical data type of an attribute. The engine is dynamically typed at
 /// execution time; declared types are used by the SQL binder for casting
@@ -44,16 +59,16 @@ impl fmt::Display for DataType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (`a`, `l_partkey`, `prov_lineitem_l_partkey`, …).
-    pub name: String,
+    pub name: Name,
     /// Optional relation qualifier used for name resolution (`r` in `r.a`).
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Name>,
     /// Declared type.
     pub dtype: DataType,
 }
 
 impl Attribute {
     /// Creates an attribute without a qualifier.
-    pub fn new(name: impl Into<String>, dtype: DataType) -> Attribute {
+    pub fn new(name: impl Into<Name>, dtype: DataType) -> Attribute {
         Attribute {
             name: name.into(),
             qualifier: None,
@@ -63,8 +78,8 @@ impl Attribute {
 
     /// Creates an attribute with a relation qualifier.
     pub fn qualified(
-        qualifier: impl Into<String>,
-        name: impl Into<String>,
+        qualifier: impl Into<Name>,
+        name: impl Into<Name>,
         dtype: DataType,
     ) -> Attribute {
         Attribute {
@@ -139,16 +154,26 @@ impl Schema {
     }
 
     /// The attribute names in order.
-    pub fn names(&self) -> Vec<String> {
+    pub fn names(&self) -> Vec<Name> {
         self.attrs.iter().map(|a| a.name.clone()).collect()
     }
 
     /// Resolves an (optionally qualified) attribute name to its position.
     ///
-    /// Returns an error if the name is unknown or ambiguous. Ambiguity is
-    /// only reported when the reference is unqualified and more than one
-    /// attribute carries the name; this mirrors SQL scoping.
+    /// Returns an error if the name is unknown or ambiguous. A reference is
+    /// ambiguous when more than one attribute matches it: an unqualified
+    /// name carried by two attributes (`r.a` and `s.a`), but also a
+    /// qualified one that two attributes match (two `r.a`, as a self-join's
+    /// witness columns can produce). This mirrors SQL scoping.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        self.try_resolve(qualifier, name)?
+            .ok_or_else(|| StorageError::UnknownAttribute(name.to_string()))
+    }
+
+    /// Like [`Schema::resolve`] but returns `None` instead of an
+    /// unknown-attribute error (still errors on ambiguity). A miss
+    /// allocates nothing, so scope-chain walks may probe freely.
+    pub fn try_resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
         let mut found: Option<usize> = None;
         for (i, attr) in self.attrs.iter().enumerate() {
             if attr.matches(qualifier, name) {
@@ -158,17 +183,7 @@ impl Schema {
                 found = Some(i);
             }
         }
-        found.ok_or_else(|| StorageError::UnknownAttribute(name.to_string()))
-    }
-
-    /// Like [`Schema::resolve`] but returns `None` instead of an
-    /// unknown-attribute error (still errors on ambiguity).
-    pub fn try_resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
-        match self.resolve(qualifier, name) {
-            Ok(i) => Ok(Some(i)),
-            Err(StorageError::UnknownAttribute(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
+        Ok(found)
     }
 
     /// Concatenates two schemas (the `⧺` operator of the paper, used for the
@@ -179,15 +194,18 @@ impl Schema {
         Schema { attrs }
     }
 
-    /// Returns a copy with every attribute qualified by `qualifier`.
-    pub fn with_qualifier(&self, qualifier: &str) -> Schema {
+    /// Returns a copy with every attribute qualified by `qualifier`; the
+    /// attributes share their names with `self` and one qualifier with each
+    /// other.
+    pub fn with_qualifier(&self, qualifier: impl Into<Name>) -> Schema {
+        let qualifier = qualifier.into();
         Schema {
             attrs: self
                 .attrs
                 .iter()
                 .map(|a| Attribute {
                     name: a.name.clone(),
-                    qualifier: Some(qualifier.to_string()),
+                    qualifier: Some(qualifier.clone()),
                     dtype: a.dtype,
                 })
                 .collect(),
@@ -207,7 +225,7 @@ impl Schema {
                 .attrs
                 .iter()
                 .map(|a| Attribute {
-                    name: provenance_attr_name(&rel, &a.name, occurrence),
+                    name: provenance_attr_name(&rel, &a.name, occurrence).into(),
                     qualifier: None,
                     dtype: a.dtype,
                 })
@@ -288,6 +306,28 @@ mod tests {
     }
 
     #[test]
+    fn a_qualified_reference_matching_two_attributes_is_ambiguous() {
+        // Two `r.a`, as a self-join's witness columns can produce.
+        let s = Schema::new(vec![
+            Attribute::qualified("r", "a", DataType::Int),
+            Attribute::qualified("r", "a", DataType::Int),
+        ]);
+        assert_eq!(
+            s.resolve(Some("r"), "a"),
+            Err(StorageError::AmbiguousAttribute("a".into()))
+        );
+        assert_eq!(
+            s.try_resolve(Some("r"), "a"),
+            Err(StorageError::AmbiguousAttribute("a".into()))
+        );
+        assert_eq!(
+            s.resolve(Some("r"), "b"),
+            Err(StorageError::UnknownAttribute("b".into()))
+        );
+        assert_eq!(s.try_resolve(Some("r"), "b"), Ok(None));
+    }
+
+    #[test]
     fn resolution_is_case_insensitive() {
         let s = rs();
         assert_eq!(s.resolve(None, "A").unwrap(), 0);
@@ -299,8 +339,8 @@ mod tests {
         let s = rs();
         let p0 = s.provenance_schema("R", 0);
         let p1 = s.provenance_schema("R", 1);
-        assert_eq!(p0.names(), vec!["prov_r_a", "prov_r_b"]);
-        assert_eq!(p1.names(), vec!["prov_1_r_a", "prov_1_r_b"]);
+        assert_eq!(p0.names(), ["prov_r_a", "prov_r_b"].map(Name::from));
+        assert_eq!(p1.names(), ["prov_1_r_a", "prov_1_r_b"].map(Name::from));
         assert_ne!(p0.names(), p1.names());
     }
 
@@ -308,7 +348,7 @@ mod tests {
     fn concat_preserves_order() {
         let s = rs();
         let t = Schema::from_names(&["c"]);
-        assert_eq!(s.concat(&t).names(), vec!["a", "b", "c"]);
+        assert_eq!(s.concat(&t).names(), ["a", "b", "c"].map(Name::from));
     }
 
     #[test]

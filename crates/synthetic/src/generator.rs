@@ -78,7 +78,10 @@ mod tests {
     fn generates_requested_number_of_rows() {
         let r = generate_table("r1", SyntheticConfig::new(250, 7));
         assert_eq!(r.len(), 250);
-        assert_eq!(r.schema().names(), vec!["a", "b", "g"]);
+        assert_eq!(
+            r.schema().names(),
+            ["a", "b", "g"].map(perm_storage::Name::from)
+        );
     }
 
     #[test]

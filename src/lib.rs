@@ -128,7 +128,7 @@ pub use perm_core::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 pub use perm_exec::Executor;
 pub use perm_exec::{CancelToken, Degradation, ExecError, FaultKind, FaultPlan, FaultSite};
 pub use perm_exec::{ProfileNode, QueryProfile};
-pub use perm_storage::{Database, Relation, Schema, Tuple, Value};
+pub use perm_storage::{Database, Name, Relation, Schema, Tuple, Value};
 pub use session::{
     Engine, PlanCacheStats, Prepared, ProvenanceRow, ProvenanceRows, Rows, Session, SessionConfig,
     SessionStats, Witness,
@@ -137,7 +137,7 @@ pub use session::{
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::{
-        Database, Engine, Executor, Prepared, ProvenanceQuery, ProvenanceRows, QueryProfile,
+        Database, Engine, Executor, Name, Prepared, ProvenanceQuery, ProvenanceRows, QueryProfile,
         Relation, Rows, Schema, Session, SessionConfig, Strategy, Tuple, Value, Witness,
     };
     pub use perm_algebra::{col, lit, qcol, PlanBuilder};

@@ -20,7 +20,7 @@ use perm_core::definition::BruteForce;
 use perm_core::tracer::Tracer;
 use perm_core::{ProvenanceQuery, Strategy as RewriteStrategy};
 use perm_exec::Executor;
-use perm_storage::{Database, Relation, Schema, Tuple, Value};
+use perm_storage::{Database, Name, Relation, Schema, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,7 +77,7 @@ fn build_query(db: &Database, shape: Shape) -> Plan {
 }
 
 /// Distinct named rows of a relation, for order-insensitive comparison.
-fn named_rows(rel: &Relation, names: &[String]) -> Vec<Vec<Value>> {
+fn named_rows(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
         .map(|n| rel.schema().resolve(None, n).unwrap())

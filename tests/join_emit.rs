@@ -129,7 +129,7 @@ fn project(input: Plan, positions: &[usize]) -> Plan {
         .enumerate()
         .map(|(k, &i)| {
             let mut item = ProjectItem::passthrough(schema.attr(i));
-            item.alias = format!("c{k}");
+            item.alias = format!("c{k}").into();
             item
         })
         .collect();

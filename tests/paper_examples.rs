@@ -74,7 +74,7 @@ fn figure3_q1_provenance() {
     let result = provenance_of_sql(&db, sql, Strategy::Gen).unwrap();
     assert_eq!(
         result.schema().names(),
-        vec!["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"]
+        ["a", "b", "prov_r_a", "prov_r_b", "prov_s_c", "prov_s_d"].map(Name::from)
     );
     assert_eq!(
         rows(&result),
@@ -229,7 +229,7 @@ fn section_3_1_example_qex_provenance_representation() {
         provenance_of_sql(&db, "SELECT a, c FROM rx, sx WHERE a < c", Strategy::Gen).unwrap();
     assert_eq!(
         result.schema().names(),
-        vec!["a", "c", "prov_rx_a", "prov_rx_b", "prov_sx_c"]
+        ["a", "c", "prov_rx_a", "prov_rx_b", "prov_sx_c"].map(Name::from)
     );
     let expected: Vec<Vec<i64>> = vec![
         vec![1, 2, 1, 2, 2],

@@ -444,7 +444,7 @@ fn provenance_rows_split_output_and_witness_groups() {
         .prepare("SELECT PROVENANCE a FROM r WHERE a IN (SELECT c FROM s)")
         .unwrap();
     let rows = session.provenance_rows(&prepared, &[]).unwrap();
-    assert_eq!(rows.output_schema().names(), vec!["a"]);
+    assert_eq!(rows.output_schema().names(), ["a"].map(Name::from));
     let descriptor = prepared.descriptor().unwrap();
     assert_eq!(descriptor.len(), 2, "two base-relation accesses: r and s");
     for row in rows.iter() {

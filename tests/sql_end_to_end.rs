@@ -61,16 +61,17 @@ fn shop_db() -> Database {
 fn provenance_keyword_triggers_the_rewrite() {
     let db = shop_db();
     let plain = run(&db, "SELECT name FROM items WHERE price > 100").unwrap();
-    assert_eq!(plain.schema().names(), vec!["name"]);
+    assert_eq!(plain.schema().names(), ["name"].map(Name::from));
     let prov = run(&db, "SELECT PROVENANCE name FROM items WHERE price > 100").unwrap();
     assert_eq!(
         prov.schema().names(),
-        vec![
+        [
             "name",
             "prov_items_id",
             "prov_items_name",
             "prov_items_price"
         ]
+        .map(Name::from)
     );
     assert_eq!(plain.len(), prov.len());
 }

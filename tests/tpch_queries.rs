@@ -4,7 +4,7 @@
 
 use perm::{ProvenanceQuery, Strategy};
 use perm_exec::Executor;
-use perm_storage::{Relation, Tuple, Value};
+use perm_storage::{Name, Relation, Tuple, Value};
 use perm_tpch::{generate, sublink_queries, SublinkClass, TpchScale};
 
 fn tiny_db() -> perm_storage::Database {
@@ -13,7 +13,7 @@ fn tiny_db() -> perm_storage::Database {
 
 /// Distinct rows of `rel` projected onto `names`, sorted (for set comparison
 /// across relations whose column order differs).
-fn named_rows(rel: &Relation, names: &[String]) -> Vec<Vec<Value>> {
+fn named_rows(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
         .map(|n| rel.schema().resolve(None, n).unwrap())
