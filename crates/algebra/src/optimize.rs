@@ -1,27 +1,24 @@
-//! A small, semantics-preserving plan optimizer.
+//! The binder's selection pushdown.
 //!
 //! The original Perm system hands both the original and the rewritten query
-//! to the PostgreSQL planner, which pushes selections into joins and never
-//! materialises raw cross products. This module provides the two passes the
-//! permrs executor needs to stay within memory and time budgets:
+//! to the PostgreSQL planner, which pushes selections into joins.
+//! [`push_down_selections`] does that to every bound plan: it splits
+//! selection predicates into conjuncts and pushes them towards the scans —
+//! conjuncts referencing only one side of a cross product / inner join move
+//! into that side, conjuncts referencing both sides become the join
+//! condition. Conjuncts containing sublinks are never moved, so the
+//! provenance rewrite rules (which match on selections containing sublinks)
+//! still see them. Left outer joins are left untouched (pushing through them
+//! would change semantics).
 //!
-//! * [`push_down_selections`] — splits selection predicates into conjuncts
-//!   and pushes them towards the scans: conjuncts referencing only one side
-//!   of a cross product / inner join move into that side, conjuncts
-//!   referencing both sides become the join condition. Conjuncts containing
-//!   sublinks are never moved, so the provenance rewrite rules (which match
-//!   on selections containing sublinks) still see them. Left outer joins are
-//!   left untouched (pushing through them would change semantics).
-//! * [`fuse_select_over_cross`] — turns a residual selection directly above a
-//!   cross product into an inner join so the executor evaluates the predicate
-//!   while enumerating pairs instead of materialising the full product first.
-//!   This is applied to plans that are about to be executed (including
-//!   provenance-rewritten plans, whose `CrossBase` products would otherwise
-//!   be materialised).
+//! Everything after the rewrite — including turning a selection left
+//! directly above a cross product into a join — is the optimizer's, in
+//! `perm_exec::optimize`.
 
 use crate::builder::conjunction;
 use crate::expr::{BinaryOp, Expr};
 use crate::plan::{JoinKind, Plan};
+use crate::visit::map_sublink_plans;
 use perm_storage::Schema;
 
 /// Splits a predicate into its top-level conjuncts.
@@ -85,23 +82,20 @@ fn classify(conjunct: &Expr, left: &Schema, right: &Schema) -> Placement {
     }
 }
 
-/// Recursively pushes selection conjuncts towards the scans.
-pub fn push_down_selections(plan: &Plan) -> Plan {
-    rewrite_children(plan, &|p| match p {
+/// Recursively pushes selection conjuncts towards the scans, bottom-up,
+/// in every operator's children and in the plans of its sublinks.
+pub fn push_down_selections(plan: Plan) -> Plan {
+    let mut plan = plan.map_children(push_down_selections);
+    if plan.has_direct_sublink() {
+        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut push_down_selections));
+    }
+    match plan {
         Plan::Select { input, predicate } => {
-            let conjuncts = split_conjuncts(&predicate);
-            let (pushed, residual) = push_into(*input, conjuncts);
-            if residual.is_empty() {
-                pushed
-            } else {
-                Plan::Select {
-                    input: Box::new(pushed),
-                    predicate: conjunction(residual),
-                }
-            }
+            let (pushed, residual) = push_into(*input, split_conjuncts(&predicate));
+            wrap_select(pushed, residual)
         }
         other => other,
-    })
+    }
 }
 
 /// Pushes the given conjuncts as deep into `plan` as allowed, returning the
@@ -191,145 +185,11 @@ fn wrap_select(plan: Plan, residual: Vec<Expr>) -> Plan {
     }
 }
 
-/// Rebuilds a plan bottom-up, applying `f` to every operator after its
-/// children (and the plans inside its sublink expressions) have been
-/// rebuilt.
-fn rewrite_children(plan: &Plan, f: &dyn Fn(Plan) -> Plan) -> Plan {
-    let rebuilt = match plan {
-        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
-        Plan::Project {
-            input,
-            items,
-            distinct,
-        } => Plan::Project {
-            input: Box::new(rewrite_children(input, f)),
-            items: items
-                .iter()
-                .map(|item| crate::plan::ProjectItem {
-                    expr: rewrite_sublink_plans(&item.expr, f),
-                    alias: item.alias.clone(),
-                    qualifier: item.qualifier.clone(),
-                })
-                .collect(),
-            distinct: *distinct,
-        },
-        Plan::Select { input, predicate } => Plan::Select {
-            input: Box::new(rewrite_children(input, f)),
-            predicate: rewrite_sublink_plans(predicate, f),
-        },
-        Plan::CrossProduct { left, right } => Plan::CrossProduct {
-            left: Box::new(rewrite_children(left, f)),
-            right: Box::new(rewrite_children(right, f)),
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            condition,
-        } => Plan::Join {
-            left: Box::new(rewrite_children(left, f)),
-            right: Box::new(rewrite_children(right, f)),
-            kind: *kind,
-            condition: rewrite_sublink_plans(condition, f),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(rewrite_children(input, f)),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => Plan::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(rewrite_children(left, f)),
-            right: Box::new(rewrite_children(right, f)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(rewrite_children(input, f)),
-            keys: keys.clone(),
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(rewrite_children(input, f)),
-            limit: *limit,
-        },
-    };
-    f(rebuilt)
-}
-
-/// Applies the plan transformation `f` to every sublink plan inside an
-/// expression.
-fn rewrite_sublink_plans(expr: &Expr, f: &dyn Fn(Plan) -> Plan) -> Expr {
-    expr.clone().transform(&mut |e| match e {
-        Expr::Sublink {
-            kind,
-            test_expr,
-            op,
-            plan,
-        } => Expr::Sublink {
-            kind,
-            test_expr,
-            op,
-            plan: Box::new(rewrite_children(&plan, f)),
-        },
-        other => other,
-    })
-}
-
-/// Turns `Select(CrossProduct(l, r))` into an inner join so the predicate is
-/// evaluated pair-by-pair instead of after materialising the product. Also
-/// merges `Select(Join_inner(...))` into the join condition when the
-/// predicate carries no sublink (sublink predicates are left as selections so
-/// the provenance rewriter can still recognise them — this pass is meant for
-/// plans that will be executed, including already-rewritten ones).
-pub fn fuse_select_over_cross(plan: Plan) -> Plan {
-    rewrite_children(&plan, &|p| match p {
-        Plan::Select { input, predicate } => match *input {
-            // A selection directly above a cross product always becomes a
-            // join — this is the case that would otherwise materialise the
-            // whole product (e.g. the CrossBase products of the Gen
-            // strategy).
-            Plan::CrossProduct { left, right } => Plan::Join {
-                left,
-                right,
-                kind: JoinKind::Inner,
-                condition: predicate,
-            },
-            // Merging into an existing inner join is only a win for plain
-            // predicates; sublink predicates stay above so the (already
-            // bounded) join output is computed first and the expensive
-            // sublink is evaluated once per surviving row.
-            Plan::Join {
-                left,
-                right,
-                kind: JoinKind::Inner,
-                condition,
-            } if !predicate.has_sublink() => Plan::Join {
-                left,
-                right,
-                kind: JoinKind::Inner,
-                condition: crate::builder::and(condition, predicate),
-            },
-            other => Plan::Select {
-                input: Box::new(other),
-                predicate,
-            },
-        },
-        other => other,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{col, eq, exists_sublink, lit, PlanBuilder};
+    use crate::builder::{col, count_star, eq, exists_sublink, lit, PlanBuilder};
+    use crate::plan::{ProjectItem, SortKey};
     use perm_storage::{Database, Relation, Schema};
 
     fn db() -> Database {
@@ -368,7 +228,7 @@ mod tests {
                 crate::builder::and(eq(col("b"), lit(1)), eq(col("d"), lit(2))),
             ))
             .build();
-        let optimized = push_down_selections(&q);
+        let optimized = push_down_selections(q);
         match optimized {
             Plan::Join {
                 left,
@@ -402,7 +262,7 @@ mod tests {
                 exists_sublink(sub),
             ))
             .build();
-        let optimized = push_down_selections(&q);
+        let optimized = push_down_selections(q);
         match optimized {
             Plan::Select { input, predicate } => {
                 assert!(predicate.has_sublink());
@@ -413,41 +273,32 @@ mod tests {
     }
 
     #[test]
-    fn fuse_turns_residual_select_over_cross_into_join() {
+    fn pushdown_reaches_sublink_plans_in_aggregate_and_sort_expressions() {
         let db = db();
-        let s = PlanBuilder::scan(&db, "s").unwrap().build();
-        let q = PlanBuilder::scan(&db, "r")
+        // `r` grouped by, then sorted on, `EXISTS (sub)`.
+        let over = |sub: &Plan| {
+            let exists = || exists_sublink(sub.clone());
+            PlanBuilder::scan(&db, "r")
+                .unwrap()
+                .aggregate(
+                    vec![ProjectItem::new(exists(), "hit")],
+                    vec![count_star("n")],
+                )
+                .sort(vec![SortKey::asc(exists())])
+                .build()
+        };
+        let sub = PlanBuilder::scan(&db, "r")
             .unwrap()
-            .cross(s)
-            .select(crate::builder::cmp(
-                crate::expr::CompareOp::Lt,
-                col("a"),
-                col("c"),
+            .cross(PlanBuilder::scan(&db, "s").unwrap().build())
+            .select(crate::builder::and(
+                eq(col("a"), col("c")),
+                eq(col("d"), lit(2)),
             ))
             .build();
-        let fused = fuse_select_over_cross(q);
-        assert!(matches!(
-            fused,
-            Plan::Join {
-                kind: JoinKind::Inner,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn optimization_preserves_the_schema() {
-        let db = db();
-        let s = PlanBuilder::scan(&db, "s").unwrap().build();
-        let q = PlanBuilder::scan(&db, "r")
-            .unwrap()
-            .cross(s)
-            .select(eq(col("a"), col("c")))
-            .project_columns(&["a", "d"])
-            .build();
-        let pushed = push_down_selections(&q);
-        assert_eq!(pushed.schema().names(), q.schema().names());
-        let fused = fuse_select_over_cross(pushed);
-        assert_eq!(fused.schema().names(), q.schema().names());
+        let pushed = push_down_selections(sub.clone());
+        assert!(
+            matches!(&pushed, Plan::Join { right, .. } if matches!(**right, Plan::Select { .. }))
+        );
+        assert_eq!(push_down_selections(over(&sub)), over(&pushed));
     }
 }

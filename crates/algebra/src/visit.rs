@@ -1,5 +1,6 @@
 //! Plan and expression analysis helpers used by the provenance rewriter:
-//! correlation detection, base-relation collection and sublink substitution.
+//! correlation detection, base-relation collection, sublink substitution,
+//! and the sublink half of the bottom-up plan mapper.
 
 use crate::expr::Expr;
 use crate::plan::Plan;
@@ -261,6 +262,30 @@ fn replace_sublinks_inner(expr: Expr, replacements: &[Expr], index: &mut usize) 
         },
         other => other,
     }
+}
+
+/// Rebuilds every sublink plan inside `expr` with `f`, moving each plan
+/// through it. Descends into `ANY`/`ALL` test expressions, which
+/// [`Expr::transform`] treats as opaque; nested sublinks *inside* a sublink
+/// plan are `f`'s to reach. With [`Plan::map_children`] and
+/// [`Plan::map_expressions`] this is the one bottom-up plan mapper: a pass
+/// that must see every operator, sublink plans included, maps a node's
+/// children, then its expressions through this, then the node itself.
+pub fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
+    expr.transform(&mut |e| match e {
+        Expr::Sublink {
+            kind,
+            test_expr,
+            op,
+            plan,
+        } => Expr::Sublink {
+            kind,
+            test_expr: test_expr.map(|t| Box::new(map_sublink_plans(*t, f))),
+            op,
+            plan: Box::new(f(*plan)),
+        },
+        other => other,
+    })
 }
 
 /// Number of sublinks directly contained in `expr`.

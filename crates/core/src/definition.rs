@@ -16,7 +16,7 @@
 
 use crate::{ProvenanceError, Result};
 use perm_algebra::{Expr, Plan};
-use perm_exec::{Env, Executor};
+use perm_exec::{Env, Executor, Interpreter};
 use perm_storage::{Database, Relation, Truth, Tuple};
 
 /// One candidate provenance assignment: for each designated input relation
@@ -162,7 +162,7 @@ impl<'a> BruteForce<'a> {
         db.create_or_replace_table(sub_name, substitute.clone());
         let executor = Executor::new(&db);
         let env = Env::new(None, input_schema, input_tuple);
-        let value = executor
+        let value = Interpreter::new(&executor)
             .eval_expr(sublink_expr, Some(&env))
             .map_err(|e| ProvenanceError::Exec(e.to_string()))?;
         Ok(value.as_truth())

@@ -18,7 +18,7 @@ use perm_algebra::builder::lit;
 use perm_algebra::visit::replace_sublinks;
 use perm_algebra::{CompareOp, Expr};
 use perm_exec::eval::compare;
-use perm_exec::{Env, Executor};
+use perm_exec::{Env, Executor, Interpreter};
 use perm_storage::{Relation, Truth, Value};
 
 /// The influence role of a sublink within a condition, for one input tuple.
@@ -63,7 +63,7 @@ fn with_sublink_forced(expr: &Expr, index: usize, value: bool) -> Expr {
 /// Determines the influence role of the `index`-th sublink of `condition`
 /// for the input tuple bound in `env`, by evaluating the condition with the
 /// sublink forced to `true` and to `false` (the remaining sublinks are
-/// evaluated normally).
+/// evaluated normally, by a reference interpreter of this call's own).
 pub fn influence_role(
     executor: &Executor<'_>,
     condition: &Expr,
@@ -72,8 +72,9 @@ pub fn influence_role(
 ) -> Result<InfluenceRole> {
     let forced_true = with_sublink_forced(condition, index, true);
     let forced_false = with_sublink_forced(condition, index, false);
-    let when_true = executor.eval_predicate(&forced_true, env)?.is_true();
-    let when_false = executor.eval_predicate(&forced_false, env)?.is_true();
+    let interp = Interpreter::new(executor);
+    let when_true = interp.eval_predicate(&forced_true, env)?.is_true();
+    let when_false = interp.eval_predicate(&forced_false, env)?.is_true();
     Ok(match (when_true, when_false) {
         (true, true) => InfluenceRole::Ind,
         (true, false) => InfluenceRole::ReqTrue,

@@ -26,7 +26,7 @@ use perm_algebra::{
 };
 use perm_exec::aggregate::Accumulator;
 use perm_exec::eval::compare;
-use perm_exec::{Env, Executor};
+use perm_exec::{Env, Executor, Interpreter};
 use perm_storage::{Database, Relation, Schema, Truth, Tuple, Value};
 use std::collections::HashMap;
 
@@ -52,28 +52,23 @@ struct TracedRow {
 
 /// Computes provenance by direct tracing.
 pub struct Tracer<'a> {
-    db: &'a Database,
     executor: Executor<'a>,
-    occurrences: HashMap<String, usize>,
-    descriptor_cache: HashMap<usize, ProvenanceDescriptor>,
 }
 
 impl<'a> Tracer<'a> {
     /// Creates a tracer over a database.
     pub fn new(db: &'a Database) -> Tracer<'a> {
         Tracer {
-            db,
             executor: Executor::new(db),
-            occurrences: HashMap::new(),
-            descriptor_cache: HashMap::new(),
         }
     }
 
-    /// Operator evaluations performed by the embedded executor so far
-    /// (diagnostic counter). The tracer walks plans itself but delegates
-    /// every sublink evaluation to the interpreter path of the executor,
-    /// whose parameterized sublink memo runs a correlated sublink once per
-    /// *distinct* binding — the dominant cost of tracing nested queries.
+    /// Operator evaluations performed by the embedded executor so far, over
+    /// every `trace` call (diagnostic counter). The tracer walks plans itself
+    /// but delegates every sublink evaluation to a reference
+    /// [`Interpreter`], which lives for one `trace` call and within it runs
+    /// a correlated sublink once per *distinct* binding — the dominant cost
+    /// of tracing nested queries.
     pub fn operators_evaluated(&self) -> u64 {
         self.executor.operators_evaluated()
     }
@@ -81,14 +76,18 @@ impl<'a> Tracer<'a> {
     /// Computes the provenance of `plan` in the single-relation
     /// representation of Section 3.1: the original result tuples extended by
     /// the contributing tuple of every base relation access (duplicated per
-    /// contributing combination).
-    pub fn trace(&mut self, plan: &Plan) -> Result<Relation> {
-        // The interpreter's sublink caches are keyed by plan-node address;
-        // clear them so a plan traced earlier (and since dropped) cannot
-        // leak stale entries into this plan's evaluation.
-        self.executor.reset_interpreter_caches();
-        let descriptor = self.descriptor(plan)?;
-        let traced = self.trace_plan(plan, None)?;
+    /// contributing combination). Every call starts afresh — witness columns
+    /// numbered from the plan's own first access of each relation, an empty
+    /// sublink memo — so the result does not depend on what this tracer
+    /// traced before.
+    pub fn trace(&self, plan: &Plan) -> Result<Relation> {
+        let mut run = Trace {
+            interp: Interpreter::new(&self.executor),
+            occurrences: HashMap::new(),
+            descriptors: HashMap::new(),
+        };
+        let descriptor = run.descriptor(plan)?;
+        let traced = run.trace_plan(plan, None)?;
         let schema = traced.schema.concat(&descriptor.schema());
         let mut out = Relation::empty(schema);
         for row in traced.rows {
@@ -98,13 +97,27 @@ impl<'a> Tracer<'a> {
         }
         Ok(out)
     }
+}
 
+/// The state of one [`Tracer::trace`] call over plans borrowed for `'p`:
+/// the reference interpreter that evaluates its expressions and sublinks,
+/// the per-relation occurrence counter that numbers witness columns, and
+/// the descriptor of each operator, keyed by address — which stays valid
+/// because every plan is borrowed for the whole call.
+struct Trace<'p> {
+    interp: Interpreter<'p>,
+    occurrences: HashMap<String, usize>,
+    descriptors: HashMap<*const Plan, ProvenanceDescriptor>,
+}
+
+impl<'p> Trace<'p> {
     /// The provenance descriptor of a plan (which base relation accesses
-    /// contribute provenance attributes, in order). Matches the layout used
-    /// by the rewrite strategies.
-    pub fn descriptor(&mut self, plan: &Plan) -> Result<ProvenanceDescriptor> {
-        let key = plan as *const Plan as usize;
-        if let Some(cached) = self.descriptor_cache.get(&key) {
+    /// contribute provenance attributes, in order), matching the layout of
+    /// the rewrite strategies: occurrence numbers are allocated in rewriter
+    /// order on first sight of each node.
+    fn descriptor(&mut self, plan: &'p Plan) -> Result<ProvenanceDescriptor> {
+        let key: *const Plan = plan;
+        if let Some(cached) = self.descriptors.get(&key) {
             return Ok(cached.clone());
         }
         let descriptor = match plan {
@@ -149,14 +162,14 @@ impl<'a> Tracer<'a> {
                 descriptor
             }
         };
-        self.descriptor_cache.insert(key, descriptor.clone());
+        self.descriptors.insert(key, descriptor.clone());
         Ok(descriptor)
     }
 
-    fn trace_plan(&mut self, plan: &Plan, env: Option<&Env<'_>>) -> Result<Traced> {
+    fn trace_plan(&mut self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<Traced> {
         match plan {
             Plan::Scan { table, schema, .. } => {
-                let base = self.db.table(table)?;
+                let base = self.interp.executor().database().table(table)?;
                 let rows = base
                     .tuples()
                     .iter()
@@ -228,7 +241,11 @@ impl<'a> Tracer<'a> {
     /// scopes, according to Figure 2 under Definition 2. Returns a non-empty,
     /// duplicate-free list of witness tuples over the sublink's descriptor
     /// (a single all-NULL tuple when nothing contributes).
-    fn sublink_witnesses(&mut self, sublink: &Expr, env: Option<&Env<'_>>) -> Result<Vec<Tuple>> {
+    fn sublink_witnesses(
+        &mut self,
+        sublink: &'p Expr,
+        env: Option<&Env<'_>>,
+    ) -> Result<Vec<Tuple>> {
         let (kind, test_expr, op, sub_plan) = match sublink {
             Expr::Sublink {
                 kind,
@@ -254,8 +271,8 @@ impl<'a> Tracer<'a> {
                 let op = op.ok_or_else(|| {
                     ProvenanceError::Unsupported("ANY/ALL sublink without comparison".into())
                 })?;
-                let test_value = self.executor.eval_expr(test, env)?;
-                let truth = self.executor.eval_expr(sublink, env)?.as_truth();
+                let test_value = self.interp.eval_expr(test, env)?;
+                let truth = self.interp.eval_expr(sublink, env)?.as_truth();
                 self.quantifier_contributors(kind, op, &test_value, truth, &traced)
             }
         };
@@ -307,7 +324,7 @@ impl<'a> Tracer<'a> {
     fn combine_with_sublinks(
         &mut self,
         base_witnesses: &[Tuple],
-        sublinks: &[&Expr],
+        sublinks: &[&'p Expr],
         env: Option<&Env<'_>>,
     ) -> Result<Vec<Tuple>> {
         let mut combined: Vec<Tuple> = base_witnesses.to_vec();
@@ -326,9 +343,9 @@ impl<'a> Tracer<'a> {
 
     fn trace_select(
         &mut self,
-        plan: &Plan,
-        input: &Plan,
-        predicate: &Expr,
+        plan: &'p Plan,
+        input: &'p Plan,
+        predicate: &'p Expr,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
         // Make sure descriptors are allocated in rewriter order (input before
@@ -340,7 +357,7 @@ impl<'a> Tracer<'a> {
         for row in &inner.rows {
             let scope = Env::new(env, &inner.schema, &row.tuple);
             if !self
-                .executor
+                .interp
                 .eval_predicate(predicate, Some(&scope))?
                 .is_true()
             {
@@ -364,9 +381,9 @@ impl<'a> Tracer<'a> {
 
     fn trace_project(
         &mut self,
-        plan: &Plan,
-        input: &Plan,
-        items: &[ProjectItem],
+        plan: &'p Plan,
+        input: &'p Plan,
+        items: &'p [ProjectItem],
         distinct: bool,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
@@ -379,7 +396,7 @@ impl<'a> Tracer<'a> {
             let scope = Env::new(env, &inner.schema, &row.tuple);
             let mut values = Vec::with_capacity(items.len());
             for item in items {
-                values.push(self.executor.eval_expr(&item.expr, Some(&scope))?);
+                values.push(self.interp.eval_expr(&item.expr, Some(&scope))?);
             }
             let out_tuple = Tuple::new(values);
             let witnesses = if sublinks.is_empty() {
@@ -403,11 +420,11 @@ impl<'a> Tracer<'a> {
 
     fn trace_join(
         &mut self,
-        plan: &Plan,
-        left: &Plan,
-        right: &Plan,
+        plan: &'p Plan,
+        left: &'p Plan,
+        right: &'p Plan,
         kind: JoinKind,
-        condition: Option<&Expr>,
+        condition: Option<&'p Expr>,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
         if kind.left_only_output() {
@@ -431,7 +448,7 @@ impl<'a> Tracer<'a> {
                     None => true,
                     Some(c) => {
                         let scope = Env::new(env, &out_schema, &joined);
-                        self.executor.eval_predicate(c, Some(&scope))?.is_true()
+                        self.interp.eval_predicate(c, Some(&scope))?.is_true()
                     }
                 };
                 if keep {
@@ -469,10 +486,10 @@ impl<'a> Tracer<'a> {
 
     fn trace_aggregate(
         &mut self,
-        plan: &Plan,
-        input: &Plan,
-        group_by: &[ProjectItem],
-        aggregates: &[AggregateExpr],
+        plan: &'p Plan,
+        input: &'p Plan,
+        group_by: &'p [ProjectItem],
+        aggregates: &'p [AggregateExpr],
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
         self.descriptor(plan)?;
@@ -500,7 +517,7 @@ impl<'a> Tracer<'a> {
             let scope = Env::new(env, &inner.schema, &row.tuple);
             let mut key = Vec::with_capacity(group_by.len());
             for g in group_by {
-                key.push(self.executor.eval_expr(&g.expr, Some(&scope))?);
+                key.push(self.interp.eval_expr(&g.expr, Some(&scope))?);
             }
             let group_index = match groups.iter().position(|g| {
                 g.key.iter().zip(key.iter()).all(|(a, b)| a.null_safe_eq(b))
@@ -522,7 +539,7 @@ impl<'a> Tracer<'a> {
             let group = &mut groups[group_index];
             for (acc, agg) in group.accumulators.iter_mut().zip(aggregates.iter()) {
                 let value = match &agg.arg {
-                    Some(arg) => self.executor.eval_expr(arg, Some(&scope))?,
+                    Some(arg) => self.interp.eval_expr(arg, Some(&scope))?,
                     None => Value::Int(1),
                 };
                 acc.update(&value);
@@ -562,11 +579,11 @@ impl<'a> Tracer<'a> {
 
     fn trace_setop(
         &mut self,
-        plan: &Plan,
+        plan: &'p Plan,
         op: SetOpKind,
         all: bool,
-        left: &Plan,
-        right: &Plan,
+        left: &'p Plan,
+        right: &'p Plan,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
         self.descriptor(plan)?;
@@ -607,8 +624,8 @@ impl<'a> Tracer<'a> {
                 // Provenance from the left input only: attach to each result
                 // tuple the witnesses of the equal left rows.
                 let result = self
-                    .executor
-                    .execute_with_env(plan, env)
+                    .interp
+                    .execute(plan, env)
                     .map_err(|e| ProvenanceError::Exec(e.to_string()))?;
                 let mut rows = Vec::new();
                 for tuple in result.tuples() {
@@ -724,7 +741,7 @@ mod tests {
             .unwrap()
             .select(any_sublink(col("a"), CompareOp::Eq, sub))
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         assert_eq!(
             result.schema().names(),
@@ -766,7 +783,7 @@ mod tests {
             .unwrap()
             .select(all_sublink(col("c"), CompareOp::Gt, sub))
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         assert_eq!(result.len(), 3, "one row per contributing R tuple");
         for row in result.tuples() {
@@ -804,7 +821,7 @@ mod tests {
                 not(all_sublink(col("a"), CompareOp::Lt, sub)),
             ))
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&db_plan(&q)).unwrap();
         // Result tuples (2,1) and (3,2); (1,1) does not qualify (1 < 2 and
         // 1 < 4 are both true so the ALL-sublink holds and its negation is
@@ -850,7 +867,7 @@ mod tests {
                 ProjectItem::new(all_sublink(col("a"), CompareOp::Eq, sub), "all_eq"),
             ])
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         assert_eq!(result.len(), 3);
         // Row for a=1: sublink query (c=b=1) yields {(1)}; 1 = ALL {1} is
@@ -890,7 +907,7 @@ mod tests {
             .unwrap()
             .select(perm_algebra::builder::exists_sublink(sub))
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         // b=1 matches c=1, b=2 matches c=2: all three R rows qualify.
         assert_eq!(result.len(), 3);
@@ -907,7 +924,7 @@ mod tests {
                 vec![perm_algebra::builder::sum(col("a"), "sum_a")],
             )
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         // Group b=1 has two contributing tuples, group b=2 has one: 3 rows.
         assert_eq!(result.len(), 3);
@@ -936,7 +953,7 @@ mod tests {
         let q = PlanBuilder::from_plan(left)
             .set_op(SetOpKind::Union, true, right)
             .build();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let result = tracer.trace(&q).unwrap();
         assert_eq!(result.len(), 6);
         for t in result.tuples() {

@@ -95,7 +95,7 @@ fn assert_strategies_match_tracer(db: &Database, plan: &Plan, expect_applicable:
         "compiled execution of the original query differs from the interpreter"
     );
 
-    let mut tracer = Tracer::new(db);
+    let tracer = Tracer::new(db);
     let traced = tracer.trace(plan).expect("tracer must succeed");
     let reference_columns = traced.schema().names();
     let reference_rows = project_named(&traced, &reference_columns);
@@ -636,7 +636,7 @@ fn auto_strategy_always_applies() {
             .expect("Auto must always find an applicable strategy");
         let executor = Executor::new(&db);
         let result = executor.execute(rewritten.plan()).unwrap();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let traced = tracer.trace(&q).unwrap();
         let columns = traced.schema().names();
         assert_eq!(
@@ -693,4 +693,36 @@ fn repeated_base_relation_gets_distinct_occurrences() {
     assert!(names.contains(&"prov_r_a".into()));
     assert!(names.contains(&"prov_1_r_a".into()));
     assert_strategies_match_tracer(&db, &q, &[Strategy::Gen, Strategy::Left, Strategy::Move]);
+}
+
+#[test]
+fn a_reused_tracer_traces_each_plan_as_a_fresh_one_would() {
+    // Two different plans alive at once, traced by one tracer: neither the
+    // witness-column numbering nor a sublink result of one may leak into
+    // the other. The rewriter names the columns the same way.
+    let db = figure3_db();
+    let s = || PlanBuilder::scan(&db, "s").unwrap();
+    let any = PlanBuilder::scan(&db, "r")
+        .unwrap()
+        .select(any_sublink(
+            col("a"),
+            CompareOp::Eq,
+            s().project_columns(&["c"]).build(),
+        ))
+        .build();
+    let exists = PlanBuilder::scan(&db, "r")
+        .unwrap()
+        .select(exists_sublink(
+            s().select(eq(col("c"), qcol("r", "b"))).build(),
+        ))
+        .build();
+    let reused = Tracer::new(&db);
+    for plan in [&any, &exists, &any] {
+        let got = reused.trace(plan).unwrap();
+        let want = Tracer::new(&db).trace(plan).unwrap();
+        assert_eq!(got.schema(), want.schema());
+        assert!(got.bag_eq(&want));
+        let rewritten = ProvenanceQuery::new(&db, plan).rewrite().unwrap();
+        assert_eq!(got.schema().names(), rewritten.plan().schema().names());
+    }
 }

@@ -672,8 +672,8 @@ impl Compiler {
                         let l_scope = Scopes::nest(outer, &l_schema);
                         let r_scope = Scopes::nest(outer, &r_schema);
                         equi_keys.push(CompiledEquiKey {
-                            left: self.expr(&key.left, Some(&l_scope))?,
-                            right: self.expr(&key.right, Some(&r_scope))?,
+                            left: self.expr(key.left, Some(&l_scope))?,
+                            right: self.expr(key.right, Some(&r_scope))?,
                             null_safe: key.null_safe,
                         });
                     }
@@ -1690,9 +1690,8 @@ impl Executor<'_> {
     /// that did not start at an execution entry), or the memo is disabled
     /// and the sublink is correlated — an *uncorrelated* sublink (empty
     /// signature) keeps its per-query InitPlan caching even in the memo-off
-    /// baseline, exactly like the interpreter path
-    /// ([`Executor::interp_sublink_key`]) and the PostgreSQL engine
-    /// underneath the original Perm system.
+    /// baseline, exactly like the reference [`crate::Interpreter`]'s memo
+    /// and the PostgreSQL engine underneath the original Perm system.
     fn compiled_sublink_key(
         &self,
         sublink: &CompiledSublink,

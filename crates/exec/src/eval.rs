@@ -1,8 +1,8 @@
 //! Expression evaluation, including sublinks and correlated attribute
 //! references.
 
-use crate::executor::Executor;
 use crate::functions;
+use crate::interpreter::Interpreter;
 use crate::{ExecError, Result};
 use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
 use perm_storage::{Relation, Schema, Truth, Tuple, Value};
@@ -70,9 +70,9 @@ pub fn compare(op: CompareOp, left: &Value, right: &Value) -> Truth {
     }
 }
 
-impl Executor<'_> {
+impl<'p> Interpreter<'p> {
     /// Evaluates an expression to a value in the given environment.
-    pub fn eval_expr(&self, expr: &Expr, env: Option<&Env<'_>>) -> Result<Value> {
+    pub fn eval_expr(&self, expr: &'p Expr, env: Option<&Env<'_>>) -> Result<Value> {
         match expr {
             Expr::Column { qualifier, name } => match env {
                 Some(e) => e.lookup(qualifier.as_deref(), name),
@@ -81,7 +81,7 @@ impl Executor<'_> {
                 )),
             },
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(index) => self.param_value(*index),
+            Expr::Param(index) => self.ex.param_value(*index),
             Expr::Binary { op, left, right } => self.eval_binary(*op, left, right, env),
             Expr::Unary { op, expr } => {
                 let v = self.eval_expr(expr, env)?;
@@ -122,15 +122,15 @@ impl Executor<'_> {
     }
 
     /// Evaluates an expression as a predicate (three-valued).
-    pub fn eval_predicate(&self, expr: &Expr, env: Option<&Env<'_>>) -> Result<Truth> {
+    pub fn eval_predicate(&self, expr: &'p Expr, env: Option<&Env<'_>>) -> Result<Truth> {
         Ok(self.eval_expr(expr, env)?.as_truth())
     }
 
     fn eval_binary(
         &self,
         op: BinaryOp,
-        left: &Expr,
-        right: &Expr,
+        left: &'p Expr,
+        right: &'p Expr,
         env: Option<&Env<'_>>,
     ) -> Result<Value> {
         // Boolean connectives get non-strict NULL handling, everything else
@@ -173,7 +173,7 @@ impl Executor<'_> {
         }
     }
 
-    fn eval_func(&self, name: FuncName, args: &[Expr], env: Option<&Env<'_>>) -> Result<Value> {
+    fn eval_func(&self, name: FuncName, args: &'p [Expr], env: Option<&Env<'_>>) -> Result<Value> {
         let values: Vec<Value> = args
             .iter()
             .map(|a| self.eval_expr(a, env))
@@ -184,9 +184,9 @@ impl Executor<'_> {
     fn eval_sublink(
         &self,
         kind: SublinkKind,
-        test_expr: Option<&Expr>,
+        test_expr: Option<&'p Expr>,
         op: Option<CompareOp>,
-        plan: &perm_algebra::Plan,
+        plan: &'p perm_algebra::Plan,
         env: Option<&Env<'_>>,
     ) -> Result<Value> {
         match kind {
@@ -210,7 +210,7 @@ impl Executor<'_> {
                 check_quantified_arity(&result)?;
                 // The reference folds; every row it compares is counted.
                 let rows = result.tuples().iter().map(|row| {
-                    self.cmp_evaluated.set(self.cmp_evaluated.get() + 1);
+                    self.ex.cmp_evaluated.set(self.ex.cmp_evaluated.get() + 1);
                     row.get(0)
                 });
                 Ok(fold_quantified(kind, op, &test_value, rows).to_value())
@@ -365,11 +365,17 @@ pub(crate) fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Executor;
     use perm_algebra::builder::{col, lit, qcol};
     use perm_storage::{Database, Schema};
 
     fn executor_fixture() -> Database {
         Database::new()
+    }
+
+    /// `expr` evaluated by a fresh interpreter with no scope.
+    fn eval(ex: &Executor<'_>, expr: &Expr) -> Result<Value> {
+        Interpreter::new(ex).eval_expr(expr, None)
     }
 
     #[test]
@@ -406,37 +412,29 @@ mod tests {
     fn arithmetic_and_logic() {
         let db = executor_fixture();
         let ex = Executor::new(&db);
-        let v = ex
-            .eval_expr(
-                &perm_algebra::builder::binary(BinaryOp::Add, lit(1), lit(2)),
-                None,
-            )
-            .unwrap();
+        let v = eval(
+            &ex,
+            &perm_algebra::builder::binary(BinaryOp::Add, lit(1), lit(2)),
+        )
+        .unwrap();
         assert_eq!(v, Value::Int(3));
-        let v = ex
-            .eval_expr(
-                &perm_algebra::builder::binary(BinaryOp::Div, lit(7), lit(2.0)),
-                None,
-            )
-            .unwrap();
+        let v = eval(
+            &ex,
+            &perm_algebra::builder::binary(BinaryOp::Div, lit(7), lit(2.0)),
+        )
+        .unwrap();
         assert_eq!(v, Value::Float(3.5));
-        assert!(ex
-            .eval_expr(
-                &perm_algebra::builder::binary(BinaryOp::Div, lit(7), lit(0)),
-                None
-            )
-            .is_err());
+        assert!(eval(
+            &ex,
+            &perm_algebra::builder::binary(BinaryOp::Div, lit(7), lit(0))
+        )
+        .is_err());
         // NULL propagation
-        let v = ex
-            .eval_expr(
-                &perm_algebra::builder::binary(
-                    BinaryOp::Mul,
-                    lit(7),
-                    perm_algebra::builder::null(),
-                ),
-                None,
-            )
-            .unwrap();
+        let v = eval(
+            &ex,
+            &perm_algebra::builder::binary(BinaryOp::Mul, lit(7), perm_algebra::builder::null()),
+        )
+        .unwrap();
         assert!(v.is_null());
     }
 
@@ -486,14 +484,14 @@ mod tests {
         // FALSE AND <error> would fail if not short-circuited; use a column
         // reference that cannot be resolved as the "error".
         let e = perm_algebra::builder::and(lit(false), col("does_not_exist"));
-        assert_eq!(ex.eval_expr(&e, None).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&ex, &e).unwrap(), Value::Bool(false));
         let e = perm_algebra::builder::or(lit(true), qcol("x", "y"));
-        assert_eq!(ex.eval_expr(&e, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&ex, &e).unwrap(), Value::Bool(true));
         // NULL OR TRUE == TRUE, NULL AND TRUE == NULL
         let e = perm_algebra::builder::or(perm_algebra::builder::null(), lit(true));
-        assert_eq!(ex.eval_expr(&e, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&ex, &e).unwrap(), Value::Bool(true));
         let e = perm_algebra::builder::and(perm_algebra::builder::null(), lit(true));
-        assert!(ex.eval_expr(&e, None).unwrap().is_null());
+        assert!(eval(&ex, &e).unwrap().is_null());
     }
 
     #[test]
@@ -507,7 +505,7 @@ mod tests {
             ],
             else_expr: Some(Box::new(lit("else"))),
         };
-        assert_eq!(ex.eval_expr(&e, None).unwrap(), Value::str("yes"));
+        assert_eq!(eval(&ex, &e).unwrap(), Value::str("yes"));
     }
 
     #[test]
@@ -516,7 +514,7 @@ mod tests {
         let ex = Executor::new(&db);
         let d = Expr::Literal(Value::parse_date("1995-01-01").unwrap());
         let e = perm_algebra::builder::binary(BinaryOp::Add, d, lit(90));
-        let v = ex.eval_expr(&e, None).unwrap();
+        let v = eval(&ex, &e).unwrap();
         match v {
             Value::Date(days) => assert_eq!(Value::format_date(days), "1995-04-01"),
             other => panic!("expected date, got {other:?}"),

@@ -1,22 +1,19 @@
-//! Plan execution: two thin drivers over one shared physical-operator
-//! layer, with a compile/memoize pipeline in front of the default path.
+//! Plan execution: the [`Executor`] — the configuration, counters and
+//! governor every execution shares — and its two drivers over one shared
+//! physical-operator layer.
 //!
 //! Execution of a top-level plan through [`Executor::execute`] goes through
-//! three stages:
+//! two stages, over exactly the plan it is given (the optimizer,
+//! [`crate::optimize::optimize`], runs before, never inside):
 //!
-//! 1. **Plan-level optimization** — residual selections sitting directly on
-//!    cross products are fused into joins
-//!    ([`perm_algebra::optimize::fuse_select_over_cross`]) so that large
-//!    products (in particular the `CrossBase` products of the Gen rewrite
-//!    strategy) are never materialised unfiltered.
-//! 2. **Compilation** ([`crate::compile`]) — a one-time pass per operator
+//! 1. **Compilation** ([`crate::compile`]) — a one-time pass per operator
 //!    that resolves every column reference to a positional *slot*
 //!    (scope depth + attribute index) against the concrete schema chain, so
 //!    the evaluator does integer indexing instead of name lookup,
 //!    and computes each sublink's *correlation signature* (its free column
 //!    references, [`perm_algebra::visit::free_correlated_columns`]) resolved
 //!    to outer-scope slots.
-//! 3. **Compiled evaluation** with a **parameterized sublink memo**: what
+//! 2. **Compiled evaluation** with a **parameterized sublink memo**: what
 //!    a sublink's verdict needs from its result — whether an `EXISTS` found
 //!    a row, a scalar's value, or an `ANY`/`ALL` result summarised into a
 //!    [`crate::QuantProbe`] — is cached in the compiled statement's own memo
@@ -31,69 +28,42 @@
 //!    fetched once per batch rather than once per row. The memos can be
 //!    switched off with [`Executor::with_sublink_memo`] for measurements.
 //!
-//! The uncompiled interpreter ([`Executor::execute_unoptimized`] /
-//! [`Executor::execute_with_env`]) remains available as the reference
-//! semantics; the tracer in `perm-core` builds on it, and the
-//! strategy-equivalence tests cross-check compiled against interpreted
-//! results. Both drivers delegate every operator loop — joins (hashed and
-//! nested-loop, with left-outer padding), aggregation, sorting, set
-//! operations, projection/selection — to the shared `crate::physical`
+//! The reference [`Interpreter`] ([`Executor::execute_unoptimized`])
+//! evaluates a plan exactly as written; the tracer in `perm-core` builds on
+//! it, and the strategy-equivalence tests cross-check compiled against
+//! interpreted results. Both drivers delegate every operator loop — joins
+//! (hashed and nested-loop, with left-outer padding), aggregation, sorting,
+//! set operations, projection/selection — to the shared `crate::physical`
 //! module, so no operator body is implemented twice; the drivers differ
 //! only in the batch-evaluator closures they pass (name lookup through an
-//! [`Env`] chain per row vs. the compiled evaluator over the whole batch,
-//! with outer scopes as a [`crate::compile::Frame`] chain). The
-//! interpreter path resolves correlation signatures *at
-//! runtime* ([`perm_algebra::visit::free_correlated_columns`] looked up in
-//! the current [`Env`]), which lets the interpreter and the tracer memoize
-//! per binding too, in a map of the executor's own keyed by plan node
-//! address. The interpreter folds each
-//! `ANY`/`ALL` comparison over the result rows
-//! ([`crate::eval::fold_quantified`]): it is the reference the probe is
-//! tested against.
+//! [`crate::Env`] chain per row vs. the compiled evaluator over the whole
+//! batch, with outer scopes as a [`crate::compile::Frame`] chain). An
+//! interpreter resolves correlation signatures *at runtime* and memoizes
+//! per binding in maps of its own that live for one execution, so the
+//! executor keeps nothing keyed by a plan. It folds each `ANY`/`ALL`
+//! comparison over the result rows ([`crate::eval::fold_quantified`]): it
+//! is the reference the probe is tested against.
 
-use crate::compile::{ColumnMap, CompiledPlan};
-use crate::eval::Env;
-use crate::memo::MemoMap;
-use crate::physical::{self, AggSpec};
-use crate::profile::{OpProbe, ProfileTree};
-use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
+use crate::compile::CompiledPlan;
+use crate::interpreter::Interpreter;
+use crate::profile::ProfileTree;
+use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, TraceSignal};
 use crate::{ExecError, Result};
-use perm_algebra::visit::{free_correlated_columns, free_params, param_count};
-use perm_algebra::{Expr, Plan, SortKey};
-use perm_storage::{encode_key_typed, Database, Name, Relation, Schema, Tuple, Value};
+use perm_algebra::visit::param_count;
+use perm_algebra::{Expr, Plan};
+use perm_storage::{Database, Relation, Schema, Value};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// One free correlated column reference as reported by
-/// [`free_correlated_columns`]: optional qualifier plus name.
-type FreeColumn = (Option<Name>, Name);
 
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
-    /// Parameterized sublink memo of the interpreter path (the compiled
-    /// path's lives in each compiled statement): sublink results keyed by
-    /// the sublink plan's *node address* (stable for the lifetime of one
-    /// query execution because plans are borrowed immutably) plus the typed
-    /// encoding of its referenced parameter values and free correlated
-    /// column bindings. Wrapped in an `Rc` so the resilience governor can
-    /// hold a reclaim handle: under memory-budget pressure the memo is
-    /// cleared (a pure speed loss) before the query is failed.
-    pub(crate) interp_sublink_memo: Rc<RefCell<MemoMap<Arc<Relation>>>>,
     /// The resilience governor: installed cancel token / fault plan /
     /// memory budget plus the `cancel_checks` and `peak_bytes` counters.
     /// Polled at batch boundaries by `crate::physical`, at cursor refills
     /// and at memoized-sublink entry.
     pub(crate) governor: Governor,
-    /// Cache of free-correlated-column analyses per interpreter sublink
-    /// plan address.
-    free_columns_cache: RefCell<HashMap<usize, Rc<[FreeColumn]>>>,
-    /// Cache of free-parameter analyses per interpreter sublink plan
-    /// address (the parameter half of the memo signature).
-    free_params_cache: RefCell<HashMap<usize, Rc<[usize]>>>,
     /// The query-parameter vector (`$1` is index 0) bound for the current
     /// execution. Shared as an `Rc` so a streaming cursor can cheaply
     /// re-assert its own binding on every pull.
@@ -163,19 +133,9 @@ impl<'a> Executor<'a> {
     /// next query instead of returning it to the kernel (the `heap` module).
     pub fn new(db: &'a Database) -> Executor<'a> {
         crate::heap::retain_freed_heap();
-        let interp_sublink_memo = Rc::new(RefCell::new(MemoMap::new()));
-        let governor = Governor::new();
-        // Register the interpreter's memo for byte accounting and
-        // budget-pressure reclaim (the governor meets each statement's memo
-        // when the statement runs): entries are dropped first, and a query
-        // fails only if that is not enough.
-        governor.register_memo(Box::new(Rc::clone(&interp_sublink_memo)));
         Executor {
             db,
-            interp_sublink_memo,
-            governor,
-            free_columns_cache: RefCell::new(HashMap::new()),
-            free_params_cache: RefCell::new(HashMap::new()),
+            governor: Governor::new(),
             params: RefCell::new(Rc::from(Vec::new())),
             memo_enabled: Cell::new(true),
             retain_memo: Cell::new(true),
@@ -287,15 +247,14 @@ impl<'a> Executor<'a> {
     }
 
     /// Bounds the memo of each statement this executor prepares (the
-    /// compiled path's sublink summaries) and the interpreter's memo (its
-    /// sublink results) to at most `capacity` entries, evicting
-    /// least-recently-used entries — the ROADMAP follow-on for
-    /// high-cardinality correlations. `None` (the default) keeps the memos
-    /// unbounded, preserving the established behaviour. A statement keeps
-    /// the bound it was prepared with, whichever executor runs it.
+    /// compiled path's sublink summaries) to at most `capacity` entries,
+    /// evicting least-recently-used entries — for high-cardinality
+    /// correlations. `None` (the default) keeps the memos unbounded. A
+    /// statement keeps the bound it was prepared with, whichever executor
+    /// runs it. The reference interpreter's memo lives for one execution
+    /// and is never bounded.
     pub fn with_memo_capacity(self, capacity: Option<usize>) -> Executor<'a> {
         self.memo_capacity.set(capacity);
-        self.interp_sublink_memo.borrow_mut().set_capacity(capacity);
         self
     }
 
@@ -327,10 +286,11 @@ impl<'a> Executor<'a> {
 
     /// Bounds the bytes this executor may hold in growing operator state
     /// (hash-join build tables and candidate buffers, aggregation groups,
-    /// sort buffers) plus its sublink memos. On pressure the memos are
-    /// reclaimed first — losing only speed — and the query fails with
-    /// [`ExecError::ResourceExhausted`] only when that does not free
-    /// enough. `None` (the default) disables accounting entirely.
+    /// sort buffers) plus the sublink memos of the statements it runs. On
+    /// pressure the memos are reclaimed first — losing only speed — and
+    /// the query fails with [`ExecError::ResourceExhausted`] only when that
+    /// does not free enough. `None` (the default) disables accounting
+    /// entirely.
     pub fn with_memory_budget(self, bytes: Option<u64>) -> Executor<'a> {
         self.governor.set_budget(bytes);
         self
@@ -547,343 +507,64 @@ impl<'a> Executor<'a> {
         self.compile_count.get()
     }
 
-    /// Compiles a plan for repeated execution: fuses residual selections
-    /// over cross products, then resolves all column references to slots
-    /// and attaches correlation signatures (plus referenced parameter
-    /// indices) to sublinks (see [`crate::compile`]). The compiled plan
+    /// Compiles exactly the plan it is given for repeated execution:
+    /// resolves all column references to slots and attaches correlation
+    /// signatures (plus referenced parameter indices) to sublinks (see
+    /// [`crate::compile`]). No operator is added, removed or reshaped: a
+    /// selection over a cross product runs as one. The compiled plan
     /// carries its own sublink memo, bounded by
     /// [`Executor::with_memo_capacity`], which every executor running the
-    /// plan shares. It records how many parameters `plan` as given needs
-    /// bound; the execution entries check it. `prepare` never optimizes:
-    /// callers run
+    /// plan shares. It records how many parameters `plan` needs bound; the
+    /// execution entries check it. `prepare` never optimizes: callers run
     /// [`crate::optimize::optimize`] first (`Session` does, and checks the
     /// parameter count of the statement as written, since the optimizer
     /// may fold a `$n` away).
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {
         self.compile_count.set(self.compile_count.get() + 1);
-        let needed = param_count(plan);
-        let fused = perm_algebra::optimize::fuse_select_over_cross(plan.clone());
-        crate::compile::compile_plan(&fused, needed, self.memo_capacity.get())
+        crate::compile::compile_plan(plan, param_count(plan), self.memo_capacity.get())
     }
 
-    /// Executes a top-level plan through the compile/memoize pipeline: a
-    /// fresh statement from [`Executor::prepare`], executed once, so its
-    /// memo starts empty and is dropped with it. Callers that re-execute
-    /// one statement, where memo reuse is the point, keep the
+    /// Executes a top-level plan, as given, through the compile/memoize
+    /// pipeline: a fresh statement from [`Executor::prepare`], executed
+    /// once, so its memo starts empty and is dropped with it. Callers that
+    /// re-execute one statement, where memo reuse is the point, keep the
     /// [`CompiledPlan`] and call [`Executor::execute_compiled`].
     pub fn execute(&self, plan: &Plan) -> Result<Relation> {
         let compiled = self.prepare(plan)?;
         self.execute_compiled(&compiled)
     }
 
-    /// Executes a plan exactly as given with the name-resolving interpreter:
-    /// no fusing pass and no compilation. The interpreter shares the
-    /// parameterized sublink memo (resolving correlation signatures at
-    /// runtime instead of compile time), so it is the *semantics* reference
-    /// — same results, same errors — not a memoization-free baseline; for
-    /// that, combine it with [`Executor::with_sublink_memo`]`(false)`.
+    /// Executes a plan exactly as given with a fresh reference
+    /// [`Interpreter`]: no optimizer and no compilation. The interpreter
+    /// memoizes each sublink per binding for this one execution (resolving
+    /// correlation signatures at runtime instead of compile time), so it is
+    /// the *semantics* reference — same results, same errors — not a
+    /// memoization-free baseline; for that, combine it with
+    /// [`Executor::with_sublink_memo`]`(false)`, which leaves only the
+    /// InitPlan caching of uncorrelated sublinks.
     pub fn execute_unoptimized(&self, plan: &Plan) -> Result<Relation> {
         self.check_params_bound(param_count(plan))?;
-        self.reset_interpreter_caches();
-        self.execute_with_env(plan, None)
-    }
-
-    /// Clears the interpreter-path sublink caches. They are keyed by plan
-    /// *node address*, which is only stable while that plan is alive — a
-    /// later plan can allocate a sublink node at a freed address and would
-    /// otherwise inherit stale entries. Called automatically at the start of
-    /// [`Executor::execute_unoptimized`]; callers that drive
-    /// [`Executor::execute_with_env`] directly across different plans (e.g.
-    /// the tracer in `perm-core`) must call it between plans themselves.
-    pub fn reset_interpreter_caches(&self) {
-        self.interp_sublink_memo.borrow_mut().clear();
-        self.free_columns_cache.borrow_mut().clear();
-        self.free_params_cache.borrow_mut().clear();
-    }
-
-    /// The parameterized memo key of an interpreter-path sublink: the plan
-    /// node address plus the typed encoding of its referenced
-    /// query-parameter values and its free correlated column bindings
-    /// resolved in `env` — the runtime analogue of the compiled path's
-    /// correlation signature. Parameter and binding counts are fixed per
-    /// plan node, so the two groups concatenate unambiguously. Returns
-    /// `None` when the sublink is not memoizable here: a binding does not
-    /// resolve in the current scope chain (the reference might still sit
-    /// safely behind a short circuit), a referenced parameter is unbound
-    /// (only on an evaluation that did not start at an execution entry), or
-    /// the memo is disabled and the sublink is correlated (uncorrelated
-    /// sublinks keep their InitPlan caching either way).
-    pub(crate) fn interp_sublink_key(&self, plan: &Plan, env: Option<&Env<'_>>) -> Option<Vec<u8>> {
-        let addr = plan as *const Plan as usize;
-        let free = {
-            let mut cache = self.free_columns_cache.borrow_mut();
-            cache
-                .entry(addr)
-                .or_insert_with(|| free_correlated_columns(plan).into())
-                .clone()
-        };
-        if !free.is_empty() && !self.memo_enabled.get() {
-            return None;
-        }
-        let param_refs = {
-            let mut cache = self.free_params_cache.borrow_mut();
-            cache
-                .entry(addr)
-                .or_insert_with(|| free_params(plan).into())
-                .clone()
-        };
-        let params = self.params.borrow();
-        let mut values = Vec::with_capacity(param_refs.len() + free.len());
-        for &index in param_refs.iter() {
-            values.push(params.get(index)?.clone());
-        }
-        for (qualifier, name) in free.iter() {
-            values.push(env?.lookup(qualifier.as_deref(), name).ok()?);
-        }
-        let mut key = addr.to_le_bytes().to_vec();
-        key.extend_from_slice(&encode_key_typed(&values));
-        Some(key)
-    }
-
-    /// Executes a sublink plan in the given correlation environment,
-    /// consulting the parameterized memo. See
-    /// [`Executor::interp_sublink_key`] for the key contract.
-    pub(crate) fn execute_sublink(
-        &self,
-        plan: &Plan,
-        env: Option<&Env<'_>>,
-    ) -> Result<Arc<Relation>> {
-        let key = self.interp_sublink_key(plan, env);
-        if let Some(k) = &key {
-            if let Some(hit) = self.interp_sublink_memo.borrow_mut().get(k) {
-                self.governor.trace_memo_hit("interp-sublink-memo");
-                return Ok(hit);
-            }
-        }
-        let result = Arc::new(self.execute_with_env(plan, env)?);
-        if let Some(k) = key {
-            let cost = k.len() as u64 + result.cost_bytes();
-            if self.governor.memo_insert_event("sublink-memo", cost)? {
-                self.interp_sublink_memo
-                    .borrow_mut()
-                    .insert(k, Arc::clone(&result));
-            }
-        }
-        Ok(result)
-    }
-
-    /// Recursive interpreter-path plan evaluation: executes children, wraps
-    /// [`Executor::eval_expr`] into per-tuple closures over an [`Env`] scope
-    /// chain, and delegates every operator body to `crate::physical`.
-    /// `env` is the enclosing correlation scope (present when this plan is a
-    /// sublink query of an outer operator).
-    pub fn execute_with_env(&self, plan: &Plan, env: Option<&Env<'_>>) -> Result<Relation> {
-        // The interpreter path runs unprofiled (profiles mirror *compiled*
-        // plans); the probe still carries the shared global counter.
-        let probe = OpProbe::new(&self.ops_evaluated, None);
-        let gov = &self.governor;
-        match plan {
-            Plan::Scan { table, schema, .. } => physical::scan(probe, gov, self.db, table, schema),
-            Plan::Values { schema, rows } => physical::values(probe, gov, schema, rows),
-            Plan::Project {
-                input,
-                items,
-                distinct,
-            } => {
-                let child = self.execute_with_env(input, env)?;
-                let child_schema = child.schema().clone();
-                physical::project(
-                    probe,
-                    gov,
-                    &child,
-                    plan.schema(),
-                    *distinct,
-                    |batch, out| {
-                        for tuple in batch.iter() {
-                            let scope = Env::new(env, &child_schema, tuple);
-                            // Explicit loop, not `collect::<Result<_>>()`: the
-                            // fallible-collect machinery reports a zero lower
-                            // size hint and grows the row by realloc —
-                            // measurably slower on projection-heavy plans.
-                            let mut row = Vec::with_capacity(items.len());
-                            for item in items {
-                                row.push(self.eval_expr(&item.expr, Some(&scope))?);
-                            }
-                            out.push(Tuple::new(row));
-                        }
-                        Ok(())
-                    },
-                )
-            }
-            Plan::Select { input, predicate } => {
-                let child = self.execute_with_env(input, env)?;
-                let child_schema = child.schema().clone();
-                physical::select(probe, gov, child, |batch, out| {
-                    for tuple in batch.iter() {
-                        let scope = Env::new(env, &child_schema, tuple);
-                        out.push(self.eval_predicate(predicate, Some(&scope))?.is_true());
-                    }
-                    Ok(())
-                })
-            }
-            Plan::CrossProduct { left, right } => {
-                let l = self.execute_with_env(left, env)?;
-                let r = self.execute_with_env(right, env)?;
-                let schema = l.schema().concat(r.schema());
-                physical::cross_product(probe, gov, &l, &r, schema)
-            }
-            Plan::Join {
-                left,
-                right,
-                kind,
-                condition,
-            } => {
-                let l = self.execute_with_env(left, env)?;
-                if l.is_empty() && kind.left_only_output() {
-                    // Mirror the per-binding reference: with no outer rows
-                    // the decorrelated inner plan never runs.
-                    return Ok(Relation::empty(l.schema().clone()));
-                }
-                let r = self.execute_with_env(right, env)?;
-                let l_schema = l.schema().clone();
-                let r_schema = r.schema().clone();
-                // The condition is evaluated over the concatenated candidate
-                // row even for semi/anti joins, whose output is left-only.
-                let cond_schema = l_schema.concat(&r_schema);
-                let out_schema = if kind.left_only_output() {
-                    l_schema.clone()
-                } else {
-                    cond_schema.clone()
-                };
-                // Hash keys only for sublink-free conditions: a condition
-                // carrying sublinks falls back to the nested loop, which is
-                // exactly the cost profile the paper discusses for the Left
-                // strategy's Jsub conditions.
-                let equi_keys = if condition.has_sublink() {
-                    Vec::new()
-                } else {
-                    extract_equi_keys(condition, &l_schema, &r_schema)
-                };
-                let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-                // The reference stays independent of the compiled driver's
-                // emission shortcuts: rows as the join defines them (the
-                // identity map), every bucket-mate rechecked.
-                physical::join(
-                    probe,
-                    gov,
-                    &l,
-                    &r,
-                    &out_schema,
-                    *kind,
-                    &null_safe,
-                    &ColumnMap::identity(out_schema.arity()),
-                    true,
-                    |batch, i, col| {
-                        for lt in batch.iter() {
-                            let scope = Env::new(env, &l_schema, lt);
-                            col.push_value(self.eval_expr(&equi_keys[i].left, Some(&scope))?);
-                        }
-                        Ok(())
-                    },
-                    |batch, i, col| {
-                        for rt in batch.iter() {
-                            let scope = Env::new(env, &r_schema, rt);
-                            col.push_value(self.eval_expr(&equi_keys[i].right, Some(&scope))?);
-                        }
-                        Ok(())
-                    },
-                    |batch, out| {
-                        for joined in batch.iter() {
-                            let scope = Env::new(env, &cond_schema, joined);
-                            out.push(self.eval_predicate(condition, Some(&scope))?.is_true());
-                        }
-                        Ok(())
-                    },
-                )
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                let child = self.execute_with_env(input, env)?;
-                let child_schema = child.schema().clone();
-                let specs: Vec<AggSpec> = aggregates
-                    .iter()
-                    .map(|a| AggSpec {
-                        func: a.func,
-                        distinct: a.distinct,
-                        has_arg: a.arg.is_some(),
-                    })
-                    .collect();
-                physical::aggregate(
-                    probe,
-                    gov,
-                    &child,
-                    plan.schema(),
-                    group_by.len(),
-                    &specs,
-                    |batch, group_cols, agg_cols| {
-                        for tuple in batch.iter() {
-                            let scope = Env::new(env, &child_schema, tuple);
-                            for (g, col) in group_by.iter().zip(group_cols.iter_mut()) {
-                                col.push_value(self.eval_expr(&g.expr, Some(&scope))?);
-                            }
-                            for (a, col) in aggregates.iter().zip(agg_cols.iter_mut()) {
-                                if let Some(arg) = &a.arg {
-                                    col.push(self.eval_expr(arg, Some(&scope))?);
-                                }
-                            }
-                        }
-                        Ok(())
-                    },
-                )
-            }
-            Plan::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                let l = self.execute_with_env(left, env)?;
-                let r = self.execute_with_env(right, env)?;
-                physical::set_op(probe, gov, *op, *all, &l, &r)
-            }
-            Plan::Sort { input, keys } => {
-                let child = self.execute_with_env(input, env)?;
-                let child_schema = child.schema().clone();
-                let ascending: Vec<bool> = keys.iter().map(|k: &SortKey| k.ascending).collect();
-                physical::sort(probe, gov, child, &ascending, |batch, cols| {
-                    for tuple in batch.iter() {
-                        let scope = Env::new(env, &child_schema, tuple);
-                        for (k, col) in keys.iter().zip(cols.iter_mut()) {
-                            col.push(self.eval_expr(&k.expr, Some(&scope))?);
-                        }
-                    }
-                    Ok(())
-                })
-            }
-            Plan::Limit { input, limit } => {
-                let child = self.execute_with_env(input, env)?;
-                physical::limit(probe, gov, child, *limit)
-            }
-        }
+        Interpreter::new(self).execute(plan, None)
     }
 }
 
 /// One hash-join key pair: a left-side expression, a right-side expression
 /// and whether the comparison is null-safe (`=n`, in which case NULL keys
 /// match NULL keys instead of being dropped).
-pub(crate) struct EquiKey {
-    pub(crate) left: Expr,
-    pub(crate) right: Expr,
+pub(crate) struct EquiKey<'e> {
+    pub(crate) left: &'e Expr,
+    pub(crate) right: &'e Expr,
     pub(crate) null_safe: bool,
 }
 
 /// Extracts equality conjuncts `colL = colR` (or `colL =n colR`) from a join
 /// condition, where one side resolves only against the left schema and the
 /// other only against the right schema.
-pub(crate) fn extract_equi_keys(condition: &Expr, left: &Schema, right: &Schema) -> Vec<EquiKey> {
+pub(crate) fn extract_equi_keys<'e>(
+    condition: &'e Expr,
+    left: &Schema,
+    right: &Schema,
+) -> Vec<EquiKey<'e>> {
     let mut conjuncts = Vec::new();
     flatten_conjuncts(condition, &mut conjuncts);
     let mut keys = Vec::new();
@@ -902,13 +583,13 @@ pub(crate) fn extract_equi_keys(condition: &Expr, left: &Schema, right: &Schema)
             if let (Expr::Column { .. }, Expr::Column { .. }) = (a.as_ref(), b.as_ref()) {
                 match (side_of(a, left, right), side_of(b, left, right)) {
                     (Some(Side::Left), Some(Side::Right)) => keys.push(EquiKey {
-                        left: a.as_ref().clone(),
-                        right: b.as_ref().clone(),
+                        left: a,
+                        right: b,
                         null_safe,
                     }),
                     (Some(Side::Right), Some(Side::Left)) => keys.push(EquiKey {
-                        left: b.as_ref().clone(),
-                        right: a.as_ref().clone(),
+                        left: b,
+                        right: a,
                         null_safe,
                     }),
                     _ => {}
@@ -961,7 +642,7 @@ mod tests {
         self, all_sublink, any_sublink, col, count_star, eq, exists_sublink, lit, qcol,
         scalar_sublink, sum, PlanBuilder,
     };
-    use perm_algebra::{CompareOp, ProjectItem, SetOpKind};
+    use perm_algebra::{CompareOp, ProjectItem, SetOpKind, SortKey};
     use perm_storage::{Attribute, DataType, Tuple};
 
     /// The example relations R(a,b) and S(c,d) from Figure 3 of the paper.

@@ -56,12 +56,13 @@
 //!   fallback inside the same `AND`/`OR`/`CASE` narrowing — which is how
 //!   the differential tests check the typed kernels against the scalar
 //!   appliers;
-//! * the name-resolving interpreter ([`Executor::execute_unoptimized`]),
+//! * the name-resolving [`Interpreter`] ([`Executor::execute_unoptimized`]),
 //!   the reference semantics of the equivalence tests and the substrate of
 //!   the tracer in `perm-core`; its closures loop over each batch **row by
 //!   row**, resolving names through an [`Env`] chain — the unchanged
 //!   per-tuple semantics batching is differential-tested against — and it
-//!   recovers correlation signatures at runtime.
+//!   recovers correlation signatures at runtime. An interpreter is a value
+//!   that lives for one execution, over plans borrowed for its lifetime.
 //!
 //! Pipeline breakers (aggregation, sorting, set operations, the join build
 //! side) consume batches at their input boundary; the streamable spine
@@ -72,10 +73,10 @@
 //! Both drivers memoize sublinks per binding — a correlated sublink runs
 //! once per *distinct* binding instead of once per outer tuple, and an
 //! uncorrelated sublink runs once per query (PostgreSQL's InitPlan
-//! behaviour). The interpreter keeps result relations, shared as
-//! `Arc<Relation>`s (hits never deep-copy), in a map of the executor's own.
-//! For `ANY`/`ALL` it folds the comparison over the result rows — the
-//! reference — while the compiled path summarises each result once into a
+//! behaviour). An interpreter keeps result relations, shared as
+//! `Rc<Relation>`s (hits never deep-copy), in a map of its own that goes
+//! with it. For `ANY`/`ALL` it folds the comparison over the result rows —
+//! the reference — while the compiled path summarises each result once into a
 //! [`QuantProbe`] (key set, NULL flag, per-class bounds), memoized per
 //! `(sublink, database version, binding)` in the compiled statement's
 //! memo, and answers every test value with one hash probe. Since the operator bodies are
@@ -100,23 +101,26 @@
 //! error set *and* the `operators_evaluated` bound; the module
 //! documentation spells out the three observables and each rule's
 //! argument, and [`OptimizerReport`] says which rules fired and how many
-//! sublinks are left to the memo. The `Session` facade runs the phase
-//! between the provenance rewrite and [`compile`] (so witness columns are
-//! ordinary columns by then); executor-direct callers call [`optimize()`]
-//! and execute the plan it returns, as `tests/differential.rs` does to
-//! check the Gen-rewritten corpus against the reference interpreter (the
-//! benchmark reports what is left as `optimize.sublinks_remaining`).
+//! sublinks are left to the memo. Its last step turns a selection left
+//! directly above a cross product into a join, so what it returns is
+//! exactly what [`Executor::prepare`] compiles. The `Session` facade runs
+//! the phase between the provenance rewrite and [`compile`] (so witness
+//! columns are ordinary columns by then); executor-direct callers call
+//! [`optimize()`] and execute the plan it returns, as
+//! `tests/differential.rs` does to check the Gen-rewritten corpus against
+//! the reference interpreter (the benchmark reports what is left as
+//! `optimize.sublinks_remaining`).
 //!
-//! An [`Executor`] is deliberately `!Sync` (its counters and the
-//! interpreter's memo use `Cell`/`RefCell`) — concurrency happens *above*
-//! it, one executor per worker thread. What crosses threads is the data:
-//! the database and compiled plans. A [`CompiledPlan`] carries its own
-//! mutex-guarded sublink memo (an `EXISTS` flag, a scalar value or an
-//! `ANY`/`ALL` [`QuantProbe`] per binding), so a binding one worker of the
-//! `perm-serve` pool has evaluated is a hit for every other worker serving
-//! the same statement, and the entries go away with the statement. Each key
-//! carries the database version, so a statement run over changed data
-//! misses rather than serve a stale summary.
+//! An [`Executor`] is deliberately `!Sync` (its counters use
+//! `Cell`/`RefCell`) and keeps no state keyed by a plan — concurrency
+//! happens *above* it, one executor per worker thread. What crosses threads
+//! is the data: the database and compiled plans. A [`CompiledPlan`] carries
+//! its own mutex-guarded sublink memo (an `EXISTS` flag, a scalar value or
+//! an `ANY`/`ALL` [`QuantProbe`] per binding), so a binding one worker of
+//! the `perm-serve` pool has evaluated is a hit for every other worker
+//! serving the same statement, and the entries go away with the statement.
+//! Each key carries the database version, so a statement run over changed
+//! data misses rather than serve a stale summary.
 //!
 //! The [`resilience`] module threads serving-grade governance through the
 //! same physical layer: cooperative cancellation and deadlines (polled at
@@ -146,6 +150,7 @@ pub mod eval;
 pub mod executor;
 pub mod functions;
 mod heap;
+pub mod interpreter;
 pub mod kernels;
 pub(crate) mod memo;
 pub mod optimize;
@@ -160,6 +165,7 @@ pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, Slot};
 pub use cursor::Rows;
 pub use eval::Env;
 pub use executor::Executor;
+pub use interpreter::Interpreter;
 pub use optimize::{optimize, plan_fingerprint, OptimizerReport};
 pub use profile::{ProfileNode, QueryProfile};
 pub use quant::QuantProbe;

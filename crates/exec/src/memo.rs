@@ -1,11 +1,12 @@
-//! Capacity-bounded memo maps for the two sublink caches: the summaries a
-//! compiled statement keeps in its own [`StatementMemo`], and the result
-//! relations the interpreter keeps per executor.
+//! The capacity-bounded memo map behind the one sublink cache the executor
+//! accounts: the summaries a compiled statement keeps in its own
+//! [`StatementMemo`]. (The reference interpreter memoizes sublink results
+//! in a plain map that lives for one execution; see `crate::interpreter`.)
 //!
-//! [`MemoMap`] behaves like a plain `HashMap<Vec<u8>, V>` by default. When a
-//! capacity is configured ([`MemoMap::set_capacity`]) it becomes an LRU
-//! cache: every hit refreshes the entry's recency and an insert that pushes
-//! the map over its capacity evicts the least-recently-used entries.
+//! [`MemoMap`] behaves like a plain `HashMap<Vec<u8>, V>` by default. Built
+//! with a capacity ([`MemoMap::new`]) it is an LRU cache: every hit
+//! refreshes the entry's recency and an insert that pushes the map over its
+//! capacity evicts the least-recently-used entries.
 //!
 //! The LRU bookkeeping (a recency stamp per entry plus a lazily-invalidated
 //! queue of `(stamp, key)` pairs) is only maintained when a capacity is set,
@@ -16,10 +17,8 @@
 //! outgrows the map by a constant factor.
 
 use crate::quant::SublinkSummary;
-use crate::resilience::{MemoBytes, MemoCost};
-use std::cell::RefCell;
+use crate::resilience::MemoCost;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fixed per-entry bookkeeping estimate (hash-map slot, recency stamp,
@@ -49,12 +48,14 @@ pub(crate) struct MemoMap<V> {
 }
 
 impl<V: Clone + MemoCost> MemoMap<V> {
-    pub(crate) fn new() -> MemoMap<V> {
+    /// An empty map bounded to at most `capacity` entries with LRU
+    /// eviction, or unbounded with `None`.
+    pub(crate) fn new(capacity: Option<usize>) -> MemoMap<V> {
         MemoMap {
             map: HashMap::new(),
             queue: VecDeque::new(),
             stamp: 0,
-            capacity: None,
+            capacity,
             bytes: 0,
         }
     }
@@ -66,26 +67,6 @@ impl<V: Clone + MemoCost> MemoMap<V> {
 
     fn entry_cost(key_len: usize, value: &V) -> u64 {
         key_len as u64 + value.cost_bytes() + ENTRY_OVERHEAD
-    }
-
-    /// Bounds the map to at most `capacity` entries with LRU eviction, or
-    /// lifts the bound with `None`. Shrinking below the current size evicts
-    /// immediately.
-    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
-        match capacity {
-            Some(_) => {
-                // Entries inserted while unbounded all carry stamp 0; rebuild
-                // the queue so they are evictable in arbitrary-but-valid
-                // order, then trim to the new bound.
-                self.rebuild_queue();
-                self.evict_over_capacity();
-            }
-            None => {
-                self.queue.clear();
-                self.queue.shrink_to_fit();
-            }
-        }
     }
 
     /// Looks up a key, refreshing its recency when a capacity is set.
@@ -149,24 +130,16 @@ impl<V: Clone + MemoCost> MemoMap<V> {
             return;
         };
         while self.map.len() > capacity {
-            match self.queue.pop_front() {
-                Some((stamp, key)) => {
-                    // Stale queue entry: the key was touched again later (or
-                    // already evicted); the fresher queue entry represents it.
-                    if self.map.get(&key).map(|e| e.stamp) == Some(stamp) {
-                        if let Some(old) = self.map.remove(&key) {
-                            self.bytes -= Self::entry_cost(key.len(), &old.value);
-                        }
-                    }
-                }
-                None => {
-                    // Defensive: under a capacity every live entry has a
-                    // queue representative, so this is unreachable; rebuild
-                    // rather than loop forever if the invariant ever breaks.
-                    self.rebuild_queue();
-                    if self.queue.is_empty() {
-                        break;
-                    }
+            // Under a capacity every live entry has a queue representative,
+            // so the queue cannot run dry while the map is over its bound.
+            let Some((stamp, key)) = self.queue.pop_front() else {
+                break;
+            };
+            // Stale queue entry: the key was touched again later (or already
+            // evicted); the fresher queue entry represents it.
+            if self.map.get(&key).map(|e| e.stamp) == Some(stamp) {
+                if let Some(old) = self.map.remove(&key) {
+                    self.bytes -= Self::entry_cost(key.len(), &old.value);
                 }
             }
         }
@@ -180,13 +153,6 @@ impl<V: Clone + MemoCost> MemoMap<V> {
             self.queue
                 .retain(|(stamp, key)| map.get(key).map(|e| e.stamp) == Some(*stamp));
         }
-    }
-
-    fn rebuild_queue(&mut self) {
-        let mut entries: Vec<(u64, Vec<u8>)> =
-            self.map.iter().map(|(k, e)| (e.stamp, k.clone())).collect();
-        entries.sort_unstable();
-        self.queue = entries.into();
     }
 }
 
@@ -202,8 +168,7 @@ impl<V: Clone + MemoCost> MemoMap<V> {
 /// `Arc<Prepared>`) shares its entries, and dropping the statement frees
 /// them. A key is `sublink id ‖ database version ‖ typed parameter and
 /// binding values`, so an entry computed over one state of the data is
-/// never served for another. Interpreter-path entries are keyed by plan
-/// *node address* and live in the executor's own map instead.
+/// never served for another.
 ///
 /// Two threads that race to compute the same key both execute the sublink
 /// and both insert; the results are identical (a sublink result is a pure
@@ -227,11 +192,9 @@ impl StatementMemo {
     /// A memo bounded to at most `capacity` entries with LRU eviction, or
     /// unbounded with `None`.
     pub(crate) fn new(capacity: Option<usize>) -> Arc<StatementMemo> {
-        let memo = StatementMemo {
-            entries: Mutex::new(MemoMap::new()),
-        };
-        lock(&memo.entries).set_capacity(capacity);
-        Arc::new(memo)
+        Arc::new(StatementMemo {
+            entries: Mutex::new(MemoMap::new(capacity)),
+        })
     }
 
     /// Drops every cached summary.
@@ -267,23 +230,6 @@ impl StatementMemo {
     }
 }
 
-// The governor's view of the interpreter's memo: byte footprint and
-// clear-everything reclaim. The `Rc<RefCell<..>>` handle is what the
-// executor itself holds, so reclaiming here is indistinguishable from the
-// executor clearing its own memo — a pure speed loss.
-impl<V: Clone + MemoCost> MemoBytes for Rc<RefCell<MemoMap<V>>> {
-    fn current_bytes(&self) -> u64 {
-        self.borrow().bytes()
-    }
-
-    fn reclaim(&self) -> u64 {
-        let mut memo = self.borrow_mut();
-        let freed = memo.bytes();
-        memo.clear();
-        freed
-    }
-}
-
 impl std::fmt::Debug for StatementMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatementMemo")
@@ -306,7 +252,7 @@ mod tests {
 
     #[test]
     fn unbounded_map_keeps_everything() {
-        let mut m: MemoMap<u32> = MemoMap::new();
+        let mut m: MemoMap<u32> = MemoMap::new(None);
         for i in 0..100u32 {
             m.insert(vec![i as u8], i);
         }
@@ -316,8 +262,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let mut m: MemoMap<u32> = MemoMap::new();
-        m.set_capacity(Some(2));
+        let mut m: MemoMap<u32> = MemoMap::new(Some(2));
         m.insert(vec![1], 1);
         m.insert(vec![2], 2);
         // Touch key 1 so key 2 becomes the LRU victim.
@@ -331,8 +276,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_key_does_not_grow_the_map() {
-        let mut m: MemoMap<u32> = MemoMap::new();
-        m.set_capacity(Some(2));
+        let mut m: MemoMap<u32> = MemoMap::new(Some(2));
         for _ in 0..10 {
             m.insert(vec![1], 1);
             m.insert(vec![2], 2);
@@ -340,19 +284,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(&[1]), Some(1));
         assert_eq!(m.get(&[2]), Some(2));
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let mut m: MemoMap<u32> = MemoMap::new();
-        for i in 0..10u8 {
-            m.insert(vec![i], i as u32);
-        }
-        m.set_capacity(Some(3));
-        assert_eq!(m.len(), 3);
-        m.set_capacity(None);
-        m.insert(vec![100], 100);
-        assert_eq!(m.len(), 4);
     }
 
     /// The `ANY` summary of the one-row result `{v}`.
@@ -417,7 +348,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_insert_replace_evict_and_clear() {
-        let mut m: MemoMap<u32> = MemoMap::new();
+        let mut m: MemoMap<u32> = MemoMap::new(None);
         assert_eq!(m.bytes(), 0);
         m.insert(vec![1, 2, 3], 7);
         let one = m.bytes();
@@ -427,12 +358,21 @@ mod tests {
         assert_eq!(m.bytes(), one);
         m.insert(vec![4], 9);
         assert!(m.bytes() > one);
-        // LRU eviction returns the evicted entries' bytes.
-        m.set_capacity(Some(1));
-        assert_eq!(m.len(), 1);
-        assert!(m.bytes() < one + (1 + 4 + ENTRY_OVERHEAD));
         m.clear();
         assert_eq!(m.bytes(), 0);
+
+        // The same under a capacity, where LRU eviction returns the evicted
+        // entry's bytes.
+        let mut bounded: MemoMap<u32> = MemoMap::new(Some(2));
+        bounded.insert(vec![1, 2, 3], 7);
+        bounded.insert(vec![1, 2, 3], 8);
+        assert_eq!(bounded.bytes(), one);
+        bounded.insert(vec![4], 9);
+        bounded.insert(vec![5], 10);
+        assert_eq!(bounded.len(), 2);
+        assert_eq!(bounded.bytes(), 2 * (1 + 4 + ENTRY_OVERHEAD));
+        bounded.clear();
+        assert_eq!(bounded.bytes(), 0);
 
         let statement = StatementMemo::new(None);
         assert_eq!(statement.bytes(), 0);
@@ -470,8 +410,7 @@ mod tests {
 
     #[test]
     fn heavy_hit_traffic_stays_bounded() {
-        let mut m: MemoMap<u32> = MemoMap::new();
-        m.set_capacity(Some(4));
+        let mut m: MemoMap<u32> = MemoMap::new(Some(4));
         for i in 0..4u8 {
             m.insert(vec![i], i as u32);
         }

@@ -27,7 +27,10 @@
 //! preserved side of a left outer join (assuming the pushed conjuncts
 //! inside its condition), and projection pruning off column liveness. Once
 //! the fixpoint is quiet, stacked projections are composed and every `Sort`
-//! moves below the order-preserving operators under it (last section).
+//! moves below the order-preserving operators under it, and last of all a
+//! selection left directly above a cross product becomes a join (the last
+//! two sections). What `optimize` returns is exactly what
+//! [`crate::Executor::prepare`] compiles.
 //!
 //! # Equivalence discipline
 //!
@@ -247,13 +250,29 @@
 //! |L|` factor on a pass the join already makes; a `Π` that narrows makes
 //! the sort buffer wider rows — and the upside is the fan-out factor: the
 //! rows `q` returns are sorted, not their witnesses.
+//!
+//! # The last step: a selection over a product becomes a join
+//!
+//! **Selection fusion**, once, bottom-up, sublink plans included: `σ_p(L ×
+//! R)` becomes `L ⋈_p R` whatever `p` holds — so a product the fixpoint
+//! could not turn into joins (the `CrossBase` of a Gen rewrite whose
+//! sublink stays) is never materialised unfiltered — and `σ_p(L ⋈_θ R)`
+//! over an inner join becomes `L ⋈_{θ ∧ p} R` when `p` holds no sublink (a
+//! sublink predicate stays above, to run once per joined row). *Bags:* an
+//! inner join is the selection of its product. *Order:* both emit each left
+//! row with its right rows in input order (`physical.rs`). *Operators:* one
+//! fewer. *Errors:* unlike every rule above, this one is not gated on
+//! totality: a hash join evaluates `p` only on pairs whose keys match, so a
+//! conjunct that can fail is skipped on the pairs a key comparison rejects
+//! (`UNKNOWN` for a NULL key; `FALSE` when the conjunct comes first).
+//! Running last, it changes no other rule's input.
 
 mod decorrelate;
 
 use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
-use perm_algebra::visit::free_expr_columns;
+use perm_algebra::visit::{free_expr_columns, map_sublink_plans};
 use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey, SublinkKind};
 use perm_storage::{Name, Schema, Value};
 
@@ -296,6 +315,9 @@ pub struct OptimizerReport {
     /// Order-preserving operators (a projection, the left side of a join
     /// or cross product) a `Sort` was moved below.
     pub sorts_pushed: u64,
+    /// Selections directly above a cross product, or a sublink-free one
+    /// directly above an inner join, fused into the join.
+    pub selections_fused: u64,
     /// Sublinks the optimized plan still holds, nested ones included —
     /// each runs through the binding memo. Not a rule: excluded from
     /// [`OptimizerReport::rules_fired`].
@@ -305,7 +327,7 @@ pub struct OptimizerReport {
 }
 
 impl OptimizerReport {
-    fn fire_counts(&self) -> [(&'static str, u64); 12] {
+    fn fire_counts(&self) -> [(&'static str, u64); 13] {
         [
             ("decorrelate", self.sublinks_decorrelated),
             ("imply", self.sublinks_implied),
@@ -319,6 +341,7 @@ impl OptimizerReport {
             ("prune", self.projections_pruned),
             ("compose", self.projections_composed),
             ("sort-pushdown", self.sorts_pushed),
+            ("fuse", self.selections_fused),
         ]
     }
 
@@ -370,9 +393,10 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
             break;
         }
     }
-    // Once, after the fixpoint has gone quiet: what these two leave behind
-    // is a shape no rule above needs to see again.
+    // Once, after the fixpoint has gone quiet: what these leave behind is a
+    // shape no rule above needs to see again.
     current = order_pass(current, &mut rep);
+    current = fuse_pass(current, &mut rep);
     rep.sublinks_remaining = count_sublinks(&current);
     (current, rep)
 }
@@ -648,29 +672,6 @@ pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
         }
         Plan::Limit { input, .. } => plan_is_total(input, outers),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Scoped traversal
-// ---------------------------------------------------------------------------
-
-/// Rebuilds every sublink plan inside `expr` with `f`. Descends into
-/// `ANY`/`ALL` test expressions, which [`Expr::transform`] treats as opaque.
-fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
-    expr.transform(&mut |e| match e {
-        Expr::Sublink {
-            kind,
-            test_expr,
-            op,
-            plan,
-        } => Expr::Sublink {
-            kind,
-            test_expr: test_expr.map(|t| Box::new(map_sublink_plans(*t, f))),
-            op,
-            plan: Box::new(f(*plan)),
-        },
-        other => other,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1802,6 +1803,45 @@ fn keys_read_left(keys: &[SortKey], left: &Schema, right: Option<&Schema>) -> bo
     })
 }
 
+// ---------------------------------------------------------------------------
+// Rule: selection fusion
+// ---------------------------------------------------------------------------
+
+/// Bottom-up, once, last (sublink plans included): a selection directly
+/// above a cross product becomes an inner join on its predicate, and a
+/// sublink-free one directly above an inner join joins its condition.
+fn fuse_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
+    let mut plan = plan.map_children(|c| fuse_pass(c, rep));
+    if plan.has_direct_sublink() {
+        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut |p| fuse_pass(p, rep)));
+    }
+    let Plan::Select { input, predicate } = plan else {
+        return plan;
+    };
+    let (left, right, condition) = match *input {
+        Plan::CrossProduct { left, right } => (left, right, predicate),
+        Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            condition,
+        } if !predicate.has_sublink() => (left, right, and(condition, predicate)),
+        other => {
+            return Plan::Select {
+                input: Box::new(other),
+                predicate,
+            }
+        }
+    };
+    rep.selections_fused += 1;
+    Plan::Join {
+        left,
+        right,
+        kind: JoinKind::Inner,
+        condition,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2149,14 +2189,22 @@ mod tests {
         assert_eq!(rep.disjunctions_split, 0);
         assert_eq!(rep.sublinks_implied, 0);
         assert_eq!(rep.sublinks_decorrelated, 0);
+        // The selection stays over the product — which the last step then
+        // runs as one join on the predicate as written.
+        assert_eq!(rep.selections_fused, 1, "{}", rep.summary());
         assert!(
             contains(&optimized, &|p| matches!(
                 p,
-                Plan::Select { predicate, .. } if split_conjuncts(predicate).contains(&disjunction)
+                Plan::Join { kind: JoinKind::Inner, condition, .. }
+                    if split_conjuncts(condition).contains(&disjunction)
             )),
             "{}",
             perm_algebra::display::explain(&optimized)
         );
+        assert!(!contains(&optimized, &|p| matches!(
+            p,
+            Plan::CrossProduct { .. }
+        )));
         assert_same_bag(&db, &plan, &optimized);
     }
 
@@ -2202,13 +2250,19 @@ mod tests {
             .build();
         let (optimized, rep) = optimize(&plan);
         assert_eq!(rep.predicates_pushed, 2, "{}", rep.summary());
-        let Plan::Select { input, predicate } = &optimized else {
-            panic!("the two-sided conjunct stays on top:\n{optimized:?}");
+        // The two-sided conjunct stays on top of the product, and the last
+        // step makes the pair one join on it.
+        assert_eq!(rep.selections_fused, 1, "{}", rep.summary());
+        let Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            condition,
+        } = &optimized
+        else {
+            panic!("the two-sided conjunct joins the factors:\n{optimized:?}");
         };
-        assert_eq!(split_conjuncts(predicate).len(), 1);
-        let Plan::CrossProduct { left, right } = input.as_ref() else {
-            panic!("expected the product below");
-        };
+        assert_eq!(split_conjuncts(condition).len(), 1);
         assert!(matches!(**left, Plan::Select { .. }) && matches!(**right, Plan::Select { .. }));
         assert_same_bag(&db, &plan, &optimized);
     }
@@ -2562,6 +2616,72 @@ mod tests {
         let exec = Executor::new(&db);
         let want = exec.execute_unoptimized(&plan).unwrap();
         assert_eq!(exec.execute(&optimized).unwrap().tuples(), want.tuples());
+    }
+
+    #[test]
+    fn fuse_turns_residual_select_over_cross_into_join() {
+        let db = db();
+        let scan = |table: &str| PlanBuilder::scan(&db, table).unwrap();
+        let lt = cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r2", "b"));
+        let on_g = eq(qcol("r1", "g"), qcol("r2", "g"));
+        // The optimized plan, checked against the reference, and how many
+        // selections the last step fused.
+        let fused = |plan: &Plan| {
+            let (optimized, rep) = optimize(plan);
+            assert_same_bag(&db, plan, &optimized);
+            (optimized, rep.selections_fused)
+        };
+
+        // σ over × becomes an inner join on the predicate, whatever the
+        // predicate holds: here a sublink whose own plan is one more.
+        let product = scan("r1").cross(scan("r2").build()).select(lt.clone());
+        let (optimized, n) = fused(&product.clone().build());
+        assert_eq!(n, 1);
+        assert!(
+            matches!(&optimized, Plan::Join { kind: JoinKind::Inner, condition, .. } if *condition == lt)
+        );
+        let plan = scan("r1")
+            .cross(scan("r2").build())
+            .select(and(exists_sublink(product.build()), lt.clone()))
+            .build();
+        let (optimized, n) = fused(&plan);
+        assert_eq!(n, 2);
+        assert!(!contains(&optimized, &|p| matches!(p, Plan::Select { .. })));
+        assert!(optimize(&plan).1.summary().contains("fuse×2"));
+
+        // σ over an inner join merges into its condition, unless it holds a
+        // sublink: then the join runs first and the sublink per joined row.
+        let joined = || scan("r1").join(scan("r2").build(), on_g.clone());
+        let (optimized, n) = fused(&joined().select(lt.clone()).build());
+        assert_eq!(n, 1);
+        assert!(
+            matches!(&optimized, Plan::Join { condition, .. } if *condition == and(on_g.clone(), lt.clone()))
+        );
+        let with_sublink = and(lt, not(uncorrelated_any(&db)));
+        let (optimized, n) = fused(&joined().select(with_sublink).build());
+        assert_eq!(n, 0);
+        assert!(
+            matches!(&optimized, Plan::Select { input, .. } if matches!(**input, Plan::Join { .. }))
+        );
+    }
+
+    #[test]
+    fn optimization_preserves_the_schema() {
+        let db = db();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .cross(PlanBuilder::scan(&db, "r2").unwrap().build())
+            .select(eq(qcol("r1", "a"), qcol("r2", "b")))
+            .project(vec![
+                ProjectItem::new(qcol("r1", "a"), "a"),
+                ProjectItem::new(qcol("r2", "g"), "g"),
+            ])
+            .build();
+        let pushed = perm_algebra::optimize::push_down_selections(plan.clone());
+        for optimized in [optimize(&plan).0, optimize(&pushed).0, pushed] {
+            assert_eq!(optimized.schema(), plan.schema());
+            assert_same_bag(&db, &plan, &optimized);
+        }
     }
 
     #[test]

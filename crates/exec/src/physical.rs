@@ -10,7 +10,7 @@
 //! appends one result per live row. The two execution paths differ only in
 //! how those closures evaluate expressions:
 //!
-//! * the name-resolving interpreter ([`crate::Executor::execute_with_env`])
+//! * the name-resolving interpreter ([`crate::Interpreter::execute`])
 //!   loops over the batch row by row, builds an [`crate::eval::Env`] scope
 //!   chain per row and resolves names per access — the unchanged per-tuple
 //!   reference semantics;

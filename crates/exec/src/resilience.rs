@@ -17,13 +17,15 @@
 //!   a per-executor byte accountant charged by the operator state that can
 //!   actually grow without bound — hash-join build tables and candidate
 //!   buffers, aggregation group state, sort buffers — and by every sublink
-//!   memo insertion (the interpreter's memo and the memo of every statement
-//!   the executor runs have byte-aware accounting, not just entry counts).
-//!   On pressure the executor walks a **degradation ladder**, each
-//!   rung it pays for recorded on [`Degradation`] so the session can
-//!   surface how far it had to go:
+//!   memo insertion (the memo of every statement the executor runs has
+//!   byte-aware accounting, not just entry counts). The reference
+//!   interpreter's per-execution memo is outside all of this: neither
+//!   budgeted, nor traced, nor a fault site — the reference path is not a
+//!   serving path. On pressure the executor walks a **degradation
+//!   ladder**, each rung it pays for recorded on [`Degradation`] so the
+//!   session can surface how far it had to go:
 //!
-//!   1. *Drop memos*: every accounted memo is cleared — losing only
+//!   1. *Drop memos*: every statement memo is cleared — losing only
 //!      speed, never correctness, since a memo miss simply re-executes the
 //!      sublink. An entry whose insert the budget refuses is not kept
 //!      either: the next lookup rebuilds it. Nothing is persisted: a
@@ -200,8 +202,8 @@ pub enum FaultKind {
 pub enum FaultSite {
     /// Batch-boundary cancellation checkpoints (including cursor refills).
     Checkpoint,
-    /// Sublink-memo insertions (into a compiled statement's memo or the
-    /// interpreter's).
+    /// Sublink-memo insertions into a compiled statement's memo (the
+    /// reference interpreter's memo is not a fault site).
     MemoInsert,
     /// Physical-operator invocations (one event per logical operator).
     Operator,
@@ -319,12 +321,6 @@ pub(crate) trait MemoCost {
     fn cost_bytes(&self) -> u64;
 }
 
-impl MemoCost for Arc<Relation> {
-    fn cost_bytes(&self) -> u64 {
-        relation_bytes(self)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Trace signals
 // ---------------------------------------------------------------------------
@@ -374,10 +370,11 @@ pub enum TraceSignal {
 ///
 /// The ordering encodes what each rung costs, not the order the governor
 /// tries them in: spilling operator state preserves every computed result
-/// (pure I/O cost), dropping memos forfeits cached sublink summaries
-/// (recomputation cost), and exhaustion fails the query. On pressure the
-/// governor drops the memos first and spills only if that did not free
-/// enough, so a query that did both reports `ReclaimedMemos`.
+/// (pure I/O cost), dropping the statements' memos forfeits cached sublink
+/// summaries (recomputation cost), and exhaustion fails the query. On
+/// pressure the governor drops the memos first and spills only if that did
+/// not free enough, so a query that did both reports `ReclaimedMemos`. The
+/// reference interpreter's memo is never accounted, so it moves no rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Degradation {
     /// The budget (if any) was never exceeded.
@@ -386,19 +383,12 @@ pub enum Degradation {
     /// Operator state moved to spill files; every result stayed available,
     /// only I/O was paid.
     SpilledToDisk,
-    /// Accounted memos were cleared under pressure — later sublink misses
-    /// re-execute.
+    /// Accounted statement memos were cleared under pressure — later
+    /// sublink misses re-execute.
     ReclaimedMemos,
     /// Spilling and reclaiming did not free enough; a query failed with
     /// `ExecError::ResourceExhausted`.
     Exhausted,
-}
-
-/// Byte accounting + reclaim interface a memo exposes to the governor:
-/// current footprint, and "drop everything, report what was freed".
-pub(crate) trait MemoBytes {
-    fn current_bytes(&self) -> u64;
-    fn reclaim(&self) -> u64;
 }
 
 /// The executor's resilience state: the installed cancel token, fault plan
@@ -423,8 +413,6 @@ pub(crate) struct Governor {
     /// token is installed, so every execution probes at its first
     /// checkpoint (an already-expired deadline cancels before any work).
     until_probe: Cell<u64>,
-    /// Memos registered once for the executor's life: the interpreter's.
-    memos: RefCell<Vec<Box<dyn MemoBytes>>>,
     /// The memo of every statement this executor has run, held weakly (a
     /// dropped statement frees its memo) and once each.
     statement_memos: RefCell<Vec<Weak<StatementMemo>>>,
@@ -463,7 +451,6 @@ impl Governor {
             peak: Cell::new(0),
             checks: Cell::new(0),
             until_probe: Cell::new(0),
-            memos: RefCell::new(Vec::new()),
             statement_memos: RefCell::new(Vec::new()),
             spill_enabled: Cell::new(false),
             spill_dir: RefCell::new(None),
@@ -607,11 +594,6 @@ impl Governor {
         });
     }
 
-    /// Registers a memo for byte accounting and budget-pressure reclaim.
-    pub(crate) fn register_memo(&self, memo: Box<dyn MemoBytes>) {
-        self.memos.borrow_mut().push(memo);
-    }
-
     /// Accounts a statement's memo from its first execution on: held
     /// weakly, once, and forgotten after the statement is dropped. (A
     /// `Weak` keeps its allocation, so a live memo never reuses the address
@@ -634,15 +616,12 @@ impl Governor {
     }
 
     fn memo_bytes(&self) -> u64 {
-        let registered: u64 = self.memos.borrow().iter().map(|m| m.current_bytes()).sum();
-        let statements: u64 = self
-            .statement_memos
+        self.statement_memos
             .borrow()
             .iter()
             .filter_map(Weak::upgrade)
             .map(|m| m.bytes())
-            .sum();
-        registered + statements
+            .sum()
     }
 
     fn note_peak(&self) -> u64 {
@@ -704,15 +683,14 @@ impl Governor {
     /// Drops the entries of every accounted memo and records the matching
     /// degradation rung.
     fn reclaim_memos(&self) {
-        let registered: u64 = self.memos.borrow().iter().map(|m| m.reclaim()).sum();
-        let statements: u64 = self
+        let freed: u64 = self
             .statement_memos
             .borrow()
             .iter()
             .filter_map(Weak::upgrade)
             .map(|m| m.reclaim())
             .sum();
-        if registered + statements > 0 {
+        if freed > 0 {
             self.note_rung(Degradation::ReclaimedMemos);
         }
     }
@@ -907,31 +885,25 @@ mod tests {
 
     #[test]
     fn governor_reclaims_memos_before_failing_a_charge() {
-        use std::rc::Rc;
-        struct FakeMemo {
-            bytes: Cell<u64>,
-        }
-        impl MemoBytes for Rc<FakeMemo> {
-            fn current_bytes(&self) -> u64 {
-                self.bytes.get()
-            }
-            fn reclaim(&self) -> u64 {
-                let freed = self.bytes.get();
-                self.bytes.set(0);
-                freed
-            }
-        }
+        use crate::quant::SublinkSummary;
         let gov = Governor::new();
         gov.set_budget(Some(1000));
-        let memo = Rc::new(FakeMemo {
-            bytes: Cell::new(900),
-        });
-        gov.register_memo(Box::new(Rc::clone(&memo)));
-        // 200 transient + 900 memo > 1000 → the memo is evicted, after
+        // One statement memo holding ~900 bytes: a long key (the encoded
+        // bindings) over an `EXISTS` flag.
+        let memo = StatementMemo::new(None);
+        memo.insert(vec![0; 800], Arc::new(SublinkSummary::Exists(true)));
+        let held = memo.bytes();
+        assert!(held > 800 && held + 200 > 1000, "{held} bytes");
+        gov.track_statement_memo(&memo);
+        // 200 transient + the memo > 1000 → the memo is evicted, after
         // which 200 fits comfortably.
         assert!(gov.charge("join", 200).is_ok());
-        assert_eq!(memo.bytes.get(), 0, "memo reclaimed under pressure");
-        assert!(gov.peak_bytes() >= 1100, "peak saw the pressure point");
+        assert_eq!(memo.bytes(), 0, "memo reclaimed under pressure");
+        assert_eq!(gov.degradation(), Degradation::ReclaimedMemos);
+        assert!(
+            gov.peak_bytes() >= 200 + held,
+            "peak saw the pressure point"
+        );
         // A charge that cannot fit even after reclaim names the operator.
         match gov.charge("join", 2000) {
             Err(ExecError::ResourceExhausted { operator }) => assert_eq!(operator, "join"),

@@ -107,6 +107,36 @@ fn assert_execution_modes_agree(db: &Database, plan: &Plan) {
 }
 
 #[test]
+fn prepare_compiles_a_selection_over_a_product_as_written() {
+    // `prepare` reshapes nothing: σ over × builds the whole product and
+    // filters it. Turning the pair into a join is the optimizer's last step.
+    let db = test_db();
+    let plan = PlanBuilder::scan(&db, "r")
+        .unwrap()
+        .cross(PlanBuilder::scan(&db, "u").unwrap().build())
+        .select(builder::cmp(CompareOp::Lt, col("b"), col("e")))
+        .build();
+    let ex = Executor::new(&db);
+    let (result, profile) = ex.execute_profiled(&ex.prepare(&plan).unwrap()).unwrap();
+    let [product] = profile.root.children.as_slice() else {
+        panic!("one input under the root: {profile:?}");
+    };
+    assert_eq!(profile.root.operator, "select");
+    assert_eq!(
+        (product.operator.as_str(), product.rows_out),
+        ("cross_product", 24)
+    );
+
+    let (optimized, report) = perm_exec::optimize(&plan);
+    assert_eq!(report.selections_fused, 1, "{}", report.summary());
+    let (joined, profile) = ex
+        .execute_profiled(&ex.prepare(&optimized).unwrap())
+        .unwrap();
+    assert_eq!(profile.root.operator, "join");
+    assert!(joined.bag_eq(&result) && result.bag_eq(&ex.execute_unoptimized(&plan).unwrap()));
+}
+
+#[test]
 fn correlated_exists_sublink() {
     let db = test_db();
     let sub = PlanBuilder::scan(&db, "s")

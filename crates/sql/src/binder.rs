@@ -33,7 +33,7 @@ pub fn bind(db: &Database, parsed: &crate::parser::ParsedQuery) -> Result<BoundQ
     // planner underneath the original Perm system would. Sublink conjuncts
     // are kept in place so the provenance rewriter still sees them in
     // selections.
-    let plan = perm_algebra::optimize::push_down_selections(&plan);
+    let plan = perm_algebra::optimize::push_down_selections(plan);
     Ok(BoundQuery { plan })
 }
 

@@ -626,8 +626,10 @@ impl Prepared {
         self.descriptor.as_ref()
     }
 
-    /// The logical plan that was compiled: the *optimized* form of the
-    /// bound plan. The pre-optimization shape is [`Prepared::bound_plan`].
+    /// The logical plan that was compiled — exactly, operator for operator:
+    /// the *optimized* form of the bound plan, which `Executor::prepare`
+    /// compiles without reshaping it. The pre-optimization shape is
+    /// [`Prepared::bound_plan`].
     pub fn plan(&self) -> &Plan {
         &self.plan
     }
@@ -636,8 +638,9 @@ impl Prepared {
     /// *before* the optimizer ran — the reference shape
     /// [`Session::explain`] diffs against, and the plan to run through
     /// [`Executor::execute_unoptimized`] (the reference interpreter) or
-    /// [`Executor::execute`] (the memo-only baseline) when checking what
-    /// the optimizer did.
+    /// [`Executor::execute`] (the memo-only baseline, which compiles it as
+    /// written: a selection over a cross product materialises the product)
+    /// when checking what the optimizer did.
     pub fn bound_plan(&self) -> &Plan {
         &self.bound_plan
     }

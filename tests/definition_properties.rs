@@ -104,7 +104,7 @@ fn rewrites_preserve_results_and_agree_with_the_tracer() {
         let executor = Executor::new(&db);
         let original = executor.execute(&plan).unwrap();
 
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let traced = tracer.trace(&plan).unwrap();
         let prov_names = traced.schema().names();
         let reference = named_rows(&traced, &prov_names);

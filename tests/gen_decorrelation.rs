@@ -6,6 +6,7 @@
 
 use perm::prelude::*;
 use perm::{ProfileNode, SessionConfig};
+use perm_algebra::{Expr, Plan};
 
 const SQL: &str = "SELECT a, b, g FROM r1 WHERE EXISTS \
                    (SELECT * FROM r2 WHERE r2.b BETWEEN -20000 AND 20000 AND r2.g = r1.g)";
@@ -60,6 +61,47 @@ fn gen_exists_at_200x400_runs_as_joins_without_executing_a_sublink() {
     assert_eq!(sublink_invocations(&profile.root), 0);
     let operators = profile.total_invocations();
     assert!(operators <= 24, "{operators} operators evaluated");
+}
+
+/// Whether a selection sits directly above a cross product anywhere in
+/// `plan`, sublink plans included.
+fn selects_over_a_product(plan: &Plan) -> bool {
+    matches!(plan, Plan::Select { input, .. } if matches!(**input, Plan::CrossProduct { .. }))
+        || plan.children().into_iter().any(selects_over_a_product)
+        || plan.expressions().iter().any(|e| {
+            e.sublinks()
+                .into_iter()
+                .any(|s| matches!(s, Expr::Sublink { plan, .. } if selects_over_a_product(plan)))
+        })
+}
+
+#[test]
+fn a_cross_base_product_the_rules_keep_is_compiled_as_a_join() {
+    // A correlation through arithmetic, which no rule hoists: Gen's
+    // `σ[C ∧ Csub⁺](T⁺ × CrossBase)` keeps its selection over the product,
+    // and the optimizer's last step makes the pair one join — so the plan a
+    // statement reports is the plan it compiled, with no product built
+    // unfiltered.
+    let db = perm_synthetic::build_database(20, 40, 42);
+    let session = gen_session(&db);
+    let prepared = session
+        .prepare_provenance(
+            "SELECT a, b FROM r1 WHERE NOT EXISTS (SELECT * FROM r2 WHERE r2.g = r1.g + 0)",
+        )
+        .unwrap();
+    assert!(selects_over_a_product(prepared.bound_plan()));
+    let report = prepared.optimizer_report();
+    assert!(report.sublinks_remaining > 0, "{}", report.summary());
+    assert!(report.selections_fused > 0, "{}", report.summary());
+    assert!(
+        !selects_over_a_product(prepared.plan()),
+        "{}",
+        perm_algebra::display::explain(prepared.plan())
+    );
+    let reference = Executor::new(&db)
+        .execute_unoptimized(prepared.bound_plan())
+        .unwrap();
+    assert!(session.execute(&prepared, &[]).unwrap().bag_eq(&reference));
 }
 
 #[test]

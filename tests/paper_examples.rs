@@ -252,7 +252,7 @@ fn tracer_and_rewrites_agree_on_every_figure3_query() {
         "SELECT * FROM r WHERE a = 3 OR NOT (a < ALL (SELECT c FROM s WHERE c <> 1))",
     ] {
         let (plan, _) = perm::sql::compile(&db, sql).unwrap();
-        let mut tracer = Tracer::new(&db);
+        let tracer = Tracer::new(&db);
         let traced = tracer.trace(&plan).unwrap();
         for strategy in [Strategy::Gen, Strategy::Left, Strategy::Move] {
             let session = session(&db, strategy);
