@@ -16,6 +16,8 @@
 //! shared [`perm_storage::Name`]: cloning a plan, an expression or a schema
 //! copies reference counts, not strings.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod display;
 pub mod expr;

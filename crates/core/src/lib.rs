@@ -60,6 +60,8 @@
 //! assert_eq!(result.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod definition;
 pub mod provschema;
 pub mod rewrite;

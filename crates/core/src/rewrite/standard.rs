@@ -298,6 +298,19 @@ fn rewrite_limit(
     join_back(rw, original, input, "limit")
 }
 
+/// A reference to attribute `i` of `schema`: its bare name where that
+/// names it alone, otherwise qualified (`SELECT x.b, y.b` repeats `b`).
+fn attr_ref(schema: &Schema, i: usize) -> Expr {
+    let attr = schema.attr(i);
+    match schema.try_resolve(None, &attr.name) {
+        Ok(Some(j)) if j == i => col(attr.name.clone()),
+        _ => Expr::Column {
+            qualifier: attr.qualifier.clone(),
+            name: attr.name.clone(),
+        },
+    }
+}
+
 /// Generic "join back" rule: run the original operator unchanged, rename its
 /// output attributes to fresh names, left-outer-join it with the rewritten
 /// `source` on null-safe equality of all original attributes, and project
@@ -309,33 +322,34 @@ fn join_back(
     what: &str,
 ) -> Result<RewriteResult> {
     let source_rw = rw.rewrite(source)?;
-    let original_names = original.schema().names();
-    let source_names = source.schema().names();
-    if original_names.len() != source_names.len() {
+    let original_schema = original.schema();
+    if original_schema.arity() != source.schema().arity() {
         return Err(ProvenanceError::Unsupported(format!(
             "cannot attach provenance to {what}: schema mismatch between the operator and its \
              input"
         )));
     }
 
-    let fresh_names: Vec<Name> = original_names
+    let fresh_names: Vec<Name> = original_schema
+        .attributes()
         .iter()
-        .map(|n| rw.fresh(format_args!("orig_{n}")))
+        .map(|a| rw.fresh(format_args!("orig_{}", a.name)))
         .collect();
-    let renamed_items: Vec<ProjectItem> = original_names
+    let renamed_items: Vec<ProjectItem> = fresh_names
         .iter()
-        .zip(fresh_names.iter())
-        .map(|(orig, fresh)| ProjectItem::new(col(orig.clone()), fresh.clone()))
+        .enumerate()
+        .map(|(i, fresh)| ProjectItem::new(attr_ref(&original_schema, i), fresh.clone()))
         .collect();
     let renamed_original = PlanBuilder::from_plan(original.clone())
         .project(renamed_items)
         .build();
 
+    let source_schema = source_rw.plan.schema();
     let condition = conjunction(
         fresh_names
             .iter()
-            .zip(source_names.iter())
-            .map(|(fresh, src)| null_safe_eq(col(fresh.clone()), col(src.clone()))),
+            .enumerate()
+            .map(|(i, fresh)| null_safe_eq(col(fresh.clone()), attr_ref(&source_schema, i))),
     );
     let joined = Plan::Join {
         left: Box::new(renamed_original),
@@ -346,8 +360,12 @@ fn join_back(
 
     let mut out_items: Vec<ProjectItem> = fresh_names
         .iter()
-        .zip(original_names.iter())
-        .map(|(fresh, orig)| ProjectItem::new(col(fresh.clone()), orig.clone()))
+        .zip(original_schema.attributes())
+        .map(|(fresh, orig)| ProjectItem {
+            expr: col(fresh.clone()),
+            alias: orig.name.clone(),
+            qualifier: orig.qualifier.clone(),
+        })
         .collect();
     for prov in source_rw.descriptor.attr_names() {
         out_items.push(ProjectItem::column(prov));

@@ -20,7 +20,9 @@
 //! top-of-heap (`mallopt(M_TRIM_THRESHOLD, …)`). Peak memory is what it was
 //! — the peak is the peak either way — and a burst above the limit is still
 //! returned. With any other platform or C library this is a no-op. It is
-//! the workspace's only `unsafe` block: one foreign call, two integers.
+//! the workspace's only `unsafe` block: one foreign call, two integers. The
+//! compiler holds it to that: every other library crate forbids
+//! `unsafe_code`, and `perm-exec` denies it everywhere but here.
 //!
 //! Re-measured once joins built each witness row once and a fan-out query
 //! freed ~24 MB instead of ~60 MB (ten 15 s `spill_budget` runs each way):
@@ -47,6 +49,7 @@ pub(crate) fn retain_freed_heap() {
 
 /// Whether the allocator took the setting.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[allow(unsafe_code)]
 fn set_trim_threshold(bytes: i32) -> bool {
     use std::ffi::c_int;
     /// `M_TRIM_THRESHOLD` of `<malloc.h>`.

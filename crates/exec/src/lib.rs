@@ -134,13 +134,15 @@
 //! instead of failing: the hash join partitions its build side to disk
 //! (grace hash join), the sort writes sorted runs and k-way-merges them,
 //! and the aggregate partitions partial group states — all through the
-//! slotted-page heap files and pinning buffer pool of `perm-storage`.
+//! write-once heap files and read-only buffer pool of `perm-storage`.
 //! Memo entries are dropped under pressure, never spilled.
 //!
 //! One process-wide side effect: the first [`Executor::new`] tells glibc
 //! to keep freed heap rather than return it to the kernel after every
 //! query (`M_TRIM_THRESHOLD`; the private `heap` module says why). Peak
 //! memory is unchanged; nothing happens with another C library.
+
+#![deny(unsafe_code)]
 
 pub mod aggregate;
 pub mod batch;

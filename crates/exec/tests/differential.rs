@@ -1357,27 +1357,82 @@ fn memory_budget_sweep_degrades_gracefully_or_fails_with_a_named_operator() {
 /// is exactly what the spill paths rescue.
 #[test]
 fn out_of_core_operators_reproduce_exact_row_order() {
-    let db = build_database(600, 400, 0xACE5);
+    let narrow = build_database(600, 400, 0xACE5);
+    out_of_core_reproduces_exact_row_order("", &narrow, 4 << 10, ("g", "b"));
+    // The join and sort keys `a` and `b` as strings wider than a page: every
+    // build and sort-run record, and every spilled group (grouped by `b`,
+    // since the sum needs the one numeric column left), crosses page
+    // boundaries. A budget of a few such rows keeps each grace partition's
+    // rebuild within it.
+    let wide = with_wide_columns(build_database(200, 150, 0xACE5), &["a", "b"], 12 << 10);
+    out_of_core_reproduces_exact_row_order(" over 12 KiB strings", &wide, 1 << 20, ("b", "g"));
+}
+
+/// `db` with the integer `columns` rewritten as zero-padded strings of
+/// `width` bytes, which keep their equalities.
+fn with_wide_columns(mut db: Database, columns: &[&str], width: usize) -> Database {
+    assert!(width > perm_storage::PAGE_SIZE);
+    for table in ["r1", "r2"] {
+        let rel = db.table(table).unwrap();
+        let wide: Vec<bool> = rel
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| columns.contains(&&*a.name))
+            .collect();
+        let attrs = rel.schema().attributes().iter().zip(&wide).map(|(a, &w)| {
+            let dtype = if w { DataType::Str } else { a.dtype };
+            Attribute::qualified(table, a.name.clone(), dtype)
+        });
+        let schema = Schema::new(attrs.collect());
+        let rows = rel
+            .tuples()
+            .iter()
+            .map(|t| {
+                let values = t.values().iter().zip(&wide);
+                values
+                    .map(|(v, &w)| match w {
+                        true => Value::Str(format!("{:0>width$}", v.as_i64().unwrap())),
+                        false => v.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        db.create_or_replace_table(table, Relation::from_rows(schema, rows));
+    }
+    db
+}
+
+/// Runs a grace inner and left-outer join, an external merge sort and a
+/// partitioned aggregation (grouped by `group`, summing `summed`) over `db`
+/// under `budget`: each must exhaust without spilling and, with spilling,
+/// reproduce the resident run row for row.
+fn out_of_core_reproduces_exact_row_order(
+    input: &str,
+    db: &Database,
+    budget: u64,
+    (group, summed): (&str, &str),
+) {
     // Self-join on the Gaussian `b` values: ~600 distinct keys, so grace
     // partitioning is effective (a low-cardinality key like `g` would pack
     // whole key groups into single partitions), and every left row matches
     // itself, so the join output stays full-size for the sort and
     // aggregation plans below.
     let inner_join = || {
-        PlanBuilder::scan(&db, "r1")
+        PlanBuilder::scan(db, "r1")
             .unwrap()
             .join(
-                PlanBuilder::scan_as(&db, "r1", Some("o")).unwrap().build(),
+                PlanBuilder::scan_as(db, "r1", Some("o")).unwrap().build(),
                 eq(qcol("r1", "b"), qcol("o", "b")),
             )
             .build()
     };
     // Equality on the Gaussian `a` values matches almost never, so nearly
     // every left row takes the left-outer NULL-padding path.
-    let outer_join = PlanBuilder::scan(&db, "r1")
+    let outer_join = PlanBuilder::scan(db, "r1")
         .unwrap()
         .left_join(
-            PlanBuilder::scan_as(&db, "r2", Some("o")).unwrap().build(),
+            PlanBuilder::scan_as(db, "r2", Some("o")).unwrap().build(),
             eq(qcol("r1", "a"), qcol("o", "a")),
         )
         .build();
@@ -1389,24 +1444,25 @@ fn out_of_core_operators_reproduce_exact_row_order() {
         .build();
     let grouped = PlanBuilder::from_plan(inner_join())
         .aggregate(
-            vec![ProjectItem::new(qcol("r1", "g"), "g")],
-            vec![count_star("n"), sum(qcol("o", "b"), "total")],
+            vec![ProjectItem::new(qcol("r1", group), group)],
+            vec![count_star("n"), sum(qcol("o", summed), "total")],
         )
         .build();
-    for (label, plan) in [
+    for (operator, plan) in [
         ("grace inner join", inner_join()),
         ("grace left-outer join", outer_join),
         ("external merge sort", sorted),
         ("partitioned aggregation", grouped),
     ] {
-        let reference = Executor::new(&db).execute(&plan).unwrap();
-        let budget = Some(4 << 10);
-        let starved = Executor::new(&db).with_memory_budget(budget).execute(&plan);
+        let label = format!("{operator}{input}");
+        let reference = Executor::new(db).execute(&plan).unwrap();
+        let budget = Some(budget);
+        let starved = Executor::new(db).with_memory_budget(budget).execute(&plan);
         assert!(
             matches!(starved, Err(ExecError::ResourceExhausted { .. })),
             "{label}: the budget must exhaust the spill-less executor, got {starved:?}"
         );
-        let ex = Executor::new(&db)
+        let ex = Executor::new(db)
             .with_memory_budget(budget)
             .with_spill(true);
         let got = ex.execute(&plan).unwrap();

@@ -10,6 +10,8 @@
 //! xoshiro256++ seeded through SplitMix64 (the same construction the
 //! reference `xoshiro` crate documents).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Random number generator trait (subset of `rand::Rng`).

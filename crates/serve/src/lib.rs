@@ -54,6 +54,8 @@
 //! assert_eq!(engine.engine().plan_cache_stats().entries, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use perm::{
     Database, Engine, ExecError, PermError, Prepared, Relation, Session, SessionConfig, Value,
 };

@@ -176,6 +176,25 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     if items.is_empty() {
         return Err(SqlError::Bind("empty select list".into()));
     }
+    // An output name two select items share (`x.b, y.b`) keeps the
+    // qualifier of its column reference, as `*` does, so that a reference
+    // above the projection (the provenance rewrite's join back under a
+    // `LIMIT`) can still tell the two apart.
+    for (item, (source, _)) in items.iter_mut().zip(&output_exprs) {
+        if let OutputSource::Expr(SqlExpr::Column {
+            qualifier: Some(q), ..
+        }) = source
+        {
+            let shared = output_exprs
+                .iter()
+                .filter(|(_, alias)| alias.eq_ignore_ascii_case(&item.alias))
+                .count()
+                > 1;
+            if shared {
+                item.qualifier = Some(Name::from(q.as_str()));
+            }
+        }
+    }
 
     // ORDER BY keys can reference output columns (by alias or by repeating
     // the select expression) or, as standard SQL allows, columns of the

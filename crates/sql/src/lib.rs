@@ -15,6 +15,8 @@
 //! assert!(parsed.provenance);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod binder;
 pub mod lexer;

@@ -1,87 +1,42 @@
-//! A pinning buffer pool over heap-file pages.
+//! A read-only buffer pool over sealed heap-file pages.
 //!
 //! The [`BufferPool`] caches a bounded number of [`Page`] frames keyed by
-//! `(file id, page number)`. Callers [`BufferPool::pin`] a page and receive
-//! a [`PinnedPage`] guard: while any guard is alive the frame cannot be
-//! evicted, and dropping the guard unpins it. Mutation goes through
-//! [`PinnedPage::write`], which marks the frame dirty; dirty frames are
-//! written back to their file when evicted (and on [`BufferPool::flush`]).
+//! `(file id, page number)`. Sealed pages never change, so a frame is just
+//! an `Rc<Page>` and nothing is ever written back: [`BufferPool::fetch`]
+//! hands out a clone of it, and a reader keeps its page alive even after
+//! the pool evicts the frame.
 //!
 //! Eviction is the **clock** (second-chance) policy: frames sit on a ring,
-//! a pin sets their referenced bit, and the clock hand clears bits as it
-//! sweeps until it finds an unpinned, unreferenced victim. When every frame
-//! is pinned the pool *grows past its capacity* instead of deadlocking —
-//! a spill path that legitimately pins more pages than the pool holds (one
-//! per merge run, say) degrades to more memory, not to a hang; the
-//! high-water mark is observable via [`BufferPool::overflow_frames`].
+//! a fetch sets their referenced bit, and the clock hand clears bits as it
+//! sweeps until it finds an unreferenced victim — at most one revolution,
+//! so the pool never holds more than its capacity.
 //!
 //! The pool is deliberately `!Sync`, like the executor that owns it:
 //! concurrency happens one executor (and thus one pool) per worker thread,
 //! so frames use `Cell`/`RefCell` instead of locks.
 
-use crate::heapfile::{HeapFile, RecordAssembler, RecordId};
+use crate::heapfile::{HeapFile, RecordAssembler};
 use crate::page::Page;
 use crate::{Result, StorageError};
-use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// One cached page frame.
 struct Frame {
-    file: Rc<HeapFile>,
-    page_no: u32,
-    page: RefCell<Page>,
-    dirty: Cell<bool>,
-    pins: Cell<u32>,
-    referenced: Cell<bool>,
+    page: Rc<Page>,
+    referenced: bool,
 }
 
-impl Frame {
-    fn write_back(&self) -> Result<()> {
-        if self.dirty.get() {
-            self.file.write_page(self.page_no, &self.page.borrow())?;
-            self.dirty.set(false);
-        }
-        Ok(())
-    }
-}
-
-/// A pinned page: read/write access to a frame that cannot be evicted while
-/// this guard is alive. Dropping the guard unpins it.
-pub struct PinnedPage {
-    frame: Rc<Frame>,
-}
-
-impl PinnedPage {
-    /// Read access to the page.
-    pub fn read(&self) -> Ref<'_, Page> {
-        self.frame.page.borrow()
-    }
-
-    /// Write access to the page; marks the frame dirty.
-    pub fn write(&self) -> RefMut<'_, Page> {
-        self.frame.dirty.set(true);
-        self.frame.page.borrow_mut()
-    }
-}
-
-impl Drop for PinnedPage {
-    fn drop(&mut self) {
-        self.frame.pins.set(self.frame.pins.get() - 1);
-    }
-}
-
-/// A bounded page cache with pin/unpin, dirty write-back and clock eviction.
+/// A bounded, read-only page cache with clock eviction.
 pub struct BufferPool {
     capacity: usize,
-    frames: RefCell<HashMap<(u64, u32), Rc<Frame>>>,
-    /// Clock ring of frame keys; entries for evicted frames go stale and are
-    /// dropped as the hand encounters them.
+    frames: RefCell<HashMap<(u64, u32), Frame>>,
+    /// Clock ring: the keys of `frames`, the hand at the front.
     ring: RefCell<VecDeque<(u64, u32)>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     evictions: Cell<u64>,
-    overflow: Cell<u64>,
 }
 
 impl BufferPool {
@@ -94,7 +49,6 @@ impl BufferPool {
             hits: Cell::new(0),
             misses: Cell::new(0),
             evictions: Cell::new(0),
-            overflow: Cell::new(0),
         }
     }
 
@@ -108,7 +62,7 @@ impl BufferPool {
         self.misses.get()
     }
 
-    /// Frames evicted (with write-back when dirty).
+    /// Frames evicted.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
     }
@@ -119,109 +73,43 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Times the pool had to exceed its capacity because every frame was
-    /// pinned (growth instead of deadlock).
-    pub fn overflow_frames(&self) -> u64 {
-        self.overflow.get()
-    }
-
-    /// Number of cached frames right now.
-    pub fn cached_pages(&self) -> usize {
-        self.frames.borrow().len()
-    }
-
-    /// Pins a sealed page of `file`, reading it from disk on a miss.
-    pub fn pin(&self, file: &Rc<HeapFile>, page_no: u32) -> Result<PinnedPage> {
+    /// A sealed page of `file`, read from disk on a miss.
+    pub fn fetch(&self, file: &HeapFile, page_no: u32) -> Result<Rc<Page>> {
         let key = (file.id(), page_no);
-        if let Some(frame) = self.frames.borrow().get(&key) {
+        let mut frames = self.frames.borrow_mut();
+        if let Some(frame) = frames.get_mut(&key) {
             self.hits.set(self.hits.get() + 1);
-            frame.referenced.set(true);
-            frame.pins.set(frame.pins.get() + 1);
-            return Ok(PinnedPage {
-                frame: Rc::clone(frame),
-            });
+            frame.referenced = true;
+            return Ok(Rc::clone(&frame.page));
         }
         self.misses.set(self.misses.get() + 1);
-        if self.frames.borrow().len() >= self.capacity && !self.evict_one()? {
-            self.overflow.set(self.overflow.get() + 1);
-        }
-        let page = file.read_page(page_no)?;
-        let frame = Rc::new(Frame {
-            file: Rc::clone(file),
-            page_no,
-            page: RefCell::new(page),
-            dirty: Cell::new(false),
-            pins: Cell::new(1),
-            referenced: Cell::new(true),
-        });
-        self.frames.borrow_mut().insert(key, Rc::clone(&frame));
-        self.ring.borrow_mut().push_back(key);
-        Ok(PinnedPage { frame })
-    }
-
-    /// One clock sweep: clears referenced bits until an unpinned,
-    /// unreferenced victim turns up (write-back if dirty), or reports
-    /// `false` after two full revolutions find every frame pinned.
-    fn evict_one(&self) -> Result<bool> {
+        let page = Rc::new(file.read_page(page_no)?);
         let mut ring = self.ring.borrow_mut();
-        let mut sweeps = ring.len().saturating_mul(2);
-        while let Some(key) = ring.pop_front() {
-            let frame = match self.frames.borrow().get(&key) {
-                Some(f) => Rc::clone(f),
-                // Stale ring entry for an already-evicted frame.
-                None => continue,
-            };
-            if frame.pins.get() == 0 && !frame.referenced.get() {
-                frame.write_back()?;
-                self.frames.borrow_mut().remove(&key);
-                self.evictions.set(self.evictions.get() + 1);
-                return Ok(true);
-            }
-            frame.referenced.set(false);
-            ring.push_back(key);
-            sweeps = sweeps.saturating_sub(1);
-            if sweeps == 0 {
-                return Ok(false);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Writes every dirty frame back to its file without evicting.
-    pub fn flush(&self) -> Result<()> {
-        for frame in self.frames.borrow().values() {
-            frame.write_back()?;
-        }
-        Ok(())
-    }
-
-    /// Reads one record by address through the pool, reassembling fragments
-    /// across slots and pages.
-    pub fn read_record(&self, file: &Rc<HeapFile>, rid: RecordId) -> Result<Vec<u8>> {
-        let mut assembler = RecordAssembler::new();
-        let mut ready: VecDeque<Vec<u8>> = VecDeque::new();
-        let mut page_no = rid.page;
-        let mut first_slot = rid.slot;
-        while page_no < file.num_pages() {
-            let pinned = self.pin(file, page_no)?;
-            let page = pinned.read();
-            for slot in first_slot..page.slot_count() {
-                if let Some(chunk) = page.get(slot) {
-                    assembler.push(chunk, &mut ready);
-                    if let Some(record) = ready.pop_front() {
-                        return Ok(record);
-                    }
+        if frames.len() >= self.capacity {
+            // One clock sweep: clear referenced bits until an unreferenced
+            // frame turns up.
+            while let Some(victim) = ring.pop_front() {
+                let frame = frames
+                    .get_mut(&victim)
+                    .expect("the ring holds the frames' keys");
+                if !frame.referenced {
+                    frames.remove(&victim);
+                    self.evictions.set(self.evictions.get() + 1);
+                    break;
                 }
+                frame.referenced = false;
+                ring.push_back(victim);
             }
-            first_slot = 0;
-            page_no += 1;
         }
-        Err(StorageError::Corrupt(format!(
-            "record at page {} slot {} of {} is incomplete",
-            rid.page,
-            rid.slot,
-            file.path().display()
-        )))
+        frames.insert(
+            key,
+            Frame {
+                page: Rc::clone(&page),
+                referenced: true,
+            },
+        );
+        ring.push_back(key);
+        Ok(page)
     }
 
     /// A pooled sequential record stream over a heap file's sealed pages.
@@ -241,7 +129,7 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity)
-            .field("cached", &self.cached_pages())
+            .field("cached", &self.frames.borrow().len())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .finish()
@@ -249,9 +137,9 @@ impl std::fmt::Debug for BufferPool {
 }
 
 /// Sequential record scan through the buffer pool (see
-/// [`BufferPool::stream`]). Pages are pinned one at a time, drained into the
-/// assembler, and unpinned before the next is fetched — so `k` concurrent
-/// streams (a k-way merge) keep at most `k` pages pinned.
+/// [`BufferPool::stream`]). Pages are fetched one at a time and drained into
+/// the assembler before the next is fetched, so a stream buffers about one
+/// page of records, and a k-way merge over `k` streams about `k` pages.
 pub struct RecordStream<'p> {
     pool: &'p BufferPool,
     file: Rc<HeapFile>,
@@ -262,21 +150,25 @@ pub struct RecordStream<'p> {
 }
 
 impl RecordStream<'_> {
-    /// The next record in append order, or `None` at end of file.
+    /// The next record in append order, or `None` at end of file. A file
+    /// that ends inside a record is [`StorageError::Corrupt`].
     pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
         loop {
             if let Some(record) = self.ready.pop_front() {
                 return Ok(Some(record));
             }
             if self.page_no >= self.pages {
+                if !self.assembler.is_empty() {
+                    return Err(StorageError::Corrupt(format!(
+                        "{} ends inside a record",
+                        self.file.path().display()
+                    )));
+                }
                 return Ok(None);
             }
-            let pinned = self.pool.pin(&self.file, self.page_no)?;
+            let page = self.pool.fetch(&self.file, self.page_no)?;
             self.page_no += 1;
-            let page = pinned.read();
-            for (_, chunk) in page.iter() {
-                self.assembler.push(chunk, &mut self.ready);
-            }
+            self.assembler.push(page.payload(), &mut self.ready);
         }
     }
 }
@@ -284,6 +176,7 @@ impl RecordStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_CAPACITY;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -307,14 +200,21 @@ mod tests {
     fn file_with_pages(path: &std::path::Path, pages: u32) -> Rc<HeapFile> {
         let hf = HeapFile::create(path).unwrap();
         for i in 0..pages {
-            // One nearly-page-filling record per page (a little room is left
-            // so the dirty-write-back tests can patch a small slot in).
-            hf.append_record(&vec![i as u8; crate::page::MAX_PAYLOAD - 64])
-                .unwrap();
+            // One record per page, sealed on its own.
+            hf.append_record(&vec![i as u8; PAGE_CAPACITY - 4]).unwrap();
             hf.seal().unwrap();
         }
         assert_eq!(hf.num_pages(), pages);
         Rc::new(hf)
+    }
+
+    fn stream_all(pool: &BufferPool, file: &Rc<HeapFile>) -> Result<Vec<Vec<u8>>> {
+        let mut stream = pool.stream(file);
+        let mut back = Vec::new();
+        while let Some(r) = stream.next_record()? {
+            back.push(r);
+        }
+        Ok(back)
     }
 
     #[test]
@@ -324,8 +224,8 @@ mod tests {
         let pool = BufferPool::new(4);
         for _ in 0..2 {
             for p in 0..3 {
-                let pinned = pool.pin(&file, p).unwrap();
-                assert_eq!(pinned.read().slot_count(), 1);
+                let page = pool.fetch(&file, p).unwrap();
+                assert_eq!(page.payload()[4], p as u8);
             }
         }
         assert_eq!(pool.misses(), 3, "first round reads from disk");
@@ -333,73 +233,43 @@ mod tests {
     }
 
     #[test]
-    fn clock_evicts_unpinned_frames_when_full() {
+    fn clock_evicts_when_full_and_readers_keep_their_pages() {
         let (path, _c) = temp_file("evict");
         let file = file_with_pages(&path, 6);
         let pool = BufferPool::new(2);
-        for p in 0..6 {
-            drop(pool.pin(&file, p).unwrap());
+        let first = pool.fetch(&file, 0).unwrap();
+        for p in 1..6 {
+            pool.fetch(&file, p).unwrap();
         }
-        assert!(pool.cached_pages() <= 2);
+        assert_eq!(pool.frames.borrow().len(), 2);
         assert_eq!(pool.misses(), 6);
-        assert!(pool.evictions() >= 4);
-        assert_eq!(pool.overflow_frames(), 0);
+        assert_eq!(pool.evictions(), 4);
+        // Page 0's frame is gone, but the reader's page is intact.
+        assert_eq!(first.payload()[4], 0);
+        pool.fetch(&file, 0).unwrap();
+        assert_eq!(pool.misses(), 7, "an evicted page is read again");
     }
 
     #[test]
-    fn pinned_frames_survive_eviction_pressure() {
-        let (path, _c) = temp_file("pinned");
-        let file = file_with_pages(&path, 4);
-        let pool = BufferPool::new(2);
-        let hold_a = pool.pin(&file, 0).unwrap();
-        let hold_b = pool.pin(&file, 1).unwrap();
-        // Both frames are pinned: the pool must grow, not deadlock.
-        drop(pool.pin(&file, 2).unwrap());
-        assert!(pool.overflow_frames() >= 1);
-        // The pinned pages are still cached and readable.
-        assert_eq!(hold_a.read().slot_count(), 1);
-        assert_eq!(hold_b.read().slot_count(), 1);
-        drop(hold_a);
-        drop(hold_b);
-        // Unpinned now: pressure evicts them again.
-        drop(pool.pin(&file, 3).unwrap());
-        drop(pool.pin(&file, 0).unwrap());
-        assert!(pool.evictions() >= 1);
-    }
-
-    #[test]
-    fn dirty_pages_are_written_back_on_eviction() {
-        let (path, _c) = temp_file("dirty");
-        let file = file_with_pages(&path, 3);
-        let pool = BufferPool::new(1);
-        {
-            let pinned = pool.pin(&file, 0).unwrap();
-            let mut page = pinned.write();
-            let slot = page.insert(b"patched").unwrap();
-            assert_eq!(slot, 1);
+    fn the_clock_spares_a_referenced_frame() {
+        let (path, _c) = temp_file("clock");
+        let file = file_with_pages(&path, 5);
+        let pool = BufferPool::new(3);
+        for p in 0..3 {
+            pool.fetch(&file, p).unwrap();
         }
-        // Evict frame 0 by pulling two other pages through a 1-frame pool.
-        drop(pool.pin(&file, 1).unwrap());
-        drop(pool.pin(&file, 2).unwrap());
-        // Re-read page 0 from disk (fresh pool → no cache).
-        let fresh = BufferPool::new(1);
-        let pinned = fresh.pin(&file, 0).unwrap();
-        assert_eq!(pinned.read().get(1), Some(&b"patched"[..]));
-    }
-
-    #[test]
-    fn flush_writes_dirty_frames_without_evicting() {
-        let (path, _c) = temp_file("flush");
-        let file = file_with_pages(&path, 1);
-        let pool = BufferPool::new(2);
-        {
-            let pinned = pool.pin(&file, 0).unwrap();
-            pinned.write().insert(b"flushed").unwrap();
-        }
-        pool.flush().unwrap();
-        assert_eq!(pool.cached_pages(), 1, "flush keeps the frame cached");
-        let direct = file.read_page(0).unwrap();
-        assert_eq!(direct.get(1), Some(&b"flushed"[..]));
+        // Full: the sweep clears every bit and evicts page 0.
+        pool.fetch(&file, 3).unwrap();
+        // A hit on page 1 sets its bit again, so the hand passes it and
+        // evicts page 2.
+        pool.fetch(&file, 1).unwrap();
+        pool.fetch(&file, 4).unwrap();
+        let hits = pool.hits();
+        pool.fetch(&file, 1).unwrap();
+        assert_eq!(pool.hits(), hits + 1, "page 1 stayed cached");
+        pool.fetch(&file, 2).unwrap();
+        assert_eq!(pool.hits(), hits + 1, "page 2 did not");
+        assert_eq!(pool.evictions(), 3);
     }
 
     #[test]
@@ -407,25 +277,56 @@ mod tests {
         let (path, _c) = temp_file("records");
         let hf = Rc::new(HeapFile::create(&path).unwrap());
         let records: Vec<Vec<u8>> = (0..40u32)
-            .map(|i| vec![i as u8; (i as usize * 97) % 3000])
+            .map(|i| vec![i as u8; (i as usize * 977) % 20000])
             .collect();
-        let mut rids = Vec::new();
         for r in &records {
-            rids.push(hf.append_record(r).unwrap());
+            hf.append_record(r).unwrap();
         }
         hf.seal().unwrap();
+        // Direct page reads, reassembled without the pool.
+        let mut assembler = RecordAssembler::new();
+        let mut direct = VecDeque::new();
+        for p in 0..hf.num_pages() {
+            assembler.push(hf.read_page(p).unwrap().payload(), &mut direct);
+        }
+        assert_eq!(direct, records);
         let pool = BufferPool::new(2);
-        // Random access by RecordId.
-        for (rid, expected) in rids.iter().zip(&records).rev() {
-            assert_eq!(&pool.read_record(&hf, *rid).unwrap(), expected);
+        assert_eq!(stream_all(&pool, &hf).unwrap(), records);
+        assert_eq!(pool.misses(), hf.num_pages() as u64);
+        // Two streams of one file interleave through a two-frame pool.
+        let (mut a, mut b) = (pool.stream(&hf), pool.stream(&hf));
+        for r in &records {
+            assert_eq!(a.next_record().unwrap().as_ref(), Some(r));
+            assert_eq!(b.next_record().unwrap().as_ref(), Some(r));
         }
-        // Sequential pooled stream.
+        assert!(
+            pool.hits() > 0,
+            "the second stream reuses the first's pages"
+        );
+    }
+
+    #[test]
+    fn a_stream_that_ends_inside_a_record_is_corrupt() {
+        let (path, _c) = temp_file("torn");
+        let hf = Rc::new(HeapFile::create(&path).unwrap());
+        hf.append_record(b"whole").unwrap();
+        hf.append_record(b"torn").unwrap();
+        hf.seal().unwrap();
+        // Patch the second record's length prefix on disk (page 0, after
+        // the header and the first framed record) to run past the file.
+        let at = 2 + 4 + b"whole".len() as u64;
+        {
+            use std::io::{Seek, SeekFrom, Write};
+            let mut raw = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            raw.seek(SeekFrom::Start(at)).unwrap();
+            raw.write_all(&1000u32.to_le_bytes()).unwrap();
+        }
+        let pool = BufferPool::new(2);
         let mut stream = pool.stream(&hf);
-        let mut back = Vec::new();
-        while let Some(r) = stream.next_record().unwrap() {
-            back.push(r);
-        }
-        assert_eq!(back, records);
-        assert!(pool.hits() > 0, "sequential scan re-uses cached pages");
+        assert_eq!(stream.next_record().unwrap(), Some(b"whole".to_vec()));
+        assert!(matches!(
+            stream.next_record(),
+            Err(StorageError::Corrupt(msg)) if msg.contains("ends inside a record")
+        ));
     }
 }

@@ -11,6 +11,8 @@
 //! equivalent data model so the rewritten queries can be executed by the
 //! `perm-exec` crate without any external database.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod catalog;
 pub mod column;
@@ -23,10 +25,10 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use buffer::{BufferPool, PinnedPage, RecordStream};
+pub use buffer::{BufferPool, RecordStream};
 pub use catalog::Database;
 pub use column::{ColumnVec, Validity};
-pub use heapfile::{HeapFile, RecordAssembler, RecordId};
+pub use heapfile::HeapFile;
 pub use keys::{
     encode_key, encode_key_column, encode_key_column_filtered, encode_key_typed, encode_tuple_key,
 };

@@ -2,16 +2,17 @@
 //! paged relation backing behind one handle.
 //!
 //! A [`StorageManager`] owns a session-scoped spill directory (a unique
-//! subdirectory of the configured base, or of the system temp dir), a
-//! [`BufferPool`] shared by every file it creates, and the files themselves.
-//! Dropping the manager removes the directory best-effort — spill data is
-//! execution state, never durable data.
+//! subdirectory of the configured base, or of the system temp dir) and a
+//! read-only [`BufferPool`] shared by every heap file it creates. Dropping
+//! the manager removes the directory best-effort — spill data is execution
+//! state, never durable data.
 //!
 //! [`StorageManager::store_relation`] is the paged backing for a
-//! [`Relation`]: tuples are encoded one record each into a heap file and the
-//! returned [`PagedRelation`] handle scans or fully reloads them through the
-//! pool. The in-memory catalog ([`crate::Database`]) stays the resident
-//! default — paging a base relation is an explicit, per-relation choice.
+//! [`Relation`]: tuples are appended one record each to a heap file, which
+//! is then sealed, and the returned [`PagedRelation`] handle streams them
+//! back in order through the pool. The in-memory catalog
+//! ([`crate::Database`]) stays the resident default — paging a base
+//! relation is an explicit, per-relation choice.
 
 use crate::buffer::BufferPool;
 use crate::heapfile::HeapFile;
@@ -37,6 +38,7 @@ pub const DEFAULT_POOL_PAGES: usize = 128;
 pub struct StorageManager {
     dir: PathBuf,
     pool: BufferPool,
+    /// Heap files created so far; numbers the next file's name.
     files_created: Cell<u64>,
 }
 
@@ -69,11 +71,6 @@ impl StorageManager {
     /// The buffer pool shared by this manager's files.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Number of heap files created so far.
-    pub fn files_created(&self) -> u64 {
-        self.files_created.get()
     }
 
     /// Creates a fresh heap file named after `label` in the spill directory.
@@ -121,7 +118,7 @@ impl std::fmt::Debug for StorageManager {
 
 /// A relation backed by a heap file instead of a resident `Vec<Tuple>`:
 /// the schema and length stay in memory, the tuples live on disk and are
-/// read back through a [`BufferPool`].
+/// streamed back through a [`BufferPool`].
 pub struct PagedRelation {
     file: Rc<HeapFile>,
     schema: Schema,
@@ -144,11 +141,6 @@ impl PagedRelation {
         self.len == 0
     }
 
-    /// The backing heap file (diagnostic).
-    pub fn file(&self) -> &Rc<HeapFile> {
-        &self.file
-    }
-
     /// Streams the tuples in stored order through `pool`, calling `f` once
     /// per tuple.
     pub fn for_each(
@@ -163,16 +155,6 @@ impl PagedRelation {
             f(Tuple::new(values))?;
         }
         Ok(())
-    }
-
-    /// Reloads the full resident relation through `pool`.
-    pub fn load(&self, pool: &BufferPool) -> Result<Relation> {
-        let mut tuples = Vec::with_capacity(self.len);
-        self.for_each(pool, |t| {
-            tuples.push(t);
-            Ok(())
-        })?;
-        Relation::new(self.schema.clone(), tuples)
     }
 }
 
@@ -190,6 +172,17 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
+    fn load(paged: &PagedRelation, pool: &BufferPool) -> Relation {
+        let mut tuples = Vec::new();
+        paged
+            .for_each(pool, |t| {
+                tuples.push(t);
+                Ok(())
+            })
+            .unwrap();
+        Relation::new(paged.schema().clone(), tuples).unwrap()
+    }
+
     #[test]
     fn manager_owns_and_cleans_up_its_directory() {
         let dir;
@@ -200,7 +193,7 @@ mod tests {
             let f = mgr.create_file("part").unwrap();
             f.append_record(b"data").unwrap();
             f.seal().unwrap();
-            assert_eq!(mgr.files_created(), 1);
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         }
         assert!(!dir.exists(), "spill dir removed on drop");
     }
@@ -218,13 +211,11 @@ mod tests {
         let paged = mgr.store_relation("memo", &rel).unwrap();
         assert_eq!(paged.len(), 500);
         assert!(!paged.is_empty());
-        assert!(paged.file().num_pages() >= 1);
-        let back = paged.load(mgr.pool()).unwrap();
-        assert_eq!(back, rel);
-        // A second load hits the pool.
+        assert!(paged.file.num_pages() >= 1);
+        assert_eq!(load(&paged, mgr.pool()), rel);
+        // A second scan hits the pool.
         let hits_before = mgr.pool().hits();
-        let again = paged.load(mgr.pool()).unwrap();
-        assert_eq!(again, rel);
+        assert_eq!(load(&paged, mgr.pool()), rel);
         assert!(mgr.pool().hits() > hits_before);
     }
 
@@ -234,6 +225,7 @@ mod tests {
         let rel = Relation::empty(Schema::from_names(&["x"]));
         let paged = mgr.store_relation("empty", &rel).unwrap();
         assert!(paged.is_empty());
-        assert_eq!(paged.load(mgr.pool()).unwrap(), rel);
+        assert_eq!(paged.file.num_pages(), 0);
+        assert_eq!(load(&paged, mgr.pool()), rel);
     }
 }

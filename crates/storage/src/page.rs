@@ -1,13 +1,12 @@
-//! Fixed-size slotted pages and the spill-file binary codec.
+//! Fixed-size pages and the spill-file binary codec.
 //!
 //! A [`Page`] is the unit of disk I/O for the out-of-core layer: a fixed
-//! [`PAGE_SIZE`]-byte block with the classic slotted layout. A four-byte
-//! header (slot count + free-space upper bound) is followed by a slot
-//! directory growing forward — one `(offset, length)` pair per slot — while
-//! record payloads grow backward from the end of the page, so the free space
-//! sits in the middle and an insert consumes it from both sides. Deleting a
-//! slot tombstones its directory entry (the payload bytes are not compacted;
-//! spill files are session-scoped append-once data, not a general store).
+//! [`PAGE_SIZE`]-byte block holding a two-byte header (the number of bytes
+//! used) followed by that many bytes of the heap file's record stream. A
+//! page marks no record boundaries: the heap file frames every record with
+//! its length, and a record may start on one page and end on a later one.
+//! Pages are written once, when their file seals them, and never change
+//! afterwards.
 //!
 //! The same module owns the **binary value codec** the spill paths encode
 //! records with. The codec is exact, not lossy: floats round-trip by raw
@@ -24,20 +23,13 @@ use crate::{Result, StorageError};
 /// Size of one page in bytes — the unit of spill-file I/O.
 pub const PAGE_SIZE: usize = 8192;
 
-/// Page header: slot count (u16) + free-space upper bound (u16).
-const HEADER_BYTES: usize = 4;
-/// One slot directory entry: payload offset (u16) + payload length (u16).
-const SLOT_BYTES: usize = 4;
-/// Directory offset marking a deleted slot.
-const TOMBSTONE: u16 = u16::MAX;
+/// Page header: the number of record bytes the page holds (u16).
+const HEADER_BYTES: usize = 2;
 
-/// Largest payload a single slot can hold (an empty page minus header and
-/// one directory entry). Longer records are fragmented across slots by the
-/// heap-file layer.
-pub const MAX_PAYLOAD: usize = PAGE_SIZE - HEADER_BYTES - SLOT_BYTES;
+/// Record bytes one page can hold.
+pub(crate) const PAGE_CAPACITY: usize = PAGE_SIZE - HEADER_BYTES;
 
-/// A fixed-size slotted page.
-#[derive(Clone)]
+/// A fixed-size page of record bytes.
 pub struct Page {
     data: Box<[u8]>,
 }
@@ -49,11 +41,11 @@ impl Default for Page {
 }
 
 impl Page {
-    /// An empty page: zero slots, all of the body free.
+    /// An empty page.
     pub fn new() -> Page {
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        data[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        Page { data }
+        Page {
+            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+        }
     }
 
     /// Rehydrates a page from its on-disk image, validating the header.
@@ -64,14 +56,12 @@ impl Page {
                 bytes.len()
             )));
         }
-        let page = Page {
-            data: bytes.to_vec().into_boxed_slice(),
-        };
-        let dir_end = HEADER_BYTES + page.slot_count() as usize * SLOT_BYTES;
-        if page.upper() as usize > PAGE_SIZE || dir_end > page.upper() as usize {
-            return Err(StorageError::Corrupt(
-                "page header inconsistent with its slot directory".to_string(),
-            ));
+        let page = Page { data: bytes.into() };
+        if page.used() > PAGE_CAPACITY {
+            return Err(StorageError::Corrupt(format!(
+                "page header claims {} bytes, a page holds {PAGE_CAPACITY}",
+                page.used()
+            )));
         }
         Ok(page)
     }
@@ -81,94 +71,35 @@ impl Page {
         &self.data
     }
 
-    /// Number of slots (live and tombstoned).
-    pub fn slot_count(&self) -> u16 {
-        u16::from_le_bytes([self.data[0], self.data[1]])
+    fn used(&self) -> usize {
+        u16::from_le_bytes([self.data[0], self.data[1]]) as usize
     }
 
-    fn upper(&self) -> u16 {
-        u16::from_le_bytes([self.data[2], self.data[3]])
+    /// The record bytes the page holds, in append order.
+    pub fn payload(&self) -> &[u8] {
+        &self.data[HEADER_BYTES..HEADER_BYTES + self.used()]
     }
 
-    fn set_slot_count(&mut self, n: u16) {
-        self.data[0..2].copy_from_slice(&n.to_le_bytes());
+    /// `true` when the page holds no record bytes.
+    pub fn is_empty(&self) -> bool {
+        self.used() == 0
     }
 
-    fn set_upper(&mut self, upper: u16) {
-        self.data[2..4].copy_from_slice(&upper.to_le_bytes());
-    }
-
-    fn slot_entry(&self, slot: u16) -> (u16, u16) {
-        let at = HEADER_BYTES + slot as usize * SLOT_BYTES;
-        (
-            u16::from_le_bytes([self.data[at], self.data[at + 1]]),
-            u16::from_le_bytes([self.data[at + 2], self.data[at + 3]]),
-        )
-    }
-
-    /// Payload bytes available to one more insert (its directory entry
-    /// already accounted for).
-    pub fn free_space(&self) -> usize {
-        let dir_end = HEADER_BYTES + (self.slot_count() as usize + 1) * SLOT_BYTES;
-        (self.upper() as usize).saturating_sub(dir_end)
-    }
-
-    /// Inserts a payload, returning its slot id, or `None` when the payload
-    /// does not fit in the remaining free space.
-    pub fn insert(&mut self, payload: &[u8]) -> Option<u16> {
-        if payload.len() > self.free_space() {
-            return None;
-        }
-        let slot = self.slot_count();
-        let upper = self.upper() as usize;
-        let new_upper = upper - payload.len();
-        self.data[new_upper..upper].copy_from_slice(payload);
-        let at = HEADER_BYTES + slot as usize * SLOT_BYTES;
-        self.data[at..at + 2].copy_from_slice(&(new_upper as u16).to_le_bytes());
-        self.data[at + 2..at + 4].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.set_slot_count(slot + 1);
-        self.set_upper(new_upper as u16);
-        Some(slot)
-    }
-
-    /// The payload of a slot, or `None` for an out-of-range or deleted slot.
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let (offset, len) = self.slot_entry(slot);
-        if offset == TOMBSTONE {
-            return None;
-        }
-        Some(&self.data[offset as usize..offset as usize + len as usize])
-    }
-
-    /// Tombstones a slot; returns `false` when the slot does not exist or is
-    /// already deleted. The payload bytes are not reclaimed.
-    pub fn delete(&mut self, slot: u16) -> bool {
-        if slot >= self.slot_count() {
-            return false;
-        }
-        let at = HEADER_BYTES + slot as usize * SLOT_BYTES;
-        if u16::from_le_bytes([self.data[at], self.data[at + 1]]) == TOMBSTONE {
-            return false;
-        }
-        self.data[at..at + 2].copy_from_slice(&TOMBSTONE.to_le_bytes());
-        true
-    }
-
-    /// Iterates the live slots in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|p| (s, p)))
+    /// Appends as much of `bytes` as fits and returns how many bytes that
+    /// was (zero once the page is full).
+    pub fn append(&mut self, bytes: &[u8]) -> usize {
+        let used = self.used();
+        let n = bytes.len().min(PAGE_CAPACITY - used);
+        let at = HEADER_BYTES + used;
+        self.data[at..at + n].copy_from_slice(&bytes[..n]);
+        self.data[..HEADER_BYTES].copy_from_slice(&((used + n) as u16).to_le_bytes());
+        n
     }
 }
 
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Page")
-            .field("slots", &self.slot_count())
-            .field("free", &self.free_space())
-            .finish()
+        f.debug_struct("Page").field("used", &self.used()).finish()
     }
 }
 
@@ -289,52 +220,37 @@ mod tests {
 
     #[test]
     fn empty_page_has_full_body_free() {
-        let page = Page::new();
-        assert_eq!(page.slot_count(), 0);
-        assert_eq!(page.free_space(), MAX_PAYLOAD);
-        assert!(page.get(0).is_none());
+        let mut page = Page::new();
+        assert!(page.is_empty());
+        assert!(page.payload().is_empty());
+        assert_eq!(page.append(&vec![1u8; PAGE_CAPACITY + 1]), PAGE_CAPACITY);
+        assert!(!page.is_empty());
     }
 
     #[test]
-    fn insert_get_delete_round_trip() {
+    fn append_takes_what_fits_in_order() {
         let mut page = Page::new();
-        let a = page.insert(b"alpha").unwrap();
-        let b = page.insert(b"").unwrap();
-        let c = page.insert(&[7u8; 100]).unwrap();
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(page.get(a), Some(&b"alpha"[..]));
-        assert_eq!(page.get(b), Some(&b""[..]));
-        assert_eq!(page.get(c), Some(&[7u8; 100][..]));
-        assert!(page.delete(b));
-        assert!(!page.delete(b), "double delete is rejected");
-        assert_eq!(page.get(b), None);
-        let live: Vec<u16> = page.iter().map(|(s, _)| s).collect();
-        assert_eq!(live, vec![a, c]);
-    }
-
-    #[test]
-    fn insert_rejects_what_does_not_fit() {
-        let mut page = Page::new();
-        assert!(page.insert(&vec![0u8; MAX_PAYLOAD + 1]).is_none());
-        assert!(page.insert(&vec![1u8; MAX_PAYLOAD]).is_some());
-        assert_eq!(page.free_space(), 0);
-        assert!(page.insert(b"x").is_none(), "page is full");
+        assert_eq!(page.append(b"alpha"), 5);
+        assert_eq!(page.append(b""), 0);
+        assert_eq!(page.append(&vec![7u8; PAGE_CAPACITY]), PAGE_CAPACITY - 5);
+        assert_eq!(page.append(b"x"), 0, "page is full");
+        assert_eq!(&page.payload()[..5], b"alpha");
+        assert_eq!(page.payload().len(), PAGE_CAPACITY);
     }
 
     #[test]
     fn disk_image_round_trips() {
         let mut page = Page::new();
-        page.insert(b"one").unwrap();
-        page.insert(b"two").unwrap();
-        page.delete(0);
+        page.append(b"one two");
         let copy = Page::from_bytes(page.as_bytes()).unwrap();
-        assert_eq!(copy.slot_count(), 2);
-        assert_eq!(copy.get(0), None);
-        assert_eq!(copy.get(1), Some(&b"two"[..]));
+        assert_eq!(copy.payload(), b"one two");
         assert!(Page::from_bytes(&[0u8; 16]).is_err(), "wrong length");
         let mut bogus = vec![0u8; PAGE_SIZE];
-        bogus[0] = 255; // 255 slots but upper = 0: directory overlaps payloads
-        assert!(Page::from_bytes(&bogus).is_err());
+        bogus[..HEADER_BYTES].copy_from_slice(&(PAGE_CAPACITY as u16 + 1).to_le_bytes());
+        assert!(matches!(
+            Page::from_bytes(&bogus),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! fixed width over attribute `b`, exactly as in the paper's experiments
 //! (Figures 7–9).
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod queries;
 pub mod sqlgen;

@@ -10,6 +10,8 @@
 //! only uncorrelated sublinks and can therefore also be handled by the Left
 //! and Move strategies.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod queries;
 pub mod schema;

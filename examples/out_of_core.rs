@@ -6,10 +6,10 @@
 //! degradation ladder ends in `ResourceExhausted` once an operator's
 //! working state cannot fit. Setting [`perm::SessionConfig::spill`] adds
 //! the out-of-core rungs before that last resort: the hash join goes
-//! grace (build and probe sides partitioned to slotted-page heap files),
-//! and the sort switches to external merge runs. Spilled state is read
-//! back through a pinning buffer pool, and the result is row-for-row
-//! identical to the unbudgeted run.
+//! grace (build and probe sides partitioned to heap files), and the sort
+//! switches to external merge runs. Each spill file is written once, sealed
+//! and then streamed back in order through a read-only buffer pool, and
+//! the result is row-for-row identical to the unbudgeted run.
 //!
 //! Run with `cargo run --example out_of_core`.
 

@@ -111,6 +111,8 @@
 //! This facade crate hosts the [`Engine`]/[`Session`] serving layer, the
 //! runnable examples and the cross-crate integration tests.
 
+#![forbid(unsafe_code)]
+
 mod session;
 
 pub use perm_algebra as algebra;

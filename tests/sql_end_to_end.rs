@@ -262,3 +262,32 @@ fn order_by_resolves_a_qualified_column_of_a_self_join() {
     let witnesses = provenance_of_sql(&db, sql, Strategy::Auto).unwrap();
     assert_eq!(witnesses.len(), 4);
 }
+
+#[test]
+fn limit_provenance_with_a_repeated_output_name() {
+    // Used to fail with `ambiguous attribute b`: the limit rule joins the
+    // limited result back to its input, and joined on bare output names.
+    let db = grouped_pair_db();
+    let sql = "SELECT x.a, x.b, y.b FROM r1 x, r1 y WHERE x.g = y.g ORDER BY x.b LIMIT 4";
+    assert_eq!(run(&db, sql).unwrap().len(), 4);
+    for strategy in [Strategy::Gen, Strategy::Auto] {
+        let session = Session::with_config(
+            &db,
+            SessionConfig {
+                strategy,
+                ..SessionConfig::default()
+            },
+        );
+        let prepared = session.prepare_provenance(sql).unwrap();
+        let witnesses = session.execute(&prepared, &[]).unwrap();
+        let reference = Executor::new(&db)
+            .execute_unoptimized(prepared.bound_plan())
+            .unwrap();
+        assert!(
+            witnesses.bag_eq(&reference),
+            "{strategy}:\n{witnesses}\nvs\n{reference}"
+        );
+        assert_eq!(witnesses.len(), 4, "{strategy}: one (x, y) pair per row");
+        assert_eq!(witnesses.schema().arity(), 3 + 3 + 3);
+    }
+}
