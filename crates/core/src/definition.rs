@@ -72,9 +72,7 @@ impl<'a> BruteForce<'a> {
             db.create_or_replace_table(name.clone(), subset.clone());
         }
         let executor = Executor::new(&db);
-        executor
-            .execute(self.plan)
-            .map_err(|e| ProvenanceError::Exec(e.to_string()))
+        executor.execute(self.plan).map_err(ProvenanceError::Exec)
     }
 
     /// Condition 1: the subsets produce exactly the singleton bag `{t}` when
@@ -164,7 +162,7 @@ impl<'a> BruteForce<'a> {
         let env = Env::new(None, input_schema, input_tuple);
         let value = Interpreter::new(&executor)
             .eval_expr(sublink_expr, Some(&env))
-            .map_err(|e| ProvenanceError::Exec(e.to_string()))?;
+            .map_err(ProvenanceError::Exec)?;
         Ok(value.as_truth())
     }
 

@@ -25,10 +25,10 @@
 //!   sublink strategies **Gen**, **Left**, **Move** and **Unn** of Figure 5,
 //!   together with applicability analysis and a provenance query API
 //!   ([`ProvenanceQuery`]).
-//! * [`trace`] — the structured execution-trace sink ([`TraceSink`] with the
-//!   bounded [`RingTraceSink`] default) that the session facade and the
-//!   executor's resilience governor emit phase spans, memo, spill,
-//!   degradation and cancellation events into.
+//!
+//! The structured execution-trace types ([`TraceSink`], [`TraceEvent`],
+//! the bounded [`RingTraceSink`]) live in `perm-exec`, whose governor
+//! writes the events; they are re-exported here, module path included.
 //!
 //! ```
 //! use perm_core::{ProvenanceQuery, Strategy};
@@ -66,9 +66,9 @@ pub mod definition;
 pub mod provschema;
 pub mod rewrite;
 pub mod roles;
-pub mod trace;
 pub mod tracer;
 
+pub use perm_exec::trace;
 pub use provschema::{ProvEntry, ProvenanceDescriptor};
 pub use rewrite::{ProvenanceQuery, ProvenanceRewriter, RewriteResult, Strategy};
 pub use roles::InfluenceRole;
@@ -85,8 +85,9 @@ pub enum ProvenanceError {
     Storage(StorageError),
     /// Plan construction/validation failure.
     Algebra(String),
-    /// Execution failure (used by the tracer and the definition checkers).
-    Exec(String),
+    /// Execution failure (used by the tracer and the definition checkers),
+    /// kept typed so a caller can match e.g. [`ExecError::DivisionByZero`].
+    Exec(ExecError),
     /// The requested strategy cannot rewrite this query (e.g. Left/Move/Unn
     /// on a correlated sublink). The caller can fall back to `Gen`.
     NotApplicable {
@@ -102,7 +103,7 @@ impl std::fmt::Display for ProvenanceError {
         match self {
             ProvenanceError::Storage(e) => write!(f, "{e}"),
             ProvenanceError::Algebra(msg) => write!(f, "algebra error: {msg}"),
-            ProvenanceError::Exec(msg) => write!(f, "execution error: {msg}"),
+            ProvenanceError::Exec(e) => write!(f, "execution error: {e}"),
             ProvenanceError::NotApplicable { strategy, reason } => {
                 write!(f, "strategy {strategy} is not applicable: {reason}")
             }
@@ -115,6 +116,7 @@ impl std::error::Error for ProvenanceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProvenanceError::Storage(e) => Some(e),
+            ProvenanceError::Exec(e) => Some(e),
             _ => None,
         }
     }
@@ -134,7 +136,7 @@ impl From<AlgebraError> for ProvenanceError {
 
 impl From<ExecError> for ProvenanceError {
     fn from(e: ExecError) -> Self {
-        ProvenanceError::Exec(e.to_string())
+        ProvenanceError::Exec(e)
     }
 }
 

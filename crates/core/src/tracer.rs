@@ -626,7 +626,7 @@ impl<'p> Trace<'p> {
                 let result = self
                     .interp
                     .execute(plan, env)
-                    .map_err(|e| ProvenanceError::Exec(e.to_string()))?;
+                    .map_err(ProvenanceError::Exec)?;
                 let mut rows = Vec::new();
                 for tuple in result.tuples() {
                     let mut witnesses = Vec::new();
@@ -961,5 +961,36 @@ mod tests {
             let from_right = !t.get(3).is_null();
             assert!(from_left ^ from_right, "exactly one branch contributes");
         }
+    }
+
+    #[test]
+    fn an_execution_error_keeps_its_type() {
+        // Π_{1 / b}(T) over a row with b = 0: the caller matches the
+        // executor's variant, not a message.
+        let mut db = Database::new();
+        db.create_table(
+            "t",
+            Relation::from_rows(
+                Schema::new(vec![Attribute::qualified("t", "b", DataType::Int)]),
+                vec![vec![Value::Int(2)], vec![Value::Int(0)]],
+            ),
+        )
+        .unwrap();
+        let inverse = perm_algebra::builder::binary(perm_algebra::BinaryOp::Div, lit(1), col("b"));
+        let q = PlanBuilder::scan(&db, "t")
+            .unwrap()
+            .project(vec![ProjectItem::new(inverse, "inv")])
+            .build();
+        let err = Tracer::new(&db).trace(&q).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ProvenanceError::Exec(perm_exec::ExecError::DivisionByZero)
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "execution error: division by zero");
+        let source = std::error::Error::source(&err).expect("the wrapped error");
+        assert_eq!(source.to_string(), "division by zero");
     }
 }

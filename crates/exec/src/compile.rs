@@ -43,6 +43,7 @@ use crate::memo::StatementMemo;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
+use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
 use perm_algebra::visit::{free_correlated_columns, free_params};
 use perm_algebra::{
@@ -928,18 +929,19 @@ impl Executor<'_> {
         body: impl FnOnce() -> Result<Relation>,
     ) -> Result<Relation> {
         let Some(node) = prof else { return body() };
-        let spilled0 = self.governor.spilled_bytes();
-        let parts0 = self.governor.spill_partitions();
-        let colfb0 = self.columnar_fallback_rows();
+        let before = self.stats();
         let result = body();
+        let after = self.stats();
         let s = &node.stats;
         s.rows_in.set(s.rows_in.get() + rows_in);
         s.spilled_bytes
-            .set(s.spilled_bytes.get() + (self.governor.spilled_bytes() - spilled0));
+            .set(s.spilled_bytes.get() + (after.spilled_bytes - before.spilled_bytes));
         s.spill_partitions
-            .set(s.spill_partitions.get() + (self.governor.spill_partitions() - parts0));
-        s.columnar_fallback_rows
-            .set(s.columnar_fallback_rows.get() + (self.columnar_fallback_rows() - colfb0));
+            .set(s.spill_partitions.get() + (after.spill_partitions - before.spill_partitions));
+        s.columnar_fallback_rows.set(
+            s.columnar_fallback_rows.get()
+                + (after.columnar_fallback_rows - before.columnar_fallback_rows),
+        );
         if let Ok(rel) = &result {
             s.rows_out.set(s.rows_out.get() + rel.len() as u64);
         }
@@ -965,7 +967,7 @@ impl Executor<'_> {
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
         let gov = &self.governor;
-        let probe = OpProbe::new(&self.ops_evaluated, prof.map(|p| &p.stats));
+        let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
         match plan {
             CompiledNode::Scan { table, schema } => self.profiled(prof, 0, || {
                 physical::scan(probe, gov, self.database(), table, schema)
@@ -1149,7 +1151,7 @@ impl Executor<'_> {
         }
         let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
         let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-        let probe = OpProbe::new(&self.ops_evaluated, prof.map(|p| &p.stats));
+        let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
         self.profiled(prof, (l.len() + r.len()) as u64, || {
             physical::join(
                 probe,
@@ -1214,8 +1216,7 @@ impl Executor<'_> {
         }
         match item {
             CompiledExpr::Slot(slot) if slot.depth == 0 => {
-                self.batches_vectorized
-                    .set(self.batches_vectorized.get() + 1);
+                self.governor.count().vectorized_batches += 1;
                 Some(gather_values(batch, slot.index))
             }
             _ => None,
@@ -1271,8 +1272,7 @@ impl Executor<'_> {
         if self.batch_enabled.get() && self.columnar_enabled.get() && !batch.is_empty() {
             if let CompiledExpr::Slot(slot) = expr {
                 if slot.depth == 0 {
-                    self.batches_vectorized
-                        .set(self.batches_vectorized.get() + 1);
+                    self.governor.count().vectorized_batches += 1;
                     *out = classify_rows(batch, slot.index);
                     return Ok(());
                 }
@@ -1304,10 +1304,10 @@ impl Executor<'_> {
     ///
     /// Batching on (the default), the whole batch is evaluated at once —
     /// one dispatch per expression node per batch instead of per row — and
-    /// counts one on [`Executor::batches_vectorized`]. Batching off, each
-    /// live row is evaluated as a batch of one (no column block, nothing
-    /// counted there), on which expression-major order *is* row-major
-    /// order. Either way the same (row, subexpression) pairs are evaluated,
+    /// counts one on [`crate::SessionStats::vectorized_batches`]. Batching
+    /// off, each live row is evaluated as a batch of one (no column block,
+    /// nothing counted there), on which expression-major order *is*
+    /// row-major order. Either way the same (row, subexpression) pairs are evaluated,
     /// because evaluation follows the selection:
     ///
     /// * `AND`/`OR` evaluate their right operand only over the sub-selection
@@ -1346,8 +1346,7 @@ impl Executor<'_> {
             }
             return Ok(ColumnVec::Values(values));
         }
-        self.batches_vectorized
-            .set(self.batches_vectorized.get() + 1);
+        self.governor.count().vectorized_batches += 1;
         self.ceval_typed(expr, batch, outer)
     }
 
@@ -1411,8 +1410,7 @@ impl Executor<'_> {
                 let r = self.ceval_typed(right, batch, outer)?;
                 let (col, fell_back) = crate::kernels::binary_column(*op, l, r)?;
                 if fell_back {
-                    self.columnar_fallback_rows
-                        .set(self.columnar_fallback_rows.get() + n as u64);
+                    self.governor.count().columnar_fallback_rows += n as u64;
                 }
                 Ok(col)
             }
@@ -1420,8 +1418,7 @@ impl Executor<'_> {
                 let v = self.ceval_typed(expr, batch, outer)?;
                 let (col, fell_back) = crate::kernels::unary_column(*op, v)?;
                 if fell_back {
-                    self.columnar_fallback_rows
-                        .set(self.columnar_fallback_rows.get() + n as u64);
+                    self.governor.count().columnar_fallback_rows += n as u64;
                 }
                 Ok(col)
             }
@@ -1465,7 +1462,7 @@ impl Executor<'_> {
         }
         if let Some(block) = batch.columns() {
             if block.note_first_use() {
-                self.columnar_blocks.set(self.columnar_blocks.get() + 1);
+                self.governor.count().columnar_blocks += 1;
             }
             return match batch.selection() {
                 None => block.lane(batch.rows(), index).clone(),
@@ -1619,7 +1616,7 @@ impl Executor<'_> {
     /// correlation signature is empty — any row's scope will do, the
     /// sublink reads no slot of it — and once per live row otherwise, with
     /// the row's bindings in its frame; those rows count on
-    /// [`Executor::batch_fallback_rows`] and `columnar_fallback_rows`. An
+    /// `sublink_fallback_rows` and `columnar_fallback_rows`. An
     /// uncorrelated `EXISTS` or scalar value is broadcast (a scalar keeps
     /// its typed lane); `ANY` / `ALL` verdicts come out as a `Bool` lane.
     /// Callers only get here with a live row, so a sublink behind an empty
@@ -1667,10 +1664,8 @@ impl Executor<'_> {
             }
         };
         if shared.is_none() {
-            self.batch_fallback_rows
-                .set(self.batch_fallback_rows.get() + n as u64);
-            self.columnar_fallback_rows
-                .set(self.columnar_fallback_rows.get() + n as u64);
+            self.governor.count().sublink_fallback_rows += n as u64;
+            self.governor.count().columnar_fallback_rows += n as u64;
         }
         Ok(col)
     }
@@ -1732,11 +1727,11 @@ impl Executor<'_> {
     /// key contract is documented on the private `compiled_sublink_key` —
     /// and otherwise built from one execution of the sublink plan and
     /// memoized. Summaries are shared as `Arc`s, and errors are never
-    /// cached. Every lookup counts once on [`Executor::memo_hits`] or
-    /// [`Executor::memo_misses`]. An `EXISTS` or scalar lookup
-    /// polls a cancellation checkpoint first; an `ANY`/`ALL` one polls it
-    /// only before executing on a miss. Every row an `ANY`/`ALL` probe is
-    /// built from counts on [`Executor::quantifier_comparisons`].
+    /// cached. Every lookup counts once on `memo_hits` or `memo_misses`.
+    /// An `EXISTS` or scalar lookup polls a cancellation checkpoint first;
+    /// an `ANY`/`ALL` one polls it only before executing on a miss. Every
+    /// row an `ANY`/`ALL` probe is built from counts on
+    /// `quantifier_comparisons`.
     fn sublink_summary(
         &self,
         sublink: &CompiledSublink,
@@ -1755,17 +1750,18 @@ impl Executor<'_> {
         let tree = self.profile.borrow().upgrade();
         let sub_prof = tree.as_ref().and_then(|t| t.sublink(sublink.id));
         if let Some(hit) = key.as_ref().and_then(|k| sublink.memo.get(k)) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+            self.governor.count().memo_hits += 1;
             if let Some(p) = sub_prof {
                 p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
             }
-            self.governor.trace_memo_hit("sublink-memo");
+            self.governor
+                .emit(|| TraceEvent::new(TraceKind::MemoHit, "sublink-memo", 0));
             return Ok(hit);
         }
         if quantified {
             self.governor.checkpoint("sublink")?;
         }
-        self.memo_misses.set(self.memo_misses.get() + 1);
+        self.governor.count().memo_misses += 1;
         if let Some(p) = sub_prof {
             p.stats.memo_misses.set(p.stats.memo_misses.get() + 1);
         }
@@ -1773,8 +1769,7 @@ impl Executor<'_> {
             self.execute_compiled_node(&sublink.plan, frame, sub_prof.map(|p| p.as_ref()))?;
         let summary = Arc::new(SublinkSummary::build(sublink.kind, &result)?);
         if quantified {
-            self.cmp_evaluated
-                .set(self.cmp_evaluated.get() + result.len() as u64);
+            self.governor.count().quantifier_comparisons += result.len() as u64;
         }
         if let Some(k) = key {
             let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
@@ -2162,7 +2157,7 @@ mod tests {
         let memoized = Executor::new(&db);
         let with_memo = memoized.execute(&q).unwrap();
         assert_eq!(
-            memoized.quantifier_comparisons(),
+            memoized.stats().quantifier_comparisons,
             3 * 4,
             "one probe per binding"
         );
@@ -2171,7 +2166,7 @@ mod tests {
         let without_memo = unmemoized.execute(&q).unwrap();
         assert!(with_memo.bag_eq(&without_memo));
         assert_eq!(
-            unmemoized.quantifier_comparisons(),
+            unmemoized.stats().quantifier_comparisons,
             60 * 4,
             "one probe per row"
         );
@@ -2191,7 +2186,7 @@ mod tests {
         let interp = Executor::new(&db);
         let interp_result = interp.execute_unoptimized(&q).unwrap();
         assert!(interp_result.bag_eq(&with_memo));
-        assert_eq!(interp.quantifier_comparisons(), folded);
+        assert_eq!(interp.stats().quantifier_comparisons, folded);
     }
 
     #[test]

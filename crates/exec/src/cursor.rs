@@ -144,8 +144,8 @@ pub(crate) fn streams_lazily(plan: &CompiledNode) -> bool {
 
 impl<'a> Executor<'a> {
     /// Opens a streaming cursor over a compiled top-level plan. Streamable
-    /// spine operators are counted on [`Executor::operators_evaluated`] once
-    /// at open time (one evaluation per operator invocation, exactly like
+    /// spine operators are counted on `operators_evaluated` once at open
+    /// time (one evaluation per operator invocation, exactly like
     /// the materialising path); pipeline breakers below the spine execute
     /// eagerly here. Fails with [`crate::ExecError::Param`] before anything
     /// is counted or executed when fewer parameters are bound than the plan
@@ -216,7 +216,7 @@ impl<'a> Executor<'a> {
         // timer is dropped immediately: spine wall time is recorded per
         // refill by `fill`, not at open.
         let count = |prof: Option<&Rc<ProfNode>>| {
-            let probe = OpProbe::new(&self.ops_evaluated, prof.map(|p| &p.stats));
+            let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
             drop(profile::begin(&probe));
         };
         Ok(match plan {

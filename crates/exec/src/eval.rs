@@ -210,7 +210,7 @@ impl<'p> Interpreter<'p> {
                 check_quantified_arity(&result)?;
                 // The reference folds; every row it compares is counted.
                 let rows = result.tuples().iter().map(|row| {
-                    self.ex.cmp_evaluated.set(self.ex.cmp_evaluated.get() + 1);
+                    self.ex.governor.count().quantifier_comparisons += 1;
                     row.get(0)
                 });
                 Ok(fold_quantified(kind, op, &test_value, rows).to_value())

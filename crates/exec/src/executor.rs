@@ -47,22 +47,24 @@
 use crate::compile::CompiledPlan;
 use crate::interpreter::Interpreter;
 use crate::profile::ProfileTree;
-use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, TraceSignal};
+use crate::resilience::{CancelToken, FaultPlan, Governor};
+use crate::trace::TraceSink;
 use crate::{ExecError, Result};
 use perm_algebra::visit::param_count;
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
     /// The resilience governor: installed cancel token / fault plan /
-    /// memory budget plus the `cancel_checks` and `peak_bytes` counters.
-    /// Polled at batch boundaries by `crate::physical`, at cursor refills
-    /// and at memoized-sublink entry.
+    /// memory budget / trace sink, plus the counter registry
+    /// [`Executor::stats`] snapshots. Polled at batch boundaries by
+    /// `crate::physical`, at cursor refills and at memoized-sublink entry.
     pub(crate) governor: Governor,
     /// The query-parameter vector (`$1` is index 0) bound for the current
     /// execution. Shared as an `Rc` so a streaming cursor can cheaply
@@ -77,45 +79,16 @@ pub struct Executor<'a> {
     /// The entry bound of the memo of each statement [`Executor::prepare`]
     /// compiles (see [`Executor::with_memo_capacity`]).
     memo_capacity: Cell<Option<usize>>,
-    /// Compiled-path sublink lookups a statement memo served, and lookups
-    /// that executed the sublink (diagnostic counters).
-    pub(crate) memo_hits: Cell<u64>,
-    pub(crate) memo_misses: Cell<u64>,
-    /// Number of plan compilations performed by [`Executor::prepare`]
-    /// (diagnostic counter for prepared-statement tests).
-    compile_count: Cell<u64>,
-    /// Number of operator evaluations performed (for tests/diagnostics);
-    /// counted inside `crate::physical`, once per operator invocation.
-    pub(crate) ops_evaluated: Cell<u64>,
-    /// `ANY`/`ALL` result rows compared: folded by the interpreter, or
-    /// summarised into a probe on the compiled path (for tests and
-    /// diagnostics).
-    pub(crate) cmp_evaluated: Cell<u64>,
     /// Whether the compiled evaluator takes whole batches at once (the
     /// default) or each live row as a batch of one (a mode of the
     /// differential tests). Read by `ceval_batch` and the bare-slot
     /// bypasses alone; results are identical either way.
     pub(crate) batch_enabled: Cell<bool>,
-    /// Number of expression-over-batch evaluations performed by the
-    /// vectorized compiled evaluator (diagnostic; one per expression per
-    /// batch).
-    pub(crate) batches_vectorized: Cell<u64>,
-    /// Rows a correlated sublink was looked up for one at a time, with the
-    /// row's bindings (an uncorrelated one is looked up once per batch).
-    pub(crate) batch_fallback_rows: Cell<u64>,
     /// Whether depth-0 slots of the vectorized compiled evaluator load
     /// typed columnar lanes (the default) or `Value` lanes (a mode of the
     /// differential tests, in which every kernel takes its scalar
     /// fallback). Results are identical either way.
     pub(crate) columnar_enabled: Cell<bool>,
-    /// Number of [`crate::batch::ColumnBlock`]s that served at least one
-    /// columnar lane access (diagnostic; one per block touched, not per
-    /// access).
-    pub(crate) columnar_blocks: Cell<u64>,
-    /// Rows whose columnar evaluation fell back to the row-major scalar
-    /// path: mixed-type (`Values`) lanes, lane pairings without a typed
-    /// kernel, integer-overflow retries, and correlated-sublink subtrees.
-    pub(crate) columnar_fallback_rows: Cell<u64>,
     /// The armed `EXPLAIN ANALYZE` profile tree, held weakly: only the
     /// memoized-sublink seam reads it (to attribute memo hits/misses and
     /// sublink executions by sublink id — ids are process-unique, so a plan
@@ -140,17 +113,8 @@ impl<'a> Executor<'a> {
             memo_enabled: Cell::new(true),
             retain_memo: Cell::new(true),
             memo_capacity: Cell::new(None),
-            memo_hits: Cell::new(0),
-            memo_misses: Cell::new(0),
-            compile_count: Cell::new(0),
-            ops_evaluated: Cell::new(0),
-            cmp_evaluated: Cell::new(0),
             batch_enabled: Cell::new(true),
-            batches_vectorized: Cell::new(0),
-            batch_fallback_rows: Cell::new(0),
             columnar_enabled: Cell::new(true),
-            columnar_blocks: Cell::new(0),
-            columnar_fallback_rows: Cell::new(0),
             profile: RefCell::new(Weak::new()),
         }
     }
@@ -167,30 +131,13 @@ impl<'a> Executor<'a> {
     /// Enables or disables vectorized batch evaluation on the compiled path
     /// (enabled by default). Disabled, the one compiled evaluator runs every
     /// live row as a batch of one — no column block, nothing counted on
-    /// [`Executor::batches_vectorized`] — the pre-batching cost profile,
-    /// kept as a mode of `tests/differential.rs` and
+    /// [`crate::SessionStats::vectorized_batches`] — the pre-batching cost
+    /// profile, kept as a mode of `tests/differential.rs` and
     /// `tests/profile_differential.rs`. Results, errors and
     /// `operators_evaluated` are identical in both modes.
     pub fn with_batching(self, enabled: bool) -> Executor<'a> {
         self.batch_enabled.set(enabled);
         self
-    }
-
-    /// Number of expression-over-batch evaluations performed so far by the
-    /// vectorized compiled evaluator (diagnostic counter; one per
-    /// expression per batch of up to [`crate::BATCH_ROWS`] rows; zero with
-    /// batching off, see [`Executor::with_batching`]).
-    pub fn batches_vectorized(&self) -> u64 {
-        self.batches_vectorized.get()
-    }
-
-    /// Number of rows a correlated sublink was looked up for one at a time
-    /// (diagnostic counter): its summary is read from, or built into, the
-    /// statement's memo under each live row's bindings. An uncorrelated
-    /// sublink is looked up once per batch and counts nothing here. Counted
-    /// alike with batching on and off.
-    pub fn batch_fallback_rows(&self) -> u64 {
-        self.batch_fallback_rows.get()
     }
 
     /// Enables or disables typed lanes on the vectorized compiled path
@@ -206,31 +153,6 @@ impl<'a> Executor<'a> {
     pub fn with_columnar(self, enabled: bool) -> Executor<'a> {
         self.columnar_enabled.set(enabled);
         self
-    }
-
-    /// Whether typed lanes are enabled on the vectorized compiled path
-    /// (see [`Executor::with_columnar`]).
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar_enabled.get()
-    }
-
-    /// Number of column blocks that served at least one columnar lane
-    /// access so far (diagnostic counter; a block of up to
-    /// [`crate::BATCH_ROWS`] rows counts once however many lanes and
-    /// expressions touch it).
-    pub fn columnar_blocks(&self) -> u64 {
-        self.columnar_blocks.get()
-    }
-
-    /// Number of rows whose columnar evaluation fell back to the row-major
-    /// scalar path (diagnostic counter): mixed-type lanes, lane pairings
-    /// without a typed kernel, integer-overflow retries, and rows a
-    /// correlated sublink was looked up for (which are also counted in
-    /// [`Executor::batch_fallback_rows`]). With typed lanes disabled
-    /// ([`Executor::with_columnar`]) slots load `Values` lanes, so every
-    /// operator over a slot counts its rows here.
-    pub fn columnar_fallback_rows(&self) -> u64 {
-        self.columnar_fallback_rows.get()
     }
 
     /// Enables or disables the parameterized sublink memos (enabled by
@@ -302,7 +224,7 @@ impl<'a> Executor<'a> {
     /// sort, partitioned aggregation) instead of failing, demoting
     /// [`ExecError::ResourceExhausted`] to a last resort. Results are bag-
     /// and order-identical to in-memory execution; only the spill counters
-    /// ([`Executor::spilled_bytes`] &c.) can tell the difference.
+    /// of [`crate::SessionStats`] can tell the difference.
     pub fn with_spill(self, enabled: bool) -> Executor<'a> {
         self.governor.set_spill_enabled(enabled);
         self
@@ -316,50 +238,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Worst [`Degradation`] rung reached so far under memory pressure.
-    pub fn degradation(&self) -> Degradation {
-        self.governor.degradation()
-    }
-
-    /// Total payload bytes written to spill files so far.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.governor.spilled_bytes()
-    }
-
-    /// Spill partition files and sort runs created so far.
-    pub fn spill_partitions(&self) -> u64 {
-        self.governor.spill_partitions()
-    }
-
-    /// Buffer-pool hits while reading spill files.
-    pub fn buffer_pool_hits(&self) -> u64 {
-        self.governor.buffer_pool_hits()
-    }
-
-    /// Buffer-pool misses (page loads from disk) while reading spill files.
-    pub fn buffer_pool_misses(&self) -> u64 {
-        self.governor.buffer_pool_misses()
-    }
-
-    /// Buffer-pool frame evictions while reading spill files.
-    pub fn buffer_pool_evictions(&self) -> u64 {
-        self.governor.buffer_pool_evictions()
-    }
-
-    /// Installs (or clears, with `None`) a structured-trace hook: the
-    /// governor and the memoized-sublink seams call it with a
-    /// [`TraceSignal`] on memo inserts and hits, degradation rung
-    /// transitions, and cancellation checkpoints that fired. The
-    /// session facade bridges these into its `TraceSink`; with no hook
-    /// installed the emission sites cost one `Option` check.
-    pub fn set_trace_hook(&self, hook: Option<Rc<dyn Fn(TraceSignal)>>) {
-        self.governor.set_trace_hook(hook);
-    }
-
-    /// Configured buffer-pool frame capacity (0 until a spill manager — and
-    /// with it a pool — has been created).
-    pub fn buffer_pool_capacity(&self) -> u64 {
-        self.governor.buffer_pool_capacity()
+    /// Installs (or clears, with `None`) the [`TraceSink`] the executor
+    /// writes its [`TraceEvent`](crate::TraceEvent)s into: sublink-memo
+    /// inserts and hits, degradation-rung transitions, and cancellation
+    /// checkpoints that fired. With no sink installed each emission site
+    /// costs one `Option` check.
+    pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
+        self.governor.set_trace_sink(sink);
     }
 
     /// Installs a deterministic [`FaultPlan`] that fires a cancellation,
@@ -381,21 +266,6 @@ impl<'a> Executor<'a> {
     /// none is present — the handle behind `Rows::cancel_handle`.
     pub fn cancel_handle(&self) -> CancelToken {
         self.governor.ensure_cancel_token()
-    }
-
-    /// Number of cancellation checkpoints polled so far (diagnostic
-    /// counter; deliberately separate from
-    /// [`Executor::operators_evaluated`], which counts logical operator
-    /// invocations and is pinned exactly by many tests).
-    pub fn cancel_checks(&self) -> u64 {
-        self.governor.cancel_checks()
-    }
-
-    /// High-water mark of accounted bytes (operator state plus memo
-    /// footprint) observed so far. Only grows while a memory budget is
-    /// installed or memos insert entries.
-    pub fn peak_bytes(&self) -> u64 {
-        self.governor.peak_bytes()
     }
 
     /// Binds the query-parameter vector (`$1` is `params[0]`) used by
@@ -471,42 +341,6 @@ impl<'a> Executor<'a> {
         self.db
     }
 
-    /// Number of operator invocations so far (diagnostic counter). Both the
-    /// compiled and the interpreted path count one evaluation per operator
-    /// node per invocation; a memo hit counts nothing, which is what makes
-    /// the memoization win measurable.
-    pub fn operators_evaluated(&self) -> u64 {
-        self.ops_evaluated.get()
-    }
-
-    /// `ANY`/`ALL` result rows compared so far (diagnostic counter): on the
-    /// interpreter, the rows each fold visits; on the compiled path, the
-    /// rows each probe is built from — a memo hit counts nothing.
-    pub fn quantifier_comparisons(&self) -> u64 {
-        self.cmp_evaluated.get()
-    }
-
-    /// Compiled-path sublink lookups served from a statement's memo so far
-    /// (diagnostic counter; a hit runs no operator).
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits.get()
-    }
-
-    /// Compiled-path sublink lookups that executed the sublink so far: memo
-    /// misses, and every evaluation of a sublink that has no key (memo off
-    /// and correlated, or an unresolved correlation signature).
-    pub fn memo_misses(&self) -> u64 {
-        self.memo_misses.get()
-    }
-
-    /// Number of plan compilations performed so far (diagnostic counter).
-    /// The prepared-statement contract is that re-executing a prepared plan
-    /// performs *zero* additional compilations; this counter makes that
-    /// assertable.
-    pub fn statements_compiled(&self) -> u64 {
-        self.compile_count.get()
-    }
-
     /// Compiles exactly the plan it is given for repeated execution:
     /// resolves all column references to slots and attaches correlation
     /// signatures (plus referenced parameter indices) to sublinks (see
@@ -520,7 +354,7 @@ impl<'a> Executor<'a> {
     /// parameter count of the statement as written, since the optimizer
     /// may fold a `$n` away).
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {
-        self.compile_count.set(self.compile_count.get() + 1);
+        self.governor.count().compiles += 1;
         crate::compile::compile_plan(plan, param_count(plan), self.memo_capacity.get())
     }
 

@@ -127,7 +127,7 @@ impl<'p> Interpreter<'p> {
     pub fn execute(&self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<Relation> {
         // The interpreter path runs unprofiled (profiles mirror *compiled*
         // plans); the probe still carries the shared global counter.
-        let probe = OpProbe::new(&self.ex.ops_evaluated, None);
+        let probe = OpProbe::new(&self.ex.governor, None);
         let gov = &self.ex.governor;
         match plan {
             Plan::Scan { table, schema, .. } => {

@@ -49,8 +49,8 @@
 //!   (`encode_key_column` in `perm-storage`, byte-identical to the
 //!   row-major encoding). Tuples are only re-materialised at pipeline
 //!   breakers, the memo seam and the [`Rows`] boundary. The layer is
-//!   observable ([`Executor::columnar_blocks`],
-//!   [`Executor::columnar_fallback_rows`]). There is one vectorized
+//!   observable ([`SessionStats::columnar_blocks`],
+//!   [`SessionStats::columnar_fallback_rows`]). There is one vectorized
 //!   evaluator; [`Executor::with_columnar`]`(false)` changes only its
 //!   leaves — slots load `Value` lanes, so every kernel takes its scalar
 //!   fallback inside the same `AND`/`OR`/`CASE` narrowing — which is how
@@ -137,6 +137,15 @@
 //! write-once heap files and read-only buffer pool of `perm-storage`.
 //! Memo entries are dropped under pressure, never spilled.
 //!
+//! What execution costs is read from one place: [`Executor::stats`]
+//! snapshots the executor's counter registry as a [`SessionStats`] — each
+//! counter one cell, bumped where the work happens (the [`stats`] module
+//! lists them), the session facade's pipeline counters included. Events
+//! go to one place too: the governor writes [`TraceEvent`]s (memo inserts
+//! and hits, degradation rungs, fired cancellations) straight into the
+//! [`TraceSink`] of [`Executor::set_trace_sink`], the type the facade's
+//! session records its phase spans with.
+//!
 //! One process-wide side effect: the first [`Executor::new`] tells glibc
 //! to keep freed heap rather than return it to the kernel after every
 //! query (`M_TRIM_THRESHOLD`; the private `heap` module says why). Peak
@@ -161,6 +170,8 @@ pub mod profile;
 mod quant;
 pub mod resilience;
 pub(crate) mod spill;
+pub mod stats;
+pub mod trace;
 
 pub use batch::{Batch, ColumnBlock, BATCH_ROWS};
 pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, Slot};
@@ -171,7 +182,9 @@ pub use interpreter::Interpreter;
 pub use optimize::{optimize, plan_fingerprint, OptimizerReport};
 pub use profile::{ProfileNode, QueryProfile};
 pub use quant::QuantProbe;
-pub use resilience::{CancelToken, Degradation, FaultKind, FaultPlan, FaultSite, TraceSignal};
+pub use resilience::{CancelToken, Degradation, FaultKind, FaultPlan, FaultSite};
+pub use stats::SessionStats;
+pub use trace::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 
 use perm_storage::StorageError;
 

@@ -48,10 +48,11 @@
 //!
 //! The `operators_evaluated` accounting also lives here, in one place:
 //! every physical operator counts exactly one evaluation **per logical
-//! operator invocation** through its [`OpProbe`] (the shared [`OpCounter`]
-//! plus, when an `EXPLAIN ANALYZE` profile is armed, the operator's
-//! per-node stats — both incremented at the same site, so per-node profile
-//! sums always equal the global counter) — *not* per batch — which keeps
+//! operator invocation** through its [`OpProbe`] (the governor's counter
+//! registry plus, when an `EXPLAIN ANALYZE` profile is armed, the
+//! operator's per-node stats — both incremented at the same site, so
+//! per-node profile sums always equal the global counter) — *not* per
+//! batch — which keeps
 //! the counter comparable across batch sizes and is what makes
 //! sublink-memo hits (which never reach this module) measurable as missing
 //! operator evaluations.
@@ -93,14 +94,10 @@ use perm_storage::{
     encode_key_column, encode_key_column_filtered, ColumnVec, Database, HeapFile, Relation, Schema,
     Tuple, Value,
 };
-use std::cell::Cell;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
-
-/// The diagnostic operator-evaluation counter both drivers share.
-pub(crate) type OpCounter = Cell<u64>;
 
 /// What the physical aggregate needs to know about one aggregate
 /// computation; the argument *expression* stays behind the evaluator
@@ -416,7 +413,7 @@ fn spill_join_build(
         build.push(mgr.create_file(&format!("join-build-{p}"))?);
         probe.push(mgr.create_file(&format!("join-probe-{p}"))?);
     }
-    mgr.note_partitions(2 * parts as u64);
+    gov.count().spill_partitions += 2 * parts as u64;
     let js = JoinSpill { mgr, build, probe };
     let mut buf = Vec::new();
     for (key, mates) in buckets.drain() {
@@ -424,7 +421,7 @@ fn spill_join_build(
         for rt in mates {
             spill::encode_keyed_tuple(&key, rt, &mut buf);
             js.build[p].append_record(&buf)?;
-            js.mgr.note_spilled(buf.len() as u64);
+            gov.count().spilled_bytes += buf.len() as u64;
         }
     }
     Ok(js)
@@ -516,7 +513,7 @@ fn grace_probe(
             if live[j] {
                 spill::encode_probe(ordinal, &keys_buf[j], &mut buf);
                 js.probe[js.partition_of(&keys_buf[j])].append_record(&buf)?;
-                js.mgr.note_spilled(buf.len() as u64);
+                gov.count().spilled_bytes += buf.len() as u64;
             }
             ordinal += 1;
         }
@@ -747,7 +744,7 @@ pub(crate) fn join(
                     }
                     spill::encode_keyed_tuple(&keys_buf[j], rt, &mut rec_buf);
                     js.build[js.partition_of(&keys_buf[j])].append_record(&rec_buf)?;
-                    js.mgr.note_spilled(rec_buf.len() as u64);
+                    gov.count().spilled_bytes += rec_buf.len() as u64;
                 }
                 continue;
             }
@@ -967,16 +964,16 @@ fn flush_agg_groups(
         for p in 0..AGG_SPILL_PARTITIONS {
             parts.push(mgr.create_file(&format!("agg-part-{p}"))?);
         }
-        mgr.note_partitions(AGG_SPILL_PARTITIONS as u64);
+        gov.count().spill_partitions += AGG_SPILL_PARTITIONS as u64;
         *files = Some((mgr, parts));
     }
-    let (mgr, parts) = files.as_ref().expect("just created");
+    let (_, parts) = files.as_ref().expect("just created");
     let mut buf = Vec::new();
     for (key_bytes, idx) in index.drain() {
         let (key_values, accs) = &groups[idx];
         spill::encode_agg_group(ords[idx], &key_bytes, key_values, accs, &mut buf);
         parts[(fnv1a(&key_bytes) % AGG_SPILL_PARTITIONS as u64) as usize].append_record(&buf)?;
-        mgr.note_spilled(buf.len() as u64);
+        gov.count().spilled_bytes += buf.len() as u64;
     }
     groups.clear();
     ords.clear();
@@ -1274,10 +1271,10 @@ impl SortBuffer<'_> {
         for row in self.sorted_order() {
             spill::encode_run_row(self.key(row), &self.rows[row], &mut buf);
             file.append_record(&buf)?;
-            mgr.note_spilled(buf.len() as u64);
+            gov.count().spilled_bytes += buf.len() as u64;
         }
         file.seal()?;
-        mgr.note_partitions(1);
+        gov.count().spill_partitions += 1;
         runs.push(file);
         self.rows.clear();
         self.keys.clear();

@@ -35,7 +35,7 @@
 //! against untraced run, per workload).
 
 use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink};
-use crate::physical::OpCounter;
+use crate::resilience::Governor;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -316,17 +316,18 @@ fn snapshot_node(node: &ProfNode) -> ProfileNode {
 // The probes driven by `crate::physical` and the drivers.
 // ---------------------------------------------------------------------------
 
-/// What every physical operator receives instead of the bare counter: the
-/// shared `operators_evaluated` cell plus the armed profile node, if any.
+/// What every physical operator receives to count its invocation: the
+/// governor, whose registry holds `operators_evaluated`, plus the armed
+/// profile node, if any.
 #[derive(Clone, Copy)]
 pub(crate) struct OpProbe<'p> {
-    pub(crate) ops: &'p OpCounter,
+    pub(crate) gov: &'p Governor,
     pub(crate) node: Option<&'p NodeStats>,
 }
 
 impl<'p> OpProbe<'p> {
-    pub(crate) fn new(ops: &'p OpCounter, node: Option<&'p NodeStats>) -> OpProbe<'p> {
-        OpProbe { ops, node }
+    pub(crate) fn new(gov: &'p Governor, node: Option<&'p NodeStats>) -> OpProbe<'p> {
+        OpProbe { gov, node }
     }
 
     /// Records one batch-boundary loop iteration.
@@ -350,7 +351,7 @@ impl<'p> OpProbe<'p> {
 /// the returned timer at the end of the operator body records the elapsed
 /// time, on errors too.
 pub(crate) fn begin<'p>(probe: &OpProbe<'p>) -> OpTimer<'p> {
-    probe.ops.set(probe.ops.get() + 1);
+    probe.gov.count().operators_evaluated += 1;
     match probe.node {
         None => OpTimer {
             node: None,

@@ -52,9 +52,10 @@
 
 use crate::memo::StatementMemo;
 use crate::spill::SpillManager;
-use crate::{ExecError, Result};
+use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::{ExecError, Result, SessionStats};
 use perm_storage::{Relation, Tuple, Value};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -322,44 +323,6 @@ pub(crate) trait MemoCost {
 }
 
 // ---------------------------------------------------------------------------
-// Trace signals
-// ---------------------------------------------------------------------------
-
-/// One structured execution event emitted by the governor (and the memo
-/// seams through it) when a trace hook is installed. This is the
-/// executor-side half of the tracing seam: `perm-exec` cannot depend on
-/// `perm-core`, so the session facade bridges these signals into
-/// `perm_core::trace::TraceEvent`s for the configured sink. With no hook
-/// installed nothing is allocated or emitted — the constructors below run
-/// only inside the governor's hook-present emission branch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceSignal {
-    /// A sublink-memo insertion of an entry costing `bytes`.
-    MemoInsert {
-        /// The memo site label (e.g. `"sublink-memo"`).
-        label: String,
-        /// Estimated heap cost of the inserted entry.
-        bytes: u64,
-    },
-    /// A sublink-memo hit: a result served without re-executing the plan.
-    MemoHit {
-        /// The memo site label.
-        label: String,
-    },
-    /// The degradation ladder moved to a worse rung.
-    Rung {
-        /// The rung just reached.
-        rung: Degradation,
-    },
-    /// A cancellation checkpoint fired (explicit cancel, deadline, or an
-    /// injected fault) inside `operator`.
-    CancelFired {
-        /// The operator whose checkpoint observed the cancellation.
-        operator: String,
-    },
-}
-
-// ---------------------------------------------------------------------------
 // Governor
 // ---------------------------------------------------------------------------
 
@@ -391,14 +354,13 @@ pub enum Degradation {
     Exhausted,
 }
 
-/// The executor's resilience state: the installed cancel token, fault plan
-/// and memory budget, plus the counters the session surfaces
-/// (`cancel_checks`, `peak_bytes`).
+/// The executor's resilience state: the installed cancel token, fault plan,
+/// memory budget and trace sink, plus the executor's counter registry.
 ///
 /// The governor is owned by the executor and polled from the shared
 /// physical-operator layer; it is deliberately `!Sync` (like the executor)
-/// — what crosses threads are the [`CancelToken`] / [`FaultPlan`] handles,
-/// not the governor itself.
+/// — what crosses threads are the [`CancelToken`] / [`FaultPlan`] handles
+/// and the trace sink, not the governor itself.
 pub(crate) struct Governor {
     cancel: RefCell<Option<CancelToken>>,
     fault: RefCell<Option<FaultPlan>>,
@@ -407,8 +369,13 @@ pub(crate) struct Governor {
     /// state); memo bytes are queried from the accounted memos instead of
     /// charged, so memo-internal eviction is always reflected exactly.
     transient: Cell<u64>,
-    peak: Cell<u64>,
-    checks: Cell<u64>,
+    /// The counter registry: one cell per [`SessionStats`] field, bumped
+    /// through [`Governor::count`] where the work happens — here
+    /// (`cancel_checks`, `peak_bytes`, `degradation`), in the physical
+    /// operators, the evaluators and the session above. The four
+    /// buffer-pool fields stay zero: the pool keeps those, and
+    /// [`Governor::stats`] reads them from it.
+    counters: RefCell<SessionStats>,
     /// Checkpoints until the next deadline clock probe; reset whenever a
     /// token is installed, so every execution probes at its first
     /// checkpoint (an already-expired deadline cancels before any work).
@@ -428,18 +395,10 @@ pub(crate) struct Governor {
     /// degrades as if spilling were disabled instead of retrying every
     /// charge.
     spill_failed: Cell<bool>,
-    /// Worst [`Degradation`] rung reached so far.
-    rung: Cell<Degradation>,
-    /// The installed trace hook, if any — the bridge through which the
-    /// session facade forwards [`TraceSignal`]s into its configured
-    /// `TraceSink`. `Rc`, not `Arc`: the governor is `!Sync` like its
-    /// executor, and hooks are installed per executor.
-    trace: RefCell<Option<TraceHook>>,
+    /// The trace sink the governor and the memo seams write
+    /// [`TraceEvent`]s into, if one is installed.
+    trace: RefCell<Option<Arc<dyn TraceSink>>>,
 }
-
-/// The installed form of a trace hook: a shared closure the emission sites
-/// call with each [`TraceSignal`].
-pub type TraceHook = Rc<dyn Fn(TraceSignal)>;
 
 impl Governor {
     pub(crate) fn new() -> Governor {
@@ -448,31 +407,48 @@ impl Governor {
             fault: RefCell::new(None),
             budget: Cell::new(None),
             transient: Cell::new(0),
-            peak: Cell::new(0),
-            checks: Cell::new(0),
+            counters: RefCell::new(SessionStats::default()),
             until_probe: Cell::new(0),
             statement_memos: RefCell::new(Vec::new()),
             spill_enabled: Cell::new(false),
             spill_dir: RefCell::new(None),
             spill: RefCell::new(None),
             spill_failed: Cell::new(false),
-            rung: Cell::new(Degradation::None),
             trace: RefCell::new(None),
         }
     }
 
-    /// Installs (or clears) the trace hook the governor and memo seams emit
-    /// [`TraceSignal`]s through.
-    pub(crate) fn set_trace_hook(&self, hook: Option<TraceHook>) {
-        *self.trace.borrow_mut() = hook;
+    /// The counter registry, borrowed for one increment:
+    /// `gov.count().memo_hits += 1`.
+    pub(crate) fn count(&self) -> RefMut<'_, SessionStats> {
+        self.counters.borrow_mut()
     }
 
-    /// Emits a trace signal when (and only when) a hook is installed — the
-    /// closure defers any allocation the signal needs to the hook-present
-    /// branch, so unhooked executions pay one `Option` check.
-    pub(crate) fn emit(&self, signal: impl FnOnce() -> TraceSignal) {
-        if let Some(hook) = self.trace.borrow().as_ref() {
-            hook(signal());
+    /// A snapshot of the registry, with the buffer-pool fields read from
+    /// the spill manager's pool (zero before the first spill creates it).
+    pub(crate) fn stats(&self) -> SessionStats {
+        let mut stats = *self.counters.borrow();
+        if let Some(spill) = self.spill.borrow().as_ref() {
+            let pool = spill.pool();
+            stats.buffer_pool_hits = pool.hits();
+            stats.buffer_pool_misses = pool.misses();
+            stats.buffer_pool_evictions = pool.evictions();
+            stats.buffer_pool_capacity = pool.capacity() as u64;
+        }
+        stats
+    }
+
+    /// Installs (or clears) the trace sink.
+    pub(crate) fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
+        *self.trace.borrow_mut() = sink;
+    }
+
+    /// Records a trace event when (and only when) a sink is installed — the
+    /// closure defers any allocation the event needs to the sink-present
+    /// branch, so untraced executions pay one `Option` check.
+    pub(crate) fn emit(&self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.trace.borrow().as_ref() {
+            sink.record(event());
         }
     }
 
@@ -535,63 +511,10 @@ impl Governor {
     /// Records a degradation rung, keeping the worst one seen; a transition
     /// to a worse rung is traced.
     pub(crate) fn note_rung(&self, rung: Degradation) {
-        if rung > self.rung.get() {
-            self.rung.set(rung);
-            self.emit(|| TraceSignal::Rung { rung });
+        if rung > self.counters.borrow().degradation {
+            self.count().degradation = rung;
+            self.emit(|| TraceEvent::new(TraceKind::Rung, format!("{rung:?}"), 0));
         }
-    }
-
-    /// Worst degradation rung reached so far.
-    pub(crate) fn degradation(&self) -> Degradation {
-        self.rung.get()
-    }
-
-    /// Total payload bytes written to spill files so far.
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.spill
-            .borrow()
-            .as_ref()
-            .map_or(0, |m| m.spilled_bytes())
-    }
-
-    /// Spill partitions (grace-join, aggregate) and sort runs created.
-    pub(crate) fn spill_partitions(&self) -> u64 {
-        self.spill.borrow().as_ref().map_or(0, |m| m.partitions())
-    }
-
-    /// Buffer-pool hits of the spill manager's pool.
-    pub(crate) fn buffer_pool_hits(&self) -> u64 {
-        self.spill.borrow().as_ref().map_or(0, |m| m.pool_hits())
-    }
-
-    /// Buffer-pool misses of the spill manager's pool.
-    pub(crate) fn buffer_pool_misses(&self) -> u64 {
-        self.spill.borrow().as_ref().map_or(0, |m| m.pool_misses())
-    }
-
-    /// Frames evicted from the spill manager's buffer pool.
-    pub(crate) fn buffer_pool_evictions(&self) -> u64 {
-        self.spill
-            .borrow()
-            .as_ref()
-            .map_or(0, |m| m.pool_evictions())
-    }
-
-    /// Configured frame capacity of the spill manager's buffer pool (0
-    /// until a spill manager exists — no pool has been sized yet).
-    pub(crate) fn buffer_pool_capacity(&self) -> u64 {
-        self.spill
-            .borrow()
-            .as_ref()
-            .map_or(0, |m| m.pool_capacity())
-    }
-
-    /// Traces a sublink-memo hit — called from the memo seams, which see
-    /// the hit; the governor only carries the hook.
-    pub(crate) fn trace_memo_hit(&self, label: &'static str) {
-        self.emit(|| TraceSignal::MemoHit {
-            label: label.to_string(),
-        });
     }
 
     /// Accounts a statement's memo from its first execution on: held
@@ -607,14 +530,6 @@ impl Governor {
         memos.push(Arc::downgrade(memo));
     }
 
-    pub(crate) fn cancel_checks(&self) -> u64 {
-        self.checks.get()
-    }
-
-    pub(crate) fn peak_bytes(&self) -> u64 {
-        self.peak.get()
-    }
-
     fn memo_bytes(&self) -> u64 {
         self.statement_memos
             .borrow()
@@ -626,9 +541,8 @@ impl Governor {
 
     fn note_peak(&self) -> u64 {
         let used = self.transient.get() + self.memo_bytes();
-        if used > self.peak.get() {
-            self.peak.set(used);
-        }
+        let mut counters = self.count();
+        counters.peak_bytes = counters.peak_bytes.max(used);
         used
     }
 
@@ -639,16 +553,13 @@ impl Governor {
     pub(crate) fn checkpoint(&self, operator: &str) -> Result<()> {
         let result = self.checkpoint_inner(operator);
         if result.is_err() {
-            self.emit(|| TraceSignal::CancelFired {
-                operator: operator.to_string(),
-            });
+            self.emit(|| TraceEvent::new(TraceKind::CancelFired, operator, 0));
         }
         result
     }
 
     fn checkpoint_inner(&self, operator: &str) -> Result<()> {
-        let n = self.checks.get() + 1;
-        self.checks.set(n);
+        self.count().cancel_checks += 1;
         if let Some(fault) = self.fault.borrow().as_ref() {
             fault.observe(FaultSite::Checkpoint, operator)?;
         }
@@ -763,10 +674,7 @@ impl Governor {
         if let Some(fault) = self.fault.borrow().as_ref() {
             fault.observe(FaultSite::MemoInsert, operator)?;
         }
-        self.emit(|| TraceSignal::MemoInsert {
-            label: operator.to_string(),
-            bytes: cost,
-        });
+        self.emit(|| TraceEvent::new(TraceKind::MemoInsert, operator, cost));
         let budget = match self.budget.get() {
             Some(b) => b,
             None => {
@@ -899,9 +807,9 @@ mod tests {
         // which 200 fits comfortably.
         assert!(gov.charge("join", 200).is_ok());
         assert_eq!(memo.bytes(), 0, "memo reclaimed under pressure");
-        assert_eq!(gov.degradation(), Degradation::ReclaimedMemos);
+        assert_eq!(gov.stats().degradation, Degradation::ReclaimedMemos);
         assert!(
-            gov.peak_bytes() >= 200 + held,
+            gov.stats().peak_bytes >= 200 + held,
             "peak saw the pressure point"
         );
         // A charge that cannot fit even after reclaim names the operator.
@@ -920,7 +828,7 @@ mod tests {
             assert_eq!(gov.transient.get(), 512);
         }
         assert_eq!(gov.transient.get(), 0);
-        assert_eq!(gov.peak_bytes(), 512);
+        assert_eq!(gov.stats().peak_bytes, 512);
     }
 
     #[test]
@@ -936,7 +844,7 @@ mod tests {
         // still fits under the 1000-byte budget.
         assert_eq!(gov.transient.get(), 400);
         assert!(gov.charge("join", 500).is_ok());
-        assert_eq!(gov.degradation(), Degradation::Exhausted);
+        assert_eq!(gov.stats().degradation, Degradation::Exhausted);
     }
 
     #[test]
@@ -953,7 +861,7 @@ mod tests {
         assert!(!charge.try_grow(600).unwrap());
         assert_eq!(gov.transient.get(), 600);
         assert!(gov.spill().is_some());
-        assert_eq!(gov.degradation(), Degradation::SpilledToDisk);
+        assert_eq!(gov.stats().degradation, Degradation::SpilledToDisk);
         // The operator moved its state to disk: release frees the budget
         // now, and the charge's drop has nothing left to credit.
         charge.release();
@@ -972,7 +880,7 @@ mod tests {
             Err(ExecError::ResourceExhausted { operator }) => assert_eq!(operator, "aggregate"),
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
-        assert_eq!(gov.degradation(), Degradation::Exhausted);
+        assert_eq!(gov.stats().degradation, Degradation::Exhausted);
     }
 
     #[test]

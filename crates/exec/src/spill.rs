@@ -27,7 +27,6 @@ use crate::Result;
 use perm_storage::{
     decode_row, encode_row, BufferPool, HeapFile, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES,
 };
-use std::cell::Cell;
 use std::path::Path;
 use std::rc::Rc;
 
@@ -43,13 +42,11 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Owner of the executor's spill directory, files and counters.
+/// Owner of the executor's spill directory and files. What spilling costs
+/// is counted in the executor's registry (`SessionStats::spilled_bytes`,
+/// `spill_partitions`) at the operators that write, and in the pool.
 pub(crate) struct SpillManager {
     store: StorageManager,
-    /// Total payload bytes written across all spill files.
-    spilled_bytes: Cell<u64>,
-    /// Partition files and sort runs created.
-    partitions: Cell<u64>,
 }
 
 impl SpillManager {
@@ -58,8 +55,6 @@ impl SpillManager {
     pub(crate) fn create(base: Option<&Path>) -> perm_storage::Result<SpillManager> {
         Ok(SpillManager {
             store: StorageManager::create(base, DEFAULT_POOL_PAGES)?,
-            spilled_bytes: Cell::new(0),
-            partitions: Cell::new(0),
         })
     }
 
@@ -68,41 +63,9 @@ impl SpillManager {
         self.store.pool()
     }
 
-    pub(crate) fn pool_hits(&self) -> u64 {
-        self.store.pool().hits()
-    }
-
-    pub(crate) fn pool_misses(&self) -> u64 {
-        self.store.pool().misses()
-    }
-
-    pub(crate) fn pool_evictions(&self) -> u64 {
-        self.store.pool().evictions()
-    }
-
-    pub(crate) fn pool_capacity(&self) -> u64 {
-        self.store.pool().capacity() as u64
-    }
-
     /// Creates a fresh heap file for a partition or run.
     pub(crate) fn create_file(&self, label: &str) -> Result<Rc<HeapFile>> {
         Ok(self.store.create_file(label)?)
-    }
-
-    pub(crate) fn note_spilled(&self, bytes: u64) {
-        self.spilled_bytes.set(self.spilled_bytes.get() + bytes);
-    }
-
-    pub(crate) fn note_partitions(&self, n: u64) {
-        self.partitions.set(self.partitions.get() + n);
-    }
-
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes.get()
-    }
-
-    pub(crate) fn partitions(&self) -> u64 {
-        self.partitions.get()
     }
 }
 
@@ -110,8 +73,6 @@ impl std::fmt::Debug for SpillManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpillManager")
             .field("dir", &self.store.dir())
-            .field("spilled_bytes", &self.spilled_bytes.get())
-            .field("partitions", &self.partitions.get())
             .finish()
     }
 }

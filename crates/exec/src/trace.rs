@@ -3,11 +3,13 @@
 //!
 //! A [`TraceSink`] receives [`TraceEvent`]s from the session pipeline and
 //! the executor's resilience governor: phase spans (parse, bind, rewrite,
-//! compile, execute — one [`TraceKind::Phase`] event per completed phase
-//! carrying its wall time), sublink-memo insert and hit events, spill and
-//! degradation-rung transitions, and cancellation checkpoints that actually
-//! fired. Sinks are attached per session through the facade's
-//! `SessionConfig::trace_sink`; the default implementation is a bounded
+//! optimize, compile, execute — one [`TraceKind::Phase`] event per
+//! completed phase carrying its wall time), sublink-memo insert and hit
+//! events, degradation-rung transitions, and cancellation checkpoints that
+//! actually fired. The governor writes these events itself, into the sink
+//! installed by [`crate::Executor::set_trace_sink`]; a session installs the
+//! facade's `SessionConfig::trace_sink` there and records its phase spans
+//! into the same sink. The default implementation is a bounded
 //! [`RingTraceSink`] that keeps the most recent events and counts what it
 //! dropped, so tracing a long-running session can never grow without bound.
 //!
@@ -24,8 +26,8 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A completed pipeline phase; `value` is its wall time in nanoseconds
-    /// and `label` the phase name (`parse`, `bind`, `rewrite`, `compile`,
-    /// `execute`).
+    /// and `label` the phase name (`parse`, `bind`, `rewrite`, `optimize`,
+    /// `compile`, `execute`).
     Phase,
     /// A sublink-memo insertion; `value` is the entry's accounted bytes.
     MemoInsert,
@@ -64,9 +66,8 @@ impl TraceEvent {
 
 /// A receiver of [`TraceEvent`]s. Implementations must be cheap and
 /// non-blocking — events are emitted from execution hot paths (though only
-/// at already-paid boundaries: phase ends, memo operations, spill and
-/// degradation transitions, fired cancellations — never per row or per
-/// batch).
+/// at already-paid boundaries: phase ends, memo operations, degradation
+/// transitions, fired cancellations — never per row or per batch).
 pub trait TraceSink: Send + Sync {
     /// Records one event.
     fn record(&self, event: TraceEvent);
@@ -123,8 +124,8 @@ impl RingTraceSink {
 }
 
 impl Default for RingTraceSink {
-    /// 1024 events: enough for the phase spans and memo/spill transitions
-    /// of many queries, small enough to forget about.
+    /// 1024 events: enough for the phase spans and memo events of many
+    /// queries, small enough to forget about.
     fn default() -> RingTraceSink {
         RingTraceSink::new(1024)
     }

@@ -523,7 +523,7 @@ fn a_memo_entry_does_not_grow_with_the_sublink_result() {
                 .build();
             let ex = Executor::new(&db);
             ex.execute(&q).unwrap();
-            ex.peak_bytes()
+            ex.stats().peak_bytes
         };
         let small = peak_bytes(400);
         assert!(small > 0, "{label}: the memo holds entries");

@@ -913,9 +913,9 @@ fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
     );
     let work = |ex: &Executor<'_>| {
         [
-            ex.memo_hits(),
-            ex.memo_misses(),
-            ex.quantifier_comparisons(),
+            ex.stats().memo_hits,
+            ex.stats().memo_misses,
+            ex.stats().quantifier_comparisons,
         ]
     };
     assert_eq!(work(&batched_ex), work(&per_tuple_ex), "{label}: batching");
@@ -1260,7 +1260,7 @@ fn gen_rewritten_fig7_plans_cancel_within_one_batch_and_ignore_an_idle_governor(
             .expect("Gen applies to every sublink");
         let plain_ex = Executor::new(&db);
         let plain = plain_ex.execute(&plan).unwrap();
-        let checks = plain_ex.cancel_checks();
+        let checks = plain_ex.stats().cancel_checks;
         assert!(checks > 0, "{kind:?}: the run passed no checkpoint");
 
         // The fault keeps counting checkpoints after it fired, so
@@ -1292,7 +1292,7 @@ fn gen_rewritten_fig7_plans_cancel_within_one_batch_and_ignore_an_idle_governor(
             armed.bag_eq(&plain),
             "{kind:?}: an idle cancel token and budget changed the bag"
         );
-        accounted_bytes |= armed_ex.peak_bytes() > 0;
+        accounted_bytes |= armed_ex.stats().peak_bytes > 0;
     }
     assert!(
         accounted_bytes,
@@ -1476,7 +1476,7 @@ fn out_of_core_reproduces_exact_row_order(
             "{label}: must create partition files or runs"
         );
         assert_eq!(
-            ex.degradation(),
+            ex.stats().degradation,
             Degradation::SpilledToDisk,
             "{label}: spilling must stop the ladder at its first rung"
         );
@@ -1504,7 +1504,7 @@ fn spill_forced_corpus_reproduces_reference_bags_and_operator_counts() {
             .with_spill(true)
             .with_spill_dir(Some(dir.clone()));
         let result = spill_ex.execute(&plan);
-        let reclaimed = spill_ex.degradation() >= Degradation::ReclaimedMemos;
+        let reclaimed = spill_ex.stats().degradation >= Degradation::ReclaimedMemos;
         reclaimed_plans += usize::from(reclaimed);
         match (&reference, &result) {
             (Ok(want), Ok(got)) => {
@@ -1565,8 +1565,8 @@ fn resilience_counters_are_monotone_across_executions() {
     for _ in 0..8 {
         let plan = random_plan(&db, &mut rng);
         let _ = ex.execute(&plan);
-        let checks = ex.cancel_checks();
-        let peak = ex.peak_bytes();
+        let checks = ex.stats().cancel_checks;
+        let peak = ex.stats().peak_bytes;
         assert!(
             checks > last_checks,
             "every execution passes at least one checkpoint"

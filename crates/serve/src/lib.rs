@@ -181,8 +181,9 @@ impl HistogramSnapshot {
 }
 
 /// The pool-wide counters [`ConcurrentEngine::serve_with_options`] maintains:
-/// request outcomes, retry/panic/restart counts, the statement-memo traffic
-/// of every attempt, and the two latency histograms. All relaxed atomics —
+/// request outcomes, retry and panic counts, the statement-memo traffic of
+/// every attempt (its `Session::stats` delta), and the two latency
+/// histograms. All relaxed atomics —
 /// serving never blocks on metrics.
 #[derive(Debug, Default)]
 struct MetricsRegistry {
@@ -191,7 +192,6 @@ struct MetricsRegistry {
     requests_rejected: AtomicU64,
     requests_retried: AtomicU64,
     worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     queue_wait: LatencyHistogram,
@@ -213,10 +213,9 @@ pub struct MetricsSnapshot {
     pub requests_rejected: u64,
     /// Transient-failure re-executions performed ([`ServeOptions::retries`]).
     pub requests_retried: u64,
-    /// Worker panics isolated at the request boundary.
+    /// Worker panics isolated at the request boundary; each one also
+    /// replaces the worker's session.
     pub worker_panics: u64,
-    /// Worker sessions replaced after a panic.
-    pub worker_restarts: u64,
     /// Time from batch submission to a worker claiming the request.
     pub queue_wait: HistogramSnapshot,
     /// Wall time of each execution attempt.
@@ -252,7 +251,7 @@ impl MetricsSnapshot {
     /// crate needed.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &str, u64); 10] = [
+        let counters: [(&str, &str, u64); 9] = [
             (
                 "perm_requests_served_total",
                 "Requests completed with a result.",
@@ -277,11 +276,6 @@ impl MetricsSnapshot {
                 "perm_worker_panics_total",
                 "Worker panics isolated at the request boundary.",
                 self.worker_panics,
-            ),
-            (
-                "perm_worker_restarts_total",
-                "Worker sessions replaced after a panic.",
-                self.worker_restarts,
             ),
             (
                 "perm_plan_cache_hits_total",
@@ -347,12 +341,6 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
         return 0.0;
     }
     hits as f64 / total as f64
-}
-
-/// A session's statement-memo hits and misses so far.
-fn memo_traffic(session: &Session<'_>) -> (u64, u64) {
-    let executor = session.executor();
-    (executor.memo_hits(), executor.memo_misses())
 }
 
 /// `true` for failures worth re-executing: a panic the pool isolated or a
@@ -469,7 +457,6 @@ impl ConcurrentEngine {
             requests_rejected: self.metrics.requests_rejected.load(Ordering::Relaxed),
             requests_retried: self.metrics.requests_retried.load(Ordering::Relaxed),
             worker_panics: self.metrics.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.metrics.worker_restarts.load(Ordering::Relaxed),
             queue_wait: self.metrics.queue_wait.snapshot(),
             execution: self.metrics.execution.snapshot(),
             plan_cache_hits: plan_cache.hits,
@@ -595,7 +582,7 @@ impl ConcurrentEngine {
                         let mut attempts = 0;
                         let result = loop {
                             let attempt_start = Instant::now();
-                            let memo_before = memo_traffic(&session);
+                            let before = session.stats();
                             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
                                 Self::run_request(&session, &mut local, request)
                             }))
@@ -603,17 +590,17 @@ impl ConcurrentEngine {
                                 Err(PermError::Internal(panic_message(payload)))
                             });
                             self.metrics.execution.record(attempt_start.elapsed());
-                            let memo_after = memo_traffic(&session);
+                            let after = session.stats();
                             self.metrics
                                 .memo_hits
-                                .fetch_add(memo_after.0 - memo_before.0, Ordering::Relaxed);
-                            self.metrics
-                                .memo_misses
-                                .fetch_add(memo_after.1 - memo_before.1, Ordering::Relaxed);
+                                .fetch_add(after.memo_hits - before.memo_hits, Ordering::Relaxed);
+                            self.metrics.memo_misses.fetch_add(
+                                after.memo_misses - before.memo_misses,
+                                Ordering::Relaxed,
+                            );
                             if matches!(attempt, Err(PermError::Internal(_))) {
                                 self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                                 session = self.engine.session_with(config.clone());
-                                self.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
                             }
                             if is_transient(&attempt) && attempts < options.retries {
                                 attempts += 1;
@@ -1064,7 +1051,6 @@ mod tests {
         assert!(results.iter().all(Result::is_ok));
         let metrics = engine.metrics();
         assert_eq!(metrics.worker_panics, 1);
-        assert_eq!(metrics.worker_restarts, 1);
         assert_eq!(metrics.requests_retried, 1);
         assert_eq!(metrics.requests_served, 8);
         // The panicked attempt still cost an execution observation.

@@ -78,9 +78,11 @@ fn main() {
     );
 
     // Tier 2 — structured traces: attach a `TraceSink` and every pipeline
-    // phase (parse, bind, rewrite, compile, execute), memo insert/hit,
-    // spill write and degradation transition lands in it as a
-    // `TraceEvent`. The bundled `RingTraceSink` is a bounded ring buffer.
+    // phase (parse, bind, rewrite, optimize, compile, execute), memo
+    // insert/hit, degradation transition and fired cancellation lands in it
+    // as a `TraceEvent` — the phases from the session, the rest written by
+    // the executor itself. The bundled `RingTraceSink` is a bounded ring
+    // buffer.
     // A fresh engine keeps its plan cache cold — a cache hit would
     // (correctly) skip the frontend phases, and we want to see them all.
     let sink = Arc::new(RingTraceSink::new(16_384));
@@ -91,8 +93,20 @@ fn main() {
     });
     let prepared = traced.prepare(sql).expect("the query prepares");
     traced.execute(&prepared, &[]).expect("the query runs");
-    // A hot correlated sublink produces thousands of memo events, so print
-    // the phase spans verbatim and summarize the memo traffic.
+    // The optimizer turned that `EXISTS` into a semi join, so it has no
+    // memo traffic; a correlated scalar comparison stays a memo site, and
+    // its second run is served from the statement's memo.
+    let heavier = traced
+        .prepare(
+            "SELECT id FROM shipments WHERE weight > \
+             (SELECT avg(lim) FROM holds WHERE holds.lane = shipments.lane)",
+        )
+        .expect("the query prepares");
+    for _ in 0..2 {
+        traced.execute(&heavier, &[]).expect("the query runs");
+    }
+    // A hot correlated sublink produces many memo events, so print the
+    // phase spans verbatim and summarize the memo traffic.
     let events = sink.snapshot();
     let (mut memo_inserts, mut memo_hits) = (0usize, 0usize);
     println!("== trace events ({} total) ==", events.len());
@@ -111,8 +125,12 @@ fn main() {
     println!("  (+ {memo_inserts} memo inserts, {memo_hits} memo hits)");
 
     // Tier 3 — session counters: monotone totals over the session's life
-    // (see `SessionStats` — *Counter semantics*).
+    // (see `SessionStats` — *Counter semantics*), read from the same
+    // registry the trace events are written beside: one memo-hit event per
+    // counted memo hit.
     let stats = traced.stats();
+    assert!(memo_hits > 0);
+    assert_eq!(memo_hits as u64, stats.memo_hits);
     println!(
         "\n== session counters ==\n\
          parses={} compiles={} executions={} memo={}/{} cancel_checks={} peak_bytes={}",

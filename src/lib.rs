@@ -73,23 +73,29 @@
 //!   with actuals: invocations, rows in/out, batches, wall time, sublink
 //!   memo hits/misses, spill bytes and partitions, columnar-fallback rows.
 //!   [`Session::execute_profiled`] keeps the result rows alongside the
-//!   profile, and [`Session::rows_profiled`] arms a streaming cursor whose
-//!   [`Rows::profile`](perm_exec::Rows::profile) can be snapshotted
+//!   profile, and [`Executor::open_profiled`] arms a streaming cursor
+//!   whose [`Rows::profile`](perm_exec::Rows::profile) can be snapshotted
 //!   mid-stream. Profiles render as text ([`QueryProfile::render`]) or
 //!   JSON ([`QueryProfile::to_json`]), and the sum of per-node invocation
-//!   counts equals the executor's `operators_evaluated` counter by
-//!   construction.
+//!   counts equals the `operators_evaluated` counter by construction.
 //! * **Structured traces** — attach any [`TraceSink`] (the bundled
 //!   [`RingTraceSink`] is a bounded ring buffer) via
 //!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline
 //!   phase spans (parse, bind, rewrite, optimize, compile, execute with
-//!   wall times), sublink-memo inserts and hits, degradation-rung
-//!   transitions, and cancellation checkpoints that fired.
-//! * **Session counters** — [`Session::stats`] snapshots the monotone
-//!   [`SessionStats`] counters (see its *Counter semantics* section).
-//! * **Serving metrics** — the `perm-serve` crate aggregates per-worker
-//!   counters and latency histograms into a registry snapshot exportable
-//!   in Prometheus text format.
+//!   wall times) from the session, and sublink-memo inserts and hits,
+//!   degradation-rung transitions and fired cancellation checkpoints,
+//!   which the executor writes into the same sink itself.
+//! * **Counters** — [`Session::stats`] snapshots the monotone
+//!   [`SessionStats`] (see its *Counter semantics* section): one counter
+//!   registry, owned by the session's executor, that the pipeline phases
+//!   and the executor bump where the work happens —
+//!   [`Executor::stats`] reads the same value. The trace and the counters
+//!   agree: one `MemoHit` event per `memo_hits`, one `Rung` event per
+//!   newly reached [`Degradation`].
+//! * **Serving metrics** — the `perm-serve` crate sums each request
+//!   attempt's `Session::stats` deltas and its own request outcomes and
+//!   latency histograms into a snapshot exportable in Prometheus text
+//!   format.
 //!
 //! The `examples/observability.rs` example walks all four tiers.
 //!
@@ -126,14 +132,14 @@ pub use perm_tpch as tpch;
 pub use perm_core::{
     ProvenanceDescriptor, ProvenanceError, ProvenanceQuery, RewriteResult, Strategy,
 };
-pub use perm_core::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
-pub use perm_exec::Executor;
 pub use perm_exec::{CancelToken, Degradation, ExecError, FaultKind, FaultPlan, FaultSite};
+pub use perm_exec::{Executor, SessionStats};
 pub use perm_exec::{ProfileNode, QueryProfile};
+pub use perm_exec::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 pub use perm_storage::{Database, Name, Relation, Schema, Tuple, Value};
 pub use session::{
     Engine, PlanCacheStats, Prepared, ProvenanceRow, ProvenanceRows, Rows, Session, SessionConfig,
-    SessionStats, Witness,
+    Witness,
 };
 
 /// The most commonly used items in one import.
@@ -163,11 +169,11 @@ pub enum PermError {
     /// (caught at the request boundary) and the rest of the batch kept
     /// going. The payload is the panic message when one was carried.
     Internal(String),
-    /// The serving layer refused to admit the request because its in-flight
-    /// limit was reached — shed load explicitly rather than queueing
-    /// without bound.
+    /// The serving layer refused to admit the request: a batch admits only
+    /// its first `limit` requests (in request order) and this one came
+    /// later — load is shed explicitly rather than queued without bound.
     Rejected {
-        /// The admission limit that was hit (requests in flight).
+        /// The admission limit of the batch (requests admitted per batch).
         limit: usize,
     },
 }
@@ -183,7 +189,7 @@ impl std::fmt::Display for PermError {
             PermError::Rejected { limit } => {
                 write!(
                     f,
-                    "request rejected: admission limit of {limit} in-flight requests"
+                    "request rejected: a batch admits its first {limit} requests only"
                 )
             }
         }

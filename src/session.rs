@@ -32,12 +32,11 @@
 use crate::PermError;
 use perm_algebra::Plan;
 use perm_core::{ProvenanceDescriptor, ProvenanceQuery, Strategy};
-use perm_core::{TraceEvent, TraceKind, TraceSink};
-use perm_exec::{CancelToken, Degradation, Executor, FaultPlan, QueryProfile, TraceSignal};
+use perm_exec::{CancelToken, Executor, FaultPlan, QueryProfile, SessionStats};
+use perm_exec::{TraceEvent, TraceKind, TraceSink};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -365,16 +364,16 @@ pub struct SessionConfig {
     /// worker panics at exact, reproducible points.
     pub fault_plan: Option<FaultPlan>,
     /// Optional structured-trace sink (default `None`). When set, every
-    /// session opened with this configuration records
-    /// [`perm_core::TraceEvent`]s into it: one [`TraceKind::Phase`] span
-    /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `optimize`,
-    /// `compile`, `execute`, each carrying its wall time in nanoseconds),
-    /// plus the executor's resilience events — sublink-memo inserts and
-    /// hits, degradation-rung transitions, and cancellation checkpoints
-    /// that actually fired. With no sink attached the
-    /// executor's emission seam is a single `Option` check; nothing is
-    /// allocated or recorded.
-    /// The bundled [`perm_core::RingTraceSink`] keeps the most recent
+    /// session opened with this configuration records [`TraceEvent`]s into
+    /// it: one [`TraceKind::Phase`] span per completed pipeline phase
+    /// (`parse`, `bind`, `rewrite`, `optimize`, `compile`, `execute`, each
+    /// carrying its wall time in nanoseconds), plus the events its executor
+    /// writes into the same sink ([`Executor::set_trace_sink`]) —
+    /// sublink-memo inserts and hits, degradation-rung transitions, and
+    /// cancellation checkpoints that actually fired. With no sink attached
+    /// each emission site is a single `Option` check; nothing is allocated
+    /// or recorded.
+    /// The bundled [`perm_exec::RingTraceSink`] keeps the most recent
     /// events in a bounded ring; the trait is `Send + Sync`, so one sink
     /// may observe many sessions (the serving worker pool does exactly
     /// that). Execution-only: not part of the plan-cache key.
@@ -421,135 +420,10 @@ impl std::fmt::Debug for SessionConfig {
     }
 }
 
-/// Bridges the executor-side [`TraceSignal`] (emitted by the resilience
-/// governor, which cannot depend on `perm-core`) into the sink-side
-/// [`TraceEvent`]. Runs only when a sink is attached.
-fn bridge_signal(signal: TraceSignal) -> TraceEvent {
-    match signal {
-        TraceSignal::MemoInsert { label, bytes } => {
-            TraceEvent::new(TraceKind::MemoInsert, label, bytes)
-        }
-        TraceSignal::MemoHit { label } => TraceEvent::new(TraceKind::MemoHit, label, 0),
-        TraceSignal::Rung { rung } => TraceEvent::new(TraceKind::Rung, format!("{rung:?}"), 0),
-        TraceSignal::CancelFired { operator } => {
-            TraceEvent::new(TraceKind::CancelFired, operator, 0)
-        }
-    }
-}
-
-/// Pipeline counters of one session, for observability and for asserting
-/// the prepared-statement contract (re-execution performs zero parse, bind,
-/// rewrite or compile work).
-///
-/// # Counter semantics
-///
-/// Every counter **accumulates monotonically over the session's lifetime**.
-/// Nothing resets between executions — not between two executions of one
-/// [`Prepared`] statement, not across statements. Differencing two snapshots
-/// therefore attributes work to exactly the executions in between, which
-/// is how the prepared-statement contract is asserted: after a prepare,
-/// re-executing must advance `executions` (and execution-side counters
-/// like `vectorized_batches` and `cancel_checks`) while `parses`, `binds`,
-/// `rewrites` and `compiles` stay put.
-///
-/// Three fields are not event counters but still move monotonically:
-/// [`SessionStats::peak_bytes`] and [`SessionStats::degradation`] are
-/// high-water marks (the worst value ever observed, under byte and rung
-/// ordering respectively), and [`SessionStats::buffer_pool_capacity`] is a
-/// configuration gauge — constant for the session's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// SQL texts parsed.
-    pub parses: u64,
-    /// Parsed queries bound against the catalog.
-    pub binds: u64,
-    /// Provenance rewrites performed.
-    pub rewrites: u64,
-    /// Optimizer rule applications across this session's fresh
-    /// preparations (decorrelations + constant folds + predicate pushes +
-    /// projection prunes). Like `compiles`, a plan-cache hit advances
-    /// nothing — the cached statement was optimized by the session that
-    /// prepared it.
-    pub optimizer_rules_fired: u64,
-    /// Sublinks this session's fresh preparations decorrelated into
-    /// semi/anti joins (a subset of `optimizer_rules_fired`).
-    pub sublinks_decorrelated: u64,
-    /// Plans compiled to slot-resolved form.
-    pub compiles: u64,
-    /// Statement executions (materialised or streaming).
-    pub executions: u64,
-    /// Preparations this session served from the engine's cross-session
-    /// plan cache (each such prepare did zero parse/bind/rewrite/compile
-    /// work anywhere — the statement was compiled by an earlier session).
-    pub plan_cache_hits: u64,
-    /// Preparations this session ran through the full pipeline and
-    /// published to the engine's plan cache (or ran privately, for
-    /// sessions opened without an engine).
-    pub plan_cache_misses: u64,
-    /// Expression-over-batch evaluations performed by the vectorized
-    /// compiled evaluator (one per expression per batch of up to
-    /// [`perm_exec::BATCH_ROWS`] rows; zero when
-    /// [`SessionConfig::batching`] is off, where every row is evaluated as
-    /// a batch of one).
-    pub vectorized_batches: u64,
-    /// Rows a correlated sublink was looked up for one at a time, each under
-    /// its own bindings in the statement's memo (an uncorrelated sublink is
-    /// looked up once per batch and counts nothing here). Counted alike
-    /// whether [`SessionConfig::batching`] is on or off.
-    pub sublink_fallback_rows: u64,
-    /// Column blocks whose typed lanes were actually materialised by the
-    /// columnar evaluator (a block is counted on first lane access, not
-    /// per batch; zero when [`SessionConfig::columnar`] is off).
-    pub columnar_blocks: u64,
-    /// Rows the columnar evaluator handed back to the row-major `Value`
-    /// path — mixed-type or otherwise untyped lanes, string/date kernels
-    /// without a typed fast path, and rows a correlated sublink was looked
-    /// up for (which also count into [`SessionStats::sublink_fallback_rows`]).
-    pub columnar_fallback_rows: u64,
-    /// Cancellation checkpoints polled by the executor (batch boundaries,
-    /// cursor refills, sublink entries). Monotone over the session's life;
-    /// the gap between two snapshots bounds how often a cancel or deadline
-    /// could have been observed in between.
-    pub cancel_checks: u64,
-    /// Sublink lookups the memo of the executed statement served (no
-    /// operator ran).
-    pub memo_hits: u64,
-    /// Sublink lookups that executed the sublink: memo misses, plus every
-    /// evaluation of a correlated sublink under
-    /// [`SessionConfig::sublink_memo`]`: false`.
-    pub memo_misses: u64,
-    /// High-water mark of accounted bytes (operator state + memo entries)
-    /// seen by the executor's budget accountant. Tracked whether or not a
-    /// [`SessionConfig::memory_budget`] is set whenever memo entries exist;
-    /// transient operator state is only accounted under a budget.
-    pub peak_bytes: u64,
-    /// Total payload bytes written to spill files (grace-join partitions,
-    /// sort runs, aggregate partitions). Zero
-    /// unless [`SessionConfig::spill`] is on and pressure occurred.
-    pub spilled_bytes: u64,
-    /// Spill partition files and sort runs created.
-    pub spill_partitions: u64,
-    /// Buffer-pool hits while reading spill files back.
-    pub buffer_pool_hits: u64,
-    /// Buffer-pool misses (page loads from disk) while reading spill files.
-    pub buffer_pool_misses: u64,
-    /// Pages evicted from the spill-file buffer pool to admit new ones —
-    /// the churn signal that, next to the hit/miss split, tells an
-    /// undersized pool from a cold one.
-    pub buffer_pool_evictions: u64,
-    /// Configured frame capacity of the spill-file buffer pool (a gauge,
-    /// not a counter; zero when the session has no spill manager).
-    pub buffer_pool_capacity: u64,
-    /// Worst [`Degradation`] rung the executor reached under memory
-    /// pressure: `None` (never over budget), `SpilledToDisk` (state moved
-    /// to disk, no work lost), `ReclaimedMemos` (cached sublink summaries
-    /// dropped) or `Exhausted` (a query failed).
-    pub degradation: Degradation,
-}
-
 /// A session: the unit of statement preparation and execution. Holds one
-/// [`Executor`], whose counters accumulate over the session's life. Cheap
-/// to create; not `Sync` — one session per worker.
+/// [`Executor`], whose counter registry — the session's pipeline counters
+/// included — accumulates over the session's life ([`Session::stats`]).
+/// Cheap to create; not `Sync` — one session per worker.
 pub struct Session<'a> {
     db: &'a Database,
     config: SessionConfig,
@@ -557,14 +431,6 @@ pub struct Session<'a> {
     /// The engine's cross-session plan cache; `None` for sessions opened
     /// directly over a database ([`Session::new`]), which prepare privately.
     plan_cache: Option<&'a PlanCache>,
-    parses: Cell<u64>,
-    binds: Cell<u64>,
-    rewrites: Cell<u64>,
-    optimizer_rules_fired: Cell<u64>,
-    sublinks_decorrelated: Cell<u64>,
-    executions: Cell<u64>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
     /// Whether the executor's current cancel token was minted for a
     /// deadline by [`Session::bind_checked`]. Such a token must not leak
     /// into a later deadline-less execution (an expired deadline would
@@ -674,25 +540,12 @@ impl<'a> Session<'a> {
         if let Some(plan) = &config.fault_plan {
             executor = executor.with_fault_plan(plan.clone());
         }
-        if let Some(sink) = &config.trace_sink {
-            let sink = Arc::clone(sink);
-            executor.set_trace_hook(Some(Rc::new(move |signal| {
-                sink.record(bridge_signal(signal))
-            })));
-        }
+        executor.set_trace_sink(config.trace_sink.clone());
         Session {
             db,
             config,
             executor,
             plan_cache: None,
-            parses: Cell::new(0),
-            binds: Cell::new(0),
-            rewrites: Cell::new(0),
-            optimizer_rules_fired: Cell::new(0),
-            sublinks_decorrelated: Cell::new(0),
-            executions: Cell::new(0),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
             deadline_token: Cell::new(false),
         }
     }
@@ -707,10 +560,8 @@ impl<'a> Session<'a> {
         self.db
     }
 
-    /// The session's executor — diagnostic counters
-    /// ([`Executor::operators_evaluated`],
-    /// [`Executor::quantifier_comparisons`]) and low-level execution live
-    /// here.
+    /// The session's executor, for low-level execution. Its counters are
+    /// the session's: [`Session::stats`] is [`Executor::stats`].
     pub fn executor(&self) -> &Executor<'a> {
         &self.executor
     }
@@ -728,36 +579,11 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// A snapshot of the session's pipeline counters.
+    /// A snapshot of the session's counters — its executor's registry,
+    /// which the pipeline phases bump too (see [`SessionStats`]).
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            parses: self.parses.get(),
-            binds: self.binds.get(),
-            rewrites: self.rewrites.get(),
-            optimizer_rules_fired: self.optimizer_rules_fired.get(),
-            sublinks_decorrelated: self.sublinks_decorrelated.get(),
-            compiles: self.executor.statements_compiled(),
-            executions: self.executions.get(),
-            plan_cache_hits: self.cache_hits.get(),
-            plan_cache_misses: self.cache_misses.get(),
-            vectorized_batches: self.executor.batches_vectorized(),
-            sublink_fallback_rows: self.executor.batch_fallback_rows(),
-            columnar_blocks: self.executor.columnar_blocks(),
-            columnar_fallback_rows: self.executor.columnar_fallback_rows(),
-            cancel_checks: self.executor.cancel_checks(),
-            memo_hits: self.executor.memo_hits(),
-            memo_misses: self.executor.memo_misses(),
-            peak_bytes: self.executor.peak_bytes(),
-            spilled_bytes: self.executor.spilled_bytes(),
-            spill_partitions: self.executor.spill_partitions(),
-            buffer_pool_hits: self.executor.buffer_pool_hits(),
-            buffer_pool_misses: self.executor.buffer_pool_misses(),
-            buffer_pool_evictions: self.executor.buffer_pool_evictions(),
-            buffer_pool_capacity: self.executor.buffer_pool_capacity(),
-            degradation: self.executor.degradation(),
-        }
+        self.executor.stats()
     }
-
     /// Prepares a SQL statement: parse → bind → provenance rewrite (if the
     /// query carries the `SELECT PROVENANCE` marker) → optimize → compile,
     /// once. The returned [`Prepared`] executes many times via
@@ -783,7 +609,7 @@ impl<'a> Session<'a> {
 
     fn prepare_sql(&self, sql: &str, forced_provenance: bool) -> Result<Arc<Prepared>, PermError> {
         let Some(cache) = self.plan_cache else {
-            self.cache_misses.set(self.cache_misses.get() + 1);
+            self.executor.record(|s| s.plan_cache_misses += 1);
             return Ok(Arc::new(self.prepare_fresh(sql, forced_provenance)?));
         };
         let key = PlanKey {
@@ -793,10 +619,10 @@ impl<'a> Session<'a> {
             memo_capacity: self.config.memo_capacity,
         };
         if let Some(hit) = cache.get(&key) {
-            self.cache_hits.set(self.cache_hits.get() + 1);
+            self.executor.record(|s| s.plan_cache_hits += 1);
             return Ok(hit);
         }
-        self.cache_misses.set(self.cache_misses.get() + 1);
+        self.executor.record(|s| s.plan_cache_misses += 1);
         let prepared = Arc::new(self.prepare_fresh(sql, forced_provenance)?);
         // `insert` returns the canonical statement — ours, unless another
         // session won the race while we were compiling.
@@ -825,12 +651,12 @@ impl<'a> Session<'a> {
     fn parse_and_bind(&self, sql: &str) -> Result<(Plan, bool), PermError> {
         let start = Instant::now();
         let parsed = perm_sql::parse_query(sql)?;
-        self.parses.set(self.parses.get() + 1);
+        self.executor.record(|s| s.parses += 1);
         self.trace_phase("parse", start);
         let provenance = parsed.provenance;
         let start = Instant::now();
         let bound = perm_sql::bind(self.db, &parsed)?;
-        self.binds.set(self.binds.get() + 1);
+        self.executor.record(|s| s.binds += 1);
         self.trace_phase("bind", start);
         Ok((bound.plan, provenance))
     }
@@ -847,7 +673,7 @@ impl<'a> Session<'a> {
             let rewritten = ProvenanceQuery::new(self.db, &plan)
                 .strategy(self.config.strategy)
                 .rewrite()?;
-            self.rewrites.set(self.rewrites.get() + 1);
+            self.executor.record(|s| s.rewrites += 1);
             self.trace_phase("rewrite", start);
             (rewritten.plan, Some(rewritten.descriptor))
         } else {
@@ -855,10 +681,10 @@ impl<'a> Session<'a> {
         };
         let start = Instant::now();
         let (optimized, report) = perm_exec::optimize::optimize(&plan);
-        self.optimizer_rules_fired
-            .set(self.optimizer_rules_fired.get() + report.rules_fired());
-        self.sublinks_decorrelated
-            .set(self.sublinks_decorrelated.get() + report.sublinks_decorrelated);
+        self.executor.record(|s| {
+            s.optimizer_rules_fired += report.rules_fired();
+            s.sublinks_decorrelated += report.sublinks_decorrelated;
+        });
         self.trace_phase("optimize", start);
         let start = Instant::now();
         let compiled = self.executor.prepare(&optimized)?;
@@ -917,7 +743,7 @@ impl<'a> Session<'a> {
     }
 
     fn count_execution(&self) {
-        self.executions.set(self.executions.get() + 1);
+        self.executor.record(|s| s.executions += 1);
     }
 
     /// Executes a prepared statement with the given parameter binding,
@@ -1008,8 +834,8 @@ impl<'a> Session<'a> {
     /// annotated with per-operator actuals (invocations, rows in/out,
     /// batches, wall time, memo hits/misses, spill bytes/partitions,
     /// columnar-fallback rows). The result rows are discarded, as in SQL
-    /// `EXPLAIN ANALYZE`; use [`Session::execute_profiled`] to keep them,
-    /// or [`Session::rows_profiled`] to profile a streaming cursor.
+    /// `EXPLAIN ANALYZE`; use [`Session::execute_profiled`] to keep them
+    /// (a streaming cursor is profiled by [`Executor::open_profiled`]).
     pub fn explain_analyze(&self, sql: &str) -> Result<QueryProfile, PermError> {
         let prepared = self.prepare(sql)?;
         let (_, mut profile) = self.execute_profiled(&prepared, &[])?;
@@ -1035,22 +861,6 @@ impl<'a> Session<'a> {
         self.trace_phase("execute", start);
         self.count_execution();
         Ok((relation, profile))
-    }
-
-    /// [`Session::rows`] with profiling armed: the returned cursor records
-    /// per-operator actuals as it is pulled, and [`Rows::profile`] snapshots
-    /// them at any point — typically after exhaustion, but a mid-stream
-    /// snapshot of a `LIMIT`-style consumer is exactly how much the
-    /// early-out actually saved.
-    pub fn rows_profiled<'s>(
-        &'s self,
-        prepared: &'s Prepared,
-        params: &[Value],
-    ) -> Result<Rows<'s, 'a>, PermError> {
-        self.bind_checked(prepared, params, None)?;
-        let rows = self.executor.open_profiled(&prepared.compiled)?;
-        self.count_execution();
-        Ok(rows)
     }
 
     /// Executes a provenance statement and returns the structured witness

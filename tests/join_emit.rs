@@ -15,13 +15,13 @@ use perm_algebra::builder::{and, binary, cmp, eq, exists_sublink, null_safe_eq};
 use perm_algebra::{BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem};
 use perm_exec::eval::compare;
 use perm_exec::{
-    CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, TraceSignal, BATCH_ROWS,
+    CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, RingTraceSink,
+    TraceKind, BATCH_ROWS,
 };
 use perm_storage::{encode_key_column_filtered, ColumnVec, Truth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 const KINDS: [JoinKind; 4] = [
@@ -435,22 +435,23 @@ fn a_bucket_longer_than_a_batch_is_cancelled_inside_it() {
     // emission — inside the 31st left row's bucket — or, on a machine that
     // takes a millisecond to get going, at the very first, which the left
     // scan polls.
-    let fired = Rc::new(RefCell::new(Vec::new()));
-    let seen = Rc::clone(&fired);
+    let sink = Arc::new(RingTraceSink::default());
     let ex = Executor::new(&db).with_deadline(Duration::from_millis(1));
-    ex.set_trace_hook(Some(Rc::new(move |signal| {
-        if let TraceSignal::CancelFired { operator } = signal {
-            seen.borrow_mut().push(operator);
-        }
-    })));
+    ex.set_trace_sink(Some(sink.clone()));
     let err = ex.execute(&plan).unwrap_err();
     assert!(matches!(err, ExecError::Cancelled { .. }), "{err}");
-    let operator = match ex.cancel_checks() {
+    let operator = match ex.stats().cancel_checks {
         1 => "scan",
         65 => "join",
         checks => panic!("cancelled at checkpoint {checks}"),
     };
-    assert_eq!(*fired.borrow(), [operator]);
+    let fired: Vec<String> = sink
+        .snapshot()
+        .into_iter()
+        .filter(|event| event.kind == TraceKind::CancelFired)
+        .map(|event| event.label)
+        .collect();
+    assert_eq!(fired, [operator]);
 
     // The same place, by count: the fifth checkpoint is the second inside
     // the first left row's bucket, and nothing runs after it.
@@ -461,14 +462,14 @@ fn a_bucket_longer_than_a_batch_is_cancelled_inside_it() {
         ExecError::Cancelled { .. }
     ));
     assert!(fault.fired());
-    assert_eq!((fault.events_seen(), ex.cancel_checks()), (5, 5));
+    assert_eq!((fault.events_seen(), ex.stats().cancel_checks), (5, 5));
 
     // Uncancelled, the join checkpoints once per batch of rows read and once
     // per batch of rows emitted.
     let (db, plan) = one_bucket(3, mates);
     let ex = Executor::new(&db);
     assert_eq!(ex.execute(&plan).unwrap().len() as i64, 3 * mates);
-    assert_eq!(ex.cancel_checks(), 2 + 2 + 1 + 6);
+    assert_eq!(ex.stats().cancel_checks, 2 + 2 + 1 + 6);
 }
 
 /// Values of one variant (0 – 4: `Int`, `Float`, `Date`, `Bool`, `Str`; 5:

@@ -251,7 +251,10 @@ fn uncorrelated_sublinks_run_a_batch_at_a_time_and_agree_row_for_row() {
         let ex = Executor::new(&db);
         let [project, _] = shapes(&db, any_sublink(col("a"), CompareOp::Eq, scan(&db, "sn")));
         ex.execute(&project).unwrap();
-        assert_eq!(ex.quantifier_comparisons(), if n == 0 { 0 } else { 7 });
+        assert_eq!(
+            ex.stats().quantifier_comparisons,
+            if n == 0 { 0 } else { 7 }
+        );
     }
 }
 
@@ -368,7 +371,7 @@ fn a_retained_prepared_statement_builds_one_probe_per_parameter_vector() {
     // c > -1 keeps all six rows of s, c > 5 keeps four.
     for p in [-1i64, -1, 5, -1, 5, 5] {
         ex.bind_params(vec![Value::Int(p)]);
-        let before = ex.quantifier_comparisons();
+        let before = ex.stats().quantifier_comparisons;
         let (got, profile) = ex.execute_profiled(&compiled).unwrap();
         let fresh = seen.insert(p);
         // Two batches read the probe: the first builds it (one miss) or
@@ -378,7 +381,7 @@ fn a_retained_prepared_statement_builds_one_probe_per_parameter_vector() {
             if fresh { (1, 1) } else { (2, 0) },
             "$1 = {p}"
         );
-        let built = ex.quantifier_comparisons() - before;
+        let built = ex.stats().quantifier_comparisons - before;
         assert_eq!(
             built,
             if !fresh {
@@ -442,10 +445,10 @@ fn a_budget_that_refuses_the_probe_still_answers_correctly() {
             "{label}"
         );
         assert!(
-            starved.quantifier_comparisons() > unbudgeted.quantifier_comparisons(),
+            starved.stats().quantifier_comparisons > unbudgeted.stats().quantifier_comparisons,
             "{label}: {} vs {}",
-            starved.quantifier_comparisons(),
-            unbudgeted.quantifier_comparisons()
+            starved.stats().quantifier_comparisons,
+            unbudgeted.stats().quantifier_comparisons
         );
     }
 }
@@ -463,15 +466,19 @@ fn executors_sharing_a_memo_hit_each_others_probes() {
         let warm = Executor::new(&db);
         let compiled = warm.prepare(&plan).unwrap();
         let first = warm.execute_compiled(&compiled).unwrap();
-        assert!(warm.quantifier_comparisons() > 0);
-        assert!(warm.memo_misses() > 0, "{label}");
+        assert!(warm.stats().quantifier_comparisons > 0);
+        assert!(warm.stats().memo_misses > 0, "{label}");
 
         let other = Executor::new(&db);
         let second = other.execute_compiled(&compiled).unwrap();
         assert_eq!(second.tuples(), first.tuples());
-        assert_eq!(other.quantifier_comparisons(), 0, "{label}: no probe built");
-        assert_eq!(other.memo_misses(), 0, "{label}");
-        assert!(other.memo_hits() > 0, "{label}");
+        assert_eq!(
+            other.stats().quantifier_comparisons,
+            0,
+            "{label}: no probe built"
+        );
+        assert_eq!(other.stats().memo_misses, 0, "{label}");
+        assert!(other.stats().memo_hits > 0, "{label}");
         assert_eq!(
             first.tuples(),
             Executor::new(&db)

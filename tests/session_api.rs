@@ -3,7 +3,7 @@
 //! chains — everything `ISSUE 3` promises of the `Engine`/`Session` facade.
 
 use perm::prelude::*;
-use perm::{PermError, SessionConfig};
+use perm::{Degradation, PermError, SessionConfig};
 use std::error::Error as _;
 
 /// R(a, g) and S(c, g): a correlated workload with a low-cardinality group
@@ -896,4 +896,100 @@ fn spill_sessions_report_buffer_pool_churn_and_capacity() {
         stats.buffer_pool_hits + stats.buffer_pool_misses > 0,
         "reading spilled runs back must go through the buffer pool"
     );
+}
+
+#[test]
+fn trace_events_agree_with_the_counters() {
+    // One session, one sink: the executor writes its events into the sink
+    // the session records its phases in, and each event matches a counter
+    // of the one registry `stats()` reads.
+    let mut db = grouped_db();
+    db.create_table(
+        "big",
+        Relation::from_rows(
+            Schema::from_names(&["k", "v"]).with_qualifier("big"),
+            (0..20_000)
+                .map(|i| vec![Value::Int((i * 37) % 1000), Value::Int(i)])
+                .collect(),
+        ),
+    )
+    .unwrap();
+    let sink = std::sync::Arc::new(perm::RingTraceSink::new(1 << 16));
+    let engine = Engine::new(db);
+    let session = engine.session_with(SessionConfig {
+        memory_budget: Some(256 << 10),
+        spill: true,
+        trace_sink: Some(sink.clone()),
+        ..SessionConfig::default()
+    });
+    let events = |kind: perm::TraceKind| -> Vec<perm::TraceEvent> {
+        let all = sink.snapshot();
+        all.into_iter().filter(|e| e.kind == kind).collect()
+    };
+
+    // A correlated scalar `avg`, twice: the second run is served by the
+    // statement's memo.
+    let correlated = session
+        .prepare("SELECT a FROM r WHERE a < (SELECT avg(c) FROM s WHERE s.g = r.g)")
+        .unwrap();
+    let before = session.stats();
+    session.execute(&correlated, &[]).unwrap();
+    session.execute(&correlated, &[]).unwrap();
+    let after = session.stats();
+    assert!(after.memo_hits > before.memo_hits, "{after:?}");
+    assert_eq!(
+        events(perm::TraceKind::MemoHit).len() as u64,
+        after.memo_hits - before.memo_hits
+    );
+
+    // A sort ten times the budget goes out of core.
+    let sorted = session.prepare("SELECT k, v FROM big ORDER BY k").unwrap();
+    assert_eq!(session.execute(&sorted, &[]).unwrap().len(), 20_000);
+    let spilled = session.stats();
+    assert!(spilled.spilled_bytes > 0 && spilled.degradation > Degradation::None);
+
+    // An expired deadline cancels at the first checkpoint.
+    let scan = session.prepare("SELECT k FROM big WHERE v > 5").unwrap();
+    let cancelled = session.execute_with_deadline(&scan, &[], std::time::Duration::ZERO);
+    assert!(matches!(
+        cancelled,
+        Err(PermError::Exec(perm::ExecError::Cancelled { .. }))
+    ));
+    assert_eq!(events(perm::TraceKind::CancelFired).len(), 1);
+
+    // One `Rung` event per newly reached rung: strictly worsening, ending
+    // at the rung the counters report.
+    let stats = session.stats();
+    let ladder = [
+        Degradation::SpilledToDisk,
+        Degradation::ReclaimedMemos,
+        Degradation::Exhausted,
+    ];
+    let rungs: Vec<Degradation> = events(perm::TraceKind::Rung)
+        .iter()
+        .map(|e| *ladder.iter().find(|r| format!("{r:?}") == e.label).unwrap())
+        .collect();
+    assert!(!rungs.is_empty());
+    assert!(rungs.windows(2).all(|w| w[0] < w[1]), "{rungs:?}");
+    assert_eq!(rungs.last(), Some(&stats.degradation));
+    assert_eq!(
+        events(perm::TraceKind::MemoHit).len() as u64,
+        stats.memo_hits
+    );
+    assert_eq!(sink.dropped(), 0);
+
+    // The session's counters are its executor's, and every getter the
+    // benchmark still calls reads the same registry.
+    let ex = session.executor();
+    assert_eq!(ex.stats(), stats);
+    assert_eq!(ex.operators_evaluated(), stats.operators_evaluated);
+    assert_eq!(ex.batches_vectorized(), stats.vectorized_batches);
+    assert_eq!(ex.batch_fallback_rows(), stats.sublink_fallback_rows);
+    assert_eq!(ex.columnar_fallback_rows(), stats.columnar_fallback_rows);
+    assert_eq!(ex.spilled_bytes(), stats.spilled_bytes);
+    assert_eq!(ex.spill_partitions(), stats.spill_partitions);
+    assert_eq!(ex.buffer_pool_hits(), stats.buffer_pool_hits);
+    assert_eq!(ex.buffer_pool_misses(), stats.buffer_pool_misses);
+    assert_eq!(ex.buffer_pool_evictions(), stats.buffer_pool_evictions);
+    assert!(stats.operators_evaluated > 0 && stats.buffer_pool_misses > 0);
 }
