@@ -26,7 +26,8 @@
 //! The cache is the statement's own: compilation gives the [`CompiledPlan`]
 //! one memo and hands every [`CompiledSublink`] of the plan a handle to it,
 //! so whoever executes the plan — any executor, on any thread — reads and
-//! fills the same entries, and they go away with the plan.
+//! fills the same entries, and they go away with the plan. Sublink ids, the
+//! head of every key, are therefore numbered per plan.
 //!
 //! Compilation never changes semantics: results (including errors) are
 //! identical to [`crate::Executor::execute_unoptimized`]. In particular the
@@ -37,7 +38,7 @@
 
 use crate::batch::Batch;
 use crate::eval::{arithmetic, compare};
-use crate::executor::{extract_equi_keys, flatten_conjuncts, Executor};
+use crate::executor::{extract_equi_keys, flatten_conjuncts, Execution, Executor};
 use crate::functions;
 use crate::memo::StatementMemo;
 use crate::physical::{self, AggSpec};
@@ -54,7 +55,6 @@ use perm_storage::{
     Value,
 };
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A resolved column reference: how many scopes outwards, and at which
@@ -114,8 +114,9 @@ pub enum CompiledExpr {
 /// A compiled sublink expression.
 #[derive(Debug, Clone)]
 pub struct CompiledSublink {
-    /// Process-unique id: the sublink's part of its memo keys, and how a
-    /// profile finds the sublink's subtree.
+    /// Id, unique within its plan: the sublink's part of its memo keys
+    /// (the memo is the plan's own), and how the plan's profile finds the
+    /// sublink's subtree.
     pub id: usize,
     /// The sublink kind (`ANY`, `ALL`, `EXISTS`, scalar).
     pub kind: SublinkKind,
@@ -466,24 +467,6 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Source of compiled-sublink ids: process-wide, so two sublinks never
-/// share an id — not within a plan, whose memo keys lead with it, and not
-/// across plans prepared by *different* executors (e.g. two sessions sharing
-/// one engine, or preparations that *race* on different threads), so an
-/// armed profile tree, which finds a sublink's subtree by id, never
-/// attributes a foreign plan's sublink to itself.
-///
-/// Memory-ordering contract: `fetch_add(1, Ordering::Relaxed)` is a single
-/// atomic read-modify-write, so every call observes a distinct value of the
-/// counter — uniqueness needs only the atomicity of the RMW, not any
-/// ordering of *other* memory between threads. The id is then embedded in a
-/// `CompiledPlan` that reaches other threads only through a synchronising
-/// handoff (an `Arc` behind the engine's plan-cache mutex, a scoped-thread
-/// join, a channel), and that handoff provides the happens-before edge that
-/// publishes the plan's memory. `Relaxed` is therefore sufficient and the
-/// cheapest correct choice; `SeqCst` would buy nothing.
-static NEXT_SUBLINK_ID: AtomicUsize = AtomicUsize::new(0);
-
 /// Applies a unary operator to one value: the scalar semantics every
 /// unary kernel equals, run by the fallback of
 /// [`crate::kernels::unary_column`] alone.
@@ -580,6 +563,7 @@ pub(crate) fn compile_plan(
 ) -> Result<CompiledPlan> {
     let mut compiler = Compiler {
         memo: StatementMemo::new(memo_capacity),
+        sublinks: 0,
     };
     Ok(CompiledPlan {
         root: compiler.plan(plan, None)?,
@@ -588,9 +572,12 @@ pub(crate) fn compile_plan(
     })
 }
 
-/// The compilation of one plan: every sublink it meets gets the plan's memo.
+/// The compilation of one plan: every sublink it meets gets the plan's memo
+/// and the next id of the plan.
 struct Compiler {
     memo: Arc<StatementMemo>,
+    /// Sublinks numbered so far.
+    sublinks: usize,
 }
 
 impl Compiler {
@@ -811,7 +798,8 @@ impl Compiler {
                 op,
                 plan,
             } => {
-                let id = NEXT_SUBLINK_ID.fetch_add(1, Ordering::Relaxed);
+                let id = self.sublinks;
+                self.sublinks += 1;
 
                 // The correlation signature: every free column of the
                 // sublink plan, resolved against the chain at the use site.
@@ -864,7 +852,7 @@ impl Compiler {
     }
 }
 
-use crate::cursor::streams_lazily;
+use crate::cursor::{streams_lazily, Rows};
 
 impl Executor<'_> {
     /// Executes a compiled top-level plan, materialising the result. Fails
@@ -881,38 +869,38 @@ impl Executor<'_> {
     /// only the documented top-level case may diverge from it on an
     /// erroring tail.
     pub fn execute_compiled(&self, plan: &CompiledPlan) -> Result<Relation> {
-        self.begin_execution(plan)?;
-        if let CompiledNode::Limit { input, .. } = plan.root() {
-            if streams_lazily(input) {
-                return self.open(plan)?.into_relation();
-            }
-        }
-        self.execute_compiled_node(plan.root(), None, None)
+        self.begin_execution(plan, None)?.run(plan)
     }
 
-    /// [`Executor::execute_compiled`] with a [`ProfileTree`] armed for the
-    /// duration: the `EXPLAIN ANALYZE` entry point. Builds the zeroed
-    /// skeleton for `plan`, attaches it to the executor (weakly — see
-    /// `Executor::set_profile`) so the memoized-sublink seam can attribute
-    /// hits and misses, executes with per-node probes threaded through the
-    /// drivers, and returns the result alongside the annotated snapshot.
-    /// A *top-level* `LIMIT` over a streamable spine is cursor-routed with
-    /// the same profile tree, so the routing decision is identical to the
+    /// [`Executor::execute_compiled`] with a [`ProfileTree`] for the plan:
+    /// the `EXPLAIN ANALYZE` entry point. The execution owns the zeroed
+    /// skeleton, whose nodes the drivers thread positionally and whose
+    /// sublink subtrees the memoized-sublink seam finds by id, and the
+    /// result comes back alongside the annotated snapshot. A *top-level*
+    /// `LIMIT` over a streamable spine is cursor-routed with the same
+    /// profile tree, so the routing decision is identical to the
     /// unprofiled path.
     pub fn execute_profiled(&self, plan: &CompiledPlan) -> Result<(Relation, QueryProfile)> {
-        self.begin_execution(plan)?;
         let tree = ProfileTree::for_plan(plan);
-        self.set_profile(Some(&tree));
-        let result = (|| {
-            if let CompiledNode::Limit { input, .. } = plan.root() {
-                if streams_lazily(input) {
-                    return self.open_with_tree(plan, Rc::clone(&tree))?.into_relation();
-                }
+        let result = self
+            .begin_execution(plan, Some(Rc::clone(&tree)))?
+            .run(plan)?;
+        Ok((result, tree.snapshot()))
+    }
+}
+
+impl<'e, 'a> Execution<'e, 'a> {
+    /// Runs a top-level plan to its materialised result, routing a root
+    /// `LIMIT` over a streamable spine through a cursor (see
+    /// [`Executor::execute_compiled`]).
+    fn run(self, plan: &'e CompiledPlan) -> Result<Relation> {
+        if let CompiledNode::Limit { input, .. } = plan.root() {
+            if streams_lazily(input) {
+                return Rows::new(self, plan)?.into_relation();
             }
-            self.execute_compiled_node(plan.root(), None, Some(&tree.root))
-        })();
-        self.set_profile(None);
-        result.map(|rel| (rel, tree.snapshot()))
+        }
+        let root = self.profile.as_ref().map(|tree| &*tree.root);
+        self.execute_compiled_node(plan.root(), None, root)
     }
 
     /// Wraps one physical operator call when a profile node is armed:
@@ -929,9 +917,9 @@ impl Executor<'_> {
         body: impl FnOnce() -> Result<Relation>,
     ) -> Result<Relation> {
         let Some(node) = prof else { return body() };
-        let before = self.stats();
+        let before = self.ex.stats();
         let result = body();
-        let after = self.stats();
+        let after = self.ex.stats();
         let s = &node.stats;
         s.rows_in.set(s.rows_in.get() + rows_in);
         s.spilled_bytes
@@ -950,7 +938,7 @@ impl Executor<'_> {
 
     /// The recursive operator evaluation behind [`Executor::execute_compiled`]
     /// (which see): executes children, wraps the batch evaluator
-    /// (`Executor::ceval_batch`) into batch-evaluator closures over a
+    /// (`Execution::ceval_batch`) into batch-evaluator closures over a
     /// [`Frame`] slot chain, and delegates every operator body to
     /// `crate::physical` — the same bodies the interpreter drives. `frame`
     /// is the runtime scope chain for correlated slot references (present
@@ -966,14 +954,13 @@ impl Executor<'_> {
         frame: Option<&Frame<'_>>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let gov = &self.governor;
-        let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
+        let probe = OpProbe::new(self, prof.map(|p| &p.stats));
         match plan {
             CompiledNode::Scan { table, schema } => self.profiled(prof, 0, || {
-                physical::scan(probe, gov, self.database(), table, schema)
+                physical::scan(probe, self.ex.database(), table, schema)
             }),
             CompiledNode::Values { schema, rows } => {
-                self.profiled(prof, 0, || physical::values(probe, gov, schema, rows))
+                self.profiled(prof, 0, || physical::values(probe, schema, rows))
             }
             CompiledNode::Project {
                 input,
@@ -995,7 +982,7 @@ impl Executor<'_> {
                     ),
                 };
                 self.profiled(prof, child.len() as u64, || {
-                    physical::project_columns(probe, gov, child, schema.clone(), map)
+                    physical::project_columns(probe, child, schema.clone(), map)
                 })
             }
             CompiledNode::Project {
@@ -1007,14 +994,9 @@ impl Executor<'_> {
             } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
-                    physical::project(
-                        probe,
-                        gov,
-                        &child,
-                        schema.clone(),
-                        *distinct,
-                        |batch, out| self.project_rows_vectorized(items, batch, frame, out),
-                    )
+                    physical::project(probe, &child, schema.clone(), *distinct, |batch, out| {
+                        self.project_rows_vectorized(items, batch, frame, out)
+                    })
                 })
             }
             CompiledNode::Select {
@@ -1022,7 +1004,7 @@ impl Executor<'_> {
             } => {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
-                    physical::select(probe, gov, child, |batch, out| {
+                    physical::select(probe, child, |batch, out| {
                         self.predicate_truths_vectorized(predicate, batch, frame, out)
                     })
                 })
@@ -1035,7 +1017,7 @@ impl Executor<'_> {
                 let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
                 let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
                 self.profiled(prof, (l.len() + r.len()) as u64, || {
-                    physical::cross_product(probe, gov, &l, &r, schema.clone())
+                    physical::cross_product(probe, &l, &r, schema.clone())
                 })
             }
             CompiledNode::Join { schema, .. } => {
@@ -1060,7 +1042,6 @@ impl Executor<'_> {
                 self.profiled(prof, child.len() as u64, || {
                     physical::aggregate(
                         probe,
-                        gov,
                         &child,
                         schema.clone(),
                         group_by.len(),
@@ -1089,7 +1070,7 @@ impl Executor<'_> {
                 let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
                 let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
                 self.profiled(prof, (l.len() + r.len()) as u64, || {
-                    physical::set_op(probe, gov, *op, *all, &l, &r)
+                    physical::set_op(probe, *op, *all, &l, &r)
                 })
             }
             CompiledNode::Sort { input, keys, .. } => {
@@ -1097,7 +1078,7 @@ impl Executor<'_> {
                 let ascending: Vec<bool> = keys.iter().map(|k| k.ascending).collect();
                 let rows_in = child.len() as u64;
                 self.profiled(prof, rows_in, || {
-                    physical::sort(probe, gov, child, &ascending, |batch, cols| {
+                    physical::sort(probe, child, &ascending, |batch, cols| {
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {
                             self.expr_values(&k.expr, batch, frame, col)?;
                         }
@@ -1112,7 +1093,7 @@ impl Executor<'_> {
                 // evaluates its whole input exactly like the interpreter.
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 let rows_in = child.len() as u64;
-                self.profiled(prof, rows_in, || physical::limit(probe, gov, child, *limit))
+                self.profiled(prof, rows_in, || physical::limit(probe, child, *limit))
             }
         }
     }
@@ -1151,11 +1132,10 @@ impl Executor<'_> {
         }
         let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
         let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-        let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
+        let probe = OpProbe::new(self, prof.map(|p| &p.stats));
         self.profiled(prof, (l.len() + r.len()) as u64, || {
             physical::join(
                 probe,
-                &self.governor,
                 &l,
                 &r,
                 out_schema,
@@ -1211,12 +1191,12 @@ impl Executor<'_> {
     /// for a value that is consumed exactly once. Counts as one vectorized
     /// batch, exactly like the dispatch it replaces.
     fn bare_slot_column(&self, item: &CompiledExpr, batch: &Batch<'_>) -> Option<ColumnVec> {
-        if batch.is_empty() || !self.batch_enabled.get() {
+        if batch.is_empty() || !self.ex.batch_enabled.get() {
             return None;
         }
         match item {
             CompiledExpr::Slot(slot) if slot.depth == 0 => {
-                self.governor.count().vectorized_batches += 1;
+                self.ex.governor.count().vectorized_batches += 1;
                 Some(gather_values(batch, slot.index))
             }
             _ => None,
@@ -1269,10 +1249,10 @@ impl Executor<'_> {
         outer: Option<&Frame<'_>>,
         out: &mut ColumnVec,
     ) -> Result<()> {
-        if self.batch_enabled.get() && self.columnar_enabled.get() && !batch.is_empty() {
+        if self.ex.batch_enabled.get() && self.ex.columnar_enabled.get() && !batch.is_empty() {
             if let CompiledExpr::Slot(slot) = expr {
                 if slot.depth == 0 {
-                    self.governor.count().vectorized_batches += 1;
+                    self.ex.governor.count().vectorized_batches += 1;
                     *out = classify_rows(batch, slot.index);
                     return Ok(());
                 }
@@ -1300,7 +1280,7 @@ impl Executor<'_> {
 
     /// Evaluates a compiled expression over every live row of a batch,
     /// returning one value per live row in selection order: the one entry
-    /// to the compiled evaluator, [`Executor::ceval_typed`].
+    /// to the compiled evaluator, [`Execution::ceval_typed`].
     ///
     /// Batching on (the default), the whole batch is evaluated at once —
     /// one dispatch per expression node per batch instead of per row — and
@@ -1319,7 +1299,7 @@ impl Executor<'_> {
     /// * an empty selection evaluates nothing, so deferred errors behind it
     ///   are never raised;
     /// * a sublink is looked up once per batch when it is uncorrelated and
-    ///   once per live row otherwise (see `Executor::sublink_column`).
+    ///   once per live row otherwise (see `Execution::sublink_column`).
     ///
     /// The only observable difference is *which* of several pending errors
     /// surfaces first in a batch of many rows (evaluation is
@@ -1338,7 +1318,7 @@ impl Executor<'_> {
         if batch.is_empty() {
             return Ok(ColumnVec::default());
         }
-        if !self.batch_enabled.get() {
+        if !self.ex.batch_enabled.get() {
             let mut values = Vec::with_capacity(batch.len());
             for row in batch.iter() {
                 let one = Batch::dense(std::slice::from_ref(row));
@@ -1346,11 +1326,11 @@ impl Executor<'_> {
             }
             return Ok(ColumnVec::Values(values));
         }
-        self.governor.count().vectorized_batches += 1;
+        self.ex.governor.count().vectorized_batches += 1;
         self.ceval_typed(expr, batch, outer)
     }
 
-    /// The recursive body of [`Executor::ceval_batch`]: returns a column of
+    /// The recursive body of [`Execution::ceval_batch`]: returns a column of
     /// exactly `batch.len()` values aligned with the live selection,
     /// evaluated by the typed kernels of [`crate::kernels`] wherever the
     /// lane pairing has a proven scalar equivalence and by their scalar
@@ -1410,7 +1390,7 @@ impl Executor<'_> {
                 let r = self.ceval_typed(right, batch, outer)?;
                 let (col, fell_back) = crate::kernels::binary_column(*op, l, r)?;
                 if fell_back {
-                    self.governor.count().columnar_fallback_rows += n as u64;
+                    self.ex.governor.count().columnar_fallback_rows += n as u64;
                 }
                 Ok(col)
             }
@@ -1418,7 +1398,7 @@ impl Executor<'_> {
                 let v = self.ceval_typed(expr, batch, outer)?;
                 let (col, fell_back) = crate::kernels::unary_column(*op, v)?;
                 if fell_back {
-                    self.governor.count().columnar_fallback_rows += n as u64;
+                    self.ex.governor.count().columnar_fallback_rows += n as u64;
                 }
                 Ok(col)
             }
@@ -1457,12 +1437,12 @@ impl Executor<'_> {
     /// With columnar execution disabled, a `Values` gather of the live rows
     /// that never touches the block.
     fn slot_column(&self, index: usize, batch: &Batch<'_>) -> ColumnVec {
-        if !self.columnar_enabled.get() {
+        if !self.ex.columnar_enabled.get() {
             return gather_values(batch, index);
         }
         if let Some(block) = batch.columns() {
             if block.note_first_use() {
-                self.governor.count().columnar_blocks += 1;
+                self.ex.governor.count().columnar_blocks += 1;
             }
             return match batch.selection() {
                 None => block.lane(batch.rows(), index).clone(),
@@ -1664,8 +1644,8 @@ impl Executor<'_> {
             }
         };
         if shared.is_none() {
-            self.governor.count().sublink_fallback_rows += n as u64;
-            self.governor.count().columnar_fallback_rows += n as u64;
+            self.ex.governor.count().sublink_fallback_rows += n as u64;
+            self.ex.governor.count().columnar_fallback_rows += n as u64;
         }
         Ok(col)
     }
@@ -1693,12 +1673,11 @@ impl Executor<'_> {
         frame: Option<&Frame<'_>>,
     ) -> Result<Option<Vec<u8>>> {
         match &sublink.params {
-            Some(slots) if self.memo_enabled.get() || slots.is_empty() => {
-                let params = self.params_rc();
+            Some(slots) if self.ex.memo_enabled.get() || slots.is_empty() => {
                 let mut values: Vec<Value> =
                     Vec::with_capacity(sublink.param_refs.len() + slots.len());
                 for &index in &sublink.param_refs {
-                    match params.get(index) {
+                    match self.params.get(index) {
                         Some(v) => values.push(v.clone()),
                         None => return Ok(None),
                     }
@@ -1714,7 +1693,7 @@ impl Executor<'_> {
                     }
                 }
                 let mut key = sublink.id.to_le_bytes().to_vec();
-                key.extend_from_slice(&self.database().version().to_le_bytes());
+                key.extend_from_slice(&self.ex.database().version().to_le_bytes());
                 key.extend_from_slice(&encode_key_typed(&values));
                 Ok(Some(key))
             }
@@ -1739,29 +1718,25 @@ impl Executor<'_> {
     ) -> Result<Arc<SublinkSummary>> {
         let quantified = matches!(sublink.kind, SublinkKind::Any | SublinkKind::All);
         if !quantified {
-            self.governor.checkpoint("sublink")?;
+            self.checkpoint("sublink")?;
         }
         let key = self.compiled_sublink_key(sublink, frame)?;
-        // The armed profile tree, if any, holds this sublink's subtree by
-        // id — ids are process-unique, so when a *foreign* plan executes
-        // while a tree is armed, the lookup simply misses and nothing is
-        // misattributed. The upgrade fails (and profiling is off) once the
-        // owning `execute_profiled`/`Rows` has dropped the tree.
-        let tree = self.profile.borrow().upgrade();
-        let sub_prof = tree.as_ref().and_then(|t| t.sublink(sublink.id));
+        // A profiled execution's tree holds this sublink's subtree by id.
+        let sub_prof = self.profile.as_ref().and_then(|t| t.sublink(sublink.id));
         if let Some(hit) = key.as_ref().and_then(|k| sublink.memo.get(k)) {
-            self.governor.count().memo_hits += 1;
+            self.ex.governor.count().memo_hits += 1;
             if let Some(p) = sub_prof {
                 p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
             }
-            self.governor
+            self.ex
+                .governor
                 .emit(|| TraceEvent::new(TraceKind::MemoHit, "sublink-memo", 0));
             return Ok(hit);
         }
         if quantified {
-            self.governor.checkpoint("sublink")?;
+            self.checkpoint("sublink")?;
         }
-        self.governor.count().memo_misses += 1;
+        self.ex.governor.count().memo_misses += 1;
         if let Some(p) = sub_prof {
             p.stats.memo_misses.set(p.stats.memo_misses.get() + 1);
         }
@@ -1769,11 +1744,11 @@ impl Executor<'_> {
             self.execute_compiled_node(&sublink.plan, frame, sub_prof.map(|p| p.as_ref()))?;
         let summary = Arc::new(SublinkSummary::build(sublink.kind, &result)?);
         if quantified {
-            self.governor.count().quantifier_comparisons += result.len() as u64;
+            self.ex.governor.count().quantifier_comparisons += result.len() as u64;
         }
         if let Some(k) = key {
             let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
-            if self.governor.memo_insert_event("sublink-memo", cost)? {
+            if self.ex.governor.memo_insert_event("sublink-memo", cost)? {
                 sublink.memo.insert(k, Arc::clone(&summary));
             }
         }
@@ -2081,13 +2056,14 @@ mod tests {
         let db = db_with_groups();
         let q = correlated_exists_query(&db);
         let ex = Executor::new(&db);
+        let x = Execution::new(&ex, None);
         let compiled = ex.prepare(&q).unwrap();
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
-        let first = ex.sublink_summary(sublink, Some(&frame)).unwrap();
+        let first = x.sublink_summary(sublink, Some(&frame)).unwrap();
         let before = ex.operators_evaluated();
-        let second = ex.sublink_summary(sublink, Some(&frame)).unwrap();
+        let second = x.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "memo hit must share the cached allocation"
@@ -2096,14 +2072,15 @@ mod tests {
         // A different binding gets its own entry.
         let other_outer = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
         let other_frame = Frame::new(None, &other_outer);
-        let third = ex.sublink_summary(sublink, Some(&other_frame)).unwrap();
+        let third = x.sublink_summary(sublink, Some(&other_frame)).unwrap();
         assert!(!Arc::ptr_eq(&first, &third));
         // With the memo off every lookup executes afresh.
         let off = Executor::new(&db).with_sublink_memo(false);
+        let x = Execution::new(&off, None);
         let compiled = off.prepare(&q).unwrap();
         let sublink = select_sublink(compiled.root());
-        let a = off.sublink_summary(sublink, Some(&frame)).unwrap();
-        let b = off.sublink_summary(sublink, Some(&frame)).unwrap();
+        let a = x.sublink_summary(sublink, Some(&frame)).unwrap();
+        let b = x.sublink_summary(sublink, Some(&frame)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
     }
 
@@ -2249,13 +2226,11 @@ mod tests {
     }
 
     #[test]
-    fn racing_preparations_never_collide_on_sublink_ids() {
-        // The satellite fix of the concurrent serving subsystem: the
-        // process-wide sublink-id counter must hand out distinct ids under
-        // concurrent `prepare` (`fetch_add` is an atomic RMW; `Relaxed`
-        // ordering suffices for uniqueness — see `NEXT_SUBLINK_ID`). Race 8
-        // threads × 16 preparations of a nested two-sublink plan and check
-        // every id is globally unique.
+    fn nested_sublinks_get_distinct_ids_within_their_plan() {
+        // A sublink's id leads its memo keys in the plan's memo, so the ids
+        // of one plan must differ — here an `ANY` nested inside an
+        // `EXISTS`. Ids are numbered per plan: a second preparation of the
+        // same plan numbers its sublinks the same way.
         let db = db_with_groups();
         let inner = PlanBuilder::scan(&db, "s")
             .unwrap()
@@ -2307,30 +2282,13 @@ mod tests {
             }
         }
 
-        let all_ids = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let ex = Executor::new(&db);
-                    let mut ids = Vec::new();
-                    for _ in 0..16 {
-                        let compiled = ex.prepare(&q).unwrap();
-                        collect_ids(compiled.root(), &mut ids);
-                    }
-                    all_ids.lock().unwrap().extend(ids);
-                });
-            }
-        });
-        let mut ids = all_ids.into_inner().unwrap();
-        assert_eq!(ids.len(), 8 * 16 * 2, "two sublinks per preparation");
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(
-            ids.len(),
-            before,
-            "racing preparations produced duplicate sublink ids"
-        );
+        let ex = Executor::new(&db);
+        let mut ids = Vec::new();
+        collect_ids(ex.prepare(&q).unwrap().root(), &mut ids);
+        assert_eq!(ids, [0, 1], "two sublinks, numbered in compile order");
+        let mut again = Vec::new();
+        collect_ids(ex.prepare(&q).unwrap().root(), &mut again);
+        assert_eq!(again, ids);
     }
 
     #[test]
@@ -2347,7 +2305,9 @@ mod tests {
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
-        let first = warmer.sublink_summary(sublink, Some(&frame)).unwrap();
+        let first = Execution::new(&warmer, None)
+            .sublink_summary(sublink, Some(&frame))
+            .unwrap();
         assert!(
             compiled.memo().len() > 0,
             "warming populated the plan's memo"
@@ -2355,7 +2315,9 @@ mod tests {
 
         let server = Executor::new(&db);
         let before = server.operators_evaluated();
-        let second = server.sublink_summary(sublink, Some(&frame)).unwrap();
+        let second = Execution::new(&server, None)
+            .sublink_summary(sublink, Some(&frame))
+            .unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "cross-executor hit must share the cached allocation"
@@ -2370,24 +2332,5 @@ mod tests {
         let warm_result = server.execute_compiled(&compiled).unwrap();
         let cold_result = Executor::new(&db).execute(&q).unwrap();
         assert!(warm_result.bag_eq(&cold_result));
-    }
-
-    #[test]
-    fn sublink_ids_from_repeated_compilations_do_not_collide() {
-        let db = db_with_groups();
-        let q = correlated_exists_query(&db);
-        let ex = Executor::new(&db);
-        let first = ex.prepare(&q).unwrap();
-        let second = ex.prepare(&q).unwrap();
-        let id_of = |plan: &CompiledNode| -> usize {
-            match plan {
-                CompiledNode::Select { predicate, .. } => match predicate {
-                    CompiledExpr::Sublink(s) => s.id,
-                    other => panic!("expected sublink, got {other:?}"),
-                },
-                other => panic!("expected select, got {other:?}"),
-            }
-        };
-        assert_ne!(id_of(first.root()), id_of(second.root()));
     }
 }

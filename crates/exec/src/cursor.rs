@@ -6,7 +6,7 @@
 //! result. The spine operators — `LIMIT`, non-distinct projection, selection
 //! and base-table scans — stream **batch by batch** (predicates and
 //! projection items are evaluated vectorized over each pulled batch, see
-//! `Executor::ceval_batch`); every other operator (joins, aggregation,
+//! `Execution::ceval_batch`); every other operator (joins, aggregation,
 //! sorting, set operations, `DISTINCT`) is a pipeline breaker and is
 //! materialised through the shared [`Executor::execute_compiled`] path the
 //! moment the cursor is opened.
@@ -34,17 +34,20 @@
 //! surfaces the same error after them ([`Rows`] buffers the prefix and is
 //! fused once the error is returned).
 //!
-//! A cursor captures the executor's bound parameter vector when it is
-//! opened and re-asserts it on every batch refill, so interleaved
-//! executions on the same executor (with different `$n` bindings) cannot
-//! corrupt an open stream.
+//! A cursor owns its execution: the parameter vector bound when it was
+//! opened, its own cancel token and, when profiled, its profile tree. Other
+//! executions on the same executor — with other `$n` bindings, deadlines or
+//! profiles — can therefore interleave with its pulls without touching the
+//! stream, and cancelling the stream ([`Rows::cancel_handle`]) stops it and
+//! nothing else.
 
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
 use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan};
-use crate::executor::Executor;
-use crate::profile::{self, OpProbe, ProfNode, ProfileTree, QueryProfile};
+use crate::executor::{Execution, Executor};
+use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
+use crate::resilience::{CancelToken, Cancellation};
 use crate::Result;
-use perm_storage::{Relation, Schema, Tuple, Value};
+use perm_storage::{Relation, Schema, Tuple};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -52,16 +55,11 @@ use std::time::Instant;
 ///
 /// After the first error the cursor is fused and yields `None` forever.
 pub struct Rows<'e, 'a> {
-    executor: &'e Executor<'a>,
-    /// The parameter binding captured at open time, re-asserted per refill.
-    params: Rc<[Value]>,
+    /// The execution the cursor owns: parameters, cancel token, and the
+    /// profile tree when opened via [`Executor::open_profiled`].
+    x: Execution<'e, 'a>,
     schema: Schema,
     node: Node<'e>,
-    /// The armed profile tree when opened via [`Executor::open_profiled`]
-    /// (`None` otherwise — the plain [`Executor::open`] path records
-    /// nothing). Re-asserted on the executor per refill, exactly like the
-    /// parameter snapshot; disarmed on drop.
-    profile: Option<Rc<ProfileTree>>,
     /// Output rows buffered from the last batch refill.
     buffered: std::vec::IntoIter<Tuple>,
     /// An error encountered during the last refill, yielded after the rows
@@ -151,79 +149,38 @@ impl<'a> Executor<'a> {
     /// is counted or executed when fewer parameters are bound than the plan
     /// needs; pulls re-check nothing (the cursor keeps its own binding).
     pub fn open<'e>(&'e self, plan: &'e CompiledPlan) -> Result<Rows<'e, 'a>> {
-        self.begin_execution(plan)?;
-        let node = self.open_node(plan.root(), None)?;
-        Ok(Rows {
-            executor: self,
-            params: self.params_rc(),
-            schema: plan.schema().clone(),
-            node,
-            profile: None,
-            buffered: Vec::new().into_iter(),
-            pending_error: None,
-            next_want: 1,
-            done: false,
-        })
+        Rows::new(self.begin_execution(plan, None)?, plan)
     }
 
-    /// [`Executor::open`] with a fresh [`ProfileTree`] armed for the
-    /// cursor's lifetime: the streaming counterpart of
-    /// [`Executor::execute_profiled`]. The annotated snapshot is available
-    /// at any point through [`Rows::profile`] — including before the stream
-    /// is drained, when it reflects only the work pulled so far.
+    /// [`Executor::open`] with a fresh [`ProfileTree`] owned by the cursor:
+    /// the streaming counterpart of [`Executor::execute_profiled`]. The
+    /// annotated snapshot is available at any point through
+    /// [`Rows::profile`] — including before the stream is drained, when it
+    /// reflects only the work pulled so far.
     pub fn open_profiled<'e>(&'e self, plan: &'e CompiledPlan) -> Result<Rows<'e, 'a>> {
-        self.open_with_tree(plan, ProfileTree::for_plan(plan))
+        let tree = ProfileTree::for_plan(plan);
+        Rows::new(self.begin_execution(plan, Some(tree))?, plan)
     }
+}
 
-    /// The shared profiled-open: arms `tree` on the executor (for the
-    /// memoized-sublink seam) and threads its nodes through the spine.
-    pub(crate) fn open_with_tree<'e>(
-        &'e self,
-        plan: &'e CompiledPlan,
-        tree: Rc<ProfileTree>,
-    ) -> Result<Rows<'e, 'a>> {
-        self.begin_execution(plan)?;
-        self.set_profile(Some(&tree));
-        let node = match self.open_node(plan.root(), Some(&tree.root)) {
-            Ok(node) => node,
-            Err(e) => {
-                self.set_profile(None);
-                return Err(e);
-            }
-        };
-        Ok(Rows {
-            executor: self,
-            params: self.params_rc(),
-            schema: plan.schema().clone(),
-            node,
-            profile: Some(tree),
-            buffered: Vec::new().into_iter(),
-            pending_error: None,
-            next_want: 1,
-            done: false,
-        })
-    }
-
-    fn open_node<'e>(
-        &'e self,
-        plan: &'e CompiledNode,
-        prof: Option<&Rc<ProfNode>>,
-    ) -> Result<Node<'e>> {
-        // One evaluation per spine operator, counted at open time on the
-        // global counter *and* the armed node — the same shared site
-        // (`profile::begin`) the materialising operators use, so profiled
-        // sums stay equal to `operators_evaluated` across both paths. The
-        // timer is dropped immediately: spine wall time is recorded per
-        // refill by `fill`, not at open.
-        let count = |prof: Option<&Rc<ProfNode>>| {
-            let probe = OpProbe::new(&self.governor, prof.map(|p| &p.stats));
-            drop(profile::begin(&probe));
-        };
+impl<'e> Execution<'e, '_> {
+    fn open_node(&self, plan: &'e CompiledNode, prof: Option<&Rc<ProfNode>>) -> Result<Node<'e>> {
+        // One evaluation per spine operator, counted at open time — after
+        // its input opened, in the materialising path's order — on the
+        // global counter *and* the armed node, with its operator event: the
+        // same shared site (`OpProbe::begin`) and labels the materialising
+        // operators use, so profiled sums stay equal to
+        // `operators_evaluated` and fault plans see the same events on both
+        // paths. The timer is dropped immediately: spine wall time is
+        // recorded per refill by `fill`, not at open.
+        let begin = |operator| OpProbe::new(self, prof.map(|p| &p.stats)).begin(operator);
+        let open_input = |input| self.open_node(input, prof.map(|p| &p.children[0]));
         Ok(match plan {
             CompiledNode::Limit { input, limit, .. } => {
-                count(prof);
+                let input = Box::new(open_input(input)?);
+                begin("limit")?;
                 Node::Limit {
-                    input: Box::new(self.open_node(input, prof.map(|p| &p.children[0]))?),
+                    input,
                     remaining: *limit,
                     prof: prof.cloned(),
                 }
@@ -234,9 +191,10 @@ impl<'a> Executor<'a> {
                 distinct: false,
                 ..
             } => {
-                count(prof);
+                let input = Box::new(open_input(input)?);
+                begin("project")?;
                 Node::Project {
-                    input: Box::new(self.open_node(input, prof.map(|p| &p.children[0]))?),
+                    input,
                     items,
                     prof: prof.cloned(),
                 }
@@ -244,17 +202,18 @@ impl<'a> Executor<'a> {
             CompiledNode::Select {
                 input, predicate, ..
             } => {
-                count(prof);
+                let input = Box::new(open_input(input)?);
+                begin("select")?;
                 Node::Select {
-                    input: Box::new(self.open_node(input, prof.map(|p| &p.children[0]))?),
+                    input,
                     predicate,
                     prof: prof.cloned(),
                 }
             }
             CompiledNode::Scan { table, .. } => {
-                count(prof);
+                begin("scan")?;
                 Node::Scan {
-                    tuples: self.database().table(table)?.tuples(),
+                    tuples: self.ex.database().table(table)?.tuples(),
                     pos: 0,
                     prof: prof.cloned(),
                 }
@@ -268,19 +227,40 @@ impl<'a> Executor<'a> {
     }
 }
 
-impl Rows<'_, '_> {
+impl<'e, 'a> Rows<'e, 'a> {
+    /// A cursor over `plan` for the execution `x`, which it owns from here
+    /// on. A stream can always be cancelled: when no token was installed
+    /// for it, it gets one of its own.
+    pub(crate) fn new(mut x: Execution<'e, 'a>, plan: &'e CompiledPlan) -> Result<Rows<'e, 'a>> {
+        x.cancel
+            .get_or_insert_with(|| Cancellation::new(CancelToken::new()));
+        let node = x.open_node(plan.root(), x.profile.as_ref().map(|t| &t.root))?;
+        Ok(Rows {
+            x,
+            schema: plan.schema().clone(),
+            node,
+            buffered: Vec::new().into_iter(),
+            pending_error: None,
+            next_want: 1,
+            done: false,
+        })
+    }
+
     /// The output schema of the cursor.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// A [`CancelToken`](crate::CancelToken) wired to the executor driving
-    /// this cursor. Cancelling it — from any thread — makes the next batch
-    /// refill yield [`ExecError::Cancelled`](crate::ExecError::Cancelled)
-    /// instead of rows, so a consumer holding only the `Rows` iterator can
-    /// still be interrupted mid-stream.
-    pub fn cancel_handle(&self) -> crate::CancelToken {
-        self.executor.cancel_handle()
+    /// The [`CancelToken`] of this cursor's execution. Cancelling it —
+    /// from any thread — makes the next batch refill yield
+    /// [`ExecError::Cancelled`](crate::ExecError::Cancelled) instead of
+    /// rows, so a consumer holding only the `Rows` iterator can still be
+    /// interrupted mid-stream. It stops this stream and nothing else: other
+    /// executions on the same executor, earlier or later, have tokens of
+    /// their own.
+    pub fn cancel_handle(&self) -> CancelToken {
+        let cancel = self.x.cancel.as_ref();
+        cancel.expect("a stream has a token").token.clone()
     }
 
     /// Drains the cursor into a materialised relation.
@@ -297,18 +277,7 @@ impl Rows<'_, '_> {
     /// the work pulled *so far* — a partially consumed stream reports
     /// partial actuals, which is exactly the laziness the cursor promises.
     pub fn profile(&self) -> Option<QueryProfile> {
-        self.profile.as_ref().map(|tree| tree.snapshot())
-    }
-}
-
-impl Drop for Rows<'_, '_> {
-    fn drop(&mut self) {
-        // Disarm the executor's weak profile reference when a profiled
-        // cursor goes away, so a later unrelated execution cannot
-        // attribute sublink-memo traffic to this tree.
-        if self.profile.is_some() {
-            self.executor.set_profile(None);
-        }
+        self.x.profile.as_ref().map(|tree| tree.snapshot())
     }
 }
 
@@ -330,22 +299,14 @@ impl Iterator for Rows<'_, '_> {
             // A refill is a batch boundary: poll the governor here so a
             // cancelled or past-deadline stream stops within one batch even
             // when the spine below never materialises.
-            if let Err(e) = self.executor.governor.checkpoint("cursor") {
+            if let Err(e) = self.x.checkpoint("cursor") {
                 self.done = true;
                 return Some(Err(e));
-            }
-            // Refill a batch. Another execution on the same executor may
-            // have re-bound the parameter vector (or re-armed the profile)
-            // between pulls; re-assert this cursor's snapshots once per
-            // refill.
-            self.executor.rebind_params(&self.params);
-            if let Some(tree) = &self.profile {
-                self.executor.set_profile(Some(tree));
             }
             let want = self.next_want;
             self.next_want = (want * 2).min(BATCH_ROWS);
             let mut batch = Vec::with_capacity(want);
-            match fill(&mut self.node, self.executor, want, &mut batch) {
+            match fill(&mut self.node, &self.x, want, &mut batch) {
                 Ok(more) => {
                     if !more {
                         self.done = true;
@@ -371,14 +332,19 @@ impl Iterator for Rows<'_, '_> {
 /// the rows appended, and the (inclusive) wall time of the pull — armed
 /// cursors only; the unprofiled path takes the `prof() == None` branch and
 /// never reads the clock.
-fn fill(node: &mut Node<'_>, ex: &Executor<'_>, want: usize, out: &mut Vec<Tuple>) -> Result<bool> {
+fn fill(
+    node: &mut Node<'_>,
+    x: &Execution<'_, '_>,
+    want: usize,
+    out: &mut Vec<Tuple>,
+) -> Result<bool> {
     if want == 0 {
         return Ok(true);
     }
     let prof = node.prof().cloned();
     let start = prof.as_ref().map(|_| Instant::now());
     let before = out.len();
-    let result = fill_node(node, ex, want, out);
+    let result = fill_node(node, x, want, out);
     if let Some(p) = prof {
         let s = &p.stats;
         s.batches.set(s.batches.get() + 1);
@@ -395,7 +361,7 @@ fn fill(node: &mut Node<'_>, ex: &Executor<'_>, want: usize, out: &mut Vec<Tuple
 /// The operator bodies behind [`fill`].
 fn fill_node(
     node: &mut Node<'_>,
-    ex: &Executor<'_>,
+    x: &Execution<'_, '_>,
     want: usize,
     out: &mut Vec<Tuple>,
 ) -> Result<bool> {
@@ -429,7 +395,7 @@ fn fill_node(
             loop {
                 in_rows.clear();
                 in_rows.reserve(needed);
-                let input_result = fill(input, ex, needed, &mut in_rows);
+                let input_result = fill(input, x, needed, &mut in_rows);
                 if let Some(p) = prof {
                     let s = &p.stats;
                     s.rows_in.set(s.rows_in.get() + in_rows.len() as u64);
@@ -437,7 +403,7 @@ fn fill_node(
                 // Survivors of the pulled prefix are emitted before any
                 // input error (per-tuple ordering: the upstream error row
                 // is only reached after these rows flowed through).
-                needed -= select_into(ex, predicate, &mut in_rows, out)?;
+                needed -= select_into(x, predicate, &mut in_rows, out)?;
                 if !input_result? {
                     return Ok(false);
                 }
@@ -448,12 +414,12 @@ fn fill_node(
         }
         Node::Project { input, items, prof } => {
             let mut in_rows: Vec<Tuple> = Vec::with_capacity(want);
-            let input_result = fill(input, ex, want, &mut in_rows);
+            let input_result = fill(input, x, want, &mut in_rows);
             if let Some(p) = prof {
                 let s = &p.stats;
                 s.rows_in.set(s.rows_in.get() + in_rows.len() as u64);
             }
-            project_into(ex, items, &in_rows, out)?;
+            project_into(x, items, &in_rows, out)?;
             input_result
         }
         Node::Limit {
@@ -465,7 +431,7 @@ fn fill_node(
                 return Ok(false);
             }
             let before = out.len();
-            let more = fill(input, ex, want.min(*remaining), out)?;
+            let more = fill(input, x, want.min(*remaining), out)?;
             let pulled = out.len() - before;
             if let Some(p) = prof {
                 let s = &p.stats;
@@ -483,7 +449,7 @@ fn fill_node(
 /// failing row are emitted and the error a row-by-row evaluation raises
 /// first is returned.
 fn select_into(
-    ex: &Executor<'_>,
+    x: &Execution<'_, '_>,
     predicate: &CompiledExpr,
     in_rows: &mut [Tuple],
     out: &mut Vec<Tuple>,
@@ -492,17 +458,17 @@ fn select_into(
     let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
     let block = ColumnBlock::new(arity);
     let batch = Batch::dense_with_block(in_rows, &block);
-    let mut failed = ex
+    let mut failed = x
         .predicate_truths_vectorized(predicate, &batch, None, &mut truths)
         .err();
     if failed.is_some() {
         // The core appended nothing; the replay's verdicts stop at the
         // failing row (the error set is identical, only precedence can
-        // differ — see `Executor::ceval_batch`).
+        // differ — see `Execution::ceval_batch`).
         failed = in_rows
             .chunks(1)
             .try_for_each(|row| {
-                ex.predicate_truths_vectorized(predicate, &Batch::dense(row), None, &mut truths)
+                x.predicate_truths_vectorized(predicate, &Batch::dense(row), None, &mut truths)
             })
             .err();
     }
@@ -524,7 +490,7 @@ fn select_into(
 /// one, appending the rows that precede the failing row before returning
 /// its error.
 fn project_into(
-    ex: &Executor<'_>,
+    x: &Execution<'_, '_>,
     items: &[CompiledExpr],
     in_rows: &[Tuple],
     out: &mut Vec<Tuple>,
@@ -535,13 +501,13 @@ fn project_into(
     let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
     let block = ColumnBlock::new(arity);
     let batch = Batch::dense_with_block(in_rows, &block);
-    if ex.project_rows_vectorized(items, &batch, None, out).is_ok() {
+    if x.project_rows_vectorized(items, &batch, None, out).is_ok() {
         return Ok(());
     }
     // The core appends nothing on error, so the replay never duplicates
     // output rows.
     for row in in_rows.chunks(1) {
-        ex.project_rows_vectorized(items, &Batch::dense(row), None, out)?;
+        x.project_rows_vectorized(items, &Batch::dense(row), None, out)?;
     }
     Ok(())
 }
@@ -682,7 +648,9 @@ mod tests {
         let ex = Executor::new(&db);
         for plan in &shapes {
             let compiled = ex.prepare(plan).unwrap();
-            let node = ex.open_node(compiled.root(), None).unwrap();
+            let node = Execution::new(&ex, None)
+                .open_node(compiled.root(), None)
+                .unwrap();
             let streams = !matches!(node, Node::Materialized(_));
             assert_eq!(
                 streams_lazily(compiled.root()),

@@ -81,7 +81,7 @@ impl<'p> Interpreter<'p> {
                 )),
             },
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(index) => self.ex.param_value(*index),
+            Expr::Param(index) => self.x.param_value(*index),
             Expr::Binary { op, left, right } => self.eval_binary(*op, left, right, env),
             Expr::Unary { op, expr } => {
                 let v = self.eval_expr(expr, env)?;
@@ -210,7 +210,7 @@ impl<'p> Interpreter<'p> {
                 check_quantified_arity(&result)?;
                 // The reference folds; every row it compares is counted.
                 let rows = result.tuples().iter().map(|row| {
-                    self.ex.governor.count().quantifier_comparisons += 1;
+                    self.x.ex.governor.count().quantifier_comparisons += 1;
                     row.get(0)
                 });
                 Ok(fold_quantified(kind, op, &test_value, rows).to_value())

@@ -2,6 +2,16 @@
 //! governor every execution shares — and its two drivers over one shared
 //! physical-operator layer.
 //!
+//! What one execution owns is a value, not executor state: each entry
+//! ([`Executor::execute_compiled`], [`Executor::execute_profiled`],
+//! [`Executor::open`], [`Executor::open_profiled`],
+//! [`Executor::execute_unoptimized`], [`Interpreter::new`]) builds an
+//! `Execution` holding a snapshot of the bound parameters, the cancel token
+//! it took from the executor and, when profiled, the profile tree. Nothing
+//! is armed on the executor and nothing is re-asserted, so a cursor and
+//! other statements interleave on one executor without seeing each other's
+//! parameters, token or profile.
+//!
 //! Execution of a top-level plan through [`Executor::execute`] goes through
 //! two stages, over exactly the plan it is given (the optimizer,
 //! [`crate::optimize::optimize`], runs before, never inside):
@@ -47,29 +57,32 @@
 use crate::compile::CompiledPlan;
 use crate::interpreter::Interpreter;
 use crate::profile::ProfileTree;
-use crate::resilience::{CancelToken, FaultPlan, Governor};
+use crate::resilience::{CancelToken, Cancellation, FaultPlan, Governor};
 use crate::trace::TraceSink;
 use crate::{ExecError, Result};
 use perm_algebra::visit::param_count;
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
 use std::cell::{Cell, RefCell};
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
-    /// The resilience governor: installed cancel token / fault plan /
-    /// memory budget / trace sink, plus the counter registry
-    /// [`Executor::stats`] snapshots. Polled at batch boundaries by
+    /// The resilience governor: fault plan / memory budget / spill store /
+    /// trace sink, plus the counter registry [`Executor::stats`] snapshots.
+    /// Polled, with the execution's cancel token, at batch boundaries by
     /// `crate::physical`, at cursor refills and at memoized-sublink entry.
     pub(crate) governor: Governor,
-    /// The query-parameter vector (`$1` is index 0) bound for the current
-    /// execution. Shared as an `Rc` so a streaming cursor can cheaply
-    /// re-assert its own binding on every pull.
-    pub(crate) params: RefCell<Rc<[Value]>>,
+    /// The query-parameter vector (`$1` is index 0) the next executions
+    /// snapshot ([`Executor::bind_params`]). Shared as an `Rc`, so the
+    /// snapshot is a reference-count bump.
+    params: RefCell<Rc<[Value]>>,
+    /// The cancel token the next execution takes
+    /// ([`Executor::set_cancel_token`]).
+    cancel: Cell<Option<CancelToken>>,
     /// Whether the parameterized memos may be consulted for correlated
     /// sublinks.
     pub(crate) memo_enabled: Cell<bool>,
@@ -89,14 +102,68 @@ pub struct Executor<'a> {
     /// differential tests, in which every kernel takes its scalar
     /// fallback). Results are identical either way.
     pub(crate) columnar_enabled: Cell<bool>,
-    /// The armed `EXPLAIN ANALYZE` profile tree, held weakly: only the
-    /// memoized-sublink seam reads it (to attribute memo hits/misses and
-    /// sublink executions by sublink id — ids are process-unique, so a plan
-    /// the tree was not armed for simply misses the lookup); the operator
-    /// tree itself is threaded positionally by the profiled driver. A
-    /// `Weak` means a dropped profile degrades to unarmed execution with no
-    /// bookkeeping.
-    pub(crate) profile: RefCell<Weak<ProfileTree>>,
+}
+
+/// One execution of a plan on an [`Executor`], built by its entry from what
+/// the caller bound: a snapshot of the parameter vector, the cancel token
+/// installed on the executor (taken, so it governs this execution alone)
+/// and, for a profiled entry, the profile tree. The compiled driver, the
+/// cursor, the interpreter and — through their `OpProbe` — the physical
+/// operators read these here, never from executor slots, so executions
+/// interleaved on one executor cannot see each other's. A [`crate::Rows`]
+/// cursor owns its execution for as long as it lives.
+pub(crate) struct Execution<'e, 'a> {
+    /// The executor: database, configuration, counters and governor.
+    pub(crate) ex: &'e Executor<'a>,
+    /// The parameter vector bound when the execution began.
+    pub(crate) params: Rc<[Value]>,
+    /// The cancel token the execution took, if one was installed.
+    pub(crate) cancel: Option<Cancellation>,
+    /// The profile tree of a profiled execution: its operator nodes are
+    /// threaded positionally by the drivers, its sublink subtrees looked up
+    /// by id at the memoized-sublink seam.
+    pub(crate) profile: Option<Rc<ProfileTree>>,
+}
+
+impl<'e, 'a> Execution<'e, 'a> {
+    /// Begins an execution on `ex`: snapshots the bound parameters and
+    /// takes the installed cancel token.
+    pub(crate) fn new(ex: &'e Executor<'a>, profile: Option<Rc<ProfileTree>>) -> Execution<'e, 'a> {
+        Execution {
+            ex,
+            params: Rc::clone(&ex.params.borrow()),
+            cancel: ex.cancel.take().map(Cancellation::new),
+            profile,
+        }
+    }
+
+    /// A batch-boundary cancellation checkpoint of this execution.
+    pub(crate) fn checkpoint(&self, operator: &str) -> Result<()> {
+        self.ex.governor.checkpoint(operator, self.cancel.as_ref())
+    }
+
+    /// The precondition every execution entry checks once, before any
+    /// operator runs: at least `needed` parameters are bound.
+    pub(crate) fn check_params_bound(&self, needed: usize) -> Result<()> {
+        match needed.checked_sub(1) {
+            Some(highest) => self.param_value(highest).map(drop),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads the value bound to parameter index `index` (0-based). The
+    /// binding is present by [`Execution::check_params_bound`]; the error is
+    /// kept for evaluations that did not start at an execution entry.
+    pub(crate) fn param_value(&self, index: usize) -> Result<Value> {
+        self.params.get(index).cloned().ok_or_else(|| {
+            ExecError::Param(format!(
+                "parameter ${} is not bound ({} parameter{} supplied)",
+                index + 1,
+                self.params.len(),
+                if self.params.len() == 1 { "" } else { "s" }
+            ))
+        })
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -110,22 +177,13 @@ impl<'a> Executor<'a> {
             db,
             governor: Governor::new(),
             params: RefCell::new(Rc::from(Vec::new())),
+            cancel: Cell::new(None),
             memo_enabled: Cell::new(true),
             retain_memo: Cell::new(true),
             memo_capacity: Cell::new(None),
             batch_enabled: Cell::new(true),
             columnar_enabled: Cell::new(true),
-            profile: RefCell::new(Weak::new()),
         }
-    }
-
-    /// Arms (or, with `None`, disarms) the `EXPLAIN ANALYZE` profile for
-    /// subsequent profiled executions. Held weakly — see the field docs.
-    pub(crate) fn set_profile(&self, tree: Option<&Rc<ProfileTree>>) {
-        *self.profile.borrow_mut() = match tree {
-            Some(tree) => Rc::downgrade(tree),
-            None => Weak::new(),
-        };
     }
 
     /// Enables or disables vectorized batch evaluation on the compiled path
@@ -195,14 +253,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Installs a fresh cooperative [`CancelToken`] that trips once
-    /// `deadline` has passed. The token is polled at batch boundaries,
-    /// cursor refills and memoized-sublink entry; once it trips, the
-    /// current (and any later) execution fails with
-    /// [`ExecError::Cancelled`] within one batch worth of work. To install
-    /// a token of the caller's own, see [`Executor::set_cancel_token`].
+    /// `deadline` has passed, for the next execution only (see
+    /// [`Executor::set_cancel_token`]). The token is polled at batch
+    /// boundaries, cursor refills and memoized-sublink entry; once it trips,
+    /// that execution fails with [`ExecError::Cancelled`] within one batch
+    /// worth of work.
     pub fn with_deadline(self, deadline: Duration) -> Executor<'a> {
-        self.governor
-            .set_cancel_token(Some(CancelToken::with_deadline(deadline)));
+        self.set_cancel_token(Some(CancelToken::with_deadline(deadline)));
         self
     }
 
@@ -255,21 +312,33 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Replaces the installed cancel token (or removes it with `None`)
-    /// without consuming the executor — sessions mint a fresh token per
-    /// execution so a stale cancel never leaks into the next query.
+    /// Installs the cancel token (or removes it with `None`) that governs
+    /// the **next execution only**: every execution entry
+    /// ([`Executor::execute`], [`Executor::execute_compiled`],
+    /// [`Executor::execute_profiled`], [`Executor::open`] /
+    /// [`Executor::open_profiled`], [`Executor::execute_unoptimized`],
+    /// [`Interpreter::new`]) takes the installed token, so a cancel or an
+    /// expired deadline never leaks into a later execution, and a token
+    /// taken by an open cursor stops that cursor and nothing else.
     pub fn set_cancel_token(&self, token: Option<CancelToken>) {
-        self.governor.set_cancel_token(token);
+        self.cancel.set(token);
     }
 
-    /// The installed cancel token, creating (and installing) a fresh one if
-    /// none is present — the handle behind `Rows::cancel_handle`.
+    /// The cancel token the next execution will take, creating (and
+    /// installing) a fresh one if none is installed: cancelling it stops
+    /// that execution — one already running is governed by the token it
+    /// took (see [`Executor::set_cancel_token`]; an open cursor's own token
+    /// is `Rows::cancel_handle`).
     pub fn cancel_handle(&self) -> CancelToken {
-        self.governor.ensure_cancel_token()
+        let token = self.cancel.take().unwrap_or_default();
+        self.cancel.set(Some(token.clone()));
+        token
     }
 
-    /// Binds the query-parameter vector (`$1` is `params[0]`) used by
-    /// subsequent executions. Parameters stay bound until rebound; plans
+    /// Binds the query-parameter vector (`$1` is `params[0]`) that later
+    /// executions use: each execution entry snapshots the vector bound when
+    /// it begins, so rebinding never changes one already running — an open
+    /// cursor keeps its binding. Parameters stay bound until rebound; plans
     /// that reference no parameters ignore the vector entirely.
     ///
     /// The contract is *bind before executing*: every execution entry
@@ -288,52 +357,22 @@ impl<'a> Executor<'a> {
     }
 
     /// What every compiled-plan execution entry does once, before any
-    /// operator runs: checks the parameter binding, clears the statement's
-    /// memo unless memos are retained, and lets the governor account the
-    /// memo.
-    pub(crate) fn begin_execution(&self, plan: &CompiledPlan) -> Result<()> {
-        self.check_params_bound(plan.param_count())?;
+    /// operator runs: begins the [`Execution`] (with `profile` for a
+    /// profiled entry), checks its parameter binding, clears the
+    /// statement's memo unless memos are retained, and lets the governor
+    /// account the memo.
+    pub(crate) fn begin_execution(
+        &self,
+        plan: &CompiledPlan,
+        profile: Option<Rc<ProfileTree>>,
+    ) -> Result<Execution<'_, 'a>> {
+        let x = Execution::new(self, profile);
+        x.check_params_bound(plan.param_count())?;
         if !self.retain_memo.get() {
             plan.memo().clear();
         }
         self.governor.track_statement_memo(plan.memo());
-        Ok(())
-    }
-
-    /// The precondition every execution entry checks once, before any
-    /// operator runs: at least `needed` parameters are bound.
-    pub(crate) fn check_params_bound(&self, needed: usize) -> Result<()> {
-        match needed.checked_sub(1) {
-            Some(highest) => self.param_value(highest).map(drop),
-            None => Ok(()),
-        }
-    }
-
-    /// The currently bound parameter vector, shared.
-    pub(crate) fn params_rc(&self) -> Rc<[Value]> {
-        Rc::clone(&self.params.borrow())
-    }
-
-    /// Re-asserts a previously captured parameter binding (used by
-    /// streaming cursors, whose pulls may interleave with other executions
-    /// on the same executor).
-    pub(crate) fn rebind_params(&self, params: &Rc<[Value]>) {
-        *self.params.borrow_mut() = Rc::clone(params);
-    }
-
-    /// Reads the value bound to parameter index `index` (0-based). The
-    /// binding is present by [`Executor::check_params_bound`]; the error is
-    /// kept for evaluations that did not start at an execution entry.
-    pub(crate) fn param_value(&self, index: usize) -> Result<Value> {
-        let params = self.params.borrow();
-        params.get(index).cloned().ok_or_else(|| {
-            ExecError::Param(format!(
-                "parameter ${} is not bound ({} parameter{} supplied)",
-                index + 1,
-                params.len(),
-                if params.len() == 1 { "" } else { "s" }
-            ))
-        })
+        Ok(x)
     }
 
     /// The database this executor reads from.
@@ -377,8 +416,9 @@ impl<'a> Executor<'a> {
     /// [`Executor::with_sublink_memo`]`(false)`, which leaves only the
     /// InitPlan caching of uncorrelated sublinks.
     pub fn execute_unoptimized(&self, plan: &Plan) -> Result<Relation> {
-        self.check_params_bound(param_count(plan))?;
-        Interpreter::new(self).execute(plan, None)
+        let interpreter = Interpreter::new(self);
+        interpreter.x.check_params_bound(param_count(plan))?;
+        interpreter.execute(plan, None)
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::compile::ColumnMap;
 use crate::eval::Env;
-use crate::executor::{extract_equi_keys, Executor};
+use crate::executor::{extract_equi_keys, Execution, Executor};
 use crate::physical::{self, AggSpec};
 use crate::profile::OpProbe;
 use crate::Result;
@@ -39,12 +39,13 @@ type Signature = (Vec<(Option<Name>, Name)>, Vec<usize>);
 type MemoKey = (*const Plan, Vec<u8>);
 
 /// One execution of the reference interpreter over plans borrowed for `'p`.
-/// Counters, parameters, the cancel token and the operator-state budget are
-/// the executor's; the memo and the signature cache go with the interpreter.
+/// Counters and the operator-state budget are the executor's; the parameter
+/// snapshot and cancel token are the interpreter's own execution's, and the
+/// memo and the signature cache go with the interpreter.
 pub struct Interpreter<'p> {
-    /// The executor whose database, parameters, counters and governor this
-    /// interpreter uses.
-    pub(crate) ex: &'p Executor<'p>,
+    /// The execution this interpreter is: the executor's database, counters
+    /// and governor, plus the parameters and cancel token it began with.
+    pub(crate) x: Execution<'p, 'p>,
     /// Sublink results per binding, shared so a hit never deep-copies.
     memo: RefCell<HashMap<MemoKey, Rc<Relation>>>,
     /// The signature of each sublink plan evaluated so far.
@@ -55,11 +56,13 @@ pub struct Interpreter<'p> {
 }
 
 impl<'p> Interpreter<'p> {
-    /// An interpreter over `executor`'s database, parameters, counters and
-    /// governor, with an empty memo.
+    /// An interpreter over `executor`'s database, counters and governor,
+    /// with an empty memo. It is one execution: it snapshots the parameters
+    /// bound on `executor` and takes its installed cancel token (see
+    /// [`Executor::set_cancel_token`]).
     pub fn new(executor: &'p Executor<'p>) -> Interpreter<'p> {
         Interpreter {
-            ex: executor,
+            x: Execution::new(executor, None),
             memo: RefCell::new(HashMap::new()),
             signatures: RefCell::new(HashMap::new()),
             plans: PhantomData,
@@ -68,7 +71,7 @@ impl<'p> Interpreter<'p> {
 
     /// The executor this interpreter runs on.
     pub fn executor(&self) -> &'p Executor<'p> {
-        self.ex
+        self.x.ex
     }
 
     /// Executes a sublink plan in the correlation environment `env` through
@@ -93,12 +96,11 @@ impl<'p> Interpreter<'p> {
                 .or_insert_with(|| Rc::new((free_correlated_columns(plan), free_params(plan)))),
         );
         let (free, param_refs) = &*signature;
-        let key = (free.is_empty() || self.ex.memo_enabled.get())
+        let key = (free.is_empty() || self.x.ex.memo_enabled.get())
             .then(|| {
-                let params = self.ex.params.borrow();
                 let mut values = Vec::with_capacity(param_refs.len() + free.len());
                 for &index in param_refs {
-                    values.push(params.get(index)?.clone());
+                    values.push(self.x.params.get(index)?.clone());
                 }
                 for (qualifier, name) in free {
                     values.push(env?.lookup(qualifier.as_deref(), name).ok()?);
@@ -127,13 +129,12 @@ impl<'p> Interpreter<'p> {
     pub fn execute(&self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<Relation> {
         // The interpreter path runs unprofiled (profiles mirror *compiled*
         // plans); the probe still carries the shared global counter.
-        let probe = OpProbe::new(&self.ex.governor, None);
-        let gov = &self.ex.governor;
+        let probe = OpProbe::new(&self.x, None);
         match plan {
             Plan::Scan { table, schema, .. } => {
-                physical::scan(probe, gov, self.ex.database(), table, schema)
+                physical::scan(probe, self.x.ex.database(), table, schema)
             }
-            Plan::Values { schema, rows } => physical::values(probe, gov, schema, rows),
+            Plan::Values { schema, rows } => physical::values(probe, schema, rows),
             Plan::Project {
                 input,
                 items,
@@ -141,33 +142,26 @@ impl<'p> Interpreter<'p> {
             } => {
                 let child = self.execute(input, env)?;
                 let child_schema = child.schema().clone();
-                physical::project(
-                    probe,
-                    gov,
-                    &child,
-                    plan.schema(),
-                    *distinct,
-                    |batch, out| {
-                        for tuple in batch.iter() {
-                            let scope = Env::new(env, &child_schema, tuple);
-                            // Explicit loop, not `collect::<Result<_>>()`: the
-                            // fallible-collect machinery reports a zero lower
-                            // size hint and grows the row by realloc —
-                            // measurably slower on projection-heavy plans.
-                            let mut row = Vec::with_capacity(items.len());
-                            for item in items {
-                                row.push(self.eval_expr(&item.expr, Some(&scope))?);
-                            }
-                            out.push(Tuple::new(row));
+                physical::project(probe, &child, plan.schema(), *distinct, |batch, out| {
+                    for tuple in batch.iter() {
+                        let scope = Env::new(env, &child_schema, tuple);
+                        // Explicit loop, not `collect::<Result<_>>()`: the
+                        // fallible-collect machinery reports a zero lower
+                        // size hint and grows the row by realloc —
+                        // measurably slower on projection-heavy plans.
+                        let mut row = Vec::with_capacity(items.len());
+                        for item in items {
+                            row.push(self.eval_expr(&item.expr, Some(&scope))?);
                         }
-                        Ok(())
-                    },
-                )
+                        out.push(Tuple::new(row));
+                    }
+                    Ok(())
+                })
             }
             Plan::Select { input, predicate } => {
                 let child = self.execute(input, env)?;
                 let child_schema = child.schema().clone();
-                physical::select(probe, gov, child, |batch, out| {
+                physical::select(probe, child, |batch, out| {
                     for tuple in batch.iter() {
                         let scope = Env::new(env, &child_schema, tuple);
                         out.push(self.eval_predicate(predicate, Some(&scope))?.is_true());
@@ -179,7 +173,7 @@ impl<'p> Interpreter<'p> {
                 let l = self.execute(left, env)?;
                 let r = self.execute(right, env)?;
                 let schema = l.schema().concat(r.schema());
-                physical::cross_product(probe, gov, &l, &r, schema)
+                physical::cross_product(probe, &l, &r, schema)
             }
             Plan::Join {
                 left,
@@ -219,7 +213,6 @@ impl<'p> Interpreter<'p> {
                 // identity map), every bucket-mate rechecked.
                 physical::join(
                     probe,
-                    gov,
                     &l,
                     &r,
                     &out_schema,
@@ -267,7 +260,6 @@ impl<'p> Interpreter<'p> {
                     .collect();
                 physical::aggregate(
                     probe,
-                    gov,
                     &child,
                     plan.schema(),
                     group_by.len(),
@@ -296,13 +288,13 @@ impl<'p> Interpreter<'p> {
             } => {
                 let l = self.execute(left, env)?;
                 let r = self.execute(right, env)?;
-                physical::set_op(probe, gov, *op, *all, &l, &r)
+                physical::set_op(probe, *op, *all, &l, &r)
             }
             Plan::Sort { input, keys } => {
                 let child = self.execute(input, env)?;
                 let child_schema = child.schema().clone();
                 let ascending: Vec<bool> = keys.iter().map(|k: &SortKey| k.ascending).collect();
-                physical::sort(probe, gov, child, &ascending, |batch, cols| {
+                physical::sort(probe, child, &ascending, |batch, cols| {
                     for tuple in batch.iter() {
                         let scope = Env::new(env, &child_schema, tuple);
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {
@@ -314,7 +306,7 @@ impl<'p> Interpreter<'p> {
             }
             Plan::Limit { input, limit } => {
                 let child = self.execute(input, env)?;
-                physical::limit(probe, gov, child, *limit)
+                physical::limit(probe, child, *limit)
             }
         }
     }

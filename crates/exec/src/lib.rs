@@ -64,6 +64,17 @@
 //!   recovers correlation signatures at runtime. An interpreter is a value
 //!   that lives for one execution, over plans borrowed for its lifetime.
 //!
+//! Both drivers run an *execution*: a value each entry builds from what the
+//! caller bound on the executor — a snapshot of the `$n` parameters, the
+//! cancel token installed by [`Executor::set_cancel_token`] (taken, so it
+//! governs that execution alone) and, when profiled, the profile tree. The
+//! drivers, the [`Rows`] cursor (which owns its execution for as long as it
+//! lives) and the physical operators read these from the execution, never
+//! from the executor, so executions interleaved on one executor — a stream
+//! and the statements run while it is open — keep their own parameters,
+//! token and profile. Sublink ids are numbered per plan: only the plan's
+//! own memo and profile look them up.
+//!
 //! Pipeline breakers (aggregation, sorting, set operations, the join build
 //! side) consume batches at their input boundary; the streamable spine
 //! (`scan → select → project → limit`) additionally streams batches lazily

@@ -58,12 +58,14 @@
 //! operator evaluations.
 //!
 //! Every operator also cooperates with the executor's `Governor`
-//! (`crate::resilience`): a cancellation **checkpoint** runs once per batch
-//! boundary (never per row, so the ≤5% overhead budget holds), an operator
-//! event gives fault injection its hook, and the state that can actually
-//! grow without bound — hash-join build tables and candidate buffers,
-//! aggregation groups, sort buffers — is charged against the memory budget
-//! as it grows, with the charge credited back when the operator returns.
+//! (`crate::resilience`) through the same probe, which carries the cancel
+//! token of the execution it runs in: a cancellation **checkpoint** runs
+//! once per batch boundary (never per row, so the ≤5% overhead budget
+//! holds), an operator event gives fault injection its hook, and the state
+//! that can actually grow without bound — hash-join build tables and
+//! candidate buffers, aggregation groups, sort buffers — is charged against
+//! the memory budget as it grows, with the charge credited back when the
+//! operator returns.
 //! The `cancel_checks` counter is deliberately separate from
 //! `operators_evaluated`: the latter is a per-invocation semantics
 //! diagnostic that many tests pin exactly.
@@ -85,14 +87,14 @@
 use crate::aggregate::Accumulator;
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
 use crate::compile::ColumnMap;
-use crate::profile::{self, OpProbe};
+use crate::profile::OpProbe;
 use crate::resilience::{relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge};
-use crate::spill::{self, fnv1a, SpillManager};
+use crate::spill::{self, fnv1a};
 use crate::{ExecError, Result};
 use perm_algebra::{AggFunc, JoinKind, SetOpKind};
 use perm_storage::{
     encode_key_column, encode_key_column_filtered, ColumnVec, Database, HeapFile, Relation, Schema,
-    Tuple, Value,
+    StorageManager, Tuple, Value,
 };
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
@@ -116,29 +118,21 @@ pub(crate) struct AggSpec {
 /// schema (which may carry an alias qualifier).
 pub(crate) fn scan(
     probe: OpProbe<'_>,
-    gov: &Governor,
     db: &Database,
     table: &str,
     schema: &Schema,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("scan")?;
-    gov.checkpoint("scan")?;
+    let _timer = probe.begin("scan")?;
+    probe.checkpoint("scan")?;
     probe.batch();
     let base = db.table(table)?;
     Ok(Relation::new(schema.clone(), base.tuples().to_vec())?)
 }
 
 /// Constant relation.
-pub(crate) fn values(
-    probe: OpProbe<'_>,
-    gov: &Governor,
-    schema: &Schema,
-    rows: &[Tuple],
-) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("values")?;
-    gov.checkpoint("values")?;
+pub(crate) fn values(probe: OpProbe<'_>, schema: &Schema, rows: &[Tuple]) -> Result<Relation> {
+    let _timer = probe.begin("values")?;
+    probe.checkpoint("values")?;
     probe.batch();
     Ok(Relation::new(schema.clone(), rows.to_vec())?)
 }
@@ -147,19 +141,17 @@ pub(crate) fn values(
 /// appending one output tuple per live row.
 pub(crate) fn project(
     probe: OpProbe<'_>,
-    gov: &Governor,
     child: &Relation,
     out_schema: Schema,
     distinct: bool,
     mut rows_of: impl FnMut(&Batch<'_>, &mut Vec<Tuple>) -> Result<()>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("project")?;
+    let _timer = probe.begin("project")?;
     let arity = child.schema().arity();
     let mut out = Relation::empty(out_schema);
     let mut buf: Vec<Tuple> = Vec::with_capacity(BATCH_ROWS.min(child.len()));
     for chunk in child.tuples().chunks(BATCH_ROWS) {
-        gov.checkpoint("project")?;
+        probe.checkpoint("project")?;
         probe.batch();
         buf.clear();
         let block = ColumnBlock::new(arity);
@@ -181,19 +173,17 @@ pub(crate) fn project(
 /// input.
 pub(crate) fn project_columns(
     probe: OpProbe<'_>,
-    gov: &Governor,
     child: Relation,
     out_schema: Schema,
     map: Option<&ColumnMap>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("project")?;
+    let _timer = probe.begin("project")?;
     if map.is_none() {
         probe.emitted_by_join();
     }
     let mut rows = child.into_tuples();
     for chunk in rows.chunks_mut(BATCH_ROWS) {
-        gov.checkpoint("project")?;
+        probe.checkpoint("project")?;
         probe.batch();
         if let Some(map) = map {
             for row in chunk {
@@ -210,19 +200,17 @@ pub(crate) fn project_columns(
 /// rows are never copied.
 pub(crate) fn select(
     probe: OpProbe<'_>,
-    gov: &Governor,
     child: Relation,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("select")?;
+    let _timer = probe.begin("select")?;
     let schema = child.schema().clone();
     let arity = schema.arity();
     let mut input = child.into_tuples();
     let mut out = Relation::empty(schema);
     let mut truths: Vec<bool> = Vec::with_capacity(BATCH_ROWS.min(input.len()));
     for chunk in input.chunks_mut(BATCH_ROWS) {
-        gov.checkpoint("select")?;
+        probe.checkpoint("select")?;
         probe.batch();
         truths.clear();
         let block = ColumnBlock::new(arity);
@@ -240,20 +228,18 @@ pub(crate) fn select(
 /// Cross product.
 pub(crate) fn cross_product(
     probe: OpProbe<'_>,
-    gov: &Governor,
     l: &Relation,
     r: &Relation,
     out_schema: Schema,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("cross_product")?;
+    let _timer = probe.begin("cross_product")?;
     let mut out = Relation::empty(out_schema);
     let mut since_checkpoint = 0usize;
     for lt in l.tuples() {
         since_checkpoint += r.len();
         if since_checkpoint >= BATCH_ROWS {
             since_checkpoint = 0;
-            gov.checkpoint("cross_product")?;
+            probe.checkpoint("cross_product")?;
             probe.batch();
         }
         for rt in r.tuples() {
@@ -321,7 +307,6 @@ struct JoinSegment<'l> {
 /// one verdict per candidate, one checkpoint per batch.
 fn recheck_candidates(
     probe: OpProbe<'_>,
-    gov: &Governor,
     condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     pending: &[Tuple],
     join_arity: usize,
@@ -329,7 +314,7 @@ fn recheck_candidates(
 ) -> Result<()> {
     truths.clear();
     for chunk in pending.chunks(BATCH_ROWS) {
-        gov.checkpoint("join")?;
+        probe.checkpoint("join")?;
         probe.batch();
         let block = ColumnBlock::new(join_arity);
         condition(&Batch::dense_with_block(chunk, &block), truths)?;
@@ -345,7 +330,6 @@ fn recheck_candidates(
 #[allow(clippy::too_many_arguments)]
 fn flush_join_segments(
     probe: OpProbe<'_>,
-    gov: &Governor,
     sink: &mut JoinSink<'_>,
     condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     pending: &mut Vec<Tuple>,
@@ -353,7 +337,7 @@ fn flush_join_segments(
     truths: &mut Vec<bool>,
     join_arity: usize,
 ) -> Result<()> {
-    recheck_candidates(probe, gov, condition, pending, join_arity, truths)?;
+    recheck_candidates(probe, condition, pending, join_arity, truths)?;
     for segment in segments.drain(..) {
         let mut matched = false;
         for idx in segment.start..segment.end {
@@ -372,9 +356,9 @@ fn flush_join_segments(
 }
 
 /// The grace-hash-join spill state: one build and one probe partition file
-/// per hash partition, plus the manager that owns them.
+/// per hash partition, plus the spill store that owns them.
 struct JoinSpill {
-    mgr: Rc<SpillManager>,
+    mgr: Rc<StorageManager>,
     build: Vec<Rc<HeapFile>>,
     probe: Vec<Rc<HeapFile>>,
 }
@@ -405,7 +389,7 @@ fn spill_join_build(
 ) -> Result<JoinSpill> {
     let mgr = gov
         .spill()
-        .expect("a refused try_grow guarantees a live spill manager");
+        .expect("a refused try_grow guarantees a live spill store");
     let parts = join_partition_count(gov.budget().unwrap_or(1), build_side);
     let mut build = Vec::with_capacity(parts);
     let mut probe = Vec::with_capacity(parts);
@@ -436,7 +420,6 @@ fn spill_join_build(
 #[allow(clippy::too_many_arguments)]
 fn flush_spill_candidates(
     probe: OpProbe<'_>,
-    gov: &Governor,
     sink: &JoinSink<'_>,
     condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     pending: &mut Vec<Tuple>,
@@ -445,7 +428,7 @@ fn flush_spill_candidates(
     join_arity: usize,
     survivors: &mut Vec<(u64, Tuple)>,
 ) -> Result<()> {
-    recheck_candidates(probe, gov, condition, pending, join_arity, truths)?;
+    recheck_candidates(probe, condition, pending, join_arity, truths)?;
     for (ordinal, start, end) in segments.drain(..) {
         for idx in start..end {
             if truths[idx] {
@@ -471,7 +454,6 @@ fn flush_spill_candidates(
 #[allow(clippy::too_many_arguments)]
 fn grace_probe(
     probe: OpProbe<'_>,
-    gov: &Governor,
     mut sink: JoinSink<'_>,
     recheck: bool,
     js: &JoinSpill,
@@ -497,7 +479,7 @@ fn grace_probe(
     let mut buf = Vec::new();
     let mut ordinal = 0u64;
     for chunk in l.tuples().chunks(BATCH_ROWS) {
-        gov.checkpoint("join")?;
+        probe.checkpoint("join")?;
         probe.batch();
         let block = ColumnBlock::new(left_arity);
         let batch = Batch::dense_with_block(chunk, &block);
@@ -513,7 +495,7 @@ fn grace_probe(
             if live[j] {
                 spill::encode_probe(ordinal, &keys_buf[j], &mut buf);
                 js.probe[js.partition_of(&keys_buf[j])].append_record(&buf)?;
-                gov.count().spilled_bytes += buf.len() as u64;
+                probe.gov.count().spilled_bytes += buf.len() as u64;
             }
             ordinal += 1;
         }
@@ -542,7 +524,7 @@ fn grace_probe(
             buckets.entry(key).or_default().push(tuple);
             since += 1;
             if since.is_multiple_of(BATCH_ROWS) {
-                gov.checkpoint("join")?;
+                probe.checkpoint("join")?;
                 probe.batch();
             }
         }
@@ -567,7 +549,7 @@ fn grace_probe(
                     };
                     survivors.push((ord, row));
                     if survivors.len().is_multiple_of(BATCH_ROWS) {
-                        gov.checkpoint("join")?;
+                        probe.checkpoint("join")?;
                         probe.batch();
                     }
                 }
@@ -588,7 +570,6 @@ fn grace_probe(
             if flush_now || pending.len() >= BATCH_ROWS {
                 flush_spill_candidates(
                     probe,
-                    gov,
                     &sink,
                     &mut condition,
                     &mut pending,
@@ -604,7 +585,6 @@ fn grace_probe(
         }
         flush_spill_candidates(
             probe,
-            gov,
             &sink,
             &mut condition,
             &mut pending,
@@ -668,7 +648,6 @@ fn grace_probe(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join(
     probe: OpProbe<'_>,
-    gov: &Governor,
     l: &Relation,
     r: &Relation,
     out_schema: &Schema,
@@ -680,8 +659,8 @@ pub(crate) fn join(
     mut right_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("join")?;
+    let _timer = probe.begin("join")?;
+    let gov = probe.gov;
     let mut charge = gov.transient("join");
     let mut cand_charge = gov.transient("join");
     let left_arity = l.schema().arity();
@@ -715,7 +694,7 @@ pub(crate) fn join(
         let mut js: Option<JoinSpill> = None;
         let mut rec_buf: Vec<u8> = Vec::new();
         for chunk in r.tuples().chunks(BATCH_ROWS) {
-            gov.checkpoint("join")?;
+            probe.checkpoint("join")?;
             probe.batch();
             let block = ColumnBlock::new(right_arity);
             let batch = Batch::dense_with_block(chunk, &block);
@@ -777,7 +756,6 @@ pub(crate) fn join(
         if let Some(js) = js {
             return grace_probe(
                 probe,
-                gov,
                 sink,
                 recheck,
                 &js,
@@ -800,7 +778,7 @@ pub(crate) fn join(
         let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
         let mut since_checkpoint = 0usize;
         for chunk in l.tuples().chunks(BATCH_ROWS) {
-            gov.checkpoint("join")?;
+            probe.checkpoint("join")?;
             probe.batch();
             let block = ColumnBlock::new(left_arity);
             let batch = Batch::dense_with_block(chunk, &block);
@@ -830,7 +808,7 @@ pub(crate) fn join(
                             since_checkpoint += 1;
                             if since_checkpoint == BATCH_ROWS {
                                 since_checkpoint = 0;
-                                gov.checkpoint("join")?;
+                                probe.checkpoint("join")?;
                                 probe.batch();
                             }
                         }
@@ -867,7 +845,6 @@ pub(crate) fn join(
                 if flush_now || pending.len() >= BATCH_ROWS {
                     flush_join_segments(
                         probe,
-                        gov,
                         &mut sink,
                         &mut condition,
                         &mut pending,
@@ -888,7 +865,6 @@ pub(crate) fn join(
         }
         flush_join_segments(
             probe,
-            gov,
             &mut sink,
             &mut condition,
             &mut pending,
@@ -909,14 +885,7 @@ pub(crate) fn join(
             for rt in r_chunk {
                 pending.push(lt.concat(rt));
             }
-            recheck_candidates(
-                probe,
-                gov,
-                &mut condition,
-                &pending,
-                join_arity,
-                &mut truths,
-            )?;
+            recheck_candidates(probe, &mut condition, &pending, join_arity, &mut truths)?;
             for (idx, keep) in truths.iter().enumerate() {
                 if *keep {
                     matched = true;
@@ -951,7 +920,7 @@ const AGG_SPILL_PARTITIONS: usize = 16;
 /// restore global first-encounter order.
 fn flush_agg_groups(
     gov: &Governor,
-    files: &mut Option<(Rc<SpillManager>, Vec<Rc<HeapFile>>)>,
+    files: &mut Option<(Rc<StorageManager>, Vec<Rc<HeapFile>>)>,
     groups: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
     ords: &mut Vec<u64>,
     index: &mut HashMap<Vec<u8>, usize>,
@@ -959,7 +928,7 @@ fn flush_agg_groups(
     if files.is_none() {
         let mgr = gov
             .spill()
-            .expect("a refused try_grow guarantees a live spill manager");
+            .expect("a refused try_grow guarantees a live spill store");
         let mut parts = Vec::with_capacity(AGG_SPILL_PARTITIONS);
         for p in 0..AGG_SPILL_PARTITIONS {
             parts.push(mgr.create_file(&format!("agg-part-{p}"))?);
@@ -998,15 +967,14 @@ fn flush_agg_groups(
 /// encounter) restore the exact first-encounter output order.
 pub(crate) fn aggregate(
     probe: OpProbe<'_>,
-    gov: &Governor,
     child: &Relation,
     out_schema: Schema,
     group_arity: usize,
     specs: &[AggSpec],
     mut eval: impl FnMut(&Batch<'_>, &mut [ColumnVec], &mut [Vec<Value>]) -> Result<()>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("aggregate")?;
+    let _timer = probe.begin("aggregate")?;
+    let gov = probe.gov;
     let mut charge = gov.transient("aggregate");
     let in_arity = child.schema().arity();
     let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
@@ -1017,7 +985,7 @@ pub(crate) fn aggregate(
     // sorting by it restores exact first-encounter output order.
     let mut ords: Vec<u64> = Vec::new();
     let mut next_ord = 0u64;
-    let mut spill_files: Option<(Rc<SpillManager>, Vec<Rc<HeapFile>>)> = None;
+    let mut spill_files: Option<(Rc<StorageManager>, Vec<Rc<HeapFile>>)> = None;
     let make_accs = || -> Vec<Accumulator> {
         specs
             .iter()
@@ -1037,7 +1005,7 @@ pub(crate) fn aggregate(
     let mut keys_buf: Vec<Vec<u8>> = Vec::new();
     let mut live: Vec<bool> = Vec::new();
     for chunk in child.tuples().chunks(BATCH_ROWS) {
-        gov.checkpoint("aggregate")?;
+        probe.checkpoint("aggregate")?;
         probe.batch();
         for col in group_cols.iter_mut() {
             col.clear_values();
@@ -1154,7 +1122,7 @@ pub(crate) fn aggregate(
                 }
                 since += 1;
                 if since.is_multiple_of(BATCH_ROWS) {
-                    gov.checkpoint("aggregate")?;
+                    probe.checkpoint("aggregate")?;
                     probe.batch();
                 }
             }
@@ -1196,15 +1164,13 @@ pub(crate) fn aggregate(
 /// a short circuit stays as unreachable as it is in the interpreter.
 pub(crate) fn set_op(
     probe: OpProbe<'_>,
-    gov: &Governor,
     op: SetOpKind,
     all: bool,
     l: &Relation,
     r: &Relation,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("set_op")?;
-    gov.checkpoint("set_op")?;
+    let _timer = probe.begin("set_op")?;
+    probe.checkpoint("set_op")?;
     probe.batch();
     if l.schema().arity() != r.schema().arity() {
         return Err(ExecError::Unsupported(
@@ -1265,7 +1231,7 @@ impl SortBuffer<'_> {
     fn spill_run(&mut self, gov: &Governor, runs: &mut Vec<Rc<HeapFile>>) -> Result<()> {
         let mgr = gov
             .spill()
-            .expect("a refused try_grow guarantees a live spill manager");
+            .expect("a refused try_grow guarantees a live spill store");
         let file = mgr.create_file(&format!("sort-run-{}", runs.len()))?;
         let mut buf = Vec::new();
         for row in self.sorted_order() {
@@ -1325,13 +1291,12 @@ impl Eq for RunHead<'_> {}
 /// stable order.
 pub(crate) fn sort(
     probe: OpProbe<'_>,
-    gov: &Governor,
     child: Relation,
     ascending: &[bool],
     mut keys: impl FnMut(&Batch<'_>, &mut [Vec<Value>]) -> Result<()>,
 ) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("sort")?;
+    let _timer = probe.begin("sort")?;
+    let gov = probe.gov;
     let mut charge = gov.transient("sort");
     let schema = child.schema().clone();
     let arity = schema.arity();
@@ -1344,7 +1309,7 @@ pub(crate) fn sort(
     let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); ascending.len()];
     let mut runs: Vec<Rc<HeapFile>> = Vec::new();
     for chunk in input.chunks_mut(BATCH_ROWS) {
-        gov.checkpoint("sort")?;
+        probe.checkpoint("sort")?;
         probe.batch();
         for col in key_cols.iter_mut() {
             col.clear();
@@ -1393,7 +1358,7 @@ pub(crate) fn sort(
     }
     let mgr = gov
         .spill()
-        .expect("runs exist only when a spill manager is live");
+        .expect("runs exist only when a spill store is live");
     let mut streams: Vec<_> = runs.iter().map(|f| mgr.pool().stream(f)).collect();
     let nkeys = ascending.len();
     let mut resident = order.into_iter();
@@ -1430,7 +1395,7 @@ pub(crate) fn sort(
         out.push_unchecked(std::mem::take(&mut head.tuple));
         emitted += 1;
         if emitted.is_multiple_of(BATCH_ROWS) {
-            gov.checkpoint("sort")?;
+            probe.checkpoint("sort")?;
             probe.batch();
         }
         // Replacing the top in place sifts once where pop + push sift twice.
@@ -1445,15 +1410,9 @@ pub(crate) fn sort(
 }
 
 /// First-`n` truncation.
-pub(crate) fn limit(
-    probe: OpProbe<'_>,
-    gov: &Governor,
-    child: Relation,
-    n: usize,
-) -> Result<Relation> {
-    let _timer = profile::begin(&probe);
-    gov.operator_event("limit")?;
-    gov.checkpoint("limit")?;
+pub(crate) fn limit(probe: OpProbe<'_>, child: Relation, n: usize) -> Result<Relation> {
+    let _timer = probe.begin("limit")?;
+    probe.checkpoint("limit")?;
     probe.batch();
     let schema = child.schema().clone();
     let tuples = child.into_tuples().into_iter().take(n).collect();

@@ -8,9 +8,10 @@
 //! allocation pass per `explain_analyze`; execution then records, per node:
 //!
 //! * **invocations** — incremented at the same single site as the global
-//!   `operators_evaluated` counter (`begin`, called by every operator in
-//!   `crate::physical`), so the per-node sums are equal to the global count
-//!   by construction — a memo hit skips both.
+//!   `operators_evaluated` counter (`OpProbe::begin`, called by every
+//!   operator in `crate::physical` and by the cursor's streamed spine), so
+//!   the per-node sums are equal to the global count by construction — a
+//!   memo hit skips both.
 //! * **wall time** — entry-to-exit clock probes around the operator body.
 //!   Probes are *strided* once a node gets hot (the PR 6 `DEADLINE_STRIDE`
 //!   discipline applied to profile clocks): the first
@@ -35,7 +36,9 @@
 //! against untraced run, per workload).
 
 use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan, CompiledSublink};
-use crate::resilience::Governor;
+use crate::executor::Execution;
+use crate::resilience::{Cancellation, Governor};
+use crate::Result;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -107,9 +110,9 @@ impl ProfileTree {
     }
 
     /// The subtree of a compiled sublink, by id — the memoized-sublink
-    /// seam's lookup. `None` when the executing plan is not the plan this
-    /// tree was armed for (ids are process-unique, so a foreign plan can
-    /// never misattribute).
+    /// seam's lookup. A tree belongs to the one execution of the plan it
+    /// was built for, and ids are unique within a plan, so the lookup never
+    /// finds another sublink's subtree.
     pub(crate) fn sublink(&self, id: usize) -> Option<&Rc<ProfNode>> {
         self.sublinks.get(&id)
     }
@@ -316,18 +319,69 @@ fn snapshot_node(node: &ProfNode) -> ProfileNode {
 // The probes driven by `crate::physical` and the drivers.
 // ---------------------------------------------------------------------------
 
-/// What every physical operator receives to count its invocation: the
-/// governor, whose registry holds `operators_evaluated`, plus the armed
-/// profile node, if any.
+/// What every physical operator receives from the execution it runs in: the
+/// governor, whose registry holds `operators_evaluated`, the execution's
+/// cancel token, polled at each batch boundary, and the armed profile node,
+/// if any.
 #[derive(Clone, Copy)]
 pub(crate) struct OpProbe<'p> {
     pub(crate) gov: &'p Governor,
-    pub(crate) node: Option<&'p NodeStats>,
+    cancel: Option<&'p Cancellation>,
+    node: Option<&'p NodeStats>,
 }
 
 impl<'p> OpProbe<'p> {
-    pub(crate) fn new(gov: &'p Governor, node: Option<&'p NodeStats>) -> OpProbe<'p> {
-        OpProbe { gov, node }
+    pub(crate) fn new(x: &'p Execution<'_, '_>, node: Option<&'p NodeStats>) -> OpProbe<'p> {
+        OpProbe {
+            gov: &x.ex.governor,
+            cancel: x.cancel.as_ref(),
+            node,
+        }
+    }
+
+    /// A batch-boundary cancellation checkpoint of the execution (see
+    /// `Governor::checkpoint`).
+    pub(crate) fn checkpoint(&self, operator: &str) -> Result<()> {
+        self.gov.checkpoint(operator, self.cancel)
+    }
+
+    /// Counts one invocation of `operator` — on the global counter *and*
+    /// the armed node, at the same site, which is what keeps the per-node
+    /// sums equal to `operators_evaluated` — raises its operator event for
+    /// fault injection, and starts the (strided) wall clock. Dropping the
+    /// returned timer at the end of the operator body records the elapsed
+    /// time, on errors too.
+    pub(crate) fn begin(&self, operator: &str) -> Result<OpTimer<'p>> {
+        self.gov.count().operators_evaluated += 1;
+        let timer = match self.node {
+            None => OpTimer {
+                node: None,
+                start: None,
+                scale: 1,
+            },
+            Some(stats) => {
+                let n = stats.invocations.get();
+                stats.invocations.set(n + 1);
+                // Exact timing while the node is cold; once hot, sample
+                // every stride-th invocation and scale — two clock reads
+                // per PROFILE_TIME_STRIDE invocations instead of per
+                // invocation.
+                let (start, scale) = if n < PROFILE_TIME_STRIDE {
+                    (Some(Instant::now()), 1)
+                } else if n % PROFILE_TIME_STRIDE == 0 {
+                    (Some(Instant::now()), PROFILE_TIME_STRIDE)
+                } else {
+                    (None, 1)
+                };
+                OpTimer {
+                    node: self.node,
+                    start,
+                    scale,
+                }
+            }
+        };
+        self.gov.operator_event(operator)?;
+        Ok(timer)
     }
 
     /// Records one batch-boundary loop iteration.
@@ -341,41 +395,6 @@ impl<'p> OpProbe<'p> {
     pub(crate) fn emitted_by_join(&self) {
         if let Some(stats) = self.node {
             stats.emitted_by_join.set(true);
-        }
-    }
-}
-
-/// Counts one operator invocation — on the global counter *and* the armed
-/// node, at the same site, which is what keeps the per-node sums equal to
-/// `operators_evaluated` — and starts the (strided) wall clock. Dropping
-/// the returned timer at the end of the operator body records the elapsed
-/// time, on errors too.
-pub(crate) fn begin<'p>(probe: &OpProbe<'p>) -> OpTimer<'p> {
-    probe.gov.count().operators_evaluated += 1;
-    match probe.node {
-        None => OpTimer {
-            node: None,
-            start: None,
-            scale: 1,
-        },
-        Some(stats) => {
-            let n = stats.invocations.get();
-            stats.invocations.set(n + 1);
-            // Exact timing while the node is cold; once hot, sample every
-            // stride-th invocation and scale — two clock reads per
-            // PROFILE_TIME_STRIDE invocations instead of per invocation.
-            let (start, scale) = if n < PROFILE_TIME_STRIDE {
-                (Some(Instant::now()), 1)
-            } else if n % PROFILE_TIME_STRIDE == 0 {
-                (Some(Instant::now()), PROFILE_TIME_STRIDE)
-            } else {
-                (None, 1)
-            };
-            OpTimer {
-                node: probe.node,
-                start,
-                scale,
-            }
         }
     }
 }

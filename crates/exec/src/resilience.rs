@@ -51,10 +51,9 @@
 //! error.
 
 use crate::memo::StatementMemo;
-use crate::spill::SpillManager;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use crate::{ExecError, Result, SessionStats};
-use perm_storage::{Relation, Tuple, Value};
+use perm_storage::{Relation, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES};
 use std::cell::{Cell, RefCell, RefMut};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -88,8 +87,9 @@ struct TokenInner {
 /// handle returned by `Rows::cancel_handle` or minted for a
 /// `SessionConfig` deadline can be cancelled from another thread while the
 /// executor polls it between batches. Once cancelled (explicitly or by the
-/// deadline passing) a token stays cancelled; sessions mint a fresh token
-/// per execution so a stale cancel never leaks into the next query.
+/// deadline passing) a token stays cancelled. An execution takes the token
+/// installed on its executor, so a token governs exactly one execution and a
+/// stale cancel never leaks into the next query.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -206,7 +206,11 @@ pub enum FaultSite {
     /// Sublink-memo insertions into a compiled statement's memo (the
     /// reference interpreter's memo is not a fault site).
     MemoInsert,
-    /// Physical-operator invocations (one event per logical operator).
+    /// Operator invocations: one event per logical operator invocation,
+    /// raised where `operators_evaluated` counts it — by the materialising
+    /// operators, the streamed spine of a cursor (at open) and the
+    /// interpreter alike, under the physical layer's operator label — so a
+    /// plan sees the same events whether it is executed or streamed.
     Operator,
 }
 
@@ -354,15 +358,48 @@ pub enum Degradation {
     Exhausted,
 }
 
-/// The executor's resilience state: the installed cancel token, fault plan,
-/// memory budget and trace sink, plus the executor's counter registry.
+/// The cancel token one execution took, with its deadline-probe stride: the
+/// first checkpoint probes the clock (so an already-expired deadline cancels
+/// before any work), then only every [`DEADLINE_STRIDE`]-th one does; the
+/// cancel flag is read every time.
+pub(crate) struct Cancellation {
+    pub(crate) token: CancelToken,
+    /// Checkpoints until the next deadline clock probe.
+    until_probe: Cell<u64>,
+}
+
+impl Cancellation {
+    pub(crate) fn new(token: CancelToken) -> Cancellation {
+        Cancellation {
+            token,
+            until_probe: Cell::new(0),
+        }
+    }
+
+    fn poll(&self) -> Result<()> {
+        match self.until_probe.get() {
+            0 => {
+                self.until_probe.set(DEADLINE_STRIDE - 1);
+                self.token.check()
+            }
+            left => {
+                self.until_probe.set(left - 1);
+                self.token.check_flag()
+            }
+        }
+    }
+}
+
+/// The executor's resilience state — what lives as long as the executor:
+/// the fault plan, memory budget, spill store and trace sink, plus the
+/// counter registry. Cancellation is not here: each execution polls the
+/// token it took ([`Cancellation`]) through [`Governor::checkpoint`].
 ///
 /// The governor is owned by the executor and polled from the shared
 /// physical-operator layer; it is deliberately `!Sync` (like the executor)
 /// — what crosses threads are the [`CancelToken`] / [`FaultPlan`] handles
 /// and the trace sink, not the governor itself.
 pub(crate) struct Governor {
-    cancel: RefCell<Option<CancelToken>>,
     fault: RefCell<Option<FaultPlan>>,
     budget: Cell<Option<u64>>,
     /// Transient operator bytes currently charged (join/aggregate/sort
@@ -376,10 +413,6 @@ pub(crate) struct Governor {
     /// buffer-pool fields stay zero: the pool keeps those, and
     /// [`Governor::stats`] reads them from it.
     counters: RefCell<SessionStats>,
-    /// Checkpoints until the next deadline clock probe; reset whenever a
-    /// token is installed, so every execution probes at its first
-    /// checkpoint (an already-expired deadline cancels before any work).
-    until_probe: Cell<u64>,
     /// The memo of every statement this executor has run, held weakly (a
     /// dropped statement frees its memo) and once each.
     statement_memos: RefCell<Vec<Weak<StatementMemo>>>,
@@ -387,10 +420,11 @@ pub(crate) struct Governor {
     spill_enabled: Cell<bool>,
     /// Base directory for spill files (`None` = system temp dir).
     spill_dir: RefCell<Option<PathBuf>>,
-    /// The live spill manager, created lazily at the first pressure point
-    /// that needs it — an executor that never hits its budget never touches
-    /// the filesystem.
-    spill: RefCell<Option<Rc<SpillManager>>>,
+    /// The spill store (directory, heap files and the buffer pool every
+    /// read goes through), created lazily at the first pressure point that
+    /// needs it — an executor that never hits its budget never touches the
+    /// filesystem.
+    spill: RefCell<Option<Rc<StorageManager>>>,
     /// Set when creating the spill directory failed once; the governor then
     /// degrades as if spilling were disabled instead of retrying every
     /// charge.
@@ -403,12 +437,10 @@ pub(crate) struct Governor {
 impl Governor {
     pub(crate) fn new() -> Governor {
         Governor {
-            cancel: RefCell::new(None),
             fault: RefCell::new(None),
             budget: Cell::new(None),
             transient: Cell::new(0),
             counters: RefCell::new(SessionStats::default()),
-            until_probe: Cell::new(0),
             statement_memos: RefCell::new(Vec::new()),
             spill_enabled: Cell::new(false),
             spill_dir: RefCell::new(None),
@@ -425,7 +457,7 @@ impl Governor {
     }
 
     /// A snapshot of the registry, with the buffer-pool fields read from
-    /// the spill manager's pool (zero before the first spill creates it).
+    /// the spill store's pool (zero before the first spill creates it).
     pub(crate) fn stats(&self) -> SessionStats {
         let mut stats = *self.counters.borrow();
         if let Some(spill) = self.spill.borrow().as_ref() {
@@ -452,18 +484,6 @@ impl Governor {
         }
     }
 
-    pub(crate) fn set_cancel_token(&self, token: Option<CancelToken>) {
-        self.until_probe.set(0);
-        *self.cancel.borrow_mut() = token;
-    }
-
-    /// Returns the installed token, installing a fresh one if none is set —
-    /// the lazy path behind `Rows::cancel_handle`.
-    pub(crate) fn ensure_cancel_token(&self) -> CancelToken {
-        let mut slot = self.cancel.borrow_mut();
-        slot.get_or_insert_with(CancelToken::new).clone()
-    }
-
     pub(crate) fn set_fault_plan(&self, plan: Option<FaultPlan>) {
         *self.fault.borrow_mut() = plan;
     }
@@ -484,18 +504,18 @@ impl Governor {
         *self.spill_dir.borrow_mut() = dir;
     }
 
-    /// The live spill manager, creating it on first use. `None` when
-    /// spilling is disabled or the spill directory could not be created
-    /// (the latter is remembered, so a broken directory degrades to the
-    /// no-spill ladder instead of retrying on every charge).
-    pub(crate) fn spill(&self) -> Option<Rc<SpillManager>> {
+    /// The spill store, creating it on first use. `None` when spilling is
+    /// disabled or the spill directory could not be created (the latter is
+    /// remembered, so a broken directory degrades to the no-spill ladder
+    /// instead of retrying on every charge).
+    pub(crate) fn spill(&self) -> Option<Rc<StorageManager>> {
         if !self.spill_enabled.get() || self.spill_failed.get() {
             return None;
         }
         if let Some(mgr) = self.spill.borrow().as_ref() {
             return Some(Rc::clone(mgr));
         }
-        match SpillManager::create(self.spill_dir.borrow().as_deref()) {
+        match StorageManager::create(self.spill_dir.borrow().as_deref(), DEFAULT_POOL_PAGES) {
             Ok(mgr) => {
                 let mgr = Rc::new(mgr);
                 *self.spill.borrow_mut() = Some(Rc::clone(&mgr));
@@ -546,40 +566,25 @@ impl Governor {
         used
     }
 
-    /// A batch-boundary cancellation checkpoint: counts the check, gives an
-    /// injected fault its chance to fire, then polls the token/deadline.
-    /// A checkpoint that *fires* (returns `Err`) is traced — the trace
-    /// records where a cancellation actually landed, not every poll.
-    pub(crate) fn checkpoint(&self, operator: &str) -> Result<()> {
-        let result = self.checkpoint_inner(operator);
+    /// A batch-boundary cancellation checkpoint of the execution that took
+    /// `cancel`: counts the check, gives an injected fault its chance to
+    /// fire, then polls the token/deadline. A checkpoint that *fires*
+    /// (returns `Err`) is traced — the trace records where a cancellation
+    /// actually landed, not every poll.
+    pub(crate) fn checkpoint(&self, operator: &str, cancel: Option<&Cancellation>) -> Result<()> {
+        let result = self.checkpoint_inner(operator, cancel);
         if result.is_err() {
             self.emit(|| TraceEvent::new(TraceKind::CancelFired, operator, 0));
         }
         result
     }
 
-    fn checkpoint_inner(&self, operator: &str) -> Result<()> {
+    fn checkpoint_inner(&self, operator: &str, cancel: Option<&Cancellation>) -> Result<()> {
         self.count().cancel_checks += 1;
         if let Some(fault) = self.fault.borrow().as_ref() {
             fault.observe(FaultSite::Checkpoint, operator)?;
         }
-        if let Some(token) = self.cancel.borrow().as_ref() {
-            // The first checkpoint after a token is installed probes the
-            // clock (so an already-expired deadline cancels before any
-            // work), then only every stride-th one does; the cancel flag
-            // is read every time.
-            match self.until_probe.get() {
-                0 => {
-                    self.until_probe.set(DEADLINE_STRIDE - 1);
-                    token.check()?;
-                }
-                left => {
-                    self.until_probe.set(left - 1);
-                    token.check_flag()?;
-                }
-            }
-        }
-        Ok(())
+        cancel.map_or(Ok(()), Cancellation::poll)
     }
 
     /// A physical-operator invocation event (fault injection only — the
@@ -618,7 +623,7 @@ impl Governor {
     /// cannot fit even after memo reclaim *and* spilling is available, the
     /// bytes are backed out and `Ok(false)` tells the operator to move its
     /// state to disk instead of failing. `Ok(false)` guarantees
-    /// [`Governor::spill`] returns a live manager.
+    /// [`Governor::spill`] returns a live store.
     pub(crate) fn try_charge(&self, operator: &str, bytes: u64) -> Result<bool> {
         self.charge_inner(operator, bytes, true)
     }
@@ -719,7 +724,7 @@ impl<'g> TransientCharge<'g> {
 
     /// Spill-aware growth: `Ok(true)` records the bytes like
     /// [`TransientCharge::grow`]; `Ok(false)` means the state cannot stay
-    /// in memory and the operator should spill it (a live spill manager is
+    /// in memory and the operator should spill it (a live spill store is
     /// guaranteed); the error is the no-spill exhaustion.
     pub(crate) fn try_grow(&mut self, bytes: u64) -> Result<bool> {
         if self.gov.try_charge(self.operator, bytes)? {
@@ -857,7 +862,7 @@ mod tests {
         let mut charge = TransientCharge::new(&gov, "sort");
         assert!(charge.try_grow(600).unwrap(), "fits under the budget");
         // Over budget with spilling on: the growth is refused (not an
-        // error), the refused bytes are backed out, and a manager is live.
+        // error), the refused bytes are backed out, and a store is live.
         assert!(!charge.try_grow(600).unwrap());
         assert_eq!(gov.transient.get(), 600);
         assert!(gov.spill().is_some());

@@ -1,11 +1,12 @@
-//! The executor's spill-to-disk substrate: one per-executor [`SpillManager`]
-//! owning the spill directory and the heap files the out-of-core operators
-//! write.
+//! The record codecs and partitioning hash of the executor's spill paths.
 //!
-//! Everything here is *execution state*, never durable data: the manager
-//! wraps a [`perm_storage::StorageManager`], whose directory is removed when
-//! the executor drops. Its consumers are the operators of
-//! `crate::physical`:
+//! Spill files are *execution state*, never durable data: the governor owns
+//! one [`perm_storage::StorageManager`] per executor (created at the first
+//! pressure point that needs it), whose directory is removed when the
+//! executor drops. What spilling costs is counted in the executor's
+//! registry (`SessionStats::spilled_bytes`, `spill_partitions`) at the
+//! operators that write, and in the store's buffer pool. Its consumers are
+//! the operators of `crate::physical`:
 //!
 //! * the **grace hash join** and **partitioned aggregation**, which
 //!   hash-partition their state across heap files ([`fnv1a`] over the
@@ -24,11 +25,7 @@
 
 use crate::aggregate::Accumulator;
 use crate::Result;
-use perm_storage::{
-    decode_row, encode_row, BufferPool, HeapFile, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES,
-};
-use std::path::Path;
-use std::rc::Rc;
+use perm_storage::{decode_row, encode_row, Tuple, Value};
 
 /// FNV-1a over a byte string: the deterministic partitioning hash of the
 /// spill paths. Deliberately *not* `DefaultHasher` — partition assignment is
@@ -40,41 +37,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Owner of the executor's spill directory and files. What spilling costs
-/// is counted in the executor's registry (`SessionStats::spilled_bytes`,
-/// `spill_partitions`) at the operators that write, and in the pool.
-pub(crate) struct SpillManager {
-    store: StorageManager,
-}
-
-impl SpillManager {
-    /// Creates a manager over a fresh spill directory under `base` (the
-    /// system temp dir when `None`).
-    pub(crate) fn create(base: Option<&Path>) -> perm_storage::Result<SpillManager> {
-        Ok(SpillManager {
-            store: StorageManager::create(base, DEFAULT_POOL_PAGES)?,
-        })
-    }
-
-    /// The buffer pool every read of this manager's files goes through.
-    pub(crate) fn pool(&self) -> &BufferPool {
-        self.store.pool()
-    }
-
-    /// Creates a fresh heap file for a partition or run.
-    pub(crate) fn create_file(&self, label: &str) -> Result<Rc<HeapFile>> {
-        Ok(self.store.create_file(label)?)
-    }
-}
-
-impl std::fmt::Debug for SpillManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillManager")
-            .field("dir", &self.store.dir())
-            .finish()
-    }
 }
 
 // ---------------------------------------------------------------------------

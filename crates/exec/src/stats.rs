@@ -3,7 +3,7 @@
 //!
 //! Every counter has exactly one storage cell — a field of the registry,
 //! bumped at the site that does the work — except the four buffer-pool
-//! figures, which the spill manager's `perm_storage::BufferPool` keeps and
+//! figures, which the spill store's `perm_storage::BufferPool` keeps and
 //! [`Executor::stats`] reads from it directly. The executor bumps its own
 //! counters (operators, batches, memo lookups, checkpoints, spill bytes);
 //! the session facade above it bumps the pipeline counters (parses, binds,

@@ -9,7 +9,8 @@
 //!
 //! 1. a per-execution **deadline** that cancels an over-budget request with
 //!    a clean typed error (nothing poisoned, the session keeps serving);
-//! 2. a **cancel handle** aborting a streaming cursor from outside;
+//! 2. a **cancel handle** aborting a streaming cursor from outside (the
+//!    stream alone: the session serves the next request in full);
 //! 3. a session **memory budget** that first degrades gracefully (memo
 //!    entries are reclaimed — speed lost, correctness kept) and only fails
 //!    with a named operator when the budget truly cannot hold.
@@ -93,6 +94,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(ExecError::Cancelled { reason }) => println!("stream aborted: {reason}"),
         other => panic!("expected the stream to cancel, got {other:?}"),
     }
+    // The handle belonged to the stream's execution alone: the session
+    // serves the next request in full.
+    drop(stream);
+    let after = session.execute(&audit, &[Value::Int(12)])?;
+    assert_eq!(
+        after.len(),
+        rows.len(),
+        "the session must outlive its stream"
+    );
+    println!("session still serves after the abort: {} rows", after.len());
 
     // --- 3. Memory budgets ----------------------------------------------
     // A budgeted session charges join builds, aggregation state, sort keys

@@ -73,9 +73,9 @@
 //!   with actuals: invocations, rows in/out, batches, wall time, sublink
 //!   memo hits/misses, spill bytes and partitions, columnar-fallback rows.
 //!   [`Session::execute_profiled`] keeps the result rows alongside the
-//!   profile, and [`Executor::open_profiled`] arms a streaming cursor
-//!   whose [`Rows::profile`](perm_exec::Rows::profile) can be snapshotted
-//!   mid-stream. Profiles render as text ([`QueryProfile::render`]) or
+//!   profile, and [`Executor::open_profiled`] opens a streaming cursor
+//!   owning a profile whose [`Rows::profile`](perm_exec::Rows::profile) can
+//!   be snapshotted mid-stream. Profiles render as text ([`QueryProfile::render`]) or
 //!   JSON ([`QueryProfile::to_json`]), and the sum of per-node invocation
 //!   counts equals the `operators_evaluated` counter by construction.
 //! * **Structured traces** — attach any [`TraceSink`] (the bundled

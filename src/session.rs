@@ -35,7 +35,6 @@ use perm_core::{ProvenanceDescriptor, ProvenanceQuery, Strategy};
 use perm_exec::{CancelToken, Executor, FaultPlan, QueryProfile, SessionStats};
 use perm_exec::{TraceEvent, TraceKind, TraceSink};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -325,11 +324,13 @@ pub struct SessionConfig {
     pub columnar: bool,
     /// Optional per-execution deadline (default `None`). When set, every
     /// [`Session::execute`]/[`Session::rows`] call mints a fresh
-    /// [`CancelToken`] with this time budget; an execution that overruns it
-    /// is cancelled cooperatively at the next batch boundary and surfaces
-    /// as [`perm_exec::ExecError::Cancelled`]. Per-call override:
-    /// [`Session::execute_with_deadline`]. Not part of the plan-cache key —
-    /// sessions differing only in deadline share compiled plans.
+    /// [`CancelToken`] with this time budget, which governs that execution
+    /// alone (a cursor's for as long as it streams); an execution that
+    /// overruns it is cancelled cooperatively at the next batch boundary
+    /// and surfaces as [`perm_exec::ExecError::Cancelled`]. Per-call
+    /// override: [`Session::execute_with_deadline`]. Not part of the
+    /// plan-cache key — sessions differing only in deadline share compiled
+    /// plans.
     pub deadline: Option<Duration>,
     /// Optional memory budget in bytes for the session's executor (default
     /// `None` = unbounded). Execution state (join build tables, aggregation
@@ -431,12 +432,6 @@ pub struct Session<'a> {
     /// The engine's cross-session plan cache; `None` for sessions opened
     /// directly over a database ([`Session::new`]), which prepare privately.
     plan_cache: Option<&'a PlanCache>,
-    /// Whether the executor's current cancel token was minted for a
-    /// deadline by [`Session::bind_checked`]. Such a token must not leak
-    /// into a later deadline-less execution (an expired deadline would
-    /// cancel it spuriously), while a token installed by the user via
-    /// [`Session::cancel_handle`] is theirs and is left in place.
-    deadline_token: Cell<bool>,
 }
 
 /// A prepared statement: the result of running parse → bind → (optional)
@@ -546,7 +541,6 @@ impl<'a> Session<'a> {
             config,
             executor,
             plan_cache: None,
-            deadline_token: Cell::new(false),
         }
     }
 
@@ -702,13 +696,11 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Binds `params`, checks the arity against the statement, and arms the
-    /// executor's governor for this execution: when a deadline applies (the
-    /// per-call override, else [`SessionConfig::deadline`]) a *fresh*
-    /// [`CancelToken`] is minted so each execution gets the full time
-    /// budget; without one, a stale deadline token from a previous
-    /// execution is removed while a token installed via
-    /// [`Session::cancel_handle`] is left in place.
+    /// Binds `params`, checks the arity against the statement, and, when a
+    /// deadline applies (the per-call override, else
+    /// [`SessionConfig::deadline`]), installs a *fresh* [`CancelToken`] for
+    /// it, so each execution gets the full time budget. The execution takes
+    /// whatever token is installed, so none outlives it.
     fn bind_checked(
         &self,
         prepared: &Prepared,
@@ -723,20 +715,9 @@ impl<'a> Session<'a> {
                 params.len()
             )));
         }
-        match deadline.or(self.config.deadline) {
-            Some(d) => {
-                self.executor
-                    .set_cancel_token(Some(CancelToken::with_deadline(d)));
-                self.deadline_token.set(true);
-            }
-            // A deadline token from a previous execution must not survive
-            // into this one — once expired it would cancel every later
-            // request. User-installed tokens are left alone.
-            None => {
-                if self.deadline_token.replace(false) {
-                    self.executor.set_cancel_token(None);
-                }
-            }
+        if let Some(d) = deadline.or(self.config.deadline) {
+            self.executor
+                .set_cancel_token(Some(CancelToken::with_deadline(d)));
         }
         self.executor.bind_params(params.to_vec());
         Ok(())
@@ -781,21 +762,26 @@ impl<'a> Session<'a> {
         Ok(result)
     }
 
-    /// A [`CancelToken`] wired to this session's executor, installing one
-    /// if none is present: cancelling it — from any thread — stops the
-    /// session's in-flight execution at its next batch boundary. When a
-    /// deadline applies ([`SessionConfig::deadline`] or
-    /// [`Session::execute_with_deadline`]), each execution mints a fresh
-    /// token and a handle taken earlier no longer governs it; take the
-    /// handle per execution in that case.
+    /// The [`CancelToken`] of the session's **next** execution, installing
+    /// one if none is present: cancelling it — from any thread — stops that
+    /// execution at its next batch boundary, and nothing after it (every
+    /// execution takes the installed token; see
+    /// [`Executor::set_cancel_token`]). When a deadline applies
+    /// ([`SessionConfig::deadline`] or [`Session::execute_with_deadline`]),
+    /// the execution takes a fresh deadline token instead and the handle
+    /// governs nothing. An open cursor's own token is [`Rows::cancel_handle`].
     pub fn cancel_handle(&self) -> CancelToken {
         self.executor.cancel_handle()
     }
 
     /// Opens a pull-based cursor over a prepared statement: tuples are
     /// produced on demand, so a `LIMIT`-style consumer stops paying for
-    /// input it never looks at. The cursor captures this parameter binding;
-    /// other statements may run on the session while it is open.
+    /// input it never looks at. The cursor owns its execution — this
+    /// parameter binding, the [`SessionConfig::deadline`] if one is set, and
+    /// a cancel token of its own ([`Rows::cancel_handle`]) — so other
+    /// statements may run on the session while it is open, and neither
+    /// their deadlines nor their cancellation reach the stream, nor its
+    /// cancellation them.
     pub fn rows<'s>(
         &'s self,
         prepared: &'s Prepared,

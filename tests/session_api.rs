@@ -861,7 +861,7 @@ fn explain_surfaces_the_bound_to_optimized_plan_diff() {
 fn spill_sessions_report_buffer_pool_churn_and_capacity() {
     // The buffer-pool fields on `SessionStats`: a starvation budget with
     // spill enabled must surface the configured pool capacity (a gauge,
-    // zero until a spill manager exists) and the pool traffic incurred
+    // zero until a spill store exists) and the pool traffic incurred
     // while reading runs back.
     let mut db = Database::new();
     db.create_table(
@@ -890,7 +890,7 @@ fn spill_sessions_report_buffer_pool_churn_and_capacity() {
     );
     assert!(
         stats.buffer_pool_capacity > 0,
-        "a spill manager must bring a configured pool capacity"
+        "a spill store must bring a configured pool capacity"
     );
     assert!(
         stats.buffer_pool_hits + stats.buffer_pool_misses > 0,
@@ -992,4 +992,110 @@ fn trace_events_agree_with_the_counters() {
     assert_eq!(ex.buffer_pool_misses(), stats.buffer_pool_misses);
     assert_eq!(ex.buffer_pool_evictions(), stats.buffer_pool_evictions);
     assert!(stats.operators_evaluated > 0 && stats.buffer_pool_misses > 0);
+}
+
+#[test]
+fn a_cancelled_stream_leaves_its_session_serving() {
+    // Cancelling a stream through its own handle stops that stream and
+    // nothing else: the token belongs to the cursor's execution.
+    let engine = Engine::new(grouped_db());
+    let session = engine.session();
+    let prepared = session
+        .prepare("SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)")
+        .unwrap();
+    let mut stream = session.rows(&prepared, &[]).unwrap();
+    assert!(stream.next().unwrap().is_ok());
+    stream.cancel_handle().cancel("client went away");
+    assert!(matches!(
+        stream.next(),
+        Some(Err(perm::ExecError::Cancelled { .. }))
+    ));
+    drop(stream);
+    for _ in 0..2 {
+        let rows = session
+            .execute(&prepared, &[])
+            .expect("a cancelled stream must not cancel later executions");
+        assert_eq!(rows.len(), 12);
+    }
+}
+
+#[test]
+fn another_statements_expired_deadline_does_not_reach_an_open_stream() {
+    // A deadline governs the execution it was minted for: an open stream
+    // on the same session drains completely after another statement's
+    // deadline expired.
+    const ROWS: i64 = 70_000;
+    let mut db = grouped_db();
+    db.create_table(
+        "big",
+        Relation::from_rows(
+            Schema::from_names(&["k"]).with_qualifier("big"),
+            (0..ROWS).map(|i| vec![Value::Int(i)]).collect(),
+        ),
+    )
+    .unwrap();
+    let engine = Engine::new(db);
+    let session = engine.session();
+    let scan = session.prepare("SELECT k FROM big WHERE k >= 0").unwrap();
+    let other = session.prepare("SELECT a FROM r").unwrap();
+    let mut stream = session.rows(&scan, &[]).unwrap();
+    assert!(stream.next().unwrap().is_ok());
+    assert!(matches!(
+        session.execute_with_deadline(&other, &[], std::time::Duration::ZERO),
+        Err(PermError::Exec(perm::ExecError::Cancelled { .. }))
+    ));
+    let rest = stream
+        .collect::<Result<Vec<_>, _>>()
+        .expect("the other statement's deadline must not cancel the stream");
+    assert_eq!(rest.len() as i64, ROWS - 1);
+}
+
+#[test]
+fn interleaved_profiles_attribute_sublink_memo_traffic_to_their_own_plan() {
+    // Sublink ids are numbered per plan, so both plans below have a sublink
+    // 0. A profiled cursor over one and a profiled execution of the other,
+    // interleaved on one executor, must each record exactly the sublink
+    // memo traffic of their plan profiled alone.
+    fn memo_traffic(node: &perm::ProfileNode, out: &mut Vec<(u64, u64)>) {
+        for sub in &node.sublinks {
+            out.push((sub.memo_hits, sub.memo_misses));
+            memo_traffic(sub, out);
+        }
+        for child in &node.children {
+            memo_traffic(child, out);
+        }
+    }
+    fn traffic(profile: &QueryProfile) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        memo_traffic(&profile.root, &mut out);
+        out
+    }
+    let db = grouped_db();
+    // Compiled as bound: the optimizer would decorrelate the sublinks.
+    let plan = |sql: &str| perm::sql::compile(&db, sql).unwrap().0;
+    let streamed = plan("SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.g = r.g)");
+    let executed = plan("SELECT c FROM s WHERE c > (SELECT min(a) FROM r WHERE r.g = s.g)");
+
+    let alone = Executor::new(&db);
+    let compiled = alone.prepare(&streamed).unwrap();
+    let mut rows = alone.open_profiled(&compiled).unwrap();
+    assert_eq!(rows.by_ref().count(), 12);
+    let streamed_alone = traffic(&rows.profile().unwrap());
+    drop(rows);
+    let compiled = alone.prepare(&executed).unwrap();
+    let executed_alone = traffic(&alone.execute_profiled(&compiled).unwrap().1);
+    assert!(streamed_alone.iter().all(|&(h, m)| h > 0 && m > 0));
+    assert!(executed_alone.iter().all(|&(h, m)| h > 0 && m > 0));
+
+    let ex = Executor::new(&db);
+    let (streamed, executed) = (
+        ex.prepare(&streamed).unwrap(),
+        ex.prepare(&executed).unwrap(),
+    );
+    let mut rows = ex.open_profiled(&streamed).unwrap();
+    assert!(rows.next().unwrap().is_ok());
+    let (_, executed_profile) = ex.execute_profiled(&executed).unwrap();
+    assert_eq!(rows.by_ref().count(), 11);
+    assert_eq!(traffic(&rows.profile().unwrap()), streamed_alone);
+    assert_eq!(traffic(&executed_profile), executed_alone);
 }

@@ -152,3 +152,53 @@ fn engine_session_provenance_agrees_with_a_transient_session() {
     }
     assert_eq!(checked, 10);
 }
+
+#[test]
+fn operator_faults_fire_alike_on_rows_and_execute() {
+    // Every operator invocation raises one `FaultSite::Operator` event, on
+    // the streamed spine of a cursor as on the materialising path: a fault
+    // at the n-th event fails both the same way, after the same events.
+    use perm::{ExecError, FaultKind, FaultPlan, FaultSite, PermError};
+    let mut db = Database::new();
+    db.create_table(
+        "t",
+        Relation::from_rows(
+            Schema::from_names(&["a"]).with_qualifier("t"),
+            (0..100).map(|i| vec![Value::Int(i)]).collect(),
+        ),
+    )
+    .unwrap();
+    let engine = Engine::new(db);
+    let sql = "SELECT a + 1 AS b FROM t WHERE a >= 0";
+    for n in 1..=3 {
+        let run = |streamed: bool| {
+            let plan = FaultPlan::new(FaultKind::Cancel, FaultSite::Operator, n);
+            let session = engine.session_with(SessionConfig {
+                fault_plan: Some(plan.clone()),
+                ..SessionConfig::default()
+            });
+            let prepared = session.prepare(sql).unwrap();
+            let result = match streamed {
+                true => session
+                    .rows(&prepared, &[])
+                    .map_err(|e| match e {
+                        PermError::Exec(e) => e,
+                        other => panic!("{other}"),
+                    })
+                    .and_then(|rows| rows.into_relation()),
+                false => session.execute(&prepared, &[]).map_err(|e| match e {
+                    PermError::Exec(e) => e,
+                    other => panic!("{other}"),
+                }),
+            };
+            (result.map(|r| r.len()), plan.events_seen())
+        };
+        let (executed, streamed) = (run(false), run(true));
+        assert!(
+            matches!(executed.0, Err(ExecError::Cancelled { .. })),
+            "n = {n}: {executed:?}"
+        );
+        assert_eq!(streamed, executed, "n = {n}");
+        assert_eq!(executed.1, n, "n = {n}");
+    }
+}
