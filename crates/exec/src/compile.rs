@@ -41,7 +41,7 @@ use crate::eval::{arithmetic, compare};
 use crate::executor::{extract_equi_keys, flatten_conjuncts, Execution, Executor};
 use crate::functions;
 use crate::memo::StatementMemo;
-use crate::physical::{self, AggSpec};
+use crate::physical::{self, AggSpec, OpRows};
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
 use crate::trace::{TraceEvent, TraceKind};
@@ -900,7 +900,9 @@ impl<'e, 'a> Execution<'e, 'a> {
             }
         }
         let root = self.profile.as_ref().map(|tree| &*tree.root);
-        self.execute_compiled_node(plan.root(), None, root)
+        Ok(self
+            .execute_compiled_node(plan.root(), None, root)?
+            .into_relation())
     }
 
     /// Wraps one physical operator call when a profile node is armed:
@@ -910,15 +912,17 @@ impl<'e, 'a> Execution<'e, 'a> {
     /// the body runs, so a delta taken around the body alone attributes
     /// the work to the operator that did it (sublinks evaluated inside the
     /// body's expressions included, like nested `EXPLAIN ANALYZE` time).
-    fn profiled(
+    fn profiled<'p, R: Into<OpRows<'p>>>(
         &self,
         prof: Option<&ProfNode>,
         rows_in: u64,
-        body: impl FnOnce() -> Result<Relation>,
-    ) -> Result<Relation> {
-        let Some(node) = prof else { return body() };
+        body: impl FnOnce() -> Result<R>,
+    ) -> Result<OpRows<'p>> {
+        let Some(node) = prof else {
+            return body().map(Into::into);
+        };
         let before = self.ex.stats();
-        let result = body();
+        let result = body().map(Into::into);
         let after = self.ex.stats();
         let s = &node.stats;
         s.rows_in.set(s.rows_in.get() + rows_in);
@@ -947,13 +951,17 @@ impl<'e, 'a> Execution<'e, 'a> {
     /// routes no `LIMIT`. `prof` is the armed profile node mirroring `plan`
     /// (`None` on every unprofiled path); children recurse positionally
     /// into its child nodes, so the tree stays aligned with the plan by
-    /// construction.
-    pub(crate) fn execute_compiled_node(
+    /// construction. What it returns borrows the plan and the database: a
+    /// scan's rows are the stored table's (see `physical::OpRows`).
+    pub(crate) fn execute_compiled_node<'p>(
         &self,
-        plan: &CompiledNode,
+        plan: &'p CompiledNode,
         frame: Option<&Frame<'_>>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<OpRows<'p>>
+    where
+        'e: 'p,
+    {
         let probe = OpProbe::new(self, prof.map(|p| &p.stats));
         match plan {
             CompiledNode::Scan { table, schema } => self.profiled(prof, 0, || {
@@ -974,7 +982,7 @@ impl<'e, 'a> Execution<'e, 'a> {
                 let (child, map) = match **input {
                     CompiledNode::Join { .. } => {
                         let rows = self.execute_join(input, frame, child_prof, map, schema)?;
-                        (rows, None)
+                        (rows.into(), None)
                     }
                     _ => (
                         self.execute_compiled_node(input, frame, child_prof)?,
@@ -1022,7 +1030,7 @@ impl<'e, 'a> Execution<'e, 'a> {
             }
             CompiledNode::Join { schema, .. } => {
                 let map = ColumnMap::identity(schema.arity());
-                self.execute_join(plan, frame, prof, &map, schema)
+                Ok(self.execute_join(plan, frame, prof, &map, schema)?.into())
             }
             CompiledNode::Aggregate {
                 input,
@@ -1133,7 +1141,7 @@ impl<'e, 'a> Execution<'e, 'a> {
         let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
         let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
         let probe = OpProbe::new(self, prof.map(|p| &p.stats));
-        self.profiled(prof, (l.len() + r.len()) as u64, || {
+        let joined = self.profiled(prof, (l.len() + r.len()) as u64, || {
             physical::join(
                 probe,
                 &l,
@@ -1147,7 +1155,8 @@ impl<'e, 'a> Execution<'e, 'a> {
                 |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
                 |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
             )
-        })
+        })?;
+        Ok(joined.into_relation())
     }
 
     /// The projection core, shared by the materialising driver and the

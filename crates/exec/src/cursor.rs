@@ -44,6 +44,7 @@
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
 use crate::compile::{CompiledExpr, CompiledNode, CompiledPlan};
 use crate::executor::{Execution, Executor};
+use crate::physical;
 use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
 use crate::resilience::{CancelToken, Cancellation};
 use crate::Result;
@@ -82,7 +83,11 @@ pub struct Rows<'e, 'a> {
 enum Node<'e> {
     /// A pipeline breaker, fully materialised at open time.
     Materialized(std::vec::IntoIter<Tuple>),
-    /// Base-table scan, cloned batch by batch as pulled.
+    /// Base-table scan over the stored rows in place, arity-checked at open
+    /// like `physical::scan`'s. The rule of `physical::OpRows` holds here
+    /// too — a stored row is first copied by the operator that emits it —
+    /// and the streamed scan emits every row it is pulled for, so it clones
+    /// them batch by batch as pulled.
     Scan {
         tuples: &'e [Tuple],
         pos: usize,
@@ -210,16 +215,18 @@ impl<'e> Execution<'e, '_> {
                     prof: prof.cloned(),
                 }
             }
-            CompiledNode::Scan { table, .. } => {
+            CompiledNode::Scan { table, schema } => {
                 begin("scan")?;
+                let stored = self.ex.database().table(table)?.tuples();
                 Node::Scan {
-                    tuples: self.ex.database().table(table)?.tuples(),
+                    tuples: physical::checked_arity(schema, stored)?,
                     pos: 0,
                     prof: prof.cloned(),
                 }
             }
             breaker => Node::Materialized(
                 self.execute_compiled_node(breaker, None, prof.map(|p| p.as_ref()))?
+                    .into_relation()
                     .into_tuples()
                     .into_iter(),
             ),

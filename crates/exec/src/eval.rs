@@ -3,9 +3,10 @@
 
 use crate::functions;
 use crate::interpreter::Interpreter;
+use crate::physical::OpRows;
 use crate::{ExecError, Result};
 use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
-use perm_storage::{Relation, Schema, Truth, Tuple, Value};
+use perm_storage::{Schema, Truth, Tuple, Value};
 
 /// An evaluation environment: the current operator's input tuple plus a
 /// chain of enclosing scopes. Column references resolve innermost-first,
@@ -207,7 +208,7 @@ impl<'p> Interpreter<'p> {
                 })?;
                 let test_value = self.eval_expr(test, env)?;
                 let result = self.execute_sublink(plan, env)?;
-                check_quantified_arity(&result)?;
+                check_quantified_arity(result.schema().arity())?;
                 // The reference folds; every row it compares is counted.
                 let rows = result.tuples().iter().map(|row| {
                     self.x.ex.governor.count().quantifier_comparisons += 1;
@@ -244,8 +245,8 @@ pub fn fold_quantified<'v>(
 /// An `ANY`/`ALL` sublink compares against exactly one column; checked on
 /// its result by both drivers before any row is compared (the binder
 /// refuses other SQL, a hand-built plan gets this error).
-pub(crate) fn check_quantified_arity(result: &Relation) -> Result<()> {
-    match result.schema().arity() {
+pub(crate) fn check_quantified_arity(arity: usize) -> Result<()> {
+    match arity {
         1 => Ok(()),
         n => Err(ExecError::QuantifiedSublinkArity(n)),
     }
@@ -275,7 +276,7 @@ pub(crate) fn apply_func(name: FuncName, values: &[Value]) -> Result<Value> {
 /// Folds a scalar sublink result into its value, enforcing the
 /// one-attribute / at-most-one-tuple cardinality rules. Shared by the
 /// interpreter and the compiled evaluator.
-pub(crate) fn scalar_sublink_value(result: &Relation) -> Result<Value> {
+pub(crate) fn scalar_sublink_value(result: &OpRows<'_>) -> Result<Value> {
     if result.schema().arity() != 1 {
         return Err(ExecError::ScalarSublinkCardinality(format!(
             "scalar sublink must produce one attribute, got {}",

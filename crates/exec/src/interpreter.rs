@@ -19,7 +19,7 @@
 use crate::compile::ColumnMap;
 use crate::eval::Env;
 use crate::executor::{extract_equi_keys, Execution, Executor};
-use crate::physical::{self, AggSpec};
+use crate::physical::{self, AggSpec, OpRows};
 use crate::profile::OpProbe;
 use crate::Result;
 use perm_algebra::visit::{free_correlated_columns, free_params};
@@ -46,8 +46,9 @@ pub struct Interpreter<'p> {
     /// The execution this interpreter is: the executor's database, counters
     /// and governor, plus the parameters and cancel token it began with.
     pub(crate) x: Execution<'p, 'p>,
-    /// Sublink results per binding, shared so a hit never deep-copies.
-    memo: RefCell<HashMap<MemoKey, Rc<Relation>>>,
+    /// Sublink results per binding, shared so a hit never deep-copies (a
+    /// sublink over a bare scan holds the stored rows by reference).
+    memo: RefCell<HashMap<MemoKey, Rc<OpRows<'p>>>>,
     /// The signature of each sublink plan evaluated so far.
     signatures: RefCell<HashMap<*const Plan, Rc<Signature>>>,
     /// Makes `'p` invariant: a plan borrowed for less than the
@@ -87,7 +88,7 @@ impl<'p> Interpreter<'p> {
         &self,
         plan: &'p Plan,
         env: Option<&Env<'_>>,
-    ) -> Result<Rc<Relation>> {
+    ) -> Result<Rc<OpRows<'p>>> {
         let addr: *const Plan = plan;
         let signature = Rc::clone(
             self.signatures
@@ -114,7 +115,7 @@ impl<'p> Interpreter<'p> {
         {
             return Ok(hit);
         }
-        let result = Rc::new(self.execute(plan, env)?);
+        let result = Rc::new(self.rows(plan, env)?);
         if let Some(k) = key {
             self.memo.borrow_mut().insert(k, Rc::clone(&result));
         }
@@ -127,20 +128,26 @@ impl<'p> Interpreter<'p> {
     /// `env` is the enclosing correlation scope (present when this plan is a
     /// sublink query of an outer operator).
     pub fn execute(&self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<Relation> {
+        Ok(self.rows(plan, env)?.into_relation())
+    }
+
+    /// The recursion behind [`Interpreter::execute`]: a scan's rows are the
+    /// stored table's, borrowed (see `physical::OpRows`).
+    fn rows(&self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<OpRows<'p>> {
         // The interpreter path runs unprofiled (profiles mirror *compiled*
         // plans); the probe still carries the shared global counter.
         let probe = OpProbe::new(&self.x, None);
-        match plan {
+        let built = match plan {
             Plan::Scan { table, schema, .. } => {
-                physical::scan(probe, self.x.ex.database(), table, schema)
+                return physical::scan(probe, self.x.ex.database(), table, schema)
             }
-            Plan::Values { schema, rows } => physical::values(probe, schema, rows),
+            Plan::Values { schema, rows } => return physical::values(probe, schema, rows),
             Plan::Project {
                 input,
                 items,
                 distinct,
             } => {
-                let child = self.execute(input, env)?;
+                let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
                 physical::project(probe, &child, plan.schema(), *distinct, |batch, out| {
                     for tuple in batch.iter() {
@@ -159,7 +166,7 @@ impl<'p> Interpreter<'p> {
                 })
             }
             Plan::Select { input, predicate } => {
-                let child = self.execute(input, env)?;
+                let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
                 physical::select(probe, child, |batch, out| {
                     for tuple in batch.iter() {
@@ -170,8 +177,8 @@ impl<'p> Interpreter<'p> {
                 })
             }
             Plan::CrossProduct { left, right } => {
-                let l = self.execute(left, env)?;
-                let r = self.execute(right, env)?;
+                let l = self.rows(left, env)?;
+                let r = self.rows(right, env)?;
                 let schema = l.schema().concat(r.schema());
                 physical::cross_product(probe, &l, &r, schema)
             }
@@ -181,13 +188,13 @@ impl<'p> Interpreter<'p> {
                 kind,
                 condition,
             } => {
-                let l = self.execute(left, env)?;
+                let l = self.rows(left, env)?;
                 if l.is_empty() && kind.left_only_output() {
                     // Mirror the per-binding reference: with no outer rows
                     // the decorrelated inner plan never runs.
-                    return Ok(Relation::empty(l.schema().clone()));
+                    return Ok(Relation::empty(l.schema().clone()).into());
                 }
-                let r = self.execute(right, env)?;
+                let r = self.rows(right, env)?;
                 let l_schema = l.schema().clone();
                 let r_schema = r.schema().clone();
                 // The condition is evaluated over the concatenated candidate
@@ -248,7 +255,7 @@ impl<'p> Interpreter<'p> {
                 group_by,
                 aggregates,
             } => {
-                let child = self.execute(input, env)?;
+                let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
                 let specs: Vec<AggSpec> = aggregates
                     .iter()
@@ -286,12 +293,12 @@ impl<'p> Interpreter<'p> {
                 left,
                 right,
             } => {
-                let l = self.execute(left, env)?;
-                let r = self.execute(right, env)?;
+                let l = self.rows(left, env)?;
+                let r = self.rows(right, env)?;
                 physical::set_op(probe, *op, *all, &l, &r)
             }
             Plan::Sort { input, keys } => {
-                let child = self.execute(input, env)?;
+                let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
                 let ascending: Vec<bool> = keys.iter().map(|k: &SortKey| k.ascending).collect();
                 physical::sort(probe, child, &ascending, |batch, cols| {
@@ -305,9 +312,10 @@ impl<'p> Interpreter<'p> {
                 })
             }
             Plan::Limit { input, limit } => {
-                let child = self.execute(input, env)?;
+                let child = self.rows(input, env)?;
                 physical::limit(probe, child, *limit)
             }
-        }
+        };
+        built.map(OpRows::Built)
     }
 }

@@ -75,6 +75,19 @@
 //! token and profile. Sublink ids are numbered per plan: only the plan's
 //! own memo and profile look them up.
 //!
+//! The operator bodies own nothing they did not build. A scan (and a
+//! `VALUES` list) hands its parent the stored rows in place, under the
+//! plan's schema and after the per-row arity check a relation makes, so a
+//! statement prepared against a wider table fails with a typed arity
+//! mismatch. An operator that reads its input (join, computed projection,
+//! aggregate, set operation, cross product, a sublink's summary) borrows
+//! it; one that passes rows on (selection, pass-through projection, sort,
+//! limit) moves the rows an operator built and clones the stored ones it
+//! emits. The first copy of a stored row is therefore made by the operator
+//! that keeps it — a selection's survivor, a join's output row — or, for a
+//! plan that is a bare scan, where the driver returns the result; both
+//! drivers and the [`Rows`] cursor's streamed scan follow that rule.
+//!
 //! Pipeline breakers (aggregation, sorting, set operations, the join build
 //! side) consume batches at their input boundary; the streamable spine
 //! (`scan → select → project → limit`) additionally streams batches lazily
@@ -84,10 +97,11 @@
 //! Both drivers memoize sublinks per binding — a correlated sublink runs
 //! once per *distinct* binding instead of once per outer tuple, and an
 //! uncorrelated sublink runs once per query (PostgreSQL's InitPlan
-//! behaviour). An interpreter keeps result relations, shared as
-//! `Rc<Relation>`s (hits never deep-copy), in a map of its own that goes
-//! with it. For `ANY`/`ALL` it folds the comparison over the result rows —
-//! the reference — while the compiled path summarises each result once into a
+//! behaviour). An interpreter keeps result rows, shared behind `Rc`s (hits
+//! never deep-copy, and a sublink over a bare scan holds the stored rows by
+//! reference), in a map of its own that goes with it. For `ANY`/`ALL` it
+//! folds the comparison over the result rows — the reference — while the
+//! compiled path summarises each result once into a
 //! [`QuantProbe`] (key set, NULL flag, per-class bounds), memoized per
 //! `(sublink, database version, binding)` in the compiled statement's
 //! memo, and answers every test value with one hash probe. Since the operator bodies are

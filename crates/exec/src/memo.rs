@@ -289,7 +289,7 @@ mod tests {
     /// The `ANY` summary of the one-row result `{v}`.
     fn probe_of(v: i64) -> Arc<SublinkSummary> {
         let result = Relation::from_rows(Schema::from_names(&["c"]), vec![vec![Value::Int(v)]]);
-        Arc::new(SublinkSummary::build(SublinkKind::Any, &result).unwrap())
+        Arc::new(SublinkSummary::build(SublinkKind::Any, &result.into()).unwrap())
     }
 
     /// `v = ANY (summarised result)`.

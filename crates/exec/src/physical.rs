@@ -25,6 +25,19 @@
 //! a semantics fix (NULL handling in hash keys, outer-join padding, empty
 //! group seeding, …) lands in one place and cannot silently miss one path.
 //!
+//! An operator's **input** is an [`OpRows`]: rows an operator built, owned
+//! by the driver that passes them on, or a stored table's (or a `VALUES`
+//! list's) rows borrowed in place, which is what [`scan`] and [`values`]
+//! return after checking every row's arity. Operators that only read their
+//! input — join, computed projection, aggregate, set operation, cross
+//! product, sublink summaries — take it by reference; selection, the
+//! pass-through projection, sort and limit take it by value and hand each
+//! row they emit on through one routine, [`take_row`], which moves a built
+//! row and clones a borrowed one. So the first copy of a stored row is made
+//! by the operator that emits it, and a row a selection drops or a join
+//! only reads is never copied; a plan that is a bare scan copies its rows
+//! where the driver turns its result into a `Relation`.
+//!
 //! Operator **output order** is part of the engine's observable semantics
 //! (a stable sort above an operator keeps tie order, and `LIMIT` truncates
 //! it), so the batched loops emit rows in exactly the order the classic
@@ -93,9 +106,10 @@ use crate::spill::{self, fnv1a};
 use crate::{ExecError, Result};
 use perm_algebra::{AggFunc, JoinKind, SetOpKind};
 use perm_storage::{
-    encode_key_column, encode_key_column_filtered, ColumnVec, Database, HeapFile, Relation, Schema,
-    StorageManager, Tuple, Value,
+    encode_key_column, encode_key_column_filtered, relation as bag, ColumnVec, Database, HeapFile,
+    Relation, Schema, StorageError, StorageManager, Tuple, Value,
 };
+use std::borrow::Cow;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
@@ -114,34 +128,139 @@ pub(crate) struct AggSpec {
     pub(crate) has_arg: bool,
 }
 
-/// Base relation access: materialises the stored table under the plan's
-/// schema (which may carry an alias qualifier).
-pub(crate) fn scan(
+/// An operator's input (see the module docs for who takes it how): rows an
+/// operator built, which the holder owns, or rows borrowed in place — a
+/// stored table's from the catalog, a `VALUES` list's from the plan — under
+/// the plan's schema (which may carry an alias qualifier).
+pub(crate) enum OpRows<'a> {
+    /// Rows an operator built.
+    Built(Relation),
+    /// Rows read in place, each checked against the schema's arity.
+    Borrowed { schema: Schema, rows: &'a [Tuple] },
+}
+
+impl<'a> OpRows<'a> {
+    /// Borrows `rows` under `schema` after [`checked_arity`].
+    fn borrowed(schema: &Schema, rows: &'a [Tuple]) -> Result<OpRows<'a>> {
+        Ok(OpRows::Borrowed {
+            schema: schema.clone(),
+            rows: checked_arity(schema, rows)?,
+        })
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            OpRows::Built(rel) => rel.schema(),
+            OpRows::Borrowed { schema, .. } => schema,
+        }
+    }
+
+    pub(crate) fn tuples(&self) -> &[Tuple] {
+        match self {
+            OpRows::Built(rel) => rel.tuples(),
+            OpRows::Borrowed { rows, .. } => rows,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tuples().len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tuples().is_empty()
+    }
+
+    /// The rows as a relation of their own: a borrowed input is copied here,
+    /// at the root of a plan (or a cursor's pipeline breaker) that emits it
+    /// whole.
+    pub(crate) fn into_relation(self) -> Relation {
+        match self {
+            OpRows::Built(rel) => rel,
+            OpRows::Borrowed { schema, rows } => {
+                let mut out = Relation::empty(schema);
+                for row in rows {
+                    out.push_unchecked(row.clone());
+                }
+                out
+            }
+        }
+    }
+
+    /// The schema, and the rows for [`take_row`] to hand out.
+    fn into_parts(self) -> (Schema, Cow<'a, [Tuple]>) {
+        match self {
+            OpRows::Built(rel) => (rel.schema().clone(), Cow::Owned(rel.into_tuples())),
+            OpRows::Borrowed { schema, rows } => (schema, Cow::Borrowed(rows)),
+        }
+    }
+}
+
+impl From<Relation> for OpRows<'_> {
+    fn from(rel: Relation) -> Self {
+        OpRows::Built(rel)
+    }
+}
+
+/// `rows`, once each has the arity of `schema`: the per-row check
+/// `Relation::new` makes, failing with the same typed `ArityMismatch`. Rows
+/// read in place — by [`scan`], [`values`] and the cursor's streamed scan —
+/// pass it before any operator reads a column of them, so a statement
+/// prepared against a wider table fails instead of reading past a row's end.
+pub(crate) fn checked_arity<'a>(schema: &Schema, rows: &'a [Tuple]) -> Result<&'a [Tuple]> {
+    let expected = schema.arity();
+    match rows.iter().find(|t| t.arity() != expected) {
+        Some(t) => Err(StorageError::ArityMismatch {
+            expected,
+            found: t.arity(),
+        }
+        .into()),
+        None => Ok(rows),
+    }
+}
+
+/// Row `i` of an input, for the output of the operator consuming it: moved
+/// out of built rows (each row is taken at most once), cloned out of
+/// borrowed ones.
+fn take_row(rows: &mut Cow<'_, [Tuple]>, i: usize) -> Tuple {
+    match rows {
+        Cow::Owned(rows) => std::mem::take(&mut rows[i]),
+        Cow::Borrowed(rows) => rows[i].clone(),
+    }
+}
+
+/// Base relation access: borrows the stored table's rows in place under the
+/// plan's schema (which may carry an alias qualifier), once
+/// [`checked_arity`] holds. Nothing is copied here: the operator that emits
+/// a stored row makes its first copy (see [`OpRows`]).
+pub(crate) fn scan<'a>(
     probe: OpProbe<'_>,
-    db: &Database,
+    db: &'a Database,
     table: &str,
     schema: &Schema,
-) -> Result<Relation> {
+) -> Result<OpRows<'a>> {
     let _timer = probe.begin("scan")?;
     probe.checkpoint("scan")?;
     probe.batch();
-    let base = db.table(table)?;
-    Ok(Relation::new(schema.clone(), base.tuples().to_vec())?)
+    OpRows::borrowed(schema, db.table(table)?.tuples())
 }
 
-/// Constant relation.
-pub(crate) fn values(probe: OpProbe<'_>, schema: &Schema, rows: &[Tuple]) -> Result<Relation> {
+/// Constant relation, borrowed from the plan like a scan's stored rows.
+pub(crate) fn values<'a>(
+    probe: OpProbe<'_>,
+    schema: &Schema,
+    rows: &'a [Tuple],
+) -> Result<OpRows<'a>> {
     let _timer = probe.begin("values")?;
     probe.checkpoint("values")?;
     probe.batch();
-    Ok(Relation::new(schema.clone(), rows.to_vec())?)
+    OpRows::borrowed(schema, rows)
 }
 
 /// Projection: `rows_of` evaluates all projection items over one batch,
 /// appending one output tuple per live row.
 pub(crate) fn project(
     probe: OpProbe<'_>,
-    child: &Relation,
+    child: &OpRows<'_>,
     out_schema: Schema,
     distinct: bool,
     mut rows_of: impl FnMut(&Batch<'_>, &mut Vec<Tuple>) -> Result<()>,
@@ -164,16 +283,17 @@ pub(crate) fn project(
     Ok(if distinct { out.distinct() } else { out })
 }
 
-/// Pass-through projection over a child the driver owns: every output
-/// column is an input column, so each row is gathered by position, in place
-/// ([`ColumnMap::gather`] — moved at a column's last use, cloned before it),
-/// with no expression evaluated. `map = None`: the join below already wrote
-/// the rows through this Π's map (see [`join`]), and the profile says so.
-/// Either way the same checkpoints and batches as [`project`] over the same
-/// input.
+/// Pass-through projection: every output column is an input column, so
+/// each row is gathered by position with no expression evaluated — in
+/// place out of built rows ([`ColumnMap::gather`] — moved at a column's last
+/// use, cloned before it), cloned column by column out of borrowed ones
+/// ([`ColumnMap::pair`]).
+/// `map = None`: the join below already wrote the rows through this Π's map
+/// (see [`join`]), and the profile says so. Either way the same checkpoints
+/// and batches as [`project`] over the same input.
 pub(crate) fn project_columns(
     probe: OpProbe<'_>,
-    child: Relation,
+    child: OpRows<'_>,
     out_schema: Schema,
     map: Option<&ColumnMap>,
 ) -> Result<Relation> {
@@ -181,44 +301,67 @@ pub(crate) fn project_columns(
     if map.is_none() {
         probe.emitted_by_join();
     }
-    let mut rows = child.into_tuples();
-    for chunk in rows.chunks_mut(BATCH_ROWS) {
+    let (_, mut input) = child.into_parts();
+    // The rows gathered out of a borrowed input; built rows are gathered in
+    // place.
+    let mut gathered: Vec<Tuple> = match &input {
+        Cow::Borrowed(rows) => Vec::with_capacity(rows.len()),
+        Cow::Owned(_) => Vec::new(),
+    };
+    for start in (0..input.len()).step_by(BATCH_ROWS) {
+        let end = input.len().min(start + BATCH_ROWS);
         probe.checkpoint("project")?;
         probe.batch();
-        if let Some(map) = map {
-            for row in chunk {
-                *row = map.gather(std::mem::take(row));
+        match (&mut input, map) {
+            (Cow::Owned(rows), Some(map)) => {
+                for row in &mut rows[start..end] {
+                    *row = map.gather(std::mem::take(row));
+                }
+            }
+            (Cow::Owned(_), None) => {}
+            (Cow::Borrowed(rows), _) => {
+                gathered.extend(rows[start..end].iter().map(|row| match map {
+                    Some(map) => map.pair(row, None),
+                    None => row.clone(),
+                }))
             }
         }
     }
+    let rows = match input {
+        Cow::Owned(rows) => rows,
+        Cow::Borrowed(_) => gathered,
+    };
     Ok(Relation::new(out_schema, rows)?)
 }
 
 /// Selection: `keep` evaluates the predicate over one batch (three-valued
-/// TRUE only), appending one verdict per live row. The child is consumed:
-/// survivors are marked in a truth vector and moved into the output, dropped
-/// rows are never copied.
+/// TRUE only), appending one verdict per live row. Only survivors reach the
+/// output, through [`take_row`]: moved out of a built input, cloned out of
+/// a borrowed one; dropped rows are never copied.
 pub(crate) fn select(
     probe: OpProbe<'_>,
-    child: Relation,
+    child: OpRows<'_>,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = probe.begin("select")?;
-    let schema = child.schema().clone();
+    let (schema, mut input) = child.into_parts();
     let arity = schema.arity();
-    let mut input = child.into_tuples();
     let mut out = Relation::empty(schema);
     let mut truths: Vec<bool> = Vec::with_capacity(BATCH_ROWS.min(input.len()));
-    for chunk in input.chunks_mut(BATCH_ROWS) {
+    for start in (0..input.len()).step_by(BATCH_ROWS) {
+        let end = input.len().min(start + BATCH_ROWS);
         probe.checkpoint("select")?;
         probe.batch();
         truths.clear();
         let block = ColumnBlock::new(arity);
-        keep(&Batch::dense_with_block(chunk, &block), &mut truths)?;
-        debug_assert_eq!(truths.len(), chunk.len(), "one verdict per live row");
-        for (tuple, keep) in chunk.iter_mut().zip(&truths) {
+        keep(
+            &Batch::dense_with_block(&input[start..end], &block),
+            &mut truths,
+        )?;
+        debug_assert_eq!(truths.len(), end - start, "one verdict per live row");
+        for (i, keep) in (start..end).zip(&truths) {
             if *keep {
-                out.push_unchecked(std::mem::take(tuple));
+                out.push_unchecked(take_row(&mut input, i));
             }
         }
     }
@@ -228,8 +371,8 @@ pub(crate) fn select(
 /// Cross product.
 pub(crate) fn cross_product(
     probe: OpProbe<'_>,
-    l: &Relation,
-    r: &Relation,
+    l: &OpRows<'_>,
+    r: &OpRows<'_>,
     out_schema: Schema,
 ) -> Result<Relation> {
     let _timer = probe.begin("cross_product")?;
@@ -373,8 +516,8 @@ impl JoinSpill {
 /// expected to fit in roughly a quarter of the budget — the rebuild is the
 /// ladder's last resort, so the expectation carries headroom for hash skew
 /// — clamped to a sane range.
-fn join_partition_count(budget: u64, build_side: &Relation) -> usize {
-    let bytes = relation_bytes(build_side);
+fn join_partition_count(budget: u64, build_side: &OpRows<'_>) -> usize {
+    let bytes = relation_bytes(build_side.tuples(), build_side.schema().arity());
     ((4 * bytes / budget.max(1)) as usize).clamp(2, 64)
 }
 
@@ -384,7 +527,7 @@ fn join_partition_count(budget: u64, build_side: &Relation) -> usize {
 /// every row of one key lands in the same partition file.
 fn spill_join_build(
     gov: &Governor,
-    build_side: &Relation,
+    build_side: &OpRows<'_>,
     buckets: &mut HashMap<Vec<u8>, Vec<&Tuple>>,
 ) -> Result<JoinSpill> {
     let mgr = gov
@@ -457,7 +600,7 @@ fn grace_probe(
     mut sink: JoinSink<'_>,
     recheck: bool,
     js: &JoinSpill,
-    l: &Relation,
+    l: &OpRows<'_>,
     right_arity: usize,
     key_null_safe: &[bool],
     charge: &mut Option<TransientCharge<'_>>,
@@ -648,8 +791,8 @@ fn grace_probe(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join(
     probe: OpProbe<'_>,
-    l: &Relation,
-    r: &Relation,
+    l: &OpRows<'_>,
+    r: &OpRows<'_>,
     out_schema: &Schema,
     kind: JoinKind,
     key_null_safe: &[bool],
@@ -967,7 +1110,7 @@ fn flush_agg_groups(
 /// encounter) restore the exact first-encounter output order.
 pub(crate) fn aggregate(
     probe: OpProbe<'_>,
-    child: &Relation,
+    child: &OpRows<'_>,
     out_schema: Schema,
     group_arity: usize,
     specs: &[AggSpec],
@@ -1166,8 +1309,8 @@ pub(crate) fn set_op(
     probe: OpProbe<'_>,
     op: SetOpKind,
     all: bool,
-    l: &Relation,
-    r: &Relation,
+    l: &OpRows<'_>,
+    r: &OpRows<'_>,
 ) -> Result<Relation> {
     let _timer = probe.begin("set_op")?;
     probe.checkpoint("set_op")?;
@@ -1177,14 +1320,16 @@ pub(crate) fn set_op(
             "set operation over inputs of different arity".into(),
         ));
     }
-    Ok(match (op, all) {
-        (SetOpKind::Union, true) => l.bag_union(r),
-        (SetOpKind::Union, false) => l.set_union(r),
-        (SetOpKind::Intersect, true) => l.bag_intersect(r),
-        (SetOpKind::Intersect, false) => l.set_intersect(r),
-        (SetOpKind::Except, true) => l.bag_difference(r),
-        (SetOpKind::Except, false) => l.set_difference(r),
-    })
+    let (l_rows, r_rows) = (l.tuples(), r.tuples());
+    let tuples = match (op, all) {
+        (SetOpKind::Union, true) => bag::bag_union(l_rows, r_rows),
+        (SetOpKind::Union, false) => bag::set_union(l_rows, r_rows),
+        (SetOpKind::Intersect, true) => bag::bag_intersect(l_rows, r_rows),
+        (SetOpKind::Intersect, false) => bag::set_intersect(l_rows, r_rows),
+        (SetOpKind::Except, true) => bag::bag_difference(l_rows, r_rows),
+        (SetOpKind::Except, false) => bag::set_difference(l_rows, r_rows),
+    };
+    Ok(Relation::new(l.schema().clone(), tuples)?)
 }
 
 /// The sort-key comparator shared by the in-memory sort and the k-way run
@@ -1200,8 +1345,8 @@ fn cmp_key_rows(ka: &[Value], kb: &[Value], ascending: &[bool]) -> std::cmp::Ord
     std::cmp::Ordering::Equal
 }
 
-/// The sort's resident buffer: the rows it was given (moved in, not
-/// cloned) and their extracted key values in one row-major vector — one
+/// The sort's resident buffer: the rows it was given (moved in when built,
+/// cloned when borrowed — the sort emits every row) and their extracted key values in one row-major vector — one
 /// per `ascending` entry per row, no allocation per row. Sorting it yields
 /// a permutation; neither vector is reordered.
 struct SortBuffer<'a> {
@@ -1291,16 +1436,15 @@ impl Eq for RunHead<'_> {}
 /// stable order.
 pub(crate) fn sort(
     probe: OpProbe<'_>,
-    child: Relation,
+    child: OpRows<'_>,
     ascending: &[bool],
     mut keys: impl FnMut(&Batch<'_>, &mut [Vec<Value>]) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = probe.begin("sort")?;
     let gov = probe.gov;
     let mut charge = gov.transient("sort");
-    let schema = child.schema().clone();
+    let (schema, mut input) = child.into_parts();
     let arity = schema.arity();
-    let mut input = child.into_tuples();
     let mut buffer = SortBuffer {
         ascending,
         rows: Vec::with_capacity(input.len()),
@@ -1308,31 +1452,36 @@ pub(crate) fn sort(
     };
     let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); ascending.len()];
     let mut runs: Vec<Rc<HeapFile>> = Vec::new();
-    for chunk in input.chunks_mut(BATCH_ROWS) {
+    for start in (0..input.len()).step_by(BATCH_ROWS) {
+        let end = input.len().min(start + BATCH_ROWS);
         probe.checkpoint("sort")?;
         probe.batch();
         for col in key_cols.iter_mut() {
             col.clear();
         }
         let block = ColumnBlock::new(arity);
-        keys(&Batch::dense_with_block(chunk, &block), &mut key_cols)?;
+        keys(
+            &Batch::dense_with_block(&input[start..end], &block),
+            &mut key_cols,
+        )?;
         let mut chunk_bytes = 0u64;
-        for (j, tuple) in chunk.iter_mut().enumerate() {
+        for (j, i) in (start..end).enumerate() {
             let first_key = buffer.keys.len();
             for col in key_cols.iter_mut() {
                 buffer
                     .keys
                     .push(std::mem::replace(&mut col[j], Value::Null));
             }
+            let row = take_row(&mut input, i);
             if charge.is_some() {
                 // Sort-buffer growth: the extracted keys plus the row.
                 chunk_bytes += buffer.keys[first_key..]
                     .iter()
                     .map(value_bytes)
                     .sum::<u64>()
-                    + tuple_bytes(tuple);
+                    + tuple_bytes(&row);
             }
-            buffer.rows.push(std::mem::take(tuple));
+            buffer.rows.push(row);
         }
         if let Some(c) = charge.as_mut() {
             if !c.try_grow(chunk_bytes)? {
@@ -1410,11 +1559,14 @@ pub(crate) fn sort(
 }
 
 /// First-`n` truncation.
-pub(crate) fn limit(probe: OpProbe<'_>, child: Relation, n: usize) -> Result<Relation> {
+pub(crate) fn limit(probe: OpProbe<'_>, child: OpRows<'_>, n: usize) -> Result<Relation> {
     let _timer = probe.begin("limit")?;
     probe.checkpoint("limit")?;
     probe.batch();
-    let schema = child.schema().clone();
-    let tuples = child.into_tuples().into_iter().take(n).collect();
-    Ok(Relation::new(schema, tuples)?)
+    let (schema, mut input) = child.into_parts();
+    let mut out = Relation::empty(schema);
+    for i in 0..n.min(input.len()) {
+        out.push_unchecked(take_row(&mut input, i));
+    }
+    Ok(out)
 }

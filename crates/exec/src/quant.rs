@@ -33,10 +33,11 @@
 //! (quantifier, operator) pair against the fold.
 
 use crate::eval::check_quantified_arity;
+use crate::physical::OpRows;
 use crate::resilience::MemoCost;
 use crate::Result;
 use perm_algebra::{CompareOp, SublinkKind};
-use perm_storage::{encode_key, Relation, Truth, Value};
+use perm_storage::{encode_key, Relation, Truth, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -69,14 +70,20 @@ impl QuantProbe {
     /// Summarises a sublink result in one pass. Fails, before anything is
     /// compared, when the result does not have exactly one attribute.
     pub fn build(result: &Relation) -> Result<QuantProbe> {
-        check_quantified_arity(result)?;
+        QuantProbe::of_rows(result.schema().arity(), result.tuples())
+    }
+
+    /// [`QuantProbe::build`] over `rows` of `arity` columns, borrowed from
+    /// wherever the sublink's plan left them.
+    pub(crate) fn of_rows(arity: usize, rows: &[Tuple]) -> Result<QuantProbe> {
+        check_quantified_arity(arity)?;
         let mut probe = QuantProbe {
             keys: HashSet::new(),
             has_null: false,
             bounds: [None, None],
             heap_bytes: 0,
         };
-        for row in result.tuples() {
+        for row in rows {
             let v = row.get(0);
             let Some(class) = class_of(v) else {
                 probe.has_null = true;
@@ -167,15 +174,16 @@ impl SublinkSummary {
     /// Summarises a sublink result for its kind. Fails exactly where a
     /// verdict read from the result would: a scalar result of more than
     /// one row or column, an `ANY` / `ALL` result of other than one column.
-    pub(crate) fn build(kind: SublinkKind, result: &Relation) -> Result<SublinkSummary> {
+    pub(crate) fn build(kind: SublinkKind, result: &OpRows<'_>) -> Result<SublinkSummary> {
         Ok(match kind {
             SublinkKind::Exists => SublinkSummary::Exists(!result.is_empty()),
             SublinkKind::Scalar => {
                 SublinkSummary::Scalar(crate::eval::scalar_sublink_value(result)?)
             }
-            SublinkKind::Any | SublinkKind::All => {
-                SublinkSummary::Quant(QuantProbe::build(result)?)
-            }
+            SublinkKind::Any | SublinkKind::All => SublinkSummary::Quant(QuantProbe::of_rows(
+                result.schema().arity(),
+                result.tuples(),
+            )?),
         })
     }
 

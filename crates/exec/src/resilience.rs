@@ -311,11 +311,12 @@ pub(crate) fn tuple_bytes(t: &Tuple) -> u64 {
         + t.values().iter().map(value_bytes).sum::<u64>()
 }
 
-/// Approximate heap footprint of a materialised relation.
-pub(crate) fn relation_bytes(r: &Relation) -> u64 {
+/// Approximate heap footprint of a materialised relation of `arity`
+/// columns holding `rows`.
+pub(crate) fn relation_bytes(rows: &[Tuple], arity: usize) -> u64 {
     std::mem::size_of::<Relation>() as u64
-        + r.tuples().iter().map(tuple_bytes).sum::<u64>()
-        + r.schema().arity() as u64 * 16
+        + rows.iter().map(tuple_bytes).sum::<u64>()
+        + arity as u64 * 16
 }
 
 /// Per-entry byte cost of a memoized value — implemented by the value types

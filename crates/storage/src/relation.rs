@@ -111,120 +111,9 @@ impl Relation {
     /// Duplicate-removing copy (the set-projection / `DISTINCT` primitive).
     /// Keeps the first occurrence of each [`Tuple::null_safe_eq`] class.
     pub fn distinct(&self) -> Relation {
-        let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(self.tuples.len());
-        let mut out: Vec<Tuple> = Vec::new();
-        for t in &self.tuples {
-            if seen.insert(encode_tuple_key(t)) {
-                out.push(t.clone());
-            }
-        }
         Relation {
             schema: self.schema.clone(),
-            tuples: out,
-        }
-    }
-
-    /// Multiset count of the other side's tuples, keyed by their encoded
-    /// tuple key (the hash view the bag operators subtract from).
-    fn key_counts(&self) -> HashMap<Vec<u8>, usize> {
-        let mut counts: HashMap<Vec<u8>, usize> = HashMap::with_capacity(self.tuples.len());
-        for t in &self.tuples {
-            *counts.entry(encode_tuple_key(t)).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Set of the other side's encoded tuple keys (the hash view the set
-    /// operators probe for membership).
-    fn key_set(&self) -> HashSet<Vec<u8>> {
-        self.tuples.iter().map(encode_tuple_key).collect()
-    }
-
-    /// Bag union (`∪B`): multiplicities add up.
-    pub fn bag_union(&self, other: &Relation) -> Relation {
-        let mut tuples = self.tuples.clone();
-        tuples.extend(other.tuples.iter().cloned());
-        Relation {
-            schema: self.schema.clone(),
-            tuples,
-        }
-    }
-
-    /// Set union (`∪S`): duplicates removed.
-    pub fn set_union(&self, other: &Relation) -> Relation {
-        self.bag_union(other).distinct()
-    }
-
-    /// Bag intersection (`∩B`): multiplicity is the minimum of both sides.
-    /// Keeps the left side's tuples (representation and order), consuming
-    /// one unit of the right side's multiplicity per emitted tuple.
-    pub fn bag_intersect(&self, other: &Relation) -> Relation {
-        let mut remaining = other.key_counts();
-        let mut tuples = Vec::new();
-        for t in &self.tuples {
-            if let Some(n) = remaining.get_mut(&encode_tuple_key(t)) {
-                if *n > 0 {
-                    *n -= 1;
-                    tuples.push(t.clone());
-                }
-            }
-        }
-        Relation {
-            schema: self.schema.clone(),
-            tuples,
-        }
-    }
-
-    /// Set intersection (`∩S`): distinct left tuples present on the right.
-    pub fn set_intersect(&self, other: &Relation) -> Relation {
-        let present = other.key_set();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut tuples = Vec::new();
-        for t in &self.tuples {
-            let key = encode_tuple_key(t);
-            let keep = present.contains(&key);
-            if seen.insert(key) && keep {
-                tuples.push(t.clone());
-            }
-        }
-        Relation {
-            schema: self.schema.clone(),
-            tuples,
-        }
-    }
-
-    /// Bag difference (`−B`): multiplicities subtract (never below zero,
-    /// i.e. saturating).
-    pub fn bag_difference(&self, other: &Relation) -> Relation {
-        let mut remaining = other.key_counts();
-        let mut tuples = Vec::new();
-        for t in &self.tuples {
-            match remaining.get_mut(&encode_tuple_key(t)) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => tuples.push(t.clone()),
-            }
-        }
-        Relation {
-            schema: self.schema.clone(),
-            tuples,
-        }
-    }
-
-    /// Set difference (`−S`): distinct left tuples absent from the right.
-    pub fn set_difference(&self, other: &Relation) -> Relation {
-        let present = other.key_set();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut tuples = Vec::new();
-        for t in &self.tuples {
-            let key = encode_tuple_key(t);
-            let keep = !present.contains(&key);
-            if seen.insert(key) && keep {
-                tuples.push(t.clone());
-            }
-        }
-        Relation {
-            schema: self.schema.clone(),
-            tuples,
+            tuples: distinct(&self.tuples),
         }
     }
 
@@ -255,6 +144,113 @@ impl Relation {
     }
 }
 
+// The bag operators, over borrowed tuples: a caller holding rows it does not
+// own (an executor reading a stored table in place) has only the result
+// tuples copied.
+
+/// Duplicate-removing copy of `tuples`: the first occurrence of each
+/// [`Tuple::null_safe_eq`] class.
+pub fn distinct(tuples: &[Tuple]) -> Vec<Tuple> {
+    let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(tuples.len());
+    let mut out: Vec<Tuple> = Vec::new();
+    for t in tuples {
+        if seen.insert(encode_tuple_key(t)) {
+            out.push(t.clone());
+        }
+    }
+    out
+}
+
+/// Multiset count of `tuples`, keyed by their encoded tuple key (the hash
+/// view the bag operators subtract from).
+fn key_counts(tuples: &[Tuple]) -> HashMap<Vec<u8>, usize> {
+    let mut counts: HashMap<Vec<u8>, usize> = HashMap::with_capacity(tuples.len());
+    for t in tuples {
+        *counts.entry(encode_tuple_key(t)).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Set of the encoded tuple keys of `tuples` (the hash view the set
+/// operators probe for membership).
+fn key_set(tuples: &[Tuple]) -> HashSet<Vec<u8>> {
+    tuples.iter().map(encode_tuple_key).collect()
+}
+
+/// Bag union (`∪B`): multiplicities add up.
+pub fn bag_union(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    let mut tuples = Vec::with_capacity(l.len() + r.len());
+    tuples.extend(l.iter().cloned());
+    tuples.extend(r.iter().cloned());
+    tuples
+}
+
+/// Set union (`∪S`): duplicates removed.
+pub fn set_union(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    distinct(&bag_union(l, r))
+}
+
+/// Bag intersection (`∩B`): multiplicity is the minimum of both sides. Keeps
+/// the left side's tuples (representation and order), consuming one unit of
+/// the right side's multiplicity per emitted tuple.
+pub fn bag_intersect(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    let mut remaining = key_counts(r);
+    let mut tuples = Vec::new();
+    for t in l {
+        if let Some(n) = remaining.get_mut(&encode_tuple_key(t)) {
+            if *n > 0 {
+                *n -= 1;
+                tuples.push(t.clone());
+            }
+        }
+    }
+    tuples
+}
+
+/// Set intersection (`∩S`): distinct left tuples present on the right.
+pub fn set_intersect(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    let present = key_set(r);
+    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let mut tuples = Vec::new();
+    for t in l {
+        let key = encode_tuple_key(t);
+        let keep = present.contains(&key);
+        if seen.insert(key) && keep {
+            tuples.push(t.clone());
+        }
+    }
+    tuples
+}
+
+/// Bag difference (`−B`): multiplicities subtract (never below zero, i.e.
+/// saturating).
+pub fn bag_difference(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    let mut remaining = key_counts(r);
+    let mut tuples = Vec::new();
+    for t in l {
+        match remaining.get_mut(&encode_tuple_key(t)) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => tuples.push(t.clone()),
+        }
+    }
+    tuples
+}
+
+/// Set difference (`−S`): distinct left tuples absent from the right.
+pub fn set_difference(l: &[Tuple], r: &[Tuple]) -> Vec<Tuple> {
+    let present = key_set(r);
+    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let mut tuples = Vec::new();
+    for t in l {
+        let key = encode_tuple_key(t);
+        let keep = !present.contains(&key);
+        if seen.insert(key) && keep {
+            tuples.push(t.clone());
+        }
+    }
+    tuples
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
@@ -270,6 +266,11 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::tuple;
+
+    /// The relation a bag operator makes of `l` and `r`, under `l`'s schema.
+    fn apply(op: fn(&[Tuple], &[Tuple]) -> Vec<Tuple>, l: &Relation, r: &Relation) -> Relation {
+        Relation::new(l.schema().clone(), op(l.tuples(), r.tuples())).expect("same arity")
+    }
 
     fn rel(rows: Vec<Vec<i64>>) -> Relation {
         let schema = Schema::from_names(&["a", "b"]);
@@ -309,30 +310,30 @@ mod tests {
     fn bag_union_adds_multiplicities() {
         let r = rel(vec![vec![1, 2]]);
         let s = rel(vec![vec![1, 2], vec![3, 4]]);
-        let u = r.bag_union(&s);
+        let u = apply(super::bag_union, &r, &s);
         assert_eq!(u.multiplicity(&tuple![1, 2]), 2);
         assert_eq!(u.len(), 3);
-        assert_eq!(r.set_union(&s).len(), 2);
+        assert_eq!(apply(super::set_union, &r, &s).len(), 2);
     }
 
     #[test]
     fn bag_intersection_takes_minimum() {
         let r = rel(vec![vec![1, 2], vec![1, 2], vec![5, 6]]);
         let s = rel(vec![vec![1, 2], vec![7, 8]]);
-        let i = r.bag_intersect(&s);
+        let i = apply(super::bag_intersect, &r, &s);
         assert_eq!(i.len(), 1);
         assert_eq!(i.multiplicity(&tuple![1, 2]), 1);
-        assert_eq!(r.set_intersect(&s).len(), 1);
+        assert_eq!(apply(super::set_intersect, &r, &s).len(), 1);
     }
 
     #[test]
     fn bag_difference_subtracts_multiplicities() {
         let r = rel(vec![vec![1, 2], vec![1, 2], vec![5, 6]]);
         let s = rel(vec![vec![1, 2]]);
-        let d = r.bag_difference(&s);
+        let d = apply(super::bag_difference, &r, &s);
         assert_eq!(d.multiplicity(&tuple![1, 2]), 1);
         assert_eq!(d.multiplicity(&tuple![5, 6]), 1);
-        let sd = r.set_difference(&s);
+        let sd = apply(super::set_difference, &r, &s);
         assert_eq!(sd.len(), 1);
         assert!(sd.contains(&tuple![5, 6]));
     }
@@ -450,18 +451,10 @@ mod tests {
         for seed in 0..8u64 {
             let l = duplicate_heavy(120, seed);
             let r = duplicate_heavy(90, seed.wrapping_add(1000));
-            assert!(l
-                .bag_intersect(&r)
-                .bag_eq(&reference::bag_intersect(&l, &r)));
-            assert!(l
-                .bag_difference(&r)
-                .bag_eq(&reference::bag_difference(&l, &r)));
-            assert!(l
-                .set_intersect(&r)
-                .bag_eq(&reference::set_intersect(&l, &r)));
-            assert!(l
-                .set_difference(&r)
-                .bag_eq(&reference::set_difference(&l, &r)));
+            assert!(apply(super::bag_intersect, &l, &r).bag_eq(&reference::bag_intersect(&l, &r)));
+            assert!(apply(super::bag_difference, &l, &r).bag_eq(&reference::bag_difference(&l, &r)));
+            assert!(apply(super::set_intersect, &l, &r).bag_eq(&reference::set_intersect(&l, &r)));
+            assert!(apply(super::set_difference, &l, &r).bag_eq(&reference::set_difference(&l, &r)));
             assert!(l.distinct().bag_eq(&reference::distinct(&l)));
         }
     }
@@ -470,8 +463,8 @@ mod tests {
     fn hashed_bag_ops_honour_min_and_saturating_subtract_multiplicities() {
         let l = duplicate_heavy(150, 7);
         let r = duplicate_heavy(100, 99);
-        let inter = l.bag_intersect(&r);
-        let diff = l.bag_difference(&r);
+        let inter = apply(super::bag_intersect, &l, &r);
+        let diff = apply(super::bag_difference, &l, &r);
         for t in l.distinct().tuples() {
             let (nl, nr) = (l.multiplicity(t), r.multiplicity(t));
             assert_eq!(inter.multiplicity(t), nl.min(nr), "min multiplicity of {t}");
@@ -505,10 +498,10 @@ mod tests {
         assert!(r.contains(&nan));
         assert_eq!(r.distinct().len(), 2);
         let s = Relation::from_rows(schema, vec![vec![Value::Float(f64::NAN)]]);
-        assert_eq!(r.bag_intersect(&s).len(), 1);
-        assert_eq!(r.bag_difference(&s).len(), 2);
-        assert_eq!(r.set_intersect(&s).len(), 1);
-        assert_eq!(r.set_difference(&s).len(), 1);
+        assert_eq!(apply(super::bag_intersect, &r, &s).len(), 1);
+        assert_eq!(apply(super::bag_difference, &r, &s).len(), 2);
+        assert_eq!(apply(super::set_intersect, &r, &s).len(), 1);
+        assert_eq!(apply(super::set_difference, &r, &s).len(), 1);
     }
 
     #[test]
@@ -526,16 +519,16 @@ mod tests {
             ],
         );
         let r = Relation::from_rows(schema, vec![vec![Value::Date(2)], vec![Value::Null]]);
-        let inter = l.set_intersect(&r);
+        let inter = apply(super::set_intersect, &l, &r);
         assert_eq!(inter.len(), 2);
         assert!(inter.contains(&Tuple::new(vec![Value::Int(2)])));
         assert!(inter.contains(&Tuple::new(vec![Value::Null])));
-        let diff = l.set_difference(&r);
+        let diff = apply(super::set_difference, &l, &r);
         assert_eq!(diff.len(), 1);
         assert!(diff.contains(&Tuple::new(vec![Value::Int(5)])));
         // Bag intersection consumes right-side multiplicity across the
         // class: only one of the two spellings of "2" survives.
-        assert_eq!(l.bag_intersect(&r).len(), 2);
-        assert_eq!(l.bag_difference(&r).len(), 2);
+        assert_eq!(apply(super::bag_intersect, &l, &r).len(), 2);
+        assert_eq!(apply(super::bag_difference, &l, &r).len(), 2);
     }
 }

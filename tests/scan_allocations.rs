@@ -1,0 +1,120 @@
+//! Allocation gate for scans: an operator over a stored table copies only
+//! the rows it keeps.
+//!
+//! A scan borrows the catalog's rows in place; the first copy of a stored
+//! row is made by the operator that emits it — a selection's survivor, a
+//! join's output row — so the rows a selection drops, and every row a join
+//! only reads, cost no allocation. The gate counts heap allocations
+//! (`alloc`, `alloc_zeroed` and `realloc`) of one execution of a prepared
+//! plan and requires at most one per output row plus [`PER_BATCH`] per
+//! input batch of `BATCH_ROWS` rows (the expression lanes and column blocks
+//! of each batch; the join's share also covers one batch of probe-key
+//! buffers, allocated once and reused):
+//!
+//! | plan                                       | output rows | batches | bound  | copying scan | borrowing scan |
+//! |--------------------------------------------|------------:|--------:|-------:|-------------:|---------------:|
+//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows |       1 498 |      20 |  4 058 |       20 457 |          1 953 |
+//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows  |       9 990 |      21 | 12 678 |       32 191 |         12 173 |
+//!
+//! (`copying scan`: when `physical::scan` still copied the whole stored
+//! table — one allocation per stored row. Debug and release builds of this
+//! test count the same.)
+//!
+//! The binary holds a single `#[test]` so that no other test allocates
+//! while a count runs.
+
+use perm::{Database, Executor};
+use perm_algebra::builder::{between, eq, lit, qcol};
+use perm_algebra::{Plan, PlanBuilder};
+use perm_exec::BATCH_ROWS;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a relaxed counter increment, which does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations allowed per input batch beside one per output row.
+const PER_BATCH: usize = 128;
+
+/// Output rows and allocations of one execution of `plan`, prepared first.
+fn execution_allocations(db: &Database, plan: &Plan) -> (usize, usize) {
+    let ex = Executor::new(db);
+    let compiled = ex.prepare(plan).expect("compiles");
+    // A first execution warms whatever is allocated once per executor.
+    ex.execute_compiled(&compiled).expect("executes");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let rows = ex.execute_compiled(&compiled).expect("executes").len();
+    (rows, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn scan(db: &Database, table: &str) -> PlanBuilder {
+    PlanBuilder::scan(db, table).expect("the synthetic tables exist")
+}
+
+#[test]
+fn scans_copy_only_the_rows_an_operator_emits() {
+    let selective = perm_synthetic::build_database(20_000, 2_000, 42);
+    let range = perm_synthetic::random_range(20_000, 2_000, 42);
+    let select = scan(&selective, "r1")
+        .select(between(
+            qcol("r1", "b"),
+            lit(range.r1_low),
+            lit(range.r1_high),
+        ))
+        .build();
+
+    let narrow = perm_synthetic::build_database(20_000, 16, 42);
+    let join = scan(&narrow, "r1")
+        .join(
+            scan(&narrow, "r2").build(),
+            eq(qcol("r1", "g"), qcol("r2", "g")),
+        )
+        .build();
+
+    // (plan, database, rows of each scanned table)
+    let cases: [(&str, &Database, &Plan, &[usize]); 2] = [
+        ("σ(r1)", &selective, &select, &[20_000]),
+        ("r1 ⋈ r2", &narrow, &join, &[20_000, 16]),
+    ];
+    for (what, db, plan, scanned) in cases {
+        let (rows, allocations) = execution_allocations(db, plan);
+        let batches: usize = scanned.iter().map(|n| n.div_ceil(BATCH_ROWS)).sum();
+        let bound = rows + PER_BATCH * batches;
+        eprintln!(
+            "{what}: {rows} rows, {batches} batches, {allocations} allocations (bound {bound})"
+        );
+        assert!(
+            allocations <= bound,
+            "{what}: {allocations} allocations for {rows} output rows over {batches} batches, \
+             more than {bound}: is a scan copying the stored rows again?"
+        );
+    }
+}

@@ -1099,3 +1099,54 @@ fn interleaved_profiles_attribute_sublink_memo_traffic_to_their_own_plan() {
     assert_eq!(traffic(&rows.profile().unwrap()), streamed_alone);
     assert_eq!(traffic(&executed_profile), executed_alone);
 }
+
+#[test]
+fn a_statement_prepared_over_a_wider_table_fails_with_an_arity_mismatch() {
+    // Statements prepared against `t(x, y)` and executed over a database
+    // whose `t` is `t(x)`: every stored row is checked against the plan's
+    // schema before an operator reads a column of it, so each statement
+    // fails with the storage layer's typed error instead of reading past a
+    // row's end.
+    let table = |names: &[&str], rows: Vec<Vec<Value>>| {
+        let mut db = Database::new();
+        db.create_table(
+            "t",
+            Relation::from_rows(Schema::from_names(names).with_qualifier("t"), rows),
+        )
+        .unwrap();
+        db
+    };
+    let wide = table(
+        &["x", "y"],
+        (0..8).map(|i| vec![Value::Int(i), Value::Int(i)]).collect(),
+    );
+    let narrow = table(&["x"], (0..8).map(|i| vec![Value::Int(i)]).collect());
+    let engine = Engine::new(wide);
+    let session = engine.session();
+    let stale = Session::new(&narrow);
+    for sql in [
+        "SELECT y FROM t WHERE y > 4",
+        "SELECT x, y FROM t",
+        "SELECT t.y, u.x FROM t, t u WHERE t.y = u.x",
+    ] {
+        let prepared = session.prepare(sql).unwrap();
+        assert!(
+            !session.execute(&prepared, &[]).unwrap().is_empty(),
+            "{sql}"
+        );
+        let err = stale.execute(&prepared, &[]).unwrap_err();
+        let exec = err.source().expect("PermError::Exec has a source");
+        let storage = exec.source().expect("ExecError::Storage has a source");
+        assert_eq!(
+            storage.to_string(),
+            "arity mismatch: expected 2 values, found 1",
+            "{sql}"
+        );
+        // The streamed scan of a cursor checks the same way.
+        let streamed = match stale.rows(&prepared, &[]) {
+            Ok(rows) => rows.into_relation().map_err(PermError::Exec),
+            Err(e) => Err(e),
+        };
+        assert_eq!(streamed.unwrap_err().to_string(), err.to_string(), "{sql}");
+    }
+}
