@@ -40,8 +40,8 @@
 //!    parameter) behind an empty selection is never raised, exactly like
 //!    the interpreter, which never reaches those rows. The typed kernels
 //!    inherit this: an empty batch short-circuits before any lane is
-//!    touched. A row evaluated alone (batching off, or the cursor's replay
-//!    of a failing batch) is a dense batch of one, with no column block.
+//!    touched. A row evaluated alone (batching off, or the replay of a
+//!    failing batch) is a dense batch of one, with no column block.
 //!
 //! ## Column-block invariants
 //!
@@ -58,10 +58,10 @@
 //!    the `Values` fallback lane, which the fallback-row counters report.
 //!
 //! Pipeline breakers (aggregation, sorting, set operations, the join build
-//! side) consume batches at their input boundary and materialise; the
-//! streamable spine (`scan → select → project → limit`) passes batches
-//! through — eagerly inside one operator invocation on the materialising
-//! path, lazily between pulls in the `crate::cursor` streaming path.
+//! side) consume batches at their input boundary and materialise; scans,
+//! selections, projections and limits pass batches on, pull by pull, in
+//! the one compiled driver (`crate::pipeline`) — a drain pulls everything
+//! at once, a cursor a few rows at a time.
 
 use std::cell::{Cell, OnceCell};
 

@@ -41,8 +41,7 @@ use crate::eval::{arithmetic, compare};
 use crate::executor::{extract_equi_keys, flatten_conjuncts, Execution, Executor};
 use crate::functions;
 use crate::memo::StatementMemo;
-use crate::physical::{self, AggSpec, OpRows};
-use crate::profile::{OpProbe, ProfNode, ProfileTree, QueryProfile};
+use crate::profile::{ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
@@ -852,34 +851,28 @@ impl Compiler {
     }
 }
 
-use crate::cursor::{streams_lazily, Rows};
-
 impl Executor<'_> {
-    /// Executes a compiled top-level plan, materialising the result. Fails
-    /// with [`ExecError::Param`] before any operator runs when fewer
-    /// parameters are bound than the plan needs (see
-    /// [`Executor::bind_params`]).
+    /// Executes a compiled top-level plan, materialising the result: the
+    /// root is opened as a pull source and drained (`crate::pipeline`), so
+    /// a `LIMIT` with no pipeline breaker between it and the root stops
+    /// evaluating its input once it has its rows, exactly as on a [`Rows`]
+    /// cursor, while one under a breaker or inside a sublink plan drains its
+    /// input like the reference interpreter. Fails with
+    /// [`ExecError::Param`] before any operator runs when fewer parameters
+    /// are bound than the plan needs (see [`Executor::bind_params`]).
     ///
-    /// A `LIMIT` at the root over a lazily streamable spine is routed
-    /// through the `crate::cursor` pull machinery, so the materialising
-    /// path shares the cursor's guarantee of never evaluating input beyond
-    /// what the limit consumes. The routing happens only here, never in
-    /// the recursion: a limit nested under an operator (or inside a sublink
-    /// plan) executes eagerly, exactly like the reference interpreter —
-    /// only the documented top-level case may diverge from it on an
-    /// erroring tail.
+    /// [`Rows`]: crate::Rows
     pub fn execute_compiled(&self, plan: &CompiledPlan) -> Result<Relation> {
         self.begin_execution(plan, None)?.run(plan)
     }
 
     /// [`Executor::execute_compiled`] with a [`ProfileTree`] for the plan:
     /// the `EXPLAIN ANALYZE` entry point. The execution owns the zeroed
-    /// skeleton, whose nodes the drivers thread positionally and whose
+    /// skeleton, whose nodes the driver threads positionally and whose
     /// sublink subtrees the memoized-sublink seam finds by id, and the
-    /// result comes back alongside the annotated snapshot. A *top-level*
-    /// `LIMIT` over a streamable spine is cursor-routed with the same
-    /// profile tree, so the routing decision is identical to the
-    /// unprofiled path.
+    /// result comes back alongside the annotated snapshot. It drains the
+    /// same sources a profiled cursor ([`Executor::open_profiled`]) pulls,
+    /// so both record the same invocations and output rows per node.
     pub fn execute_profiled(&self, plan: &CompiledPlan) -> Result<(Relation, QueryProfile)> {
         let tree = ProfileTree::for_plan(plan);
         let result = self
@@ -889,282 +882,39 @@ impl Executor<'_> {
     }
 }
 
+/// Evaluates a batch through `eval` under the row-major error contract of
+/// the physical σ and Π bodies: when the batch fails on an error a row
+/// raises, it is replayed one row at a time, as batches of one — on which
+/// expression-major order is row-major order — so `out` ends with the
+/// results of the rows before the failing one, and the error returned is
+/// the one a row-by-row evaluation raises first (the error set is the
+/// same, only precedence can differ; see `Execution::ceval_batch`). `eval`
+/// appends nothing on error. A cancellation or an exhausted budget is no
+/// row's and is returned as it came: a replay would redo the batch's work
+/// after the execution was told to stop.
+pub(crate) fn row_major<T>(
+    batch: &Batch<'_>,
+    out: &mut Vec<T>,
+    mut eval: impl FnMut(&Batch<'_>, &mut Vec<T>) -> Result<()>,
+) -> Result<()> {
+    match eval(batch, out) {
+        Err(e @ (ExecError::Cancelled { .. } | ExecError::ResourceExhausted { .. })) => Err(e),
+        Err(e) => {
+            for i in 0..batch.len() {
+                eval(&Batch::dense(std::slice::from_ref(batch.row(i))), out)?;
+            }
+            Err(e)
+        }
+        ok => ok,
+    }
+}
+
 impl<'e, 'a> Execution<'e, 'a> {
-    /// Runs a top-level plan to its materialised result, routing a root
-    /// `LIMIT` over a streamable spine through a cursor (see
-    /// [`Executor::execute_compiled`]).
-    fn run(self, plan: &'e CompiledPlan) -> Result<Relation> {
-        if let CompiledNode::Limit { input, .. } = plan.root() {
-            if streams_lazily(input) {
-                return Rows::new(self, plan)?.into_relation();
-            }
-        }
-        let root = self.profile.as_ref().map(|tree| &*tree.root);
-        Ok(self
-            .execute_compiled_node(plan.root(), None, root)?
-            .into_relation())
-    }
-
-    /// Wraps one physical operator call when a profile node is armed:
-    /// records input rows (child cardinalities), output rows on success,
-    /// and the operator body's *deltas* of the executor's spill and
-    /// columnar-fallback counters — children have already executed when
-    /// the body runs, so a delta taken around the body alone attributes
-    /// the work to the operator that did it (sublinks evaluated inside the
-    /// body's expressions included, like nested `EXPLAIN ANALYZE` time).
-    fn profiled<'p, R: Into<OpRows<'p>>>(
-        &self,
-        prof: Option<&ProfNode>,
-        rows_in: u64,
-        body: impl FnOnce() -> Result<R>,
-    ) -> Result<OpRows<'p>> {
-        let Some(node) = prof else {
-            return body().map(Into::into);
-        };
-        let before = self.ex.stats();
-        let result = body().map(Into::into);
-        let after = self.ex.stats();
-        let s = &node.stats;
-        s.rows_in.set(s.rows_in.get() + rows_in);
-        s.spilled_bytes
-            .set(s.spilled_bytes.get() + (after.spilled_bytes - before.spilled_bytes));
-        s.spill_partitions
-            .set(s.spill_partitions.get() + (after.spill_partitions - before.spill_partitions));
-        s.columnar_fallback_rows.set(
-            s.columnar_fallback_rows.get()
-                + (after.columnar_fallback_rows - before.columnar_fallback_rows),
-        );
-        if let Ok(rel) = &result {
-            s.rows_out.set(s.rows_out.get() + rel.len() as u64);
-        }
-        result
-    }
-
-    /// The recursive operator evaluation behind [`Executor::execute_compiled`]
-    /// (which see): executes children, wraps the batch evaluator
-    /// (`Execution::ceval_batch`) into batch-evaluator closures over a
-    /// [`Frame`] slot chain, and delegates every operator body to
-    /// `crate::physical` — the same bodies the interpreter drives. `frame`
-    /// is the runtime scope chain for correlated slot references (present
-    /// when the subtree is a sublink query of an outer operator). This is
-    /// the recursion, not an entry: it re-checks no parameter binding and
-    /// routes no `LIMIT`. `prof` is the armed profile node mirroring `plan`
-    /// (`None` on every unprofiled path); children recurse positionally
-    /// into its child nodes, so the tree stays aligned with the plan by
-    /// construction. What it returns borrows the plan and the database: a
-    /// scan's rows are the stored table's (see `physical::OpRows`).
-    pub(crate) fn execute_compiled_node<'p>(
-        &self,
-        plan: &'p CompiledNode,
-        frame: Option<&Frame<'_>>,
-        prof: Option<&ProfNode>,
-    ) -> Result<OpRows<'p>>
-    where
-        'e: 'p,
-    {
-        let probe = OpProbe::new(self, prof.map(|p| &p.stats));
-        match plan {
-            CompiledNode::Scan { table, schema } => self.profiled(prof, 0, || {
-                physical::scan(probe, self.ex.database(), table, schema)
-            }),
-            CompiledNode::Values { schema, rows } => {
-                self.profiled(prof, 0, || physical::values(probe, schema, rows))
-            }
-            CompiledNode::Project {
-                input,
-                column_map: Some(map),
-                schema,
-                ..
-            } => {
-                let child_prof = prof.map(|p| p.child(0));
-                // Π∘⋈ in one pass: the join writes its rows through the Π's
-                // map, and the Π is left none to gather.
-                let (child, map) = match **input {
-                    CompiledNode::Join { .. } => {
-                        let rows = self.execute_join(input, frame, child_prof, map, schema)?;
-                        (rows.into(), None)
-                    }
-                    _ => (
-                        self.execute_compiled_node(input, frame, child_prof)?,
-                        Some(map),
-                    ),
-                };
-                self.profiled(prof, child.len() as u64, || {
-                    physical::project_columns(probe, child, schema.clone(), map)
-                })
-            }
-            CompiledNode::Project {
-                input,
-                items,
-                distinct,
-                schema,
-                ..
-            } => {
-                let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
-                self.profiled(prof, child.len() as u64, || {
-                    physical::project(probe, &child, schema.clone(), *distinct, |batch, out| {
-                        self.project_rows_vectorized(items, batch, frame, out)
-                    })
-                })
-            }
-            CompiledNode::Select {
-                input, predicate, ..
-            } => {
-                let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
-                self.profiled(prof, child.len() as u64, || {
-                    physical::select(probe, child, |batch, out| {
-                        self.predicate_truths_vectorized(predicate, batch, frame, out)
-                    })
-                })
-            }
-            CompiledNode::CrossProduct {
-                left,
-                right,
-                schema,
-            } => {
-                let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
-                let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
-                self.profiled(prof, (l.len() + r.len()) as u64, || {
-                    physical::cross_product(probe, &l, &r, schema.clone())
-                })
-            }
-            CompiledNode::Join { schema, .. } => {
-                let map = ColumnMap::identity(schema.arity());
-                Ok(self.execute_join(plan, frame, prof, &map, schema)?.into())
-            }
-            CompiledNode::Aggregate {
-                input,
-                group_by,
-                aggregates,
-                schema,
-            } => {
-                let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
-                let specs: Vec<AggSpec> = aggregates
-                    .iter()
-                    .map(|a| AggSpec {
-                        func: a.func,
-                        distinct: a.distinct,
-                        has_arg: a.arg.is_some(),
-                    })
-                    .collect();
-                self.profiled(prof, child.len() as u64, || {
-                    physical::aggregate(
-                        probe,
-                        &child,
-                        schema.clone(),
-                        group_by.len(),
-                        &specs,
-                        |batch, group_cols, agg_cols| {
-                            for (expr, col) in group_by.iter().zip(group_cols.iter_mut()) {
-                                self.expr_batch(expr, batch, frame, col)?;
-                            }
-                            for (a, col) in aggregates.iter().zip(agg_cols.iter_mut()) {
-                                if let Some(arg) = &a.arg {
-                                    self.expr_values(arg, batch, frame, col)?;
-                                }
-                            }
-                            Ok(())
-                        },
-                    )
-                })
-            }
-            CompiledNode::SetOp {
-                op,
-                all,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
-                let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
-                self.profiled(prof, (l.len() + r.len()) as u64, || {
-                    physical::set_op(probe, *op, *all, &l, &r)
-                })
-            }
-            CompiledNode::Sort { input, keys, .. } => {
-                let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
-                let ascending: Vec<bool> = keys.iter().map(|k| k.ascending).collect();
-                let rows_in = child.len() as u64;
-                self.profiled(prof, rows_in, || {
-                    physical::sort(probe, child, &ascending, |batch, cols| {
-                        for (k, col) in keys.iter().zip(cols.iter_mut()) {
-                            self.expr_values(&k.expr, batch, frame, col)?;
-                        }
-                        Ok(())
-                    })
-                })
-            }
-            CompiledNode::Limit { input, limit, .. } => {
-                // Eager truncation: the cursor routing for a *top-level*
-                // LIMIT lives in `execute_compiled` alone, so a limit
-                // nested under an operator or inside a sublink plan
-                // evaluates its whole input exactly like the interpreter.
-                let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
-                let rows_in = child.len() as u64;
-                self.profiled(prof, rows_in, || physical::limit(probe, child, *limit))
-            }
-        }
-    }
-
-    /// Executes a join's inputs and the join itself, its rows written
-    /// through `map` under `out_schema`: the identity and the join's own
-    /// schema, or those of the pass-through Π directly above it. `prof`
-    /// mirrors the join.
-    fn execute_join(
-        &self,
-        join: &CompiledNode,
-        frame: Option<&Frame<'_>>,
-        prof: Option<&ProfNode>,
-        map: &ColumnMap,
-        out_schema: &Schema,
-    ) -> Result<Relation> {
-        let CompiledNode::Join {
-            left,
-            right,
-            kind,
-            condition,
-            equi_keys,
-            keys_cover_condition,
-            ..
-        } = join
-        else {
-            unreachable!("the caller matched a join");
-        };
-        let l = self.execute_compiled_node(left, frame, prof.map(|p| p.child(0)))?;
-        if l.is_empty() && kind.left_only_output() {
-            // A decorrelated sublink's inner plan never ran when the
-            // outer input was empty; skipping the build side keeps
-            // the operator count and error surface of the reference
-            // per-binding evaluation.
-            return Ok(Relation::empty(out_schema.clone()));
-        }
-        let r = self.execute_compiled_node(right, frame, prof.map(|p| p.child(1)))?;
-        let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-        let probe = OpProbe::new(self, prof.map(|p| &p.stats));
-        let joined = self.profiled(prof, (l.len() + r.len()) as u64, || {
-            physical::join(
-                probe,
-                &l,
-                &r,
-                out_schema,
-                *kind,
-                &null_safe,
-                map,
-                !keys_cover_condition,
-                |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
-                |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
-            )
-        })?;
-        Ok(joined.into_relation())
-    }
-
-    /// The projection core, shared by the materialising driver and the
-    /// streaming cursor: every item is evaluated into a column, and the
+    /// The projection core: every item is evaluated into a column, and the
     /// columns are transposed into output rows (`with_capacity` + push —
     /// fallible `collect` grows by realloc). Appends nothing on error: all
     /// columns are fully evaluated before the first row is emitted, which
-    /// is what lets the cursor replay a failing batch row by row without
+    /// is what lets [`row_major`] replay a failing batch row by row without
     /// deduplicating output.
     pub(crate) fn project_rows_vectorized(
         &self,
@@ -1212,8 +962,8 @@ impl<'e, 'a> Execution<'e, 'a> {
         }
     }
 
-    /// The predicate core, shared by the materialising driver and the
-    /// streaming cursor: one three-valued-TRUE verdict per live row.
+    /// The predicate core — of σ through [`row_major`], of a join's
+    /// condition as it is: one three-valued-TRUE verdict per live row.
     /// Appends nothing on error.
     pub(crate) fn predicate_truths_vectorized(
         &self,
@@ -1251,7 +1001,7 @@ impl<'e, 'a> Execution<'e, 'a> {
     /// encoders then consume without a `Value` match per row — skipping the
     /// block's lane cache (keys are read once; the cache round-trip would
     /// cost an extra copy).
-    fn expr_batch(
+    pub(crate) fn expr_batch(
         &self,
         expr: &CompiledExpr,
         batch: &Batch<'_>,
@@ -1273,7 +1023,7 @@ impl<'e, 'a> Execution<'e, 'a> {
 
     /// A single expression over one batch, appended as row-major values
     /// (sort keys, the interpreter-compatible aggregate inputs).
-    fn expr_values(
+    pub(crate) fn expr_values(
         &self,
         expr: &CompiledExpr,
         batch: &Batch<'_>,
@@ -1312,9 +1062,9 @@ impl<'e, 'a> Execution<'e, 'a> {
     ///
     /// The only observable difference is *which* of several pending errors
     /// surfaces first in a batch of many rows (evaluation is
-    /// expression-major); whether an error occurs at all is the same. The
-    /// cursor replays a failing batch one row at a time to raise the
-    /// row-major one.
+    /// expression-major); whether an error occurs at all is the same. A
+    /// failing selection or projection batch is replayed one row at a time
+    /// to raise the row-major one ([`row_major`]).
     ///
     /// With columnar execution disabled only the leaves change (see
     /// [`Executor::with_columnar`]).
@@ -1749,8 +1499,7 @@ impl<'e, 'a> Execution<'e, 'a> {
         if let Some(p) = sub_prof {
             p.stats.memo_misses.set(p.stats.memo_misses.get() + 1);
         }
-        let result =
-            self.execute_compiled_node(&sublink.plan, frame, sub_prof.map(|p| p.as_ref()))?;
+        let result = self.drain(&sublink.plan, frame, sub_prof, false)?;
         let summary = Arc::new(SublinkSummary::build(sublink.kind, &result)?);
         if quantified {
             self.ex.governor.count().quantifier_comparisons += result.len() as u64;

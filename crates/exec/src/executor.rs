@@ -1,6 +1,7 @@
 //! Plan execution: the [`Executor`] — the configuration, counters and
-//! governor every execution shares — and its two drivers over one shared
-//! physical-operator layer.
+//! governor every execution shares — and the entries of its one compiled
+//! driver (drained by [`Executor::execute_compiled`], pulled by a
+//! [`crate::Rows`] cursor) and its reference interpreter.
 //!
 //! What one execution owns is a value, not executor state: each entry
 //! ([`Executor::execute_compiled`], [`Executor::execute_profiled`],
@@ -43,11 +44,12 @@
 //! it, and the strategy-equivalence tests cross-check compiled against
 //! interpreted results. Both drivers delegate every operator loop — joins
 //! (hashed and nested-loop, with left-outer padding), aggregation, sorting,
-//! set operations, projection/selection — to the shared `crate::physical`
-//! module, so no operator body is implemented twice; the drivers differ
-//! only in the batch-evaluator closures they pass (name lookup through an
-//! [`crate::Env`] chain per row vs. the compiled evaluator over the whole
-//! batch, with outer scopes as a [`crate::compile::Frame`] chain). An
+//! set operations, projection/selection/limit — to the shared
+//! `crate::physical` module, so no operator body is implemented twice; the
+//! drivers differ only in the batch-evaluator closures they pass (name
+//! lookup through an [`crate::Env`] chain per row vs. the compiled
+//! evaluator over the whole batch, with outer scopes as a
+//! [`crate::compile::Frame`] chain). An
 //! interpreter resolves correlation signatures *at runtime* and memoizes
 //! per binding in maps of its own that live for one execution, so the
 //! executor keeps nothing keyed by a plan. It folds each `ANY`/`ALL`
@@ -107,7 +109,7 @@ pub struct Executor<'a> {
 /// One execution of a plan on an [`Executor`], built by its entry from what
 /// the caller bound: a snapshot of the parameter vector, the cancel token
 /// installed on the executor (taken, so it governs this execution alone)
-/// and, for a profiled entry, the profile tree. The compiled driver, the
+/// and, for a profiled entry, the profile tree. The compiled driver, a
 /// cursor, the interpreter and — through their `OpProbe` — the physical
 /// operators read these here, never from executor slots, so executions
 /// interleaved on one executor cannot see each other's. A [`crate::Rows`]

@@ -149,32 +149,49 @@ impl<'p> Interpreter<'p> {
             } => {
                 let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
-                physical::project(probe, &child, plan.schema(), *distinct, |batch, out| {
-                    for tuple in batch.iter() {
-                        let scope = Env::new(env, &child_schema, tuple);
-                        // Explicit loop, not `collect::<Result<_>>()`: the
-                        // fallible-collect machinery reports a zero lower
-                        // size hint and grows the row by realloc —
-                        // measurably slower on projection-heavy plans.
-                        let mut row = Vec::with_capacity(items.len());
-                        for item in items {
-                            row.push(self.eval_expr(&item.expr, Some(&scope))?);
+                let _timer = probe.begin("project")?;
+                let mut out = Vec::new();
+                physical::project(
+                    probe,
+                    child.tuples(),
+                    |batch, out| {
+                        for tuple in batch.iter() {
+                            let scope = Env::new(env, &child_schema, tuple);
+                            // Explicit loop, not `collect::<Result<_>>()`:
+                            // the fallible-collect machinery reports a zero
+                            // lower size hint and grows the row by realloc —
+                            // measurably slower on projection-heavy plans.
+                            let mut row = Vec::with_capacity(items.len());
+                            for item in items {
+                                row.push(self.eval_expr(&item.expr, Some(&scope))?);
+                            }
+                            out.push(Tuple::new(row));
                         }
-                        out.push(Tuple::new(row));
-                    }
-                    Ok(())
-                })
+                        Ok(())
+                    },
+                    &mut out,
+                )?;
+                let out = Relation::new(plan.schema(), out)?;
+                Ok(if *distinct { out.distinct() } else { out })
             }
             Plan::Select { input, predicate } => {
                 let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
-                physical::select(probe, child, |batch, out| {
-                    for tuple in batch.iter() {
-                        let scope = Env::new(env, &child_schema, tuple);
-                        out.push(self.eval_predicate(predicate, Some(&scope))?.is_true());
-                    }
-                    Ok(())
-                })
+                let _timer = probe.begin("select")?;
+                let mut out = Vec::new();
+                physical::select(
+                    probe,
+                    child.into_rows(),
+                    |batch, out| {
+                        for tuple in batch.iter() {
+                            let scope = Env::new(env, &child_schema, tuple);
+                            out.push(self.eval_predicate(predicate, Some(&scope))?.is_true());
+                        }
+                        Ok(())
+                    },
+                    &mut out,
+                )?;
+                Ok(Relation::new(child_schema, out)?)
             }
             Plan::CrossProduct { left, right } => {
                 let l = self.rows(left, env)?;
@@ -313,9 +330,11 @@ impl<'p> Interpreter<'p> {
             }
             Plan::Limit { input, limit } => {
                 let child = self.rows(input, env)?;
-                physical::limit(probe, child, *limit)
+                let _timer = physical::limit_begin(probe)?;
+                let (schema, rows) = child.into_parts();
+                return Ok(OpRows::new(schema, physical::limit(rows, *limit)));
             }
         };
-        built.map(OpRows::Built)
+        built.map(OpRows::from)
     }
 }

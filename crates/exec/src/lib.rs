@@ -34,7 +34,8 @@
 //!   the memo once per live row, under that row's bindings. This is the
 //!   one evaluator of compiled expressions: with
 //!   [`Executor::with_batching`]`(false)` it runs each live row as a batch
-//!   of one, and the cursor replays a failing batch the same way;
+//!   of one, and a failing selection or projection batch is replayed the
+//!   same way;
 //!
 //!   On top of the batches the compiled path runs **column-major**: every
 //!   batch is backed by a [`ColumnBlock`] whose typed lanes (i64, f64,
@@ -68,7 +69,7 @@
 //! caller bound on the executor — a snapshot of the `$n` parameters, the
 //! cancel token installed by [`Executor::set_cancel_token`] (taken, so it
 //! governs that execution alone) and, when profiled, the profile tree. The
-//! drivers, the [`Rows`] cursor (which owns its execution for as long as it
+//! drivers, a [`Rows`] cursor (which owns its execution for as long as it
 //! lives) and the physical operators read these from the execution, never
 //! from the executor, so executions interleaved on one executor — a stream
 //! and the statements run while it is open — keep their own parameters,
@@ -86,13 +87,13 @@
 //! emits. The first copy of a stored row is therefore made by the operator
 //! that keeps it — a selection's survivor, a join's output row — or, for a
 //! plan that is a bare scan, where the driver returns the result; both
-//! drivers and the [`Rows`] cursor's streamed scan follow that rule.
+//! drivers follow that rule.
 //!
-//! Pipeline breakers (aggregation, sorting, set operations, the join build
-//! side) consume batches at their input boundary; the streamable spine
-//! (`scan → select → project → limit`) additionally streams batches lazily
-//! through the [`cursor`] pull path, which a top-level `LIMIT` also uses on
-//! the materialising path so the tail beyond the limit is never evaluated.
+//! The compiled driver is one pull pipeline (`pipeline`): scans,
+//! selections, projections and `LIMIT`s pass batches on, pipeline breakers
+//! drain their inputs; [`Executor::execute_compiled`] drains the root, a
+//! [`Rows`] cursor pulls it, and a `LIMIT` above every breaker is lazy on
+//! both.
 //!
 //! Both drivers memoize sublinks per binding — a correlated sublink runs
 //! once per *distinct* binding instead of once per outer tuple, and an
@@ -191,6 +192,7 @@ pub mod kernels;
 pub(crate) mod memo;
 pub mod optimize;
 pub(crate) mod physical;
+pub(crate) mod pipeline;
 pub mod profile;
 mod quant;
 pub mod resilience;

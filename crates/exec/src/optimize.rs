@@ -243,7 +243,7 @@
 //! unambiguously, at the position it had in the join's output; `L` being a
 //! prefix of `L ∘ R`, that is its position in `L`. `Π`'s items run on the
 //! same rows as before, but a `Limit` above may now stream them over a
-//! prefix of the sorted rows only (`cursor.rs`), so they must be total as
+//! prefix of the sorted rows only (`pipeline.rs`), so they must be total as
 //! well. The join, its condition and `R` run exactly as before.
 //! *Operators:* unchanged. Without statistics the downside is bounded — a
 //! join that filters `L` now sorts rows its probe reads anyway, one `log

@@ -21,7 +21,9 @@
 //!   statement's memo once per live row.
 //!
 //! Both are thin drivers that execute their children, wrap their expression
-//! evaluator into closures, and delegate the loop body to this module — so
+//! evaluator into closures, and delegate the loop body to this module — the
+//! compiled pipeline once per pull for selection, projection and limit,
+//! once per invocation for the others — so
 //! a semantics fix (NULL handling in hash keys, outer-join padding, empty
 //! group seeding, …) lands in one place and cannot silently miss one path.
 //!
@@ -100,7 +102,7 @@
 use crate::aggregate::Accumulator;
 use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
 use crate::compile::ColumnMap;
-use crate::profile::OpProbe;
+use crate::profile::{OpProbe, OpTimer};
 use crate::resilience::{relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge};
 use crate::spill::{self, fnv1a};
 use crate::{ExecError, Result};
@@ -128,85 +130,74 @@ pub(crate) struct AggSpec {
     pub(crate) has_arg: bool,
 }
 
-/// An operator's input (see the module docs for who takes it how): rows an
-/// operator built, which the holder owns, or rows borrowed in place — a
-/// stored table's from the catalog, a `VALUES` list's from the plan — under
-/// the plan's schema (which may carry an alias qualifier).
-pub(crate) enum OpRows<'a> {
-    /// Rows an operator built.
-    Built(Relation),
-    /// Rows read in place, each checked against the schema's arity.
-    Borrowed { schema: Schema, rows: &'a [Tuple] },
+/// An operator's input and output between drivers (see the module docs for
+/// who takes it how): rows under the plan's schema (which may carry an
+/// alias qualifier) — built by an operator and owned by the holder, or
+/// borrowed in place, a stored table's from the catalog or a `VALUES` list's
+/// from the plan.
+pub(crate) struct OpRows<'a> {
+    schema: Cow<'a, Schema>,
+    rows: Cow<'a, [Tuple]>,
 }
 
 impl<'a> OpRows<'a> {
+    /// Rows that already have the arity of `schema`.
+    pub(crate) fn new(schema: Cow<'a, Schema>, rows: Cow<'a, [Tuple]>) -> OpRows<'a> {
+        OpRows { schema, rows }
+    }
+
     /// Borrows `rows` under `schema` after [`checked_arity`].
-    fn borrowed(schema: &Schema, rows: &'a [Tuple]) -> Result<OpRows<'a>> {
-        Ok(OpRows::Borrowed {
-            schema: schema.clone(),
-            rows: checked_arity(schema, rows)?,
-        })
+    fn borrowed(schema: &'a Schema, rows: &'a [Tuple]) -> Result<OpRows<'a>> {
+        let rows = Cow::Borrowed(checked_arity(schema, rows)?);
+        Ok(OpRows::new(Cow::Borrowed(schema), rows))
     }
 
     pub(crate) fn schema(&self) -> &Schema {
-        match self {
-            OpRows::Built(rel) => rel.schema(),
-            OpRows::Borrowed { schema, .. } => schema,
-        }
+        &self.schema
     }
 
     pub(crate) fn tuples(&self) -> &[Tuple] {
-        match self {
-            OpRows::Built(rel) => rel.tuples(),
-            OpRows::Borrowed { rows, .. } => rows,
-        }
+        &self.rows
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.tuples().len()
+        self.rows.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.tuples().is_empty()
+        self.rows.is_empty()
     }
 
     /// The rows as a relation of their own: a borrowed input is copied here,
-    /// at the root of a plan (or a cursor's pipeline breaker) that emits it
-    /// whole.
+    /// at the root of a plan that emits it whole.
     pub(crate) fn into_relation(self) -> Relation {
-        match self {
-            OpRows::Built(rel) => rel,
-            OpRows::Borrowed { schema, rows } => {
-                let mut out = Relation::empty(schema);
-                for row in rows {
-                    out.push_unchecked(row.clone());
-                }
-                out
-            }
-        }
+        Relation::from_tuples_unchecked(self.schema.into_owned(), self.rows.into_owned())
     }
 
-    /// The schema, and the rows for [`take_row`] to hand out.
-    fn into_parts(self) -> (Schema, Cow<'a, [Tuple]>) {
-        match self {
-            OpRows::Built(rel) => (rel.schema().clone(), Cow::Owned(rel.into_tuples())),
-            OpRows::Borrowed { schema, rows } => (schema, Cow::Borrowed(rows)),
-        }
+    /// The rows for [`take_row`] to hand out.
+    pub(crate) fn into_rows(self) -> Cow<'a, [Tuple]> {
+        self.rows
+    }
+
+    /// The schema and the rows.
+    pub(crate) fn into_parts(self) -> (Cow<'a, Schema>, Cow<'a, [Tuple]>) {
+        (self.schema, self.rows)
     }
 }
 
 impl From<Relation> for OpRows<'_> {
     fn from(rel: Relation) -> Self {
-        OpRows::Built(rel)
+        let (schema, rows) = rel.into_parts();
+        OpRows::new(Cow::Owned(schema), Cow::Owned(rows))
     }
 }
 
 /// `rows`, once each has the arity of `schema`: the per-row check
 /// `Relation::new` makes, failing with the same typed `ArityMismatch`. Rows
-/// read in place — by [`scan`], [`values`] and the cursor's streamed scan —
-/// pass it before any operator reads a column of them, so a statement
-/// prepared against a wider table fails instead of reading past a row's end.
-pub(crate) fn checked_arity<'a>(schema: &Schema, rows: &'a [Tuple]) -> Result<&'a [Tuple]> {
+/// read in place — by [`scan`] and [`values`] — pass it before any operator
+/// reads a column of them, so a statement prepared against a wider table
+/// fails instead of reading past a row's end.
+fn checked_arity<'a>(schema: &Schema, rows: &'a [Tuple]) -> Result<&'a [Tuple]> {
     let expected = schema.arity();
     match rows.iter().find(|t| t.arity() != expected) {
         Some(t) => Err(StorageError::ArityMismatch {
@@ -236,7 +227,7 @@ pub(crate) fn scan<'a>(
     probe: OpProbe<'_>,
     db: &'a Database,
     table: &str,
-    schema: &Schema,
+    schema: &'a Schema,
 ) -> Result<OpRows<'a>> {
     let _timer = probe.begin("scan")?;
     probe.checkpoint("scan")?;
@@ -247,7 +238,7 @@ pub(crate) fn scan<'a>(
 /// Constant relation, borrowed from the plan like a scan's stored rows.
 pub(crate) fn values<'a>(
     probe: OpProbe<'_>,
-    schema: &Schema,
+    schema: &'a Schema,
     rows: &'a [Tuple],
 ) -> Result<OpRows<'a>> {
     let _timer = probe.begin("values")?;
@@ -256,31 +247,29 @@ pub(crate) fn values<'a>(
     OpRows::borrowed(schema, rows)
 }
 
-/// Projection: `rows_of` evaluates all projection items over one batch,
-/// appending one output tuple per live row.
+/// Projection over `input`, [`BATCH_ROWS`] rows at a time with one
+/// checkpoint each: `rows_of` evaluates all projection items over one batch
+/// and appends one output tuple per live row to `out`. On an error `rows_of`
+/// has appended the output of the batch's rows before the failing one (the
+/// row-major contract of every evaluator closure here), and the error is
+/// returned after them. A `DISTINCT` is the caller's, over the whole output.
 pub(crate) fn project(
     probe: OpProbe<'_>,
-    child: &OpRows<'_>,
-    out_schema: Schema,
-    distinct: bool,
+    input: &[Tuple],
     mut rows_of: impl FnMut(&Batch<'_>, &mut Vec<Tuple>) -> Result<()>,
-) -> Result<Relation> {
-    let _timer = probe.begin("project")?;
-    let arity = child.schema().arity();
-    let mut out = Relation::empty(out_schema);
-    let mut buf: Vec<Tuple> = Vec::with_capacity(BATCH_ROWS.min(child.len()));
-    for chunk in child.tuples().chunks(BATCH_ROWS) {
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    let arity = input.first().map_or(0, Tuple::arity);
+    out.reserve(input.len());
+    for chunk in input.chunks(BATCH_ROWS) {
         probe.checkpoint("project")?;
         probe.batch();
-        buf.clear();
+        let before = out.len();
         let block = ColumnBlock::new(arity);
-        rows_of(&Batch::dense_with_block(chunk, &block), &mut buf)?;
-        debug_assert_eq!(buf.len(), chunk.len(), "projection must be 1:1 per batch");
-        for tuple in buf.drain(..) {
-            out.push_unchecked(tuple);
-        }
+        rows_of(&Batch::dense_with_block(chunk, &block), out)?;
+        debug_assert_eq!(out.len() - before, chunk.len(), "one row per live row");
     }
-    Ok(if distinct { out.distinct() } else { out })
+    Ok(())
 }
 
 /// Pass-through projection: every output column is an input column, so
@@ -289,64 +278,61 @@ pub(crate) fn project(
 /// use, cloned before it), cloned column by column out of borrowed ones
 /// ([`ColumnMap::pair`]).
 /// `map = None`: the join below already wrote the rows through this Π's map
-/// (see [`join`]), and the profile says so. Either way the same checkpoints
-/// and batches as [`project`] over the same input.
+/// (see [`join`]), and they pass on as they are. Either way the same
+/// checkpoints and batches as [`project`] over the same input.
 pub(crate) fn project_columns(
     probe: OpProbe<'_>,
-    child: OpRows<'_>,
-    out_schema: Schema,
+    input: Cow<'_, [Tuple]>,
     map: Option<&ColumnMap>,
-) -> Result<Relation> {
-    let _timer = probe.begin("project")?;
-    if map.is_none() {
-        probe.emitted_by_join();
-    }
-    let (_, mut input) = child.into_parts();
-    // The rows gathered out of a borrowed input; built rows are gathered in
-    // place.
-    let mut gathered: Vec<Tuple> = match &input {
-        Cow::Borrowed(rows) => Vec::with_capacity(rows.len()),
-        Cow::Owned(_) => Vec::new(),
-    };
-    for start in (0..input.len()).step_by(BATCH_ROWS) {
-        let end = input.len().min(start + BATCH_ROWS);
-        probe.checkpoint("project")?;
-        probe.batch();
-        match (&mut input, map) {
-            (Cow::Owned(rows), Some(map)) => {
-                for row in &mut rows[start..end] {
-                    *row = map.gather(std::mem::take(row));
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    let n = input.len();
+    match input {
+        Cow::Owned(mut rows) => {
+            for start in (0..n).step_by(BATCH_ROWS) {
+                probe.checkpoint("project")?;
+                probe.batch();
+                if let Some(map) = map {
+                    for row in &mut rows[start..n.min(start + BATCH_ROWS)] {
+                        *row = map.gather(std::mem::take(row));
+                    }
                 }
             }
-            (Cow::Owned(_), None) => {}
-            (Cow::Borrowed(rows), _) => {
-                gathered.extend(rows[start..end].iter().map(|row| match map {
+            match out.is_empty() {
+                true => *out = rows,
+                false => out.append(&mut rows),
+            }
+        }
+        Cow::Borrowed(rows) => {
+            out.reserve(n);
+            for chunk in rows.chunks(BATCH_ROWS) {
+                probe.checkpoint("project")?;
+                probe.batch();
+                out.extend(chunk.iter().map(|row| match map {
                     Some(map) => map.pair(row, None),
                     None => row.clone(),
-                }))
+                }));
             }
         }
     }
-    let rows = match input {
-        Cow::Owned(rows) => rows,
-        Cow::Borrowed(_) => gathered,
-    };
-    Ok(Relation::new(out_schema, rows)?)
+    Ok(())
 }
 
-/// Selection: `keep` evaluates the predicate over one batch (three-valued
-/// TRUE only), appending one verdict per live row. Only survivors reach the
-/// output, through [`take_row`]: moved out of a built input, cloned out of
-/// a borrowed one; dropped rows are never copied.
+/// Selection over `input`, [`BATCH_ROWS`] rows at a time with one
+/// checkpoint each: `keep` evaluates the predicate over one batch
+/// (three-valued TRUE only), appending one verdict per live row. Only
+/// survivors reach `out`, through [`take_row`]: moved out of built rows,
+/// cloned out of borrowed ones; dropped rows are never copied. On an error
+/// `keep` has appended the verdicts of the batch's rows before the failing
+/// one (the row-major contract of every evaluator closure here), and their
+/// survivors reach `out` before the error is returned.
 pub(crate) fn select(
     probe: OpProbe<'_>,
-    child: OpRows<'_>,
+    mut input: Cow<'_, [Tuple]>,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-) -> Result<Relation> {
-    let _timer = probe.begin("select")?;
-    let (schema, mut input) = child.into_parts();
-    let arity = schema.arity();
-    let mut out = Relation::empty(schema);
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    let arity = input.first().map_or(0, Tuple::arity);
     let mut truths: Vec<bool> = Vec::with_capacity(BATCH_ROWS.min(input.len()));
     for start in (0..input.len()).step_by(BATCH_ROWS) {
         let end = input.len().min(start + BATCH_ROWS);
@@ -354,18 +340,19 @@ pub(crate) fn select(
         probe.batch();
         truths.clear();
         let block = ColumnBlock::new(arity);
-        keep(
+        let verdicts = keep(
             &Batch::dense_with_block(&input[start..end], &block),
             &mut truths,
-        )?;
-        debug_assert_eq!(truths.len(), end - start, "one verdict per live row");
+        );
+        debug_assert!(verdicts.is_err() || truths.len() == end - start);
         for (i, keep) in (start..end).zip(&truths) {
             if *keep {
-                out.push_unchecked(take_row(&mut input, i));
+                out.push(take_row(&mut input, i));
             }
         }
+        verdicts?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Cross product.
@@ -1443,8 +1430,9 @@ pub(crate) fn sort(
     let _timer = probe.begin("sort")?;
     let gov = probe.gov;
     let mut charge = gov.transient("sort");
-    let (schema, mut input) = child.into_parts();
+    let schema = child.schema().clone();
     let arity = schema.arity();
+    let mut input = child.into_rows();
     let mut buffer = SortBuffer {
         ascending,
         rows: Vec::with_capacity(input.len()),
@@ -1558,15 +1546,24 @@ pub(crate) fn sort(
     Ok(out)
 }
 
-/// First-`n` truncation.
-pub(crate) fn limit(probe: OpProbe<'_>, child: OpRows<'_>, n: usize) -> Result<Relation> {
-    let _timer = probe.begin("limit")?;
+/// A limit's first `n` rows: a prefix of borrowed rows stays borrowed,
+/// built rows are truncated in place. The count, event, checkpoint and
+/// batch of the operator are the driver's ([`limit_begin`]).
+pub(crate) fn limit(rows: Cow<'_, [Tuple]>, n: usize) -> Cow<'_, [Tuple]> {
+    match rows {
+        Cow::Borrowed(rows) => Cow::Borrowed(&rows[..n.min(rows.len())]),
+        Cow::Owned(mut rows) => {
+            rows.truncate(n);
+            Cow::Owned(rows)
+        }
+    }
+}
+
+/// What a limit does once per invocation, before it hands on a row: one
+/// evaluation counted, its operator event, one checkpoint and one batch.
+pub(crate) fn limit_begin<'p>(probe: OpProbe<'p>) -> Result<OpTimer<'p>> {
+    let timer = probe.begin("limit")?;
     probe.checkpoint("limit")?;
     probe.batch();
-    let (schema, mut input) = child.into_parts();
-    let mut out = Relation::empty(schema);
-    for i in 0..n.min(input.len()) {
-        out.push_unchecked(take_row(&mut input, i));
-    }
-    Ok(out)
+    Ok(timer)
 }

@@ -9,25 +9,26 @@
 //!
 //! * **invocations** — incremented at the same single site as the global
 //!   `operators_evaluated` counter (`OpProbe::begin`, called by every
-//!   operator in `crate::physical` and by the cursor's streamed spine), so
+//!   operator of both drivers when it is invoked or opened), so
 //!   the per-node sums are equal to the global count by construction — a
 //!   memo hit skips both.
-//! * **wall time** — entry-to-exit clock probes around the operator body.
+//! * **wall time** — entry-to-exit clock probes around the operator body
+//!   (around each pull's body, for a pipelined scan, σ, Π or `LIMIT`).
 //!   Probes are *strided* once a node gets hot (the PR 6 `DEADLINE_STRIDE`
 //!   discipline applied to profile clocks): the first
 //!   `PROFILE_TIME_STRIDE` invocations are timed exactly, after which
 //!   every stride-th invocation is sampled and scaled, so a sublink body
 //!   re-executed thousands of times pays two clock reads per 64
 //!   invocations, not per invocation. Time is *self* time of the operator
-//!   body over already-executed inputs — except that sublink evaluation
+//!   body over inputs already pulled — except that sublink evaluation
 //!   inside an operator's expressions is included in that operator *and*
 //!   attributed to the sublink's own subtree, exactly like the nested
 //!   "actual time" of PostgreSQL's `EXPLAIN ANALYZE`.
 //! * **batches** — one tick per batch-boundary loop iteration.
 //! * **rows in/out, memo hits/misses, spill bytes/partitions, columnar
-//!   fallback rows** — recorded by the drivers around each operator call
-//!   (the drivers see the child relations, the result, and the executor's
-//!   spill/columnar counters; the physical bodies do not).
+//!   fallback rows** — recorded by the drivers around each operator call or
+//!   pull (the drivers see the rows pulled and handed on, and the
+//!   executor's spill/columnar counters; the physical bodies do not).
 //!
 //! Unarmed (no profile attached — every path except `explain_analyze`,
 //! `Rows::profile` and `execute_profiled`), the probe is a `None` check
@@ -66,7 +67,7 @@ pub(crate) struct NodeStats {
     pub(crate) emitted_by_join: Cell<bool>,
 }
 
-fn add(cell: &Cell<u64>, delta: u64) {
+pub(crate) fn add(cell: &Cell<u64>, delta: u64) {
     cell.set(cell.get() + delta);
 }
 
@@ -84,13 +85,6 @@ pub(crate) struct ProfNode {
     /// Sublink subtrees rooted in this operator's expressions, in
     /// `(sublink id, subtree)` pairs.
     pub(crate) sublinks: Vec<(usize, Rc<ProfNode>)>,
-}
-
-impl ProfNode {
-    /// The `i`-th input child — positional, matching the driver recursion.
-    pub(crate) fn child(&self, i: usize) -> &ProfNode {
-        &self.children[i]
-    }
 }
 
 /// A profile tree armed for one compiled plan: the root mirrors the plan,
@@ -404,6 +398,16 @@ pub(crate) struct OpTimer<'p> {
     node: Option<&'p NodeStats>,
     start: Option<Instant>,
     scale: u64,
+}
+
+impl OpTimer<'_> {
+    /// Records nothing on drop and returns the scale of this invocation's
+    /// timed work, when the profile times it: a pipelined operator's body
+    /// runs once per pull, after its invocation began, and is timed per
+    /// pull.
+    pub(crate) fn into_clock(mut self) -> Option<u64> {
+        self.start.take().map(|_| self.scale)
+    }
 }
 
 impl Drop for OpTimer<'_> {

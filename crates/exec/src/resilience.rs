@@ -207,10 +207,10 @@ pub enum FaultSite {
     /// reference interpreter's memo is not a fault site).
     MemoInsert,
     /// Operator invocations: one event per logical operator invocation,
-    /// raised where `operators_evaluated` counts it — by the materialising
-    /// operators, the streamed spine of a cursor (at open) and the
-    /// interpreter alike, under the physical layer's operator label — so a
-    /// plan sees the same events whether it is executed or streamed.
+    /// raised where `operators_evaluated` counts it — by the compiled
+    /// driver (a pipelined operator when it is opened) and the interpreter
+    /// alike, under the physical layer's operator label — so a plan sees
+    /// the same events whether it is executed or streamed.
     Operator,
 }
 

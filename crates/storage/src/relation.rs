@@ -48,6 +48,13 @@ impl Relation {
         Ok(Relation { schema, tuples })
     }
 
+    /// Creates a relation from a schema and tuples without arity validation
+    /// (the executor's hot path, like [`Relation::push_unchecked`]: its rows
+    /// were built for, or checked against, the schema they travel with).
+    pub fn from_tuples_unchecked(schema: Schema, tuples: Vec<Tuple>) -> Relation {
+        Relation { schema, tuples }
+    }
+
     /// Creates a relation from rows of values (convenient in tests and data
     /// generators). Panics on arity mismatch.
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Relation {
@@ -96,6 +103,11 @@ impl Relation {
     /// Consumes the relation and returns its tuples.
     pub fn into_tuples(self) -> Vec<Tuple> {
         self.tuples
+    }
+
+    /// Consumes the relation and returns its schema and tuples.
+    pub fn into_parts(self) -> (Schema, Vec<Tuple>) {
+        (self.schema, self.tuples)
     }
 
     /// Multiplicity of `tuple` in the bag (null-safe comparison).

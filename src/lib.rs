@@ -75,9 +75,12 @@
 //!   [`Session::execute_profiled`] keeps the result rows alongside the
 //!   profile, and [`Executor::open_profiled`] opens a streaming cursor
 //!   owning a profile whose [`Rows::profile`](perm_exec::Rows::profile) can
-//!   be snapshotted mid-stream. Profiles render as text ([`QueryProfile::render`]) or
-//!   JSON ([`QueryProfile::to_json`]), and the sum of per-node invocation
-//!   counts equals the `operators_evaluated` counter by construction.
+//!   be snapshotted mid-stream; the cursor pulls the pipeline
+//!   `execute_profiled` drains, so a drained cursor's profile records the
+//!   same invocations and output rows per node. Profiles render as text
+//!   ([`QueryProfile::render`]) or JSON ([`QueryProfile::to_json`]), and
+//!   the sum of per-node invocation counts equals the
+//!   `operators_evaluated` counter by construction.
 //! * **Structured traces** — attach any [`TraceSink`] (the bundled
 //!   [`RingTraceSink`] is a bounded ring buffer) via
 //!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline

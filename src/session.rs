@@ -775,8 +775,11 @@ impl<'a> Session<'a> {
     }
 
     /// Opens a pull-based cursor over a prepared statement: tuples are
-    /// produced on demand, so a `LIMIT`-style consumer stops paying for
-    /// input it never looks at. The cursor owns its execution — this
+    /// produced on demand, so a consumer that stops early stops paying for
+    /// input it never looks at. The cursor pulls the same pipeline
+    /// [`Session::execute`] drains — same rows, same errors after the same
+    /// rows, and a `LIMIT` above every pipeline breaker lazy on both. The
+    /// cursor owns its execution — this
     /// parameter binding, the [`SessionConfig::deadline`] if one is set, and
     /// a cancel token of its own ([`Rows::cancel_handle`]) — so other
     /// statements may run on the session while it is open, and neither
@@ -821,7 +824,9 @@ impl<'a> Session<'a> {
     /// batches, wall time, memo hits/misses, spill bytes/partitions,
     /// columnar-fallback rows). The result rows are discarded, as in SQL
     /// `EXPLAIN ANALYZE`; use [`Session::execute_profiled`] to keep them
-    /// (a streaming cursor is profiled by [`Executor::open_profiled`]).
+    /// (a streaming cursor is profiled by [`Executor::open_profiled`]; it
+    /// pulls the pipeline this drains, so drained to the end it records the
+    /// same invocations and output rows per node).
     pub fn explain_analyze(&self, sql: &str) -> Result<QueryProfile, PermError> {
         let prepared = self.prepare(sql)?;
         let (_, mut profile) = self.execute_profiled(&prepared, &[])?;

@@ -6,8 +6,9 @@
 //! counter, (b) leave the result bag unchanged against the unprofiled
 //! session path, and (c) report layout-independent semantic counters
 //! across the columnar, Values-lane-batched and per-tuple execution
-//! layouts — timing, batch counts and fallback tallies may differ by
-//! layout, but what ran and what it produced may not.
+//! layouts and a profiled cursor drained to the end — timing, batch counts
+//! and fallback tallies may differ by layout and entry point, but what ran
+//! and what it produced may not.
 
 use perm::prelude::*;
 use perm::ProfileNode;
@@ -94,22 +95,35 @@ fn profiles_are_layout_independent_across_execution_modes() {
         let prepared = session.prepare(sql).unwrap();
         let params = case.params(prepared.param_count());
 
-        // Columnar (the default), Values-lane batches, per-tuple dispatch.
+        // Columnar (the default), Values-lane batches, per-tuple dispatch,
+        // and a profiled cursor drained to the end: it pulls the pipeline
+        // `execute_profiled` drains.
         let mut flattened: Vec<(&str, Vec<_>)> = Vec::new();
         let mut relations = Vec::new();
-        for (label, batching, columnar) in [
-            ("columnar", true, true),
-            ("values-lane", true, false),
-            ("per-tuple", false, false),
+        for (label, batching, columnar, streamed) in [
+            ("columnar", true, true, false),
+            ("values-lane", true, false, false),
+            ("per-tuple", false, false, false),
+            ("streamed", true, true, true),
         ] {
             let ex = Executor::new(engine.database())
                 .with_batching(batching)
                 .with_columnar(columnar);
             ex.bind_params(params.clone());
             let compiled = ex.prepare(&plan).unwrap();
-            let (relation, profile) = ex
-                .execute_profiled(&compiled)
-                .unwrap_or_else(|e| panic!("seed {seed}: {label} `{sql}` failed: {e}"));
+            let run = || -> Result<(Relation, perm::QueryProfile), perm::ExecError> {
+                if !streamed {
+                    return ex.execute_profiled(&compiled);
+                }
+                let mut rows = ex.open_profiled(&compiled)?;
+                let mut relation = Relation::empty(rows.schema().clone());
+                for tuple in &mut rows {
+                    relation.push_unchecked(tuple?);
+                }
+                Ok((relation, rows.profile().expect("opened profiled")))
+            };
+            let (relation, profile) =
+                run().unwrap_or_else(|e| panic!("seed {seed}: {label} `{sql}` failed: {e}"));
             let mut semantic = Vec::new();
             semantic_flatten(&profile.root, false, &mut semantic);
             flattened.push((label, semantic));

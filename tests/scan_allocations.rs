@@ -6,19 +6,26 @@
 //! join's output row — so the rows a selection drops, and every row a join
 //! only reads, cost no allocation. The gate counts heap allocations
 //! (`alloc`, `alloc_zeroed` and `realloc`) of one execution of a prepared
-//! plan and requires at most one per output row plus [`PER_BATCH`] per
-//! input batch of `BATCH_ROWS` rows (the expression lanes and column blocks
-//! of each batch; the join's share also covers one batch of probe-key
-//! buffers, allocated once and reused):
+//! plan, or of one drain of a [`perm::Rows`] cursor over it, and requires
+//! at most one per output row plus [`PER_BATCH`] per input batch of
+//! `BATCH_ROWS` rows (the expression lanes and column blocks of each batch;
+//! the join's share also covers one batch of probe-key buffers, allocated
+//! once and reused) and per refill of the cursor (1, 2, 4, … up to
+//! `BATCH_ROWS` rows each):
 //!
-//! | plan                                       | output rows | batches | bound  | copying scan | borrowing scan |
-//! |--------------------------------------------|------------:|--------:|-------:|-------------:|---------------:|
-//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows |       1 498 |      20 |  4 058 |       20 457 |          1 953 |
-//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows  |       9 990 |      21 | 12 678 |       32 191 |         12 173 |
+//! | plan                                         | output rows |         batches |  bound | copying scan | borrowing scan |
+//! |----------------------------------------------|------------:|----------------:|-------:|-------------:|---------------:|
+//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows   |       1 498 |              20 |  4 058 |       20 457 |          1 954 |
+//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows    |       9 990 |              21 | 12 678 |       32 191 |         12 172 |
+//! | the `σ` above, drained by a cursor           |       1 498 | 20 + 11 refills |  5 466 |       29 186 |          4 115 |
+//! | `Π_{a,b}(r1)`, drained by a cursor           |      20 000 | 20 + 29 refills | 26 272 |       40 178 |         20 033 |
 //!
 //! (`copying scan`: when `physical::scan` still copied the whole stored
-//! table — one allocation per stored row. Debug and release builds of this
-//! test count the same.)
+//! table — one allocation per stored row — or, for the cursor, when it ran
+//! a streaming spine of its own whose scan cloned every stored row it was
+//! pulled for. The σ and the join counted 1 953 and 12 173 before
+//! `execute` drained the cursor's pipeline. Debug and release builds of
+//! this test count the same.)
 //!
 //! The binary holds a single `#[test]` so that no other test allocates
 //! while a count runs.
@@ -75,6 +82,33 @@ fn execution_allocations(db: &Database, plan: &Plan) -> (usize, usize) {
     (rows, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
+/// Output rows and allocations of one drain of a cursor over `plan`,
+/// prepared first.
+fn stream_allocations(db: &Database, plan: &Plan) -> (usize, usize) {
+    let ex = Executor::new(db);
+    let compiled = ex.prepare(plan).expect("compiles");
+    ex.open(&compiled).expect("opens").for_each(drop);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut rows = 0;
+    for row in ex.open(&compiled).expect("opens") {
+        row.expect("streams");
+        rows += 1;
+    }
+    (rows, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// The refills of a cursor that yields `rows` rows: 1, 2, 4, … up to
+/// `BATCH_ROWS` rows each, until one comes back short.
+fn refills(rows: usize) -> usize {
+    let (mut want, mut left, mut refills) = (1, rows, 1);
+    while left >= want {
+        left -= want;
+        want = (want * 2).min(BATCH_ROWS);
+        refills += 1;
+    }
+    refills
+}
+
 fn scan(db: &Database, table: &str) -> PlanBuilder {
     PlanBuilder::scan(db, table).expect("the synthetic tables exist")
 }
@@ -99,14 +133,30 @@ fn scans_copy_only_the_rows_an_operator_emits() {
         )
         .build();
 
-    // (plan, database, rows of each scanned table)
-    let cases: [(&str, &Database, &Plan, &[usize]); 2] = [
-        ("σ(r1)", &selective, &select, &[20_000]),
-        ("r1 ⋈ r2", &narrow, &join, &[20_000, 16]),
+    let columns = scan(&selective, "r1").project_columns(&["a", "b"]).build();
+
+    // (plan, database, rows of each scanned table, drained by a cursor)
+    let cases: [(&str, &Database, &Plan, &[usize], bool); 4] = [
+        ("σ(r1)", &selective, &select, &[20_000], false),
+        ("r1 ⋈ r2", &narrow, &join, &[20_000, 16], false),
+        ("Rows over σ(r1)", &selective, &select, &[20_000], true),
+        (
+            "Rows over Π_{a,b}(r1)",
+            &selective,
+            &columns,
+            &[20_000],
+            true,
+        ),
     ];
-    for (what, db, plan, scanned) in cases {
-        let (rows, allocations) = execution_allocations(db, plan);
-        let batches: usize = scanned.iter().map(|n| n.div_ceil(BATCH_ROWS)).sum();
+    for (what, db, plan, scanned, streamed) in cases {
+        let (rows, allocations) = match streamed {
+            false => execution_allocations(db, plan),
+            true => stream_allocations(db, plan),
+        };
+        let mut batches: usize = scanned.iter().map(|n| n.div_ceil(BATCH_ROWS)).sum();
+        if streamed {
+            batches += refills(rows);
+        }
         let bound = rows + PER_BATCH * batches;
         eprintln!(
             "{what}: {rows} rows, {batches} batches, {allocations} allocations (bound {bound})"

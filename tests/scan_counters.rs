@@ -3,11 +3,17 @@
 //! A scan reads the catalog's rows in place and an operator copies only the
 //! rows it keeps, but what the engine counts must not notice: every number
 //! below was recorded when `physical::scan` still copied the whole stored
-//! table into a relation of its own, and is pinned here for six plan shapes
-//! directly over scans, on the compiled path (with an `EXPLAIN ANALYZE`
-//! profile) and on the reference interpreter:
+//! table into a relation of its own (`cancel_checks`: when `execute` still
+//! materialised each operator's result instead of draining one pull
+//! pipeline), and is pinned here for six plan shapes directly over scans,
+//! on the compiled path (with an `EXPLAIN ANALYZE` profile) and on the
+//! reference interpreter:
 //!
 //! * `operators_evaluated` and `vectorized_batches`;
+//! * `cancel_checks`, the cancellation checkpoints polled: the benchmark's
+//!   `tpch_fig6` workload picks the instantiation of each TPC-H template it
+//!   runs by this count (the cheapest of eight), so a change that moves it
+//!   changes which queries that workload measures;
 //! * per profile node, `invocations`, `batches`, `rows_in` and `rows_out`;
 //! * the number of `FaultSite::Operator` events;
 //! * a `FaultKind::Cancel` at a scan's operator ordinal still cancels there
@@ -21,12 +27,14 @@ use perm_algebra::{Plan, PlanBuilder, ProjectItem, SortKey};
 /// node.
 type NodeCounts = (String, u64, u64, u64, u64);
 
-/// What one shape pins: compiled `(operators_evaluated, vectorized_batches)`,
-/// the profile nodes in pre-order (children, then sublinks), the
-/// interpreter's `(operators_evaluated, vectorized_batches)`, the operator
-/// events of one execution, and the 1-based ordinals of its scans.
+/// What one shape pins: compiled `(operators_evaluated, vectorized_batches)`
+/// and `cancel_checks`, the profile nodes in pre-order (children, then
+/// sublinks), the interpreter's `(operators_evaluated, vectorized_batches)`,
+/// the operator events of one execution, and the 1-based ordinals of its
+/// scans.
 struct Pinned {
     compiled: (u64, u64),
+    cancel_checks: u64,
     nodes: &'static [(&'static str, u64, u64, u64, u64)],
     interpreted: (u64, u64),
     operator_events: u64,
@@ -111,6 +119,7 @@ fn scans_count_what_they_counted_when_they_copied() {
     let pinned: [Pinned; 6] = [
         Pinned {
             compiled: (2, 3),
+            cancel_checks: 4,
             nodes: &[("select", 1, 3, 2500, 373), ("scan", 1, 1, 0, 2500)],
             interpreted: (2, 0),
             operator_events: 2,
@@ -118,6 +127,7 @@ fn scans_count_what_they_counted_when_they_copied() {
         },
         Pinned {
             compiled: (3, 4),
+            cancel_checks: 29,
             nodes: &[
                 ("join", 1, 27, 2800, 23689),
                 ("scan", 1, 1, 0, 2500),
@@ -129,6 +139,7 @@ fn scans_count_what_they_counted_when_they_copied() {
         },
         Pinned {
             compiled: (2, 6),
+            cancel_checks: 4,
             nodes: &[("aggregate", 1, 3, 2500, 32), ("scan", 1, 1, 0, 2500)],
             interpreted: (2, 0),
             operator_events: 2,
@@ -136,6 +147,7 @@ fn scans_count_what_they_counted_when_they_copied() {
         },
         Pinned {
             compiled: (2, 3),
+            cancel_checks: 4,
             nodes: &[("sort", 1, 3, 2500, 2500), ("scan", 1, 1, 0, 2500)],
             interpreted: (2, 0),
             operator_events: 2,
@@ -143,6 +155,7 @@ fn scans_count_what_they_counted_when_they_copied() {
         },
         Pinned {
             compiled: (2, 0),
+            cancel_checks: 4,
             nodes: &[("project", 1, 3, 2500, 2500), ("scan", 1, 1, 0, 2500)],
             interpreted: (2, 0),
             operator_events: 2,
@@ -150,6 +163,7 @@ fn scans_count_what_they_counted_when_they_copied() {
         },
         Pinned {
             compiled: (3, 3),
+            cancel_checks: 8,
             nodes: &[
                 ("select", 1, 3, 2500, 2500),
                 ("scan", 1, 1, 0, 2500),
@@ -187,6 +201,10 @@ fn scans_count_what_they_counted_when_they_copied() {
             (stats.operators_evaluated, stats.vectorized_batches),
             want.compiled,
             "{what}: compiled counters"
+        );
+        assert_eq!(
+            stats.cancel_checks, want.cancel_checks,
+            "{what}: cancellation checkpoints"
         );
         assert_eq!(
             (rstats.operators_evaluated, rstats.vectorized_batches),

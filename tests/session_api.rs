@@ -94,8 +94,8 @@ fn parameters_change_results_without_recompiling() {
 fn rows_cursor_streams_limit_without_full_materialisation() {
     // Row 0 divides cleanly; the last row would divide by zero. A LIMIT 1
     // must never evaluate it — on the streaming cursor *and* on the
-    // materialising path, which routes a top-level LIMIT over a streamable
-    // spine through the same batch-pull machinery. Without the limit the
+    // materialising path, which drains the batch pipeline the cursor pulls,
+    // where a LIMIT with no breaker above it is lazy. Without the limit the
     // poisoned row is reached and the statement fails.
     let mut db = Database::new();
     db.create_table(
