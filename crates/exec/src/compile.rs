@@ -854,10 +854,10 @@ impl Compiler {
 impl Executor<'_> {
     /// Executes a compiled top-level plan, materialising the result: the
     /// root is opened as a pull source and drained (`crate::pipeline`), so
-    /// a `LIMIT` with no pipeline breaker between it and the root stops
-    /// evaluating its input once it has its rows, exactly as on a [`Rows`]
-    /// cursor, while one under a breaker or inside a sublink plan drains its
-    /// input like the reference interpreter. Fails with
+    /// a `LIMIT` with no pipeline breaker between it and the root pulls no
+    /// more input than it needs and ignores an error past its last row,
+    /// exactly as on a [`Rows`] cursor, while one under a breaker or inside
+    /// a sublink plan drains its input like the reference interpreter. Fails with
     /// [`ExecError::Param`] before any operator runs when fewer parameters
     /// are bound than the plan needs (see [`Executor::bind_params`]).
     ///

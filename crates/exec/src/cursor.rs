@@ -162,16 +162,17 @@ mod tests {
     fn db_with_poisoned_tail() -> Database {
         // Row 0 passes the predicate cleanly; row 2 would divide by zero.
         // A lazy LIMIT 1 never reaches it; unlimited execution must fail.
+        db_with_rows(&[5, 7, 0])
+    }
+
+    /// `t(x)` holding `xs`; `x = 0` fails `limited_query`'s predicate.
+    fn db_with_rows(xs: &[i64]) -> Database {
         let mut db = Database::new();
         db.create_table(
             "t",
             Relation::from_rows(
                 Schema::from_names(&["x"]).with_qualifier("t"),
-                vec![
-                    vec![Value::Int(5)],
-                    vec![Value::Int(7)],
-                    vec![Value::Int(0)],
-                ],
+                xs.iter().map(|&x| vec![Value::Int(x)]).collect(),
             ),
         )
         .unwrap();
@@ -242,6 +243,41 @@ mod tests {
             Executor::new(&db).execute(&unlimited),
             Err(ExecError::DivisionByZero)
         ));
+
+        // A rejected row before the poisoned one: the selection evaluates
+        // the poisoned row while looking for its second survivor, but the
+        // failure lies past the two rows the LIMIT keeps, on both entry
+        // points.
+        let db = db_with_rows(&[5, -1, 7, 0]);
+        let plan = limited_query(&db, 2);
+        let ex = Executor::new(&db);
+        let compiled = ex.prepare(&plan).unwrap();
+        let streamed = ex.open(&compiled).unwrap().into_relation().unwrap();
+        let eager = Executor::new(&db).execute(&plan).unwrap();
+        for rows in [&streamed, &eager] {
+            let xs: Vec<&Value> = rows.tuples().iter().map(|t| t.get(0)).collect();
+            assert_eq!(xs, [&Value::Int(5), &Value::Int(7)]);
+        }
+    }
+
+    #[test]
+    fn cursor_over_a_large_limit_pulls_only_the_rows_it_hands_out() {
+        // LIMIT 10 over a poisoned second row: the first `next()` asks the
+        // LIMIT for one row, and the LIMIT asks its input for no more, so
+        // the scan hands on one row and the poisoned one is not evaluated.
+        let db = db_with_rows(&[5, 0, 7]);
+        let plan = limited_query(&db, 10);
+        let ex = Executor::new(&db);
+        let compiled = ex.prepare(&plan).unwrap();
+        let mut rows = ex.open_profiled(&compiled).unwrap();
+        assert_eq!(rows.next().unwrap().unwrap().get(0), &Value::Int(5));
+        let profile = rows.profile().unwrap();
+        let mut node = &profile.root;
+        while let Some(child) = node.children.first() {
+            node = child;
+        }
+        assert_eq!((node.operator.as_str(), node.rows_out), ("scan", 1));
+        assert!(matches!(rows.next(), Some(Err(ExecError::DivisionByZero))));
     }
 
     #[test]

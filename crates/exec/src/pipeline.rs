@@ -11,9 +11,11 @@
 //! * Pipeline breakers drain their inputs when opened and hand out the
 //!   output of their `crate::physical` body.
 //! * A `LIMIT` with no breaker between it and the root (`spine`) is lazy on
-//!   both entry points: it pulls only the rows it passes on. Under a
-//!   breaker or in a sublink it drains its input first, like the
-//!   interpreter.
+//!   both entry points: it asks its input for no more rows than it was
+//!   asked for and still needs, and drops an error that follows the rows
+//!   that fill it. A σ below it may still evaluate up to one pull's worth
+//!   of rows past its last survivor. Under a breaker or in a sublink it
+//!   drains its input first, like the interpreter.
 //!
 //! A failing σ or Π batch is replayed row by row (`compile::row_major`), and
 //! a source keeps the error behind the rows that precede it. Operators are
@@ -198,7 +200,7 @@ impl<'p> Source<'p> {
                 ready,
             } => {
                 while ready.short_of(want) {
-                    let ask = (*remaining).min(BATCH_ROWS);
+                    let ask = want.min(*remaining).min(BATCH_ROWS);
                     let (rows, error) = input.fill(x, frame, ask);
                     let rows = x.profiled(prof, clock, rows.len(), || {
                         physical::limit(rows, *remaining)
@@ -206,7 +208,9 @@ impl<'p> Source<'p> {
                     ready.ended = rows.len() < ask || rows.len() == *remaining;
                     *remaining -= rows.len();
                     ready.built().extend(rows.into_owned());
-                    ready.error = error;
+                    // An error behind the rows that fill the limit lies
+                    // beyond it.
+                    ready.error = error.filter(|_| *remaining > 0);
                 }
                 ready.hand_out(want)
             }
