@@ -36,7 +36,7 @@
 //! coerces them — so a memo hit always substitutes the result of a
 //! byte-identical binding.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, LiveRows};
 use crate::eval::{arithmetic, compare};
 use crate::executor::{extract_equi_keys, flatten_conjuncts, Execution, Executor};
 use crate::functions;
@@ -53,6 +53,7 @@ use perm_storage::{
     encode_key_typed, ColumnVec, Name, Relation, Schema, StorageError, Truth, Tuple, Validity,
     Value,
 };
+use std::borrow::Cow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -85,7 +86,12 @@ pub enum CompiledExpr {
     /// A query parameter (`$1` is index 0), read from the executor's bound
     /// parameter vector at evaluation time.
     Param(usize),
-    /// Binary operation.
+    /// An `AND` chain, flattened into its conjuncts (two or more) once at
+    /// compile time: each is evaluated over the rows the earlier ones left
+    /// undecided (`Execution::conjuncts`).
+    And(Vec<CompiledExpr>),
+    /// Binary operation other than `AND`, which compiles to
+    /// [`CompiledExpr::And`].
     Binary {
         op: BinaryOp,
         left: Box<CompiledExpr>,
@@ -533,10 +539,21 @@ fn gather_values(batch: &Batch<'_>, index: usize) -> ColumnVec {
     ColumnVec::Values(col)
 }
 
-/// Whether the left operand's truth alone decides a logical connective
-/// for a row (FALSE decides `AND`, TRUE decides `OR`).
-fn logic_decided(op: BinaryOp, t: Truth) -> bool {
-    (op == BinaryOp::And && t == Truth::False) || (op == BinaryOp::Or && t == Truth::True)
+/// Whether an operand of a `slot ⟨cmp⟩ constant` conjunct is the constant:
+/// the same value on every row of a batch.
+fn is_constant(expr: &CompiledExpr) -> bool {
+    match expr {
+        CompiledExpr::Literal(_) | CompiledExpr::Param(_) => true,
+        CompiledExpr::Slot(slot) => slot.depth > 0,
+        _ => false,
+    }
+}
+
+/// The error of a correlated slot evaluated with no outer scope.
+fn unscoped_slot() -> ExecError {
+    ExecError::Storage(StorageError::UnknownAttribute(
+        "<compiled slot without scope>".into(),
+    ))
 }
 
 /// Packs three-valued truths into a `Bool` lane (Unknown ⇒ invalid slot),
@@ -762,6 +779,18 @@ impl Compiler {
             },
             Expr::Literal(v) => CompiledExpr::Literal(v.clone()),
             Expr::Param(index) => CompiledExpr::Param(*index),
+            Expr::Binary {
+                op: BinaryOp::And, ..
+            } => {
+                let mut conjuncts = Vec::new();
+                flatten_conjuncts(expr, &mut conjuncts);
+                CompiledExpr::And(
+                    conjuncts
+                        .into_iter()
+                        .map(|c| self.expr(c, scopes))
+                        .collect::<Result<_>>()?,
+                )
+            }
             Expr::Binary { op, left, right } => CompiledExpr::Binary {
                 op: *op,
                 left: Box::new(self.expr(left, scopes)?),
@@ -963,8 +992,11 @@ impl<'e, 'a> Execution<'e, 'a> {
     }
 
     /// The predicate core — of σ through [`row_major`], of a join's
-    /// condition as it is: one three-valued-TRUE verdict per live row.
-    /// Appends nothing on error.
+    /// condition as it is: one three-valued-TRUE verdict per live row,
+    /// through the conjunct evaluator ([`Execution::conjuncts`]) — a
+    /// predicate that is no `AND` chain is a chain of one. Counts one
+    /// vectorized batch like [`Execution::ceval_batch`]; batching off, each
+    /// live row is a batch of one. Appends nothing on error.
     pub(crate) fn predicate_truths_vectorized(
         &self,
         predicate: &CompiledExpr,
@@ -972,26 +1004,131 @@ impl<'e, 'a> Execution<'e, 'a> {
         outer: Option<&Frame<'_>>,
         out: &mut Vec<bool>,
     ) -> Result<()> {
-        let values = self.ceval_batch(predicate, batch, outer)?;
-        match &values {
-            // The typed fast path: a comparison kernel's Bool lane turns
-            // into verdicts without materialising a `Value` per row.
-            ColumnVec::Bool { data, validity } => {
-                if validity.is_all_valid() {
-                    out.extend_from_slice(data);
-                } else {
-                    for (i, b) in data.iter().enumerate() {
-                        out.push(validity.get(i) && *b);
+        let conjuncts = match predicate {
+            CompiledExpr::And(conjuncts) => conjuncts.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        if batch.is_empty() {
+            return Ok(());
+        }
+        if !self.ex.batch_enabled.get() {
+            let start = out.len();
+            for row in batch.iter() {
+                let one = Batch::dense(std::slice::from_ref(row));
+                match self.conjuncts(conjuncts, &one, outer) {
+                    Ok(live) => live.verdicts(&one, out),
+                    Err(e) => {
+                        out.truncate(start);
+                        return Err(e);
                     }
                 }
             }
-            other => {
-                for i in 0..other.len() {
-                    out.push(other.truth_at(i).is_true());
-                }
-            }
+            return Ok(());
         }
+        self.ex.governor.count().vectorized_batches += 1;
+        self.conjuncts(conjuncts, batch, outer)?
+            .verdicts(batch, out);
         Ok(())
+    }
+
+    /// The one evaluator of a conjunction, in order over the rows the
+    /// earlier conjuncts left (see [`LiveRows`]): a row a conjunct finds
+    /// FALSE evaluates no later one, a row it finds UNKNOWN still does — the
+    /// interpreter's short-circuit, so the same (row, conjunct) pairs are
+    /// evaluated and the same errors can arise. A `slot ⟨cmp⟩ constant`
+    /// conjunct narrows in one pass over the slot's lane
+    /// ([`Execution::narrow_in_place`]); any other runs through
+    /// [`Execution::ceval_typed`] over the rows left. Once no row is left,
+    /// nothing more is evaluated.
+    fn conjuncts(
+        &self,
+        conjuncts: &[CompiledExpr],
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+    ) -> Result<LiveRows> {
+        let mut live = LiveRows::default();
+        for conjunct in conjuncts {
+            if live.is_empty(batch) {
+                break;
+            }
+            if self.narrow_in_place(conjunct, batch, outer, &mut live)? {
+                continue;
+            }
+            let truths = self.ceval_typed(conjunct, &live.batch(batch), outer)?;
+            live.retain(batch, |k, _| truths.truth_at(k));
+        }
+        Ok(live)
+    }
+
+    /// Narrows `live` by a conjunct `slot ⟨cmp⟩ constant` or `constant ⟨cmp⟩
+    /// slot` — the constant a literal, a `$n` or an outer-scope column — in
+    /// one pass over the slot's lane ([`crate::kernels::narrow_compare`]):
+    /// a stored lane read in place, or the block's cached one, or the one
+    /// transposed for a dense batch whose rows are all live — the lanes
+    /// [`Execution::slot_column`] would read. `Ok(false)`, with nothing
+    /// narrowed, for any other conjunct, with columnar execution off, with
+    /// no such lane, or when the pairing has no typed kernel.
+    fn narrow_in_place(
+        &self,
+        conjunct: &CompiledExpr,
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+        live: &mut LiveRows,
+    ) -> Result<bool> {
+        let CompiledExpr::Binary {
+            op: BinaryOp::Cmp(op),
+            left,
+            right,
+        } = conjunct
+        else {
+            return Ok(false);
+        };
+        let (Some(block), true) = (batch.columns(), self.ex.columnar_enabled.get()) else {
+            return Ok(false);
+        };
+        let (index, constant, lane_left) = match (&**left, &**right) {
+            (CompiledExpr::Slot(Slot { depth: 0, index }), c) if is_constant(c) => {
+                (*index, c, true)
+            }
+            (c, CompiledExpr::Slot(Slot { depth: 0, index })) if is_constant(c) => {
+                (*index, c, false)
+            }
+            _ => return Ok(false),
+        };
+        let lane = match block.cached(index) {
+            Some(lane) => lane,
+            None if live.is_whole() && batch.selection().is_none() => {
+                block.lane(batch.rows(), index)
+            }
+            None => return Ok(false),
+        };
+        let constant = self.constant(constant, outer)?;
+        if block.note_first_use() {
+            self.ex.governor.count().columnar_blocks += 1;
+        }
+        Ok(crate::kernels::narrow_compare(
+            *op, lane, &constant, lane_left, batch, live,
+        ))
+    }
+
+    /// The value of a constant operand (see [`is_constant`]).
+    fn constant<'v>(
+        &self,
+        expr: &'v CompiledExpr,
+        outer: Option<&'v Frame<'_>>,
+    ) -> Result<Cow<'v, Value>> {
+        match expr {
+            CompiledExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            CompiledExpr::Param(index) => Ok(Cow::Owned(self.param_value(*index)?)),
+            CompiledExpr::Slot(slot) => match outer {
+                Some(frame) => Ok(Cow::Borrowed(frame.get(Slot {
+                    depth: slot.depth - 1,
+                    index: slot.index,
+                }))),
+                None => Err(unscoped_slot()),
+            },
+            other => unreachable!("not a constant: {other:?}"),
+        }
     }
 
     /// A single expression over one batch for the compiled driver (join
@@ -1049,10 +1186,11 @@ impl<'e, 'a> Execution<'e, 'a> {
     /// row-major order. Either way the same (row, subexpression) pairs are evaluated,
     /// because evaluation follows the selection:
     ///
-    /// * `AND`/`OR` evaluate their right operand only over the sub-selection
-    ///   of rows the left operand did not decide, so a FALSE left conjunct
-    ///   still shields an unresolvable (or otherwise failing) right conjunct
-    ///   for exactly the rows it shields one row at a time;
+    /// * an `AND` chain evaluates each conjunct only over the rows no
+    ///   earlier one found FALSE, and `OR` its right operand only over the
+    ///   rows its left one did not find TRUE, so a FALSE conjunct still
+    ///   shields an unresolvable (or otherwise failing) later conjunct for
+    ///   exactly the rows it shields one row at a time;
     /// * `CASE` branches narrow the selection the same way — a row that took
     ///   an earlier branch never evaluates a later condition;
     /// * an empty selection evaluates nothing, so deferred errors behind it
@@ -1121,9 +1259,7 @@ impl<'e, 'a> Execution<'e, 'a> {
                             });
                             Ok(ColumnVec::broadcast(v, n))
                         }
-                        None => Err(ExecError::Storage(StorageError::UnknownAttribute(
-                            "<compiled slot without scope>".into(),
-                        ))),
+                        None => Err(unscoped_slot()),
                     }
                 }
             }
@@ -1139,11 +1275,15 @@ impl<'e, 'a> Execution<'e, 'a> {
                 let v = self.param_value(*index)?;
                 Ok(ColumnVec::broadcast(&v, n))
             }
-            CompiledExpr::Binary { op, left, right }
-                if matches!(op, BinaryOp::And | BinaryOp::Or) =>
-            {
-                self.ceval_logic_typed(*op, left, right, batch, outer)
+            CompiledExpr::And(conjuncts) => {
+                let live = self.conjuncts(conjuncts, batch, outer)?;
+                Ok(truths_to_bool_lane(live.truths(batch), n))
             }
+            CompiledExpr::Binary {
+                op: BinaryOp::Or,
+                left,
+                right,
+            } => self.ceval_or_typed(left, right, batch, outer),
             CompiledExpr::Binary { op, left, right } => {
                 let l = self.ceval_typed(left, batch, outer)?;
                 let r = self.ceval_typed(right, batch, outer)?;
@@ -1189,12 +1329,13 @@ impl<'e, 'a> Execution<'e, 'a> {
         }
     }
 
-    /// The column for a depth-0 slot: served from the batch's shared
-    /// [`crate::batch::ColumnBlock`] lane cache when one is attached
-    /// (cloning the cached lane, or gathering the live rows from it under
-    /// a selection), classified directly from the live rows otherwise.
-    /// With columnar execution disabled, a `Values` gather of the live rows
-    /// that never touches the block.
+    /// The column for a depth-0 slot: served from the batch's
+    /// [`crate::batch::ColumnBlock`] when one is attached — a copy of the
+    /// block's window of its lane (stored, or transposed and cached), or
+    /// the live rows gathered from it under a selection — and classified
+    /// directly from the live rows otherwise. With columnar execution
+    /// disabled, a `Values` gather of the live rows that never touches the
+    /// block.
     fn slot_column(&self, index: usize, batch: &Batch<'_>) -> ColumnVec {
         if !self.ex.columnar_enabled.get() {
             return gather_values(batch, index);
@@ -1204,9 +1345,12 @@ impl<'e, 'a> Execution<'e, 'a> {
                 self.ex.governor.count().columnar_blocks += 1;
             }
             return match batch.selection() {
-                None => block.lane(batch.rows(), index).clone(),
+                None => {
+                    let lane = block.lane(batch.rows(), index);
+                    lane.col.slice(lane.start, batch.len())
+                }
                 Some(sel) => match block.cached(index) {
-                    Some(lane) => lane.gather(sel),
+                    Some(lane) => lane.col.gather(lane.start, sel),
                     // An uncached lane under a narrow selection: classify
                     // only the live rows rather than transposing the dead
                     // majority of the block.
@@ -1217,18 +1361,18 @@ impl<'e, 'a> Execution<'e, 'a> {
         classify_rows(batch, index)
     }
 
-    /// Columnar `AND`/`OR` with fused selection handling: when the left
-    /// operand decides no rows, the right operand runs over the *same*
-    /// batch — no selection vector is allocated, so a dense block stays
-    /// dense and allocation-free; when it decides every row, the right
-    /// operand never runs; only the mixed case pays for a sub-selection
-    /// (narrowed through [`Batch::narrow`], keeping the lane cache). Per
-    /// row, the right operand runs exactly when the left one leaves the
-    /// connective undecided, as in the interpreter: a FALSE left conjunct
-    /// shields a failing right conjunct for its rows and no others.
-    fn ceval_logic_typed(
+    /// Columnar `OR` with fused selection handling: when the left operand
+    /// decides no rows, the right operand runs over the *same* batch — no
+    /// selection vector is allocated, so a dense block stays dense and
+    /// allocation-free; when it decides every row, the right operand never
+    /// runs; only the mixed case pays for a sub-selection (narrowed through
+    /// [`Batch::narrow`], keeping the lane cache). Per row, the right
+    /// operand runs exactly when the left one is not TRUE, as in the
+    /// interpreter: a TRUE left disjunct shields a failing right disjunct
+    /// for its rows and no others. (`AND` narrows through
+    /// [`Execution::conjuncts`].)
+    fn ceval_or_typed(
         &self,
-        op: BinaryOp,
         left: &CompiledExpr,
         right: &CompiledExpr,
         batch: &Batch<'_>,
@@ -1240,22 +1384,15 @@ impl<'e, 'a> Execution<'e, 'a> {
         let mut undecided = 0usize;
         for i in 0..n {
             let t = lcol.truth_at(i);
-            if !logic_decided(op, t) {
+            if t != Truth::True {
                 undecided += 1;
             }
             ltruths.push(t);
         }
-        let combine = |l: Truth, r: Truth| {
-            if op == BinaryOp::And {
-                l.and(r)
-            } else {
-                l.or(r)
-            }
-        };
         if undecided == n {
             let rcol = self.ceval_typed(right, batch, outer)?;
             return Ok(truths_to_bool_lane(
-                (0..n).map(|i| combine(ltruths[i], rcol.truth_at(i))),
+                (0..n).map(|i| ltruths[i].or(rcol.truth_at(i))),
                 n,
             ));
         }
@@ -1265,7 +1402,7 @@ impl<'e, 'a> Execution<'e, 'a> {
         let mut need_rows = Vec::with_capacity(undecided);
         let mut need_pos = Vec::with_capacity(undecided);
         for (i, t) in ltruths.iter().enumerate() {
-            if !logic_decided(op, *t) {
+            if *t != Truth::True {
                 need_rows.push(batch.row_index(i));
                 need_pos.push(i);
             }
@@ -1277,7 +1414,7 @@ impl<'e, 'a> Execution<'e, 'a> {
                 if k < need_pos.len() && need_pos[k] == i {
                     let r = rcol.truth_at(k);
                     k += 1;
-                    combine(l, r)
+                    l.or(r)
                 } else {
                     l
                 }
@@ -2013,6 +2150,11 @@ mod tests {
                             expr_ids(t, out);
                         }
                         collect_ids(&s.plan, out);
+                    }
+                    CompiledExpr::And(conjuncts) => {
+                        for c in conjuncts {
+                            expr_ids(c, out);
+                        }
                     }
                     CompiledExpr::Binary { left, right, .. } => {
                         expr_ids(left, out);

@@ -142,10 +142,10 @@ impl Iterator for Rows<'_, '_> {
             }
             let want = self.next_want;
             self.next_want = (want * 2).min(BATCH_ROWS);
-            let (rows, error) = self.root.fill(&self.x, None, want);
-            self.done = rows.len() < want;
-            self.pending_error = error;
-            self.buffered = rows.into_owned().into_iter();
+            let pulled = self.root.fill(&self.x, None, want);
+            self.done = pulled.rows.len() < want;
+            self.pending_error = pulled.error;
+            self.buffered = pulled.rows.into_owned().into_iter();
         }
     }
 }

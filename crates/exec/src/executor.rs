@@ -203,9 +203,10 @@ impl<'a> Executor<'a> {
     /// Enables or disables typed lanes on the vectorized compiled path
     /// (enabled by default). Disabled, only the leaves change: a depth-0
     /// slot loads a `ColumnVec::Values` lane instead of a typed one (and
-    /// never touches the batch's column block), so every kernel takes its
-    /// scalar fallback inside the same `AND`/`OR`/`CASE` narrowing the
-    /// default runs — kept as a mode of the differential tests, which then
+    /// never touches the batch's column block, so never a stored lane), no
+    /// `slot ⟨cmp⟩ constant` conjunct narrows in place over a lane, and
+    /// every kernel takes its scalar fallback inside the same
+    /// `AND`/`OR`/`CASE` narrowing the default runs — kept as a mode of the differential tests, which then
     /// compare the typed kernels against the scalar appliers. With
     /// batching off it changes the leaves of each one-row batch the same
     /// way. Results, errors and `operators_evaluated` are identical in both

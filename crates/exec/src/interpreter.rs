@@ -182,6 +182,7 @@ impl<'p> Interpreter<'p> {
                 physical::select(
                     probe,
                     child.into_rows(),
+                    None,
                     |batch, out| {
                         for tuple in batch.iter() {
                             let scope = Env::new(env, &child_schema, tuple);

@@ -14,6 +14,11 @@
 //! return value reports whether that fallback ran (the executor's
 //! `columnar_fallback_rows` counter).
 //!
+//! Every typed comparison goes through one comparator, `compare_with`: a
+//! lane against a lane ([`binary_column`], `=ₙ` included), and a lane
+//! against a constant in place (`narrow_compare`, which narrows a
+//! conjunction's live rows without building an operand or `Bool` lane).
+//!
 //! The load-bearing equivalences (see `perm_storage::value`):
 //!
 //! * `Int`, `Date` and `Bool` lanes share one **exact-i64 view** for
@@ -38,8 +43,9 @@
 use std::cmp::Ordering;
 
 use perm_algebra::{BinaryOp, CompareOp, UnaryOp};
-use perm_storage::{f64_cmp_sql, int_cmp_float, ColumnVec, Validity};
+use perm_storage::{f64_cmp_sql, int_cmp_float, ColumnVec, Truth, Validity, Value};
 
+use crate::batch::{Batch, Lane, LiveRows};
 use crate::compile::{apply_binary_scalar, apply_unary};
 use crate::{ExecError, Result};
 
@@ -52,132 +58,275 @@ enum IntView<'a> {
     Bool(&'a [bool]),
 }
 
-impl IntView<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
-        match self {
-            IntView::Int(data) => data[i],
-            IntView::Date(data) => i64::from(data[i]),
-            IntView::Bool(data) => i64::from(data[i]),
-        }
+/// An entry of an exact-integer lane, as the integer it denotes.
+trait Exact: Copy {
+    fn exact(self) -> i64;
+}
+
+impl Exact for i64 {
+    fn exact(self) -> i64 {
+        self
     }
 }
 
-/// The comparison class of a column: exact-integer lanes, floats, strings,
-/// or "handle row-major" (`Values` fallback lanes).
+impl Exact for i32 {
+    fn exact(self) -> i64 {
+        i64::from(self)
+    }
+}
+
+impl Exact for bool {
+    fn exact(self) -> i64 {
+        i64::from(self)
+    }
+}
+
+/// Expands `body` once per [`IntView`] variant, with `$x` bound to the
+/// variant's slice — whose entries [`Exact::exact`] reads — so a typed loop
+/// is compiled per lane type instead of matching the variant per entry.
+macro_rules! ints {
+    ($view:expr, $x:ident => $body:expr) => {
+        match $view {
+            IntView::Int($x) => $body,
+            IntView::Date($x) => $body,
+            IntView::Bool($x) => $body,
+        }
+    };
+}
+
+/// The comparison class of a typed lane or a non-NULL constant:
+/// exact-integer, float or string entries. `Values` lanes have none; they
+/// are handled row-major.
+#[derive(Clone, Copy)]
 enum View<'a> {
-    Ints(IntView<'a>, &'a Validity),
-    Floats(&'a [f64], &'a Validity),
-    Strs(&'a [String], &'a Validity),
-    Other,
+    Ints(IntView<'a>),
+    Floats(&'a [f64]),
+    Strs(&'a [String]),
 }
 
-fn view(col: &ColumnVec) -> View<'_> {
-    match col {
-        ColumnVec::Int { data, validity } => View::Ints(IntView::Int(data), validity),
-        ColumnVec::Date { data, validity } => View::Ints(IntView::Date(data), validity),
-        ColumnVec::Bool { data, validity } => View::Ints(IntView::Bool(data), validity),
-        ColumnVec::Float { data, validity } => View::Floats(data, validity),
-        ColumnVec::Str { data, validity } => View::Strs(data, validity),
-        ColumnVec::Values(_) => View::Other,
+/// The view of a typed lane, with its validity.
+fn view(col: &ColumnVec) -> Option<(View<'_>, &Validity)> {
+    Some(match col {
+        ColumnVec::Int { data, validity } => (View::Ints(IntView::Int(data)), validity),
+        ColumnVec::Date { data, validity } => (View::Ints(IntView::Date(data)), validity),
+        ColumnVec::Bool { data, validity } => (View::Ints(IntView::Bool(data)), validity),
+        ColumnVec::Float { data, validity } => (View::Floats(data), validity),
+        ColumnVec::Str { data, validity } => (View::Strs(data), validity),
+        ColumnVec::Values(_) => return None,
+    })
+}
+
+/// The view of a constant as a lane of one entry; `None` for NULL.
+fn scalar_view(v: &Value) -> Option<View<'_>> {
+    Some(match v {
+        Value::Int(i) => View::Ints(IntView::Int(std::slice::from_ref(i))),
+        Value::Date(d) => View::Ints(IntView::Date(std::slice::from_ref(d))),
+        Value::Bool(b) => View::Ints(IntView::Bool(std::slice::from_ref(b))),
+        Value::Float(f) => View::Floats(std::slice::from_ref(f)),
+        Value::Str(s) => View::Strs(std::slice::from_ref(s)),
+        Value::Null => return None,
+    })
+}
+
+/// What a typed comparison runs: handed `test(i, j)`, the comparison of
+/// left entry `i` with right entry `j`, both non-NULL.
+trait CompareBody {
+    type Out;
+    fn run(self, test: impl Fn(usize, usize) -> bool) -> Self::Out;
+}
+
+/// The one typed comparator of the engine: runs `body` with `op` over the
+/// shared ordering of the `l` × `r` pairing, or returns `None` when the
+/// pairing has no proven typed equivalence (e.g. `Str` vs numeric, where
+/// `Eq` is FALSE but `<` is Unknown — the scalar path handles those). Every
+/// typed comparison — lane against lane, lane against a constant in place,
+/// `=ₙ` — goes through it.
+fn compare_with<B: CompareBody>(
+    op: CompareOp,
+    l: View<'_>,
+    r: View<'_>,
+    body: B,
+) -> Option<B::Out> {
+    fn by<B: CompareBody>(
+        l: View<'_>,
+        r: View<'_>,
+        body: B,
+        pred: impl Fn(Ordering) -> bool,
+    ) -> Option<B::Out> {
+        Some(match (l, r) {
+            (View::Ints(a), View::Ints(b)) => ints!(a, a => ints!(b, b => body.run(|i, j| {
+                pred(a[i].exact().cmp(&b[j].exact()))
+            }))),
+            (View::Ints(a), View::Floats(b)) => ints!(a, a => body.run(|i, j| {
+                pred(int_cmp_float(a[i].exact(), b[j]))
+            })),
+            (View::Floats(a), View::Ints(b)) => ints!(b, b => body.run(|i, j| {
+                pred(int_cmp_float(b[j].exact(), a[i]).reverse())
+            })),
+            (View::Floats(a), View::Floats(b)) => body.run(|i, j| pred(f64_cmp_sql(a[i], b[j]))),
+            (View::Strs(a), View::Strs(b)) => body.run(|i, j| pred(a[i].cmp(&b[j]))),
+            _ => return None,
+        })
+    }
+    match op {
+        CompareOp::Eq => by(l, r, body, Ordering::is_eq),
+        CompareOp::Neq => by(l, r, body, Ordering::is_ne),
+        CompareOp::Lt => by(l, r, body, Ordering::is_lt),
+        CompareOp::Le => by(l, r, body, Ordering::is_le),
+        CompareOp::Gt => by(l, r, body, Ordering::is_gt),
+        CompareOp::Ge => by(l, r, body, Ordering::is_ge),
     }
 }
 
-/// Builds a `Bool` lane whose slot `i` is valid when both operands are,
-/// with `f(i)` as the payload of valid slots (three-valued comparison:
-/// a NULL operand yields Unknown, i.e. an invalid slot).
-fn bool_lane(
+/// A `Bool` lane whose slot `i` is valid when both operands are, with
+/// `test(i, i)` as the payload of valid slots (three-valued comparison: a
+/// NULL operand yields Unknown, i.e. an invalid slot).
+struct BoolLane<'a> {
     n: usize,
-    lv: &Validity,
-    rv: &Validity,
-    mut f: impl FnMut(usize) -> bool,
-) -> ColumnVec {
-    let mut data = Vec::with_capacity(n);
-    if lv.is_all_valid() && rv.is_all_valid() {
-        for i in 0..n {
-            data.push(f(i));
-        }
-        return ColumnVec::Bool {
-            data,
-            validity: Validity::all_valid(n),
-        };
-    }
-    let mut validity = Validity::with_capacity(n);
-    for i in 0..n {
-        let valid = lv.get(i) && rv.get(i);
-        validity.push(valid);
-        data.push(valid && f(i));
-    }
-    ColumnVec::Bool { data, validity }
+    lv: &'a Validity,
+    rv: &'a Validity,
 }
 
-/// The typed comparison kernel for one [`CompareOp`] predicate over the
-/// shared ordering, or `None` when the lane pairing has no proven typed
-/// equivalence (e.g. `Str` vs numeric, where `Eq` is FALSE but `<` is
-/// Unknown — the scalar path handles those).
-fn compare_columns(
-    pred: impl Fn(Ordering) -> bool + Copy,
-    l: &ColumnVec,
-    r: &ColumnVec,
-) -> Option<ColumnVec> {
-    let n = l.len();
-    match (view(l), view(r)) {
-        (View::Ints(a, lv), View::Ints(b, rv)) => {
-            Some(bool_lane(n, lv, rv, |i| pred(a.get(i).cmp(&b.get(i)))))
+impl CompareBody for BoolLane<'_> {
+    type Out = ColumnVec;
+
+    fn run(self, test: impl Fn(usize, usize) -> bool) -> ColumnVec {
+        let BoolLane { n, lv, rv } = self;
+        let mut data = Vec::with_capacity(n);
+        if lv.is_all_valid() && rv.is_all_valid() {
+            data.extend((0..n).map(|i| test(i, i)));
+            return ColumnVec::Bool {
+                data,
+                validity: Validity::all_valid(n),
+            };
         }
-        (View::Ints(a, lv), View::Floats(b, rv)) => Some(bool_lane(n, lv, rv, |i| {
-            pred(int_cmp_float(a.get(i), b[i]))
-        })),
-        (View::Floats(a, lv), View::Ints(b, rv)) => Some(bool_lane(n, lv, rv, |i| {
-            pred(int_cmp_float(b.get(i), a[i]).reverse())
-        })),
-        (View::Floats(a, lv), View::Floats(b, rv)) => {
-            Some(bool_lane(n, lv, rv, |i| pred(f64_cmp_sql(a[i], b[i]))))
+        let mut validity = Validity::with_capacity(n);
+        for i in 0..n {
+            let valid = lv.get(i) && rv.get(i);
+            validity.push(valid);
+            data.push(valid && test(i, i));
         }
-        (View::Strs(a, lv), View::Strs(b, rv)) => {
-            Some(bool_lane(n, lv, rv, |i| pred(a[i].cmp(&b[i]))))
-        }
-        _ => None,
+        ColumnVec::Bool { data, validity }
     }
+}
+
+/// The typed comparison kernel for one [`CompareOp`] over two aligned
+/// lanes, or `None` when the pairing has no typed path.
+fn compare_columns(op: CompareOp, l: &ColumnVec, r: &ColumnVec) -> Option<ColumnVec> {
+    let ((a, lv), (b, rv)) = (view(l)?, view(r)?);
+    compare_with(op, a, b, BoolLane { n: l.len(), lv, rv })
 }
 
 /// Null-safe equality (`=n`): always a valid boolean — NULL equals NULL
 /// and nothing else; non-NULL pairs compare like `Eq`.
-fn null_safe_eq_columns(l: &ColumnVec, r: &ColumnVec) -> Option<ColumnVec> {
-    fn lane(
-        n: usize,
-        lv: &Validity,
-        rv: &Validity,
-        mut eq: impl FnMut(usize) -> bool,
-    ) -> ColumnVec {
-        let mut data = Vec::with_capacity(n);
-        for i in 0..n {
-            data.push(match (lv.get(i), rv.get(i)) {
-                (true, true) => eq(i),
+struct NullSafeLane<'a> {
+    n: usize,
+    lv: &'a Validity,
+    rv: &'a Validity,
+}
+
+impl CompareBody for NullSafeLane<'_> {
+    type Out = ColumnVec;
+
+    fn run(self, eq: impl Fn(usize, usize) -> bool) -> ColumnVec {
+        let NullSafeLane { n, lv, rv } = self;
+        let data = (0..n)
+            .map(|i| match (lv.get(i), rv.get(i)) {
+                (true, true) => eq(i, i),
                 (false, false) => true,
                 _ => false,
-            });
-        }
+            })
+            .collect();
         ColumnVec::Bool {
             data,
             validity: Validity::all_valid(n),
         }
     }
-    let n = l.len();
-    match (view(l), view(r)) {
-        (View::Ints(a, lv), View::Ints(b, rv)) => Some(lane(n, lv, rv, |i| a.get(i) == b.get(i))),
-        (View::Ints(a, lv), View::Floats(b, rv)) => Some(lane(n, lv, rv, |i| {
-            int_cmp_float(a.get(i), b[i]) == Ordering::Equal
-        })),
-        (View::Floats(a, lv), View::Ints(b, rv)) => Some(lane(n, lv, rv, |i| {
-            int_cmp_float(b.get(i), a[i]) == Ordering::Equal
-        })),
-        (View::Floats(a, lv), View::Floats(b, rv)) => Some(lane(n, lv, rv, |i| {
-            f64_cmp_sql(a[i], b[i]) == Ordering::Equal
-        })),
-        (View::Strs(a, lv), View::Strs(b, rv)) => Some(lane(n, lv, rv, |i| a[i] == b[i])),
-        _ => None,
+}
+
+fn null_safe_eq_columns(l: &ColumnVec, r: &ColumnVec) -> Option<ColumnVec> {
+    let ((a, lv), (b, rv)) = (view(l)?, view(r)?);
+    compare_with(CompareOp::Eq, a, b, NullSafeLane { n: l.len(), lv, rv })
+}
+
+/// The rows of a batch narrowed by `lane ⟨op⟩ constant` (or `constant ⟨op⟩
+/// lane`), read in place: the batch's row `i` is lane entry
+/// `lane.start + i`.
+struct Narrow<'a, 'b> {
+    lane: Lane<'a>,
+    validity: &'a Validity,
+    lane_left: bool,
+    batch: &'a Batch<'b>,
+    rows: &'a mut LiveRows,
+}
+
+impl CompareBody for Narrow<'_, '_> {
+    type Out = ();
+
+    fn run(self, test: impl Fn(usize, usize) -> bool) {
+        let Narrow {
+            lane,
+            validity,
+            lane_left,
+            batch,
+            rows,
+        } = self;
+        let start = lane.start;
+        match lane_left {
+            true => narrow_by(rows, batch, validity, start, |i| test(i, 0)),
+            false => narrow_by(rows, batch, validity, start, |i| test(0, i)),
+        }
     }
+}
+
+/// Narrows `rows` to those whose lane entry `start + row` is valid and
+/// `holds`, marking the invalid ones UNKNOWN.
+fn narrow_by(
+    rows: &mut LiveRows,
+    batch: &Batch<'_>,
+    validity: &Validity,
+    start: usize,
+    holds: impl Fn(usize) -> bool,
+) {
+    if validity.is_all_valid() {
+        rows.retain_known(batch, |row| holds(start + row));
+    } else {
+        rows.retain(batch, |_, row| match validity.get(start + row) {
+            true => Truth::from_bool(holds(start + row)),
+            false => Truth::Unknown,
+        });
+    }
+}
+
+/// Narrows `rows` by the conjunct `lane ⟨op⟩ constant` — `constant ⟨op⟩
+/// lane` when `!lane_left` — in one pass over the lane, with the typed
+/// comparator every comparison kernel uses; no operand column is built. A
+/// NULL constant makes every row UNKNOWN. `false` (nothing narrowed) when
+/// the pairing has no typed path: the caller evaluates the conjunct.
+pub(crate) fn narrow_compare(
+    op: CompareOp,
+    lane: Lane<'_>,
+    constant: &Value,
+    lane_left: bool,
+    batch: &Batch<'_>,
+    rows: &mut LiveRows,
+) -> bool {
+    let Some(c) = scalar_view(constant) else {
+        rows.retain(batch, |_, _| Truth::Unknown);
+        return true;
+    };
+    let Some((v, validity)) = view(lane.col) else {
+        return false;
+    };
+    let (l, r) = if lane_left { (v, c) } else { (c, v) };
+    let narrow = Narrow {
+        lane,
+        validity,
+        lane_left,
+        batch,
+        rows,
+    };
+    compare_with(op, l, r, narrow).is_some()
 }
 
 /// The typed arithmetic kernels. `Ok(None)` means "no typed path — use
@@ -331,15 +480,7 @@ pub fn binary_column(op: BinaryOp, l: ColumnVec, r: ColumnVec) -> Result<(Column
     debug_assert_eq!(l.len(), r.len());
     match op {
         BinaryOp::Cmp(cmp_op) => {
-            let typed = match cmp_op {
-                CompareOp::Eq => compare_columns(|o| o == Ordering::Equal, &l, &r),
-                CompareOp::Neq => compare_columns(|o| o != Ordering::Equal, &l, &r),
-                CompareOp::Lt => compare_columns(Ordering::is_lt, &l, &r),
-                CompareOp::Le => compare_columns(Ordering::is_le, &l, &r),
-                CompareOp::Gt => compare_columns(Ordering::is_gt, &l, &r),
-                CompareOp::Ge => compare_columns(Ordering::is_ge, &l, &r),
-            };
-            if let Some(out) = typed {
+            if let Some(out) = compare_columns(cmp_op, &l, &r) {
                 return Ok((out, false));
             }
         }
@@ -555,6 +696,113 @@ mod tests {
                             got, expected,
                             "{op:?} ({label}) over {lrows:?} vs {rrows:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A conjunct narrowed in place over a lane — from an offset, with the
+    /// constant on either side, under a selection — keeps exactly the rows
+    /// the scalar comparison finds TRUE and marks exactly those it finds
+    /// UNKNOWN; pairings with no typed path narrow nothing.
+    #[test]
+    fn narrow_compare_matches_scalar_semantics() {
+        const TWO_53: i64 = 1 << 53;
+        let lanes = [
+            vec![
+                Value::Int(TWO_53 + 1),
+                Value::Int(1),
+                Value::Null,
+                Value::Int(TWO_53),
+                Value::Int(-5),
+                Value::Int(0),
+            ],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(1.0),
+                Value::Float(TWO_53 as f64),
+                Value::Null,
+                Value::Float(-0.0),
+                Value::Float(0.5),
+            ],
+            vec![
+                Value::Date(1),
+                Value::Date(-3),
+                Value::Null,
+                Value::Date(0),
+                Value::Date(7),
+                Value::Date(1),
+            ],
+            vec![
+                Value::Bool(true),
+                Value::Null,
+                Value::Bool(false),
+                Value::Bool(true),
+                Value::Bool(false),
+                Value::Bool(true),
+            ],
+            vec![
+                Value::str("a"),
+                Value::Null,
+                Value::str("b"),
+                Value::str(""),
+                Value::str("a"),
+                Value::str("c"),
+            ],
+        ];
+        let constants = [
+            Value::Null,
+            Value::Int(1),
+            Value::Int(TWO_53 + 1),
+            Value::Float(TWO_53 as f64),
+            Value::Float(f64::NAN),
+            Value::Float(0.5),
+            Value::Date(1),
+            Value::Bool(true),
+            Value::str("a"),
+        ];
+        let ops = [
+            CompareOp::Eq,
+            CompareOp::Neq,
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+        ];
+        let rows: Vec<perm_storage::Tuple> =
+            (0..4).map(|_| perm_storage::Tuple::new(vec![])).collect();
+        for lane in &lanes {
+            let col = col(lane);
+            for constant in &constants {
+                for op in ops {
+                    for lane_left in [true, false] {
+                        for sel in [None, Some(&[0usize, 2, 3][..])] {
+                            let batch = match sel {
+                                None => Batch::dense(&rows),
+                                Some(sel) => Batch::dense(&rows).narrow(sel),
+                            };
+                            let (start, mut live) = (2, LiveRows::default());
+                            let at = Lane { col: &col, start };
+                            if !narrow_compare(op, at, constant, lane_left, &batch, &mut live) {
+                                assert!(!constant.is_null());
+                                continue;
+                            }
+                            let got: Vec<Truth> = live.truths(&batch).collect();
+                            let expected: Vec<Truth> = (0..batch.len())
+                                .map(|k| {
+                                    let v = &lane[start + batch.row_index(k)];
+                                    match lane_left {
+                                        true => crate::eval::compare(op, v, constant),
+                                        false => crate::eval::compare(op, constant, v),
+                                    }
+                                })
+                                .collect();
+                            assert_eq!(
+                                got, expected,
+                                "{op:?} lane_left={lane_left} {constant:?} over {lane:?} {sel:?}"
+                            );
+                        }
                     }
                 }
             }

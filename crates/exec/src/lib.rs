@@ -26,9 +26,9 @@
 //!   ([`compile`]): column references become positional slots and every
 //!   sublink carries its resolved correlation signature. Its closures
 //!   evaluate each compiled expression **vectorized** over the whole batch
-//!   (one recursive descent per expression per batch, with `AND`/`OR` and
-//!   `CASE` narrowing the selection so per-row short-circuit semantics are
-//!   preserved exactly). An *uncorrelated* sublink is fetched once per
+//!   (one recursive descent per expression per batch, with `AND` chains,
+//!   `OR` and `CASE` narrowing the selection so per-row short-circuit
+//!   semantics are preserved exactly). An *uncorrelated* sublink is fetched once per
 //!   batch and broadcast (`ANY`/`ALL`: one [`QuantProbe`] verdict per live
 //!   row over the vectorized test column); a correlated one is looked up in
 //!   the memo once per live row, under that row's bindings. This is the
@@ -38,10 +38,16 @@
 //!   same way;
 //!
 //!   On top of the batches the compiled path runs **column-major**: every
-//!   batch is backed by a [`ColumnBlock`] whose typed lanes (i64, f64,
-//!   date, bool and string vectors, each with a packed validity bitmap,
-//!   plus a `Value`-vector fallback lane for mixed-type columns) are
-//!   materialised lazily, one column at a time, on first access. Slot
+//!   batch is backed by a [`ColumnBlock`] of typed lanes (i64, f64, date,
+//!   bool and string vectors, each with a packed validity bitmap, plus a
+//!   `Value`-vector fallback lane for mixed-type columns). A stored table's
+//!   `Int`, `Float`, `Date` and `Bool` columns have lanes built once, when
+//!   the table enters the catalog; a batch a scan hands on reads them as
+//!   slices in place. Every other column is transposed out of the tuple
+//!   block on first access, one column at a time. A selection's `AND`
+//!   chain — flattened into conjuncts at compile time — narrows one
+//!   selection vector conjunct by conjunct, a `slot ⟨cmp⟩ constant`
+//!   conjunct in one pass over the slot's lane. Slot
 //!   references load a lane once per batch, the [`kernels`] module
 //!   evaluates comparisons and arithmetic as tight loops over the typed
 //!   lanes (whole-column fast paths with a per-column scalar retry on

@@ -100,7 +100,7 @@
 //! forms; only `SessionStats`' spill counters can tell them apart.
 
 use crate::aggregate::Accumulator;
-use crate::batch::{Batch, ColumnBlock, BATCH_ROWS};
+use crate::batch::{Batch, ColumnBlock, Window, BATCH_ROWS};
 use crate::compile::ColumnMap;
 use crate::profile::{OpProbe, OpTimer};
 use crate::resilience::{relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge};
@@ -319,8 +319,10 @@ pub(crate) fn project_columns(
 }
 
 /// Selection over `input`, [`BATCH_ROWS`] rows at a time with one
-/// checkpoint each: `keep` evaluates the predicate over one batch
-/// (three-valued TRUE only), appending one verdict per live row. Only
+/// checkpoint each, each batch's column block reading the `stored` lanes
+/// under `input` when a scan handed them on: `keep` evaluates the
+/// predicate over one batch (three-valued TRUE only), appending one
+/// verdict per live row. Only
 /// survivors reach `out`, through [`take_row`]: moved out of built rows,
 /// cloned out of borrowed ones; dropped rows are never copied. On an error
 /// `keep` has appended the verdicts of the batch's rows before the failing
@@ -329,6 +331,7 @@ pub(crate) fn project_columns(
 pub(crate) fn select(
     probe: OpProbe<'_>,
     mut input: Cow<'_, [Tuple]>,
+    stored: Option<Window<'_>>,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     out: &mut Vec<Tuple>,
 ) -> Result<()> {
@@ -339,7 +342,7 @@ pub(crate) fn select(
         probe.checkpoint("select")?;
         probe.batch();
         truths.clear();
-        let block = ColumnBlock::new(arity);
+        let block = ColumnBlock::over(arity, stored.map(|window| window.at(start)));
         let verdicts = keep(
             &Batch::dense_with_block(&input[start..end], &block),
             &mut truths,

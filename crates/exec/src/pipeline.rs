@@ -4,10 +4,13 @@
 //! [`crate::Executor::execute_compiled`] drains the root with one such pull;
 //! a [`crate::Rows`] cursor pulls it a few rows at a time.
 //!
-//! * A scan hands out the stored rows, borrowed. A selection pulls `want`
-//!   rows at a time, whatever it still needs, and keeps surplus survivors
-//!   for its next pull; a projection maps each pull one to one. Each runs
-//!   its `crate::physical` body, one checkpoint per `BATCH_ROWS` rows.
+//! * A scan hands out the stored rows, borrowed, with the window of the
+//!   table's stored lanes under each pull (`crate::batch::Window`), which a
+//!   selection directly above reads its columns from. A selection pulls
+//!   `want` rows at a time, whatever it still needs, and keeps surplus
+//!   survivors for its next pull; a projection maps each pull one to one.
+//!   Each runs its `crate::physical` body, one checkpoint per `BATCH_ROWS`
+//!   rows.
 //! * Pipeline breakers drain their inputs when opened and hand out the
 //!   output of their `crate::physical` body.
 //! * A `LIMIT` with no breaker between it and the root (`spine`) is lazy on
@@ -22,7 +25,7 @@
 //! opened post-order, a pipelined one counted when opened; its profile node
 //! records per pull the rows in and out and the self time of its body.
 
-use crate::batch::BATCH_ROWS;
+use crate::batch::{Window, BATCH_ROWS};
 use crate::compile::{row_major, ColumnMap, CompiledExpr, CompiledNode, CompiledPlan, Frame};
 use crate::executor::Execution;
 use crate::physical::{self, AggSpec, OpRows};
@@ -35,7 +38,12 @@ use std::time::Instant;
 
 /// What one pull hands on: up to the rows asked for — fewer only when the
 /// source is exhausted or failed — and then, on failure, the error.
-pub(crate) type Pulled<'p> = (Cow<'p, [Tuple]>, Option<ExecError>);
+pub(crate) struct Pulled<'p> {
+    pub(crate) rows: Cow<'p, [Tuple]>,
+    /// The stored lanes under `rows`, when a scan handed them on.
+    pub(crate) window: Option<Window<'p>>,
+    pub(crate) error: Option<ExecError>,
+}
 
 /// Rows a source made but has not handed on yet, the error that follows
 /// them, and whether its input is spent.
@@ -84,11 +92,18 @@ impl<'p> Ready<'p> {
                 Cow::Owned(head.collect())
             }
         };
-        if self.len() > 0 {
-            return (rows, None);
+        let error = match self.len() {
+            0 => {
+                (self.rows, self.taken) = (Cow::Borrowed(&[][..]), 0);
+                self.error.take()
+            }
+            _ => None,
+        };
+        Pulled {
+            rows,
+            window: None,
+            error,
         }
-        (self.rows, self.taken) = (Cow::Borrowed(&[][..]), 0);
-        (rows, self.error.take())
     }
 }
 
@@ -103,8 +118,12 @@ pub(crate) struct Source<'p> {
 }
 
 enum Op<'p> {
-    /// Rows already made: a scan's or a `VALUES` list's, or a breaker's.
-    Made(Ready<'p>),
+    /// Rows already made: a scan's or a `VALUES` list's, or a breaker's;
+    /// a scan's come with the stored lanes of the rows not yet handed on.
+    Made {
+        ready: Ready<'p>,
+        stored: Option<Window<'p>>,
+    },
     Select {
         input: Box<Source<'p>>,
         predicate: &'p CompiledExpr,
@@ -132,16 +151,21 @@ enum Items<'p> {
 }
 
 impl<'p> Source<'p> {
-    /// Rows already made, handed on as pulled; `prof` counts the pulls of
-    /// a scan's (a breaker's output was counted on its node when it ran).
-    fn made(rows: OpRows<'p>, prof: Option<Rc<ProfNode>>) -> Source<'p> {
+    /// Rows already made, handed on as pulled with the stored lanes under
+    /// them, if any; `prof` counts the pulls of a scan's (a breaker's
+    /// output was counted on its node when it ran).
+    fn made(
+        rows: OpRows<'p>,
+        stored: Option<Window<'p>>,
+        prof: Option<Rc<ProfNode>>,
+    ) -> Source<'p> {
         let ready = Ready {
             rows: rows.into_rows(),
             ended: true,
             ..Ready::default()
         };
         Source {
-            op: Op::Made(ready),
+            op: Op::Made { ready, stored },
             prof,
             clock: None,
         }
@@ -159,20 +183,30 @@ impl<'p> Source<'p> {
         let (prof, clock) = (self.prof.as_deref(), self.clock);
         let probe = OpProbe::new(x, prof.map(|p| &p.stats));
         let pulled = match &mut self.op {
-            Op::Made(ready) => ready.hand_out(want),
+            Op::Made { ready, stored } => {
+                let mut pulled = ready.hand_out(want);
+                pulled.window = *stored;
+                *stored = stored.map(|window| window.at(pulled.rows.len()));
+                pulled
+            }
             Op::Select {
                 input,
                 predicate,
                 ready,
             } => {
                 while ready.short_of(want) {
-                    let (rows, error) = input.fill(x, frame, want);
+                    let Pulled {
+                        rows,
+                        window,
+                        error,
+                    } = input.fill(x, frame, want);
                     ready.ended = rows.len() < want;
                     let out = ready.built();
                     let result = x.profiled(prof, clock, rows.len(), || {
                         physical::select(
                             probe,
                             rows,
+                            window,
                             |batch, out| {
                                 row_major(batch, out, |batch, out| {
                                     x.predicate_truths_vectorized(predicate, batch, frame, out)
@@ -186,13 +220,17 @@ impl<'p> Source<'p> {
                 ready.hand_out(want)
             }
             Op::Project { input, items } => {
-                let (rows, error) = input.fill(x, frame, want);
+                let Pulled { rows, error, .. } = input.fill(x, frame, want);
                 let mut out = Vec::new();
                 let result = x.profiled(prof, clock, rows.len(), || match items {
                     Items::Exprs(items) => x.project(probe, &rows, items, frame, &mut out),
                     Items::Columns(map) => physical::project_columns(probe, rows, *map, &mut out),
                 });
-                (Cow::Owned(out), result.err().or(error))
+                Pulled {
+                    rows: Cow::Owned(out),
+                    window: None,
+                    error: result.err().or(error),
+                }
             }
             Op::Limit {
                 input,
@@ -201,7 +239,7 @@ impl<'p> Source<'p> {
             } => {
                 while ready.short_of(want) {
                     let ask = want.min(*remaining).min(BATCH_ROWS);
-                    let (rows, error) = input.fill(x, frame, ask);
+                    let Pulled { rows, error, .. } = input.fill(x, frame, ask);
                     let rows = x.profiled(prof, clock, rows.len(), || {
                         physical::limit(rows, *remaining)
                     });
@@ -216,7 +254,7 @@ impl<'p> Source<'p> {
             }
         };
         if let Some(p) = prof {
-            add(&p.stats.rows_out, pulled.0.len() as u64);
+            add(&p.stats.rows_out, pulled.rows.len() as u64);
         }
         pulled
     }
@@ -275,7 +313,7 @@ impl<'e> Execution<'e, '_> {
         if let Some(p) = prof {
             add(&p.stats.rows_out, rel.len() as u64);
         }
-        Ok(Source::made(rel.into(), None))
+        Ok(Source::made(rel.into(), None, None))
     }
 
     /// The compiled projection body over `rows`, failing batches replayed
@@ -321,9 +359,9 @@ impl<'e> Execution<'e, '_> {
     where
         'e: 'p,
     {
-        let (rows, error) = self
-            .open(plan, frame, prof, spine)?
-            .fill(self, frame, usize::MAX);
+        let Pulled { rows, error, .. } =
+            self.open(plan, frame, prof, spine)?
+                .fill(self, frame, usize::MAX);
         match error {
             Some(e) => Err(e),
             None => Ok(OpRows::new(Cow::Borrowed(plan.schema()), rows)),
@@ -358,12 +396,17 @@ impl<'e> Execution<'e, '_> {
             prof: prof.cloned(),
             clock: timer.into_clock(),
         };
-        let stored = |rows| Source::made(rows, prof.cloned());
+        let made = |rows, stored| Source::made(rows, stored, prof.cloned());
         Ok(match plan {
             CompiledNode::Scan { table, schema } => {
-                stored(physical::scan(probe, self.ex.database(), table, schema)?)
+                let db = self.ex.database();
+                let rows = physical::scan(probe, db, table, schema)?;
+                let lanes = db.table_lanes(table)?;
+                made(rows, Some(Window { lanes, start: 0 }))
             }
-            CompiledNode::Values { schema, rows } => stored(physical::values(probe, schema, rows)?),
+            CompiledNode::Values { schema, rows } => {
+                made(physical::values(probe, schema, rows)?, None)
+            }
             CompiledNode::Select {
                 input: i,
                 predicate,

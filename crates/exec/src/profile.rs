@@ -253,6 +253,11 @@ fn collect_sublinks(
                 collect_sublinks(test, registry, out);
             }
         }
+        CompiledExpr::And(conjuncts) => {
+            for c in conjuncts {
+                collect_sublinks(c, registry, out);
+            }
+        }
         CompiledExpr::Binary { left, right, .. } => {
             collect_sublinks(left, registry, out);
             collect_sublinks(right, registry, out);

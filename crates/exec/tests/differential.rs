@@ -842,7 +842,10 @@ fn seam_database(rows: usize) -> Database {
             } else {
                 Value::Int((i % 5) as i64)
             };
-            vec![Value::Int(i as i64), k, Value::Int((i % 7) as i64)]
+            // 2⁵³−1024 …: an all-Int column, so a stored lane, that
+            // crosses 2⁵³ at the first batch boundary.
+            let big = Value::Int(TWO_53 + (i as i64 - BATCH_ROWS as i64));
+            vec![Value::Int(i as i64), k, Value::Int((i % 7) as i64), big]
         })
         .collect();
     db.create_table(
@@ -852,6 +855,7 @@ fn seam_database(rows: usize) -> Database {
                 Attribute::qualified("t", "a", DataType::Int),
                 Attribute::qualified("t", "k", DataType::Any),
                 Attribute::qualified("t", "g", DataType::Int),
+                Attribute::qualified("t", "big", DataType::Int),
             ]),
             data,
         ),
@@ -873,24 +877,59 @@ fn seam_database(rows: usize) -> Database {
     db
 }
 
-/// Runs one plan through columnar-compiled (the default), `Values`-lane
+/// The five execution modes of the seam tests, each an executor over `db`
+/// with `params` bound: columnar-compiled (the default), `Values`-lane
 /// vectorized (columnar off), per-tuple-compiled (batching off: every row a
-/// batch of one), interpreted and memo-off execution and asserts bag
-/// equality plus parity of the work counters — operators, memo hits and
-/// misses, probe rows — among the three compiled modes, none of which the
-/// per-tuple mode counts as a vectorized batch.
+/// batch of one), interpreted and memo-off.
+fn seam_modes<'a>(db: &'a Database, params: &[Value]) -> [(&'static str, Executor<'a>); 5] {
+    let modes = [
+        ("columnar", Executor::new(db)),
+        ("Values lanes", Executor::new(db).with_columnar(false)),
+        ("per-tuple", Executor::new(db).with_batching(false)),
+        ("interpreter", Executor::new(db)),
+        ("memo off", Executor::new(db).with_sublink_memo(false)),
+    ];
+    for (_, ex) in &modes {
+        ex.bind_params(params.to_vec());
+    }
+    modes
+}
+
+/// Runs `plan` with `params` bound in every one of the [`seam_modes`] and
+/// asserts that each fails with `expected`.
+fn assert_seam_modes_fail(
+    db: &Database,
+    plan: &Plan,
+    params: &[Value],
+    expected: &ExecError,
+    label: &str,
+) {
+    for (mode, ex) in seam_modes(db, params) {
+        let result = match mode {
+            "interpreter" => ex.execute_unoptimized(plan),
+            _ => ex.execute(plan),
+        };
+        assert_eq!(result.err().as_ref(), Some(expected), "{label}: {mode}");
+    }
+}
+
+/// Runs one plan through every [`seam_modes`] and asserts bag equality plus
+/// parity of the work counters — operators, memo hits and misses, probe
+/// rows — among the three compiled modes, none of which the per-tuple mode
+/// counts as a vectorized batch.
 fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
-    let batched_ex = Executor::new(db);
+    assert_seam_modes_agree_with(db, plan, &[], label);
+}
+
+/// [`assert_seam_modes_agree`] with `params` bound in every mode.
+fn assert_seam_modes_agree_with(db: &Database, plan: &Plan, params: &[Value], label: &str) {
+    let [(_, batched_ex), (_, values_ex), (_, per_tuple_ex), (_, interpreter_ex), (_, memo_off_ex)] =
+        seam_modes(db, params);
     let batched = batched_ex.execute(plan).unwrap();
-    let values_ex = Executor::new(db).with_columnar(false);
     let values_lane = values_ex.execute(plan).unwrap();
-    let per_tuple_ex = Executor::new(db).with_batching(false);
     let per_tuple = per_tuple_ex.execute(plan).unwrap();
-    let interpreted = Executor::new(db).execute_unoptimized(plan).unwrap();
-    let memo_off = Executor::new(db)
-        .with_sublink_memo(false)
-        .execute(plan)
-        .unwrap();
+    let interpreted = interpreter_ex.execute_unoptimized(plan).unwrap();
+    let memo_off = memo_off_ex.execute(plan).unwrap();
     assert!(
         batched.bag_eq(&values_lane),
         "{label}: columnar vs Values lanes"
@@ -953,6 +992,139 @@ fn batch_boundary_seams_agree_across_all_modes() {
             ))
             .build();
         assert_seam_modes_agree(&db, &select, &label("select"));
+
+        // Conjunct chains over the stored lanes, each conjunct narrowing the
+        // rows the earlier ones left: constants on either side, a `$1`,
+        // exact Int-vs-Float order at 2⁵³ ± 1, NaN in the mixed `k` column,
+        // and `Str` vs `Int`, which has no typed kernel.
+        let t = |column: &str| qcol("t", column);
+        let two_53 = || lit(Value::Float(TWO_53 as f64));
+        let ten_over = |column: &str| {
+            perm_algebra::builder::binary(perm_algebra::BinaryOp::Div, lit(10), t(column))
+        };
+        let chains: [(&str, Expr, Vec<Value>); 8] = [
+            (
+                "three conjuncts, left-deep",
+                and(
+                    and(
+                        cmp(CompareOp::Ge, t("a"), lit(3)),
+                        cmp(CompareOp::Gt, lit(5), t("g")),
+                    ),
+                    cmp(CompareOp::Neq, t("k"), lit(2)),
+                ),
+                vec![],
+            ),
+            (
+                "three conjuncts, right-deep",
+                and(
+                    cmp(CompareOp::Le, lit(1), t("a")),
+                    and(
+                        cmp(CompareOp::Lt, t("g"), lit(6)),
+                        cmp(CompareOp::Ge, lit(BATCH_ROWS as i64), t("a")),
+                    ),
+                ),
+                vec![],
+            ),
+            (
+                "$1 on either side",
+                and(
+                    cmp(CompareOp::Lt, t("a"), Expr::Param(0)),
+                    cmp(CompareOp::Ge, Expr::Param(0), t("g")),
+                ),
+                vec![Value::Int(BATCH_ROWS as i64 - 2)],
+            ),
+            (
+                "$1 bound to NULL",
+                and(
+                    cmp(CompareOp::Lt, t("a"), Expr::Param(0)),
+                    cmp(CompareOp::Ge, t("g"), lit(1)),
+                ),
+                vec![Value::Null],
+            ),
+            (
+                "Int lane vs Float at 2^53 +- 1",
+                and(
+                    and(
+                        cmp(
+                            CompareOp::Ge,
+                            t("big"),
+                            lit(Value::Float(TWO_53 as f64 - 2.0)),
+                        ),
+                        cmp(CompareOp::Le, two_53(), t("big")),
+                    ),
+                    cmp(CompareOp::Neq, t("big"), two_53()),
+                ),
+                vec![],
+            ),
+            (
+                "NaN in the mixed column",
+                and(
+                    cmp(CompareOp::Lt, t("k"), lit(Value::Float(f64::NAN))),
+                    cmp(CompareOp::Ge, lit(Value::Float(f64::NAN)), t("k")),
+                ),
+                vec![],
+            ),
+            (
+                "Str vs Int",
+                and(
+                    cmp(CompareOp::Neq, t("g"), lit("3")),
+                    and(
+                        cmp(CompareOp::Lt, lit("x"), t("a")),
+                        cmp(CompareOp::Ge, t("a"), lit(0)),
+                    ),
+                ),
+                vec![],
+            ),
+            (
+                "a FALSE conjunct shields the division",
+                and(
+                    cmp(CompareOp::Gt, t("g"), lit(0)),
+                    cmp(CompareOp::Gt, ten_over("g"), lit(1)),
+                ),
+                vec![],
+            ),
+        ];
+        for (shape, predicate, params) in chains {
+            let plan = PlanBuilder::scan(&db, "t")
+                .unwrap()
+                .select(predicate)
+                .build();
+            assert_seam_modes_agree_with(&db, &plan, &params, &label(shape));
+        }
+
+        // A row an earlier conjunct finds UNKNOWN evaluates the later ones,
+        // so the division by the row with `g = 0` raises in every mode —
+        // whether the first conjunct or a later one finds it UNKNOWN.
+        let unknown = || cmp(CompareOp::Lt, t("g"), Expr::Param(0));
+        let failing = || cmp(CompareOp::Gt, ten_over("g"), lit(1));
+        for (shape, predicate) in [
+            (
+                "UNKNOWN before a failing conjunct",
+                and(unknown(), failing()),
+            ),
+            (
+                "UNKNOWN in the middle of a chain",
+                and(
+                    and(cmp(CompareOp::Neq, t("a"), lit(3)), unknown()),
+                    failing(),
+                ),
+            ),
+        ] {
+            let plan = PlanBuilder::scan(&db, "t")
+                .unwrap()
+                .select(predicate)
+                .build();
+            match rows {
+                0 => assert_seam_modes_agree_with(&db, &plan, &[Value::Null], &label(shape)),
+                _ => assert_seam_modes_fail(
+                    &db,
+                    &plan,
+                    &[Value::Null],
+                    &ExecError::DivisionByZero,
+                    &label(shape),
+                ),
+            }
+        }
 
         // Vectorized CASE branch narrowing and function evaluation.
         let project = PlanBuilder::scan(&db, "t")
@@ -1172,6 +1344,83 @@ fn null_runs_crossing_the_batch_seam_agree_across_modes() {
         ))
         .build();
     assert_seam_modes_agree(&db, &is_null, "IS NULL over the validity bitmap");
+
+    // Conjunct chains over the stored lanes' validity: a NULL makes a
+    // conjunct UNKNOWN, which drops the row from the result but not from
+    // the later conjuncts.
+    let v = |column: &str| qcol("v", column);
+    let ten_over = |column: &str| {
+        perm_algebra::builder::binary(perm_algebra::BinaryOp::Div, lit(10), v(column))
+    };
+    let chains: [(&str, Expr, Vec<Value>); 4] = [
+        (
+            "three conjuncts over NULL runs",
+            and(
+                and(
+                    cmp(CompareOp::Ge, v("x"), lit(1)),
+                    cmp(CompareOp::Gt, lit(6), v("y")),
+                ),
+                cmp(CompareOp::Neq, v("x"), lit(4)),
+            ),
+            vec![],
+        ),
+        (
+            "$1 on either side over NULL runs",
+            and(
+                cmp(CompareOp::Lt, v("x"), Expr::Param(0)),
+                cmp(CompareOp::Ge, Expr::Param(0), v("y")),
+            ),
+            vec![Value::Int(5)],
+        ),
+        (
+            "$1 bound to NULL over NULL runs",
+            and(
+                cmp(CompareOp::Ge, v("y"), lit(2)),
+                cmp(CompareOp::Lt, Expr::Param(0), v("x")),
+            ),
+            vec![Value::Null],
+        ),
+        (
+            "a FALSE conjunct shields the division over NULL runs",
+            and(
+                cmp(CompareOp::Gt, v("x"), lit(0)),
+                cmp(CompareOp::Gt, ten_over("x"), lit(1)),
+            ),
+            vec![],
+        ),
+    ];
+    for (shape, predicate, params) in chains {
+        let plan = PlanBuilder::scan(&db, "v")
+            .unwrap()
+            .select(predicate)
+            .build();
+        assert_seam_modes_agree_with(&db, &plan, &params, shape);
+    }
+
+    // `x > 100` is FALSE on every row but those of the NULL runs, where it
+    // is UNKNOWN: they go on to the division, and one of them has `y = 0` —
+    // whether `x > 100` comes first or after a conjunct that leaves them.
+    let unknown = || cmp(CompareOp::Gt, v("x"), lit(100));
+    let failing = || cmp(CompareOp::Gt, ten_over("y"), lit(1));
+    for (shape, predicate) in [
+        (
+            "UNKNOWN over a NULL run before a failing conjunct",
+            and(unknown(), failing()),
+        ),
+        (
+            "UNKNOWN over a NULL run in the middle of a chain",
+            and(
+                and(cmp(CompareOp::Neq, v("y"), lit(1)), unknown()),
+                failing(),
+            ),
+        ),
+    ] {
+        let plan = PlanBuilder::scan(&db, "v")
+            .unwrap()
+            .select(predicate)
+            .build();
+        assert_seam_modes_fail(&db, &plan, &[], &ExecError::DivisionByZero, shape);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -106,6 +106,19 @@ impl Validity {
     pub fn invalid_count(&self) -> usize {
         self.invalid
     }
+
+    /// The `len` slots from `start` on, as a bitmap of their own: all valid
+    /// without reading a bit when this one has no NULL.
+    pub fn slice(&self, start: usize, len: usize) -> Validity {
+        if self.is_all_valid() {
+            return Validity::all_valid(len);
+        }
+        let mut bits = Validity::with_capacity(len);
+        for i in start..start + len {
+            bits.push(self.get(i));
+        }
+        bits
+    }
 }
 
 /// One attribute of a tuple block in columnar form: a typed lane per
@@ -169,6 +182,27 @@ impl ColumnVec {
             },
             Value::Null => ColumnVec::values_with_capacity(capacity),
         }
+    }
+
+    /// The typed lane of a stored column, built once when its table enters
+    /// the catalog: `Some` when the column's non-NULL values are all `Int`,
+    /// all `Float`, all `Date` or all `Bool`; `None` for `Str`, mixed-type
+    /// and all-NULL columns.
+    pub fn stored_lane<'v>(values: impl Iterator<Item = &'v Value> + Clone) -> Option<ColumnVec> {
+        let first = values.clone().find(|v| !v.is_null())?;
+        let kind = std::mem::discriminant(first);
+        if matches!(first, Value::Str(_))
+            || values
+                .clone()
+                .any(|v| !v.is_null() && std::mem::discriminant(v) != kind)
+        {
+            return None;
+        }
+        let mut lane = ColumnVec::typed_for(first, values.size_hint().0);
+        for v in values {
+            lane.push_value(v.clone());
+        }
+        Some(lane)
     }
 
     /// A column of `n` copies of `v` — the broadcast of a literal,
@@ -371,45 +405,80 @@ impl ColumnVec {
         }
     }
 
-    /// A new column holding the entries named by `indices`, in order
-    /// (typed lanes stay typed).
-    pub fn gather(&self, indices: &[usize]) -> ColumnVec {
+    /// A new column of the `len` entries from `start` on: a copy of the
+    /// payload slice (typed lanes stay typed).
+    pub fn slice(&self, start: usize, len: usize) -> ColumnVec {
+        let indices = start..start + len;
+        match self {
+            ColumnVec::Int { data, validity } => ColumnVec::Int {
+                data: data[indices].to_vec(),
+                validity: validity.slice(start, len),
+            },
+            ColumnVec::Float { data, validity } => ColumnVec::Float {
+                data: data[indices].to_vec(),
+                validity: validity.slice(start, len),
+            },
+            ColumnVec::Date { data, validity } => ColumnVec::Date {
+                data: data[indices].to_vec(),
+                validity: validity.slice(start, len),
+            },
+            ColumnVec::Bool { data, validity } => ColumnVec::Bool {
+                data: data[indices].to_vec(),
+                validity: validity.slice(start, len),
+            },
+            ColumnVec::Str { data, validity } => ColumnVec::Str {
+                data: data[indices].to_vec(),
+                validity: validity.slice(start, len),
+            },
+            ColumnVec::Values(v) => ColumnVec::Values(v[indices].to_vec()),
+        }
+    }
+
+    /// A new column holding entry `start + i` for each `i` of `indices`,
+    /// in order (typed lanes stay typed). A lane with no NULL gives an
+    /// all-valid bitmap without reading a bit.
+    pub fn gather(&self, start: usize, indices: &[usize]) -> ColumnVec {
         fn gather_typed<T: Clone>(
             data: &[T],
             validity: &Validity,
+            start: usize,
             indices: &[usize],
         ) -> (Vec<T>, Validity) {
-            let mut out = Vec::with_capacity(indices.len());
-            let mut out_validity = Validity::with_capacity(indices.len());
-            for &i in indices {
-                out.push(data[i].clone());
-                out_validity.push(validity.get(i));
-            }
+            let out = indices.iter().map(|&i| data[start + i].clone()).collect();
+            let out_validity = if validity.is_all_valid() {
+                Validity::all_valid(indices.len())
+            } else {
+                let mut bits = Validity::with_capacity(indices.len());
+                for &i in indices {
+                    bits.push(validity.get(start + i));
+                }
+                bits
+            };
             (out, out_validity)
         }
         match self {
             ColumnVec::Int { data, validity } => {
-                let (data, validity) = gather_typed(data, validity, indices);
+                let (data, validity) = gather_typed(data, validity, start, indices);
                 ColumnVec::Int { data, validity }
             }
             ColumnVec::Float { data, validity } => {
-                let (data, validity) = gather_typed(data, validity, indices);
+                let (data, validity) = gather_typed(data, validity, start, indices);
                 ColumnVec::Float { data, validity }
             }
             ColumnVec::Date { data, validity } => {
-                let (data, validity) = gather_typed(data, validity, indices);
+                let (data, validity) = gather_typed(data, validity, start, indices);
                 ColumnVec::Date { data, validity }
             }
             ColumnVec::Bool { data, validity } => {
-                let (data, validity) = gather_typed(data, validity, indices);
+                let (data, validity) = gather_typed(data, validity, start, indices);
                 ColumnVec::Bool { data, validity }
             }
             ColumnVec::Str { data, validity } => {
-                let (data, validity) = gather_typed(data, validity, indices);
+                let (data, validity) = gather_typed(data, validity, start, indices);
                 ColumnVec::Str { data, validity }
             }
             ColumnVec::Values(v) => {
-                ColumnVec::Values(indices.iter().map(|&i| v[i].clone()).collect())
+                ColumnVec::Values(indices.iter().map(|&i| v[start + i].clone()).collect())
             }
         }
     }
@@ -526,8 +595,10 @@ mod tests {
         for v in &rows {
             col.push_value(v.clone());
         }
-        let picked = col.gather(&[1, 3]);
+        let picked = col.gather(0, &[1, 3]);
         assert_eq!(picked.to_values(), vec![Value::Null, Value::str("d")]);
+        let shifted = col.gather(1, &[0, 2]);
+        assert_eq!(shifted.to_values(), vec![Value::Null, Value::str("d")]);
         assert_eq!(col.take_value(2), Value::str("c"));
 
         let mut bools = ColumnVec::typed_for(&Value::Bool(true), 3);
@@ -540,6 +611,73 @@ mod tests {
         // Non-boolean values are Unknown, exactly like `Value::as_truth`.
         let ints = ColumnVec::broadcast(&Value::Int(1), 2);
         assert_eq!(ints.truth_at(0), Truth::Unknown);
+    }
+
+    /// `gather` and `slice` build their bitmaps the fast way — all valid,
+    /// without reading a bit, when the source has no NULL — and the result
+    /// equals the bitmap pushed bit by bit, on lanes with and without NULLs.
+    #[test]
+    fn gather_and_slice_equal_the_per_bit_build() {
+        let per_bit = |col: &ColumnVec, at: &mut dyn Iterator<Item = usize>| {
+            let mut out = match col {
+                ColumnVec::Values(_) => ColumnVec::values_with_capacity(0),
+                typed => ColumnVec::typed_for(&typed.value_at(0), 0),
+            };
+            for i in at {
+                out.push_value(col.value_at(i));
+            }
+            out
+        };
+        let dense: Vec<Value> = (0..150).map(Value::Int).collect();
+        let holey: Vec<Value> = (0..150)
+            .map(|i| match i % 7 {
+                3 => Value::Null,
+                _ => Value::Float(i as f64),
+            })
+            .collect();
+        for rows in [&dense, &holey] {
+            let mut col = ColumnVec::typed_for(&rows[0], rows.len());
+            for v in rows.iter() {
+                col.push_value(v.clone());
+            }
+            let indices: Vec<usize> = (0..80).filter(|i| i % 3 != 1).collect();
+            for start in [0, 1, 63, 64, 70] {
+                let gathered = col.gather(start, &indices);
+                let expected = per_bit(&col, &mut indices.iter().map(|&i| start + i));
+                assert_eq!(gathered, expected, "gather from {start}");
+                let sliced = col.slice(start, 80);
+                assert_eq!(sliced, per_bit(&col, &mut (start..start + 80)));
+            }
+        }
+        let all = ColumnVec::typed_for(&Value::Int(0), 0);
+        assert!(matches!(
+            all.gather(0, &[]),
+            ColumnVec::Int { validity, .. } if validity == Validity::new()
+        ));
+    }
+
+    #[test]
+    fn stored_lanes_are_built_for_uniform_non_string_columns() {
+        let lane = |vals: &[Value]| ColumnVec::stored_lane(vals.iter());
+        for typed in [
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Null, Value::Float(0.5)],
+            vec![Value::Date(3), Value::Date(4)],
+            vec![Value::Bool(true), Value::Null],
+        ] {
+            let built = lane(&typed).expect("a uniform column has a lane");
+            assert!(built.is_typed());
+            assert_eq!(built.to_values(), typed);
+        }
+        for none in [
+            vec![Value::str("a"), Value::Null],
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Date(3), Value::Int(3)],
+            vec![Value::Null, Value::Null],
+            vec![],
+        ] {
+            assert_eq!(lane(&none), None, "{none:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod tuple;
 pub mod value;
 
 pub use buffer::{BufferPool, RecordStream};
-pub use catalog::Database;
+pub use catalog::{Database, TableLanes};
 pub use column::{ColumnVec, Validity};
 pub use heapfile::HeapFile;
 pub use keys::{

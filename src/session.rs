@@ -314,9 +314,10 @@ pub struct SessionConfig {
     /// [`perm_exec::Executor::with_batching`]).
     pub batching: bool,
     /// Whether vectorized expressions run over **typed column lanes**
-    /// (default `true`): each batch lazily transposes into a column block
-    /// of typed vectors with validity bitmaps, and comparison/arithmetic
-    /// dispatch to contiguous-slice kernels. `false` changes only the leaves —
+    /// (default `true`): each batch is backed by a column block of typed
+    /// vectors with validity bitmaps — a stored table's lanes read in
+    /// place, other columns transposed on first access — and
+    /// comparison/arithmetic dispatch to contiguous-slice kernels. `false` changes only the leaves —
     /// slots load `Value` lanes, so every kernel takes its scalar fallback
     /// (a mode of the differential tests; see
     /// [`perm_exec::Executor::with_columnar`]). Results and errors are

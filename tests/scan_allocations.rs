@@ -7,25 +7,30 @@
 //! only reads, cost no allocation. The gate counts heap allocations
 //! (`alloc`, `alloc_zeroed` and `realloc`) of one execution of a prepared
 //! plan, or of one drain of a [`perm::Rows`] cursor over it, and requires
-//! at most one per output row plus [`PER_BATCH`] per input batch of
+//! at most one per output row plus a constant per input batch of
 //! `BATCH_ROWS` rows (the expression lanes and column blocks of each batch;
 //! the join's share also covers one batch of probe-key buffers, allocated
 //! once and reused) and per refill of the cursor (1, 2, 4, … up to
-//! `BATCH_ROWS` rows each):
+//! `BATCH_ROWS` rows each). The constant is [`PER_BATCH`], except for the
+//! executed σ, whose batches read the stored lane of `b` in place and
+//! narrow one selection vector by both conjuncts of the `BETWEEN`
+//! ([`SELECT_PER_BATCH`]):
 //!
-//! | plan                                         | output rows |         batches |  bound | copying scan | borrowing scan |
-//! |----------------------------------------------|------------:|----------------:|-------:|-------------:|---------------:|
-//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows   |       1 498 |              20 |  4 058 |       20 457 |          1 954 |
-//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows    |       9 990 |              21 | 12 678 |       32 191 |         12 172 |
-//! | the `σ` above, drained by a cursor           |       1 498 | 20 + 11 refills |  5 466 |       29 186 |          4 115 |
-//! | `Π_{a,b}(r1)`, drained by a cursor           |      20 000 | 20 + 29 refills | 26 272 |       40 178 |         20 033 |
+//! | plan                                         | output rows |         batches |  bound | copying scan | borrowing scan | stored lanes |
+//! |----------------------------------------------|------------:|----------------:|-------:|-------------:|---------------:|-------------:|
+//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows   |       1 498 |              20 |  1 818 |       20 457 |          1 954 |        1 553 |
+//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows    |       9 990 |              21 | 12 678 |       32 191 |         12 172 |       12 174 |
+//! | the `σ` above, drained by a cursor           |       1 498 | 20 + 11 refills |  5 466 |       29 186 |          4 115 |        1 904 |
+//! | `Π_{a,b}(r1)`, drained by a cursor           |      20 000 | 20 + 29 refills | 26 272 |       40 178 |         20 033 |       20 034 |
 //!
 //! (`copying scan`: when `physical::scan` still copied the whole stored
 //! table — one allocation per stored row — or, for the cursor, when it ran
 //! a streaming spine of its own whose scan cloned every stored row it was
 //! pulled for. The σ and the join counted 1 953 and 12 173 before
-//! `execute` drained the cursor's pipeline. Debug and release builds of
-//! this test count the same.)
+//! `execute` drained the cursor's pipeline. `borrowing scan`: before the
+//! σ read stored lanes, when each batch transposed `b` out of the rows and
+//! built a literal lane and a `Bool` lane per comparison. Debug and
+//! release builds of this test count the same.)
 //!
 //! The binary holds a single `#[test]` so that no other test allocates
 //! while a count runs.
@@ -71,6 +76,9 @@ static GLOBAL: Counting = Counting;
 /// Allocations allowed per input batch beside one per output row.
 const PER_BATCH: usize = 128;
 
+/// [`PER_BATCH`] for the executed σ over the stored `r1`.
+const SELECT_PER_BATCH: usize = 16;
+
 /// Output rows and allocations of one execution of `plan`, prepared first.
 fn execution_allocations(db: &Database, plan: &Plan) -> (usize, usize) {
     let ex = Executor::new(db);
@@ -109,6 +117,17 @@ fn refills(rows: usize) -> usize {
     refills
 }
 
+/// One gated plan: its database, the rows of each table it scans, whether
+/// a cursor drains it, and the allocations it may make per batch.
+struct Case<'a> {
+    what: &'a str,
+    db: &'a Database,
+    plan: &'a Plan,
+    scanned: &'a [usize],
+    streamed: bool,
+    per_batch: usize,
+}
+
 fn scan(db: &Database, table: &str) -> PlanBuilder {
     PlanBuilder::scan(db, table).expect("the synthetic tables exist")
 }
@@ -135,20 +154,50 @@ fn scans_copy_only_the_rows_an_operator_emits() {
 
     let columns = scan(&selective, "r1").project_columns(&["a", "b"]).build();
 
-    // (plan, database, rows of each scanned table, drained by a cursor)
-    let cases: [(&str, &Database, &Plan, &[usize], bool); 4] = [
-        ("σ(r1)", &selective, &select, &[20_000], false),
-        ("r1 ⋈ r2", &narrow, &join, &[20_000, 16], false),
-        ("Rows over σ(r1)", &selective, &select, &[20_000], true),
-        (
+    let case = |what, db, plan, scanned, streamed, per_batch| Case {
+        what,
+        db,
+        plan,
+        scanned,
+        streamed,
+        per_batch,
+    };
+    let cases = [
+        case(
+            "σ(r1)",
+            &selective,
+            &select,
+            &[20_000],
+            false,
+            SELECT_PER_BATCH,
+        ),
+        case("r1 ⋈ r2", &narrow, &join, &[20_000, 16], false, PER_BATCH),
+        case(
+            "Rows over σ(r1)",
+            &selective,
+            &select,
+            &[20_000],
+            true,
+            PER_BATCH,
+        ),
+        case(
             "Rows over Π_{a,b}(r1)",
             &selective,
             &columns,
             &[20_000],
             true,
+            PER_BATCH,
         ),
     ];
-    for (what, db, plan, scanned, streamed) in cases {
+    for Case {
+        what,
+        db,
+        plan,
+        scanned,
+        streamed,
+        per_batch,
+    } in cases
+    {
         let (rows, allocations) = match streamed {
             false => execution_allocations(db, plan),
             true => stream_allocations(db, plan),
@@ -157,7 +206,7 @@ fn scans_copy_only_the_rows_an_operator_emits() {
         if streamed {
             batches += refills(rows);
         }
-        let bound = rows + PER_BATCH * batches;
+        let bound = rows + per_batch * batches;
         eprintln!(
             "{what}: {rows} rows, {batches} batches, {allocations} allocations (bound {bound})"
         );
