@@ -1158,8 +1158,22 @@ impl<'e, 'a> Execution<'e, 'a> {
         Ok(())
     }
 
-    /// A single expression over one batch, appended as row-major values
-    /// (sort keys, the interpreter-compatible aggregate inputs).
+    /// A single expression over one batch as one lane (sort keys): a bare
+    /// slot gathered as its values are, anything else evaluated.
+    pub(crate) fn expr_column(
+        &self,
+        expr: &CompiledExpr,
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+    ) -> Result<ColumnVec> {
+        match self.bare_slot_column(expr, batch) {
+            Some(col) => Ok(col),
+            None => self.ceval_batch(expr, batch, outer),
+        }
+    }
+
+    /// [`Execution::expr_column`] appended as row-major values (the
+    /// interpreter-compatible aggregate inputs).
     pub(crate) fn expr_values(
         &self,
         expr: &CompiledExpr,
@@ -1167,10 +1181,7 @@ impl<'e, 'a> Execution<'e, 'a> {
         outer: Option<&Frame<'_>>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        match self.bare_slot_column(expr, batch) {
-            Some(col) => col.append_to_values(out),
-            None => self.ceval_batch(expr, batch, outer)?.append_to_values(out),
-        }
+        self.expr_column(expr, batch, outer)?.append_to_values(out);
         Ok(())
     }
 

@@ -323,7 +323,7 @@ impl<'p> Interpreter<'p> {
                     for tuple in batch.iter() {
                         let scope = Env::new(env, &child_schema, tuple);
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {
-                            col.push(self.eval_expr(&k.expr, Some(&scope))?);
+                            col.push_value(self.eval_expr(&k.expr, Some(&scope))?);
                         }
                     }
                     Ok(())

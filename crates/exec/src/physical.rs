@@ -61,6 +61,14 @@
 //! are the matches, and no candidate row is built to ask. The interpreter
 //! passes the identity map and always rechecks; it stays the reference.
 //!
+//! The breakers that key their state key it on **flat bytes**: the hash join
+//! and the aggregate intern `encode_key` bytes, built in reused per-row
+//! buffers, into one [`KeyTable`] — the join lays its build rows out per
+//! key id, the aggregate's id is its group's index — and the sort compares
+//! each row's normalised key (`perm_storage::encode_sort_key` bytes,
+//! ordered as `Value::sort_key` orders the values), in memory and in its
+//! spilled runs alike. None of them allocates per input row for a key.
+//!
 //! The `operators_evaluated` accounting also lives here, in one place:
 //! every physical operator counts exactly one evaluation **per logical
 //! operator invocation** through its [`OpProbe`] (the governor's counter
@@ -91,7 +99,8 @@
 //! heap files by [`fnv1a`] of the encoded key, probe keys routed by
 //! ordinal, per-partition rebuild + probe, survivors re-emitted in exact
 //! left-row order), the sort becomes an *external merge sort* (sorted runs
-//! on disk, k-way merge with run-index tie-break — runs are consecutive
+//! on disk, each record led by its row's normalised key bytes, k-way merge
+//! comparing those bytes with run-index tie-break — runs are consecutive
 //! input segments, so that tie-break *is* the stable-sort order), and the
 //! aggregate flushes partial group states to hash partitions that are
 //! merged per partition afterwards ([`Accumulator::merge`]), emitting
@@ -103,18 +112,20 @@ use crate::aggregate::Accumulator;
 use crate::batch::{Batch, ColumnBlock, Window, BATCH_ROWS};
 use crate::compile::ColumnMap;
 use crate::profile::{OpProbe, OpTimer};
-use crate::resilience::{relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge};
+use crate::resilience::{
+    lane_value_bytes, relation_bytes, tuple_bytes, value_bytes, Governor, TransientCharge,
+};
 use crate::spill::{self, fnv1a};
 use crate::{ExecError, Result};
 use perm_algebra::{AggFunc, JoinKind, SetOpKind};
 use perm_storage::{
-    encode_key_column, encode_key_column_filtered, relation as bag, ColumnVec, Database, HeapFile,
-    Relation, Schema, StorageError, StorageManager, Tuple, Value,
+    encode_key_column, encode_key_column_filtered, encode_sort_entry, relation as bag, ColumnVec,
+    Database, HeapFile, KeyGroups, KeyTable, Relation, Schema, StorageError, StorageManager, Tuple,
+    Value,
 };
 use std::borrow::Cow;
 use std::collections::binary_heap::PeekMut;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// What the physical aggregate needs to know about one aggregate
@@ -383,8 +394,9 @@ pub(crate) fn cross_product(
 }
 
 /// Resets the per-row key buffers for a chunk of `n` rows: every buffer is
-/// emptied (capacity kept, so steady state allocates nothing) and every row
-/// starts live. Shared by the hash-join build/probe and the aggregate.
+/// emptied (capacity kept — the buffers are only ever read, so steady state
+/// allocates nothing) and every row starts live. Shared by the hash-join
+/// build/probe and the aggregate.
 fn reset_key_buffers(n: usize, keys_buf: &mut Vec<Vec<u8>>, live: &mut Vec<bool>) {
     if keys_buf.len() < n {
         keys_buf.resize_with(n, Vec::new);
@@ -512,13 +524,16 @@ fn join_partition_count(budget: u64, build_side: &OpRows<'_>) -> usize {
 }
 
 /// Switches the build phase to grace mode: creates the partition files and
-/// drains the in-memory buckets into them. Per-key candidate order is
-/// preserved — each bucket's rows are written in build-input order, and
-/// every row of one key lands in the same partition file.
+/// drains the build rows read so far — `row_ids[i]` is the id in `table` of
+/// build row `i`'s key — into them, key by key in id order. Per-key
+/// candidate order is preserved — each key's rows are written in
+/// build-input order, and every row of one key lands in the same partition
+/// file — and the files are the same on every run.
 fn spill_join_build(
     gov: &Governor,
     build_side: &OpRows<'_>,
-    buckets: &mut HashMap<Vec<u8>, Vec<&Tuple>>,
+    table: &KeyTable,
+    row_ids: &[u32],
 ) -> Result<JoinSpill> {
     let mgr = gov
         .spill()
@@ -532,11 +547,14 @@ fn spill_join_build(
     }
     gov.count().spill_partitions += 2 * parts as u64;
     let js = JoinSpill { mgr, build, probe };
+    let groups = KeyGroups::new(table.len(), row_ids);
+    let rows = build_side.tuples();
     let mut buf = Vec::new();
-    for (key, mates) in buckets.drain() {
-        let p = js.partition_of(&key);
-        for rt in mates {
-            spill::encode_keyed_tuple(&key, rt, &mut buf);
+    for id in 0..table.len() as u32 {
+        let key = table.key(id);
+        let p = js.partition_of(key);
+        for &row in groups.members(id) {
+            spill::encode_keyed_tuple(key, &rows[row as usize], &mut buf);
             js.build[p].append_record(&buf)?;
             gov.count().spilled_bytes += buf.len() as u64;
         }
@@ -637,35 +655,41 @@ fn grace_probe(
         file.seal()?;
     }
 
-    // Per partition: rebuild that partition's buckets (this is the ladder's
-    // last resort — a partition that cannot fit fails the query), then
-    // stream its probe records and collect survivors.
+    // Per partition: rebuild that partition's key table and mates, as the
+    // resident build does (this is the ladder's last resort — a partition
+    // that cannot fit fails the query), then stream its probe records and
+    // collect survivors.
     let mut survivors: Vec<(u64, Tuple)> = Vec::new();
     let mut pending: Vec<Tuple> = Vec::new();
     let mut segments: Vec<(u64, usize, usize)> = Vec::new();
     let mut truths: Vec<bool> = Vec::new();
     let l_tuples = l.tuples();
+    let mut table = KeyTable::new();
+    let mut rows: Vec<Tuple> = Vec::new();
+    let mut row_ids: Vec<u32> = Vec::new();
     for p in 0..js.build.len() {
-        let mut buckets: HashMap<Vec<u8>, Vec<Tuple>> = HashMap::new();
+        table.clear();
+        rows.clear();
+        row_ids.clear();
         let mut stream = js.mgr.pool().stream(&js.build[p]);
-        let mut since = 0usize;
         while let Some(record) = stream.next_record()? {
             let (key, tuple) = spill::decode_keyed_tuple(&record)?;
             if let Some(c) = charge.as_mut() {
                 c.grow(key.len() as u64 + tuple_bytes(&tuple))?;
             }
-            buckets.entry(key).or_default().push(tuple);
-            since += 1;
-            if since.is_multiple_of(BATCH_ROWS) {
+            row_ids.push(table.intern(key).0);
+            rows.push(tuple);
+            if rows.len().is_multiple_of(BATCH_ROWS) {
                 probe.checkpoint("join")?;
                 probe.batch();
             }
         }
+        let groups = KeyGroups::new(table.len(), &row_ids);
         let mut stream = js.mgr.pool().stream(&js.probe[p]);
         while let Some(record) = stream.next_record()? {
             let (ord, key) = spill::decode_probe(&record)?;
             let lt = &l_tuples[ord as usize];
-            let mates = buckets.get(&key).map_or(&[][..], Vec::as_slice);
+            let mates = table.get(key).map_or(&[][..], |id| groups.members(id));
             if !recheck {
                 // Bucket-mates are the matches: their output rows are built
                 // here, once (a semi / anti join keeps only the fact), a
@@ -675,10 +699,10 @@ fn grace_probe(
                 } else {
                     mates.len()
                 };
-                for rt in &mates[..matches] {
+                for &rt in &mates[..matches] {
                     let row = match left_only {
                         true => Tuple::empty(),
-                        false => sink.map.pair(lt, Some(rt)),
+                        false => sink.map.pair(lt, Some(&rows[rt as usize])),
                     };
                     survivors.push((ord, row));
                     if survivors.len().is_multiple_of(BATCH_ROWS) {
@@ -689,8 +713,8 @@ fn grace_probe(
                 continue;
             }
             let start = pending.len();
-            for rt in mates {
-                pending.push(lt.concat(rt));
+            for &rt in mates {
+                pending.push(lt.concat(&rows[rt as usize]));
             }
             let mut flush_now = false;
             if let Some(c) = cand_charge.as_mut() {
@@ -730,7 +754,7 @@ fn grace_probe(
             c.release();
         }
         if let Some(c) = charge.as_mut() {
-            // This partition's buckets are about to drop.
+            // This partition's table and rows are about to be cleared.
             c.release();
         }
     }
@@ -756,13 +780,16 @@ fn grace_probe(
 ///
 /// `key_null_safe` carries one flag per extracted equi-key conjunct; when
 /// non-empty the join runs hashed — the right side (the **build** side, a
-/// pipeline breaker consumed batch by batch at its input boundary) is
-/// bucketed under the column-wise key encoding
-/// ([`encode_key_column_filtered`]) of its key values: each key column is
-/// encoded in one contiguous pass, appending its bytes to every row's key
-/// buffer. Rows whose key is NULL under a plain (non-null-safe) equality
-/// can never match and are dropped from the hash table / probe (the encoder
-/// marks them dead in the `live` mask). When empty (no usable equality, or
+/// pipeline breaker consumed batch by batch at its input boundary) is keyed
+/// on the column-wise key encoding ([`encode_key_column_filtered`]) of its
+/// key values: each key column is encoded in one contiguous pass,
+/// appending its bytes to every row's reused key buffer, and each row's
+/// key is interned into one [`KeyTable`] (no allocation per row). Once the
+/// side is read its rows are laid out per key id ([`KeyGroups`]), so a
+/// probe finds its mates as one slice in build-input order. Rows whose key
+/// is NULL under a plain (non-null-safe) equality can never match and are
+/// dropped from the table / probe (the encoder marks them dead in the
+/// `live` mask). When empty (no usable equality, or
 /// the condition carries sublinks, e.g. the Jsub conditions of the Left
 /// strategy) the join falls back to a nested loop. Either way the **probe**
 /// operates batch-at-a-time: key expressions are evaluated once per batch
@@ -812,15 +839,19 @@ pub(crate) fn join(
     let mut truths: Vec<bool> = Vec::new();
 
     if nkeys > 0 {
-        // Build side: bucket the right rows by their encoded key values,
-        // one batch of key evaluations at a time. Evaluating every key
+        // Build side: intern each right row's encoded key values in one key
+        // table, one batch of key evaluations at a time, and lay the rows
+        // out per key id once the side is read. Evaluating every key
         // column eagerly (where the tuple-at-a-time loop stopped at a
         // row's first NULL non-null-safe key) is safe because equi keys
         // are always bare column references (`extract_equi_keys` extracts
         // only `Column = Column` conjuncts, resolution-checked against the
         // input schemas), so key evaluation cannot raise an error the
         // early exit would have shielded.
-        let mut buckets: HashMap<Vec<u8>, Vec<&Tuple>> = HashMap::new();
+        let mut table = KeyTable::new();
+        // The key id of each build row, `KeyGroups::NONE` for a row whose
+        // NULL key matches nothing.
+        let mut row_ids: Vec<u32> = Vec::with_capacity(r.len());
         let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
         let mut keys_buf: Vec<Vec<u8>> = Vec::new();
         let mut live: Vec<bool> = Vec::new();
@@ -861,27 +892,26 @@ pub(crate) fn join(
                 continue;
             }
             let mut chunk_bytes = 0u64;
-            for (j, rt) in chunk.iter().enumerate() {
-                if !live[j] {
+            for (&alive, key) in live.iter().zip(&keys_buf[..chunk.len()]) {
+                if !alive {
+                    row_ids.push(KeyGroups::NONE);
                     continue;
                 }
-                // Move, don't clone: each row's key buffer is consumed
-                // once (taking it leaves an empty Vec behind, which the
-                // next chunk's reset reuses without reallocating).
-                let key = std::mem::take(&mut keys_buf[j]);
                 if charge.is_some() {
                     // Build-table growth: the encoded key plus the
                     // bucket-mate reference.
                     chunk_bytes += key.len() as u64 + std::mem::size_of::<&Tuple>() as u64;
                 }
-                buckets.entry(key).or_default().push(rt);
+                row_ids.push(table.intern(key).0);
             }
             if let Some(c) = charge.as_mut() {
                 if !c.try_grow(chunk_bytes)? {
                     // The build table no longer fits: go grace — partition
-                    // everything bucketed so far to disk and free its
-                    // budget immediately.
-                    js = Some(spill_join_build(gov, r, &mut buckets)?);
+                    // every row read so far to disk and free its budget
+                    // immediately.
+                    js = Some(spill_join_build(gov, r, &table, &row_ids)?);
+                    table = KeyTable::new();
+                    row_ids = Vec::new();
                     c.release();
                 }
             }
@@ -902,8 +932,12 @@ pub(crate) fn join(
             );
         }
 
+        // The build rows per key id, in build-input order.
+        let groups = KeyGroups::new(table.len(), &row_ids);
+        let r_tuples = r.tuples();
+
         // Probe side, batch-at-a-time: evaluate the key columns once per
-        // probe batch and look each row's bucket up. Under `recheck` the
+        // probe batch and look each row's key id up. Under `recheck` the
         // bucket-mates are gathered into the pending buffer and flushed
         // (condition + ordered emission) at left-row boundaries once a
         // batch worth of candidates has accumulated; otherwise they are the
@@ -929,14 +963,17 @@ pub(crate) fn join(
                 );
             }
             for (j, lt) in chunk.iter().enumerate() {
-                let mates: &[&Tuple] = match buckets.get(&keys_buf[j]) {
-                    Some(mates) if live[j] => mates,
-                    _ => &[],
+                let mates = match live[j] {
+                    true => table
+                        .get(&keys_buf[j])
+                        .map_or(&[][..], |id| groups.members(id)),
+                    false => &[],
                 };
                 if !recheck {
                     let before = sink.out.len();
                     if !kind.left_only_output() {
-                        for rt in mates {
+                        for &rt in mates {
+                            let rt = &r_tuples[rt as usize];
                             sink.out.push_unchecked(map.pair(lt, Some(rt)));
                             since_checkpoint += 1;
                             if since_checkpoint == BATCH_ROWS {
@@ -958,8 +995,8 @@ pub(crate) fn join(
                     continue;
                 }
                 let start = pending.len();
-                for rt in mates {
-                    pending.push(lt.concat(rt));
+                for &rt in mates {
+                    pending.push(lt.concat(&r_tuples[rt as usize]));
                 }
                 let mut flush_now = false;
                 if let Some(c) = cand_charge.as_mut() {
@@ -1048,15 +1085,15 @@ pub(crate) fn join(
 const AGG_SPILL_PARTITIONS: usize = 16;
 
 /// Flushes every resident partial group state to its hash partition file
-/// (creating the partition files on first flush) and clears the resident
-/// state. Records carry the group's creation ordinal so the merge phase can
-/// restore global first-encounter order.
+/// (creating the partition files on first flush), group by group in index
+/// order, and clears the resident state. Records carry the group's creation
+/// ordinal so the merge phase can restore global first-encounter order.
 fn flush_agg_groups(
     gov: &Governor,
     files: &mut Option<(Rc<StorageManager>, Vec<Rc<HeapFile>>)>,
     groups: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
     ords: &mut Vec<u64>,
-    index: &mut HashMap<Vec<u8>, usize>,
+    index: &mut KeyTable,
 ) -> Result<()> {
     if files.is_none() {
         let mgr = gov
@@ -1071,12 +1108,13 @@ fn flush_agg_groups(
     }
     let (_, parts) = files.as_ref().expect("just created");
     let mut buf = Vec::new();
-    for (key_bytes, idx) in index.drain() {
-        let (key_values, accs) = &groups[idx];
-        spill::encode_agg_group(ords[idx], &key_bytes, key_values, accs, &mut buf);
-        parts[(fnv1a(&key_bytes) % AGG_SPILL_PARTITIONS as u64) as usize].append_record(&buf)?;
+    for (id, ((key_values, accs), ord)) in groups.iter().zip(ords.iter()).enumerate() {
+        let key_bytes = index.key(id as u32);
+        spill::encode_agg_group(*ord, key_bytes, key_values, accs, &mut buf);
+        parts[(fnv1a(key_bytes) % AGG_SPILL_PARTITIONS as u64) as usize].append_record(&buf)?;
         gov.count().spilled_bytes += buf.len() as u64;
     }
+    index.clear();
     groups.clear();
     ords.clear();
     Ok(())
@@ -1088,8 +1126,10 @@ fn flush_agg_groups(
 /// argument into `agg_cols[i]` (columns for argless `count(*)` specs stay
 /// empty; their per-row contribution is the constant 1). Groups are keyed
 /// by the column-wise key encoding ([`encode_key_column`]) — the key *is*
-/// the grouping equality, with no recheck — and emitted in
-/// first-encounter order. A global aggregation (no GROUP BY) over an empty
+/// the grouping equality, with no recheck — interned in one [`KeyTable`]
+/// whose id is the group's index, so a row whose group exists costs a
+/// lookup from a reused key buffer and no allocation; groups are emitted
+/// in first-encounter order. A global aggregation (no GROUP BY) over an empty
 /// input still produces one tuple (e.g. `count(*)` = 0): the single group
 /// is seeded up front.
 ///
@@ -1110,8 +1150,9 @@ pub(crate) fn aggregate(
     let gov = probe.gov;
     let mut charge = gov.transient("aggregate");
     let in_arity = child.schema().arity();
+    // Group `i`'s key has id `i` in `index`.
     let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut index = KeyTable::new();
     // Per-group creation ordinals (parallel to `groups`): `next_ord` is
     // global and monotone across flushes, so after partition merging the
     // minimum ordinal per key is its global first encounter — unique, and
@@ -1128,7 +1169,7 @@ pub(crate) fn aggregate(
 
     if group_arity == 0 {
         groups.push((Vec::new(), make_accs()));
-        index.insert(Vec::new(), 0);
+        index.intern(&[]);
         ords.push(next_ord);
         next_ord += 1;
     }
@@ -1159,23 +1200,19 @@ pub(crate) fn aggregate(
             encode_key_column(col, &mut keys_buf[..chunk.len()]);
         }
         let groups_before = groups.len();
-        for j in 0..chunk.len() {
-            let key = std::mem::take(&mut keys_buf[j]);
-            let group_index = match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    // First encounter: materialise the group's
-                    // representative values out of the column lanes (moved,
-                    // not cloned — each cell is consumed at most once).
-                    let key_values: Vec<Value> =
-                        group_cols.iter_mut().map(|col| col.take_value(j)).collect();
-                    groups.push((key_values, make_accs()));
-                    index.insert(key, groups.len() - 1);
-                    ords.push(next_ord);
-                    next_ord += 1;
-                    groups.len() - 1
-                }
-            };
+        for (j, key) in keys_buf[..chunk.len()].iter().enumerate() {
+            let (id, new) = index.intern(key);
+            if new {
+                // First encounter: materialise the group's representative
+                // values out of the column lanes (moved, not cloned — each
+                // cell is consumed at most once).
+                let key_values: Vec<Value> =
+                    group_cols.iter_mut().map(|col| col.take_value(j)).collect();
+                groups.push((key_values, make_accs()));
+                ords.push(next_ord);
+                next_ord += 1;
+            }
+            let group_index = id as usize;
             for (i, (acc, spec)) in groups[group_index].1.iter_mut().zip(specs).enumerate() {
                 if spec.has_arg {
                     acc.update(&agg_cols[i][j]);
@@ -1204,7 +1241,7 @@ pub(crate) fn aggregate(
                 c.release();
                 if group_arity == 0 {
                     groups.push((Vec::new(), make_accs()));
-                    index.insert(Vec::new(), 0);
+                    index.intern(&[]);
                     ords.push(next_ord);
                     next_ord += 1;
                 }
@@ -1215,7 +1252,7 @@ pub(crate) fn aggregate(
     if spill_files.is_some() {
         // Out-of-core finish: flush the remainder, then merge each
         // partition independently — every occurrence of one key hashes to
-        // the same partition, so a per-partition hash map sees all of its
+        // the same partition, so a per-partition key table sees all of its
         // partial states ([`Accumulator::merge`] is order-insensitive).
         flush_agg_groups(gov, &mut spill_files, &mut groups, &mut ords, &mut index)?;
         if let Some(c) = charge.as_mut() {
@@ -1226,21 +1263,24 @@ pub(crate) fn aggregate(
             file.seal()?;
         }
         let mut merged: Vec<(u64, Tuple)> = Vec::new();
+        // One partition's groups, group `i` under id `i` of `part_index`.
+        let mut part_index = KeyTable::new();
+        let mut part: Vec<(u64, Vec<Value>, Vec<Accumulator>)> = Vec::new();
         for file in parts {
-            let mut part: HashMap<Vec<u8>, (u64, Vec<Value>, Vec<Accumulator>)> = HashMap::new();
+            part_index.clear();
             let mut stream = mgr.pool().stream(file);
             let mut since = 0usize;
             while let Some(record) = stream.next_record()? {
                 let (ord, key_bytes, key_values, accs) = spill::decode_agg_group(&record)?;
-                match part.entry(key_bytes) {
-                    Entry::Occupied(mut e) => {
-                        let slot = e.get_mut();
+                match part_index.intern(key_bytes) {
+                    (id, false) => {
+                        let slot = &mut part[id as usize];
                         slot.0 = slot.0.min(ord);
                         for (a, b) in slot.2.iter_mut().zip(&accs) {
                             a.merge(b);
                         }
                     }
-                    Entry::Vacant(e) => {
+                    (_, true) => {
                         if let Some(c) = charge.as_mut() {
                             // One partition's merged state is the ladder's
                             // last resort — a partition that cannot fit
@@ -1250,7 +1290,7 @@ pub(crate) fn aggregate(
                                     + (accs.len() * std::mem::size_of::<Accumulator>()) as u64,
                             )?;
                         }
-                        e.insert((ord, key_values, accs));
+                        part.push((ord, key_values, accs));
                     }
                 }
                 since += 1;
@@ -1259,7 +1299,7 @@ pub(crate) fn aggregate(
                     probe.batch();
                 }
             }
-            for (ord, key_values, accs) in part.into_values() {
+            for (ord, key_values, accs) in part.drain(..) {
                 let mut row = key_values;
                 for acc in &accs {
                     row.push(acc.finish());
@@ -1267,7 +1307,7 @@ pub(crate) fn aggregate(
                 merged.push((ord, Tuple::new(row)));
             }
             if let Some(c) = charge.as_mut() {
-                // This partition's map just dropped; only the finished
+                // This partition's groups just went; only the finished
                 // output rows remain, which the resident path never charges
                 // either.
                 c.release();
@@ -1322,47 +1362,51 @@ pub(crate) fn set_op(
     Ok(Relation::new(l.schema().clone(), tuples)?)
 }
 
-/// The sort-key comparator shared by the in-memory sort and the k-way run
-/// merge: per-key `Value::sort_key` with the per-key direction applied.
-fn cmp_key_rows(ka: &[Value], kb: &[Value], ascending: &[bool]) -> std::cmp::Ordering {
-    for (i, asc) in ascending.iter().enumerate() {
-        let ord = ka[i].sort_key(&kb[i]);
-        let ord = if *asc { ord } else { ord.reverse() };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 /// The sort's resident buffer: the rows it was given (moved in when built,
-/// cloned when borrowed — the sort emits every row) and their extracted key values in one row-major vector — one
-/// per `ascending` entry per row, no allocation per row. Sorting it yields
-/// a permutation; neither vector is reordered.
-struct SortBuffer<'a> {
-    ascending: &'a [bool],
+/// cloned when borrowed — the sort emits every row) and each row's
+/// normalised sort key (`perm_storage::encode_sort_key` bytes), back to
+/// back in one arena — no allocation per row. Sorting it yields a
+/// permutation; neither the rows nor the keys are reordered.
+struct SortBuffer {
     rows: Vec<Tuple>,
-    keys: Vec<Value>,
+    keys: Vec<u8>,
+    /// Row `i`'s key is `keys[key_ends[i]..key_ends[i + 1]]`.
+    key_ends: Vec<usize>,
 }
 
-impl SortBuffer<'_> {
-    fn key(&self, row: usize) -> &[Value] {
-        let n = self.ascending.len();
-        &self.keys[row * n..(row + 1) * n]
+impl SortBuffer {
+    fn key(&self, row: usize) -> &[u8] {
+        &self.keys[self.key_ends[row]..self.key_ends[row + 1]]
     }
 
-    /// The buffered rows' indices in sorted order. The sort is stable, so
-    /// ties keep the input order.
+    /// The buffered rows' indices in sorted order: by key bytes, ties by
+    /// input position, which is the stable order. Each row carries its
+    /// key's first eight bytes as one integer, which decides most
+    /// comparisons: keys are prefix-free, so two keys whose zero-padded
+    /// first eight bytes differ first differ there.
     fn sorted_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.rows.len()).collect();
-        order.sort_by(|&a, &b| cmp_key_rows(self.key(a), self.key(b), self.ascending));
-        order
+        let mut order: Vec<(u64, usize)> = (0..self.rows.len())
+            .map(|i| {
+                let key = self.key(i);
+                let mut head = [0u8; 8];
+                let n = key.len().min(8);
+                head[..n].copy_from_slice(&key[..n]);
+                (u64::from_be_bytes(head), i)
+            })
+            .collect();
+        order.sort_unstable_by(|(ha, a), (hb, b)| {
+            ha.cmp(hb)
+                .then_with(|| self.key(*a).cmp(self.key(*b)))
+                .then(a.cmp(b))
+        });
+        order.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// Sorts the buffer and writes it out as one sorted run file, leaving
-    /// it empty. Because a run is always a *consecutive* segment of the
-    /// input, merging runs with a lowest-run-index tie-break later
-    /// reproduces the stable in-memory sort order exactly.
+    /// Sorts the buffer and writes it out as one sorted run file, key bytes
+    /// first in every record, leaving it empty. Because a run is always a
+    /// *consecutive* segment of the input, merging runs with a
+    /// lowest-run-index tie-break later reproduces the stable in-memory
+    /// sort order exactly.
     fn spill_run(&mut self, gov: &Governor, runs: &mut Vec<Rc<HeapFile>>) -> Result<()> {
         let mgr = gov
             .spill()
@@ -1379,24 +1423,52 @@ impl SortBuffer<'_> {
         runs.push(file);
         self.rows.clear();
         self.keys.clear();
+        self.key_ends.truncate(1);
         Ok(())
     }
 }
 
-/// The next row of one sorted run inside the k-way merge. Ordered so that
-/// [`BinaryHeap`] — a max-heap — pops the smallest `(key, run index)`
-/// first: among equal keys the lowest run index wins, which is the stable
-/// order.
-struct RunHead<'a> {
-    key: Vec<Value>,
+/// The next row of one sorted run inside the k-way merge, its key bytes
+/// read in place. Ordered so that [`BinaryHeap`] — a max-heap — pops the
+/// smallest `(key, run index)` first: among equal keys the lowest run index
+/// wins, which is the stable order.
+struct RunHead<'k> {
     run: usize,
-    tuple: Tuple,
-    ascending: &'a [bool],
+    row: HeadRow<'k>,
+}
+
+/// Where a run head's row and key are.
+enum HeadRow<'k> {
+    /// A record read back from a run file, its key at `key`; the tuple
+    /// after it is decoded when the row is emitted.
+    Spilled {
+        record: Vec<u8>,
+        key: std::ops::Range<usize>,
+    },
+    /// A row of the resident remainder, its key in the sort buffer.
+    Resident { key: &'k [u8], tuple: Tuple },
+}
+
+impl RunHead<'_> {
+    fn key(&self) -> &[u8] {
+        match &self.row {
+            HeadRow::Spilled { record, key } => &record[key.clone()],
+            HeadRow::Resident { key, .. } => key,
+        }
+    }
+
+    /// The row, for the output.
+    fn take_tuple(&mut self) -> Result<Tuple> {
+        match &mut self.row {
+            HeadRow::Spilled { record, key } => spill::decode_run_tuple(record, key.end),
+            HeadRow::Resident { tuple, .. } => Ok(std::mem::take(tuple)),
+        }
+    }
 }
 
 impl Ord for RunHead<'_> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        cmp_key_rows(&other.key, &self.key, self.ascending).then(other.run.cmp(&self.run))
+        other.key().cmp(self.key()).then(other.run.cmp(&self.run))
     }
 }
 
@@ -1415,20 +1487,24 @@ impl PartialEq for RunHead<'_> {
 impl Eq for RunHead<'_> {}
 
 /// Sorting — a pipeline breaker consuming its input batch by batch. `keys`
-/// evaluates, for one batch, every sort-key expression into `key_cols[i]`;
-/// `ascending` carries the per-key direction. The underlying sort is
-/// stable, so ties keep the input order — which both drivers produce
-/// identically. Under budget pressure with spilling enabled the operator
-/// becomes an *external merge sort*: the buffer is flushed as sorted runs
-/// ([`SortBuffer::spill_run`]) and the runs are k-way merged at the end
-/// through a heap of run heads, with ties broken toward the lowest run
-/// index — runs are consecutive input segments, so that tie-break *is* the
-/// stable order.
+/// evaluates, for one batch, every sort-key expression into `key_cols[i]`
+/// (a [`ColumnVec`] lane); `ascending` carries the per-key direction. Each
+/// row's keys are encoded straight from the lanes into one normalised key
+/// ([`encode_sort_entry`]), whose byte order is the `Value::sort_key` order
+/// with the directions applied, so a key never becomes a `Value` and a
+/// comparison is one `memcmp`. Ties keep the input order — the sort is
+/// stable — which both drivers produce identically. Under budget pressure
+/// with spilling enabled the operator becomes an *external merge sort*: the
+/// buffer is flushed as sorted runs ([`SortBuffer::spill_run`]) whose
+/// records carry the key bytes, and the runs are k-way merged at the end
+/// through a heap of run heads comparing those bytes in place, with ties
+/// broken toward the lowest run index — runs are consecutive input
+/// segments, so that tie-break *is* the stable order.
 pub(crate) fn sort(
     probe: OpProbe<'_>,
     child: OpRows<'_>,
     ascending: &[bool],
-    mut keys: impl FnMut(&Batch<'_>, &mut [Vec<Value>]) -> Result<()>,
+    mut keys: impl FnMut(&Batch<'_>, &mut [ColumnVec]) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = probe.begin("sort")?;
     let gov = probe.gov;
@@ -1436,19 +1512,21 @@ pub(crate) fn sort(
     let schema = child.schema().clone();
     let arity = schema.arity();
     let mut input = child.into_rows();
+    let mut key_ends = Vec::with_capacity(input.len() + 1);
+    key_ends.push(0);
     let mut buffer = SortBuffer {
-        ascending,
         rows: Vec::with_capacity(input.len()),
-        keys: Vec::with_capacity(input.len() * ascending.len()),
+        keys: Vec::new(),
+        key_ends,
     };
-    let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); ascending.len()];
+    let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); ascending.len()];
     let mut runs: Vec<Rc<HeapFile>> = Vec::new();
     for start in (0..input.len()).step_by(BATCH_ROWS) {
         let end = input.len().min(start + BATCH_ROWS);
         probe.checkpoint("sort")?;
         probe.batch();
         for col in key_cols.iter_mut() {
-            col.clear();
+            col.clear_values();
         }
         let block = ColumnBlock::new(arity);
         keys(
@@ -1457,20 +1535,18 @@ pub(crate) fn sort(
         )?;
         let mut chunk_bytes = 0u64;
         for (j, i) in (start..end).enumerate() {
-            let first_key = buffer.keys.len();
-            for col in key_cols.iter_mut() {
-                buffer
-                    .keys
-                    .push(std::mem::replace(&mut col[j], Value::Null));
+            for (col, asc) in key_cols.iter().zip(ascending) {
+                encode_sort_entry(col, j, *asc, &mut buffer.keys);
+                if charge.is_some() {
+                    chunk_bytes += lane_value_bytes(col, j);
+                }
             }
+            buffer.key_ends.push(buffer.keys.len());
             let row = take_row(&mut input, i);
             if charge.is_some() {
-                // Sort-buffer growth: the extracted keys plus the row.
-                chunk_bytes += buffer.keys[first_key..]
-                    .iter()
-                    .map(value_bytes)
-                    .sum::<u64>()
-                    + tuple_bytes(&row);
+                // Sort-buffer growth: the extracted keys (as the values
+                // they are) plus the row.
+                chunk_bytes += tuple_bytes(&row);
             }
             buffer.rows.push(row);
         }
@@ -1486,8 +1562,8 @@ pub(crate) fn sort(
     let order = buffer.sorted_order();
     let SortBuffer {
         mut rows,
-        keys: mut key_values,
-        ..
+        keys: key_bytes,
+        key_ends,
     } = buffer;
     if runs.is_empty() {
         let sorted = order
@@ -1500,30 +1576,25 @@ pub(crate) fn sort(
         .spill()
         .expect("runs exist only when a spill store is live");
     let mut streams: Vec<_> = runs.iter().map(|f| mgr.pool().stream(f)).collect();
-    let nkeys = ascending.len();
+    let (key_bytes, key_ends) = (&key_bytes[..], &key_ends[..]);
     let mut resident = order.into_iter();
     // The next row of run `run`: a record of its file, or — past the last
     // file — of the resident remainder.
     let mut next_of = |run: usize| -> Result<Option<RunHead<'_>>> {
         let row = match streams.get_mut(run) {
             Some(stream) => match stream.next_record()? {
-                Some(record) => Some(spill::decode_run_row(&record)?),
+                Some(record) => {
+                    let key = spill::decode_run_key(&record)?;
+                    Some(HeadRow::Spilled { record, key })
+                }
                 None => None,
             },
-            None => resident.next().map(|i| {
-                let key = key_values[i * nkeys..(i + 1) * nkeys]
-                    .iter_mut()
-                    .map(|v| std::mem::replace(v, Value::Null))
-                    .collect();
-                (key, std::mem::take(&mut rows[i]))
+            None => resident.next().map(|i| HeadRow::Resident {
+                key: &key_bytes[key_ends[i]..key_ends[i + 1]],
+                tuple: std::mem::take(&mut rows[i]),
             }),
         };
-        Ok(row.map(|(key, tuple)| RunHead {
-            key,
-            run,
-            tuple,
-            ascending,
-        }))
+        Ok(row.map(|row| RunHead { run, row }))
     };
     let mut heads = BinaryHeap::with_capacity(runs.len() + 1);
     for run in 0..=runs.len() {
@@ -1532,7 +1603,7 @@ pub(crate) fn sort(
     let mut out = Relation::empty(schema);
     let mut emitted = 0usize;
     while let Some(mut head) = heads.peek_mut() {
-        out.push_unchecked(std::mem::take(&mut head.tuple));
+        out.push_unchecked(head.take_tuple()?);
         emitted += 1;
         if emitted.is_multiple_of(BATCH_ROWS) {
             probe.checkpoint("sort")?;

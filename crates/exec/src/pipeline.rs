@@ -558,7 +558,7 @@ impl<'e> Execution<'e, '_> {
                 self.breaker(node, rows.len(), || {
                     physical::sort(probe, rows, &ascending, |batch, cols| {
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {
-                            self.expr_values(&k.expr, batch, frame, col)?;
+                            *col = self.expr_column(&k.expr, batch, frame)?;
                         }
                         Ok(())
                     })

@@ -53,7 +53,7 @@
 use crate::memo::StatementMemo;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use crate::{ExecError, Result, SessionStats};
-use perm_storage::{Relation, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES};
+use perm_storage::{ColumnVec, Relation, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES};
 use std::cell::{Cell, RefCell, RefMut};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -297,6 +297,19 @@ pub(crate) fn value_bytes(v: &Value) -> u64 {
     match v {
         Value::Str(s) => base + s.capacity() as u64,
         _ => base,
+    }
+}
+
+/// [`value_bytes`] of entry `i` of a lane, read in place: what the entry
+/// costs as the `Value` it would become, so a charge computed from lanes
+/// equals the one computed from their values.
+pub(crate) fn lane_value_bytes(col: &ColumnVec, i: usize) -> u64 {
+    match col {
+        ColumnVec::Values(values) => value_bytes(&values[i]),
+        ColumnVec::Str { data, validity } if validity.get(i) => {
+            std::mem::size_of::<Value>() as u64 + data[i].capacity() as u64
+        }
+        _ => std::mem::size_of::<Value>() as u64,
     }
 }
 

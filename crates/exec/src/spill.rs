@@ -17,11 +17,20 @@
 //! Sublink memo entries are never spilled: under budget pressure the
 //! governor drops them (`crate::resilience`).
 //!
-//! The record codecs bundled here frame the operator payloads — `(key,
-//! tuple)` build rows, `(ordinal, key)` probe rows, `(keys, tuple)` sort
-//! rows and `(ordinal, key, values, accumulators)` aggregate groups — on
-//! top of the exact value codec of `perm_storage::page`, so every `Value`
-//! round-trips bit-exactly (NaN spellings, `±0.0`, full-range integers).
+//! The record codecs bundled here frame the operator payloads on top of the
+//! exact value codec of `perm_storage::page`, so every `Value` round-trips
+//! bit-exactly (NaN spellings, `±0.0`, full-range integers):
+//!
+//! * grace-join build rows: the `encode_key` bytes, then the tuple;
+//! * grace-join probe rows: the left row's ordinal, then its key bytes;
+//! * sort-run rows: the row's normalised sort key
+//!   (`perm_storage::encode_sort_key` bytes), then the tuple — the merge
+//!   compares the key bytes in place and decodes the tuple only when the
+//!   row is emitted;
+//! * aggregate groups: the creation ordinal, the key bytes, the
+//!   representative key values and the accumulator states.
+//!
+//! Key bytes are read back as slices of the record, never copied.
 
 use crate::aggregate::Accumulator;
 use crate::Result;
@@ -82,9 +91,9 @@ pub(crate) fn encode_keyed_tuple(key: &[u8], tuple: &Tuple, buf: &mut Vec<u8>) {
     encode_row(tuple.values(), buf);
 }
 
-pub(crate) fn decode_keyed_tuple(record: &[u8]) -> Result<(Vec<u8>, Tuple)> {
+pub(crate) fn decode_keyed_tuple(record: &[u8]) -> Result<(&[u8], Tuple)> {
     let mut pos = 0;
-    let key = read_bytes(record, &mut pos)?.to_vec();
+    let key = read_bytes(record, &mut pos)?;
     let values = decode_row(record, &mut pos)?;
     Ok((key, Tuple::new(values)))
 }
@@ -97,25 +106,31 @@ pub(crate) fn encode_probe(ordinal: u64, key: &[u8], buf: &mut Vec<u8>) {
     write_bytes(key, buf);
 }
 
-pub(crate) fn decode_probe(record: &[u8]) -> Result<(u64, Vec<u8>)> {
+pub(crate) fn decode_probe(record: &[u8]) -> Result<(u64, &[u8])> {
     let mut pos = 0;
     let ordinal = read_u64(record, &mut pos)?;
-    let key = read_bytes(record, &mut pos)?.to_vec();
+    let key = read_bytes(record, &mut pos)?;
     Ok((ordinal, key))
 }
 
-/// External-sort run record: the extracted sort-key values plus the tuple.
-pub(crate) fn encode_run_row(keys: &[Value], tuple: &Tuple, buf: &mut Vec<u8>) {
+/// External-sort run record: the row's normalised sort key plus the tuple.
+pub(crate) fn encode_run_row(key: &[u8], tuple: &Tuple, buf: &mut Vec<u8>) {
     buf.clear();
-    encode_row(keys, buf);
+    write_bytes(key, buf);
     encode_row(tuple.values(), buf);
 }
 
-pub(crate) fn decode_run_row(record: &[u8]) -> Result<(Vec<Value>, Tuple)> {
+/// Where a run record's sort key lies in it, checked against its length.
+pub(crate) fn decode_run_key(record: &[u8]) -> Result<std::ops::Range<usize>> {
     let mut pos = 0;
-    let keys = decode_row(record, &mut pos)?;
-    let values = decode_row(record, &mut pos)?;
-    Ok((keys, Tuple::new(values)))
+    let len = read_bytes(record, &mut pos)?.len();
+    Ok(pos - len..pos)
+}
+
+/// The tuple of a run record whose key ends at `key_end`.
+pub(crate) fn decode_run_tuple(record: &[u8], key_end: usize) -> Result<Tuple> {
+    let mut pos = key_end;
+    Ok(Tuple::new(decode_row(record, &mut pos)?))
 }
 
 /// Partitioned-aggregation group record: the group's creation ordinal (for
@@ -142,10 +157,10 @@ pub(crate) fn encode_agg_group(
 #[allow(clippy::type_complexity)]
 pub(crate) fn decode_agg_group(
     record: &[u8],
-) -> Result<(u64, Vec<u8>, Vec<Value>, Vec<Accumulator>)> {
+) -> Result<(u64, &[u8], Vec<Value>, Vec<Accumulator>)> {
     let mut pos = 0;
     let ordinal = read_u64(record, &mut pos)?;
-    let key = read_bytes(record, &mut pos)?.to_vec();
+    let key = read_bytes(record, &mut pos)?;
     let key_values = decode_row(record, &mut pos)?;
     let n = read_u32(record, &mut pos)? as usize;
     let mut accs = Vec::with_capacity(n.min(64));
@@ -186,12 +201,15 @@ mod tests {
         }
 
         encode_probe(u64::MAX - 1, b"k", &mut buf);
-        assert_eq!(decode_probe(&buf).unwrap(), (u64::MAX - 1, b"k".to_vec()));
+        assert_eq!(decode_probe(&buf).unwrap(), (u64::MAX - 1, &b"k"[..]));
 
-        encode_run_row(&[Value::Int(3)], &tuple, &mut buf);
-        let (keys, t) = decode_run_row(&buf).unwrap();
-        assert_eq!(keys, vec![Value::Int(3)]);
+        let sort_key = perm_storage::encode_sort_key(&[Value::Int(3)], &[false]);
+        encode_run_row(&sort_key, &tuple, &mut buf);
+        let key = decode_run_key(&buf).unwrap();
+        assert_eq!(buf[key.clone()], sort_key[..]);
+        let t = decode_run_tuple(&buf, key.end).unwrap();
         assert_eq!(t.get(2), &Value::str("käse"));
+        assert!(decode_run_key(&buf[..key.end - 1]).is_err());
 
         assert!(decode_probe(&buf[..3]).is_err(), "truncation is an error");
     }

@@ -27,10 +27,10 @@
 //! parts that are *not* shared.
 
 use perm_algebra::builder::{
-    all_sublink, and, any_sublink, between, cmp, count_star, eq, exists_sublink, lit, not, or,
-    qcol, scalar_sublink, sum, PlanBuilder,
+    all_sublink, and, any_sublink, between, binary, cmp, count_star, eq, exists_sublink, lit, not,
+    or, qcol, scalar_sublink, sum, PlanBuilder,
 };
-use perm_algebra::{CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_algebra::{BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
 use perm_core::Strategy;
 use perm_exec::{Degradation, ExecError, Executor, FaultKind, FaultPlan, FaultSite, BATCH_ROWS};
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
@@ -1615,6 +1615,157 @@ fn out_of_core_operators_reproduce_exact_row_order() {
     // rebuild within it.
     let wide = with_wide_columns(build_database(200, 150, 0xACE5), &["a", "b"], 12 << 10);
     out_of_core_reproduces_exact_row_order(" over 12 KiB strings", &wide, 1 << 20, ("b", "g"));
+    mixed_type_sorts_match_a_stable_sort_on_sort_key();
+}
+
+/// A table `m(id, k, j, f)` of 3 000 rows: `id` numbers the rows, `k` and
+/// `j` mix every value variant — integers and floats at 2⁵³ ± 1 and the
+/// `i64` extremes, fractions on both sides of zero, ±0.0, ±∞, NaN with
+/// several payloads, dates equal to integers, booleans, strings with shared
+/// prefixes, embedded `\0` and non-ASCII bytes, NULL — with many ties, and
+/// `f` is a float column with NULLs and NaNs.
+fn mixed_type_database() -> Database {
+    const TWO_53: i64 = 1 << 53;
+    let pool = [
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(-1),
+        Value::Int(3),
+        Value::Int(TWO_53 - 1),
+        Value::Int(TWO_53),
+        Value::Int(TWO_53 + 1),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(3.0),
+        Value::Float(3.5),
+        Value::Float(-0.5),
+        Value::Float(-1e-300),
+        Value::Float(TWO_53 as f64),
+        Value::Float((TWO_53 + 2) as f64),
+        Value::Float(9.3e18),
+        Value::Float(-9.3e18),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::Float(f64::from_bits(0x7FF8_0000_0000_0001)),
+        Value::Date(3),
+        Value::Date(-1),
+        Value::str(""),
+        Value::str("a"),
+        Value::str("ab"),
+        Value::str("ab\0"),
+        Value::str("ab\0c"),
+        Value::str("é"),
+        Value::str("日本"),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x50B7);
+    let rows = (0..3_000i64)
+        .map(|id| {
+            let f = match rng.gen_range(0..8u32) {
+                0 => Value::Null,
+                1 => Value::Float(f64::NAN),
+                _ => Value::Float(rng.gen_range(-40..40i64) as f64 / 4.0),
+            };
+            vec![
+                Value::Int(id),
+                pool[rng.gen_range(0..pool.len())].clone(),
+                pool[rng.gen_range(0..pool.len())].clone(),
+                f,
+            ]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Attribute::qualified("m", "id", DataType::Int),
+        Attribute::qualified("m", "k", DataType::Any),
+        Attribute::qualified("m", "j", DataType::Any),
+        Attribute::qualified("m", "f", DataType::Float),
+    ]);
+    let mut db = Database::new();
+    db.create_or_replace_table("m", Relation::from_rows(schema, rows));
+    db
+}
+
+/// The sort checked against an oracle computed here, not by the engine: a
+/// stable `Vec::sort_by` on `Value::sort_key` per key with its direction.
+/// The interpreter calls the same physical sort as the compiled path, so
+/// only an oracle of its own can see a sort-key encoding bug. Each key list
+/// runs resident, under a budget that spills sorted runs, and through the
+/// interpreter; the output must be the oracle's row sequence (by `id`, so
+/// `Int(3)` and `Float(3.0)` cannot stand in for each other).
+fn mixed_type_sorts_match_a_stable_sort_on_sort_key() {
+    let db = mixed_type_database();
+    let rows = db.table("m").unwrap().tuples().to_vec();
+    // `f * 1.0` is evaluated into a typed `Float` lane; bare columns reach
+    // the sort as the values they are.
+    let f_times_one = || binary(BinaryOp::Mul, qcol("m", "f"), lit(1.0));
+    let key_lists = [
+        (
+            vec![SortKey::asc(qcol("m", "k")), SortKey::desc(qcol("m", "j"))],
+            vec![(1, true), (2, false)],
+        ),
+        (
+            vec![SortKey::desc(qcol("m", "k")), SortKey::asc(f_times_one())],
+            vec![(1, false), (3, true)],
+        ),
+        (
+            vec![
+                SortKey::desc(f_times_one()),
+                SortKey::asc(qcol("m", "j")),
+                SortKey::desc(qcol("m", "k")),
+            ],
+            vec![(3, false), (2, true), (1, false)],
+        ),
+    ];
+    for (keys, oracle_keys) in key_lists {
+        let mut want = rows.clone();
+        want.sort_by(|a, b| {
+            oracle_keys
+                .iter()
+                .map(|&(column, ascending)| {
+                    let ord = a.get(column).sort_key(b.get(column));
+                    if ascending {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let want: Vec<&Value> = want.iter().map(|t| t.get(0)).collect();
+        let plan = PlanBuilder::scan(&db, "m").unwrap().sort(keys).build();
+        let spilling = Executor::new(&db)
+            .with_memory_budget(Some(64 << 10))
+            .with_spill(true);
+        let runs = [
+            ("resident", Executor::new(&db).execute(&plan).unwrap()),
+            ("spilled", spilling.execute(&plan).unwrap()),
+            (
+                "interpreted",
+                Executor::new(&db).execute_unoptimized(&plan).unwrap(),
+            ),
+        ];
+        assert!(
+            spilling.spill_partitions() > 1,
+            "{oracle_keys:?}: must spill runs"
+        );
+        for (mode, got) in runs {
+            let got: Vec<&Value> = got.tuples().iter().map(|t| t.get(0)).collect();
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(g, w)| format!("{g:?}") == format!("{w:?}"))
+                    && got.len() == want.len(),
+                "{mode} sort by {oracle_keys:?} differs from the stable sort on Value::sort_key"
+            );
+        }
+    }
 }
 
 /// `db` with the integer `columns` rewritten as zero-padded strings of

@@ -1,0 +1,191 @@
+//! Allocation gate for breakers: a hash join, an aggregate and a sort key
+//! on flat bytes, so none of them allocates per input row.
+//!
+//! The hash join interns each build key into one `KeyTable` arena from a
+//! reused key buffer and lays its mates out once, the aggregate looks its
+//! groups up the same way, and the sort encodes each row's key into one
+//! byte arena. What is left per row is the output row itself and, for a
+//! spilled sort, the run record read back and the row decoded from it.
+//! The gate counts heap allocations (`alloc`, `alloc_zeroed` and
+//! `realloc`) of one execution of a prepared plan and requires at most one
+//! per output row (three for the spilled sort) plus [`PER_BATCH`] per input
+//! batch of `BATCH_ROWS` rows:
+//!
+//! | plan                                             | output rows | batches |  bound | `HashMap` keys | flat keys |
+//! |--------------------------------------------------|------------:|--------:|-------:|---------------:|----------:|
+//! | `r2 ⋈_g r1`, 16 ⋈ 20 000 rows (build r1)         |       9 990 |      21 | 12 678 |         50 404 |    12 144 |
+//! | `r1 ⋈_a r2`, matching, 20 000 ⋈ 5 000 rows       |       5 008 |      25 |  8 208 |         21 591 |     7 196 |
+//! | `γ_{g; count(*)}(r1)`, 20 000 rows               |          32 |      20 |  2 592 |         40 182 |     2 238 |
+//! | `ORDER BY b, a` over `r1`, 20 000 rows, resident |      20 000 |      20 | 22 560 |         20 073 |    20 087 |
+//! | the same sort under 256 KiB, spilled (3 / row)   |      20 000 |      20 | 62 560 |         77 711 |    57 713 |
+//!
+//! (`HashMap` keys: when the join bucketed its build rows in a
+//! `HashMap<Vec<u8>, Vec<&Tuple>>`, taking each row's key buffer, the
+//! aggregate indexed its groups in a `HashMap<Vec<u8>, usize>` the same
+//! way, and a spilled sort's run records carried the key as values,
+//! decoded into a `Vec<Value>` per row read back. The resident sort was
+//! already one allocation per row; its flat keys add the growth of one key
+//! arena. Counts are of a release build; a debug build counts the same for
+//! the joins and the aggregate, and 20 086 and 57 640 for the sorts.)
+//!
+//! The binary holds a single `#[test]` so that no other test allocates
+//! while a count runs.
+
+use perm::{Database, Executor};
+use perm_algebra::builder::{count_star, eq, qcol};
+use perm_algebra::{Plan, PlanBuilder, ProjectItem, SortKey};
+use perm_exec::BATCH_ROWS;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a relaxed counter increment, which does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations allowed per input batch beside [`PER_ROW`] per output row.
+const PER_BATCH: usize = 128;
+
+/// The memory budget of the spilled sort.
+const BUDGET: u64 = 256 << 10;
+
+/// One gated plan: its database, the rows of each table it scans, the
+/// budget it runs under and the allocations it may make per output row.
+struct Case<'a> {
+    what: &'a str,
+    db: &'a Database,
+    plan: &'a Plan,
+    scanned: &'a [usize],
+    budget: Option<u64>,
+    per_row: usize,
+}
+
+/// Output rows and allocations of one execution of `plan` (prepared first)
+/// under `budget`, spilling when it is refused.
+fn execution_allocations(db: &Database, plan: &Plan, budget: Option<u64>) -> (usize, usize) {
+    let ex = Executor::new(db)
+        .with_memory_budget(budget)
+        .with_spill(budget.is_some());
+    let compiled = ex.prepare(plan).expect("compiles");
+    // A first execution warms whatever is allocated once per executor (the
+    // spill store among it).
+    ex.execute_compiled(&compiled).expect("executes");
+    let spilled = ex.spill_partitions();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let rows = ex.execute_compiled(&compiled).expect("executes").len();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        budget.is_some(),
+        ex.spill_partitions() > spilled,
+        "a budgeted case must spill, a resident one must not"
+    );
+    (rows, allocations)
+}
+
+fn scan(db: &Database, table: &str) -> PlanBuilder {
+    PlanBuilder::scan(db, table).expect("the synthetic tables exist")
+}
+
+#[test]
+fn breakers_allocate_per_output_row_not_per_input_row() {
+    let narrow = perm_synthetic::build_database(20_000, 16, 42);
+    let build_r1 = scan(&narrow, "r2")
+        .join(
+            scan(&narrow, "r1").build(),
+            eq(qcol("r2", "g"), qcol("r1", "g")),
+        )
+        .build();
+
+    let matching = perm_synthetic::build_matching_database(20_000, 5_000, 42);
+    let on_a = scan(&matching, "r1")
+        .join(
+            scan(&matching, "r2").build(),
+            eq(qcol("r1", "a"), qcol("r2", "a")),
+        )
+        .build();
+
+    let grouped = scan(&narrow, "r1")
+        .aggregate(
+            vec![ProjectItem::new(qcol("r1", "g"), "g")],
+            vec![count_star("n")],
+        )
+        .build();
+
+    let sorted = scan(&narrow, "r1")
+        .sort(vec![
+            SortKey::asc(qcol("r1", "b")),
+            SortKey::asc(qcol("r1", "a")),
+        ])
+        .build();
+
+    let case = |what, db, plan, scanned, budget, per_row| Case {
+        what,
+        db,
+        plan,
+        scanned,
+        budget,
+        per_row,
+    };
+    let cases = [
+        case("r2 ⋈_g r1", &narrow, &build_r1, &[16, 20_000], None, 1),
+        case("r1 ⋈_a r2", &matching, &on_a, &[20_000, 5_000], None, 1),
+        case("γ_{g; count(*)}(r1)", &narrow, &grouped, &[20_000], None, 1),
+        case("ORDER BY b, a", &narrow, &sorted, &[20_000], None, 1),
+        // The input copy, the run record and the row decoded from it.
+        case(
+            "ORDER BY b, a, spilled",
+            &narrow,
+            &sorted,
+            &[20_000],
+            Some(BUDGET),
+            3,
+        ),
+    ];
+    for Case {
+        what,
+        db,
+        plan,
+        scanned,
+        budget,
+        per_row,
+    } in cases
+    {
+        let (rows, allocations) = execution_allocations(db, plan, budget);
+        let batches: usize = scanned.iter().map(|n| n.div_ceil(BATCH_ROWS)).sum();
+        let bound = per_row * rows + PER_BATCH * batches;
+        eprintln!(
+            "{what}: {rows} rows, {batches} batches, {allocations} allocations (bound {bound})"
+        );
+        assert!(
+            allocations <= bound,
+            "{what}: {allocations} allocations for {rows} output rows over {batches} batches, \
+             more than {bound}: does a breaker allocate a key per input row again?"
+        );
+    }
+}
