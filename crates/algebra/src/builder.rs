@@ -22,7 +22,7 @@
 use crate::expr::{
     AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp,
 };
-use crate::plan::{JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
+use crate::plan::{JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey};
 use crate::Result;
 use perm_storage::{Database, Name, Schema, Value};
 
@@ -148,42 +148,42 @@ pub fn coalesce(args: Vec<Expr>) -> Expr {
 }
 
 /// `test op ANY (plan)` sublink.
-pub fn any_sublink(test: Expr, op: CompareOp, plan: Plan) -> Expr {
+pub fn any_sublink(test: Expr, op: CompareOp, plan: impl Into<PlanRef>) -> Expr {
     Expr::Sublink {
         kind: SublinkKind::Any,
         test_expr: Some(Box::new(test)),
         op: Some(op),
-        plan: Box::new(plan),
+        plan: plan.into(),
     }
 }
 
 /// `test op ALL (plan)` sublink.
-pub fn all_sublink(test: Expr, op: CompareOp, plan: Plan) -> Expr {
+pub fn all_sublink(test: Expr, op: CompareOp, plan: impl Into<PlanRef>) -> Expr {
     Expr::Sublink {
         kind: SublinkKind::All,
         test_expr: Some(Box::new(test)),
         op: Some(op),
-        plan: Box::new(plan),
+        plan: plan.into(),
     }
 }
 
 /// `EXISTS (plan)` sublink.
-pub fn exists_sublink(plan: Plan) -> Expr {
+pub fn exists_sublink(plan: impl Into<PlanRef>) -> Expr {
     Expr::Sublink {
         kind: SublinkKind::Exists,
         test_expr: None,
         op: None,
-        plan: Box::new(plan),
+        plan: plan.into(),
     }
 }
 
 /// Scalar sublink `(plan)`.
-pub fn scalar_sublink(plan: Plan) -> Expr {
+pub fn scalar_sublink(plan: impl Into<PlanRef>) -> Expr {
     Expr::Sublink {
         kind: SublinkKind::Scalar,
         test_expr: None,
         op: None,
-        plan: Box::new(plan),
+        plan: plan.into(),
     }
 }
 
@@ -275,7 +275,7 @@ impl PlanBuilder {
     pub fn select(self, predicate: Expr) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Select {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 predicate,
             },
         }
@@ -285,7 +285,7 @@ impl PlanBuilder {
     pub fn project(self, items: Vec<ProjectItem>) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Project {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 items,
                 distinct: false,
             },
@@ -296,7 +296,7 @@ impl PlanBuilder {
     pub fn project_distinct(self, items: Vec<ProjectItem>) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Project {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 items,
                 distinct: true,
             },
@@ -316,8 +316,8 @@ impl PlanBuilder {
     pub fn cross(self, other: Plan) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::CrossProduct {
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
             },
         }
     }
@@ -326,8 +326,8 @@ impl PlanBuilder {
     pub fn join(self, other: Plan, condition: Expr) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Join {
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
                 kind: JoinKind::Inner,
                 condition,
             },
@@ -338,8 +338,8 @@ impl PlanBuilder {
     pub fn left_join(self, other: Plan, condition: Expr) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Join {
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
                 kind: JoinKind::LeftOuter,
                 condition,
             },
@@ -350,8 +350,8 @@ impl PlanBuilder {
     pub fn semi_join(self, other: Plan, condition: Expr) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Join {
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
                 kind: JoinKind::Semi,
                 condition,
             },
@@ -362,8 +362,8 @@ impl PlanBuilder {
     pub fn anti_join(self, other: Plan, condition: Expr) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Join {
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
                 kind: JoinKind::Anti,
                 condition,
             },
@@ -378,7 +378,7 @@ impl PlanBuilder {
     ) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Aggregate {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 group_by,
                 aggregates,
             },
@@ -391,8 +391,8 @@ impl PlanBuilder {
             plan: Plan::SetOp {
                 op,
                 all,
-                left: Box::new(self.plan),
-                right: Box::new(other),
+                left: PlanRef::new(self.plan),
+                right: PlanRef::new(other),
             },
         }
     }
@@ -401,7 +401,7 @@ impl PlanBuilder {
     pub fn sort(self, keys: Vec<SortKey>) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Sort {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 keys,
             },
         }
@@ -411,7 +411,7 @@ impl PlanBuilder {
     pub fn limit(self, limit: usize) -> PlanBuilder {
         PlanBuilder {
             plan: Plan::Limit {
-                input: Box::new(self.plan),
+                input: PlanRef::new(self.plan),
                 limit,
             },
         }

@@ -15,7 +15,7 @@
 //! are parameterised by the outer tuple, Section 2.2). The names are shared
 //! [`Name`]s, so cloning an expression tree allocates no identifier.
 
-use crate::plan::Plan;
+use crate::plan::PlanRef;
 use perm_storage::{Name, Value};
 use std::fmt;
 
@@ -307,7 +307,7 @@ pub enum Expr {
         kind: SublinkKind,
         test_expr: Option<Box<Expr>>,
         op: Option<CompareOp>,
-        plan: Box<Plan>,
+        plan: PlanRef,
     },
 }
 
@@ -367,34 +367,73 @@ impl Expr {
 
     /// Rebuilds the expression bottom-up by applying `f` to every node after
     /// its children have been transformed. Sublink plans are left untouched.
-    pub fn transform(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        let rebuilt = match self {
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(left.transform(f)),
-                right: Box::new(right.transform(f)),
-            },
-            Expr::Unary { op, expr } => Expr::Unary {
-                op,
-                expr: Box::new(expr.transform(f)),
-            },
-            Expr::Func { name, args } => Expr::Func {
-                name,
-                args: args.into_iter().map(|a| a.transform(f)).collect(),
-            },
+    /// The tree's boxes are reused, not reallocated.
+    pub fn transform(mut self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+        let mut apply = |e: &mut Expr| {
+            let taken = std::mem::replace(e, Expr::Literal(Value::Null));
+            *e = taken.transform(f);
+        };
+        match &mut self {
+            Expr::Binary { left, right, .. } => {
+                apply(left);
+                apply(right);
+            }
+            Expr::Unary { expr, .. } => apply(expr),
+            Expr::Func { args, .. } => args.iter_mut().for_each(&mut apply),
             Expr::Case {
                 branches,
                 else_expr,
-            } => Expr::Case {
-                branches: branches
-                    .into_iter()
-                    .map(|(c, v)| (c.transform(f), v.transform(f)))
-                    .collect(),
-                else_expr: else_expr.map(|e| Box::new(e.transform(f))),
-            },
-            other => other,
+            } => {
+                for (c, v) in branches {
+                    apply(c);
+                    apply(v);
+                }
+                if let Some(e) = else_expr {
+                    apply(e);
+                }
+            }
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => {}
+        }
+        f(self)
+    }
+
+    /// [`Expr::transform`] by reference: `f` sees every node, its operands
+    /// already rewritten, and returns its replacement or `None` to keep it.
+    /// `None` when nothing changed; otherwise only the changed spine is
+    /// rebuilt, and the operands beside it are cloned.
+    pub fn rewrite(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+        let rebuilt = match self {
+            Expr::Binary { op, left, right } => {
+                rewrite_pair(left, right, f).map(|(left, right)| Expr::Binary {
+                    op: *op,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                })
+            }
+            Expr::Unary { op, expr } => expr.rewrite(f).map(|expr| Expr::Unary {
+                op: *op,
+                expr: Box::new(expr),
+            }),
+            Expr::Func { name, args } => {
+                rewrite_all(args, |a| a.rewrite(f)).map(|args| Expr::Func { name: *name, args })
+            }
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
+                let new_branches = rewrite_all(branches, |(c, v)| rewrite_pair(c, v, f));
+                let new_else = else_expr.as_deref().and_then(|e| e.rewrite(f));
+                (new_branches.is_some() || new_else.is_some()).then(|| Expr::Case {
+                    branches: new_branches.unwrap_or_else(|| branches.clone()),
+                    else_expr: new_else.map(Box::new).or_else(|| else_expr.clone()),
+                })
+            }
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => None,
         };
-        f(rebuilt)
+        match rebuilt {
+            Some(e) => Some(f(&e).unwrap_or(e)),
+            None => f(self),
+        }
     }
 
     /// Collects references to all sublinks in the expression in left-to-right
@@ -420,6 +459,37 @@ impl Expr {
         });
         out
     }
+}
+
+/// Two operands through [`Expr::rewrite`]: `None` when neither changed.
+fn rewrite_pair(
+    a: &Expr,
+    b: &Expr,
+    f: &mut impl FnMut(&Expr) -> Option<Expr>,
+) -> Option<(Expr, Expr)> {
+    match (a.rewrite(f), b.rewrite(f)) {
+        (None, None) => None,
+        (new_a, new_b) => Some((
+            new_a.unwrap_or_else(|| a.clone()),
+            new_b.unwrap_or_else(|| b.clone()),
+        )),
+    }
+}
+
+/// `items` through `f`, copied only from the first one that changes:
+/// `None` when none does.
+fn rewrite_all<T: Clone>(items: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        let new = f(item);
+        if new.is_some() && out.is_none() {
+            out = Some(items[..i].to_vec());
+        }
+        if let Some(out) = &mut out {
+            out.push(new.unwrap_or_else(|| item.clone()));
+        }
+    }
+    out
 }
 
 impl fmt::Display for Expr {

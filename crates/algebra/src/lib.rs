@@ -29,7 +29,7 @@ pub use builder::{
     agg, and, avg, col, count, count_star, lit, max, min, not, or, qcol, sum, PlanBuilder,
 };
 pub use expr::{AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
-pub use plan::{JoinKind, Plan, ProjectItem, SetOpKind, SortKey};
+pub use plan::{JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey};
 
 /// Errors raised while constructing, analyzing or rewriting plans.
 #[derive(Debug, Clone, PartialEq, Eq)]

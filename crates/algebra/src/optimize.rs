@@ -17,8 +17,7 @@
 
 use crate::builder::conjunction;
 use crate::expr::{BinaryOp, Expr};
-use crate::plan::{JoinKind, Plan};
-use crate::visit::map_sublink_plans;
+use crate::plan::{JoinKind, Plan, PlanRef};
 use perm_storage::Schema;
 
 /// Splits a predicate into its top-level conjuncts.
@@ -85,35 +84,43 @@ fn classify(conjunct: &Expr, left: &Schema, right: &Schema) -> Placement {
 /// Recursively pushes selection conjuncts towards the scans, bottom-up,
 /// in every operator's children and in the plans of its sublinks.
 pub fn push_down_selections(plan: Plan) -> Plan {
-    let mut plan = plan.map_children(push_down_selections);
-    if plan.has_direct_sublink() {
-        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut push_down_selections));
-    }
-    match plan {
+    pushed(&PlanRef::new(plan)).into_plan()
+}
+
+/// [`push_down_selections`] over a shared node: operators without a
+/// selection at or below them are handed back as they are.
+fn pushed(node: &PlanRef) -> PlanRef {
+    let mapped = node.map_children(pushed);
+    let mapped = mapped
+        .as_ref()
+        .unwrap_or(node)
+        .map_sublinks(pushed)
+        .or(mapped);
+    match mapped.as_ref().unwrap_or(node) {
         Plan::Select { input, predicate } => {
-            let (pushed, residual) = push_into(*input, split_conjuncts(&predicate));
-            wrap_select(pushed, residual)
+            let (pushed, residual) = push_into(input.clone(), split_conjuncts(predicate));
+            PlanRef::new(wrap_select(pushed, residual))
         }
-        other => other,
+        _ => node.or_changed(mapped),
     }
 }
 
 /// Pushes the given conjuncts as deep into `plan` as allowed, returning the
 /// rewritten plan and the conjuncts that could not be placed anywhere below.
-fn push_into(plan: Plan, conjuncts: Vec<Expr>) -> (Plan, Vec<Expr>) {
-    match plan {
+fn push_into(plan: PlanRef, conjuncts: Vec<Expr>) -> (Plan, Vec<Expr>) {
+    match plan.into_plan() {
         Plan::Select { input, predicate } => {
             let mut all = conjuncts;
             all.extend(split_conjuncts(&predicate));
-            push_into(*input, all)
+            push_into(input, all)
         }
-        Plan::CrossProduct { left, right } => push_into_binary(*left, *right, None, conjuncts),
+        Plan::CrossProduct { left, right } => push_into_binary(left, right, None, conjuncts),
         Plan::Join {
             left,
             right,
             kind: JoinKind::Inner,
             condition,
-        } => push_into_binary(*left, *right, Some(condition), conjuncts),
+        } => push_into_binary(left, right, Some(condition), conjuncts),
         other => (other, conjuncts),
     }
 }
@@ -122,8 +129,8 @@ fn push_into(plan: Plan, conjuncts: Vec<Expr>) -> (Plan, Vec<Expr>) {
 /// join. `existing_condition` is the join condition of an inner join (kept
 /// in place), `None` for a cross product.
 fn push_into_binary(
-    left: Plan,
-    right: Plan,
+    left: PlanRef,
+    right: PlanRef,
     existing_condition: Option<Expr>,
     conjuncts: Vec<Expr>,
 ) -> (Plan, Vec<Expr>) {
@@ -149,24 +156,24 @@ fn push_into_binary(
 
     let plan = match (existing_condition, join_conjuncts.is_empty()) {
         (None, true) => Plan::CrossProduct {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: PlanRef::new(left),
+            right: PlanRef::new(right),
         },
         (None, false) => Plan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: PlanRef::new(left),
+            right: PlanRef::new(right),
             kind: JoinKind::Inner,
             condition: conjunction(join_conjuncts),
         },
         (Some(condition), true) => Plan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: PlanRef::new(left),
+            right: PlanRef::new(right),
             kind: JoinKind::Inner,
             condition,
         },
         (Some(condition), false) => Plan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: PlanRef::new(left),
+            right: PlanRef::new(right),
             kind: JoinKind::Inner,
             condition: crate::builder::and(condition, conjunction(join_conjuncts)),
         },
@@ -179,7 +186,7 @@ fn wrap_select(plan: Plan, residual: Vec<Expr>) -> Plan {
         plan
     } else {
         Plan::Select {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             predicate: conjunction(residual),
         }
     }

@@ -1,9 +1,145 @@
 //! The plan operators of the extended relational algebra (Figure 1).
+//!
+//! # Shared, annotated nodes
+//!
+//! The children of every [`Plan`] operator, and the plans embedded in
+//! sublink expressions, are [`PlanRef`]s: reference-counted nodes that
+//! never change after construction. Cloning a plan copies the root
+//! operator's own expressions and bumps one count per child. A rewrite that
+//! changes one operator rebuilds only the spine above it and shares every
+//! other subtree with its input, and a rule or pass that changes nothing
+//! hands back the very `PlanRef` it was given, so "did it change" is
+//! [`PlanRef::ptr_eq`].
+//!
+//! Each `PlanRef` caches what the analyses ask of its subtree, computed the
+//! first time it is asked for: its output schema ([`PlanRef::schema`]), the
+//! scope its own expressions resolve against ([`PlanRef::scope`]), its free
+//! column references ([`PlanRef::free_columns`]) and whether it is total,
+//! unable to raise an evaluation error ([`PlanRef::is_total`]). A
+//! node never changes, so a cached value never goes stale. A bare `Plan` —
+//! the root a caller holds — computes the same properties from its
+//! children's caches, one operator deep.
+//!
+//! The caches are `OnceLock`s, not `OnceCell`s: a prepared statement is
+//! shared by the worker threads of a serving pool, and two of them may ask
+//! one node for its schema at once.
 
 use crate::expr::{AggregateExpr, Expr, SublinkKind};
 use crate::{AlgebraError, Result};
 use perm_storage::{Attribute, DataType, Name, Schema, Tuple};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+/// A column reference as the free-column analyses report it.
+pub type ColumnRef = (Option<Name>, Name);
+
+/// A shared, immutable plan node and the properties cached for it (see the
+/// module docs). Dereferences to its [`Plan`]; equality is pointer identity
+/// first, then structural.
+#[derive(Clone)]
+pub struct PlanRef(Arc<Node>);
+
+struct Node {
+    plan: Plan,
+    schema: OnceLock<Arc<Schema>>,
+    scope: OnceLock<Arc<Schema>>,
+    free_columns: OnceLock<Vec<ColumnRef>>,
+    total: OnceLock<bool>,
+}
+
+impl PlanRef {
+    /// Shares `plan` as a node with empty caches.
+    pub fn new(plan: Plan) -> PlanRef {
+        PlanRef(Arc::new(Node {
+            plan,
+            schema: OnceLock::new(),
+            scope: OnceLock::new(),
+            free_columns: OnceLock::new(),
+            total: OnceLock::new(),
+        }))
+    }
+
+    /// `true` when `a` and `b` are the same node.
+    pub fn ptr_eq(a: &PlanRef, b: &PlanRef) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The node's operator, moved out when this is the only reference and
+    /// copied (one operator deep) otherwise.
+    pub fn into_plan(self) -> Plan {
+        Arc::try_unwrap(self.0).map_or_else(|node| node.plan.clone(), |node| node.plan)
+    }
+
+    /// `self` when `changed` is `None`, else the changed operator as a new
+    /// node: how a pass hands back what it left alone.
+    pub fn or_changed(&self, changed: Option<Plan>) -> PlanRef {
+        changed.map_or_else(|| self.clone(), PlanRef::new)
+    }
+
+    /// The output schema, computed once.
+    pub fn schema(&self) -> Arc<Schema> {
+        self.0.schema.get_or_init(|| self.0.plan.schema()).clone()
+    }
+
+    /// The scope of the operator's own expressions ([`Plan::scope`]),
+    /// computed once.
+    pub fn scope(&self) -> Arc<Schema> {
+        match &self.0.plan {
+            Plan::Join { kind, .. } if !kind.left_only_output() => self.schema(),
+            _ => self.0.scope.get_or_init(|| self.0.plan.scope()).clone(),
+        }
+    }
+
+    /// The free column references ([`crate::visit::free_columns`]), computed
+    /// once.
+    pub fn free_columns(&self) -> &[ColumnRef] {
+        self.0
+            .free_columns
+            .get_or_init(|| crate::visit::free_columns(&self.0.plan))
+    }
+
+    /// [`crate::visit::plan_is_total`] outside any enclosing scope, computed
+    /// once. A plan total here is total under every scope chain.
+    pub fn is_total(&self) -> bool {
+        *self
+            .0
+            .total
+            .get_or_init(|| crate::visit::plan_is_total(&self.0.plan, &[]))
+    }
+}
+
+impl Deref for PlanRef {
+    type Target = Plan;
+
+    fn deref(&self) -> &Plan {
+        &self.0.plan
+    }
+}
+
+impl AsRef<Plan> for PlanRef {
+    fn as_ref(&self) -> &Plan {
+        &self.0.plan
+    }
+}
+
+impl From<Plan> for PlanRef {
+    fn from(plan: Plan) -> PlanRef {
+        PlanRef::new(plan)
+    }
+}
+
+impl PartialEq for PlanRef {
+    fn eq(&self, other: &PlanRef) -> bool {
+        PlanRef::ptr_eq(self, other) || self.0.plan == other.0.plan
+    }
+}
+
+impl fmt::Debug for PlanRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.plan.fmt(f)
+    }
+}
 
 /// One entry of a projection list: an expression and its output name
 /// (`a → b` renaming in the paper is simply a column expression with a
@@ -181,18 +317,18 @@ pub enum Plan {
     /// Projection `Π_A(T)`; `distinct == true` is the duplicate-removing set
     /// version `Π_S`, otherwise the bag version `Π_B`.
     Project {
-        input: Box<Plan>,
+        input: PlanRef,
         items: Vec<ProjectItem>,
         distinct: bool,
     },
     /// Selection `σ_C(T)`.
-    Select { input: Box<Plan>, predicate: Expr },
+    Select { input: PlanRef, predicate: Expr },
     /// Cross product `T1 × T2`.
-    CrossProduct { left: Box<Plan>, right: Box<Plan> },
+    CrossProduct { left: PlanRef, right: PlanRef },
     /// Join `T1 ⋈_C T2` (inner or left outer).
     Join {
-        left: Box<Plan>,
-        right: Box<Plan>,
+        left: PlanRef,
+        right: PlanRef,
         kind: JoinKind,
         condition: Expr,
     },
@@ -200,7 +336,7 @@ pub enum Plan {
     /// expressions followed by the aggregate results, one tuple per group
     /// (a single tuple over the empty group when `group_by` is empty).
     Aggregate {
-        input: Box<Plan>,
+        input: PlanRef,
         group_by: Vec<ProjectItem>,
         aggregates: Vec<AggregateExpr>,
     },
@@ -208,34 +344,25 @@ pub enum Plan {
     SetOp {
         op: SetOpKind,
         all: bool,
-        left: Box<Plan>,
-        right: Box<Plan>,
+        left: PlanRef,
+        right: PlanRef,
     },
     /// Sorting (presentation only — does not affect provenance).
-    Sort {
-        input: Box<Plan>,
-        keys: Vec<SortKey>,
-    },
+    Sort { input: PlanRef, keys: Vec<SortKey> },
     /// First-`n` truncation (presentation only).
-    Limit { input: Box<Plan>, limit: usize },
+    Limit { input: PlanRef, limit: usize },
 }
 
 impl Plan {
-    /// The output schema of the plan.
-    pub fn schema(&self) -> Schema {
+    /// The output schema of the plan, built from the children's cached
+    /// schemas: one operator deep.
+    pub fn schema(&self) -> Arc<Schema> {
         match self {
-            Plan::Scan { schema, .. } | Plan::Values { schema, .. } => schema.clone(),
-            Plan::Project { items, .. } => ProjectItem::schema_of(items),
-            Plan::Select { input, .. } => input.schema(),
-            Plan::CrossProduct { left, right } => left.schema().concat(&right.schema()),
-            Plan::Join {
-                left, right, kind, ..
-            } => {
-                if kind.left_only_output() {
-                    left.schema()
-                } else {
-                    left.schema().concat(&right.schema())
-                }
+            Plan::Scan { schema, .. } | Plan::Values { schema, .. } => Arc::new(schema.clone()),
+            Plan::Project { items, .. } => Arc::new(ProjectItem::schema_of(items)),
+            Plan::Join { left, kind, .. } if kind.left_only_output() => left.schema(),
+            Plan::CrossProduct { left, right } | Plan::Join { left, right, .. } => {
+                Arc::new(left.schema().concat(&right.schema()))
             }
             Plan::Aggregate {
                 group_by,
@@ -255,10 +382,23 @@ impl Plan {
                         .iter()
                         .map(|a| Attribute::new(a.alias.clone(), DataType::Any)),
                 );
-                Schema::new(attrs)
+                Arc::new(Schema::new(attrs))
             }
-            Plan::SetOp { left, .. } => left.schema(),
-            Plan::Sort { input, .. } | Plan::Limit { input, .. } => input.schema(),
+            Plan::SetOp { left: input, .. }
+            | Plan::Select { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => input.schema(),
+        }
+    }
+
+    /// The scope this operator's own expressions resolve against: its
+    /// children's output schemas, concatenated.
+    pub fn scope(&self) -> Arc<Schema> {
+        let mut inputs = self.inputs();
+        match (inputs.next(), inputs.next()) {
+            (Some(left), Some(right)) => Arc::new(left.schema().concat(&right.schema())),
+            (Some(input), None) => input.schema(),
+            _ => Arc::new(Schema::empty()),
         }
     }
 
@@ -278,107 +418,164 @@ impl Plan {
                 plan.validate()?;
             }
         }
+        let invalid = |msg: String| Err(AlgebraError::Invalid(msg));
         match self {
             Plan::Values { schema, rows } => {
-                for row in rows {
-                    if row.arity() != schema.arity() {
-                        return Err(AlgebraError::Invalid(format!(
-                            "Values row arity {} does not match schema arity {}",
-                            row.arity(),
-                            schema.arity()
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            Plan::Project { input, items, .. } => {
-                if items.is_empty() {
-                    return Err(AlgebraError::Invalid("empty projection list".into()));
-                }
-                input.validate()
-            }
-            Plan::Select { input, .. } => input.validate(),
-            Plan::CrossProduct { left, right } | Plan::Join { left, right, .. } => {
-                left.validate()?;
-                right.validate()
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                if group_by.is_empty() && aggregates.is_empty() {
-                    return Err(AlgebraError::Invalid(
-                        "aggregate without grouping or aggregate functions".into(),
+                if let Some(row) = rows.iter().find(|r| r.arity() != schema.arity()) {
+                    return invalid(format!(
+                        "Values row arity {} does not match schema arity {}",
+                        row.arity(),
+                        schema.arity()
                     ));
                 }
-                input.validate()
             }
-            Plan::SetOp { left, right, .. } => {
-                if left.schema().arity() != right.schema().arity() {
-                    return Err(AlgebraError::Invalid(format!(
-                        "set operation over inputs of different arity ({} vs {})",
-                        left.schema().arity(),
-                        right.schema().arity()
-                    )));
-                }
-                left.validate()?;
-                right.validate()
+            Plan::Project { items, .. } if items.is_empty() => {
+                return invalid("empty projection list".into());
             }
-            Plan::Sort { input, .. } | Plan::Limit { input, .. } => input.validate(),
-            Plan::Scan { .. } => Ok(()),
+            Plan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } if group_by.is_empty() && aggregates.is_empty() => {
+                return invalid("aggregate without grouping or aggregate functions".into());
+            }
+            Plan::SetOp { left, right, .. } if left.schema().arity() != right.schema().arity() => {
+                return invalid(format!(
+                    "set operation over inputs of different arity ({} vs {})",
+                    left.schema().arity(),
+                    right.schema().arity()
+                ));
+            }
+            _ => {}
         }
+        self.inputs().try_for_each(|c| c.validate())
     }
 
     /// Direct child plans (not including sublink plans inside expressions).
     pub fn children(&self) -> Vec<&Plan> {
-        match self {
-            Plan::Scan { .. } | Plan::Values { .. } => vec![],
+        self.inputs().map(|c| &**c).collect()
+    }
+
+    /// The direct children as shared nodes, left to right.
+    pub fn inputs(&self) -> impl Iterator<Item = &PlanRef> {
+        let (first, second) = match self {
+            Plan::Scan { .. } | Plan::Values { .. } => (None, None),
             Plan::Project { input, .. }
             | Plan::Select { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::Aggregate { input, .. } => vec![input],
+            | Plan::Aggregate { input, .. } => (Some(input), None),
             Plan::CrossProduct { left, right }
             | Plan::Join { left, right, .. }
-            | Plan::SetOp { left, right, .. } => vec![left, right],
-        }
+            | Plan::SetOp { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// All expressions directly attached to this operator (predicates,
     /// projection items, join conditions, …) — again not descending into
     /// child operators.
     pub fn expressions(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.walk_expressions(&mut |e| out.push(e));
+        out
+    }
+
+    /// Calls `f` on every expression [`Plan::expressions`] lists, in that
+    /// order, without collecting them.
+    pub fn walk_expressions<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
-            Plan::Project { items, .. } => items.iter().map(|i| &i.expr).collect(),
-            Plan::Select { predicate, .. } => vec![predicate],
-            Plan::Join { condition, .. } => vec![condition],
+            Plan::Project { items, .. } => items.iter().for_each(|i| f(&i.expr)),
+            Plan::Select { predicate: e, .. } | Plan::Join { condition: e, .. } => f(e),
             Plan::Aggregate {
                 group_by,
                 aggregates,
                 ..
             } => {
-                let mut out: Vec<&Expr> = group_by.iter().map(|g| &g.expr).collect();
-                out.extend(aggregates.iter().filter_map(|a| a.arg.as_ref()));
-                out
+                group_by.iter().for_each(|g| f(&g.expr));
+                aggregates.iter().filter_map(|a| a.arg.as_ref()).for_each(f);
             }
-            Plan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
-            _ => vec![],
+            Plan::Sort { keys, .. } => keys.iter().for_each(|k| f(&k.expr)),
+            _ => {}
         }
     }
 
-    /// Rebuilds this operator over children mapped through `f` (left to
-    /// right); its own expressions — and the sublink plans inside them — are
-    /// kept as they are. Nothing is cloned: children move through `f`.
-    pub fn map_children(mut self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
-        for child in self.children_mut() {
-            let hole = Plan::Values {
-                schema: Schema::empty(),
-                rows: Vec::new(),
-            };
-            **child = f(std::mem::replace(&mut **child, hole));
+    /// This operator over its children mapped through `f` (left to right),
+    /// its own expressions kept; `None` when `f` hands every child back
+    /// unchanged — the same node — and nothing needs rebuilding.
+    pub fn map_children(&self, mut f: impl FnMut(&PlanRef) -> PlanRef) -> Option<Plan> {
+        let mut rebuilt: Option<Plan> = None;
+        for (i, child) in self.inputs().enumerate() {
+            let mapped = f(child);
+            if !PlanRef::ptr_eq(&mapped, child) {
+                let plan = rebuilt.get_or_insert_with(|| self.clone());
+                match (plan, i) {
+                    (
+                        Plan::Project { input: c, .. }
+                        | Plan::Select { input: c, .. }
+                        | Plan::Sort { input: c, .. }
+                        | Plan::Limit { input: c, .. }
+                        | Plan::Aggregate { input: c, .. }
+                        | Plan::CrossProduct { left: c, .. }
+                        | Plan::Join { left: c, .. }
+                        | Plan::SetOp { left: c, .. },
+                        0,
+                    )
+                    | (
+                        Plan::CrossProduct { right: c, .. }
+                        | Plan::Join { right: c, .. }
+                        | Plan::SetOp { right: c, .. },
+                        _,
+                    ) => *c = mapped,
+                    _ => unreachable!("an operator has at most two children"),
+                }
+            }
         }
-        self
+        rebuilt
+    }
+
+    /// This operator with the plan of every sublink in its own expressions
+    /// (the ones in `ANY` / `ALL` test expressions included, not those
+    /// inside the sublink plans) mapped through `f`, in the order
+    /// [`crate::visit::map_sublink_plans`] visits them; `None` when `f`
+    /// hands every plan back unchanged.
+    pub fn map_sublinks(&self, mut f: impl FnMut(&PlanRef) -> PlanRef) -> Option<Plan> {
+        fn each<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a PlanRef)) {
+            expr.walk(&mut |e| {
+                if let Expr::Sublink {
+                    test_expr, plan, ..
+                } = e
+                {
+                    if let Some(test) = test_expr {
+                        each(test, f);
+                    }
+                    f(plan);
+                }
+            });
+        }
+        let (mut seen, mut changed) = (0usize, Vec::new());
+        self.walk_expressions(&mut |e| {
+            each(e, &mut |plan| {
+                let mapped = f(plan);
+                if !PlanRef::ptr_eq(&mapped, plan) {
+                    changed.push((seen, mapped));
+                }
+                seen += 1;
+            })
+        });
+        if changed.is_empty() {
+            return None;
+        }
+        let (mut at, mut changed) = (0usize, changed.into_iter().peekable());
+        Some(self.clone().map_expressions(|e| {
+            crate::visit::map_sublink_plans(e, &mut |plan| {
+                let i = at;
+                at += 1;
+                changed
+                    .next_if(|(j, _)| *j == i)
+                    .map_or(plan, |(_, mapped)| mapped)
+            })
+        }))
     }
 
     /// Rebuilds this operator with every expression directly attached to it
@@ -414,24 +611,12 @@ impl Plan {
         self
     }
 
-    fn children_mut(&mut self) -> Vec<&mut Box<Plan>> {
-        match self {
-            Plan::Scan { .. } | Plan::Values { .. } => vec![],
-            Plan::Project { input, .. }
-            | Plan::Select { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Aggregate { input, .. } => vec![input],
-            Plan::CrossProduct { left, right }
-            | Plan::Join { left, right, .. }
-            | Plan::SetOp { left, right, .. } => vec![left, right],
-        }
-    }
-
     /// `true` when this operator (not its children) carries at least one
     /// sublink expression.
     pub fn has_direct_sublink(&self) -> bool {
-        self.expressions().iter().any(|e| e.has_sublink())
+        let mut found = false;
+        self.walk_expressions(&mut |e| found |= e.has_sublink());
+        found
     }
 
     /// `true` when the plan tree (including expressions of all operators, but
@@ -440,7 +625,7 @@ impl Plan {
         if self.has_direct_sublink() {
             return true;
         }
-        self.children().iter().any(|c| c.has_sublink_anywhere())
+        self.inputs().any(|c| c.has_sublink_anywhere())
     }
 }
 
@@ -477,8 +662,8 @@ mod tests {
             schema: Schema::from_names(&["c"]).with_qualifier("s"),
         };
         let j = Plan::Join {
-            left: Box::new(scan_r()),
-            right: Box::new(s),
+            left: scan_r().into(),
+            right: s.into(),
             kind: JoinKind::Inner,
             condition: Expr::Binary {
                 op: BinaryOp::Cmp(CompareOp::Eq),
@@ -492,7 +677,7 @@ mod tests {
     #[test]
     fn schema_of_aggregate_lists_groups_then_aggs() {
         let p = Plan::Aggregate {
-            input: Box::new(scan_r()),
+            input: scan_r().into(),
             group_by: vec![ProjectItem::column("a")],
             aggregates: vec![AggregateExpr::new(
                 crate::expr::AggFunc::Sum,
@@ -513,8 +698,8 @@ mod tests {
         let bad = Plan::SetOp {
             op: SetOpKind::Union,
             all: true,
-            left: Box::new(scan_r()),
-            right: Box::new(s),
+            left: scan_r().into(),
+            right: s.into(),
         };
         assert!(bad.validate().is_err());
     }
@@ -539,16 +724,16 @@ mod tests {
             kind: crate::expr::SublinkKind::Exists,
             test_expr: None,
             op: None,
-            plan: Box::new(scan_r()),
+            plan: scan_r().into(),
         };
         let p = Plan::Select {
-            input: Box::new(scan_r()),
+            input: scan_r().into(),
             predicate: sub,
         };
         assert!(p.has_direct_sublink());
         assert!(p.has_sublink_anywhere());
         let wrapped = Plan::Limit {
-            input: Box::new(p),
+            input: p.into(),
             limit: 10,
         };
         assert!(!wrapped.has_direct_sublink());

@@ -1,10 +1,11 @@
 //! Plan and expression analysis helpers used by the provenance rewriter:
-//! correlation detection, base-relation collection, sublink substitution,
-//! and the sublink half of the bottom-up plan mapper.
+//! correlation detection, totality, base-relation collection, sublink
+//! substitution, and the sublink half of the bottom-up plan mapper.
 
-use crate::expr::Expr;
-use crate::plan::Plan;
-use perm_storage::{Name, Schema};
+use crate::expr::{BinaryOp, Expr, SublinkKind, UnaryOp};
+use crate::plan::{Plan, PlanRef};
+use perm_storage::{Name, Schema, Value};
+use std::sync::Arc;
 
 /// A reference to a base relation access inside a plan, in occurrence order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,29 +55,20 @@ fn collect_base_relations_into(
 /// scopes — i.e. the *correlated* attribute references that must be bound by
 /// an enclosing query (Section 2.2: "correlation attribute references have to
 /// reference an attribute from the input of the operator or, in the case of
-/// nested sublinks, an attribute from a containing sublink").
+/// nested sublinks, an attribute from a containing sublink"). The operator's
+/// own expressions are checked against its [`Plan::scope`]; below it, the
+/// children's and the sublink plans' cached lists are read
+/// ([`PlanRef::free_columns`]).
 pub fn free_columns(plan: &Plan) -> Vec<(Option<Name>, Name)> {
     let mut out = Vec::new();
-    free_columns_into(plan, &mut out);
+    let mut scope = None;
+    plan.walk_expressions(&mut |expr| {
+        free_expr_columns_into(expr, scope.get_or_insert_with(|| plan.scope()), &mut out)
+    });
+    for child in plan.inputs() {
+        out.extend_from_slice(child.free_columns());
+    }
     out
-}
-
-fn free_columns_into(plan: &Plan, out: &mut Vec<(Option<Name>, Name)>) {
-    // The scope available to this operator's expressions is the concatenation
-    // of its children's output schemas.
-    let scope: Schema = match plan.children().as_slice() {
-        [] => Schema::empty(),
-        [one] => one.schema(),
-        [l, r] => l.schema().concat(&r.schema()),
-        _ => unreachable!("operators have at most two children"),
-    };
-
-    for expr in plan.expressions() {
-        free_expr_columns_into(expr, &scope, out);
-    }
-    for child in plan.children() {
-        free_columns_into(child, out);
-    }
 }
 
 /// Reports the column references of `expr` that `scope` cannot resolve —
@@ -89,17 +81,35 @@ pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<Name>, Name
     out
 }
 
-/// Reports the column references of `expr` that `scope` cannot resolve.
-///
-/// A sublink contributes two kinds of references, both checked against
-/// `scope`: the free columns escaping its *plan* (ordinary correlation —
-/// only references not resolvable here escape further outwards), and the
-/// references in its *test expression*, which belongs to the scope of the
-/// operator containing the sublink, not to the sublink plan's scope.
-/// [`Expr::walk`] treats sublinks as leaves, so the test expression (which
-/// may itself contain sublinks) is descended into explicitly.
+/// Calls `f` on every column reference `expr` reads: its own, and those of
+/// each sublink it holds — the references in the sublink's *test
+/// expression*, which belongs to the scope of the operator containing the
+/// sublink, and the free columns escaping its *plan*
+/// ([`PlanRef::free_columns`]). [`Expr::walk`] treats sublinks as leaves,
+/// so the test expression (which may itself contain sublinks) is descended
+/// into explicitly.
+pub fn walk_column_refs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Option<Name>, &'a Name)) {
+    expr.walk(&mut |e| match e {
+        Expr::Column { qualifier, name } => f(qualifier, name),
+        Expr::Sublink {
+            test_expr, plan, ..
+        } => {
+            if let Some(test) = test_expr {
+                walk_column_refs(test, f);
+            }
+            for (q, n) in plan.free_columns() {
+                f(q, n);
+            }
+        }
+        _ => {}
+    });
+}
+
+/// Reports the column references of `expr` ([`walk_column_refs`]) that
+/// `scope` cannot resolve: a sublink's plan references escape further
+/// outwards only where this scope does not bind them.
 fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<Name>, Name)>) {
-    let check = |qualifier: &Option<Name>, name: &Name, out: &mut Vec<(Option<Name>, Name)>| {
+    walk_column_refs(expr, &mut |qualifier, name| {
         let resolvable = scope
             .try_resolve(qualifier.as_deref(), name)
             // Ambiguity means the name *is* present in the scope.
@@ -108,23 +118,6 @@ fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<Nam
         if !resolvable {
             out.push((qualifier.clone(), name.clone()));
         }
-    };
-
-    expr.walk(&mut |e| match e {
-        Expr::Column { qualifier, name } => check(qualifier, name, out),
-        Expr::Sublink {
-            test_expr,
-            plan: sub,
-            ..
-        } => {
-            if let Some(test) = test_expr {
-                free_expr_columns_into(test, scope, out);
-            }
-            for (q, n) in free_columns(sub) {
-                check(&q, &n, out);
-            }
-        }
-        _ => {}
     });
 }
 
@@ -146,12 +139,6 @@ pub fn free_correlated_columns(plan: &Plan) -> Vec<(Option<Name>, Name)> {
         }
     }
     out
-}
-
-/// `true` when the plan references attributes of an enclosing query, i.e.
-/// when used as a sublink query it is *correlated*.
-pub fn is_correlated(plan: &Plan) -> bool {
-    !free_columns(plan).is_empty()
 }
 
 /// The set of query parameters (`$1`-style, 0-based indices) referenced
@@ -267,11 +254,9 @@ fn replace_sublinks_inner(expr: Expr, replacements: &[Expr], index: &mut usize) 
 /// Rebuilds every sublink plan inside `expr` with `f`, moving each plan
 /// through it. Descends into `ANY`/`ALL` test expressions, which
 /// [`Expr::transform`] treats as opaque; nested sublinks *inside* a sublink
-/// plan are `f`'s to reach. With [`Plan::map_children`] and
-/// [`Plan::map_expressions`] this is the one bottom-up plan mapper: a pass
-/// that must see every operator, sublink plans included, maps a node's
-/// children, then its expressions through this, then the node itself.
-pub fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
+/// plan are `f`'s to reach. [`Plan::map_sublinks`] is the sharing form: it
+/// rebuilds an operator only when `f` changed one of its sublink plans.
+pub fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(PlanRef) -> PlanRef) -> Expr {
     expr.transform(&mut |e| match e {
         Expr::Sublink {
             kind,
@@ -282,10 +267,132 @@ pub fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(Plan) -> Plan) -> Expr {
             kind,
             test_expr: test_expr.map(|t| Box::new(map_sublink_plans(*t, f))),
             op,
-            plan: Box::new(f(*plan)),
+            plan: f(plan),
         },
         other => other,
     })
+}
+
+/// How a column reference resolves against a scope chain (innermost first),
+/// mirroring the executor's environment lookup: the first scope that knows
+/// the name wins, ambiguity *within* a scope is an evaluation error.
+fn resolves(scopes: &[Arc<Schema>], qualifier: Option<&str>, name: &str) -> bool {
+    for scope in scopes {
+        match scope.try_resolve(qualifier, name) {
+            Ok(Some(_)) => return true,
+            Ok(None) => continue,
+            Err(_) => return false,
+        }
+    }
+    false
+}
+
+/// `true` when evaluating `expr` under the scope chain `scopes` (innermost
+/// first) can never raise an error, for any row. This is the contract that
+/// lets an optimizer rule move the expression to a place where it is
+/// evaluated on a different set of rows. Deliberately conservative:
+/// arithmetic (division, overflow-checked ops) and function calls are never
+/// total; a scalar sublink only when its plan cannot violate the one-row,
+/// one-column contract. A `$n` parameter is total: every execution entry
+/// refuses a vector that leaves it unbound before the first operator runs,
+/// so during evaluation it is a constant lookup.
+pub fn expr_is_total(expr: &Expr, scopes: &[Arc<Schema>]) -> bool {
+    match expr {
+        Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
+        Expr::Literal(_) | Expr::Param(_) => true,
+        Expr::Binary { op, left, right } => {
+            let ops_total = matches!(
+                op,
+                BinaryOp::And
+                    | BinaryOp::Or
+                    | BinaryOp::Cmp(_)
+                    | BinaryOp::NullSafeEq
+                    | BinaryOp::Like
+                    | BinaryOp::NotLike
+                    | BinaryOp::Concat
+            );
+            ops_total && expr_is_total(left, scopes) && expr_is_total(right, scopes)
+        }
+        Expr::Unary { op, expr } => match op {
+            UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull => expr_is_total(expr, scopes),
+            // Negation fails on non-numbers; a negative numeric literal
+            // (`BETWEEN -5 AND 5`) is the one operand known to be one.
+            UnaryOp::Neg => matches!(
+                expr.as_ref(),
+                Expr::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
+            ),
+        },
+        Expr::Func { .. } => false,
+        Expr::Case {
+            branches,
+            else_expr,
+        } => {
+            branches
+                .iter()
+                .all(|(c, v)| expr_is_total(c, scopes) && expr_is_total(v, scopes))
+                && else_expr
+                    .as_deref()
+                    .map(|e| expr_is_total(e, scopes))
+                    .unwrap_or(true)
+        }
+        Expr::Sublink {
+            kind,
+            test_expr,
+            plan,
+            ..
+        } => {
+            let plan_total = plan.is_total() || (!scopes.is_empty() && plan_is_total(plan, scopes));
+            match kind {
+                SublinkKind::Scalar => {
+                    yields_one_row(plan) && plan.schema().arity() == 1 && plan_total
+                }
+                SublinkKind::Exists => plan_total,
+                SublinkKind::Any | SublinkKind::All => {
+                    test_expr
+                        .as_deref()
+                        .is_some_and(|t| expr_is_total(t, scopes))
+                        && plan_total
+                }
+            }
+        }
+    }
+}
+
+/// `true` when `plan` yields exactly one row whatever its input holds: a
+/// global aggregate, possibly under projections and sorts.
+pub fn yields_one_row(plan: &Plan) -> bool {
+    match plan {
+        Plan::Aggregate { group_by, .. } => group_by.is_empty(),
+        Plan::Project { input, .. } | Plan::Sort { input, .. } => yields_one_row(input),
+        Plan::Values { rows, .. } => rows.len() == 1,
+        _ => false,
+    }
+}
+
+/// `true` when executing `plan` (with enclosing scopes `outers`, innermost
+/// first) can never raise an evaluation error. Comparisons, hash encodings,
+/// sorting and every aggregate accumulator (`sum`/`avg` skip what they
+/// cannot add) are error-free in this engine; a `$n` anywhere in the plan
+/// is bound by the time it runs (see [`expr_is_total`]). A child total
+/// outside any scope ([`PlanRef::is_total`], cached) is total under every
+/// chain: an enclosing scope only resolves what the local ones do not.
+pub fn plan_is_total(plan: &Plan, outers: &[Arc<Schema>]) -> bool {
+    let input_total =
+        |p: &PlanRef| p.is_total() || (!outers.is_empty() && plan_is_total(p, outers));
+    let mut chain: Option<Vec<Arc<Schema>>> = None;
+    let mut total = plan.inputs().all(input_total);
+    plan.walk_expressions(&mut |e| {
+        total = total
+            && expr_is_total(
+                e,
+                chain.get_or_insert_with(|| {
+                    std::iter::once(plan.scope())
+                        .chain(outers.iter().cloned())
+                        .collect()
+                }),
+            )
+    });
+    total
 }
 
 /// Number of sublinks directly contained in `expr`.
@@ -338,7 +445,7 @@ mod tests {
             .unwrap()
             .select(eq(col("c"), lit(3)))
             .build();
-        assert!(!is_correlated(&sub));
+        assert!(free_columns(&sub).is_empty());
     }
 
     #[test]
@@ -349,7 +456,7 @@ mod tests {
             .unwrap()
             .select(eq(col("c"), col("b")))
             .build();
-        assert!(is_correlated(&sub));
+        assert!(!free_columns(&sub).is_empty());
         let free = free_columns(&sub);
         assert_eq!(free, vec![(None, "b".into())]);
     }
@@ -401,7 +508,7 @@ mod tests {
             .unwrap()
             .select(any_sublink(qcol("r", "a"), CompareOp::Eq, inner))
             .build();
-        assert!(is_correlated(&middle));
+        assert!(!free_columns(&middle).is_empty());
         assert_eq!(
             free_correlated_columns(&middle),
             vec![(Some("r".into()), "a".into())]
@@ -421,7 +528,7 @@ mod tests {
             .unwrap()
             .select(exists_sublink(sub))
             .build();
-        assert!(!is_correlated(&q));
+        assert!(free_columns(&q).is_empty());
     }
 
     #[test]
@@ -437,7 +544,7 @@ mod tests {
             .build();
         // The whole query is closed: the sublink's free column `r.b` is bound
         // by the selection's input.
-        assert!(!is_correlated(&q));
+        assert!(free_columns(&q).is_empty());
     }
 
     #[test]
@@ -472,7 +579,7 @@ mod tests {
             .build();
         // A parameter is not a correlated column reference: the sublink is
         // uncorrelated (InitPlan-shaped) even though it is parameterized.
-        assert!(!is_correlated(&sub));
+        assert!(free_columns(&sub).is_empty());
         assert_eq!(free_params(&sub), vec![0]);
     }
 

@@ -7,8 +7,7 @@ use super::{ProvenanceRewriter, RewriteResult};
 use crate::provschema::ProvenanceDescriptor;
 use crate::{ProvenanceError, Result};
 use perm_algebra::builder::{col, conjunction, lit, not, null, null_safe_eq, or, PlanBuilder};
-use perm_algebra::visit::is_correlated;
-use perm_algebra::{CompareOp, Expr, Plan, ProjectItem, SetOpKind, SublinkKind};
+use perm_algebra::{CompareOp, Expr, Plan, PlanRef, ProjectItem, SetOpKind, SublinkKind};
 use perm_storage::{Name, Schema, Tuple, Value};
 
 /// Everything the strategies need to know about one sublink of an operator.
@@ -23,8 +22,8 @@ pub(crate) struct SublinkInfo {
     /// The original sublink expression `Csub` (kept verbatim inside the
     /// rewritten conditions of the Gen and Left strategies).
     pub original: Expr,
-    /// The original sublink query `Tsub`.
-    pub plan: Plan,
+    /// The original sublink query `Tsub`, shared with `original`.
+    pub plan: PlanRef,
     /// The rewritten sublink query `Tsub+` with its provenance descriptor.
     pub rewritten: RewriteResult,
     /// Whether `Tsub` references attributes of the enclosing query.
@@ -64,9 +63,9 @@ pub(crate) fn collect_sublinks<'e>(
                     test_expr: test_expr.as_deref().cloned(),
                     op: *op,
                     original: sublink.clone(),
-                    plan: plan.as_ref().clone(),
+                    plan: plan.clone(),
                     rewritten,
-                    correlated: is_correlated(plan),
+                    correlated: !plan.free_columns().is_empty(),
                     result_attrs: original_schema.names(),
                 });
             }
@@ -133,8 +132,8 @@ pub(crate) fn cross_base(
         .next()
         .ok_or_else(|| ProvenanceError::Unsupported("sublink accesses no base relation".into()))?;
     Ok(iter.fold(first, |acc, f| Plan::CrossProduct {
-        left: Box::new(acc),
-        right: Box::new(f),
+        left: PlanRef::new(acc),
+        right: PlanRef::new(f),
     }))
 }
 

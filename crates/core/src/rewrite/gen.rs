@@ -12,7 +12,7 @@ use super::common::{collect_sublinks, cross_base, gen_csub_plus};
 use super::{ProvenanceRewriter, RewriteResult};
 use crate::Result;
 use perm_algebra::builder::{and, conjunction};
-use perm_algebra::{Expr, Plan, ProjectItem};
+use perm_algebra::{Expr, Plan, PlanRef, ProjectItem};
 
 /// Rule G1: selections with sublinks.
 ///
@@ -30,8 +30,8 @@ pub(crate) fn rewrite_select(
     for info in &infos {
         let base = cross_base(rw, info.descriptor())?;
         plan = Plan::CrossProduct {
-            left: Box::new(plan),
-            right: Box::new(base),
+            left: PlanRef::new(plan),
+            right: PlanRef::new(base),
         };
         descriptor = descriptor.concat(info.descriptor());
     }
@@ -41,7 +41,7 @@ pub(crate) fn rewrite_select(
         condition = and(condition, gen_csub_plus(rw, info));
     }
     plan = Plan::Select {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         predicate: condition,
     };
     Ok(RewriteResult { plan, descriptor })
@@ -73,15 +73,15 @@ pub(crate) fn rewrite_project(
     for info in &infos {
         let base = cross_base(rw, info.descriptor())?;
         plan = Plan::CrossProduct {
-            left: Box::new(plan),
-            right: Box::new(base),
+            left: PlanRef::new(plan),
+            right: PlanRef::new(base),
         };
         descriptor = descriptor.concat(info.descriptor());
     }
 
     let condition = conjunction(infos.iter().map(|info| gen_csub_plus(rw, info)));
     plan = Plan::Select {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         predicate: condition,
     };
 
@@ -93,7 +93,7 @@ pub(crate) fn rewrite_project(
         out_items.push(ProjectItem::column(prov));
     }
     plan = Plan::Project {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         items: out_items,
         distinct,
     };

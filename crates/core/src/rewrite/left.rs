@@ -22,7 +22,7 @@ use super::common::{
 use super::{ProvenanceRewriter, RewriteResult};
 use crate::Result;
 use perm_algebra::builder::col;
-use perm_algebra::{Expr, JoinKind, Plan, ProjectItem};
+use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem};
 
 /// Rule L1: selections with uncorrelated sublinks.
 ///
@@ -43,8 +43,8 @@ pub(crate) fn rewrite_select(
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
         let jsub = jsub_condition(info, info.original.clone(), col(result_alias));
         plan = Plan::Join {
-            left: Box::new(plan),
-            right: Box::new(wrapped),
+            left: PlanRef::new(plan),
+            right: PlanRef::new(wrapped),
             kind: JoinKind::LeftOuter,
             condition: jsub,
         };
@@ -54,7 +54,7 @@ pub(crate) fn rewrite_select(
     // The original condition (still containing the sublinks) filters the
     // joined result so that only original result tuples survive.
     plan = Plan::Select {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         predicate: predicate.clone(),
     };
 
@@ -81,8 +81,8 @@ pub(crate) fn rewrite_project(
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
         let jsub = jsub_condition(info, info.original.clone(), col(result_alias));
         plan = Plan::Join {
-            left: Box::new(plan),
-            right: Box::new(wrapped),
+            left: PlanRef::new(plan),
+            right: PlanRef::new(wrapped),
             kind: JoinKind::LeftOuter,
             condition: jsub,
         };
@@ -96,7 +96,7 @@ pub(crate) fn rewrite_project(
         out_items.push(ProjectItem::column(prov));
     }
     plan = Plan::Project {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         items: out_items,
         distinct,
     };

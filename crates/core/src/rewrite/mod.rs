@@ -18,7 +18,6 @@ pub(crate) use common::SublinkInfo;
 
 use crate::provschema::ProvenanceDescriptor;
 use crate::{ProvenanceError, Result};
-use perm_algebra::visit::is_correlated;
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Name, Schema};
 use std::collections::HashMap;
@@ -245,7 +244,7 @@ pub(crate) fn sublinks_uncorrelated(expr: &Expr) -> bool {
 
 pub(crate) fn sublink_uncorrelated(sublink: &&Expr) -> bool {
     match sublink {
-        Expr::Sublink { plan, .. } => !is_correlated(plan),
+        Expr::Sublink { plan, .. } => plan.free_columns().is_empty(),
         _ => true,
     }
 }

@@ -21,7 +21,7 @@ use super::{ProvenanceRewriter, RewriteResult};
 use crate::Result;
 use perm_algebra::builder::col;
 use perm_algebra::visit::replace_sublinks;
-use perm_algebra::{Expr, JoinKind, Plan, ProjectItem};
+use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem};
 use perm_storage::Name;
 
 /// Builds the inner projection `Π_{T, P(T+), Csub1→C1, …, Csubm→Cm}(T+)`:
@@ -45,7 +45,7 @@ fn project_sublink_values(
         value_names.push(name);
     }
     let plan = Plan::Project {
-        input: Box::new(input_plus),
+        input: PlanRef::new(input_plus),
         items,
         distinct: false,
     };
@@ -65,8 +65,8 @@ fn join_sublinks(
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
         let jsub = jsub_condition(info, col(value_name.clone()), col(result_alias));
         plan = Plan::Join {
-            left: Box::new(plan),
-            right: Box::new(wrapped),
+            left: PlanRef::new(plan),
+            right: PlanRef::new(wrapped),
             kind: JoinKind::LeftOuter,
             condition: jsub,
         };
@@ -99,7 +99,7 @@ pub(crate) fn rewrite_select(
     let replacements: Vec<Expr> = value_names.iter().cloned().map(col).collect();
     let ctar = replace_sublinks(predicate.clone(), &replacements);
     let plan = Plan::Select {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         predicate: ctar,
     };
 
@@ -151,7 +151,7 @@ pub(crate) fn rewrite_project(
         out_items.push(ProjectItem::column(prov));
     }
     let plan = Plan::Project {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         items: out_items,
         distinct,
     };

@@ -5,7 +5,7 @@ use super::{ProvenanceRewriter, RewriteResult};
 use crate::provschema::{ProvEntry, ProvenanceDescriptor};
 use crate::{ProvenanceError, Result};
 use perm_algebra::builder::{col, conjunction, null, null_safe_eq, PlanBuilder};
-use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind};
+use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind};
 use perm_storage::{Name, Schema};
 
 /// Rewrites an operator that carries no sublinks in its own expressions
@@ -32,7 +32,7 @@ pub(crate) fn rewrite_standard(
                 new_items.push(ProjectItem::column(prov));
             }
             let plan = Plan::Project {
-                input: Box::new(input_rw.plan),
+                input: PlanRef::new(input_rw.plan),
                 items: new_items,
                 distinct: *distinct,
             };
@@ -46,7 +46,7 @@ pub(crate) fn rewrite_standard(
             let input_rw = rw.rewrite(input)?;
             Ok(RewriteResult {
                 plan: Plan::Select {
-                    input: Box::new(input_rw.plan),
+                    input: PlanRef::new(input_rw.plan),
                     predicate: predicate.clone(),
                 },
                 descriptor: input_rw.descriptor,
@@ -58,8 +58,8 @@ pub(crate) fn rewrite_standard(
             let right_rw = rw.rewrite(right)?;
             Ok(RewriteResult {
                 plan: Plan::CrossProduct {
-                    left: Box::new(left_rw.plan),
-                    right: Box::new(right_rw.plan),
+                    left: PlanRef::new(left_rw.plan),
+                    right: PlanRef::new(right_rw.plan),
                 },
                 descriptor: left_rw.descriptor.concat(&right_rw.descriptor),
             })
@@ -78,8 +78,8 @@ pub(crate) fn rewrite_standard(
             let right_rw = rw.rewrite(right)?;
             Ok(RewriteResult {
                 plan: Plan::Join {
-                    left: Box::new(left_rw.plan),
-                    right: Box::new(right_rw.plan),
+                    left: PlanRef::new(left_rw.plan),
+                    right: PlanRef::new(right_rw.plan),
                     kind: *kind,
                     condition: condition.clone(),
                 },
@@ -101,7 +101,7 @@ pub(crate) fn rewrite_standard(
             let input_rw = rw.rewrite(input)?;
             Ok(RewriteResult {
                 plan: Plan::Sort {
-                    input: Box::new(input_rw.plan),
+                    input: PlanRef::new(input_rw.plan),
                     keys: keys.clone(),
                 },
                 descriptor: input_rw.descriptor,
@@ -189,8 +189,8 @@ fn rewrite_aggregate(
         null_safe_eq(group_ref, col(hat.clone()))
     }));
     let joined = Plan::Join {
-        left: Box::new(original.clone()),
-        right: Box::new(right),
+        left: PlanRef::new(original.clone()),
+        right: PlanRef::new(right),
         kind: JoinKind::LeftOuter,
         condition,
     };
@@ -275,8 +275,8 @@ fn rewrite_setop(
                 plan: Plan::SetOp {
                     op,
                     all,
-                    left: Box::new(left_branch),
-                    right: Box::new(right_branch),
+                    left: PlanRef::new(left_branch),
+                    right: PlanRef::new(right_branch),
                 },
                 descriptor: left_rw.descriptor.concat(&right_rw.descriptor),
             })
@@ -352,8 +352,8 @@ fn join_back(
             .map(|(i, fresh)| null_safe_eq(col(fresh.clone()), attr_ref(&source_schema, i))),
     );
     let joined = Plan::Join {
-        left: Box::new(renamed_original),
-        right: Box::new(source_rw.plan),
+        left: PlanRef::new(renamed_original),
+        right: PlanRef::new(source_rw.plan),
         kind: JoinKind::LeftOuter,
         condition,
     };

@@ -19,7 +19,7 @@ use super::common::{
 use super::{not_applicable, ProvenanceRewriter, RewriteResult};
 use crate::Result;
 use perm_algebra::builder::{col, eq};
-use perm_algebra::{CompareOp, Expr, JoinKind, Plan, SublinkKind};
+use perm_algebra::{CompareOp, Expr, JoinKind, Plan, PlanRef, SublinkKind};
 
 /// `true` when the Unn strategy has a rule for this selection predicate: the
 /// predicate must be exactly one `EXISTS` sublink or exactly one equality
@@ -67,8 +67,8 @@ pub(crate) fn rewrite_select(
         // U1: the EXISTS condition only removes tuples when Tsub is empty, in
         // which case the cross product is empty as well.
         SublinkKind::Exists => Plan::CrossProduct {
-            left: Box::new(input_rw.plan),
-            right: Box::new(wrapped),
+            left: PlanRef::new(input_rw.plan),
+            right: PlanRef::new(wrapped),
         },
         // U2: the sublink is reqtrue, its provenance is Tsub_true — exactly
         // the tuples produced by the equi-join on the comparison condition.
@@ -78,8 +78,8 @@ pub(crate) fn rewrite_select(
                 .clone()
                 .expect("ANY sublink carries a test expression");
             Plan::Join {
-                left: Box::new(input_rw.plan),
-                right: Box::new(wrapped),
+                left: PlanRef::new(input_rw.plan),
+                right: PlanRef::new(wrapped),
                 kind: JoinKind::Inner,
                 condition: eq(test, col(result_alias)),
             }

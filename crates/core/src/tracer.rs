@@ -81,12 +81,10 @@ impl<'a> Tracer<'a> {
     /// sublink memo — so the result does not depend on what this tracer
     /// traced before.
     pub fn trace(&self, plan: &Plan) -> Result<Relation> {
+        let descriptor = descriptor(plan, &mut HashMap::new());
         let mut run = Trace {
             interp: Interpreter::new(&self.executor),
-            occurrences: HashMap::new(),
-            descriptors: HashMap::new(),
         };
-        let descriptor = run.descriptor(plan)?;
         let traced = run.trace_plan(plan, None)?;
         let schema = traced.schema.concat(&descriptor.schema());
         let mut out = Relation::empty(schema);
@@ -99,73 +97,64 @@ impl<'a> Tracer<'a> {
     }
 }
 
+/// The provenance descriptor of a plan (which base relation accesses
+/// contribute provenance attributes, in order), matching the layout of the
+/// rewrite strategies: children first, then the sublinks of the operator's
+/// expressions in walk order, each relation access numbered from
+/// `occurrences` when the walk reaches it. A subtree shared by several
+/// positions of the tree (a cloned plan, the operand `BETWEEN` repeats) is
+/// walked, and numbered, once per position.
+fn descriptor(plan: &Plan, occurrences: &mut HashMap<String, usize>) -> ProvenanceDescriptor {
+    match plan {
+        Plan::Scan { table, schema, .. } => {
+            let counter = occurrences.entry(table.to_ascii_lowercase()).or_insert(0);
+            let occurrence = *counter;
+            *counter += 1;
+            ProvenanceDescriptor::new(vec![ProvEntry {
+                table: table.clone(),
+                occurrence,
+                original_schema: schema.clone(),
+                prov_schema: schema.provenance_schema(table, occurrence),
+            }])
+        }
+        Plan::Values { .. } => ProvenanceDescriptor::empty(),
+        Plan::SetOp {
+            op: SetOpKind::Intersect | SetOpKind::Except,
+            left,
+            ..
+        } => descriptor(left, occurrences),
+        Plan::Limit { input, .. } => descriptor(input, occurrences),
+        other => {
+            let mut out = ProvenanceDescriptor::empty();
+            for child in other.children() {
+                out = out.concat(&descriptor(child, occurrences));
+            }
+            for expr in other.expressions() {
+                for sublink in expr.sublinks() {
+                    if let Expr::Sublink { plan: sub, .. } = sublink {
+                        out = out.concat(&descriptor(sub, occurrences));
+                    }
+                }
+            }
+            out
+        }
+    }
+}
+
+/// An all-NULL witness of a plan: one NULL per provenance attribute of its
+/// descriptor, whose width does not depend on occurrence numbers.
+fn null_witness(plan: &Plan) -> Tuple {
+    let width = descriptor(plan, &mut HashMap::new()).attr_count();
+    Tuple::new(vec![Value::Null; width])
+}
+
 /// The state of one [`Tracer::trace`] call over plans borrowed for `'p`:
-/// the reference interpreter that evaluates its expressions and sublinks,
-/// the per-relation occurrence counter that numbers witness columns, and
-/// the descriptor of each operator, keyed by address — which stays valid
-/// because every plan is borrowed for the whole call.
+/// the reference interpreter that evaluates its expressions and sublinks.
 struct Trace<'p> {
     interp: Interpreter<'p>,
-    occurrences: HashMap<String, usize>,
-    descriptors: HashMap<*const Plan, ProvenanceDescriptor>,
 }
 
 impl<'p> Trace<'p> {
-    /// The provenance descriptor of a plan (which base relation accesses
-    /// contribute provenance attributes, in order), matching the layout of
-    /// the rewrite strategies: occurrence numbers are allocated in rewriter
-    /// order on first sight of each node.
-    fn descriptor(&mut self, plan: &'p Plan) -> Result<ProvenanceDescriptor> {
-        let key: *const Plan = plan;
-        if let Some(cached) = self.descriptors.get(&key) {
-            return Ok(cached.clone());
-        }
-        let descriptor = match plan {
-            Plan::Scan { table, schema, .. } => {
-                let occurrence = {
-                    let counter = self
-                        .occurrences
-                        .entry(table.to_ascii_lowercase())
-                        .or_insert(0);
-                    let occurrence = *counter;
-                    *counter += 1;
-                    occurrence
-                };
-                ProvenanceDescriptor::new(vec![ProvEntry {
-                    table: table.clone(),
-                    occurrence,
-                    original_schema: schema.clone(),
-                    prov_schema: schema.provenance_schema(table, occurrence),
-                }])
-            }
-            Plan::Values { .. } => ProvenanceDescriptor::empty(),
-            Plan::SetOp {
-                op: SetOpKind::Intersect | SetOpKind::Except,
-                left,
-                ..
-            } => self.descriptor(left)?,
-            Plan::Limit { input, .. } => self.descriptor(input)?,
-            other => {
-                // Children first (matching the rewriter), then the sublinks of
-                // this operator's expressions in walk order.
-                let mut descriptor = ProvenanceDescriptor::empty();
-                for child in other.children() {
-                    descriptor = descriptor.concat(&self.descriptor(child)?);
-                }
-                for expr in other.expressions() {
-                    for sublink in expr.sublinks() {
-                        if let Expr::Sublink { plan: sub, .. } = sublink {
-                            descriptor = descriptor.concat(&self.descriptor(sub)?);
-                        }
-                    }
-                }
-                descriptor
-            }
-        };
-        self.descriptors.insert(key, descriptor.clone());
-        Ok(descriptor)
-    }
-
     fn trace_plan(&mut self, plan: &'p Plan, env: Option<&Env<'_>>) -> Result<Traced> {
         match plan {
             Plan::Scan { table, schema, .. } => {
@@ -193,21 +182,21 @@ impl<'p> Trace<'p> {
                     })
                     .collect(),
             }),
-            Plan::Select { input, predicate } => self.trace_select(plan, input, predicate, env),
+            Plan::Select { input, predicate } => self.trace_select(input, predicate, env),
             Plan::Project {
                 input,
                 items,
                 distinct,
             } => self.trace_project(plan, input, items, *distinct, env),
             Plan::CrossProduct { left, right } => {
-                self.trace_join(plan, left, right, JoinKind::Inner, None, env)
+                self.trace_join(left, right, JoinKind::Inner, None, env)
             }
             Plan::Join {
                 left,
                 right,
                 kind,
                 condition,
-            } => self.trace_join(plan, left, right, *kind, Some(condition), env),
+            } => self.trace_join(left, right, *kind, Some(condition), env),
             Plan::Aggregate {
                 input,
                 group_by,
@@ -223,8 +212,6 @@ impl<'p> Trace<'p> {
                 // Presentation only: provenance of the sorted result equals
                 // the provenance of the input (order is irrelevant in the
                 // provenance relation).
-                let descriptor = self.descriptor(plan)?;
-                let _ = &descriptor;
                 self.trace_plan(input, env)
             }
             Plan::Limit { input, limit } => {
@@ -259,7 +246,6 @@ impl<'p> Trace<'p> {
                 ))
             }
         };
-        let descriptor = self.descriptor(sub_plan)?;
         let traced = self.trace_plan(sub_plan, env)?;
 
         let contributing: Vec<&TracedRow> = match kind {
@@ -286,7 +272,7 @@ impl<'p> Trace<'p> {
             }
         }
         if witnesses.is_empty() {
-            witnesses.push(Tuple::new(vec![Value::Null; descriptor.attr_count()]));
+            witnesses.push(null_witness(sub_plan));
         }
         Ok(witnesses)
     }
@@ -343,14 +329,10 @@ impl<'p> Trace<'p> {
 
     fn trace_select(
         &mut self,
-        plan: &'p Plan,
         input: &'p Plan,
         predicate: &'p Expr,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
-        // Make sure descriptors are allocated in rewriter order (input before
-        // sublinks) even though tracing interleaves them.
-        self.descriptor(plan)?;
         let inner = self.trace_plan(input, env)?;
         let sublinks = predicate.sublinks();
         let mut rows = Vec::new();
@@ -387,7 +369,6 @@ impl<'p> Trace<'p> {
         distinct: bool,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
-        self.descriptor(plan)?;
         let inner = self.trace_plan(input, env)?;
         let sublinks: Vec<&Expr> = items.iter().flat_map(|i| i.expr.sublinks()).collect();
         let out_schema = plan.schema();
@@ -413,14 +394,13 @@ impl<'p> Trace<'p> {
             rows = merge_duplicate_rows(rows);
         }
         Ok(Traced {
-            schema: out_schema,
+            schema: Schema::clone(&out_schema),
             rows,
         })
     }
 
     fn trace_join(
         &mut self,
-        plan: &'p Plan,
         left: &'p Plan,
         right: &'p Plan,
         kind: JoinKind,
@@ -434,10 +414,9 @@ impl<'p> Trace<'p> {
                 "tracer does not support {kind} joins"
             )));
         }
-        self.descriptor(plan)?;
         let l = self.trace_plan(left, env)?;
         let r = self.trace_plan(right, env)?;
-        let r_descriptor = self.descriptor(right)?;
+        let null_prov = null_witness(right);
         let out_schema = l.schema.concat(&r.schema);
         let mut rows = Vec::new();
         for lrow in &l.rows {
@@ -467,7 +446,6 @@ impl<'p> Trace<'p> {
             }
             if !matched && kind == JoinKind::LeftOuter {
                 let null_right = Tuple::new(vec![Value::Null; r.schema.arity()]);
-                let null_prov = Tuple::new(vec![Value::Null; r_descriptor.attr_count()]);
                 rows.push(TracedRow {
                     tuple: lrow.tuple.concat(&null_right),
                     witnesses: lrow
@@ -492,10 +470,8 @@ impl<'p> Trace<'p> {
         aggregates: &'p [AggregateExpr],
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
-        self.descriptor(plan)?;
         let inner = self.trace_plan(input, env)?;
         let out_schema = plan.schema();
-        let descriptor = self.descriptor(input)?;
 
         struct Group {
             key: Vec<Value>,
@@ -562,7 +538,7 @@ impl<'p> Trace<'p> {
                 tuple_values.push(acc.finish());
             }
             let witnesses = if group.witnesses.is_empty() {
-                vec![Tuple::new(vec![Value::Null; descriptor.attr_count()])]
+                vec![null_witness(input)]
             } else {
                 group.witnesses
             };
@@ -572,7 +548,7 @@ impl<'p> Trace<'p> {
             });
         }
         Ok(Traced {
-            schema: out_schema,
+            schema: Schema::clone(&out_schema),
             rows,
         })
     }
@@ -586,16 +562,13 @@ impl<'p> Trace<'p> {
         right: &'p Plan,
         env: Option<&Env<'_>>,
     ) -> Result<Traced> {
-        self.descriptor(plan)?;
         let l = self.trace_plan(left, env)?;
         match op {
             SetOpKind::Union => {
                 let r = self.trace_plan(right, env)?;
-                let l_desc = self.descriptor(left)?;
-                let r_desc = self.descriptor(right)?;
                 let mut rows = Vec::new();
-                let null_right = Tuple::new(vec![Value::Null; r_desc.attr_count()]);
-                let null_left = Tuple::new(vec![Value::Null; l_desc.attr_count()]);
+                let null_right = null_witness(right);
+                let null_left = null_witness(left);
                 for row in &l.rows {
                     rows.push(TracedRow {
                         tuple: row.tuple.clone(),
@@ -640,8 +613,7 @@ impl<'p> Trace<'p> {
                         }
                     }
                     if witnesses.is_empty() {
-                        let l_desc = self.descriptor(left)?;
-                        witnesses.push(Tuple::new(vec![Value::Null; l_desc.attr_count()]));
+                        witnesses.push(null_witness(left));
                     }
                     rows.push(TracedRow {
                         tuple: tuple.clone(),

@@ -15,7 +15,7 @@
 //!    deferred error that is raised only if the expression is actually
 //!    evaluated, preserving the interpreter's short-circuit behaviour.
 //! 2. **Correlation signatures.** For every sublink, the free correlated
-//!    columns of its plan ([`free_correlated_columns`]) are resolved against
+//!    columns of its plan (`PlanRef::free_columns`, cached) are resolved against
 //!    the outer chain. When they all resolve, the sublink is *memoizable*:
 //!    its result is a pure function of the database and those binding
 //!    values, so it is cached per `(sublink id, database version, encoded
@@ -45,7 +45,7 @@ use crate::profile::{ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
-use perm_algebra::visit::{free_correlated_columns, free_params};
+use perm_algebra::visit::free_params;
 use perm_algebra::{
     AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, SetOpKind, SublinkKind, UnaryOp,
 };
@@ -318,9 +318,12 @@ impl CompiledPlan {
 #[derive(Debug, Clone)]
 pub enum CompiledNode {
     /// Base relation access.
-    Scan { table: String, schema: Schema },
+    Scan { table: String, schema: Arc<Schema> },
     /// Constant relation.
-    Values { schema: Schema, rows: Vec<Tuple> },
+    Values {
+        schema: Arc<Schema>,
+        rows: Vec<Tuple>,
+    },
     /// Projection. `column_map` is `Some` when it only moves columns (see
     /// [`ColumnMap`]).
     Project {
@@ -328,19 +331,19 @@ pub enum CompiledNode {
         items: Vec<CompiledExpr>,
         distinct: bool,
         column_map: Option<ColumnMap>,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Selection.
     Select {
         input: Box<CompiledNode>,
         predicate: CompiledExpr,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Cross product.
     CrossProduct {
         left: Box<CompiledNode>,
         right: Box<CompiledNode>,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Inner, left-outer, semi or anti join. `equi_keys` is non-empty when
     /// the condition admits hash execution. Bucket-mates are rechecked
@@ -358,14 +361,14 @@ pub enum CompiledNode {
         condition: CompiledExpr,
         equi_keys: Vec<CompiledEquiKey>,
         keys_cover_condition: bool,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Grouping and aggregation.
     Aggregate {
         input: Box<CompiledNode>,
         group_by: Vec<CompiledExpr>,
         aggregates: Vec<CompiledAggregate>,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Set operation.
     SetOp {
@@ -373,19 +376,19 @@ pub enum CompiledNode {
         all: bool,
         left: Box<CompiledNode>,
         right: Box<CompiledNode>,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// Sorting.
     Sort {
         input: Box<CompiledNode>,
         keys: Vec<CompiledSortKey>,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
     /// First-`n` truncation.
     Limit {
         input: Box<CompiledNode>,
         limit: usize,
-        schema: Schema,
+        schema: Arc<Schema>,
     },
 }
 
@@ -599,12 +602,12 @@ struct Compiler {
 impl Compiler {
     fn plan(&mut self, plan: &Plan, outer: Option<&Scopes<'_>>) -> Result<CompiledNode> {
         match plan {
-            Plan::Scan { table, schema, .. } => Ok(CompiledNode::Scan {
+            Plan::Scan { table, .. } => Ok(CompiledNode::Scan {
                 table: table.clone(),
-                schema: schema.clone(),
+                schema: plan.schema(),
             }),
-            Plan::Values { schema, rows } => Ok(CompiledNode::Values {
-                schema: schema.clone(),
+            Plan::Values { rows, .. } => Ok(CompiledNode::Values {
+                schema: plan.schema(),
                 rows: rows.clone(),
             }),
             Plan::Project {
@@ -660,7 +663,7 @@ impl Compiler {
                 let r_schema = right.schema();
                 // The condition always sees the concatenated candidate row;
                 // the stored output schema is left-only for semi/anti joins.
-                let cond_schema = l_schema.concat(&r_schema);
+                let cond_schema = Arc::new(l_schema.concat(&r_schema));
                 let out_schema = if kind.left_only_output() {
                     l_schema.clone()
                 } else {
@@ -835,11 +838,11 @@ impl Compiler {
                 // memoization for this sublink (it may still execute — the
                 // reference might sit behind a short circuit).
                 let mut params: Option<Vec<Slot>> = Some(Vec::new());
-                for (qualifier, name) in free_correlated_columns(plan) {
+                for (qualifier, name) in plan.free_columns() {
                     let resolved = match scopes {
-                        Some(s) => s.resolve(qualifier.as_deref(), &name),
+                        Some(s) => s.resolve(qualifier.as_deref(), name),
                         None => CompiledExpr::Unresolved {
-                            name,
+                            name: name.clone(),
                             ambiguous: false,
                         },
                     };

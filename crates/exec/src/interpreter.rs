@@ -171,7 +171,7 @@ impl<'p> Interpreter<'p> {
                     },
                     &mut out,
                 )?;
-                let out = Relation::new(plan.schema(), out)?;
+                let out = Relation::new(perm_storage::Schema::clone(&plan.schema()), out)?;
                 Ok(if *distinct { out.distinct() } else { out })
             }
             Plan::Select { input, predicate } => {
@@ -286,7 +286,7 @@ impl<'p> Interpreter<'p> {
                 physical::aggregate(
                     probe,
                     &child,
-                    plan.schema(),
+                    perm_storage::Schema::clone(&plan.schema()),
                     group_by.len(),
                     &specs,
                     |batch, group_cols, agg_cols| {

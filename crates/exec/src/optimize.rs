@@ -272,9 +272,12 @@ mod decorrelate;
 use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
-use perm_algebra::visit::{free_expr_columns, map_sublink_plans};
-use perm_algebra::{Expr, JoinKind, Plan, ProjectItem, SetOpKind, SortKey, SublinkKind};
+use perm_algebra::visit::{
+    expr_is_total, free_expr_columns, plan_is_total, walk_column_refs, yields_one_row,
+};
+use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey, SublinkKind};
 use perm_storage::{Name, Schema, Value};
+use std::sync::Arc;
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
 const MAX_PASSES: usize = 4;
@@ -376,18 +379,22 @@ impl OptimizerReport {
 
 /// Optimizes a bound (or provenance-rewritten) plan. Pure plan-to-plan:
 /// the input is the reference shape, the output is what gets compiled.
+///
+/// Only the root operator is copied: every subtree a rule leaves alone is
+/// shared with `plan` (see [`perm_algebra::plan`]), and a pass that fires
+/// nothing walks the plan without rebuilding it.
 pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
     let mut rep = OptimizerReport::default();
     let mut fresh = 0usize;
-    let mut current = plan.clone();
+    let mut current = PlanRef::new(plan.clone());
     for _ in 0..MAX_PASSES {
         // Every change to the plan is a counted rule application, so a
         // pass that fires nothing has reached the fixpoint.
         let fired_before = rep.rules_fired();
-        current = fold_pass(current, &mut rep);
-        current = decorrelate::decorrelate_pass(current, &mut rep, &mut fresh);
-        current = pushdown_pass(current, &mut rep);
-        current = prune_pass(current, None, &mut rep);
+        current = fold_pass(&current, &mut rep);
+        current = decorrelate::decorrelate_pass(&current, &mut rep, &mut fresh);
+        current = pushdown_pass(&current, &mut rep);
+        current = prune_pass(&current, None, &mut rep);
         rep.passes += 1;
         if rep.rules_fired() == fired_before {
             break;
@@ -395,10 +402,10 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
     }
     // Once, after the fixpoint has gone quiet: what these leave behind is a
     // shape no rule above needs to see again.
-    current = order_pass(current, &mut rep);
-    current = fuse_pass(current, &mut rep);
+    current = order_pass(&current, &mut rep);
+    current = fuse_pass(&current, &mut rep);
     rep.sublinks_remaining = count_sublinks(&current);
-    (current, rep)
+    (current.into_plan(), rep)
 }
 
 /// Sublinks of a plan, the ones nested in sublink plans and test
@@ -416,8 +423,9 @@ fn count_sublinks(plan: &Plan) -> u64 {
         });
         n
     }
-    plan.expressions().into_iter().map(in_expr).sum::<u64>()
-        + plan.children().into_iter().map(count_sublinks).sum::<u64>()
+    let mut n = 0;
+    plan.walk_expressions(&mut |e| n += in_expr(e));
+    n + plan.inputs().map(|c| count_sublinks(c)).sum::<u64>()
 }
 
 /// A stable structural fingerprint of the operator tree (FNV-1a over the
@@ -500,102 +508,8 @@ fn fingerprint_into(plan: &Plan, h: &mut u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Totality analysis
+// Totality analysis (`expr_is_total`, `plan_is_total`: `perm_algebra::visit`)
 // ---------------------------------------------------------------------------
-
-/// How a column reference resolves against a scope chain (innermost first),
-/// mirroring [`crate::eval::Env::lookup`]: the first scope that knows the
-/// name wins, ambiguity *within* a scope is an evaluation error.
-fn resolves(scopes: &[Schema], qualifier: Option<&str>, name: &str) -> bool {
-    for scope in scopes {
-        match scope.try_resolve(qualifier, name) {
-            Ok(Some(_)) => return true,
-            Ok(None) => continue,
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
-/// `true` when evaluating `expr` under the scope chain `scopes` (innermost
-/// first) can never raise an error, for any row. This is the contract that
-/// lets a rule move the expression to a place where it is evaluated on a
-/// different set of rows. Deliberately conservative: arithmetic (division,
-/// overflow-checked ops) and function calls are never total; a scalar
-/// sublink only when its plan cannot violate the one-row, one-column
-/// contract. A `$n` parameter is total: every execution entry refuses a
-/// vector that leaves it unbound before the first operator runs (see the
-/// module docs), so during evaluation it is a constant lookup.
-pub(crate) fn expr_is_total(expr: &Expr, scopes: &[Schema]) -> bool {
-    match expr {
-        Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Binary { op, left, right } => {
-            let ops_total = matches!(
-                op,
-                BinaryOp::And
-                    | BinaryOp::Or
-                    | BinaryOp::Cmp(_)
-                    | BinaryOp::NullSafeEq
-                    | BinaryOp::Like
-                    | BinaryOp::NotLike
-                    | BinaryOp::Concat
-            );
-            ops_total && expr_is_total(left, scopes) && expr_is_total(right, scopes)
-        }
-        Expr::Unary { op, expr } => match op {
-            UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull => expr_is_total(expr, scopes),
-            // Negation fails on non-numbers; a negative numeric literal
-            // (`BETWEEN -5 AND 5`) is the one operand known to be one.
-            UnaryOp::Neg => matches!(
-                expr.as_ref(),
-                Expr::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
-            ),
-        },
-        Expr::Func { .. } => false,
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            branches
-                .iter()
-                .all(|(c, v)| expr_is_total(c, scopes) && expr_is_total(v, scopes))
-                && else_expr
-                    .as_deref()
-                    .map(|e| expr_is_total(e, scopes))
-                    .unwrap_or(true)
-        }
-        Expr::Sublink {
-            kind,
-            test_expr,
-            plan,
-            ..
-        } => match kind {
-            SublinkKind::Scalar => {
-                yields_one_row(plan) && plan.schema().arity() == 1 && plan_is_total(plan, scopes)
-            }
-            SublinkKind::Exists => plan_is_total(plan, scopes),
-            SublinkKind::Any | SublinkKind::All => {
-                test_expr
-                    .as_deref()
-                    .map(|t| expr_is_total(t, scopes))
-                    .unwrap_or(false)
-                    && plan_is_total(plan, scopes)
-            }
-        },
-    }
-}
-
-/// `true` when `plan` yields exactly one row whatever its input holds: a
-/// global aggregate, possibly under projections and sorts.
-fn yields_one_row(plan: &Plan) -> bool {
-    match plan {
-        Plan::Aggregate { group_by, .. } => group_by.is_empty(),
-        Plan::Project { input, .. } | Plan::Sort { input, .. } => yields_one_row(input),
-        Plan::Values { rows, .. } => rows.len() == 1,
-        _ => false,
-    }
-}
 
 /// `true` when `plan` yields at least one row whatever the database holds.
 fn provably_nonempty(plan: &Plan) -> bool {
@@ -614,96 +528,33 @@ fn provably_nonempty(plan: &Plan) -> bool {
     }
 }
 
-/// `true` when executing `plan` (with enclosing scopes `outers`, innermost
-/// first) can never raise an evaluation error. Comparisons, hash encodings,
-/// sorting and every aggregate accumulator (`sum`/`avg` skip what they
-/// cannot add) are error-free in this engine; a `$n` anywhere in the plan
-/// is bound by the time it runs (see `expr_is_total`).
-pub(crate) fn plan_is_total(plan: &Plan, outers: &[Schema]) -> bool {
-    let with_local = |local: Schema| -> Vec<Schema> {
-        let mut chain = vec![local];
-        chain.extend_from_slice(outers);
-        chain
-    };
-    match plan {
-        Plan::Scan { .. } | Plan::Values { .. } => true,
-        Plan::Select { input, predicate } => {
-            plan_is_total(input, outers) && expr_is_total(predicate, &with_local(input.schema()))
-        }
-        Plan::Project { input, items, .. } => {
-            let chain = with_local(input.schema());
-            plan_is_total(input, outers) && items.iter().all(|i| expr_is_total(&i.expr, &chain))
-        }
-        Plan::CrossProduct { left, right } => {
-            plan_is_total(left, outers) && plan_is_total(right, outers)
-        }
-        Plan::Join {
-            left,
-            right,
-            condition,
-            ..
-        } => {
-            plan_is_total(left, outers)
-                && plan_is_total(right, outers)
-                && expr_is_total(
-                    condition,
-                    &with_local(left.schema().concat(&right.schema())),
-                )
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let chain = with_local(input.schema());
-            plan_is_total(input, outers)
-                && group_by.iter().all(|g| expr_is_total(&g.expr, &chain))
-                && aggregates
-                    .iter()
-                    .filter_map(|a| a.arg.as_ref())
-                    .all(|e| expr_is_total(e, &chain))
-        }
-        Plan::SetOp { left, right, .. } => {
-            plan_is_total(left, outers) && plan_is_total(right, outers)
-        }
-        Plan::Sort { input, keys } => {
-            let chain = with_local(input.schema());
-            plan_is_total(input, outers) && keys.iter().all(|k| expr_is_total(&k.expr, &chain))
-        }
-        Plan::Limit { input, .. } => plan_is_total(input, outers),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Rule: constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
-    match plan.map_children(|c| fold_pass(c, rep)) {
+fn fold_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| fold_pass(c, rep));
+    let folded = match mapped.as_ref().unwrap_or(node) {
         Plan::Select { input, predicate } => {
-            let folded = fold_expr(predicate, || vec![input.schema()], rep);
-            match &folded {
+            let folded = fold_expr(predicate, &[input.schema()], rep);
+            match folded.as_ref().unwrap_or(predicate) {
                 Expr::Literal(Value::Bool(true)) => {
                     rep.constants_folded += 1;
-                    return *input;
+                    Some(input.clone())
                 }
                 Expr::Literal(v)
                     if (v.is_null() || *v == Value::Bool(false))
                     // Dropping the input skips all of its evaluations, so
                     // it must be provably error-free.
-                    && plan_is_total(&input, &[]) =>
+                    && input.is_total() =>
                 {
                     rep.constants_folded += 1;
-                    return Plan::Values {
-                        schema: input.schema(),
+                    Some(PlanRef::new(Plan::Values {
+                        schema: Schema::clone(&input.schema()),
                         rows: Vec::new(),
-                    };
+                    }))
                 }
-                _ => {}
-            }
-            Plan::Select {
-                input,
-                predicate: folded,
+                _ => folded.map(|predicate| PlanRef::new(select(input.clone(), predicate))),
             }
         }
         Plan::Join {
@@ -711,30 +562,40 @@ fn fold_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
             right,
             kind,
             condition,
-        } => Plan::Join {
-            condition: fold_expr(
-                condition,
-                || vec![left.schema().concat(&right.schema())],
-                rep,
-            ),
-            left,
-            right,
-            kind,
-        },
-        other => other,
-    }
+        } => {
+            let scope = mapped.as_ref().map_or_else(|| node.scope(), Plan::scope);
+            fold_expr(condition, &[scope], rep).map(|condition| {
+                PlanRef::new(Plan::Join {
+                    left: left.clone(),
+                    right: right.clone(),
+                    kind: *kind,
+                    condition,
+                })
+            })
+        }
+        _ => None,
+    };
+    folded.unwrap_or_else(|| node.or_changed(mapped))
 }
 
 /// Shielding-exact constant folds over a predicate evaluated under the
-/// scope chain `scopes` yields (innermost first; asked for only when a fold
-/// has a totality to judge — an empty chain declines those that read a
-/// column). Only folds that cannot change which subexpressions are
-/// evaluated fire unconditionally; folds that would *skip* evaluating an
-/// operand require it to be total.
-fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerReport) -> Expr {
-    let chain = std::cell::OnceCell::new();
-    let scopes = || chain.get_or_init(&scopes).as_slice();
-    expr.transform(&mut |e| match &e {
+/// scope chain `scopes` (innermost first; an empty chain declines the folds
+/// that judge the totality of an operand reading a column). Only folds
+/// that cannot change which subexpressions are evaluated fire
+/// unconditionally; folds that would *skip* evaluating an operand require
+/// it to be total. `None` when nothing folds.
+fn fold_expr(expr: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Option<Expr> {
+    expr.rewrite(&mut |e| fold_node(e, scopes, rep))
+}
+
+/// [`fold_expr`] on an expression the caller owns, folded in place.
+fn fold_owned(expr: Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Expr {
+    expr.transform(&mut |e| fold_node(&e, scopes, rep).unwrap_or(e))
+}
+
+/// The fold of one node whose operands are folded already.
+fn fold_node(e: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Option<Expr> {
+    match e {
         Expr::Binary {
             op: BinaryOp::And,
             left,
@@ -744,22 +605,22 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
             // evaluation exactly.
             (Expr::Literal(Value::Bool(false)), _) => {
                 rep.constants_folded += 1;
-                Expr::Literal(Value::Bool(false))
+                Some(Expr::Literal(Value::Bool(false)))
             }
             // `l ∧ FALSE` is FALSE whatever `l` is; `l` no longer runs.
-            (l, Expr::Literal(Value::Bool(false))) if expr_is_total(l, scopes()) => {
+            (l, Expr::Literal(Value::Bool(false))) if expr_is_total(l, scopes) => {
                 rep.constants_folded += 1;
-                Expr::Literal(Value::Bool(false))
+                Some(Expr::Literal(Value::Bool(false)))
             }
             (Expr::Literal(Value::Bool(true)), r) => {
                 rep.constants_folded += 1;
-                r.clone()
+                Some(r.clone())
             }
             (l, Expr::Literal(Value::Bool(true))) => {
                 rep.constants_folded += 1;
-                l.clone()
+                Some(l.clone())
             }
-            _ => e,
+            _ => None,
         },
         Expr::Binary {
             op: BinaryOp::Or,
@@ -768,22 +629,22 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
         } => match (left.as_ref(), right.as_ref()) {
             (Expr::Literal(Value::Bool(true)), _) => {
                 rep.constants_folded += 1;
-                Expr::Literal(Value::Bool(true))
+                Some(Expr::Literal(Value::Bool(true)))
             }
             // `l ∨ TRUE` is TRUE whatever `l` is; `l` no longer runs.
-            (l, Expr::Literal(Value::Bool(true))) if expr_is_total(l, scopes()) => {
+            (l, Expr::Literal(Value::Bool(true))) if expr_is_total(l, scopes) => {
                 rep.constants_folded += 1;
-                Expr::Literal(Value::Bool(true))
+                Some(Expr::Literal(Value::Bool(true)))
             }
             (Expr::Literal(Value::Bool(false)), r) => {
                 rep.constants_folded += 1;
-                r.clone()
+                Some(r.clone())
             }
             (l, Expr::Literal(Value::Bool(false))) => {
                 rep.constants_folded += 1;
-                l.clone()
+                Some(l.clone())
             }
-            _ => e,
+            _ => None,
         },
         Expr::Binary {
             op: BinaryOp::Cmp(cop),
@@ -792,9 +653,9 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
         } => match (left.as_ref(), right.as_ref()) {
             (Expr::Literal(l), Expr::Literal(r)) => {
                 rep.constants_folded += 1;
-                crate::eval::compare(*cop, l, r).to_value_expr()
+                Some(crate::eval::compare(*cop, l, r).to_value_expr())
             }
-            _ => e,
+            _ => None,
         },
         // Constant arithmetic (e.g. a bound `date '…' + interval '90' day`)
         // evaluates deterministically, so a successful fold is exact — and
@@ -811,11 +672,11 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
                 (Expr::Literal(l), Expr::Literal(r)) => match crate::eval::arithmetic(*op, l, r) {
                     Ok(v) => {
                         rep.constants_folded += 1;
-                        Expr::Literal(v)
+                        Some(Expr::Literal(v))
                     }
-                    Err(_) => e,
+                    Err(_) => None,
                 },
-                _ => e,
+                _ => None,
             }
         }
         Expr::Unary {
@@ -824,9 +685,9 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
         } => match expr.as_ref() {
             Expr::Literal(Value::Bool(b)) => {
                 rep.constants_folded += 1;
-                Expr::Literal(Value::Bool(!b))
+                Some(Expr::Literal(Value::Bool(!b)))
             }
-            _ => e,
+            _ => None,
         },
         // A global aggregate yields its one row over any input, so
         // `EXISTS` over it is TRUE; skipping the body needs it total.
@@ -834,12 +695,12 @@ fn fold_expr(expr: Expr, scopes: impl Fn() -> Vec<Schema>, rep: &mut OptimizerRe
             kind: SublinkKind::Exists,
             plan,
             ..
-        } if yields_one_row(plan) && plan_is_total(plan, scopes()) => {
+        } if yields_one_row(plan) && plan_is_total(plan, scopes) => {
             rep.constants_folded += 1;
-            Expr::Literal(Value::Bool(true))
+            Some(Expr::Literal(Value::Bool(true)))
         }
-        _ => e,
-    })
+        _ => None,
+    }
 }
 
 /// Renders a [`perm_storage::Truth`] as a literal expression.
@@ -866,24 +727,31 @@ impl TruthExpr for perm_storage::Truth {
 /// *whole* predicate is total, so the error set cannot change. Semi/anti
 /// joins over a cross product move onto the factor they read, or — reading
 /// both — become two inner joins.
-fn pushdown_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
-    match plan.map_children(|c| pushdown_pass(c, rep)) {
-        Plan::Select { input, predicate } => push_select(*input, predicate, rep),
+fn pushdown_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| pushdown_pass(c, rep));
+    let pushed = match mapped.as_ref().unwrap_or(node) {
+        Plan::Select { input, predicate } => push_select(input, predicate, rep),
         Plan::Join {
             left,
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => push_semi_join(*left, *right, kind, condition, rep),
-        other => other,
+        } => push_semi_join(left, right, *kind, condition, rep),
+        _ => None,
+    };
+    node.or_changed(pushed.or(mapped))
+}
+
+fn select(input: impl Into<PlanRef>, predicate: Expr) -> Plan {
+    Plan::Select {
+        input: input.into(),
+        predicate,
     }
 }
 
-fn select(input: Plan, predicate: Expr) -> Plan {
-    Plan::Select {
-        input: Box::new(input),
-        predicate,
-    }
+/// `σ_predicate(input)`, pushed as far as [`push_select`] takes it.
+fn pushed_select(input: &PlanRef, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
+    push_select(input, &predicate, rep).unwrap_or_else(|| select(input.clone(), predicate))
 }
 
 /// `true` when every one of `refs` resolves (unambiguously) in `schema`.
@@ -898,16 +766,16 @@ fn resolves_none(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
         .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(None)))
 }
 
-fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
-    let input = match input {
-        Plan::Join {
-            left,
-            right,
-            kind: JoinKind::LeftOuter,
-            condition,
-        } => return push_onto_preserved_side(*left, *right, condition, predicate, rep),
-        other => other,
-    };
+/// `σ_predicate(input)` with the selection pushed down; `None` when it stays
+/// where it is.
+fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> Option<Plan> {
+    if let Plan::Join {
+        kind: JoinKind::LeftOuter,
+        ..
+    } = &**input
+    {
+        return push_onto_preserved_side(input, predicate, rep);
+    }
     if predicate.has_sublink() {
         // Sublink-bearing conjuncts stay put: moving one changes how often
         // the (expensive, operator-counted) sublink body runs, and
@@ -916,10 +784,10 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
         return sink_conjuncts(input, predicate, rep);
     }
     let out_schema = input.schema();
-    if !expr_is_total(&predicate, std::slice::from_ref(&out_schema)) {
-        return select(input, predicate);
+    if !expr_is_total(predicate, std::slice::from_ref(&out_schema)) {
+        return None;
     }
-    match input {
+    match &**input {
         // σ_p(Π_items(T)) → Π_items(σ_p'(T)) with output names substituted
         // by their defining expressions. Projection items are evaluated on
         // the filtered rows afterwards, so they must be total; for a
@@ -935,27 +803,15 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
                 .iter()
                 .all(|i| expr_is_total(&i.expr, std::slice::from_ref(&inner_schema)));
             let substituted = items_total
-                .then(|| substitute_through(&predicate, &out_schema, &items))
+                .then(|| substitute_through(predicate, &out_schema, items))
                 .flatten()
-                .filter(|p| expr_is_total(p, std::slice::from_ref(&inner_schema)));
-            match substituted {
-                Some(pushed) => {
-                    rep.predicates_pushed += 1;
-                    Plan::Project {
-                        input: Box::new(push_select(*inner, pushed, rep)),
-                        items,
-                        distinct,
-                    }
-                }
-                None => select(
-                    Plan::Project {
-                        input: inner,
-                        items,
-                        distinct,
-                    },
-                    predicate,
-                ),
-            }
+                .filter(|p| expr_is_total(p, std::slice::from_ref(&inner_schema)))?;
+            rep.predicates_pushed += 1;
+            Some(Plan::Project {
+                input: pushed_select(inner, substituted, rep).into(),
+                items: items.clone(),
+                distinct: *distinct,
+            })
         }
         // σ_p(L ∩ R) → σ_p(L) ∩ R and σ_p(L − R) → σ_p(L) − R: membership
         // of a row in the result is decided by the same row values the
@@ -970,27 +826,17 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
             right,
         } => {
             let left_schema = left.schema();
-            if resolves_all(&left_schema, &predicate.column_refs())
-                && expr_is_total(&predicate, std::slice::from_ref(&left_schema))
-            {
+            (resolves_all(&left_schema, &predicate.column_refs())
+                && expr_is_total(predicate, std::slice::from_ref(&left_schema)))
+            .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::SetOp {
-                    op,
-                    all,
-                    left: Box::new(push_select(*left, predicate, rep)),
-                    right,
+                    op: *op,
+                    all: *all,
+                    left: pushed_select(left, predicate.clone(), rep).into(),
+                    right: right.clone(),
                 }
-            } else {
-                select(
-                    Plan::SetOp {
-                        op,
-                        all,
-                        left,
-                        right,
-                    },
-                    predicate,
-                )
-            }
+            })
         }
         // σ_p(L ⋉ R) → σ_p(L) ⋉ R (and ▷): the join emits left rows
         // verbatim, so a total predicate over them commutes with the join
@@ -1002,27 +848,17 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
             condition,
         } => {
             let left_schema = left.schema();
-            if resolves_all(&left_schema, &predicate.column_refs())
-                && expr_is_total(&predicate, std::slice::from_ref(&left_schema))
-            {
+            (resolves_all(&left_schema, &predicate.column_refs())
+                && expr_is_total(predicate, std::slice::from_ref(&left_schema)))
+            .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::Join {
-                    left: Box::new(push_select(*left, predicate, rep)),
-                    right,
-                    kind,
-                    condition,
+                    left: pushed_select(left, predicate.clone(), rep).into(),
+                    right: right.clone(),
+                    kind: *kind,
+                    condition: condition.clone(),
                 }
-            } else {
-                select(
-                    Plan::Join {
-                        left,
-                        right,
-                        kind,
-                        condition,
-                    },
-                    predicate,
-                )
-            }
+            })
         }
         // σ_p(σ_q(T)) → σ_{q ∧ p}(T) for total, sublink-free `q`: conjuncts
         // that sink onto the same product factor one by one end up as one
@@ -1030,16 +866,20 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
         Plan::Select {
             input: inner,
             predicate: below,
-        } if !below.has_sublink() && expr_is_total(&below, std::slice::from_ref(&out_schema)) => {
+        } if !below.has_sublink() && expr_is_total(below, std::slice::from_ref(&out_schema)) => {
             rep.predicates_pushed += 1;
-            push_select(*inner, and(below, predicate), rep)
+            Some(pushed_select(
+                inner,
+                and(below.clone(), predicate.clone()),
+                rep,
+            ))
         }
-        product @ (Plan::CrossProduct { .. }
+        Plan::CrossProduct { .. }
         | Plan::Join {
             kind: JoinKind::Inner,
             ..
-        }) => sink_conjuncts(product, predicate, rep),
-        other => select(other, predicate),
+        } => sink_conjuncts(input, predicate, rep),
+        _ => None,
     }
 }
 
@@ -1047,24 +887,21 @@ fn push_select(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan 
 /// conjuncts `c` that read `L` alone: every pair the join then sees has `c`
 /// TRUE, so the copies of `c` in `θ` are constants.
 fn push_onto_preserved_side(
-    left: Plan,
-    right: Plan,
-    condition: Expr,
-    predicate: Expr,
+    join: &PlanRef,
+    predicate: &Expr,
     rep: &mut OptimizerReport,
-) -> Plan {
-    let left_outer = |left: Plan, right: Plan, condition: Expr| Plan::Join {
-        left: Box::new(left),
-        right: Box::new(right),
-        kind: JoinKind::LeftOuter,
+) -> Option<Plan> {
+    let Plan::Join {
+        left,
+        right,
         condition,
-    };
-    let conjuncts = split_conjuncts(&predicate);
-    let Some((moves, assumed)) = preserved_side_moves(&left, &right, &condition, &conjuncts, rep)
+        ..
+    } = &**join
     else {
-        // Untouched: keep the predicate's own association.
-        return select(left_outer(left, right, condition), predicate);
+        unreachable!("called on a left outer join");
     };
+    let conjuncts = split_conjuncts(predicate);
+    let (moves, assumed) = preserved_side_moves(left, right, condition, &conjuncts, rep)?;
     // Sublink-free conjuncts go first: they keep sinking through
     // projections, where a predicate that holds a sublink stops.
     let (mut kept, mut free, mut bearing) = (Vec::new(), Vec::new(), Vec::new());
@@ -1076,18 +913,23 @@ fn push_onto_preserved_side(
         }
     }
     rep.preserved_side_pushed += (free.len() + bearing.len()) as u64;
-    let mut left = left;
+    let mut left = left.clone();
     for moved in [free, bearing] {
         if !moved.is_empty() {
-            left = push_select(left, conjunction(moved), rep);
+            left = pushed_select(&left, conjunction(moved), rep).into();
         }
     }
-    let join = left_outer(left, right, assumed);
-    if kept.is_empty() {
+    let join = Plan::Join {
+        left,
+        right: right.clone(),
+        kind: JoinKind::LeftOuter,
+        condition: assumed,
+    };
+    Some(if kept.is_empty() {
         join
     } else {
         select(join, conjunction(kept))
-    }
+    })
 }
 
 /// Which `conjuncts` of a selection over `left ⟕_condition right` move onto
@@ -1097,8 +939,8 @@ fn push_onto_preserved_side(
 /// otherwise the join keeps its probe per pair, and the selection its
 /// shape.
 fn preserved_side_moves(
-    left: &Plan,
-    right: &Plan,
+    left: &PlanRef,
+    right: &PlanRef,
     condition: &Expr,
     conjuncts: &[Expr],
     rep: &mut OptimizerReport,
@@ -1111,11 +953,11 @@ fn preserved_side_moves(
             !refs.is_empty() && one_side(&ls, &rs, &refs) == Some(true)
         })
         .collect();
-    let scope = [ls.concat(&rs)];
+    let scope = [Arc::new(ls.concat(&rs))];
     let total = moves.contains(&true)
         && conjuncts.iter().all(|c| expr_is_total(c, &scope))
         && expr_is_total(condition, &scope)
-        && plan_is_total(right, &[]);
+        && right.is_total();
     if !total {
         return None;
     }
@@ -1130,7 +972,7 @@ fn preserved_side_moves(
             });
         // With the join's scope at hand `C' ∨ TRUE` folds here, not a pass
         // later.
-        fold_expr(assumed, || scope.to_vec(), rep)
+        fold_owned(assumed, &scope, rep)
     };
     let snapshot = *rep;
     let assumed = assume(&moves, rep);
@@ -1151,31 +993,15 @@ fn preserved_side_moves(
 /// Moves the sublink-free conjuncts of a total predicate onto the side of
 /// the cross product / inner join (reached through semi/anti probe sides)
 /// that resolves them; whatever cannot move stays in a selection on top.
-fn sink_conjuncts(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
-    let mut probe = &input;
-    while let Plan::Join {
-        left,
-        kind: JoinKind::Semi | JoinKind::Anti,
-        ..
-    } = probe
-    {
-        probe = left;
+/// `None` when nothing moves.
+fn sink_conjuncts(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> Option<Plan> {
+    if !reaches_product(input) || !expr_is_total(predicate, &[input.schema()]) {
+        return None;
     }
-    let reaches_product = matches!(
-        probe,
-        Plan::CrossProduct { .. }
-            | Plan::Join {
-                kind: JoinKind::Inner,
-                ..
-            }
-    );
-    if !reaches_product || !expr_is_total(&predicate, std::slice::from_ref(&input.schema())) {
-        return select(input, predicate);
-    }
-    let mut input = input;
+    let mut input = input.clone();
     let mut kept = Vec::new();
     let mut moved = 0;
-    for c in split_conjuncts(&predicate) {
+    for c in split_conjuncts(predicate) {
         let refs = c.column_refs();
         if c.has_sublink() || refs.is_empty() {
             kept.push(c);
@@ -1193,75 +1019,93 @@ fn sink_conjuncts(input: Plan, predicate: Expr, rep: &mut OptimizerReport) -> Pl
         }
     }
     if moved == 0 {
-        // Untouched: keep the predicate's own association.
-        return select(input, predicate);
+        return None;
     }
     rep.predicates_pushed += moved;
-    if kept.is_empty() {
-        input
+    Some(if kept.is_empty() {
+        input.into_plan()
     } else {
         select(input, conjunction(kept))
+    })
+}
+
+/// `true` when a cross product or inner join is reached from `input`
+/// through semi/anti probe sides.
+fn reaches_product(input: &Plan) -> bool {
+    let mut probe = input;
+    while let Plan::Join {
+        left,
+        kind: JoinKind::Semi | JoinKind::Anti,
+        ..
+    } = probe
+    {
+        probe = left;
     }
+    matches!(
+        probe,
+        Plan::CrossProduct { .. }
+            | Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+    )
 }
 
 /// Places `σ_c` on the one side of a product below `plan` that resolves
 /// `refs`, or hands `plan` back.
 fn sink_filter(
-    plan: Plan,
+    plan: PlanRef,
     c: &Expr,
     refs: &[(Option<Name>, Name)],
     rep: &mut OptimizerReport,
-) -> Result<Plan, Plan> {
-    match plan {
+) -> Result<PlanRef, PlanRef> {
+    match &*plan {
         Plan::Join {
             left,
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => {
-            let rebuild = |left: Plan| Plan::Join {
-                left: Box::new(left),
-                right,
-                kind,
-                condition,
-            };
-            match sink_filter(*left, c, refs, rep) {
-                Ok(left) => Ok(rebuild(left)),
-                Err(left) => Err(rebuild(left)),
-            }
-        }
-        product @ (Plan::CrossProduct { .. }
+        } => match sink_filter(left.clone(), c, refs, rep) {
+            Ok(left) => Ok(PlanRef::new(Plan::Join {
+                left,
+                right: right.clone(),
+                kind: *kind,
+                condition: condition.clone(),
+            })),
+            Err(_) => Err(plan),
+        },
+        product @ (Plan::CrossProduct { left, right }
         | Plan::Join {
+            left,
+            right,
             kind: JoinKind::Inner,
             ..
         }) => {
-            let [left, right] = product.children()[..] else {
-                unreachable!("products have two children");
-            };
             let (ls, rs) = (left.schema(), right.schema());
             // A join condition then runs on fewer pairs: it must be total.
-            let condition_total = match &product {
+            let condition_total = match product {
                 Plan::Join { condition, .. } => {
                     !condition.has_sublink()
-                        && expr_is_total(condition, std::slice::from_ref(&ls.concat(&rs)))
+                        && expr_is_total(condition, &[Arc::new(ls.concat(&rs))])
                 }
                 _ => true,
             };
             let Some(onto_left) = one_side(&ls, &rs, refs).filter(|_| condition_total) else {
-                return Err(product);
+                return Err(plan);
             };
             let mut is_left = true;
-            Ok(product.map_children(|side| {
+            let pushed = product.map_children(|side| {
                 let target = is_left == onto_left;
                 is_left = false;
                 if target {
-                    push_select(side, c.clone(), rep)
+                    pushed_select(side, c.clone(), rep).into()
                 } else {
-                    side
+                    side.clone()
                 }
-            }))
+            });
+            Ok(PlanRef::new(pushed.expect("the target side changed")))
         }
-        other => Err(other),
+        _ => Err(plan),
     }
 }
 
@@ -1278,47 +1122,51 @@ fn one_side(left: &Schema, right: &Schema, refs: &[(Option<Name>, Name)]) -> Opt
 }
 
 /// A semi/anti join over a cross product: onto the factor its condition
-/// reads, or — a semi join reading both — through the product.
+/// reads, or — a semi join reading both — through the product. `None` when
+/// the join stays where it is.
 fn push_semi_join(
-    left: Plan,
-    right: Plan,
+    left: &PlanRef,
+    right: &PlanRef,
     kind: JoinKind,
-    condition: Expr,
+    condition: &Expr,
     rep: &mut OptimizerReport,
-) -> Plan {
+) -> Option<Plan> {
+    if !matches!(**left, Plan::CrossProduct { .. }) || condition.has_sublink() {
+        return None;
+    }
     let right_schema = right.schema();
-    let probe_refs = free_expr_columns(&condition, &right_schema);
-    let movable = matches!(left, Plan::CrossProduct { .. })
-        && !condition.has_sublink()
-        && !probe_refs.is_empty();
+    let probe_refs = free_expr_columns(condition, &right_schema);
+    if probe_refs.is_empty() {
+        return None;
+    }
     // On a factor the build side runs whenever the factor has rows, and the
     // condition on the factor's rows: unobservable when both are total, or
     // when the factors left behind cannot be empty.
-    let total = movable
-        && expr_is_total(
-            &condition,
-            std::slice::from_ref(&left.schema().concat(&right_schema)),
-        )
-        && plan_is_total(&right, &[]);
+    let total = expr_is_total(condition, &[Arc::new(left.schema().concat(&right_schema))])
+        && right.is_total();
     let join = SemiJoin {
-        build: right,
+        build: right.clone(),
         kind,
-        condition,
+        condition: condition.clone(),
         probe_refs,
         total,
     };
-    if !movable {
-        return join.over(left);
+    match join.sink(left.clone(), rep) {
+        // Still the join on top: it stayed where it was.
+        Plan::Join { .. } => None,
+        // A product on top: the join went onto one of its factors.
+        pushed @ Plan::CrossProduct { .. } => {
+            rep.joins_pushed += 1;
+            Some(pushed)
+        }
+        // Two inner joins under a projection (counted where expanded).
+        expanded => Some(expanded),
     }
-    let pushed = join.sink(left, rep);
-    // Still a product on top: the join went onto one of its factors.
-    rep.joins_pushed += u64::from(matches!(pushed, Plan::CrossProduct { .. }));
-    pushed
 }
 
 /// A semi/anti join looking for the lowest cross-product factor to run on.
 struct SemiJoin {
-    build: Plan,
+    build: PlanRef,
     kind: JoinKind,
     condition: Expr,
     /// The condition's references to the probe side.
@@ -1328,10 +1176,10 @@ struct SemiJoin {
 }
 
 impl SemiJoin {
-    fn over(self, probe: Plan) -> Plan {
+    fn over(self, probe: PlanRef) -> Plan {
         Plan::Join {
-            left: Box::new(probe),
-            right: Box::new(self.build),
+            left: probe,
+            right: self.build,
             kind: self.kind,
             condition: self.condition,
         }
@@ -1339,35 +1187,30 @@ impl SemiJoin {
 
     /// Descends through cross products towards the factor that resolves
     /// the probe references and joins there.
-    fn sink(self, probe: Plan, rep: &mut OptimizerReport) -> Plan {
-        let Plan::CrossProduct { left, right } = probe else {
+    fn sink(self, probe: PlanRef, rep: &mut OptimizerReport) -> Plan {
+        let Plan::CrossProduct { left, right } = &*probe else {
             return self.over(probe);
         };
         match one_side(&left.schema(), &right.schema(), &self.probe_refs) {
-            Some(true) if self.total || provably_nonempty(&right) => Plan::CrossProduct {
-                left: Box::new(self.sink(*left, rep)),
-                right,
+            Some(true) if self.total || provably_nonempty(right) => Plan::CrossProduct {
+                left: self.sink(left.clone(), rep).into(),
+                right: right.clone(),
             },
-            Some(false) if self.total || provably_nonempty(&left) => Plan::CrossProduct {
-                left,
-                right: Box::new(self.sink(*right, rep)),
+            Some(false) if self.total || provably_nonempty(left) => Plan::CrossProduct {
+                left: left.clone(),
+                right: self.sink(right.clone(), rep).into(),
             },
             None if self.kind == JoinKind::Semi && self.total => {
-                let expansion = SemiExpansion::plan(
-                    &left.schema(),
-                    &right.schema(),
-                    &self.build.schema(),
-                    &self.condition,
-                );
+                let expansion = SemiExpansion::plan(&probe, &self.build.schema(), &self.condition);
                 match expansion {
                     Some(expansion) => {
                         rep.semi_joins_expanded += 1;
-                        expansion.build(*left, *right, self.build)
+                        expansion.build(left.clone(), right.clone(), self.build)
                     }
-                    None => self.over(Plan::CrossProduct { left, right }),
+                    None => self.over(probe),
                 }
             }
-            _ => self.over(Plan::CrossProduct { left, right }),
+            _ => self.over(probe),
         }
     }
 }
@@ -1388,15 +1231,20 @@ impl SemiExpansion {
     /// (`=` or `=ₙ`) between one of the factors and `S`, both factors are
     /// compared, and every column keeps naming one column in the wider
     /// scope of the two joins.
-    fn plan(ls: &Schema, rs: &Schema, ss: &Schema, condition: &Expr) -> Option<SemiExpansion> {
-        let scope = ls.concat(rs).concat(ss);
+    fn plan(product: &PlanRef, ss: &Schema, condition: &Expr) -> Option<SemiExpansion> {
+        let Plan::CrossProduct { left, right } = &**product else {
+            return None;
+        };
+        let (ls, rs, lrs) = (left.schema(), right.schema(), product.schema());
+        if !decorrelate::unambiguous(&lrs.concat(ss)) {
+            return None;
+        }
         let mut expansion = SemiExpansion {
             on_l: Vec::new(),
             on_r: Vec::new(),
             keys: Vec::new(),
-            restored: decorrelate::passthrough_items(&ls.concat(rs))?,
+            restored: decorrelate::passthrough_items(&lrs)?,
         };
-        decorrelate::passthrough_items(&scope)?;
         for c in split_conjuncts(condition) {
             let Expr::Binary {
                 op: BinaryOp::Cmp(CompareOp::Eq) | BinaryOp::NullSafeEq,
@@ -1417,9 +1265,9 @@ impl SemiExpansion {
             } else {
                 return None;
             };
-            if resolves_all(ls, &factor) {
+            if resolves_all(&ls, &factor) {
                 expansion.on_l.push(c);
-            } else if resolves_all(rs, &factor) {
+            } else if resolves_all(&rs, &factor) {
                 expansion.on_r.push(c);
             } else {
                 return None;
@@ -1433,20 +1281,20 @@ impl SemiExpansion {
 
     /// Builds the two inner joins. The caller has checked that `s` is
     /// total: it now runs whether or not `L × R` has rows.
-    fn build(self, l: Plan, r: Plan, s: Plan) -> Plan {
-        let distinct_keys = match s {
+    fn build(self, l: PlanRef, r: PlanRef, s: PlanRef) -> Plan {
+        let distinct_keys = match &*s {
             // A build side that projects exactly the keys dedups in place.
             Plan::Project {
                 input,
                 items,
                 distinct: false,
             } if items.len() == self.keys.len() => Plan::Project {
-                input,
-                items,
+                input: input.clone(),
+                items: items.clone(),
                 distinct: true,
             },
-            other => Plan::Project {
-                input: Box::new(other),
+            _ => Plan::Project {
+                input: s,
                 items: self
                     .keys
                     .into_iter()
@@ -1463,11 +1311,11 @@ impl SemiExpansion {
             },
         };
         Plan::Project {
-            input: Box::new(Plan::Join {
-                left: Box::new(l),
-                right: Box::new(Plan::Join {
-                    left: Box::new(r),
-                    right: Box::new(distinct_keys),
+            input: PlanRef::new(Plan::Join {
+                left: l,
+                right: PlanRef::new(Plan::Join {
+                    left: r,
+                    right: PlanRef::new(distinct_keys),
                     kind: JoinKind::Inner,
                     condition: conjunction(self.on_r),
                 }),
@@ -1509,18 +1357,48 @@ fn substitute_through(
 // Rule: projection pruning
 // ---------------------------------------------------------------------------
 
+/// What the operators above a subtree read from it: every column reference
+/// of `reader`'s expressions ([`walk_column_refs`]), then what `above`
+/// needs. Chained, not copied.
+#[derive(Clone, Copy)]
+struct Needed<'a> {
+    reader: &'a Plan,
+    above: Option<&'a Needed<'a>>,
+}
+
+impl<'a> Needed<'a> {
+    /// Calls `f` on every reference in the chain.
+    fn each(&self, f: &mut impl FnMut(&'a Option<Name>, &'a Name)) {
+        let mut link = Some(self);
+        while let Some(needed) = link {
+            needed
+                .reader
+                .walk_expressions(&mut |e| walk_column_refs(e, &mut *f));
+            link = needed.above;
+        }
+    }
+}
+
+/// `true` when the reference `q.n` could resolve to `item`: a loose,
+/// ambiguity-preserving match — a projection item is required when any
+/// needed reference could resolve to it, so two same-named items are both
+/// kept, and a reference that was ambiguous (a runtime error) stays
+/// ambiguous.
+fn could_read(q: &Option<Name>, n: &Name, item: &ProjectItem) -> bool {
+    n == &item.alias
+        && match (q, &item.qualifier) {
+            (Some(q), Some(iq)) => q == iq,
+            _ => true,
+        }
+}
+
 /// Top-down liveness pass: narrows non-distinct projections to the columns
 /// something above actually references. `required == None` means "every
 /// column" — the root (whose positional layout the provenance descriptor
 /// depends on), set-operation branches (positional arity contract) and
 /// sublink bodies keep their full width.
-fn prune_pass(
-    plan: Plan,
-    required: Option<&[(Option<Name>, Name)]>,
-    rep: &mut OptimizerReport,
-) -> Plan {
-    type Refs = Vec<(Option<Name>, Name)>;
-    let plan = match (plan, required) {
+fn prune_pass(node: &PlanRef, required: Option<&Needed<'_>>, rep: &mut OptimizerReport) -> PlanRef {
+    let pruned = match (&**node, required) {
         (
             Plan::Project {
                 input,
@@ -1529,96 +1407,85 @@ fn prune_pass(
             },
             Some(req),
         ) => {
-            let input_schema = std::cell::OnceCell::new();
-            let total = items.len();
-            let first = items[0].clone();
-            let mut kept: Vec<ProjectItem> = items
-                .into_iter()
-                .filter(|item| {
-                    item_required(req, item)
-                        // A non-total item's evaluation errors are
-                        // observable even if nothing reads it.
-                        || !expr_is_total(
-                            &item.expr,
-                            std::slice::from_ref(input_schema.get_or_init(|| input.schema())),
-                        )
-                })
-                .collect();
-            if kept.is_empty() {
-                kept.push(first);
+            // One walk of the chain marks every item a reference above
+            // could read.
+            let mut keep = vec![false; items.len()];
+            req.each(&mut |q, n| {
+                for (keep, item) in keep.iter_mut().zip(items) {
+                    *keep |= could_read(q, n, item);
+                }
+            });
+            let input_schema = [input.schema()];
+            for (keep, item) in keep.iter_mut().zip(items) {
+                // A non-total item's evaluation errors are observable even
+                // if nothing reads it.
+                *keep = *keep || !expr_is_total(&item.expr, &input_schema);
             }
-            if kept.len() < total {
+            let kept = keep.iter().filter(|k| **k).count().max(1);
+            (kept < items.len()).then(|| {
                 rep.projections_pruned += 1;
-            }
-            Plan::Project {
-                input,
-                items: kept,
-                distinct: false,
-            }
+                let mut kept: Vec<ProjectItem> = items
+                    .iter()
+                    .zip(&keep)
+                    .filter(|(_, keep)| **keep)
+                    .map(|(item, _)| item.clone())
+                    .collect();
+                if kept.is_empty() {
+                    kept.push(items[0].clone());
+                }
+                Plan::Project {
+                    input: input.clone(),
+                    items: kept,
+                    distinct: false,
+                }
+            })
         }
-        (other, _) => other,
+        _ => None,
     };
+    let plan = pruned.as_ref().unwrap_or(node);
     // Every column reference this operator's expressions need from below,
     // including references escaping embedded sublink plans.
-    let own_refs = |plan: &Plan| -> Refs {
-        let empty = Schema::empty();
-        plan.expressions()
-            .into_iter()
-            .flat_map(|e| free_expr_columns(e, &empty))
-            .collect()
-    };
-    let with_own = |plan: &Plan| -> Option<Refs> {
-        required.map(|req| {
-            let mut r = req.to_vec();
-            r.extend(own_refs(plan));
-            r
-        })
-    };
+    let own = Some(Needed {
+        reader: plan,
+        above: None,
+    });
+    let with_own = required.map(|above| Needed {
+        reader: plan,
+        above: Some(above),
+    });
+    let passed = required.copied();
     // What the (left, right) children must keep.
-    let (left_req, right_req): (Option<Refs>, Option<Refs>) = match &plan {
+    let (left_req, right_req) = match plan {
         Plan::Scan { .. } | Plan::Values { .. } => (None, None),
-        Plan::Project { .. } | Plan::Aggregate { .. } => (Some(own_refs(&plan)), None),
-        Plan::Select { .. } | Plan::Sort { .. } => (with_own(&plan), None),
+        Plan::Project { .. } | Plan::Aggregate { .. } => (own, None),
+        Plan::Select { .. } | Plan::Sort { .. } => (with_own, None),
         // Both sides contribute to the output positionally via concat;
         // pass the requirement through to both (loose name matching keeps
         // anything either side might satisfy).
-        Plan::CrossProduct { .. } => (required.map(<[_]>::to_vec), required.map(<[_]>::to_vec)),
-        Plan::Limit { .. } => (required.map(<[_]>::to_vec), None),
+        Plan::CrossProduct { .. } => (passed, passed),
+        Plan::Limit { .. } => (passed, None),
         // Semi/anti joins emit left rows only: the right side exists
         // purely for the condition.
-        Plan::Join { kind, .. } if kind.left_only_output() => {
-            (with_own(&plan), Some(own_refs(&plan)))
-        }
-        Plan::Join { .. } => (with_own(&plan), with_own(&plan)),
+        Plan::Join { kind, .. } if kind.left_only_output() => (with_own, own),
+        Plan::Join { .. } => (with_own, with_own),
         // Branch outputs correspond positionally; pruning either would
         // break the arity contract.
         Plan::SetOp { .. } => (None, None),
     };
-    let mut child_reqs = [left_req, right_req].into_iter();
-    let plan = plan.map_children(|child| {
-        let req = child_reqs
-            .next()
-            .expect("an operator has at most two children");
-        prune_pass(child, req.as_deref(), rep)
-    });
-    if !plan.has_direct_sublink() {
-        return plan;
-    }
-    plan.map_expressions(|e| map_sublink_plans(e, &mut |p| prune_pass(p, None, rep)))
-}
-
-/// Loose, ambiguity-preserving match: a projection item is required when
-/// any needed reference could resolve to it. Two same-named items are both
-/// kept, so a reference that was ambiguous (a runtime error) stays
-/// ambiguous.
-fn item_required(required: &[(Option<Name>, Name)], item: &ProjectItem) -> bool {
-    required.iter().any(|(q, n)| {
-        n == &item.alias
-            && match (q, &item.qualifier) {
-                (Some(q), Some(iq)) => q == iq,
-                _ => true,
-            }
-    })
+    let mut is_left = true;
+    let mapped = plan
+        .map_children(|child| {
+            let req = if is_left { left_req } else { right_req };
+            is_left = false;
+            prune_pass(child, req.as_ref(), rep)
+        })
+        .or(pruned);
+    let mapped = mapped
+        .as_ref()
+        .unwrap_or(node)
+        .map_sublinks(|p| prune_pass(p, None, rep))
+        .or(mapped);
+    node.or_changed(mapped)
 }
 
 // ---------------------------------------------------------------------------
@@ -1628,44 +1495,37 @@ fn item_required(required: &[(Option<Name>, Name)], item: &ProjectItem) -> bool 
 /// Bottom-up, once: composes stacked non-distinct projections and moves
 /// every `Sort` below the order-preserving operators under it (sublink
 /// plans included).
-fn order_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
-    let mut plan = plan.map_children(|c| order_pass(c, rep));
-    if plan.has_direct_sublink() {
-        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut |p| order_pass(p, rep)));
-    }
-    match plan {
+fn order_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| order_pass(c, rep));
+    let mapped = mapped
+        .as_ref()
+        .unwrap_or(node)
+        .map_sublinks(|p| order_pass(p, rep))
+        .or(mapped);
+    let fired = match mapped.as_ref().unwrap_or(node) {
         Plan::Project {
             input,
             items,
             distinct: false,
-        } => {
-            let composed = match input.as_ref() {
+        } => match &**input {
+            Plan::Project {
+                input: inner,
+                items: below,
+                distinct: false,
+            } => compose_items(items, below, &inner.schema()).map(|items| {
+                rep.projections_composed += 1;
                 Plan::Project {
-                    input: inner,
-                    items: below,
-                    distinct: false,
-                } => compose_items(&items, below, &inner.schema()),
-                _ => None,
-            };
-            match (composed, *input) {
-                (Some(items), Plan::Project { input, .. }) => {
-                    rep.projections_composed += 1;
-                    Plan::Project {
-                        input,
-                        items,
-                        distinct: false,
-                    }
-                }
-                (_, input) => Plan::Project {
-                    input: Box::new(input),
+                    input: inner.clone(),
                     items,
                     distinct: false,
-                },
-            }
-        }
-        Plan::Sort { input, keys } => sink_sort(*input, keys, rep),
-        other => other,
-    }
+                }
+            }),
+            _ => None,
+        },
+        Plan::Sort { input, keys } => sink_sort(input, keys, rep),
+        _ => None,
+    };
+    node.or_changed(fired.or(mapped))
 }
 
 /// The items of `Π_above(Π_below(X))` as one projection over `X` (schema
@@ -1677,7 +1537,7 @@ fn order_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
 fn compose_items(
     above: &[ProjectItem],
     below: &[ProjectItem],
-    input: &Schema,
+    input: &Arc<Schema>,
 ) -> Option<Vec<ProjectItem>> {
     if above.iter().chain(below).any(|i| i.expr.has_sublink()) {
         return None;
@@ -1723,37 +1583,35 @@ fn compose_items(
 /// its matches in an order that does not depend on it, so that the stable
 /// sort commutes with them as a *list*. Never through `σ` (it would sort
 /// the rows the selection drops), `γ`, `Π_S`, set operations or `Limit`.
-fn sink_sort(input: Plan, keys: Vec<SortKey>, rep: &mut OptimizerReport) -> Plan {
-    let pushed = match &input {
+/// `None` when the sort stays where it is.
+fn sink_sort(input: &PlanRef, keys: &[SortKey], rep: &mut OptimizerReport) -> Option<Plan> {
+    let pushed = match &**input {
         _ if keys.iter().any(|k| k.expr.has_sublink()) => None,
         Plan::Project {
             input: inner,
             items,
             distinct: false,
-        } => keys_below_projection(&keys, items, &inner.schema()),
+        } => keys_below_projection(keys, items, &inner.schema()),
         Plan::CrossProduct { left, right } => {
-            keys_read_left(&keys, &left.schema(), Some(&right.schema())).then_some(keys.clone())
+            keys_read_left(keys, &left.schema(), Some(&right.schema())).then(|| keys.to_vec())
         }
         Plan::Join {
             left, right, kind, ..
         } => {
             let right = (!kind.left_only_output()).then(|| right.schema());
-            keys_read_left(&keys, &left.schema(), right.as_ref()).then_some(keys.clone())
+            keys_read_left(keys, &left.schema(), right.as_deref()).then(|| keys.to_vec())
         }
         _ => None,
-    };
-    let Some(pushed) = pushed else {
-        return Plan::Sort {
-            input: Box::new(input),
-            keys,
-        };
-    };
+    }?;
     rep.sorts_pushed += 1;
     // The first child is the projection's input, the join's left side.
     let mut below = Some(pushed);
     input.map_children(|child| match below.take() {
-        Some(keys) => sink_sort(child, keys, rep),
-        None => child,
+        Some(keys) => PlanRef::new(sink_sort(child, &keys, rep).unwrap_or_else(|| Plan::Sort {
+            input: child.clone(),
+            keys,
+        })),
+        None => child.clone(),
     })
 }
 
@@ -1765,7 +1623,7 @@ fn sink_sort(input: Plan, keys: Vec<SortKey>, rep: &mut OptimizerReport) -> Plan
 fn keys_below_projection(
     keys: &[SortKey],
     items: &[ProjectItem],
-    input: &Schema,
+    input: &Arc<Schema>,
 ) -> Option<Vec<SortKey>> {
     let scope = std::slice::from_ref(input);
     if !items
@@ -1793,10 +1651,10 @@ fn keys_below_projection(
 /// the same position in both. The keys then run on the left rows the join
 /// drops as well.
 fn keys_read_left(keys: &[SortKey], left: &Schema, right: Option<&Schema>) -> bool {
-    let out = match right {
+    let out = Arc::new(match right {
         Some(right) => left.concat(right),
         None => left.clone(),
-    };
+    });
     keys.iter().all(|k| {
         expr_is_total(&k.expr, std::slice::from_ref(&out))
             && resolves_all(left, &k.expr.column_refs())
@@ -1810,36 +1668,38 @@ fn keys_read_left(keys: &[SortKey], left: &Schema, right: Option<&Schema>) -> bo
 /// Bottom-up, once, last (sublink plans included): a selection directly
 /// above a cross product becomes an inner join on its predicate, and a
 /// sublink-free one directly above an inner join joins its condition.
-fn fuse_pass(plan: Plan, rep: &mut OptimizerReport) -> Plan {
-    let mut plan = plan.map_children(|c| fuse_pass(c, rep));
-    if plan.has_direct_sublink() {
-        plan = plan.map_expressions(|e| map_sublink_plans(e, &mut |p| fuse_pass(p, rep)));
+fn fuse_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| fuse_pass(c, rep));
+    let mapped = mapped
+        .as_ref()
+        .unwrap_or(node)
+        .map_sublinks(|p| fuse_pass(p, rep))
+        .or(mapped);
+    let fused = match mapped.as_ref().unwrap_or(node) {
+        Plan::Select { input, predicate } => match &**input {
+            Plan::CrossProduct { left, right } => Some((left, right, predicate.clone())),
+            Plan::Join {
+                left,
+                right,
+                kind: JoinKind::Inner,
+                condition,
+            } if !predicate.has_sublink() => {
+                Some((left, right, and(condition.clone(), predicate.clone())))
+            }
+            _ => None,
+        },
+        _ => None,
     }
-    let Plan::Select { input, predicate } = plan else {
-        return plan;
-    };
-    let (left, right, condition) = match *input {
-        Plan::CrossProduct { left, right } => (left, right, predicate),
+    .map(|(left, right, condition)| {
+        rep.selections_fused += 1;
         Plan::Join {
-            left,
-            right,
+            left: left.clone(),
+            right: right.clone(),
             kind: JoinKind::Inner,
             condition,
-        } if !predicate.has_sublink() => (left, right, and(condition, predicate)),
-        other => {
-            return Plan::Select {
-                input: Box::new(other),
-                predicate,
-            }
         }
-    };
-    rep.selections_fused += 1;
-    Plan::Join {
-        left,
-        right,
-        kind: JoinKind::Inner,
-        condition,
-    }
+    });
+    node.or_changed(fused.or(mapped))
 }
 
 #[cfg(test)]
@@ -2041,7 +1901,7 @@ mod tests {
             ])
             .build();
         let plan = Plan::Project {
-            input: Box::new(wide),
+            input: wide.into(),
             items: vec![ProjectItem::new(col("a"), "a")],
             distinct: false,
         };
@@ -2700,8 +2560,8 @@ mod tests {
     fn an_absorbing_literal_on_the_right_folds_only_a_total_left_operand() {
         use perm_algebra::builder::{binary, or};
         let db = db();
-        let scope = || vec![db.table("r1").unwrap().schema().clone()];
-        let fold = |e: Expr| fold_expr(e, scope, &mut OptimizerReport::default());
+        let scope = [Arc::new(db.table("r1").unwrap().schema().clone())];
+        let fold = |e: Expr| fold_expr(&e, &scope, &mut OptimizerReport::default()).unwrap_or(e);
         let total = cmp(CompareOp::Le, qcol("r1", "a"), Expr::Param(0));
         assert_eq!(fold(or(total.clone(), lit(true))), lit(true));
         assert_eq!(fold(and(total.clone(), lit(false))), lit(false));
@@ -2720,8 +2580,8 @@ mod tests {
         // Without a scope a column does not resolve: declined.
         let unscoped = or(total, lit(true));
         assert_eq!(
-            fold_expr(unscoped.clone(), Vec::new, &mut OptimizerReport::default()),
-            unscoped
+            fold_expr(&unscoped, &[], &mut OptimizerReport::default()),
+            None
         );
 
         // `NOT IN`'s shape after the outer pushdown: `⟕_{C'sub ∨ TRUE}`

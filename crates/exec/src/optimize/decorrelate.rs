@@ -5,7 +5,7 @@
 //! documentation.
 
 use super::{
-    expr_is_total, fold_expr, plan_is_total, resolves_all, resolves_none, substitute_through,
+    expr_is_total, fold_owned, plan_is_total, resolves_all, resolves_none, substitute_through,
     OptimizerReport,
 };
 use perm_algebra::builder::{cmp, conjunction, not};
@@ -13,9 +13,10 @@ use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{free_columns, free_expr_columns};
 use perm_algebra::{
-    AggFunc, AggregateExpr, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind,
+    AggFunc, AggregateExpr, Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SublinkKind,
 };
 use perm_storage::{Name, Schema, Value};
+use std::sync::Arc;
 
 /// Most disjunction splits nested inside one selection (each doubles the
 /// branches, and every branch re-reads the selection's input).
@@ -26,21 +27,19 @@ const MAX_SPLITS: usize = 3;
 /// re-executes with every enclosing binding, and there the memo amortizes
 /// its body across bindings while a join would rebuild per run —
 /// decorrelation can *cost* operators in that position.
-pub(super) fn decorrelate_pass(plan: Plan, rep: &mut OptimizerReport, fresh: &mut usize) -> Plan {
-    match plan.map_children(|c| decorrelate_pass(c, rep, fresh)) {
+pub(super) fn decorrelate_pass(
+    node: &PlanRef,
+    rep: &mut OptimizerReport,
+    fresh: &mut usize,
+) -> PlanRef {
+    let mapped = node.map_children(|c| decorrelate_pass(c, rep, fresh));
+    match mapped.as_ref().unwrap_or(node) {
         Plan::Select { input, predicate } if predicate.has_sublink() => {
-            decorrelate_select(*input, predicate, rep, fresh)
+            decorrelate_select(input, predicate, rep, fresh)
         }
-        other => other,
+        _ => None,
     }
-}
-
-/// The scope an operator's own expressions resolve against: the
-/// concatenation of its children's output schemas.
-fn expression_scope(plan: &Plan) -> Schema {
-    plan.children()
-        .iter()
-        .fold(Schema::empty(), |acc, c| acc.concat(&c.schema()))
+    .unwrap_or_else(|| node.or_changed(mapped))
 }
 
 /// One conjunct of a selection under decorrelation.
@@ -57,77 +56,66 @@ struct Conjunct {
 /// implication and split rules run as one all-or-nothing attempt; when it
 /// is abandoned — or has nothing to work on — the top-level conjuncts
 /// decorrelate one by one and the rest of the selection keeps its shape.
+/// `None` when the selection is left as it is.
 fn decorrelate_select(
-    input: Plan,
-    predicate: Expr,
+    input: &PlanRef,
+    predicate: &Expr,
     rep: &mut OptimizerReport,
     fresh: &mut usize,
-) -> Plan {
-    let originals = split_conjuncts(&predicate);
+) -> Option<PlanRef> {
     let snapshot = (*rep, *fresh);
-    let implied = assume_earlier_conjuncts(&originals, &input, rep);
-    let attempt: Vec<Conjunct> = originals
+    let attempt = assume_earlier_conjuncts(split_conjuncts(predicate), input, rep);
+    let tried = attempt
         .iter()
-        .zip(implied)
-        .map(|(original, expr)| Conjunct {
-            required: *original != expr,
-            expr,
-        })
-        .collect();
-    if attempt
-        .iter()
-        .any(|c| c.required || verdict_disjunction(&c.expr).is_some())
-    {
-        if let Some(plan) = decorrelate_conjuncts(input.clone(), attempt, MAX_SPLITS, rep, fresh) {
+        .any(|c| c.required || verdict_disjunction(&c.expr).is_some());
+    let mut rest = if tried {
+        let plan = decorrelate_conjuncts(input.clone(), attempt, MAX_SPLITS, rep, fresh);
+        if plan.is_some() {
             return plan;
         }
-    }
-    (*rep, *fresh) = snapshot;
-    let mut input = input;
-    let mut rest: Vec<Conjunct> = originals
-        .into_iter()
-        .map(|expr| Conjunct {
-            expr,
-            required: false,
-        })
-        .collect();
+        (*rep, *fresh) = snapshot;
+        split_conjuncts(predicate)
+            .into_iter()
+            .map(|expr| Conjunct {
+                expr,
+                required: false,
+            })
+            .collect()
+    } else {
+        // Nothing was assumed: these are the original conjuncts.
+        attempt
+    };
     let before = rest.len();
-    input = decorrelate_top_level(input, &mut rest, rep, fresh);
-    if rest.len() == before {
-        // Untouched: keep the predicate's own association.
-        return Plan::Select {
-            input: Box::new(input),
-            predicate,
-        };
-    }
-    wrap_select(input, rest)
+    let input = decorrelate_top_level(input.clone(), &mut rest, rep, fresh);
+    // Untouched: keep the predicate's own association.
+    (rest.len() != before).then(|| wrap_select(input, rest))
 }
 
-fn wrap_select(input: Plan, conjuncts: Vec<Conjunct>) -> Plan {
+fn wrap_select(input: PlanRef, conjuncts: Vec<Conjunct>) -> PlanRef {
     if conjuncts.is_empty() {
         return input;
     }
-    Plan::Select {
-        input: Box::new(input),
+    PlanRef::new(Plan::Select {
+        input,
         predicate: conjunction(conjuncts.into_iter().map(|c| c.expr)),
-    }
+    })
 }
 
 /// Turns top-level sublink conjuncts into semi/anti joins over `input`
 /// until none qualifies, removing them from `conjuncts`.
 fn decorrelate_top_level(
-    mut input: Plan,
+    mut input: PlanRef,
     conjuncts: &mut Vec<Conjunct>,
     rep: &mut OptimizerReport,
     fresh: &mut usize,
-) -> Plan {
+) -> PlanRef {
     while let Some((i, kind, built)) = find_decorrelatable(&input, conjuncts, rep, fresh) {
-        input = Plan::Join {
-            left: Box::new(input),
-            right: Box::new(built.right),
+        input = PlanRef::new(Plan::Join {
+            left: input,
+            right: PlanRef::new(built.right),
             kind,
             condition: built.condition,
-        };
+        });
         conjuncts.remove(i);
         rep.sublinks_decorrelated += 1;
     }
@@ -138,12 +126,12 @@ fn decorrelate_top_level(
 /// disjunction split whose branches recurse. `None` when a required
 /// conjunct would keep a correlated sublink.
 fn decorrelate_conjuncts(
-    input: Plan,
+    input: PlanRef,
     mut conjuncts: Vec<Conjunct>,
     splits_left: usize,
     rep: &mut OptimizerReport,
     fresh: &mut usize,
-) -> Option<Plan> {
+) -> Option<PlanRef> {
     let input = decorrelate_top_level(input, &mut conjuncts, rep, fresh);
     let split_at = conjuncts
         .iter()
@@ -156,12 +144,12 @@ fn decorrelate_conjuncts(
             .and_then(|left| {
                 let right =
                     decorrelate_conjuncts(input.clone(), fails, splits_left - 1, rep, fresh)?;
-                Some(Plan::SetOp {
+                Some(PlanRef::new(Plan::SetOp {
                     op: SetOpKind::Union,
                     all: true,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                })
+                    left,
+                    right,
+                }))
             });
         if let Some(union) = union {
             rep.disjunctions_split += 1;
@@ -227,7 +215,7 @@ fn has_correlated_sublink(expr: &Expr) -> bool {
             test_expr, plan, ..
         } = e
         {
-            found |= !free_columns(plan).is_empty()
+            found |= !plan.free_columns().is_empty()
                 || test_expr.as_deref().is_some_and(has_correlated_sublink);
         }
     });
@@ -288,7 +276,7 @@ pub(super) fn facts_of(conjunct: &Expr) -> Vec<Fact> {
         } if value => vec![
             fact(atom, true, false),
             fact(
-                &perm_algebra::builder::exists_sublink((**plan).clone()),
+                &perm_algebra::builder::exists_sublink(plan.clone()),
                 true,
                 false,
             ),
@@ -304,38 +292,45 @@ pub(super) fn facts_of(conjunct: &Expr) -> Vec<Fact> {
 /// belongs to (`Jsub`, the empty-sublink test), and collapses to a plain
 /// membership test this way.
 fn assume_earlier_conjuncts(
-    conjuncts: &[Expr],
-    input: &Plan,
+    conjuncts: Vec<Expr>,
+    input: &PlanRef,
     rep: &mut OptimizerReport,
-) -> Vec<Expr> {
-    let scope = std::cell::OnceCell::new();
-    let mut out = conjuncts.to_vec();
-    for i in 0..out.len() {
-        // Within one selection only a sublink's verdict is assumed.
-        if !matches!(established(&conjuncts[i]).0, Expr::Sublink { .. }) {
-            continue;
-        }
-        for fact in facts_of(&conjuncts[i]) {
+) -> Vec<Conjunct> {
+    let scope = [input.schema()];
+    // What each conjunct establishes, read off the conjuncts as written.
+    // Within one selection only a sublink's verdict is assumed.
+    let facts: Vec<Vec<Fact>> = conjuncts
+        .iter()
+        .map(|c| match established(c).0 {
+            Expr::Sublink { .. } => facts_of(c),
+            _ => Vec::new(),
+        })
+        .collect();
+    let mut out: Vec<Conjunct> = conjuncts
+        .into_iter()
+        .map(|expr| Conjunct {
+            expr,
+            required: false,
+        })
+        .collect();
+    for (i, facts) in facts.iter().enumerate() {
+        for fact in facts {
             for later in &mut out[i + 1..] {
-                if !later.has_sublink() {
+                if !later.expr.has_sublink() {
                     continue;
                 }
                 // A three-valued conjunct lets rows through on UNKNOWN,
                 // where the simplified form may skip what the original
                 // evaluated: only a total conjunct may be simplified then.
-                if !fact.two_valued
-                    && !expr_is_total(
-                        later,
-                        std::slice::from_ref(scope.get_or_init(|| input.schema())),
-                    )
-                {
+                if !fact.two_valued && !expr_is_total(&later.expr, &scope) {
                     continue;
                 }
-                *later = assume_in_expr(
-                    std::mem::replace(later, Expr::Literal(Value::Null)),
-                    &fact,
-                    rep,
-                );
+                // A copy replaced is a conjunct changed: the attempt must
+                // then turn its correlated sublinks into joins.
+                let implied_before = rep.sublinks_implied;
+                let expr = std::mem::replace(&mut later.expr, Expr::Literal(Value::Null));
+                later.expr = assume_in_expr(expr, fact, rep);
+                later.required |= rep.sublinks_implied != implied_before;
             }
         }
     }
@@ -361,30 +356,38 @@ pub(super) fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport)
                 kind,
                 test_expr: test_expr.map(|t| Box::new(assume_in_expr(*t, fact, rep))),
                 op,
-                plan: Box::new(assume_in_plan(*plan, fact, rep)),
+                plan: assume_in_plan(&plan, fact, rep),
             },
             other => other,
         }
     });
     if rep.sublinks_implied > implied_before {
-        fold_expr(assumed, Vec::new, rep)
+        fold_owned(assumed, &[], rep)
     } else {
         assumed
     }
 }
 
-fn assume_in_plan(plan: Plan, fact: &Fact, rep: &mut OptimizerReport) -> Plan {
-    let rebuilt = plan.map_children(|c| assume_in_plan(c, fact, rep));
-    if !rebuilt.has_direct_sublink() {
-        return rebuilt;
-    }
+/// `node` with the copies of `fact`'s pattern replaced, or `node` itself
+/// when it holds none.
+fn assume_in_plan(node: &PlanRef, fact: &Fact, rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| assume_in_plan(c, fact, rep));
+    let plan = mapped.as_ref().unwrap_or(node);
     // An operator whose own scope resolves one of the pattern's outer
     // references shadows it: a copy in its expressions (or nested below
     // them) reads another column.
-    if !resolves_none(&expression_scope(&rebuilt), &fact.refs) {
-        return rebuilt;
+    if !plan.has_direct_sublink() || !resolves_none(&plan.scope(), &fact.refs) {
+        return node.or_changed(mapped);
     }
-    rebuilt.map_expressions(|e| assume_in_expr(e, fact, rep))
+    let fired_before = rep.rules_fired();
+    let assumed = plan
+        .clone()
+        .map_expressions(|e| assume_in_expr(e, fact, rep));
+    if rep.rules_fired() == fired_before {
+        node.or_changed(mapped)
+    } else {
+        PlanRef::new(assumed)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +399,7 @@ struct Candidate<'a> {
     kind: JoinKind,
     /// `ANY` test expression (`None` for `EXISTS` variants).
     test: Option<&'a Expr>,
-    sub: &'a Plan,
+    sub: &'a PlanRef,
     /// `true` for the `EXISTS` variants, whose verdict is never `UNKNOWN`.
     exists_like: bool,
 }
@@ -451,7 +454,7 @@ fn classify_sublink(conjunct: &Expr) -> Option<Candidate<'_>> {
 /// The first conjunct that can become a join over `input`, with the join's
 /// kind, right side and condition.
 fn find_decorrelatable(
-    input: &Plan,
+    input: &PlanRef,
     conjuncts: &[Conjunct],
     rep: &mut OptimizerReport,
     fresh: &mut usize,
@@ -520,10 +523,10 @@ struct Decorrelated {
 struct Lifting<'a> {
     /// Schema of the selection's input — the sublink's immediate outer
     /// scope, the only one a decorrelated sublink may reference.
-    outer: &'a Schema,
+    outer: &'a Arc<Schema>,
     /// The selection's input: where the distinct bindings that drive a
     /// grouped aggregate come from.
-    driver: &'a Plan,
+    driver: &'a PlanRef,
     rep: &'a mut OptimizerReport,
     fresh: &'a mut usize,
 }
@@ -548,17 +551,30 @@ enum Hoisted {
 /// hoisted conjunct holds, seen through `outputs`.
 struct Lifted {
     /// The body without any reference to the outer scope.
-    plan: Plan,
+    plan: PlanRef,
     /// The body's own output columns as expressions over `plan`'s schema
     /// (projections on the way are composed, not executed); `None` when
     /// they are `plan`'s columns.
-    outputs: Option<Vec<ProjectItem>>,
+    outputs: Option<Outputs>,
     /// In evaluation order, innermost selection first.
     hoisted: Vec<Hoisted>,
 }
 
+/// Composed output items and the schema they make.
+struct Outputs {
+    items: Vec<ProjectItem>,
+    schema: Arc<Schema>,
+}
+
+impl Outputs {
+    fn new(items: Vec<ProjectItem>) -> Outputs {
+        let schema = Arc::new(ProjectItem::schema_of(&items));
+        Outputs { items, schema }
+    }
+}
+
 impl Lifted {
-    fn opaque(plan: &Plan) -> Lifted {
+    fn opaque(plan: &PlanRef) -> Lifted {
         Lifted {
             plan: plan.clone(),
             outputs: None,
@@ -567,9 +583,9 @@ impl Lifted {
     }
 
     /// The schema expressions above the body resolve against.
-    fn schema(&self) -> Schema {
+    fn schema(&self) -> Arc<Schema> {
         match &self.outputs {
-            Some(items) => ProjectItem::schema_of(items),
+            Some(outputs) => outputs.schema.clone(),
             None => self.plan.schema(),
         }
     }
@@ -578,7 +594,7 @@ impl Lifted {
     /// `plan`'s schema.
     fn to_plan_columns(&self, expr: &Expr) -> Option<Expr> {
         match &self.outputs {
-            Some(items) => substitute_through(expr, &ProjectItem::schema_of(items), items),
+            Some(outputs) => substitute_through(expr, &outputs.schema, &outputs.items),
             None => Some(expr.clone()),
         }
     }
@@ -632,7 +648,7 @@ impl Lifted {
             return Some(self);
         }
         let mut items = match self.outputs.take() {
-            Some(items) => items,
+            Some(outputs) => outputs.items,
             None => passthrough_items(&self.plan.schema())?,
         };
         for h in &mut self.hoisted {
@@ -646,31 +662,36 @@ impl Lifted {
                 };
             }
         }
-        self.plan = Plan::Project {
-            input: Box::new(self.plan),
+        self.plan = PlanRef::new(Plan::Project {
+            input: self.plan,
             items,
             distinct: false,
-        };
+        });
         Some(self)
     }
+}
+
+/// `true` when every attribute's name resolves to exactly its own position.
+pub(super) fn unambiguous(schema: &Schema) -> bool {
+    schema.attributes().iter().enumerate().all(|(i, attr)| {
+        matches!(
+            schema.try_resolve(attr.qualifier.as_deref(), &attr.name),
+            Ok(Some(j)) if j == i
+        )
+    })
 }
 
 /// One pass-through item per attribute, or `None` when a name does not
 /// resolve to exactly its own position (the projection would read another
 /// column, or fail).
 pub(super) fn passthrough_items(schema: &Schema) -> Option<Vec<ProjectItem>> {
-    schema
-        .attributes()
-        .iter()
-        .enumerate()
-        .map(|(i, attr)| {
-            matches!(
-                schema.try_resolve(attr.qualifier.as_deref(), &attr.name),
-                Ok(Some(j)) if j == i
-            )
-            .then(|| ProjectItem::passthrough(attr))
-        })
-        .collect()
+    unambiguous(schema).then(|| {
+        schema
+            .attributes()
+            .iter()
+            .map(ProjectItem::passthrough)
+            .collect()
+    })
 }
 
 /// Which single scope an expression's references live in.
@@ -716,11 +737,11 @@ fn side_of(expr: &Expr, outer: &Schema, local: &Schema) -> Side {
 /// Every expression whose evaluation moves or disappears on the way must
 /// be total: a lifted body is evaluated once over all bindings' rows, not
 /// per binding over the rows the earlier conjuncts let through.
-fn lift(plan: &Plan, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted> {
-    if free_columns(plan).is_empty() {
+fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted> {
+    if plan.free_columns().is_empty() {
         return Some(Lifted::opaque(plan));
     }
-    match plan {
+    match &**plan {
         Plan::Select { input, predicate } => {
             let mut body = lift(input, cx, existence)?;
             let local = body.schema();
@@ -779,7 +800,7 @@ fn lift(plan: &Plan, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted> {
                     qualifier: item.qualifier.clone(),
                 });
             }
-            body.outputs = Some(outputs);
+            body.outputs = Some(Outputs::new(outputs));
             Some(body)
         }
         Plan::CrossProduct { left, right } => lift_join(left, right, None, cx, existence),
@@ -801,20 +822,20 @@ fn lift(plan: &Plan, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted> {
 /// Puts the body-local conjuncts of a peeled selection back over the
 /// lifted plan, merging with a selection already on top of it: the
 /// flattened list reads in evaluation order (inner selections first).
-fn with_residual(plan: Plan, residual: Vec<Expr>) -> Plan {
+fn with_residual(plan: PlanRef, residual: Vec<Expr>) -> PlanRef {
     if residual.is_empty() {
         return plan;
     }
-    match plan {
+    PlanRef::new(match &*plan {
         Plan::Select { input, predicate } => Plan::Select {
-            input,
-            predicate: conjunction(split_conjuncts(&predicate).into_iter().chain(residual)),
+            input: input.clone(),
+            predicate: conjunction(split_conjuncts(predicate).into_iter().chain(residual)),
         },
-        other => Plan::Select {
-            input: Box::new(other),
+        _ => Plan::Select {
+            input: plan,
             predicate: conjunction(residual),
         },
-    }
+    })
 }
 
 /// Lifts a cross product, inner join or left outer join whose sides (or
@@ -825,8 +846,8 @@ fn with_residual(plan: Plan, residual: Vec<Expr>) -> Plan {
 /// pair `e ⟨op⟩ r` needs a left pair `e =ₙ l` and becomes the join
 /// conjunct `l ⟨op⟩ r`.
 fn lift_join(
-    left: &Plan,
-    right: &Plan,
+    left: &PlanRef,
+    right: &PlanRef,
     join: Option<(JoinKind, &Expr)>,
     cx: &mut Lifting<'_>,
     existence: bool,
@@ -836,10 +857,10 @@ fn lift_join(
     let left_outer = matches!(join, Some((JoinKind::LeftOuter, _)));
     // A cross product until the condition is known.
     let mut joined = Lifted {
-        plan: Plan::CrossProduct {
-            left: Box::new(l.plan),
-            right: Box::new(r.plan),
-        },
+        plan: PlanRef::new(Plan::CrossProduct {
+            left: l.plan,
+            right: r.plan,
+        }),
         outputs: None,
         hoisted: l.hoisted,
     };
@@ -898,15 +919,15 @@ fn lift_join(
         return None;
     }
     if join.is_some() || !condition.is_empty() {
-        let Plan::CrossProduct { left, right } = joined.plan else {
+        let Plan::CrossProduct { left, right } = joined.plan.into_plan() else {
             unreachable!("built as a cross product above");
         };
-        joined.plan = Plan::Join {
+        joined.plan = PlanRef::new(Plan::Join {
             left,
             right,
             kind: join.map_or(JoinKind::Inner, |(kind, _)| kind),
             condition: conjunction(condition),
-        };
+        });
     }
     Some(joined)
 }
@@ -928,7 +949,7 @@ fn lift_join(
 /// and the grouped plan must be total so that computing them is
 /// unobservable.
 fn lift_global_aggregate(
-    input: &Plan,
+    input: &PlanRef,
     aggregates: &[AggregateExpr],
     cx: &mut Lifting<'_>,
 ) -> Option<Lifted> {
@@ -1004,15 +1025,15 @@ fn lift_global_aggregate(
         .flat_map(|item| item.expr.column_refs())
         .collect();
     let driver = Plan::Project {
-        input: Box::new(driver_source(cx.driver, &outer_refs).clone()),
+        input: driver_source(cx.driver, &outer_refs).clone(),
         items: driver_items.clone(),
         distinct: true,
     };
     let plan = Plan::Aggregate {
-        input: Box::new(Plan::Join {
-            left: Box::new(driver),
-            right: Box::new(Plan::Project {
-                input: Box::new(body.plan),
+        input: PlanRef::new(Plan::Join {
+            left: PlanRef::new(driver),
+            right: PlanRef::new(Plan::Project {
+                input: body.plan,
                 items: grouped_items,
                 distinct: false,
             }),
@@ -1034,13 +1055,13 @@ fn lift_global_aggregate(
     }
     cx.rep.aggregates_grouped += 1;
     Some(Lifted {
-        plan,
-        outputs: Some(
+        plan: PlanRef::new(plan),
+        outputs: Some(Outputs::new(
             aggregates
                 .iter()
                 .map(|a| ProjectItem::column(a.alias.clone()))
                 .collect(),
-        ),
+        )),
         hoisted,
     })
 }
@@ -1048,12 +1069,8 @@ fn lift_global_aggregate(
 /// The smallest factor of the cross products / inner joins at the top of
 /// `plan` that resolves every one of `refs`: a superset of the bindings
 /// `plan` itself would give, without reading the other factors.
-fn driver_source<'p>(plan: &'p Plan, refs: &[(Option<Name>, Name)]) -> &'p Plan {
-    let resolves = |p: &Plan| {
-        let schema = p.schema();
-        refs.iter()
-            .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(Some(_))))
-    };
+fn driver_source<'p>(plan: &'p PlanRef, refs: &[(Option<Name>, Name)]) -> &'p PlanRef {
+    let resolves = |p: &PlanRef| resolves_all(&p.schema(), refs);
     let mut current = plan;
     loop {
         let (Plan::CrossProduct { left, right }
@@ -1062,7 +1079,7 @@ fn driver_source<'p>(plan: &'p Plan, refs: &[(Option<Name>, Name)]) -> &'p Plan 
             right,
             kind: JoinKind::Inner,
             ..
-        }) = current
+        }) = &**current
         else {
             return current;
         };
@@ -1083,14 +1100,12 @@ fn build_decorrelated(
     is_first_conjunct: bool,
 ) -> Option<Decorrelated> {
     let outer_schema = cx.outer;
-    let corr = perm_algebra::visit::free_correlated_columns(cand.sub);
+    let corr = cand.sub.free_columns();
     // Correlation must target the immediate outer scope, and nothing
     // deeper: every escaping reference resolves (unambiguously) in the
     // outer schema.
-    for (q, n) in &corr {
-        if !matches!(outer_schema.try_resolve(q.as_deref(), n), Ok(Some(_))) {
-            return None;
-        }
+    if !resolves_all(outer_schema, corr) {
+        return None;
     }
     if corr.is_empty() {
         // An uncorrelated sublink already runs exactly once per query —
@@ -1117,7 +1132,7 @@ fn build_decorrelated(
         // The reference fold compares the ANY test against column 0 of the
         // sublink output.
         let value = match &body.outputs {
-            Some(outputs) => outputs.first()?.expr.clone(),
+            Some(outputs) => outputs.items.first()?.expr.clone(),
             None => {
                 let first = plan_schema.attributes().first()?;
                 if !matches!(
@@ -1173,7 +1188,7 @@ fn build_decorrelated(
         );
     }
     let right = Plan::Project {
-        input: Box::new(body.plan),
+        input: body.plan,
         items,
         distinct: false,
     };

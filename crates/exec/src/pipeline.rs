@@ -461,7 +461,7 @@ impl<'e> Execution<'e, '_> {
                     let _timer = probe.begin("project")?;
                     let mut out = Vec::new();
                     self.project(probe, rows.tuples(), items, frame, &mut out)?;
-                    Ok(Relation::from_tuples_unchecked(schema.clone(), out).distinct())
+                    Ok(Relation::from_tuples_unchecked(Schema::clone(schema), out).distinct())
                 })?
             }
             CompiledNode::Limit {
@@ -487,7 +487,7 @@ impl<'e> Execution<'e, '_> {
                 self.breaker(node, rows.len(), || {
                     let _timer = physical::limit_begin(probe)?;
                     let rows = physical::limit(rows.into_rows(), *limit).into_owned();
-                    Ok(Relation::from_tuples_unchecked(schema.clone(), rows))
+                    Ok(Relation::from_tuples_unchecked(Schema::clone(schema), rows))
                 })?
             }
             CompiledNode::CrossProduct {
@@ -497,7 +497,7 @@ impl<'e> Execution<'e, '_> {
             } => {
                 let (l, r) = (drained(0, left)?, drained(1, right)?);
                 self.breaker(node, l.len() + r.len(), || {
-                    physical::cross_product(probe, &l, &r, schema.clone())
+                    physical::cross_product(probe, &l, &r, Schema::clone(schema))
                 })?
             }
             CompiledNode::Join { schema, .. } => {
@@ -523,7 +523,7 @@ impl<'e> Execution<'e, '_> {
                     physical::aggregate(
                         probe,
                         &rows,
-                        schema.clone(),
+                        Schema::clone(schema),
                         group_by.len(),
                         &specs,
                         |batch, group_cols, agg_cols| {

@@ -13,8 +13,8 @@ use perm_algebra::builder::{
     scalar_sublink, PlanBuilder,
 };
 use perm_algebra::{
-    AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, ProjectItem,
-    SortKey,
+    AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, PlanRef,
+    ProjectItem, SortKey,
 };
 use perm_storage::{Attribute, DataType, Database, Name, Schema, Tuple, Value};
 
@@ -49,8 +49,8 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             let mut plan = bind_table_ref(db, first)?;
             for item in rest {
                 plan = Plan::CrossProduct {
-                    left: Box::new(plan),
-                    right: Box::new(bind_table_ref(db, item)?),
+                    left: PlanRef::new(plan),
+                    right: PlanRef::new(bind_table_ref(db, item)?),
                 };
             }
             plan
@@ -60,7 +60,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     // WHERE clause.
     if let Some(where_clause) = &query.where_clause {
         plan = Plan::Select {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             predicate: bind_expr(db, where_clause)?,
         };
     }
@@ -137,7 +137,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             ));
         }
         plan = Plan::Aggregate {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             group_by: group_items,
             aggregates,
         };
@@ -146,7 +146,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     // HAVING clause (after aggregation).
     if let Some(h) = &having {
         plan = Plan::Select {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             predicate: bind_expr(db, h)?,
         };
     }
@@ -224,13 +224,13 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             });
         }
         plan = Plan::Sort {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             keys: below_keys,
         };
     }
 
     plan = Plan::Project {
-        input: Box::new(plan),
+        input: PlanRef::new(plan),
         items,
         distinct: query.distinct,
     };
@@ -245,13 +245,13 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             });
         }
         plan = Plan::Sort {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             keys,
         };
     }
     if let Some(limit) = query.limit {
         plan = Plan::Limit {
-            input: Box::new(plan),
+            input: PlanRef::new(plan),
             limit,
         };
     }
@@ -321,7 +321,7 @@ fn bind_table_ref(db: &Database, table_ref: &TableRef) -> Result<Plan> {
                 })
                 .collect();
             Ok(Plan::Project {
-                input: Box::new(inner),
+                input: PlanRef::new(inner),
                 items,
                 distinct: false,
             })
@@ -335,8 +335,8 @@ fn bind_table_ref(db: &Database, table_ref: &TableRef) -> Result<Plan> {
             let left_plan = bind_table_ref(db, left)?;
             let right_plan = bind_table_ref(db, right)?;
             Ok(Plan::Join {
-                left: Box::new(left_plan),
-                right: Box::new(right_plan),
+                left: PlanRef::new(left_plan),
+                right: PlanRef::new(right_plan),
                 kind: match kind {
                     JoinType::Inner => JoinKind::Inner,
                     JoinType::LeftOuter => JoinKind::LeftOuter,

@@ -454,7 +454,8 @@ pub struct Prepared {
     /// What the optimizer did to [`Prepared::bound_plan`].
     optimizer: perm_exec::OptimizerReport,
     /// The logical plan that was compiled: the optimized form of
-    /// [`Prepared::bound_plan`] (identical when no rule fired).
+    /// [`Prepared::bound_plan`] (identical when no rule fired). The two
+    /// share every subtree the optimizer left alone.
     plan: Plan,
     /// The slot-resolved physical form of [`Prepared::plan`].
     compiled: perm_exec::CompiledPlan,
@@ -633,7 +634,8 @@ impl<'a> Session<'a> {
     /// preparations bypass the plan cache — there is no text to key on —
     /// so each call compiles a new statement with an empty memo: keep the
     /// returned statement and re-execute it rather than re-preparing in a
-    /// loop.
+    /// loop. The statement shares `plan`'s subtrees; only its root operator
+    /// is copied.
     pub fn prepare_plan(&self, plan: &Plan) -> Result<Arc<Prepared>, PermError> {
         Ok(Arc::new(self.prepare_inner(None, plan.clone(), false)?))
     }

@@ -572,7 +572,7 @@ fn a_quantified_plan_of_two_columns_gets_a_typed_error() {
                 kind,
                 test_expr: Some(Box::new(col("a"))),
                 op: Some(op),
-                plan: Box::new(scan(&db, "s")),
+                plan: scan(&db, "s").into(),
             };
             let plan = PlanBuilder::scan(&db, "r")
                 .unwrap()

@@ -411,6 +411,105 @@ fn tracer_config_subsumes_the_reference_path() {
 }
 
 #[test]
+fn tracer_numbers_every_position_of_a_shared_subtree() {
+    // `BETWEEN` and an `IN` list repeat their operand, and a cloned plan
+    // shares its children, so one sublink plan or scan can sit at several
+    // positions of a tree. The tracer must number each position's relation
+    // accesses as the Gen rewrite does: once per position, in walk order.
+    use perm::algebra::builder::scalar_sublink;
+    use perm::algebra::builder::{and, avg, between, eq, exists_sublink, in_list, max};
+    use perm::algebra::{Plan, ProjectItem};
+    use perm::core::tracer::Tracer;
+    let db = grouped_db();
+    let same_group = || {
+        PlanBuilder::scan(&db, "s")
+            .unwrap()
+            .select(eq(qcol("s", "g"), qcol("r", "g")))
+    };
+    let of_r_where = |predicate| {
+        PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .select(and(predicate, exists_sublink(same_group().build())))
+            .project(vec![ProjectItem::column("a")])
+            .build()
+    };
+    let group_avg = same_group()
+        .aggregate(vec![], vec![avg(qcol("s", "c"), "m")])
+        .build();
+    let group_max = same_group()
+        .aggregate(vec![], vec![max(qcol("s", "c"), "m")])
+        .build();
+    let ones = PlanBuilder::scan(&db, "r")
+        .unwrap()
+        .select(eq(qcol("r", "g"), lit(1)))
+        .build();
+    // Both sides share the scan below `ones`.
+    let renamed = PlanBuilder::from_plan(ones.clone())
+        .project(vec![ProjectItem::new(col("a"), "b")])
+        .build();
+    let self_join = PlanBuilder::from_plan(ones)
+        .cross(renamed)
+        .select(exists_sublink(
+            PlanBuilder::scan(&db, "s")
+                .unwrap()
+                .select(eq(qcol("s", "c"), lit(40)))
+                .build(),
+        ))
+        .project(vec![ProjectItem::column("a"), ProjectItem::column("b")])
+        .build();
+    let sql = |text: &str| -> Plan { perm::sql::compile(&db, text).unwrap().0 };
+    let plans = [
+        (
+            "between",
+            of_r_where(between(scalar_sublink(group_avg), lit(35), lit(60))),
+        ),
+        (
+            "in list",
+            of_r_where(in_list(
+                scalar_sublink(group_max),
+                [lit(60), lit(80), lit(5)],
+            )),
+        ),
+        ("cloned self-join", self_join),
+        (
+            "sql between",
+            sql("SELECT PROVENANCE a FROM r \
+                 WHERE (SELECT avg(c) FROM s WHERE s.g = r.g) BETWEEN 35 AND 60 \
+                 AND EXISTS (SELECT * FROM s WHERE s.g = r.g)"),
+        ),
+        (
+            "sql in list",
+            sql("SELECT PROVENANCE a FROM r \
+                 WHERE (SELECT max(c) FROM s WHERE s.g = r.g) IN (60, 80, 5) \
+                 AND EXISTS (SELECT * FROM s WHERE s.g = r.g)"),
+        ),
+    ];
+
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            strategy: Strategy::Gen,
+            ..SessionConfig::default()
+        },
+    );
+    for (label, plan) in &plans {
+        let traced = Tracer::new(&db).trace(plan).unwrap();
+        let prepared = session.prepare_provenance_plan(plan).unwrap();
+        let rewritten = session.execute(&prepared, &[]).unwrap();
+        assert_eq!(
+            traced.schema().names(),
+            rewritten.schema().names(),
+            "{label}: witness columns"
+        );
+        assert!(!traced.is_empty(), "{label}: the query selects rows");
+        assert!(
+            traced.bag_eq(&rewritten),
+            "{label}: tracer and Gen rewrite must agree:\n{traced}\nvs\n{rewritten}"
+        );
+    }
+}
+
+#[test]
 fn error_chains_surface_the_underlying_cause() {
     let db = grouped_db();
     let session = Session::new(&db);
