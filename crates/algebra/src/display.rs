@@ -130,7 +130,8 @@ fn render_expr_sublinks<'a>(exprs: impl Iterator<Item = &'a Expr>, level: usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{col, exists_sublink, lit, PlanBuilder};
+    use crate::builder::{any_sublink, col, exists_sublink, lit, scalar_sublink, PlanBuilder};
+    use crate::expr::CompareOp;
     use crate::plan::ProjectItem;
     use perm_storage::{Database, Relation, Schema};
 
@@ -156,5 +157,17 @@ mod tests {
         assert!(text.contains("Sublink EXISTS"));
         assert!(text.contains("Scan s"));
         assert!(text.contains("Scan r"));
+
+        // A sublink in another sublink's test expression is rendered too.
+        let nested = any_sublink(
+            scalar_sublink(PlanBuilder::scan(&db, "s").unwrap().build()),
+            CompareOp::Eq,
+            PlanBuilder::scan(&db, "r").unwrap().build(),
+        );
+        let q = PlanBuilder::scan(&db, "r").unwrap().select(nested).build();
+        let text = explain(&q);
+        assert!(text.contains("Sublink ANY"), "{text}");
+        assert!(text.contains("Sublink SCALAR"), "{text}");
+        assert!(text.contains("Scan s"), "{text}");
     }
 }

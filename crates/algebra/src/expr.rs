@@ -325,82 +325,59 @@ impl Expr {
 
     /// `true` when the expression tree contains at least one sublink.
     pub fn has_sublink(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, Expr::Sublink { .. }) {
-                found = true;
-            }
-        });
-        found
+        !self.all(&mut |e| !matches!(e, Expr::Sublink { .. }))
     }
 
-    /// Pre-order traversal over the expression tree. Does **not** descend
-    /// into sublink plans (those are separate query scopes).
+    /// Pre-order traversal over the expression tree.
+    ///
+    /// **Scope rule.** A sublink's *test expression* belongs to the scope of
+    /// the operator that holds the sublink, so the walk descends into it
+    /// (after visiting the sublink itself); the sublink's *plan* is a scope
+    /// of its own, so the walk does not enter it. [`Expr::all`],
+    /// [`Expr::rewrite`], [`Expr::sublinks`] and [`Expr::column_refs`]
+    /// follow the same rule.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
-            }
-            Expr::Unary { expr, .. } => expr.walk(f),
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.walk(f);
-                    v.walk(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
-            }
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => {}
-        }
+        self.all(&mut |e| {
+            f(e);
+            true
+        });
     }
 
-    /// Rebuilds the expression bottom-up by applying `f` to every node after
-    /// its children have been transformed. Sublink plans are left untouched.
-    /// The tree's boxes are reused, not reallocated.
-    pub fn transform(mut self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        let mut apply = |e: &mut Expr| {
-            let taken = std::mem::replace(e, Expr::Literal(Value::Null));
-            *e = taken.transform(f);
-        };
-        match &mut self {
-            Expr::Binary { left, right, .. } => {
-                apply(left);
-                apply(right);
-            }
-            Expr::Unary { expr, .. } => apply(expr),
-            Expr::Func { args, .. } => args.iter_mut().for_each(&mut apply),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, v) in branches {
-                    apply(c);
-                    apply(v);
-                }
-                if let Some(e) = else_expr {
-                    apply(e);
-                }
-            }
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => {}
-        }
+    /// [`Expr::walk`] that stops at the first node `f` rejects: `true` when
+    /// `f` holds for every node.
+    pub fn all<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) -> bool {
         f(self)
+            && match self {
+                Expr::Binary { left, right, .. } => left.all(f) && right.all(f),
+                Expr::Unary { expr, .. } => expr.all(f),
+                Expr::Func { args, .. } => args.iter().all(|a| a.all(f)),
+                Expr::Case {
+                    branches,
+                    else_expr,
+                } => {
+                    branches.iter().all(|(c, v)| c.all(f) && v.all(f))
+                        && else_expr.as_deref().is_none_or(|e| e.all(f))
+                }
+                Expr::Sublink {
+                    test_expr: Some(test),
+                    ..
+                } => test.all(f),
+                Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => {
+                    true
+                }
+            }
     }
 
-    /// [`Expr::transform`] by reference: `f` sees every node, its operands
+    /// Post-order rewrite by reference: `f` sees every node, its operands
     /// already rewritten, and returns its replacement or `None` to keep it.
     /// `None` when nothing changed; otherwise only the changed spine is
-    /// rebuilt, and the operands beside it are cloned.
+    /// rebuilt, and the operands beside it are cloned. Follows the scope
+    /// rule of [`Expr::walk`]: a sublink's test expression is rewritten
+    /// (before `f` sees the sublink), its plan is not — `f` replaces a
+    /// sublink's plan itself where it wants to. Being post-order, it reaches
+    /// a sublink nested in a test expression *before* the sublink holding
+    /// it, the reverse of [`Expr::sublinks`]; sibling sublinks come in the
+    /// same order in both.
     pub fn rewrite(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
         let rebuilt = match self {
             Expr::Binary { op, left, right } => {
@@ -428,6 +405,17 @@ impl Expr {
                     else_expr: new_else.map(Box::new).or_else(|| else_expr.clone()),
                 })
             }
+            Expr::Sublink {
+                kind,
+                test_expr: Some(test),
+                op,
+                plan,
+            } => test.rewrite(f).map(|test| Expr::Sublink {
+                kind: *kind,
+                test_expr: Some(Box::new(test)),
+                op: *op,
+                plan: plan.clone(),
+            }),
             Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Sublink { .. } => None,
         };
         match rebuilt {
@@ -436,8 +424,9 @@ impl Expr {
         }
     }
 
-    /// Collects references to all sublinks in the expression in left-to-right
-    /// order (not descending into nested sublink plans).
+    /// Every sublink of the expression, in [`Expr::walk`] order: the ones
+    /// nested in a sublink's test expression included (right after the
+    /// sublink holding them), the ones inside sublink plans not.
     pub fn sublinks(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
         self.walk(&mut |e| {
@@ -448,8 +437,10 @@ impl Expr {
         out
     }
 
-    /// Collects all column references (qualifier, name) in the expression,
-    /// not descending into sublink plans.
+    /// Every column reference (qualifier, name) the expression makes in its
+    /// own scope, in [`Expr::walk`] order: those in sublink test
+    /// expressions included, those inside sublink plans not (see
+    /// [`crate::visit::walk_column_refs`] for the ones escaping them).
     pub fn column_refs(&self) -> Vec<(Option<Name>, Name)> {
         let mut out = Vec::new();
         self.walk(&mut |e| {
@@ -478,7 +469,10 @@ fn rewrite_pair(
 
 /// `items` through `f`, copied only from the first one that changes:
 /// `None` when none does.
-fn rewrite_all<T: Clone>(items: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
+pub(crate) fn rewrite_all<T: Clone>(
+    items: &[T],
+    mut f: impl FnMut(&T) -> Option<T>,
+) -> Option<Vec<T>> {
     let mut out: Option<Vec<T>> = None;
     for (i, item) in items.iter().enumerate() {
         let new = f(item);
@@ -612,17 +606,20 @@ mod tests {
     }
 
     #[test]
-    fn transform_rewrites_leaves() {
+    fn rewrite_rewrites_leaves() {
         let e = Expr::Binary {
             op: BinaryOp::Add,
             left: Box::new(col("x")),
             right: Box::new(lit(1)),
         };
-        let out = e.transform(&mut |node| match node {
-            Expr::Column { name, .. } if &*name == "x" => col("y"),
-            other => other,
-        });
+        let out = e
+            .rewrite(&mut |node| match node {
+                Expr::Column { name, .. } if &**name == "x" => Some(col("y")),
+                _ => None,
+            })
+            .unwrap();
         assert_eq!(&*out.column_refs()[0].1, "y");
+        assert!(out.rewrite(&mut |_| None).is_none());
     }
 
     #[test]

@@ -20,10 +20,9 @@ use crate::expr::{BinaryOp, Expr};
 use crate::plan::{JoinKind, Plan, PlanRef};
 use perm_storage::Schema;
 
-/// Splits a predicate into its top-level conjuncts.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk(expr: &Expr, out: &mut Vec<Expr>) {
+/// The top-level conjuncts of a predicate, borrowed, left to right.
+pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
+    fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         if let Expr::Binary {
             op: BinaryOp::And,
             left,
@@ -33,9 +32,10 @@ pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
             walk(left, out);
             walk(right, out);
         } else {
-            out.push(expr.clone());
+            out.push(expr);
         }
     }
+    let mut out = Vec::new();
     walk(expr, &mut out);
     out
 }
@@ -98,7 +98,8 @@ fn pushed(node: &PlanRef) -> PlanRef {
         .or(mapped);
     match mapped.as_ref().unwrap_or(node) {
         Plan::Select { input, predicate } => {
-            let (pushed, residual) = push_into(input.clone(), split_conjuncts(predicate));
+            let conjuncts = split_conjuncts(predicate).into_iter().cloned().collect();
+            let (pushed, residual) = push_into(input.clone(), conjuncts);
             PlanRef::new(wrap_select(pushed, residual))
         }
         _ => node.or_changed(mapped),
@@ -111,7 +112,7 @@ fn push_into(plan: PlanRef, conjuncts: Vec<Expr>) -> (Plan, Vec<Expr>) {
     match plan.into_plan() {
         Plan::Select { input, predicate } => {
             let mut all = conjuncts;
-            all.extend(split_conjuncts(&predicate));
+            all.extend(split_conjuncts(&predicate).into_iter().cloned());
             push_into(input, all)
         }
         Plan::CrossProduct { left, right } => push_into_binary(left, right, None, conjuncts),

@@ -24,7 +24,7 @@
 //! shared by the worker threads of a serving pool, and two of them may ask
 //! one node for its schema at once.
 
-use crate::expr::{AggregateExpr, Expr, SublinkKind};
+use crate::expr::{rewrite_all, AggregateExpr, Expr, SublinkKind};
 use crate::{AlgebraError, Result};
 use perm_storage::{Attribute, DataType, Name, Schema, Tuple};
 use std::fmt;
@@ -534,81 +534,107 @@ impl Plan {
         rebuilt
     }
 
-    /// This operator with the plan of every sublink in its own expressions
-    /// (the ones in `ANY` / `ALL` test expressions included, not those
-    /// inside the sublink plans) mapped through `f`, in the order
-    /// [`crate::visit::map_sublink_plans`] visits them; `None` when `f`
-    /// hands every plan back unchanged.
-    pub fn map_sublinks(&self, mut f: impl FnMut(&PlanRef) -> PlanRef) -> Option<Plan> {
-        fn each<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a PlanRef)) {
-            expr.walk(&mut |e| {
-                if let Expr::Sublink {
-                    test_expr, plan, ..
-                } = e
-                {
-                    if let Some(test) = test_expr {
-                        each(test, f);
-                    }
-                    f(plan);
-                }
-            });
-        }
-        let (mut seen, mut changed) = (0usize, Vec::new());
-        self.walk_expressions(&mut |e| {
-            each(e, &mut |plan| {
-                let mapped = f(plan);
-                if !PlanRef::ptr_eq(&mapped, plan) {
-                    changed.push((seen, mapped));
-                }
-                seen += 1;
+    /// This operator with every expression directly attached to it (the
+    /// ones [`Plan::expressions`] lists, in that order) passed to `f`, which
+    /// returns its replacement or `None` to keep it; children are kept.
+    /// `None` when `f` keeps every expression: the expression counterpart
+    /// of [`Plan::map_children`].
+    pub fn rewrite_expressions(&self, mut f: impl FnMut(&Expr) -> Option<Expr>) -> Option<Plan> {
+        let mut item = |i: &ProjectItem| {
+            Some(ProjectItem {
+                expr: f(&i.expr)?,
+                alias: i.alias.clone(),
+                qualifier: i.qualifier.clone(),
             })
-        });
-        if changed.is_empty() {
-            return None;
-        }
-        let (mut at, mut changed) = (0usize, changed.into_iter().peekable());
-        Some(self.clone().map_expressions(|e| {
-            crate::visit::map_sublink_plans(e, &mut |plan| {
-                let i = at;
-                at += 1;
-                changed
-                    .next_if(|(j, _)| *j == i)
-                    .map_or(plan, |(_, mapped)| mapped)
-            })
-        }))
-    }
-
-    /// Rebuilds this operator with every expression directly attached to it
-    /// (the ones [`Plan::expressions`] lists) mapped through `f`; children
-    /// are kept as they are.
-    pub fn map_expressions(mut self, mut f: impl FnMut(Expr) -> Expr) -> Plan {
-        let mut apply = |e: &mut Expr| {
-            let taken = std::mem::replace(e, Expr::Literal(perm_storage::Value::Null));
-            *e = f(taken);
         };
-        match &mut self {
-            Plan::Project { items, .. } => items.iter_mut().for_each(|i| apply(&mut i.expr)),
-            Plan::Select { predicate, .. } => apply(predicate),
-            Plan::Join { condition, .. } => apply(condition),
+        match self {
+            Plan::Project {
+                input,
+                items,
+                distinct,
+            } => rewrite_all(items, item).map(|items| Plan::Project {
+                input: input.clone(),
+                items,
+                distinct: *distinct,
+            }),
             Plan::Aggregate {
+                input,
                 group_by,
                 aggregates,
-                ..
             } => {
-                group_by.iter_mut().for_each(|g| apply(&mut g.expr));
-                aggregates
-                    .iter_mut()
-                    .filter_map(|a| a.arg.as_mut())
-                    .for_each(apply);
+                let new_groups = rewrite_all(group_by, &mut item);
+                let new_aggs = rewrite_all(aggregates, |a| {
+                    Some(AggregateExpr {
+                        func: a.func,
+                        arg: Some(f(a.arg.as_ref()?)?),
+                        distinct: a.distinct,
+                        alias: a.alias.clone(),
+                    })
+                });
+                (new_groups.is_some() || new_aggs.is_some()).then(|| Plan::Aggregate {
+                    input: input.clone(),
+                    group_by: new_groups.unwrap_or_else(|| group_by.clone()),
+                    aggregates: new_aggs.unwrap_or_else(|| aggregates.clone()),
+                })
             }
-            Plan::Sort { keys, .. } => keys.iter_mut().for_each(|k| apply(&mut k.expr)),
+            Plan::Select { input, predicate } => f(predicate).map(|predicate| Plan::Select {
+                input: input.clone(),
+                predicate,
+            }),
+            Plan::Join {
+                left,
+                right,
+                kind,
+                condition,
+            } => f(condition).map(|condition| Plan::Join {
+                left: left.clone(),
+                right: right.clone(),
+                kind: *kind,
+                condition,
+            }),
+            Plan::Sort { input, keys } => rewrite_all(keys, |k| {
+                Some(SortKey {
+                    expr: f(&k.expr)?,
+                    ascending: k.ascending,
+                })
+            })
+            .map(|keys| Plan::Sort {
+                input: input.clone(),
+                keys,
+            }),
             Plan::Scan { .. }
             | Plan::Values { .. }
             | Plan::CrossProduct { .. }
             | Plan::SetOp { .. }
-            | Plan::Limit { .. } => {}
+            | Plan::Limit { .. } => None,
         }
-        self
+    }
+
+    /// This operator with the plan of every sublink in its own expressions
+    /// mapped through `f` — the sublinks [`Expr::rewrite`] reaches: those
+    /// nested in test expressions included, those inside sublink plans not
+    /// (they are `f`'s to reach). `None` when `f` hands every plan back
+    /// unchanged.
+    pub fn map_sublinks(&self, mut f: impl FnMut(&PlanRef) -> PlanRef) -> Option<Plan> {
+        self.rewrite_expressions(|e| {
+            e.rewrite(&mut |e| match e {
+                Expr::Sublink {
+                    kind,
+                    test_expr,
+                    op,
+                    plan,
+                } => {
+                    let mapped = f(plan);
+                    (!PlanRef::ptr_eq(&mapped, plan)).then(|| Expr::Sublink {
+                        kind: *kind,
+                        test_expr: test_expr.clone(),
+                        op: *op,
+                        plan: mapped,
+                    })
+                }
+                _ => None,
+            })
+        })
     }
 
     /// `true` when this operator (not its children) carries at least one

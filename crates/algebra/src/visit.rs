@@ -1,6 +1,15 @@
-//! Plan and expression analysis helpers used by the provenance rewriter:
-//! correlation detection, totality, base-relation collection, sublink
-//! substitution, and the sublink half of the bottom-up plan mapper.
+//! Plan and expression analysis helpers used by the provenance rewriter and
+//! the optimizer: correlation detection, totality, base-relation collection
+//! and sublink counting.
+//!
+//! **Scope rule.** Every analysis here reads an expression through
+//! [`Expr::walk`], which states the rule once: a sublink's *test
+//! expression* belongs to the scope of the operator holding the sublink (it
+//! is evaluated there, row by row), while the sublink's *plan* is a scope of
+//! its own, entered only through the plan's cached properties
+//! ([`PlanRef::free_columns`], [`PlanRef::is_total`]) or by an explicit
+//! recursion over the plan. No function here descends into a test
+//! expression by hand.
 
 use crate::expr::{BinaryOp, Expr, SublinkKind, UnaryOp};
 use crate::plan::{Plan, PlanRef};
@@ -19,7 +28,8 @@ pub struct BaseRelationRef {
 /// Collects the base relations accessed by `plan` in left-to-right,
 /// depth-first occurrence order. When `include_sublinks` is `true`, base
 /// relations accessed inside sublink plans are included as well (this is
-/// `Base(Tsub)` in the paper, used to build `CrossBase(Tsub)`).
+/// `Base(Tsub)` in the paper, used to build `CrossBase(Tsub)`), the plans of
+/// sublinks nested in test expressions too.
 pub fn collect_base_relations(plan: &Plan, include_sublinks: bool) -> Vec<BaseRelationRef> {
     let mut out = Vec::new();
     collect_base_relations_into(plan, include_sublinks, &mut out);
@@ -37,17 +47,17 @@ fn collect_base_relations_into(
             alias: alias.clone(),
         });
     }
-    for child in plan.children() {
+    for child in plan.inputs() {
         collect_base_relations_into(child, include_sublinks, out);
     }
     if include_sublinks {
-        for expr in plan.expressions() {
+        plan.walk_expressions(&mut |expr| {
             expr.walk(&mut |e| {
                 if let Expr::Sublink { plan: sub, .. } = e {
                     collect_base_relations_into(sub, include_sublinks, out);
                 }
-            });
-        }
+            })
+        });
     }
 }
 
@@ -81,22 +91,13 @@ pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<Name>, Name
     out
 }
 
-/// Calls `f` on every column reference `expr` reads: its own, and those of
-/// each sublink it holds — the references in the sublink's *test
-/// expression*, which belongs to the scope of the operator containing the
-/// sublink, and the free columns escaping its *plan*
-/// ([`PlanRef::free_columns`]). [`Expr::walk`] treats sublinks as leaves,
-/// so the test expression (which may itself contain sublinks) is descended
-/// into explicitly.
+/// Calls `f` on every column reference `expr` reads in its own scope: its
+/// [`Expr::column_refs`] (test expressions included), and the free columns
+/// escaping each sublink plan ([`PlanRef::free_columns`]).
 pub fn walk_column_refs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Option<Name>, &'a Name)) {
     expr.walk(&mut |e| match e {
         Expr::Column { qualifier, name } => f(qualifier, name),
-        Expr::Sublink {
-            test_expr, plan, ..
-        } => {
-            if let Some(test) = test_expr {
-                walk_column_refs(test, f);
-            }
+        Expr::Sublink { plan, .. } => {
             for (q, n) in plan.free_columns() {
                 f(q, n);
             }
@@ -159,31 +160,16 @@ pub fn free_params(plan: &Plan) -> Vec<usize> {
 }
 
 fn free_params_plan(plan: &Plan, out: &mut Vec<usize>) {
-    for expr in plan.expressions() {
-        free_params_expr(expr, out);
-    }
-    for child in plan.children() {
+    plan.walk_expressions(&mut |expr| {
+        expr.walk(&mut |e| match e {
+            Expr::Param(index) => out.push(*index),
+            Expr::Sublink { plan: sub, .. } => free_params_plan(sub, out),
+            _ => {}
+        })
+    });
+    for child in plan.inputs() {
         free_params_plan(child, out);
     }
-}
-
-fn free_params_expr(expr: &Expr, out: &mut Vec<usize>) {
-    // `Expr::walk` treats sublinks as leaves; descend into their test
-    // expressions and plans explicitly so no parameter reference is missed.
-    expr.walk(&mut |e| match e {
-        Expr::Param(index) => out.push(*index),
-        Expr::Sublink {
-            test_expr,
-            plan: sub,
-            ..
-        } => {
-            if let Some(test) = test_expr {
-                free_params_expr(test, out);
-            }
-            free_params_plan(sub, out);
-        }
-        _ => {}
-    });
 }
 
 /// Number of parameter slots a plan needs: one past the highest referenced
@@ -193,84 +179,18 @@ pub fn param_count(plan: &Plan) -> usize {
     free_params(plan).last().map(|&i| i + 1).unwrap_or(0)
 }
 
-/// Replaces the `i`-th sublink (in [`Expr::walk`] order) of `expr` with
-/// `replacements[i]`, leaving everything else untouched. Used by the Move
-/// strategy (rules T1/T2) which moves sublinks into a projection and
-/// references their results by fresh attribute names.
-pub fn replace_sublinks(expr: Expr, replacements: &[Expr]) -> Expr {
-    let mut index = 0usize;
-    replace_sublinks_inner(expr, replacements, &mut index)
-}
-
-fn replace_sublinks_inner(expr: Expr, replacements: &[Expr], index: &mut usize) -> Expr {
-    match expr {
-        Expr::Sublink { .. } => {
-            let replacement = replacements
-                .get(*index)
-                .cloned()
-                .unwrap_or(Expr::Literal(perm_storage::Value::Null));
-            *index += 1;
-            replacement
-        }
-        Expr::Binary { op, left, right } => {
-            // Evaluation order below must match `Expr::walk`: left before right.
-            let left = replace_sublinks_inner(*left, replacements, index);
-            let right = replace_sublinks_inner(*right, replacements, index);
-            Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
+/// Every sublink of `plan`: those in its operators' expressions, nested in
+/// their test expressions, and inside sublink plans at any depth.
+pub fn count_sublinks(plan: &Plan) -> u64 {
+    let mut n = 0;
+    plan.walk_expressions(&mut |expr| {
+        expr.walk(&mut |e| {
+            if let Expr::Sublink { plan, .. } = e {
+                n += 1 + count_sublinks(plan);
             }
-        }
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(replace_sublinks_inner(*expr, replacements, index)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name,
-            args: args
-                .into_iter()
-                .map(|a| replace_sublinks_inner(a, replacements, index))
-                .collect(),
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(c, v)| {
-                    let c = replace_sublinks_inner(c, replacements, index);
-                    let v = replace_sublinks_inner(v, replacements, index);
-                    (c, v)
-                })
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(replace_sublinks_inner(*e, replacements, index))),
-        },
-        other => other,
-    }
-}
-
-/// Rebuilds every sublink plan inside `expr` with `f`, moving each plan
-/// through it. Descends into `ANY`/`ALL` test expressions, which
-/// [`Expr::transform`] treats as opaque; nested sublinks *inside* a sublink
-/// plan are `f`'s to reach. [`Plan::map_sublinks`] is the sharing form: it
-/// rebuilds an operator only when `f` changed one of its sublink plans.
-pub fn map_sublink_plans(expr: Expr, f: &mut impl FnMut(PlanRef) -> PlanRef) -> Expr {
-    expr.transform(&mut |e| match e {
-        Expr::Sublink {
-            kind,
-            test_expr,
-            op,
-            plan,
-        } => Expr::Sublink {
-            kind,
-            test_expr: test_expr.map(|t| Box::new(map_sublink_plans(*t, f))),
-            op,
-            plan: f(plan),
-        },
-        other => other,
-    })
+        })
+    });
+    n + plan.inputs().map(|c| count_sublinks(c)).sum::<u64>()
 }
 
 /// How a column reference resolves against a scope chain (innermost first),
@@ -295,46 +215,39 @@ fn resolves(scopes: &[Arc<Schema>], qualifier: Option<&str>, name: &str) -> bool
 /// total; a scalar sublink only when its plan cannot violate the one-row,
 /// one-column contract. A `$n` parameter is total: every execution entry
 /// refuses a vector that leaves it unbound before the first operator runs,
-/// so during evaluation it is a constant lookup.
+/// so during evaluation it is a constant lookup. The expression is total
+/// when every node [`Expr::all`] visits is — a sublink's test expression
+/// included, its plan judged as a whole.
 pub fn expr_is_total(expr: &Expr, scopes: &[Arc<Schema>]) -> bool {
-    match expr {
+    expr.all(&mut |e| node_is_total(e, scopes))
+}
+
+/// Whether `e` itself can fail, its operands aside.
+fn node_is_total(e: &Expr, scopes: &[Arc<Schema>]) -> bool {
+    match e {
         Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Binary { op, left, right } => {
-            let ops_total = matches!(
-                op,
-                BinaryOp::And
-                    | BinaryOp::Or
-                    | BinaryOp::Cmp(_)
-                    | BinaryOp::NullSafeEq
-                    | BinaryOp::Like
-                    | BinaryOp::NotLike
-                    | BinaryOp::Concat
-            );
-            ops_total && expr_is_total(left, scopes) && expr_is_total(right, scopes)
-        }
-        Expr::Unary { op, expr } => match op {
-            UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull => expr_is_total(expr, scopes),
-            // Negation fails on non-numbers; a negative numeric literal
-            // (`BETWEEN -5 AND 5`) is the one operand known to be one.
-            UnaryOp::Neg => matches!(
-                expr.as_ref(),
-                Expr::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
-            ),
-        },
+        Expr::Literal(_) | Expr::Param(_) | Expr::Case { .. } => true,
+        Expr::Binary { op, .. } => matches!(
+            op,
+            BinaryOp::And
+                | BinaryOp::Or
+                | BinaryOp::Cmp(_)
+                | BinaryOp::NullSafeEq
+                | BinaryOp::Like
+                | BinaryOp::NotLike
+                | BinaryOp::Concat
+        ),
+        // Negation fails on non-numbers; a negative numeric literal
+        // (`BETWEEN -5 AND 5`) is the one operand known to be one.
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => matches!(
+            expr.as_ref(),
+            Expr::Literal(Value::Int(_) | Value::Float(_) | Value::Null)
+        ),
+        Expr::Unary { .. } => true,
         Expr::Func { .. } => false,
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            branches
-                .iter()
-                .all(|(c, v)| expr_is_total(c, scopes) && expr_is_total(v, scopes))
-                && else_expr
-                    .as_deref()
-                    .map(|e| expr_is_total(e, scopes))
-                    .unwrap_or(true)
-        }
         Expr::Sublink {
             kind,
             test_expr,
@@ -342,18 +255,12 @@ pub fn expr_is_total(expr: &Expr, scopes: &[Arc<Schema>]) -> bool {
             ..
         } => {
             let plan_total = plan.is_total() || (!scopes.is_empty() && plan_is_total(plan, scopes));
-            match kind {
-                SublinkKind::Scalar => {
-                    yields_one_row(plan) && plan.schema().arity() == 1 && plan_total
+            plan_total
+                && match kind {
+                    SublinkKind::Scalar => yields_one_row(plan) && plan.schema().arity() == 1,
+                    SublinkKind::Exists => true,
+                    SublinkKind::Any | SublinkKind::All => test_expr.is_some(),
                 }
-                SublinkKind::Exists => plan_total,
-                SublinkKind::Any | SublinkKind::All => {
-                    test_expr
-                        .as_deref()
-                        .is_some_and(|t| expr_is_total(t, scopes))
-                        && plan_total
-                }
-            }
         }
     }
 }
@@ -395,15 +302,13 @@ pub fn plan_is_total(plan: &Plan, outers: &[Arc<Schema>]) -> bool {
     total
 }
 
-/// Number of sublinks directly contained in `expr`.
-pub fn count_sublinks(expr: &Expr) -> usize {
-    expr.sublinks().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{any_sublink, col, eq, exists_sublink, lit, or, qcol, PlanBuilder};
+    use crate::builder::{
+        any_sublink, binary, cmp, col, eq, exists_sublink, lit, or, qcol, scalar_sublink,
+        PlanBuilder,
+    };
     use crate::expr::CompareOp;
     use perm_storage::{Database, Relation, Schema};
 
@@ -584,19 +489,65 @@ mod tests {
     }
 
     #[test]
-    fn replace_sublinks_in_walk_order() {
+    fn sublinks_in_test_expressions_are_walked_in_order() {
         let db = db();
-        let sub1 = PlanBuilder::scan(&db, "s").unwrap().build();
-        let sub2 = PlanBuilder::scan(&db, "s").unwrap().build();
-        let cond = or(
-            any_sublink(col("a"), CompareOp::Eq, sub1),
-            exists_sublink(sub2),
+        // σ_{(a + (σ_{c > r.a}(S)) = ANY (Π_d(S))) ∨ EXISTS(S)}(R): the scalar
+        // sublink sits in the ANY sublink's test expression, which belongs
+        // to the selection's scope.
+        let scalar = scalar_sublink(
+            PlanBuilder::scan(&db, "s")
+                .unwrap()
+                .select(cmp(CompareOp::Gt, col("c"), qcol("r", "a")))
+                .project_columns(&["c"])
+                .build(),
         );
-        assert_eq!(count_sublinks(&cond), 2);
-        let replaced = replace_sublinks(cond, &[col("c1"), col("c2")]);
-        assert_eq!(count_sublinks(&replaced), 0);
-        let refs = replaced.column_refs();
-        assert!(refs.contains(&(None, "c1".into())));
-        assert!(refs.contains(&(None, "c2".into())));
+        let test = binary(BinaryOp::Add, col("a"), scalar.clone());
+        let quantified = any_sublink(
+            test,
+            CompareOp::Eq,
+            PlanBuilder::scan(&db, "s")
+                .unwrap()
+                .project_columns(&["d"])
+                .build(),
+        );
+        let exists = exists_sublink(PlanBuilder::scan(&db, "s").unwrap().build());
+        let cond = or(quantified.clone(), exists.clone());
+        // Pre-order: the ANY sublink, then the one in its test, then EXISTS.
+        assert_eq!(cond.sublinks(), vec![&quantified, &scalar, &exists]);
+        assert_eq!(cond.column_refs(), vec![(None, "a".into())]);
+        let q = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .select(cond.clone())
+            .build();
+        assert_eq!(count_sublinks(&q), 3);
+        assert!(free_columns(&q).is_empty());
+        // Over S the nested sublink's `r.a` escapes, through the test.
+        let over_s = PlanBuilder::scan_as(&db, "s", Some("s2"))
+            .unwrap()
+            .select(cond.clone())
+            .build();
+        assert_eq!(
+            free_correlated_columns(&over_s),
+            vec![(None, "a".into()), (Some("r".into()), "a".into())]
+        );
+        // The rewriter reaches the nested sublink first (post-order).
+        let mut seen = Vec::new();
+        let replaced = cond.rewrite(&mut |e| {
+            matches!(e, Expr::Sublink { .. }).then(|| {
+                seen.push(e.clone());
+                lit(seen.len() as i64)
+            })
+        });
+        assert_eq!(seen[0], scalar);
+        assert_eq!(seen[2], exists);
+        assert_eq!(
+            count_sublinks(
+                &PlanBuilder::scan(&db, "r")
+                    .unwrap()
+                    .select(replaced.unwrap())
+                    .build()
+            ),
+            0
+        );
     }
 }

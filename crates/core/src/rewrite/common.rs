@@ -26,8 +26,6 @@ pub(crate) struct SublinkInfo {
     pub plan: PlanRef,
     /// The rewritten sublink query `Tsub+` with its provenance descriptor.
     pub rewritten: RewriteResult,
-    /// Whether `Tsub` references attributes of the enclosing query.
-    pub correlated: bool,
     /// Names of the ordinary (non-provenance) result attributes of `Tsub`.
     pub result_attrs: Vec<Name>,
 }
@@ -39,9 +37,10 @@ impl SublinkInfo {
     }
 }
 
-/// Collects and rewrites every sublink of the given expressions, in
-/// left-to-right walk order (the order used consistently by all strategies
-/// and by [`perm_algebra::visit::replace_sublinks`]).
+/// Collects and rewrites every sublink of the given expressions in
+/// [`Expr::sublinks`] order — the order the reference tracer numbers their
+/// witness columns in — those nested in another sublink's test expression
+/// included.
 pub(crate) fn collect_sublinks<'e>(
     rw: &mut ProvenanceRewriter<'_>,
     exprs: impl IntoIterator<Item = &'e Expr>,
@@ -65,7 +64,6 @@ pub(crate) fn collect_sublinks<'e>(
                     original: sublink.clone(),
                     plan: plan.clone(),
                     rewritten,
-                    correlated: !plan.free_columns().is_empty(),
                     result_attrs: original_schema.names(),
                 });
             }
@@ -74,21 +72,22 @@ pub(crate) fn collect_sublinks<'e>(
     Ok(infos)
 }
 
-/// Fails with [`ProvenanceError::NotApplicable`] when any sublink is
-/// correlated; the Left, Move and Unn strategies call this first.
-pub(crate) fn require_uncorrelated(strategy: &'static str, infos: &[SublinkInfo]) -> Result<()> {
-    if let Some(info) = infos.iter().find(|i| i.correlated) {
-        return Err(ProvenanceError::NotApplicable {
+/// Fails with [`ProvenanceError::NotApplicable`] unless the join-based
+/// strategies can rewrite every sublink ([`super::join_rewritable`]); the
+/// Left, Move and Unn strategies call this first.
+pub(crate) fn require_join_rewritable(strategy: &'static str, infos: &[SublinkInfo]) -> Result<()> {
+    match infos.iter().find(|i| !super::join_rewritable(&i.original)) {
+        None => Ok(()),
+        Some(info) => Err(ProvenanceError::NotApplicable {
             strategy,
             reason: format!(
-                "the {} sublink over `{}` is correlated; only the Gen strategy supports \
-                 correlated sublinks",
+                "the {} sublink over `{}` is correlated or holds a sublink in its test \
+                 expression; only the Gen strategy rewrites those",
                 info.kind,
                 info.result_attrs.join(", ")
             ),
-        });
+        }),
     }
-    Ok(())
 }
 
 /// Builds `CrossBase(Tsub)`: the cross product, over every base relation `R`

@@ -16,7 +16,7 @@
 //! establish nothing and run as written.
 
 use super::common::{
-    collect_sublinks, jsub_condition, keep_columns, output_columns, require_uncorrelated,
+    collect_sublinks, jsub_condition, keep_columns, output_columns, require_join_rewritable,
     wrap_sublink_plus,
 };
 use super::{ProvenanceRewriter, RewriteResult};
@@ -34,7 +34,7 @@ pub(crate) fn rewrite_select(
 ) -> Result<RewriteResult> {
     let input_rw = rw.rewrite(input)?;
     let infos = collect_sublinks(rw, std::iter::once(predicate))?;
-    require_uncorrelated("Left", &infos)?;
+    require_join_rewritable("Left", &infos)?;
 
     let input_plus_schema = input_rw.plan.schema();
     let mut plan = input_rw.plan;
@@ -73,7 +73,7 @@ pub(crate) fn rewrite_project(
 ) -> Result<RewriteResult> {
     let input_rw = rw.rewrite(input)?;
     let infos = collect_sublinks(rw, items.iter().map(|i| &i.expr))?;
-    require_uncorrelated("Left", &infos)?;
+    require_join_rewritable("Left", &infos)?;
 
     let mut plan = input_rw.plan;
     let mut descriptor = input_rw.descriptor;

@@ -154,15 +154,7 @@ impl<'a> ProvenanceRewriter<'a> {
                         .into(),
                 ))
             }
-            Plan::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } if group_by.iter().any(|g| g.expr.has_sublink())
-                || aggregates
-                    .iter()
-                    .any(|a| a.arg.as_ref().map(|e| e.has_sublink()).unwrap_or(false)) =>
-            {
+            Plan::Aggregate { .. } if plan.has_direct_sublink() => {
                 Err(ProvenanceError::Unsupported(
                     "sublinks inside aggregate arguments or grouping expressions are not \
                      supported; compute them in a projection below the aggregation"
@@ -180,9 +172,9 @@ impl<'a> ProvenanceRewriter<'a> {
             Strategy::Move => move_::rewrite_select(self, input, predicate),
             Strategy::Unn => unn::rewrite_select(self, input, predicate),
             Strategy::Auto => {
-                if unn::is_applicable_select(predicate) && sublinks_uncorrelated(predicate) {
+                if unn::is_applicable_select(predicate) && join_rewritable(predicate) {
                     unn::rewrite_select(self, input, predicate)
-                } else if sublinks_uncorrelated(predicate) {
+                } else if join_rewritable(predicate) {
                     move_::rewrite_select(self, input, predicate)
                 } else {
                     gen::rewrite_select(self, input, predicate)
@@ -206,10 +198,7 @@ impl<'a> ProvenanceRewriter<'a> {
                 reason: "the Unn strategy only rewrites selections (rules U1 and U2)".into(),
             }),
             Strategy::Auto => {
-                if items
-                    .iter()
-                    .all(|i| i.expr.sublinks().iter().all(sublink_uncorrelated))
-                {
+                if items.iter().all(|i| join_rewritable(&i.expr)) {
                     move_::rewrite_project(self, input, items, distinct)
                 } else {
                     gen::rewrite_project(self, input, items, distinct)
@@ -237,16 +226,19 @@ impl<'a> ProvenanceRewriter<'a> {
     }
 }
 
-/// `true` when every sublink directly contained in `expr` is uncorrelated.
-pub(crate) fn sublinks_uncorrelated(expr: &Expr) -> bool {
-    expr.sublinks().iter().all(sublink_uncorrelated)
-}
-
-pub(crate) fn sublink_uncorrelated(sublink: &&Expr) -> bool {
-    match sublink {
-        Expr::Sublink { plan, .. } => plan.free_columns().is_empty(),
+/// `true` when the join-based strategies (Left, Move, Unn) apply to every
+/// sublink of `expr`: none is correlated, and none holds another sublink in
+/// its test expression. A nested sublink of the test expression is one of
+/// the condition's sublinks and contributes witnesses of its own
+/// (Definition 2); their rules join each sublink's `Tsub⁺` on its result
+/// alone and have no place for it, so such an operator falls to Gen.
+pub(crate) fn join_rewritable(expr: &Expr) -> bool {
+    expr.sublinks().iter().all(|s| match s {
+        Expr::Sublink {
+            test_expr, plan, ..
+        } => plan.free_columns().is_empty() && !test_expr.as_deref().is_some_and(Expr::has_sublink),
         _ => true,
-    }
+    })
 }
 
 /// Convenience error constructor used by Left/Move/Unn when a correlated

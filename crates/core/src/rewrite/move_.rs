@@ -14,13 +14,12 @@
 //! Like Left, Move is only applicable to uncorrelated sublinks.
 
 use super::common::{
-    collect_sublinks, jsub_condition, keep_columns, output_columns, require_uncorrelated,
+    collect_sublinks, jsub_condition, keep_columns, output_columns, require_join_rewritable,
     wrap_sublink_plus,
 };
 use super::{ProvenanceRewriter, RewriteResult};
 use crate::Result;
 use perm_algebra::builder::col;
-use perm_algebra::visit::replace_sublinks;
 use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem};
 use perm_storage::Name;
 
@@ -50,6 +49,17 @@ fn project_sublink_values(
         distinct: false,
     };
     (plan, value_names)
+}
+
+/// `expr` with each of its sublinks replaced by the next projected value
+/// `C_i`. Move rewrites no sublink nested in a test expression, so the
+/// rewriter meets the sublinks in [`collect_sublinks`] order.
+fn with_values<'n>(expr: &Expr, values: &mut impl Iterator<Item = &'n Name>) -> Expr {
+    expr.rewrite(&mut |e| match e {
+        Expr::Sublink { .. } => values.next().map(|name| col(name.clone())),
+        _ => None,
+    })
+    .unwrap_or_else(|| expr.clone())
 }
 
 /// Appends one left outer join per sublink, using the projected sublink value
@@ -86,7 +96,7 @@ pub(crate) fn rewrite_select(
 ) -> Result<RewriteResult> {
     let input_rw = rw.rewrite(input)?;
     let infos = collect_sublinks(rw, std::iter::once(predicate))?;
-    require_uncorrelated("Move", &infos)?;
+    require_join_rewritable("Move", &infos)?;
 
     let input_plus_schema = input_rw.plan.schema();
     let mut descriptor = input_rw.descriptor;
@@ -96,8 +106,7 @@ pub(crate) fn rewrite_select(
 
     // Ctar: the original condition with sublinks replaced by the projected
     // attributes (each sublink is therefore evaluated exactly once).
-    let replacements: Vec<Expr> = value_names.iter().cloned().map(col).collect();
-    let ctar = replace_sublinks(predicate.clone(), &replacements);
+    let ctar = with_values(predicate, &mut value_names.iter());
     let plan = Plan::Select {
         input: PlanRef::new(plan),
         predicate: ctar,
@@ -121,31 +130,21 @@ pub(crate) fn rewrite_project(
 ) -> Result<RewriteResult> {
     let input_rw = rw.rewrite(input)?;
     let infos = collect_sublinks(rw, items.iter().map(|i| &i.expr))?;
-    require_uncorrelated("Move", &infos)?;
+    require_join_rewritable("Move", &infos)?;
 
     let mut descriptor = input_rw.descriptor;
     let (plan, value_names) = project_sublink_values(rw, input_rw.plan, &infos);
     let plan = join_sublinks(rw, plan, &infos, &value_names, &mut descriptor);
 
     // Rebuild the original projection list, substituting the projected
-    // sublink values. The substitution cursor walks the value names in the
-    // same order in which `collect_sublinks` discovered the sublinks.
-    let mut cursor = 0usize;
+    // sublink values in the order `collect_sublinks` discovered them.
+    let mut values = value_names.iter();
     let mut out_items: Vec<ProjectItem> = Vec::with_capacity(items.len() + descriptor.len());
     for item in items {
-        let count = item.expr.sublinks().len();
-        let slice: Vec<Expr> = value_names[cursor..cursor + count]
-            .iter()
-            .cloned()
-            .map(col)
-            .collect();
-        cursor += count;
-        let expr = if count == 0 {
-            item.expr.clone()
-        } else {
-            replace_sublinks(item.expr.clone(), &slice)
-        };
-        out_items.push(ProjectItem::new(expr, item.alias.clone()));
+        out_items.push(ProjectItem::new(
+            with_values(&item.expr, &mut values),
+            item.alias.clone(),
+        ));
     }
     for prov in descriptor.attr_names() {
         out_items.push(ProjectItem::column(prov));

@@ -14,7 +14,7 @@
 //!   `(σ_{x = ANY(Tsub)}(T))+ = T+ ⋈_{x = res} Tsub+`.
 
 use super::common::{
-    collect_sublinks, keep_columns, output_columns, require_uncorrelated, wrap_sublink_plus,
+    collect_sublinks, keep_columns, output_columns, require_join_rewritable, wrap_sublink_plus,
 };
 use super::{not_applicable, ProvenanceRewriter, RewriteResult};
 use crate::Result;
@@ -55,7 +55,7 @@ pub(crate) fn rewrite_select(
 
     let input_rw = rw.rewrite(input)?;
     let infos = collect_sublinks(rw, std::iter::once(predicate))?;
-    require_uncorrelated("Unn", &infos)?;
+    require_join_rewritable("Unn", &infos)?;
     let info = &infos[0];
 
     let input_plus_schema = input_rw.plan.schema();

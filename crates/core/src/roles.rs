@@ -15,7 +15,6 @@
 
 use crate::Result;
 use perm_algebra::builder::lit;
-use perm_algebra::visit::replace_sublinks;
 use perm_algebra::{CompareOp, Expr};
 use perm_exec::eval::compare;
 use perm_exec::{Env, Executor, Interpreter};
@@ -48,16 +47,19 @@ impl std::fmt::Display for InfluenceRole {
     }
 }
 
-/// Replaces the `index`-th sublink of `expr` (in walk order) with a constant
-/// and leaves the other sublinks in place.
+/// Replaces the `index`-th sublink of `expr` ([`Expr::sublinks`] order)
+/// with a constant and leaves the other sublinks in place. The sublink is
+/// found by address: the rewriter's post-order differs from that order
+/// where a sublink sits in another's test expression, and it hands `f` a
+/// node as it is in `expr` until something below it changes.
 fn with_sublink_forced(expr: &Expr, index: usize, value: bool) -> Expr {
-    let sublinks: Vec<Expr> = expr.sublinks().into_iter().cloned().collect();
-    let replacements: Vec<Expr> = sublinks
-        .iter()
-        .enumerate()
-        .map(|(i, s)| if i == index { lit(value) } else { s.clone() })
-        .collect();
-    replace_sublinks(expr.clone(), &replacements)
+    let target = expr.sublinks().get(index).copied();
+    expr.rewrite(&mut |e| {
+        target
+            .is_some_and(|t| std::ptr::eq(e, t))
+            .then(|| lit(value))
+    })
+    .unwrap_or_else(|| expr.clone())
 }
 
 /// Determines the influence role of the `index`-th sublink of `condition`

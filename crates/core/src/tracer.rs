@@ -100,7 +100,8 @@ impl<'a> Tracer<'a> {
 /// The provenance descriptor of a plan (which base relation accesses
 /// contribute provenance attributes, in order), matching the layout of the
 /// rewrite strategies: children first, then the sublinks of the operator's
-/// expressions in walk order, each relation access numbered from
+/// expressions in [`Expr::sublinks`] order (those nested in test
+/// expressions included), each relation access numbered from
 /// `occurrences` when the walk reaches it. A subtree shared by several
 /// positions of the tree (a cloned plan, the operand `BETWEEN` repeats) is
 /// walked, and numbered, once per position.
@@ -126,16 +127,16 @@ fn descriptor(plan: &Plan, occurrences: &mut HashMap<String, usize>) -> Provenan
         Plan::Limit { input, .. } => descriptor(input, occurrences),
         other => {
             let mut out = ProvenanceDescriptor::empty();
-            for child in other.children() {
+            for child in other.inputs() {
                 out = out.concat(&descriptor(child, occurrences));
             }
-            for expr in other.expressions() {
-                for sublink in expr.sublinks() {
-                    if let Expr::Sublink { plan: sub, .. } = sublink {
+            other.walk_expressions(&mut |expr| {
+                expr.walk(&mut |e| {
+                    if let Expr::Sublink { plan: sub, .. } = e {
                         out = out.concat(&descriptor(sub, occurrences));
                     }
-                }
-            }
+                })
+            });
             out
         }
     }

@@ -8,6 +8,7 @@ use perm_algebra::builder::{
     PlanBuilder,
 };
 use perm_algebra::{CompareOp, Plan, ProjectItem};
+use perm_core::definition::BruteForce;
 use perm_core::tracer::Tracer;
 use perm_core::{ProvenanceQuery, Strategy};
 use perm_exec::Executor;
@@ -724,5 +725,148 @@ fn a_reused_tracer_traces_each_plan_as_a_fresh_one_would() {
         assert!(got.bag_eq(&want));
         let rewritten = ProvenanceQuery::new(&db, plan).rewrite().unwrap();
         assert_eq!(got.schema().names(), rewritten.plan().schema().names());
+    }
+}
+
+/// `r(a, b)`, `s(c)`, `t(d)` for the nested-test-expression shapes, small
+/// enough for the brute-force Definition 2 checker. `BruteForce` enumerates
+/// subsets: it credits an aggregate only with the tuples that reproduce its
+/// value on their own, and by maximality it admits the tuples a sublink's
+/// selection drops; the tracer (Figure 2) credits the whole group and only
+/// the rows the sublink returns. So `s` holds one row and `t` no row that
+/// `d < 4` drops: there both readings coincide.
+fn nested_db() -> Database {
+    let mut db = Database::new();
+    let table = |name: &str, cols: &[&str], rows: &[&[i64]]| {
+        Relation::from_rows(
+            Schema::from_names(cols).with_qualifier(name),
+            rows.iter()
+                .map(|r| r.iter().map(|v| Value::Int(*v)).collect())
+                .collect(),
+        )
+    };
+    db.create_table("r", table("r", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 2]]))
+        .unwrap();
+    db.create_table("s", table("s", &["c"], &[&[3]])).unwrap();
+    db.create_table("t", table("t", &["d"], &[&[1], &[3]]))
+        .unwrap();
+    db
+}
+
+/// The distinct non-NULL values of the named columns over the rows of
+/// `rel` whose first `key.len()` columns equal `key`.
+fn witness_of(rel: &Relation, key: &Tuple, columns: &[&str]) -> Vec<Tuple> {
+    let positions: Vec<usize> = columns
+        .iter()
+        .map(|c| rel.schema().resolve(None, c).unwrap())
+        .collect();
+    let mut out: Vec<Tuple> = rel
+        .tuples()
+        .iter()
+        .filter(|t| (0..key.arity()).all(|i| t.get(i).null_safe_eq(key.get(i))))
+        .map(|t| Tuple::new(positions.iter().map(|&i| t.get(i).clone()).collect()))
+        .filter(|t| !t.values().iter().all(Value::is_null))
+        .collect();
+    out.sort_by(|a, b| a.sort_key(b));
+    out.dedup_by(|a, b| a.null_safe_eq(b));
+    out
+}
+
+#[test]
+fn a_sublink_in_a_test_expression_is_witnessed_as_definition2_requires() {
+    let db = nested_db();
+    let over_s = |filter: Option<perm_algebra::Expr>, agg| {
+        let scan = PlanBuilder::scan(&db, "s").unwrap();
+        let scan = match filter {
+            Some(f) => scan.select(f),
+            None => scan,
+        };
+        scan.aggregate(vec![], vec![agg]).build()
+    };
+    let t = |filter: Option<perm_algebra::Expr>| {
+        let scan = PlanBuilder::scan(&db, "t").unwrap();
+        match filter {
+            Some(f) => scan.select(f),
+            None => scan,
+        }
+        .build()
+    };
+    let max_c = || perm_algebra::builder::max(col("c"), "m");
+    let shapes: Vec<(perm_algebra::Expr, perm_algebra::Expr)> = {
+        // (SELECT max(c) FROM s) = ANY (SELECT d FROM t)
+        let inner = scalar_sublink(over_s(None, max_c()));
+        let a = (any_sublink(inner.clone(), CompareOp::Eq, t(None)), inner);
+        // a + (SELECT min(c) FROM s) > ALL (SELECT d FROM t WHERE d < 4)
+        let inner = scalar_sublink(over_s(None, perm_algebra::builder::min(col("c"), "m")));
+        let test =
+            perm_algebra::builder::binary(perm_algebra::BinaryOp::Add, col("a"), inner.clone());
+        let b = (
+            all_sublink(
+                test,
+                CompareOp::Gt,
+                t(Some(perm_algebra::builder::cmp(
+                    CompareOp::Lt,
+                    col("d"),
+                    lit(4),
+                ))),
+            ),
+            inner,
+        );
+        // (SELECT max(c) FROM s WHERE c > r.a) = ANY (SELECT d FROM t)
+        let inner = scalar_sublink(over_s(
+            Some(perm_algebra::builder::cmp(
+                CompareOp::Gt,
+                col("c"),
+                qcol("r", "a"),
+            )),
+            max_c(),
+        ));
+        let c = (any_sublink(inner.clone(), CompareOp::Eq, t(None)), inner);
+        vec![a, b, c]
+    };
+    let input_schema = db.table_schema("r").unwrap().with_qualifier("r");
+    for (condition, nested) in shapes {
+        let plan = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .select(condition.clone())
+            .build();
+        assert_strategies_match_tracer(&db, &plan, &[Strategy::Gen]);
+        let traced = Tracer::new(&db).trace(&plan).unwrap();
+        let auto = ProvenanceQuery::new(&db, &plan)
+            .strategy(Strategy::Auto)
+            .rewrite()
+            .unwrap();
+        let columns = traced.schema().names();
+        assert_eq!(
+            project_named(&Executor::new(&db).execute(auto.plan()).unwrap(), &columns),
+            project_named(&traced, &columns),
+            "Auto disagrees with the tracer on {condition}"
+        );
+        let checker = BruteForce::new(&db, &plan)
+            .input("r")
+            .sublink_input("t")
+            .sublink_input("s");
+        let results = Executor::new(&db).execute(&plan).unwrap();
+        assert!(!results.is_empty(), "{condition} selects nothing");
+        for row in results.distinct().tuples() {
+            let witnesses = checker
+                .definition2_witnesses(row, &[condition.clone(), nested.clone()], &input_schema)
+                .unwrap();
+            assert_eq!(witnesses.len(), 1, "{condition}: Definition 2 is unique");
+            let expected: Vec<Vec<Tuple>> = witnesses[0]
+                .iter()
+                .map(|rel| {
+                    let mut rows = rel.distinct().tuples().to_vec();
+                    rows.sort_by(|a, b| a.sort_key(b));
+                    rows
+                })
+                .collect();
+            let got = vec![
+                witness_of(&traced, row, &["prov_r_a", "prov_r_b"]),
+                witness_of(&traced, row, &["prov_t_d"]),
+                witness_of(&traced, row, &["prov_s_c"]),
+            ];
+            assert_eq!(got, expected, "{condition} at {row}");
+        }
     }
 }

@@ -38,13 +38,14 @@
 
 use crate::batch::{Batch, LiveRows};
 use crate::eval::{arithmetic, compare};
-use crate::executor::{extract_equi_keys, flatten_conjuncts, Execution, Executor};
+use crate::executor::{extract_equi_keys, Execution, Executor};
 use crate::functions;
 use crate::memo::StatementMemo;
 use crate::profile::{ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
+use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::free_params;
 use perm_algebra::{
     AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, SetOpKind, SublinkKind, UnaryOp,
@@ -685,10 +686,8 @@ impl Compiler {
                         });
                     }
                 }
-                let mut conjuncts = Vec::new();
-                flatten_conjuncts(condition, &mut conjuncts);
                 let keys_cover_condition =
-                    !equi_keys.is_empty() && equi_keys.len() == conjuncts.len();
+                    !equi_keys.is_empty() && equi_keys.len() == split_conjuncts(condition).len();
                 let scope = Scopes::nest(outer, &cond_schema);
                 let condition = self.expr(condition, Some(&scope))?;
                 Ok(CompiledNode::Join {
@@ -784,16 +783,12 @@ impl Compiler {
             Expr::Param(index) => CompiledExpr::Param(*index),
             Expr::Binary {
                 op: BinaryOp::And, ..
-            } => {
-                let mut conjuncts = Vec::new();
-                flatten_conjuncts(expr, &mut conjuncts);
-                CompiledExpr::And(
-                    conjuncts
-                        .into_iter()
-                        .map(|c| self.expr(c, scopes))
-                        .collect::<Result<_>>()?,
-                )
-            }
+            } => CompiledExpr::And(
+                split_conjuncts(expr)
+                    .into_iter()
+                    .map(|c| self.expr(c, scopes))
+                    .collect::<Result<_>>()?,
+            ),
             Expr::Binary { op, left, right } => CompiledExpr::Binary {
                 op: *op,
                 left: Box::new(self.expr(left, scopes)?),

@@ -62,6 +62,7 @@ use crate::profile::ProfileTree;
 use crate::resilience::{CancelToken, Cancellation, FaultPlan, Governor};
 use crate::trace::TraceSink;
 use crate::{ExecError, Result};
+use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::param_count;
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
@@ -442,10 +443,8 @@ pub(crate) fn extract_equi_keys<'e>(
     left: &Schema,
     right: &Schema,
 ) -> Vec<EquiKey<'e>> {
-    let mut conjuncts = Vec::new();
-    flatten_conjuncts(condition, &mut conjuncts);
     let mut keys = Vec::new();
-    for c in conjuncts {
+    for c in split_conjuncts(condition) {
         if let Expr::Binary {
             op,
             left: a,
@@ -494,20 +493,6 @@ fn side_of(expr: &Expr, left: &Schema, right: &Schema) -> Option<Side> {
         }
     } else {
         None
-    }
-}
-
-pub(crate) fn flatten_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::Binary {
-        op: perm_algebra::BinaryOp::And,
-        left,
-        right,
-    } = expr
-    {
-        flatten_conjuncts(left, out);
-        flatten_conjuncts(right, out);
-    } else {
-        out.push(expr);
     }
 }
 

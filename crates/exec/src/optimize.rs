@@ -273,7 +273,8 @@ use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{
-    expr_is_total, free_expr_columns, plan_is_total, walk_column_refs, yields_one_row,
+    count_sublinks, expr_is_total, free_expr_columns, plan_is_total, walk_column_refs,
+    yields_one_row,
 };
 use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey, SublinkKind};
 use perm_storage::{Name, Schema, Value};
@@ -408,26 +409,6 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
     (current.into_plan(), rep)
 }
 
-/// Sublinks of a plan, the ones nested in sublink plans and test
-/// expressions included.
-fn count_sublinks(plan: &Plan) -> u64 {
-    fn in_expr(expr: &Expr) -> u64 {
-        let mut n = 0;
-        expr.walk(&mut |e| {
-            if let Expr::Sublink {
-                test_expr, plan, ..
-            } = e
-            {
-                n += 1 + test_expr.as_deref().map_or(0, in_expr) + count_sublinks(plan);
-            }
-        });
-        n
-    }
-    let mut n = 0;
-    plan.walk_expressions(&mut |e| n += in_expr(e));
-    n + plan.inputs().map(|c| count_sublinks(c)).sum::<u64>()
-}
-
 /// A stable structural fingerprint of the operator tree (FNV-1a over the
 /// operator tags, join/set-op kinds, expression renderings, and sublink
 /// plans), recorded in bench rows so measured speedups are attributable to
@@ -490,17 +471,17 @@ fn fingerprint_into(plan: &Plan, h: &mut u64) {
     };
     fnv1a_step(h, tag.as_bytes());
     fnv1a_step(h, b"(");
-    for expr in plan.expressions() {
+    plan.walk_expressions(&mut |expr| {
         fnv1a_step(h, expr.to_string().as_bytes());
-        for sub in expr.sublinks() {
-            if let Expr::Sublink { plan: sp, .. } = sub {
+        expr.walk(&mut |e| {
+            if let Expr::Sublink { plan: sp, .. } = e {
                 fnv1a_step(h, b"[");
                 fingerprint_into(sp, h);
                 fnv1a_step(h, b"]");
             }
-        }
-    }
-    for child in plan.children() {
+        });
+    });
+    for child in plan.inputs() {
         fnv1a_step(h, b",");
         fingerprint_into(child, h);
     }
@@ -586,11 +567,6 @@ fn fold_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
 /// it to be total. `None` when nothing folds.
 fn fold_expr(expr: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Option<Expr> {
     expr.rewrite(&mut |e| fold_node(e, scopes, rep))
-}
-
-/// [`fold_expr`] on an expression the caller owns, folded in place.
-fn fold_owned(expr: Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Expr {
-    expr.transform(&mut |e| fold_node(&e, scopes, rep).unwrap_or(e))
 }
 
 /// The fold of one node whose operands are folded already.
@@ -905,7 +881,7 @@ fn push_onto_preserved_side(
     // Sublink-free conjuncts go first: they keep sinking through
     // projections, where a predicate that holds a sublink stops.
     let (mut kept, mut free, mut bearing) = (Vec::new(), Vec::new(), Vec::new());
-    for (c, moves) in conjuncts.into_iter().zip(moves) {
+    for (c, moves) in conjuncts.into_iter().cloned().zip(moves) {
         match (moves, c.has_sublink()) {
             (false, _) => kept.push(c),
             (true, false) => free.push(c),
@@ -942,7 +918,7 @@ fn preserved_side_moves(
     left: &PlanRef,
     right: &PlanRef,
     condition: &Expr,
-    conjuncts: &[Expr],
+    conjuncts: &[&Expr],
     rep: &mut OptimizerReport,
 ) -> Option<(Vec<bool>, Expr)> {
     let (ls, rs) = (left.schema(), right.schema());
@@ -968,11 +944,11 @@ fn preserved_side_moves(
             .filter(|(_, moves)| **moves)
             .flat_map(|(c, _)| decorrelate::facts_of(c))
             .fold(condition.clone(), |on, fact| {
-                decorrelate::assume_in_expr(on, &fact, rep)
+                decorrelate::assume_in_expr(&on, &fact, rep).unwrap_or(on)
             });
         // With the join's scope at hand `C' ∨ TRUE` folds here, not a pass
         // later.
-        fold_owned(assumed, &scope, rep)
+        fold_expr(&assumed, &scope, rep).unwrap_or(assumed)
     };
     let snapshot = *rep;
     let assumed = assume(&moves, rep);
@@ -1004,17 +980,17 @@ fn sink_conjuncts(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) 
     for c in split_conjuncts(predicate) {
         let refs = c.column_refs();
         if c.has_sublink() || refs.is_empty() {
-            kept.push(c);
+            kept.push(c.clone());
             continue;
         }
-        match sink_filter(input, &c, &refs, rep) {
+        match sink_filter(input, c, &refs, rep) {
             Ok(sunk) => {
                 input = sunk;
                 moved += 1;
             }
             Err(unchanged) => {
                 input = unchanged;
-                kept.push(c);
+                kept.push(c.clone());
             }
         }
     }
@@ -1250,7 +1226,7 @@ impl SemiExpansion {
                 op: BinaryOp::Cmp(CompareOp::Eq) | BinaryOp::NullSafeEq,
                 left: a,
                 right: b,
-            } = &c
+            } = c
             else {
                 return None;
             };
@@ -1266,9 +1242,9 @@ impl SemiExpansion {
                 return None;
             };
             if resolves_all(&ls, &factor) {
-                expansion.on_l.push(c);
+                expansion.on_l.push(c.clone());
             } else if resolves_all(&rs, &factor) {
-                expansion.on_r.push(c);
+                expansion.on_r.push(c.clone());
             } else {
                 return None;
             }
@@ -1338,19 +1314,19 @@ fn substitute_through(
     items: &[ProjectItem],
 ) -> Option<Expr> {
     let mut ok = true;
-    let rewritten = predicate.clone().transform(&mut |e| match &e {
+    let rewritten = predicate.rewrite(&mut |e| match e {
         Expr::Column { qualifier, name } => {
             match proj_schema.try_resolve(qualifier.as_deref(), name) {
-                Ok(Some(idx)) => items[idx].expr.clone(),
+                Ok(Some(idx)) => Some(items[idx].expr.clone()),
                 _ => {
                     ok = false;
-                    e
+                    None
                 }
             }
         }
-        _ => e,
+        _ => None,
     });
-    ok.then_some(rewritten)
+    ok.then(|| rewritten.unwrap_or_else(|| predicate.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -2056,7 +2032,7 @@ mod tests {
             contains(&optimized, &|p| matches!(
                 p,
                 Plan::Join { kind: JoinKind::Inner, condition, .. }
-                    if split_conjuncts(condition).contains(&disjunction)
+                    if split_conjuncts(condition).contains(&&disjunction)
             )),
             "{}",
             perm_algebra::display::explain(&optimized)
@@ -2249,7 +2225,7 @@ mod tests {
         let Plan::Select { predicate, .. } = &optimized else {
             panic!("the other conjuncts stay on top:\n{optimized:?}");
         };
-        assert_eq!(split_conjuncts(predicate), vec![reads_right.clone(), both]);
+        assert_eq!(split_conjuncts(predicate), vec![&reads_right, &both]);
         assert_same_bag(&db, &plan, &optimized);
 
         let plan = left_shaped(&db, reads_right, None);

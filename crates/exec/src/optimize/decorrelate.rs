@@ -5,7 +5,7 @@
 //! documentation.
 
 use super::{
-    expr_is_total, fold_owned, plan_is_total, resolves_all, resolves_none, substitute_through,
+    expr_is_total, fold_expr, plan_is_total, resolves_all, resolves_none, substitute_through,
     OptimizerReport,
 };
 use perm_algebra::builder::{cmp, conjunction, not};
@@ -77,7 +77,7 @@ fn decorrelate_select(
         split_conjuncts(predicate)
             .into_iter()
             .map(|expr| Conjunct {
-                expr,
+                expr: expr.clone(),
                 required: false,
             })
             .collect()
@@ -201,25 +201,15 @@ fn split_branches(conjuncts: &[Conjunct], at: usize) -> (Vec<Conjunct>, Vec<Conj
     holds[at] = required(a.clone());
     let mut fails = conjuncts[..at].to_vec();
     fails.push(required(negated));
-    fails.extend(split_conjuncts(b).into_iter().map(required));
+    fails.extend(split_conjuncts(b).into_iter().cloned().map(required));
     fails.extend_from_slice(&conjuncts[at + 1..]);
     (holds, fails)
 }
 
-/// `true` when `expr` holds a sublink (at any nesting depth of test
-/// expressions) whose plan references an enclosing scope.
+/// `true` when `expr` holds a sublink (test expressions included) whose
+/// plan references an enclosing scope.
 fn has_correlated_sublink(expr: &Expr) -> bool {
-    let mut found = false;
-    expr.walk(&mut |e| {
-        if let Expr::Sublink {
-            test_expr, plan, ..
-        } = e
-        {
-            found |= !plan.free_columns().is_empty()
-                || test_expr.as_deref().is_some_and(has_correlated_sublink);
-        }
-    });
-    found
+    !expr.all(&mut |e| !matches!(e, Expr::Sublink { plan, .. } if !plan.free_columns().is_empty()))
 }
 
 // ---------------------------------------------------------------------------
@@ -292,7 +282,7 @@ pub(super) fn facts_of(conjunct: &Expr) -> Vec<Fact> {
 /// belongs to (`Jsub`, the empty-sublink test), and collapses to a plain
 /// membership test this way.
 fn assume_earlier_conjuncts(
-    conjuncts: Vec<Expr>,
+    conjuncts: Vec<&Expr>,
     input: &PlanRef,
     rep: &mut OptimizerReport,
 ) -> Vec<Conjunct> {
@@ -309,7 +299,7 @@ fn assume_earlier_conjuncts(
     let mut out: Vec<Conjunct> = conjuncts
         .into_iter()
         .map(|expr| Conjunct {
-            expr,
+            expr: expr.clone(),
             required: false,
         })
         .collect();
@@ -327,24 +317,24 @@ fn assume_earlier_conjuncts(
                 }
                 // A copy replaced is a conjunct changed: the attempt must
                 // then turn its correlated sublinks into joins.
-                let implied_before = rep.sublinks_implied;
-                let expr = std::mem::replace(&mut later.expr, Expr::Literal(Value::Null));
-                later.expr = assume_in_expr(expr, fact, rep);
-                later.required |= rep.sublinks_implied != implied_before;
+                if let Some(expr) = assume_in_expr(&later.expr, fact, rep) {
+                    later.expr = expr;
+                    later.required = true;
+                }
             }
         }
     }
     out
 }
 
-/// Replaces the copies of `fact`'s pattern in `expr` — and in the sublink
-/// plans nested in it — by the fact's value, and folds what that decides.
-pub(super) fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport) -> Expr {
-    let implied_before = rep.sublinks_implied;
-    let assumed = expr.transform(&mut |e| {
-        if e == fact.pattern {
+/// `expr` with the copies of `fact`'s pattern — in it and in the sublink
+/// plans nested in it — replaced by the fact's value, and what that decides
+/// folded; `None` when it holds no copy.
+pub(super) fn assume_in_expr(expr: &Expr, fact: &Fact, rep: &mut OptimizerReport) -> Option<Expr> {
+    let assumed = expr.rewrite(&mut |e| {
+        if *e == fact.pattern {
             rep.sublinks_implied += 1;
-            return Expr::Literal(Value::Bool(fact.value));
+            return Some(Expr::Literal(Value::Bool(fact.value)));
         }
         match e {
             Expr::Sublink {
@@ -352,20 +342,19 @@ pub(super) fn assume_in_expr(expr: Expr, fact: &Fact, rep: &mut OptimizerReport)
                 test_expr,
                 op,
                 plan,
-            } => Expr::Sublink {
-                kind,
-                test_expr: test_expr.map(|t| Box::new(assume_in_expr(*t, fact, rep))),
-                op,
-                plan: assume_in_plan(&plan, fact, rep),
-            },
-            other => other,
+            } => {
+                let assumed = assume_in_plan(plan, fact, rep);
+                (!PlanRef::ptr_eq(&assumed, plan)).then(|| Expr::Sublink {
+                    kind: *kind,
+                    test_expr: test_expr.clone(),
+                    op: *op,
+                    plan: assumed,
+                })
+            }
+            _ => None,
         }
-    });
-    if rep.sublinks_implied > implied_before {
-        fold_owned(assumed, &[], rep)
-    } else {
-        assumed
-    }
+    })?;
+    Some(fold_expr(&assumed, &[], rep).unwrap_or(assumed))
 }
 
 /// `node` with the copies of `fact`'s pattern replaced, or `node` itself
@@ -379,15 +368,8 @@ fn assume_in_plan(node: &PlanRef, fact: &Fact, rep: &mut OptimizerReport) -> Pla
     if !plan.has_direct_sublink() || !resolves_none(&plan.scope(), &fact.refs) {
         return node.or_changed(mapped);
     }
-    let fired_before = rep.rules_fired();
-    let assumed = plan
-        .clone()
-        .map_expressions(|e| assume_in_expr(e, fact, rep));
-    if rep.rules_fired() == fired_before {
-        node.or_changed(mapped)
-    } else {
-        PlanRef::new(assumed)
-    }
+    let assumed = plan.rewrite_expressions(|e| assume_in_expr(e, fact, rep));
+    node.or_changed(assumed.or(mapped))
 }
 
 // ---------------------------------------------------------------------------
@@ -747,18 +729,18 @@ fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted>
             let local = body.schema();
             let mut residual = Vec::new();
             for c in split_conjuncts(predicate) {
-                if c == Expr::Literal(Value::Bool(true)) {
+                if *c == Expr::Literal(Value::Bool(true)) {
                     continue;
                 }
-                if !free_expr_columns(&c, &local).is_empty() {
-                    body.hoist(&c, cx.outer)?;
+                if !free_expr_columns(c, &local).is_empty() {
+                    body.hoist(c, cx.outer)?;
                     continue;
                 }
                 // Removing a hoisted conjunct changes which rows the
                 // conjuncts after it are evaluated on (AND only
                 // short-circuits on FALSE), so those must be total.
                 let chain = [local.clone(), cx.outer.clone()];
-                if !body.hoisted.is_empty() && !expr_is_total(&c, &chain) {
+                if !body.hoisted.is_empty() && !expr_is_total(c, &chain) {
                     return None;
                 }
                 // A nested sublink reads the body's columns by name from
@@ -766,7 +748,7 @@ fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted>
                 if c.has_sublink() && body.outputs.is_some() {
                     return None;
                 }
-                residual.push(body.to_plan_columns(&c)?);
+                residual.push(body.to_plan_columns(c)?);
             }
             body.plan = with_residual(body.plan, residual);
             Some(body)
@@ -829,7 +811,12 @@ fn with_residual(plan: PlanRef, residual: Vec<Expr>) -> PlanRef {
     PlanRef::new(match &*plan {
         Plan::Select { input, predicate } => Plan::Select {
             input: input.clone(),
-            predicate: conjunction(split_conjuncts(predicate).into_iter().chain(residual)),
+            predicate: conjunction(
+                split_conjuncts(predicate)
+                    .into_iter()
+                    .cloned()
+                    .chain(residual),
+            ),
         },
         _ => Plan::Select {
             input: plan,
@@ -868,20 +855,20 @@ fn lift_join(
     if let Some((_, on)) = join {
         let local = joined.schema();
         for c in split_conjuncts(on) {
-            if c == Expr::Literal(Value::Bool(true)) {
+            if *c == Expr::Literal(Value::Bool(true)) {
                 continue;
             }
-            if free_expr_columns(&c, &local).is_empty() {
+            if free_expr_columns(c, &local).is_empty() {
                 let chain = [local.clone(), cx.outer.clone()];
                 let anything_hoisted = !joined.hoisted.is_empty() || !r.hoisted.is_empty();
-                if c.has_sublink() || (anything_hoisted && !expr_is_total(&c, &chain)) {
+                if c.has_sublink() || (anything_hoisted && !expr_is_total(c, &chain)) {
                     return None;
                 }
-                condition.push(c);
+                condition.push(c.clone());
             } else if left_outer {
                 return None;
             } else {
-                joined.hoist(&c, cx.outer)?;
+                joined.hoist(c, cx.outer)?;
             }
         }
     }

@@ -291,3 +291,88 @@ fn limit_provenance_with_a_repeated_output_name() {
         assert_eq!(witnesses.schema().arity(), 3 + 3 + 3);
     }
 }
+
+/// `r(a, b)`, `s(c)`, `t(d)`: the relations of the nested-test-expression
+/// shapes below.
+fn nested_db() -> Database {
+    let mut db = Database::new();
+    let table = |name: &str, cols: &[&str], rows: &[&[i64]]| {
+        Relation::from_rows(
+            Schema::from_names(cols).with_qualifier(name),
+            rows.iter()
+                .map(|r| r.iter().map(|v| Value::Int(*v)).collect())
+                .collect(),
+        )
+    };
+    db.create_table("r", table("r", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 2]]))
+        .unwrap();
+    db.create_table("s", table("s", &["c"], &[&[2], &[3]]))
+        .unwrap();
+    db.create_table("t", table("t", &["d"], &[&[1], &[3], &[5]]))
+        .unwrap();
+    db
+}
+
+/// The distinct rows of `rel`, sorted.
+fn distinct_rows(rel: &Relation) -> Vec<Tuple> {
+    let mut rows = rel.distinct().tuples().to_vec();
+    rows.sort_by(|a, b| a.sort_key(b));
+    rows
+}
+
+#[test]
+fn a_sublink_in_a_test_expression_contributes_its_witnesses() {
+    // Each query holds a sublink over `s` inside the test expression of a
+    // sublink over `t`. Definition 2 makes every sublink of the condition
+    // contribute, so `s` must show up as witness columns — under Gen and
+    // Auto, equal to the reference tracer — and no strategy may return a
+    // result without them.
+    use perm::core::tracer::Tracer;
+    use perm::core::ProvenanceError;
+    let db = nested_db();
+    for sql in [
+        "SELECT PROVENANCE a, b FROM r WHERE (SELECT max(c) FROM s) IN (SELECT d FROM t)",
+        "SELECT PROVENANCE a, b FROM r WHERE (SELECT max(c) FROM s) = ANY (SELECT d FROM t)",
+        "SELECT PROVENANCE a, b FROM r \
+         WHERE a + (SELECT min(c) FROM s) > ALL (SELECT d FROM t WHERE d < 4)",
+        "SELECT PROVENANCE a, b FROM r \
+         WHERE (SELECT max(c) FROM s WHERE c > r.a) IN (SELECT d FROM t)",
+        "SELECT PROVENANCE a, (SELECT max(c) FROM s) IN (SELECT d FROM t) AS x FROM r",
+    ] {
+        let (bound, provenance) = perm::sql::compile(&db, sql).unwrap();
+        assert!(provenance);
+        let traced = Tracer::new(&db).trace(&bound).unwrap();
+        let names = traced.schema().names();
+        assert!(
+            names.contains(&"prov_s_c".into()) && names.contains(&"prov_t_d".into()),
+            "{sql}: {names:?}"
+        );
+        let prov_s = traced.schema().resolve(None, "prov_s_c").unwrap();
+        assert!(
+            traced.tuples().iter().any(|t| !t.get(prov_s).is_null()),
+            "{sql}: no row carries an `s` witness:\n{traced}"
+        );
+        let reference = distinct_rows(&traced);
+        for strategy in [Strategy::Gen, Strategy::Auto] {
+            let got = provenance_of_sql(&db, sql, strategy)
+                .unwrap_or_else(|e| panic!("{strategy} on {sql}: {e}"));
+            assert_eq!(got.schema().names(), names, "{strategy} on {sql}");
+            assert_eq!(
+                distinct_rows(&got),
+                reference,
+                "{strategy} on {sql}:\n{got}\nvs the tracer\n{traced}"
+            );
+        }
+        for strategy in [Strategy::Left, Strategy::Move, Strategy::Unn] {
+            match provenance_of_sql(&db, sql, strategy) {
+                Err(perm::PermError::Provenance(ProvenanceError::NotApplicable { .. })) => {}
+                Ok(got) => assert_eq!(
+                    distinct_rows(&got),
+                    reference,
+                    "{strategy} on {sql}:\n{got}"
+                ),
+                Err(other) => panic!("{strategy} on {sql}: {other}"),
+            }
+        }
+    }
+}
