@@ -616,6 +616,10 @@ impl Plan {
     /// (they are `f`'s to reach). `None` when `f` hands every plan back
     /// unchanged.
     pub fn map_sublinks(&self, mut f: impl FnMut(&PlanRef) -> PlanRef) -> Option<Plan> {
+        // A walk that finds none is cheaper than a rewrite that rebuilds none.
+        if !self.has_direct_sublink() {
+            return None;
+        }
         self.rewrite_expressions(|e| {
             e.rewrite(&mut |e| match e {
                 Expr::Sublink {

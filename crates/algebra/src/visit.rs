@@ -193,10 +193,10 @@ pub fn count_sublinks(plan: &Plan) -> u64 {
     n + plan.inputs().map(|c| count_sublinks(c)).sum::<u64>()
 }
 
-/// How a column reference resolves against a scope chain (innermost first),
-/// mirroring the executor's environment lookup: the first scope that knows
-/// the name wins, ambiguity *within* a scope is an evaluation error.
-fn resolves(scopes: &[Arc<Schema>], qualifier: Option<&str>, name: &str) -> bool {
+/// `true` when a column reference resolves against a scope chain (innermost
+/// first), mirroring the executor's environment lookup: the first scope that
+/// knows the name wins, ambiguity *within* a scope is an evaluation error.
+pub fn resolves(scopes: &[Arc<Schema>], qualifier: Option<&str>, name: &str) -> bool {
     for scope in scopes {
         match scope.try_resolve(qualifier, name) {
             Ok(Some(_)) => return true,
@@ -254,8 +254,7 @@ fn node_is_total(e: &Expr, scopes: &[Arc<Schema>]) -> bool {
             plan,
             ..
         } => {
-            let plan_total = plan.is_total() || (!scopes.is_empty() && plan_is_total(plan, scopes));
-            plan_total
+            is_total_under(plan, scopes)
                 && match kind {
                     SublinkKind::Scalar => yields_one_row(plan) && plan.schema().arity() == 1,
                     SublinkKind::Exists => true,
@@ -284,10 +283,8 @@ pub fn yields_one_row(plan: &Plan) -> bool {
 /// outside any scope ([`PlanRef::is_total`], cached) is total under every
 /// chain: an enclosing scope only resolves what the local ones do not.
 pub fn plan_is_total(plan: &Plan, outers: &[Arc<Schema>]) -> bool {
-    let input_total =
-        |p: &PlanRef| p.is_total() || (!outers.is_empty() && plan_is_total(p, outers));
     let mut chain: Option<Vec<Arc<Schema>>> = None;
-    let mut total = plan.inputs().all(input_total);
+    let mut total = plan.inputs().all(|p| is_total_under(p, outers));
     plan.walk_expressions(&mut |e| {
         total = total
             && expr_is_total(
@@ -300,6 +297,12 @@ pub fn plan_is_total(plan: &Plan, outers: &[Arc<Schema>]) -> bool {
             )
     });
     total
+}
+
+/// [`plan_is_total`] under the enclosing scopes `outers`, the cached
+/// answer outside any scope ([`PlanRef::is_total`]) first.
+pub fn is_total_under(plan: &PlanRef, outers: &[Arc<Schema>]) -> bool {
+    plan.is_total() || (!outers.is_empty() && plan_is_total(plan, outers))
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@
 //! ambiguity of Definition 1 for multi-sublink queries (Section 2.5).
 
 use crate::{ProvenanceError, Result};
-use perm_algebra::{Expr, Plan};
+use perm_algebra::{Expr, Plan, SublinkKind};
 use perm_exec::{Env, Executor, Interpreter};
-use perm_storage::{Database, Relation, Truth, Tuple};
+use perm_storage::{Database, Relation, Tuple, Value};
 
 /// One candidate provenance assignment: for each designated input relation
 /// (in the order given to the checker) the subset of its tuples that
@@ -126,6 +126,14 @@ impl<'a> BruteForce<'a> {
                 let full = self.db.table(sub_name)?.clone();
                 let reference =
                     self.eval_sublink(sublink_expr, &full, sub_name, input_schema, input_tuple)?;
+                // A scalar sublink reproduces its value, a verdict its truth.
+                let reproduces = |got: &Value| match sublink_expr {
+                    Expr::Sublink {
+                        kind: SublinkKind::Scalar,
+                        ..
+                    } => got.null_safe_eq(&reference),
+                    _ => got.as_truth() == reference.as_truth(),
+                };
                 let subset = &subsets[n_inputs + j];
                 for single in subset.tuples() {
                     let single_rel = Relation::new(subset.schema().clone(), vec![single.clone()])
@@ -137,7 +145,7 @@ impl<'a> BruteForce<'a> {
                         input_schema,
                         input_tuple,
                     )?;
-                    if got != reference {
+                    if !reproduces(&got) {
                         return Ok(false);
                     }
                 }
@@ -147,7 +155,8 @@ impl<'a> BruteForce<'a> {
     }
 
     /// Evaluates a sublink expression with `substitute` substituted for the
-    /// relation `sub_name` and `input_tuple` bound as the outer scope.
+    /// relation `sub_name` and `input_tuple` bound as the outer scope: the
+    /// value itself, so that a scalar sublink is compared by what it yields.
     fn eval_sublink(
         &self,
         sublink_expr: &Expr,
@@ -155,15 +164,14 @@ impl<'a> BruteForce<'a> {
         sub_name: &str,
         input_schema: &perm_storage::Schema,
         input_tuple: &Tuple,
-    ) -> Result<Truth> {
+    ) -> Result<Value> {
         let mut db = self.db.clone();
         db.create_or_replace_table(sub_name, substitute.clone());
         let executor = Executor::new(&db);
         let env = Env::new(None, input_schema, input_tuple);
-        let value = Interpreter::new(&executor)
+        Interpreter::new(&executor)
             .eval_expr(sublink_expr, Some(&env))
-            .map_err(ProvenanceError::Exec)?;
-        Ok(value.as_truth())
+            .map_err(ProvenanceError::Exec)
     }
 
     /// Enumerates every maximal witness satisfying conditions 1 and 2
@@ -288,9 +296,11 @@ pub fn witness_eq(a: &Witness, b: &Witness) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perm_algebra::builder::{all_sublink, any_sublink, col, or, PlanBuilder};
-    use perm_algebra::CompareOp;
-    use perm_storage::{Schema, Value};
+    use perm_algebra::builder::{
+        agg, all_sublink, any_sublink, cmp, col, or, scalar_sublink, PlanBuilder,
+    };
+    use perm_algebra::{AggFunc, CompareOp};
+    use perm_storage::Schema;
 
     /// The relations of the Section 2.5 ambiguity example, shrunk to stay
     /// within brute-force range: R = {1,…,5}, S = {1, 5}, U = {5}.
@@ -434,6 +444,48 @@ mod tests {
         assert_eq!(witnesses[0][0].len(), 1); // R* = {(1,1)}
         assert_eq!(witnesses[0][1].len(), 1); // S* = {(1,3)} = Tsub_true
         assert!(witnesses[0][1].contains(&Tuple::new(vec![Value::Int(1), Value::Int(3)])));
+    }
+
+    #[test]
+    fn definition2_rejects_a_subset_that_changes_a_scalar_sublink() {
+        // σ_{a < (SELECT max(c) FROM s)}(u) with u = {0}, s = {1, 5}: both
+        // `{1}` and `{1, 5}` satisfy conditions 1 and 2, but only `{5}`
+        // reproduces the max 5 tuple by tuple, so S* = {5}.
+        let db = section25_db();
+        let max_c = scalar_sublink(
+            PlanBuilder::scan(&db, "s")
+                .unwrap()
+                .aggregate(vec![], vec![agg(AggFunc::Max, col("c"), "m")])
+                .build(),
+        );
+        let mut db = db;
+        db.create_or_replace_table(
+            "u",
+            Relation::from_rows(
+                Schema::from_names(&["a"]).with_qualifier("u"),
+                vec![vec![Value::Int(0)]],
+            ),
+        );
+        let plan = PlanBuilder::scan(&db, "u")
+            .unwrap()
+            .select(cmp(CompareOp::Lt, col("a"), max_c.clone()))
+            .build();
+        let checker = BruteForce::new(&db, &plan).input("u").sublink_input("s");
+        let t = Tuple::new(vec![Value::Int(0)]);
+        let as_definition1 = checker.definition1_witnesses(&t).unwrap();
+        assert_eq!(as_definition1.len(), 1);
+        assert_eq!(
+            as_definition1[0][1].len(),
+            2,
+            "conditions 1-2 admit {{1, 5}}"
+        );
+        let input_schema = Schema::from_names(&["a"]).with_qualifier("u");
+        let witnesses = checker
+            .definition2_witnesses(&t, &[max_c], &input_schema)
+            .unwrap();
+        assert_eq!(witnesses.len(), 1, "Definition 2 must be unique");
+        assert_eq!(witnesses[0][1].len(), 1, "{:?}", witnesses[0][1]);
+        assert!(witnesses[0][1].contains(&Tuple::new(vec![Value::Int(5)])));
     }
 
     #[test]

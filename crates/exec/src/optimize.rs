@@ -25,11 +25,13 @@
 //! `l ∧ FALSE`), predicate pushdown through projections / `INTERSECT` /
 //! `EXCEPT` / semi- and anti-join probe sides / cross products / onto the
 //! preserved side of a left outer join (assuming the pushed conjuncts
-//! inside its condition), and projection pruning off column liveness. Once
-//! the fixpoint is quiet, stacked projections are composed and every `Sort`
-//! moves below the order-preserving operators under it, and last of all a
-//! selection left directly above a cross product becomes a join (the last
-//! two sections). What `optimize` returns is exactly what
+//! inside its condition), and projection pruning off column liveness; the
+//! folds and the pushdown apply inside sublink bodies too (see "Inside
+//! sublink bodies"). Once the fixpoint is quiet, stacked projections are
+//! composed and every `Sort` moves below the order-preserving operators
+//! under it, and last of all a selection left directly above a cross
+//! product becomes a join (the last two sections). What `optimize` returns
+//! is exactly what
 //! [`crate::Executor::prepare`] compiles.
 //!
 //! # Equivalence discipline
@@ -251,6 +253,49 @@
 //! the sort buffer wider rows — and the upside is the fan-out factor: the
 //! rows `q` returns are sorted, not their witnesses.
 //!
+//! # Inside sublink bodies
+//!
+//! The fold and pushdown passes enter the plan of every sublink, carrying
+//! the scopes that enclose it as an explicit chain, innermost first: the
+//! scope of the operator holding the sublink, then that operator's own
+//! enclosing scopes — the chain `plan_is_total` builds. Decorrelation stays
+//! in the top scope (see `decorrelate_pass`). Gen (rules G1/G2) puts each
+//! base relation's witness projection `R⁺` under the sublink's own
+//! correlated selection; this is what moves that selection onto the scan.
+//!
+//! **Scope rule.** Inside a body, a column that no local scope resolves but
+//! an enclosing one does is an *outer reference*. The executor binds it once
+//! per distinct binding of the sublink, so for one execution of the body it
+//! is a constant. The totality checks resolve against the whole chain, so an
+//! outer reference is total. The side checks (a conjunct sinking onto a
+//! product factor, a semi join's probe references, a conjunct moving onto
+//! the preserved side) count it as reading neither side.
+//!
+//! **Capture.** A predicate moved below an operator is evaluated in the
+//! scope of that operator's input. An outer reference means the same there
+//! only when the input does not know its name either. Through a projection,
+//! a reference that neither the projection's output nor its input resolves
+//! stays as it is; one that the input resolves but the output does not (the
+//! projection renamed that column away or dropped it) refuses the move,
+//! because below the projection it would read the input's column. Through a
+//! product, join, semi/anti probe side or set operation nothing is
+//! captured: a name the operator's scope does not know is known to none of
+//! its inputs.
+//!
+//! **Per binding.** Fix one binding of the outer references. The body is
+//! then an ordinary plan over constants, and each rule's argument above
+//! holds for it unchanged. *Bags:* the body yields the same bag for the
+//! binding. *Errors:* every expression runs on the rows it ran on, or is
+//! total under the chain; so each binding's execution fails exactly when it
+//! did, with the same error. *Operators:* a rule adds none per binding, and
+//! the sublink still executes once per distinct binding of the same outer
+//! columns — a moved predicate reads the columns it read — so neither the
+//! number of sublink executions nor the memo's hits change. A fold that
+//! drops an outer reference (`l ∨ TRUE`, `l` total) makes the body depend
+//! on fewer columns; its result is the same for every binding. *Order:*
+//! below a `Sort` / `Limit` of the body the list is kept as each rule keeps
+//! it at the top.
+//!
 //! # The last step: a selection over a product becomes a join
 //!
 //! **Selection fusion**, once, bottom-up, sublink plans included: `σ_p(L ×
@@ -273,11 +318,12 @@ use perm_algebra::builder::{and, conjunction};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{
-    count_sublinks, expr_is_total, free_expr_columns, plan_is_total, walk_column_refs,
-    yields_one_row,
+    count_sublinks, expr_is_total, free_expr_columns, is_total_under, plan_is_total, resolves,
+    walk_column_refs, yields_one_row,
 };
 use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey, SublinkKind};
 use perm_storage::{Name, Schema, Value};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
@@ -392,9 +438,9 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
         // Every change to the plan is a counted rule application, so a
         // pass that fires nothing has reached the fixpoint.
         let fired_before = rep.rules_fired();
-        current = fold_pass(&current, &mut rep);
+        current = fold_pass(&current, &[], &mut rep);
         current = decorrelate::decorrelate_pass(&current, &mut rep, &mut fresh);
-        current = pushdown_pass(&current, &mut rep);
+        current = pushdown_pass(&current, &[], &mut rep);
         current = prune_pass(&current, None, &mut rep);
         rep.passes += 1;
         if rep.rules_fired() == fired_before {
@@ -510,14 +556,100 @@ fn provably_nonempty(plan: &Plan) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Scopes inside sublink bodies
+// ---------------------------------------------------------------------------
+
+/// A scope chain, innermost first: the scope an operator evaluates its
+/// expressions in, then the scopes enclosing the sublink body it sits in.
+/// At the top and one sublink deep it lives inline, so the checks of a pass
+/// that fires nothing do not allocate there.
+enum ScopeChain {
+    Top([Arc<Schema>; 1]),
+    Body([Arc<Schema>; 2]),
+    Nested(Vec<Arc<Schema>>),
+}
+
+impl Deref for ScopeChain {
+    type Target = [Arc<Schema>];
+
+    fn deref(&self) -> &[Arc<Schema>] {
+        match self {
+            ScopeChain::Top(scopes) => scopes,
+            ScopeChain::Body(scopes) => scopes,
+            ScopeChain::Nested(scopes) => scopes,
+        }
+    }
+}
+
+/// `inner` in front of `outers`.
+fn scope_chain(inner: Arc<Schema>, outers: &[Arc<Schema>]) -> ScopeChain {
+    match outers {
+        [] => ScopeChain::Top([inner]),
+        [outer] => ScopeChain::Body([inner, outer.clone()]),
+        _ => ScopeChain::Nested(
+            std::iter::once(inner)
+                .chain(outers.iter().cloned())
+                .collect(),
+        ),
+    }
+}
+
+/// `mapped` (or `node`, when its children came back unchanged) with `f`
+/// applied to the plan of every sublink its own expressions hold, under the
+/// scopes enclosing that body: the operator's scope, then `outers`.
+/// `mapped` when no body changed.
+fn map_bodies(
+    node: &PlanRef,
+    mapped: Option<Plan>,
+    outers: &[Arc<Schema>],
+    mut f: impl FnMut(&PlanRef, &[Arc<Schema>]) -> PlanRef,
+) -> Option<Plan> {
+    let mut enclosing = None;
+    mapped
+        .as_ref()
+        .unwrap_or(node)
+        .map_sublinks(|body| {
+            let enclosing = enclosing.get_or_insert_with(|| {
+                let scope = mapped.as_ref().map_or_else(|| node.scope(), Plan::scope);
+                scope_chain(scope, outers)
+            });
+            f(body, enclosing)
+        })
+        .or(mapped)
+}
+
+/// `refs` without their outer references: the columns `local` does not know
+/// and an enclosing scope (`outers`) resolves. Each binding of the sublink
+/// whose body reads one makes it a constant, so it reads no side of
+/// anything below `local`. Outside sublink bodies there are none.
+fn local_refs(
+    mut refs: Vec<(Option<Name>, Name)>,
+    local: &Schema,
+    outers: &[Arc<Schema>],
+) -> Vec<(Option<Name>, Name)> {
+    if !outers.is_empty() {
+        refs.retain(|(q, n)| {
+            !(matches!(local.try_resolve(q.as_deref(), n), Ok(None))
+                && resolves(outers, q.as_deref(), n))
+        });
+    }
+    refs
+}
+
+// ---------------------------------------------------------------------------
 // Rule: constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| fold_pass(c, rep));
+/// Bottom-up, sublink plans included: `outers` are the scopes enclosing the
+/// sublink body `node` sits in (none at the top).
+fn fold_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| fold_pass(c, outers, rep));
+    let mapped = map_bodies(node, mapped, outers, |body, enclosing| {
+        fold_pass(body, enclosing, rep)
+    });
     let folded = match mapped.as_ref().unwrap_or(node) {
         Plan::Select { input, predicate } => {
-            let folded = fold_expr(predicate, &[input.schema()], rep);
+            let folded = fold_expr(predicate, &scope_chain(input.schema(), outers), rep);
             match folded.as_ref().unwrap_or(predicate) {
                 Expr::Literal(Value::Bool(true)) => {
                     rep.constants_folded += 1;
@@ -527,7 +659,7 @@ fn fold_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
                     if (v.is_null() || *v == Value::Bool(false))
                     // Dropping the input skips all of its evaluations, so
                     // it must be provably error-free.
-                    && input.is_total() =>
+                    && is_total_under(input, outers) =>
                 {
                     rep.constants_folded += 1;
                     Some(PlanRef::new(Plan::Values {
@@ -545,7 +677,7 @@ fn fold_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
             condition,
         } => {
             let scope = mapped.as_ref().map_or_else(|| node.scope(), Plan::scope);
-            fold_expr(condition, &[scope], rep).map(|condition| {
+            fold_expr(condition, &scope_chain(scope, outers), rep).map(|condition| {
                 PlanRef::new(Plan::Join {
                     left: left.clone(),
                     right: right.clone(),
@@ -702,17 +834,21 @@ impl TruthExpr for perm_storage::Truth {
 /// preserved side of a left outer join. A conjunct only moves when the
 /// *whole* predicate is total, so the error set cannot change. Semi/anti
 /// joins over a cross product move onto the factor they read, or — reading
-/// both — become two inner joins.
-fn pushdown_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| pushdown_pass(c, rep));
+/// both — become two inner joins. Bottom-up, sublink plans included, under
+/// the scopes `outers` enclosing the body `node` sits in.
+fn pushdown_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) -> PlanRef {
+    let mapped = node.map_children(|c| pushdown_pass(c, outers, rep));
+    let mapped = map_bodies(node, mapped, outers, |body, enclosing| {
+        pushdown_pass(body, enclosing, rep)
+    });
     let pushed = match mapped.as_ref().unwrap_or(node) {
-        Plan::Select { input, predicate } => push_select(input, predicate, rep),
+        Plan::Select { input, predicate } => push_select(input, predicate, outers, rep),
         Plan::Join {
             left,
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => push_semi_join(left, right, *kind, condition, rep),
+        } => push_semi_join(left, right, *kind, condition, outers, rep),
         _ => None,
     };
     node.or_changed(pushed.or(mapped))
@@ -726,8 +862,13 @@ fn select(input: impl Into<PlanRef>, predicate: Expr) -> Plan {
 }
 
 /// `σ_predicate(input)`, pushed as far as [`push_select`] takes it.
-fn pushed_select(input: &PlanRef, predicate: Expr, rep: &mut OptimizerReport) -> Plan {
-    push_select(input, &predicate, rep).unwrap_or_else(|| select(input.clone(), predicate))
+fn pushed_select(
+    input: &PlanRef,
+    predicate: Expr,
+    outers: &[Arc<Schema>],
+    rep: &mut OptimizerReport,
+) -> Plan {
+    push_select(input, &predicate, outers, rep).unwrap_or_else(|| select(input.clone(), predicate))
 }
 
 /// `true` when every one of `refs` resolves (unambiguously) in `schema`.
@@ -743,26 +884,30 @@ fn resolves_none(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
 }
 
 /// `σ_predicate(input)` with the selection pushed down; `None` when it stays
-/// where it is.
-fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> Option<Plan> {
+/// where it is. `outers` enclose the sublink body the selection sits in.
+fn push_select(
+    input: &PlanRef,
+    predicate: &Expr,
+    outers: &[Arc<Schema>],
+    rep: &mut OptimizerReport,
+) -> Option<Plan> {
     if let Plan::Join {
         kind: JoinKind::LeftOuter,
         ..
     } = &**input
     {
-        return push_onto_preserved_side(input, predicate, rep);
+        return push_onto_preserved_side(input, predicate, outers, rep);
     }
     if predicate.has_sublink() {
         // Sublink-bearing conjuncts stay put: moving one changes how often
         // the (expensive, operator-counted) sublink body runs, and
         // decorrelation wants to see them where they are. The sublink-free
         // ones beside them may still sink into a product below.
-        return sink_conjuncts(input, predicate, rep);
+        return sink_conjuncts(input, predicate, outers, rep);
     }
     let out_schema = input.schema();
-    if !expr_is_total(predicate, std::slice::from_ref(&out_schema)) {
-        return None;
-    }
+    // Each arm checks that the predicate is total, where it applies.
+    let total = |e: &Expr| expr_is_total(e, &scope_chain(out_schema.clone(), outers));
     match &**input {
         // σ_p(Π_items(T)) → Π_items(σ_p'(T)) with output names substituted
         // by their defining expressions. Projection items are evaluated on
@@ -775,16 +920,21 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
             distinct,
         } => {
             let inner_schema = inner.schema();
-            let items_total = items
-                .iter()
-                .all(|i| expr_is_total(&i.expr, std::slice::from_ref(&inner_schema)));
-            let substituted = items_total
-                .then(|| substitute_through(predicate, &out_schema, items))
-                .flatten()
-                .filter(|p| expr_is_total(p, std::slice::from_ref(&inner_schema)))?;
+            let inner_chain = scope_chain(inner_schema.clone(), outers);
+            // The cheap refusals first: a computed item (Gen's projections
+            // have one) and a captured name (Gen's `P =ₙ chk` in a body,
+            // where `P` names the body's own witness columns) each decide
+            // at their first node.
+            let items_total = items.iter().all(|i| expr_is_total(&i.expr, &inner_chain));
+            let substituted = (items_total
+                && passes_through(predicate, &out_schema, &inner_schema)
+                && total(predicate))
+            .then(|| substitute_through(predicate, &out_schema, items, &inner_schema))
+            .flatten()
+            .filter(|p| expr_is_total(p, &inner_chain))?;
             rep.predicates_pushed += 1;
             Some(Plan::Project {
-                input: pushed_select(inner, substituted, rep).into(),
+                input: pushed_select(inner, substituted, outers, rep).into(),
                 items: items.clone(),
                 distinct: *distinct,
             })
@@ -802,14 +952,15 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
             right,
         } => {
             let left_schema = left.schema();
-            (resolves_all(&left_schema, &predicate.column_refs())
-                && expr_is_total(predicate, std::slice::from_ref(&left_schema)))
+            let refs = local_refs(predicate.column_refs(), &out_schema, outers);
+            (resolves_all(&left_schema, &refs)
+                && expr_is_total(predicate, &scope_chain(left_schema.clone(), outers)))
             .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::SetOp {
                     op: *op,
                     all: *all,
-                    left: pushed_select(left, predicate.clone(), rep).into(),
+                    left: pushed_select(left, predicate.clone(), outers, rep).into(),
                     right: right.clone(),
                 }
             })
@@ -824,12 +975,13 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
             condition,
         } => {
             let left_schema = left.schema();
-            (resolves_all(&left_schema, &predicate.column_refs())
-                && expr_is_total(predicate, std::slice::from_ref(&left_schema)))
+            let refs = local_refs(predicate.column_refs(), &out_schema, outers);
+            (resolves_all(&left_schema, &refs)
+                && expr_is_total(predicate, &scope_chain(left_schema.clone(), outers)))
             .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::Join {
-                    left: pushed_select(left, predicate.clone(), rep).into(),
+                    left: pushed_select(left, predicate.clone(), outers, rep).into(),
                     right: right.clone(),
                     kind: *kind,
                     condition: condition.clone(),
@@ -842,11 +994,12 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
         Plan::Select {
             input: inner,
             predicate: below,
-        } if !below.has_sublink() && expr_is_total(below, std::slice::from_ref(&out_schema)) => {
+        } if !below.has_sublink() && total(below) && total(predicate) => {
             rep.predicates_pushed += 1;
             Some(pushed_select(
                 inner,
                 and(below.clone(), predicate.clone()),
+                outers,
                 rep,
             ))
         }
@@ -854,7 +1007,7 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
         | Plan::Join {
             kind: JoinKind::Inner,
             ..
-        } => sink_conjuncts(input, predicate, rep),
+        } => sink_conjuncts(input, predicate, outers, rep),
         _ => None,
     }
 }
@@ -865,6 +1018,7 @@ fn push_select(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> 
 fn push_onto_preserved_side(
     join: &PlanRef,
     predicate: &Expr,
+    outers: &[Arc<Schema>],
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     let Plan::Join {
@@ -877,7 +1031,7 @@ fn push_onto_preserved_side(
         unreachable!("called on a left outer join");
     };
     let conjuncts = split_conjuncts(predicate);
-    let (moves, assumed) = preserved_side_moves(left, right, condition, &conjuncts, rep)?;
+    let (moves, assumed) = preserved_side_moves(left, right, condition, &conjuncts, outers, rep)?;
     // Sublink-free conjuncts go first: they keep sinking through
     // projections, where a predicate that holds a sublink stops.
     let (mut kept, mut free, mut bearing) = (Vec::new(), Vec::new(), Vec::new());
@@ -892,7 +1046,7 @@ fn push_onto_preserved_side(
     let mut left = left.clone();
     for moved in [free, bearing] {
         if !moved.is_empty() {
-            left = pushed_select(&left, conjunction(moved), rep).into();
+            left = pushed_select(&left, conjunction(moved), outers, rep).into();
         }
     }
     let join = Plan::Join {
@@ -919,21 +1073,23 @@ fn preserved_side_moves(
     right: &PlanRef,
     condition: &Expr,
     conjuncts: &[&Expr],
+    outers: &[Arc<Schema>],
     rep: &mut OptimizerReport,
 ) -> Option<(Vec<bool>, Expr)> {
     let (ls, rs) = (left.schema(), right.schema());
+    let both = Arc::new(ls.concat(&rs));
     let mut moves: Vec<bool> = conjuncts
         .iter()
         .map(|c| {
-            let refs = free_expr_columns(c, &Schema::empty());
+            let refs = local_refs(free_expr_columns(c, &Schema::empty()), &both, outers);
             !refs.is_empty() && one_side(&ls, &rs, &refs) == Some(true)
         })
         .collect();
-    let scope = [Arc::new(ls.concat(&rs))];
+    let scope = scope_chain(both, outers);
     let total = moves.contains(&true)
         && conjuncts.iter().all(|c| expr_is_total(c, &scope))
         && expr_is_total(condition, &scope)
-        && right.is_total();
+        && is_total_under(right, outers);
     if !total {
         return None;
     }
@@ -970,20 +1126,29 @@ fn preserved_side_moves(
 /// the cross product / inner join (reached through semi/anti probe sides)
 /// that resolves them; whatever cannot move stays in a selection on top.
 /// `None` when nothing moves.
-fn sink_conjuncts(input: &PlanRef, predicate: &Expr, rep: &mut OptimizerReport) -> Option<Plan> {
-    if !reaches_product(input) || !expr_is_total(predicate, &[input.schema()]) {
+fn sink_conjuncts(
+    input: &PlanRef,
+    predicate: &Expr,
+    outers: &[Arc<Schema>],
+    rep: &mut OptimizerReport,
+) -> Option<Plan> {
+    if !reaches_product(input) {
+        return None;
+    }
+    let schema = input.schema();
+    if !expr_is_total(predicate, &scope_chain(schema.clone(), outers)) {
         return None;
     }
     let mut input = input.clone();
     let mut kept = Vec::new();
     let mut moved = 0;
     for c in split_conjuncts(predicate) {
-        let refs = c.column_refs();
+        let refs = local_refs(c.column_refs(), &schema, outers);
         if c.has_sublink() || refs.is_empty() {
             kept.push(c.clone());
             continue;
         }
-        match sink_filter(input, c, &refs, rep) {
+        match sink_filter(input, c, &refs, outers, rep) {
             Ok(sunk) => {
                 input = sunk;
                 moved += 1;
@@ -1033,6 +1198,7 @@ fn sink_filter(
     plan: PlanRef,
     c: &Expr,
     refs: &[(Option<Name>, Name)],
+    outers: &[Arc<Schema>],
     rep: &mut OptimizerReport,
 ) -> Result<PlanRef, PlanRef> {
     match &*plan {
@@ -1041,7 +1207,7 @@ fn sink_filter(
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => match sink_filter(left.clone(), c, refs, rep) {
+        } => match sink_filter(left.clone(), c, refs, outers, rep) {
             Ok(left) => Ok(PlanRef::new(Plan::Join {
                 left,
                 right: right.clone(),
@@ -1062,7 +1228,7 @@ fn sink_filter(
             let condition_total = match product {
                 Plan::Join { condition, .. } => {
                     !condition.has_sublink()
-                        && expr_is_total(condition, &[Arc::new(ls.concat(&rs))])
+                        && expr_is_total(condition, &scope_chain(Arc::new(ls.concat(&rs)), outers))
                 }
                 _ => true,
             };
@@ -1074,7 +1240,7 @@ fn sink_filter(
                 let target = is_left == onto_left;
                 is_left = false;
                 if target {
-                    pushed_select(side, c.clone(), rep).into()
+                    pushed_select(side, c.clone(), outers, rep).into()
                 } else {
                     side.clone()
                 }
@@ -1105,88 +1271,93 @@ fn push_semi_join(
     right: &PlanRef,
     kind: JoinKind,
     condition: &Expr,
+    outers: &[Arc<Schema>],
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     if !matches!(**left, Plan::CrossProduct { .. }) || condition.has_sublink() {
         return None;
     }
-    let right_schema = right.schema();
-    let probe_refs = free_expr_columns(condition, &right_schema);
+    let (left_schema, right_schema) = (left.schema(), right.schema());
+    let probe_refs = local_refs(
+        free_expr_columns(condition, &right_schema),
+        &left_schema,
+        outers,
+    );
     if probe_refs.is_empty() {
         return None;
     }
     // On a factor the build side runs whenever the factor has rows, and the
     // condition on the factor's rows: unobservable when both are total, or
     // when the factors left behind cannot be empty.
-    let total = expr_is_total(condition, &[Arc::new(left.schema().concat(&right_schema))])
-        && right.is_total();
+    let both = Arc::new(left_schema.concat(&right_schema));
+    let total =
+        expr_is_total(condition, &scope_chain(both, outers)) && is_total_under(right, outers);
     let join = SemiJoin {
-        build: right.clone(),
+        build: right,
         kind,
-        condition: condition.clone(),
+        condition,
         probe_refs,
         total,
     };
-    match join.sink(left.clone(), rep) {
-        // Still the join on top: it stayed where it was.
-        Plan::Join { .. } => None,
-        // A product on top: the join went onto one of its factors.
-        pushed @ Plan::CrossProduct { .. } => {
-            rep.joins_pushed += 1;
-            Some(pushed)
-        }
-        // Two inner joins under a projection (counted where expanded).
-        expanded => Some(expanded),
+    let pushed = join.sink(left, rep)?;
+    // A product on top: the join went onto one of its factors; otherwise
+    // two inner joins under a projection (counted where expanded).
+    if let Plan::CrossProduct { .. } = pushed {
+        rep.joins_pushed += 1;
     }
+    Some(pushed)
 }
 
 /// A semi/anti join looking for the lowest cross-product factor to run on.
-struct SemiJoin {
-    build: PlanRef,
+struct SemiJoin<'a> {
+    build: &'a PlanRef,
     kind: JoinKind,
-    condition: Expr,
+    condition: &'a Expr,
     /// The condition's references to the probe side.
     probe_refs: Vec<(Option<Name>, Name)>,
     /// Neither the condition nor the build side can fail.
     total: bool,
 }
 
-impl SemiJoin {
-    fn over(self, probe: PlanRef) -> Plan {
+impl SemiJoin<'_> {
+    fn over(&self, probe: &PlanRef) -> Plan {
         Plan::Join {
-            left: probe,
-            right: self.build,
+            left: probe.clone(),
+            right: self.build.clone(),
             kind: self.kind,
-            condition: self.condition,
+            condition: self.condition.clone(),
         }
     }
 
+    /// The join on the lowest factor below `probe` that resolves the probe
+    /// references, or on `probe` itself.
+    fn sink_or_over(&self, probe: &PlanRef, rep: &mut OptimizerReport) -> Plan {
+        self.sink(probe, rep).unwrap_or_else(|| self.over(probe))
+    }
+
     /// Descends through cross products towards the factor that resolves
-    /// the probe references and joins there.
-    fn sink(self, probe: PlanRef, rep: &mut OptimizerReport) -> Plan {
-        let Plan::CrossProduct { left, right } = &*probe else {
-            return self.over(probe);
+    /// the probe references and joins there; `None` when the join stays on
+    /// `probe`.
+    fn sink(&self, probe: &PlanRef, rep: &mut OptimizerReport) -> Option<Plan> {
+        let Plan::CrossProduct { left, right } = &**probe else {
+            return None;
         };
         match one_side(&left.schema(), &right.schema(), &self.probe_refs) {
-            Some(true) if self.total || provably_nonempty(right) => Plan::CrossProduct {
-                left: self.sink(left.clone(), rep).into(),
+            Some(true) if self.total || provably_nonempty(right) => Some(Plan::CrossProduct {
+                left: self.sink_or_over(left, rep).into(),
                 right: right.clone(),
-            },
-            Some(false) if self.total || provably_nonempty(left) => Plan::CrossProduct {
+            }),
+            Some(false) if self.total || provably_nonempty(left) => Some(Plan::CrossProduct {
                 left: left.clone(),
-                right: self.sink(right.clone(), rep).into(),
-            },
+                right: self.sink_or_over(right, rep).into(),
+            }),
             None if self.kind == JoinKind::Semi && self.total => {
-                let expansion = SemiExpansion::plan(&probe, &self.build.schema(), &self.condition);
-                match expansion {
-                    Some(expansion) => {
-                        rep.semi_joins_expanded += 1;
-                        expansion.build(left.clone(), right.clone(), self.build)
-                    }
-                    None => self.over(probe),
-                }
+                SemiExpansion::plan(probe, &self.build.schema(), self.condition).map(|expansion| {
+                    rep.semi_joins_expanded += 1;
+                    expansion.build(left.clone(), right.clone(), self.build.clone())
+                })
             }
-            _ => self.over(probe),
+            _ => None,
         }
     }
 }
@@ -1305,28 +1476,52 @@ impl SemiExpansion {
 }
 
 /// Rewrites `predicate` (over a projection's output schema) into an
-/// equivalent predicate over the projection's *input* by substituting each
-/// output-column reference with its defining item expression. `None` when
-/// any reference does not resolve against the projection schema.
+/// equivalent predicate over the projection's *input* (schema `input`) by
+/// substituting each output-column reference with its defining item
+/// expression. A reference neither schema knows stays as it is: below the
+/// projection it resolves where it did, in an enclosing scope. `None` when a
+/// reference is ambiguous in the projection schema, or names a column of the
+/// input that the projection does not pass on — the input would capture it.
 fn substitute_through(
     predicate: &Expr,
     proj_schema: &Schema,
     items: &[ProjectItem],
+    input: &Schema,
 ) -> Option<Expr> {
-    let mut ok = true;
-    let rewritten = predicate.rewrite(&mut |e| match e {
+    passes_through(predicate, proj_schema, input).then(|| substitute(predicate, proj_schema, items))
+}
+
+/// `expr` with every column that resolves in `proj_schema` replaced by the
+/// item that defines it; the other columns stay as they are.
+fn substitute(expr: &Expr, proj_schema: &Schema, items: &[ProjectItem]) -> Expr {
+    expr.rewrite(&mut |e| match e {
         Expr::Column { qualifier, name } => {
             match proj_schema.try_resolve(qualifier.as_deref(), name) {
                 Ok(Some(idx)) => Some(items[idx].expr.clone()),
-                _ => {
-                    ok = false;
-                    None
-                }
+                _ => None,
             }
         }
         _ => None,
-    });
-    ok.then(|| rewritten.unwrap_or_else(|| predicate.clone()))
+    })
+    .unwrap_or_else(|| expr.clone())
+}
+
+/// `true` when [`substitute_through`] can move `predicate` below a
+/// projection: every column it reads resolves in the projection's output,
+/// or in neither the output nor the input. Stops at the first that does
+/// not.
+fn passes_through(predicate: &Expr, proj_schema: &Schema, input: &Schema) -> bool {
+    predicate.all(&mut |e| match e {
+        Expr::Column { qualifier, name } => {
+            let (q, n) = (qualifier.as_deref(), name);
+            match proj_schema.try_resolve(q, n) {
+                Ok(Some(_)) => true,
+                Ok(None) => matches!(input.try_resolve(q, n), Ok(None)),
+                Err(_) => false,
+            }
+        }
+        _ => true,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1523,12 +1718,21 @@ fn compose_items(
     // item of its own (which runs on every row).
     let mut reads = vec![0usize; below.len()];
     let mut passed_through = vec![false; below.len()];
-    for item in above {
-        for (q, n) in item.expr.column_refs() {
-            let idx = mid.try_resolve(q.as_deref(), &n).ok()??;
-            reads[idx] += 1;
-            passed_through[idx] |= matches!(item.expr, Expr::Column { .. });
-        }
+    let resolved = above.iter().all(|item| {
+        item.expr.all(&mut |e| match e {
+            Expr::Column { qualifier, name } => match mid.try_resolve(qualifier.as_deref(), name) {
+                Ok(Some(idx)) => {
+                    reads[idx] += 1;
+                    passed_through[idx] |= matches!(item.expr, Expr::Column { .. });
+                    true
+                }
+                _ => false,
+            },
+            _ => true,
+        })
+    });
+    if !resolved {
+        return None;
     }
     for (j, item) in below.iter().enumerate() {
         let trivial = matches!(
@@ -1541,16 +1745,13 @@ fn compose_items(
             return None;
         }
     }
-    above
-        .iter()
-        .map(|item| {
-            Some(ProjectItem {
-                expr: substitute_through(&item.expr, &mid, below)?,
-                alias: item.alias.clone(),
-                qualifier: item.qualifier.clone(),
-            })
-        })
-        .collect()
+    // Every reference of `above` resolved in `mid` above.
+    let composed = above.iter().map(|item| ProjectItem {
+        expr: substitute(&item.expr, &mid, below),
+        alias: item.alias.clone(),
+        qualifier: item.qualifier.clone(),
+    });
+    Some(composed.collect())
 }
 
 /// `Sort_keys(input)` with the sort moved below every projection and onto
@@ -1611,7 +1812,7 @@ fn keys_below_projection(
     let out = ProjectItem::schema_of(items);
     keys.iter()
         .map(|k| {
-            let expr = substitute_through(&k.expr, &out, items)?;
+            let expr = substitute_through(&k.expr, &out, items, input)?;
             expr_is_total(&expr, scope).then_some(SortKey {
                 expr,
                 ascending: k.ascending,
@@ -1949,6 +2150,29 @@ mod tests {
             .build()
     }
 
+    /// `e` with the plan of every sublink replaced by one empty relation.
+    fn without_sublink_plans(e: &Expr) -> Expr {
+        let blank = PlanRef::new(Plan::Values {
+            schema: Schema::empty(),
+            rows: Vec::new(),
+        });
+        e.rewrite(&mut |e| match e {
+            Expr::Sublink {
+                kind,
+                test_expr,
+                op,
+                ..
+            } => Some(Expr::Sublink {
+                kind: *kind,
+                test_expr: test_expr.clone(),
+                op: *op,
+                plan: blank.clone(),
+            }),
+            _ => None,
+        })
+        .unwrap_or_else(|| e.clone())
+    }
+
     fn contains(plan: &Plan, pred: &dyn Fn(&Plan) -> bool) -> bool {
         pred(plan) || plan.children().iter().any(|c| contains(c, pred))
     }
@@ -2026,13 +2250,17 @@ mod tests {
         assert_eq!(rep.sublinks_implied, 0);
         assert_eq!(rep.sublinks_decorrelated, 0);
         // The selection stays over the product — which the last step then
-        // runs as one join on the predicate as written.
+        // runs as one join on the predicate as written, up to the sublink
+        // bodies, where the pushdown moved each selection below its `Π`.
         assert_eq!(rep.selections_fused, 1, "{}", rep.summary());
+        let disjunction = without_sublink_plans(&disjunction);
         assert!(
             contains(&optimized, &|p| matches!(
                 p,
                 Plan::Join { kind: JoinKind::Inner, condition, .. }
-                    if split_conjuncts(condition).contains(&&disjunction)
+                    if split_conjuncts(condition)
+                        .into_iter()
+                        .any(|c| without_sublink_plans(c) == disjunction)
             )),
             "{}",
             perm_algebra::display::explain(&optimized)

@@ -576,7 +576,9 @@ impl Lifted {
     /// `plan`'s schema.
     fn to_plan_columns(&self, expr: &Expr) -> Option<Expr> {
         match &self.outputs {
-            Some(outputs) => substitute_through(expr, &outputs.schema, &outputs.items),
+            Some(outputs) => {
+                substitute_through(expr, &outputs.schema, &outputs.items, &self.plan.schema())
+            }
             None => Some(expr.clone()),
         }
     }
@@ -687,19 +689,24 @@ fn side_of(expr: &Expr, outer: &Schema, local: &Schema) -> Side {
     if expr.has_sublink() {
         return Side::Mixed;
     }
-    let refs = expr.column_refs();
     let mut any_outer = false;
     let mut any_inner = false;
-    for (q, n) in &refs {
-        let in_local = local.try_resolve(q.as_deref(), n);
-        let in_outer = outer.try_resolve(q.as_deref(), n);
-        match (in_local, in_outer) {
+    let resolved = expr.all(&mut |e| {
+        let Expr::Column { qualifier, name } = e else {
+            return true;
+        };
+        let q = qualifier.as_deref();
+        match (local.try_resolve(q, name), outer.try_resolve(q, name)) {
             // Innermost scope wins at runtime, so a locally resolvable
             // reference is an inner reference.
             (Ok(Some(_)), _) => any_inner = true,
             (Ok(None), Ok(Some(_))) => any_outer = true,
-            _ => return Side::Mixed,
+            _ => return false,
         }
+        true
+    });
+    if !resolved {
+        return Side::Mixed;
     }
     match (any_outer, any_inner) {
         (true, false) => Side::Outer,

@@ -7,10 +7,15 @@
 //! summary says what fired and how many sublinks are left (none) — also
 //! when the threshold is a `$1` parameter of a prepared statement. Last, an
 //! `ORDER BY`: the rewrite sorts the witness rows, the optimizer sorts the
-//! customers and lets the join fan them out in that order.
+//! customers and lets the join fan them out in that order. Then TPC-H Q17's
+//! shape: a correlated scalar sublink that stays a sublink, whose body the
+//! optimizer still reshapes — the correlated selection Gen puts over the
+//! witness projection `lineitem⁺` moves onto the scan. Last, a prepared
+//! statement.
 //!
 //! Run with `cargo run --example optimizer_explain`.
 
+use perm::algebra::{Expr, Plan};
 use perm::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,6 +36,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Schema::from_names(&["customer_id", "total"]).with_qualifier("orders"),
             (0..400)
                 .map(|i| vec![Value::Int(i % 50), Value::Int(10 + i)])
+                .collect(),
+        ),
+    )?;
+    // Parts and their line items, for the Q17 shape below.
+    db.create_table(
+        "part",
+        Relation::from_rows(
+            Schema::from_names(&["p_partkey", "p_brand"]).with_qualifier("part"),
+            (0..20)
+                .map(|i| vec![Value::Int(i), Value::str(format!("Brand#{}", i % 4))])
+                .collect(),
+        ),
+    )?;
+    db.create_table(
+        "lineitem",
+        Relation::from_rows(
+            Schema::from_names(&["l_partkey", "l_quantity", "l_extendedprice"])
+                .with_qualifier("lineitem"),
+            (0..300)
+                .map(|i| {
+                    vec![
+                        Value::Int(i % 20),
+                        Value::Int(1 + (i * 37) % 50),
+                        Value::Int(100 + i),
+                    ]
+                })
                 .collect(),
         ),
     )?;
@@ -120,6 +151,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         witnesses.len()
     );
 
+    // TPC-H Q17's shape: the scalar sublink compares against an aggregate,
+    // so no rule unnests it and it runs once per distinct `p_partkey`.
+    // Gen gives it a membership sublink whose body filters the witness
+    // projection `lineitem⁺` on `l_partkey = p_partkey`. Inside a sublink
+    // body the outer `p_partkey` is a constant for each binding, so the
+    // pushdown moves that selection onto the scan of `lineitem`: each
+    // binding projects the line items of its part, not all of them.
+    let q17_sql = "SELECT PROVENANCE sum(l_extendedprice) / 7.0 AS avg_yearly \
+                   FROM lineitem, part \
+                   WHERE p_partkey = l_partkey AND p_brand = 'Brand#2' \
+                   AND l_quantity < (SELECT 0.2 * avg(l_quantity) FROM lineitem \
+                                     WHERE l_partkey = p_partkey)";
+    let profile = session.explain(q17_sql)?;
+    println!("{}", profile.render());
+    let q17 = session.prepare(q17_sql)?;
+    let mut placed = Vec::new();
+    correlated_selections(q17.plan(), 0, &mut placed);
+    assert!(
+        placed.contains(&(1, true)) && !placed.contains(&(1, false)),
+        "a correlated selection inside a sublink body is not on its scan: {placed:?}"
+    );
+    let as_written = Executor::new(engine.database()).execute_unoptimized(q17.bound_plan())?;
+    let witnesses = session.execute(&q17, &[])?;
+    assert!(
+        witnesses.bag_eq(&as_written),
+        "the optimizer must not change the witnesses"
+    );
+    println!(
+        "Q17 shape: {} witness rows; every correlated selection inside a sublink body \
+         reads its scan directly\n",
+        witnesses.len()
+    );
+
     // How provenance is *served*: the same statement prepared once, with
     // `$1` for the threshold. A parameter is bound before the first
     // operator runs, so the optimizer reads it as the constant it will be:
@@ -141,4 +205,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  $1 = {threshold}: {} witness rows", witnesses.len());
     }
     Ok(())
+}
+
+/// For every selection of `plan` that reads `p_partkey` — at the top and in
+/// sublink plans at any depth — its sublink depth and whether it sits
+/// directly on a scan.
+fn correlated_selections(plan: &Plan, depth: usize, out: &mut Vec<(usize, bool)>) {
+    if let Plan::Select { input, predicate } = plan {
+        if predicate
+            .column_refs()
+            .iter()
+            .any(|(_, name)| &**name == "p_partkey")
+        {
+            out.push((depth, matches!(**input, Plan::Scan { .. })));
+        }
+    }
+    plan.walk_expressions(&mut |e| {
+        e.walk(&mut |e| {
+            if let Expr::Sublink { plan, .. } = e {
+                correlated_selections(plan, depth + 1, out);
+            }
+        })
+    });
+    for child in plan.inputs() {
+        correlated_selections(child, depth, out);
+    }
 }

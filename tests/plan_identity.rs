@@ -177,7 +177,7 @@ const PINNED: [(&str, Pin); 21] = [
         (
             0xfad9e88adcab3636,
             0x756beb99d369dec8,
-            [2, 1, 0, 0, 1, 1, 0, 3, 1, 1, 1, 0, 0, 0, 2],
+            [2, 1, 0, 0, 1, 1, 0, 4, 1, 1, 1, 0, 0, 0, 2],
         ),
     ),
     (
@@ -185,7 +185,7 @@ const PINNED: [(&str, Pin); 21] = [
         (
             0xfca663949b66abce,
             0x8baa99ff417fc778,
-            [2, 1, 0, 0, 1, 1, 0, 3, 1, 1, 1, 0, 0, 0, 2],
+            [2, 1, 0, 0, 1, 1, 0, 4, 1, 1, 1, 0, 0, 0, 2],
         ),
     ),
     (
@@ -193,7 +193,7 @@ const PINNED: [(&str, Pin); 21] = [
         (
             0xfb9a40e20129644c,
             0xfe7985e77e31df24,
-            [3, 1, 1, 0, 2, 1, 0, 2, 11, 2, 1, 0, 0, 0, 2],
+            [3, 1, 1, 0, 2, 1, 0, 3, 11, 2, 1, 0, 0, 0, 2],
         ),
     ),
     (
@@ -201,7 +201,7 @@ const PINNED: [(&str, Pin); 21] = [
         (
             0xa1c8681425291a7f,
             0x96681b8652202d85,
-            [1, 0, 0, 1, 0, 1, 0, 4, 0, 4, 1, 0, 0, 1, 2],
+            [1, 0, 0, 1, 0, 1, 0, 5, 0, 4, 1, 0, 0, 1, 2],
         ),
     ),
     (
@@ -289,7 +289,7 @@ const PINNED: [(&str, Pin); 21] = [
         (
             0xfa04b1d7a60d74b5,
             0x771ea7201131857a,
-            [3, 1, 0, 0, 1, 1, 0, 5, 10, 3, 2, 2, 0, 0, 2],
+            [3, 1, 0, 0, 1, 1, 0, 6, 10, 3, 2, 2, 0, 0, 2],
         ),
     ),
     (
@@ -304,8 +304,8 @@ const PINNED: [(&str, Pin); 21] = [
         "tpch_fig6 q15",
         (
             0x85ff226854e1ea58,
-            0xaa24eaa8a74697b8,
-            [0, 0, 0, 0, 0, 0, 0, 5, 2, 15, 12, 1, 0, 1, 2],
+            0x2e68036546f28117,
+            [0, 0, 0, 0, 0, 0, 0, 6, 2, 15, 12, 1, 0, 1, 2],
         ),
     ),
     (
@@ -320,8 +320,8 @@ const PINNED: [(&str, Pin); 21] = [
         "tpch_fig6 q17",
         (
             0x6d9878714a08031d,
-            0x189dbba268382d85,
-            [0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 0, 1, 4, 2],
+            0x08ab706d107c4c0b,
+            [0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 0, 1, 4, 2],
         ),
     ),
     (
@@ -336,8 +336,8 @@ const PINNED: [(&str, Pin); 21] = [
         "tpch_fig6 q22",
         (
             0x537c297144c0221b,
-            0x39de240ad22b91da,
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 7, 2, 1, 8, 2],
+            0x7e972fd0b6a1a6e0,
+            [0, 0, 0, 0, 0, 0, 0, 2, 1, 4, 8, 2, 1, 8, 2],
         ),
     ),
 ];
