@@ -35,6 +35,16 @@
 //! `Float(3.0)` are distinct bindings even though the engine's equality
 //! coerces them — so a memo hit always substitutes the result of a
 //! byte-identical binding.
+//!
+//! One expression shape compiles to a node the logical plan does not have:
+//! SQL `e IN (l₁, …, lₖ)`, which the binder spells as the left-nested chain
+//! `e = l₁ OR … OR e = lₖ` (`perm_algebra::builder::in_list`), becomes
+//! [`CompiledExpr::In`] when `e` holds no sublink and every `lᵢ` is a
+//! literal. It evaluates `e` once per batch instead of once per disjunct
+//! and compares it with each literal over the rows still undecided. Bags,
+//! errors and the evaluation set are the chain's — the variant's doc gives
+//! the argument — and plans, fingerprints and counters other than
+//! `columnar_fallback_rows` do not see the difference.
 
 use crate::batch::{Batch, LiveRows};
 use crate::eval::{arithmetic, compare};
@@ -91,8 +101,32 @@ pub enum CompiledExpr {
     /// compile time: each is evaluated over the rows the earlier ones left
     /// undecided (`Execution::conjuncts`).
     And(Vec<CompiledExpr>),
+    /// SQL `e IN (l₁, …, lₖ)` as `perm_algebra::builder::in_list` spells
+    /// it: a left-nested `OR` chain of two or more `e = lᵢ` whose left
+    /// operands are one sublink-free expression, written alike (literals of
+    /// the same representation), and whose right operands are literals. The
+    /// chain and the node agree row for row:
+    ///
+    /// * **bags** — a row is TRUE when some `e = lᵢ` is, else UNKNOWN when
+    ///   some is, else FALSE: the `OR` fold in either order;
+    /// * **errors** — the chain evaluates `e` on every row in its first
+    ///   disjunct, and so does the node, once; an error there is the
+    ///   chain's first error too, because [`compare`] is total;
+    /// * **evaluation set** — later disjuncts re-evaluate `e` on rows it
+    ///   already ran on, and every function is deterministic, so the one
+    ///   value stands for them; with no sublink in `e` no memo or counter
+    ///   sees the difference.
+    ///
+    /// Literal `k` is compared only with the rows no earlier one found TRUE,
+    /// through the typed `=` kernel where one applies
+    /// (`crate::kernels::in_list`). The logical plan keeps the `OR` chain.
+    In {
+        probe: Box<CompiledExpr>,
+        list: Vec<Value>,
+    },
     /// Binary operation other than `AND`, which compiles to
-    /// [`CompiledExpr::And`].
+    /// [`CompiledExpr::And`] (and an `IN`-shaped `OR` chain, which compiles
+    /// to [`CompiledExpr::In`]).
     Binary {
         op: BinaryOp,
         left: Box<CompiledExpr>,
@@ -508,7 +542,7 @@ pub(crate) fn apply_binary_scalar(op: BinaryOp, l: &Value, r: &Value) -> Result<
         BinaryOp::NotLike => Ok(functions::sql_like(l, r).not().to_value()),
         BinaryOp::Concat => match (l, r) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            _ => Ok(Value::Str(format!("{l}{r}"))),
+            _ => Ok(Value::str(format!("{l}{r}"))),
         },
         BinaryOp::And | BinaryOp::Or => unreachable!("logical connectives short-circuit"),
     }
@@ -551,6 +585,77 @@ fn is_constant(expr: &CompiledExpr) -> bool {
         CompiledExpr::Slot(slot) => slot.depth > 0,
         _ => false,
     }
+}
+
+/// The probe and literals of an `OR` chain that compiles to
+/// [`CompiledExpr::In`]; `None` for any other expression.
+fn in_list_shape(expr: &Expr) -> Option<(&Expr, Vec<Value>)> {
+    let mut disjuncts = Vec::new();
+    let mut rest = expr;
+    while let Expr::Binary {
+        op: BinaryOp::Or,
+        left,
+        right,
+    } = rest
+    {
+        disjuncts.push(&**right);
+        rest = left;
+    }
+    if disjuncts.is_empty() {
+        return None;
+    }
+    disjuncts.push(rest);
+    fn equality(e: &Expr) -> Option<(&Expr, &Value)> {
+        match e {
+            Expr::Binary {
+                op: BinaryOp::Cmp(CompareOp::Eq),
+                left,
+                right,
+            } => match &**right {
+                Expr::Literal(v) => Some((&**left, v)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+    let (probe, _) = equality(disjuncts[disjuncts.len() - 1])?;
+    if probe.has_sublink() {
+        return None;
+    }
+    let mut list = Vec::with_capacity(disjuncts.len());
+    for d in disjuncts.into_iter().rev() {
+        let (e, v) = equality(d)?;
+        if !written_alike(e, probe) {
+            return None;
+        }
+        list.push(v.clone());
+    }
+    Some((probe, list))
+}
+
+/// Structural equality that also tells literals of different
+/// representations apart: `Expr`'s own `==` compares literals as SQL values
+/// (`1 = 1.0`), but `x || 1` and `x || 1.0` are different strings.
+fn written_alike(a: &Expr, b: &Expr) -> bool {
+    fn literals(e: &Expr) -> Vec<&Value> {
+        let mut out = Vec::new();
+        e.walk(&mut |e| {
+            if let Expr::Literal(v) = e {
+                out.push(v);
+            }
+        });
+        out
+    }
+    let identical = |v: &Value, w: &Value| match (v, w) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => std::mem::discriminant(v) == std::mem::discriminant(w) && v == w,
+    };
+    std::ptr::eq(a, b)
+        || (a == b
+            && literals(a)
+                .into_iter()
+                .zip(literals(b))
+                .all(|(v, w)| identical(v, w)))
 }
 
 /// The error of a correlated slot evaluated with no outer scope.
@@ -771,6 +876,12 @@ impl Compiler {
     }
 
     fn expr(&mut self, expr: &Expr, scopes: Option<&Scopes<'_>>) -> Result<CompiledExpr> {
+        if let Some((probe, list)) = in_list_shape(expr) {
+            return Ok(CompiledExpr::In {
+                probe: Box::new(self.expr(probe, scopes)?),
+                list,
+            });
+        }
         Ok(match expr {
             Expr::Column { qualifier, name } => match scopes {
                 Some(s) => s.resolve(qualifier.as_deref(), name),
@@ -1293,6 +1404,16 @@ impl<'e, 'a> Execution<'e, 'a> {
                 left,
                 right,
             } => self.ceval_or_typed(left, right, batch, outer),
+            CompiledExpr::In { probe, list } => {
+                let mut probe = self.ceval_typed(probe, batch, outer)?;
+                if self.ex.columnar_enabled.get() {
+                    // A function's `Values` output gets the typed kernel too.
+                    probe = probe.into_typed();
+                }
+                let (truths, fallback_rows) = crate::kernels::in_list(&probe, list);
+                self.ex.governor.count().columnar_fallback_rows += fallback_rows;
+                Ok(truths_to_bool_lane(truths.into_iter(), n))
+            }
             CompiledExpr::Binary { op, left, right } => {
                 let l = self.ceval_typed(left, batch, outer)?;
                 let r = self.ceval_typed(right, batch, outer)?;

@@ -168,7 +168,7 @@ impl<'p> Interpreter<'p> {
             BinaryOp::NotLike => Ok(functions::sql_like(&l, &r).not().to_value()),
             BinaryOp::Concat => match (&l, &r) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                _ => Ok(Value::Str(format!("{l}{r}"))),
+                _ => Ok(Value::str(format!("{l}{r}"))),
             },
             BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
         }

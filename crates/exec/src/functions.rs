@@ -2,7 +2,7 @@
 //! functions needed by the TPC-H sublink queries.
 
 use crate::{ExecError, Result};
-use perm_storage::{civil_from_days, Truth, Value};
+use perm_storage::{civil_from_days, empty_str, Truth, Value};
 
 /// SQL `LIKE` matching with `%` (any sequence) and `_` (any single
 /// character) wildcards. Returns [`Truth::Unknown`] when either operand is
@@ -45,21 +45,30 @@ pub fn substring(s: &Value, start: &Value, len: Option<&Value>) -> Result<Value>
     let start = start
         .as_i64()
         .ok_or_else(|| ExecError::Type("substring start must be numeric".into()))?;
-    let chars: Vec<char> = text.chars().collect();
+    // Character positions to byte offsets, then one allocation for the
+    // piece (none for an empty piece or the whole string).
     let begin = (start.max(1) - 1) as usize;
-    if begin >= chars.len() {
-        return Ok(Value::str(""));
-    }
-    let end = match len {
-        None => chars.len(),
+    let Some((from, _)) = text.char_indices().nth(begin) else {
+        return Ok(Value::Str(empty_str()));
+    };
+    let tail = &text[from..];
+    let piece = match len {
+        None => tail,
         Some(l) => {
             let l = l
                 .as_i64()
                 .ok_or_else(|| ExecError::Type("substring length must be numeric".into()))?;
-            (begin + l.max(0) as usize).min(chars.len())
+            match tail.char_indices().nth(l.max(0) as usize) {
+                Some((to, _)) => &tail[..to],
+                None => tail,
+            }
         }
     };
-    Ok(Value::str(chars[begin..end].iter().collect::<String>()))
+    Ok(match piece.len() {
+        0 => Value::Str(empty_str()),
+        n if n == text.len() => s.clone(),
+        _ => Value::str(piece),
+    })
 }
 
 /// `abs(x)`.
@@ -84,7 +93,7 @@ pub fn coalesce(args: &[Value]) -> Value {
 pub fn change_case(v: &Value, upper: bool) -> Result<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Str(s) => Ok(Value::Str(if upper {
+        Value::Str(s) => Ok(Value::str(if upper {
             s.to_uppercase()
         } else {
             s.to_lowercase()
@@ -168,6 +177,46 @@ mod tests {
         assert_eq!(
             substring(&Value::Null, &Value::Int(1), None).unwrap(),
             Value::Null
+        );
+    }
+
+    /// The byte-offset substring equals slicing the character vector, on
+    /// multi-byte text and at every edge; the whole string comes back
+    /// shared, and a bad length is only an error where a piece is cut.
+    #[test]
+    fn substring_equals_the_character_slice() {
+        let reference = |text: &str, start: i64, len: Option<i64>| -> String {
+            let chars: Vec<char> = text.chars().collect();
+            let begin = (start.max(1) - 1) as usize;
+            if begin >= chars.len() {
+                return String::new();
+            }
+            let end = len.map_or(chars.len(), |l| {
+                (begin + l.max(0) as usize).min(chars.len())
+            });
+            chars[begin..end].iter().collect()
+        };
+        for text in ["", "a", "13-345", "späté 🚀x"] {
+            let v = Value::str(text);
+            for start in [-2, 0, 1, 2, 4, 5, 8, 9, 20] {
+                for len in [None, Some(-1), Some(0), Some(1), Some(3), Some(100)] {
+                    let got = substring(&v, &Value::Int(start), len.map(Value::Int).as_ref());
+                    let want = Value::str(reference(text, start, len));
+                    assert_eq!(got.unwrap(), want, "{text:?} from {start} for {len:?}");
+                }
+            }
+        }
+        let whole = Value::str("whole");
+        let (Value::Str(a), Ok(Value::Str(b))) = (&whole, substring(&whole, &Value::Int(1), None))
+        else {
+            unreachable!()
+        };
+        assert!(std::sync::Arc::ptr_eq(a, &b));
+        let bad = Value::str("x");
+        assert!(substring(&Value::str("abc"), &Value::Int(1), Some(&bad)).is_err());
+        assert_eq!(
+            substring(&Value::str("abc"), &Value::Int(5), Some(&bad)).unwrap(),
+            Value::str("")
         );
     }
 

@@ -41,6 +41,7 @@
 //!   `Values` lanes all take the scalar path.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use perm_algebra::{BinaryOp, CompareOp, UnaryOp};
 use perm_storage::{f64_cmp_sql, int_cmp_float, ColumnVec, Truth, Validity, Value};
@@ -101,7 +102,7 @@ macro_rules! ints {
 enum View<'a> {
     Ints(IntView<'a>),
     Floats(&'a [f64]),
-    Strs(&'a [String]),
+    Strs(&'a [Arc<str>]),
 }
 
 /// The view of a typed lane, with its validity.
@@ -147,35 +148,38 @@ fn compare_with<B: CompareBody>(
     r: View<'_>,
     body: B,
 ) -> Option<B::Out> {
-    fn by<B: CompareBody>(
-        l: View<'_>,
-        r: View<'_>,
-        body: B,
-        pred: impl Fn(Ordering) -> bool,
-    ) -> Option<B::Out> {
-        Some(match (l, r) {
-            (View::Ints(a), View::Ints(b)) => ints!(a, a => ints!(b, b => body.run(|i, j| {
-                pred(a[i].exact().cmp(&b[j].exact()))
-            }))),
-            (View::Ints(a), View::Floats(b)) => ints!(a, a => body.run(|i, j| {
-                pred(int_cmp_float(a[i].exact(), b[j]))
-            })),
-            (View::Floats(a), View::Ints(b)) => ints!(b, b => body.run(|i, j| {
-                pred(int_cmp_float(b[j].exact(), a[i]).reverse())
-            })),
-            (View::Floats(a), View::Floats(b)) => body.run(|i, j| pred(f64_cmp_sql(a[i], b[j]))),
-            (View::Strs(a), View::Strs(b)) => body.run(|i, j| pred(a[i].cmp(&b[j]))),
-            _ => return None,
-        })
-    }
     match op {
-        CompareOp::Eq => by(l, r, body, Ordering::is_eq),
-        CompareOp::Neq => by(l, r, body, Ordering::is_ne),
-        CompareOp::Lt => by(l, r, body, Ordering::is_lt),
-        CompareOp::Le => by(l, r, body, Ordering::is_le),
-        CompareOp::Gt => by(l, r, body, Ordering::is_gt),
-        CompareOp::Ge => by(l, r, body, Ordering::is_ge),
+        CompareOp::Eq => compare_by(l, r, body, Ordering::is_eq),
+        CompareOp::Neq => compare_by(l, r, body, Ordering::is_ne),
+        CompareOp::Lt => compare_by(l, r, body, Ordering::is_lt),
+        CompareOp::Le => compare_by(l, r, body, Ordering::is_le),
+        CompareOp::Gt => compare_by(l, r, body, Ordering::is_gt),
+        CompareOp::Ge => compare_by(l, r, body, Ordering::is_ge),
     }
+}
+
+/// [`compare_with`] for the one ordering predicate `pred` (an `IN` list
+/// only ever tests `=`, so it instantiates only that).
+fn compare_by<B: CompareBody>(
+    l: View<'_>,
+    r: View<'_>,
+    body: B,
+    pred: impl Fn(Ordering) -> bool,
+) -> Option<B::Out> {
+    Some(match (l, r) {
+        (View::Ints(a), View::Ints(b)) => ints!(a, a => ints!(b, b => body.run(|i, j| {
+            pred(a[i].exact().cmp(&b[j].exact()))
+        }))),
+        (View::Ints(a), View::Floats(b)) => ints!(a, a => body.run(|i, j| {
+            pred(int_cmp_float(a[i].exact(), b[j]))
+        })),
+        (View::Floats(a), View::Ints(b)) => ints!(b, b => body.run(|i, j| {
+            pred(int_cmp_float(b[j].exact(), a[i]).reverse())
+        })),
+        (View::Floats(a), View::Floats(b)) => body.run(|i, j| pred(f64_cmp_sql(a[i], b[j]))),
+        (View::Strs(a), View::Strs(b)) => body.run(|i, j| pred(a[i].cmp(&b[j]))),
+        _ => return None,
+    })
 }
 
 /// A `Bool` lane whose slot `i` is valid when both operands are, with
@@ -327,6 +331,101 @@ pub(crate) fn narrow_compare(
         rows,
     };
     compare_with(op, l, r, narrow).is_some()
+}
+
+/// One `IN`-list step over the undecided rows: entry `i` of the probe lane
+/// against the literal, `test(i, 0)`. A TRUE row is decided and leaves
+/// `undecided`; a NULL entry makes its row UNKNOWN (until a later literal
+/// can no longer change that: a NULL probe is UNKNOWN against every one).
+struct InStep<'a> {
+    validity: &'a Validity,
+    undecided: &'a mut Vec<usize>,
+    truths: &'a mut [Truth],
+}
+
+impl CompareBody for InStep<'_> {
+    type Out = ();
+
+    fn run(self, test: impl Fn(usize, usize) -> bool) {
+        let InStep {
+            validity,
+            undecided,
+            truths,
+        } = self;
+        let all_valid = validity.is_all_valid();
+        undecided.retain(|&i| {
+            if !all_valid && !validity.get(i) {
+                truths[i] = Truth::Unknown;
+                true
+            } else if test(i, 0) {
+                truths[i] = Truth::True;
+                false
+            } else {
+                true
+            }
+        });
+    }
+}
+
+/// `probe = l₁ OR probe = l₂ OR …` per entry of an evaluated probe lane,
+/// the disjuncts folded left to right: literal `k` is compared only with
+/// the entries no earlier literal found TRUE, through the typed comparator
+/// every comparison kernel uses where the pairing has one, and through the
+/// scalar [`crate::eval::compare`] otherwise. A NULL literal makes every
+/// entry it meets UNKNOWN. Returns one truth per entry and how many entries
+/// met no typed comparison (the `columnar_fallback_rows` of the node).
+pub(crate) fn in_list(probe: &ColumnVec, list: &[Value]) -> (Vec<Truth>, u64) {
+    let n = probe.len();
+    let mut truths = vec![Truth::False; n];
+    let mut undecided: Vec<usize> = (0..n).collect();
+    let lane = view(probe);
+    // Entries decided before the first typed step never met a typed
+    // comparison; every entry still undecided at a typed step did.
+    let mut typed_yet = false;
+    let mut fallback = 0u64;
+    for literal in list {
+        if undecided.is_empty() {
+            break;
+        }
+        let typed = match (lane, scalar_view(literal)) {
+            (Some(_), None) => {
+                for &i in &undecided {
+                    truths[i] = Truth::Unknown;
+                }
+                true
+            }
+            (Some((v, validity)), Some(c)) => {
+                let step = InStep {
+                    validity,
+                    undecided: &mut undecided,
+                    truths: &mut truths,
+                };
+                compare_by(v, c, step, Ordering::is_eq).is_some()
+            }
+            (None, _) => false,
+        };
+        if typed {
+            typed_yet = true;
+            continue;
+        }
+        let before = undecided.len();
+        undecided.retain(|&i| {
+            let t = truths[i].or(crate::eval::compare(
+                CompareOp::Eq,
+                &probe.value_at(i),
+                literal,
+            ));
+            truths[i] = t;
+            t != Truth::True
+        });
+        if !typed_yet {
+            fallback += (before - undecided.len()) as u64;
+        }
+    }
+    if !typed_yet {
+        fallback += undecided.len() as u64;
+    }
+    (truths, fallback)
 }
 
 /// The typed arithmetic kernels. `Ok(None)` means "no typed path — use

@@ -262,7 +262,9 @@ fn collect_sublinks(
             collect_sublinks(left, registry, out);
             collect_sublinks(right, registry, out);
         }
-        CompiledExpr::Unary { expr, .. } => collect_sublinks(expr, registry, out),
+        CompiledExpr::Unary { expr, .. } | CompiledExpr::In { probe: expr, .. } => {
+            collect_sublinks(expr, registry, out)
+        }
         CompiledExpr::Func { args, .. } => {
             for a in args {
                 collect_sublinks(a, registry, out);

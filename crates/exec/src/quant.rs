@@ -209,7 +209,7 @@ impl MemoCost for Arc<SublinkSummary> {
     fn cost_bytes(&self) -> u64 {
         let heap = match &**self {
             SublinkSummary::Exists(_) => 0,
-            SublinkSummary::Scalar(Value::Str(s)) => s.capacity() as u64,
+            SublinkSummary::Scalar(Value::Str(s)) => s.len() as u64,
             SublinkSummary::Scalar(_) => 0,
             SublinkSummary::Quant(probe) => probe.heap_bytes,
         };

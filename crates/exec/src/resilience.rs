@@ -291,11 +291,14 @@ impl FaultPlan {
 // Byte estimators
 // ---------------------------------------------------------------------------
 
-/// Approximate heap footprint of one value, in bytes.
+/// Approximate heap footprint of one value, in bytes. A string is charged
+/// its length: a shared `Arc<str>` has no spare capacity. It is charged in
+/// full to every holder, though the holders share one allocation — an
+/// over-estimate, so a budget decision taken on it can only err safe.
 pub(crate) fn value_bytes(v: &Value) -> u64 {
     let base = std::mem::size_of::<Value>() as u64;
     match v {
-        Value::Str(s) => base + s.capacity() as u64,
+        Value::Str(s) => base + s.len() as u64,
         _ => base,
     }
 }
@@ -307,7 +310,7 @@ pub(crate) fn lane_value_bytes(col: &ColumnVec, i: usize) -> u64 {
     match col {
         ColumnVec::Values(values) => value_bytes(&values[i]),
         ColumnVec::Str { data, validity } if validity.get(i) => {
-            std::mem::size_of::<Value>() as u64 + data[i].capacity() as u64
+            std::mem::size_of::<Value>() as u64 + data[i].len() as u64
         }
         _ => std::mem::size_of::<Value>() as u64,
     }
@@ -315,8 +318,7 @@ pub(crate) fn lane_value_bytes(col: &ColumnVec, i: usize) -> u64 {
 
 /// Approximate heap footprint of one tuple. Counts the value vector's
 /// *capacity*, not just its length — rows assembled by repeated pushes keep
-/// spare slots allocated, exactly like `Value::Str` keeps spare string
-/// capacity in [`value_bytes`].
+/// spare slots allocated — and each string in full ([`value_bytes`]).
 pub(crate) fn tuple_bytes(t: &Tuple) -> u64 {
     let spare = (t.capacity() - t.arity()) * std::mem::size_of::<Value>();
     std::mem::size_of::<Tuple>() as u64
@@ -903,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn tuple_bytes_counts_spare_vector_and_string_capacity() {
+    fn tuple_bytes_counts_spare_vector_capacity_and_string_length() {
         let value_size = std::mem::size_of::<Value>() as u64;
         // Spare Vec capacity is charged like live slots.
         let mut values = Vec::with_capacity(10);
@@ -916,9 +918,28 @@ mod tests {
             tuple_bytes(&roomy) - tuple_bytes(&tight),
             (roomy.capacity() - tight.capacity()) as u64 * value_size
         );
-        // Spare String capacity is charged, not just the live length.
+        // A string is charged its length — an `Arc<str>` has no spare
+        // capacity — however roomy the `String` it was built from.
         let mut s = String::with_capacity(100);
         s.push_str("ab");
-        assert_eq!(value_bytes(&Value::Str(s)), value_size + 100);
+        let shared = Value::str(s);
+        assert_eq!(value_bytes(&shared), value_size + 2);
+        // Two rows holding one shared string are each charged it in full.
+        let row = Tuple::new(vec![shared.clone()]);
+        let twin = Tuple::new(vec![shared]);
+        assert_eq!(
+            tuple_bytes(&row) + tuple_bytes(&twin),
+            2 * tuple_bytes(&row)
+        );
+        assert_eq!(
+            tuple_bytes(&row),
+            std::mem::size_of::<Tuple>() as u64 + value_size + 2
+        );
+        // A lane entry costs what its value costs.
+        let mut lane = ColumnVec::typed_for(&Value::str("ab"), 2);
+        lane.push_value(Value::str("ab"));
+        lane.push_value(Value::Null);
+        assert_eq!(lane_value_bytes(&lane, 0), value_size + 2);
+        assert_eq!(lane_value_bytes(&lane, 1), value_size);
     }
 }

@@ -6,12 +6,12 @@
 //! on and off.
 
 use perm_algebra::builder::{
-    self, all_sublink, any_sublink, col, count_star, eq, exists_sublink, lit, max, not, qcol,
+    self, all_sublink, any_sublink, col, count_star, eq, exists_sublink, lit, max, not, null, qcol,
     scalar_sublink, sum, PlanBuilder,
 };
-use perm_algebra::{CompareOp, Expr, Plan, ProjectItem, SetOpKind, SortKey};
+use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, Plan, ProjectItem, SetOpKind, SortKey};
 use perm_core::{ProvenanceQuery, Strategy};
-use perm_exec::Executor;
+use perm_exec::{CompiledExpr, CompiledNode, Executor};
 use perm_storage::{Attribute, DataType, Database, Relation, Schema, Value};
 use perm_synthetic::{build_database, build_query, random_range, QueryKind};
 
@@ -529,4 +529,273 @@ fn a_memo_entry_does_not_grow_with_the_sublink_result() {
         assert!(small > 0, "{label}: the memo holds entries");
         assert_eq!(small, peak_bytes(4000), "{label}");
     }
+}
+
+/// T(x, y, s, z) over 2 500 rows — more than two batches: `x` an integer
+/// with NULLs, `y` an integer with zeros, `s` a two-digit string with
+/// NULLs, `z` a string on every row but the first, an integer there. The
+/// `IN` node's table.
+fn in_db() -> Database {
+    let mut db = Database::new();
+    let rows = (0..2_500i64)
+        .map(|i| {
+            vec![
+                match i % 7 {
+                    3 => Value::Null,
+                    _ => Value::Int(i % 5),
+                },
+                Value::Int(i % 4 + 1),
+                match i % 11 {
+                    5 => Value::Null,
+                    _ => Value::str(format!("{:02}", i % 13)),
+                },
+                match i {
+                    0 => Value::Int(5),
+                    _ => Value::str("ab"),
+                },
+            ]
+        })
+        .collect();
+    db.create_table(
+        "t",
+        Relation::from_rows(
+            Schema::from_names(&["x", "y", "s", "z"]).with_qualifier("t"),
+            rows,
+        ),
+    )
+    .unwrap();
+    db
+}
+
+fn func(name: FuncName, args: Vec<Expr>) -> Expr {
+    Expr::Func { name, args }
+}
+
+/// `10 / (y - 4)`: fails on every fourth row of T.
+fn ten_over_y_minus_4() -> Expr {
+    let minus_4 = builder::binary(BinaryOp::Sub, col("y"), lit(4));
+    builder::binary(BinaryOp::Div, lit(10), minus_4)
+}
+
+fn substring(e: Expr, start: i64, len: i64) -> Expr {
+    func(FuncName::Substring, vec![e, lit(start), lit(len)])
+}
+
+/// Whether a compiled predicate is the `IN` node, or its negation.
+fn is_in(predicate: &CompiledExpr) -> bool {
+    match predicate {
+        CompiledExpr::In { .. } => true,
+        CompiledExpr::Unary { expr, .. } => is_in(expr),
+        _ => false,
+    }
+}
+
+/// σ and Π of `predicate` over T, as compiled plans against the
+/// interpreter in every compiled mode (default, columnar off, batching
+/// off): the same rows, or the same error. Returns whether the predicate
+/// compiled to the `IN` node.
+fn assert_in_agrees(db: &Database, predicate: Expr) -> bool {
+    let scan = || PlanBuilder::scan(db, "t").unwrap();
+    let plans = [
+        scan().select(predicate.clone()).build(),
+        scan()
+            .project(vec![
+                ProjectItem::new(col("x"), "x"),
+                ProjectItem::new(predicate.clone(), "p"),
+            ])
+            .build(),
+    ];
+    let mut specialised = false;
+    for plan in &plans {
+        let reference = Executor::new(db).execute_unoptimized(plan);
+        for (mode, ex) in [
+            ("default", Executor::new(db)),
+            ("columnar off", Executor::new(db).with_columnar(false)),
+            ("batching off", Executor::new(db).with_batching(false)),
+        ] {
+            let compiled = ex.prepare(plan).unwrap();
+            specialised = match compiled.root() {
+                CompiledNode::Select { predicate, .. } => is_in(predicate),
+                CompiledNode::Project { items, .. } => is_in(&items[1]),
+                other => panic!("unexpected root {other:?}"),
+            };
+            let got = ex.execute_compiled(&compiled);
+            match (&reference, &got) {
+                (Ok(want), Ok(got)) => assert!(
+                    got.bag_eq(want),
+                    "{mode}: {predicate} differs from the interpreter"
+                ),
+                (Err(want), Err(got)) => assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{mode}: {predicate} fails differently"
+                ),
+                _ => panic!("{mode}: {predicate}: {got:?} against the interpreter's {reference:?}"),
+            }
+        }
+    }
+    specialised
+}
+
+#[test]
+fn an_in_list_compiles_to_one_node_that_agrees_with_the_or_chain() {
+    let db = in_db();
+    let specialised: Vec<(&str, Expr)> = vec![
+        ("ints", builder::in_list(col("x"), [lit(1), lit(3), lit(4)])),
+        // NULL probe entries, and a NULL literal in the list.
+        (
+            "null literal",
+            builder::in_list(col("x"), [lit(1), Expr::Literal(Value::Null), lit(4)]),
+        ),
+        ("not in", not(builder::in_list(col("x"), [lit(0), lit(2)]))),
+        // `1 IN (1.0)`: an Int probe against Float literals.
+        (
+            "floats",
+            builder::in_list(col("x"), [lit(1.0), lit(2.5), lit(4.0)]),
+        ),
+        (
+            "strings",
+            builder::in_list(col("s"), [lit("01"), lit("07"), lit("12")]),
+        ),
+        // A Str probe against an Int literal: FALSE through the scalar path.
+        (
+            "mixed list",
+            builder::in_list(col("s"), [lit(7), lit("03"), lit("11")]),
+        ),
+        // A function's `Values` output, as in TPC-H Q22.
+        (
+            "substring",
+            builder::in_list(substring(col("s"), 1, 1), [lit("0"), lit("2")]),
+        ),
+        (
+            "all null literals",
+            builder::in_list(col("x"), [null(), null()]),
+        ),
+        // A failing probe: the same DivisionByZero.
+        (
+            "failing probe",
+            builder::in_list(ten_over_y_minus_4(), [lit(1), lit(2)]),
+        ),
+        // Two errors in one batch: `length(5)` on row 0, `10 / 0` on row 3.
+        // Expression-major, the division fails first; the one-row replay
+        // of the failing batch raises row 0's type error, as the
+        // interpreter does.
+        (
+            "replayed batch",
+            builder::in_list(
+                Expr::Case {
+                    branches: vec![(eq(col("y"), lit(4)), ten_over_y_minus_4())],
+                    else_expr: Some(Box::new(func(FuncName::Length, vec![col("z")]))),
+                },
+                [lit(1), lit(2)],
+            ),
+        ),
+    ];
+    for (label, predicate) in specialised {
+        assert!(assert_in_agrees(&db, predicate), "{label}: the IN node");
+    }
+    let generic: Vec<(&str, Expr)> = vec![
+        (
+            "right-nested",
+            builder::or(
+                eq(col("x"), lit(1)),
+                builder::or(eq(col("x"), lit(2)), eq(col("x"), lit(3))),
+            ),
+        ),
+        (
+            "mixed probes",
+            builder::or(
+                builder::in_list(col("x"), [lit(1), lit(2)]),
+                eq(col("y"), lit(2)),
+            ),
+        ),
+        // The same probe written with an Int and a Float literal: `y - 4`
+        // and `y - 4.0` are different expressions.
+        (
+            "probes written apart",
+            builder::or(
+                eq(builder::binary(BinaryOp::Sub, col("y"), lit(4)), lit(0)),
+                eq(builder::binary(BinaryOp::Sub, col("y"), lit(4.0)), lit(-1)),
+            ),
+        ),
+        (
+            "literal on the left",
+            builder::or(eq(col("x"), lit(1)), eq(lit(2), col("x"))),
+        ),
+    ];
+    for (label, predicate) in generic {
+        assert!(
+            !assert_in_agrees(&db, predicate),
+            "{label}: stays an OR chain"
+        );
+    }
+}
+
+/// The node's fallback rows are the rows no typed comparison ran for: none
+/// over a typed probe lane, every row over a `Values` one.
+#[test]
+fn an_in_list_counts_fallback_rows_only_where_no_typed_kernel_ran() {
+    let db = in_db();
+    let fallback = |ex: Executor<'_>, predicate: Expr| {
+        let plan = PlanBuilder::scan(&db, "t")
+            .unwrap()
+            .select(predicate)
+            .build();
+        ex.execute(&plan).unwrap();
+        ex.columnar_fallback_rows()
+    };
+    let ints = || builder::in_list(col("x"), [lit(1.0), lit(3), null()]);
+    let strings = || builder::in_list(substring(col("s"), 1, 1), [lit(7), lit("0")]);
+    assert_eq!(fallback(Executor::new(&db), ints()), 0);
+    assert_eq!(fallback(Executor::new(&db), strings()), 0);
+    assert_eq!(
+        fallback(Executor::new(&db).with_columnar(false), ints()),
+        2_500
+    );
+    // A probe of mixed representations stays a `Values` lane: `z` is an
+    // integer on row 0 only, so the first batch falls back and the others
+    // are typed string lanes.
+    let mixed = builder::in_list(col("z"), [lit("ab"), lit(5)]);
+    assert_eq!(
+        fallback(Executor::new(&db), mixed),
+        perm_exec::BATCH_ROWS as u64
+    );
+}
+
+/// A probe holding a sublink is not specialised: each disjunct looks its
+/// sublink up as before, so the memo counts are those of the same chain
+/// written in a shape the node does not take.
+#[test]
+fn an_in_list_over_a_sublink_probe_stays_an_or_chain() {
+    let db = test_db();
+    let sub = || {
+        scalar_sublink(
+            PlanBuilder::scan(&db, "s")
+                .unwrap()
+                .select(eq(qcol("s", "g"), qcol("r", "g")))
+                .aggregate(vec![], vec![max(qcol("s", "c"), "m")])
+                .build(),
+        )
+    };
+    let as_in = builder::in_list(sub(), [lit(103), lit(105)]);
+    let as_or = builder::or(eq(sub(), lit(103)), eq(lit(105), sub()));
+    let mut counts = Vec::new();
+    for predicate in [as_in, as_or] {
+        let plan = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .select(predicate)
+            .build();
+        let ex = Executor::new(&db);
+        let compiled = ex.prepare(&plan).unwrap();
+        let CompiledNode::Select { predicate, .. } = compiled.root() else {
+            panic!("a selection");
+        };
+        assert!(!matches!(predicate, CompiledExpr::In { .. }));
+        let got = ex.execute_compiled(&compiled).unwrap();
+        assert!(got.bag_eq(&ex.execute_unoptimized(&plan).unwrap()));
+        let stats = ex.stats();
+        counts.push((got.len(), stats.memo_hits, stats.memo_misses));
+    }
+    assert_eq!(counts[0], counts[1]);
+    assert!(counts[0].2 > 0, "the sublinks ran: {counts:?}");
 }

@@ -1792,7 +1792,7 @@ fn with_wide_columns(mut db: Database, columns: &[&str], width: usize) -> Databa
                 let values = t.values().iter().zip(&wide);
                 values
                     .map(|(v, &w)| match w {
-                        true => Value::Str(format!("{:0>width$}", v.as_i64().unwrap())),
+                        true => Value::Str(format!("{:0>width$}", v.as_i64().unwrap()).into()),
                         false => v.clone(),
                     })
                     .collect()

@@ -2,7 +2,7 @@
 //! counterpart of a row-major `Vec<Tuple>` slice.
 //!
 //! A [`ColumnVec`] stores one attribute of a tuple block as a contiguous
-//! primitive vector (`i64`, `f64`, `i32` dates, `bool`, `String`) plus a
+//! primitive vector (`i64`, `f64`, `i32` dates, `bool`, shared `Arc<str>`) plus a
 //! packed [`Validity`] bitmap, so comparison / arithmetic / key-encoding
 //! kernels can run over plain slices the autovectorizer understands,
 //! instead of matching a [`Value`] enum per row. Columns whose values mix
@@ -14,8 +14,9 @@
 //!
 //! * **Validity ⇔ `Value::Null`**: slot `i` of a typed lane is invalid
 //!   exactly when the row-major value was `Value::Null`; the payload of an
-//!   invalid slot is a type default (`0`, `0.0`, `false`, `""`) and never
-//!   observable — [`ColumnVec::value_at`] reconstructs `Value::Null`.
+//!   invalid slot is a type default (`0`, `0.0`, `false`, the shared
+//!   [`empty_str`]) and never observable — [`ColumnVec::value_at`]
+//!   reconstructs `Value::Null`.
 //! * **Representation-preserving**: a typed lane holds exactly one `Value`
 //!   variant; `Date(3)` never enters an `Int` lane even though the engine's
 //!   equality coerces them, so `value_at` round-trips the original value
@@ -24,8 +25,9 @@
 //!   demotes the column to the `Values` lane in place (the mixed-type
 //!   fallback); no value is ever coerced.
 
-use crate::value::Value;
+use crate::value::{empty_str, Value};
 use crate::Truth;
+use std::sync::Arc;
 
 /// A packed validity bitmap: bit `i` is set exactly when slot `i` holds a
 /// non-NULL value. Tracks its invalid count so the all-valid fast path is
@@ -134,9 +136,11 @@ pub enum ColumnVec {
     Date { data: Vec<i32>, validity: Validity },
     /// `Value::Bool` lane.
     Bool { data: Vec<bool>, validity: Validity },
-    /// `Value::Str` lane.
+    /// `Value::Str` lane: the same `Arc`s the values hold, so moving a
+    /// string between a lane and a row, or cloning one, bumps a count
+    /// instead of copying bytes.
     Str {
-        data: Vec<String>,
+        data: Vec<Arc<str>>,
         validity: Validity,
     },
     /// Row-at-a-time fallback lane for mixed-type columns (and all-NULL
@@ -205,6 +209,31 @@ impl ColumnVec {
         Some(lane)
     }
 
+    /// The column with a `Values` lane moved into the typed lane of its
+    /// non-NULL entries when they all share one variant (no value is
+    /// cloned). A typed lane comes back as it is, and so does a mixed-type
+    /// or all-NULL `Values` lane.
+    pub fn into_typed(self) -> ColumnVec {
+        let ColumnVec::Values(values) = self else {
+            return self;
+        };
+        let Some(first) = values.iter().find(|v| !v.is_null()) else {
+            return ColumnVec::Values(values);
+        };
+        let kind = std::mem::discriminant(first);
+        if values
+            .iter()
+            .any(|v| !v.is_null() && std::mem::discriminant(v) != kind)
+        {
+            return ColumnVec::Values(values);
+        }
+        let mut lane = ColumnVec::typed_for(first, values.len());
+        for v in values {
+            lane.push_value(v);
+        }
+        lane
+    }
+
     /// A column of `n` copies of `v` — the broadcast of a literal,
     /// parameter or outer-scope binding over a batch.
     pub fn broadcast(v: &Value, n: usize) -> ColumnVec {
@@ -268,7 +297,8 @@ impl ColumnVec {
         }
     }
 
-    /// Reconstructs entry `i` as a [`Value`] (cloning strings).
+    /// Reconstructs entry `i` as a [`Value`] (a string shares the lane's
+    /// `Arc`).
     #[inline]
     pub fn value_at(&self, i: usize) -> Value {
         match self {
@@ -289,7 +319,7 @@ impl ColumnVec {
     pub fn take_value(&mut self, i: usize) -> Value {
         match self {
             ColumnVec::Str { data, validity } if validity.get(i) => {
-                Value::Str(std::mem::take(&mut data[i]))
+                Value::Str(std::mem::replace(&mut data[i], empty_str()))
             }
             ColumnVec::Values(v) => std::mem::replace(&mut v[i], Value::Null),
             _ => self.value_at(i),
@@ -382,7 +412,7 @@ impl ColumnVec {
                     return;
                 }
                 Value::Null => {
-                    data.push(String::new());
+                    data.push(empty_str());
                     validity.push(false);
                     return;
                 }
@@ -678,6 +708,52 @@ mod tests {
         ] {
             assert_eq!(lane(&none), None, "{none:?}");
         }
+    }
+
+    #[test]
+    fn into_typed_moves_uniform_values_into_their_lane() {
+        let uniform = vec![Value::str("a"), Value::Null, Value::str("c")];
+        let typed = ColumnVec::Values(uniform.clone()).into_typed();
+        assert!(matches!(typed, ColumnVec::Str { .. }));
+        assert_eq!(typed.to_values(), uniform);
+        for stays in [
+            vec![Value::Int(1), Value::Date(1)],
+            vec![Value::Null, Value::Null],
+            vec![],
+        ] {
+            let col = ColumnVec::Values(stays.clone()).into_typed();
+            assert_eq!(col, ColumnVec::Values(stays));
+        }
+        let lane = ColumnVec::broadcast(&Value::Int(3), 2);
+        assert_eq!(lane.clone().into_typed(), lane);
+    }
+
+    /// A string lane holds the values' own `Arc`s: pushing, reading,
+    /// gathering and broadcasting share one allocation; a NULL slot and a
+    /// moved-out entry hold the one shared empty string.
+    #[test]
+    fn string_lanes_share_the_values_allocation() {
+        let shared = Value::str("shared");
+        let Value::Str(arc) = &shared else {
+            unreachable!()
+        };
+        let mut col = ColumnVec::typed_for(&shared, 3);
+        col.push_value(shared.clone());
+        col.push_value(Value::Null);
+        col.push_value(shared.clone());
+        let same = |v: &Value| matches!(v, Value::Str(s) if Arc::ptr_eq(s, arc));
+        assert!(same(&col.value_at(0)));
+        assert!(same(&col.gather(0, &[2]).value_at(0)));
+        assert!(same(&ColumnVec::broadcast(&shared, 4).value_at(3)));
+        let ColumnVec::Str { data, .. } = &col else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&data[1], &empty_str()), "NULL slot");
+        assert!(same(&col.take_value(2)));
+        let ColumnVec::Str { data, .. } = &col else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&data[2], &empty_str()), "moved-out entry");
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub use page::{decode_row, decode_value, encode_row, encode_value, Page, PAGE_SI
 pub use relation::Relation;
 pub use schema::{Attribute, DataType, Name, Schema};
 pub use tuple::Tuple;
-pub use value::{civil_from_days, days_from_civil, f64_cmp_sql, int_cmp_float, Truth, Value};
+pub use value::{
+    civil_from_days, days_from_civil, empty_str, f64_cmp_sql, int_cmp_float, Truth, Value,
+};
 
 /// Errors produced by the storage layer and re-used by the rest of the
 /// workspace (expression evaluation, execution, rewriting).

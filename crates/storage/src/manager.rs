@@ -205,7 +205,7 @@ mod tests {
         let rel = Relation::from_rows(
             schema,
             (0..500)
-                .map(|i| vec![Value::Int(i), Value::Str(format!("row-{i}"))])
+                .map(|i| vec![Value::Int(i), Value::str(format!("row-{i}"))])
                 .collect(),
         );
         let paged = mgr.store_relation("memo", &rel).unwrap();

@@ -19,6 +19,7 @@
 
 use crate::value::Value;
 use crate::{Result, StorageError};
+use std::sync::Arc;
 
 /// Size of one page in bytes — the unit of spill-file I/O.
 pub const PAGE_SIZE: usize = 8192;
@@ -135,10 +136,13 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_string(buf: &[u8], pos: &mut usize) -> Result<String> {
+/// Decodes a length-prefixed string straight from the record bytes into a
+/// shared string: one allocation.
+fn read_string(buf: &[u8], pos: &mut usize) -> Result<Arc<str>> {
     let len = read_u32(buf, pos)? as usize;
     let bytes = take(buf, pos, len)?;
-    String::from_utf8(bytes.to_vec())
+    std::str::from_utf8(bytes)
+        .map(Arc::from)
         .map_err(|_| StorageError::Corrupt("invalid UTF-8 in record".to_string()))
 }
 
@@ -270,8 +274,8 @@ mod tests {
             Value::Float(f64::NEG_INFINITY),
             Value::Float(nan_a),
             Value::Float(nan_b),
-            Value::Str(String::new()),
-            Value::Str("späté ünïcode 🚀".to_string()),
+            Value::str(""),
+            Value::str("späté ünïcode 🚀"),
             Value::Date(-719162),
         ];
         let mut buf = Vec::new();

@@ -448,7 +448,7 @@ mod tests {
             2 => Value::Float((next() % 4) as f64),
             3 => Value::Date((next() % 4) as i32),
             4 => Value::Bool(next() % 2 == 0),
-            _ => Value::Str(((next() % 3) as u8 + b'a').to_string()),
+            _ => Value::str(((next() % 3) as u8 + b'a').to_string()),
         };
         let schema = Schema::from_names(&["x", "y"]);
         let mut rel = Relation::empty(schema);

@@ -64,7 +64,7 @@ fn table(name: &str, rows: i64, keys: i64, stride: i64, null_every: i64) -> Rela
                     },
                     cross_type(key, i + stride),
                     Value::Int(i % 7),
-                    Value::Str(format!("{name}{i}")),
+                    Value::Str(format!("{name}{i}").into()),
                 ]
             })
             .collect(),
@@ -505,9 +505,9 @@ fn random_value(rng: &mut StdRng, variant: usize) -> Value {
         2 => Value::Date(small as i32),
         3 => Value::Bool(small % 2 == 0),
         _ => Value::Str(match pick {
-            0 => String::new(),
+            0 => String::new().into(),
             1 => "1".into(),
-            _ => format!("{small}"),
+            _ => format!("{small}").into(),
         }),
     }
 }
