@@ -19,8 +19,12 @@
 //! to [`BATCH_ROWS`] tuples carrying a selection vector (see [`batch`] for
 //! the invariants), so filters mark survivors instead of copying rows and
 //! every expression is dispatched once per batch instead of once per
-//! tuple. The loops are parameterized over *batch-evaluator closures*; two
-//! thin drivers share the bodies:
+//! tuple. A join has one per-left-row body, whatever finds the left row's
+//! right rows — the resident hash table, a grace partition read back from
+//! disk, or the nested loop — and two orders to emit in: as it goes, in
+//! left order, or keyed by left ordinal when grace partitions scramble that
+//! order and a stable sort restores it. The loops are parameterized over
+//! *batch-evaluator closures*; two thin drivers share the bodies:
 //!
 //! * the default path ([`Executor::execute`]) first *compiles* the plan
 //!   ([`compile`]): column references become positional slots and every
@@ -164,10 +168,11 @@
 //! injector for crash-consistency testing. With spilling enabled
 //! (`Executor::with_spill`) the growing operators go **out of core**
 //! instead of failing: the hash join partitions its build side to disk
-//! (grace hash join), the sort writes sorted runs and k-way-merges them,
-//! and the aggregate partitions partial group states — all through the
-//! write-once heap files and read-only buffer pool of `perm-storage`.
-//! Memo entries are dropped under pressure, never spilled.
+//! (grace hash join, each partition driving the resident probe's body), the
+//! sort writes sorted runs and k-way-merges them, and the aggregate
+//! partitions partial group states — all through the write-once heap files
+//! and read-only buffer pool of `perm-storage`. Memo entries are dropped
+//! under pressure, never spilled.
 //!
 //! What execution costs is read from one place: [`Executor::stats`]
 //! snapshots the executor's counter registry as a [`SessionStats`] — each

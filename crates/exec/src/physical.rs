@@ -53,9 +53,11 @@
 //! pass-through `Π` directly above the join, as every rule of the provenance
 //! rewrite leaves one — that `Π`'s columns, so the join's full-width
 //! relation never exists and the `Π` finds its rows made
-//! ([`project_columns`]). Every emission site — resident probe, grace
-//! emission, nested loop, NULL padding, the left rows of semi / anti joins —
-//! goes through the one `JoinSink`. When the equi keys are the join's whole
+//! ([`project_columns`]). Every row a join emits — a match, a recheck
+//! survivor, NULL padding, the left row of a semi / anti join — is emitted
+//! by one per-left-row body, the `Prober`, whichever loop drives it: the
+//! resident hash probe and the nested loop in left order, each grace
+//! partition in partition order. When the equi keys are the join's whole
 //! condition there is nothing to recheck: key-encoding equality is exactly
 //! `=` / `=ₙ` (the invariant of `perm_storage`'s `keys.rs`), bucket-mates
 //! are the matches, and no candidate row is built to ask. The interpreter
@@ -97,8 +99,9 @@
 //! go **out of core** instead of failing: when a budget charge is refused
 //! the hash join switches to a *grace hash join* (build side partitioned to
 //! heap files by [`fnv1a`] of the encoded key, probe keys routed by
-//! ordinal, per-partition rebuild + probe, survivors re-emitted in exact
-//! left-row order), the sort becomes an *external merge sort* (sorted runs
+//! ordinal, per partition a rebuild whose probe records drive the resident
+//! probe's `Prober`, its rows put back in exact left-row order by ordinal),
+//! the sort becomes an *external merge sort* (sorted runs
 //! on disk, each record led by its row's normalised key bytes, k-way merge
 //! comparing those bytes with run-index tie-break — runs are consecutive
 //! input segments, so that tie-break *is* the stable-sort order), and the
@@ -120,12 +123,13 @@ use crate::{ExecError, Result};
 use perm_algebra::{AggFunc, JoinKind, SetOpKind};
 use perm_storage::{
     encode_key_column, encode_key_column_filtered, encode_sort_entry, relation as bag, ColumnVec,
-    Database, HeapFile, KeyGroups, KeyTable, Relation, Schema, StorageError, StorageManager, Tuple,
-    Value,
+    Database, HeapFile, KeyGroups, KeyTable, RecordStream, Relation, Schema, StorageError,
+    StorageManager, Tuple, Value,
 };
 use std::borrow::Cow;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// What the physical aggregate needs to know about one aggregate
@@ -393,124 +397,355 @@ pub(crate) fn cross_product(
     Ok(out)
 }
 
-/// Resets the per-row key buffers for a chunk of `n` rows: every buffer is
-/// emptied (capacity kept — the buffers are only ever read, so steady state
-/// allocates nothing) and every row starts live. Shared by the hash-join
-/// build/probe and the aggregate.
-fn reset_key_buffers(n: usize, keys_buf: &mut Vec<Vec<u8>>, live: &mut Vec<bool>) {
-    if keys_buf.len() < n {
-        keys_buf.resize_with(n, Vec::new);
-    }
-    for key in keys_buf[..n].iter_mut() {
-        key.clear();
-    }
-    live.clear();
-    live.resize(n, true);
+/// One chunk's keys, encoded column-wise into per-row buffers that every
+/// chunk reuses (emptied, capacity kept — the buffers are only ever read,
+/// so steady state allocates nothing): the key lanes are filled through
+/// [`ChunkKeys::lanes`], and [`ChunkKeys::encode`] appends each lane's
+/// bytes to every row's key. Shared by the hash join's build, probe and
+/// grace routing and by the aggregate.
+struct ChunkKeys {
+    cols: Vec<ColumnVec>,
+    bytes: Vec<Vec<u8>>,
+    live: Vec<bool>,
 }
 
-/// Where every row a join outputs goes — resident probe, grace emission,
-/// nested loop, padding, semi / anti alike — through the one [`ColumnMap`]:
-/// output column `k` is column `map.cols()[k]` of the candidate row
-/// `left ⧺ right` (of the left row, for semi / anti joins).
-struct JoinSink<'a> {
+impl ChunkKeys {
+    fn new(nkeys: usize) -> ChunkKeys {
+        ChunkKeys {
+            cols: vec![ColumnVec::default(); nkeys],
+            bytes: Vec::new(),
+            live: Vec::new(),
+        }
+    }
+
+    /// The key lanes, emptied for the next chunk's values.
+    fn lanes(&mut self) -> &mut [ColumnVec] {
+        for col in self.cols.iter_mut() {
+            col.clear_values();
+        }
+        &mut self.cols
+    }
+
+    /// Encodes the `n` rows of the filled lanes. `null_safe` carries one
+    /// flag per join key: a NULL under a plain equality kills its row, which
+    /// then matches nothing; `None` encodes grouping keys, under which NULLs
+    /// group together and every row stays live.
+    fn encode(&mut self, n: usize, null_safe: Option<&[bool]>) {
+        if self.bytes.len() < n {
+            self.bytes.resize_with(n, Vec::new);
+        }
+        let keys = &mut self.bytes[..n];
+        for key in keys.iter_mut() {
+            key.clear();
+        }
+        self.live.clear();
+        self.live.resize(n, true);
+        match null_safe {
+            Some(null_safe) => {
+                for (col, null_safe) in self.cols.iter().zip(null_safe) {
+                    encode_key_column_filtered(col, *null_safe, &mut self.live, keys);
+                }
+            }
+            None => {
+                for col in &self.cols {
+                    encode_key_column(col, keys);
+                }
+            }
+        }
+    }
+
+    /// Evaluates and encodes the join keys of one chunk of an input with
+    /// `arity` columns: `keys_of` evaluates key `i` over the chunk's batch.
+    fn encode_join(
+        &mut self,
+        chunk: &[Tuple],
+        arity: usize,
+        null_safe: &[bool],
+        keys_of: &mut impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
+    ) -> Result<()> {
+        let block = ColumnBlock::new(arity);
+        let batch = Batch::dense_with_block(chunk, &block);
+        for (i, col) in self.lanes().iter_mut().enumerate() {
+            keys_of(&batch, i, col)?;
+        }
+        self.encode(chunk.len(), Some(null_safe));
+        Ok(())
+    }
+
+    /// Row `j`'s key, or `None` for a row that matches nothing.
+    fn key(&self, j: usize) -> Option<&[u8]> {
+        self.live[j].then(|| &self.bytes[j][..])
+    }
+}
+
+/// Where a join's output rows go: in the order they are emitted, or — on
+/// the grace path, whose partitions scramble the left order — beside their
+/// left row's ordinal, for the walk that restores it.
+enum JoinSink {
+    InOrder(Vec<Tuple>),
+    ByOrdinal(Vec<(usize, Tuple)>),
+}
+
+impl JoinSink {
+    fn push(&mut self, ord: usize, row: Tuple) {
+        match self {
+            JoinSink::InOrder(rows) => rows.push(row),
+            JoinSink::ByOrdinal(rows) => rows.push((ord, row)),
+        }
+    }
+
+    /// The rows in left-row order. Each left row's rows are pushed one
+    /// after another, so a stable sort by ordinal keeps their order.
+    fn into_rows(self) -> Vec<Tuple> {
+        match self {
+            JoinSink::InOrder(rows) => rows,
+            JoinSink::ByOrdinal(mut rows) => {
+                rows.sort_by_key(|(ord, _)| *ord);
+                rows.into_iter().map(|(_, row)| row).collect()
+            }
+        }
+    }
+}
+
+/// A join's per-left-row body, shared by every way of finding a left row's
+/// right rows. Each output row is built once, through `map`: output column
+/// `k` is column `map.cols()[k]` of the candidate row `left ⧺ right` (of the
+/// left row, for semi / anti joins). A left row's rows go out in
+/// right-input order, then what ends the row ([`Prober::close`]).
+struct Prober<'a, C> {
+    probe: OpProbe<'a>,
+    left: &'a [Tuple],
     map: &'a ColumnMap,
     kind: JoinKind,
-    out: Relation,
+    recheck: bool,
+    condition: C,
+    /// Candidate rows are always `left ⧺ right`, even for semi / anti joins
+    /// whose *output* is the left row alone.
+    join_arity: usize,
+    /// Output growth — under `recheck`, candidate-buffer growth, which
+    /// proxies it (survivors move to the output). Only a refusal frees it,
+    /// after a flush of the candidates, so that a resident join accounts as
+    /// the pre-spill executor did; a grace partition frees it at its end.
+    charge: Option<TransientCharge<'a>>,
+    sink: JoinSink,
+    /// Candidates awaiting the recheck, and per left row its ordinal and
+    /// its candidates' range.
+    pending: Vec<Tuple>,
+    segments: Vec<(usize, Range<usize>)>,
+    truths: Vec<bool>,
+    /// Rows emitted unrechecked since the last checkpoint.
+    since_checkpoint: usize,
 }
 
-impl JoinSink<'_> {
-    /// A survivor of the recheck, gathered out of its candidate row.
-    fn survivor(&mut self, candidate: &mut Tuple) {
-        let row = self.map.gather(std::mem::take(candidate));
-        self.out.push_unchecked(row);
+impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
+    /// Joins left row `ord` with its hash bucket-mates, `mates` indexing
+    /// `build`. Without `recheck` the mates are the matches: each output row
+    /// is built straight from its `(left, right)` pair, a checkpoint per
+    /// [`BATCH_ROWS`] rows emitted (a semi / anti join keeps only the fact).
+    /// With it they become candidates, flushed ([`Prober::flush`]) at a left
+    /// row's boundary once a batch of them has accumulated or their charge
+    /// is refused.
+    fn row(&mut self, ord: usize, mates: &[u32], build: &[Tuple]) -> Result<()> {
+        let left = self.left;
+        let lt = &left[ord];
+        if !self.recheck {
+            let mut grown = 0;
+            if !self.kind.left_only_output() {
+                for &rt in mates {
+                    let row = self.map.pair(lt, Some(&build[rt as usize]));
+                    if self.charge.is_some() {
+                        grown += tuple_bytes(&row);
+                    }
+                    self.sink.push(ord, row);
+                    self.since_checkpoint += 1;
+                    if self.since_checkpoint == BATCH_ROWS {
+                        self.since_checkpoint = 0;
+                        self.probe.checkpoint("join")?;
+                        self.probe.batch();
+                    }
+                }
+            }
+            grown += self.close(ord, !mates.is_empty());
+            if let Some(c) = self.charge.as_mut() {
+                // A refusal has no buffer to flush: the rows are the result.
+                if c.try_grow(grown)?.is_some() {
+                    c.release();
+                }
+            }
+            return Ok(());
+        }
+        let start = self.pending.len();
+        self.pending
+            .extend(mates.iter().map(|&rt| lt.concat(&build[rt as usize])));
+        self.segments.push((ord, start..self.pending.len()));
+        let mut refused = false;
+        if let Some(c) = self.charge.as_mut() {
+            let grown = self.pending[start..].iter().map(tuple_bytes).sum();
+            refused = c.try_grow(grown)?.is_some();
+        }
+        if refused || self.pending.len() >= BATCH_ROWS {
+            self.flush()?;
+            if refused {
+                self.release();
+            }
+        }
+        Ok(())
     }
 
-    /// Ends a left row: NULL padding for a left-outer join nothing matched,
-    /// the left row itself — at most once — for a semi join something
-    /// matched and an anti join nothing did.
-    fn close_left(&mut self, lt: &Tuple, matched: bool) {
+    /// Rechecks the pending candidates and emits, in order, each left row's
+    /// survivors — gathered out of their candidates — and then what ends the
+    /// row.
+    fn flush(&mut self) -> Result<()> {
+        self.recheck()?;
+        let mut segments = std::mem::take(&mut self.segments);
+        for (ord, candidates) in segments.drain(..) {
+            let mut matched = false;
+            for idx in candidates {
+                if self.truths[idx] {
+                    matched = true;
+                    if self.kind.left_only_output() {
+                        break;
+                    }
+                    self.survivor(ord, idx);
+                }
+            }
+            self.close(ord, matched);
+        }
+        self.segments = segments;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Evaluates `condition` over the pending candidates a batch at a time:
+    /// one verdict per candidate, one checkpoint per batch.
+    fn recheck(&mut self) -> Result<()> {
+        self.truths.clear();
+        for chunk in self.pending.chunks(BATCH_ROWS) {
+            self.probe.checkpoint("join")?;
+            self.probe.batch();
+            let block = ColumnBlock::new(self.join_arity);
+            (self.condition)(&Batch::dense_with_block(chunk, &block), &mut self.truths)?;
+        }
+        debug_assert_eq!(self.truths.len(), self.pending.len());
+        Ok(())
+    }
+
+    /// Flushes what is pending and frees the charge.
+    fn finish(&mut self) -> Result<()> {
+        self.flush()?;
+        self.release();
+        Ok(())
+    }
+
+    fn release(&mut self) {
+        if let Some(c) = self.charge.as_mut() {
+            c.release();
+        }
+    }
+
+    /// Candidate `idx`, which survived the recheck, as left row `ord`'s
+    /// output row.
+    fn survivor(&mut self, ord: usize, idx: usize) {
+        let row = self.map.gather(std::mem::take(&mut self.pending[idx]));
+        self.sink.push(ord, row);
+    }
+
+    /// Ends left row `ord`: NULL padding for a left-outer join nothing
+    /// matched, the left row itself for a semi join something matched and
+    /// an anti join nothing did. Returns the bytes emitted, when charging.
+    fn close(&mut self, ord: usize, matched: bool) -> u64 {
         let emits = match self.kind {
             JoinKind::Inner => false,
             JoinKind::Semi => matched,
             JoinKind::LeftOuter | JoinKind::Anti => !matched,
         };
-        if emits {
-            self.out.push_unchecked(self.map.pair(lt, None));
+        if !emits {
+            return 0;
         }
+        let row = self.map.pair(&self.left[ord], None);
+        let bytes = match self.charge {
+            Some(_) => tuple_bytes(&row),
+            None => 0,
+        };
+        self.sink.push(ord, row);
+        bytes
     }
-}
 
-/// One left row's candidate range inside a pending joined-row buffer:
-/// the left tuple (for padding) and the half-open candidate range.
-struct JoinSegment<'l> {
-    left: &'l Tuple,
-    start: usize,
-    end: usize,
-}
-
-/// Evaluates `condition` batch-at-a-time over a buffer of candidate rows:
-/// one verdict per candidate, one checkpoint per batch.
-fn recheck_candidates(
-    probe: OpProbe<'_>,
-    condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-    pending: &[Tuple],
-    join_arity: usize,
-    truths: &mut Vec<bool>,
-) -> Result<()> {
-    truths.clear();
-    for chunk in pending.chunks(BATCH_ROWS) {
-        probe.checkpoint("join")?;
-        probe.batch();
-        let block = ColumnBlock::new(join_arity);
-        condition(&Batch::dense_with_block(chunk, &block), truths)?;
-    }
-    debug_assert_eq!(truths.len(), pending.len(), "one verdict per candidate");
-    Ok(())
-}
-
-/// Filters a pending buffer of joined candidate rows with `condition` and
-/// emits, **in order**, each segment's surviving rows (gathered out of
-/// their candidates) followed by whatever ends its left row. Drains both
-/// buffers.
-#[allow(clippy::too_many_arguments)]
-fn flush_join_segments(
-    probe: OpProbe<'_>,
-    sink: &mut JoinSink<'_>,
-    condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-    pending: &mut Vec<Tuple>,
-    segments: &mut Vec<JoinSegment<'_>>,
-    truths: &mut Vec<bool>,
-    join_arity: usize,
-) -> Result<()> {
-    recheck_candidates(probe, condition, pending, join_arity, truths)?;
-    for segment in segments.drain(..) {
-        let mut matched = false;
-        for idx in segment.start..segment.end {
-            if truths[idx] {
-                matched = true;
-                if sink.kind.left_only_output() {
+    /// The nested-loop join: each left row's candidates are the whole right
+    /// input, processed one right batch at a time (bounded memory, batched
+    /// condition dispatch), with the row closed at its boundary.
+    fn nested_loop(&mut self, right: &[Tuple]) -> Result<()> {
+        let (left, left_only) = (self.left, self.kind.left_only_output());
+        for (ord, lt) in left.iter().enumerate() {
+            let mut matched = false;
+            for r_chunk in right.chunks(BATCH_ROWS) {
+                self.pending.clear();
+                self.pending.extend(r_chunk.iter().map(|rt| lt.concat(rt)));
+                self.recheck()?;
+                for idx in 0..self.truths.len() {
+                    if self.truths[idx] {
+                        matched = true;
+                        if left_only {
+                            break;
+                        }
+                        self.survivor(ord, idx);
+                    }
+                }
+                // One match decides a semi/anti join's verdict for this left
+                // row; the remaining right chunks cannot change it. (The
+                // optimizer only builds semi/anti joins over total
+                // conditions, so skipping them drops no evaluation errors.)
+                if matched && left_only {
                     break;
                 }
-                sink.survivor(&mut pending[idx]);
             }
+            self.close(ord, matched);
         }
-        sink.close_left(segment.left, matched);
+        Ok(())
     }
-    pending.clear();
-    Ok(())
 }
 
-/// The grace-hash-join spill state: one build and one probe partition file
-/// per hash partition, plus the spill store that owns them.
-struct JoinSpill {
-    mgr: Rc<StorageManager>,
-    build: Vec<Rc<HeapFile>>,
-    probe: Vec<Rc<HeapFile>>,
+/// A set of hash-partition files in the spill store: a record goes to the
+/// file its key's [`fnv1a`] picks, so every record of one key lands in one
+/// partition, and what the set writes is counted as it goes.
+struct Partitions {
+    store: Rc<StorageManager>,
+    files: Vec<Rc<HeapFile>>,
 }
 
-impl JoinSpill {
-    fn partition_of(&self, key: &[u8]) -> usize {
-        (fnv1a(key) % self.build.len() as u64) as usize
+impl Partitions {
+    /// `n` fresh files named after `label`.
+    fn create(
+        gov: &Governor,
+        store: Rc<StorageManager>,
+        label: &str,
+        n: usize,
+    ) -> Result<Partitions> {
+        let mut files = Vec::with_capacity(n);
+        for p in 0..n {
+            files.push(store.create_file(&format!("{label}-{p}"))?);
+        }
+        gov.count().spill_partitions += n as u64;
+        Ok(Partitions { store, files })
+    }
+
+    fn append(&self, gov: &Governor, key: &[u8], record: &[u8]) -> Result<()> {
+        let p = (fnv1a(key) % self.files.len() as u64) as usize;
+        self.files[p].append_record(record)?;
+        gov.count().spilled_bytes += record.len() as u64;
+        Ok(())
+    }
+
+    fn seal(&self) -> Result<()> {
+        for file in &self.files {
+            file.seal()?;
+        }
+        Ok(())
+    }
+
+    /// Each partition's records, in the order they were written.
+    fn streams(&self) -> impl Iterator<Item = RecordStream<'_>> {
+        self.files.iter().map(|file| self.store.pool().stream(file))
     }
 }
 
@@ -523,156 +758,62 @@ fn join_partition_count(budget: u64, build_side: &OpRows<'_>) -> usize {
     ((4 * bytes / budget.max(1)) as usize).clamp(2, 64)
 }
 
-/// Switches the build phase to grace mode: creates the partition files and
-/// drains the build rows read so far — `row_ids[i]` is the id in `table` of
-/// build row `i`'s key — into them, key by key in id order. Per-key
-/// candidate order is preserved — each key's rows are written in
-/// build-input order, and every row of one key lands in the same partition
-/// file — and the files are the same on every run.
+/// Switches the build phase to grace mode: creates the build and probe
+/// partition files in `store` and drains the build rows read so far —
+/// `row_ids[i]` is the id in `table` of build row `i`'s key — into the
+/// build files, key by key in id order. Per-key candidate order is
+/// preserved — each key's rows are written in build-input order, and every
+/// row of one key lands in the same partition file — and the files are the
+/// same on every run.
 fn spill_join_build(
     gov: &Governor,
+    store: Rc<StorageManager>,
     build_side: &OpRows<'_>,
     table: &KeyTable,
     row_ids: &[u32],
-) -> Result<JoinSpill> {
-    let mgr = gov
-        .spill()
-        .expect("a refused try_grow guarantees a live spill store");
+) -> Result<(Partitions, Partitions)> {
     let parts = join_partition_count(gov.budget().unwrap_or(1), build_side);
-    let mut build = Vec::with_capacity(parts);
-    let mut probe = Vec::with_capacity(parts);
-    for p in 0..parts {
-        build.push(mgr.create_file(&format!("join-build-{p}"))?);
-        probe.push(mgr.create_file(&format!("join-probe-{p}"))?);
-    }
-    gov.count().spill_partitions += 2 * parts as u64;
-    let js = JoinSpill { mgr, build, probe };
+    let build = Partitions::create(gov, Rc::clone(&store), "join-build", parts)?;
+    let probes = Partitions::create(gov, store, "join-probe", parts)?;
     let groups = KeyGroups::new(table.len(), row_ids);
     let rows = build_side.tuples();
     let mut buf = Vec::new();
     for id in 0..table.len() as u32 {
         let key = table.key(id);
-        let p = js.partition_of(key);
         for &row in groups.members(id) {
             spill::encode_keyed_tuple(key, &rows[row as usize], &mut buf);
-            js.build[p].append_record(&buf)?;
-            gov.count().spilled_bytes += buf.len() as u64;
+            build.append(gov, key, &buf)?;
         }
     }
-    Ok(js)
+    Ok((build, probes))
 }
 
-/// Filters a pending buffer of joined candidate rows with `condition` and
-/// collects each segment's survivors as `(left ordinal, output row)` pairs
-/// — the grace-probe counterpart of [`flush_join_segments`], which cannot
-/// emit directly because partitions scramble the probe order. A semi / anti
-/// join needs one (empty) survivor per matched ordinal. What ends a left
-/// row is deferred to the ordinal-ordered emission walk.
-#[allow(clippy::too_many_arguments)]
-fn flush_spill_candidates(
-    probe: OpProbe<'_>,
-    sink: &JoinSink<'_>,
-    condition: &mut impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-    pending: &mut Vec<Tuple>,
-    segments: &mut Vec<(u64, usize, usize)>,
-    truths: &mut Vec<bool>,
-    join_arity: usize,
-    survivors: &mut Vec<(u64, Tuple)>,
+/// The grace join's partitions, once every build row and every live left
+/// row's `(ordinal, key)` has been routed to its partition: per partition,
+/// the build rows are read back into a key table — as the resident build
+/// lays them out; the ladder's last resort, so a partition that cannot fit
+/// fails the query — and its probe records drive the same [`Prober`] the
+/// resident probe does, each row keyed by its left ordinal.
+fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
+    prober: &mut Prober<'_, C>,
+    build: &Partitions,
+    probes: &Partitions,
 ) -> Result<()> {
-    recheck_candidates(probe, condition, pending, join_arity, truths)?;
-    for (ordinal, start, end) in segments.drain(..) {
-        for idx in start..end {
-            if truths[idx] {
-                if sink.kind.left_only_output() {
-                    survivors.push((ordinal, Tuple::empty()));
-                    break;
-                }
-                let survivor = std::mem::take(&mut pending[idx]);
-                survivors.push((ordinal, sink.map.gather(survivor)));
-            }
-        }
-    }
-    pending.clear();
-    Ok(())
-}
-
-/// The grace-join probe and emission phases, entered once the build side
-/// has been partitioned to disk. The left input stays resident; only its
-/// `(ordinal, key)` pairs are routed through the probe partition files, so
-/// each partition joins against exactly the build rows that can match it.
-/// Survivors — already output rows — are re-emitted in exact left-row order
-/// (stable sort by ordinal), each ordinal closed by [`JoinSink::close_left`].
-#[allow(clippy::too_many_arguments)]
-fn grace_probe(
-    probe: OpProbe<'_>,
-    mut sink: JoinSink<'_>,
-    recheck: bool,
-    js: &JoinSpill,
-    l: &OpRows<'_>,
-    right_arity: usize,
-    key_null_safe: &[bool],
-    charge: &mut Option<TransientCharge<'_>>,
-    cand_charge: &mut Option<TransientCharge<'_>>,
-    mut left_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
-    mut condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
-) -> Result<Relation> {
-    let left_only = sink.kind.left_only_output();
-    let left_arity = l.schema().arity();
-    let join_arity = left_arity + right_arity;
-    let nkeys = key_null_safe.len();
-
-    // Route each live left row's (ordinal, key) to its partition; rows with
-    // a NULL key under plain equality match nothing and are skipped (their
-    // left-outer padding falls out of the emission walk).
-    let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
-    let mut keys_buf: Vec<Vec<u8>> = Vec::new();
-    let mut live: Vec<bool> = Vec::new();
-    let mut buf = Vec::new();
-    let mut ordinal = 0u64;
-    for chunk in l.tuples().chunks(BATCH_ROWS) {
-        probe.checkpoint("join")?;
-        probe.batch();
-        let block = ColumnBlock::new(left_arity);
-        let batch = Batch::dense_with_block(chunk, &block);
-        for (i, col) in key_cols.iter_mut().enumerate() {
-            col.clear_values();
-            left_keys(&batch, i, col)?;
-        }
-        reset_key_buffers(chunk.len(), &mut keys_buf, &mut live);
-        for (col, null_safe) in key_cols.iter().zip(key_null_safe) {
-            encode_key_column_filtered(col, *null_safe, &mut live, &mut keys_buf[..chunk.len()]);
-        }
-        for j in 0..chunk.len() {
-            if live[j] {
-                spill::encode_probe(ordinal, &keys_buf[j], &mut buf);
-                js.probe[js.partition_of(&keys_buf[j])].append_record(&buf)?;
-                probe.gov.count().spilled_bytes += buf.len() as u64;
-            }
-            ordinal += 1;
-        }
-    }
-    for file in js.build.iter().chain(js.probe.iter()) {
-        file.seal()?;
-    }
-
-    // Per partition: rebuild that partition's key table and mates, as the
-    // resident build does (this is the ladder's last resort — a partition
-    // that cannot fit fails the query), then stream its probe records and
-    // collect survivors.
-    let mut survivors: Vec<(u64, Tuple)> = Vec::new();
-    let mut pending: Vec<Tuple> = Vec::new();
-    let mut segments: Vec<(u64, usize, usize)> = Vec::new();
-    let mut truths: Vec<bool> = Vec::new();
-    let l_tuples = l.tuples();
+    let probe = prober.probe;
+    build.seal()?;
+    probes.seal()?;
+    // What routing ended — left rows whose key matches nothing — goes out
+    // first, so the prober holds no charge when the first rebuild grows.
+    prober.finish()?;
+    let mut charge = probe.gov.transient("join");
     let mut table = KeyTable::new();
     let mut rows: Vec<Tuple> = Vec::new();
     let mut row_ids: Vec<u32> = Vec::new();
-    for p in 0..js.build.len() {
+    for (mut build_stream, mut probe_stream) in build.streams().zip(probes.streams()) {
         table.clear();
         rows.clear();
         row_ids.clear();
-        let mut stream = js.mgr.pool().stream(&js.build[p]);
-        while let Some(record) = stream.next_record()? {
+        while let Some(record) = build_stream.next_record()? {
             let (key, tuple) = spill::decode_keyed_tuple(&record)?;
             if let Some(c) = charge.as_mut() {
                 c.grow(key.len() as u64 + tuple_bytes(&tuple))?;
@@ -685,126 +826,50 @@ fn grace_probe(
             }
         }
         let groups = KeyGroups::new(table.len(), &row_ids);
-        let mut stream = js.mgr.pool().stream(&js.probe[p]);
-        while let Some(record) = stream.next_record()? {
+        while let Some(record) = probe_stream.next_record()? {
             let (ord, key) = spill::decode_probe(&record)?;
-            let lt = &l_tuples[ord as usize];
             let mates = table.get(key).map_or(&[][..], |id| groups.members(id));
-            if !recheck {
-                // Bucket-mates are the matches: their output rows are built
-                // here, once (a semi / anti join keeps only the fact), a
-                // checkpoint per batch of them.
-                let matches = if left_only {
-                    mates.len().min(1)
-                } else {
-                    mates.len()
-                };
-                for &rt in &mates[..matches] {
-                    let row = match left_only {
-                        true => Tuple::empty(),
-                        false => sink.map.pair(lt, Some(&rows[rt as usize])),
-                    };
-                    survivors.push((ord, row));
-                    if survivors.len().is_multiple_of(BATCH_ROWS) {
-                        probe.checkpoint("join")?;
-                        probe.batch();
-                    }
-                }
-                continue;
-            }
-            let start = pending.len();
-            for &rt in mates {
-                pending.push(lt.concat(&rows[rt as usize]));
-            }
-            let mut flush_now = false;
-            if let Some(c) = cand_charge.as_mut() {
-                let grown: u64 = pending[start..].iter().map(tuple_bytes).sum();
-                if !c.try_grow(grown)? {
-                    flush_now = true;
-                }
-            }
-            segments.push((ord, start, pending.len()));
-            if flush_now || pending.len() >= BATCH_ROWS {
-                flush_spill_candidates(
-                    probe,
-                    &sink,
-                    &mut condition,
-                    &mut pending,
-                    &mut segments,
-                    &mut truths,
-                    join_arity,
-                    &mut survivors,
-                )?;
-                if let Some(c) = cand_charge.as_mut() {
-                    c.release();
-                }
-            }
+            prober.row(ord as usize, mates, &rows)?;
         }
-        flush_spill_candidates(
-            probe,
-            &sink,
-            &mut condition,
-            &mut pending,
-            &mut segments,
-            &mut truths,
-            join_arity,
-            &mut survivors,
-        )?;
-        if let Some(c) = cand_charge.as_mut() {
-            c.release();
-        }
+        prober.finish()?;
         if let Some(c) = charge.as_mut() {
             // This partition's table and rows are about to be cleared.
             c.release();
         }
     }
-
-    // Emission in exact left-row order: a stable sort groups survivors by
-    // ordinal while keeping each ordinal's build-input candidate order.
-    survivors.sort_by_key(|(ord, _)| *ord);
-    let mut survivors = survivors.into_iter().peekable();
-    for (ord, lt) in l_tuples.iter().enumerate() {
-        let mut matched = false;
-        while let Some((_, row)) = survivors.next_if(|(o, _)| *o == ord as u64) {
-            matched = true;
-            if !left_only {
-                sink.out.push_unchecked(row);
-            }
-        }
-        sink.close_left(lt, matched);
-    }
-    Ok(sink.out)
+    Ok(())
 }
 
-/// Inner, left-outer, semi or anti join over already-executed inputs.
+/// Inner, left-outer, semi or anti join over already-executed inputs, its
+/// per-left-row body one [`Prober`] whose rows keep exactly the order of a
+/// tuple-at-a-time loop: a left row's matches in right-input order, then
+/// what ends the row (NULL padding; the left row of a semi / anti join).
 ///
 /// `key_null_safe` carries one flag per extracted equi-key conjunct; when
 /// non-empty the join runs hashed — the right side (the **build** side, a
 /// pipeline breaker consumed batch by batch at its input boundary) is keyed
-/// on the column-wise key encoding ([`encode_key_column_filtered`]) of its
-/// key values: each key column is encoded in one contiguous pass,
-/// appending its bytes to every row's reused key buffer, and each row's
-/// key is interned into one [`KeyTable`] (no allocation per row). Once the
-/// side is read its rows are laid out per key id ([`KeyGroups`]), so a
+/// on the column-wise key encoding ([`ChunkKeys`]) of its key values, each
+/// row's key interned into one [`KeyTable`] (no allocation per row). Once
+/// the side is read its rows are laid out per key id ([`KeyGroups`]), so a
 /// probe finds its mates as one slice in build-input order. Rows whose key
 /// is NULL under a plain (non-null-safe) equality can never match and are
-/// dropped from the table / probe (the encoder marks them dead in the
-/// `live` mask). When empty (no usable equality, or
-/// the condition carries sublinks, e.g. the Jsub conditions of the Left
-/// strategy) the join falls back to a nested loop. Either way the **probe**
-/// operates batch-at-a-time: key expressions are evaluated once per batch
-/// into typed [`ColumnVec`] lanes, and output keeps exactly the per-left-row
-/// order of a tuple-at-a-time loop — a left row's matches in right-input
-/// order, then what ends the row (NULL padding; the left row of a semi /
-/// anti join).
+/// dropped from the table / probe. The left (**probe**) side's keys are
+/// evaluated a batch at a time into typed [`ColumnVec`] lanes, and its rows
+/// drive the prober in left order, which emits as it goes. When the build
+/// table outgrows the budget with spilling on, the join goes grace: the
+/// build rows and the left rows' keys are routed to partition files, and
+/// [`grace_partitions`] drives the same prober partition by partition, its
+/// rows put back in left order at the end. When `key_null_safe` is empty
+/// (no usable equality, or the condition carries sublinks, e.g. the Jsub
+/// conditions of the Left strategy) the join falls back to a nested loop.
 ///
-/// Every output row is written through `map` by [`JoinSink`] (see the
-/// module docs). With `recheck`, bucket-mates — in the nested loop, all
-/// right rows — become candidate rows, filtered by a batched `condition`
-/// pass, the survivors gathered out of their candidates; without it each
-/// output row is built straight from its `(left, right)` pair: no candidate,
-/// no `condition` call, a checkpoint per [`BATCH_ROWS`] rows emitted in
-/// place of the one per candidate batch.
+/// Every output row is written through `map` (see the module docs). With
+/// `recheck`, bucket-mates — in the nested loop, all right rows — become
+/// candidate rows, filtered by a batched `condition` pass, the survivors
+/// gathered out of their candidates; without it each output row is built
+/// straight from its `(left, right)` pair: no candidate, no `condition`
+/// call, a checkpoint per [`BATCH_ROWS`] rows emitted in place of the one
+/// per candidate batch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join(
     probe: OpProbe<'_>,
@@ -817,265 +882,119 @@ pub(crate) fn join(
     recheck: bool,
     mut left_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut right_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
-    mut condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
+    condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = probe.begin("join")?;
     let gov = probe.gov;
     let mut charge = gov.transient("join");
-    let mut cand_charge = gov.transient("join");
-    let left_arity = l.schema().arity();
-    let right_arity = r.schema().arity();
-    // Candidate rows are always left⧺right, even for semi/anti joins whose
-    // *output* schema is the left input alone.
-    let join_arity = left_arity + right_arity;
-    let nkeys = key_null_safe.len();
-    let mut sink = JoinSink {
+    let (left_arity, right_arity) = (l.schema().arity(), r.schema().arity());
+    let mut prober = Prober {
+        probe,
+        left: l.tuples(),
         map,
         kind,
-        out: Relation::empty(out_schema.clone()),
+        recheck,
+        condition,
+        join_arity: left_arity + right_arity,
+        charge: gov.transient("join"),
+        sink: JoinSink::InOrder(Vec::new()),
+        pending: Vec::new(),
+        segments: Vec::new(),
+        truths: Vec::new(),
+        since_checkpoint: 0,
     };
-    let mut pending: Vec<Tuple> = Vec::new();
-    let mut segments: Vec<JoinSegment<'_>> = Vec::new();
-    let mut truths: Vec<bool> = Vec::new();
+    if key_null_safe.is_empty() {
+        prober.nested_loop(r.tuples())?;
+        let rows = prober.sink.into_rows();
+        return Ok(Relation::from_tuples_unchecked(out_schema.clone(), rows));
+    }
 
-    if nkeys > 0 {
-        // Build side: intern each right row's encoded key values in one key
-        // table, one batch of key evaluations at a time, and lay the rows
-        // out per key id once the side is read. Evaluating every key
-        // column eagerly (where the tuple-at-a-time loop stopped at a
-        // row's first NULL non-null-safe key) is safe because equi keys
-        // are always bare column references (`extract_equi_keys` extracts
-        // only `Column = Column` conjuncts, resolution-checked against the
-        // input schemas), so key evaluation cannot raise an error the
-        // early exit would have shielded.
-        let mut table = KeyTable::new();
-        // The key id of each build row, `KeyGroups::NONE` for a row whose
-        // NULL key matches nothing.
-        let mut row_ids: Vec<u32> = Vec::with_capacity(r.len());
-        let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
-        let mut keys_buf: Vec<Vec<u8>> = Vec::new();
-        let mut live: Vec<bool> = Vec::new();
-        let mut js: Option<JoinSpill> = None;
-        let mut rec_buf: Vec<u8> = Vec::new();
-        for chunk in r.tuples().chunks(BATCH_ROWS) {
-            probe.checkpoint("join")?;
-            probe.batch();
-            let block = ColumnBlock::new(right_arity);
-            let batch = Batch::dense_with_block(chunk, &block);
-            for (i, col) in key_cols.iter_mut().enumerate() {
-                col.clear_values();
-                right_keys(&batch, i, col)?;
-            }
-            // Column-wise key encoding: one pass per key column appends
-            // that column's bytes to every live row's key buffer; a NULL
-            // under a non-null-safe equality kills the row instead.
-            reset_key_buffers(chunk.len(), &mut keys_buf, &mut live);
-            for (col, null_safe) in key_cols.iter().zip(key_null_safe) {
-                encode_key_column_filtered(
-                    col,
-                    *null_safe,
-                    &mut live,
-                    &mut keys_buf[..chunk.len()],
-                );
-            }
-            if let Some(js) = &js {
-                // Grace mode: the build table already moved to disk; route
-                // this chunk's live rows straight to their partition files.
-                for (j, rt) in chunk.iter().enumerate() {
-                    if !live[j] {
-                        continue;
-                    }
-                    spill::encode_keyed_tuple(&keys_buf[j], rt, &mut rec_buf);
-                    js.build[js.partition_of(&keys_buf[j])].append_record(&rec_buf)?;
-                    gov.count().spilled_bytes += rec_buf.len() as u64;
+    // Build side. Evaluating every key column eagerly (where the
+    // tuple-at-a-time loop stopped at a row's first NULL non-null-safe key)
+    // is safe because equi keys are always bare column references
+    // (`extract_equi_keys` extracts only `Column = Column` conjuncts,
+    // resolution-checked against the input schemas), so key evaluation
+    // cannot raise an error the early exit would have shielded.
+    let mut keys = ChunkKeys::new(key_null_safe.len());
+    let mut table = KeyTable::new();
+    // The key id of each build row, `KeyGroups::NONE` for a row whose NULL
+    // key matches nothing.
+    let mut row_ids: Vec<u32> = Vec::with_capacity(r.len());
+    // Once grace: the build and probe partitions.
+    let mut grace: Option<(Partitions, Partitions)> = None;
+    let mut buf: Vec<u8> = Vec::new();
+    for chunk in r.tuples().chunks(BATCH_ROWS) {
+        probe.checkpoint("join")?;
+        probe.batch();
+        keys.encode_join(chunk, right_arity, key_null_safe, &mut right_keys)?;
+        if let Some((build, _)) = &grace {
+            // The build table already moved to disk: this chunk's live rows
+            // go straight to their partition files.
+            for (j, rt) in chunk.iter().enumerate() {
+                if let Some(key) = keys.key(j) {
+                    spill::encode_keyed_tuple(key, rt, &mut buf);
+                    build.append(gov, key, &buf)?;
                 }
+            }
+            continue;
+        }
+        let mut chunk_bytes = 0u64;
+        for j in 0..chunk.len() {
+            let Some(key) = keys.key(j) else {
+                row_ids.push(KeyGroups::NONE);
                 continue;
+            };
+            if charge.is_some() {
+                // Build-table growth: the encoded key plus the bucket-mate
+                // reference.
+                chunk_bytes += key.len() as u64 + std::mem::size_of::<&Tuple>() as u64;
             }
-            let mut chunk_bytes = 0u64;
-            for (&alive, key) in live.iter().zip(&keys_buf[..chunk.len()]) {
-                if !alive {
-                    row_ids.push(KeyGroups::NONE);
-                    continue;
-                }
-                if charge.is_some() {
-                    // Build-table growth: the encoded key plus the
-                    // bucket-mate reference.
-                    chunk_bytes += key.len() as u64 + std::mem::size_of::<&Tuple>() as u64;
-                }
-                row_ids.push(table.intern(key).0);
-            }
-            if let Some(c) = charge.as_mut() {
-                if !c.try_grow(chunk_bytes)? {
-                    // The build table no longer fits: go grace — partition
-                    // every row read so far to disk and free its budget
-                    // immediately.
-                    js = Some(spill_join_build(gov, r, &table, &row_ids)?);
-                    table = KeyTable::new();
-                    row_ids = Vec::new();
-                    c.release();
-                }
+            row_ids.push(table.intern(key).0);
+        }
+        if let Some(c) = charge.as_mut() {
+            if let Some(store) = c.try_grow(chunk_bytes)? {
+                // The build table no longer fits: go grace — partition
+                // every row read so far to disk and free its budget
+                // immediately.
+                grace = Some(spill_join_build(gov, store, r, &table, &row_ids)?);
+                table = KeyTable::new();
+                row_ids = Vec::new();
+                c.release();
+                prober.sink = JoinSink::ByOrdinal(Vec::new());
             }
         }
-        if let Some(js) = js {
-            return grace_probe(
-                probe,
-                sink,
-                recheck,
-                &js,
-                l,
-                right_arity,
-                key_null_safe,
-                &mut charge,
-                &mut cand_charge,
-                left_keys,
-                condition,
-            );
-        }
-
-        // The build rows per key id, in build-input order.
-        let groups = KeyGroups::new(table.len(), &row_ids);
-        let r_tuples = r.tuples();
-
-        // Probe side, batch-at-a-time: evaluate the key columns once per
-        // probe batch and look each row's key id up. Under `recheck` the
-        // bucket-mates are gathered into the pending buffer and flushed
-        // (condition + ordered emission) at left-row boundaries once a
-        // batch worth of candidates has accumulated; otherwise they are the
-        // matches and go out as they are found.
-        let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); nkeys];
-        let mut since_checkpoint = 0usize;
-        for chunk in l.tuples().chunks(BATCH_ROWS) {
-            probe.checkpoint("join")?;
-            probe.batch();
-            let block = ColumnBlock::new(left_arity);
-            let batch = Batch::dense_with_block(chunk, &block);
-            for (i, col) in key_cols.iter_mut().enumerate() {
-                col.clear_values();
-                left_keys(&batch, i, col)?;
-            }
-            reset_key_buffers(chunk.len(), &mut keys_buf, &mut live);
-            for (col, null_safe) in key_cols.iter().zip(key_null_safe) {
-                encode_key_column_filtered(
-                    col,
-                    *null_safe,
-                    &mut live,
-                    &mut keys_buf[..chunk.len()],
-                );
-            }
-            for (j, lt) in chunk.iter().enumerate() {
-                let mates = match live[j] {
-                    true => table
-                        .get(&keys_buf[j])
-                        .map_or(&[][..], |id| groups.members(id)),
-                    false => &[],
-                };
-                if !recheck {
-                    let before = sink.out.len();
-                    if !kind.left_only_output() {
-                        for &rt in mates {
-                            let rt = &r_tuples[rt as usize];
-                            sink.out.push_unchecked(map.pair(lt, Some(rt)));
-                            since_checkpoint += 1;
-                            if since_checkpoint == BATCH_ROWS {
-                                since_checkpoint = 0;
-                                probe.checkpoint("join")?;
-                                probe.batch();
-                            }
-                        }
-                    }
-                    sink.close_left(lt, !mates.is_empty());
-                    if let Some(c) = cand_charge.as_mut() {
-                        // Output growth. A refusal has no buffer to flush:
-                        // the rows are the result.
-                        let grown = sink.out.tuples()[before..].iter().map(tuple_bytes).sum();
-                        if !c.try_grow(grown)? {
-                            c.release();
-                        }
-                    }
-                    continue;
-                }
-                let start = pending.len();
-                for &rt in mates {
-                    pending.push(lt.concat(&r_tuples[rt as usize]));
-                }
-                let mut flush_now = false;
-                if let Some(c) = cand_charge.as_mut() {
-                    // Candidate-buffer growth, which also proxies the
-                    // operator's output growth (survivors move to `out`).
-                    let grown: u64 = pending[start..].iter().map(tuple_bytes).sum();
-                    if !c.try_grow(grown)? {
-                        flush_now = true;
-                    }
-                }
-                segments.push(JoinSegment {
-                    left: lt,
-                    start,
-                    end: pending.len(),
-                });
-                if flush_now || pending.len() >= BATCH_ROWS {
-                    flush_join_segments(
-                        probe,
-                        &mut sink,
-                        &mut condition,
-                        &mut pending,
-                        &mut segments,
-                        &mut truths,
-                        join_arity,
-                    )?;
-                    if flush_now {
-                        // Only a refused charge frees the candidate budget:
-                        // the ordinary batch flush keeps the no-spill
-                        // accounting identical to the pre-spill executor.
-                        if let Some(c) = cand_charge.as_mut() {
-                            c.release();
-                        }
-                    }
-                }
-            }
-        }
-        flush_join_segments(
-            probe,
-            &mut sink,
-            &mut condition,
-            &mut pending,
-            &mut segments,
-            &mut truths,
-            join_arity,
-        )?;
-        return Ok(sink.out);
     }
 
-    // Nested-loop join: each left row's candidates are the whole right
-    // input, processed one right batch at a time (bounded memory, batched
-    // condition dispatch), with the row closed at its boundary.
-    for lt in l.tuples() {
-        let mut matched = false;
-        for r_chunk in r.tuples().chunks(BATCH_ROWS) {
-            pending.clear();
-            for rt in r_chunk {
-                pending.push(lt.concat(rt));
-            }
-            recheck_candidates(probe, &mut condition, &pending, join_arity, &mut truths)?;
-            for (idx, keep) in truths.iter().enumerate() {
-                if *keep {
-                    matched = true;
-                    if kind.left_only_output() {
-                        break;
-                    }
-                    sink.survivor(&mut pending[idx]);
+    // Probe side, in left order: each row's mates from the resident table,
+    // or — grace — its key routed to its probe partition. A row whose key
+    // matches nothing ends here either way.
+    let groups = KeyGroups::new(table.len(), &row_ids);
+    for (n, chunk) in l.tuples().chunks(BATCH_ROWS).enumerate() {
+        probe.checkpoint("join")?;
+        probe.batch();
+        keys.encode_join(chunk, left_arity, key_null_safe, &mut left_keys)?;
+        for j in 0..chunk.len() {
+            let ord = n * BATCH_ROWS + j;
+            match (keys.key(j), &grace) {
+                (Some(key), Some((_, probes))) => {
+                    spill::encode_probe(ord as u64, key, &mut buf);
+                    probes.append(gov, key, &buf)?;
+                }
+                (key, _) => {
+                    let mates = key
+                        .and_then(|key| table.get(key))
+                        .map_or(&[][..], |id| groups.members(id));
+                    prober.row(ord, mates, r.tuples())?;
                 }
             }
-            // One match decides a semi/anti join's verdict for this left
-            // row; the remaining right chunks cannot change it. (The
-            // optimizer only builds semi/anti joins over total conditions,
-            // so skipping them drops no evaluation errors.)
-            if matched && kind.left_only_output() {
-                break;
-            }
         }
-        sink.close_left(lt, matched);
     }
-    Ok(sink.out)
+    match grace {
+        Some((build, probes)) => grace_partitions(&mut prober, &build, &probes)?,
+        None => prober.finish()?,
+    }
+    let rows = prober.sink.into_rows();
+    Ok(Relation::from_tuples_unchecked(out_schema.clone(), rows))
 }
 
 /// How many hash partitions the out-of-core aggregation flushes partial
@@ -1084,35 +1003,22 @@ pub(crate) fn join(
 /// count, not the input size.
 const AGG_SPILL_PARTITIONS: usize = 16;
 
-/// Flushes every resident partial group state to its hash partition file
-/// (creating the partition files on first flush), group by group in index
-/// order, and clears the resident state. Records carry the group's creation
-/// ordinal so the merge phase can restore global first-encounter order.
+/// Flushes every resident partial group state to its hash partition,
+/// group by group in index order, and clears the resident state. Records
+/// carry the group's creation ordinal so the merge phase can restore global
+/// first-encounter order.
 fn flush_agg_groups(
     gov: &Governor,
-    files: &mut Option<(Rc<StorageManager>, Vec<Rc<HeapFile>>)>,
+    parts: &Partitions,
     groups: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
     ords: &mut Vec<u64>,
     index: &mut KeyTable,
 ) -> Result<()> {
-    if files.is_none() {
-        let mgr = gov
-            .spill()
-            .expect("a refused try_grow guarantees a live spill store");
-        let mut parts = Vec::with_capacity(AGG_SPILL_PARTITIONS);
-        for p in 0..AGG_SPILL_PARTITIONS {
-            parts.push(mgr.create_file(&format!("agg-part-{p}"))?);
-        }
-        gov.count().spill_partitions += AGG_SPILL_PARTITIONS as u64;
-        *files = Some((mgr, parts));
-    }
-    let (_, parts) = files.as_ref().expect("just created");
     let mut buf = Vec::new();
     for (id, ((key_values, accs), ord)) in groups.iter().zip(ords.iter()).enumerate() {
         let key_bytes = index.key(id as u32);
         spill::encode_agg_group(*ord, key_bytes, key_values, accs, &mut buf);
-        parts[(fnv1a(key_bytes) % AGG_SPILL_PARTITIONS as u64) as usize].append_record(&buf)?;
-        gov.count().spilled_bytes += buf.len() as u64;
+        parts.append(gov, key_bytes, &buf)?;
     }
     index.clear();
     groups.clear();
@@ -1159,7 +1065,7 @@ pub(crate) fn aggregate(
     // sorting by it restores exact first-encounter output order.
     let mut ords: Vec<u64> = Vec::new();
     let mut next_ord = 0u64;
-    let mut spill_files: Option<(Rc<StorageManager>, Vec<Rc<HeapFile>>)> = None;
+    let mut spill_files: Option<Partitions> = None;
     let make_accs = || -> Vec<Accumulator> {
         specs
             .iter()
@@ -1174,40 +1080,30 @@ pub(crate) fn aggregate(
         next_ord += 1;
     }
 
-    let mut group_cols: Vec<ColumnVec> = vec![ColumnVec::default(); group_arity];
+    let mut keys = ChunkKeys::new(group_arity);
     let mut agg_cols: Vec<Vec<Value>> = vec![Vec::new(); specs.len()];
-    let mut keys_buf: Vec<Vec<u8>> = Vec::new();
-    let mut live: Vec<bool> = Vec::new();
     for chunk in child.tuples().chunks(BATCH_ROWS) {
         probe.checkpoint("aggregate")?;
         probe.batch();
-        for col in group_cols.iter_mut() {
-            col.clear_values();
-        }
         for col in agg_cols.iter_mut() {
             col.clear();
         }
         let block = ColumnBlock::new(in_arity);
         eval(
             &Batch::dense_with_block(chunk, &block),
-            &mut group_cols,
+            keys.lanes(),
             &mut agg_cols,
         )?;
-        // Column-wise grouping keys: one contiguous pass per grouping
-        // column (NULLs group together, so every row stays live).
-        reset_key_buffers(chunk.len(), &mut keys_buf, &mut live);
-        for col in group_cols.iter() {
-            encode_key_column(col, &mut keys_buf[..chunk.len()]);
-        }
+        keys.encode(chunk.len(), None);
         let groups_before = groups.len();
-        for (j, key) in keys_buf[..chunk.len()].iter().enumerate() {
+        for (j, key) in keys.bytes[..chunk.len()].iter().enumerate() {
             let (id, new) = index.intern(key);
             if new {
                 // First encounter: materialise the group's representative
                 // values out of the column lanes (moved, not cloned — each
                 // cell is consumed at most once).
                 let key_values: Vec<Value> =
-                    group_cols.iter_mut().map(|col| col.take_value(j)).collect();
+                    keys.cols.iter_mut().map(|col| col.take_value(j)).collect();
                 groups.push((key_values, make_accs()));
                 ords.push(next_ord);
                 next_ord += 1;
@@ -1231,13 +1127,19 @@ pub(crate) fn aggregate(
                         + (accs.len() * std::mem::size_of::<Accumulator>()) as u64
                 })
                 .sum();
-            if !c.try_grow(grown)? {
+            if let Some(store) = c.try_grow(grown)? {
                 // Group state no longer fits: flush every resident partial
-                // state to its hash partition and start over empty. A
-                // global aggregation re-seeds its single group so rows keep
+                // state to its hash partition (the partition files are
+                // made at the first flush) and start over empty. A global
+                // aggregation re-seeds its single group so rows keep
                 // landing somewhere (with a fresh ordinal — the min-merge
                 // keeps the original).
-                flush_agg_groups(gov, &mut spill_files, &mut groups, &mut ords, &mut index)?;
+                let parts = match spill_files.take() {
+                    Some(parts) => parts,
+                    None => Partitions::create(gov, store, "agg-part", AGG_SPILL_PARTITIONS)?,
+                };
+                flush_agg_groups(gov, &parts, &mut groups, &mut ords, &mut index)?;
+                spill_files = Some(parts);
                 c.release();
                 if group_arity == 0 {
                     groups.push((Vec::new(), make_accs()));
@@ -1249,26 +1151,22 @@ pub(crate) fn aggregate(
         }
     }
 
-    if spill_files.is_some() {
+    if let Some(parts) = spill_files {
         // Out-of-core finish: flush the remainder, then merge each
         // partition independently — every occurrence of one key hashes to
         // the same partition, so a per-partition key table sees all of its
         // partial states ([`Accumulator::merge`] is order-insensitive).
-        flush_agg_groups(gov, &mut spill_files, &mut groups, &mut ords, &mut index)?;
+        flush_agg_groups(gov, &parts, &mut groups, &mut ords, &mut index)?;
         if let Some(c) = charge.as_mut() {
             c.release();
         }
-        let (mgr, parts) = spill_files.as_ref().expect("just flushed");
-        for file in parts {
-            file.seal()?;
-        }
+        parts.seal()?;
         let mut merged: Vec<(u64, Tuple)> = Vec::new();
         // One partition's groups, group `i` under id `i` of `part_index`.
         let mut part_index = KeyTable::new();
         let mut part: Vec<(u64, Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        for file in parts {
+        for mut stream in parts.streams() {
             part_index.clear();
-            let mut stream = mgr.pool().stream(file);
             let mut since = 0usize;
             while let Some(record) = stream.next_record()? {
                 let (ord, key_bytes, key_values, accs) = spill::decode_agg_group(&record)?;
@@ -1407,11 +1305,13 @@ impl SortBuffer {
     /// *consecutive* segment of the input, merging runs with a
     /// lowest-run-index tie-break later reproduces the stable in-memory
     /// sort order exactly.
-    fn spill_run(&mut self, gov: &Governor, runs: &mut Vec<Rc<HeapFile>>) -> Result<()> {
-        let mgr = gov
-            .spill()
-            .expect("a refused try_grow guarantees a live spill store");
-        let file = mgr.create_file(&format!("sort-run-{}", runs.len()))?;
+    fn spill_run(
+        &mut self,
+        gov: &Governor,
+        store: &StorageManager,
+        runs: &mut Vec<Rc<HeapFile>>,
+    ) -> Result<()> {
+        let file = store.create_file(&format!("sort-run-{}", runs.len()))?;
         let mut buf = Vec::new();
         for row in self.sorted_order() {
             spill::encode_run_row(self.key(row), &self.rows[row], &mut buf);
@@ -1520,6 +1420,9 @@ pub(crate) fn sort(
         key_ends,
     };
     let mut key_cols: Vec<ColumnVec> = vec![ColumnVec::default(); ascending.len()];
+    // The spill store, once a refused charge handed it over, and the runs
+    // written to it.
+    let mut store: Option<Rc<StorageManager>> = None;
     let mut runs: Vec<Rc<HeapFile>> = Vec::new();
     for start in (0..input.len()).step_by(BATCH_ROWS) {
         let end = input.len().min(start + BATCH_ROWS);
@@ -1551,8 +1454,9 @@ pub(crate) fn sort(
             buffer.rows.push(row);
         }
         if let Some(c) = charge.as_mut() {
-            if !c.try_grow(chunk_bytes)? {
-                buffer.spill_run(gov, &mut runs)?;
+            if let Some(spill) = c.try_grow(chunk_bytes)? {
+                buffer.spill_run(gov, &spill, &mut runs)?;
+                store = Some(spill);
                 c.release();
             }
         }
@@ -1565,17 +1469,14 @@ pub(crate) fn sort(
         keys: key_bytes,
         key_ends,
     } = buffer;
-    if runs.is_empty() {
+    let Some(store) = store else {
         let sorted = order
             .into_iter()
             .map(|i| std::mem::take(&mut rows[i]))
             .collect();
         return Ok(Relation::new(schema, sorted)?);
-    }
-    let mgr = gov
-        .spill()
-        .expect("runs exist only when a spill store is live");
-    let mut streams: Vec<_> = runs.iter().map(|f| mgr.pool().stream(f)).collect();
+    };
+    let mut streams: Vec<_> = runs.iter().map(|f| store.pool().stream(f)).collect();
     let (key_bytes, key_ends) = (&key_bytes[..], &key_ends[..]);
     let mut resident = order.into_iter();
     // The next row of run `run`: a record of its file, or — past the last

@@ -26,11 +26,14 @@
 //! records per pull the rows in and out and the self time of its body.
 
 use crate::batch::{Window, BATCH_ROWS};
-use crate::compile::{row_major, ColumnMap, CompiledExpr, CompiledNode, CompiledPlan, Frame};
+use crate::compile::{
+    row_major, ColumnMap, CompiledEquiKey, CompiledExpr, CompiledNode, CompiledPlan, Frame,
+};
 use crate::executor::Execution;
 use crate::physical::{self, AggSpec, OpRows};
 use crate::profile::{add, OpProbe, OpTimer, ProfNode};
 use crate::{ExecError, Result};
+use perm_algebra::JoinKind;
 use perm_storage::{Relation, Schema, Tuple};
 use std::borrow::Cow;
 use std::rc::Rc;
@@ -148,6 +151,17 @@ enum Items<'p> {
     /// Input columns, moved by the map — `None` when the join below wrote
     /// the rows.
     Columns(Option<&'p ColumnMap>),
+}
+
+/// A compiled join's fields, borrowed out of its node for the join's
+/// driver.
+struct JoinNode<'p> {
+    left: &'p CompiledNode,
+    right: &'p CompiledNode,
+    kind: &'p JoinKind,
+    condition: &'p CompiledExpr,
+    equi_keys: &'p [CompiledEquiKey],
+    keys_cover_condition: &'p bool,
 }
 
 impl<'p> Source<'p> {
@@ -428,9 +442,28 @@ impl<'e> Execution<'e, '_> {
             } => {
                 // Π∘⋈ in one pass: the join writes its rows through the Π's
                 // map, and the Π is left none to gather.
-                let (input, map) = match **i {
-                    CompiledNode::Join { .. } => {
-                        (Box::new(self.join(i, frame, child(0), map, schema)?), None)
+                let (input, map) = match &**i {
+                    CompiledNode::Join {
+                        left,
+                        right,
+                        kind,
+                        condition,
+                        equi_keys,
+                        keys_cover_condition,
+                        ..
+                    } => {
+                        let join = JoinNode {
+                            left,
+                            right,
+                            kind,
+                            condition,
+                            equi_keys,
+                            keys_cover_condition,
+                        };
+                        (
+                            Box::new(self.join(join, frame, child(0), map, schema)?),
+                            None,
+                        )
                     }
                     _ => (input(i)?, Some(map)),
                 };
@@ -500,9 +533,25 @@ impl<'e> Execution<'e, '_> {
                     physical::cross_product(probe, &l, &r, Schema::clone(schema))
                 })?
             }
-            CompiledNode::Join { schema, .. } => {
+            CompiledNode::Join {
+                left,
+                right,
+                kind,
+                condition,
+                equi_keys,
+                keys_cover_condition,
+                schema,
+            } => {
+                let join = JoinNode {
+                    left,
+                    right,
+                    kind,
+                    condition,
+                    equi_keys,
+                    keys_cover_condition,
+                };
                 let map = ColumnMap::identity(schema.arity());
-                self.join(plan, frame, prof, &map, schema)?
+                self.join(join, frame, prof, &map, schema)?
             }
             CompiledNode::Aggregate {
                 input,
@@ -573,7 +622,7 @@ impl<'e> Execution<'e, '_> {
     /// join.
     fn join<'p>(
         &self,
-        join: &'p CompiledNode,
+        join: JoinNode<'p>,
         frame: Option<&Frame<'_>>,
         prof: Option<&Rc<ProfNode>>,
         map: &ColumnMap,
@@ -582,18 +631,14 @@ impl<'e> Execution<'e, '_> {
     where
         'e: 'p,
     {
-        let CompiledNode::Join {
+        let JoinNode {
             left,
             right,
             kind,
             condition,
             equi_keys,
             keys_cover_condition,
-            ..
-        } = join
-        else {
-            unreachable!("the caller matched a join");
-        };
+        } = join;
         let node = prof.map(|p| &**p);
         let l = self.drain(left, frame, prof.map(|p| &p.children[0]), false)?;
         if l.is_empty() && kind.left_only_output() {

@@ -637,14 +637,23 @@ impl Governor {
 
     /// Spill-aware charge: like [`Governor::charge`], but when the charge
     /// cannot fit even after memo reclaim *and* spilling is available, the
-    /// bytes are backed out and `Ok(false)` tells the operator to move its
-    /// state to disk instead of failing. `Ok(false)` guarantees
-    /// [`Governor::spill`] returns a live store.
-    pub(crate) fn try_charge(&self, operator: &str, bytes: u64) -> Result<bool> {
+    /// bytes are backed out and `Ok(Some(store))` hands the operator the
+    /// live spill store to move its state to instead of failing. `Ok(None)`:
+    /// the bytes are charged.
+    pub(crate) fn try_charge(
+        &self,
+        operator: &str,
+        bytes: u64,
+    ) -> Result<Option<Rc<StorageManager>>> {
         self.charge_inner(operator, bytes, true)
     }
 
-    fn charge_inner(&self, operator: &str, bytes: u64, spillable: bool) -> Result<bool> {
+    fn charge_inner(
+        &self,
+        operator: &str,
+        bytes: u64,
+        spillable: bool,
+    ) -> Result<Option<Rc<StorageManager>>> {
         self.transient.set(self.transient.get() + bytes);
         let used = self.note_peak();
         if let Some(budget) = self.budget.get() {
@@ -656,9 +665,9 @@ impl Governor {
                     // on error it never grew — leaking the bytes here would
                     // poison every later charge of the session.
                     self.credit(bytes);
-                    if spillable && self.spill().is_some() {
+                    if let Some(store) = spillable.then(|| self.spill()).flatten() {
                         self.note_rung(Degradation::SpilledToDisk);
-                        return Ok(false);
+                        return Ok(Some(store));
                     }
                     self.note_rung(Degradation::Exhausted);
                     return Err(ExecError::ResourceExhausted {
@@ -667,7 +676,7 @@ impl Governor {
                 }
             }
         }
-        Ok(true)
+        Ok(None)
     }
 
     /// Returns transient bytes previously charged (operator state that was
@@ -738,16 +747,16 @@ impl<'g> TransientCharge<'g> {
         Ok(())
     }
 
-    /// Spill-aware growth: `Ok(true)` records the bytes like
-    /// [`TransientCharge::grow`]; `Ok(false)` means the state cannot stay
-    /// in memory and the operator should spill it (a live spill store is
-    /// guaranteed); the error is the no-spill exhaustion.
-    pub(crate) fn try_grow(&mut self, bytes: u64) -> Result<bool> {
-        if self.gov.try_charge(self.operator, bytes)? {
+    /// Spill-aware growth: `Ok(None)` records the bytes like
+    /// [`TransientCharge::grow`]; `Ok(Some(store))` means the state cannot
+    /// stay in memory and the operator should spill it into `store`, the
+    /// live spill store; the error is the no-spill exhaustion.
+    pub(crate) fn try_grow(&mut self, bytes: u64) -> Result<Option<Rc<StorageManager>>> {
+        let refused = self.gov.try_charge(self.operator, bytes)?;
+        if refused.is_none() {
             self.charged += bytes;
-            return Ok(true);
         }
-        Ok(false)
+        Ok(refused)
     }
 
     /// Credits everything recorded so far — called when the operator's
@@ -876,18 +885,22 @@ mod tests {
         gov.set_spill_enabled(true);
         gov.set_spill_dir(Some(dir));
         let mut charge = TransientCharge::new(&gov, "sort");
-        assert!(charge.try_grow(600).unwrap(), "fits under the budget");
+        assert!(
+            charge.try_grow(600).unwrap().is_none(),
+            "fits under the budget"
+        );
         // Over budget with spilling on: the growth is refused (not an
-        // error), the refused bytes are backed out, and a store is live.
-        assert!(!charge.try_grow(600).unwrap());
+        // error), the refused bytes are backed out, and the refusal hands
+        // over the live store.
+        let store = charge.try_grow(600).unwrap().expect("a refusal");
         assert_eq!(gov.transient.get(), 600);
-        assert!(gov.spill().is_some());
+        assert!(Rc::ptr_eq(&store, &gov.spill().unwrap()));
         assert_eq!(gov.stats().degradation, Degradation::SpilledToDisk);
         // The operator moved its state to disk: release frees the budget
         // now, and the charge's drop has nothing left to credit.
         charge.release();
         assert_eq!(gov.transient.get(), 0);
-        assert!(charge.try_grow(600).unwrap());
+        assert!(charge.try_grow(600).unwrap().is_none());
         drop(charge);
         assert_eq!(gov.transient.get(), 0);
     }

@@ -155,6 +155,17 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
     let cases = [
         case("r2 ⋈_g r1", &narrow, &build_r1, &[16, 20_000], None, 1),
         case("r1 ⋈_a r2", &matching, &on_a, &[20_000, 5_000], None, 1),
+        // The output row, and for each of the 20 000 build rows read back
+        // from its partition the record and the row decoded from it: two
+        // per build row, four per output row here.
+        case(
+            "r2 ⋈_g r1, grace",
+            &narrow,
+            &build_r1,
+            &[16, 20_000],
+            Some(BUDGET),
+            6,
+        ),
         case("γ_{g; count(*)}(r1)", &narrow, &grouped, &[20_000], None, 1),
         case("ORDER BY b, a", &narrow, &sorted, &[20_000], None, 1),
         // The input copy, the run record and the row decoded from it.

@@ -406,14 +406,14 @@ fn a_pass_through_projection_over_any_other_child_gathers_by_position() {
     }
 }
 
-/// One key shared by every row of both sides: `left` left rows, each with a
-/// bucket of `right` mates.
-fn one_bucket(left: i64, right: i64) -> (Database, Plan) {
+/// `keys` keys, each shared by `left` left rows, each of which has a bucket
+/// of `right` mates.
+fn buckets(keys: i64, left: i64, right: i64) -> (Database, Plan) {
     let mut db = Database::new();
     for (name, rows) in [("l", left), ("r", right)] {
         let schema = Schema::from_names(&["id", "k"]).with_qualifier(name);
-        let rows = (0..rows)
-            .map(|i| vec![Value::Int(i), Value::Int(1)])
+        let rows = (0..keys * rows)
+            .map(|i| vec![Value::Int(i), Value::Int(i % keys)])
             .collect();
         db.create_table(name, Relation::from_rows(schema, rows))
             .unwrap();
@@ -428,7 +428,7 @@ fn a_bucket_longer_than_a_batch_is_cancelled_inside_it() {
     // million rows nothing rechecks. The join is the plan's root, so every
     // checkpoint after the third is one its emission makes.
     let mates = 2 * BATCH_ROWS as i64;
-    let (db, plan) = one_bucket(512, mates);
+    let (db, plan) = buckets(1, 512, mates);
 
     // A deadline: the clock is read at the first checkpoint and then at
     // every 64th, so an expired deadline is seen 62 batches into the
@@ -466,10 +466,38 @@ fn a_bucket_longer_than_a_batch_is_cancelled_inside_it() {
 
     // Uncancelled, the join checkpoints once per batch of rows read and once
     // per batch of rows emitted.
-    let (db, plan) = one_bucket(3, mates);
+    let (db, plan) = buckets(1, 3, mates);
     let ex = Executor::new(&db);
     assert_eq!(ex.execute(&plan).unwrap().len() as i64, 3 * mates);
     assert_eq!(ex.stats().cancel_checks, 2 + 2 + 1 + 6);
+
+    // On the grace path: twelve keys with a bucket each outgrow 256 KiB, so
+    // the build goes to partitions (one key alone would be one partition
+    // that cannot fit). The join checkpoints once per batch of build rows,
+    // of left rows routed, of build rows read back per partition — a bucket
+    // is two — and of rows emitted, counted across partitions.
+    let (db, plan) = buckets(12, 1, mates);
+    let spilling = || {
+        Executor::new(&db)
+            .with_memory_budget(Some(256 << 10))
+            .with_spill(true)
+    };
+    let ex = spilling();
+    assert_eq!(ex.execute(&plan).unwrap().len() as i64, 12 * mates);
+    assert!(ex.spill_partitions() > 0);
+    assert_eq!(ex.stats().cancel_checks, 2 + 24 + 1 + 12 * 2 + 24);
+
+    // The thirtieth checkpoint is the first inside the first partition's
+    // bucket, after its two batches read back; nothing runs after it.
+    let fault = FaultPlan::new(FaultKind::Cancel, FaultSite::Checkpoint, 30);
+    let ex = spilling().with_fault_plan(fault.clone());
+    assert!(matches!(
+        ex.execute(&plan).unwrap_err(),
+        ExecError::Cancelled { .. }
+    ));
+    assert!(fault.fired());
+    assert!(ex.spill_partitions() > 0);
+    assert_eq!((fault.events_seen(), ex.stats().cancel_checks), (30, 30));
 }
 
 /// Values of one variant (0 – 4: `Int`, `Float`, `Date`, `Bool`, `Str`; 5:
