@@ -444,7 +444,7 @@ mod tests {
         match &p {
             Plan::Scan { schema, alias, .. } => {
                 assert_eq!(alias.as_deref(), Some("r1"));
-                assert_eq!(schema.resolve(Some("r1"), "a").unwrap(), 0);
+                assert_eq!(schema.resolve(Some("r1".into()), "a".into()).unwrap(), 0);
             }
             _ => panic!("expected scan"),
         }

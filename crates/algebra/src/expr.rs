@@ -317,7 +317,7 @@ impl Expr {
     /// generated name.
     pub fn default_name(&self, position: usize) -> Name {
         match self {
-            Expr::Column { name, .. } => name.clone(),
+            Expr::Column { name, .. } => *name,
             Expr::Func { name, .. } => name.to_string().into(),
             _ => format!("col{position}").into(),
         }
@@ -445,7 +445,7 @@ impl Expr {
         let mut out = Vec::new();
         self.walk(&mut |e| {
             if let Expr::Column { qualifier, name } = e {
-                out.push((qualifier.clone(), name.clone()));
+                out.push((*qualifier, *name));
             }
         });
         out

@@ -62,9 +62,9 @@ fn classify(conjunct: &Expr, left: &Schema, right: &Schema) -> Placement {
     }
     let mut uses_left = false;
     let mut uses_right = false;
-    for (qualifier, name) in &refs {
-        let in_left = matches!(left.try_resolve(qualifier.as_deref(), name), Ok(Some(_)));
-        let in_right = matches!(right.try_resolve(qualifier.as_deref(), name), Ok(Some(_)));
+    for &(qualifier, name) in &refs {
+        let in_left = matches!(left.try_resolve(qualifier, name), Ok(Some(_)));
+        let in_right = matches!(right.try_resolve(qualifier, name), Ok(Some(_)));
         match (in_left, in_right) {
             (true, false) => uses_left = true,
             (false, true) => uses_right = true,

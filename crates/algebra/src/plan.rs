@@ -174,7 +174,7 @@ impl ProjectItem {
         ProjectItem {
             expr: Expr::Column {
                 qualifier: None,
-                name: name.clone(),
+                name,
             },
             alias: name,
             qualifier: None,
@@ -187,11 +187,11 @@ impl ProjectItem {
     pub fn passthrough(attr: &Attribute) -> ProjectItem {
         ProjectItem {
             expr: Expr::Column {
-                qualifier: attr.qualifier.clone(),
-                name: attr.name.clone(),
+                qualifier: attr.qualifier,
+                name: attr.name,
             },
-            alias: attr.name.clone(),
-            qualifier: attr.qualifier.clone(),
+            alias: attr.name,
+            qualifier: attr.qualifier,
         }
     }
 
@@ -208,8 +208,8 @@ impl ProjectItem {
             items
                 .iter()
                 .map(|item| Attribute {
-                    name: item.alias.clone(),
-                    qualifier: item.qualifier.clone(),
+                    name: item.alias,
+                    qualifier: item.qualifier,
                     dtype: DataType::Any,
                 })
                 .collect(),
@@ -372,15 +372,15 @@ impl Plan {
                 let mut attrs: Vec<Attribute> = group_by
                     .iter()
                     .map(|g| Attribute {
-                        name: g.alias.clone(),
-                        qualifier: g.qualifier.clone(),
+                        name: g.alias,
+                        qualifier: g.qualifier,
                         dtype: DataType::Any,
                     })
                     .collect();
                 attrs.extend(
                     aggregates
                         .iter()
-                        .map(|a| Attribute::new(a.alias.clone(), DataType::Any)),
+                        .map(|a| Attribute::new(a.alias, DataType::Any)),
                 );
                 Arc::new(Schema::new(attrs))
             }
@@ -543,8 +543,8 @@ impl Plan {
         let mut item = |i: &ProjectItem| {
             Some(ProjectItem {
                 expr: f(&i.expr)?,
-                alias: i.alias.clone(),
-                qualifier: i.qualifier.clone(),
+                alias: i.alias,
+                qualifier: i.qualifier,
             })
         };
         match self {
@@ -568,7 +568,7 @@ impl Plan {
                         func: a.func,
                         arg: Some(f(a.arg.as_ref()?)?),
                         distinct: a.distinct,
-                        alias: a.alias.clone(),
+                        alias: a.alias,
                     })
                 });
                 (new_groups.is_some() || new_aggs.is_some()).then(|| Plan::Aggregate {

@@ -94,11 +94,11 @@ pub fn free_expr_columns(expr: &Expr, scope: &Schema) -> Vec<(Option<Name>, Name
 /// Calls `f` on every column reference `expr` reads in its own scope: its
 /// [`Expr::column_refs`] (test expressions included), and the free columns
 /// escaping each sublink plan ([`PlanRef::free_columns`]).
-pub fn walk_column_refs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Option<Name>, &'a Name)) {
+pub fn walk_column_refs(expr: &Expr, f: &mut impl FnMut(Option<Name>, Name)) {
     expr.walk(&mut |e| match e {
-        Expr::Column { qualifier, name } => f(qualifier, name),
+        Expr::Column { qualifier, name } => f(*qualifier, *name),
         Expr::Sublink { plan, .. } => {
-            for (q, n) in plan.free_columns() {
+            for &(q, n) in plan.free_columns() {
                 f(q, n);
             }
         }
@@ -112,12 +112,12 @@ pub fn walk_column_refs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Option<Name>,
 fn free_expr_columns_into(expr: &Expr, scope: &Schema, out: &mut Vec<(Option<Name>, Name)>) {
     walk_column_refs(expr, &mut |qualifier, name| {
         let resolvable = scope
-            .try_resolve(qualifier.as_deref(), name)
+            .try_resolve(qualifier, name)
             // Ambiguity means the name *is* present in the scope.
             .map(|r| r.is_some())
             .unwrap_or(true);
         if !resolvable {
-            out.push((qualifier.clone(), name.clone()));
+            out.push((qualifier, name));
         }
     });
 }
@@ -196,7 +196,7 @@ pub fn count_sublinks(plan: &Plan) -> u64 {
 /// `true` when a column reference resolves against a scope chain (innermost
 /// first), mirroring the executor's environment lookup: the first scope that
 /// knows the name wins, ambiguity *within* a scope is an evaluation error.
-pub fn resolves(scopes: &[Arc<Schema>], qualifier: Option<&str>, name: &str) -> bool {
+pub fn resolves(scopes: &[Arc<Schema>], qualifier: Option<Name>, name: Name) -> bool {
     for scope in scopes {
         match scope.try_resolve(qualifier, name) {
             Ok(Some(_)) => return true,
@@ -225,7 +225,7 @@ pub fn expr_is_total(expr: &Expr, scopes: &[Arc<Schema>]) -> bool {
 /// Whether `e` itself can fail, its operands aside.
 fn node_is_total(e: &Expr, scopes: &[Arc<Schema>]) -> bool {
     match e {
-        Expr::Column { qualifier, name } => resolves(scopes, qualifier.as_deref(), name),
+        Expr::Column { qualifier, name } => resolves(scopes, *qualifier, *name),
         Expr::Literal(_) | Expr::Param(_) | Expr::Case { .. } => true,
         Expr::Binary { op, .. } => matches!(
             op,

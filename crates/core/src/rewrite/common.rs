@@ -122,7 +122,7 @@ pub(crate) fn cross_base(
             .attributes()
             .iter()
             .zip(entry.prov_schema.attributes())
-            .map(|(orig, prov)| ProjectItem::new(col(orig.name.clone()), prov.name.clone()))
+            .map(|(orig, prov)| ProjectItem::new(col(orig.name), prov.name))
             .collect();
         factors.push(PlanBuilder::from_plan(extended).project(items).build());
     }
@@ -150,9 +150,9 @@ pub(crate) fn wrap_sublink_plus(
     for (i, name) in info.result_attrs.iter().enumerate() {
         let alias = rw.fresh(format_args!("sub_res_{name}"));
         if i == 0 {
-            first_result_alias = alias.clone();
+            first_result_alias = alias;
         }
-        items.push(ProjectItem::new(col(name.clone()), alias));
+        items.push(ProjectItem::new(col(*name), alias));
     }
     for prov in info.descriptor().attr_names() {
         items.push(ProjectItem::column(prov));
@@ -217,9 +217,9 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
     for (i, name) in info.result_attrs.iter().enumerate() {
         let alias = rw.fresh(format_args!("gen_res_{name}"));
         if i == 0 {
-            first_result_alias = alias.clone();
+            first_result_alias = alias;
         }
-        items.push(ProjectItem::new(col(name.clone()), alias));
+        items.push(ProjectItem::new(col(*name), alias));
     }
     let prov_names = info.descriptor().attr_names();
     let check_names: Vec<Name> = prov_names
@@ -227,7 +227,7 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
         .map(|p| rw.fresh(format_args!("{p}_chk")))
         .collect();
     for (prov, check) in prov_names.iter().zip(check_names.iter()) {
-        items.push(ProjectItem::new(col(prov.clone()), check.clone()));
+        items.push(ProjectItem::new(col(*prov), *check));
     }
     let projected = PlanBuilder::from_plan(info.rewritten.plan.clone())
         .project(items)
@@ -238,7 +238,7 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
         prov_names
             .iter()
             .zip(check_names.iter())
-            .map(|(prov, check)| null_safe_eq(col(prov.clone()), col(check.clone()))),
+            .map(|(prov, check)| null_safe_eq(col(*prov), col(*check))),
     );
     let membership = PlanBuilder::from_plan(projected)
         .select(perm_algebra::builder::and(jsub, prov_match))
@@ -247,11 +247,7 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
 
     let empty_case = perm_algebra::builder::and(
         not(perm_algebra::builder::exists_sublink(info.plan.clone())),
-        conjunction(
-            prov_names
-                .iter()
-                .map(|p| null_safe_eq(col(p.clone()), null())),
-        ),
+        conjunction(prov_names.iter().map(|p| null_safe_eq(col(*p), null()))),
     );
 
     or(exists_member, empty_case)
@@ -275,7 +271,7 @@ pub(crate) fn output_columns(
 ) -> Vec<perm_storage::Attribute> {
     let mut attrs = input_plus_schema.attributes().to_vec();
     for info in infos {
-        attrs.extend(info.descriptor().schema().attributes().iter().cloned());
+        attrs.extend_from_slice(info.descriptor().schema().attributes());
     }
     attrs
 }

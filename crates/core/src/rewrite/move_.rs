@@ -40,7 +40,7 @@ fn project_sublink_values(
     let mut value_names = Vec::with_capacity(infos.len());
     for info in infos {
         let name = rw.fresh("sublink_val");
-        items.push(ProjectItem::new(info.original.clone(), name.clone()));
+        items.push(ProjectItem::new(info.original.clone(), name));
         value_names.push(name);
     }
     let plan = Plan::Project {
@@ -56,7 +56,7 @@ fn project_sublink_values(
 /// rewriter meets the sublinks in [`collect_sublinks`] order.
 fn with_values<'n>(expr: &Expr, values: &mut impl Iterator<Item = &'n Name>) -> Expr {
     expr.rewrite(&mut |e| match e {
-        Expr::Sublink { .. } => values.next().map(|name| col(name.clone())),
+        Expr::Sublink { .. } => values.next().map(|name| col(*name)),
         _ => None,
     })
     .unwrap_or_else(|| expr.clone())
@@ -73,7 +73,7 @@ fn join_sublinks(
 ) -> Plan {
     for (info, value_name) in infos.iter().zip(value_names.iter()) {
         let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
-        let jsub = jsub_condition(info, col(value_name.clone()), col(result_alias));
+        let jsub = jsub_condition(info, col(*value_name), col(result_alias));
         plan = Plan::Join {
             left: PlanRef::new(plan),
             right: PlanRef::new(wrapped),
@@ -143,7 +143,7 @@ pub(crate) fn rewrite_project(
     for item in items {
         out_items.push(ProjectItem::new(
             with_values(&item.expr, &mut values),
-            item.alias.clone(),
+            item.alias,
         ));
     }
     for prov in descriptor.attr_names() {

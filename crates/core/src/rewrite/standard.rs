@@ -128,7 +128,7 @@ fn rewrite_scan(
         .map(ProjectItem::passthrough)
         .collect();
     for (orig, prov) in schema.attributes().iter().zip(prov_schema.attributes()) {
-        items.push(ProjectItem::new(col(orig.name.clone()), prov.name.clone()));
+        items.push(ProjectItem::new(col(orig.name), prov.name));
     }
     let scan = Plan::Scan {
         table: table.to_string(),
@@ -170,7 +170,7 @@ fn rewrite_aggregate(
     let mut right_items: Vec<ProjectItem> = group_by
         .iter()
         .zip(hat_names.iter())
-        .map(|(g, hat)| ProjectItem::new(g.expr.clone(), hat.clone()))
+        .map(|(g, hat)| ProjectItem::new(g.expr.clone(), *hat))
         .collect();
     for prov in input_rw.descriptor.attr_names() {
         right_items.push(ProjectItem::column(prov));
@@ -183,10 +183,10 @@ fn rewrite_aggregate(
     let condition = conjunction(group_by.iter().zip(hat_names.iter()).map(|(g, hat)| {
         // By its qualifier too: `GROUP BY x.a, y.a` names two `a`s.
         let group_ref = Expr::Column {
-            qualifier: g.qualifier.clone(),
-            name: g.alias.clone(),
+            qualifier: g.qualifier,
+            name: g.alias,
         };
-        null_safe_eq(group_ref, col(hat.clone()))
+        null_safe_eq(group_ref, col(*hat))
     }));
     let joined = Plan::Join {
         left: PlanRef::new(original.clone()),
@@ -259,7 +259,7 @@ fn rewrite_setop(
             let mut right_items: Vec<ProjectItem> = right_names
                 .iter()
                 .zip(left_names.iter())
-                .map(|(r, l)| ProjectItem::new(col(r.clone()), l.clone()))
+                .map(|(r, l)| ProjectItem::new(col(*r), *l))
                 .collect();
             for prov in left_rw.descriptor.attr_names() {
                 right_items.push(ProjectItem::new(null(), prov));
@@ -302,11 +302,11 @@ fn rewrite_limit(
 /// names it alone, otherwise qualified (`SELECT x.b, y.b` repeats `b`).
 fn attr_ref(schema: &Schema, i: usize) -> Expr {
     let attr = schema.attr(i);
-    match schema.try_resolve(None, &attr.name) {
-        Ok(Some(j)) if j == i => col(attr.name.clone()),
+    match schema.try_resolve(None, attr.name) {
+        Ok(Some(j)) if j == i => col(attr.name),
         _ => Expr::Column {
-            qualifier: attr.qualifier.clone(),
-            name: attr.name.clone(),
+            qualifier: attr.qualifier,
+            name: attr.name,
         },
     }
 }
@@ -338,7 +338,7 @@ fn join_back(
     let renamed_items: Vec<ProjectItem> = fresh_names
         .iter()
         .enumerate()
-        .map(|(i, fresh)| ProjectItem::new(attr_ref(&original_schema, i), fresh.clone()))
+        .map(|(i, fresh)| ProjectItem::new(attr_ref(&original_schema, i), *fresh))
         .collect();
     let renamed_original = PlanBuilder::from_plan(original.clone())
         .project(renamed_items)
@@ -349,7 +349,7 @@ fn join_back(
         fresh_names
             .iter()
             .enumerate()
-            .map(|(i, fresh)| null_safe_eq(col(fresh.clone()), attr_ref(&source_schema, i))),
+            .map(|(i, fresh)| null_safe_eq(col(*fresh), attr_ref(&source_schema, i))),
     );
     let joined = Plan::Join {
         left: PlanRef::new(renamed_original),
@@ -362,9 +362,9 @@ fn join_back(
         .iter()
         .zip(original_schema.attributes())
         .map(|(fresh, orig)| ProjectItem {
-            expr: col(fresh.clone()),
-            alias: orig.name.clone(),
-            qualifier: orig.qualifier.clone(),
+            expr: col(*fresh),
+            alias: orig.name,
+            qualifier: orig.qualifier,
         })
         .collect();
     for prov in source_rw.descriptor.attr_names() {

@@ -65,7 +65,7 @@ fn figure3_db() -> Database {
 fn project_named(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
-        .map(|n| {
+        .map(|&n| {
             rel.schema()
                 .resolve(None, n)
                 .unwrap_or_else(|_| panic!("missing column {n}"))
@@ -758,7 +758,7 @@ fn nested_db() -> Database {
 fn witness_of(rel: &Relation, key: &Tuple, columns: &[&str]) -> Vec<Tuple> {
     let positions: Vec<usize> = columns
         .iter()
-        .map(|c| rel.schema().resolve(None, c).unwrap())
+        .map(|&c| rel.schema().resolve(None, c.into()).unwrap())
         .collect();
     let mut out: Vec<Tuple> = rel
         .tuples()

@@ -459,7 +459,7 @@ impl<'a> Scopes<'a> {
 
     /// Resolves a name along the chain, innermost first — the compile-time
     /// mirror of [`crate::eval::Env::lookup`].
-    fn resolve(&self, qualifier: Option<&str>, name: &Name) -> CompiledExpr {
+    fn resolve(&self, qualifier: Option<Name>, name: Name) -> CompiledExpr {
         match self.schema.try_resolve(qualifier, name) {
             Ok(Some(index)) => CompiledExpr::Slot(Slot { depth: 0, index }),
             Ok(None) => match self.parent {
@@ -471,14 +471,14 @@ impl<'a> Scopes<'a> {
                     unresolved => unresolved,
                 },
                 None => CompiledExpr::Unresolved {
-                    name: name.clone(),
+                    name,
                     ambiguous: false,
                 },
             },
             // Ambiguity in the innermost scope that knows the name stops the
             // search, exactly like the interpreter.
             Err(_) => CompiledExpr::Unresolved {
-                name: name.clone(),
+                name,
                 ambiguous: true,
             },
         }
@@ -884,9 +884,9 @@ impl Compiler {
         }
         Ok(match expr {
             Expr::Column { qualifier, name } => match scopes {
-                Some(s) => s.resolve(qualifier.as_deref(), name),
+                Some(s) => s.resolve(*qualifier, *name),
                 None => CompiledExpr::Unresolved {
-                    name: name.clone(),
+                    name: *name,
                     ambiguous: false,
                 },
             },
@@ -944,11 +944,11 @@ impl Compiler {
                 // memoization for this sublink (it may still execute — the
                 // reference might sit behind a short circuit).
                 let mut params: Option<Vec<Slot>> = Some(Vec::new());
-                for (qualifier, name) in plan.free_columns() {
+                for &(qualifier, name) in plan.free_columns() {
                     let resolved = match scopes {
-                        Some(s) => s.resolve(qualifier.as_deref(), name),
+                        Some(s) => s.resolve(qualifier, name),
                         None => CompiledExpr::Unresolved {
-                            name: name.clone(),
+                            name,
                             ambiguous: false,
                         },
                     };

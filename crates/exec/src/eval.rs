@@ -6,7 +6,7 @@ use crate::interpreter::Interpreter;
 use crate::physical::OpRows;
 use crate::{ExecError, Result};
 use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
-use perm_storage::{Schema, Truth, Tuple, Value};
+use perm_storage::{Name, Schema, Truth, Tuple, Value};
 
 /// An evaluation environment: the current operator's input tuple plus a
 /// chain of enclosing scopes. Column references resolve innermost-first,
@@ -36,7 +36,7 @@ impl<'a> Env<'a> {
 
     /// Resolves a column reference, searching this scope first and then the
     /// enclosing scopes.
-    pub fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Value> {
+    pub fn lookup(&self, qualifier: Option<Name>, name: Name) -> Result<Value> {
         match self.schema.try_resolve(qualifier, name)? {
             Some(i) => Ok(self.tuple.get(i).clone()),
             None => match self.parent {
@@ -76,7 +76,7 @@ impl<'p> Interpreter<'p> {
     pub fn eval_expr(&self, expr: &'p Expr, env: Option<&Env<'_>>) -> Result<Value> {
         match expr {
             Expr::Column { qualifier, name } => match env {
-                Some(e) => e.lookup(qualifier.as_deref(), name),
+                Some(e) => e.lookup(*qualifier, *name),
                 None => Err(ExecError::Storage(
                     perm_storage::StorageError::UnknownAttribute(name.to_string()),
                 )),
@@ -387,10 +387,13 @@ mod tests {
         let inner_tuple = Tuple::new(vec![Value::Int(9)]);
         let outer = Env::new(None, &outer_schema, &outer_tuple);
         let inner = Env::new(Some(&outer), &inner_schema, &inner_tuple);
-        assert_eq!(inner.lookup(None, "c").unwrap(), Value::Int(9));
-        assert_eq!(inner.lookup(None, "b").unwrap(), Value::Int(2));
-        assert_eq!(inner.lookup(Some("r"), "a").unwrap(), Value::Int(1));
-        assert!(inner.lookup(None, "zz").is_err());
+        assert_eq!(inner.lookup(None, "c".into()).unwrap(), Value::Int(9));
+        assert_eq!(inner.lookup(None, "b".into()).unwrap(), Value::Int(2));
+        assert_eq!(
+            inner.lookup(Some("r".into()), "a".into()).unwrap(),
+            Value::Int(1)
+        );
+        assert!(inner.lookup(None, "zz".into()).is_err());
     }
 
     #[test]

@@ -484,8 +484,8 @@ enum Side {
 
 fn side_of(expr: &Expr, left: &Schema, right: &Schema) -> Option<Side> {
     if let Expr::Column { qualifier, name } = expr {
-        let in_left = matches!(left.try_resolve(qualifier.as_deref(), name), Ok(Some(_)));
-        let in_right = matches!(right.try_resolve(qualifier.as_deref(), name), Ok(Some(_)));
+        let in_left = matches!(left.try_resolve(*qualifier, *name), Ok(Some(_)));
+        let in_right = matches!(right.try_resolve(*qualifier, *name), Ok(Some(_)));
         match (in_left, in_right) {
             (true, false) => Some(Side::Left),
             (false, true) => Some(Side::Right),

@@ -104,7 +104,7 @@ impl<'p> Interpreter<'p> {
                     values.push(self.x.params.get(index)?.clone());
                 }
                 for (qualifier, name) in free {
-                    values.push(env?.lookup(qualifier.as_deref(), name).ok()?);
+                    values.push(env?.lookup(*qualifier, *name).ok()?);
                 }
                 Some((addr, encode_key_typed(&values)))
             })

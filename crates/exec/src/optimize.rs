@@ -628,9 +628,8 @@ fn local_refs(
     outers: &[Arc<Schema>],
 ) -> Vec<(Option<Name>, Name)> {
     if !outers.is_empty() {
-        refs.retain(|(q, n)| {
-            !(matches!(local.try_resolve(q.as_deref(), n), Ok(None))
-                && resolves(outers, q.as_deref(), n))
+        refs.retain(|&(q, n)| {
+            !(matches!(local.try_resolve(q, n), Ok(None)) && resolves(outers, q, n))
         });
     }
     refs
@@ -874,13 +873,13 @@ fn pushed_select(
 /// `true` when every one of `refs` resolves (unambiguously) in `schema`.
 fn resolves_all(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
     refs.iter()
-        .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(Some(_))))
+        .all(|&(q, n)| matches!(schema.try_resolve(q, n), Ok(Some(_))))
 }
 
 /// `true` when none of `refs` is known to `schema`.
 fn resolves_none(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
     refs.iter()
-        .all(|(q, n)| matches!(schema.try_resolve(q.as_deref(), n), Ok(None)))
+        .all(|&(q, n)| matches!(schema.try_resolve(q, n), Ok(None)))
 }
 
 /// `σ_predicate(input)` with the selection pushed down; `None` when it stays
@@ -1446,10 +1445,7 @@ impl SemiExpansion {
                     .keys
                     .into_iter()
                     .map(|(qualifier, name)| ProjectItem {
-                        expr: Expr::Column {
-                            qualifier: qualifier.clone(),
-                            name: name.clone(),
-                        },
+                        expr: Expr::Column { qualifier, name },
                         alias: name,
                         qualifier,
                     })
@@ -1495,12 +1491,10 @@ fn substitute_through(
 /// item that defines it; the other columns stay as they are.
 fn substitute(expr: &Expr, proj_schema: &Schema, items: &[ProjectItem]) -> Expr {
     expr.rewrite(&mut |e| match e {
-        Expr::Column { qualifier, name } => {
-            match proj_schema.try_resolve(qualifier.as_deref(), name) {
-                Ok(Some(idx)) => Some(items[idx].expr.clone()),
-                _ => None,
-            }
-        }
+        Expr::Column { qualifier, name } => match proj_schema.try_resolve(*qualifier, *name) {
+            Ok(Some(idx)) => Some(items[idx].expr.clone()),
+            _ => None,
+        },
         _ => None,
     })
     .unwrap_or_else(|| expr.clone())
@@ -1513,7 +1507,7 @@ fn substitute(expr: &Expr, proj_schema: &Schema, items: &[ProjectItem]) -> Expr 
 fn passes_through(predicate: &Expr, proj_schema: &Schema, input: &Schema) -> bool {
     predicate.all(&mut |e| match e {
         Expr::Column { qualifier, name } => {
-            let (q, n) = (qualifier.as_deref(), name);
+            let (q, n) = (*qualifier, *name);
             match proj_schema.try_resolve(q, n) {
                 Ok(Some(_)) => true,
                 Ok(None) => matches!(input.try_resolve(q, n), Ok(None)),
@@ -1539,7 +1533,7 @@ struct Needed<'a> {
 
 impl<'a> Needed<'a> {
     /// Calls `f` on every reference in the chain.
-    fn each(&self, f: &mut impl FnMut(&'a Option<Name>, &'a Name)) {
+    fn each(&self, f: &mut impl FnMut(Option<Name>, Name)) {
         let mut link = Some(self);
         while let Some(needed) = link {
             needed
@@ -1555,10 +1549,10 @@ impl<'a> Needed<'a> {
 /// needed reference could resolve to it, so two same-named items are both
 /// kept, and a reference that was ambiguous (a runtime error) stays
 /// ambiguous.
-fn could_read(q: &Option<Name>, n: &Name, item: &ProjectItem) -> bool {
-    n == &item.alias
-        && match (q, &item.qualifier) {
-            (Some(q), Some(iq)) => q == iq,
+fn could_read(q: Option<Name>, n: Name, item: &ProjectItem) -> bool {
+    n.eq_folded(item.alias)
+        && match (q, item.qualifier) {
+            (Some(q), Some(iq)) => q.eq_folded(iq),
             _ => true,
         }
 }
@@ -1720,7 +1714,7 @@ fn compose_items(
     let mut passed_through = vec![false; below.len()];
     let resolved = above.iter().all(|item| {
         item.expr.all(&mut |e| match e {
-            Expr::Column { qualifier, name } => match mid.try_resolve(qualifier.as_deref(), name) {
+            Expr::Column { qualifier, name } => match mid.try_resolve(*qualifier, *name) {
                 Ok(Some(idx)) => {
                     reads[idx] += 1;
                     passed_through[idx] |= matches!(item.expr, Expr::Column { .. });
@@ -1748,8 +1742,8 @@ fn compose_items(
     // Every reference of `above` resolved in `mid` above.
     let composed = above.iter().map(|item| ProjectItem {
         expr: substitute(&item.expr, &mid, below),
-        alias: item.alias.clone(),
-        qualifier: item.qualifier.clone(),
+        alias: item.alias,
+        qualifier: item.qualifier,
     });
     Some(composed.collect())
 }

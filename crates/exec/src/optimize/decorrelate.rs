@@ -639,7 +639,7 @@ impl Lifted {
             if let Hoisted::Pair { inner, .. } = h {
                 let name: Name = format!("__h{}", *fresh).into();
                 *fresh += 1;
-                items.push(ProjectItem::new(inner.clone(), name.clone()));
+                items.push(ProjectItem::new(inner.clone(), name));
                 *inner = Expr::Column {
                     qualifier: None,
                     name,
@@ -659,7 +659,7 @@ impl Lifted {
 pub(super) fn unambiguous(schema: &Schema) -> bool {
     schema.attributes().iter().enumerate().all(|(i, attr)| {
         matches!(
-            schema.try_resolve(attr.qualifier.as_deref(), &attr.name),
+            schema.try_resolve(attr.qualifier, attr.name),
             Ok(Some(j)) if j == i
         )
     })
@@ -695,7 +695,7 @@ fn side_of(expr: &Expr, outer: &Schema, local: &Schema) -> Side {
         let Expr::Column { qualifier, name } = e else {
             return true;
         };
-        let q = qualifier.as_deref();
+        let (q, name) = (*qualifier, *name);
         match (local.try_resolve(q, name), outer.try_resolve(q, name)) {
             // Innermost scope wins at runtime, so a locally resolvable
             // reference is an inner reference.
@@ -785,8 +785,8 @@ fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted>
                 }
                 outputs.push(ProjectItem {
                     expr: body.to_plan_columns(&item.expr)?,
-                    alias: item.alias.clone(),
-                    qualifier: item.qualifier.clone(),
+                    alias: item.alias,
+                    qualifier: item.qualifier,
                 });
             }
             body.outputs = Some(Outputs::new(outputs));
@@ -952,8 +952,8 @@ fn lift_global_aggregate(
     let n = *cx.fresh;
     *cx.fresh += 1;
     let (drv, grp): (Name, Name) = (format!("__drv{n}").into(), format!("__grp{n}").into());
-    let column = |qualifier: &Name, name: Name| Expr::Column {
-        qualifier: Some(qualifier.clone()),
+    let column = |qualifier: Name, name: Name| Expr::Column {
+        qualifier: Some(qualifier),
         name,
     };
 
@@ -972,17 +972,17 @@ fn lift_global_aggregate(
             return None;
         };
         let (d, k): (Name, Name) = (format!("d{i}").into(), format!("k{i}").into());
-        driver_items.push(ProjectItem::new(outer.clone(), d.clone()).with_qualifier(drv.clone()));
-        grouped_items.push(ProjectItem::new(inner.clone(), k.clone()).with_qualifier(grp.clone()));
+        driver_items.push(ProjectItem::new(outer.clone(), d).with_qualifier(drv));
+        grouped_items.push(ProjectItem::new(inner.clone(), k).with_qualifier(grp));
         on.push(Expr::Binary {
             op: *op,
-            left: Box::new(column(&drv, d.clone())),
-            right: Box::new(column(&grp, k)),
+            left: Box::new(column(drv, d)),
+            right: Box::new(column(grp, k)),
         });
         hoisted.push(Hoisted::Pair {
             outer: outer.clone(),
             op: BinaryOp::NullSafeEq,
-            inner: column(&drv, d),
+            inner: column(drv, d),
         });
     }
     if hoisted.is_empty() {
@@ -996,20 +996,18 @@ fn lift_global_aggregate(
                     return None;
                 }
                 let a: Name = format!("a{j}").into();
-                grouped_items.push(
-                    ProjectItem::new(body.to_plan_columns(arg)?, a.clone())
-                        .with_qualifier(grp.clone()),
-                );
-                (agg.func, column(&grp, a))
+                grouped_items
+                    .push(ProjectItem::new(body.to_plan_columns(arg)?, a).with_qualifier(grp));
+                (agg.func, column(grp, a))
             }
             // `count(*)` would count the padding row of an empty group.
-            _ => (AggFunc::Count, column(&grp, "m".into())),
+            _ => (AggFunc::Count, column(grp, "m".into())),
         };
         grouped_aggs.push(AggregateExpr {
             func,
             arg: Some(arg),
             distinct: agg.distinct && agg.func != AggFunc::CountStar,
-            alias: agg.alias.clone(),
+            alias: agg.alias,
         });
     }
     grouped_items.push(ProjectItem::new(Expr::Literal(Value::Int(1)), "m").with_qualifier(grp));
@@ -1037,9 +1035,9 @@ fn lift_global_aggregate(
         group_by: driver_items
             .iter()
             .map(|d| ProjectItem {
-                expr: column(&drv, d.alias.clone()),
-                alias: d.alias.clone(),
-                qualifier: d.qualifier.clone(),
+                expr: column(drv, d.alias),
+                alias: d.alias,
+                qualifier: d.qualifier,
             })
             .collect(),
         aggregates: grouped_aggs,
@@ -1053,7 +1051,7 @@ fn lift_global_aggregate(
         outputs: Some(Outputs::new(
             aggregates
                 .iter()
-                .map(|a| ProjectItem::column(a.alias.clone()))
+                .map(|a| ProjectItem::column(a.alias))
                 .collect(),
         )),
         hoisted,
@@ -1116,7 +1114,7 @@ fn build_decorrelated(
     }
     let qual: Name = format!("__dcl{}", *cx.fresh).into();
     let key_ref = |name: Name| Expr::Column {
-        qualifier: Some(qual.clone()),
+        qualifier: Some(qual),
         name,
     };
     let plan_schema = body.plan.schema();
@@ -1130,18 +1128,18 @@ fn build_decorrelated(
             None => {
                 let first = plan_schema.attributes().first()?;
                 if !matches!(
-                    plan_schema.try_resolve(first.qualifier.as_deref(), &first.name),
+                    plan_schema.try_resolve(first.qualifier, first.name),
                     Ok(Some(0))
                 ) {
                     return None;
                 }
                 Expr::Column {
-                    qualifier: first.qualifier.clone(),
-                    name: first.name.clone(),
+                    qualifier: first.qualifier,
+                    name: first.name,
                 }
             }
         };
-        items.push(ProjectItem::new(value, "v").with_qualifier(qual.clone()));
+        items.push(ProjectItem::new(value, "v").with_qualifier(qual));
         cond_conjuncts.push(cmp(CompareOp::Eq, test.clone(), key_ref("v".into())));
     }
     // Every hoisted side must be total: outer sides are re-evaluated per
@@ -1156,9 +1154,7 @@ fn build_decorrelated(
                     return None;
                 }
                 let key: Name = format!("k{idx}").into();
-                items.push(
-                    ProjectItem::new(inner.clone(), key.clone()).with_qualifier(qual.clone()),
-                );
+                items.push(ProjectItem::new(inner.clone(), key).with_qualifier(qual));
                 cond_conjuncts.push(Expr::Binary {
                     op: *op,
                     left: Box::new(outer.clone()),
@@ -1177,9 +1173,7 @@ fn build_decorrelated(
         // EXISTS with only outer-only correlation: keep the body's rows
         // flowing but project a constant key so the join's right side has
         // a well-defined, collision-free schema.
-        items.push(
-            ProjectItem::new(Expr::Literal(Value::Int(1)), "k0").with_qualifier(qual.clone()),
-        );
+        items.push(ProjectItem::new(Expr::Literal(Value::Int(1)), "k0").with_qualifier(qual));
     }
     let right = Plan::Project {
         input: body.plan,
@@ -1205,8 +1199,8 @@ fn build_decorrelated(
     let right_schema = right.schema();
     for c in &cond_conjuncts {
         for (q, n) in c.column_refs() {
-            let in_outer = matches!(outer_schema.try_resolve(q.as_deref(), &n), Ok(Some(_)));
-            let in_right = matches!(right_schema.try_resolve(q.as_deref(), &n), Ok(Some(_)));
+            let in_outer = matches!(outer_schema.try_resolve(q, n), Ok(Some(_)));
+            let in_right = matches!(right_schema.try_resolve(q, n), Ok(Some(_)));
             if in_outer == in_right {
                 return None;
             }

@@ -814,7 +814,7 @@ fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
         rows.clear();
         row_ids.clear();
         while let Some(record) = build_stream.next_record()? {
-            let (key, tuple) = spill::decode_keyed_tuple(&record)?;
+            let (key, tuple) = spill::decode_keyed_tuple(record)?;
             if let Some(c) = charge.as_mut() {
                 c.grow(key.len() as u64 + tuple_bytes(&tuple))?;
             }
@@ -827,7 +827,7 @@ fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
         }
         let groups = KeyGroups::new(table.len(), &row_ids);
         while let Some(record) = probe_stream.next_record()? {
-            let (ord, key) = spill::decode_probe(&record)?;
+            let (ord, key) = spill::decode_probe(record)?;
             let mates = table.get(key).map_or(&[][..], |id| groups.members(id));
             prober.row(ord as usize, mates, &rows)?;
         }
@@ -1169,7 +1169,7 @@ pub(crate) fn aggregate(
             part_index.clear();
             let mut since = 0usize;
             while let Some(record) = stream.next_record()? {
-                let (ord, key_bytes, key_values, accs) = spill::decode_agg_group(&record)?;
+                let (ord, key_bytes, key_values, accs) = spill::decode_agg_group(record)?;
                 match part_index.intern(key_bytes) {
                     (id, false) => {
                         let slot = &mut part[id as usize];
@@ -1485,8 +1485,13 @@ pub(crate) fn sort(
         let row = match streams.get_mut(run) {
             Some(stream) => match stream.next_record()? {
                 Some(record) => {
-                    let key = spill::decode_run_key(&record)?;
-                    Some(HeadRow::Spilled { record, key })
+                    // The merge holds each run's head across pulls of the
+                    // others, so it owns its record.
+                    let key = spill::decode_run_key(record)?;
+                    Some(HeadRow::Spilled {
+                        record: record.to_vec(),
+                        key,
+                    })
                 }
                 None => None,
             },

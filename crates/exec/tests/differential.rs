@@ -1782,7 +1782,7 @@ fn with_wide_columns(mut db: Database, columns: &[&str], width: usize) -> Databa
             .collect();
         let attrs = rel.schema().attributes().iter().zip(&wide).map(|(a, &w)| {
             let dtype = if w { DataType::Str } else { a.dtype };
-            Attribute::qualified(table, a.name.clone(), dtype)
+            Attribute::qualified(table, a.name, dtype)
         });
         let schema = Schema::new(attrs.collect());
         let rows = rel

@@ -161,7 +161,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
         if matches!(expr, SqlExpr::Wildcard) {
             for attr in schema_before_projection.attributes() {
                 items.push(ProjectItem::passthrough(attr));
-                output_exprs.push((OutputSource::Star(attr), attr.name.clone()));
+                output_exprs.push((OutputSource::Star(attr), attr.name));
             }
             continue;
         }
@@ -170,7 +170,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             Some(a) => Name::from(a.as_str()),
             None => bound.default_name(i),
         };
-        output_exprs.push((OutputSource::Expr(expr), alias.clone()));
+        output_exprs.push((OutputSource::Expr(expr), alias));
         items.push(ProjectItem::new(bound, alias));
     }
     if items.is_empty() {
@@ -187,7 +187,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
         {
             let shared = output_exprs
                 .iter()
-                .filter(|(_, alias)| alias.eq_ignore_ascii_case(&item.alias))
+                .filter(|(_, alias)| alias.eq_folded(item.alias))
                 .count()
                 > 1;
             if shared {
@@ -204,7 +204,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
     let output_schema = Schema::new(
         output_exprs
             .iter()
-            .map(|(_, alias)| Attribute::new(alias.clone(), DataType::Any))
+            .map(|(_, alias)| Attribute::new(*alias, DataType::Any))
             .collect(),
     );
     let sort_above = !order_by.is_empty()
@@ -213,7 +213,7 @@ pub fn bind_query(db: &Database, query: &Query) -> Result<Plan> {
             // name the sort key: such a key sorts below the projection,
             // where its qualifier still resolves.
             map_order_key(key, &output_exprs)
-                .is_some_and(|alias| output_schema.try_resolve(None, &alias).is_ok())
+                .is_some_and(|alias| output_schema.try_resolve(None, alias).is_ok())
         });
     let mut below_keys = Vec::new();
     if !order_by.is_empty() && !sort_above {
@@ -289,14 +289,14 @@ fn map_order_key(key: &SqlExpr, output_exprs: &[(OutputSource, Name)]) -> Option
         .iter()
         .find(|(source, _)| source.is_repeated_by(key))
     {
-        return Some(alias.clone());
+        return Some(*alias);
     }
     if let SqlExpr::Column { name, .. } = key {
         if let Some((_, alias)) = output_exprs
             .iter()
             .find(|(_, alias)| alias.eq_ignore_ascii_case(name))
         {
-            return Some(alias.clone());
+            return Some(*alias);
         }
     }
     None
@@ -315,10 +315,7 @@ fn bind_table_ref(db: &Database, table_ref: &TableRef) -> Result<Plan> {
                 .schema()
                 .attributes()
                 .iter()
-                .map(|attr| {
-                    ProjectItem::new(col(attr.name.clone()), attr.name.clone())
-                        .with_qualifier(qualifier.clone())
-                })
+                .map(|attr| ProjectItem::new(col(attr.name), attr.name).with_qualifier(qualifier))
                 .collect();
             Ok(Plan::Project {
                 input: PlanRef::new(inner),

@@ -15,7 +15,7 @@
 //! concurrency happens one executor (and thus one pool) per worker thread,
 //! so frames use `Cell`/`RefCell` instead of locks.
 
-use crate::heapfile::{HeapFile, RecordAssembler};
+use crate::heapfile::HeapFile;
 use crate::page::Page;
 use crate::{Result, StorageError};
 use std::cell::{Cell, RefCell};
@@ -119,8 +119,9 @@ impl BufferPool {
             file: Rc::clone(file),
             page_no: 0,
             pages: file.num_pages(),
-            assembler: RecordAssembler::new(),
-            ready: VecDeque::new(),
+            page: None,
+            at: 0,
+            spanning: Vec::new(),
         }
     }
 }
@@ -137,45 +138,94 @@ impl std::fmt::Debug for BufferPool {
 }
 
 /// Sequential record scan through the buffer pool (see
-/// [`BufferPool::stream`]). Pages are fetched one at a time and drained into
-/// the assembler before the next is fetched, so a stream buffers about one
-/// page of records, and a k-way merge over `k` streams about `k` pages.
+/// [`BufferPool::stream`]). Pages are fetched one at a time, so a stream
+/// holds one page, and a k-way merge over `k` streams `k` pages.
 pub struct RecordStream<'p> {
     pool: &'p BufferPool,
     file: Rc<HeapFile>,
+    /// The next page to fetch.
     page_no: u32,
     pages: u32,
-    assembler: RecordAssembler,
-    ready: VecDeque<Vec<u8>>,
+    /// The page being read and the offset of its first unread byte.
+    page: Option<Rc<Page>>,
+    at: usize,
+    /// A record that spans pages, gathered here; reused.
+    spanning: Vec<u8>,
+}
+
+/// The length a record's `u32` prefix at the start of `bytes` gives, once
+/// all four prefix bytes are there.
+fn framed_len(bytes: &[u8]) -> Option<usize> {
+    let prefix = bytes.get(..4)?;
+    Some(u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize)
 }
 
 impl RecordStream<'_> {
-    /// The next record in append order, or `None` at end of file. A file
+    /// The unread bytes of the current page.
+    fn unread(&self) -> &[u8] {
+        self.page
+            .as_ref()
+            .map_or(&[], |page| &page.payload()[self.at..])
+    }
+
+    /// Makes the next page current; `false` at end of file.
+    fn advance(&mut self) -> Result<bool> {
+        if self.page_no >= self.pages {
+            return Ok(false);
+        }
+        self.page = Some(self.pool.fetch(&self.file, self.page_no)?);
+        self.page_no += 1;
+        self.at = 0;
+        Ok(true)
+    }
+
+    /// The next record in append order, or `None` at end of file. The
+    /// record is lent: borrowed from its page or, when it spans pages, from
+    /// one buffer the stream reuses, so reading a record allocates nothing
+    /// beyond that buffer's growth to the longest spanning record. A file
     /// that ends inside a record is [`StorageError::Corrupt`].
-    pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
-        loop {
-            if let Some(record) = self.ready.pop_front() {
-                return Ok(Some(record));
-            }
-            if self.page_no >= self.pages {
-                if !self.assembler.is_empty() {
-                    return Err(StorageError::Corrupt(format!(
-                        "{} ends inside a record",
-                        self.file.path().display()
-                    )));
-                }
+    pub fn next_record(&mut self) -> Result<Option<&[u8]>> {
+        while self.unread().is_empty() {
+            if !self.advance()? {
                 return Ok(None);
             }
-            let page = self.pool.fetch(&self.file, self.page_no)?;
-            self.page_no += 1;
-            self.assembler.push(page.payload(), &mut self.ready);
         }
+        let unread = self.unread();
+        let whole = framed_len(unread).filter(|&len| unread.len() >= 4 + len);
+        if let Some(len) = whole {
+            let start = self.at + 4;
+            self.at = start + len;
+            let page = self.page.as_deref().map_or(&[][..], Page::payload);
+            return Ok(Some(&page[start..start + len]));
+        }
+        // The record (or its prefix) runs into the following pages.
+        let mut spanning = std::mem::take(&mut self.spanning);
+        spanning.clear();
+        loop {
+            let want = framed_len(&spanning).map_or(4, |len| 4 + len);
+            if spanning.len() >= want {
+                break;
+            }
+            if self.unread().is_empty() && !self.advance()? {
+                return Err(StorageError::Corrupt(format!(
+                    "{} ends inside a record",
+                    self.file.path().display()
+                )));
+            }
+            let unread = self.unread();
+            let take = (want - spanning.len()).min(unread.len());
+            spanning.extend_from_slice(&unread[..take]);
+            self.at += take;
+        }
+        self.spanning = spanning;
+        Ok(Some(&self.spanning[4..]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heapfile::tests::RecordAssembler;
     use crate::page::PAGE_CAPACITY;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,7 +262,7 @@ mod tests {
         let mut stream = pool.stream(file);
         let mut back = Vec::new();
         while let Some(r) = stream.next_record()? {
-            back.push(r);
+            back.push(r.to_vec());
         }
         Ok(back)
     }
@@ -296,13 +346,38 @@ mod tests {
         // Two streams of one file interleave through a two-frame pool.
         let (mut a, mut b) = (pool.stream(&hf), pool.stream(&hf));
         for r in &records {
-            assert_eq!(a.next_record().unwrap().as_ref(), Some(r));
-            assert_eq!(b.next_record().unwrap().as_ref(), Some(r));
+            assert_eq!(a.next_record().unwrap(), Some(&r[..]));
+            assert_eq!(b.next_record().unwrap(), Some(&r[..]));
         }
         assert!(
             pool.hits() > 0,
             "the second stream reuses the first's pages"
         );
+    }
+
+    #[test]
+    fn records_whose_prefix_or_body_crosses_pages_are_lent_whole() {
+        let (path, _c) = temp_file("split");
+        let hf = Rc::new(HeapFile::create(&path).unwrap());
+        // The first record leaves two bytes of page 0, so the second's
+        // prefix is split 2 / 2; the third spans three pages.
+        let records = [
+            vec![1u8; PAGE_CAPACITY - 6],
+            b"split prefix".to_vec(),
+            vec![3u8; 2 * PAGE_CAPACITY + 17],
+            b"after".to_vec(),
+        ];
+        for r in &records {
+            hf.append_record(r).unwrap();
+        }
+        hf.seal().unwrap();
+        let pool = BufferPool::new(1);
+        let mut stream = pool.stream(&hf);
+        for r in &records {
+            assert_eq!(stream.next_record().unwrap(), Some(&r[..]));
+        }
+        assert_eq!(stream.next_record().unwrap(), None);
+        assert_eq!(pool.misses(), hf.num_pages() as u64, "each page once");
     }
 
     #[test]
@@ -323,7 +398,7 @@ mod tests {
         }
         let pool = BufferPool::new(2);
         let mut stream = pool.stream(&hf);
-        assert_eq!(stream.next_record().unwrap(), Some(b"whole".to_vec()));
+        assert_eq!(stream.next_record().unwrap(), Some(&b"whole"[..]));
         assert!(matches!(
             stream.next_record(),
             Err(StorageError::Corrupt(msg)) if msg.contains("ends inside a record")

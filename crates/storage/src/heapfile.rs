@@ -5,8 +5,10 @@
 //! through [`crate::BufferPool::stream`] (grace-join partitions, sort runs,
 //! aggregate partitions, paged relations). Each record is framed by a `u32`
 //! length prefix, and the framed bytes fill pages back to back, so a record
-//! may cross any number of page boundaries; the `RecordAssembler` finds
-//! the records again by their prefixes, so callers never see pages.
+//! may cross any number of page boundaries; the stream finds the records
+//! again by their prefixes and lends each one (borrowed from its page, or
+//! gathered into one reused buffer when it spans pages), so callers never
+//! see pages.
 //!
 //! Writes go through an in-memory *tail page* that is written out when full
 //! or when the writer calls [`HeapFile::seal`]. Sealing is a visibility
@@ -19,7 +21,6 @@
 use crate::page::{Page, PAGE_SIZE};
 use crate::{Result, StorageError};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -150,45 +151,48 @@ impl std::fmt::Debug for HeapFile {
     }
 }
 
-/// Streaming reassembly of length-framed records from a heap file's page
-/// payloads. Feed it the payloads in page order; completed records pop out.
-#[derive(Default)]
-pub(crate) struct RecordAssembler {
-    buf: Vec<u8>,
-}
-
-impl RecordAssembler {
-    /// An empty assembler.
-    pub(crate) fn new() -> RecordAssembler {
-        RecordAssembler::default()
-    }
-
-    /// Feeds one page payload; every record completed by it is pushed to
-    /// `out`.
-    pub(crate) fn push(&mut self, bytes: &[u8], out: &mut VecDeque<Vec<u8>>) {
-        self.buf.extend_from_slice(bytes);
-        let mut at = 0;
-        while let Some(prefix) = self.buf.get(at..at + 4) {
-            let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
-            let Some(record) = self.buf.get(at + 4..at + 4 + len) else {
-                break;
-            };
-            out.push_back(record.to_vec());
-            at += 4 + len;
-        }
-        self.buf.drain(..at);
-    }
-
-    /// `true` when no partial record is pending.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::page::PAGE_CAPACITY;
+    use std::collections::VecDeque;
+
+    /// Streaming reassembly of length-framed records from a heap file's page
+    /// payloads, by copying: the reference the tests check the buffer pool's
+    /// lending `RecordStream` against. Feed it the payloads in page order;
+    /// completed records pop out.
+    #[derive(Default)]
+    pub(crate) struct RecordAssembler {
+        buf: Vec<u8>,
+    }
+
+    impl RecordAssembler {
+        /// An empty assembler.
+        pub(crate) fn new() -> RecordAssembler {
+            RecordAssembler::default()
+        }
+
+        /// Feeds one page payload; every record completed by it is pushed to
+        /// `out`.
+        pub(crate) fn push(&mut self, bytes: &[u8], out: &mut VecDeque<Vec<u8>>) {
+            self.buf.extend_from_slice(bytes);
+            let mut at = 0;
+            while let Some(prefix) = self.buf.get(at..at + 4) {
+                let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+                let Some(record) = self.buf.get(at + 4..at + 4 + len) else {
+                    break;
+                };
+                out.push_back(record.to_vec());
+                at += 4 + len;
+            }
+            self.buf.drain(..at);
+        }
+
+        /// `true` when no partial record is pending.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.buf.is_empty()
+        }
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);

@@ -3,8 +3,11 @@
 //! The storage substrate of the `permrs` provenance engine: SQL values with
 //! three-valued logic, tuples, schemas (including the provenance renaming
 //! `P(R)` used by the Perm rewrite rules), bag-semantics relations and an
-//! in-memory catalog. Attribute names and qualifiers are [`Name`]s, shared
-//! by every schema, plan and compiled plan that mentions them.
+//! in-memory catalog. Attribute names and qualifiers are [`Name`]s: 8-byte
+//! `Copy` handles into a process-wide, append-only interner, made where
+//! text enters (the catalog, the SQL front end, the names the rewrite and
+//! the optimizer generate) and copied, compared and resolved as words by
+//! every schema, plan and compiled plan that mentions them.
 //!
 //! The paper ("Provenance for Nested Subqueries", Glavic & Alonso, EDBT 2009)
 //! implements its rewrites inside PostgreSQL. This crate provides the

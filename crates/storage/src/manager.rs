@@ -151,7 +151,7 @@ impl PagedRelation {
         let mut stream = pool.stream(&self.file);
         while let Some(record) = stream.next_record()? {
             let mut pos = 0;
-            let values = decode_row(&record, &mut pos)?;
+            let values = decode_row(record, &mut pos)?;
             f(Tuple::new(values))?;
         }
         Ok(())

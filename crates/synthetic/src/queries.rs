@@ -241,8 +241,8 @@ mod tests {
             .unwrap();
         let result = Executor::new(&db).execute(rewritten.plan()).unwrap();
         let schema = result.schema();
-        let a = schema.resolve(None, "a").unwrap();
-        let prov_a = schema.resolve(None, "prov_r2_a").unwrap();
+        let a = schema.resolve(None, "a".into()).unwrap();
+        let prov_a = schema.resolve(None, "prov_r2_a".into()).unwrap();
         for tuple in result.tuples() {
             if !tuple.get(prov_a).is_null() {
                 // The contributing R2 tuple must satisfy the equality that

@@ -186,9 +186,13 @@ mod tests {
     #[test]
     fn attributes_are_qualified_with_the_table_name() {
         assert_eq!(
-            lineitem().resolve(Some("lineitem"), "l_orderkey").unwrap(),
+            lineitem()
+                .resolve(Some("lineitem".into()), "l_orderkey".into())
+                .unwrap(),
             0
         );
-        assert!(lineitem().resolve(Some("orders"), "l_orderkey").is_err());
+        assert!(lineitem()
+            .resolve(Some("orders".into()), "l_orderkey".into())
+            .is_err());
     }
 }

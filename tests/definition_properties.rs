@@ -80,7 +80,7 @@ fn build_query(db: &Database, shape: Shape) -> Plan {
 fn named_rows(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
-        .map(|n| rel.schema().resolve(None, n).unwrap())
+        .map(|&n| rel.schema().resolve(None, n).unwrap())
         .collect();
     let mut out: Vec<Vec<Value>> = rel
         .tuples()
@@ -165,8 +165,8 @@ fn definition1_witnesses_match_the_rewrite_provenance_for_single_sublinks() {
             .unwrap();
         let prov = executor.execute(rewritten.plan()).unwrap();
         let prov_schema = prov.schema();
-        let x = prov_schema.resolve(None, "x").unwrap();
-        let prov_y = prov_schema.resolve(None, "prov_ps_y").unwrap();
+        let x = prov_schema.resolve(None, "x".into()).unwrap();
+        let prov_y = prov_schema.resolve(None, "prov_ps_y".into()).unwrap();
 
         for tuple in original.distinct().tuples() {
             let witnesses = checker.definition1_witnesses(tuple).unwrap();

@@ -100,8 +100,8 @@ fn figure3_q2_provenance() {
     let result = provenance_of_sql(&db, sql, Strategy::Left).unwrap();
     assert_eq!(result.len(), 3, "one row per contributing R tuple");
     let schema = result.schema();
-    let c = schema.resolve(None, "c").unwrap();
-    let prov_a = schema.resolve(None, "prov_r_a").unwrap();
+    let c = schema.resolve(None, "c".into()).unwrap();
+    let prov_a = schema.resolve(None, "prov_r_a".into()).unwrap();
     let mut r_values: Vec<i64> = result
         .tuples()
         .iter()
@@ -122,8 +122,8 @@ fn figure3_q3_provenance_for_the_reqfalse_tuple() {
                WHERE a = 3 OR NOT (a < ALL (SELECT c FROM s WHERE c <> 1))";
     let result = provenance_of_sql(&db, sql, Strategy::Gen).unwrap();
     let schema = result.schema();
-    let a = schema.resolve(None, "a").unwrap();
-    let prov_c = schema.resolve(None, "prov_s_c").unwrap();
+    let a = schema.resolve(None, "a".into()).unwrap();
+    let prov_c = schema.resolve(None, "prov_s_c".into()).unwrap();
     let originals: Vec<i64> = result
         .tuples()
         .iter()
@@ -180,15 +180,15 @@ fn section_2_5_multi_sublink_query_has_unique_definition2_provenance() {
     let row = &result.tuples()[0];
     let schema = result.schema();
     assert_eq!(
-        row.get(schema.resolve(None, "prov_u_a").unwrap()),
+        row.get(schema.resolve(None, "prov_u_a".into()).unwrap()),
         &Value::Int(5)
     );
     assert_eq!(
-        row.get(schema.resolve(None, "prov_rnum_b").unwrap()),
+        row.get(schema.resolve(None, "prov_rnum_b".into()).unwrap()),
         &Value::Int(5)
     );
     assert_eq!(
-        row.get(schema.resolve(None, "prov_snum_c").unwrap()),
+        row.get(schema.resolve(None, "prov_snum_c".into()).unwrap()),
         &Value::Int(5)
     );
 
@@ -263,7 +263,7 @@ fn tracer_and_rewrites_agree_on_every_figure3_query() {
             let project = |rel: &Relation| -> Vec<Vec<Value>> {
                 let positions: Vec<usize> = names
                     .iter()
-                    .map(|n| rel.schema().resolve(None, n).unwrap())
+                    .map(|&n| rel.schema().resolve(None, n).unwrap())
                     .collect();
                 let mut out: Vec<Vec<Value>> = rel
                     .tuples()

@@ -3,13 +3,13 @@
 //!
 //! Every identifier a plan carries (attribute names and qualifiers,
 //! projection and aggregate aliases, column references, free-column lists)
-//! is a [`Name`], a reference-counted string, so copying a schema, a plan or
-//! a column reference costs a reference-count increment instead of an
-//! allocation. A `SELECT PROVENANCE` plan carries hundreds of renamed
-//! witness attributes. The plan's operators are shared the same way: every
-//! child and every sublink plan is a [`PlanRef`] that caches its schema and
-//! free columns, a rule rebuilds only the spine above what it changes, and
-//! a pass that fires nothing hands its input back.
+//! is a [`Name`], an 8-byte `Copy` handle into the process-wide interner,
+//! so copying a schema, a plan or a column reference copies no text and
+//! bumps no reference count. A `SELECT PROVENANCE` plan carries hundreds of
+//! renamed witness attributes. The plan's operators are shared the same
+//! way: every child and every sublink plan is a [`PlanRef`] that caches its
+//! schema and free columns, a rule rebuilds only the spine above what it
+//! changes, and a pass that fires nothing hands its input back.
 //!
 //! The gate counts heap allocations (`alloc`, `alloc_zeroed` and `realloc`)
 //! made by `optimize()` and by `Executor::prepare()` on two plans, and by a
@@ -22,40 +22,45 @@
 //! the decorrelation rule splits off a selection whose sublinks it cannot
 //! unnest, and a few scope chains of the totality checks.
 //!
-//! | plan                                  | step             | `String` names | `Name` | as given | shared |
-//! |---------------------------------------|------------------|---------------:|-------:|---------:|-------:|
-//! | synth_corr's correlated `EXISTS`, Gen | `optimize`       |          3 541 |  1 188 |    1 213 |    328 |
-//! | synth_corr's correlated `EXISTS`, Gen | `prepare`        |            880 |    300 |      151 |    141 |
-//! | synth_corr's correlated `EXISTS`, Gen | `optimize` again |                |        |          |      6 |
-//! | TPC-H Q17, Auto                       | `optimize`       |         18 499 |  4 276 |    4 423 |  1 498 |
-//! | TPC-H Q17, Auto                       | `prepare`        |          5 814 |  1 427 |      601 |    481 |
-//! | TPC-H Q17, Auto                       | `optimize` again |                |        |          |     21 |
+//! | plan                                  | step             | `String` names | `Arc<str>` names | as given | shared | interned |
+//! |---------------------------------------|------------------|---------------:|-----------------:|---------:|-------:|---------:|
+//! | synth_corr's correlated `EXISTS`, Gen | `optimize`       |          3 541 |            1 188 |    1 213 |    334 |      329 |
+//! | synth_corr's correlated `EXISTS`, Gen | `prepare`        |            880 |              300 |      151 |    115 |      112 |
+//! | synth_corr's correlated `EXISTS`, Gen | `optimize` again |                |                  |          |      6 |        6 |
+//! | TPC-H Q17, Auto                       | `optimize`       |         18 499 |            4 276 |    4 423 |  1 496 |    1 477 |
+//! | TPC-H Q17, Auto                       | `prepare`        |          5 814 |            1 427 |      601 |    340 |      332 |
+//! | TPC-H Q17, Auto                       | `optimize` again |                |                  |          |     20 |       20 |
 //!
-//! (`as given`: `prepare` compiles the optimized plan without copying it,
-//! `optimize` ends with the fusion; `shared`: plan nodes shared and
-//! annotated. Debug and release builds of this test count the same.)
+//! (`Arc<str>` names: reference-counted names, each plan copy a count
+//! increment; `as given`: `prepare` compiles the optimized plan without
+//! copying it, `optimize` ends with the fusion; `shared`: plan nodes shared
+//! and annotated; `interned`: names are interned handles, what the bounds
+//! below hold. Interned names take few allocations off because a count
+//! increment never allocated; what they take off is time, every copy and
+//! every resolution being a word compare. Debug and release builds of this
+//! test count the same.)
 //!
-//! Q17's `optimize` row was 1 257 before the fold and pushdown rules ran
-//! inside sublink bodies. A body that changes makes its holder rebuild the
-//! expression around the sublink, and `Expr::rewrite` copies the unchanged
-//! siblings on that path — here the whole `Csub⁺` condition of the Gen
-//! rewrite, once per pass that changes the membership body. The other rows
-//! kept their bounds; measured then: EXISTS 334 / 115 / 6, Q17 prepare 343
-//! (its sublink bodies lost a projection) and optimize again 20.
+//! Q17's `optimize` count rose from 1 257 to the `shared` column's when the
+//! fold and pushdown rules began to run inside sublink bodies. A body that
+//! changes makes its holder rebuild the expression around the sublink, and
+//! `Expr::rewrite` copies the unchanged siblings on that path — here the
+//! whole `Csub⁺` condition of the Gen rewrite, once per pass that changes
+//! the membership body.
 //!
 //! The binary holds a single `#[test]` so that no other test allocates
-//! while a count runs. The same test pins the sharing of names: a scan's
-//! schema points at the catalog's names, `Schema::concat` copies no name,
-//! and `Schema::with_qualifier` gives every attribute one qualifier.
+//! while a count runs. The same test pins the identity of names: a scan's
+//! names are the catalog's, `Schema::concat` keeps its inputs' names, and
+//! `Schema::with_qualifier` gives every attribute the one qualifier — and
+//! none of these interns a name.
 
 use perm::core::{ProvenanceQuery, Strategy};
 use perm::exec::optimize::optimize;
 use perm::{Database, Executor};
 use perm_algebra::{Plan, PlanBuilder, PlanRef};
+use perm_storage::Name;
 use perm_tpch::{generate, sublink_queries, TpchScale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The system allocator, counting every allocation and reallocation.
 struct Counting;
@@ -132,22 +137,20 @@ fn prepare_allocations(what: &str, db: &Database, plan: &Plan) -> [usize; 3] {
 }
 
 fn assert_shares_names(db: &Database) {
+    let interned = Name::interned();
     let catalog = db.table_schema("r1").expect("r1 exists");
     let scan = PlanBuilder::scan(db, "r1").expect("r1 exists").build();
     let scanned = scan.schema();
     for (ours, theirs) in scanned.attributes().iter().zip(catalog.attributes()) {
-        assert!(
-            Arc::ptr_eq(&ours.name, &theirs.name),
-            "a scan's `{}` is a copy of the catalog's",
-            ours.name
-        );
+        assert_eq!(ours.name, theirs.name, "a scan renamed a catalog column");
     }
-    let qualifier = scanned.attr(0).qualifier.clone().expect("qualified");
+    let qualifier = scanned.attr(0).qualifier.expect("qualified");
+    assert_eq!(&*qualifier, "r1");
     for attr in scanned.attributes() {
-        let q = attr.qualifier.as_ref().expect("qualified");
-        assert!(
-            Arc::ptr_eq(q, &qualifier),
-            "with_qualifier gave `{}` its own qualifier",
+        assert_eq!(
+            attr.qualifier,
+            Some(qualifier),
+            "with_qualifier gave `{}` a qualifier of its own",
             attr.name
         );
     }
@@ -155,13 +158,14 @@ fn assert_shares_names(db: &Database) {
     let both = catalog.concat(other);
     let sources = catalog.attributes().iter().chain(other.attributes());
     for (ours, theirs) in both.attributes().iter().zip(sources) {
-        assert!(
-            Arc::ptr_eq(&ours.name, &theirs.name),
-            "concat copied `{}`",
-            ours.name
-        );
+        assert_eq!(ours, theirs, "concat changed an attribute");
     }
     assert_eq!(both.arity(), catalog.arity() + other.arity());
+    assert_eq!(
+        Name::interned(),
+        interned,
+        "a scan, with_qualifier or concat interned a name"
+    );
 }
 
 #[test]
@@ -183,16 +187,16 @@ fn prepare_shares_identifiers_instead_of_copying_them() {
         .instantiate(42);
     let q17 = provenance_plan(&tpch, &q17, Strategy::Auto);
 
-    // Bounds on (optimize, prepare, optimize again): the `shared` column of
-    // the module docs plus less than 10 %.
+    // Bounds on (optimize, prepare, optimize again): the `interned` column
+    // of the module docs plus less than 10 %.
     let cases: [(&str, &Database, &Plan, [usize; 3]); 2] = [
         (
             "synth_corr EXISTS under Gen",
             &synth,
             &exists,
-            [348, 155, 6],
+            [348, 123, 6],
         ),
-        ("TPC-H Q17 under Auto", &tpch, &q17, [1_647, 529, 23]),
+        ("TPC-H Q17 under Auto", &tpch, &q17, [1_624, 365, 22]),
     ];
     for (what, db, plan, bounds) in cases {
         let counts = prepare_allocations(what, db, plan);

@@ -86,7 +86,7 @@ fn provenance_of_in_subquery_links_items_to_their_orders() {
     // 103, qty 10) qualify; the monitor's qty-1 order must not appear.
     assert_eq!(result.len(), 3);
     let schema = result.schema();
-    let prov_order = schema.resolve(None, "prov_orders_order_id").unwrap();
+    let prov_order = schema.resolve(None, "prov_orders_order_id".into()).unwrap();
     let orders: Vec<i64> = result
         .tuples()
         .iter()
@@ -107,8 +107,8 @@ fn not_exists_provenance_pads_missing_orders_with_null() {
     // Only the laptop has no orders.
     assert_eq!(result.len(), 1);
     let schema = result.schema();
-    let name = schema.resolve(None, "name").unwrap();
-    let prov_order = schema.resolve(None, "prov_orders_order_id").unwrap();
+    let name = schema.resolve(None, "name".into()).unwrap();
+    let prov_order = schema.resolve(None, "prov_orders_order_id".into()).unwrap();
     assert_eq!(result.tuples()[0].get(name), &Value::str("laptop"));
     assert!(result.tuples()[0].get(prov_order).is_null());
 }
@@ -142,8 +142,8 @@ fn aggregation_provenance_attributes_the_whole_group() {
     // contributing orders, item 3's group one — three provenance rows.
     assert_eq!(result.len(), 3);
     let schema = result.schema();
-    let item = schema.resolve(None, "item_id").unwrap();
-    let total = schema.resolve(None, "total").unwrap();
+    let item = schema.resolve(None, "item_id".into()).unwrap();
+    let total = schema.resolve(None, "total".into()).unwrap();
     for row in result.tuples() {
         match row.get(item).as_i64().unwrap() {
             2 => assert_eq!(row.get(total), &Value::Int(4)),
@@ -161,7 +161,7 @@ fn scalar_subquery_provenance() {
     let result = run(&db, sql).unwrap();
     assert_eq!(result.len(), 4, "all items feed the max() sublink");
     let schema = result.schema();
-    let name = schema.resolve(None, "name").unwrap();
+    let name = schema.resolve(None, "name".into()).unwrap();
     for row in result.tuples() {
         assert_eq!(row.get(name), &Value::str("laptop"));
     }
@@ -347,7 +347,7 @@ fn a_sublink_in_a_test_expression_contributes_its_witnesses() {
             names.contains(&"prov_s_c".into()) && names.contains(&"prov_t_d".into()),
             "{sql}: {names:?}"
         );
-        let prov_s = traced.schema().resolve(None, "prov_s_c").unwrap();
+        let prov_s = traced.schema().resolve(None, "prov_s_c".into()).unwrap();
         assert!(
             traced.tuples().iter().any(|t| !t.get(prov_s).is_null()),
             "{sql}: no row carries an `s` witness:\n{traced}"
@@ -375,4 +375,26 @@ fn a_sublink_in_a_test_expression_contributes_its_witnesses() {
             }
         }
     }
+}
+
+/// Projection pruning keeps an item that a reference spelled in another
+/// case reads: resolution ignores ASCII case, so liveness must too (an
+/// exact-spelling check dropped `a` below `A` and the provenance query
+/// failed with an unknown attribute).
+#[test]
+fn pruning_keeps_an_item_read_in_another_case() {
+    let db = shop_db();
+    let lower = run(
+        &db,
+        "SELECT PROVENANCE name FROM (SELECT name, price FROM items) s WHERE price > 100",
+    )
+    .unwrap();
+    let upper = run(
+        &db,
+        "SELECT PROVENANCE NAME FROM (SELECT name, price FROM items) s WHERE S.Price > 100",
+    )
+    .unwrap();
+    assert_eq!(upper.len(), 2);
+    assert_eq!(distinct_rows(&upper), distinct_rows(&lower));
+    assert_eq!(&*upper.schema().attr(0).name, "NAME");
 }

@@ -16,7 +16,7 @@ fn tiny_db() -> perm_storage::Database {
 fn named_rows(rel: &Relation, names: &[Name]) -> Vec<Vec<Value>> {
     let positions: Vec<usize> = names
         .iter()
-        .map(|n| rel.schema().resolve(None, n).unwrap())
+        .map(|&n| rel.schema().resolve(None, n).unwrap())
         .collect();
     let mut out: Vec<Vec<Value>> = rel
         .tuples()
@@ -173,9 +173,15 @@ fn q4_gen_provenance_links_orders_to_their_late_lineitems() {
         .unwrap();
     let result = Executor::new(&db).execute(rewritten.plan()).unwrap();
     let schema = result.schema();
-    let commit = schema.resolve(None, "prov_lineitem_l_commitdate").unwrap();
-    let receipt = schema.resolve(None, "prov_lineitem_l_receiptdate").unwrap();
-    let order_key = schema.resolve(None, "prov_orders_o_orderkey").unwrap();
+    let commit = schema
+        .resolve(None, "prov_lineitem_l_commitdate".into())
+        .unwrap();
+    let receipt = schema
+        .resolve(None, "prov_lineitem_l_receiptdate".into())
+        .unwrap();
+    let order_key = schema
+        .resolve(None, "prov_orders_o_orderkey".into())
+        .unwrap();
     for row in result.tuples() {
         assert!(!row.get(order_key).is_null(), "an order always contributes");
         if !row.get(commit).is_null() {
