@@ -13,8 +13,8 @@
 //!
 //! Every identifier in the IR — column references, projection and aggregate
 //! aliases, output qualifiers, the free-column lists of [`visit`] — is a
-//! shared [`perm_storage::Name`]: cloning a plan, an expression or a schema
-//! copies reference counts, not strings.
+//! [`perm_storage::Name`], an interned `Copy` handle: copying one copies no
+//! text and bumps no reference count.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +30,7 @@ pub use builder::{
 };
 pub use expr::{AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
 pub use plan::{JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey};
+pub use visit::Scopes;
 
 /// Errors raised while constructing, analyzing or rewriting plans.
 #[derive(Debug, Clone, PartialEq, Eq)]

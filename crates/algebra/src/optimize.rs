@@ -11,13 +11,21 @@
 //! still see them. Left outer joins are left untouched (pushing through them
 //! would change semantics).
 //!
+//! A conjunct moves onto a side only when every column it reads names an
+//! attribute of that side alone ([`side_of`], the optimizer's side test
+//! too): a name ambiguous within a side counts as present there, so the
+//! conjunct stays above, where evaluating it fails as it should. The
+//! pushdown is a rule of the same bottom-up rewrite the optimizer's passes
+//! run under ([`PlanRef::rewrite_up`]).
+//!
 //! Everything after the rewrite — including turning a selection left
 //! directly above a cross product into a join — is the optimizer's, in
 //! `perm_exec::optimize`.
 
-use crate::builder::conjunction;
+use crate::builder::{and, conjunction};
 use crate::expr::{BinaryOp, Expr};
 use crate::plan::{JoinKind, Plan, PlanRef};
+use crate::visit::{side_of, Side};
 use perm_storage::Schema;
 
 /// The top-level conjuncts of a predicate, borrowed, left to right.
@@ -40,70 +48,33 @@ pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     out
 }
 
-/// Which side(s) of a binary operator a conjunct references.
-#[derive(Debug, PartialEq, Eq)]
-enum Placement {
-    Left,
-    Right,
-    Both,
-    /// References something that is not resolvable against either side
-    /// (correlated attributes, ambiguous names) — keep it where it is.
-    Unknown,
-}
-
-fn classify(conjunct: &Expr, left: &Schema, right: &Schema) -> Placement {
+/// Which side of a binary operator a conjunct can run on ([`side_of`]
+/// over its columns): `None` keeps it where it is — it holds a sublink,
+/// reads no column (a constant predicate stays at the top), or reads a
+/// column that does not name an attribute of exactly one side (correlated,
+/// known to both sides, or ambiguous within one).
+fn classify(conjunct: &Expr, left: &Schema, right: &Schema) -> Option<Side> {
     if conjunct.has_sublink() {
-        return Placement::Unknown;
+        return None;
     }
-    let refs = conjunct.column_refs();
-    if refs.is_empty() {
-        // Constant predicates can stay at the top.
-        return Placement::Unknown;
-    }
-    let mut uses_left = false;
-    let mut uses_right = false;
-    for &(qualifier, name) in &refs {
-        let in_left = matches!(left.try_resolve(qualifier, name), Ok(Some(_)));
-        let in_right = matches!(right.try_resolve(qualifier, name), Ok(Some(_)));
-        match (in_left, in_right) {
-            (true, false) => uses_left = true,
-            (false, true) => uses_right = true,
-            // Resolvable on both sides (ambiguous) or on neither
-            // (correlated): do not move the conjunct.
-            _ => return Placement::Unknown,
-        }
-    }
-    match (uses_left, uses_right) {
-        (true, false) => Placement::Left,
-        (false, true) => Placement::Right,
-        (true, true) => Placement::Both,
-        (false, false) => Placement::Unknown,
-    }
+    side_of(&conjunct.column_refs(), left, right)
 }
 
-/// Recursively pushes selection conjuncts towards the scans, bottom-up,
-/// in every operator's children and in the plans of its sublinks.
+/// Pushes selection conjuncts towards the scans, in every operator's
+/// children and in the plans of its sublinks: a rule of the one bottom-up
+/// rewrite ([`PlanRef::rewrite_up`]), so operators without a selection at or
+/// below them are handed back as they are.
 pub fn push_down_selections(plan: Plan) -> Plan {
-    pushed(&PlanRef::new(plan)).into_plan()
-}
-
-/// [`push_down_selections`] over a shared node: operators without a
-/// selection at or below them are handed back as they are.
-fn pushed(node: &PlanRef) -> PlanRef {
-    let mapped = node.map_children(pushed);
-    let mapped = mapped
-        .as_ref()
-        .unwrap_or(node)
-        .map_sublinks(pushed)
-        .or(mapped);
-    match mapped.as_ref().unwrap_or(node) {
-        Plan::Select { input, predicate } => {
-            let conjuncts = split_conjuncts(predicate).into_iter().cloned().collect();
-            let (pushed, residual) = push_into(input.clone(), conjuncts);
-            PlanRef::new(wrap_select(pushed, residual))
-        }
-        _ => node.or_changed(mapped),
-    }
+    PlanRef::new(plan)
+        .rewrite_up(None, true, &mut |node, _| match &**node {
+            Plan::Select { input, predicate } => {
+                let conjuncts = split_conjuncts(predicate).into_iter().cloned().collect();
+                let (pushed, residual) = push_into(input.clone(), conjuncts);
+                Some(PlanRef::new(wrap_select(pushed, residual)))
+            }
+            _ => None,
+        })
+        .into_plan()
 }
 
 /// Pushes the given conjuncts as deep into `plan` as allowed, returning the
@@ -143,10 +114,10 @@ fn push_into_binary(
     let mut residual = Vec::new();
     for conjunct in conjuncts {
         match classify(&conjunct, &left_schema, &right_schema) {
-            Placement::Left => to_left.push(conjunct),
-            Placement::Right => to_right.push(conjunct),
-            Placement::Both => join_conjuncts.push(conjunct),
-            Placement::Unknown => residual.push(conjunct),
+            Some(Side::Left) => to_left.push(conjunct),
+            Some(Side::Right) => to_right.push(conjunct),
+            Some(Side::Both) => join_conjuncts.push(conjunct),
+            None => residual.push(conjunct),
         }
     }
 
@@ -155,28 +126,15 @@ fn push_into_binary(
     let (right, right_rest) = push_into(right, to_right);
     let right = wrap_select(right, right_rest);
 
-    let plan = match (existing_condition, join_conjuncts.is_empty()) {
-        (None, true) => Plan::CrossProduct {
-            left: PlanRef::new(left),
-            right: PlanRef::new(right),
-        },
-        (None, false) => Plan::Join {
-            left: PlanRef::new(left),
-            right: PlanRef::new(right),
-            kind: JoinKind::Inner,
-            condition: conjunction(join_conjuncts),
-        },
-        (Some(condition), true) => Plan::Join {
-            left: PlanRef::new(left),
-            right: PlanRef::new(right),
+    let (left, right) = (PlanRef::new(left), PlanRef::new(right));
+    let joined = (!join_conjuncts.is_empty()).then(|| conjunction(join_conjuncts));
+    let plan = match existing_condition.into_iter().chain(joined).reduce(and) {
+        None => Plan::CrossProduct { left, right },
+        Some(condition) => Plan::Join {
+            left,
+            right,
             kind: JoinKind::Inner,
             condition,
-        },
-        (Some(condition), false) => Plan::Join {
-            left: PlanRef::new(left),
-            right: PlanRef::new(right),
-            kind: JoinKind::Inner,
-            condition: crate::builder::and(condition, conjunction(join_conjuncts)),
         },
     };
     (plan, residual)

@@ -20,11 +20,15 @@
 //! the root a caller holds — computes the same properties from its
 //! children's caches, one operator deep.
 //!
+//! A rewrite that maps a plan leaves first runs through one walk,
+//! [`PlanRef::rewrite_up`], which carries the [`Scopes`] into sublink plans.
+//!
 //! The caches are `OnceLock`s, not `OnceCell`s: a prepared statement is
 //! shared by the worker threads of a serving pool, and two of them may ask
 //! one node for its schema at once.
 
 use crate::expr::{rewrite_all, AggregateExpr, Expr, SublinkKind};
+use crate::visit::Scopes;
 use crate::{AlgebraError, Result};
 use perm_storage::{Attribute, DataType, Name, Schema, Tuple};
 use std::fmt;
@@ -105,7 +109,34 @@ impl PlanRef {
         *self
             .0
             .total
-            .get_or_init(|| crate::visit::plan_is_total(&self.0.plan, &[]))
+            .get_or_init(|| crate::visit::plan_is_total(&self.0.plan, None))
+    }
+
+    /// The one bottom-up rewrite: at each node, the children are rewritten,
+    /// then (with `enter_bodies`) the plans of the node's sublinks, inside
+    /// the node's scope in front of `outer`, then `rule` gets the node over
+    /// them and the chain `outer` enclosing it and returns a replacement or
+    /// `None`. What nothing changed is handed back as it was.
+    pub fn rewrite_up<F>(
+        &self,
+        outer: Option<&Scopes<'_>>,
+        enter_bodies: bool,
+        rule: &mut F,
+    ) -> PlanRef
+    where
+        F: FnMut(&PlanRef, Option<&Scopes<'_>>) -> Option<PlanRef>,
+    {
+        let mut node =
+            self.or_changed(self.map_children(|child| child.rewrite_up(outer, enter_bodies, rule)));
+        if enter_bodies {
+            let mut scope = None;
+            let bodies = node.map_sublinks(|body| {
+                let scope = scope.get_or_insert_with(|| node.scope());
+                body.rewrite_up(Some(&Scopes::new(scope, outer)), true, rule)
+            });
+            node = node.or_changed(bodies);
+        }
+        rule(&node, outer).unwrap_or(node)
     }
 }
 

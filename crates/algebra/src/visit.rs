@@ -10,11 +10,14 @@
 //! ([`PlanRef::free_columns`], [`PlanRef::is_total`]) or by an explicit
 //! recursion over the plan. No function here descends into a test
 //! expression by hand.
+//!
+//! **Resolution rule.** A column resolves along one [`Scopes`] chain, the
+//! same for the totality checks, the optimizer and the executor's compiler
+//! (the interpreter's `Env::lookup` is its runtime mirror).
 
 use crate::expr::{BinaryOp, Expr, SublinkKind, UnaryOp};
-use crate::plan::{Plan, PlanRef};
+use crate::plan::{ColumnRef, Plan, PlanRef};
 use perm_storage::{Name, Schema, Value};
-use std::sync::Arc;
 
 /// A reference to a base relation access inside a plan, in occurrence order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,37 +196,100 @@ pub fn count_sublinks(plan: &Plan) -> u64 {
     n + plan.inputs().map(|c| count_sublinks(c)).sum::<u64>()
 }
 
-/// `true` when a column reference resolves against a scope chain (innermost
-/// first), mirroring the executor's environment lookup: the first scope that
-/// knows the name wins, ambiguity *within* a scope is an evaluation error.
-pub fn resolves(scopes: &[Arc<Schema>], qualifier: Option<Name>, name: Name) -> bool {
-    for scope in scopes {
-        match scope.try_resolve(qualifier, name) {
-            Ok(Some(_)) => return true,
-            Ok(None) => continue,
-            Err(_) => return false,
-        }
-    }
-    false
+/// A scope chain, innermost first: the schema an operator's expressions
+/// resolve against, then the scope of the operator holding each enclosing
+/// sublink. Each link borrows the next, so a chain lives on the stack.
+#[derive(Debug, Clone, Copy)]
+pub struct Scopes<'a> {
+    /// The innermost scope.
+    pub schema: &'a Schema,
+    /// The scopes enclosing it, if any.
+    pub parent: Option<&'a Scopes<'a>>,
 }
 
-/// `true` when evaluating `expr` under the scope chain `scopes` (innermost
-/// first) can never raise an error, for any row. This is the contract that
-/// lets an optimizer rule move the expression to a place where it is
-/// evaluated on a different set of rows. Deliberately conservative:
-/// arithmetic (division, overflow-checked ops) and function calls are never
-/// total; a scalar sublink only when its plan cannot violate the one-row,
-/// one-column contract. A `$n` parameter is total: every execution entry
-/// refuses a vector that leaves it unbound before the first operator runs,
-/// so during evaluation it is a constant lookup. The expression is total
-/// when every node [`Expr::all`] visits is — a sublink's test expression
-/// included, its plan judged as a whole.
-pub fn expr_is_total(expr: &Expr, scopes: &[Arc<Schema>]) -> bool {
+impl<'a> Scopes<'a> {
+    /// `schema` in front of the chain `parent`.
+    pub fn new(schema: &'a Schema, parent: Option<&'a Scopes<'a>>) -> Scopes<'a> {
+        Scopes { schema, parent }
+    }
+
+    /// The `(depth, index)` of a column reference, depth 0 innermost: the
+    /// first scope that knows the name wins, and ambiguity there is an error
+    /// (Section 2.2: an attribute of the input or of a containing sublink).
+    /// `Ok(None)` when no scope knows the name.
+    pub fn resolve(
+        &self,
+        qualifier: Option<Name>,
+        name: Name,
+    ) -> perm_storage::Result<Option<(usize, usize)>> {
+        let mut depth = 0;
+        let mut scope = Some(self);
+        while let Some(s) = scope {
+            if let Some(index) = s.schema.try_resolve(qualifier, name)? {
+                return Ok(Some((depth, index)));
+            }
+            depth += 1;
+            scope = s.parent;
+        }
+        Ok(None)
+    }
+}
+
+/// `true` when a column reference resolves against a scope chain
+/// ([`Scopes::resolve`]), mirroring the executor's environment lookup.
+pub fn resolves(scopes: &Scopes<'_>, qualifier: Option<Name>, name: Name) -> bool {
+    matches!(scopes.resolve(qualifier, name), Ok(Some(_)))
+}
+
+/// The side of a binary operator a set of columns reads ([`side_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    Left,
+    Right,
+    Both,
+}
+
+/// The side of `left ⧺ right` that `refs` read when each names an attribute
+/// of one side alone: it resolves there, and the other does not know it.
+/// `None` for no references, or one that neither side, both sides or one
+/// side twice knows (an ambiguous name is present in its side): a predicate
+/// over it stays where it is.
+pub fn side_of(refs: &[ColumnRef], left: &Schema, right: &Schema) -> Option<Side> {
+    let mut side = None;
+    for &(qualifier, name) in refs {
+        let this = match (
+            left.try_resolve(qualifier, name),
+            right.try_resolve(qualifier, name),
+        ) {
+            (Ok(Some(_)), Ok(None)) => Side::Left,
+            (Ok(None), Ok(Some(_))) => Side::Right,
+            _ => return None,
+        };
+        side = Some(match side {
+            Some(seen) if seen != this => Side::Both,
+            _ => this,
+        });
+    }
+    side
+}
+
+/// `true` when evaluating `expr` under the scope chain `scopes` can never
+/// raise an error, for any row. This is the contract that lets an optimizer
+/// rule move the expression to a place where it is evaluated on a different
+/// set of rows. Deliberately conservative: arithmetic (division,
+/// overflow-checked ops) and function calls are never total; a scalar
+/// sublink only when its plan cannot violate the one-row, one-column
+/// contract. A `$n` parameter is total: every execution entry refuses a
+/// vector that leaves it unbound before the first operator runs, so during
+/// evaluation it is a constant lookup. The expression is total when every
+/// node [`Expr::all`] visits is — a sublink's test expression included, its
+/// plan judged as a whole.
+pub fn expr_is_total(expr: &Expr, scopes: &Scopes<'_>) -> bool {
     expr.all(&mut |e| node_is_total(e, scopes))
 }
 
 /// Whether `e` itself can fail, its operands aside.
-fn node_is_total(e: &Expr, scopes: &[Arc<Schema>]) -> bool {
+fn node_is_total(e: &Expr, scopes: &Scopes<'_>) -> bool {
     match e {
         Expr::Column { qualifier, name } => resolves(scopes, *qualifier, *name),
         Expr::Literal(_) | Expr::Param(_) | Expr::Case { .. } => true,
@@ -254,7 +320,7 @@ fn node_is_total(e: &Expr, scopes: &[Arc<Schema>]) -> bool {
             plan,
             ..
         } => {
-            is_total_under(plan, scopes)
+            is_total_under(plan, Some(scopes))
                 && match kind {
                     SublinkKind::Scalar => yields_one_row(plan) && plan.schema().arity() == 1,
                     SublinkKind::Exists => true,
@@ -275,34 +341,30 @@ pub fn yields_one_row(plan: &Plan) -> bool {
     }
 }
 
-/// `true` when executing `plan` (with enclosing scopes `outers`, innermost
-/// first) can never raise an evaluation error. Comparisons, hash encodings,
+/// `true` when executing `plan` (inside the enclosing scopes `outer`, if
+/// any) can never raise an evaluation error. Comparisons, hash encodings,
 /// sorting and every aggregate accumulator (`sum`/`avg` skip what they
 /// cannot add) are error-free in this engine; a `$n` anywhere in the plan
 /// is bound by the time it runs (see [`expr_is_total`]). A child total
 /// outside any scope ([`PlanRef::is_total`], cached) is total under every
 /// chain: an enclosing scope only resolves what the local ones do not.
-pub fn plan_is_total(plan: &Plan, outers: &[Arc<Schema>]) -> bool {
-    let mut chain: Option<Vec<Arc<Schema>>> = None;
-    let mut total = plan.inputs().all(|p| is_total_under(p, outers));
+pub fn plan_is_total(plan: &Plan, outer: Option<&Scopes<'_>>) -> bool {
+    let mut scope = None;
+    let mut total = plan.inputs().all(|p| is_total_under(p, outer));
     plan.walk_expressions(&mut |e| {
         total = total
             && expr_is_total(
                 e,
-                chain.get_or_insert_with(|| {
-                    std::iter::once(plan.scope())
-                        .chain(outers.iter().cloned())
-                        .collect()
-                }),
+                &Scopes::new(scope.get_or_insert_with(|| plan.scope()), outer),
             )
     });
     total
 }
 
-/// [`plan_is_total`] under the enclosing scopes `outers`, the cached
-/// answer outside any scope ([`PlanRef::is_total`]) first.
-pub fn is_total_under(plan: &PlanRef, outers: &[Arc<Schema>]) -> bool {
-    plan.is_total() || (!outers.is_empty() && plan_is_total(plan, outers))
+/// [`plan_is_total`] inside the enclosing scopes `outer`, the cached answer
+/// outside any scope ([`PlanRef::is_total`]) first.
+pub fn is_total_under(plan: &PlanRef, outer: Option<&Scopes<'_>>) -> bool {
+    plan.is_total() || (outer.is_some() && plan_is_total(plan, outer))
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!    concrete *schema chain* in scope at its location — the operator's own
 //!    input schema innermost, then the scopes of the operators containing
 //!    each enclosing sublink, outermost last — into a [`Slot`] of scope
-//!    depth and attribute index. Resolution order matches the interpreter's
+//!    depth and attribute index. The chain is the one the optimizer's
+//!    totality checks resolve through, [`perm_algebra::Scopes`], and its
+//!    [`Scopes::resolve`] matches the interpreter's
 //!    [`crate::eval::Env::lookup`] exactly: innermost scope first, falling
 //!    outwards only when a name is absent. Names that do not resolve (or are
 //!    ambiguous within the scope that first knows them) compile to a
@@ -58,7 +60,8 @@ use crate::{ExecError, Result};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::free_params;
 use perm_algebra::{
-    AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, SetOpKind, SublinkKind, UnaryOp,
+    AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, Scopes, SetOpKind, SublinkKind,
+    UnaryOp,
 };
 use perm_storage::{
     encode_key_typed, ColumnVec, Name, Relation, Schema, StorageError, Truth, Tuple, Validity,
@@ -445,43 +448,17 @@ impl CompiledNode {
     }
 }
 
-/// The compile-time scope chain, innermost scope at the head. Parallel to
-/// the runtime [`Frame`] chain.
-struct Scopes<'a> {
-    parent: Option<&'a Scopes<'a>>,
-    schema: &'a Schema,
-}
-
-impl<'a> Scopes<'a> {
-    fn nest(parent: Option<&'a Scopes<'a>>, schema: &'a Schema) -> Scopes<'a> {
-        Scopes { parent, schema }
-    }
-
-    /// Resolves a name along the chain, innermost first — the compile-time
-    /// mirror of [`crate::eval::Env::lookup`].
-    fn resolve(&self, qualifier: Option<Name>, name: Name) -> CompiledExpr {
-        match self.schema.try_resolve(qualifier, name) {
-            Ok(Some(index)) => CompiledExpr::Slot(Slot { depth: 0, index }),
-            Ok(None) => match self.parent {
-                Some(p) => match p.resolve(qualifier, name) {
-                    CompiledExpr::Slot(slot) => CompiledExpr::Slot(Slot {
-                        depth: slot.depth + 1,
-                        index: slot.index,
-                    }),
-                    unresolved => unresolved,
-                },
-                None => CompiledExpr::Unresolved {
-                    name,
-                    ambiguous: false,
-                },
-            },
-            // Ambiguity in the innermost scope that knows the name stops the
-            // search, exactly like the interpreter.
-            Err(_) => CompiledExpr::Unresolved {
-                name,
-                ambiguous: true,
-            },
-        }
+/// A column reference resolved along the compile-time scope chain (the
+/// shared [`Scopes::resolve`], parallel to the runtime [`Frame`] chain): a
+/// [`Slot`], or the deferred error of a name no scope knows or the first
+/// scope that knows it holds twice.
+fn resolve_slot(scopes: &Scopes<'_>, qualifier: Option<Name>, name: Name) -> CompiledExpr {
+    match scopes.resolve(qualifier, name) {
+        Ok(Some((depth, index))) => CompiledExpr::Slot(Slot { depth, index }),
+        unresolved => CompiledExpr::Unresolved {
+            name,
+            ambiguous: unresolved.is_err(),
+        },
     }
 }
 
@@ -722,10 +699,10 @@ impl Compiler {
                 distinct,
             } => {
                 let child_schema = input.schema();
-                let scope = Scopes::nest(outer, &child_schema);
+                let scope = Scopes::new(&child_schema, outer);
                 let items = items
                     .iter()
-                    .map(|item| self.expr(&item.expr, Some(&scope)))
+                    .map(|item| self.expr(&item.expr, &scope))
                     .collect::<Result<Vec<_>>>()?;
                 let slots = items.iter().map(|item| match item {
                     CompiledExpr::Slot(Slot { depth: 0, index }) => Some(*index),
@@ -746,8 +723,8 @@ impl Compiler {
             }
             Plan::Select { input, predicate } => {
                 let child_schema = input.schema();
-                let scope = Scopes::nest(outer, &child_schema);
-                let predicate = self.expr(predicate, Some(&scope))?;
+                let scope = Scopes::new(&child_schema, outer);
+                let predicate = self.expr(predicate, &scope)?;
                 Ok(CompiledNode::Select {
                     input: Box::new(self.plan(input, outer)?),
                     predicate,
@@ -782,19 +759,19 @@ impl Compiler {
                 let mut equi_keys = Vec::new();
                 if !condition.has_sublink() {
                     for key in extract_equi_keys(condition, &l_schema, &r_schema) {
-                        let l_scope = Scopes::nest(outer, &l_schema);
-                        let r_scope = Scopes::nest(outer, &r_schema);
+                        let l_scope = Scopes::new(&l_schema, outer);
+                        let r_scope = Scopes::new(&r_schema, outer);
                         equi_keys.push(CompiledEquiKey {
-                            left: self.expr(key.left, Some(&l_scope))?,
-                            right: self.expr(key.right, Some(&r_scope))?,
+                            left: self.expr(key.left, &l_scope)?,
+                            right: self.expr(key.right, &r_scope)?,
                             null_safe: key.null_safe,
                         });
                     }
                 }
                 let keys_cover_condition =
                     !equi_keys.is_empty() && equi_keys.len() == split_conjuncts(condition).len();
-                let scope = Scopes::nest(outer, &cond_schema);
-                let condition = self.expr(condition, Some(&scope))?;
+                let scope = Scopes::new(&cond_schema, outer);
+                let condition = self.expr(condition, &scope)?;
                 Ok(CompiledNode::Join {
                     left: Box::new(self.plan(left, outer)?),
                     right: Box::new(self.plan(right, outer)?),
@@ -811,10 +788,10 @@ impl Compiler {
                 aggregates,
             } => {
                 let child_schema = input.schema();
-                let scope = Scopes::nest(outer, &child_schema);
+                let scope = Scopes::new(&child_schema, outer);
                 let group_by = group_by
                     .iter()
-                    .map(|g| self.expr(&g.expr, Some(&scope)))
+                    .map(|g| self.expr(&g.expr, &scope))
                     .collect::<Result<Vec<_>>>()?;
                 let aggregates = aggregates
                     .iter()
@@ -824,7 +801,7 @@ impl Compiler {
                             arg: a
                                 .arg
                                 .as_ref()
-                                .map(|arg| self.expr(arg, Some(&scope)))
+                                .map(|arg| self.expr(arg, &scope))
                                 .transpose()?,
                             distinct: a.distinct,
                         })
@@ -851,12 +828,12 @@ impl Compiler {
             }),
             Plan::Sort { input, keys } => {
                 let child_schema = input.schema();
-                let scope = Scopes::nest(outer, &child_schema);
+                let scope = Scopes::new(&child_schema, outer);
                 let keys = keys
                     .iter()
                     .map(|k| {
                         Ok(CompiledSortKey {
-                            expr: self.expr(&k.expr, Some(&scope))?,
+                            expr: self.expr(&k.expr, &scope)?,
                             ascending: k.ascending,
                         })
                     })
@@ -875,7 +852,7 @@ impl Compiler {
         }
     }
 
-    fn expr(&mut self, expr: &Expr, scopes: Option<&Scopes<'_>>) -> Result<CompiledExpr> {
+    fn expr(&mut self, expr: &Expr, scopes: &Scopes<'_>) -> Result<CompiledExpr> {
         if let Some((probe, list)) = in_list_shape(expr) {
             return Ok(CompiledExpr::In {
                 probe: Box::new(self.expr(probe, scopes)?),
@@ -883,13 +860,7 @@ impl Compiler {
             });
         }
         Ok(match expr {
-            Expr::Column { qualifier, name } => match scopes {
-                Some(s) => s.resolve(*qualifier, *name),
-                None => CompiledExpr::Unresolved {
-                    name: *name,
-                    ambiguous: false,
-                },
-            },
+            Expr::Column { qualifier, name } => resolve_slot(scopes, *qualifier, *name),
             Expr::Literal(v) => CompiledExpr::Literal(v.clone()),
             Expr::Param(index) => CompiledExpr::Param(*index),
             Expr::Binary {
@@ -945,14 +916,7 @@ impl Compiler {
                 // reference might sit behind a short circuit).
                 let mut params: Option<Vec<Slot>> = Some(Vec::new());
                 for &(qualifier, name) in plan.free_columns() {
-                    let resolved = match scopes {
-                        Some(s) => s.resolve(qualifier, name),
-                        None => CompiledExpr::Unresolved {
-                            name,
-                            ambiguous: false,
-                        },
-                    };
-                    match resolved {
+                    match resolve_slot(scopes, qualifier, name) {
                         CompiledExpr::Slot(slot) => {
                             if let Some(p) = params.as_mut() {
                                 if !p.contains(&slot) {
@@ -972,20 +936,16 @@ impl Compiler {
                         .map(|t| self.expr(t, scopes))
                         .transpose()?,
                     op: *op,
-                    plan: self.sublink_plan(plan, scopes)?,
+                    // Operators inside the sublink do *not* see each
+                    // other's scopes: its outer chain is the chain at the
+                    // use site, as in the interpreter.
+                    plan: self.plan(plan, Some(scopes))?,
                     params,
                     param_refs: free_params(plan),
                     memo: Arc::clone(&self.memo),
                 }))
             }
         })
-    }
-
-    /// Compiles a sublink plan. Its outer chain is the scope chain at the
-    /// sublink's use site — operators inside the sublink do *not* see each
-    /// other's scopes, matching the interpreter's environment threading.
-    fn sublink_plan(&mut self, plan: &Plan, scopes: Option<&Scopes<'_>>) -> Result<CompiledNode> {
-        self.plan(plan, scopes)
     }
 }
 

@@ -63,7 +63,7 @@ use crate::resilience::{CancelToken, Cancellation, FaultPlan, Governor};
 use crate::trace::TraceSink;
 use crate::{ExecError, Result};
 use perm_algebra::optimize::split_conjuncts;
-use perm_algebra::visit::param_count;
+use perm_algebra::visit::{param_count, side_of, Side};
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
 use std::cell::{Cell, RefCell};
@@ -436,13 +436,17 @@ pub(crate) struct EquiKey<'e> {
 }
 
 /// Extracts equality conjuncts `colL = colR` (or `colL =n colR`) from a join
-/// condition, where one side resolves only against the left schema and the
-/// other only against the right schema.
+/// condition, where one column names an attribute of the left schema alone
+/// and the other one of the right schema alone ([`side_of`]).
 pub(crate) fn extract_equi_keys<'e>(
     condition: &'e Expr,
     left: &Schema,
     right: &Schema,
 ) -> Vec<EquiKey<'e>> {
+    let side = |e: &Expr| match e {
+        Expr::Column { qualifier, name } => side_of(&[(*qualifier, *name)], left, right),
+        _ => None,
+    };
     let mut keys = Vec::new();
     for c in split_conjuncts(condition) {
         if let Expr::Binary {
@@ -456,44 +460,22 @@ pub(crate) fn extract_equi_keys<'e>(
                 perm_algebra::BinaryOp::NullSafeEq => true,
                 _ => continue,
             };
-            if let (Expr::Column { .. }, Expr::Column { .. }) = (a.as_ref(), b.as_ref()) {
-                match (side_of(a, left, right), side_of(b, left, right)) {
-                    (Some(Side::Left), Some(Side::Right)) => keys.push(EquiKey {
-                        left: a,
-                        right: b,
-                        null_safe,
-                    }),
-                    (Some(Side::Right), Some(Side::Left)) => keys.push(EquiKey {
-                        left: b,
-                        right: a,
-                        null_safe,
-                    }),
-                    _ => {}
-                }
+            match (side(a), side(b)) {
+                (Some(Side::Left), Some(Side::Right)) => keys.push(EquiKey {
+                    left: a,
+                    right: b,
+                    null_safe,
+                }),
+                (Some(Side::Right), Some(Side::Left)) => keys.push(EquiKey {
+                    left: b,
+                    right: a,
+                    null_safe,
+                }),
+                _ => {}
             }
         }
     }
     keys
-}
-
-#[derive(PartialEq)]
-enum Side {
-    Left,
-    Right,
-}
-
-fn side_of(expr: &Expr, left: &Schema, right: &Schema) -> Option<Side> {
-    if let Expr::Column { qualifier, name } = expr {
-        let in_left = matches!(left.try_resolve(*qualifier, *name), Ok(Some(_)));
-        let in_right = matches!(right.try_resolve(*qualifier, *name), Ok(Some(_)));
-        match (in_left, in_right) {
-            (true, false) => Some(Side::Left),
-            (false, true) => Some(Side::Right),
-            _ => None,
-        }
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

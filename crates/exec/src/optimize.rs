@@ -34,6 +34,11 @@
 //! is exactly what
 //! [`crate::Executor::prepare`] compiles.
 //!
+//! Every pass but projection pruning (liveness flows down, so it walks
+//! top-down) is a node-local rule under the one bottom-up rewrite the
+//! binder's pushdown runs under too, [`PlanRef::rewrite_up`]; decorrelation
+//! leaves sublink plans out.
+//!
 //! # Equivalence discipline
 //!
 //! Every rule preserves four observables of the reference interpreter
@@ -256,12 +261,14 @@
 //! # Inside sublink bodies
 //!
 //! The fold and pushdown passes enter the plan of every sublink, carrying
-//! the scopes that enclose it as an explicit chain, innermost first: the
+//! the scopes that enclose it as a [`Scopes`] chain, innermost first: the
 //! scope of the operator holding the sublink, then that operator's own
-//! enclosing scopes — the chain `plan_is_total` builds. Decorrelation stays
-//! in the top scope (see `decorrelate_pass`). Gen (rules G1/G2) puts each
-//! base relation's witness projection `R⁺` under the sublink's own
-//! correlated selection; this is what moves that selection onto the scan.
+//! enclosing scopes. [`PlanRef::rewrite_up`] puts that link on the stack as
+//! it enters a body and hands each rule the chain enclosing its operator.
+//! Decorrelation stays in the top scope (`decorrelate::decorrelate`). Gen
+//! (rules G1/G2) puts each base relation's witness projection `R⁺` under the
+//! sublink's own correlated selection; this is what moves that selection
+//! onto the scan.
 //!
 //! **Scope rule.** Inside a body, a column that no local scope resolves but
 //! an enclosing one does is an *outer reference*. The executor binds it once
@@ -319,12 +326,12 @@ use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{
     count_sublinks, expr_is_total, free_expr_columns, is_total_under, plan_is_total, resolves,
-    walk_column_refs, yields_one_row,
+    side_of, walk_column_refs, yields_one_row, Side,
 };
-use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey, SublinkKind};
+use perm_algebra::{
+    Expr, JoinKind, Plan, PlanRef, ProjectItem, Scopes, SetOpKind, SortKey, SublinkKind,
+};
 use perm_storage::{Name, Schema, Value};
-use std::ops::Deref;
-use std::sync::Arc;
 
 /// Upper bound on fixpoint iterations; each pass applies every rule once.
 const MAX_PASSES: usize = 4;
@@ -438,9 +445,13 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
         // Every change to the plan is a counted rule application, so a
         // pass that fires nothing has reached the fixpoint.
         let fired_before = rep.rules_fired();
-        current = fold_pass(&current, &[], &mut rep);
-        current = decorrelate::decorrelate_pass(&current, &mut rep, &mut fresh);
-        current = pushdown_pass(&current, &[], &mut rep);
+        current = current.rewrite_up(None, true, &mut |node, outer| fold(node, outer, &mut rep));
+        current = current.rewrite_up(None, false, &mut |node, _| {
+            decorrelate::decorrelate(node, &mut rep, &mut fresh)
+        });
+        current = current.rewrite_up(None, true, &mut |node, outer| {
+            pushdown(node, outer, &mut rep)
+        });
         current = prune_pass(&current, None, &mut rep);
         rep.passes += 1;
         if rep.rules_fired() == fired_before {
@@ -449,8 +460,8 @@ pub fn optimize(plan: &Plan) -> (Plan, OptimizerReport) {
     }
     // Once, after the fixpoint has gone quiet: what these leave behind is a
     // shape no rule above needs to see again.
-    current = order_pass(&current, &mut rep);
-    current = fuse_pass(&current, &mut rep);
+    current = current.rewrite_up(None, true, &mut |node, _| order(node, &mut rep));
+    current = current.rewrite_up(None, true, &mut |node, _| fuse(node, &mut rep));
     rep.sublinks_remaining = count_sublinks(&current);
     (current.into_plan(), rep)
 }
@@ -559,77 +570,18 @@ fn provably_nonempty(plan: &Plan) -> bool {
 // Scopes inside sublink bodies
 // ---------------------------------------------------------------------------
 
-/// A scope chain, innermost first: the scope an operator evaluates its
-/// expressions in, then the scopes enclosing the sublink body it sits in.
-/// At the top and one sublink deep it lives inline, so the checks of a pass
-/// that fires nothing do not allocate there.
-enum ScopeChain {
-    Top([Arc<Schema>; 1]),
-    Body([Arc<Schema>; 2]),
-    Nested(Vec<Arc<Schema>>),
-}
-
-impl Deref for ScopeChain {
-    type Target = [Arc<Schema>];
-
-    fn deref(&self) -> &[Arc<Schema>] {
-        match self {
-            ScopeChain::Top(scopes) => scopes,
-            ScopeChain::Body(scopes) => scopes,
-            ScopeChain::Nested(scopes) => scopes,
-        }
-    }
-}
-
-/// `inner` in front of `outers`.
-fn scope_chain(inner: Arc<Schema>, outers: &[Arc<Schema>]) -> ScopeChain {
-    match outers {
-        [] => ScopeChain::Top([inner]),
-        [outer] => ScopeChain::Body([inner, outer.clone()]),
-        _ => ScopeChain::Nested(
-            std::iter::once(inner)
-                .chain(outers.iter().cloned())
-                .collect(),
-        ),
-    }
-}
-
-/// `mapped` (or `node`, when its children came back unchanged) with `f`
-/// applied to the plan of every sublink its own expressions hold, under the
-/// scopes enclosing that body: the operator's scope, then `outers`.
-/// `mapped` when no body changed.
-fn map_bodies(
-    node: &PlanRef,
-    mapped: Option<Plan>,
-    outers: &[Arc<Schema>],
-    mut f: impl FnMut(&PlanRef, &[Arc<Schema>]) -> PlanRef,
-) -> Option<Plan> {
-    let mut enclosing = None;
-    mapped
-        .as_ref()
-        .unwrap_or(node)
-        .map_sublinks(|body| {
-            let enclosing = enclosing.get_or_insert_with(|| {
-                let scope = mapped.as_ref().map_or_else(|| node.scope(), Plan::scope);
-                scope_chain(scope, outers)
-            });
-            f(body, enclosing)
-        })
-        .or(mapped)
-}
-
 /// `refs` without their outer references: the columns `local` does not know
-/// and an enclosing scope (`outers`) resolves. Each binding of the sublink
+/// and an enclosing scope (`outer`) resolves. Each binding of the sublink
 /// whose body reads one makes it a constant, so it reads no side of
 /// anything below `local`. Outside sublink bodies there are none.
 fn local_refs(
     mut refs: Vec<(Option<Name>, Name)>,
     local: &Schema,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
 ) -> Vec<(Option<Name>, Name)> {
-    if !outers.is_empty() {
+    if let Some(outer) = outer {
         refs.retain(|&(q, n)| {
-            !(matches!(local.try_resolve(q, n), Ok(None)) && resolves(outers, q, n))
+            !(matches!(local.try_resolve(q, n), Ok(None)) && resolves(outer, q, n))
         });
     }
     refs
@@ -639,16 +591,14 @@ fn local_refs(
 // Rule: constant folding
 // ---------------------------------------------------------------------------
 
-/// Bottom-up, sublink plans included: `outers` are the scopes enclosing the
-/// sublink body `node` sits in (none at the top).
-fn fold_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| fold_pass(c, outers, rep));
-    let mapped = map_bodies(node, mapped, outers, |body, enclosing| {
-        fold_pass(body, enclosing, rep)
-    });
-    let folded = match mapped.as_ref().unwrap_or(node) {
+/// Folds the predicate of a selection or join, under the scopes `outer`
+/// enclosing the sublink body it sits in (none at the top); the rule of a
+/// bottom-up pass that enters sublink plans.
+fn fold(node: &PlanRef, outer: Option<&Scopes<'_>>, rep: &mut OptimizerReport) -> Option<PlanRef> {
+    match &**node {
         Plan::Select { input, predicate } => {
-            let folded = fold_expr(predicate, &scope_chain(input.schema(), outers), rep);
+            let scope = input.schema();
+            let folded = fold_expr(predicate, &Scopes::new(&scope, outer), rep);
             match folded.as_ref().unwrap_or(predicate) {
                 Expr::Literal(Value::Bool(true)) => {
                     rep.constants_folded += 1;
@@ -658,7 +608,7 @@ fn fold_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) 
                     if (v.is_null() || *v == Value::Bool(false))
                     // Dropping the input skips all of its evaluations, so
                     // it must be provably error-free.
-                    && is_total_under(input, outers) =>
+                    && is_total_under(input, outer) =>
                 {
                     rep.constants_folded += 1;
                     Some(PlanRef::new(Plan::Values {
@@ -675,8 +625,8 @@ fn fold_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) 
             kind,
             condition,
         } => {
-            let scope = mapped.as_ref().map_or_else(|| node.scope(), Plan::scope);
-            fold_expr(condition, &scope_chain(scope, outers), rep).map(|condition| {
+            let scope = node.scope();
+            fold_expr(condition, &Scopes::new(&scope, outer), rep).map(|condition| {
                 PlanRef::new(Plan::Join {
                     left: left.clone(),
                     right: right.clone(),
@@ -686,22 +636,21 @@ fn fold_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) 
             })
         }
         _ => None,
-    };
-    folded.unwrap_or_else(|| node.or_changed(mapped))
+    }
 }
 
 /// Shielding-exact constant folds over a predicate evaluated under the
-/// scope chain `scopes` (innermost first; an empty chain declines the folds
-/// that judge the totality of an operand reading a column). Only folds
-/// that cannot change which subexpressions are evaluated fire
-/// unconditionally; folds that would *skip* evaluating an operand require
-/// it to be total. `None` when nothing folds.
-fn fold_expr(expr: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Option<Expr> {
+/// scope chain `scopes` (a chain of one empty scope declines the folds that
+/// judge the totality of an operand reading a column). Only folds that
+/// cannot change which subexpressions are evaluated fire unconditionally;
+/// folds that would *skip* evaluating an operand require it to be total.
+/// `None` when nothing folds.
+fn fold_expr(expr: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option<Expr> {
     expr.rewrite(&mut |e| fold_node(e, scopes, rep))
 }
 
 /// The fold of one node whose operands are folded already.
-fn fold_node(e: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Option<Expr> {
+fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option<Expr> {
     match e {
         Expr::Binary {
             op: BinaryOp::And,
@@ -802,7 +751,7 @@ fn fold_node(e: &Expr, scopes: &[Arc<Schema>], rep: &mut OptimizerReport) -> Opt
             kind: SublinkKind::Exists,
             plan,
             ..
-        } if yields_one_row(plan) && plan_is_total(plan, scopes) => {
+        } if yields_one_row(plan) && plan_is_total(plan, Some(scopes)) => {
             rep.constants_folded += 1;
             Some(Expr::Literal(Value::Bool(true)))
         }
@@ -833,24 +782,20 @@ impl TruthExpr for perm_storage::Truth {
 /// preserved side of a left outer join. A conjunct only moves when the
 /// *whole* predicate is total, so the error set cannot change. Semi/anti
 /// joins over a cross product move onto the factor they read, or — reading
-/// both — become two inner joins. Bottom-up, sublink plans included, under
-/// the scopes `outers` enclosing the body `node` sits in.
-fn pushdown_pass(node: &PlanRef, outers: &[Arc<Schema>], rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| pushdown_pass(c, outers, rep));
-    let mapped = map_bodies(node, mapped, outers, |body, enclosing| {
-        pushdown_pass(body, enclosing, rep)
-    });
-    let pushed = match mapped.as_ref().unwrap_or(node) {
-        Plan::Select { input, predicate } => push_select(input, predicate, outers, rep),
+/// both — become two inner joins. The rule of a bottom-up pass that enters
+/// sublink plans: `outer` encloses the body the operator sits in.
+fn pushdown(node: &Plan, outer: Option<&Scopes<'_>>, rep: &mut OptimizerReport) -> Option<PlanRef> {
+    match node {
+        Plan::Select { input, predicate } => push_select(input, predicate, outer, rep),
         Plan::Join {
             left,
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => push_semi_join(left, right, *kind, condition, outers, rep),
+        } => push_semi_join(left, right, *kind, condition, outer, rep),
         _ => None,
-    };
-    node.or_changed(pushed.or(mapped))
+    }
+    .map(PlanRef::new)
 }
 
 fn select(input: impl Into<PlanRef>, predicate: Expr) -> Plan {
@@ -864,10 +809,10 @@ fn select(input: impl Into<PlanRef>, predicate: Expr) -> Plan {
 fn pushed_select(
     input: &PlanRef,
     predicate: Expr,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Plan {
-    push_select(input, &predicate, outers, rep).unwrap_or_else(|| select(input.clone(), predicate))
+    push_select(input, &predicate, outer, rep).unwrap_or_else(|| select(input.clone(), predicate))
 }
 
 /// `true` when every one of `refs` resolves (unambiguously) in `schema`.
@@ -876,18 +821,12 @@ fn resolves_all(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
         .all(|&(q, n)| matches!(schema.try_resolve(q, n), Ok(Some(_))))
 }
 
-/// `true` when none of `refs` is known to `schema`.
-fn resolves_none(schema: &Schema, refs: &[(Option<Name>, Name)]) -> bool {
-    refs.iter()
-        .all(|&(q, n)| matches!(schema.try_resolve(q, n), Ok(None)))
-}
-
 /// `σ_predicate(input)` with the selection pushed down; `None` when it stays
-/// where it is. `outers` enclose the sublink body the selection sits in.
+/// where it is. `outer` encloses the sublink body the selection sits in.
 fn push_select(
     input: &PlanRef,
     predicate: &Expr,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     if let Plan::Join {
@@ -895,18 +834,18 @@ fn push_select(
         ..
     } = &**input
     {
-        return push_onto_preserved_side(input, predicate, outers, rep);
+        return push_onto_preserved_side(input, predicate, outer, rep);
     }
     if predicate.has_sublink() {
         // Sublink-bearing conjuncts stay put: moving one changes how often
         // the (expensive, operator-counted) sublink body runs, and
         // decorrelation wants to see them where they are. The sublink-free
         // ones beside them may still sink into a product below.
-        return sink_conjuncts(input, predicate, outers, rep);
+        return sink_conjuncts(input, predicate, outer, rep);
     }
     let out_schema = input.schema();
     // Each arm checks that the predicate is total, where it applies.
-    let total = |e: &Expr| expr_is_total(e, &scope_chain(out_schema.clone(), outers));
+    let total = |e: &Expr| expr_is_total(e, &Scopes::new(&out_schema, outer));
     match &**input {
         // σ_p(Π_items(T)) → Π_items(σ_p'(T)) with output names substituted
         // by their defining expressions. Projection items are evaluated on
@@ -919,7 +858,7 @@ fn push_select(
             distinct,
         } => {
             let inner_schema = inner.schema();
-            let inner_chain = scope_chain(inner_schema.clone(), outers);
+            let inner_chain = Scopes::new(&inner_schema, outer);
             // The cheap refusals first: a computed item (Gen's projections
             // have one) and a captured name (Gen's `P =ₙ chk` in a body,
             // where `P` names the body's own witness columns) each decide
@@ -933,7 +872,7 @@ fn push_select(
             .filter(|p| expr_is_total(p, &inner_chain))?;
             rep.predicates_pushed += 1;
             Some(Plan::Project {
-                input: pushed_select(inner, substituted, outers, rep).into(),
+                input: pushed_select(inner, substituted, outer, rep).into(),
                 items: items.clone(),
                 distinct: *distinct,
             })
@@ -951,15 +890,15 @@ fn push_select(
             right,
         } => {
             let left_schema = left.schema();
-            let refs = local_refs(predicate.column_refs(), &out_schema, outers);
+            let refs = local_refs(predicate.column_refs(), &out_schema, outer);
             (resolves_all(&left_schema, &refs)
-                && expr_is_total(predicate, &scope_chain(left_schema.clone(), outers)))
+                && expr_is_total(predicate, &Scopes::new(&left_schema, outer)))
             .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::SetOp {
                     op: *op,
                     all: *all,
-                    left: pushed_select(left, predicate.clone(), outers, rep).into(),
+                    left: pushed_select(left, predicate.clone(), outer, rep).into(),
                     right: right.clone(),
                 }
             })
@@ -974,13 +913,13 @@ fn push_select(
             condition,
         } => {
             let left_schema = left.schema();
-            let refs = local_refs(predicate.column_refs(), &out_schema, outers);
+            let refs = local_refs(predicate.column_refs(), &out_schema, outer);
             (resolves_all(&left_schema, &refs)
-                && expr_is_total(predicate, &scope_chain(left_schema.clone(), outers)))
+                && expr_is_total(predicate, &Scopes::new(&left_schema, outer)))
             .then(|| {
                 rep.predicates_pushed += 1;
                 Plan::Join {
-                    left: pushed_select(left, predicate.clone(), outers, rep).into(),
+                    left: pushed_select(left, predicate.clone(), outer, rep).into(),
                     right: right.clone(),
                     kind: *kind,
                     condition: condition.clone(),
@@ -998,7 +937,7 @@ fn push_select(
             Some(pushed_select(
                 inner,
                 and(below.clone(), predicate.clone()),
-                outers,
+                outer,
                 rep,
             ))
         }
@@ -1006,7 +945,7 @@ fn push_select(
         | Plan::Join {
             kind: JoinKind::Inner,
             ..
-        } => sink_conjuncts(input, predicate, outers, rep),
+        } => sink_conjuncts(input, predicate, outer, rep),
         _ => None,
     }
 }
@@ -1017,7 +956,7 @@ fn push_select(
 fn push_onto_preserved_side(
     join: &PlanRef,
     predicate: &Expr,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     let Plan::Join {
@@ -1030,7 +969,7 @@ fn push_onto_preserved_side(
         unreachable!("called on a left outer join");
     };
     let conjuncts = split_conjuncts(predicate);
-    let (moves, assumed) = preserved_side_moves(left, right, condition, &conjuncts, outers, rep)?;
+    let (moves, assumed) = preserved_side_moves(left, right, condition, &conjuncts, outer, rep)?;
     // Sublink-free conjuncts go first: they keep sinking through
     // projections, where a predicate that holds a sublink stops.
     let (mut kept, mut free, mut bearing) = (Vec::new(), Vec::new(), Vec::new());
@@ -1045,7 +984,7 @@ fn push_onto_preserved_side(
     let mut left = left.clone();
     for moved in [free, bearing] {
         if !moved.is_empty() {
-            left = pushed_select(&left, conjunction(moved), outers, rep).into();
+            left = pushed_select(&left, conjunction(moved), outer, rep).into();
         }
     }
     let join = Plan::Join {
@@ -1072,23 +1011,23 @@ fn preserved_side_moves(
     right: &PlanRef,
     condition: &Expr,
     conjuncts: &[&Expr],
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Option<(Vec<bool>, Expr)> {
     let (ls, rs) = (left.schema(), right.schema());
-    let both = Arc::new(ls.concat(&rs));
+    let both = ls.concat(&rs);
     let mut moves: Vec<bool> = conjuncts
         .iter()
         .map(|c| {
-            let refs = local_refs(free_expr_columns(c, &Schema::empty()), &both, outers);
-            !refs.is_empty() && one_side(&ls, &rs, &refs) == Some(true)
+            let refs = local_refs(free_expr_columns(c, &Schema::empty()), &both, outer);
+            side_of(&refs, &ls, &rs) == Some(Side::Left)
         })
         .collect();
-    let scope = scope_chain(both, outers);
+    let scope = Scopes::new(&both, outer);
     let total = moves.contains(&true)
         && conjuncts.iter().all(|c| expr_is_total(c, &scope))
         && expr_is_total(condition, &scope)
-        && is_total_under(right, outers);
+        && is_total_under(right, outer);
     if !total {
         return None;
     }
@@ -1128,26 +1067,26 @@ fn preserved_side_moves(
 fn sink_conjuncts(
     input: &PlanRef,
     predicate: &Expr,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     if !reaches_product(input) {
         return None;
     }
     let schema = input.schema();
-    if !expr_is_total(predicate, &scope_chain(schema.clone(), outers)) {
+    if !expr_is_total(predicate, &Scopes::new(&schema, outer)) {
         return None;
     }
     let mut input = input.clone();
     let mut kept = Vec::new();
     let mut moved = 0;
     for c in split_conjuncts(predicate) {
-        let refs = local_refs(c.column_refs(), &schema, outers);
+        let refs = local_refs(c.column_refs(), &schema, outer);
         if c.has_sublink() || refs.is_empty() {
             kept.push(c.clone());
             continue;
         }
-        match sink_filter(input, c, &refs, outers, rep) {
+        match sink_filter(input, c, &refs, outer, rep) {
             Ok(sunk) => {
                 input = sunk;
                 moved += 1;
@@ -1197,7 +1136,7 @@ fn sink_filter(
     plan: PlanRef,
     c: &Expr,
     refs: &[(Option<Name>, Name)],
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Result<PlanRef, PlanRef> {
     match &*plan {
@@ -1206,7 +1145,7 @@ fn sink_filter(
             right,
             kind: kind @ (JoinKind::Semi | JoinKind::Anti),
             condition,
-        } => match sink_filter(left.clone(), c, refs, outers, rep) {
+        } => match sink_filter(left.clone(), c, refs, outer, rep) {
             Ok(left) => Ok(PlanRef::new(Plan::Join {
                 left,
                 right: right.clone(),
@@ -1227,19 +1166,21 @@ fn sink_filter(
             let condition_total = match product {
                 Plan::Join { condition, .. } => {
                     !condition.has_sublink()
-                        && expr_is_total(condition, &scope_chain(Arc::new(ls.concat(&rs)), outers))
+                        && expr_is_total(condition, &Scopes::new(&ls.concat(&rs), outer))
                 }
                 _ => true,
             };
-            let Some(onto_left) = one_side(&ls, &rs, refs).filter(|_| condition_total) else {
-                return Err(plan);
+            let onto_left = match side_of(refs, &ls, &rs) {
+                Some(Side::Left) if condition_total => true,
+                Some(Side::Right) if condition_total => false,
+                _ => return Err(plan),
             };
             let mut is_left = true;
             let pushed = product.map_children(|side| {
                 let target = is_left == onto_left;
                 is_left = false;
                 if target {
-                    pushed_select(side, c.clone(), outers, rep).into()
+                    pushed_select(side, c.clone(), outer, rep).into()
                 } else {
                     side.clone()
                 }
@@ -1247,18 +1188,6 @@ fn sink_filter(
             Ok(PlanRef::new(pushed.expect("the target side changed")))
         }
         _ => Err(plan),
-    }
-}
-
-/// `Some(true)` when `left` alone resolves `refs`, `Some(false)` when
-/// `right` alone does.
-fn one_side(left: &Schema, right: &Schema, refs: &[(Option<Name>, Name)]) -> Option<bool> {
-    if resolves_all(left, refs) && resolves_none(right, refs) {
-        Some(true)
-    } else if resolves_all(right, refs) && resolves_none(left, refs) {
-        Some(false)
-    } else {
-        None
     }
 }
 
@@ -1270,7 +1199,7 @@ fn push_semi_join(
     right: &PlanRef,
     kind: JoinKind,
     condition: &Expr,
-    outers: &[Arc<Schema>],
+    outer: Option<&Scopes<'_>>,
     rep: &mut OptimizerReport,
 ) -> Option<Plan> {
     if !matches!(**left, Plan::CrossProduct { .. }) || condition.has_sublink() {
@@ -1280,7 +1209,7 @@ fn push_semi_join(
     let probe_refs = local_refs(
         free_expr_columns(condition, &right_schema),
         &left_schema,
-        outers,
+        outer,
     );
     if probe_refs.is_empty() {
         return None;
@@ -1288,9 +1217,9 @@ fn push_semi_join(
     // On a factor the build side runs whenever the factor has rows, and the
     // condition on the factor's rows: unobservable when both are total, or
     // when the factors left behind cannot be empty.
-    let both = Arc::new(left_schema.concat(&right_schema));
+    let both = left_schema.concat(&right_schema);
     let total =
-        expr_is_total(condition, &scope_chain(both, outers)) && is_total_under(right, outers);
+        expr_is_total(condition, &Scopes::new(&both, outer)) && is_total_under(right, outer);
     let join = SemiJoin {
         build: right,
         kind,
@@ -1341,16 +1270,20 @@ impl SemiJoin<'_> {
         let Plan::CrossProduct { left, right } = &**probe else {
             return None;
         };
-        match one_side(&left.schema(), &right.schema(), &self.probe_refs) {
-            Some(true) if self.total || provably_nonempty(right) => Some(Plan::CrossProduct {
-                left: self.sink_or_over(left, rep).into(),
-                right: right.clone(),
-            }),
-            Some(false) if self.total || provably_nonempty(left) => Some(Plan::CrossProduct {
-                left: left.clone(),
-                right: self.sink_or_over(right, rep).into(),
-            }),
-            None if self.kind == JoinKind::Semi && self.total => {
+        match side_of(&self.probe_refs, &left.schema(), &right.schema()) {
+            Some(Side::Left) if self.total || provably_nonempty(right) => {
+                Some(Plan::CrossProduct {
+                    left: self.sink_or_over(left, rep).into(),
+                    right: right.clone(),
+                })
+            }
+            Some(Side::Right) if self.total || provably_nonempty(left) => {
+                Some(Plan::CrossProduct {
+                    left: left.clone(),
+                    right: self.sink_or_over(right, rep).into(),
+                })
+            }
+            Some(Side::Both) | None if self.kind == JoinKind::Semi && self.total => {
                 SemiExpansion::plan(probe, &self.build.schema(), self.condition).map(|expansion| {
                     rep.semi_joins_expanded += 1;
                     expansion.build(left.clone(), right.clone(), self.build.clone())
@@ -1580,11 +1513,12 @@ fn prune_pass(node: &PlanRef, required: Option<&Needed<'_>>, rep: &mut Optimizer
                     *keep |= could_read(q, n, item);
                 }
             });
-            let input_schema = [input.schema()];
+            let input_schema = input.schema();
+            let scope = Scopes::new(&input_schema, None);
             for (keep, item) in keep.iter_mut().zip(items) {
                 // A non-total item's evaluation errors are observable even
                 // if nothing reads it.
-                *keep = *keep || !expr_is_total(&item.expr, &input_schema);
+                *keep = *keep || !expr_is_total(&item.expr, &scope);
             }
             let kept = keep.iter().filter(|k| **k).count().max(1);
             (kept < items.len()).then(|| {
@@ -1657,17 +1591,11 @@ fn prune_pass(node: &PlanRef, required: Option<&Needed<'_>>, rep: &mut Optimizer
 // Rules: projection composition and sort pushdown
 // ---------------------------------------------------------------------------
 
-/// Bottom-up, once: composes stacked non-distinct projections and moves
-/// every `Sort` below the order-preserving operators under it (sublink
-/// plans included).
-fn order_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| order_pass(c, rep));
-    let mapped = mapped
-        .as_ref()
-        .unwrap_or(node)
-        .map_sublinks(|p| order_pass(p, rep))
-        .or(mapped);
-    let fired = match mapped.as_ref().unwrap_or(node) {
+/// Composes a non-distinct projection with the one below it, or moves a
+/// `Sort` below the order-preserving operators under it; the rule of a
+/// bottom-up pass, once, that enters sublink plans.
+fn order(node: &Plan, rep: &mut OptimizerReport) -> Option<PlanRef> {
+    match node {
         Plan::Project {
             input,
             items,
@@ -1689,8 +1617,8 @@ fn order_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
         },
         Plan::Sort { input, keys } => sink_sort(input, keys, rep),
         _ => None,
-    };
-    node.or_changed(fired.or(mapped))
+    }
+    .map(PlanRef::new)
 }
 
 /// The items of `Π_above(Π_below(X))` as one projection over `X` (schema
@@ -1702,7 +1630,7 @@ fn order_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
 fn compose_items(
     above: &[ProjectItem],
     below: &[ProjectItem],
-    input: &Arc<Schema>,
+    input: &Schema,
 ) -> Option<Vec<ProjectItem>> {
     if above.iter().chain(below).any(|i| i.expr.has_sublink()) {
         return None;
@@ -1734,7 +1662,7 @@ fn compose_items(
             Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_)
         );
         if (reads[j] > 1 && !trivial)
-            || (!passed_through[j] && !expr_is_total(&item.expr, std::slice::from_ref(input)))
+            || (!passed_through[j] && !expr_is_total(&item.expr, &Scopes::new(input, None)))
         {
             return None;
         }
@@ -1794,12 +1722,12 @@ fn sink_sort(input: &PlanRef, keys: &[SortKey], rep: &mut OptimizerReport) -> Op
 fn keys_below_projection(
     keys: &[SortKey],
     items: &[ProjectItem],
-    input: &Arc<Schema>,
+    input: &Schema,
 ) -> Option<Vec<SortKey>> {
-    let scope = std::slice::from_ref(input);
+    let scope = Scopes::new(input, None);
     if !items
         .iter()
-        .all(|i| !i.expr.has_sublink() && expr_is_total(&i.expr, scope))
+        .all(|i| !i.expr.has_sublink() && expr_is_total(&i.expr, &scope))
     {
         return None;
     }
@@ -1807,7 +1735,7 @@ fn keys_below_projection(
     keys.iter()
         .map(|k| {
             let expr = substitute_through(&k.expr, &out, items, input)?;
-            expr_is_total(&expr, scope).then_some(SortKey {
+            expr_is_total(&expr, &scope).then_some(SortKey {
                 expr,
                 ascending: k.ascending,
             })
@@ -1822,31 +1750,28 @@ fn keys_below_projection(
 /// the same position in both. The keys then run on the left rows the join
 /// drops as well.
 fn keys_read_left(keys: &[SortKey], left: &Schema, right: Option<&Schema>) -> bool {
-    let out = Arc::new(match right {
-        Some(right) => left.concat(right),
-        None => left.clone(),
-    });
-    keys.iter().all(|k| {
-        expr_is_total(&k.expr, std::slice::from_ref(&out))
-            && resolves_all(left, &k.expr.column_refs())
-    })
+    let joined;
+    let out = match right {
+        Some(right) => {
+            joined = left.concat(right);
+            Scopes::new(&joined, None)
+        }
+        None => Scopes::new(left, None),
+    };
+    keys.iter()
+        .all(|k| expr_is_total(&k.expr, &out) && resolves_all(left, &k.expr.column_refs()))
 }
 
 // ---------------------------------------------------------------------------
 // Rule: selection fusion
 // ---------------------------------------------------------------------------
 
-/// Bottom-up, once, last (sublink plans included): a selection directly
-/// above a cross product becomes an inner join on its predicate, and a
-/// sublink-free one directly above an inner join joins its condition.
-fn fuse_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| fuse_pass(c, rep));
-    let mapped = mapped
-        .as_ref()
-        .unwrap_or(node)
-        .map_sublinks(|p| fuse_pass(p, rep))
-        .or(mapped);
-    let fused = match mapped.as_ref().unwrap_or(node) {
+/// A selection directly above a cross product as an inner join on its
+/// predicate, a sublink-free one directly above an inner join as part of
+/// its condition; the rule of a bottom-up pass, once, last, that enters
+/// sublink plans.
+fn fuse(node: &Plan, rep: &mut OptimizerReport) -> Option<PlanRef> {
+    match node {
         Plan::Select { input, predicate } => match &**input {
             Plan::CrossProduct { left, right } => Some((left, right, predicate.clone())),
             Plan::Join {
@@ -1863,14 +1788,13 @@ fn fuse_pass(node: &PlanRef, rep: &mut OptimizerReport) -> PlanRef {
     }
     .map(|(left, right, condition)| {
         rep.selections_fused += 1;
-        Plan::Join {
+        PlanRef::new(Plan::Join {
             left: left.clone(),
             right: right.clone(),
             kind: JoinKind::Inner,
             condition,
-        }
-    });
-    node.or_changed(fused.or(mapped))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -2758,7 +2682,8 @@ mod tests {
     fn an_absorbing_literal_on_the_right_folds_only_a_total_left_operand() {
         use perm_algebra::builder::{binary, or};
         let db = db();
-        let scope = [Arc::new(db.table("r1").unwrap().schema().clone())];
+        let schema = db.table("r1").unwrap().schema().clone();
+        let scope = Scopes::new(&schema, None);
         let fold = |e: Expr| fold_expr(&e, &scope, &mut OptimizerReport::default()).unwrap_or(e);
         let total = cmp(CompareOp::Le, qcol("r1", "a"), Expr::Param(0));
         assert_eq!(fold(or(total.clone(), lit(true))), lit(true));
@@ -2775,10 +2700,15 @@ mod tests {
         ] {
             assert_eq!(fold(kept.clone()), kept);
         }
-        // Without a scope a column does not resolve: declined.
+        // In an empty scope a column does not resolve: declined.
         let unscoped = or(total, lit(true));
+        let empty = Schema::empty();
         assert_eq!(
-            fold_expr(&unscoped, &[], &mut OptimizerReport::default()),
+            fold_expr(
+                &unscoped,
+                &Scopes::new(&empty, None),
+                &mut OptimizerReport::default()
+            ),
             None
         );
 

@@ -5,15 +5,15 @@
 //! documentation.
 
 use super::{
-    expr_is_total, fold_expr, plan_is_total, resolves_all, resolves_none, substitute_through,
-    OptimizerReport,
+    expr_is_total, fold_expr, plan_is_total, resolves_all, substitute_through, OptimizerReport,
 };
 use perm_algebra::builder::{cmp, conjunction, not};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
 use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{free_columns, free_expr_columns};
 use perm_algebra::{
-    AggFunc, AggregateExpr, Expr, JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SublinkKind,
+    AggFunc, AggregateExpr, Expr, JoinKind, Plan, PlanRef, ProjectItem, Scopes, SetOpKind,
+    SublinkKind,
 };
 use perm_storage::{Name, Schema, Value};
 use std::sync::Arc;
@@ -22,24 +22,22 @@ use std::sync::Arc;
 /// branches, and every branch re-reads the selection's input).
 const MAX_SPLITS: usize = 3;
 
-/// Bottom-up decorrelation sweep over the top-scope operators. Sublink
-/// plans are not entered: a sublink nested inside another sublink's plan
-/// re-executes with every enclosing binding, and there the memo amortizes
-/// its body across bindings while a join would rebuild per run —
-/// decorrelation can *cost* operators in that position.
-pub(super) fn decorrelate_pass(
-    node: &PlanRef,
+/// Decorrelates a selection's sublinks: the rule of a bottom-up pass over
+/// the top-scope operators. Sublink plans are not entered: a sublink nested
+/// inside another sublink's plan re-executes with every enclosing binding,
+/// and there the memo amortizes its body across bindings while a join would
+/// rebuild per run — decorrelation can *cost* operators in that position.
+pub(super) fn decorrelate(
+    node: &Plan,
     rep: &mut OptimizerReport,
     fresh: &mut usize,
-) -> PlanRef {
-    let mapped = node.map_children(|c| decorrelate_pass(c, rep, fresh));
-    match mapped.as_ref().unwrap_or(node) {
+) -> Option<PlanRef> {
+    match node {
         Plan::Select { input, predicate } if predicate.has_sublink() => {
             decorrelate_select(input, predicate, rep, fresh)
         }
         _ => None,
     }
-    .unwrap_or_else(|| node.or_changed(mapped))
 }
 
 /// One conjunct of a selection under decorrelation.
@@ -286,7 +284,8 @@ fn assume_earlier_conjuncts(
     input: &PlanRef,
     rep: &mut OptimizerReport,
 ) -> Vec<Conjunct> {
-    let scope = [input.schema()];
+    let schema = input.schema();
+    let scope = Scopes::new(&schema, None);
     // What each conjunct establishes, read off the conjuncts as written.
     // Within one selection only a sublink's verdict is assumed.
     let facts: Vec<Vec<Fact>> = conjuncts
@@ -354,22 +353,26 @@ pub(super) fn assume_in_expr(expr: &Expr, fact: &Fact, rep: &mut OptimizerReport
             _ => None,
         }
     })?;
-    Some(fold_expr(&assumed, &[], rep).unwrap_or(assumed))
+    let empty = Schema::empty();
+    Some(fold_expr(&assumed, &Scopes::new(&empty, None), rep).unwrap_or(assumed))
 }
 
-/// `node` with the copies of `fact`'s pattern replaced, or `node` itself
-/// when it holds none.
-fn assume_in_plan(node: &PlanRef, fact: &Fact, rep: &mut OptimizerReport) -> PlanRef {
-    let mapped = node.map_children(|c| assume_in_plan(c, fact, rep));
-    let plan = mapped.as_ref().unwrap_or(node);
-    // An operator whose own scope resolves one of the pattern's outer
-    // references shadows it: a copy in its expressions (or nested below
-    // them) reads another column.
-    if !plan.has_direct_sublink() || !resolves_none(&plan.scope(), &fact.refs) {
-        return node.or_changed(mapped);
-    }
-    let assumed = plan.rewrite_expressions(|e| assume_in_expr(e, fact, rep));
-    node.or_changed(assumed.or(mapped))
+/// `plan` with the copies of `fact`'s pattern replaced, or `plan` itself
+/// when it holds none: bottom-up, each operator's expressions through
+/// [`assume_in_expr`], which enters the sublink plans nested in them.
+fn assume_in_plan(plan: &PlanRef, fact: &Fact, rep: &mut OptimizerReport) -> PlanRef {
+    plan.rewrite_up(None, false, &mut |node, _| {
+        // An operator whose own scope knows one of the pattern's outer
+        // references shadows it: a copy in its expressions (or nested below
+        // them) reads another column.
+        let scope = node.has_direct_sublink().then(|| node.scope())?;
+        let known = |&(q, n): &(Option<Name>, Name)| !matches!(scope.try_resolve(q, n), Ok(None));
+        if fact.refs.iter().any(known) {
+            return None;
+        }
+        node.rewrite_expressions(|e| assume_in_expr(e, fact, rep))
+            .map(PlanRef::new)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +451,7 @@ fn find_decorrelatable(
         return None;
     }
     let outer_schema = input.schema();
-    let pred_chain = std::slice::from_ref(&outer_schema);
+    let pred_chain = Scopes::new(&outer_schema, None);
     for (i, conjunct) in conjuncts.iter().enumerate() {
         let Some(cand) = classify_sublink(&conjunct.expr) else {
             continue;
@@ -465,7 +468,7 @@ fn find_decorrelatable(
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .all(|(_, c)| expr_is_total(&c.expr, pred_chain));
+                .all(|(_, c)| expr_is_total(&c.expr, &pred_chain));
             if !others_total {
                 continue;
             }
@@ -473,7 +476,7 @@ fn find_decorrelatable(
         // ANY test expressions are re-evaluated as a join input; they must
         // be total and resolve entirely in the immediate outer scope.
         if let Some(test) = cand.test {
-            if !expr_is_total(test, pred_chain) {
+            if !expr_is_total(test, &pred_chain) {
                 continue;
             }
         }
@@ -481,7 +484,7 @@ fn find_decorrelatable(
         let built = build_decorrelated(
             &cand,
             &mut Lifting {
-                outer: &outer_schema,
+                outer: pred_chain,
                 driver: input,
                 rep,
                 fresh,
@@ -503,9 +506,9 @@ struct Decorrelated {
 
 /// What lifting a sublink body needs to know about the query around it.
 struct Lifting<'a> {
-    /// Schema of the selection's input — the sublink's immediate outer
-    /// scope, the only one a decorrelated sublink may reference.
-    outer: &'a Arc<Schema>,
+    /// The selection's input's scope — the sublink's immediate outer scope,
+    /// the only one a decorrelated sublink may reference.
+    outer: Scopes<'a>,
     /// The selection's input: where the distinct bindings that drive a
     /// grouped aggregate come from.
     driver: &'a PlanRef,
@@ -685,6 +688,10 @@ enum Side {
     Mixed,
 }
 
+/// Which scope `expr` reads, the body's own (`local`) or the enclosing
+/// query's (`outer`). Not `perm_algebra::visit::side_of`, which asks about
+/// two sibling scopes and counts a name both know as neither's: these are
+/// nested, and the innermost that knows a name wins, as at run time.
 fn side_of(expr: &Expr, outer: &Schema, local: &Schema) -> Side {
     if expr.has_sublink() {
         return Side::Mixed;
@@ -740,13 +747,13 @@ fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted>
                     continue;
                 }
                 if !free_expr_columns(c, &local).is_empty() {
-                    body.hoist(c, cx.outer)?;
+                    body.hoist(c, cx.outer.schema)?;
                     continue;
                 }
                 // Removing a hoisted conjunct changes which rows the
                 // conjuncts after it are evaluated on (AND only
                 // short-circuits on FALSE), so those must be total.
-                let chain = [local.clone(), cx.outer.clone()];
+                let chain = Scopes::new(&local, Some(&cx.outer));
                 if !body.hoisted.is_empty() && !expr_is_total(c, &chain) {
                     return None;
                 }
@@ -778,8 +785,7 @@ fn lift(plan: &PlanRef, cx: &mut Lifting<'_>, existence: bool) -> Option<Lifted>
                 // The item's evaluation disappears (EXISTS) or moves to
                 // the join's build side: it must be total over the body
                 // (and free of sublinks, which substitution cannot enter).
-                if item.expr.has_sublink()
-                    || !expr_is_total(&item.expr, std::slice::from_ref(&local))
+                if item.expr.has_sublink() || !expr_is_total(&item.expr, &Scopes::new(&local, None))
                 {
                     return None;
                 }
@@ -866,7 +872,7 @@ fn lift_join(
                 continue;
             }
             if free_expr_columns(c, &local).is_empty() {
-                let chain = [local.clone(), cx.outer.clone()];
+                let chain = Scopes::new(&local, Some(&cx.outer));
                 let anything_hoisted = !joined.hoisted.is_empty() || !r.hoisted.is_empty();
                 if c.has_sublink() || (anything_hoisted && !expr_is_total(c, &chain)) {
                     return None;
@@ -875,7 +881,7 @@ fn lift_join(
             } else if left_outer {
                 return None;
             } else {
-                joined.hoist(c, cx.outer)?;
+                joined.hoist(c, cx.outer.schema)?;
             }
         }
     }
@@ -1042,7 +1048,7 @@ fn lift_global_aggregate(
             .collect(),
         aggregates: grouped_aggs,
     };
-    if !plan_is_total(&plan, &[]) {
+    if !plan_is_total(&plan, None) {
         return None;
     }
     cx.rep.aggregates_grouped += 1;
@@ -1091,7 +1097,7 @@ fn build_decorrelated(
     cx: &mut Lifting<'_>,
     is_first_conjunct: bool,
 ) -> Option<Decorrelated> {
-    let outer_schema = cx.outer;
+    let outer_schema = cx.outer.schema;
     let corr = cand.sub.free_columns();
     // Correlation must target the immediate outer scope, and nothing
     // deeper: every escaping reference resolves (unambiguously) in the
@@ -1145,8 +1151,8 @@ fn build_decorrelated(
     // Every hoisted side must be total: outer sides are re-evaluated per
     // probe row, inner sides per build row, both outside their original
     // AND chain.
-    let outer_chain = std::slice::from_ref(outer_schema);
-    let inner_chain = std::slice::from_ref(&plan_schema);
+    let outer_chain = &cx.outer;
+    let inner_chain = &Scopes::new(&plan_schema, None);
     for (idx, h) in body.hoisted.iter().enumerate() {
         match h {
             Hoisted::Pair { outer, op, inner } => {
@@ -1186,7 +1192,7 @@ fn build_decorrelated(
     // reached by every input row (and the executor skips the build side on
     // an empty probe side), so any body is safe there; otherwise the body
     // must be total.
-    if !is_first_conjunct && !plan_is_total(&right, &[]) {
+    if !is_first_conjunct && !plan_is_total(&right, None) {
         return None;
     }
     // Resolution safety: the transformed right side must be fully

@@ -100,7 +100,8 @@
 //! the hash join switches to a *grace hash join* (build side partitioned to
 //! heap files by [`fnv1a`] of the encoded key, probe keys routed by
 //! ordinal, per partition a rebuild whose probe records drive the resident
-//! probe's `Prober`, its rows put back in exact left-row order by ordinal),
+//! probe's `Prober` — a partition that does not fit split again by the next
+//! salt —, its rows put back in exact left-row order by ordinal),
 //! the sort becomes an *external merge sort* (sorted runs
 //! on disk, each record led by its row's normalised key bytes, k-way merge
 //! comparing those bytes with run-index tie-break — runs are consecutive
@@ -706,11 +707,13 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
 }
 
 /// A set of hash-partition files in the spill store: a record goes to the
-/// file its key's [`fnv1a`] picks, so every record of one key lands in one
-/// partition, and what the set writes is counted as it goes.
+/// file its key's [`fnv1a`] under `salt` picks, so every record of one key
+/// lands in one partition, and what the set writes is counted as it goes.
 struct Partitions {
     store: Rc<StorageManager>,
     files: Vec<Rc<HeapFile>>,
+    /// 0, or 1 more than the partitions this set splits one of.
+    salt: u64,
 }
 
 impl Partitions {
@@ -726,14 +729,35 @@ impl Partitions {
             files.push(store.create_file(&format!("{label}-{p}"))?);
         }
         gov.count().spill_partitions += n as u64;
-        Ok(Partitions { store, files })
+        Ok(Partitions {
+            store,
+            files,
+            salt: 0,
+        })
     }
 
     fn append(&self, gov: &Governor, key: &[u8], record: &[u8]) -> Result<()> {
-        let p = (fnv1a(key) % self.files.len() as u64) as usize;
+        let p = (fnv1a(self.salt, key) % self.files.len() as u64) as usize;
         self.files[p].append_record(record)?;
         gov.count().spilled_bytes += record.len() as u64;
         Ok(())
+    }
+
+    /// A grace join's partition `p` spread over [`SPLIT_FANOUT`] new files
+    /// by the next salt, its records in their order, and whether they hold
+    /// more than one key.
+    fn split(&self, gov: &Governor, p: usize, label: &str) -> Result<(Partitions, bool)> {
+        let mut split = Partitions::create(gov, Rc::clone(&self.store), label, SPLIT_FANOUT)?;
+        split.salt = self.salt + 1;
+        let mut first: Option<Vec<u8>> = None;
+        let mut many = false;
+        let mut stream = self.store.pool().stream(&self.files[p]);
+        while let Some(record) = stream.next_record()? {
+            let key = spill::record_key(record)?;
+            many |= *first.get_or_insert_with(|| key.to_vec()) != key;
+            split.append(gov, key, record)?;
+        }
+        Ok((split, many))
     }
 
     fn seal(&self) -> Result<()> {
@@ -788,12 +812,20 @@ fn spill_join_build(
     Ok((build, probes))
 }
 
+/// A grace partition whose build rows do not fit is split into this many,
+/// by the next salt — two keys sharing it part with odds of 7 in 8 — at
+/// most `MAX_SPLITS` times in a row.
+const SPLIT_FANOUT: usize = 8;
+const MAX_SPLITS: u64 = 8;
+
 /// The grace join's partitions, once every build row and every live left
 /// row's `(ordinal, key)` has been routed to its partition: per partition,
 /// the build rows are read back into a key table — as the resident build
-/// lays them out; the ladder's last resort, so a partition that cannot fit
-/// fails the query — and its probe records drive the same [`Prober`] the
-/// resident probe does, each row keyed by its left ordinal.
+/// lays them out — and its probe records drive the same [`Prober`] the
+/// resident probe does, each row keyed by its left ordinal. A partition
+/// whose build rows do not fit is split ([`Partitions::split`]) and joined
+/// the same way; the ladder's last resort, so one whose rows all share one
+/// key fails the query.
 fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
     prober: &mut Prober<'_, C>,
     build: &Partitions,
@@ -802,21 +834,28 @@ fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
     let probe = prober.probe;
     build.seal()?;
     probes.seal()?;
-    // What routing ended — left rows whose key matches nothing — goes out
-    // first, so the prober holds no charge when the first rebuild grows.
-    prober.finish()?;
     let mut charge = probe.gov.transient("join");
     let mut table = KeyTable::new();
     let mut rows: Vec<Tuple> = Vec::new();
     let mut row_ids: Vec<u32> = Vec::new();
-    for (mut build_stream, mut probe_stream) in build.streams().zip(probes.streams()) {
+    let streams = build.streams().zip(probes.streams());
+    for (p, (mut build_stream, mut probe_stream)) in streams.enumerate() {
         table.clear();
         rows.clear();
         row_ids.clear();
+        let mut fits = true;
         while let Some(record) = build_stream.next_record()? {
             let (key, tuple) = spill::decode_keyed_tuple(record)?;
             if let Some(c) = charge.as_mut() {
-                c.grow(key.len() as u64 + tuple_bytes(&tuple))?;
+                fits = c
+                    .try_grow(key.len() as u64 + tuple_bytes(&tuple))?
+                    .is_none();
+                if !fits {
+                    // The rows read back are dropped: the split re-reads
+                    // the partition's file.
+                    c.release();
+                    break;
+                }
             }
             row_ids.push(table.intern(key).0);
             rows.push(tuple);
@@ -824,6 +863,16 @@ fn grace_partitions<C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>>(
                 probe.checkpoint("join")?;
                 probe.batch();
             }
+        }
+        if !fits {
+            let gov = probe.gov;
+            let (sub_build, many) = build.split(gov, p, "join-build")?;
+            if !many || build.salt >= MAX_SPLITS {
+                return Err(gov.exhausted("join"));
+            }
+            let (sub_probes, _) = probes.split(gov, p, "join-probe")?;
+            grace_partitions(prober, &sub_build, &sub_probes)?;
+            continue;
         }
         let groups = KeyGroups::new(table.len(), &row_ids);
         while let Some(record) = probe_stream.next_record()? {
@@ -989,9 +1038,11 @@ pub(crate) fn join(
             }
         }
     }
-    match grace {
-        Some((build, probes)) => grace_partitions(&mut prober, &build, &probes)?,
-        None => prober.finish()?,
+    // Under grace, what routing ended — left rows whose key matches nothing —
+    // goes out first, so the prober holds no charge when a rebuild grows.
+    prober.finish()?;
+    if let Some((build, probes)) = grace {
+        grace_partitions(&mut prober, &build, &probes)?;
     }
     let rows = prober.sink.into_rows();
     Ok(Relation::from_tuples_unchecked(out_schema.clone(), rows))

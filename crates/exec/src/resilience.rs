@@ -669,14 +669,20 @@ impl Governor {
                         self.note_rung(Degradation::SpilledToDisk);
                         return Ok(Some(store));
                     }
-                    self.note_rung(Degradation::Exhausted);
-                    return Err(ExecError::ResourceExhausted {
-                        operator: operator.to_string(),
-                    });
+                    return Err(self.exhausted(operator));
                 }
             }
         }
         Ok(None)
+    }
+
+    /// The error of an operator whose state cannot fit, disk or not; the
+    /// degradation rung records it.
+    pub(crate) fn exhausted(&self, operator: &str) -> ExecError {
+        self.note_rung(Degradation::Exhausted);
+        ExecError::ResourceExhausted {
+            operator: operator.to_string(),
+        }
     }
 
     /// Returns transient bytes previously charged (operator state that was

@@ -38,10 +38,14 @@ use perm_storage::{decode_row, encode_row, Tuple, Value};
 
 /// FNV-1a over a byte string: the deterministic partitioning hash of the
 /// spill paths. Deliberately *not* `DefaultHasher` — partition assignment is
-/// part of the on-disk layout and must not depend on `std` internals.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// part of the on-disk layout and must not depend on `std` internals. A
+/// salt other than 0 is hashed first, so each salt spreads the same keys
+/// differently: keys that share a partition under one part under the next.
+pub(crate) fn fnv1a(salt: u64, bytes: &[u8]) -> u64 {
+    let salt_bytes = salt.to_le_bytes();
+    let prefix: &[u8] = if salt == 0 { &[] } else { &salt_bytes };
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in prefix.iter().chain(bytes) {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -98,19 +102,24 @@ pub(crate) fn decode_keyed_tuple(record: &[u8]) -> Result<(&[u8], Tuple)> {
     Ok((key, Tuple::new(values)))
 }
 
-/// Grace-join probe record: the left row's global ordinal plus its key (the
+/// Grace-join probe record: the left row's key plus its global ordinal (the
 /// left tuples themselves stay resident, addressed by ordinal).
 pub(crate) fn encode_probe(ordinal: u64, key: &[u8], buf: &mut Vec<u8>) {
     buf.clear();
-    buf.extend_from_slice(&ordinal.to_le_bytes());
     write_bytes(key, buf);
+    buf.extend_from_slice(&ordinal.to_le_bytes());
 }
 
 pub(crate) fn decode_probe(record: &[u8]) -> Result<(u64, &[u8])> {
     let mut pos = 0;
-    let ordinal = read_u64(record, &mut pos)?;
     let key = read_bytes(record, &mut pos)?;
-    Ok((ordinal, key))
+    Ok((read_u64(record, &mut pos)?, key))
+}
+
+/// The key a grace-join record leads with, build ([`encode_keyed_tuple`])
+/// or probe ([`encode_probe`]).
+pub(crate) fn record_key(record: &[u8]) -> Result<&[u8]> {
+    read_bytes(record, &mut 0)
 }
 
 /// External-sort run record: the row's normalised sort key plus the tuple.
@@ -177,9 +186,10 @@ mod tests {
     #[test]
     fn fnv1a_is_stable_and_spreads() {
         // Pinned values: partition assignment is on-disk layout.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+        assert_eq!(fnv1a(0, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(0, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a(0, b"ab"), fnv1a(0, b"ba"));
+        assert_ne!(fnv1a(1, b"a") % 8, fnv1a(2, b"a") % 8);
     }
 
     #[test]

@@ -398,3 +398,43 @@ fn pruning_keeps_an_item_read_in_another_case() {
     assert_eq!(distinct_rows(&upper), distinct_rows(&lower));
     assert_eq!(&*upper.schema().attr(0).name, "NAME");
 }
+
+/// `r(a, x)`, `s1(a)` and `s2(a)`, two rows each.
+fn ambiguous_db() -> Database {
+    let mut db = Database::new();
+    for (name, columns) in [("r", &["a", "x"][..]), ("s1", &["a"]), ("s2", &["a"])] {
+        let rows = (1..=2)
+            .map(|i| columns.iter().map(|_| Value::Int(i)).collect())
+            .collect();
+        db.create_table(
+            name,
+            Relation::from_rows(Schema::from_names(columns).with_qualifier(name), rows),
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// A column that names an attribute of two relations of the `FROM` list is
+/// ambiguous wherever it is read. The binder's pushdown must not move a
+/// conjunct reading it onto the one factor where it happens to be unique
+/// (`s2` below `r × s1`, which holds `a` twice): that answered the query with
+/// `σ_{a = 1}(s2)` where evaluating `a` must fail, as it does when the
+/// conjunct stays put (under an `OR`) and in the select list.
+#[test]
+fn a_conjunct_on_an_ambiguous_column_stays_above_the_product_and_fails() {
+    let db = ambiguous_db();
+    for sql in [
+        "SELECT x FROM r, s1, s2 WHERE a = 1",
+        "SELECT x FROM r, s1, s2 WHERE a = 1 OR x = 99",
+        "SELECT a FROM r, s1, s2",
+    ] {
+        match run(&db, sql) {
+            Err(err) => assert!(
+                format!("{err:?}").contains("AmbiguousAttribute(\"a\")"),
+                "{sql}: {err:?}"
+            ),
+            Ok(rows) => panic!("{sql}: {} rows, expected an ambiguity error", rows.len()),
+        }
+    }
+}
