@@ -241,10 +241,11 @@ pub struct CompiledSortKey {
 /// `cols()[k]`. Recorded on every non-`DISTINCT` [`CompiledNode::Project`]
 /// whose items are all depth-0 slots — the rename-only `Π` every rule of the
 /// provenance rewrite ends in — so the compiled driver moves values by
-/// position instead of evaluating items: a `Π` over a join is emitted *by*
-/// the join (`crate::physical`'s one row-building routine writes each output
-/// row through the map, and the join's full-width relation is never built),
-/// a `Π` over anything else gathers from the rows its child hands over.
+/// position instead of evaluating items: a `Π` over a join, a selection or
+/// a sort is emitted *by* that operator (it builds each output row once,
+/// through the map — a join's match, a σ's survivor, a sort's row in
+/// sorted order — and its full-width output is never built), a `Π` over
+/// anything else gathers from the rows its child hands over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnMap {
     cols: Vec<usize>,
@@ -1618,13 +1619,24 @@ impl<'e, 'a> Execution<'e, 'a> {
                 ColumnVec::Values(values)
             }
             (Some((op, mut tests)), shared) => {
+                // One key buffer for the batch's test values.
+                let mut key = Vec::new();
                 let mut verdicts = Vec::with_capacity(n);
                 for i in 0..n {
                     let test = tests.take_value(i);
-                    verdicts.push(match shared {
-                        Some(summary) => summary.probe().verdict(sublink.kind, op, &test),
-                        None => summary_of(i)?.probe().verdict(sublink.kind, op, &test),
-                    });
+                    let fetched;
+                    let summary = match shared {
+                        Some(summary) => summary,
+                        None => {
+                            fetched = summary_of(i)?;
+                            &fetched
+                        }
+                    };
+                    verdicts.push(
+                        summary
+                            .probe()
+                            .verdict_in(sublink.kind, op, &test, &mut key),
+                    );
                 }
                 truths_to_bool_lane(verdicts.into_iter(), n)
             }

@@ -183,6 +183,7 @@ impl<'p> Interpreter<'p> {
                     probe,
                     child.into_rows(),
                     None,
+                    None,
                     |batch, out| {
                         for tuple in batch.iter() {
                             let scope = Env::new(env, &child_schema, tuple);
@@ -319,7 +320,7 @@ impl<'p> Interpreter<'p> {
                 let child = self.rows(input, env)?;
                 let child_schema = child.schema().clone();
                 let ascending: Vec<bool> = keys.iter().map(|k: &SortKey| k.ascending).collect();
-                physical::sort(probe, child, &ascending, |batch, cols| {
+                physical::sort(probe, child, &ascending, None, |batch, cols| {
                     for tuple in batch.iter() {
                         let scope = Env::new(env, &child_schema, tuple);
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {

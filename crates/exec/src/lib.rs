@@ -93,11 +93,16 @@
 //! mismatch. An operator that reads its input (join, computed projection,
 //! aggregate, set operation, cross product, a sublink's summary) borrows
 //! it; one that passes rows on (selection, pass-through projection, sort,
-//! limit) moves the rows an operator built and clones the stored ones it
+//! limit) moves the rows an operator built and copies the stored ones it
 //! emits. The first copy of a stored row is therefore made by the operator
-//! that keeps it — a selection's survivor, a join's output row — or, for a
-//! plan that is a bare scan, where the driver returns the result; both
-//! drivers follow that rule.
+//! that keeps it — a selection's survivor, a join's output row, a sort's
+//! row in sorted order — or, for a plan that is a bare scan, where the
+//! driver returns the result; both drivers follow that rule. In the
+//! compiled driver that copy is also the last: a pass-through projection
+//! (a [`compile::ColumnMap`], the rename-only `Π` every provenance rule
+//! ends in) directly above a join, selection or sort hands its map down,
+//! and the operator builds each row through it, leaving the `Π` nothing to
+//! gather.
 //!
 //! The compiled driver is one pull pipeline (`pipeline`): scans,
 //! selections, projections and `LIMIT`s pass batches on, pipeline breakers

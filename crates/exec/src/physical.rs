@@ -33,12 +33,13 @@
 //! return after checking every row's arity. Operators that only read their
 //! input — join, computed projection, aggregate, set operation, cross
 //! product, sublink summaries — take it by reference; selection, the
-//! pass-through projection, sort and limit take it by value and hand each
-//! row they emit on through one routine, [`take_row`], which moves a built
-//! row and clones a borrowed one. So the first copy of a stored row is made
-//! by the operator that emits it, and a row a selection drops or a join
-//! only reads is never copied; a plan that is a bare scan copies its rows
-//! where the driver turns its result into a `Relation`.
+//! pass-through projection, sort and limit take it by value, and selection
+//! and sort build each row they emit through one routine, [`take_row`],
+//! which moves a built row and copies a borrowed one. So the first copy of
+//! a stored row is made by the operator that emits it, and a row a
+//! selection drops, a sort only keys or a join only reads is never copied;
+//! a plan that is a bare scan copies its rows where the driver turns its
+//! result into a `Relation`.
 //!
 //! Operator **output order** is part of the engine's observable semantics
 //! (a stable sort above an operator keeps tie order, and `LIMIT` truncates
@@ -48,12 +49,14 @@
 //! candidate batches are filtered with a truth vector and drained in order,
 //! never reordered.
 //!
-//! A join **builds each output row once**, through an emission map (a
-//! [`ColumnMap`]): the identity, or — when the compiled driver finds a
-//! pass-through `Π` directly above the join, as every rule of the provenance
-//! rewrite leaves one — that `Π`'s columns, so the join's full-width
-//! relation never exists and the `Π` finds its rows made
-//! ([`project_columns`]). Every row a join emits — a match, a recheck
+//! An operator that makes rows **builds each one once**, through an
+//! emission map (a [`ColumnMap`]): when the compiled driver finds a
+//! pass-through `Π` directly above a join, a selection or a sort, as every
+//! rule of the provenance rewrite leaves one, that `Π`'s columns — so the
+//! operator's full-width output never exists and the `Π` finds its rows
+//! made ([`project_columns`]) — and otherwise the identity (a join) or no
+//! map ([`take_row`]). One copy per row, made by the operator that makes
+//! the row. Every row a join emits — a match, a recheck
 //! survivor, NULL padding, the left row of a semi / anti join — is emitted
 //! by one per-left-row body, the `Prober`, whichever loop drives it: the
 //! resident hash probe and the nested loop in left order, each grace
@@ -225,13 +228,25 @@ fn checked_arity<'a>(schema: &Schema, rows: &'a [Tuple]) -> Result<&'a [Tuple]> 
     }
 }
 
-/// Row `i` of an input, for the output of the operator consuming it: moved
-/// out of built rows (each row is taken at most once), cloned out of
-/// borrowed ones.
-fn take_row(rows: &mut Cow<'_, [Tuple]>, i: usize) -> Tuple {
-    match rows {
-        Cow::Owned(rows) => std::mem::take(&mut rows[i]),
-        Cow::Borrowed(rows) => rows[i].clone(),
+/// Row `i` of an input as the operator consuming it emits it: through
+/// `map` — the columns of the pass-through `Π` directly above, or `None`
+/// for the row as it is — in the one copy the output holds. A built row is
+/// moved out (each row is taken at most once) and gathered in place
+/// ([`ColumnMap::gather`]); a borrowed one is copied column by column
+/// ([`ColumnMap::pair`]) or whole.
+fn take_row(rows: &mut Cow<'_, [Tuple]>, i: usize, map: Option<&ColumnMap>) -> Tuple {
+    match (rows, map) {
+        (Cow::Owned(rows), map) => gather(map, std::mem::take(&mut rows[i])),
+        (Cow::Borrowed(rows), Some(map)) => map.pair(&rows[i], None),
+        (Cow::Borrowed(rows), None) => rows[i].clone(),
+    }
+}
+
+/// A built row emitted through `map`, if any.
+fn gather(map: Option<&ColumnMap>, row: Tuple) -> Tuple {
+    match map {
+        Some(map) => map.gather(row),
+        None => row,
     }
 }
 
@@ -293,9 +308,10 @@ pub(crate) fn project(
 /// place out of built rows ([`ColumnMap::gather`] — moved at a column's last
 /// use, cloned before it), cloned column by column out of borrowed ones
 /// ([`ColumnMap::pair`]).
-/// `map = None`: the join below already wrote the rows through this Π's map
-/// (see [`join`]), and they pass on as they are. Either way the same
-/// checkpoints and batches as [`project`] over the same input.
+/// `map = None`: the join, selection or sort below already built the rows
+/// through this Π's map (see [`join`], [`select`], [`sort`]), and they pass
+/// on as they are. Either way the same checkpoints and batches as
+/// [`project`] over the same input.
 pub(crate) fn project_columns(
     probe: OpProbe<'_>,
     input: Cow<'_, [Tuple]>,
@@ -338,16 +354,18 @@ pub(crate) fn project_columns(
 /// checkpoint each, each batch's column block reading the `stored` lanes
 /// under `input` when a scan handed them on: `keep` evaluates the
 /// predicate over one batch (three-valued TRUE only), appending one
-/// verdict per live row. Only
-/// survivors reach `out`, through [`take_row`]: moved out of built rows,
-/// cloned out of borrowed ones; dropped rows are never copied. On an error
-/// `keep` has appended the verdicts of the batch's rows before the failing
-/// one (the row-major contract of every evaluator closure here), and their
-/// survivors reach `out` before the error is returned.
+/// verdict per live row. Only survivors reach `out`, each built once by
+/// [`take_row`] — through `map`, the columns of the pass-through `Π` the
+/// compiled driver found directly above, which then has nothing left to
+/// gather; dropped rows are never copied. On an error `keep` has appended
+/// the verdicts of the batch's rows before the failing one (the row-major
+/// contract of every evaluator closure here), and their survivors reach
+/// `out` before the error is returned.
 pub(crate) fn select(
     probe: OpProbe<'_>,
     mut input: Cow<'_, [Tuple]>,
     stored: Option<Window<'_>>,
+    map: Option<&ColumnMap>,
     mut keep: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
     out: &mut Vec<Tuple>,
 ) -> Result<()> {
@@ -366,7 +384,7 @@ pub(crate) fn select(
         debug_assert!(verdicts.is_err() || truths.len() == end - start);
         for (i, keep) in (start..end).zip(&truths) {
             if *keep {
-                out.push(take_row(&mut input, i));
+                out.push(take_row(&mut input, i, map));
             }
         }
         verdicts?;
@@ -1311,30 +1329,39 @@ pub(crate) fn set_op(
     Ok(Relation::new(l.schema().clone(), tuples)?)
 }
 
-/// The sort's resident buffer: the rows it was given (moved in when built,
-/// cloned when borrowed — the sort emits every row) and each row's
-/// normalised sort key (`perm_storage::encode_sort_key` bytes), back to
-/// back in one arena — no allocation per row. Sorting it yields a
-/// permutation; neither the rows nor the keys are reordered.
+/// The sort's resident buffer: the input rows from `first` on that have
+/// been keyed — a consecutive segment, left where it is, since the sort
+/// emits each row once, in sorted order — and each row's normalised sort
+/// key (`perm_storage::encode_sort_key` bytes), back to back in one arena —
+/// no allocation per row. Sorting it yields a permutation of input
+/// indices; neither the rows nor the keys are reordered.
 struct SortBuffer {
-    rows: Vec<Tuple>,
+    /// The input index of the first buffered row.
+    first: usize,
     keys: Vec<u8>,
-    /// Row `i`'s key is `keys[key_ends[i]..key_ends[i + 1]]`.
+    /// Input row `first + i`'s key is `keys[key_ends[i]..key_ends[i + 1]]`.
     key_ends: Vec<usize>,
 }
 
 impl SortBuffer {
+    /// The key of input row `row`.
     fn key(&self, row: usize) -> &[u8] {
-        &self.keys[self.key_ends[row]..self.key_ends[row + 1]]
+        let i = row - self.first;
+        &self.keys[self.key_ends[i]..self.key_ends[i + 1]]
     }
 
-    /// The buffered rows' indices in sorted order: by key bytes, ties by
-    /// input position, which is the stable order. Each row carries its
+    /// The input index one past the last buffered row.
+    fn end(&self) -> usize {
+        self.first + self.key_ends.len() - 1
+    }
+
+    /// The buffered rows' input indices in sorted order: by key bytes, ties
+    /// by input position, which is the stable order. Each row carries its
     /// key's first eight bytes as one integer, which decides most
     /// comparisons: keys are prefix-free, so two keys whose zero-padded
     /// first eight bytes differ first differ there.
     fn sorted_order(&self) -> Vec<usize> {
-        let mut order: Vec<(u64, usize)> = (0..self.rows.len())
+        let mut order: Vec<(u64, usize)> = (self.first..self.end())
             .map(|i| {
                 let key = self.key(i);
                 let mut head = [0u8; 8];
@@ -1351,13 +1378,14 @@ impl SortBuffer {
         order.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// Sorts the buffer and writes it out as one sorted run file, key bytes
-    /// first in every record, leaving it empty. Because a run is always a
-    /// *consecutive* segment of the input, merging runs with a
-    /// lowest-run-index tie-break later reproduces the stable in-memory
-    /// sort order exactly.
+    /// Sorts the buffer and writes its input rows out as one sorted run
+    /// file, key bytes first in every record, leaving it empty; built rows
+    /// live on in the run alone. Because a run is always a *consecutive*
+    /// segment of the input, merging runs with a lowest-run-index
+    /// tie-break later reproduces the stable in-memory sort order exactly.
     fn spill_run(
         &mut self,
+        input: &mut Cow<'_, [Tuple]>,
         gov: &Governor,
         store: &StorageManager,
         runs: &mut Vec<Rc<HeapFile>>,
@@ -1365,14 +1393,17 @@ impl SortBuffer {
         let file = store.create_file(&format!("sort-run-{}", runs.len()))?;
         let mut buf = Vec::new();
         for row in self.sorted_order() {
-            spill::encode_run_row(self.key(row), &self.rows[row], &mut buf);
+            spill::encode_run_row(self.key(row), &input[row], &mut buf);
             file.append_record(&buf)?;
             gov.count().spilled_bytes += buf.len() as u64;
         }
         file.seal()?;
         gov.count().spill_partitions += 1;
         runs.push(file);
-        self.rows.clear();
+        if let Cow::Owned(rows) = input {
+            rows[self.first..self.end()].fill_with(Tuple::default);
+        }
+        self.first = self.end();
         self.keys.clear();
         self.key_ends.truncate(1);
         Ok(())
@@ -1396,8 +1427,9 @@ enum HeadRow<'k> {
         record: Vec<u8>,
         key: std::ops::Range<usize>,
     },
-    /// A row of the resident remainder, its key in the sort buffer.
-    Resident { key: &'k [u8], tuple: Tuple },
+    /// A row of the resident remainder, by input index, its key in the
+    /// sort buffer.
+    Resident { key: &'k [u8], row: usize },
 }
 
 impl RunHead<'_> {
@@ -1408,12 +1440,15 @@ impl RunHead<'_> {
         }
     }
 
-    /// The row, for the output.
-    fn take_tuple(&mut self) -> Result<Tuple> {
-        match &mut self.row {
-            HeadRow::Spilled { record, key } => spill::decode_run_tuple(record, key.end),
-            HeadRow::Resident { tuple, .. } => Ok(std::mem::take(tuple)),
-        }
+    /// The row, for the output: decoded from its record or taken from
+    /// `input`, through `map` either way ([`take_row`]).
+    fn emit(&self, input: &mut Cow<'_, [Tuple]>, map: Option<&ColumnMap>) -> Result<Tuple> {
+        Ok(match &self.row {
+            HeadRow::Spilled { record, key } => {
+                gather(map, spill::decode_run_tuple(record, key.end)?)
+            }
+            HeadRow::Resident { row, .. } => take_row(input, *row, map),
+        })
     }
 }
 
@@ -1451,22 +1486,33 @@ impl Eq for RunHead<'_> {}
 /// through a heap of run heads comparing those bytes in place, with ties
 /// broken toward the lowest run index — runs are consecutive input
 /// segments, so that tie-break *is* the stable order.
+///
+/// The buffer keeps input indices, not rows: each row is built once, when
+/// it is emitted in sorted order ([`take_row`]), or read back from its run.
+/// With `emit` — the column map and schema of the pass-through `Π` the
+/// compiled driver found directly above — it is built through that map,
+/// and the `Π` has nothing left to gather; a run's records hold the input
+/// rows either way.
 pub(crate) fn sort(
     probe: OpProbe<'_>,
     child: OpRows<'_>,
     ascending: &[bool],
+    emit: Option<(&ColumnMap, &Schema)>,
     mut keys: impl FnMut(&Batch<'_>, &mut [ColumnVec]) -> Result<()>,
 ) -> Result<Relation> {
     let _timer = probe.begin("sort")?;
     let gov = probe.gov;
     let mut charge = gov.transient("sort");
-    let schema = child.schema().clone();
-    let arity = schema.arity();
+    let arity = child.schema().arity();
+    let (map, schema) = match emit {
+        Some((map, schema)) => (Some(map), schema.clone()),
+        None => (None, child.schema().clone()),
+    };
     let mut input = child.into_rows();
     let mut key_ends = Vec::with_capacity(input.len() + 1);
     key_ends.push(0);
     let mut buffer = SortBuffer {
-        rows: Vec::with_capacity(input.len()),
+        first: 0,
         keys: Vec::new(),
         key_ends,
     };
@@ -1496,17 +1542,15 @@ pub(crate) fn sort(
                 }
             }
             buffer.key_ends.push(buffer.keys.len());
-            let row = take_row(&mut input, i);
             if charge.is_some() {
                 // Sort-buffer growth: the extracted keys (as the values
                 // they are) plus the row.
-                chunk_bytes += tuple_bytes(&row);
+                chunk_bytes += tuple_bytes(&input[i]);
             }
-            buffer.rows.push(row);
         }
         if let Some(c) = charge.as_mut() {
             if let Some(spill) = c.try_grow(chunk_bytes)? {
-                buffer.spill_run(gov, &spill, &mut runs)?;
+                buffer.spill_run(&mut input, gov, &spill, &mut runs)?;
                 store = Some(spill);
                 c.release();
             }
@@ -1515,20 +1559,15 @@ pub(crate) fn sort(
     // The in-memory remainder is sorted either way; with runs on disk it
     // plays the role of the final (highest-index) run in the merge.
     let order = buffer.sorted_order();
-    let SortBuffer {
-        mut rows,
-        keys: key_bytes,
-        key_ends,
-    } = buffer;
     let Some(store) = store else {
         let sorted = order
             .into_iter()
-            .map(|i| std::mem::take(&mut rows[i]))
+            .map(|i| take_row(&mut input, i, map))
             .collect();
         return Ok(Relation::new(schema, sorted)?);
     };
     let mut streams: Vec<_> = runs.iter().map(|f| store.pool().stream(f)).collect();
-    let (key_bytes, key_ends) = (&key_bytes[..], &key_ends[..]);
+    let buffer = &buffer;
     let mut resident = order.into_iter();
     // The next row of run `run`: a record of its file, or — past the last
     // file — of the resident remainder.
@@ -1546,9 +1585,9 @@ pub(crate) fn sort(
                 }
                 None => None,
             },
-            None => resident.next().map(|i| HeadRow::Resident {
-                key: &key_bytes[key_ends[i]..key_ends[i + 1]],
-                tuple: std::mem::take(&mut rows[i]),
+            None => resident.next().map(|row| HeadRow::Resident {
+                key: buffer.key(row),
+                row,
             }),
         };
         Ok(row.map(|row| RunHead { run, row }))
@@ -1560,7 +1599,7 @@ pub(crate) fn sort(
     let mut out = Relation::empty(schema);
     let mut emitted = 0usize;
     while let Some(mut head) = heads.peek_mut() {
-        out.push_unchecked(head.take_tuple()?);
+        out.push_unchecked(head.emit(&mut input, map)?);
         emitted += 1;
         if emitted.is_multiple_of(BATCH_ROWS) {
             probe.checkpoint("sort")?;

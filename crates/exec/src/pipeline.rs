@@ -10,7 +10,10 @@
 //!   `want` rows at a time, whatever it still needs, and keeps surplus
 //!   survivors for its next pull; a projection maps each pull one to one.
 //!   Each runs its `crate::physical` body, one checkpoint per `BATCH_ROWS`
-//!   rows.
+//!   rows. A pass-through projection directly over a join, selection or
+//!   sort hands its column map down, and that operator builds each row
+//!   through it: the projection keeps its invocation, checkpoints and
+//!   batches, and passes the rows on as they come.
 //! * Pipeline breakers drain their inputs when opened and hand out the
 //!   output of their `crate::physical` body.
 //! * A `LIMIT` with no breaker between it and the root (`spine`) is lazy on
@@ -26,14 +29,11 @@
 //! records per pull the rows in and out and the self time of its body.
 
 use crate::batch::{Window, BATCH_ROWS};
-use crate::compile::{
-    row_major, ColumnMap, CompiledEquiKey, CompiledExpr, CompiledNode, CompiledPlan, Frame,
-};
+use crate::compile::{row_major, ColumnMap, CompiledExpr, CompiledNode, CompiledPlan, Frame};
 use crate::executor::Execution;
 use crate::physical::{self, AggSpec, OpRows};
 use crate::profile::{add, OpProbe, OpTimer, ProfNode};
 use crate::{ExecError, Result};
-use perm_algebra::JoinKind;
 use perm_storage::{Relation, Schema, Tuple};
 use std::borrow::Cow;
 use std::rc::Rc;
@@ -130,6 +130,9 @@ enum Op<'p> {
     Select {
         input: Box<Source<'p>>,
         predicate: &'p CompiledExpr,
+        /// The column map of the pass-through Π above, which the survivors
+        /// are built through.
+        map: Option<&'p ColumnMap>,
         ready: Ready<'p>,
     },
     Project {
@@ -148,20 +151,21 @@ enum Op<'p> {
 enum Items<'p> {
     /// Computed items.
     Exprs(&'p [CompiledExpr]),
-    /// Input columns, moved by the map — `None` when the join below wrote
-    /// the rows.
+    /// Input columns, moved by the map — `None` when the join, selection or
+    /// sort below (its [`producer`]) wrote the rows through it.
     Columns(Option<&'p ColumnMap>),
 }
 
-/// A compiled join's fields, borrowed out of its node for the join's
-/// driver.
-struct JoinNode<'p> {
-    left: &'p CompiledNode,
-    right: &'p CompiledNode,
-    kind: &'p JoinKind,
-    condition: &'p CompiledExpr,
-    equi_keys: &'p [CompiledEquiKey],
-    keys_cover_condition: &'p bool,
+/// The operator a pass-through Π directly above `node` hands its column
+/// map to, so that each row is built once, by the operator that makes it:
+/// a join's matches, a selection's survivors, a sort's rows in order.
+fn producer(node: &CompiledNode) -> Option<&'static str> {
+    match node {
+        CompiledNode::Join { .. } => Some("join"),
+        CompiledNode::Select { .. } => Some("select"),
+        CompiledNode::Sort { .. } => Some("sort"),
+        _ => None,
+    }
 }
 
 impl<'p> Source<'p> {
@@ -206,6 +210,7 @@ impl<'p> Source<'p> {
             Op::Select {
                 input,
                 predicate,
+                map,
                 ready,
             } => {
                 while ready.short_of(want) {
@@ -221,6 +226,7 @@ impl<'p> Source<'p> {
                             probe,
                             rows,
                             window,
+                            *map,
                             |batch, out| {
                                 row_major(batch, out, |batch, out| {
                                     x.predicate_truths_vectorized(predicate, batch, frame, out)
@@ -421,18 +427,8 @@ impl<'e> Execution<'e, '_> {
             CompiledNode::Values { schema, rows } => {
                 made(physical::values(probe, schema, rows)?, None)
             }
-            CompiledNode::Select {
-                input: i,
-                predicate,
-                ..
-            } => {
-                let (input, ready) = (input(i)?, Ready::default());
-                let op = Op::Select {
-                    input,
-                    predicate,
-                    ready,
-                };
-                pipelined(op, probe.begin("select")?)
+            CompiledNode::Select { .. } | CompiledNode::Join { .. } | CompiledNode::Sort { .. } => {
+                self.open_producer(plan, frame, prof, spine, None)?
             }
             CompiledNode::Project {
                 input: i,
@@ -440,36 +436,21 @@ impl<'e> Execution<'e, '_> {
                 schema,
                 ..
             } => {
-                // Π∘⋈ in one pass: the join writes its rows through the Π's
-                // map, and the Π is left none to gather.
-                let (input, map) = match &**i {
-                    CompiledNode::Join {
-                        left,
-                        right,
-                        kind,
-                        condition,
-                        equi_keys,
-                        keys_cover_condition,
-                        ..
-                    } => {
-                        let join = JoinNode {
-                            left,
-                            right,
-                            kind,
-                            condition,
-                            equi_keys,
-                            keys_cover_condition,
-                        };
-                        (
-                            Box::new(self.join(join, frame, child(0), map, schema)?),
-                            None,
-                        )
+                // Π∘⋈, Π∘σ and Π∘sort in one pass: the operator below
+                // builds its rows through the Π's map, and the Π is left
+                // none to gather.
+                let by = producer(i);
+                let (input, map) = match by {
+                    Some(_) => {
+                        let emit = Some((map, &**schema));
+                        let input = self.open_producer(i, frame, child(0), spine, emit)?;
+                        (Box::new(input), None)
                     }
-                    _ => (input(i)?, Some(map)),
+                    None => (input(i)?, Some(map)),
                 };
                 let timer = probe.begin("project")?;
-                if map.is_none() {
-                    probe.emitted_by_join();
+                if let Some(op) = by {
+                    probe.emitted_by(op);
                 }
                 let items = Items::Columns(map);
                 pipelined(Op::Project { input, items }, timer)
@@ -533,26 +514,6 @@ impl<'e> Execution<'e, '_> {
                     physical::cross_product(probe, &l, &r, Schema::clone(schema))
                 })?
             }
-            CompiledNode::Join {
-                left,
-                right,
-                kind,
-                condition,
-                equi_keys,
-                keys_cover_condition,
-                schema,
-            } => {
-                let join = JoinNode {
-                    left,
-                    right,
-                    kind,
-                    condition,
-                    equi_keys,
-                    keys_cover_condition,
-                };
-                let map = ColumnMap::identity(schema.arity());
-                self.join(join, frame, prof, &map, schema)?
-            }
             CompiledNode::Aggregate {
                 input,
                 group_by,
@@ -601,11 +562,50 @@ impl<'e> Execution<'e, '_> {
                     physical::set_op(probe, *op, *all, &l, &r)
                 })?
             }
+        })
+    }
+
+    /// Opens a [`producer`] — a join, selection or sort — whose rows are
+    /// built through `emit`: the column map and schema of the pass-through
+    /// Π directly above it, or `None` for its own rows. `prof` mirrors the
+    /// producer; the rest is as in [`Execution::open`].
+    fn open_producer<'p>(
+        &self,
+        plan: &'p CompiledNode,
+        frame: Option<&Frame<'_>>,
+        prof: Option<&Rc<ProfNode>>,
+        spine: bool,
+        emit: Option<(&'p ColumnMap, &'p Schema)>,
+    ) -> Result<Source<'p>>
+    where
+        'e: 'p,
+    {
+        let node = prof.map(|p| &**p);
+        let probe = OpProbe::new(self, node.map(|p| &p.stats));
+        let child = prof.map(|p| &p.children[0]);
+        let map = emit.map(|(map, _)| map);
+        Ok(match plan {
+            CompiledNode::Select {
+                input, predicate, ..
+            } => {
+                let input = Box::new(self.open(input, frame, child, spine)?);
+                let op = Op::Select {
+                    input,
+                    predicate,
+                    map,
+                    ready: Ready::default(),
+                };
+                Source {
+                    op,
+                    prof: prof.cloned(),
+                    clock: probe.begin("select")?.into_clock(),
+                }
+            }
             CompiledNode::Sort { input, keys, .. } => {
-                let rows = drained(0, input)?;
+                let rows = self.drain(input, frame, child, false)?;
                 let ascending: Vec<bool> = keys.iter().map(|k| k.ascending).collect();
                 self.breaker(node, rows.len(), || {
-                    physical::sort(probe, rows, &ascending, |batch, cols| {
+                    physical::sort(probe, rows, &ascending, emit, |batch, cols| {
                         for (k, col) in keys.iter().zip(cols.iter_mut()) {
                             *col = self.expr_column(&k.expr, batch, frame)?;
                         }
@@ -613,58 +613,50 @@ impl<'e> Execution<'e, '_> {
                     })
                 })?
             }
-        })
-    }
-
-    /// Drains a join's inputs and runs the join, its rows written through
-    /// `map` under `out_schema`: the identity and the join's own schema, or
-    /// those of the pass-through Π directly above it. `prof` mirrors the
-    /// join.
-    fn join<'p>(
-        &self,
-        join: JoinNode<'p>,
-        frame: Option<&Frame<'_>>,
-        prof: Option<&Rc<ProfNode>>,
-        map: &ColumnMap,
-        out_schema: &Schema,
-    ) -> Result<Source<'p>>
-    where
-        'e: 'p,
-    {
-        let JoinNode {
-            left,
-            right,
-            kind,
-            condition,
-            equi_keys,
-            keys_cover_condition,
-        } = join;
-        let node = prof.map(|p| &**p);
-        let l = self.drain(left, frame, prof.map(|p| &p.children[0]), false)?;
-        if l.is_empty() && kind.left_only_output() {
-            // A decorrelated sublink's inner plan never ran when the
-            // outer input was empty; skipping the build side keeps
-            // the operator count and error surface of the reference
-            // per-binding evaluation.
-            return self.breaker(None, 0, || Ok(Relation::empty(out_schema.clone())));
-        }
-        let r = self.drain(right, frame, prof.map(|p| &p.children[1]), false)?;
-        let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
-        let probe = OpProbe::new(self, node.map(|p| &p.stats));
-        self.breaker(node, l.len() + r.len(), || {
-            physical::join(
-                probe,
-                &l,
-                &r,
-                out_schema,
-                *kind,
-                &null_safe,
-                map,
-                !keys_cover_condition,
-                |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
-                |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
-            )
+            CompiledNode::Join {
+                left,
+                right,
+                kind,
+                condition,
+                equi_keys,
+                keys_cover_condition,
+                schema,
+            } => {
+                let identity;
+                let (map, schema) = match emit {
+                    Some(emit) => emit,
+                    None => {
+                        identity = ColumnMap::identity(schema.arity());
+                        (&identity, &**schema)
+                    }
+                };
+                let l = self.drain(left, frame, child, false)?;
+                if l.is_empty() && kind.left_only_output() {
+                    // A decorrelated sublink's inner plan never ran when the
+                    // outer input was empty; skipping the build side keeps
+                    // the operator count and error surface of the reference
+                    // per-binding evaluation.
+                    return self.breaker(None, 0, || Ok(Relation::empty(schema.clone())));
+                }
+                let r = self.drain(right, frame, prof.map(|p| &p.children[1]), false)?;
+                let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
+                self.breaker(node, l.len() + r.len(), || {
+                    physical::join(
+                        probe,
+                        &l,
+                        &r,
+                        schema,
+                        *kind,
+                        &null_safe,
+                        map,
+                        !keys_cover_condition,
+                        |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
+                        |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
+                        |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
+                    )
+                })?
+            }
+            _ => unreachable!("only a join, selection or sort builds its rows through a map"),
         })
     }
 }

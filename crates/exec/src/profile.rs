@@ -63,8 +63,9 @@ pub(crate) struct NodeStats {
     pub(crate) spilled_bytes: Cell<u64>,
     pub(crate) spill_partitions: Cell<u64>,
     pub(crate) columnar_fallback_rows: Cell<u64>,
-    /// A pass-through projection whose rows the join below it wrote.
-    pub(crate) emitted_by_join: Cell<bool>,
+    /// A pass-through projection whose rows the operator below it (a
+    /// join, selection or sort) wrote: that operator's name.
+    pub(crate) emitted_by: Cell<Option<&'static str>>,
 }
 
 pub(crate) fn add(cell: &Cell<u64>, delta: u64) {
@@ -293,9 +294,9 @@ fn snapshot_node(node: &ProfNode) -> ProfileNode {
     let s = &node.stats;
     ProfileNode {
         operator: node.op.to_string(),
-        detail: match s.emitted_by_join.get() {
-            true => format!("{} (emitted by join)", node.detail),
-            false => node.detail.clone(),
+        detail: match s.emitted_by.get() {
+            Some(op) => format!("{} (emitted by {op})", node.detail),
+            None => node.detail.clone(),
         },
         invocations: s.invocations.get(),
         rows_in: s.rows_in.get(),
@@ -392,10 +393,10 @@ impl<'p> OpProbe<'p> {
         }
     }
 
-    /// Marks a projection as emitted by the join below it.
-    pub(crate) fn emitted_by_join(&self) {
+    /// Marks a projection as emitted by the operator `op` below it.
+    pub(crate) fn emitted_by(&self, op: &'static str) {
         if let Some(stats) = self.node {
-            stats.emitted_by_join.set(true);
+            stats.emitted_by.set(Some(op));
         }
     }
 }

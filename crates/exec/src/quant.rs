@@ -10,11 +10,14 @@
 //! or number. The probe keeps exactly what answers those three questions
 //! for every operator:
 //!
-//! * `=` / `<>`: the [`encode_key`] set of the non-NULL values. Key
-//!   equality is `strict_eq` (the invariant documented in `perm_storage`'s
-//!   `keys.rs`), so `t = r` holds for some row iff `t`'s key is in the set,
-//!   and fails for some row iff the set holds another key — a value of the
-//!   other comparison class compares FALSE under `=`, never UNKNOWN.
+//! * `=` / `<>`: the [`perm_storage::encode_key`] set of the non-NULL
+//!   values, interned in one [`KeyTable`] arena; each test value is encoded
+//!   into a reused buffer, so a probe allocates nothing per row it
+//!   answers. Key equality is `strict_eq` (the invariant documented in
+//!   `perm_storage`'s `keys.rs`), so `t = r` holds for some row iff `t`'s
+//!   key is in the set, and fails for some row iff the set holds another
+//!   key — a value of the other comparison class compares FALSE under `=`,
+//!   never UNKNOWN.
 //! * `<`, `<=`, `>`, `>=`: per comparison class — numeric (`Int`, `Float`,
 //!   `Date`, `Bool`) or `Str` — the minimum and maximum under `sql_cmp`,
 //!   which is a total preorder within a class (exact across the numeric
@@ -37,9 +40,8 @@ use crate::physical::OpRows;
 use crate::resilience::MemoCost;
 use crate::Result;
 use perm_algebra::{CompareOp, SublinkKind};
-use perm_storage::{encode_key, Relation, Truth, Tuple, Value};
+use perm_storage::{encode_key_into, KeyTable, Relation, Truth, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The comparison class of a non-NULL value: values of different classes
@@ -55,8 +57,8 @@ fn class_of(v: &Value) -> Option<usize> {
 /// One `ANY` / `ALL` sublink result, summarised (see the module docs).
 #[derive(Debug)]
 pub struct QuantProbe {
-    /// `encode_key` of every non-NULL value.
-    keys: HashSet<Vec<u8>>,
+    /// [`perm_storage::encode_key`] of every non-NULL value.
+    keys: KeyTable,
     has_null: bool,
     /// `(min, max)` under `sql_cmp` per comparison class (numeric, `Str`);
     /// `None` when the result holds no value of that class.
@@ -78,24 +80,25 @@ impl QuantProbe {
     pub(crate) fn of_rows(arity: usize, rows: &[Tuple]) -> Result<QuantProbe> {
         check_quantified_arity(arity)?;
         let mut probe = QuantProbe {
-            keys: HashSet::new(),
+            keys: KeyTable::new(),
             has_null: false,
             bounds: [None, None],
             heap_bytes: 0,
         };
+        let mut key = Vec::new();
         for row in rows {
             let v = row.get(0);
             let Some(class) = class_of(v) else {
                 probe.has_null = true;
                 continue;
             };
-            let key = encode_key(std::slice::from_ref(v));
-            if probe.keys.contains(&key) {
+            key.clear();
+            encode_key_into(std::slice::from_ref(v), &mut key);
+            if !probe.keys.intern(&key).1 {
                 // An equal value is already in the bounds, too.
                 continue;
             }
             probe.heap_bytes += key.len() as u64 + 32;
-            probe.keys.insert(key);
             match &mut probe.bounds[class] {
                 None => probe.bounds[class] = Some((v.clone(), v.clone())),
                 Some((min, max)) => {
@@ -113,6 +116,18 @@ impl QuantProbe {
     /// The verdict of `test op ANY/ALL (result)` — exactly what
     /// [`crate::eval::fold_quantified`] computes over the result's rows.
     pub fn verdict(&self, kind: SublinkKind, op: CompareOp, test: &Value) -> Truth {
+        self.verdict_in(kind, op, test, &mut Vec::new())
+    }
+
+    /// [`QuantProbe::verdict`], encoding `test`'s key into `key`: one
+    /// buffer reused across the test values of a batch.
+    pub(crate) fn verdict_in(
+        &self,
+        kind: SublinkKind,
+        op: CompareOp,
+        test: &Value,
+        key: &mut Vec<u8>,
+    ) -> Truth {
         let any = kind == SublinkKind::Any;
         if self.keys.is_empty() && !self.has_null {
             // Nothing to compare: `ANY` is FALSE, `ALL` is TRUE.
@@ -124,7 +139,9 @@ impl QuantProbe {
         // Whether some row compares TRUE, and whether some compares FALSE.
         let (some_true, some_false) = match op {
             CompareOp::Eq | CompareOp::Neq => {
-                let member = self.keys.contains(&encode_key(std::slice::from_ref(test)));
+                key.clear();
+                encode_key_into(std::slice::from_ref(test), key);
+                let member = self.keys.get(key).is_some();
                 let other = self.keys.len() > usize::from(member);
                 if op == CompareOp::Eq {
                     (member, other)

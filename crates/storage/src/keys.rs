@@ -64,6 +64,14 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
     encode_key_impl(values, false)
 }
 
+/// [`encode_key`] appended to `out`, for a caller that encodes key after
+/// key into one reused buffer.
+pub fn encode_key_into(values: &[Value], out: &mut Vec<u8>) {
+    for v in values {
+        encode_value(v, false, out);
+    }
+}
+
 /// Type-exact variant of [`encode_key`] used for sublink memo keys: every
 /// value variant gets its own tag and its exact bit pattern, so key equality
 /// means the bindings are *byte-identical*, not merely in the same

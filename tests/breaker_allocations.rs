@@ -4,25 +4,31 @@
 //! The hash join interns each build key into one `KeyTable` arena from a
 //! reused key buffer and lays its mates out once, the aggregate looks its
 //! groups up the same way, and the sort encodes each row's key into one
-//! byte arena. What is left per row is the output row itself and, for a
-//! spilled sort, the run record read back and the row decoded from it; a
-//! grace join's build rows read back are decoded from records lent by
-//! their pages.
+//! byte arena. What is left per row is the output row itself, built once
+//! (a sort keeps input indices, not rows, and builds each row as it emits
+//! it — through the column map of a pass-through Π directly above), and,
+//! for a spilled sort, the run record read back and the row decoded from
+//! it; a grace join's build rows read back are decoded from records lent
+//! by their pages.
 //! The gate counts heap allocations (`alloc`, `alloc_zeroed` and
 //! `realloc`) of one execution of a prepared plan and requires at most one
-//! per output row (three for the spilled sort, four for the grace join)
+//! per output row (two for the spilled sort, four for the grace join)
 //! plus [`PER_BATCH`] per input batch of `BATCH_ROWS` rows:
 //!
-//! | plan                                             | output rows | batches |  bound | `HashMap` keys | flat keys |
-//! |--------------------------------------------------|------------:|--------:|-------:|---------------:|----------:|
-//! | `r2 ⋈_g r1`, 16 ⋈ 20 000 rows (build r1)         |       9 990 |      21 | 12 678 |         50 404 |    12 143 |
-//! | the same join grace under 256 KiB (4 / row)      |       9 990 |      21 | 42 648 |              — |    33 462 |
-//! | `r1 ⋈_a r2`, matching, 20 000 ⋈ 5 000 rows       |       5 008 |      25 |  8 208 |         21 591 |     7 195 |
-//! | `γ_{g; count(*)}(r1)`, 20 000 rows               |          32 |      20 |  2 592 |         40 182 |     2 238 |
-//! | `ORDER BY b, a` over `r1`, 20 000 rows, resident |      20 000 |      20 | 22 560 |         20 073 |    20 086 |
-//! | the same sort under 256 KiB, spilled (3 / row)   |      20 000 |      20 | 62 560 |         77 711 |    57 585 |
+//! | plan                                             | output rows | batches |  bound | `HashMap` keys | flat keys | one copy |
+//! |--------------------------------------------------|------------:|--------:|-------:|---------------:|----------:|---------:|
+//! | `r2 ⋈_g r1`, 16 ⋈ 20 000 rows (build r1)         |       9 990 |      21 | 12 678 |         50 404 |    12 143 |   12 143 |
+//! | the same join grace under 256 KiB (4 / row)      |       9 990 |      21 | 42 648 |              — |    33 462 |   33 482 |
+//! | `r1 ⋈_a r2`, matching, 20 000 ⋈ 5 000 rows       |       5 008 |      25 |  8 208 |         21 591 |     7 195 |    7 195 |
+//! | `γ_{g; count(*)}(r1)`, 20 000 rows               |          32 |      20 |  2 592 |         40 182 |     2 238 |    2 238 |
+//! | `ORDER BY b, a` over `r1`, 20 000 rows, resident |      20 000 |      20 | 22 560 |         20 073 |    20 086 |   20 085 |
+//! | `Π_{a, b, a AS pa, b AS pb, g AS pg}` over it    |      20 000 |      20 | 22 560 |              — |    40 087 |   20 086 |
+//! | the same sort under 256 KiB, spilled (2 / row)   |      20 000 |      20 | 42 560 |         77 711 |    57 585 |   39 152 |
 //!
-//! (`HashMap` keys: when the join bucketed its build rows in a
+//! (`one copy`: since the sort keeps input indices and builds each row
+//! once, as it emits it, instead of copying every input row into its
+//! buffer; the spilled sort's bound was three per row before. `HashMap`
+//! keys: when the join bucketed its build rows in a
 //! `HashMap<Vec<u8>, Vec<&Tuple>>`, taking each row's key buffer, the
 //! aggregate indexed its groups in a `HashMap<Vec<u8>, usize>` the same
 //! way, and a spilled sort's run records carried the key as values,
@@ -146,6 +152,19 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
         ])
         .build();
 
+    // The provenance shape over the sort: it builds each row, in sorted
+    // order, through the Π's map.
+    let item = |column, alias| ProjectItem::new(qcol("r1", column), alias);
+    let witnessed = PlanBuilder::from_plan(sorted.clone())
+        .project(vec![
+            item("a", "a"),
+            item("b", "b"),
+            item("a", "pa"),
+            item("b", "pb"),
+            item("g", "pg"),
+        ])
+        .build();
+
     let case = |what, db, plan, scanned, budget, per_row| Case {
         what,
         db,
@@ -172,14 +191,22 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
         ),
         case("γ_{g; count(*)}(r1)", &narrow, &grouped, &[20_000], None, 1),
         case("ORDER BY b, a", &narrow, &sorted, &[20_000], None, 1),
-        // The input copy, the run record and the row decoded from it.
+        case(
+            "Π_{a, b, a AS pa, b AS pb, g AS pg}(ORDER BY b, a)",
+            &narrow,
+            &witnessed,
+            &[20_000],
+            None,
+            1,
+        ),
+        // The run record and the row decoded from it.
         case(
             "ORDER BY b, a, spilled",
             &narrow,
             &sorted,
             &[20_000],
             Some(BUDGET),
-            3,
+            2,
         ),
     ];
     for Case {

@@ -12,7 +12,7 @@
 
 use perm::prelude::*;
 use perm_algebra::builder::{and, binary, cmp, eq, exists_sublink, null_safe_eq};
-use perm_algebra::{BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem};
+use perm_algebra::{BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind};
 use perm_exec::eval::compare;
 use perm_exec::{
     CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, RingTraceSink,
@@ -392,17 +392,32 @@ fn a_pass_through_projection_over_any_other_child_gathers_by_position() {
         .unwrap()
         .select(cmp(CompareOp::Lt, qcol("l", "m"), lit(5)))
         .build();
-    for (label, positions) in column_maps(6) {
-        let plan = project(filtered.clone(), &positions);
-        let profile = assert_matches_reference(&db, label, &plan);
-        let rows = profile.root.rows_out;
-        assert_eq!(profile.root.rows_in, rows, "{label}");
-        assert_eq!(
-            profile.root.batches,
-            rows.div_ceil(BATCH_ROWS as u64),
-            "{label}"
-        );
-        assert!(!profile.root.detail.contains("emitted by join"), "{label}");
+    // A σ builds its survivors through the Π's map (`tests/producer_emit.rs`);
+    // a `UNION ALL` hands its rows up, and the Π gathers them.
+    let union = PlanBuilder::scan(&db, "l")
+        .unwrap()
+        .set_op(SetOpKind::Union, true, filtered.clone())
+        .build();
+    for (child, emitted_by) in [(&filtered, Some("select")), (&union, None)] {
+        for (label, positions) in column_maps(6) {
+            let plan = project(child.clone(), &positions);
+            let profile = assert_matches_reference(&db, label, &plan);
+            let rows = profile.root.rows_out;
+            assert_eq!(profile.root.rows_in, rows, "{label}");
+            assert_eq!(
+                profile.root.batches,
+                rows.div_ceil(BATCH_ROWS as u64),
+                "{label}"
+            );
+            assert!(!profile.root.detail.contains("emitted by join"), "{label}");
+            match emitted_by {
+                Some(op) => assert!(
+                    profile.root.detail.ends_with(&format!("(emitted by {op})")),
+                    "{label}"
+                ),
+                None => assert!(!profile.root.detail.contains("emitted by"), "{label}"),
+            }
+        }
     }
 }
 

@@ -12,18 +12,25 @@
 //! the join's share also covers one batch of probe-key buffers, allocated
 //! once and reused) and per refill of the cursor (1, 2, 4, … up to
 //! `BATCH_ROWS` rows each). The constant is [`PER_BATCH`], except for the
-//! executed σ, whose batches read the stored lane of `b` in place and
-//! narrow one selection vector by both conjuncts of the `BETWEEN`
-//! ([`SELECT_PER_BATCH`]):
+//! executed σ (alone or under a pass-through Π), whose batches read the
+//! stored lane of `b` in place and narrow one selection vector by both
+//! conjuncts of the `BETWEEN` ([`SELECT_PER_BATCH`]):
 //!
-//! | plan                                         | output rows |         batches |  bound | copying scan | borrowing scan | stored lanes |
-//! |----------------------------------------------|------------:|----------------:|-------:|-------------:|---------------:|-------------:|
-//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows   |       1 498 |              20 |  1 818 |       20 457 |          1 954 |        1 553 |
-//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows    |       9 990 |              21 | 12 678 |       32 191 |         12 172 |       12 174 |
-//! | the `σ` above, drained by a cursor           |       1 498 | 20 + 11 refills |  5 466 |       29 186 |          4 115 |        1 904 |
-//! | `Π_{a,b}(r1)`, drained by a cursor           |      20 000 | 20 + 29 refills | 26 272 |       40 178 |         20 033 |       20 034 |
+//! | plan                                         | output rows |         batches |  bound | copying scan | borrowing scan | stored lanes | one copy |
+//! |----------------------------------------------|------------:|----------------:|-------:|-------------:|---------------:|-------------:|---------:|
+//! | `σ_{b BETWEEN lo AND hi}(r1)`, 20 000 rows   |       1 498 |              20 |  1 818 |       20 457 |          1 954 |        1 553 |    1 553 |
+//! | `r1 ⋈_{r1.g = r2.g} r2`, 20 000 ⋈ 16 rows    |       9 990 |              21 | 12 678 |       32 191 |         12 172 |       12 174 |   12 141 |
+//! | the `σ` above, drained by a cursor           |       1 498 | 20 + 11 refills |  5 466 |       29 186 |          4 115 |        1 904 |    1 904 |
+//! | `Π_{a,b}(r1)`, drained by a cursor           |      20 000 | 20 + 29 refills | 26 272 |       40 178 |         20 033 |       20 034 |   20 034 |
+//! | `Π_{a, b, a AS pa, b AS pb, g AS pg}(σ)`     |       1 498 |              20 |  1 818 |            — |              — |        3 052 |    1 554 |
+//! | `σ_{a = ANY (Π_a(σ(r2)))}(r1)`, 20 000 rows  |         469 |         20 + 5 |  3 669 |            — |              — |       20 663 |      703 |
 //!
-//! (`copying scan`: when `physical::scan` still copied the whole stored
+//! (`one copy`: since a σ builds each survivor through the column map of
+//! the pass-through Π directly above it, instead of copying it for the Π
+//! to gather again, and an `= ANY` probe encodes each test value into one
+//! reused buffer instead of a key allocated per probed row. The `σ_{…
+//! ANY …}` case runs on `build_matching_database(20 000, 5 000)`.
+//! `copying scan`: when `physical::scan` still copied the whole stored
 //! table — one allocation per stored row — or, for the cursor, when it ran
 //! a streaming spine of its own whose scan cloned every stored row it was
 //! pulled for. The σ and the join counted 1 953 and 12 173 before
@@ -36,8 +43,8 @@
 //! while a count runs.
 
 use perm::{Database, Executor};
-use perm_algebra::builder::{between, eq, lit, qcol};
-use perm_algebra::{Plan, PlanBuilder};
+use perm_algebra::builder::{any_sublink, between, eq, lit, qcol};
+use perm_algebra::{CompareOp, Plan, PlanBuilder, ProjectItem};
 use perm_exec::BATCH_ROWS;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -154,6 +161,34 @@ fn scans_copy_only_the_rows_an_operator_emits() {
 
     let columns = scan(&selective, "r1").project_columns(&["a", "b"]).build();
 
+    // The provenance shape: the σ builds each survivor through the Π's map.
+    let item = |column, alias| ProjectItem::new(qcol("r1", column), alias);
+    let witnessed = PlanBuilder::from_plan(select.clone())
+        .project(vec![
+            item("a", "a"),
+            item("b", "b"),
+            item("a", "pa"),
+            item("b", "pb"),
+            item("g", "pg"),
+        ])
+        .build();
+
+    // An uncorrelated `= ANY` σ: one probe, each test key encoded into one
+    // reused buffer.
+    let matching = perm_synthetic::build_matching_database(20_000, 5_000, 42);
+    let listed_range = perm_synthetic::random_range(20_000, 5_000, 42);
+    let listed = scan(&matching, "r2")
+        .select(between(
+            qcol("r2", "b"),
+            lit(listed_range.r2_low),
+            lit(listed_range.r2_high),
+        ))
+        .project_columns(&["a"])
+        .build();
+    let any = scan(&matching, "r1")
+        .select(any_sublink(qcol("r1", "a"), CompareOp::Eq, listed))
+        .build();
+
     let case = |what, db, plan, scanned, streamed, per_batch| Case {
         what,
         db,
@@ -186,6 +221,22 @@ fn scans_copy_only_the_rows_an_operator_emits() {
             &columns,
             &[20_000],
             true,
+            PER_BATCH,
+        ),
+        case(
+            "Π_{a, b, a AS pa, b AS pb, g AS pg}(σ(r1))",
+            &selective,
+            &witnessed,
+            &[20_000],
+            false,
+            SELECT_PER_BATCH,
+        ),
+        case(
+            "σ_{a = ANY (Π_a(σ(r2)))}(r1)",
+            &matching,
+            &any,
+            &[20_000, 5_000],
+            false,
             PER_BATCH,
         ),
     ];
