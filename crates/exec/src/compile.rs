@@ -154,6 +154,17 @@ pub enum CompiledExpr {
     Sublink(Box<CompiledSublink>),
 }
 
+impl CompiledExpr {
+    /// The conjuncts of an `AND` chain; any other expression is a chain of
+    /// one.
+    pub fn conjuncts(&self) -> &[CompiledExpr] {
+        match self {
+            CompiledExpr::And(conjuncts) => conjuncts,
+            single => std::slice::from_ref(single),
+        }
+    }
+}
+
 /// A compiled sublink expression.
 #[derive(Debug, Clone)]
 pub struct CompiledSublink {
@@ -393,6 +404,44 @@ pub enum CompiledNode {
     /// matches and no candidate row is built to find that out. The rows the
     /// join outputs are written through a [`ColumnMap`] — the identity, or
     /// that of the pass-through `Π` directly above — by the compiled driver.
+    ///
+    /// `left_conjuncts` counts the leading conjuncts of `condition` that
+    /// read only the left input: no depth-0 slot at or past the left arity,
+    /// the correlation slots of their sublinks included. An unresolved
+    /// column, or a sublink with no signature (`params: None`), ends the
+    /// run. Only a nested loop (no `equi_keys`) counts any — Gen's
+    /// `σ_{C ∧ Csub₁⁺ ∧ …}(T⁺ × CrossBase(…))` fused into a join, whose `C`
+    /// and every `Csubᵢ⁺` but the last read `T⁺` alone. It evaluates them
+    /// once per left row, over batches of left rows, and the rest of the
+    /// condition over the pairs of the rows they did not find FALSE; a row
+    /// they find TRUE when they are the whole condition has its pairs
+    /// emitted with no candidate built. This agrees with the per-pair loop
+    /// the interpreter keeps:
+    ///
+    /// * **bags** — unchanged: a conjunct that reads only the left row has
+    ///   one value on all of that row's pairs, so a row the prefix finds
+    ///   FALSE has no match, one it finds UNKNOWN none either (its pairs
+    ///   still evaluate the rest, as `UNKNOWN AND x` does), and one it
+    ///   finds TRUE matches where the rest is TRUE;
+    /// * **errors** — the prefix runs only over a non-empty right side, on
+    ///   the same left rows the per-pair loop would reach, so an error
+    ///   occurs exactly when that loop raises one. A failing prefix batch is
+    ///   replayed row by row (`row_major`), the rows before the failing
+    ///   one are driven to their end first — a suffix error on an earlier
+    ///   row keeps precedence — and a failing candidate batch is replayed
+    ///   left row by left row, so the error is the first left row's;
+    /// * **evaluation set** — the same (row, conjunct) pairs, up to repeats
+    ///   of one binding: a row's prefix is evaluated once instead of once
+    ///   per right row. `sublink_invocations` and `memo_misses` therefore
+    ///   stay equal, and `memo_hits` falls;
+    /// * **order** — left order, then right order within a row: rejected
+    ///   rows close in their place among the candidates still pending;
+    /// * **semi / anti** — a row stops at its first matching right chunk;
+    /// * **checkpoints** — one per (left row, right chunk) reached, as
+    ///   before, whether its pairs become candidates or go straight out,
+    ///   plus one per batch of left rows the prefix runs over. A row the
+    ///   prefix rejects reaches no chunk, so the count falls where it
+    ///   rejects rows; with no prefix it is the per-pair loop's.
     Join {
         left: Box<CompiledNode>,
         right: Box<CompiledNode>,
@@ -400,6 +449,7 @@ pub enum CompiledNode {
         condition: CompiledExpr,
         equi_keys: Vec<CompiledEquiKey>,
         keys_cover_condition: bool,
+        left_conjuncts: usize,
         schema: Arc<Schema>,
     },
     /// Grouping and aggregation.
@@ -553,6 +603,46 @@ fn gather_values(batch: &Batch<'_>, index: usize) -> ColumnVec {
         col.push(batch.row(i).get(index).clone());
     }
     ColumnVec::Values(col)
+}
+
+/// Whether `expr` reads no depth-0 slot at or past `arity` — its own or a
+/// sublink's correlation slot — so that its value on a row is its value on
+/// the row's first `arity` columns. An unresolved column, or a sublink
+/// whose signature did not resolve, answers `false`.
+fn reads_below(expr: &CompiledExpr, arity: usize) -> bool {
+    let below = |slot: &Slot| slot.depth > 0 || slot.index < arity;
+    let all = |exprs: &[CompiledExpr]| exprs.iter().all(|e| reads_below(e, arity));
+    match expr {
+        CompiledExpr::Slot(slot) => below(slot),
+        CompiledExpr::Unresolved { .. } => false,
+        CompiledExpr::Literal(_) | CompiledExpr::Param(_) => true,
+        CompiledExpr::And(exprs) | CompiledExpr::Func { args: exprs, .. } => all(exprs),
+        CompiledExpr::In { probe: expr, .. } | CompiledExpr::Unary { expr, .. } => {
+            reads_below(expr, arity)
+        }
+        CompiledExpr::Binary { left, right, .. } => {
+            reads_below(left, arity) && reads_below(right, arity)
+        }
+        CompiledExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            branches
+                .iter()
+                .all(|(when, then)| reads_below(when, arity) && reads_below(then, arity))
+                && else_expr.as_deref().is_none_or(|e| reads_below(e, arity))
+        }
+        CompiledExpr::Sublink(sublink) => {
+            sublink
+                .params
+                .as_ref()
+                .is_some_and(|params| params.iter().all(below))
+                && sublink
+                    .test_expr
+                    .as_ref()
+                    .is_none_or(|e| reads_below(e, arity))
+        }
+    }
 }
 
 /// Whether an operand of a `slot ⟨cmp⟩ constant` conjunct is the constant:
@@ -773,6 +863,14 @@ impl Compiler {
                     !equi_keys.is_empty() && equi_keys.len() == split_conjuncts(condition).len();
                 let scope = Scopes::new(&cond_schema, outer);
                 let condition = self.expr(condition, &scope)?;
+                let left_conjuncts = match equi_keys.is_empty() {
+                    true => condition
+                        .conjuncts()
+                        .iter()
+                        .take_while(|c| reads_below(c, l_schema.arity()))
+                        .count(),
+                    false => 0,
+                };
                 Ok(CompiledNode::Join {
                     left: Box::new(self.plan(left, outer)?),
                     right: Box::new(self.plan(right, outer)?),
@@ -780,6 +878,7 @@ impl Compiler {
                     condition,
                     equi_keys,
                     keys_cover_condition,
+                    left_conjuncts,
                     schema: out_schema,
                 })
             }
@@ -1062,22 +1161,47 @@ impl<'e, 'a> Execution<'e, 'a> {
     }
 
     /// The predicate core — of σ through [`row_major`], of a join's
-    /// condition as it is: one three-valued-TRUE verdict per live row,
-    /// through the conjunct evaluator ([`Execution::conjuncts`]) — a
-    /// predicate that is no `AND` chain is a chain of one. Counts one
-    /// vectorized batch like [`Execution::ceval_batch`]; batching off, each
-    /// live row is a batch of one. Appends nothing on error.
+    /// condition (or what its left rows leave of it) as it is: one
+    /// three-valued-TRUE verdict per live row of the conjunction of
+    /// `conjuncts` ([`CompiledExpr::conjuncts`]).
     pub(crate) fn predicate_truths_vectorized(
         &self,
-        predicate: &CompiledExpr,
+        conjuncts: &[CompiledExpr],
         batch: &Batch<'_>,
         outer: Option<&Frame<'_>>,
         out: &mut Vec<bool>,
     ) -> Result<()> {
-        let conjuncts = match predicate {
-            CompiledExpr::And(conjuncts) => conjuncts.as_slice(),
-            single => std::slice::from_ref(single),
-        };
+        self.conjunction(conjuncts, batch, outer, out, LiveRows::verdicts)
+    }
+
+    /// [`Execution::predicate_truths_vectorized`] with the three-valued
+    /// truths: a nested loop's left-only conjuncts, evaluated per left row
+    /// (see [`CompiledNode::Join`]).
+    pub(crate) fn conjunction_truths(
+        &self,
+        conjuncts: &[CompiledExpr],
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+        out: &mut Vec<Truth>,
+    ) -> Result<()> {
+        self.conjunction(conjuncts, batch, outer, out, |live, batch, out| {
+            out.extend(live.truths(batch))
+        })
+    }
+
+    /// A conjunction over one batch, through the conjunct evaluator
+    /// ([`Execution::conjuncts`]): `emit` appends what each live row's
+    /// [`LiveRows`] say. Counts one vectorized batch like
+    /// [`Execution::ceval_batch`]; batching off, each live row is a batch of
+    /// one. Appends nothing on error.
+    fn conjunction<T>(
+        &self,
+        conjuncts: &[CompiledExpr],
+        batch: &Batch<'_>,
+        outer: Option<&Frame<'_>>,
+        out: &mut Vec<T>,
+        emit: impl Fn(&LiveRows, &Batch<'_>, &mut Vec<T>),
+    ) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -1086,7 +1210,7 @@ impl<'e, 'a> Execution<'e, 'a> {
             for row in batch.iter() {
                 let one = Batch::dense(std::slice::from_ref(row));
                 match self.conjuncts(conjuncts, &one, outer) {
-                    Ok(live) => live.verdicts(&one, out),
+                    Ok(live) => emit(&live, &one, out),
                     Err(e) => {
                         out.truncate(start);
                         return Err(e);
@@ -1096,8 +1220,7 @@ impl<'e, 'a> Execution<'e, 'a> {
             return Ok(());
         }
         self.ex.governor.count().vectorized_batches += 1;
-        self.conjuncts(conjuncts, batch, outer)?
-            .verdicts(batch, out);
+        emit(&self.conjuncts(conjuncts, batch, outer)?, batch, out);
         Ok(())
     }
 

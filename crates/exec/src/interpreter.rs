@@ -246,6 +246,7 @@ impl<'p> Interpreter<'p> {
                     &null_safe,
                     &ColumnMap::identity(out_schema.arity()),
                     true,
+                    None,
                     |batch, i, col| {
                         for lt in batch.iter() {
                             let scope = Env::new(env, &l_schema, lt);

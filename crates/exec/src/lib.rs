@@ -23,7 +23,12 @@
 //! right rows — the resident hash table, a grace partition read back from
 //! disk, or the nested loop — and two orders to emit in: as it goes, in
 //! left order, or keyed by left ordinal when grace partitions scramble that
-//! order and a stable sort restores it. The loops are parameterized over
+//! order and a stable sort restores it. Its candidate rows are batched
+//! across left rows; the nested loop evaluates the leading conjuncts of its
+//! condition that read only the left row once per left row, over batches
+//! of left rows, and builds candidates only for the rows they do not
+//! reject (Gen's `σ_{C ∧ Csub⁺ …}(T⁺ × CrossBase)`, whose `C` is tested
+//! once per `T⁺` row). The loops are parameterized over
 //! *batch-evaluator closures*; two thin drivers share the bodies:
 //!
 //! * the default path ([`Executor::execute`]) first *compiles* the plan

@@ -60,11 +60,19 @@
 //! survivor, NULL padding, the left row of a semi / anti join — is emitted
 //! by one per-left-row body, the `Prober`, whichever loop drives it: the
 //! resident hash probe and the nested loop in left order, each grace
-//! partition in partition order. When the equi keys are the join's whole
-//! condition there is nothing to recheck: key-encoding equality is exactly
-//! `=` / `=ₙ` (the invariant of `perm_storage`'s `keys.rs`), bucket-mates
-//! are the matches, and no candidate row is built to ask. The interpreter
-//! passes the identity map and always rechecks; it stays the reference.
+//! partition in partition order. Candidates — bucket-mates, or a nested
+//! loop's right rows — are batched across left rows up to [`BATCH_ROWS`],
+//! each left row's as a segment, and rechecked a batch at a time. When the
+//! equi keys are the join's whole condition there is nothing to recheck:
+//! key-encoding equality is exactly `=` / `=ₙ` (the invariant of
+//! `perm_storage`'s `keys.rs`), bucket-mates are the matches, and no
+//! candidate row is built to ask. The nested loop first evaluates the
+//! leading conjuncts of its condition that read only the left row
+//! ([`LeftConjuncts`]), once per left row over batches of left rows: a row
+//! they reject builds no candidate and ends in its place, and when they are
+//! the whole condition a row they accept matches every right row with no
+//! recheck. The interpreter passes the identity map, no left-only
+//! conjuncts, and always rechecks; it stays the reference.
 //!
 //! The breakers that key their state key it on **flat bytes**: the hash join
 //! and the aggregate intern `encode_key` bytes, built in reused per-row
@@ -128,7 +136,7 @@ use perm_algebra::{AggFunc, JoinKind, SetOpKind};
 use perm_storage::{
     encode_key_column, encode_key_column_filtered, encode_sort_entry, relation as bag, ColumnVec,
     Database, HeapFile, KeyGroups, KeyTable, RecordStream, Relation, Schema, StorageError,
-    StorageManager, Tuple, Value,
+    StorageManager, Truth, Tuple, Value,
 };
 use std::borrow::Cow;
 use std::collections::binary_heap::PeekMut;
@@ -526,11 +534,37 @@ impl JoinSink {
     }
 }
 
+/// The leading conjuncts of a nested-loop join's condition that read the
+/// left row alone (`CompiledNode::Join` gives the count and the argument),
+/// which the loop evaluates once per left row instead of once per pair.
+pub(crate) struct LeftConjuncts<'f> {
+    /// Appends their truth on each row of a batch of left rows; on an error
+    /// that of the rows before the failing one (the row-major contract of
+    /// every evaluator closure here).
+    pub(crate) truths: &'f mut dyn FnMut(&Batch<'_>, &mut Vec<Truth>) -> Result<()>,
+    /// They are the whole condition: the join's `condition` is never called.
+    pub(crate) whole: bool,
+}
+
+/// Some or all of one left row's candidates, awaiting the recheck.
+struct Segment {
+    ord: usize,
+    candidates: Range<usize>,
+    /// The row's left-only conjuncts found it TRUE (a row with none is): an
+    /// UNKNOWN row's candidates are rechecked for their errors alone.
+    live: bool,
+    /// The row's last candidates: the flush ends the row.
+    ends: bool,
+}
+
 /// A join's per-left-row body, shared by every way of finding a left row's
 /// right rows. Each output row is built once, through `map`: output column
 /// `k` is column `map.cols()[k]` of the candidate row `left ⧺ right` (of the
 /// left row, for semi / anti joins). A left row's rows go out in
-/// right-input order, then what ends the row ([`Prober::close`]).
+/// right-input order, then what ends the row ([`Prober::close`]). Candidates
+/// — a hash probe's bucket-mates, a nested loop's right rows — are batched
+/// across left rows, each row's as a [`Segment`], and rows that need no
+/// recheck close in their place among them.
 struct Prober<'a, C> {
     probe: OpProbe<'a>,
     left: &'a [Tuple],
@@ -541,17 +575,24 @@ struct Prober<'a, C> {
     /// Candidate rows are always `left ⧺ right`, even for semi / anti joins
     /// whose *output* is the left row alone.
     join_arity: usize,
-    /// Output growth — under `recheck`, candidate-buffer growth, which
-    /// proxies it (survivors move to the output). Only a refusal frees it,
-    /// after a flush of the candidates, so that a resident join accounts as
-    /// the pre-spill executor did; a grace partition frees it at its end.
+    /// Output growth of a hash join — under `recheck`, candidate-buffer
+    /// growth, which proxies it (survivors move to the output). Only a
+    /// refusal frees it, after a flush of the candidates, so that a resident
+    /// join accounts as the pre-spill executor did; a grace partition frees
+    /// it at its end. A nested loop charges nothing: its candidates are
+    /// capped at a batch.
     charge: Option<TransientCharge<'a>>,
+    /// The prober drives a nested loop, whose checkpoints come one per
+    /// (left row, right chunk) it reaches.
+    nested: bool,
     sink: JoinSink,
-    /// Candidates awaiting the recheck, and per left row its ordinal and
-    /// its candidates' range.
+    /// Candidates awaiting the recheck, and their rows' segments in order.
     pending: Vec<Tuple>,
-    segments: Vec<(usize, Range<usize>)>,
+    segments: Vec<Segment>,
     truths: Vec<bool>,
+    /// Whether the candidates flushed so far of a row whose last segment is
+    /// still to come matched.
+    carried: bool,
     /// Rows emitted unrechecked since the last checkpoint.
     since_checkpoint: usize,
 }
@@ -565,8 +606,7 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
     /// row's boundary once a batch of them has accumulated or their charge
     /// is refused.
     fn row(&mut self, ord: usize, mates: &[u32], build: &[Tuple]) -> Result<()> {
-        let left = self.left;
-        let lt = &left[ord];
+        let lt = &self.left[ord];
         if !self.recheck {
             let mut grown = 0;
             if !self.kind.left_only_output() {
@@ -596,7 +636,12 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
         let start = self.pending.len();
         self.pending
             .extend(mates.iter().map(|&rt| lt.concat(&build[rt as usize])));
-        self.segments.push((ord, start..self.pending.len()));
+        self.segments.push(Segment {
+            ord,
+            candidates: start..self.pending.len(),
+            live: true,
+            ends: true,
+        });
         let mut refused = false;
         if let Some(c) = self.charge.as_mut() {
             let grown = self.pending[start..].iter().map(tuple_bytes).sum();
@@ -611,24 +656,47 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
         Ok(())
     }
 
+    /// Ends left row `ord` unmatched, after the rows still pending.
+    fn reject(&mut self, ord: usize) {
+        match self.segments.is_empty() {
+            true => {
+                self.close(ord, false);
+            }
+            false => self.segments.push(Segment {
+                ord,
+                candidates: self.pending.len()..self.pending.len(),
+                live: false,
+                ends: true,
+            }),
+        }
+    }
+
     /// Rechecks the pending candidates and emits, in order, each left row's
     /// survivors — gathered out of their candidates — and then what ends the
     /// row.
     fn flush(&mut self) -> Result<()> {
         self.recheck()?;
+        let left_only = self.kind.left_only_output();
         let mut segments = std::mem::take(&mut self.segments);
-        for (ord, candidates) in segments.drain(..) {
-            let mut matched = false;
-            for idx in candidates {
-                if self.truths[idx] {
-                    matched = true;
-                    if self.kind.left_only_output() {
-                        break;
+        for segment in segments.drain(..) {
+            let mut matched = std::mem::take(&mut self.carried);
+            if segment.live {
+                for idx in segment.candidates {
+                    if self.truths[idx] {
+                        matched = true;
+                        if left_only {
+                            break;
+                        }
+                        self.survivor(segment.ord, idx);
                     }
-                    self.survivor(ord, idx);
                 }
             }
-            self.close(ord, matched);
+            match segment.ends {
+                true => {
+                    self.close(segment.ord, matched);
+                }
+                false => self.carried = matched,
+            }
         }
         self.segments = segments;
         self.pending.clear();
@@ -636,14 +704,37 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
     }
 
     /// Evaluates `condition` over the pending candidates a batch at a time:
-    /// one verdict per candidate, one checkpoint per batch.
+    /// one verdict per candidate, one checkpoint per batch — unless their
+    /// right chunks were checkpointed as they were built (the nested loop).
+    /// A batch that fails on a row's error is replayed one segment at a
+    /// time, so the error returned is the first left row's, as a loop over
+    /// left rows raises it.
     fn recheck(&mut self) -> Result<()> {
         self.truths.clear();
-        for chunk in self.pending.chunks(BATCH_ROWS) {
-            self.probe.checkpoint("join")?;
-            self.probe.batch();
+        for (n, chunk) in self.pending.chunks(BATCH_ROWS).enumerate() {
+            if !self.nested {
+                self.probe.checkpoint("join")?;
+                self.probe.batch();
+            }
             let block = ColumnBlock::new(self.join_arity);
-            (self.condition)(&Batch::dense_with_block(chunk, &block), &mut self.truths)?;
+            match (self.condition)(&Batch::dense_with_block(chunk, &block), &mut self.truths) {
+                Err(e @ (ExecError::Cancelled { .. } | ExecError::ResourceExhausted { .. })) => {
+                    return Err(e)
+                }
+                Err(e) => {
+                    let batch = n * BATCH_ROWS..n * BATCH_ROWS + chunk.len();
+                    let mut scratch = Vec::new();
+                    for segment in &self.segments {
+                        let part = segment.candidates.start.max(batch.start)
+                            ..segment.candidates.end.min(batch.end);
+                        if !part.is_empty() {
+                            (self.condition)(&Batch::dense(&self.pending[part]), &mut scratch)?;
+                        }
+                    }
+                    return Err(e);
+                }
+                Ok(()) => {}
+            }
         }
         debug_assert_eq!(self.truths.len(), self.pending.len());
         Ok(())
@@ -690,35 +781,109 @@ impl<'a, C: FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>> Prober<'a, C> {
         bytes
     }
 
-    /// The nested-loop join: each left row's candidates are the whole right
-    /// input, processed one right batch at a time (bounded memory, batched
-    /// condition dispatch), with the row closed at its boundary.
-    fn nested_loop(&mut self, right: &[Tuple]) -> Result<()> {
-        let (left, left_only) = (self.left, self.kind.left_only_output());
-        for (ord, lt) in left.iter().enumerate() {
-            let mut matched = false;
-            for r_chunk in right.chunks(BATCH_ROWS) {
-                self.pending.clear();
-                self.pending.extend(r_chunk.iter().map(|rt| lt.concat(rt)));
-                self.recheck()?;
-                for idx in 0..self.truths.len() {
-                    if self.truths[idx] {
-                        matched = true;
-                        if left_only {
-                            break;
-                        }
-                        self.survivor(ord, idx);
-                    }
+    /// The nested-loop join: every right row is a candidate of every left
+    /// row. With `prefix`, its conjuncts run first, over batches of left
+    /// rows with a checkpoint each, and only when the right side has a row:
+    /// a row they find FALSE ends unmatched, in its place, and so does one
+    /// they find UNKNOWN when they are the whole condition. Every other row
+    /// — every row, without `prefix` — meets its right rows in
+    /// [`Prober::pairs`].
+    fn nested_loop(
+        &mut self,
+        right: &[Tuple],
+        mut prefix: Option<LeftConjuncts<'_>>,
+    ) -> Result<()> {
+        let left = self.left;
+        if right.is_empty() {
+            // No pair: nothing is evaluated, and every row ends unmatched.
+            for ord in 0..left.len() {
+                self.close(ord, false);
+            }
+            return Ok(());
+        }
+        let whole = prefix.as_ref().is_some_and(|prefix| prefix.whole);
+        let mut truths: Vec<Truth> = Vec::new();
+        for start in (0..left.len()).step_by(BATCH_ROWS) {
+            let rows = &left[start..left.len().min(start + BATCH_ROWS)];
+            let verdicts = match prefix.as_mut() {
+                Some(prefix) => {
+                    self.probe.checkpoint("join")?;
+                    self.probe.batch();
+                    let block = ColumnBlock::new(rows[0].arity());
+                    (prefix.truths)(&Batch::dense_with_block(rows, &block), &mut truths)
                 }
-                // One match decides a semi/anti join's verdict for this left
-                // row; the remaining right chunks cannot change it. (The
-                // optimizer only builds semi/anti joins over total
-                // conditions, so skipping them drops no evaluation errors.)
-                if matched && left_only {
-                    break;
+                None => {
+                    truths.resize(rows.len(), Truth::True);
+                    Ok(())
+                }
+            };
+            for (ord, truth) in (start..).zip(truths.drain(..)) {
+                match (truth, whole) {
+                    (Truth::False, _) | (Truth::Unknown, true) => self.reject(ord),
+                    (truth, whole) => self.pairs(ord, truth == Truth::True, whole, right)?,
                 }
             }
-            self.close(ord, matched);
+            if let Err(e) = verdicts {
+                // The rows before the failing one end first: an error of
+                // theirs precedes it.
+                self.flush()?;
+                return Err(e);
+            }
+        }
+        self.flush()
+    }
+
+    /// Left row `ord` with the right rows, one chunk at a time with a
+    /// checkpoint each. When the left-only conjuncts are the whole
+    /// condition (`whole`, and they found the row TRUE) every pair matches,
+    /// and each output row is built straight from it. Otherwise the chunk's
+    /// pairs become candidates, batched with the pending ones of the rows
+    /// before up to [`BATCH_ROWS`]; a candidate of a row they found UNKNOWN
+    /// (`live` false) is rechecked for its errors alone. A chunk that fills
+    /// the batch is flushed at once, so a semi / anti row stops at its first
+    /// matching chunk: one match decides its verdict, and the remaining
+    /// chunks cannot change it. (The optimizer only builds semi / anti joins
+    /// over total conditions, so skipping them drops no evaluation errors.)
+    fn pairs(&mut self, ord: usize, live: bool, whole: bool, right: &[Tuple]) -> Result<()> {
+        let lt = &self.left[ord];
+        let left_only = self.kind.left_only_output();
+        let mut chunks = right.chunks(BATCH_ROWS).peekable();
+        while let Some(chunk) = chunks.next() {
+            self.probe.checkpoint("join")?;
+            self.probe.batch();
+            if whole {
+                if left_only {
+                    break;
+                }
+                for rt in chunk {
+                    let row = self.map.pair(lt, Some(rt));
+                    self.sink.push(ord, row);
+                }
+                continue;
+            }
+            if self.pending.len() + chunk.len() > BATCH_ROWS {
+                self.flush()?;
+            }
+            let start = self.pending.len();
+            self.pending.extend(chunk.iter().map(|rt| lt.concat(rt)));
+            let ends = chunks.peek().is_none();
+            self.segments.push(Segment {
+                ord,
+                candidates: start..self.pending.len(),
+                live,
+                ends,
+            });
+            if self.pending.len() == BATCH_ROWS {
+                self.flush()?;
+                if !ends && left_only && self.carried {
+                    self.carried = false;
+                    self.close(ord, true);
+                    return Ok(());
+                }
+            }
+        }
+        if whole {
+            self.close(ord, true);
         }
         Ok(())
     }
@@ -947,6 +1112,7 @@ pub(crate) fn join(
     key_null_safe: &[bool],
     map: &ColumnMap,
     recheck: bool,
+    prefix: Option<LeftConjuncts<'_>>,
     mut left_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     mut right_keys: impl FnMut(&Batch<'_>, usize, &mut ColumnVec) -> Result<()>,
     condition: impl FnMut(&Batch<'_>, &mut Vec<bool>) -> Result<()>,
@@ -963,15 +1129,20 @@ pub(crate) fn join(
         recheck,
         condition,
         join_arity: left_arity + right_arity,
-        charge: gov.transient("join"),
+        charge: match key_null_safe.is_empty() {
+            true => None,
+            false => gov.transient("join"),
+        },
+        nested: key_null_safe.is_empty(),
         sink: JoinSink::InOrder(Vec::new()),
         pending: Vec::new(),
         segments: Vec::new(),
         truths: Vec::new(),
+        carried: false,
         since_checkpoint: 0,
     };
     if key_null_safe.is_empty() {
-        prober.nested_loop(r.tuples())?;
+        prober.nested_loop(r.tuples(), prefix)?;
         let rows = prober.sink.into_rows();
         return Ok(Relation::from_tuples_unchecked(out_schema.clone(), rows));
     }

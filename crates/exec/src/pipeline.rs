@@ -28,13 +28,13 @@
 //! opened post-order, a pipelined one counted when opened; its profile node
 //! records per pull the rows in and out and the self time of its body.
 
-use crate::batch::{Window, BATCH_ROWS};
+use crate::batch::{Batch, Window, BATCH_ROWS};
 use crate::compile::{row_major, ColumnMap, CompiledExpr, CompiledNode, CompiledPlan, Frame};
 use crate::executor::Execution;
-use crate::physical::{self, AggSpec, OpRows};
+use crate::physical::{self, AggSpec, LeftConjuncts, OpRows};
 use crate::profile::{add, OpProbe, OpTimer, ProfNode};
 use crate::{ExecError, Result};
-use perm_storage::{Relation, Schema, Tuple};
+use perm_storage::{Relation, Schema, Truth, Tuple};
 use std::borrow::Cow;
 use std::rc::Rc;
 use std::time::Instant;
@@ -229,7 +229,12 @@ impl<'p> Source<'p> {
                             *map,
                             |batch, out| {
                                 row_major(batch, out, |batch, out| {
-                                    x.predicate_truths_vectorized(predicate, batch, frame, out)
+                                    x.predicate_truths_vectorized(
+                                        predicate.conjuncts(),
+                                        batch,
+                                        frame,
+                                        out,
+                                    )
                                 })
                             },
                             out,
@@ -620,6 +625,7 @@ impl<'e> Execution<'e, '_> {
                 condition,
                 equi_keys,
                 keys_cover_condition,
+                left_conjuncts,
                 schema,
             } => {
                 let identity;
@@ -640,6 +646,16 @@ impl<'e> Execution<'e, '_> {
                 }
                 let r = self.drain(right, frame, prof.map(|p| &p.children[1]), false)?;
                 let null_safe: Vec<bool> = equi_keys.iter().map(|k| k.null_safe).collect();
+                let (prefix, rest) = condition.conjuncts().split_at(*left_conjuncts);
+                let mut left_truths = |batch: &Batch<'_>, out: &mut Vec<Truth>| {
+                    row_major(batch, out, |batch, out| {
+                        self.conjunction_truths(prefix, batch, frame, out)
+                    })
+                };
+                let prefix = (!prefix.is_empty()).then_some(LeftConjuncts {
+                    truths: &mut left_truths,
+                    whole: rest.is_empty(),
+                });
                 self.breaker(node, l.len() + r.len(), || {
                     physical::join(
                         probe,
@@ -650,9 +666,10 @@ impl<'e> Execution<'e, '_> {
                         &null_safe,
                         map,
                         !keys_cover_condition,
+                        prefix,
                         |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
                         |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                        |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
+                        |batch, out| self.predicate_truths_vectorized(rest, batch, frame, out),
                     )
                 })?
             }

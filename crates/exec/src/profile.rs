@@ -162,18 +162,18 @@ fn build_node(plan: &CompiledNode, sublinks: &mut HashMap<usize, Rc<ProfNode>>) 
             kind,
             condition,
             equi_keys,
+            left_conjuncts,
             ..
         } => (
             "join",
-            format!(
-                "{:?}{}",
-                kind,
-                if equi_keys.is_empty() {
-                    " nested-loop"
-                } else {
-                    " hash"
-                }
-            ),
+            match (equi_keys.is_empty(), left_conjuncts) {
+                (false, _) => format!("{kind:?} hash"),
+                (true, 0) => format!("{kind:?} nested-loop"),
+                (true, k) => format!(
+                    "{kind:?} nested-loop, {k} of {} conjuncts per left row",
+                    condition.conjuncts().len()
+                ),
+            },
             vec![left, right],
             // Key expressions are column references (no sublinks); the
             // residual condition is where sublinks can live.

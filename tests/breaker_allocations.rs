@@ -12,7 +12,8 @@
 //! by their pages.
 //! The gate counts heap allocations (`alloc`, `alloc_zeroed` and
 //! `realloc`) of one execution of a prepared plan and requires at most one
-//! per output row (two for the spilled sort, four for the grace join)
+//! per output row (two for the spilled sort, three for Gen's nested loop,
+//! four for the grace join)
 //! plus [`PER_BATCH`] per input batch of `BATCH_ROWS` rows:
 //!
 //! | plan                                             | output rows | batches |  bound | `HashMap` keys | flat keys | one copy |
@@ -24,8 +25,12 @@
 //! | `ORDER BY b, a` over `r1`, 20 000 rows, resident |      20 000 |      20 | 22 560 |         20 073 |    20 086 |   20 085 |
 //! | `Π_{a, b, a AS pa, b AS pb, g AS pg}` over it    |      20 000 |      20 | 22 560 |              — |    40 087 |   20 086 |
 //! | the same sort under 256 KiB, spilled (2 / row)   |      20 000 |      20 | 42 560 |         77 711 |    57 585 |   39 152 |
+//! | Gen's loop, `r1 ⋈_{C ∧ EXISTS ∧ scalar ∧ r2} r2`  |      10 000 |      21 | 32 688 |      (662 534) |  (26 081) |        — |
 //!
-//! (`one copy`: since the sort keeps input indices and builds each row
+//! (Gen's loop: `T⁺ × CrossBase` fused into a nested loop, 3 / row, whose
+//! leading conjuncts read the left row alone; in brackets its count when
+//! every conjunct was tested per (left row, right row) pair, and since they
+//! run once per left row. `one copy`: since the sort keeps input indices and builds each row
 //! once, as it emits it, instead of copying every input row into its
 //! buffer; the spilled sort's bound was three per row before. `HashMap`
 //! keys: when the join bucketed its build rows in a
@@ -40,8 +45,10 @@
 //! while a count runs.
 
 use perm::{Database, Executor};
-use perm_algebra::builder::{count_star, eq, qcol};
-use perm_algebra::{Plan, PlanBuilder, ProjectItem, SortKey};
+use perm_algebra::builder::{
+    cmp, conjunction, count_star, eq, exists_sublink, lit, qcol, scalar_sublink,
+};
+use perm_algebra::{CompareOp, Plan, PlanBuilder, ProjectItem, SortKey};
 use perm_exec::BATCH_ROWS;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -120,6 +127,10 @@ fn scan(db: &Database, table: &str) -> PlanBuilder {
     PlanBuilder::scan(db, table).expect("the synthetic tables exist")
 }
 
+fn scan_as(db: &Database, table: &str, alias: &str) -> PlanBuilder {
+    PlanBuilder::scan_as(db, table, Some(alias)).expect("the synthetic tables exist")
+}
+
 #[test]
 fn breakers_allocate_per_output_row_not_per_input_row() {
     let narrow = perm_synthetic::build_database(20_000, 16, 42);
@@ -150,6 +161,27 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
             SortKey::asc(qcol("r1", "b")),
             SortKey::asc(qcol("r1", "a")),
         ])
+        .build();
+
+    // Gen's selection fused into a nested loop over `T⁺ × CrossBase`: the
+    // outer condition, a correlated EXISTS and a correlated scalar sublink
+    // read the left row alone, and only the last conjunct reads the
+    // CrossBase row. The group's r2 rows, as sublink bodies.
+    let group = || scan_as(&narrow, "r2", "s").select(eq(qcol("s", "g"), qcol("r1", "g")));
+    let gen_loop = scan(&narrow, "r1")
+        .join(
+            scan(&narrow, "r2").build(),
+            conjunction([
+                cmp(CompareOp::Lt, qcol("r1", "g"), lit(4)),
+                exists_sublink(group().build()),
+                cmp(
+                    CompareOp::Ge,
+                    scalar_sublink(group().aggregate(vec![], vec![count_star("n")]).build()),
+                    lit(1),
+                ),
+                cmp(CompareOp::Ge, qcol("r2", "g"), lit(0)),
+            ]),
+        )
         .build();
 
     // The provenance shape over the sort: it builds each row, in sorted
@@ -190,6 +222,18 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
             4,
         ),
         case("γ_{g; count(*)}(r1)", &narrow, &grouped, &[20_000], None, 1),
+        // The candidate behind each output row, and the memo keys of the
+        // sublink lookups of the 2 500 left rows the outer condition keeps
+        // (each key is built in fresh buffers): 26 081 allocations, where
+        // testing every conjunct per pair made 662 534.
+        case(
+            "r1 ⋈_{C ∧ EXISTS ∧ scalar ∧ r2} r2, nested loop",
+            &narrow,
+            &gen_loop,
+            &[20_000, 16],
+            None,
+            3,
+        ),
         case("ORDER BY b, a", &narrow, &sorted, &[20_000], None, 1),
         case(
             "Π_{a, b, a AS pa, b AS pb, g AS pg}(ORDER BY b, a)",
