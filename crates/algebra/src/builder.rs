@@ -119,6 +119,27 @@ pub fn conjunction(preds: impl IntoIterator<Item = Expr>) -> Expr {
     }
 }
 
+/// The top-level conjuncts of a predicate, borrowed, left to right: the
+/// inverse of [`conjunction`].
+pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
+    fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+        if let Expr::Binary {
+            op: BinaryOp::And,
+            left,
+            right,
+        } = expr
+        {
+            walk(left, out);
+            walk(right, out);
+        } else {
+            out.push(expr);
+        }
+    }
+    let mut out = Vec::new();
+    walk(expr, &mut out);
+    out
+}
+
 /// `expr BETWEEN low AND high` (inclusive), expanded to two comparisons.
 pub fn between(expr: Expr, low: Expr, high: Expr) -> Expr {
     and(

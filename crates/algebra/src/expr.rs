@@ -16,7 +16,7 @@
 //! [`Name`]s, so cloning an expression tree allocates no identifier.
 
 use crate::plan::PlanRef;
-use perm_storage::{Name, Value};
+use perm_storage::{Name, Truth, Value};
 use std::fmt;
 
 /// SQL comparison operators usable in sublink tests (`A op ANY Tsub`).
@@ -111,6 +111,119 @@ impl fmt::Display for BinaryOp {
             BinaryOp::NotLike => write!(f, "NOT LIKE"),
             BinaryOp::Concat => write!(f, "||"),
         }
+    }
+}
+
+/// Compares two values with a SQL comparison operator under three-valued
+/// logic: the one definition constant folding, both executor drivers, the
+/// `ANY`/`ALL` probes and the provenance tracer evaluate.
+#[inline]
+pub fn compare(op: CompareOp, left: &Value, right: &Value) -> Truth {
+    if left.is_null() || right.is_null() {
+        return Truth::Unknown;
+    }
+    match op {
+        CompareOp::Eq => left.sql_eq(right),
+        CompareOp::Neq => left.sql_eq(right).not(),
+        _ => match left.sql_cmp(right) {
+            None => Truth::Unknown,
+            Some(ord) => Truth::from_bool(match op {
+                CompareOp::Lt => ord.is_lt(),
+                CompareOp::Le => ord.is_le(),
+                CompareOp::Gt => ord.is_gt(),
+                CompareOp::Ge => ord.is_ge(),
+                CompareOp::Eq | CompareOp::Neq => unreachable!(),
+            }),
+        },
+    }
+}
+
+/// Why [`arithmetic`] has no value to give: the executor reports these as
+/// its own `Type` and `DivisionByZero` errors, with the same texts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArithmeticError {
+    /// An operand is not a number, or a date result does not fit.
+    Type(String),
+    /// `/` or `%` by zero.
+    DivisionByZero,
+}
+
+/// Arithmetic with NULL propagation and integer/float coercion, for
+/// `+ - * / %` alone (`op` is one of them).
+#[inline]
+pub fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ArithmeticError> {
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    // Same-type integer arithmetic is exact: the f64 route below is lossy
+    // above 2⁵³ (`Int(2⁵³) + 1` would round back to 2⁵³, making `a + 1 = a`
+    // TRUE under the engine's exact equality). Everything the checked ops
+    // decline — overflow, `/` with a fractional quotient, zero divisors —
+    // falls through to the float route and its error handling.
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        let exact = match op {
+            BinaryOp::Add => a.checked_add(*b),
+            BinaryOp::Sub => a.checked_sub(*b),
+            BinaryOp::Mul => a.checked_mul(*b),
+            // Division keeps its fractional float result (`7 / 2` is 3.5 in
+            // this engine); only an integral quotient is exact here.
+            BinaryOp::Div => match a.checked_rem(*b) {
+                Some(0) => a.checked_div(*b),
+                _ => None,
+            },
+            BinaryOp::Mod => a.checked_rem(*b),
+            _ => None,
+        };
+        if let Some(i) = exact {
+            return Ok(Value::Int(i));
+        }
+    }
+    let (lf, rf) = match (l.as_f64(), r.as_f64()) {
+        (Some(a), Some(b)) => (a, b),
+        _ => {
+            return Err(ArithmeticError::Type(format!(
+                "arithmetic over non-numeric values `{l}` and `{r}`"
+            )))
+        }
+    };
+    // Date + integer days keeps the date type (needed for TPC-H interval
+    // predicates like `o_orderdate < date '1995-01-01' + 90`).
+    let date_result = matches!((l, r), (Value::Date(_), _) | (_, Value::Date(_)))
+        && matches!(op, BinaryOp::Add | BinaryOp::Sub);
+    let both_int = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
+    let result = match op {
+        BinaryOp::Add => lf + rf,
+        BinaryOp::Sub => lf - rf,
+        BinaryOp::Mul => lf * rf,
+        BinaryOp::Div => {
+            if rf == 0.0 {
+                return Err(ArithmeticError::DivisionByZero);
+            }
+            lf / rf
+        }
+        BinaryOp::Mod => {
+            if rf == 0.0 {
+                return Err(ArithmeticError::DivisionByZero);
+            }
+            lf % rf
+        }
+        _ => unreachable!(),
+    };
+    if date_result {
+        // A day count past `i32` is no date (PostgreSQL: `date out of
+        // range`); the cast would saturate it into one.
+        let days = result.trunc();
+        if !(f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(&days) {
+            return Err(ArithmeticError::Type("date out of range".into()));
+        }
+        Ok(Value::Date(days as i32))
+    } else if both_int && result.fract() == 0.0 && result.abs() < 9_223_372_036_854_775_808.0 {
+        // Int/Int pairs only reach here past the exact path above, i.e. on
+        // overflow or an inexact division; the range guard keeps overflowed
+        // results as (approximate) floats instead of saturating the cast.
+        Ok(Value::Int(result as i64))
+    } else {
+        Ok(Value::Float(result))
     }
 }
 

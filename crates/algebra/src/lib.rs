@@ -21,14 +21,16 @@
 pub mod builder;
 pub mod display;
 pub mod expr;
-pub mod optimize;
 pub mod plan;
 pub mod visit;
 
 pub use builder::{
     agg, and, avg, col, count, count_star, lit, max, min, not, or, qcol, sum, PlanBuilder,
 };
-pub use expr::{AggFunc, AggregateExpr, BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
+pub use expr::{
+    arithmetic, compare, AggFunc, AggregateExpr, ArithmeticError, BinaryOp, CompareOp, Expr,
+    FuncName, SublinkKind, UnaryOp,
+};
 pub use plan::{JoinKind, Plan, PlanRef, ProjectItem, SetOpKind, SortKey};
 pub use visit::Scopes;
 

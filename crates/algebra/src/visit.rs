@@ -304,7 +304,8 @@ fn node_is_total(e: &Expr, scopes: &Scopes<'_>) -> bool {
                 | BinaryOp::Concat
         ),
         // Negation fails on non-numbers; a negative numeric literal
-        // (`BETWEEN -5 AND 5`) is the one operand known to be one.
+        // (`BETWEEN -5 AND 5`) is the one operand known to be one, and
+        // `-i64::MIN` does not overflow: it becomes a float.
         Expr::Unary {
             op: UnaryOp::Neg,
             expr,

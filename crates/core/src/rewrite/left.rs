@@ -7,7 +7,7 @@
 //! sublink (and NULL-pads the provenance when the sublink query is empty).
 //!
 //! The sublink `Csub` is duplicated inside `Jsub`. The rewrite emits the
-//! paper's form as is; the optimizer (`perm_exec::optimize`, pushdown onto
+//! paper's form as is; the optimizer (`perm_optimize::optimize`, pushdown onto
 //! the preserved side) moves the selection's `Csub` below the join, where
 //! it establishes the copy in `Jsub` as TRUE: `Jsub` collapses to `C'sub`
 //! (`ANY`, a hash key when the comparison is an equality) or to TRUE

@@ -5,7 +5,7 @@
 //! selection condition and the join conditions `Jsub` reference the projected
 //! result (`C_i`) instead of duplicating the sublink, so no engine can
 //! re-evaluate the sublink per joined tuple pair. `Jsub` still reads `C_i`;
-//! the optimizer (`perm_exec::optimize`, pushdown onto the preserved side)
+//! the optimizer (`perm_optimize::optimize`, pushdown onto the preserved side)
 //! moves `σ_{C_i}` below the join — through the projection, by
 //! substitution — which establishes `C_i` as TRUE inside `Jsub` and leaves
 //! `C'sub` (`ANY`) or TRUE (`ALL`) as the join condition; the then-unused

@@ -15,8 +15,7 @@
 
 use crate::Result;
 use perm_algebra::builder::lit;
-use perm_algebra::{CompareOp, Expr};
-use perm_exec::eval::compare;
+use perm_algebra::{compare, CompareOp, Expr};
 use perm_exec::{Env, Executor, Interpreter};
 use perm_storage::{Relation, Truth, Value};
 

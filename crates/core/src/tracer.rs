@@ -22,10 +22,9 @@
 use crate::provschema::{ProvEntry, ProvenanceDescriptor};
 use crate::{ProvenanceError, Result};
 use perm_algebra::{
-    AggregateExpr, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind,
+    compare, AggregateExpr, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind, SublinkKind,
 };
 use perm_exec::aggregate::Accumulator;
-use perm_exec::eval::compare;
 use perm_exec::{Env, Executor, Interpreter};
 use perm_storage::{Database, Relation, Schema, Truth, Tuple, Value};
 use std::collections::HashMap;

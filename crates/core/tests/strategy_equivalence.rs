@@ -127,7 +127,7 @@ fn assert_strategies_match_tracer(db: &Database, plan: &Plan, expect_applicable:
         // The optimizer (decorrelation into joins above all) must be
         // invisible: same witness bag as the plan exactly as rewritten.
         let optimized = Executor::new(db)
-            .execute(&perm_exec::optimize(rewritten.plan()).0)
+            .execute(&perm_optimize::optimize(rewritten.plan()).0)
             .unwrap_or_else(|e| panic!("optimizing the {strategy} rewrite broke it: {e}"));
         assert!(
             optimized.bag_eq(&interpreted),
@@ -443,7 +443,7 @@ fn gen_decorrelation_survives_nulls_duplicates_and_empty_sublinks() {
             .strategy(Strategy::Gen)
             .rewrite()
             .unwrap();
-        let (_, report) = perm_exec::optimize::optimize(rewritten.plan());
+        let (_, report) = perm_optimize::optimize(rewritten.plan());
         let allowed = match label {
             "scalar avg" | "count = 0" => 1,
             "<> ALL" => 2,

@@ -49,15 +49,13 @@
 //! `columnar_fallback_rows` do not see the difference.
 
 use crate::batch::{Batch, LiveRows};
-use crate::eval::{arithmetic, compare};
 use crate::executor::{extract_equi_keys, Execution, Executor};
-use crate::functions;
 use crate::memo::StatementMemo;
 use crate::profile::{ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
-use perm_algebra::optimize::split_conjuncts;
+use perm_algebra::builder::split_conjuncts;
 use perm_algebra::visit::free_params;
 use perm_algebra::{
     AggFunc, BinaryOp, CompareOp, Expr, FuncName, JoinKind, Plan, Scopes, SetOpKind, SublinkKind,
@@ -114,7 +112,7 @@ pub enum CompiledExpr {
     ///   some is, else FALSE: the `OR` fold in either order;
     /// * **errors** — the chain evaluates `e` on every row in its first
     ///   disjunct, and so does the node, once; an error there is the
-    ///   chain's first error too, because [`compare`] is total;
+    ///   chain's first error too, because [`perm_algebra::compare`] is total;
     /// * **evaluation set** — later disjuncts re-evaluate `e` on rows it
     ///   already ran on, and every function is deterministic, so the one
     ///   value stands for them; with no sublink in `e` no memo or counter
@@ -535,44 +533,6 @@ impl<'a> Frame<'a> {
                 .expect("compiled slot depth exceeds runtime scope chain");
         }
         frame.tuple.get(slot.index)
-    }
-}
-
-/// Applies a unary operator to one value: the scalar semantics every
-/// unary kernel equals, run by the fallback of
-/// [`crate::kernels::unary_column`] alone.
-pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value> {
-    Ok(match op {
-        UnaryOp::Not => v.as_truth().not().to_value(),
-        UnaryOp::Neg => match v {
-            Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(-i),
-            Value::Float(f) => Value::Float(-f),
-            _ => return Err(ExecError::Type("cannot negate non-number".into())),
-        },
-        UnaryOp::IsNull => Value::Bool(v.is_null()),
-        UnaryOp::IsNotNull => Value::Bool(!v.is_null()),
-    })
-}
-
-/// Applies a non-logical binary operator to two values (`AND`/`OR`
-/// short-circuit over sub-selections and never reach here): the scalar
-/// semantics every binary kernel equals, run by the fallback of
-/// [`crate::kernels::binary_column`] alone.
-pub(crate) fn apply_binary_scalar(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    match op {
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            arithmetic(op, l, r)
-        }
-        BinaryOp::Cmp(cmp_op) => Ok(compare(cmp_op, l, r).to_value()),
-        BinaryOp::NullSafeEq => Ok(Value::Bool(l.null_safe_eq(r))),
-        BinaryOp::Like => Ok(functions::sql_like(l, r).to_value()),
-        BinaryOp::NotLike => Ok(functions::sql_like(l, r).not().to_value()),
-        BinaryOp::Concat => match (l, r) {
-            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            _ => Ok(Value::str(format!("{l}{r}"))),
-        },
-        BinaryOp::And | BinaryOp::Or => unreachable!("logical connectives short-circuit"),
     }
 }
 

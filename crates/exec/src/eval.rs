@@ -5,7 +5,9 @@ use crate::functions;
 use crate::interpreter::Interpreter;
 use crate::physical::OpRows;
 use crate::{ExecError, Result};
-use perm_algebra::{BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp};
+use perm_algebra::{
+    arithmetic, compare, BinaryOp, CompareOp, Expr, FuncName, SublinkKind, UnaryOp,
+};
 use perm_storage::{Name, Schema, Truth, Tuple, Value};
 
 /// An evaluation environment: the current operator's input tuple plus a
@@ -49,28 +51,6 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Compares two values with a SQL comparison operator under three-valued
-/// logic.
-pub fn compare(op: CompareOp, left: &Value, right: &Value) -> Truth {
-    if left.is_null() || right.is_null() {
-        return Truth::Unknown;
-    }
-    match op {
-        CompareOp::Eq => left.sql_eq(right),
-        CompareOp::Neq => left.sql_eq(right).not(),
-        _ => match left.sql_cmp(right) {
-            None => Truth::Unknown,
-            Some(ord) => Truth::from_bool(match op {
-                CompareOp::Lt => ord.is_lt(),
-                CompareOp::Le => ord.is_le(),
-                CompareOp::Gt => ord.is_gt(),
-                CompareOp::Ge => ord.is_ge(),
-                CompareOp::Eq | CompareOp::Neq => unreachable!(),
-            }),
-        },
-    }
-}
-
 impl<'p> Interpreter<'p> {
     /// Evaluates an expression to a value in the given environment.
     pub fn eval_expr(&self, expr: &'p Expr, env: Option<&Env<'_>>) -> Result<Value> {
@@ -84,20 +64,7 @@ impl<'p> Interpreter<'p> {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Param(index) => self.x.param_value(*index),
             Expr::Binary { op, left, right } => self.eval_binary(*op, left, right, env),
-            Expr::Unary { op, expr } => {
-                let v = self.eval_expr(expr, env)?;
-                Ok(match op {
-                    UnaryOp::Not => v.as_truth().not().to_value(),
-                    UnaryOp::Neg => match v {
-                        Value::Null => Value::Null,
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        _ => return Err(ExecError::Type("cannot negate non-number".into())),
-                    },
-                    UnaryOp::IsNull => Value::Bool(v.is_null()),
-                    UnaryOp::IsNotNull => Value::Bool(!v.is_null()),
-                })
-            }
+            Expr::Unary { op, expr } => apply_unary(*op, self.eval_expr(expr, env)?),
             Expr::Func { name, args } => self.eval_func(*name, args, env),
             Expr::Case {
                 branches,
@@ -158,20 +125,7 @@ impl<'p> Interpreter<'p> {
 
         let l = self.eval_expr(left, env)?;
         let r = self.eval_expr(right, env)?;
-        match op {
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-                arithmetic(op, &l, &r)
-            }
-            BinaryOp::Cmp(cmp_op) => Ok(compare(cmp_op, &l, &r).to_value()),
-            BinaryOp::NullSafeEq => Ok(Value::Bool(l.null_safe_eq(&r))),
-            BinaryOp::Like => Ok(functions::sql_like(&l, &r).to_value()),
-            BinaryOp::NotLike => Ok(functions::sql_like(&l, &r).not().to_value()),
-            BinaryOp::Concat => match (&l, &r) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                _ => Ok(Value::str(format!("{l}{r}"))),
-            },
-            BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-        }
+        apply_binary_scalar(op, &l, &r)
     }
 
     fn eval_func(&self, name: FuncName, args: &'p [Expr], env: Option<&Env<'_>>) -> Result<Value> {
@@ -252,6 +206,48 @@ pub(crate) fn check_quantified_arity(arity: usize) -> Result<()> {
     }
 }
 
+/// Applies a unary operator to one value: what the interpreter evaluates
+/// and every unary kernel equals (the fallback of
+/// [`crate::kernels::unary_column`] runs it).
+pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value> {
+    Ok(match op {
+        UnaryOp::Not => v.as_truth().not().to_value(),
+        UnaryOp::Neg => match v {
+            Value::Null => Value::Null,
+            // `-i64::MIN` has no `Int`: it becomes a float, as an
+            // overflowing `arithmetic` does.
+            Value::Int(i) => i
+                .checked_neg()
+                .map_or(Value::Float(-(i as f64)), Value::Int),
+            Value::Float(f) => Value::Float(-f),
+            _ => return Err(ExecError::Type("cannot negate non-number".into())),
+        },
+        UnaryOp::IsNull => Value::Bool(v.is_null()),
+        UnaryOp::IsNotNull => Value::Bool(!v.is_null()),
+    })
+}
+
+/// Applies a non-logical binary operator to two values (`AND`/`OR`
+/// short-circuit and never reach here): what the interpreter evaluates and
+/// every binary kernel equals (the fallback of
+/// [`crate::kernels::binary_column`] runs it).
+pub(crate) fn apply_binary_scalar(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+    match op {
+        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
+            Ok(arithmetic(op, l, r)?)
+        }
+        BinaryOp::Cmp(cmp_op) => Ok(compare(cmp_op, l, r).to_value()),
+        BinaryOp::NullSafeEq => Ok(Value::Bool(l.null_safe_eq(r))),
+        BinaryOp::Like => Ok(functions::sql_like(l, r).to_value()),
+        BinaryOp::NotLike => Ok(functions::sql_like(l, r).not().to_value()),
+        BinaryOp::Concat => match (l, r) {
+            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            _ => Ok(Value::str(format!("{l}{r}"))),
+        },
+        BinaryOp::And | BinaryOp::Or => unreachable!("logical connectives short-circuit"),
+    }
+}
+
 /// Applies a scalar function to already-evaluated argument values. Shared by
 /// the interpreter and the compiled evaluator so their dispatch cannot
 /// drift apart.
@@ -289,77 +285,6 @@ pub(crate) fn scalar_sublink_value(result: &OpRows<'_>) -> Result<Value> {
         n => Err(ExecError::ScalarSublinkCardinality(format!(
             "scalar sublink produced {n} tuples"
         ))),
-    }
-}
-
-/// Arithmetic with NULL propagation and integer/float coercion.
-pub(crate) fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    // Same-type integer arithmetic is exact: the f64 route below is lossy
-    // above 2⁵³ (`Int(2⁵³) + 1` would round back to 2⁵³, making `a + 1 = a`
-    // TRUE under the engine's exact equality). Everything the checked ops
-    // decline — overflow, `/` with a fractional quotient, zero divisors —
-    // falls through to the float route and its error handling.
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        let exact = match op {
-            BinaryOp::Add => a.checked_add(*b),
-            BinaryOp::Sub => a.checked_sub(*b),
-            BinaryOp::Mul => a.checked_mul(*b),
-            // Division keeps its fractional float result (`7 / 2` is 3.5 in
-            // this engine); only an integral quotient is exact here.
-            BinaryOp::Div => match a.checked_rem(*b) {
-                Some(0) => a.checked_div(*b),
-                _ => None,
-            },
-            BinaryOp::Mod => a.checked_rem(*b),
-            _ => None,
-        };
-        if let Some(i) = exact {
-            return Ok(Value::Int(i));
-        }
-    }
-    let (lf, rf) = match (l.as_f64(), r.as_f64()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(ExecError::Type(format!(
-                "arithmetic over non-numeric values `{l}` and `{r}`"
-            )))
-        }
-    };
-    // Date + integer days keeps the date type (needed for TPC-H interval
-    // predicates like `o_orderdate < date '1995-01-01' + 90`).
-    let date_result = matches!((l, r), (Value::Date(_), _) | (_, Value::Date(_)))
-        && matches!(op, BinaryOp::Add | BinaryOp::Sub);
-    let both_int = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
-    let result = match op {
-        BinaryOp::Add => lf + rf,
-        BinaryOp::Sub => lf - rf,
-        BinaryOp::Mul => lf * rf,
-        BinaryOp::Div => {
-            if rf == 0.0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            lf / rf
-        }
-        BinaryOp::Mod => {
-            if rf == 0.0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            lf % rf
-        }
-        _ => unreachable!(),
-    };
-    if date_result {
-        Ok(Value::Date(result as i32))
-    } else if both_int && result.fract() == 0.0 && result.abs() < 9_223_372_036_854_775_808.0 {
-        // Int/Int pairs only reach here past the exact path above, i.e. on
-        // overflow or an inexact division; the range guard keeps overflowed
-        // results as (approximate) floats instead of saturating the cast.
-        Ok(Value::Int(result as i64))
-    } else {
-        Ok(Value::Float(result))
     }
 }
 
@@ -474,7 +399,7 @@ mod tests {
             other => panic!("expected float on overflow, got {other:?}"),
         }
         assert!(matches!(
-            arithmetic(BinaryOp::Mod, &Value::Int(1), &Value::Int(0)),
+            arithmetic(BinaryOp::Mod, &Value::Int(1), &Value::Int(0)).map_err(ExecError::from),
             Err(ExecError::DivisionByZero)
         ));
         // i64::MIN % -1 overflows checked_rem but is mathematically 0.

@@ -15,7 +15,7 @@
 //!
 //! Execution of a top-level plan through [`Executor::execute`] goes through
 //! two stages, over exactly the plan it is given (the optimizer,
-//! [`crate::optimize::optimize`], runs before, never inside):
+//! `perm_optimize::optimize`, runs before, never inside):
 //!
 //! 1. **Compilation** ([`crate::compile`]) — a one-time pass per operator
 //!    that resolves every column reference to a positional *slot*
@@ -62,7 +62,7 @@ use crate::profile::ProfileTree;
 use crate::resilience::{CancelToken, Cancellation, FaultPlan, Governor};
 use crate::trace::TraceSink;
 use crate::{ExecError, Result};
-use perm_algebra::optimize::split_conjuncts;
+use perm_algebra::builder::split_conjuncts;
 use perm_algebra::visit::{param_count, side_of, Side};
 use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
@@ -393,7 +393,7 @@ impl<'a> Executor<'a> {
     /// [`Executor::with_memo_capacity`], which every executor running the
     /// plan shares. It records how many parameters `plan` needs bound; the
     /// execution entries check it. `prepare` never optimizes: callers run
-    /// [`crate::optimize::optimize`] first (`Session` does, and checks the
+    /// `perm_optimize::optimize` first (`Session` does, and checks the
     /// parameter count of the statement as written, since the optimizer
     /// may fold a `$n` away).
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {

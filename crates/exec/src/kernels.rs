@@ -4,12 +4,13 @@
 //! Each kernel runs a tight loop over primitive slices when both operands
 //! sit in lanes whose pairing the engine's `Value` semantics handles
 //! type-exactly, and otherwise falls back to the scalar appliers of
-//! `crate::compile` (`apply_binary_scalar` / `apply_unary`) row by row —
+//! `crate::eval` (`apply_binary_scalar` / `apply_unary`) row by row —
 //! so a kernel can *never* drift from the scalar semantics: the typed
 //! paths are proven equivalences, everything else *is* the scalar path.
 //! The kernels are the compiled evaluator's only operators
 //! (`Executor::ceval_typed`, which runs a row as a batch of one when
-//! batching is off), the fallback is the appliers' only caller, and this
+//! batching is off), the fallback and the reference interpreter are the
+//! appliers' only callers, and this
 //! module's tests check each typed path against them. The `bool` in each
 //! return value reports whether that fallback ran (the executor's
 //! `columnar_fallback_rows` counter).
@@ -47,7 +48,7 @@ use perm_algebra::{BinaryOp, CompareOp, UnaryOp};
 use perm_storage::{f64_cmp_sql, int_cmp_float, ColumnVec, Truth, Validity, Value};
 
 use crate::batch::{Batch, Lane, LiveRows};
-use crate::compile::{apply_binary_scalar, apply_unary};
+use crate::eval::{apply_binary_scalar, apply_unary};
 use crate::{ExecError, Result};
 
 /// The exact-`i64` view over the three lanes whose values denote exact
@@ -371,7 +372,7 @@ impl CompareBody for InStep<'_> {
 /// the disjuncts folded left to right: literal `k` is compared only with
 /// the entries no earlier literal found TRUE, through the typed comparator
 /// every comparison kernel uses where the pairing has one, and through the
-/// scalar [`crate::eval::compare`] otherwise. A NULL literal makes every
+/// scalar [`perm_algebra::compare`] otherwise. A NULL literal makes every
 /// entry it meets UNKNOWN. Returns one truth per entry and how many entries
 /// met no typed comparison (the `columnar_fallback_rows` of the node).
 pub(crate) fn in_list(probe: &ColumnVec, list: &[Value]) -> (Vec<Truth>, u64) {
@@ -410,7 +411,7 @@ pub(crate) fn in_list(probe: &ColumnVec, list: &[Value]) -> (Vec<Truth>, u64) {
         }
         let before = undecided.len();
         undecided.retain(|&i| {
-            let t = truths[i].or(crate::eval::compare(
+            let t = truths[i].or(perm_algebra::compare(
                 CompareOp::Eq,
                 &probe.value_at(i),
                 literal,
@@ -656,10 +657,11 @@ pub fn unary_column(op: UnaryOp, col: ColumnVec) -> Result<(ColumnVec, bool)> {
             col @ ColumnVec::Values(_) => Ok((scalar_unary(op, col)?, true)),
         },
         UnaryOp::Neg => match col {
-            ColumnVec::Int { mut data, validity } => {
+            // `i64::MIN` has no `Int` negation: a column holding it retries
+            // on the scalar path, which makes that row a float.
+            ColumnVec::Int { mut data, validity } if !data.contains(&i64::MIN) => {
                 // Invalid slots hold 0, whose negation is itself, so the
-                // whole slice negates unconditionally (matching the scalar
-                // `Int(-i)`, including its debug overflow behaviour).
+                // whole slice negates unconditionally.
                 for x in &mut data {
                     *x = -*x;
                 }
@@ -892,8 +894,8 @@ mod tests {
                                 .map(|k| {
                                     let v = &lane[start + batch.row_index(k)];
                                     match lane_left {
-                                        true => crate::eval::compare(op, v, constant),
-                                        false => crate::eval::compare(op, constant, v),
+                                        true => perm_algebra::compare(op, v, constant),
+                                        false => perm_algebra::compare(op, constant, v),
                                     }
                                 })
                                 .collect();
@@ -941,6 +943,8 @@ mod tests {
             vec![Value::Date(3), Value::Null, Value::Date(0)],
             vec![Value::str("x"), Value::Null, Value::str("")],
             vec![Value::Int(1), Value::str("y"), Value::Null],
+            // `-i64::MIN` overflows the lane: the column retries scalar.
+            vec![Value::Int(i64::MAX), Value::Null, Value::Int(i64::MIN)],
         ];
         for rows in &columns {
             for op in [UnaryOp::Not, UnaryOp::IsNull, UnaryOp::IsNotNull] {

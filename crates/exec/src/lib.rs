@@ -131,31 +131,14 @@
 //! counted once per logical operator invocation, never per batch, so the
 //! counter is comparable across batch sizes and execution modes.
 //!
-//! Ahead of compilation sits the **optimizer layer** ([`mod@optimize`]) — a
-//! fixpoint of cost-free logical rewrites over the bound algebra: correlated
-//! `EXISTS`/`NOT EXISTS`/`IN`-equality sublinks in top-scope selections are
-//! *decorrelated* into hash semi/anti joins (the static counterpart of the
-//! runtime memo above — shapes the rules cannot prove safe simply keep the
-//! memo path), selections push toward the scans, projection columns nobody
-//! reads are pruned, and constant subexpressions fold. The same generic
-//! rules make the Gen strategy's `σ[C ∧ Csub⁺](T⁺ × CrossBase)` — a
-//! per-pair sublink over a materialised cross product — join-shaped:
-//! a sublink conjunct implies its copies inside `Csub⁺` away, what remains
-//! of the disjunction splits into a `UNION ALL`, the membership sublink's
-//! correlation is hoisted through `Tsub⁺`, and the semi join goes through
-//! the product as two hash joins. Every rule preserves result bags, the
-//! error set *and* the `operators_evaluated` bound; the module
-//! documentation spells out the three observables and each rule's
-//! argument, and [`OptimizerReport`] says which rules fired and how many
-//! sublinks are left to the memo. Its last step turns a selection left
-//! directly above a cross product into a join, so what it returns is
-//! exactly what [`Executor::prepare`] compiles. The `Session` facade runs
-//! the phase between the provenance rewrite and [`compile`] (so witness
-//! columns are ordinary columns by then); executor-direct callers call
-//! [`optimize()`] and execute the plan it returns, as
-//! `tests/differential.rs` does to check the Gen-rewritten corpus against
-//! the reference interpreter (the benchmark reports what is left as
-//! `optimize.sublinks_remaining`).
+//! This crate executes exactly the plan it is given. The optimizer — the
+//! fixpoint of cost-free rewrites that decorrelates sublinks into semi /
+//! anti joins, pushes selections, prunes, folds and fuses — is its own
+//! crate, `perm-optimize`, which runs before [`Executor::prepare`] and
+//! knows nothing of execution; the `Session` facade runs it between the
+//! provenance rewrite and [`compile`], and executor-direct callers (such as
+//! `tests/differential.rs`) call `perm_optimize::optimize` and execute the
+//! plan it returns.
 //!
 //! An [`Executor`] is deliberately `!Sync` (its counters use
 //! `Cell`/`RefCell`) and keeps no state keyed by a plan — concurrency
@@ -211,7 +194,6 @@ mod heap;
 pub mod interpreter;
 pub mod kernels;
 pub(crate) mod memo;
-pub mod optimize;
 pub(crate) mod physical;
 pub(crate) mod pipeline;
 pub mod profile;
@@ -227,12 +209,17 @@ pub use cursor::Rows;
 pub use eval::Env;
 pub use executor::Executor;
 pub use interpreter::Interpreter;
-pub use optimize::{optimize, plan_fingerprint, OptimizerReport};
 pub use profile::{ProfileNode, QueryProfile};
 pub use quant::QuantProbe;
 pub use resilience::{CancelToken, Degradation, FaultKind, FaultPlan, FaultSite};
 pub use stats::SessionStats;
 pub use trace::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
+
+/// The optimizer under its old path, kept only because the frozen
+/// benchmark (`benchmark/src/ops.rs:13`) and `tests/plan_identity.rs`
+/// still import `perm_exec::optimize` / `perm::exec::optimize`; ROADMAP
+/// item 1e deletes it. Everything else names `perm_optimize`.
+pub use perm_optimize as optimize;
 
 use perm_storage::StorageError;
 
@@ -313,6 +300,15 @@ impl From<perm_algebra::AlgebraError> for ExecError {
         match e {
             perm_algebra::AlgebraError::Storage(s) => ExecError::Storage(s),
             other => ExecError::Unsupported(other.to_string()),
+        }
+    }
+}
+
+impl From<perm_algebra::ArithmeticError> for ExecError {
+    fn from(e: perm_algebra::ArithmeticError) -> Self {
+        match e {
+            perm_algebra::ArithmeticError::Type(msg) => ExecError::Type(msg),
+            perm_algebra::ArithmeticError::DivisionByZero => ExecError::DivisionByZero,
         }
     }
 }

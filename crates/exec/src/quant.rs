@@ -152,7 +152,7 @@ impl QuantProbe {
             _ => match &self.bounds[class] {
                 None => (false, false),
                 Some((min, max)) => {
-                    let holds = |r: &Value| crate::eval::compare(op, test, r).is_true();
+                    let holds = |r: &Value| perm_algebra::compare(op, test, r).is_true();
                     match op {
                         CompareOp::Lt | CompareOp::Le => (holds(max), !holds(min)),
                         _ => (holds(min), !holds(max)),

@@ -127,7 +127,7 @@ fn prepare_compiles_a_selection_over_a_product_as_written() {
         ("cross_product", 24)
     );
 
-    let (optimized, report) = perm_exec::optimize(&plan);
+    let (optimized, report) = perm_optimize::optimize(&plan);
     assert_eq!(report.selections_fused, 1, "{}", report.summary());
     let (joined, profile) = ex
         .execute_profiled(&ex.prepare(&optimized).unwrap())

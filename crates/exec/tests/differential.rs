@@ -363,7 +363,7 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
         let ref_ex = Executor::new(&db);
         let reference = ref_ex.execute(&plan);
 
-        let (optimized_plan, report) = perm_exec::optimize(&plan);
+        let (optimized_plan, report) = perm_optimize::optimize(&plan);
         let opt_ex = Executor::new(&db);
         let optimized = opt_ex.execute(&optimized_plan);
 
@@ -419,10 +419,10 @@ fn assert_optimizer_matches_reference(
     db: &Database,
     plan: &Plan,
     label: &str,
-) -> Option<(perm_exec::OptimizerReport, u64, u64)> {
+) -> Option<(perm_optimize::OptimizerReport, u64, u64)> {
     let ref_ex = Executor::new(db);
     let reference = ref_ex.execute_unoptimized(plan);
-    let (optimized_plan, report) = perm_exec::optimize(plan);
+    let (optimized_plan, report) = perm_optimize::optimize(plan);
     let opt_ex = Executor::new(db);
     let optimized = opt_ex.execute(&optimized_plan);
     match (&reference, &optimized) {
@@ -782,7 +782,7 @@ fn preserved_side_pushdown_keeps_witness_bags_and_error_sets_on_hostile_tables()
                             if fires || !with_zero {
                                 assert!(outcome.is_some(), "{label}: nothing here can fail");
                             }
-                            let (optimized, report) = perm_exec::optimize::optimize(&rewrite);
+                            let (optimized, report) = perm_optimize::optimize(&rewrite);
                             let conditions = left_outer_conditions(&optimized);
                             if fires {
                                 assert!(report.preserved_side_pushed >= 1, "{label}");

@@ -32,7 +32,7 @@
 //! under it, and last of all a selection left directly above a cross
 //! product becomes a join (the last two sections). What `optimize` returns
 //! is exactly what
-//! [`crate::Executor::prepare`] compiles.
+//! `Executor::prepare` (in `perm-exec`) compiles.
 //!
 //! Every pass but projection pruning (liveness flows down, so it walks
 //! top-down) is a node-local rule under the one bottom-up rewrite the
@@ -42,7 +42,7 @@
 //! # Equivalence discipline
 //!
 //! Every rule preserves four observables of the reference interpreter
-//! ([`crate::Executor::execute_unoptimized`]):
+//! (`Executor::execute_unoptimized` in `perm-exec`):
 //!
 //! 1. **Result bags** (and therefore provenance witness bags — the
 //!    provenance rewrite runs *before* the optimizer, so witness attributes
@@ -59,8 +59,8 @@
 //!    substituted once, for the whole query, before evaluation starts. Every
 //!    entry that starts an execution — the reference interpreter's included
 //!    — checks that the bound vector covers the highest `$n` of the plan *as
-//!    given* and returns [`crate::ExecError::Param`] before its first
-//!    operator otherwise ([`crate::Executor::bind_params`]). So for a vector
+//!    given* and returns `ExecError::Param` before its first
+//!    operator otherwise (`Executor::bind_params`). So for a vector
 //!    that is too short, the plan as written and every rewriting of it have
 //!    the one same outcome, whatever rows the `$n` would have been evaluated
 //!    on and even when a rule dropped it; for any other vector, evaluating
@@ -321,15 +321,15 @@
 
 mod decorrelate;
 
-use perm_algebra::builder::{and, conjunction};
+use perm_algebra::builder::{and, conjunction, split_conjuncts};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
-use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{
     count_sublinks, expr_is_total, free_expr_columns, is_total_under, plan_is_total, resolves,
     side_of, walk_column_refs, yields_one_row, Side,
 };
 use perm_algebra::{
-    Expr, JoinKind, Plan, PlanRef, ProjectItem, Scopes, SetOpKind, SortKey, SublinkKind,
+    arithmetic, compare, Expr, JoinKind, Plan, PlanRef, ProjectItem, Scopes, SetOpKind, SortKey,
+    SublinkKind,
 };
 use perm_storage::{Name, Schema, Value};
 
@@ -709,7 +709,7 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
         } => match (left.as_ref(), right.as_ref()) {
             (Expr::Literal(l), Expr::Literal(r)) => {
                 rep.constants_folded += 1;
-                Some(crate::eval::compare(*cop, l, r).to_value_expr())
+                Some(Expr::Literal(compare(*cop, l, r).to_value()))
             }
             _ => None,
         },
@@ -725,7 +725,7 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
             ) =>
         {
             match (left.as_ref(), right.as_ref()) {
-                (Expr::Literal(l), Expr::Literal(r)) => match crate::eval::arithmetic(*op, l, r) {
+                (Expr::Literal(l), Expr::Literal(r)) => match arithmetic(*op, l, r) {
                     Ok(v) => {
                         rep.constants_folded += 1;
                         Some(Expr::Literal(v))
@@ -759,23 +759,119 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
     }
 }
 
-/// Renders a [`perm_storage::Truth`] as a literal expression.
-trait TruthExpr {
-    fn to_value_expr(self) -> Expr;
+// ---------------------------------------------------------------------------
+// The binder's selection pushdown
+// ---------------------------------------------------------------------------
+
+/// Pushes selection conjuncts towards the scans, in every operator's
+/// children and in the plans of its sublinks — what the PostgreSQL planner
+/// under the original Perm system does to both the original and the
+/// rewritten query, and what the SQL binder does to every bound plan.
+///
+/// Conjuncts referencing only one side of a cross product / inner join move
+/// into that side, conjuncts referencing both sides become the join
+/// condition. Conjuncts containing sublinks are never moved, so the
+/// provenance rewrite rules (which match on selections containing sublinks)
+/// still see them. Left outer joins are left untouched (pushing through them
+/// would change semantics). A conjunct moves onto a side only when every
+/// column it reads names an attribute of that side alone ([`side_of`], the
+/// fixpoint's side test too): a name ambiguous within a side counts as
+/// present there, so the conjunct stays above, where evaluating it fails as
+/// it should.
+///
+/// A rule of the one bottom-up rewrite ([`PlanRef::rewrite_up`]), so
+/// operators without a selection at or below them are handed back as they
+/// are. Everything after the provenance rewrite — including turning a
+/// selection left directly above a cross product into a join — is
+/// [`optimize`]'s.
+pub fn push_down_selections(plan: Plan) -> Plan {
+    PlanRef::new(plan)
+        .rewrite_up(None, true, &mut |node, _| match &**node {
+            Plan::Select { input, predicate } => {
+                let conjuncts = split_conjuncts(predicate).into_iter().cloned().collect();
+                let (pushed, residual) = push_into(input.clone(), conjuncts);
+                Some(wrap_select(PlanRef::new(pushed), residual))
+            }
+            _ => None,
+        })
+        .into_plan()
 }
 
-impl TruthExpr for perm_storage::Truth {
-    fn to_value_expr(self) -> Expr {
-        Expr::Literal(self.to_value())
+/// Pushes the given conjuncts as deep into `plan` as allowed, returning the
+/// rewritten plan and the conjuncts that could not be placed anywhere below.
+fn push_into(plan: PlanRef, conjuncts: Vec<Expr>) -> (Plan, Vec<Expr>) {
+    match plan.into_plan() {
+        Plan::Select { input, predicate } => {
+            let mut all = conjuncts;
+            all.extend(split_conjuncts(&predicate).into_iter().cloned());
+            push_into(input, all)
+        }
+        Plan::CrossProduct { left, right } => push_into_binary(left, right, None, conjuncts),
+        Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            condition,
+        } => push_into_binary(left, right, Some(condition), conjuncts),
+        other => (other, conjuncts),
     }
+}
+
+/// Distributes conjuncts over the two sides of a cross product or inner
+/// join. `existing_condition` is the join condition of an inner join (kept
+/// in place), `None` for a cross product. A conjunct stays above when it
+/// holds a sublink, reads no column (a constant predicate stays at the
+/// top), or reads a column that does not name an attribute of exactly one
+/// side (correlated, known to both sides, or ambiguous within one).
+fn push_into_binary(
+    left: PlanRef,
+    right: PlanRef,
+    existing_condition: Option<Expr>,
+    conjuncts: Vec<Expr>,
+) -> (Plan, Vec<Expr>) {
+    let left_schema = left.schema();
+    let right_schema = right.schema();
+    let mut to_left = Vec::new();
+    let mut to_right = Vec::new();
+    let mut join_conjuncts = Vec::new();
+    let mut residual = Vec::new();
+    for conjunct in conjuncts {
+        let side = match conjunct.has_sublink() {
+            true => None,
+            false => side_of(&conjunct.column_refs(), &left_schema, &right_schema),
+        };
+        match side {
+            Some(Side::Left) => to_left.push(conjunct),
+            Some(Side::Right) => to_right.push(conjunct),
+            Some(Side::Both) => join_conjuncts.push(conjunct),
+            None => residual.push(conjunct),
+        }
+    }
+
+    let (left, left_rest) = push_into(left, to_left);
+    let left = wrap_select(PlanRef::new(left), left_rest);
+    let (right, right_rest) = push_into(right, to_right);
+    let right = wrap_select(PlanRef::new(right), right_rest);
+
+    let joined = (!join_conjuncts.is_empty()).then(|| conjunction(join_conjuncts));
+    let plan = match existing_condition.into_iter().chain(joined).reduce(and) {
+        None => Plan::CrossProduct { left, right },
+        Some(condition) => Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            condition,
+        },
+    };
+    (plan, residual)
 }
 
 // ---------------------------------------------------------------------------
 // Rule: predicate pushdown extensions
 // ---------------------------------------------------------------------------
 
-/// Pushes selections through operators the name-level pass in
-/// `perm_algebra::optimize` does not handle: projections (by substituting
+/// Pushes selections through operators the binder's name-level pass
+/// ([`push_down_selections`]) does not handle: projections (by substituting
 /// item expressions for output names), `INTERSECT`/`EXCEPT` left branches,
 /// semi/anti-join probe sides, and — conjunct by conjunct — the sides of
 /// cross products and inner joins inside an already rewritten plan, and the
@@ -803,6 +899,15 @@ fn select(input: impl Into<PlanRef>, predicate: Expr) -> Plan {
         input: input.into(),
         predicate,
     }
+}
+
+/// `σ` over `conjuncts` on `input`, or `input` itself when there are none.
+fn wrap_select(input: PlanRef, conjuncts: impl IntoIterator<Item = Expr>) -> PlanRef {
+    let mut conjuncts = conjuncts.into_iter().peekable();
+    if conjuncts.peek().is_none() {
+        return input;
+    }
+    PlanRef::new(select(input, conjunction(conjuncts)))
 }
 
 /// `σ_predicate(input)`, pushed as far as [`push_select`] takes it.
@@ -1798,274 +1903,21 @@ fn fuse(node: &Plan, rep: &mut OptimizerReport) -> Option<PlanRef> {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/shapes.rs"]
+mod shapes;
+
+#[cfg(test)]
 mod tests {
+    use super::shapes::*;
     use super::*;
-    use crate::Executor;
     use perm_algebra::builder::{
-        and, between, cmp, col, eq, exists_sublink, lit, not, qcol, PlanBuilder,
+        all_sublink, and, binary, cmp, col, count_star, eq, exists_sublink, lit, or, qcol,
+        PlanBuilder,
     };
-    use perm_storage::{Database, Relation, Schema, Tuple};
+    use perm_storage::{Database, Relation, Schema};
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        let mut r1 = Relation::empty(Schema::from_names(&["a", "g"]).with_qualifier("r1"));
-        let mut r2 = Relation::empty(Schema::from_names(&["b", "g"]).with_qualifier("r2"));
-        for i in 0..20i64 {
-            r1.push(Tuple::new(vec![Value::Int(i), Value::Int(i % 4)]))
-                .unwrap();
-            r2.push(Tuple::new(vec![Value::Int(i), Value::Int(i % 3)]))
-                .unwrap();
-        }
-        db.create_table("r1", r1).unwrap();
-        db.create_table("r2", r2).unwrap();
-        db
-    }
-
-    fn correlated_exists(db: &Database) -> Plan {
-        let sub = PlanBuilder::scan(db, "r2")
-            .unwrap()
-            .select(and(
-                between(qcol("r2", "b"), lit(2), lit(15)),
-                eq(qcol("r2", "g"), qcol("r1", "g")),
-            ))
-            .build();
-        PlanBuilder::scan(db, "r1")
-            .unwrap()
-            .select(exists_sublink(sub))
-            .build()
-    }
-
-    fn bags_equal(mut a: Vec<String>, mut b: Vec<String>) -> bool {
-        a.sort();
-        b.sort();
-        a == b
-    }
-
-    fn rows(r: &Relation) -> Vec<String> {
-        r.tuples().iter().map(|t| format!("{t:?}")).collect()
-    }
-
-    #[test]
-    fn decorrelates_correlated_exists_into_semi_join() {
-        let db = db();
-        let plan = correlated_exists(&db);
-        let (optimized, rep) = optimize(&plan);
-        assert_eq!(rep.sublinks_decorrelated, 1);
-        fn has_semi(p: &Plan) -> bool {
-            if let Plan::Join {
-                kind: JoinKind::Semi,
-                ..
-            } = p
-            {
-                return true;
-            }
-            p.children().iter().any(|c| has_semi(c))
-        }
-        assert!(has_semi(&optimized), "expected a semi join:\n{optimized:?}");
-        let exec = Executor::new(&db);
-        let reference = exec.execute_unoptimized(&plan).unwrap();
-        let got = exec.execute(&optimized).unwrap();
-        assert!(bags_equal(rows(&reference), rows(&got)));
-    }
-
-    #[test]
-    fn decorrelates_not_exists_into_anti_join() {
-        let db = db();
-        let sub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(not(exists_sublink(sub)))
-            .build();
-        let (optimized, rep) = optimize(&plan);
-        assert_eq!(rep.sublinks_decorrelated, 1);
-        let exec = Executor::new(&db);
-        let reference = exec.execute_unoptimized(&plan).unwrap();
-        let got = exec.execute(&optimized).unwrap();
-        assert!(bags_equal(rows(&reference), rows(&got)));
-    }
-
-    #[test]
-    fn decorrelates_any_equality_into_semi_join() {
-        let db = db();
-        let sub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .select(and(
-                eq(qcol("r2", "g"), qcol("r1", "g")),
-                between(qcol("r2", "b"), lit(2), lit(15)),
-            ))
-            .project_columns(&["b"])
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(perm_algebra::builder::any_sublink(
-                qcol("r1", "a"),
-                CompareOp::Eq,
-                sub,
-            ))
-            .build();
-        let (optimized, rep) = optimize(&plan);
-        assert_eq!(rep.sublinks_decorrelated, 1);
-        let exec = Executor::new(&db);
-        let reference = exec.execute_unoptimized(&plan).unwrap();
-        let got = exec.execute(&optimized).unwrap();
-        assert!(bags_equal(rows(&reference), rows(&got)));
-    }
-
-    #[test]
-    fn decorrelates_exists_with_star_projection() {
-        // The SQL binder wraps `EXISTS (SELECT * ...)` bodies in a
-        // multi-item passthrough projection; peeling must drop it.
-        let db = db();
-        let sub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
-            .project(vec![
-                ProjectItem::new(qcol("r2", "b"), "b"),
-                ProjectItem::new(qcol("r2", "g"), "g"),
-            ])
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(exists_sublink(sub))
-            .build();
-        let (optimized, rep) = optimize(&plan);
-        assert_eq!(rep.sublinks_decorrelated, 1);
-        let exec = Executor::new(&db);
-        let reference = exec.execute_unoptimized(&plan).unwrap();
-        let got = exec.execute(&optimized).unwrap();
-        assert!(bags_equal(rows(&reference), rows(&got)));
-    }
-
-    #[test]
-    fn falls_back_on_all_sublinks() {
-        let db = db();
-        let sub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .project_columns(&["b"])
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(perm_algebra::builder::all_sublink(
-                qcol("r1", "a"),
-                CompareOp::Lt,
-                sub,
-            ))
-            .build();
-        let (optimized, rep) = optimize(&plan);
-        assert_eq!(rep.sublinks_decorrelated, 0);
-        assert_eq!(optimized, plan);
-    }
-
-    #[test]
-    fn decorrelation_lowers_operator_count() {
-        let db = db();
-        let plan = correlated_exists(&db);
-        let (optimized, _) = optimize(&plan);
-        let exec = Executor::new(&db);
-        exec.execute_unoptimized(&plan).unwrap();
-        let ops_ref = exec.operators_evaluated();
-        let exec2 = Executor::new(&db);
-        exec2.execute(&optimized).unwrap();
-        let ops_opt = exec2.operators_evaluated();
-        assert!(
-            ops_opt < ops_ref,
-            "decorrelated {ops_opt} ops vs reference {ops_ref}"
-        );
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_shape_sensitive() {
-        let db = db();
-        let plan = correlated_exists(&db);
-        let (optimized, _) = optimize(&plan);
-        assert_eq!(plan_fingerprint(&plan), plan_fingerprint(&plan));
-        assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&optimized));
-    }
-
-    #[test]
-    fn prunes_unused_projection_columns() {
-        let db = db();
-        let wide = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .project(vec![
-                ProjectItem::new(qcol("r1", "a"), "a"),
-                ProjectItem::new(qcol("r1", "g"), "g"),
-            ])
-            .build();
-        let plan = Plan::Project {
-            input: wide.into(),
-            items: vec![ProjectItem::new(col("a"), "a")],
-            distinct: false,
-        };
-        let (optimized, rep) = optimize(&plan);
-        assert!(rep.projections_pruned >= 1, "{rep:?}");
-        let exec = Executor::new(&db);
-        let reference = exec.execute_unoptimized(&plan).unwrap();
-        let got = exec.execute(&optimized).unwrap();
-        assert!(bags_equal(rows(&reference), rows(&got)));
-    }
-
-    /// The shape the Gen strategy gives `σ_{[NOT] EXISTS(T)}(r1)` with
-    /// `T = σ_{b BETWEEN 2 AND 15 ∧ r2.g = r1.g}(r2)`:
-    /// `σ[C ∧ (EXISTS(σ_{P =ₙ chk}(Π_{→chk}(T))) ∨ (¬EXISTS(T) ∧ P =ₙ NULL))]`
-    /// over `r1 × Π_{→P}(r2 ∪ALL {NULL})`. `correlation` is the body's
-    /// correlated conjunct.
-    fn gen_shaped(db: &Database, negated: bool, correlation: Expr) -> Plan {
-        use perm_algebra::builder::{null, null_safe_eq, or};
-        let body = || {
-            PlanBuilder::scan(db, "r2")
-                .unwrap()
-                .select(and(
-                    between(qcol("r2", "b"), lit(2), lit(15)),
-                    correlation.clone(),
-                ))
-                .build()
-        };
-        let renamed = |suffix: &str| {
-            vec![
-                ProjectItem::new(col("b"), format!("b_{suffix}")),
-                ProjectItem::new(col("g"), format!("g_{suffix}")),
-            ]
-        };
-        let membership = PlanBuilder::from_plan(body())
-            .project(renamed("chk"))
-            .select(and(
-                null_safe_eq(col("b_p"), col("b_chk")),
-                null_safe_eq(col("g_p"), col("g_chk")),
-            ))
-            .build();
-        let cross_base = PlanBuilder::scan(db, "r2")
-            .unwrap()
-            .set_op(
-                SetOpKind::Union,
-                true,
-                Plan::Values {
-                    schema: Schema::from_names(&["b", "g"]),
-                    rows: vec![Tuple::new(vec![Value::Null, Value::Null])],
-                },
-            )
-            .project(renamed("p"))
-            .build();
-        let csub = if negated {
-            not(exists_sublink(body()))
-        } else {
-            exists_sublink(body())
-        };
-        let empty_case = and(
-            not(exists_sublink(body())),
-            and(
-                null_safe_eq(col("b_p"), null()),
-                null_safe_eq(col("g_p"), null()),
-            ),
-        );
-        PlanBuilder::scan(db, "r1")
-            .unwrap()
-            .cross(cross_base)
-            .select(and(csub, or(exists_sublink(membership), empty_case)))
-            .build()
+    fn contains(plan: &Plan, pred: &dyn Fn(&Plan) -> bool) -> bool {
+        pred(plan) || plan.children().iter().any(|c| contains(c, pred))
     }
 
     /// `e` with the plan of every sublink replaced by one empty relation.
@@ -2091,28 +1943,93 @@ mod tests {
         .unwrap_or_else(|| e.clone())
     }
 
-    fn contains(plan: &Plan, pred: &dyn Fn(&Plan) -> bool) -> bool {
-        pred(plan) || plan.children().iter().any(|c| contains(c, pred))
+    fn left_outer_condition(plan: &Plan) -> Option<&Expr> {
+        match plan {
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
+                condition,
+                ..
+            } => Some(condition),
+            other => other.children().into_iter().find_map(left_outer_condition),
+        }
     }
 
-    fn assert_same_bag(db: &Database, reference: &Plan, optimized: &Plan) {
-        let exec = Executor::new(db);
-        let want = exec.execute_unoptimized(reference).unwrap();
-        let got = exec.execute(optimized).unwrap();
-        assert!(
-            bags_equal(rows(&want), rows(&got)),
-            "{} rows vs {} reference rows\n{}",
-            got.len(),
-            want.len(),
-            perm_algebra::display::explain(optimized)
-        );
+    #[test]
+    fn decorrelates_correlated_exists_into_semi_join() {
+        let db = db();
+        let plan = correlated_exists(&db);
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.sublinks_decorrelated, 1);
+        fn has_semi(p: &Plan) -> bool {
+            if let Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            } = p
+            {
+                return true;
+            }
+            p.children().iter().any(|c| has_semi(c))
+        }
+        assert!(has_semi(&optimized), "expected a semi join:\n{optimized:?}");
+    }
+
+    #[test]
+    fn decorrelates_not_exists_into_anti_join() {
+        let db = db();
+        let (_, rep) = optimize(&not_exists(&db));
+        assert_eq!(rep.sublinks_decorrelated, 1);
+    }
+
+    #[test]
+    fn decorrelates_any_equality_into_semi_join() {
+        let db = db();
+        let (_, rep) = optimize(&any_equality(&db));
+        assert_eq!(rep.sublinks_decorrelated, 1);
+    }
+
+    #[test]
+    fn decorrelates_exists_with_star_projection() {
+        let db = db();
+        let (_, rep) = optimize(&exists_with_star(&db));
+        assert_eq!(rep.sublinks_decorrelated, 1);
+    }
+
+    #[test]
+    fn falls_back_on_all_sublinks() {
+        let db = db();
+        let sub = PlanBuilder::scan(&db, "r2")
+            .unwrap()
+            .project_columns(&["b"])
+            .build();
+        let plan = PlanBuilder::scan(&db, "r1")
+            .unwrap()
+            .select(all_sublink(qcol("r1", "a"), CompareOp::Lt, sub))
+            .build();
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(rep.sublinks_decorrelated, 0);
+        assert_eq!(optimized, plan);
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_shape_sensitive() {
+        let db = db();
+        let plan = correlated_exists(&db);
+        let (optimized, _) = optimize(&plan);
+        assert_eq!(plan_fingerprint(&plan), plan_fingerprint(&plan));
+        assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&optimized));
+    }
+
+    #[test]
+    fn prunes_unused_projection_columns() {
+        let db = db();
+        let (_, rep) = optimize(&narrowed_projection(&db));
+        assert!(rep.projections_pruned >= 1, "{rep:?}");
     }
 
     #[test]
     fn gen_shaped_exists_becomes_hash_joins_without_a_cross_product() {
         let db = db();
-        let plan = gen_shaped(&db, false, eq(qcol("r2", "g"), qcol("r1", "g")));
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&gen_shaped(&db, false, hoistable()));
         // `C` implies the empty-sublink disjunct away, both sublinks become
         // semi joins, `C`'s moves onto `r1`, the membership one goes
         // through the product.
@@ -2125,14 +2042,12 @@ mod tests {
             p,
             Plan::CrossProduct { .. }
         )));
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
     fn gen_shaped_not_exists_splits_into_a_union_of_join_plans() {
         let db = db();
-        let plan = gen_shaped(&db, true, eq(qcol("r2", "g"), qcol("r1", "g")));
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&gen_shaped(&db, true, hoistable()));
         assert_eq!(rep.disjunctions_split, 1, "{}", rep.summary());
         assert_eq!(rep.sublinks_remaining, 0);
         assert!(contains(&optimized, &|p| matches!(
@@ -2145,7 +2060,6 @@ mod tests {
         )));
         // `P =ₙ NULL` reaches the CrossBase side of the second branch.
         assert!(rep.predicates_pushed >= 1);
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
@@ -2154,11 +2068,7 @@ mod tests {
         // hoists: the split must not fire, the implication must not stick,
         // and only `C` decorrelates — the disjunction stays as written.
         let db = db();
-        let unhoistable = eq(
-            qcol("r2", "g"),
-            perm_algebra::builder::binary(BinaryOp::Add, qcol("r1", "g"), lit(0)),
-        );
-        let plan = gen_shaped(&db, true, unhoistable);
+        let plan = gen_shaped(&db, true, unhoistable());
         let Plan::Select { predicate, .. } = &plan else {
             panic!("gen_shaped builds a selection");
         };
@@ -2187,50 +2097,20 @@ mod tests {
             p,
             Plan::CrossProduct { .. }
         )));
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
     fn grouped_aggregate_body_keeps_the_empty_group() {
-        // `EXISTS (SELECT 1 FROM (SELECT count(*) n FROM r2 WHERE r2.g =
-        // r1.g) WHERE n = 0)`: the COUNT bug — r1.g = 3 has no partner in
-        // r2 and must still see its `count = 0` row.
         let db = db();
-        let counted = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
-            .aggregate(vec![], vec![perm_algebra::builder::count_star("n")])
-            .select(eq(col("n"), lit(0)))
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(exists_sublink(counted))
-            .build();
-        let (optimized, rep) = optimize(&plan);
+        let (_, rep) = optimize(&empty_group_exists(&db));
         assert_eq!(rep.aggregates_grouped, 1, "{}", rep.summary());
         assert_eq!(rep.sublinks_remaining, 0);
-        let exec = Executor::new(&db);
-        let got = exec.execute(&optimized).unwrap();
-        assert_eq!(got.len(), 5, "the five r1 rows with g = 3");
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
     fn total_conjuncts_sink_onto_cross_product_factors() {
         let db = db();
-        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .cross(r2)
-            .select(and(
-                eq(qcol("r1", "g"), lit(1)),
-                and(
-                    eq(qcol("r2", "g"), lit(2)),
-                    eq(qcol("r1", "a"), qcol("r2", "b")),
-                ),
-            ))
-            .build();
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&product_with_factor_conjuncts(&db));
         assert_eq!(rep.predicates_pushed, 2, "{}", rep.summary());
         // The two-sided conjunct stays on top of the product, and the last
         // step makes the pair one join on it.
@@ -2246,53 +2126,12 @@ mod tests {
         };
         assert_eq!(split_conjuncts(condition).len(), 1);
         assert!(matches!(**left, Plan::Select { .. }) && matches!(**right, Plan::Select { .. }));
-        assert_same_bag(&db, &plan, &optimized);
-    }
-
-    /// `a = ANY (SELECT b FROM r2 WHERE b BETWEEN 2 AND 15)` over `r1`.
-    fn uncorrelated_any(db: &Database) -> Expr {
-        let sub = PlanBuilder::scan(db, "r2")
-            .unwrap()
-            .select(between(qcol("r2", "b"), lit(2), lit(15)))
-            .project_columns(&["b"])
-            .build();
-        perm_algebra::builder::any_sublink(qcol("r1", "a"), CompareOp::Eq, sub)
-    }
-
-    /// The shape rule L1 gives `σ_C(r1)` with `Csub = a = ANY(…)`:
-    /// `σ_C(r1 ⟕_{θ} Π_{b→sb}(…))`, `θ` defaulting to `Jsub = a = sb ∨
-    /// ¬Csub`.
-    fn left_shaped(db: &Database, c: Expr, theta: Option<Expr>) -> Plan {
-        use perm_algebra::builder::or;
-        let jsub = or(eq(qcol("r1", "a"), col("sb")), not(uncorrelated_any(db)));
-        let tsub = PlanBuilder::scan(db, "r2")
-            .unwrap()
-            .select(between(qcol("r2", "b"), lit(2), lit(15)))
-            .project(vec![ProjectItem::new(qcol("r2", "b"), "sb")])
-            .build();
-        PlanBuilder::scan(db, "r1")
-            .unwrap()
-            .left_join(tsub, theta.unwrap_or(jsub))
-            .select(c)
-            .build()
-    }
-
-    fn left_outer_condition(plan: &Plan) -> Option<&Expr> {
-        match plan {
-            Plan::Join {
-                kind: JoinKind::LeftOuter,
-                condition,
-                ..
-            } => Some(condition),
-            other => other.children().into_iter().find_map(left_outer_condition),
-        }
     }
 
     #[test]
     fn an_established_conjunct_moves_below_the_outer_join_and_collapses_its_condition() {
         let db = db();
-        let plan = left_shaped(&db, uncorrelated_any(&db), None);
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&left_shaped(&db, uncorrelated_any(&db), None));
         assert_eq!(
             (rep.preserved_side_pushed, rep.sublinks_implied),
             (1, 1),
@@ -2312,34 +2151,10 @@ mod tests {
             matches!(optimized, Plan::Join { .. }),
             "no selection is left on top"
         );
-        assert_same_bag(&db, &plan, &optimized);
 
-        // Rule T1's form: the sublink projected once, `θ` and `C` read the
-        // column. `ALL` flips `Jsub`, which folds to TRUE; the then-unused
-        // item is pruned under the projection a rewrite puts on top.
-        use perm_algebra::builder::{all_sublink, or};
-        let sub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .project_columns(&["b"])
-            .build();
-        let tsub = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .project(vec![ProjectItem::new(qcol("r2", "b"), "sb")])
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .project(vec![
-                ProjectItem::new(qcol("r1", "a"), "a"),
-                ProjectItem::new(all_sublink(qcol("r1", "a"), CompareOp::Le, sub), "v"),
-            ])
-            .left_join(
-                tsub,
-                or(col("v"), not(cmp(CompareOp::Le, col("a"), col("sb")))),
-            )
-            .select(col("v"))
-            .project_columns(&["a", "sb"])
-            .build();
-        let (optimized, rep) = optimize(&plan);
+        // Rule T1's form: `ALL` flips `Jsub`, which folds to TRUE; the
+        // then-unused item is pruned under the projection on top.
+        let (optimized, rep) = optimize(&t1_shaped(&db));
         assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
         assert_eq!(left_outer_condition(&optimized), Some(&lit(true)));
         assert!(
@@ -2350,31 +2165,22 @@ mod tests {
             "{}",
             perm_algebra::display::explain(&optimized)
         );
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
     fn only_conjuncts_reading_the_preserved_side_move() {
         let db = db();
-        let reads_right = eq(col("sb"), lit(3));
-        let both = cmp(CompareOp::Le, qcol("r1", "g"), col("sb"));
-        let plan = left_shaped(
-            &db,
-            and(
-                reads_right.clone(),
-                and(uncorrelated_any(&db), both.clone()),
-            ),
-            None,
-        );
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&mixed_sides(&db));
         assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
         let Plan::Select { predicate, .. } = &optimized else {
             panic!("the other conjuncts stay on top:\n{optimized:?}");
         };
-        assert_eq!(split_conjuncts(predicate), vec![&reads_right, &both]);
-        assert_same_bag(&db, &plan, &optimized);
+        assert_eq!(
+            split_conjuncts(predicate),
+            vec![&reads_right(), &reads_both()]
+        );
 
-        let plan = left_shaped(&db, reads_right, None);
+        let plan = left_shaped(&db, reads_right(), None);
         let (optimized, rep) = optimize(&plan);
         assert_eq!(rep.preserved_side_pushed, 0, "{}", rep.summary());
         assert_eq!(optimized, plan);
@@ -2382,52 +2188,31 @@ mod tests {
 
     #[test]
     fn the_outer_join_pushdown_declines_what_it_cannot_prove() {
-        use perm_algebra::builder::or;
         let db = db();
-        let declined = |plan: &Plan| {
-            let (optimized, rep) = optimize(plan);
-            assert_eq!(
-                (rep.preserved_side_pushed, rep.sublinks_implied),
-                (0, 0),
-                "{}",
-                rep.summary()
-            );
-            assert_eq!(plan_fingerprint(&optimized), plan_fingerprint(plan));
-            assert_same_bag(&db, plan, &optimized);
-        };
         // A `$1` in `θ` does not decline: it is bound before the first
         // operator runs, so `θ` is total, the conjunct moves and `Jsub`
         // collapses beside the parameter comparison.
-        let jsub = or(eq(qcol("r1", "a"), col("sb")), not(uncorrelated_any(&db)));
-        let below_param = cmp(CompareOp::Le, col("sb"), Expr::Param(0));
-        let plan = left_shaped(
-            &db,
-            uncorrelated_any(&db),
-            Some(and(jsub, below_param.clone())),
-        );
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&param_in_theta(&db));
         assert_eq!(rep.preserved_side_pushed, 1, "{}", rep.summary());
         assert_eq!(
             left_outer_condition(&optimized),
-            Some(&and(eq(qcol("r1", "a"), col("sb")), below_param))
+            Some(&and(eq(qcol("r1", "a"), col("sb")), below_param()))
         );
-        let exec = Executor::new(&db);
-        for bound in [Value::Int(7), Value::Null] {
-            exec.bind_params(vec![bound]);
-            let want = exec.execute_unoptimized(&plan).unwrap();
-            assert!(exec.execute(&optimized).unwrap().bag_eq(&want));
-        }
         // A sublink under `OR` establishes nothing: `Jsub` would keep its
         // copy, and the per-pair probe with it.
-        declined(&left_shaped(
-            &db,
-            or(eq(qcol("r1", "g"), lit(1)), uncorrelated_any(&db)),
-            None,
-        ));
+        let plan = sublink_under_or(&db);
+        let (optimized, rep) = optimize(&plan);
+        assert_eq!(
+            (rep.preserved_side_pushed, rep.sublinks_implied),
+            (0, 0),
+            "{}",
+            rep.summary()
+        );
+        assert_eq!(plan_fingerprint(&optimized), plan_fingerprint(&plan));
         // A non-total conjunct anywhere in the predicate.
         let division = cmp(
             CompareOp::Gt,
-            perm_algebra::builder::binary(BinaryOp::Div, lit(100), qcol("r1", "a")),
+            binary(BinaryOp::Div, lit(100), qcol("r1", "a")),
             lit(0),
         );
         let plan = left_shaped(&db, and(uncorrelated_any(&db), division), None);
@@ -2439,23 +2224,14 @@ mod tests {
     #[test]
     fn summary_names_the_rules_and_what_is_left() {
         let db = db();
-        let (_, rep) = optimize(&gen_shaped(&db, true, eq(qcol("r2", "g"), qcol("r1", "g"))));
+        let (_, rep) = optimize(&gen_shaped(&db, true, hoistable()));
         let summary = rep.summary();
         for rule in ["decorrelate×", "imply×", "split×1", "pushdown×"] {
             assert!(summary.contains(rule), "{summary}");
         }
         assert!(!summary.contains("remain"), "{summary}");
         // A scalar comparison is out of the rules' reach: it is counted.
-        let scalar = PlanBuilder::scan(&db, "r2")
-            .unwrap()
-            .select(eq(qcol("r2", "g"), qcol("r1", "g")))
-            .aggregate(vec![], vec![perm_algebra::builder::count_star("n")])
-            .build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .select(eq(perm_algebra::builder::scalar_sublink(scalar), lit(0)))
-            .build();
-        let (_, rep) = optimize(&plan);
+        let (_, rep) = optimize(&scalar_comparison(&db));
         assert_eq!(rep.sublinks_remaining, 1);
         assert!(
             rep.summary().ends_with("; 1 sublink remains"),
@@ -2467,18 +2243,7 @@ mod tests {
     #[test]
     fn stacked_projections_compose_under_the_outer_names() {
         let db = db();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .project(vec![
-                ProjectItem::new(qcol("r1", "a"), "a2").with_qualifier("inner"),
-                ProjectItem::new(cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r1", "g")), "lt"),
-            ])
-            .project(vec![
-                ProjectItem::new(qcol("inner", "a2"), "x").with_qualifier("outer"),
-                ProjectItem::new(col("lt"), "y"),
-                ProjectItem::new(col("a2"), "x2"),
-            ])
-            .build();
+        let plan = stacked_projections(&db);
         let (optimized, rep) = optimize(&plan);
         assert_eq!(rep.projections_composed, 1, "{}", rep.summary());
         assert!(rep.summary().contains("compose×1"), "{}", rep.summary());
@@ -2487,91 +2252,32 @@ mod tests {
             "one projection over the scan:\n{optimized:?}"
         );
         assert_eq!(optimized.schema(), plan.schema());
-        assert_same_bag(&db, &plan, &optimized);
     }
 
     #[test]
     fn composition_declines_what_it_cannot_prove() {
-        use perm_algebra::builder::binary;
         let db = db();
-        let over_r1 = |below: Vec<ProjectItem>, above: Vec<ProjectItem>| {
-            PlanBuilder::scan(&db, "r1")
-                .unwrap()
-                .project(below)
-                .project(above)
-                .build()
-        };
-        let a = || ProjectItem::new(qcol("r1", "a"), "a");
-        let quotient = || ProjectItem::new(binary(BinaryOp::Div, lit(100), qcol("r1", "a")), "q");
         let composed = |plan: &Plan| optimize(plan).1.projections_composed;
-
+        let cases = composition(&db);
         // `100 / a` fails on `a = 0`. Dropped, or read only where a `CASE`
         // may shield it, it would stop failing; passed through as an item
         // of its own it still runs on every row.
-        let dropped = over_r1(vec![a(), quotient()], vec![a()]);
-        assert_eq!(composed(&dropped), 0);
-        let shielded = over_r1(
-            vec![a(), quotient()],
-            vec![ProjectItem::new(
-                Expr::Case {
-                    branches: vec![(cmp(CompareOp::Gt, col("a"), lit(0)), col("q"))],
-                    else_expr: None,
-                },
-                "safe",
-            )],
-        );
-        assert_eq!(composed(&shielded), 0);
-        let exec = Executor::new(&db);
-        assert!(exec.execute_unoptimized(&shielded).is_err());
-        assert!(exec.execute(&optimize(&shielded).0).is_err());
-        let passed = over_r1(vec![a(), quotient()], vec![ProjectItem::new(col("q"), "q")]);
-        assert_eq!(composed(&passed), 1);
-        assert!(exec.execute(&optimize(&passed).0).is_err());
-
+        assert_eq!(composed(&cases.dropped), 0);
+        assert_eq!(composed(&cases.shielded), 0);
+        assert_eq!(composed(&cases.passed), 1);
         // A computed item read twice would run twice.
-        let less = ProjectItem::new(cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r1", "g")), "lt");
-        let twice = over_r1(
-            vec![less],
-            vec![
-                ProjectItem::new(col("lt"), "l1"),
-                ProjectItem::new(col("lt"), "l2"),
-            ],
-        );
-        assert_eq!(composed(&twice), 0);
-        assert_same_bag(&db, &twice, &optimize(&twice).0);
-
+        assert_eq!(composed(&cases.twice), 0);
         // A sublink item, and `Π_S` on either level.
-        let sublink = over_r1(
-            vec![a(), ProjectItem::new(uncorrelated_any(&db), "hit")],
-            vec![ProjectItem::new(col("hit"), "hit")],
-        );
-        assert_eq!(composed(&sublink), 0);
-        let scan = || PlanBuilder::scan(&db, "r1").unwrap();
-        let g = || vec![ProjectItem::new(col("g"), "g")];
-        for distinct in [
-            scan().project_distinct(g()).project(g()).build(),
-            scan().project(g()).project_distinct(g()).build(),
-        ] {
-            assert_eq!(composed(&distinct), 0);
-            assert_same_bag(&db, &distinct, &optimize(&distinct).0);
+        assert_eq!(composed(&cases.sublink), 0);
+        for distinct in &cases.distinct {
+            assert_eq!(composed(distinct), 0);
         }
     }
 
     #[test]
     fn a_sort_moves_below_the_fan_out_and_keeps_the_row_sequence() {
         let db = db();
-        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .join(r2, eq(qcol("r1", "g"), qcol("r2", "g")))
-            .project(vec![
-                ProjectItem::new(qcol("r1", "g"), "g1"),
-                ProjectItem::new(qcol("r2", "b"), "b"),
-            ])
-            .sort(vec![SortKey::desc(col("g1"))])
-            .limit(9)
-            .build();
-        let (optimized, rep) = optimize(&plan);
+        let (optimized, rep) = optimize(&sorted_fan_out(&db));
         // Through the projection, then onto the join's left side.
         assert_eq!(rep.sorts_pushed, 2, "{}", rep.summary());
         assert!(
@@ -2595,52 +2301,37 @@ mod tests {
                 .sort(vec![SortKey::desc(qcol("r1", "g"))])
                 .build()
         );
-        let exec = Executor::new(&db);
-        let want = exec.execute_unoptimized(&plan).unwrap();
-        assert_eq!(exec.execute(&optimized).unwrap().tuples(), want.tuples());
     }
 
     #[test]
     fn fuse_turns_residual_select_over_cross_into_join() {
         let db = db();
-        let scan = |table: &str| PlanBuilder::scan(&db, table).unwrap();
-        let lt = cmp(CompareOp::Lt, qcol("r1", "a"), qcol("r2", "b"));
-        let on_g = eq(qcol("r1", "g"), qcol("r2", "g"));
-        // The optimized plan, checked against the reference, and how many
-        // selections the last step fused.
+        let cases = fusion(&db);
         let fused = |plan: &Plan| {
             let (optimized, rep) = optimize(plan);
-            assert_same_bag(&db, plan, &optimized);
             (optimized, rep.selections_fused)
         };
 
         // σ over × becomes an inner join on the predicate, whatever the
         // predicate holds: here a sublink whose own plan is one more.
-        let product = scan("r1").cross(scan("r2").build()).select(lt.clone());
-        let (optimized, n) = fused(&product.clone().build());
+        let (optimized, n) = fused(&cases.product);
         assert_eq!(n, 1);
         assert!(
-            matches!(&optimized, Plan::Join { kind: JoinKind::Inner, condition, .. } if *condition == lt)
+            matches!(&optimized, Plan::Join { kind: JoinKind::Inner, condition, .. } if *condition == a_below_b())
         );
-        let plan = scan("r1")
-            .cross(scan("r2").build())
-            .select(and(exists_sublink(product.build()), lt.clone()))
-            .build();
-        let (optimized, n) = fused(&plan);
+        let (optimized, n) = fused(&cases.nested);
         assert_eq!(n, 2);
         assert!(!contains(&optimized, &|p| matches!(p, Plan::Select { .. })));
-        assert!(optimize(&plan).1.summary().contains("fuse×2"));
+        assert!(optimize(&cases.nested).1.summary().contains("fuse×2"));
 
         // σ over an inner join merges into its condition, unless it holds a
         // sublink: then the join runs first and the sublink per joined row.
-        let joined = || scan("r1").join(scan("r2").build(), on_g.clone());
-        let (optimized, n) = fused(&joined().select(lt.clone()).build());
+        let (optimized, n) = fused(&cases.over_join);
         assert_eq!(n, 1);
         assert!(
-            matches!(&optimized, Plan::Join { condition, .. } if *condition == and(on_g.clone(), lt.clone()))
+            matches!(&optimized, Plan::Join { condition, .. } if *condition == and(on_g(), a_below_b()))
         );
-        let with_sublink = and(lt, not(uncorrelated_any(&db)));
-        let (optimized, n) = fused(&joined().select(with_sublink).build());
+        let (optimized, n) = fused(&cases.sublink_over_join);
         assert_eq!(n, 0);
         assert!(
             matches!(&optimized, Plan::Select { input, .. } if matches!(**input, Plan::Join { .. }))
@@ -2650,19 +2341,10 @@ mod tests {
     #[test]
     fn optimization_preserves_the_schema() {
         let db = db();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .cross(PlanBuilder::scan(&db, "r2").unwrap().build())
-            .select(eq(qcol("r1", "a"), qcol("r2", "b")))
-            .project(vec![
-                ProjectItem::new(qcol("r1", "a"), "a"),
-                ProjectItem::new(qcol("r2", "g"), "g"),
-            ])
-            .build();
-        let pushed = perm_algebra::optimize::push_down_selections(plan.clone());
+        let plan = projected_product(&db);
+        let pushed = push_down_selections(plan.clone());
         for optimized in [optimize(&plan).0, optimize(&pushed).0, pushed] {
             assert_eq!(optimized.schema(), plan.schema());
-            assert_same_bag(&db, &plan, &optimized);
         }
     }
 
@@ -2680,7 +2362,6 @@ mod tests {
 
     #[test]
     fn an_absorbing_literal_on_the_right_folds_only_a_total_left_operand() {
-        use perm_algebra::builder::{binary, or};
         let db = db();
         let schema = db.table("r1").unwrap().schema().clone();
         let scope = Scopes::new(&schema, None);
@@ -2714,13 +2395,113 @@ mod tests {
 
         // `NOT IN`'s shape after the outer pushdown: `⟕_{C'sub ∨ TRUE}`
         // becomes `⟕_TRUE`.
-        let r2 = PlanBuilder::scan(&db, "r2").unwrap().build();
-        let plan = PlanBuilder::scan(&db, "r1")
-            .unwrap()
-            .left_join(r2, or(eq(qcol("r1", "a"), qcol("r2", "b")), lit(true)))
-            .build();
-        let (optimized, _) = optimize(&plan);
+        let (optimized, _) = optimize(&outer_join_or_true(&db));
         assert_eq!(left_outer_condition(&optimized), Some(&lit(true)));
-        assert_same_bag(&db, &plan, &optimized);
+    }
+
+    // The binder's pushdown, over `r(a, b)` and `s(c, d)`.
+
+    fn rs_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            "r",
+            Relation::empty(Schema::from_names(&["a", "b"]).with_qualifier("r")),
+        )
+        .unwrap();
+        db.create_table(
+            "s",
+            Relation::empty(Schema::from_names(&["c", "d"]).with_qualifier("s")),
+        )
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn split_conjuncts_flattens_nested_ands() {
+        let e = and(
+            and(eq(col("a"), lit(1)), eq(col("b"), lit(2))),
+            eq(col("c"), lit(3)),
+        );
+        assert_eq!(split_conjuncts(&e).len(), 3);
+    }
+
+    #[test]
+    fn pushdown_turns_cross_product_into_join() {
+        let db = rs_db();
+        let s = PlanBuilder::scan(&db, "s").unwrap().build();
+        let q = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .cross(s)
+            .select(and(
+                eq(col("a"), col("c")),
+                and(eq(col("b"), lit(1)), eq(col("d"), lit(2))),
+            ))
+            .build();
+        let optimized = push_down_selections(q);
+        match optimized {
+            Plan::Join {
+                left,
+                right,
+                kind: JoinKind::Inner,
+                ..
+            } => {
+                assert!(
+                    matches!(*left, Plan::Select { .. }),
+                    "b=1 pushed to the left side"
+                );
+                assert!(
+                    matches!(*right, Plan::Select { .. }),
+                    "d=2 pushed to the right side"
+                );
+            }
+            other => panic!("expected a join, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pushdown_keeps_sublink_conjuncts_in_the_selection() {
+        let db = rs_db();
+        let sub = PlanBuilder::scan(&db, "s").unwrap().build();
+        let s = PlanBuilder::scan(&db, "s").unwrap().build();
+        let q = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .cross(s)
+            .select(and(eq(col("a"), col("c")), exists_sublink(sub)))
+            .build();
+        let optimized = push_down_selections(q);
+        match optimized {
+            Plan::Select { input, predicate } => {
+                assert!(predicate.has_sublink());
+                assert!(matches!(*input, Plan::Join { .. }));
+            }
+            other => panic!("expected a residual selection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pushdown_reaches_sublink_plans_in_aggregate_and_sort_expressions() {
+        let db = rs_db();
+        // `r` grouped by, then sorted on, `EXISTS (sub)`.
+        let over = |sub: &Plan| {
+            let exists = || exists_sublink(sub.clone());
+            PlanBuilder::scan(&db, "r")
+                .unwrap()
+                .aggregate(
+                    vec![ProjectItem::new(exists(), "hit")],
+                    vec![count_star("n")],
+                )
+                .sort(vec![SortKey::asc(exists())])
+                .build()
+        };
+        let sub = PlanBuilder::scan(&db, "r")
+            .unwrap()
+            .cross(PlanBuilder::scan(&db, "s").unwrap().build())
+            .select(and(eq(col("a"), col("c")), eq(col("d"), lit(2))))
+            .build();
+        let pushed = push_down_selections(sub.clone());
+        assert!(
+            matches!(&pushed, Plan::Join { right, .. } if matches!(**right, Plan::Select { .. }))
+        );
+        assert_eq!(push_down_selections(over(&sub)), over(&pushed));
     }
 }

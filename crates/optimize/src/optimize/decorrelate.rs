@@ -5,11 +5,11 @@
 //! documentation.
 
 use super::{
-    expr_is_total, fold_expr, plan_is_total, resolves_all, substitute_through, OptimizerReport,
+    expr_is_total, fold_expr, plan_is_total, resolves_all, substitute_through, wrap_select,
+    OptimizerReport,
 };
-use perm_algebra::builder::{cmp, conjunction, not};
+use perm_algebra::builder::{cmp, conjunction, not, split_conjuncts};
 use perm_algebra::expr::{BinaryOp, CompareOp, UnaryOp};
-use perm_algebra::optimize::split_conjuncts;
 use perm_algebra::visit::{free_columns, free_expr_columns};
 use perm_algebra::{
     AggFunc, AggregateExpr, Expr, JoinKind, Plan, PlanRef, ProjectItem, Scopes, SetOpKind,
@@ -86,17 +86,7 @@ fn decorrelate_select(
     let before = rest.len();
     let input = decorrelate_top_level(input.clone(), &mut rest, rep, fresh);
     // Untouched: keep the predicate's own association.
-    (rest.len() != before).then(|| wrap_select(input, rest))
-}
-
-fn wrap_select(input: PlanRef, conjuncts: Vec<Conjunct>) -> PlanRef {
-    if conjuncts.is_empty() {
-        return input;
-    }
-    PlanRef::new(Plan::Select {
-        input,
-        predicate: conjunction(conjuncts.into_iter().map(|c| c.expr)),
-    })
+    (rest.len() != before).then(|| wrap_select(input, rest.into_iter().map(|c| c.expr)))
 }
 
 /// Turns top-level sublink conjuncts into semi/anti joins over `input`
@@ -161,7 +151,7 @@ fn decorrelate_conjuncts(
     {
         return None;
     }
-    Some(wrap_select(input, conjuncts))
+    Some(wrap_select(input, conjuncts.into_iter().map(|c| c.expr)))
 }
 
 /// `Some((A, B))` for a conjunct `A ∨ B` whose `A` is an `EXISTS` /

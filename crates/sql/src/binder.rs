@@ -3,6 +3,12 @@
 //! here — the algebra resolves them by name at execution time, which is what
 //! makes correlated sublinks work — but table names are resolved so that scan
 //! nodes carry their schemas.
+//!
+//! [`bind`] ends with the one optimizer rule that runs before the provenance
+//! rewrite, `perm_optimize::push_down_selections`: selection conjuncts move
+//! into the FROM-clause joins, sublink conjuncts stay where the rewrite
+//! rules look for them. Everything else the optimizer does runs on the
+//! rewritten plan.
 
 use crate::ast::{
     is_aggregate_name, JoinType, Quantifier, Query, SelectItem, SqlBinaryOp, SqlExpr, TableRef,
@@ -33,7 +39,7 @@ pub fn bind(db: &Database, parsed: &crate::parser::ParsedQuery) -> Result<BoundQ
     // planner underneath the original Perm system would. Sublink conjuncts
     // are kept in place so the provenance rewriter still sees them in
     // selections.
-    let plan = perm_algebra::optimize::push_down_selections(plan);
+    let plan = perm_optimize::push_down_selections(plan);
     Ok(BoundQuery { plan })
 }
 

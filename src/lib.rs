@@ -13,8 +13,9 @@
 //! is served like any other query: prepare once, execute many times.
 //! [`Session::prepare`] runs parse → bind → (optional) provenance rewrite →
 //! optimize → compile exactly once and returns a [`Prepared`] statement.
-//! The optimize phase ([`mod@perm_exec::optimize`]) is a fixpoint of cost-free
-//! logical rewrites — correlated `EXISTS`/`NOT EXISTS`/`IN` sublinks become
+//! The optimize phase ([`mod@optimize`], the `perm-optimize` crate) is a
+//! fixpoint of cost-free logical rewrites — correlated
+//! `EXISTS`/`NOT EXISTS`/`IN` sublinks become
 //! hash semi/anti joins, predicates push toward scans, dead projection
 //! columns drop, constants fold — and because the provenance rewrite runs
 //! *before* it, witness columns are ordinary columns the optimizer
@@ -127,6 +128,7 @@ mod session;
 pub use perm_algebra as algebra;
 pub use perm_core as core;
 pub use perm_exec as exec;
+pub use perm_optimize as optimize;
 pub use perm_sql as sql;
 pub use perm_storage as storage;
 pub use perm_synthetic as synthetic;

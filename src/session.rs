@@ -452,7 +452,7 @@ pub struct Prepared {
     /// as it entered the optimizer — the reference shape.
     bound_plan: Plan,
     /// What the optimizer did to [`Prepared::bound_plan`].
-    optimizer: perm_exec::OptimizerReport,
+    optimizer: perm_optimize::OptimizerReport,
     /// The logical plan that was compiled: the optimized form of
     /// [`Prepared::bound_plan`] (identical when no rule fired). The two
     /// share every subtree the optimizer left alone.
@@ -510,7 +510,7 @@ impl Prepared {
 
     /// What the optimizer did to this statement (all-zero when no rule
     /// fired).
-    pub fn optimizer_report(&self) -> perm_exec::OptimizerReport {
+    pub fn optimizer_report(&self) -> perm_optimize::OptimizerReport {
         self.optimizer
     }
 }
@@ -677,7 +677,7 @@ impl<'a> Session<'a> {
             (plan, None)
         };
         let start = Instant::now();
-        let (optimized, report) = perm_exec::optimize::optimize(&plan);
+        let (optimized, report) = perm_optimize::optimize(&plan);
         self.executor.record(|s| {
             s.optimizer_rules_fired += report.rules_fired();
             s.sublinks_decorrelated += report.sublinks_decorrelated;

@@ -12,8 +12,7 @@
 
 use perm::prelude::*;
 use perm_algebra::builder::{and, binary, cmp, eq, exists_sublink, null_safe_eq};
-use perm_algebra::{BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind};
-use perm_exec::eval::compare;
+use perm_algebra::{compare, BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind};
 use perm_exec::{
     CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, RingTraceSink,
     TraceKind, BATCH_ROWS,

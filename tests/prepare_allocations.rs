@@ -57,7 +57,7 @@
 //! none of these interns a name.
 
 use perm::core::{ProvenanceQuery, Strategy};
-use perm::exec::optimize::optimize;
+use perm::optimize::optimize;
 use perm::{Database, Executor};
 use perm_algebra::{Plan, PlanBuilder, PlanRef};
 use perm_storage::Name;

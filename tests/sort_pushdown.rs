@@ -204,7 +204,7 @@ fn a_pushed_sort_yields_the_reference_rows_in_the_reference_order() {
 /// The optimized form of `plan`, asserted to keep a `Sort` directly over
 /// an operator `over` accepts.
 fn assert_sort_stays(label: &str, plan: &Plan, over: &dyn Fn(&Plan) -> bool) {
-    let (optimized, report) = perm_exec::optimize(plan);
+    let (optimized, report) = perm_optimize::optimize(plan);
     assert!(
         contains(
             &optimized,
@@ -289,7 +289,7 @@ fn a_sort_the_rule_cannot_prove_stays_where_it_was_written() {
     let executor = Executor::new(&db);
     assert!(executor.execute_unoptimized(&ambiguous).is_err());
     assert!(executor
-        .execute(&perm_exec::optimize(&ambiguous).0)
+        .execute(&perm_optimize::optimize(&ambiguous).0)
         .is_err());
 }
 
