@@ -142,7 +142,8 @@ pub fn compare(op: CompareOp, left: &Value, right: &Value) -> Truth {
 /// its own `Type` and `DivisionByZero` errors, with the same texts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArithmeticError {
-    /// An operand is not a number, or a date result does not fit.
+    /// An operand is not a number, a date operand has no such operator, or
+    /// a date result does not fit.
     Type(String),
     /// `/` or `%` by zero.
     DivisionByZero,
@@ -154,6 +155,9 @@ pub enum ArithmeticError {
 pub fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ArithmeticError> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
+    }
+    if matches!(l, Value::Date(_)) || matches!(r, Value::Date(_)) {
+        return date_arithmetic(op, l, r);
     }
     // Same-type integer arithmetic is exact: the f64 route below is lossy
     // above 2⁵³ (`Int(2⁵³) + 1` would round back to 2⁵³, making `a + 1 = a`
@@ -186,10 +190,6 @@ pub fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, Arithmeti
             )))
         }
     };
-    // Date + integer days keeps the date type (needed for TPC-H interval
-    // predicates like `o_orderdate < date '1995-01-01' + 90`).
-    let date_result = matches!((l, r), (Value::Date(_), _) | (_, Value::Date(_)))
-        && matches!(op, BinaryOp::Add | BinaryOp::Sub);
     let both_int = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
     let result = match op {
         BinaryOp::Add => lf + rf,
@@ -209,15 +209,7 @@ pub fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, Arithmeti
         }
         _ => unreachable!(),
     };
-    if date_result {
-        // A day count past `i32` is no date (PostgreSQL: `date out of
-        // range`); the cast would saturate it into one.
-        let days = result.trunc();
-        if !(f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(&days) {
-            return Err(ArithmeticError::Type("date out of range".into()));
-        }
-        Ok(Value::Date(days as i32))
-    } else if both_int && result.fract() == 0.0 && result.abs() < 9_223_372_036_854_775_808.0 {
+    if both_int && result.fract() == 0.0 && result.abs() < 9_223_372_036_854_775_808.0 {
         // Int/Int pairs only reach here past the exact path above, i.e. on
         // overflow or an inexact division; the range guard keeps overflowed
         // results as (approximate) floats instead of saturating the cast.
@@ -225,6 +217,30 @@ pub fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, Arithmeti
     } else {
         Ok(Value::Float(result))
     }
+}
+
+/// [`arithmetic`] with a date operand, typed as PostgreSQL types it:
+/// `date ± int` and `int + date` are dates, `date − date` is the number of
+/// days between them, and every other operator or operand type is a type
+/// error.
+fn date_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ArithmeticError> {
+    let days = match (op, l, r) {
+        (BinaryOp::Sub, Value::Date(a), Value::Date(b)) => {
+            return Ok(Value::Int(i64::from(*a) - i64::from(*b)))
+        }
+        (BinaryOp::Add, Value::Date(d), Value::Int(n))
+        | (BinaryOp::Add, Value::Int(n), Value::Date(d)) => i64::from(*d).checked_add(*n),
+        (BinaryOp::Sub, Value::Date(d), Value::Int(n)) => i64::from(*d).checked_sub(*n),
+        _ => {
+            return Err(ArithmeticError::Type(format!(
+                "operator does not exist: `{l}` {op} `{r}`"
+            )))
+        }
+    };
+    // A day count past `i32` is no date (PostgreSQL: `date out of range`).
+    days.and_then(|d| i32::try_from(d).ok())
+        .map(Value::Date)
+        .ok_or_else(|| ArithmeticError::Type("date out of range".into()))
 }
 
 /// Unary operators.

@@ -23,8 +23,12 @@
 //! * [`provschema`] — the provenance schema `P(R)` bookkeeping.
 //! * [`rewrite`] — the rewrite rules: the standard Perm rules R1–R5 and the
 //!   sublink strategies **Gen**, **Left**, **Move** and **Unn** of Figure 5,
-//!   together with applicability analysis and a provenance query API
-//!   ([`ProvenanceQuery`]).
+//!   together with applicability analysis. [`ProvenanceQuery`] is the one
+//!   entry point. A σ or Π with sublinks of its own goes to one function
+//!   for both operator kinds; the strategy only attaches the sublinks'
+//!   provenance to the rewritten input: Gen (G1, G2) in `rewrite/gen.rs`,
+//!   Left and Move (L1, L2, T1, T2) in `rewrite/left_move.rs`, Unn (U1, U2)
+//!   in `rewrite/unn.rs`.
 //!
 //! The structured execution-trace types ([`TraceSink`], [`TraceEvent`],
 //! the bounded [`RingTraceSink`]) live in `perm-exec`, whose governor
@@ -70,7 +74,7 @@ pub mod tracer;
 
 pub use perm_exec::trace;
 pub use provschema::{ProvEntry, ProvenanceDescriptor};
-pub use rewrite::{ProvenanceQuery, ProvenanceRewriter, RewriteResult, Strategy};
+pub use rewrite::{ProvenanceQuery, RewriteResult, Strategy};
 pub use roles::InfluenceRole;
 pub use trace::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 

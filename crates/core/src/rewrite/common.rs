@@ -74,7 +74,7 @@ pub(crate) fn collect_sublinks<'e>(
 
 /// Fails with [`ProvenanceError::NotApplicable`] unless the join-based
 /// strategies can rewrite every sublink ([`super::join_rewritable`]); the
-/// Left, Move and Unn strategies call this first.
+/// Left, Move and Unn strategies check this before they attach anything.
 pub(crate) fn require_join_rewritable(strategy: &'static str, infos: &[SublinkInfo]) -> Result<()> {
     match infos.iter().find(|i| !super::join_rewritable(&i.original)) {
         None => Ok(()),
@@ -136,6 +136,22 @@ pub(crate) fn cross_base(
     }))
 }
 
+/// Projection items renaming the ordinary result attributes of `Tsub+` to
+/// fresh `{prefix}_{name}` names, and the fresh name of the first one.
+fn fresh_results(
+    rw: &mut ProvenanceRewriter<'_>,
+    info: &SublinkInfo,
+    prefix: &str,
+) -> (Vec<ProjectItem>, Name) {
+    let items: Vec<ProjectItem> = info
+        .result_attrs
+        .iter()
+        .map(|name| ProjectItem::new(col(*name), rw.fresh(format_args!("{prefix}_{name}"))))
+        .collect();
+    let first = items.first().map_or_else(Name::default, |i| i.alias);
+    (items, first)
+}
+
 /// Wraps `Tsub+` in a projection that renames the ordinary result attributes
 /// to fresh names (avoiding capture of attributes of the outer query) while
 /// keeping the provenance attributes under their provenance names. Returns
@@ -145,15 +161,7 @@ pub(crate) fn wrap_sublink_plus(
     rw: &mut ProvenanceRewriter<'_>,
     info: &SublinkInfo,
 ) -> (Plan, Name) {
-    let mut items: Vec<ProjectItem> = Vec::new();
-    let mut first_result_alias = Name::default();
-    for (i, name) in info.result_attrs.iter().enumerate() {
-        let alias = rw.fresh(format_args!("sub_res_{name}"));
-        if i == 0 {
-            first_result_alias = alias;
-        }
-        items.push(ProjectItem::new(col(*name), alias));
-    }
+    let (mut items, first_result_alias) = fresh_results(rw, info, "sub_res");
     for prov in info.descriptor().attr_names() {
         items.push(ProjectItem::column(prov));
     }
@@ -212,15 +220,7 @@ pub(crate) fn gen_csub_plus(rw: &mut ProvenanceRewriter<'_>, info: &SublinkInfo)
     // outer test expression cannot be captured), provenance attributes under
     // fresh "check" names (so the comparison against the CrossBase attributes
     // of the enclosing scope is unambiguous).
-    let mut items: Vec<ProjectItem> = Vec::new();
-    let mut first_result_alias = Name::default();
-    for (i, name) in info.result_attrs.iter().enumerate() {
-        let alias = rw.fresh(format_args!("gen_res_{name}"));
-        if i == 0 {
-            first_result_alias = alias;
-        }
-        items.push(ProjectItem::new(col(*name), alias));
-    }
+    let (mut items, first_result_alias) = fresh_results(rw, info, "gen_res");
     let prov_names = info.descriptor().attr_names();
     let check_names: Vec<Name> = prov_names
         .iter()

@@ -6,19 +6,36 @@
 //! relation access. Executing `q+` yields every original result tuple paired
 //! with the tuples that contribute to it (duplicated when more than one
 //! combination of input tuples contributes).
+//!
+//! [`ProvenanceQuery`] is the one entry point. The rewriter hands an
+//! operator without sublinks of its own to the standard rules (`standard`),
+//! and a σ or Π whose own expressions hold sublinks, as a `SublinkOp`, to
+//! one function. That function resolves the strategy (`Auto` included),
+//! rewrites the input to `T⁺`, rewrites the sublinks, lets the strategy
+//! attach their provenance, and puts the operator back on top: the σ and
+//! the columns to keep, or the Π over its items and the provenance
+//! attributes. Where each rule of Figure 5 attaches:
+//!
+//! | rules | module | attachment |
+//! |---|---|---|
+//! | G1, G2 | `gen` | `T⁺ × CrossBase(Tsub)`, filtered by `Csub⁺` |
+//! | L1, L2 | `left_move` | `T⁺ ⟕_{Jsub} Tsub⁺` |
+//! | T1, T2 | `left_move` | the same over `Π_{T⁺, Csub→Cᵢ}(T⁺)` |
+//! | U1, U2 | `unn` | `T⁺ × Tsub⁺` or `T⁺ ⋈ Tsub⁺`, which is the selection |
+//!
+//! `common` holds what the strategies share: collecting and rewriting the
+//! sublinks, `CrossBase`, `Jsub` and `Csub⁺`.
 
 mod common;
 mod gen;
-mod left;
-mod move_;
+mod left_move;
 mod standard;
 mod unn;
 
-pub(crate) use common::SublinkInfo;
-
 use crate::provschema::ProvenanceDescriptor;
 use crate::{ProvenanceError, Result};
-use perm_algebra::{Expr, Plan};
+use perm_algebra::builder::conjunction;
+use perm_algebra::{Expr, Plan, PlanRef, ProjectItem};
 use perm_storage::{Database, Name, Schema};
 use std::collections::HashMap;
 
@@ -103,17 +120,54 @@ impl RewriteResult {
     }
 }
 
-/// Rewrites plans into provenance-propagating plans.
-pub struct ProvenanceRewriter<'a> {
+/// Rewrites plans into provenance-propagating plans; [`ProvenanceQuery`] is
+/// its entry point.
+pub(crate) struct ProvenanceRewriter<'a> {
     db: &'a Database,
     strategy: Strategy,
     occurrences: HashMap<String, usize>,
     fresh_counter: usize,
 }
 
+/// An operator whose own expressions hold sublinks: the σ of rules G1, L1,
+/// T1 and U1–U2, or the Π of rules G2, L2 and T2.
+#[derive(Clone, Copy)]
+enum SublinkOp<'p> {
+    Select(&'p Expr),
+    Project {
+        items: &'p [ProjectItem],
+        distinct: bool,
+    },
+}
+
+impl<'p> SublinkOp<'p> {
+    /// The operator's own expressions: the predicate, or each item's.
+    fn exprs(self) -> impl Iterator<Item = &'p Expr> {
+        let (predicate, items) = match self {
+            SublinkOp::Select(predicate) => (Some(predicate), &[][..]),
+            SublinkOp::Project { items, .. } => (None, items),
+        };
+        predicate.into_iter().chain(items.iter().map(|i| &i.expr))
+    }
+}
+
+/// `T⁺` with the provenance of an operator's sublinks attached by one
+/// strategy, and what the operator put back on top must read of it.
+pub(crate) struct Attached {
+    /// `T⁺` joined with the provenance of every sublink.
+    pub plan: Plan,
+    /// Move: the attribute `C_i` holding each sublink's value, in
+    /// [`common::collect_sublinks`] order; it stands for the sublink in the
+    /// operator's expressions. `None` keeps the sublinks as written.
+    pub values: Option<Vec<Name>>,
+    /// Gen: the membership conditions `Csub⁺`, one per sublink, which a σ
+    /// on top checks.
+    pub membership: Vec<Expr>,
+}
+
 impl<'a> ProvenanceRewriter<'a> {
     /// Creates a rewriter using `strategy` for sublink operators.
-    pub fn new(db: &'a Database, strategy: Strategy) -> ProvenanceRewriter<'a> {
+    pub(crate) fn new(db: &'a Database, strategy: Strategy) -> ProvenanceRewriter<'a> {
         ProvenanceRewriter {
             db,
             strategy,
@@ -123,12 +177,12 @@ impl<'a> ProvenanceRewriter<'a> {
     }
 
     /// The database the rewriter resolves base relations against.
-    pub fn database(&self) -> &Database {
+    pub(crate) fn database(&self) -> &Database {
         self.db
     }
 
     /// Rewrites a complete query plan.
-    pub fn rewrite_query(&mut self, plan: &Plan) -> Result<RewriteResult> {
+    pub(crate) fn rewrite_query(&mut self, plan: &Plan) -> Result<RewriteResult> {
         plan.validate()
             .map_err(|e| ProvenanceError::Algebra(e.to_string()))?;
         self.rewrite(plan)
@@ -138,15 +192,19 @@ impl<'a> ProvenanceRewriter<'a> {
     pub(crate) fn rewrite(&mut self, plan: &Plan) -> Result<RewriteResult> {
         match plan {
             Plan::Select { input, predicate } if predicate.has_sublink() => {
-                self.rewrite_sublink_select(input, predicate)
+                self.rewrite_sublink_op(input, SublinkOp::Select(predicate))
             }
             Plan::Project {
                 input,
                 items,
                 distinct,
-            } if items.iter().any(|i| i.expr.has_sublink()) => {
-                self.rewrite_sublink_project(input, items, *distinct)
-            }
+            } if items.iter().any(|i| i.expr.has_sublink()) => self.rewrite_sublink_op(
+                input,
+                SublinkOp::Project {
+                    items,
+                    distinct: *distinct,
+                },
+            ),
             Plan::Join { condition, .. } if condition.has_sublink() => {
                 Err(ProvenanceError::Unsupported(
                     "sublinks in join conditions are not supported; move the sublink into a \
@@ -165,45 +223,108 @@ impl<'a> ProvenanceRewriter<'a> {
         }
     }
 
-    fn rewrite_sublink_select(&mut self, input: &Plan, predicate: &Expr) -> Result<RewriteResult> {
-        match self.strategy {
-            Strategy::Gen => gen::rewrite_select(self, input, predicate),
-            Strategy::Left => left::rewrite_select(self, input, predicate),
-            Strategy::Move => move_::rewrite_select(self, input, predicate),
-            Strategy::Unn => unn::rewrite_select(self, input, predicate),
-            Strategy::Auto => {
-                if unn::is_applicable_select(predicate) && join_rewritable(predicate) {
-                    unn::rewrite_select(self, input, predicate)
-                } else if join_rewritable(predicate) {
-                    move_::rewrite_select(self, input, predicate)
+    /// Rewrites a σ or Π with sublinks: the strategy attaches each
+    /// sublink's provenance to the rewritten input `T⁺`, and the operator is
+    /// put back on top, reading the sublinks (Move: their values).
+    fn rewrite_sublink_op(&mut self, input: &Plan, op: SublinkOp<'_>) -> Result<RewriteResult> {
+        let strategy = self.resolve(op)?;
+        let input_rw = self.rewrite(input)?;
+        let infos = common::collect_sublinks(self, op.exprs())?;
+        if strategy != Strategy::Gen {
+            common::require_join_rewritable(strategy.name(), &infos)?;
+        }
+        let input_plus_schema = input_rw.plan.schema();
+        let descriptor = infos
+            .iter()
+            .fold(input_rw.descriptor, |d, info| d.concat(info.descriptor()));
+        let Attached {
+            plan,
+            values,
+            membership,
+        } = match strategy {
+            Strategy::Gen => gen::attach(self, input_rw.plan, &infos)?,
+            Strategy::Left => left_move::attach(self, input_rw.plan, &infos, false),
+            Strategy::Move => left_move::attach(self, input_rw.plan, &infos, true),
+            Strategy::Unn => unn::attach(self, input_rw.plan, &infos),
+            Strategy::Auto => unreachable!("resolve picks a concrete strategy"),
+        };
+        let mut values = values.as_deref().map(<[Name]>::iter);
+        let plan = match op {
+            SublinkOp::Select(predicate) => {
+                // The join of U1 / U2 is the condition itself.
+                let plan = if strategy == Strategy::Unn {
+                    plan
                 } else {
-                    gen::rewrite_select(self, input, predicate)
+                    let condition = match values.as_mut() {
+                        Some(values) => left_move::with_values(predicate, values),
+                        None => predicate.clone(),
+                    };
+                    Plan::Select {
+                        input: PlanRef::new(plan),
+                        predicate: conjunction(std::iter::once(condition).chain(membership)),
+                    }
+                };
+                // Gen's `CrossBase` holds provenance attributes only; the
+                // join strategies drop the sublink results they joined on.
+                if strategy == Strategy::Gen {
+                    plan
+                } else {
+                    let kept = common::output_columns(&input_plus_schema, &infos);
+                    common::keep_columns(plan, &kept)
                 }
             }
-        }
+            SublinkOp::Project { items, distinct } => {
+                let plan = if membership.is_empty() {
+                    plan
+                } else {
+                    Plan::Select {
+                        input: PlanRef::new(plan),
+                        predicate: conjunction(membership),
+                    }
+                };
+                let mut out_items: Vec<ProjectItem> = match values.as_mut() {
+                    Some(values) => items
+                        .iter()
+                        .map(|i| ProjectItem::new(left_move::with_values(&i.expr, values), i.alias))
+                        .collect(),
+                    None => items.to_vec(),
+                };
+                out_items.extend(descriptor.attr_names().into_iter().map(ProjectItem::column));
+                Plan::Project {
+                    input: PlanRef::new(plan),
+                    items: out_items,
+                    distinct,
+                }
+            }
+        };
+        Ok(RewriteResult { plan, descriptor })
     }
 
-    fn rewrite_sublink_project(
-        &mut self,
-        input: &Plan,
-        items: &[perm_algebra::ProjectItem],
-        distinct: bool,
-    ) -> Result<RewriteResult> {
+    /// The concrete strategy for `op`: `Auto` picks Unn where U1 / U2
+    /// apply, else Move where every sublink is [`join_rewritable`], else
+    /// Gen. Unn fails here on an operator it has no rule for; Left, Move and
+    /// Unn fail on a sublink they cannot join once the sublinks are
+    /// collected.
+    fn resolve(&self, op: SublinkOp<'_>) -> Result<Strategy> {
+        let unn_rule = matches!(op, SublinkOp::Select(p) if unn::is_applicable_select(p));
         match self.strategy {
-            Strategy::Gen => gen::rewrite_project(self, input, items, distinct),
-            Strategy::Left => left::rewrite_project(self, input, items, distinct),
-            Strategy::Move => move_::rewrite_project(self, input, items, distinct),
-            Strategy::Unn => Err(ProvenanceError::NotApplicable {
+            Strategy::Auto if !op.exprs().all(join_rewritable) => Ok(Strategy::Gen),
+            Strategy::Auto if unn_rule => Ok(Strategy::Unn),
+            Strategy::Auto => Ok(Strategy::Move),
+            Strategy::Unn if !unn_rule => Err(ProvenanceError::NotApplicable {
                 strategy: "Unn",
-                reason: "the Unn strategy only rewrites selections (rules U1 and U2)".into(),
-            }),
-            Strategy::Auto => {
-                if items.iter().all(|i| join_rewritable(&i.expr)) {
-                    move_::rewrite_project(self, input, items, distinct)
-                } else {
-                    gen::rewrite_project(self, input, items, distinct)
+                reason: match op {
+                    SublinkOp::Select(_) => {
+                        "the selection condition is not a single EXISTS sublink or a single \
+                         equality ANY sublink (rules U1/U2)"
+                    }
+                    SublinkOp::Project { .. } => {
+                        "the Unn strategy only rewrites selections (rules U1 and U2)"
+                    }
                 }
-            }
+                .into(),
+            }),
+            strategy => Ok(strategy),
         }
     }
 
@@ -239,15 +360,6 @@ pub(crate) fn join_rewritable(expr: &Expr) -> bool {
         } => plan.free_columns().is_empty() && !test_expr.as_deref().is_some_and(Expr::has_sublink),
         _ => true,
     })
-}
-
-/// Convenience error constructor used by Left/Move/Unn when a correlated
-/// sublink is encountered.
-pub(crate) fn not_applicable(strategy: &'static str, reason: impl Into<String>) -> ProvenanceError {
-    ProvenanceError::NotApplicable {
-        strategy,
-        reason: reason.into(),
-    }
 }
 
 /// High-level API: "compute the provenance of this query".

@@ -13,11 +13,8 @@
 //!   `Tsub_true`, and the whole construct becomes an equi-join
 //!   `(σ_{x = ANY(Tsub)}(T))+ = T+ ⋈_{x = res} Tsub+`.
 
-use super::common::{
-    collect_sublinks, keep_columns, output_columns, require_join_rewritable, wrap_sublink_plus,
-};
-use super::{not_applicable, ProvenanceRewriter, RewriteResult};
-use crate::Result;
+use super::common::{wrap_sublink_plus, SublinkInfo};
+use super::{Attached, ProvenanceRewriter};
 use perm_algebra::builder::{col, eq};
 use perm_algebra::{CompareOp, Expr, JoinKind, Plan, PlanRef, SublinkKind};
 
@@ -39,35 +36,20 @@ pub(crate) fn is_applicable_select(predicate: &Expr) -> bool {
     )
 }
 
-/// Rules U1 and U2 (selections only).
-pub(crate) fn rewrite_select(
+/// `T+ × Tsub+` (U1) or `T+ ⋈_{x = res} Tsub+` (U2) for the one sublink of
+/// a predicate [`is_applicable_select`] admits; the join is the selection.
+pub(crate) fn attach(
     rw: &mut ProvenanceRewriter<'_>,
-    input: &Plan,
-    predicate: &Expr,
-) -> Result<RewriteResult> {
-    if !is_applicable_select(predicate) {
-        return Err(not_applicable(
-            "Unn",
-            "the selection condition is not a single EXISTS sublink or a single equality ANY \
-             sublink (rules U1/U2)",
-        ));
-    }
-
-    let input_rw = rw.rewrite(input)?;
-    let infos = collect_sublinks(rw, std::iter::once(predicate))?;
-    require_join_rewritable("Unn", &infos)?;
+    input_plus: Plan,
+    infos: &[SublinkInfo],
+) -> Attached {
     let info = &infos[0];
-
-    let input_plus_schema = input_rw.plan.schema();
-    let mut descriptor = input_rw.descriptor;
-    descriptor = descriptor.concat(info.descriptor());
-
     let (wrapped, result_alias) = wrap_sublink_plus(rw, info);
     let plan = match info.kind {
         // U1: the EXISTS condition only removes tuples when Tsub is empty, in
         // which case the cross product is empty as well.
         SublinkKind::Exists => Plan::CrossProduct {
-            left: PlanRef::new(input_rw.plan),
+            left: PlanRef::new(input_plus),
             right: PlanRef::new(wrapped),
         },
         // U2: the sublink is reqtrue, its provenance is Tsub_true — exactly
@@ -78,7 +60,7 @@ pub(crate) fn rewrite_select(
                 .clone()
                 .expect("ANY sublink carries a test expression");
             Plan::Join {
-                left: PlanRef::new(input_rw.plan),
+                left: PlanRef::new(input_plus),
                 right: PlanRef::new(wrapped),
                 kind: JoinKind::Inner,
                 condition: eq(test, col(result_alias)),
@@ -86,7 +68,9 @@ pub(crate) fn rewrite_select(
         }
         _ => unreachable!("is_applicable_select only admits EXISTS and ANY"),
     };
-
-    let plan = keep_columns(plan, &output_columns(&input_plus_schema, &infos));
-    Ok(RewriteResult { plan, descriptor })
+    Attached {
+        plan,
+        values: None,
+        membership: Vec::new(),
+    }
 }

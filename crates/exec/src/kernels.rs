@@ -485,7 +485,7 @@ fn arith_columns(op: BinaryOp, l: &ColumnVec, r: &ColumnVec) -> Result<Option<Co
             // Int/Float mixes (pure Int×Int was handled above): the result
             // is always a Float computed over the (lossy above 2⁵³) as_f64
             // views, exactly like the scalar `arithmetic` whose `both_int`
-            // is false and `date_result` is false here.
+            // is false here (a `Date` lane has no float view).
             let (a, lv) = match float_view(l) {
                 Some(v) => v,
                 None => return Ok(None),

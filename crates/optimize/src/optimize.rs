@@ -591,51 +591,43 @@ fn local_refs(
 // Rule: constant folding
 // ---------------------------------------------------------------------------
 
-/// Folds the predicate of a selection or join, under the scopes `outer`
+/// Folds the expressions of one operator, under the scopes `outer`
 /// enclosing the sublink body it sits in (none at the top); the rule of a
-/// bottom-up pass that enters sublink plans.
+/// bottom-up pass that enters sublink plans. A selection whose predicate
+/// folds to a constant goes too: TRUE keeps its input, FALSE or NULL leaves
+/// no rows.
 fn fold(node: &PlanRef, outer: Option<&Scopes<'_>>, rep: &mut OptimizerReport) -> Option<PlanRef> {
-    match &**node {
-        Plan::Select { input, predicate } => {
-            let scope = input.schema();
-            let folded = fold_expr(predicate, &Scopes::new(&scope, outer), rep);
-            match folded.as_ref().unwrap_or(predicate) {
-                Expr::Literal(Value::Bool(true)) => {
-                    rep.constants_folded += 1;
-                    Some(input.clone())
-                }
-                Expr::Literal(v)
-                    if (v.is_null() || *v == Value::Bool(false))
-                    // Dropping the input skips all of its evaluations, so
-                    // it must be provably error-free.
-                    && is_total_under(input, outer) =>
-                {
-                    rep.constants_folded += 1;
-                    Some(PlanRef::new(Plan::Values {
-                        schema: Schema::clone(&input.schema()),
-                        rows: Vec::new(),
-                    }))
-                }
-                _ => folded.map(|predicate| PlanRef::new(select(input.clone(), predicate))),
-            }
-        }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            condition,
-        } => {
-            let scope = node.scope();
-            fold_expr(condition, &Scopes::new(&scope, outer), rep).map(|condition| {
-                PlanRef::new(Plan::Join {
-                    left: left.clone(),
-                    right: right.clone(),
-                    kind: *kind,
-                    condition,
-                })
+    let Plan::Select { input, predicate } = &**node else {
+        // Join conditions, Π items, grouping expressions, aggregate
+        // arguments and sort keys; the scope is built once one is met.
+        let mut scope = None;
+        return node
+            .rewrite_expressions(|e| {
+                let scope = scope.get_or_insert_with(|| node.scope());
+                fold_expr(e, &Scopes::new(scope, outer), rep)
             })
+            .map(PlanRef::new);
+    };
+    let scope = input.schema();
+    let folded = fold_expr(predicate, &Scopes::new(&scope, outer), rep);
+    match folded.as_ref().unwrap_or(predicate) {
+        Expr::Literal(Value::Bool(true)) => {
+            rep.constants_folded += 1;
+            Some(input.clone())
         }
-        _ => None,
+        Expr::Literal(v)
+            if (v.is_null() || *v == Value::Bool(false))
+            // Dropping the input skips all of its evaluations, so it must
+            // be provably error-free.
+            && is_total_under(input, outer) =>
+        {
+            rep.constants_folded += 1;
+            Some(PlanRef::new(Plan::Values {
+                schema: Schema::clone(&input.schema()),
+                rows: Vec::new(),
+            }))
+        }
+        _ => folded.map(|predicate| PlanRef::new(select(input.clone(), predicate))),
     }
 }
 
@@ -982,54 +974,34 @@ fn push_select(
                 distinct: *distinct,
             })
         }
-        // σ_p(L ∩ R) → σ_p(L) ∩ R and σ_p(L − R) → σ_p(L) − R: membership
-        // of a row in the result is decided by the same row values the
-        // predicate reads, so filtering the left branch first is bag-exact
-        // and keeps the operator count flat (UNION would need the
-        // predicate on both branches — one extra operator — and is
-        // deliberately skipped).
+        // σ_p(L ∩ R) → σ_p(L) ∩ R, σ_p(L − R) → σ_p(L) − R and σ_p(L ⋉ R)
+        // → σ_p(L) ⋉ R (and ▷): each emits left rows verbatim, and whether
+        // it emits one is decided by that row's values, so a total
+        // predicate over them commutes with the operator. Filtering the
+        // left branch first is bag-exact and keeps the operator count flat
+        // (UNION would need the predicate on both branches — one extra
+        // operator — and is deliberately skipped).
         Plan::SetOp {
-            op: op @ (SetOpKind::Intersect | SetOpKind::Except),
-            all,
+            op: SetOpKind::Intersect | SetOpKind::Except,
             left,
-            right,
-        } => {
-            let left_schema = left.schema();
-            let refs = local_refs(predicate.column_refs(), &out_schema, outer);
-            (resolves_all(&left_schema, &refs)
-                && expr_is_total(predicate, &Scopes::new(&left_schema, outer)))
-            .then(|| {
-                rep.predicates_pushed += 1;
-                Plan::SetOp {
-                    op: *op,
-                    all: *all,
-                    left: pushed_select(left, predicate.clone(), outer, rep).into(),
-                    right: right.clone(),
-                }
-            })
+            ..
         }
-        // σ_p(L ⋉ R) → σ_p(L) ⋉ R (and ▷): the join emits left rows
-        // verbatim, so a total predicate over them commutes with the join
-        // and shrinks the probe side.
-        Plan::Join {
+        | Plan::Join {
+            kind: JoinKind::Semi | JoinKind::Anti,
             left,
-            right,
-            kind: kind @ (JoinKind::Semi | JoinKind::Anti),
-            condition,
+            ..
         } => {
             let left_schema = left.schema();
             let refs = local_refs(predicate.column_refs(), &out_schema, outer);
-            (resolves_all(&left_schema, &refs)
+            if !(resolves_all(&left_schema, &refs)
                 && expr_is_total(predicate, &Scopes::new(&left_schema, outer)))
-            .then(|| {
-                rep.predicates_pushed += 1;
-                Plan::Join {
-                    left: pushed_select(left, predicate.clone(), outer, rep).into(),
-                    right: right.clone(),
-                    kind: *kind,
-                    condition: condition.clone(),
-                }
-            })
+            {
+                return None;
+            }
+            rep.predicates_pushed += 1;
+            let mut pushed = Some(pushed_select(left, predicate.clone(), outer, rep).into());
+            // The left branch is the first child.
+            input.map_children(|child| pushed.take().unwrap_or_else(|| child.clone()))
         }
         // σ_p(σ_q(T)) → σ_{q ∧ p}(T) for total, sublink-free `q`: conjuncts
         // that sink onto the same product factor one by one end up as one
@@ -2358,6 +2330,25 @@ mod tests {
         let (optimized, rep) = optimize(&plan);
         assert!(rep.constants_folded >= 1);
         assert!(matches!(optimized, Plan::Values { .. }));
+    }
+
+    #[test]
+    fn folds_constants_in_every_operators_expressions() {
+        let db = db();
+        let (optimized, rep) = optimize(&constant_expressions(&db));
+        // `10 * 10`, `0 * 1` and `2 + 3`, one fold each.
+        assert_eq!(rep.constants_folded, 3, "{}", rep.summary());
+        fn folded(plan: &Plan) -> bool {
+            let constant = |e: &Expr| {
+                matches!(e, Expr::Binary { left, right, .. }
+                    if matches!((&**left, &**right), (Expr::Literal(_), Expr::Literal(_))))
+            };
+            plan.expressions()
+                .iter()
+                .all(|e| e.all(&mut |e| !constant(e)))
+                && plan.children().into_iter().all(folded)
+        }
+        assert!(folded(&optimized), "{optimized:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use perm_algebra::builder::{
     all_sublink, and, any_sublink, between, binary, cmp, col, count_star, eq, exists_sublink, lit,
-    not, null, null_safe_eq, or, qcol, scalar_sublink, PlanBuilder,
+    not, null, null_safe_eq, or, qcol, scalar_sublink, sum, PlanBuilder,
 };
 use perm_algebra::{BinaryOp, CompareOp, Expr, Plan, ProjectItem, SetOpKind, SortKey};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
@@ -434,5 +434,35 @@ pub fn scalar_comparison(db: &Database) -> Plan {
         .build();
     scan(db, "r1")
         .select(eq(scalar_sublink(scalar), lit(0)))
+        .build()
+}
+
+/// `Π_{g, s, 10 * 10 → k}(Sort_{g + 0 * 1}(γ_{g; sum(a * (2 + 3)) → s}(r1)))`:
+/// one constant subexpression in a Π item, a sort key and an aggregate
+/// argument.
+pub fn constant_expressions(db: &Database) -> Plan {
+    let constant = |op, l: i64, r: i64| binary(op, lit(l), lit(r));
+    scan(db, "r1")
+        .aggregate(
+            vec![ProjectItem::new(qcol("r1", "g"), "g")],
+            vec![sum(
+                binary(
+                    BinaryOp::Mul,
+                    qcol("r1", "a"),
+                    constant(BinaryOp::Add, 2, 3),
+                ),
+                "s",
+            )],
+        )
+        .sort(vec![SortKey::asc(binary(
+            BinaryOp::Add,
+            col("g"),
+            constant(BinaryOp::Mul, 0, 1),
+        ))])
+        .project(vec![
+            ProjectItem::column("g"),
+            ProjectItem::column("s"),
+            ProjectItem::new(constant(BinaryOp::Mul, 10, 10), "k"),
+        ])
         .build()
 }

@@ -89,6 +89,12 @@ fn decorrelation_lowers_operator_count() {
 }
 
 #[test]
+fn folds_constants_in_every_operators_expressions() {
+    let db = db();
+    optimizes_to_the_same_bag(&db, &constant_expressions(&db));
+}
+
+#[test]
 fn prunes_unused_projection_columns() {
     let db = db();
     optimizes_to_the_same_bag(&db, &narrowed_projection(&db));

@@ -8,21 +8,28 @@
 //! represented or rewritten must leave every plan bit-identical. This test
 //! rewrites and optimizes one fixed instance of each benchmark query shape —
 //! the five `synth_corr` SQL kinds under Gen, `synth_uncorr` q1 / q2 under
-//! every strategy, the seven `tpch_fig6` templates under Auto — and compares
-//! the fingerprint of the rewritten plan, the fingerprint of the optimized
-//! plan and every field of the [`OptimizerReport`] with the recorded ones.
+//! every strategy, the seven `tpch_fig6` templates under Auto — plus the
+//! sublink rules those shapes do not reach (G2, L2 and T2 on a Π with three
+//! sublinks, U1, a σ with two sublinks, a sublink in a test expression), and
+//! compares the fingerprint of the rewritten plan, the fingerprint of the
+//! optimized plan and every field of the [`OptimizerReport`] with the
+//! recorded ones. A third test pins the errors of strategies that do not
+//! apply.
 //!
 //! A deliberate change to a rewrite or optimizer rule moves some of these;
 //! re-record the affected rows and name them in the change's notes.
 //!
-//! A second test pins the sharing itself: a statement prepared from a plan
+//! Another test pins the sharing itself: a statement prepared from a plan
 //! holds the caller's subtrees, and its optimized plan the subtrees the
 //! optimizer left alone.
 
-use perm::core::{ProvenanceQuery, Strategy};
+use perm::core::{ProvenanceError, ProvenanceQuery, Strategy};
 use perm::exec::optimize::{optimize, plan_fingerprint, OptimizerReport};
 use perm::Database;
-use perm_algebra::{Plan, PlanRef};
+use perm_algebra::builder::{
+    any_sublink, between, cmp, col, lit, max, scalar_sublink, PlanBuilder,
+};
+use perm_algebra::{CompareOp, Plan, PlanRef};
 use perm_synthetic::{build_database, query_q1, query_q2, RangeParams};
 use perm_tpch::{generate, sublink_queries, TpchScale};
 
@@ -167,11 +174,84 @@ fn cases() -> Vec<(String, Pin)> {
             observe(&tpch, &sql_plan(&tpch, &sql), Strategy::Auto),
         ));
     }
+
+    // Rules the benchmark shapes do not reach, all uncorrelated unless
+    // named otherwise. G2, L2 and T2: one Π holding an `= ANY`, an `EXISTS`
+    // and a scalar sublink.
+    let project = sql_plan(
+        &small,
+        "SELECT a, a = ANY (SELECT a FROM r2 WHERE r2.b BETWEEN 100 AND 700) AS hit, \
+         EXISTS (SELECT * FROM r2 WHERE r2.b BETWEEN 400 AND 420) AS any_r2, \
+         (SELECT max(b) FROM r2 WHERE r2.b < 500) AS top FROM r1 WHERE b BETWEEN 100 AND 300",
+    );
+    for strategy in [
+        Strategy::Gen,
+        Strategy::Left,
+        Strategy::Move,
+        Strategy::Auto,
+    ] {
+        out.push((
+            format!("project three sublinks {}", strategy.name()),
+            observe(&small, &project, strategy),
+        ));
+    }
+    // U1: a σ over an `EXISTS`.
+    let exists = sql_plan(
+        &small,
+        "SELECT a, b FROM r1 WHERE EXISTS (SELECT * FROM r2 WHERE r2.b BETWEEN 400 AND 420)",
+    );
+    for strategy in [Strategy::Unn, Strategy::Auto] {
+        out.push((
+            format!("select exists {}", strategy.name()),
+            observe(&small, &exists, strategy),
+        ));
+    }
+    // One σ with two sublinks.
+    let two = sql_plan(
+        &small,
+        "SELECT a, b FROM r1 WHERE a = ANY (SELECT a FROM r2 WHERE r2.b BETWEEN 100 AND 700) \
+         OR b < ALL (SELECT b FROM r2 WHERE r2.b BETWEEN 400 AND 420)",
+    );
+    for strategy in [Strategy::Gen, Strategy::Left, Strategy::Move] {
+        out.push((
+            format!("select two sublinks {}", strategy.name()),
+            observe(&small, &two, strategy),
+        ));
+    }
+    // A scalar sublink in the test expression of an `= ANY`.
+    let nested = nested_test_expression(&small);
+    for strategy in [Strategy::Gen, Strategy::Auto] {
+        out.push((
+            format!("select nested test expression {}", strategy.name()),
+            observe(&small, &nested, strategy),
+        ));
+    }
     out
 }
 
+/// `σ_{(SELECT max(b) FROM r2 WHERE b < 500) = ANY (SELECT b FROM r2 WHERE
+/// b BETWEEN 100 AND 700)}(r1)`: a sublink inside another sublink's test
+/// expression, which only Gen rewrites.
+fn nested_test_expression(db: &Database) -> Plan {
+    let r2 = |predicate| {
+        PlanBuilder::scan(db, "r2")
+            .expect("r2 exists")
+            .select(predicate)
+    };
+    let top = r2(cmp(CompareOp::Lt, col("b"), lit(500)))
+        .aggregate(vec![], vec![max(col("b"), "top")])
+        .build();
+    let window = r2(between(col("b"), lit(100), lit(700)))
+        .project_columns(&["b"])
+        .build();
+    PlanBuilder::scan(db, "r1")
+        .expect("r1 exists")
+        .select(any_sublink(scalar_sublink(top), CompareOp::Eq, window))
+        .build()
+}
+
 /// The recorded pins, in the order [`cases`] produces them.
-const PINNED: [(&str, Pin); 21] = [
+const PINNED: [(&str, Pin); 32] = [
     (
         "synth_corr exists_80x160",
         (
@@ -340,6 +420,94 @@ const PINNED: [(&str, Pin); 21] = [
             [0, 0, 0, 0, 0, 0, 0, 2, 1, 4, 8, 2, 1, 8, 2],
         ),
     ),
+    (
+        "project three sublinks Gen",
+        (
+            0x4bea02d33bcbd510,
+            0x19234697ed2fb508,
+            [1, 0, 0, 0, 1, 0, 0, 6, 4, 6, 8, 0, 1, 8, 2],
+        ),
+    ),
+    (
+        "project three sublinks Left",
+        (
+            0x5df12bfa5cee1d97,
+            0xf6bc0e89cd793f0f,
+            [0, 0, 0, 0, 0, 0, 0, 0, 4, 9, 7, 0, 0, 4, 2],
+        ),
+    ),
+    (
+        "project three sublinks Move",
+        (
+            0x9d61455fce964c39,
+            0xd4e2ccb291c13300,
+            [0, 0, 0, 0, 0, 0, 0, 0, 4, 10, 7, 0, 0, 3, 2],
+        ),
+    ),
+    (
+        "project three sublinks Auto",
+        (
+            0x9d61455fce964c39,
+            0xd4e2ccb291c13300,
+            [0, 0, 0, 0, 0, 0, 0, 0, 4, 10, 7, 0, 0, 3, 2],
+        ),
+    ),
+    (
+        "select exists Unn",
+        (
+            0x2615ce773d603721,
+            0x777f6ed6ffeb603d,
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 5, 3, 0, 0, 0, 2],
+        ),
+    ),
+    (
+        "select exists Auto",
+        (
+            0x2615ce773d603721,
+            0x777f6ed6ffeb603d,
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 5, 3, 0, 0, 0, 2],
+        ),
+    ),
+    (
+        "select two sublinks Gen",
+        (
+            0x76eeefaf7b36a872,
+            0x939c451d657b6c31,
+            [0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 4, 0, 1, 8, 2],
+        ),
+    ),
+    (
+        "select two sublinks Left",
+        (
+            0xc14faa446f76a15f,
+            0x6cef84cadb9e8741,
+            [0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 5, 0, 0, 4, 2],
+        ),
+    ),
+    (
+        "select two sublinks Move",
+        (
+            0xe8c1f917426b6446,
+            0xb5db377babb86213,
+            [0, 0, 0, 0, 0, 0, 2, 0, 3, 5, 5, 0, 0, 4, 2],
+        ),
+    ),
+    (
+        "select nested test expression Gen",
+        (
+            0xc2af2132ec06c553,
+            0xad2904ab20c79eee,
+            [2, 2, 0, 0, 2, 0, 0, 10, 2, 4, 5, 0, 1, 3, 2],
+        ),
+    ),
+    (
+        "select nested test expression Auto",
+        (
+            0xc2af2132ec06c553,
+            0xad2904ab20c79eee,
+            [2, 2, 0, 0, 2, 0, 0, 10, 2, 4, 5, 0, 1, 3, 2],
+        ),
+    ),
 ];
 
 #[test]
@@ -378,4 +546,46 @@ fn a_prepared_plan_shares_the_subtrees_the_optimizer_left_alone() {
     };
     assert!(shares(&plan, prepared.bound_plan()));
     assert!(shares(prepared.bound_plan(), prepared.plan()));
+}
+
+/// The strategies that cannot rewrite an operator say so with the same kind
+/// and reason: Unn has no rule for a Π, and Left none for a correlated
+/// sublink.
+#[test]
+fn inapplicable_strategies_keep_their_errors() {
+    let db = build_database(80, 160, 42);
+    let error = |sql: &str, strategy| {
+        let plan = sql_plan(&db, sql);
+        match ProvenanceQuery::new(&db, &plan)
+            .strategy(strategy)
+            .rewrite()
+        {
+            Err(e) => e,
+            Ok(_) => panic!("{strategy} rewrote {sql}"),
+        }
+    };
+    let unn = error(
+        "SELECT a, EXISTS (SELECT * FROM r2 WHERE r2.b < 500) AS any_r2 FROM r1",
+        Strategy::Unn,
+    );
+    assert_eq!(
+        unn,
+        ProvenanceError::NotApplicable {
+            strategy: "Unn",
+            reason: "the Unn strategy only rewrites selections (rules U1 and U2)".into(),
+        }
+    );
+    let left = error(
+        "SELECT a, b, g FROM r1 WHERE EXISTS (SELECT * FROM r2 WHERE r2.g = r1.g)",
+        Strategy::Left,
+    );
+    assert_eq!(
+        left,
+        ProvenanceError::NotApplicable {
+            strategy: "Left",
+            reason: "the EXISTS sublink over `a, b, g` is correlated or holds a sublink in its \
+                     test expression; only the Gen strategy rewrites those"
+                .into(),
+        }
+    );
 }

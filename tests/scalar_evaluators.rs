@@ -40,6 +40,11 @@ fn cases() -> Vec<(Op, Value, Value, Outcome)> {
     let neg = Op::Unary(UnaryOp::Neg);
     let not = Op::Unary(UnaryOp::Not);
     let date_out_of_range = || Err(ExecError::Type("date out of range".into()));
+    let no_operator = |l: &str, op: &str, r: &str| {
+        Err(ExecError::Type(format!(
+            "operator does not exist: `{l}` {op} `{r}`"
+        )))
+    };
     vec![
         // NULL operands.
         (Op::Binary(Add), Null, Int(1), Ok(Null)),
@@ -118,6 +123,53 @@ fn cases() -> Vec<(Op, Value, Value, Outcome)> {
             Int(3_000_000_000),
             Date(9000),
             date_out_of_range(),
+        ),
+        // Dates as PostgreSQL types them: `date - date` is a day count,
+        // and no other operator or operand type pairs with a date.
+        (Op::Binary(Add), Int(90), Date(9000), Ok(Date(9090))),
+        (Op::Binary(Sub), Date(9000), Date(1000), Ok(Int(8000))),
+        (Op::Binary(Sub), Date(1000), Date(9000), Ok(Int(-8000))),
+        (
+            Op::Binary(Add),
+            Date(9000),
+            Float(0.5),
+            no_operator("1994-08-23", "+", "0.5"),
+        ),
+        (
+            Op::Binary(Sub),
+            Date(9000),
+            Float(0.5),
+            no_operator("1994-08-23", "-", "0.5"),
+        ),
+        (
+            Op::Binary(Add),
+            Date(9000),
+            Date(1000),
+            no_operator("1994-08-23", "+", "1972-09-27"),
+        ),
+        (
+            Op::Binary(Sub),
+            Int(90),
+            Date(9000),
+            no_operator("90", "-", "1994-08-23"),
+        ),
+        (
+            Op::Binary(Mul),
+            Date(9000),
+            Int(2),
+            no_operator("1994-08-23", "*", "2"),
+        ),
+        (
+            Op::Binary(Div),
+            Date(9000),
+            Int(2),
+            no_operator("1994-08-23", "/", "2"),
+        ),
+        (
+            Op::Binary(Mod),
+            Int(2),
+            Date(9000),
+            no_operator("2", "%", "1994-08-23"),
         ),
         // Division and remainder by zero.
         (
