@@ -16,7 +16,7 @@
 //! [`Name`]s, so cloning an expression tree allocates no identifier.
 
 use crate::plan::PlanRef;
-use perm_storage::{Name, Truth, Value};
+use perm_storage::{DataType, Name, Truth, Value};
 use std::fmt;
 
 /// SQL comparison operators usable in sublink tests (`A op ANY Tsub`).
@@ -231,9 +231,12 @@ fn date_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, Arithmet
         (BinaryOp::Add, Value::Date(d), Value::Int(n))
         | (BinaryOp::Add, Value::Int(n), Value::Date(d)) => i64::from(*d).checked_add(*n),
         (BinaryOp::Sub, Value::Date(d), Value::Int(n)) => i64::from(*d).checked_sub(*n),
+        // Named by operand types, not values, as PostgreSQL does.
         _ => {
             return Err(ArithmeticError::Type(format!(
-                "operator does not exist: `{l}` {op} `{r}`"
+                "operator does not exist: {} {op} {}",
+                type_of(l),
+                type_of(r)
             )))
         }
     };
@@ -241,6 +244,18 @@ fn date_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, Arithmet
     days.and_then(|d| i32::try_from(d).ok())
         .map(Value::Date)
         .ok_or_else(|| ArithmeticError::Type("date out of range".into()))
+}
+
+/// The type of a non-NULL value, for error texts.
+fn type_of(v: &Value) -> DataType {
+    match v {
+        Value::Bool(_) => DataType::Bool,
+        Value::Int(_) => DataType::Int,
+        Value::Float(_) => DataType::Float,
+        Value::Str(_) => DataType::Str,
+        Value::Date(_) => DataType::Date,
+        Value::Null => DataType::Any,
+    }
 }
 
 /// Unary operators.

@@ -21,8 +21,10 @@
 //! operator runs).
 //!
 //! Supporting rules in the same fixpoint driver: constant folding over
-//! predicates (a literal that absorbs a total sibling included: `l ∨ TRUE`,
-//! `l ∧ FALSE`), predicate pushdown through projections / `INTERSECT` /
+//! every operator's expressions (a literal that absorbs a total sibling
+//! included: `l ∨ TRUE`, `l ∧ FALSE`; the identity folds `TRUE ∧ r → r`,
+//! `FALSE ∨ r → r` only where `r` is truth-valued, so a Π item or sort key
+//! keeps its value), predicate pushdown through projections / `INTERSECT` /
 //! `EXCEPT` / semi- and anti-join probe sides / cross products / onto the
 //! preserved side of a left outer join (assuming the pushed conjuncts
 //! inside its condition), and projection pruning off column liveness; the
@@ -631,12 +633,18 @@ fn fold(node: &PlanRef, outer: Option<&Scopes<'_>>, rep: &mut OptimizerReport) -
     }
 }
 
-/// Shielding-exact constant folds over a predicate evaluated under the
-/// scope chain `scopes` (a chain of one empty scope declines the folds that
-/// judge the totality of an operand reading a column). Only folds that
-/// cannot change which subexpressions are evaluated fire unconditionally;
-/// folds that would *skip* evaluating an operand require it to be total.
-/// `None` when nothing folds.
+/// Shielding-exact constant folds over any operator's expression (a
+/// predicate, a Π item, a grouping key, an aggregate argument, a sort key)
+/// evaluated under the scope chain `scopes` (a chain of one empty scope
+/// declines the folds that judge the totality of an operand reading a
+/// column). Every fold is exact as a value, not only where a truth is read:
+/// literal arithmetic and comparisons, `NOT` of a literal, and the
+/// absorbing `∧ FALSE` / `∨ TRUE`; the identity folds `TRUE ∧ r → r` and
+/// `FALSE ∨ r → r` (either side) fire only when the kept operand is
+/// truth-valued ([`is_truth_valued`]), since the evaluator reads any other
+/// value as UNKNOWN. Only folds that cannot change which subexpressions
+/// are evaluated fire unconditionally; folds that would *skip* evaluating
+/// an operand require it to be total. `None` when nothing folds.
 fn fold_expr(expr: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option<Expr> {
     expr.rewrite(&mut |e| fold_node(e, scopes, rep))
 }
@@ -660,11 +668,13 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
                 rep.constants_folded += 1;
                 Some(Expr::Literal(Value::Bool(false)))
             }
-            (Expr::Literal(Value::Bool(true)), r) => {
+            // The identity folds keep one operand as the result, which is
+            // exact only when that operand's value is a truth already.
+            (Expr::Literal(Value::Bool(true)), r) if is_truth_valued(r) => {
                 rep.constants_folded += 1;
                 Some(r.clone())
             }
-            (l, Expr::Literal(Value::Bool(true))) => {
+            (l, Expr::Literal(Value::Bool(true))) if is_truth_valued(l) => {
                 rep.constants_folded += 1;
                 Some(l.clone())
             }
@@ -684,11 +694,11 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
                 rep.constants_folded += 1;
                 Some(Expr::Literal(Value::Bool(true)))
             }
-            (Expr::Literal(Value::Bool(false)), r) => {
+            (Expr::Literal(Value::Bool(false)), r) if is_truth_valued(r) => {
                 rep.constants_folded += 1;
                 Some(r.clone())
             }
-            (l, Expr::Literal(Value::Bool(false))) => {
+            (l, Expr::Literal(Value::Bool(false))) if is_truth_valued(l) => {
                 rep.constants_folded += 1;
                 Some(l.clone())
             }
@@ -748,6 +758,30 @@ fn fold_node(e: &Expr, scopes: &Scopes<'_>, rep: &mut OptimizerReport) -> Option
             Some(Expr::Literal(Value::Bool(true)))
         }
         _ => None,
+    }
+}
+
+/// `true` when `e` always evaluates to a boolean or NULL: a boolean or NULL
+/// literal, a comparison, a connective, `LIKE`, `NOT`, `IS [NOT] NULL`, or
+/// an `EXISTS` / `ANY` / `ALL` sublink. Columns, parameters and `CASE` are
+/// not known to be, since the plan carries no types.
+fn is_truth_valued(e: &Expr) -> bool {
+    match e {
+        Expr::Literal(v) => v.is_null() || matches!(v, Value::Bool(_)),
+        Expr::Binary { op, .. } => matches!(
+            op,
+            BinaryOp::Cmp(_)
+                | BinaryOp::NullSafeEq
+                | BinaryOp::And
+                | BinaryOp::Or
+                | BinaryOp::Like
+                | BinaryOp::NotLike
+        ),
+        Expr::Unary { op, .. } => {
+            matches!(op, UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull)
+        }
+        Expr::Sublink { kind, .. } => *kind != SublinkKind::Scalar,
+        _ => false,
     }
 }
 
@@ -2349,6 +2383,21 @@ mod tests {
                 && plan.children().into_iter().all(folded)
         }
         assert!(folded(&optimized), "{optimized:?}");
+    }
+
+    #[test]
+    fn identity_folds_keep_only_a_truth_valued_operand() {
+        let db = db();
+        let [sorted, grouped] = value_connectives(&db);
+        let (optimized, rep) = optimize(&sorted);
+        // `TRUE ∧ a > 9` only.
+        assert_eq!(rep.constants_folded, 1, "{}", rep.summary());
+        let Plan::Project { items, .. } = &optimized else {
+            panic!("{optimized:?}")
+        };
+        assert_eq!(items[0].expr, or(qcol("r1", "a"), lit(false)));
+        assert_eq!(items[1].expr, cmp(CompareOp::Gt, qcol("r1", "a"), lit(9)));
+        assert_eq!(optimize(&grouped).1.constants_folded, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! file keeps both halves on the same plans.
 
 use perm_algebra::builder::{
-    all_sublink, and, any_sublink, between, binary, cmp, col, count_star, eq, exists_sublink, lit,
-    not, null, null_safe_eq, or, qcol, scalar_sublink, sum, PlanBuilder,
+    all_sublink, and, any_sublink, between, binary, cmp, col, count, count_star, eq,
+    exists_sublink, lit, not, null, null_safe_eq, or, qcol, scalar_sublink, sum, PlanBuilder,
 };
 use perm_algebra::{BinaryOp, CompareOp, Expr, Plan, ProjectItem, SetOpKind, SortKey};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
@@ -465,4 +465,27 @@ pub fn constant_expressions(db: &Database) -> Plan {
             ProjectItem::new(constant(BinaryOp::Mul, 10, 10), "k"),
         ])
         .build()
+}
+
+/// Connectives whose kept operand is an integer, in value positions: the
+/// evaluator reads `a` as UNKNOWN, so each is NULL (and `count` counts
+/// none), and none may fold to `a`.
+/// `Π_{a ∨ FALSE → x, TRUE ∧ a > 9 → y}(Sort_{(a ∧ TRUE) DESC}(r1))` and
+/// `γ_{TRUE ∧ a → k; count(a ∨ FALSE) → n}(r1)`; only `y` folds.
+pub fn value_connectives(db: &Database) -> [Plan; 2] {
+    let a = || qcol("r1", "a");
+    let sorted = scan(db, "r1")
+        .sort(vec![SortKey::desc(and(a(), lit(true)))])
+        .project(vec![
+            ProjectItem::new(or(a(), lit(false)), "x"),
+            ProjectItem::new(and(lit(true), cmp(CompareOp::Gt, a(), lit(9))), "y"),
+        ])
+        .build();
+    let grouped = scan(db, "r1")
+        .aggregate(
+            vec![ProjectItem::new(and(lit(true), a()), "k")],
+            vec![count(or(a(), lit(false)), "n")],
+        )
+        .build();
+    [sorted, grouped]
 }

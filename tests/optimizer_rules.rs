@@ -95,6 +95,18 @@ fn folds_constants_in_every_operators_expressions() {
 }
 
 #[test]
+fn a_connective_over_a_non_boolean_keeps_its_value() {
+    let db = db();
+    let exec = Executor::new(&db);
+    for plan in value_connectives(&db) {
+        let want = exec.execute_unoptimized(&plan).unwrap();
+        let got = exec.execute(&optimize(&plan).0).unwrap();
+        // The sort key's order and the group's count, not only the bag.
+        assert_eq!(got.tuples(), want.tuples());
+    }
+}
+
+#[test]
 fn prunes_unused_projection_columns() {
     let db = db();
     optimizes_to_the_same_bag(&db, &narrowed_projection(&db));

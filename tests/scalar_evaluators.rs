@@ -42,7 +42,7 @@ fn cases() -> Vec<(Op, Value, Value, Outcome)> {
     let date_out_of_range = || Err(ExecError::Type("date out of range".into()));
     let no_operator = |l: &str, op: &str, r: &str| {
         Err(ExecError::Type(format!(
-            "operator does not exist: `{l}` {op} `{r}`"
+            "operator does not exist: {l} {op} {r}"
         )))
     };
     vec![
@@ -133,43 +133,43 @@ fn cases() -> Vec<(Op, Value, Value, Outcome)> {
             Op::Binary(Add),
             Date(9000),
             Float(0.5),
-            no_operator("1994-08-23", "+", "0.5"),
+            no_operator("date", "+", "float"),
         ),
         (
             Op::Binary(Sub),
             Date(9000),
             Float(0.5),
-            no_operator("1994-08-23", "-", "0.5"),
+            no_operator("date", "-", "float"),
         ),
         (
             Op::Binary(Add),
             Date(9000),
             Date(1000),
-            no_operator("1994-08-23", "+", "1972-09-27"),
+            no_operator("date", "+", "date"),
         ),
         (
             Op::Binary(Sub),
             Int(90),
             Date(9000),
-            no_operator("90", "-", "1994-08-23"),
+            no_operator("int", "-", "date"),
         ),
         (
             Op::Binary(Mul),
             Date(9000),
             Int(2),
-            no_operator("1994-08-23", "*", "2"),
+            no_operator("date", "*", "int"),
         ),
         (
             Op::Binary(Div),
             Date(9000),
             Int(2),
-            no_operator("1994-08-23", "/", "2"),
+            no_operator("date", "/", "int"),
         ),
         (
             Op::Binary(Mod),
             Int(2),
             Date(9000),
-            no_operator("2", "%", "1994-08-23"),
+            no_operator("int", "%", "date"),
         ),
         // Division and remainder by zero.
         (
