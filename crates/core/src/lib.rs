@@ -30,10 +30,6 @@
 //!   Left and Move (L1, L2, T1, T2) in `rewrite/left_move.rs`, Unn (U1, U2)
 //!   in `rewrite/unn.rs`.
 //!
-//! The structured execution-trace types ([`TraceSink`], [`TraceEvent`],
-//! the bounded [`RingTraceSink`]) live in `perm-exec`, whose governor
-//! writes the events; they are re-exported here, module path included.
-//!
 //! ```
 //! use perm_core::{ProvenanceQuery, Strategy};
 //! use perm_algebra::{col, lit, PlanBuilder, CompareOp};
@@ -72,11 +68,9 @@ pub mod rewrite;
 pub mod roles;
 pub mod tracer;
 
-pub use perm_exec::trace;
 pub use provschema::{ProvEntry, ProvenanceDescriptor};
 pub use rewrite::{ProvenanceQuery, RewriteResult, Strategy};
 pub use roles::InfluenceRole;
-pub use trace::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 
 use perm_algebra::AlgebraError;
 use perm_exec::ExecError;

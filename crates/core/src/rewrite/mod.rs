@@ -14,7 +14,8 @@
 //! rewrites the input to `T⁺`, rewrites the sublinks, lets the strategy
 //! attach their provenance, and puts the operator back on top: the σ and
 //! the columns to keep, or the Π over its items and the provenance
-//! attributes. Where each rule of Figure 5 attaches:
+//! attributes. An inner join whose condition holds a sublink goes there as
+//! the σ of `σ_θ(L × R)`. Where each rule of Figure 5 attaches:
 //!
 //! | rules | module | attachment |
 //! |---|---|---|
@@ -35,7 +36,7 @@ mod unn;
 use crate::provschema::ProvenanceDescriptor;
 use crate::{ProvenanceError, Result};
 use perm_algebra::builder::conjunction;
-use perm_algebra::{Expr, Plan, PlanRef, ProjectItem};
+use perm_algebra::{Expr, JoinKind, Plan, PlanRef, ProjectItem};
 use perm_storage::{Database, Name, Schema};
 use std::collections::HashMap;
 
@@ -205,13 +206,25 @@ impl<'a> ProvenanceRewriter<'a> {
                     distinct: *distinct,
                 },
             ),
-            Plan::Join { condition, .. } if condition.has_sublink() => {
-                Err(ProvenanceError::Unsupported(
-                    "sublinks in join conditions are not supported; move the sublink into a \
-                     selection above the join"
-                        .into(),
-                ))
+            // `L ⋈_θ R` is `σ_θ(L × R)`: θ goes to the σ rules as written.
+            Plan::Join {
+                left,
+                right,
+                kind: JoinKind::Inner,
+                condition,
+            } if condition.has_sublink() => {
+                let product = Plan::CrossProduct {
+                    left: left.clone(),
+                    right: right.clone(),
+                };
+                self.rewrite_sublink_op(&product, SublinkOp::Select(condition))
             }
+            Plan::Join {
+                kind, condition, ..
+            } if condition.has_sublink() => Err(ProvenanceError::Unsupported(format!(
+                "sublinks in the condition of a {kind:?} join are not supported; only an \
+                 Inner join's condition is rewritten, as a selection over the product"
+            ))),
             Plan::Aggregate { .. } if plan.has_direct_sublink() => {
                 Err(ProvenanceError::Unsupported(
                     "sublinks inside aggregate arguments or grouping expressions are not \
@@ -285,7 +298,11 @@ impl<'a> ProvenanceRewriter<'a> {
                 let mut out_items: Vec<ProjectItem> = match values.as_mut() {
                     Some(values) => items
                         .iter()
-                        .map(|i| ProjectItem::new(left_move::with_values(&i.expr, values), i.alias))
+                        .map(|i| ProjectItem {
+                            expr: left_move::with_values(&i.expr, values),
+                            alias: i.alias,
+                            qualifier: i.qualifier,
+                        })
                         .collect(),
                     None => items.to_vec(),
                 };

@@ -33,9 +33,9 @@
 //!
 //! Compilation never changes semantics: results (including errors) are
 //! identical to [`crate::Executor::execute_unoptimized`]. In particular the
-//! memo key is *type-exact* ([`encode_key_typed`]) — `Int(3)` and
-//! `Float(3.0)` are distinct bindings even though the engine's equality
-//! coerces them — so a memo hit always substitutes the result of a
+//! memo key is *type-exact* ([`perm_storage::encode_key_typed`]) —
+//! `Int(3)` and `Float(3.0)` are distinct bindings even though the engine's
+//! equality coerces them — so a memo hit always substitutes the result of a
 //! byte-identical binding.
 //!
 //! One expression shape compiles to a node the logical plan does not have:
@@ -53,7 +53,6 @@ use crate::executor::{extract_equi_keys, Execution, Executor};
 use crate::memo::StatementMemo;
 use crate::profile::{ProfileTree, QueryProfile};
 use crate::quant::SublinkSummary;
-use crate::trace::{TraceEvent, TraceKind};
 use crate::{ExecError, Result};
 use perm_algebra::builder::split_conjuncts;
 use perm_algebra::visit::free_params;
@@ -62,7 +61,7 @@ use perm_algebra::{
     UnaryOp,
 };
 use perm_storage::{
-    encode_key_typed, ColumnVec, Name, Relation, Schema, StorageError, Truth, Tuple, Validity,
+    encode_key_typed_into, ColumnVec, Name, Relation, Schema, StorageError, Truth, Tuple, Validity,
     Value,
 };
 use std::borrow::Cow;
@@ -1685,8 +1684,12 @@ impl<'e, 'a> Execution<'e, 'a> {
             }
             SublinkKind::Exists | SublinkKind::Scalar => None,
         };
-        let summary_of =
-            |i: usize| self.sublink_summary(sublink, Some(&Frame::new(outer, batch.row(i))));
+        // One memo key buffer for the batch's lookups.
+        let mut memo_key = Vec::new();
+        let mut summary_of = |i: usize| {
+            let frame = Frame::new(outer, batch.row(i));
+            self.sublink_summary(sublink, Some(&frame), &mut memo_key)
+        };
         let shared = if sublink.is_uncorrelated() {
             Some(summary_of(0)?)
         } else {
@@ -1731,63 +1734,64 @@ impl<'e, 'a> Execution<'e, 'a> {
         Ok(col)
     }
 
-    /// The parameterized memo key of a compiled sublink: its id, then the
-    /// version of the executor's database, then [`encode_key_typed`] over
-    /// the query-parameter values of its
-    /// `param_refs` and the binding values read from `frame` at the slots of
-    /// its correlation signature (both counts are fixed per sublink, so the
-    /// two groups concatenate unambiguously). Unlike the join/grouping key,
-    /// the memo key is *type-exact* (`Int(3)`, `Float(3.0)` and `Date(3)`
-    /// all differ), so a hit can only ever substitute the result of a
-    /// byte-identical binding — coarser keying would be wrong for
-    /// type-sensitive expressions such as string concatenation or date
-    /// arithmetic over the binding. `None` when the sublink has no resolved
-    /// signature, a referenced parameter is unbound (only on an evaluation
-    /// that did not start at an execution entry), or the memo is disabled
-    /// and the sublink is correlated — an *uncorrelated* sublink (empty
-    /// signature) keeps its per-query InitPlan caching even in the memo-off
-    /// baseline, exactly like the reference [`crate::Interpreter`]'s memo
-    /// and the PostgreSQL engine underneath the original Perm system.
+    /// Writes the parameterized memo key of a compiled sublink into `key`
+    /// (cleared first): its id, then the version of the executor's
+    /// database, then [`perm_storage::encode_key_typed`] over the
+    /// query-parameter values of its `param_refs` and the binding values
+    /// read from `frame` at the slots of its correlation signature (both
+    /// counts are fixed per sublink, so the two groups concatenate
+    /// unambiguously). Unlike the join/grouping key, the memo key is
+    /// *type-exact* (`Int(3)`, `Float(3.0)` and `Date(3)` all differ), so a
+    /// hit can only ever substitute the result of a byte-identical binding
+    /// — coarser keying would be wrong for type-sensitive expressions such
+    /// as string concatenation or date arithmetic over the binding. `false`
+    /// (no key) when the sublink has no resolved signature, a referenced
+    /// parameter is unbound (only on an evaluation that did not start at an
+    /// execution entry), or the memo is disabled and the sublink is
+    /// correlated — an *uncorrelated* sublink (empty signature) keeps its
+    /// per-query InitPlan caching even in the memo-off baseline, exactly
+    /// like the reference [`crate::Interpreter`]'s memo and the PostgreSQL
+    /// engine underneath the original Perm system.
     fn compiled_sublink_key(
         &self,
         sublink: &CompiledSublink,
         frame: Option<&Frame<'_>>,
-    ) -> Result<Option<Vec<u8>>> {
-        match &sublink.params {
-            Some(slots) if self.ex.memo_enabled.get() || slots.is_empty() => {
-                let mut values: Vec<Value> =
-                    Vec::with_capacity(sublink.param_refs.len() + slots.len());
-                for &index in &sublink.param_refs {
-                    match self.params.get(index) {
-                        Some(v) => values.push(v.clone()),
-                        None => return Ok(None),
-                    }
-                }
-                for &slot in slots {
-                    match frame {
-                        Some(f) => values.push(f.get(slot).clone()),
-                        None => {
-                            return Err(ExecError::Storage(StorageError::UnknownAttribute(
-                                "<correlated sublink without outer scope>".into(),
-                            )))
-                        }
-                    }
-                }
-                let mut key = sublink.id.to_le_bytes().to_vec();
-                key.extend_from_slice(&self.ex.database().version().to_le_bytes());
-                key.extend_from_slice(&encode_key_typed(&values));
-                Ok(Some(key))
+        key: &mut Vec<u8>,
+    ) -> Result<bool> {
+        let slots = match &sublink.params {
+            Some(slots) if self.ex.memo_enabled.get() || slots.is_empty() => slots,
+            _ => return Ok(false),
+        };
+        key.clear();
+        key.extend_from_slice(&sublink.id.to_le_bytes());
+        key.extend_from_slice(&self.ex.database().version().to_le_bytes());
+        for &index in &sublink.param_refs {
+            match self.params.get(index) {
+                Some(v) => encode_key_typed_into(std::slice::from_ref(v), key),
+                None => return Ok(false),
             }
-            _ => Ok(None),
         }
+        for &slot in slots {
+            match frame {
+                Some(f) => encode_key_typed_into(std::slice::from_ref(f.get(slot)), key),
+                None => {
+                    return Err(ExecError::Storage(StorageError::UnknownAttribute(
+                        "<correlated sublink without outer scope>".into(),
+                    )))
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// The [`SublinkSummary`] of a compiled sublink for the binding in
     /// `frame`: from its statement's memo when the sublink has a key — the
     /// key contract is documented on the private `compiled_sublink_key` —
     /// and otherwise built from one execution of the sublink plan and
-    /// memoized. Summaries are shared as `Arc`s, and errors are never
-    /// cached. Every lookup counts once on `memo_hits` or `memo_misses`.
+    /// memoized. The key is built in the caller's `key` buffer, so a hit
+    /// allocates nothing; an insert copies it. Summaries are shared as
+    /// `Arc`s, and errors are never cached. Every lookup counts once on
+    /// `memo_hits` or `memo_misses`.
     /// An `EXISTS` or scalar lookup polls a cancellation checkpoint first;
     /// an `ANY`/`ALL` one polls it only before executing on a miss. Every
     /// row an `ANY`/`ALL` probe is built from counts on
@@ -1796,22 +1800,20 @@ impl<'e, 'a> Execution<'e, 'a> {
         &self,
         sublink: &CompiledSublink,
         frame: Option<&Frame<'_>>,
+        key: &mut Vec<u8>,
     ) -> Result<Arc<SublinkSummary>> {
         let quantified = matches!(sublink.kind, SublinkKind::Any | SublinkKind::All);
         if !quantified {
             self.checkpoint("sublink")?;
         }
-        let key = self.compiled_sublink_key(sublink, frame)?;
+        let keyed = self.compiled_sublink_key(sublink, frame, key)?;
         // A profiled execution's tree holds this sublink's subtree by id.
         let sub_prof = self.profile.as_ref().and_then(|t| t.sublink(sublink.id));
-        if let Some(hit) = key.as_ref().and_then(|k| sublink.memo.get(k)) {
+        if let Some(hit) = keyed.then(|| sublink.memo.get(key)).flatten() {
             self.ex.governor.count().memo_hits += 1;
             if let Some(p) = sub_prof {
                 p.stats.memo_hits.set(p.stats.memo_hits.get() + 1);
             }
-            self.ex
-                .governor
-                .emit(|| TraceEvent::new(TraceKind::MemoHit, "sublink-memo", 0));
             return Ok(hit);
         }
         if quantified {
@@ -1826,10 +1828,10 @@ impl<'e, 'a> Execution<'e, 'a> {
         if quantified {
             self.ex.governor.count().quantifier_comparisons += result.len() as u64;
         }
-        if let Some(k) = key {
-            let cost = k.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
+        if keyed {
+            let cost = key.len() as u64 + crate::resilience::MemoCost::cost_bytes(&summary);
             if self.ex.governor.memo_insert_event("sublink-memo", cost)? {
-                sublink.memo.insert(k, Arc::clone(&summary));
+                sublink.memo.insert(key.clone(), Arc::clone(&summary));
             }
         }
         Ok(summary)
@@ -2141,9 +2143,13 @@ mod tests {
         let sublink = select_sublink(compiled.root());
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
-        let first = x.sublink_summary(sublink, Some(&frame)).unwrap();
+        let first = x
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
+            .unwrap();
         let before = ex.operators_evaluated();
-        let second = x.sublink_summary(sublink, Some(&frame)).unwrap();
+        let second = x
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
+            .unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "memo hit must share the cached allocation"
@@ -2152,15 +2158,21 @@ mod tests {
         // A different binding gets its own entry.
         let other_outer = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
         let other_frame = Frame::new(None, &other_outer);
-        let third = x.sublink_summary(sublink, Some(&other_frame)).unwrap();
+        let third = x
+            .sublink_summary(sublink, Some(&other_frame), &mut Vec::new())
+            .unwrap();
         assert!(!Arc::ptr_eq(&first, &third));
         // With the memo off every lookup executes afresh.
         let off = Executor::new(&db).with_sublink_memo(false);
         let x = Execution::new(&off, None);
         let compiled = off.prepare(&q).unwrap();
         let sublink = select_sublink(compiled.root());
-        let a = x.sublink_summary(sublink, Some(&frame)).unwrap();
-        let b = x.sublink_summary(sublink, Some(&frame)).unwrap();
+        let a = x
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
+            .unwrap();
+        let b = x
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
     }
 
@@ -2391,7 +2403,7 @@ mod tests {
         let outer = Tuple::new(vec![Value::Int(0), Value::Int(1)]);
         let frame = Frame::new(None, &outer);
         let first = Execution::new(&warmer, None)
-            .sublink_summary(sublink, Some(&frame))
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
             .unwrap();
         assert!(
             compiled.memo().len() > 0,
@@ -2401,7 +2413,7 @@ mod tests {
         let server = Executor::new(&db);
         let before = server.operators_evaluated();
         let second = Execution::new(&server, None)
-            .sublink_summary(sublink, Some(&frame))
+            .sublink_summary(sublink, Some(&frame), &mut Vec::new())
             .unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),

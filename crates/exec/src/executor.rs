@@ -60,7 +60,6 @@ use crate::compile::CompiledPlan;
 use crate::interpreter::Interpreter;
 use crate::profile::ProfileTree;
 use crate::resilience::{CancelToken, Cancellation, FaultPlan, Governor};
-use crate::trace::TraceSink;
 use crate::{ExecError, Result};
 use perm_algebra::builder::split_conjuncts;
 use perm_algebra::visit::{param_count, side_of, Side};
@@ -68,14 +67,13 @@ use perm_algebra::{Expr, Plan};
 use perm_storage::{Database, Relation, Schema, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Executes plans against an in-memory database.
 pub struct Executor<'a> {
     db: &'a Database,
-    /// The resilience governor: fault plan / memory budget / spill store /
-    /// trace sink, plus the counter registry [`Executor::stats`] snapshots.
+    /// The resilience governor: fault plan / memory budget / spill store,
+    /// plus the counter registry [`Executor::stats`] snapshots.
     /// Polled, with the execution's cancel token, at batch boundaries by
     /// `crate::physical`, at cursor refills and at memoized-sublink entry.
     pub(crate) governor: Governor,
@@ -297,15 +295,6 @@ impl<'a> Executor<'a> {
     pub fn with_spill_dir(self, dir: Option<std::path::PathBuf>) -> Executor<'a> {
         self.governor.set_spill_dir(dir);
         self
-    }
-
-    /// Installs (or clears, with `None`) the [`TraceSink`] the executor
-    /// writes its [`TraceEvent`](crate::TraceEvent)s into: sublink-memo
-    /// inserts and hits, degradation-rung transitions, and cancellation
-    /// checkpoints that fired. With no sink installed each emission site
-    /// costs one `Option` check.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        self.governor.set_trace_sink(sink);
     }
 
     /// Installs a deterministic [`FaultPlan`] that fires a cancellation,

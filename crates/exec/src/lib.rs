@@ -170,11 +170,10 @@
 //! What execution costs is read from one place: [`Executor::stats`]
 //! snapshots the executor's counter registry as a [`SessionStats`] — each
 //! counter one cell, bumped where the work happens (the [`stats`] module
-//! lists them), the session facade's pipeline counters included. Events
-//! go to one place too: the governor writes [`TraceEvent`]s (memo inserts
-//! and hits, degradation rungs, fired cancellations) straight into the
-//! [`TraceSink`] of [`Executor::set_trace_sink`], the type the facade's
-//! session records its phase spans with.
+//! lists them), the session facade's pipeline counters and per-phase
+//! wall-time sums included. A memo hit, a degradation rung or a fired
+//! cancellation is read there too (`memo_hits`, `degradation`), or as the
+//! [`ExecError::Cancelled`] the caller receives.
 //!
 //! One process-wide side effect: the first [`Executor::new`] tells glibc
 //! to keep freed heap rather than return it to the kernel after every
@@ -201,7 +200,6 @@ mod quant;
 pub mod resilience;
 pub(crate) mod spill;
 pub mod stats;
-pub mod trace;
 
 pub use batch::{Batch, ColumnBlock, BATCH_ROWS};
 pub use compile::{CompiledExpr, CompiledNode, CompiledPlan, Slot};
@@ -213,7 +211,6 @@ pub use profile::{ProfileNode, QueryProfile};
 pub use quant::QuantProbe;
 pub use resilience::{CancelToken, Degradation, FaultKind, FaultPlan, FaultSite};
 pub use stats::SessionStats;
-pub use trace::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 
 /// The optimizer under its old path, kept only because the frozen
 /// benchmark (`benchmark/src/ops.rs:13`) and `tests/plan_identity.rs`

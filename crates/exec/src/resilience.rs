@@ -51,7 +51,6 @@
 //! error.
 
 use crate::memo::StatementMemo;
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use crate::{ExecError, Result, SessionStats};
 use perm_storage::{ColumnVec, Relation, StorageManager, Tuple, Value, DEFAULT_POOL_PAGES};
 use std::cell::{Cell, RefCell, RefMut};
@@ -407,14 +406,14 @@ impl Cancellation {
 }
 
 /// The executor's resilience state — what lives as long as the executor:
-/// the fault plan, memory budget, spill store and trace sink, plus the
-/// counter registry. Cancellation is not here: each execution polls the
-/// token it took ([`Cancellation`]) through [`Governor::checkpoint`].
+/// the fault plan, memory budget and spill store, plus the counter
+/// registry. Cancellation is not here: each execution polls the token it
+/// took ([`Cancellation`]) through [`Governor::checkpoint`].
 ///
 /// The governor is owned by the executor and polled from the shared
 /// physical-operator layer; it is deliberately `!Sync` (like the executor)
-/// — what crosses threads are the [`CancelToken`] / [`FaultPlan`] handles
-/// and the trace sink, not the governor itself.
+/// — what crosses threads are the [`CancelToken`] / [`FaultPlan`] handles,
+/// not the governor itself.
 pub(crate) struct Governor {
     fault: RefCell<Option<FaultPlan>>,
     budget: Cell<Option<u64>>,
@@ -445,9 +444,6 @@ pub(crate) struct Governor {
     /// degrades as if spilling were disabled instead of retrying every
     /// charge.
     spill_failed: Cell<bool>,
-    /// The trace sink the governor and the memo seams write
-    /// [`TraceEvent`]s into, if one is installed.
-    trace: RefCell<Option<Arc<dyn TraceSink>>>,
 }
 
 impl Governor {
@@ -462,7 +458,6 @@ impl Governor {
             spill_dir: RefCell::new(None),
             spill: RefCell::new(None),
             spill_failed: Cell::new(false),
-            trace: RefCell::new(None),
         }
     }
 
@@ -484,20 +479,6 @@ impl Governor {
             stats.buffer_pool_capacity = pool.capacity() as u64;
         }
         stats
-    }
-
-    /// Installs (or clears) the trace sink.
-    pub(crate) fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        *self.trace.borrow_mut() = sink;
-    }
-
-    /// Records a trace event when (and only when) a sink is installed — the
-    /// closure defers any allocation the event needs to the sink-present
-    /// branch, so untraced executions pay one `Option` check.
-    pub(crate) fn emit(&self, event: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.trace.borrow().as_ref() {
-            sink.record(event());
-        }
     }
 
     pub(crate) fn set_fault_plan(&self, plan: Option<FaultPlan>) {
@@ -544,13 +525,10 @@ impl Governor {
         }
     }
 
-    /// Records a degradation rung, keeping the worst one seen; a transition
-    /// to a worse rung is traced.
+    /// Records a degradation rung, keeping the worst one seen.
     pub(crate) fn note_rung(&self, rung: Degradation) {
-        if rung > self.counters.borrow().degradation {
-            self.count().degradation = rung;
-            self.emit(|| TraceEvent::new(TraceKind::Rung, format!("{rung:?}"), 0));
-        }
+        let mut counters = self.count();
+        counters.degradation = counters.degradation.max(rung);
     }
 
     /// Accounts a statement's memo from its first execution on: held
@@ -584,18 +562,8 @@ impl Governor {
 
     /// A batch-boundary cancellation checkpoint of the execution that took
     /// `cancel`: counts the check, gives an injected fault its chance to
-    /// fire, then polls the token/deadline. A checkpoint that *fires*
-    /// (returns `Err`) is traced — the trace records where a cancellation
-    /// actually landed, not every poll.
+    /// fire, then polls the token/deadline.
     pub(crate) fn checkpoint(&self, operator: &str, cancel: Option<&Cancellation>) -> Result<()> {
-        let result = self.checkpoint_inner(operator, cancel);
-        if result.is_err() {
-            self.emit(|| TraceEvent::new(TraceKind::CancelFired, operator, 0));
-        }
-        result
-    }
-
-    fn checkpoint_inner(&self, operator: &str, cancel: Option<&Cancellation>) -> Result<()> {
         self.count().cancel_checks += 1;
         if let Some(fault) = self.fault.borrow().as_ref() {
             fault.observe(FaultSite::Checkpoint, operator)?;
@@ -710,7 +678,6 @@ impl Governor {
         if let Some(fault) = self.fault.borrow().as_ref() {
             fault.observe(FaultSite::MemoInsert, operator)?;
         }
-        self.emit(|| TraceEvent::new(TraceKind::MemoInsert, operator, cost));
         let budget = match self.budget.get() {
             Some(b) => b,
             None => {

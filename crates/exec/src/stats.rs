@@ -7,9 +7,9 @@
 //! [`Executor::stats`] reads from it directly. The executor bumps its own
 //! counters (operators, batches, memo lookups, checkpoints, spill bytes);
 //! the session facade above it bumps the pipeline counters (parses, binds,
-//! rewrites, optimizer rules, executions, plan-cache traffic) through
-//! [`Executor::record`]. Adding a counter is one field here and one
-//! increment at its site.
+//! rewrites, optimizer rules, executions, plan-cache traffic, and the wall
+//! time of each pipeline phase) through [`Executor::record`]. Adding a
+//! counter is one field here and one increment at its site.
 
 use crate::{Degradation, Executor};
 
@@ -35,6 +35,18 @@ use crate::{Degradation, Executor};
 /// ordering respectively), and [`SessionStats::buffer_pool_capacity`] is a
 /// configuration gauge — 0 until the first spill creates the buffer pool,
 /// then the pool's fixed frame count.
+///
+/// # Phase wall time
+///
+/// The six `*_ns` fields are not event counters either: each is the sum of
+/// the wall time, in nanoseconds, of every *completed* run of one pipeline
+/// phase — [`SessionStats::parse_ns`], [`SessionStats::bind_ns`],
+/// [`SessionStats::rewrite_ns`], [`SessionStats::optimize_ns`],
+/// [`SessionStats::compile_ns`] and [`SessionStats::execute_ns`]. The
+/// session facade adds them; an executor used directly adds none. A phase
+/// that fails adds nothing, a plan-cache hit runs none of the five
+/// preparation phases, and a streaming cursor's pulls are not timed. The
+/// difference of two snapshots is where the time in between went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// SQL texts parsed.
@@ -64,6 +76,20 @@ pub struct SessionStats {
     /// engine's plan cache (or ran privately, for sessions opened without
     /// an engine).
     pub plan_cache_misses: u64,
+    /// Wall time spent parsing SQL, summed in nanoseconds.
+    pub parse_ns: u64,
+    /// Wall time spent binding parsed queries, summed in nanoseconds.
+    pub bind_ns: u64,
+    /// Wall time spent in provenance rewrites, summed in nanoseconds.
+    pub rewrite_ns: u64,
+    /// Wall time spent optimizing, summed in nanoseconds.
+    pub optimize_ns: u64,
+    /// Wall time spent compiling, summed in nanoseconds.
+    pub compile_ns: u64,
+    /// Wall time of the materialising executions (`Session::execute`,
+    /// `Session::execute_profiled` and what calls them), summed in
+    /// nanoseconds.
+    pub execute_ns: u64,
     /// Operator invocations. Both the compiled and the interpreted path
     /// count one evaluation per operator node per invocation; a memo hit
     /// counts nothing, which is what makes the memoization win measurable.

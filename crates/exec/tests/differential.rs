@@ -449,8 +449,8 @@ fn assert_optimizer_matches_reference(
 }
 
 /// The rewrite of `plan` under `strategy`, or `None` where the strategy
-/// does not apply (sublinks in join conditions; a correlated sublink under
-/// anything but Gen).
+/// does not apply (sublinks in an outer join's condition; a correlated
+/// sublink under anything but Gen).
 fn rewrite_with(db: &Database, plan: &Plan, strategy: Strategy) -> Option<Plan> {
     perm_core::ProvenanceQuery::new(db, plan)
         .strategy(strategy)

@@ -84,6 +84,14 @@ pub fn encode_key_typed(values: &[Value]) -> Vec<u8> {
     encode_key_impl(values, true)
 }
 
+/// [`encode_key_typed`] appended to `out`, for a caller that builds its
+/// keys in one reused buffer.
+pub fn encode_key_typed_into(values: &[Value], out: &mut Vec<u8>) {
+    for v in values {
+        encode_value(v, true, out);
+    }
+}
+
 /// [`encode_key`] over a tuple's values — the equality key of
 /// [`Tuple::null_safe_eq`], used by the hashed bag/set operations.
 pub fn encode_tuple_key(tuple: &Tuple) -> Vec<u8> {

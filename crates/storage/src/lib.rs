@@ -34,7 +34,8 @@ pub use column::{ColumnVec, Validity};
 pub use heapfile::HeapFile;
 pub use keys::{
     encode_key, encode_key_column, encode_key_column_filtered, encode_key_into, encode_key_typed,
-    encode_sort_entry, encode_sort_key, encode_tuple_key, KeyGroups, KeyTable,
+    encode_key_typed_into, encode_sort_entry, encode_sort_key, encode_tuple_key, KeyGroups,
+    KeyTable,
 };
 pub use manager::{PagedRelation, StorageManager, DEFAULT_POOL_PAGES};
 pub use page::{decode_row, decode_value, encode_row, encode_value, Page, PAGE_SIZE};

@@ -1,7 +1,8 @@
 //! Query-level observability, tier by tier: plan shape with `EXPLAIN`,
-//! per-operator actuals with `EXPLAIN ANALYZE`, structured execution
-//! traces through a `TraceSink`, the session's monotone counters, and the
-//! serving layer's Prometheus-exportable metrics registry.
+//! per-operator actuals with `EXPLAIN ANALYZE`, where the time and the memo
+//! traffic went from differences of `SessionStats` snapshots, the session's
+//! monotone counters, and the serving layer's Prometheus-exportable metrics
+//! registry.
 //!
 //! An operator on call gets paged about a slow provenance query. This
 //! example is the diagnosis path: look at the plan, run it annotated, see
@@ -10,9 +11,7 @@
 //!
 //! Run with `cargo run --example observability`.
 
-use std::sync::Arc;
-
-use perm::{Database, Engine, Relation, RingTraceSink, Schema, SessionConfig, Value};
+use perm::{Database, Engine, Relation, Schema, Value};
 use perm_serve::{ConcurrentEngine, Request};
 
 fn build_database() -> Database {
@@ -77,60 +76,58 @@ fn main() {
         profile.total_invocations()
     );
 
-    // Tier 2 — structured traces: attach a `TraceSink` and every pipeline
-    // phase (parse, bind, rewrite, optimize, compile, execute), memo
-    // insert/hit, degradation transition and fired cancellation lands in it
-    // as a `TraceEvent` — the phases from the session, the rest written by
-    // the executor itself. The bundled `RingTraceSink` is a bounded ring
-    // buffer.
+    // Tier 2 — where the time went: the session adds the wall time of
+    // each pipeline phase (parse, bind, rewrite, optimize, compile,
+    // execute) to its `SessionStats`, beside the counters, so the
+    // difference of two snapshots says where the time between them went.
     // A fresh engine keeps its plan cache cold — a cache hit would
     // (correctly) skip the frontend phases, and we want to see them all.
-    let sink = Arc::new(RingTraceSink::new(16_384));
-    let traced_engine = Engine::new(build_database());
-    let traced = traced_engine.session_with(SessionConfig {
-        trace_sink: Some(sink.clone()),
-        ..SessionConfig::default()
-    });
-    let prepared = traced.prepare(sql).expect("the query prepares");
-    traced.execute(&prepared, &[]).expect("the query runs");
+    let timed_engine = Engine::new(build_database());
+    let timed = timed_engine.session();
+    let before = timed.stats();
+    let prepared = timed.prepare(sql).expect("the query prepares");
+    timed.execute(&prepared, &[]).expect("the query runs");
+    let after = timed.stats();
+    println!("== pipeline phases (wall time) ==");
+    for (phase, ns) in [
+        ("parse", after.parse_ns - before.parse_ns),
+        ("bind", after.bind_ns - before.bind_ns),
+        ("rewrite", after.rewrite_ns - before.rewrite_ns),
+        ("optimize", after.optimize_ns - before.optimize_ns),
+        ("compile", after.compile_ns - before.compile_ns),
+        ("execute", after.execute_ns - before.execute_ns),
+    ] {
+        assert!(ns > 0, "{phase} ran and took time");
+        println!("  {phase:<8} {:.3}ms", ns as f64 / 1e6);
+    }
     // The optimizer turned that `EXISTS` into a semi join, so it has no
-    // memo traffic; a correlated scalar comparison stays a memo site, and
-    // its second run is served from the statement's memo.
-    let heavier = traced
+    // memo traffic; a correlated scalar comparison stays a memo site: each
+    // of the 400 rows looks its lane up, the first run misses once per
+    // lane, and the second run is served from the statement's memo.
+    let heavier = timed
         .prepare(
             "SELECT id FROM shipments WHERE weight > \
              (SELECT avg(lim) FROM holds WHERE holds.lane = shipments.lane)",
         )
         .expect("the query prepares");
+    let before = timed.stats();
     for _ in 0..2 {
-        traced.execute(&heavier, &[]).expect("the query runs");
+        timed.execute(&heavier, &[]).expect("the query runs");
     }
-    // A hot correlated sublink produces many memo events, so print the
-    // phase spans verbatim and summarize the memo traffic.
-    let events = sink.snapshot();
-    let (mut memo_inserts, mut memo_hits) = (0usize, 0usize);
-    println!("== trace events ({} total) ==", events.len());
-    for event in &events {
-        match event.kind {
-            perm::TraceKind::MemoInsert => memo_inserts += 1,
-            perm::TraceKind::MemoHit => memo_hits += 1,
-            _ => println!(
-                "  {:?} {} = {:.3}ms",
-                event.kind,
-                event.label,
-                event.value as f64 / 1e6
-            ),
-        }
-    }
-    println!("  (+ {memo_inserts} memo inserts, {memo_hits} memo hits)");
+    let after = timed.stats();
+    let (memo_hits, memo_misses) = (
+        after.memo_hits - before.memo_hits,
+        after.memo_misses - before.memo_misses,
+    );
+    println!(
+        "  (+ two runs of a correlated scalar: {:.3}ms, {memo_misses} memo misses, {memo_hits} memo hits)",
+        (after.execute_ns - before.execute_ns) as f64 / 1e6
+    );
+    assert_eq!((memo_misses, memo_hits), (8, 792));
 
     // Tier 3 — session counters: monotone totals over the session's life
-    // (see `SessionStats` — *Counter semantics*), read from the same
-    // registry the trace events are written beside: one memo-hit event per
-    // counted memo hit.
-    let stats = traced.stats();
-    assert!(memo_hits > 0);
-    assert_eq!(memo_hits as u64, stats.memo_hits);
+    // (see `SessionStats` — *Counter semantics*).
+    let stats = timed.stats();
     println!(
         "\n== session counters ==\n\
          parses={} compiles={} executions={} memo={}/{} cancel_checks={} peak_bytes={}",

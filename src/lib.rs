@@ -82,20 +82,19 @@
 //!   ([`QueryProfile::render`]) or JSON ([`QueryProfile::to_json`]), and
 //!   the sum of per-node invocation counts equals the
 //!   `operators_evaluated` counter by construction.
-//! * **Structured traces** — attach any [`TraceSink`] (the bundled
-//!   [`RingTraceSink`] is a bounded ring buffer) via
-//!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline
-//!   phase spans (parse, bind, rewrite, optimize, compile, execute with
-//!   wall times) from the session, and sublink-memo inserts and hits,
-//!   degradation-rung transitions and fired cancellation checkpoints,
-//!   which the executor writes into the same sink itself.
+//! * **Phase wall time** — the session adds the wall time of every
+//!   completed pipeline phase to six sums of [`SessionStats`]
+//!   (`parse_ns`, `bind_ns`, `rewrite_ns`, `optimize_ns`, `compile_ns`,
+//!   `execute_ns`; see its *Phase wall time* section): the difference of
+//!   two snapshots says where the time between them went.
 //! * **Counters** — [`Session::stats`] snapshots the monotone
 //!   [`SessionStats`] (see its *Counter semantics* section): one counter
 //!   registry, owned by the session's executor, that the pipeline phases
 //!   and the executor bump where the work happens —
-//!   [`Executor::stats`] reads the same value. The trace and the counters
-//!   agree: one `MemoHit` event per `memo_hits`, one `Rung` event per
-//!   newly reached [`Degradation`].
+//!   [`Executor::stats`] reads the same value. Memo hits and misses, the
+//!   worst [`Degradation`] rung reached and the cancellation checkpoints
+//!   polled are counters there; a cancellation that fired is the
+//!   [`ExecError::Cancelled`] its caller receives.
 //! * **Serving metrics** — the `perm-serve` crate sums each request
 //!   attempt's `Session::stats` deltas and its own request outcomes and
 //!   latency histograms into a snapshot exportable in Prometheus text
@@ -140,7 +139,6 @@ pub use perm_core::{
 pub use perm_exec::{CancelToken, Degradation, ExecError, FaultKind, FaultPlan, FaultSite};
 pub use perm_exec::{Executor, SessionStats};
 pub use perm_exec::{ProfileNode, QueryProfile};
-pub use perm_exec::{RingTraceSink, TraceEvent, TraceKind, TraceSink};
 pub use perm_storage::{Database, Name, Relation, Schema, Tuple, Value};
 pub use session::{
     Engine, PlanCacheStats, Prepared, ProvenanceRow, ProvenanceRows, Rows, Session, SessionConfig,

@@ -33,7 +33,6 @@ use crate::PermError;
 use perm_algebra::Plan;
 use perm_core::{ProvenanceDescriptor, ProvenanceQuery, Strategy};
 use perm_exec::{CancelToken, Executor, FaultPlan, QueryProfile, SessionStats};
-use perm_exec::{TraceEvent, TraceKind, TraceSink};
 use perm_storage::{Database, Relation, Schema, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,9 +277,9 @@ pub struct PlanCacheStats {
 
 /// Session configuration: the rewrite strategy and the execution knobs of a
 /// session's [`Executor`] (memo, evaluation layout, deadline, budget,
-/// spill, fault injection, tracing), in one place. [`Engine::session`]
-/// hands out the engine's default; [`Engine::session_with`] takes one.
-#[derive(Clone)]
+/// spill, fault injection), in one place. [`Engine::session`] hands out the
+/// engine's default; [`Engine::session_with`] takes one.
+#[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// The provenance rewrite strategy (default [`Strategy::Auto`]).
     pub strategy: Strategy,
@@ -365,21 +364,6 @@ pub struct SessionConfig {
     /// tests use this to provoke cancellations, budget exhaustion and
     /// worker panics at exact, reproducible points.
     pub fault_plan: Option<FaultPlan>,
-    /// Optional structured-trace sink (default `None`). When set, every
-    /// session opened with this configuration records [`TraceEvent`]s into
-    /// it: one [`TraceKind::Phase`] span per completed pipeline phase
-    /// (`parse`, `bind`, `rewrite`, `optimize`, `compile`, `execute`, each
-    /// carrying its wall time in nanoseconds), plus the events its executor
-    /// writes into the same sink ([`Executor::set_trace_sink`]) —
-    /// sublink-memo inserts and hits, degradation-rung transitions, and
-    /// cancellation checkpoints that actually fired. With no sink attached
-    /// each emission site is a single `Option` check; nothing is allocated
-    /// or recorded.
-    /// The bundled [`perm_exec::RingTraceSink`] keeps the most recent
-    /// events in a bounded ring; the trait is `Send + Sync`, so one sink
-    /// may observe many sessions (the serving worker pool does exactly
-    /// that). Execution-only: not part of the plan-cache key.
-    pub trace_sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl Default for SessionConfig {
@@ -396,29 +380,7 @@ impl Default for SessionConfig {
             spill: false,
             spill_dir: None,
             fault_plan: None,
-            trace_sink: None,
         }
-    }
-}
-
-impl std::fmt::Debug for SessionConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Manual only because `dyn TraceSink` has no `Debug`; every other
-        // field is shown as the derive would.
-        f.debug_struct("SessionConfig")
-            .field("strategy", &self.strategy)
-            .field("sublink_memo", &self.sublink_memo)
-            .field("memo_capacity", &self.memo_capacity)
-            .field("retain_memo", &self.retain_memo)
-            .field("batching", &self.batching)
-            .field("columnar", &self.columnar)
-            .field("deadline", &self.deadline)
-            .field("memory_budget", &self.memory_budget)
-            .field("spill", &self.spill)
-            .field("spill_dir", &self.spill_dir)
-            .field("fault_plan", &self.fault_plan)
-            .field("trace_sink", &self.trace_sink.as_ref().map(|_| ".."))
-            .finish()
     }
 }
 
@@ -515,6 +477,12 @@ impl Prepared {
     }
 }
 
+/// Wall time since `start` in nanoseconds, for the phase sums of
+/// [`SessionStats`].
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
+}
+
 impl<'a> Session<'a> {
     /// Opens a session with the default configuration directly over a
     /// database — for callers that manage the database themselves. Such a
@@ -537,7 +505,6 @@ impl<'a> Session<'a> {
         if let Some(plan) = &config.fault_plan {
             executor = executor.with_fault_plan(plan.clone());
         }
-        executor.set_trace_sink(config.trace_sink.clone());
         Session {
             db,
             config,
@@ -560,19 +527,6 @@ impl<'a> Session<'a> {
     /// the session's: [`Session::stats`] is [`Executor::stats`].
     pub fn executor(&self) -> &Executor<'a> {
         &self.executor
-    }
-
-    /// Records one completed pipeline phase into the configured trace sink
-    /// (a no-op without one). Only *completed* phases are recorded: a phase
-    /// that errors contributes no span.
-    fn trace_phase(&self, phase: &'static str, start: Instant) {
-        if let Some(sink) = &self.config.trace_sink {
-            sink.record(TraceEvent::new(
-                TraceKind::Phase,
-                phase,
-                start.elapsed().as_nanos() as u64,
-            ));
-        }
     }
 
     /// A snapshot of the session's counters — its executor's registry,
@@ -648,13 +602,19 @@ impl<'a> Session<'a> {
     fn parse_and_bind(&self, sql: &str) -> Result<(Plan, bool), PermError> {
         let start = Instant::now();
         let parsed = perm_sql::parse_query(sql)?;
-        self.executor.record(|s| s.parses += 1);
-        self.trace_phase("parse", start);
+        let ns = elapsed_ns(start);
+        self.executor.record(|s| {
+            s.parses += 1;
+            s.parse_ns += ns;
+        });
         let provenance = parsed.provenance;
         let start = Instant::now();
         let bound = perm_sql::bind(self.db, &parsed)?;
-        self.executor.record(|s| s.binds += 1);
-        self.trace_phase("bind", start);
+        let ns = elapsed_ns(start);
+        self.executor.record(|s| {
+            s.binds += 1;
+            s.bind_ns += ns;
+        });
         Ok((bound.plan, provenance))
     }
 
@@ -670,22 +630,27 @@ impl<'a> Session<'a> {
             let rewritten = ProvenanceQuery::new(self.db, &plan)
                 .strategy(self.config.strategy)
                 .rewrite()?;
-            self.executor.record(|s| s.rewrites += 1);
-            self.trace_phase("rewrite", start);
+            let ns = elapsed_ns(start);
+            self.executor.record(|s| {
+                s.rewrites += 1;
+                s.rewrite_ns += ns;
+            });
             (rewritten.plan, Some(rewritten.descriptor))
         } else {
             (plan, None)
         };
         let start = Instant::now();
         let (optimized, report) = perm_optimize::optimize(&plan);
+        let ns = elapsed_ns(start);
         self.executor.record(|s| {
             s.optimizer_rules_fired += report.rules_fired();
             s.sublinks_decorrelated += report.sublinks_decorrelated;
+            s.optimize_ns += ns;
         });
-        self.trace_phase("optimize", start);
         let start = Instant::now();
         let compiled = self.executor.prepare(&optimized)?;
-        self.trace_phase("compile", start);
+        let ns = elapsed_ns(start);
+        self.executor.record(|s| s.compile_ns += ns);
         let schema = compiled.schema().clone();
         Ok(Prepared {
             sql: sql.map(str::to_owned),
@@ -726,8 +691,13 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    fn count_execution(&self) {
-        self.executor.record(|s| s.executions += 1);
+    /// Counts one execution and adds `ns` of it to
+    /// [`SessionStats::execute_ns`].
+    fn count_execution(&self, ns: u64) {
+        self.executor.record(|s| {
+            s.executions += 1;
+            s.execute_ns += ns;
+        });
     }
 
     /// Executes a prepared statement with the given parameter binding,
@@ -760,8 +730,7 @@ impl<'a> Session<'a> {
         self.bind_checked(prepared, params, deadline)?;
         let start = Instant::now();
         let result = self.executor.execute_compiled(&prepared.compiled)?;
-        self.trace_phase("execute", start);
-        self.count_execution();
+        self.count_execution(elapsed_ns(start));
         Ok(result)
     }
 
@@ -795,7 +764,8 @@ impl<'a> Session<'a> {
     ) -> Result<Rows<'s, 'a>, PermError> {
         self.bind_checked(prepared, params, None)?;
         let rows = self.executor.open(&prepared.compiled)?;
-        self.count_execution();
+        // A cursor's pulls happen after this returns and are not timed.
+        self.count_execution(0);
         Ok(rows)
     }
 
@@ -852,8 +822,7 @@ impl<'a> Session<'a> {
         self.bind_checked(prepared, params, None)?;
         let start = Instant::now();
         let (relation, profile) = self.executor.execute_profiled(&prepared.compiled)?;
-        self.trace_phase("execute", start);
-        self.count_execution();
+        self.count_execution(elapsed_ns(start));
         Ok((relation, profile))
     }
 

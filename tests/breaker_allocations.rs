@@ -25,14 +25,16 @@
 //! | `ORDER BY b, a` over `r1`, 20 000 rows, resident |      20 000 |      20 | 22 560 |         20 073 |    20 086 |   20 085 |
 //! | `Π_{a, b, a AS pa, b AS pb, g AS pg}` over it    |      20 000 |      20 | 22 560 |              — |    40 087 |   20 086 |
 //! | the same sort under 256 KiB, spilled (2 / row)   |      20 000 |      20 | 42 560 |         77 711 |    57 585 |   39 152 |
-//! | Gen's loop, `r1 ⋈_{C ∧ EXISTS ∧ scalar ∧ r2} r2`  |      10 000 |      21 | 32 688 |      (662 534) |  (26 081) |        — |
+//! | Gen's loop, `r1 ⋈_{C ∧ EXISTS ∧ scalar ∧ r2} r2`  |      10 000 |      21 | 32 688 |      (662 534) |  (10 421) |        — |
 //!
 //! (Gen's loop: `T⁺ × CrossBase` fused into a nested loop, 3 / row, whose
 //! leading conjuncts read the left row alone; in brackets its count when
 //! every conjunct was tested per (left row, right row) pair, and since they
-//! run once per left row. `one copy`: since the sort keeps input indices and builds each row
-//! once, as it emits it, instead of copying every input row into its
-//! buffer; the spilled sort's bound was three per row before. `HashMap`
+//! run once per left row and each memo lookup builds its key in one reused
+//! buffer — 26 081 when each key was built in fresh buffers. `one copy`:
+//! since the sort keeps input indices and builds each row once, as it
+//! emits it, instead of copying every input row into its buffer; the
+//! spilled sort's bound was three per row before. `HashMap`
 //! keys: when the join bucketed its build rows in a
 //! `HashMap<Vec<u8>, Vec<&Tuple>>`, taking each row's key buffer, the
 //! aggregate indexed its groups in a `HashMap<Vec<u8>, usize>` the same
@@ -222,10 +224,10 @@ fn breakers_allocate_per_output_row_not_per_input_row() {
             4,
         ),
         case("γ_{g; count(*)}(r1)", &narrow, &grouped, &[20_000], None, 1),
-        // The candidate behind each output row, and the memo keys of the
-        // sublink lookups of the 2 500 left rows the outer condition keeps
-        // (each key is built in fresh buffers): 26 081 allocations, where
-        // testing every conjunct per pair made 662 534.
+        // The candidate behind each output row; the memo lookups of the
+        // 2 500 left rows the outer condition keeps reuse one key buffer:
+        // 10 421 allocations, 26 081 when each key was built in fresh
+        // buffers, and 662 534 when every conjunct was tested per pair.
         case(
             "r1 ⋈_{C ∧ EXISTS ∧ scalar ∧ r2} r2, nested loop",
             &narrow,

@@ -14,13 +14,11 @@ use perm::prelude::*;
 use perm_algebra::builder::{and, binary, cmp, eq, exists_sublink, null_safe_eq};
 use perm_algebra::{compare, BinaryOp, CompareOp, Expr, JoinKind, Plan, ProjectItem, SetOpKind};
 use perm_exec::{
-    CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, RingTraceSink,
-    TraceKind, BATCH_ROWS,
+    CompiledExpr, CompiledNode, ExecError, FaultKind, FaultPlan, FaultSite, BATCH_ROWS,
 };
 use perm_storage::{encode_key_column_filtered, ColumnVec, Truth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 const KINDS: [JoinKind; 4] = [
@@ -449,23 +447,16 @@ fn a_bucket_longer_than_a_batch_is_cancelled_inside_it() {
     // emission — inside the 31st left row's bucket — or, on a machine that
     // takes a millisecond to get going, at the very first, which the left
     // scan polls.
-    let sink = Arc::new(RingTraceSink::default());
     let ex = Executor::new(&db).with_deadline(Duration::from_millis(1));
-    ex.set_trace_sink(Some(sink.clone()));
     let err = ex.execute(&plan).unwrap_err();
     assert!(matches!(err, ExecError::Cancelled { .. }), "{err}");
-    let operator = match ex.stats().cancel_checks {
-        1 => "scan",
-        65 => "join",
+    match ex.stats().cancel_checks {
+        // The left scan's checkpoint.
+        1 => {}
+        // Inside the join's emission.
+        65 => {}
         checks => panic!("cancelled at checkpoint {checks}"),
-    };
-    let fired: Vec<String> = sink
-        .snapshot()
-        .into_iter()
-        .filter(|event| event.kind == TraceKind::CancelFired)
-        .map(|event| event.label)
-        .collect();
-    assert_eq!(fired, [operator]);
+    }
 
     // The same place, by count: the fifth checkpoint is the second inside
     // the first left row's bucket, and nothing runs after it.

@@ -815,6 +815,12 @@ fn stats_counters_accumulate_monotonically_over_the_session_life() {
         ("executions", |s| s.executions),
         ("plan_cache_hits", |s| s.plan_cache_hits),
         ("plan_cache_misses", |s| s.plan_cache_misses),
+        ("parse_ns", |s| s.parse_ns),
+        ("bind_ns", |s| s.bind_ns),
+        ("rewrite_ns", |s| s.rewrite_ns),
+        ("optimize_ns", |s| s.optimize_ns),
+        ("compile_ns", |s| s.compile_ns),
+        ("execute_ns", |s| s.execute_ns),
         ("vectorized_batches", |s| s.vectorized_batches),
         ("sublink_fallback_rows", |s| s.sublink_fallback_rows),
         ("columnar_blocks", |s| s.columnar_blocks),
@@ -998,10 +1004,9 @@ fn spill_sessions_report_buffer_pool_churn_and_capacity() {
 }
 
 #[test]
-fn trace_events_agree_with_the_counters() {
-    // One session, one sink: the executor writes its events into the sink
-    // the session records its phases in, and each event matches a counter
-    // of the one registry `stats()` reads.
+fn phase_sums_and_counters_come_from_one_registry() {
+    // One session, one registry: the pipeline phases add their wall time to
+    // it, the executor its counters, and `stats()` reads them all.
     let mut db = grouped_db();
     db.create_table(
         "big",
@@ -1013,33 +1018,60 @@ fn trace_events_agree_with_the_counters() {
         ),
     )
     .unwrap();
-    let sink = std::sync::Arc::new(perm::RingTraceSink::new(1 << 16));
     let engine = Engine::new(db);
     let session = engine.session_with(SessionConfig {
         memory_budget: Some(256 << 10),
         spill: true,
-        trace_sink: Some(sink.clone()),
         ..SessionConfig::default()
     });
-    let events = |kind: perm::TraceKind| -> Vec<perm::TraceEvent> {
-        let all = sink.snapshot();
-        all.into_iter().filter(|e| e.kind == kind).collect()
+    let phases = |s: &perm::SessionStats| {
+        [
+            s.parse_ns,
+            s.bind_ns,
+            s.rewrite_ns,
+            s.optimize_ns,
+            s.compile_ns,
+            s.execute_ns,
+        ]
     };
+
+    // A fresh provenance preparation and one execution run all six phases,
+    // each timed inside the calls.
+    let sql = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.g = r.g)";
+    let before = session.stats();
+    let wall = std::time::Instant::now();
+    let provenance = session.prepare_provenance(sql).unwrap();
+    session.execute(&provenance, &[]).unwrap();
+    let wall = wall.elapsed().as_nanos() as u64;
+    let after = session.stats();
+    let deltas: Vec<u64> = phases(&after)
+        .iter()
+        .zip(phases(&before))
+        .map(|(a, b)| a - b)
+        .collect();
+    assert!(deltas.iter().all(|&d| d > 0), "{deltas:?}");
+    assert!(deltas.iter().sum::<u64>() <= wall, "{deltas:?} > {wall}");
+    assert_eq!(after.plan_cache_misses, before.plan_cache_misses + 1);
+
+    // A plan-cache hit runs none of the five preparation phases.
+    let hit = session.prepare_provenance(sql).unwrap();
+    let cached = session.stats();
+    assert!(std::sync::Arc::ptr_eq(&hit, &provenance));
+    assert_eq!(cached.plan_cache_hits, after.plan_cache_hits + 1);
+    assert_eq!(phases(&cached)[..5], phases(&after)[..5]);
 
     // A correlated scalar `avg`, twice: the second run is served by the
     // statement's memo.
     let correlated = session
         .prepare("SELECT a FROM r WHERE a < (SELECT avg(c) FROM s WHERE s.g = r.g)")
         .unwrap();
-    let before = session.stats();
     session.execute(&correlated, &[]).unwrap();
+    let first = session.stats();
     session.execute(&correlated, &[]).unwrap();
-    let after = session.stats();
-    assert!(after.memo_hits > before.memo_hits, "{after:?}");
-    assert_eq!(
-        events(perm::TraceKind::MemoHit).len() as u64,
-        after.memo_hits - before.memo_hits
-    );
+    let second = session.stats();
+    assert!(second.memo_hits > first.memo_hits, "{second:?}");
+    assert_eq!(second.memo_misses, first.memo_misses);
+    assert!(second.execute_ns > first.execute_ns);
 
     // A sort ten times the budget goes out of core.
     let sorted = session.prepare("SELECT k, v FROM big ORDER BY k").unwrap();
@@ -1047,35 +1079,18 @@ fn trace_events_agree_with_the_counters() {
     let spilled = session.stats();
     assert!(spilled.spilled_bytes > 0 && spilled.degradation > Degradation::None);
 
-    // An expired deadline cancels at the first checkpoint.
+    // An expired deadline cancels at the first checkpoint, and a failed
+    // execution adds no execute time.
     let scan = session.prepare("SELECT k FROM big WHERE v > 5").unwrap();
+    let ready = session.stats();
     let cancelled = session.execute_with_deadline(&scan, &[], std::time::Duration::ZERO);
     assert!(matches!(
         cancelled,
         Err(PermError::Exec(perm::ExecError::Cancelled { .. }))
     ));
-    assert_eq!(events(perm::TraceKind::CancelFired).len(), 1);
-
-    // One `Rung` event per newly reached rung: strictly worsening, ending
-    // at the rung the counters report.
     let stats = session.stats();
-    let ladder = [
-        Degradation::SpilledToDisk,
-        Degradation::ReclaimedMemos,
-        Degradation::Exhausted,
-    ];
-    let rungs: Vec<Degradation> = events(perm::TraceKind::Rung)
-        .iter()
-        .map(|e| *ladder.iter().find(|r| format!("{r:?}") == e.label).unwrap())
-        .collect();
-    assert!(!rungs.is_empty());
-    assert!(rungs.windows(2).all(|w| w[0] < w[1]), "{rungs:?}");
-    assert_eq!(rungs.last(), Some(&stats.degradation));
-    assert_eq!(
-        events(perm::TraceKind::MemoHit).len() as u64,
-        stats.memo_hits
-    );
-    assert_eq!(sink.dropped(), 0);
+    assert_eq!(stats.execute_ns, ready.execute_ns);
+    assert_eq!(stats.executions, ready.executions);
 
     // The session's counters are its executor's, and every getter the
     // benchmark still calls reads the same registry.

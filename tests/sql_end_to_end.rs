@@ -438,3 +438,91 @@ fn a_conjunct_on_an_ambiguous_column_stays_above_the_product_and_fails() {
         }
     }
 }
+
+/// The distinct rows of `rel`'s first `arity` columns — a provenance
+/// result restricted to the query's own result columns — sorted. A result
+/// row repeats once per witness combination, so the comparison with the
+/// plain query is on sets.
+fn result_rows(rel: &Relation, arity: usize) -> Vec<Tuple> {
+    let mut rows: Vec<Tuple> = rel
+        .tuples()
+        .iter()
+        .map(|t| Tuple::new(t.values()[..arity].to_vec()))
+        .collect();
+    rows.sort_by(|a, b| a.sort_key(b));
+    rows.dedup();
+    rows
+}
+
+/// Move (and `Auto`, which picks it) rebuilds a Π with a sublink item, and
+/// must keep each item's qualifier: without it the two `a`s of a self join
+/// came out as one ambiguous name (`AmbiguousAttribute("a")`).
+#[test]
+fn a_select_list_sublink_keeps_the_qualifiers_of_the_other_items() {
+    use perm::core::ProvenanceError;
+    let db = perm::synthetic::build_database(6, 5, 3);
+    let sql = "SELECT PROVENANCE x.a, y.a, EXISTS (SELECT * FROM r2 WHERE r2.b < 500) AS e \
+               FROM r1 x, r1 y LIMIT 3";
+    let plain = run(&db, &sql.replacen("PROVENANCE ", "", 1)).unwrap();
+    assert_eq!(plain.len(), 3);
+    let gen = provenance_of_sql(&db, sql, Strategy::Gen).unwrap();
+    assert_eq!(gen.len(), 15, "three rows, five r2 witnesses each");
+    for strategy in [
+        Strategy::Left,
+        Strategy::Move,
+        Strategy::Unn,
+        Strategy::Auto,
+    ] {
+        match provenance_of_sql(&db, sql, strategy) {
+            Err(perm::PermError::Provenance(ProvenanceError::NotApplicable { .. }))
+                if strategy == Strategy::Unn => {}
+            Ok(got) => {
+                assert_eq!(result_rows(&got, 3), result_rows(&plain, 3), "{strategy}");
+                assert!(got.bag_eq(&gen), "{strategy}:\n{got}\nvs Gen\n{gen}");
+            }
+            Err(other) => panic!("{strategy}: {other}"),
+        }
+    }
+}
+
+/// An inner join's `ON` condition with a sublink is rewritten as
+/// `σ_θ(L × R)`, θ as written: the witnesses are those of the same query
+/// with the sublink moved to `WHERE`. A left outer join's is refused.
+#[test]
+fn a_sublink_in_an_inner_join_condition_has_the_witnesses_of_its_where_twin() {
+    use perm::core::ProvenanceError;
+    let db = perm::synthetic::build_matching_database(40, 10, 3);
+    for sublink in [
+        // Correlated: `Auto` takes Gen.
+        "EXISTS (SELECT * FROM r2 s WHERE s.g < r1.g)",
+        // Uncorrelated: `Auto` takes Move.
+        "EXISTS (SELECT * FROM r2 s WHERE s.b < 0)",
+    ] {
+        let on =
+            format!("SELECT PROVENANCE r1.a, r2.b FROM r1 JOIN r2 ON r1.a = r2.a AND {sublink}");
+        let moved =
+            format!("SELECT PROVENANCE r1.a, r2.b FROM r1 JOIN r2 ON r1.a = r2.a WHERE {sublink}");
+        let plain = run(&db, &on.replacen("PROVENANCE ", "", 1)).unwrap();
+        assert!(!plain.is_empty(), "{on}");
+        for strategy in [Strategy::Gen, Strategy::Auto] {
+            let got = provenance_of_sql(&db, &on, strategy)
+                .unwrap_or_else(|e| panic!("{strategy} on {on}: {e}"));
+            assert_eq!(
+                result_rows(&got, 2),
+                result_rows(&plain, 2),
+                "{strategy}: {on}"
+            );
+            let twin = provenance_of_sql(&db, &moved, strategy).unwrap();
+            assert_eq!(got.schema().names(), twin.schema().names());
+            assert!(got.bag_eq(&twin), "{strategy}: {on}:\n{got}\nvs\n{twin}");
+        }
+    }
+    let outer = "SELECT PROVENANCE r1.a FROM r1 LEFT JOIN r2 \
+                 ON r1.a = r2.a AND EXISTS (SELECT * FROM r2 s WHERE s.b < 0)";
+    match provenance_of_sql(&db, outer, Strategy::Gen) {
+        Err(perm::PermError::Provenance(ProvenanceError::Unsupported(text))) => {
+            assert!(text.contains("LeftOuter"), "{text}")
+        }
+        other => panic!("expected Unsupported, got {:?}", other.map(|r| r.len())),
+    }
+}
